@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet test test-race bench bench-e2e chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
@@ -18,12 +18,24 @@ test:
 # -race, so the harness packages run in -short mode.
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/core/ ./internal/exec/
-	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/
+	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/
 	$(GO) test -race -short ./internal/wal/ ./internal/chaos/
 	$(GO) test -race -short ./internal/bench/ ./cmd/...
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The end-to-end benchmark of BENCHMARK.json, one plain run per workload
+# at the driver's size, printing the three end-to-end metrics of each —
+# the numbers a PR description quotes (benchmark/BASELINE.md has the
+# baseline and how far they spread).
+bench-e2e:
+	@for w in path-mining serve-interactive ingest-durable feed-mixed; do \
+		echo "== $$w"; \
+		out=$$($(GO) run ./benchmark --workload $$w --seed 1 --seconds 20 --trace 0) \
+			|| { echo "$$out" | tail -n 5; exit 1; }; \
+		echo "$$out" | grep -E '^(setup_s|alloc_kb_per_op|heap_mb) '; \
+	done
 
 # Fault-injection suite: chaos-backed retry/breaker/degradation tests plus
 # the governance (cancellation, deadline, limit) tests, run twice under the

@@ -127,9 +127,18 @@ func TestAblationShape(t *testing.T) {
 			if i >= 30 {
 				break
 			}
-			_, d, err := RunQuery(eng, view, s.BottomUpAt(rack))
-			if err != nil {
-				t.Fatal(err)
+			// Best of three: the few heavy racks are averaged, and one
+			// collector cycle or scheduling stall in a sub-millisecond
+			// query would otherwise stand for the whole class.
+			var d time.Duration
+			for k := 0; k < 3; k++ {
+				_, dk, err := RunQuery(eng, view, s.BottomUpAt(rack))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 0 || dk < d {
+					d = dk
+				}
 			}
 			if heavySet[rack] {
 				heavy += d

@@ -236,6 +236,9 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 		return res, nil
 	}
+	if len(rows) > 0 {
+		res.Rows = make([]Row, 0, len(rows))
+	}
 	for _, row := range rows {
 		out := Row{Bindings: row.bind, Coexist: row.coexist, VarTimes: row.varTimes}
 		for _, t := range a.Query.Projs {
@@ -254,8 +257,8 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 type workRow struct {
 	bind     map[string]plan.Pathway
 	views    map[string]graph.View
-	coexist  temporal.Set
-	varTimes map[string]temporal.Set
+	coexist  temporal.Set            // query-level time semantics only
+	varTimes map[string]temporal.Set // per-variable time bindings only
 }
 
 // rows materializes the joined tuples of a query. outer supplies bindings
@@ -316,14 +319,17 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 				}
 				tupViews[step.name] = usedView
 			}
+			if next == nil && len(paths) > 0 {
+				// Exact for the first (often only) tuple; later ones append.
+				next = make([]workRow, 0, len(paths))
+			}
 			for _, p := range paths {
-				nt := workRow{
-					bind:     cloneBind(tup.bind),
-					views:    tupViews,
-					varTimes: cloneTimes(tup.varTimes),
-				}
+				nt := workRow{bind: cloneBind(tup.bind), views: tupViews}
 				nt.bind[step.name] = p
-				nt.varTimes[step.name] = p.Validity
+				if perVarTimes {
+					nt.varTimes = cloneTimes(tup.varTimes)
+					nt.varTimes[step.name] = p.Validity
+				}
 				if x.joinsSatisfied(a, joins, nt) {
 					next = append(next, nt)
 				}
@@ -337,14 +343,13 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 	// must coexist and the row reports the maximal coexistence ranges.
 	if !perVarTimes {
 		window := x.windowFor(q)
-		var kept []workRow
+		kept := tuples[:0] // filtered in place
 		for _, tup := range tuples {
 			co := coexistence(q, tup)
 			if co.IsEmpty() {
 				continue
 			}
-			overlap := co.Intersect(temporal.Set{window})
-			if overlap.IsEmpty() {
+			if !co.Overlaps(window) {
 				continue
 			}
 			tup.coexist = co

@@ -251,6 +251,11 @@ func TestRangeQueryCoexistence(t *testing.T) {
 		names := map[any]temporal.Set{}
 		for _, row := range res.Rows {
 			names[row.Values[0]] = row.Coexist
+			// The mirror of the per-variable case above: query-level time
+			// reports coexistence, and no per-variable ranges are built.
+			if row.VarTimes != nil {
+				t.Errorf("query-level time must not populate VarTimes: %v", row.VarTimes)
+			}
 		}
 		h2, ok2 := names["host-2"]
 		h1, ok1 := names["host-1"]

@@ -1,0 +1,64 @@
+package plan_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/netmodel"
+	"repro/internal/plan"
+)
+
+// TestExtendAllocations pins the search core's memory model: what one
+// untraced evaluation allocates is bounded by the pathways it emits and
+// the anchors it starts from, not by the edges it scans or how deep it
+// searches. It runs a Host-Host query at 4 and at 6 hops on the demo
+// topology, and again with the demo's fabric widened to seven spines,
+// where the 6-hop search explores over twice the partial pathways of the
+// 4-hop one for the same 14 results.
+//
+// The relational backend builds a result slice per adjacency probe —
+// physical access, outside the shared core — so it is allowed one
+// allocation per expanded partial on top; gremlin hands out the store's
+// own adjacency lists and gets the bare bound.
+func TestExtendAllocations(t *testing.T) {
+	for _, spines := range []int{0, 6} {
+		st, d, _ := demoStore(t)
+		for i := 0; i < spines; i++ {
+			sp, err := st.InsertNode("SpineSwitch", graph.Fields{"id": int64(5000 + i), "name": fmt.Sprintf("spine-x%d", i), "status": "Active"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, link := range [][2]graph.UID{{d.TOR1, sp}, {sp, d.TOR1}, {d.TOR2, sp}, {sp, d.TOR2}} {
+				if _, err := st.InsertEdge(netmodel.PhysicalLink, link[0], link[1], graph.Fields{"id": int64(6000 + 4*i + j)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		view := graph.CurrentView(st)
+		for name, eng := range engines(st) {
+			perPath := map[int]float64{}
+			for _, hops := range []int{4, 6} {
+				_, p := mustPlan(t, st, fmt.Sprintf("Host()->[PhysicalLink()]{1,%d}->Host()", hops))
+				set, m, _, err := eng.EvalWith(view, p, plan.EvalOpts{})
+				if err != nil || set.Len() == 0 {
+					t.Fatalf("%s: %d pathways, err %v", name, set.Len(), err)
+				}
+				allocs := testing.AllocsPerRun(20, func() { eng.EvalWith(view, p, plan.EvalOpts{}) })
+				bound := 8*set.Len() + 4*m.AnchorRecords + 40
+				if name == "relational" {
+					bound += m.PartialsExplored
+				}
+				if allocs > float64(bound) {
+					t.Errorf("%s, %d extra spines, %d hops: %.0f allocations, want at most %d (%v)",
+						name, spines, hops, allocs, bound, m)
+				}
+				perPath[hops] = allocs / float64(set.Len())
+			}
+			if name == "gremlin" && perPath[6] > 1.5*perPath[4] {
+				t.Errorf("%s, %d extra spines: %.1f allocations per pathway at 6 hops, %.1f at 4: they grow with the search",
+					name, spines, perPath[6], perPath[4])
+			}
+		}
+	}
+}

@@ -39,28 +39,26 @@ func TestDifferentialRandom(t *testing.T) {
 				"past":    graph.PointView(st, t0.Add(90*time.Minute)),
 				"range":   graph.RangeView(st, t0.Add(30*time.Minute), clock.Now()),
 			}
+			seedRng := map[string]*rand.Rand{}
+			for i, vname := range []string{"current", "past", "range"} {
+				seedRng[vname] = rand.New(rand.NewSource(int64(trial)*7919 + int64(i) + 1))
+			}
 			for q := 0; q < 6; q++ {
 				src := randomRPE(rng)
 				c, err := rpe.CheckString(src, st.Schema())
 				if err != nil {
 					t.Fatalf("random RPE %q failed to check: %v", src, err)
 				}
-				p, err := plan.Build(c, st.Stats())
-				if err != nil {
-					continue // unanchorable under this cost model; skip
-				}
+				// Unanchorable under this cost model: only the seeded plans run.
+				p, _ := plan.Build(c, st.Stats())
 				for vname, view := range views {
 					ref := plan.ReferenceEval(view, c)
 					emitted := map[string]int{}
 					for ename, eng := range engines {
-						label := fmt.Sprintf("%s/%s %q", ename, vname, src)
-						got, m, span, err := eng.EvalTraced(view, p, nil)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
+						if p != nil {
+							label := fmt.Sprintf("%s/%s %q", ename, vname, src)
+							emitted[ename] = evalBothWays(t, label, st, eng, view, p, nil, ref).PathsEmitted
 						}
-						compareSets(t, label, st, got, ref)
-						checkTraceInvariants(t, label, got, m, span)
-						emitted[ename] = m.PathsEmitted
 					}
 					// The two backends walk different physical structures but
 					// must emit the same logical pathway set.
@@ -68,10 +66,94 @@ func TestDifferentialRandom(t *testing.T) {
 						t.Errorf("%s %q: PathsEmitted gremlin=%d relational=%d",
 							vname, src, emitted["gremlin"], emitted["relational"])
 					}
+					// Seeded plans (§3.4) in both directions: the oracle is the
+					// reference set restricted to pathways that start (Forward)
+					// or end (Backward) at a seed. Seeds come from their own
+					// generator so the RPE draws above stay what they were.
+					seeds := randomSeeds(seedRng[vname], view)
+					for _, dir := range []plan.Direction{plan.Forward, plan.Backward} {
+						sp := plan.BuildSeeded(c, dir)
+						want := restrictToSeeds(ref, dir, seeds)
+						for ename, eng := range engines {
+							label := fmt.Sprintf("%s/%s seeded %s %v %q", ename, vname, dir, seeds, src)
+							evalBothWays(t, label, st, eng, view, sp, seeds, want)
+						}
+					}
 				}
 			}
 		})
 	}
+}
+
+// evalBothWays evaluates the plan traced and untraced. The traced run is
+// checked against the oracle and the trace invariants; the untraced one
+// must return the same pathways in the same order with the same Metrics —
+// tracing observes the search, it must not steer it.
+func evalBothWays(t *testing.T, label string, st *graph.Store, eng *plan.Engine, view graph.View, p *plan.Plan, seeds []graph.UID, want *plan.PathwaySet) plan.Metrics {
+	t.Helper()
+	got, m, span, err := eng.EvalWith(view, p, plan.EvalOpts{Seeds: seeds, Traced: true})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	compareSets(t, label, st, got, want)
+	checkTraceInvariants(t, label, got, m, span)
+	plain, pm, pspan, err := eng.EvalWith(view, p, plan.EvalOpts{Seeds: seeds})
+	if err != nil {
+		t.Fatalf("%s untraced: %v", label, err)
+	}
+	if pspan != nil {
+		t.Errorf("%s: untraced evaluation returned a span", label)
+	}
+	if pm != m {
+		t.Errorf("%s: Metrics traced %v, untraced %v", label, m, pm)
+	}
+	tp, pp := got.Paths(), plain.Paths()
+	if len(tp) != len(pp) {
+		t.Fatalf("%s: %d pathways traced, %d untraced", label, len(tp), len(pp))
+	}
+	for i := range tp {
+		if tp[i].Key() != pp[i].Key() || tp[i].Validity.String() != pp[i].Validity.String() {
+			t.Errorf("%s: pathway %d is %s %v traced, %s %v untraced", label, i,
+				tp[i].Render(st), tp[i].Validity, pp[i].Render(st), pp[i].Validity)
+		}
+	}
+	return m
+}
+
+// randomSeeds draws two seed nodes (possibly the same one twice) from the
+// nodes visible in the view.
+func randomSeeds(rng *rand.Rand, view graph.View) []graph.UID {
+	st := view.Store()
+	var nodes []graph.UID
+	lo, hi := st.UIDRange()
+	for uid := lo; uid < hi; uid++ {
+		if obj := st.Object(uid); obj != nil && !obj.IsEdge() && view.Visible(obj) {
+			nodes = append(nodes, uid)
+		}
+	}
+	if len(nodes) == 0 {
+		return nil
+	}
+	return []graph.UID{nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]}
+}
+
+// restrictToSeeds keeps the pathways whose source (Forward) or target
+// (Backward) is a seed.
+func restrictToSeeds(set *plan.PathwaySet, dir plan.Direction, seeds []graph.UID) *plan.PathwaySet {
+	out := plan.NewPathwaySet()
+	for _, pw := range set.Paths() {
+		end := pw.Source()
+		if dir == plan.Backward {
+			end = pw.Target()
+		}
+		for _, s := range seeds {
+			if s == end {
+				out.Add(pw)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestDifferentialRandomDeadline is the governance half of the

@@ -45,14 +45,18 @@ func (p Pathway) Hops() int { return len(p.Elems) / 2 }
 // Key returns a canonical identity string over the element UIDs, used for
 // deduplication and set semantics.
 func (p Pathway) Key() string {
-	var sb strings.Builder
-	for i, uid := range p.Elems {
+	return string(appendKey(make([]byte, 0, 8*len(p.Elems)), p.Elems))
+}
+
+// appendKey appends the Key of an element sequence to dst.
+func appendKey(dst []byte, elems []graph.UID) []byte {
+	for i, uid := range elems {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		sb.WriteString(strconv.FormatInt(int64(uid), 10))
+		dst = strconv.AppendInt(dst, int64(uid), 10)
 	}
-	return sb.String()
+	return dst
 }
 
 // ContainsElement reports whether the pathway passes through the element.
@@ -88,7 +92,14 @@ func (p Pathway) Render(st *graph.Store) string {
 type PathwaySet struct {
 	byKey map[string]int
 	paths []Pathway
+	// slab backs the Elems of pathways the engine admits: one array per
+	// doubling chunk instead of one per pathway.
+	slab []graph.UID
 }
+
+// slabMax caps a slab chunk (in UIDs), bounding both the tail a set
+// leaves unused and what a single retained Pathway can pin.
+const slabMax = 4096
 
 // NewPathwaySet returns an empty set.
 func NewPathwaySet() *PathwaySet {
@@ -110,6 +121,27 @@ func (s *PathwaySet) Add(p Pathway) {
 func (s *PathwaySet) Has(key string) bool {
 	_, ok := s.byKey[key]
 	return ok
+}
+
+// hasKey is Has for a key still in a scratch buffer; the lookup does not
+// allocate.
+func (s *PathwaySet) hasKey(key []byte) bool {
+	_, ok := s.byKey[string(key)]
+	return ok
+}
+
+// addKeyed admits a pathway the caller knows to be absent (hasKey), under
+// the key it already built. elems and key are scratch memory: the set
+// keeps its own copies, the elements carved from the slab with their
+// capacity clipped so an append by a consumer cannot reach a neighbour.
+func (s *PathwaySet) addKeyed(key []byte, elems []graph.UID, validity temporal.Set) {
+	if n := len(elems); cap(s.slab)-len(s.slab) < n {
+		s.slab = make([]graph.UID, 0, max(n, min(2*cap(s.slab), slabMax)))
+	}
+	at := len(s.slab)
+	s.slab = append(s.slab, elems...)
+	s.byKey[string(key)] = len(s.paths)
+	s.paths = append(grown(s.paths, 1), Pathway{Elems: s.slab[at:len(s.slab):len(s.slab)], Validity: validity})
 }
 
 // Paths returns the pathways in insertion order.

@@ -53,3 +53,9 @@ func ReferenceEval(view graph.View, c *rpe.Checked) *PathwaySet {
 	}
 	return out
 }
+
+func cloneUIDs(in []graph.UID) []graph.UID {
+	out := make([]graph.UID, len(in))
+	copy(out, in)
+	return out
+}

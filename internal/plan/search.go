@@ -2,8 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -77,16 +78,147 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 	o.paths.Add(int64(m.PathsEmitted))
 }
 
-// evalState carries one evaluation's instrumentation and governance: the
-// optional counters, the optional operator-span trace, the query's
-// Governor, and the first failure (governance or backend) that aborts
-// the search. The zero value disables everything; all sinks are nil-safe
-// so the uninstrumented, ungoverned path costs only nil checks.
+// evalState carries one evaluation's instrumentation, governance and
+// search scratch: the optional counters, the optional operator-span
+// trace, the query's Governor, the first failure (governance or backend)
+// that aborts the search, and the arena the partial pathways live in.
+// The zero value disables every sink; all of them are nil-safe so the
+// uninstrumented, ungoverned path costs only nil checks. Nothing in it
+// outlives the evaluation (DESIGN.md, "Search core memory model").
 type evalState struct {
 	m   *Metrics
 	tr  *traceEval
 	gov *Governor
 	err error
+
+	// partials is the arena of partial pathways, addressed by index, and
+	// sets their NFA state sets: partial i owns words [i*nw, (i+1)*nw).
+	// The arena is the DFS stack with the expanded ancestors left in
+	// place: pop takes the top pending partial and drops everything above
+	// it (subtrees already finished), so the arena holds the frontier,
+	// not every partial explored.
+	partials []partial
+	sets     []uint64
+	nw       int
+	stack    []int32 // pending partials, as arena indexes in push order
+	// halves holds the completed half-pathways of the current anchor
+	// element (or seed branch), each written out once, in pathway order;
+	// fwd and bwd index it. Emptied when the element's pathways are
+	// assembled.
+	halves   []graph.UID
+	fwd, bwd []half
+	// known/sat memoise atom satisfaction for the one element consume is
+	// looking at, as bit masks over the atoms' dense ids.
+	known, sat []uint64
+	elems      []graph.UID // the candidate pathway being assembled
+	key        []byte      // and its PathwaySet key
+	validity   validityScratch
+}
+
+// partial is one partial pathway: elem appended to (prepended to, in a
+// backward search) the partial at index parent. It records what consume
+// learned about elem so the search never resolves it again.
+type partial struct {
+	elem   graph.UID
+	next   graph.UID // an edge's structural successor: Dst forward, Src backward
+	parent int32     // -1 at a search root
+	depth  int32     // elements in the sequence, root included
+	isEdge bool
+}
+
+// half locates one completed half-pathway in evalState.halves.
+type half struct{ off, end int32 }
+
+// begin sizes the scratch for one plan: state sets of the automaton's
+// width and one mask bit per atom.
+func (es *evalState) begin(p *Plan) {
+	es.nw = (p.Checked.NFA().NumStates + 63) / 64
+	aw := (len(p.Checked.Atoms()) + 63) / 64
+	masks := make([]uint64, 2*aw)
+	es.known, es.sat = masks[:aw], masks[aw:]
+}
+
+// release empties the arena and the completed halves once an anchor
+// element's pathways are assembled.
+func (es *evalState) release() {
+	es.partials, es.sets = es.partials[:0], es.sets[:0]
+	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
+}
+
+// states returns partial i's state set; valid until the arena next grows.
+func (es *evalState) states(i int32) rpe.StateSet {
+	return es.sets[int(i)*es.nw : (int(i)+1)*es.nw]
+}
+
+// root starts a half-search at obj with the given (shared, read-only)
+// closure as its state set and returns the new partial's index.
+func (es *evalState) root(obj *graph.Object, states rpe.StateSet, dir Direction) int32 {
+	es.sets = append(es.sets, states...)
+	return es.push(-1, obj, dir)
+}
+
+// push adds the partial whose state set was just written at the tail of
+// es.sets (by root or consume).
+func (es *evalState) push(parent int32, obj *graph.Object, dir Direction) int32 {
+	p := partial{elem: obj.UID, parent: parent, depth: 1, isEdge: obj.IsEdge()}
+	if parent >= 0 {
+		p.depth = es.partials[parent].depth + 1
+	}
+	if p.isEdge {
+		p.next = obj.Dst
+		if dir == Backward {
+			p.next = obj.Src
+		}
+	}
+	es.partials = append(es.partials, p)
+	return int32(len(es.partials) - 1)
+}
+
+// pop takes the top pending partial and drops the finished ones above it.
+func (es *evalState) pop() int32 {
+	cur := es.stack[len(es.stack)-1]
+	es.stack = es.stack[:len(es.stack)-1]
+	es.partials, es.sets = es.partials[:cur+1], es.sets[:(int(cur)+1)*es.nw]
+	return cur
+}
+
+// complete writes partial i's element sequence out in pathway order — a
+// forward chain runs tail to anchor and is laid down from the back, a
+// backward chain runs head to anchor, which is pathway order — adding the
+// implicit endpoint node where the match region ends at an edge. This is
+// the only place a sequence is materialised from the arena.
+func (es *evalState) complete(i int32, dir Direction) half {
+	n := es.partials[i]
+	size := int(n.depth)
+	if n.isEdge {
+		size++
+	}
+	off := len(es.halves)
+	es.halves = grown(es.halves, size)[:off+size]
+	seq := es.halves[off:]
+	if dir == Forward {
+		seq[size-1] = n.next // overwritten unless the tail is an edge
+		for at := n.depth - 1; i >= 0; i, at = es.partials[i].parent, at-1 {
+			seq[at] = es.partials[i].elem
+		}
+	} else {
+		seq[0] = n.next // likewise for the head
+		for at := size - int(n.depth); i >= 0; i, at = es.partials[i].parent, at+1 {
+			seq[at] = es.partials[i].elem
+		}
+	}
+	return half{int32(off), int32(off + size)}
+}
+
+// grown returns s with room for n more entries, doubling a full slice:
+// a mining query completes tens of thousands of halves and pathways,
+// where append's 1.25x steps would allocate over four times the final
+// size in total.
+func grown[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, len(s)+n)
+	}
+	return s
 }
 
 // checkpoint is the cooperative cancellation check the search loops run
@@ -203,22 +335,17 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 	out := NewPathwaySet()
 	c := p.Checked
 	nfa := c.NFA()
+	st := e.acc.Store()
+	es.begin(p)
 	for _, atom := range p.Anchor.Atoms {
 		if es.checkpoint() {
 			break
 		}
-		var elements []graph.UID
-		var aerr error
-		if es.tr != nil {
-			n := es.tr.selectNode(atom)
-			t0 := n.begin()
-			elements, aerr = e.acc.AnchorElements(view, c, atom, es.gov)
-			n.end(t0)
-			n.probes++
-			n.rowsOut += int64(len(elements))
-		} else {
-			elements, aerr = e.acc.AnchorElements(view, c, atom, es.gov)
-		}
+		sel := es.tr.selectNode(atom)
+		t0 := sel.begin()
+		elements, aerr := e.acc.AnchorElements(view, c, atom, es.gov)
+		sel.end(t0)
+		sel.probed(0, 0, len(elements))
 		if aerr != nil {
 			es.fail(aerr)
 			break
@@ -229,30 +356,21 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 			if es.checkpoint() {
 				break
 			}
-			if !e.elementSatisfies(view, c, atom, uid) {
+			obj := st.Object(uid)
+			if obj == nil || !e.atomSatisfiedInView(view, c, atom, obj) {
 				continue
 			}
 			for _, ti := range transIdxs {
 				tr := nfa.Trans[ti]
-				fwd := e.forward(view, c, p, search{
-					elems:  []graph.UID{uid},
-					states: nfa.Closure(tr.To).Clone(),
-				}, es)
-				bwd := e.backward(view, c, p, search{
-					elems:  []graph.UID{uid},
-					states: nfa.ClosureRev(tr.From).Clone(),
-				}, es)
-				if es.tr != nil {
-					n := es.tr.unionNode()
-					before := out.Len()
-					t0 := n.begin()
-					e.combine(view, c, out, bwd, fwd, es)
-					n.end(t0)
-					n.rowsIn += int64(len(bwd) * len(fwd))
-					n.rowsOut += int64(out.Len() - before)
-				} else {
-					e.combine(view, c, out, bwd, fwd, es)
-				}
+				e.search(view, p, es.root(obj, nfa.Closure(tr.To), Forward), true, Forward, es)
+				e.search(view, p, es.root(obj, nfa.ClosureRev(tr.From), Backward), true, Backward, es)
+				union := es.tr.unionNode()
+				before := out.Len()
+				t0 := union.begin()
+				e.combine(view, c, out, es)
+				union.end(t0)
+				union.rows(len(es.bwd)*len(es.fwd), out.Len()-before)
+				es.release()
 			}
 		}
 	}
@@ -287,7 +405,7 @@ func (e *Engine) EvalSeededTraced(view graph.View, p *Plan, seeds []graph.UID, p
 func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *evalState) (set *PathwaySet, err error) {
 	defer recovered(es, &err)
 	out := NewPathwaySet()
-	c := p.Checked
+	es.begin(p)
 	for _, seed := range seeds {
 		if es.checkpoint() {
 			break
@@ -296,19 +414,13 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 		if obj == nil || obj.IsEdge() || !view.Visible(obj) {
 			continue
 		}
-		if es.tr != nil {
-			ssel := es.tr.seedSelectNode()
-			ssel.rowsIn++
-			ssel.rowsOut++
-			n := es.tr.unionNode()
-			before := out.Len()
-			t0 := n.begin()
-			e.evalSeedOne(view, c, p, seed, out, es)
-			n.end(t0)
-			n.rowsOut += int64(out.Len() - before)
-		} else {
-			e.evalSeedOne(view, c, p, seed, out, es)
-		}
+		es.tr.seedSelectNode().rows(1, 1)
+		union := es.tr.unionNode()
+		before := out.Len()
+		t0 := union.begin()
+		e.evalSeedOne(view, p, obj, out, es)
+		union.end(t0)
+		union.rows(0, out.Len()-before)
 		es.m.addAnchors(1)
 	}
 	if es.err != nil {
@@ -318,152 +430,84 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 }
 
 // evalSeedOne runs both seed branches (§3.4) for one seed node.
-func (e *Engine) evalSeedOne(view graph.View, c *rpe.Checked, p *Plan, seed graph.UID, out *PathwaySet, es *evalState) {
+func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed *graph.Object, out *PathwaySet, es *evalState) {
+	c := p.Checked
 	nfa := c.NFA()
-	if p.SeedDir == Forward {
-		init := search{elems: []graph.UID{seed}, states: nfa.Closure(nfa.Start).Clone()}
-		// Branch (a): the seed node is consumed by a leading node atom.
-		if consumed, ok := e.consume(view, c, init.states, seed, Forward); ok {
-			sp := search{elems: init.elems, states: consumed, nconsumed: 1}
-			for _, comp := range e.forwardAll(view, c, p, sp, es) {
-				e.finish(view, c, out, comp.elems, comp.tailEdge, false, es)
-			}
-		}
-		// Branch (b): the seed is the implicit endpoint of a leading
-		// edge match; nothing consumed yet.
-		for _, comp := range e.forwardAll(view, c, p, init, es) {
-			e.finish(view, c, out, comp.elems, comp.tailEdge, false, es)
-		}
-	} else {
-		init := search{elems: []graph.UID{seed}, states: nfa.ClosureRev(nfa.Accept).Clone()}
-		if consumed, ok := e.consume(view, c, init.states, seed, Backward); ok {
-			sp := search{elems: init.elems, states: consumed, nconsumed: 1}
-			for _, comp := range e.backwardAll(view, c, p, sp, es) {
-				e.finish(view, c, out, reversed(comp.elems), false, comp.tailEdge, es)
-			}
-		}
-		for _, comp := range e.backwardAll(view, c, p, init, es) {
-			e.finish(view, c, out, reversed(comp.elems), false, comp.tailEdge, es)
-		}
+	start := nfa.Closure(nfa.Start)
+	if p.SeedDir == Backward {
+		start = nfa.ClosureRev(nfa.Accept)
 	}
+	implicit := es.root(seed, start, p.SeedDir)
+	// Branch (a): the seed node is consumed by a leading (for a Backward
+	// plan, trailing) node atom.
+	if e.consume(view, c, implicit, seed, p.SeedDir, es) {
+		e.seedBranch(view, p, es.push(-1, seed, p.SeedDir), true, out, es)
+	}
+	// Branch (b): the seed is the implicit endpoint of a leading edge
+	// match; nothing consumed yet.
+	e.seedBranch(view, p, implicit, false, out, es)
+	es.release()
 }
 
-// search is a partial pathway under construction. For forward searches
-// elems runs in pathway order; for backward searches it runs reversed
-// (head of the pathway is the last slice entry).
-type search struct {
-	elems     []graph.UID
-	states    rpe.StateSet
-	nconsumed int
+// seedBranch searches from one seed root and admits every completion: a
+// seeded search has a single half, which carries the whole match.
+func (e *Engine) seedBranch(view graph.View, p *Plan, root int32, consumed bool, out *PathwaySet, es *evalState) {
+	e.search(view, p, root, consumed, p.SeedDir, es)
+	done := es.fwd
+	if p.SeedDir == Backward {
+		done = es.bwd
+	}
+	for _, h := range done {
+		e.finish(view, p.Checked, out, es.halves[h.off:h.end], es)
+	}
+	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
 }
 
-// completion is a finished half-pathway.
-type completion struct {
-	elems    []graph.UID
-	tailEdge bool // the outermost consumed element is an edge (endpoint implicit)
-}
-
-// forward runs a forward half-search and returns all completions,
-// including the trivial one when the anchor state set already accepts.
-func (e *Engine) forward(view graph.View, c *rpe.Checked, p *Plan, init search, es *evalState) []completion {
-	init.nconsumed = 1 // anchor element already consumed
-	return e.forwardAll(view, c, p, init, es)
-}
-
-func (e *Engine) forwardAll(view graph.View, c *rpe.Checked, p *Plan, init search, es *evalState) []completion {
-	nfa := c.NFA()
-	var out []completion
-	stack := []search{init}
-	for len(stack) > 0 {
+// search runs one half-search from root — forwards over the automaton, or
+// backwards over the reversed one — and appends every completed
+// half-pathway to es.fwd or es.bwd, the trivial one included when the
+// root's state set already accepts. consumed is false only for a seed
+// standing in as the implicit endpoint of a leading edge match: that root
+// is part of the sequence but has consumed nothing, so it cannot complete.
+func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir Direction, es *evalState) {
+	c := p.Checked
+	final, done := c.NFA().Accept, &es.fwd
+	if dir == Backward {
+		final, done = c.NFA().Start, &es.bwd
+	}
+	es.stack = append(es.stack[:0], root)
+	for len(es.stack) > 0 {
 		if es.checkpoint() {
 			break
 		}
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		cur := es.pop()
 		es.m.addPartial()
-		if cur.nconsumed > 0 && cur.states.Has(nfa.Accept) {
-			tail := cur.elems[len(cur.elems)-1]
-			out = append(out, completion{elems: cloneUIDs(cur.elems), tailEdge: e.isEdge(tail)})
+		n, states := es.partials[cur], es.states(cur)
+		if (consumed || cur != root) && states.Has(final) {
+			*done = append(*done, es.complete(cur, dir))
 		}
-		if len(cur.elems) >= p.MaxLen+2 {
+		if int(n.depth) >= p.MaxLen+2 {
 			continue
 		}
-		tail := cur.elems[len(cur.elems)-1]
-		if e.isEdge(tail) {
-			// Structural successor: the edge's destination node.
-			next := e.acc.Store().Object(tail).Dst
-			e.step(view, c, &stack, cur, next, Forward, es)
-		} else if hint, feasible := e.expandHint(c, cur.states, Forward); feasible {
-			e.expand(view, c, &stack, cur, tail, hint, Forward, es)
+		if n.isEdge {
+			// Structural successor: the edge's far endpoint node.
+			e.step(view, c, cur, n.next, dir, es)
+		} else if hint, feasible := e.expandHint(c, states, dir); feasible {
+			e.expand(view, c, cur, n.elem, hint, dir, es)
 		}
 	}
-	return out
-}
-
-// backward mirrors forward using the reversed automaton. elems is stored
-// reversed (pathway head last).
-func (e *Engine) backward(view graph.View, c *rpe.Checked, p *Plan, init search, es *evalState) []completion {
-	init.nconsumed = 1
-	return e.backwardAll(view, c, p, init, es)
-}
-
-func (e *Engine) backwardAll(view graph.View, c *rpe.Checked, p *Plan, init search, es *evalState) []completion {
-	nfa := c.NFA()
-	var out []completion
-	stack := []search{init}
-	for len(stack) > 0 {
-		if es.checkpoint() {
-			break
-		}
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		es.m.addPartial()
-		if cur.nconsumed > 0 && cur.states.Has(nfa.Start) {
-			head := cur.elems[len(cur.elems)-1]
-			out = append(out, completion{elems: cloneUIDs(cur.elems), tailEdge: e.isEdge(head)})
-		}
-		if len(cur.elems) >= p.MaxLen+2 {
-			continue
-		}
-		head := cur.elems[len(cur.elems)-1]
-		if e.isEdge(head) {
-			prev := e.acc.Store().Object(head).Src
-			e.step(view, c, &stack, cur, prev, Backward, es)
-		} else if hint, feasible := e.expandHint(c, cur.states, Backward); feasible {
-			e.expand(view, c, &stack, cur, head, hint, Backward, es)
-		}
-	}
-	return out
 }
 
 // expand performs one Extend operator execution: an adjacency probe at
 // node followed by one consume attempt per returned edge. When tracing,
 // the probe's wall time and candidate volume accumulate into the Extend
 // span of the (hint, dir) operator.
-func (e *Engine) expand(view graph.View, c *rpe.Checked, stack *[]search, cur search, node graph.UID, hint *rpe.Atom, dir Direction, es *evalState) {
-	if es.tr == nil {
-		edges, err := e.acc.IncidentEdges(view, node, dir, hint, c, es.gov)
-		if err != nil {
-			es.fail(err)
-			return
-		}
-		es.m.addEdges(len(edges))
-		if err := es.gov.AddEdges(len(edges)); err != nil {
-			es.fail(err)
-			return
-		}
-		for _, edge := range edges {
-			e.step(view, c, stack, cur, edge, dir, es)
-		}
-		return
-	}
+func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.UID, hint *rpe.Atom, dir Direction, es *evalState) {
 	n := es.tr.extendNode(hint, dir)
 	t0 := n.begin()
 	edges, err := e.acc.IncidentEdges(view, node, dir, hint, c, es.gov)
 	n.end(t0)
-	n.probes++
-	n.edges += int64(len(edges))
-	n.rowsIn++
+	n.probed(1, len(edges), 0)
 	if err != nil {
 		es.fail(err)
 		return
@@ -474,89 +518,87 @@ func (e *Engine) expand(view graph.View, c *rpe.Checked, stack *[]search, cur se
 		return
 	}
 	for _, edge := range edges {
-		if e.step(view, c, stack, cur, edge, dir, es) {
-			n.rowsOut++
-		} else {
-			// Candidates pruned by cycle prevention or rejected by the NFA.
-			n.rejected++
-		}
+		n.candidate(e.step(view, c, cur, edge, dir, es))
 	}
 }
 
 // step consumes one element in the given direction, pushing the extended
 // partial when any transition fires. It reports whether the element was
 // consumed.
-func (e *Engine) step(view graph.View, c *rpe.Checked, stack *[]search, cur search, elem graph.UID, dir Direction, es *evalState) bool {
-	for _, seen := range cur.elems {
-		if seen == elem {
+func (e *Engine) step(view graph.View, c *rpe.Checked, cur int32, elem graph.UID, dir Direction, es *evalState) bool {
+	for i := cur; i >= 0; i = es.partials[i].parent {
+		if es.partials[i].elem == elem {
 			return false // cycle prevention: H.id_ != ANY(uid_list)
 		}
 	}
-	next, ok := e.consume(view, c, cur.states, elem, dir)
-	if !ok {
+	obj := e.acc.Store().Object(elem)
+	if !e.consume(view, c, cur, obj, dir, es) {
 		es.m.addRejected()
 		return false
 	}
 	es.m.addConsumed()
-	*stack = append(*stack, search{
-		elems:     append(cloneUIDs(cur.elems), elem),
-		states:    next,
-		nconsumed: cur.nconsumed + 1,
-	})
+	es.stack = append(es.stack, es.push(cur, obj, dir))
 	return true
 }
 
-// consume advances the state set over one element: skip transitions fire
-// whenever the element exists in the view; atom transitions additionally
-// require class and predicate satisfaction. The returned set is already
-// epsilon-closed.
-func (e *Engine) consume(view graph.View, c *rpe.Checked, cur rpe.StateSet, elem graph.UID, dir Direction) (rpe.StateSet, bool) {
-	obj := e.acc.Store().Object(elem)
+// consume advances partial cur's state set over one element: skip
+// transitions fire whenever the element exists in the view; atom
+// transitions additionally require class and predicate satisfaction. The
+// successor set, already epsilon-closed, is written at the tail of
+// es.sets for the caller to push its partial; when no transition fires
+// the tail is rolled back and consume reports false.
+func (e *Engine) consume(view graph.View, c *rpe.Checked, cur int32, obj *graph.Object, dir Direction, es *evalState) bool {
 	if obj == nil || !view.Visible(obj) {
-		return nil, false
+		return false
 	}
 	nfa := c.NFA()
-	next := rpe.NewStateSet(nfa.NumStates)
-	var satisfied map[*rpe.Atom]bool
-	isEdge := obj.IsEdge()
-	any := false
-	cur.ForEach(func(s int) {
-		var transIdx []int
-		if dir == Forward {
-			transIdx = nfa.OutTrans(s)
-		} else {
-			transIdx = nfa.InTrans(s)
-		}
-		for _, ti := range transIdx {
-			tr := nfa.Trans[ti]
-			if !c.CanConsume(ti, isEdge) {
-				continue // statically dead for this element kind
-			}
-			if tr.Atom != nil {
-				if satisfied == nil {
-					satisfied = make(map[*rpe.Atom]bool, 4)
-				}
-				sat, cached := satisfied[tr.Atom]
-				if !cached {
-					sat = e.atomSatisfiedInView(view, c, tr.Atom, obj)
-					satisfied[tr.Atom] = sat
-				}
-				if !sat {
-					continue
-				}
-			}
-			any = true
-			if dir == Forward {
-				next.Or(nfa.Closure(tr.To))
-			} else {
-				next.Or(nfa.ClosureRev(tr.From))
-			}
-		}
-	})
-	if !any {
-		return nil, false
+	off := len(es.sets)
+	es.sets = grown(es.sets, es.nw)[:off+es.nw]
+	from, next := es.states(cur), rpe.StateSet(es.sets[off:])
+	next.Reset()
+	for i := range es.known {
+		es.known[i] = 0
 	}
-	return next, true
+	isEdge := obj.IsEdge()
+	fired := false
+	for wi, w := range from {
+		for ; w != 0; w &= w - 1 {
+			s := wi*64 + bits.TrailingZeros64(w)
+			transIdx := nfa.OutTrans(s)
+			if dir == Backward {
+				transIdx = nfa.InTrans(s)
+			}
+			for _, ti := range transIdx {
+				if !c.CanConsume(ti, isEdge) {
+					continue // statically dead for this element kind
+				}
+				tr := &nfa.Trans[ti]
+				if a := tr.Atom; a != nil {
+					aw, bit := a.ID()>>6, uint64(1)<<(uint(a.ID())&63)
+					if es.known[aw]&bit == 0 {
+						es.known[aw] |= bit
+						es.sat[aw] &^= bit
+						if e.atomSatisfiedInView(view, c, a, obj) {
+							es.sat[aw] |= bit
+						}
+					}
+					if es.sat[aw]&bit == 0 {
+						continue
+					}
+				}
+				fired = true
+				if dir == Forward {
+					next.Or(nfa.Closure(tr.To))
+				} else {
+					next.Or(nfa.ClosureRev(tr.From))
+				}
+			}
+		}
+	}
+	if !fired {
+		es.sets = es.sets[:off]
+	}
+	return fired
 }
 
 // atomSatisfiedInView reports whether the object satisfies the atom at
@@ -579,11 +621,6 @@ func (e *Engine) atomSatisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Ato
 	return false
 }
 
-func (e *Engine) elementSatisfies(view graph.View, c *rpe.Checked, a *rpe.Atom, uid graph.UID) bool {
-	obj := e.acc.Store().Object(uid)
-	return obj != nil && e.atomSatisfiedInView(view, c, a, obj)
-}
-
 // expandHint inspects the transitions leaving (or entering) the current
 // state set. feasible is false when no live transition can consume an
 // edge at all — the partial pathway cannot be extended and the adjacency
@@ -593,90 +630,67 @@ func (e *Engine) elementSatisfies(view graph.View, c *rpe.Checked, a *rpe.Atom, 
 // indexes; a nil hint with feasible true means an unpruned scan.
 func (e *Engine) expandHint(c *rpe.Checked, cur rpe.StateSet, dir Direction) (hint *rpe.Atom, feasible bool) {
 	nfa := c.NFA()
-	var atom *rpe.Atom
-	dead := false
-	any := false
-	cur.ForEach(func(s int) {
-		var transIdx []int
-		if dir == Forward {
-			transIdx = nfa.OutTrans(s)
-		} else {
-			transIdx = nfa.InTrans(s)
+	for wi, w := range cur {
+		for ; w != 0; w &= w - 1 {
+			s := wi*64 + bits.TrailingZeros64(w)
+			transIdx := nfa.OutTrans(s)
+			if dir == Backward {
+				transIdx = nfa.InTrans(s)
+			}
+			for _, ti := range transIdx {
+				if !c.CanConsume(ti, true) {
+					continue // can never consume an edge: irrelevant here
+				}
+				a := nfa.Trans[ti].Atom
+				if a == nil {
+					return nil, true // a live skip can consume any edge: no pruning
+				}
+				if c.ClassOf(a).IsNode() {
+					continue // node atoms cannot consume the edge; irrelevant
+				}
+				if hint != nil && hint != a {
+					return nil, true // multiple possible edge atoms: no single hint
+				}
+				hint, feasible = a, true
+			}
 		}
-		for _, ti := range transIdx {
-			tr := nfa.Trans[ti]
-			if !c.CanConsume(ti, true) {
-				continue // can never consume an edge: irrelevant here
-			}
-			if tr.Atom == nil {
-				dead = true // a live skip can consume any edge: no pruning
-				any = true
-				return
-			}
-			if c.ClassOf(tr.Atom).IsNode() {
-				continue // node atoms cannot consume the edge; irrelevant
-			}
-			any = true
-			if atom != nil && atom != tr.Atom {
-				dead = true // multiple possible edge atoms: no single hint
-				return
-			}
-			atom = tr.Atom
-		}
-	})
-	if !any {
-		return nil, false
 	}
-	if dead {
-		return nil, true
-	}
-	return atom, true
+	return hint, feasible
 }
 
-// combine joins backward and forward completions around the shared anchor
-// element and finalizes each pathway.
-func (e *Engine) combine(view graph.View, c *rpe.Checked, out *PathwaySet, bwd, fwd []completion, es *evalState) {
-	for _, b := range bwd {
+// combine joins the current anchor element's backward and forward
+// halves and finalizes each pathway. Both halves hold the anchor; it is
+// taken from the forward one.
+func (e *Engine) combine(view graph.View, c *rpe.Checked, out *PathwaySet, es *evalState) {
+	for _, b := range es.bwd {
 		if es.checkpoint() {
 			return
 		}
-		for _, f := range fwd {
-			// b.elems is reversed and both include the anchor; drop the
-			// anchor from the backward half.
-			head := reversed(b.elems[1:])
-			full := append(head, f.elems...)
-			if hasDuplicates(full) {
-				continue
-			}
-			e.finish(view, c, out, full, f.tailEdge, b.tailEdge, es)
+		head := es.halves[b.off : b.end-1]
+		es.elems = append(es.elems[:0], head...)
+		for _, f := range es.fwd {
+			es.elems = append(es.elems[:len(head)], es.halves[f.off:f.end]...)
+			e.finish(view, c, out, es.elems, es)
 		}
 	}
 }
 
-// finish adds implicit endpoint nodes where the match region starts or
-// ends at an edge, computes exact validity, and admits the pathway when
-// its validity overlaps the view window. Duplicate pathways (found again
-// through another anchor instance or run) are skipped before the validity
-// computation — ComputeValidity is deterministic per element sequence, so
-// recomputation would be pure waste.
-func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems []graph.UID, tailEdge, headEdge bool, es *evalState) {
-	full := elems
-	st := e.acc.Store()
-	if headEdge || e.isEdge(full[0]) {
-		src := st.Object(full[0]).Src
-		full = append([]graph.UID{src}, full...)
-	}
-	if tailEdge || e.isEdge(full[len(full)-1]) {
-		dst := st.Object(full[len(full)-1]).Dst
-		full = append(cloneUIDs(full), dst)
-	}
-	if hasDuplicates(full) {
+// finish admits an assembled candidate when it is a simple pathway not
+// yet in the set whose exact validity overlaps the view window. Duplicate
+// pathways (found again through another anchor instance or run) are
+// skipped before the validity computation — ComputeValidity is
+// deterministic per element sequence, so recomputation would be pure
+// waste. The candidate still lives in scratch memory; only an admitted
+// one is copied, into the set's own backing array.
+func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems []graph.UID, es *evalState) {
+	if hasDuplicates(elems) {
 		return
 	}
-	if out.Has(Pathway{Elems: full}.Key()) {
+	es.key = appendKey(es.key[:0], elems)
+	if out.hasKey(es.key) {
 		return
 	}
-	validity := ComputeValidity(st, c, full)
+	validity := computeValidity(e.acc.Store(), c, elems, &es.validity)
 	if validity.IsEmpty() {
 		return
 	}
@@ -690,40 +704,20 @@ func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems 
 	if !overlaps {
 		return
 	}
-	out.Add(Pathway{Elems: full, Validity: validity})
+	out.addKeyed(es.key, elems, validity)
 	if err := es.gov.AddPaths(1); err != nil {
 		es.fail(err)
 	}
 }
 
-func (e *Engine) isEdge(uid graph.UID) bool {
-	obj := e.acc.Store().Object(uid)
-	return obj != nil && obj.IsEdge()
-}
-
-func cloneUIDs(in []graph.UID) []graph.UID {
-	out := make([]graph.UID, len(in))
-	copy(out, in)
-	return out
-}
-
-func reversed(in []graph.UID) []graph.UID {
-	out := make([]graph.UID, len(in))
-	for i, v := range in {
-		out[len(in)-1-i] = v
-	}
-	return out
-}
-
+// hasDuplicates reports whether a UID occurs twice. Pathways are a handful
+// of elements long, so the quadratic scan beats sorting a copy.
 func hasDuplicates(uids []graph.UID) bool {
-	if len(uids) < 2 {
-		return false
-	}
-	sorted := cloneUIDs(uids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return true
+	for i, u := range uids {
+		for _, v := range uids[:i] {
+			if u == v {
+				return true
+			}
 		}
 	}
 	return false

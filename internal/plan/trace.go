@@ -63,8 +63,13 @@ type opNode struct {
 const opSample = 16
 
 // begin enters a timed section: every opSample-th entry returns a real
-// start time, the rest return the zero Time (end ignores those).
+// start time, the rest return the zero Time (end ignores those). Like
+// every opNode method the search calls, it is a no-op on the nil node an
+// untraced evaluation gets, so the search loops have one body.
 func (n *opNode) begin() time.Time {
+	if n == nil {
+		return time.Time{}
+	}
 	c := n.calls
 	n.calls++
 	if c&(opSample-1) == 0 {
@@ -78,6 +83,40 @@ func (n *opNode) begin() time.Time {
 func (n *opNode) end(t0 time.Time) {
 	if !t0.IsZero() {
 		n.sdur += time.Since(t0)
+	}
+}
+
+// probed records one backend probe: a Select returning out anchor
+// records, or an Extend fed one partial pathway (in = 1) whose adjacency
+// probe returned edges candidates.
+func (n *opNode) probed(in, edges, out int) {
+	if n != nil {
+		n.probes++
+		n.rowsIn += int64(in)
+		n.edges += int64(edges)
+		n.rowsOut += int64(out)
+	}
+}
+
+// candidate records the fate of one Extend candidate: pushed as a new
+// partial, or pruned by cycle prevention / rejected by the NFA.
+func (n *opNode) candidate(consumed bool) {
+	switch {
+	case n == nil:
+	case consumed:
+		n.rowsOut++
+	default:
+		n.rejected++
+	}
+}
+
+// rows records rows through an operator that probes no backend: a Union
+// execution over in candidate half-pairs admitting out new pathways, or
+// an imported seed passing the seeded Select.
+func (n *opNode) rows(in, out int) {
+	if n != nil {
+		n.rowsIn += int64(in)
+		n.rowsOut += int64(out)
 	}
 }
 
@@ -109,6 +148,9 @@ func newTraceEval(backend string, p *Plan, parent *obs.Span) *traceEval {
 // selectNode returns the accumulator of the Select operator for one
 // anchor atom.
 func (t *traceEval) selectNode(a *rpe.Atom) *opNode {
+	if t == nil {
+		return nil
+	}
 	id := a.ID()
 	n := t.selects[id]
 	if n == nil {
@@ -123,6 +165,9 @@ func (t *traceEval) selectNode(a *rpe.Atom) *opNode {
 // seedSelectNode is the Select-equivalent accumulator of a seeded plan:
 // rows out are the imported seed nodes admitted by the view.
 func (t *traceEval) seedSelectNode() *opNode {
+	if t == nil {
+		return nil
+	}
 	if t.seedSel == nil {
 		t.seedSel = &opNode{span: t.root.Child("Select", "imported seeds [join]")}
 	}
@@ -133,6 +178,9 @@ func (t *traceEval) seedSelectNode() *opNode {
 // (pruning hint, direction) pair. A nil hint is the unpruned
 // scan-every-edge case the §6 ablation measures.
 func (t *traceEval) extendNode(hint *rpe.Atom, dir Direction) *opNode {
+	if t == nil {
+		return nil
+	}
 	slot := int(dir) // unpruned slots
 	if hint != nil {
 		slot = (hint.ID()+1)*2 + int(dir)
@@ -157,6 +205,9 @@ func (t *traceEval) extendNode(hint *rpe.Atom, dir Direction) *opNode {
 // backward and forward half-pathways around anchors (and assembling
 // seeded results).
 func (t *traceEval) unionNode() *opNode {
+	if t == nil {
+		return nil
+	}
 	if t.union == nil {
 		t.union = &opNode{span: t.root.Child("Union", "")}
 	}

@@ -28,7 +28,22 @@ import (
 //     where a time-range result reports the maximal range the pathway can
 //     be asserted, possibly extending beyond the query window.
 func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) temporal.Set {
-	objs := make([]*graph.Object, len(elems))
+	return computeValidity(st, c, elems, &validityScratch{})
+}
+
+// validityScratch holds computeValidity's working arrays, so an
+// evaluation pays for them once rather than once per candidate pathway.
+type validityScratch struct {
+	objs     []*graph.Object
+	elements []rpe.Element
+}
+
+func computeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID, sc *validityScratch) temporal.Set {
+	if n := len(elems); cap(sc.objs) < n {
+		n = max(n, 2*cap(sc.objs))
+		sc.objs, sc.elements = make([]*graph.Object, n), make([]rpe.Element, n)
+	}
+	objs, elements := sc.objs[:len(elems)], sc.elements[:len(elems)]
 	allStable := true
 	for i, uid := range elems {
 		obj := st.Object(uid)
@@ -46,7 +61,6 @@ func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) tempora
 		// (updates never interrupt existence; only delete ends it, and a
 		// deleted uid is never re-created).
 		iv := temporal.Interval{Start: time.Time{}, End: temporal.Forever}
-		elements := make([]rpe.Element, len(objs))
 		for i, obj := range objs {
 			life := temporal.Interval{
 				Start: obj.Versions[0].Period.Start,
@@ -79,7 +93,6 @@ func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) tempora
 	}
 	sort.Slice(boundaries, func(i, j int) bool { return boundaries[i].Before(boundaries[j]) })
 
-	elements := make([]rpe.Element, len(elems))
 	var out temporal.Set
 	appendIfSatisfied := func(iv temporal.Interval, probe time.Time) {
 		for i, obj := range objs {

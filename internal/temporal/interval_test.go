@@ -241,6 +241,18 @@ func TestQuickIntersectSound(t *testing.T) {
 	}
 }
 
+// Overlaps is the allocation-free form of "ClipTo is non-empty" the
+// executor's row filter relies on; windows include empty and inverted ones.
+func TestQuickOverlapsAgreesWithClipTo(t *testing.T) {
+	f := func(s Set, from, to uint8) bool {
+		w := Between(at(int(from%55)), at(int(to%55)))
+		return s.Overlaps(w) == !s.ClipTo(w).IsEmpty()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickUnionSound(t *testing.T) {
 	f := func(a, b Set) bool {
 		got := a.Union(b)

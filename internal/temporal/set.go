@@ -64,6 +64,17 @@ func (s Set) IsEmpty() bool {
 	return true
 }
 
+// Overlaps reports whether the set shares a time point with the window:
+// ClipTo(w) would be non-empty. It allocates nothing.
+func (s Set) Overlaps(w Interval) bool {
+	for _, iv := range s {
+		if _, ok := iv.Intersect(w); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Intersect returns the normalized intersection of two interval sets.
 func (s Set) Intersect(other Set) Set {
 	a, b := s.Normalize(), other.Normalize()
