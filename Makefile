@@ -37,12 +37,15 @@ bench-e2e:
 		echo "$$out" | grep -E '^(setup_s|alloc_kb_per_op|heap_mb) '; \
 	done
 
-# Fault-injection suite: chaos-backed retry/breaker/degradation tests plus
-# the governance (cancellation, deadline, limit) tests, run twice under the
-# race detector to shake out scheduling-dependent failures.
+# Fault-injection suite: the chaos package's own tests (probe faults and
+# latency injection, severed connections, failover), plus the query
+# governance tests — cancellation, deadline and limit aborts against a
+# slow backend, panic conversion, a routed engine's error failing the
+# query — run twice under the race detector to shake out
+# scheduling-dependent failures.
 chaos:
 	$(GO) test -race -count=2 ./internal/chaos/
-	$(GO) test -race -count=2 -run 'Chaos|Routed|Govern|Cancel|Deadline|Limit|Degrade|Breaker|Retry|Panic' \
+	$(GO) test -race -count=2 -run 'Chaos|Routed|Govern|Cancel|Deadline|Limit|Panic' \
 		./internal/plan/ ./internal/exec/ ./internal/core/
 
 # Durability suite: the WAL crash-point property tests, crash-injection
@@ -53,12 +56,15 @@ crash:
 	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped' \
 		./internal/graph/ ./internal/core/ ./internal/server/ ./cmd/nepal/
 
-# Short coverage-guided fuzz pass over the WAL frame decoder — the
-# parser every replication batch and crash-recovery scan feeds untrusted
-# bytes into. Seeds are real encoded frames; 15s is a smoke budget that
-# still reaches six-digit exec counts.
+# Short coverage-guided fuzz passes over the two parsers fed untrusted
+# bytes: the WAL frame decoder (every replication batch and
+# crash-recovery scan) and statement preparation (every /v1/query and
+# /v1/prepare body: parse, analyze, fingerprint). Seeds are real encoded
+# frames and the paper's queries; 15s each is a smoke budget that still
+# reaches six-digit exec counts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
+	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

@@ -229,11 +229,11 @@ func BenchmarkAblationEdgeSubclassing_ReversePath_Subclassed(b *testing.B) {
 // instrumentation levels on the Table 1 top-down mix, with parsing and
 // planning hoisted out of the loop so only the search pipeline is timed:
 //
-//	Baseline — plain Eval, no registry attached (the default DB.Query path
-//	           when Instrument was never called)
-//	Metered  — a registry attached, so Eval routes through EvalMetered and
-//	           every evaluation updates the engine counters/histogram
-//	Traced   — EvalTraced, building the full operator-DAG span tree
+//	Baseline — EvalMetered, no registry attached (the default DB.Query
+//	           path when Instrument was never called)
+//	Metered  — a registry attached, so every evaluation also updates the
+//	           engine counters/histogram
+//	Traced   — EvalWith{Traced}, building the full operator-DAG span tree
 //
 // The acceptance bar is Metered ≤ 1.05× Baseline (instrumentation off the
 // per-edge hot path: one branch per probe plus per-eval counter updates);
@@ -266,7 +266,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("Baseline", func(b *testing.B) {
 		eng := f.Engine("relational")
 		run(b, eng, func(p *plan.Plan) error {
-			_, err := eng.Eval(view, p)
+			_, _, err := eng.EvalMetered(view, p)
 			return err
 		})
 	})
@@ -274,14 +274,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 		eng := f.Engine("relational")
 		eng.SetRegistry(obs.NewRegistry())
 		run(b, eng, func(p *plan.Plan) error {
-			_, err := eng.Eval(view, p)
+			_, _, err := eng.EvalMetered(view, p)
 			return err
 		})
 	})
 	b.Run("Traced", func(b *testing.B) {
 		eng := f.Engine("relational")
 		run(b, eng, func(p *plan.Plan) error {
-			_, _, _, err := eng.EvalTraced(view, p, nil)
+			_, _, _, err := eng.EvalWith(view, p, plan.EvalOpts{Traced: true})
 			return err
 		})
 	})
@@ -292,7 +292,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkGovernanceOverhead compares the Table 1 top-down mix with the
 // query-governance layer off and on:
 //
-//	Ungoverned — plain Eval; the governor is nil and every checkpoint is a
+//	Ungoverned — EvalMetered; the governor is nil and every checkpoint is a
 //	             single nil check (the default path when no context
 //	             deadline and no Limits are set)
 //	Governed   — EvalWith under a cancellable context and generous Limits,
@@ -330,7 +330,7 @@ func BenchmarkGovernanceOverhead(b *testing.B) {
 	b.Run("Ungoverned", func(b *testing.B) {
 		eng := f.Engine("relational")
 		run(b, eng, func(p *plan.Plan) error {
-			_, err := eng.Eval(view, p)
+			_, _, err := eng.EvalMetered(view, p)
 			return err
 		})
 	})

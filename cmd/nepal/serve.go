@@ -40,14 +40,12 @@ func runServe(db *core.DB, reg *obs.Registry, opt options) error {
 			accessLog = f
 		}
 	}
-	var follower *repl.Follower
+	var follow *repl.FollowerConfig
 	if opt.followURL != "" {
-		follower = repl.NewFollower(db.Store(), db.WAL(), repl.FollowerConfig{
+		follow = &repl.FollowerConfig{
 			Primary: strings.TrimRight(opt.followURL, "/"),
 			Logf:    func(format string, args ...any) { fmt.Fprintf(os.Stderr, "nepal: "+format+"\n", args...) },
-		})
-		follower.Start()
-		defer follower.Stop()
+		}
 	}
 	s := server.New(db, server.Config{
 		MaxInFlight:        opt.maxInFlight,
@@ -57,7 +55,7 @@ func runServe(db *core.DB, reg *obs.Registry, opt options) error {
 		MaxTimeout:         opt.timeout,
 		Registry:           reg,
 		AccessLog:          accessLog,
-		Follower:           follower,
+		Follow:             follow,
 		Peers:              splitPeers(opt.peers),
 		StatementStatsSize: opt.statsSize,
 	})
@@ -66,7 +64,7 @@ func runServe(db *core.DB, reg *obs.Registry, opt options) error {
 		return err
 	}
 	role := "primary"
-	if follower != nil {
+	if follow != nil {
 		role = "replica of " + opt.followURL
 	}
 	fmt.Fprintf(os.Stderr, "nepal: serving on http://%s as %s (POST /v1/query, /v1/prepare, /v1/execute; GET /healthz, /readyz, /metrics)\n",

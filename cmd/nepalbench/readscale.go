@@ -28,7 +28,6 @@ func tempWALDir() (string, error) {
 type benchNode struct {
 	db  *core.DB
 	s   *server.Server
-	f   *repl.Follower
 	url string
 }
 
@@ -36,19 +35,18 @@ func (n *benchNode) shutdown() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	n.s.Shutdown(ctx)
-	if n.f != nil {
-		n.f.Stop()
-	}
 }
 
-func startBenchNode(db *core.DB, f *repl.Follower) (*benchNode, error) {
-	s := server.New(db, server.Config{Follower: f})
+// startBenchNode serves db on an ephemeral port; a non-nil follow makes
+// the node a read replica.
+func startBenchNode(db *core.DB, follow *repl.FollowerConfig) (*benchNode, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	s := server.New(db, server.Config{Follow: follow})
 	go s.Serve(ln)
-	return &benchNode{db: db, s: s, f: f, url: "http://" + ln.Addr().String()}, nil
+	return &benchNode{db: db, s: s, url: "http://" + ln.Addr().String()}, nil
 }
 
 // driveCluster drives the closed-loop read workload through a cluster
@@ -126,19 +124,17 @@ func runReadScaling(opt options, report *bench.Report, out io.Writer) error {
 			return err
 		}
 		defer rdb.Close()
-		f := repl.NewFollower(rdb.Store(), nil, repl.FollowerConfig{
+		node, err := startBenchNode(rdb, &repl.FollowerConfig{
 			Primary:      primary.url,
 			PollWait:     250 * time.Millisecond,
 			ReconnectMin: 5 * time.Millisecond,
 		})
-		f.Start()
-		node, err := startBenchNode(rdb, f)
 		if err != nil {
-			f.Stop()
 			return err
 		}
 		defer node.shutdown()
 		replicaURLs = append(replicaURLs, node.url)
+		f := node.s.Follower()
 
 		deadline := time.Now().Add(30 * time.Second)
 		for !f.Status().CaughtUp {

@@ -318,7 +318,7 @@ func TestAblationTraceCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, span, err := eng.EvalTraced(view, p, nil)
+		_, _, span, err := eng.EvalWith(view, p, plan.EvalOpts{Traced: true})
 		if err != nil {
 			t.Fatal(err)
 		}

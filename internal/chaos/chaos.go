@@ -1,19 +1,16 @@
 // Package chaos provides fault injection for Nepal's execution stack:
-// an Accessor wrapper that delays physical probes and fails them with
-// transient errors, either deterministically (the first N probes) or
-// probabilistically (seeded, so test runs reproduce). It exists to
-// exercise the executor's retry, circuit-breaker, and degraded-mode
-// machinery under test — the package has no role in production paths.
+// an Accessor wrapper that delays physical probes and fails the first N
+// of them. It exists to exercise query governance (deadlines against a
+// slow backend) and error propagation under test — the package has no
+// role in production paths.
 //
-// Injected faults implement `Transient() bool`, the classification
-// exec.Transient probes for, so the executor retries them; everything
-// else about the wrapped backend (name, store, results) is unchanged,
-// which lets a chaos-wrapped engine stand in anywhere a healthy one can.
+// Everything else about the wrapped backend (name, store, results) is
+// unchanged, which lets a chaos-wrapped engine stand in anywhere a
+// healthy one can.
 package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -31,11 +28,8 @@ type Fault struct {
 }
 
 func (f *Fault) Error() string {
-	return fmt.Sprintf("chaos: injected transient fault (%s probe %d)", f.Op, f.Probe)
+	return fmt.Sprintf("chaos: injected fault (%s probe %d)", f.Op, f.Probe)
 }
-
-// Transient marks injected faults as retryable.
-func (f *Fault) Transient() bool { return true }
 
 // Accessor wraps a plan.Accessor with fault and latency injection. It is
 // safe for concurrent use.
@@ -43,8 +37,6 @@ type Accessor struct {
 	inner plan.Accessor
 
 	mu        sync.Mutex
-	rng       *rand.Rand
-	failProb  float64
 	failFirst int64
 	latency   time.Duration
 	calls     int64
@@ -54,17 +46,7 @@ type Accessor struct {
 // Option configures a chaos Accessor.
 type Option func(*Accessor)
 
-// WithFailProb fails each probe independently with probability p, drawn
-// from a generator seeded with seed (deterministic per wrapper).
-func WithFailProb(p float64, seed int64) Option {
-	return func(a *Accessor) {
-		a.failProb = p
-		a.rng = rand.New(rand.NewSource(seed))
-	}
-}
-
-// WithFailFirst fails the first n probes, then heals: the shape retry
-// tests want (transient outage, then recovery).
+// WithFailFirst fails the first n probes, then heals.
 func WithFailFirst(n int) Option {
 	return func(a *Accessor) { a.failFirst = int64(n) }
 }
@@ -104,15 +86,6 @@ func (a *Accessor) Faults() int64 {
 	return a.faults
 }
 
-// Heal clears all failure injection (latency stays), so a test can end
-// an outage at an exact point.
-func (a *Accessor) Heal() {
-	a.mu.Lock()
-	a.failProb = 0
-	a.failFirst = 0
-	a.mu.Unlock()
-}
-
 // inject applies latency and decides whether this probe fails.
 func (a *Accessor) inject(op string) error {
 	if a.latency > 0 {
@@ -121,11 +94,7 @@ func (a *Accessor) inject(op string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.calls++
-	fail := a.calls <= a.failFirst
-	if !fail && a.failProb > 0 && a.rng != nil {
-		fail = a.rng.Float64() < a.failProb
-	}
-	if !fail {
+	if a.calls > a.failFirst {
 		return nil
 	}
 	a.faults++

@@ -130,15 +130,14 @@ func TestKillPrimaryPromoteKeepsAckedWrites(t *testing.T) {
 	purl := serveOn(t, ps, pl)
 
 	fdb := openWALDB(t)
-	f := repl.NewFollower(fdb.Store(), fdb.WAL(), repl.FollowerConfig{
+	fs := server.New(fdb, server.Config{Follow: &repl.FollowerConfig{
 		Primary:      purl,
 		PollWait:     100 * time.Millisecond,
 		ReconnectMin: time.Millisecond,
 		ReconnectMax: 20 * time.Millisecond,
-	})
-	f.Start()
+	}})
+	f := fs.Follower()
 	t.Cleanup(f.Stop)
-	fs := server.New(fdb, server.Config{Follower: f})
 	furl := serveOn(t, fs, listen(t))
 
 	cl, err := client.NewCluster(client.ClusterConfig{

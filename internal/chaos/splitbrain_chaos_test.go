@@ -55,10 +55,10 @@ func TestPartitionedPrimarySplitBrainIsFencedAndDetected(t *testing.T) {
 		}
 	}
 	f1db := openWALDB(t)
-	f1 := repl.NewFollower(f1db.Store(), f1db.WAL(), fcfg())
-	f1.Start()
+	f1cfg := fcfg()
+	f1s := server.New(f1db, server.Config{Follow: &f1cfg})
+	f1 := f1s.Follower()
 	t.Cleanup(f1.Stop)
-	f1s := server.New(f1db, server.Config{Follower: f1})
 	f1url := serveOn(t, f1s, listen(t))
 
 	f2db := openWALDB(t)

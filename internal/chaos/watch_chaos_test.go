@@ -85,19 +85,16 @@ func TestWatchSurvivesSeverAndFailover(t *testing.T) {
 	// long-poll responses die mid-JSON, the SSE path never gets a whole
 	// batch out, and the subscriber only makes progress by resuming.
 	fdb := openWALDB(t)
-	f := repl.NewFollower(fdb.Store(), fdb.WAL(), repl.FollowerConfig{
+	fs := server.New(fdb, server.Config{Follow: &repl.FollowerConfig{
 		Primary:      purl,
 		PollWait:     50 * time.Millisecond,
 		ReconnectMin: time.Millisecond,
 		ReconnectMax: 20 * time.Millisecond,
-	})
-	// The server installs the watch tap (SetOnApplied) at construction, so
-	// it must exist before the link starts applying records.
-	fs := server.New(fdb, server.Config{Follower: f})
+	}})
+	f := fs.Follower()
+	t.Cleanup(f.Stop)
 	flaky := chaos.NewFlakyListener(listen(t), 8*1024, 0)
 	furl := serveOn(t, fs, flaky)
-	f.Start()
-	t.Cleanup(f.Stop)
 
 	cl, err := client.NewCluster(client.ClusterConfig{
 		Primary:    purl,

@@ -10,8 +10,8 @@
 // the overload/deadline/limit classes with errors.Is against
 // ErrOverloaded, ErrDeadline, ErrLimit, ErrUnprepared), while network
 // failures — connection refused, connections dropped mid-response —
-// surface as *TransportError, which self-classifies as transient via
-// Transient() (the same convention internal/exec retries on).
+// surface as *TransportError, whose Retryable() says whether another
+// endpoint is worth trying.
 package client
 
 import (
@@ -123,7 +123,7 @@ func (e *APIError) Is(target error) bool {
 
 // TransportError is a network-level failure: the request may or may not
 // have reached the server (send errors) or the response was cut off
-// mid-body (a dropped connection). It classifies as transient.
+// mid-body (a dropped connection).
 type TransportError struct {
 	Op  string // "send" or "decode"
 	Err error
@@ -132,8 +132,7 @@ type TransportError struct {
 func (e *TransportError) Error() string {
 	return fmt.Sprintf("client: transport failure during %s: %v", e.Op, e.Err)
 }
-func (e *TransportError) Unwrap() error   { return e.Err }
-func (e *TransportError) Transient() bool { return true }
+func (e *TransportError) Unwrap() error { return e.Err }
 
 // Retryable classifies the failure for failover: connection resets,
 // refusals, timeouts, and responses cut off mid-body are worth retrying
@@ -225,13 +224,11 @@ type Row struct {
 
 // Result is a decoded query answer.
 type Result struct {
-	Columns      []string
-	Rows         []Row
-	Agg          *server.Agg
-	Explain      string
-	Metrics      server.Metrics
-	Degraded     bool
-	DegradedVars []string
+	Columns []string
+	Rows    []Row
+	Agg     *server.Agg
+	Explain string
+	Metrics server.Metrics
 	// Cached reports the server answered from its compiled-plan cache.
 	Cached bool
 	// ElapsedMS is the server-measured execution time.
@@ -649,8 +646,6 @@ func decodeResult(resp *server.QueryResponse) *Result {
 		Agg:            resp.Agg,
 		Explain:        resp.Explain,
 		Metrics:        resp.Metrics,
-		Degraded:       resp.Degraded,
-		DegradedVars:   resp.DegradedVars,
 		Cached:         resp.Cached,
 		ElapsedMS:      resp.ElapsedMS,
 		TraceID:        resp.TraceID,

@@ -98,6 +98,7 @@ type DB struct {
 	store     *graph.Store
 	engine    *plan.Engine
 	executor  *exec.Executor
+	limits    exec.Limits
 	backend   string
 	views     query.Views
 	reg       *obs.Registry
@@ -285,23 +286,24 @@ func (db *DB) SetStatementStats(s *stats.Store) { db.stmtStats = s }
 // StatementStats returns the installed statistics store, if any.
 func (db *DB) StatementStats() *stats.Store { return db.stmtStats }
 
-// SetSlowLog installs a slow-query log: every Query/QueryTraced whose
-// total time reaches the log's threshold is captured with its text, plan,
-// metrics, and trace (when traced). A nil log disables capture.
+// SetSlowLog installs a slow-query log: every query whose total time
+// reaches the log's threshold is captured with its text, plan, metrics,
+// and trace (when traced). A nil log disables capture.
 func (db *DB) SetSlowLog(l *obs.SlowLog) { db.slowLog = l }
 
 // SlowLog returns the installed slow-query log, if any.
 func (db *DB) SlowLog() *obs.SlowLog { return db.slowLog }
 
 // SetLimits installs per-query resource guardrails: every subsequent
-// Query/QueryContext/QueryTraced on this DB runs under them and aborts
-// with exec.ErrLimitExceeded (or ErrDeadlineExceeded for MaxDuration)
-// when a bound is crossed. The zero Limits removes all guardrails. Call
-// before the database starts serving queries.
-func (db *DB) SetLimits(lim exec.Limits) { db.executor.Limits = lim }
+// query on this DB that does not bring its own (Prepared.ExecTraced
+// does) runs under them and aborts with exec.ErrLimitExceeded (or
+// ErrDeadlineExceeded for MaxDuration) when a bound is crossed. The zero
+// Limits removes all guardrails. Call before the database starts serving
+// queries.
+func (db *DB) SetLimits(lim exec.Limits) { db.limits = lim }
 
 // Limits returns the installed per-query guardrails.
-func (db *DB) Limits() exec.Limits { return db.executor.Limits }
+func (db *DB) Limits() exec.Limits { return db.limits }
 
 // Query parses, analyzes, and executes a Nepal query. The result carries
 // the evaluation's operator-pipeline metrics; tracing stays off on this
@@ -316,186 +318,30 @@ func (db *DB) Query(src string) (*exec.Result, error) {
 // passes. Aborts are recorded in the db.queries_aborted counter and, as
 // entries with a non-"ok" Outcome, in the slow-query log.
 func (db *DB) QueryContext(ctx context.Context, src string) (*exec.Result, error) {
-	a, err := db.analyze(src)
+	p, err := db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res, err := db.executor.RunContext(ctx, a)
-	db.observeQuery(ctx, src, "", "", res, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryTraced is Query with operator-DAG tracing: the result's Trace
-// holds the query's span tree (per-variable groups of Eval spans) and
-// Plans the executed plan of each variable, ready for ExplainAnalyze
-// rendering or programmatic inspection.
-func (db *DB) QueryTraced(src string) (*exec.Result, error) {
-	a, err := db.analyze(src)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := db.executor.RunTraced(a, nil)
-	db.observeQuery(context.Background(), src, "", "", res, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// observeQuery records one finished query into the registry, the
-// per-statement statistics store, and the slow log. Aborted queries
-// (err != nil) count into db.queries_aborted and are always logged —
-// regardless of duration — with their termination outcome, since a
-// query that died 1ms into its deadline is exactly the one an operator
-// wants to see. The context supplies the trace ID that links slow-log
-// entries to their end-to-end request trace.
-//
-// digest/norm are the statement's precomputed fingerprint (prepared
-// statements carry it from Prepare); when empty it is computed here so
-// ad-hoc Query paths stamp the same digest. The digest lands on the
-// result, the slow-log entry, and the stats store.
-func (db *DB) observeQuery(ctx context.Context, src, digest, norm string, res *exec.Result, dur time.Duration, err error) {
-	if digest == "" {
-		digest, norm = stats.Fingerprint(src)
-	}
-	if res != nil {
-		res.Digest = digest
-	}
-	if db.reg != nil {
-		db.reg.Counter("db.queries").Add(1)
-		if err != nil {
-			db.reg.Counter("db.queries_aborted").Add(1)
-		}
-		db.reg.Histogram("db.query_latency_ms").Observe(float64(dur) / 1e6)
-		if res != nil {
-			db.reg.HistogramBuckets("db.query_edges_scanned", obs.DefaultSizeBuckets).
-				Observe(float64(res.Metrics.EdgesScanned))
-		}
-	}
-	if db.stmtStats != nil {
-		o := stats.Observation{Duration: dur, Outcome: exec.Outcome(err)}
-		if res != nil {
-			o.Edges = int64(res.Metrics.EdgesScanned)
-			o.Rows = int64(len(res.Rows))
-		}
-		db.stmtStats.Observe(digest, norm, o)
-	}
-	if db.slowLog == nil {
-		return
-	}
-	if err == nil && dur < db.slowLog.Threshold() {
-		return
-	}
-	entry := obs.SlowLogEntry{
-		When:     time.Now(),
-		Query:    src,
-		Duration: dur,
-		Outcome:  exec.Outcome(err),
-		TraceID:  obs.TraceIDFrom(ctx),
-		Digest:   digest,
-	}
-	if res != nil {
-		var planText strings.Builder
-		for _, name := range schema.SortedNames(planKeys(res.Plans)) {
-			fmt.Fprintf(&planText, "-- variable %s --\n%s", name, res.Plans[name].Explain())
-		}
-		entry.Plan = planText.String()
-		entry.Metrics = res.Metrics.String()
-		entry.Trace = res.Trace
-	}
-	db.slowLog.Observe(entry)
-}
-
-func planKeys(m map[string]*plan.Plan) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
+	return p.Exec(ctx)
 }
 
 // QueryRouted executes a query whose range variables may be routed to
 // other databases: routes maps a variable name to the DB serving it.
 // Pathways from the routed stores are joined in the executor, with node
-// identity crossing store boundaries via the schema-unique id field.
-//
-// Each call builds a one-shot Router with the DB's limits and no
-// retry/breaker policy; long-lived routed workloads should hold a
-// NewRouter so breaker state and retry accounting persist across
-// queries.
+// identity crossing store boundaries via the schema-unique id field. It
+// runs under this DB's limits and observes into its registry, statistics
+// and slow log like a local query; a routed engine's error fails the
+// query with that error.
 func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, error) {
-	return db.NewRouter(routes, RoutedOptions{Limits: db.executor.Limits}).Query(src)
-}
-
-// RoutedOptions configures a Router's governance and fault tolerance.
-type RoutedOptions struct {
-	// Limits bounds every query the router runs; zero is unlimited.
-	Limits exec.Limits
-	// Retry is the per-routed-engine retry policy; zero disables retries.
-	Retry exec.RetryPolicy
-	// BreakerThreshold opens a routed engine's circuit breaker after that
-	// many consecutive failures; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown, when positive, admits one half-open probe per
-	// interval; 0 keeps an open breaker latched.
-	BreakerCooldown time.Duration
-	// Degrade selects the fallback behavior for unavailable routed
-	// engines; see exec.DegradeMode.
-	Degrade exec.DegradeMode
-	// Reg, when non-nil, receives the exec.routed_retries and
-	// exec.breaker_open counters.
-	Reg *obs.Registry
-}
-
-// Router executes routed (data-integration) queries over a persistent
-// executor, so circuit-breaker state and retry accounting carry across
-// queries instead of resetting per call. Queries observe into the owning
-// DB's registry and slow log like local queries do.
-type Router struct {
-	db *DB
-	x  *exec.Executor
-}
-
-// NewRouter returns a router joining this DB (the default engine) with
-// the routed databases, under the given governance options.
-func (db *DB) NewRouter(routes map[string]*DB, o RoutedOptions) *Router {
+	p, err := db.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
 	x := exec.New(db.engine)
-	x.Limits = o.Limits
-	x.Retry = o.Retry
-	x.BreakerThreshold = o.BreakerThreshold
-	x.BreakerCooldown = o.BreakerCooldown
-	x.Degrade = o.Degrade
-	x.Reg = o.Reg
 	for name, other := range routes {
 		x.Route(name, other.engine)
 	}
-	return &Router{db: db, x: x}
-}
-
-// Query executes one routed query.
-func (r *Router) Query(src string) (*exec.Result, error) {
-	return r.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query under a context; see DB.QueryContext for the
-// cancellation contract.
-func (r *Router) QueryContext(ctx context.Context, src string) (*exec.Result, error) {
-	a, err := r.db.analyze(src)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := r.x.RunContext(ctx, a)
-	r.db.observeQuery(ctx, src, "", "", res, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return p.run(context.Background(), x, exec.RunOptions{Limits: db.limits})
 }
 
 func (db *DB) analyze(src string) (*query.Analyzed, error) {
@@ -528,7 +374,7 @@ func (db *DB) MatchPathsAt(rpeSrc string, at time.Time) ([]plan.Pathway, error) 
 	if !at.IsZero() {
 		view = graph.PointView(db.store, at)
 	}
-	set, err := db.engine.Eval(view, p)
+	set, _, err := db.engine.EvalMetered(view, p)
 	if err != nil {
 		return nil, err
 	}
@@ -562,19 +408,16 @@ func (db *DB) Explain(src string) (string, error) {
 // the style of EXPLAIN ANALYZE. The traced result is returned alongside
 // the rendering for programmatic use.
 func (db *DB) ExplainAnalyze(src string) (string, *exec.Result, error) {
-	a, err := db.analyze(src)
+	stmt, err := db.Prepare(src)
 	if err != nil {
 		return "", nil, err
 	}
-	start := time.Now()
-	res, err := db.executor.RunTraced(a, nil)
-	dur := time.Since(start)
-	db.observeQuery(context.Background(), src, "", "", res, dur, err)
+	res, err := stmt.run(context.Background(), db.executor, exec.RunOptions{Limits: db.limits, Traced: true})
 	if err != nil {
 		return "", nil, err
 	}
 	var sb strings.Builder
-	for _, rv := range a.Query.Vars {
+	for _, rv := range stmt.a.Query.Vars {
 		p := res.Plans[rv.Name]
 		if p == nil {
 			continue
@@ -583,7 +426,7 @@ func (db *DB) ExplainAnalyze(src string) (string, *exec.Result, error) {
 		sb.WriteString(p.ExplainAnalyze(varSpan(res.Trace, rv.Name)))
 	}
 	fmt.Fprintf(&sb, "Query: time=%s rows=%d %s\n",
-		obs.FormatDuration(dur), len(res.Rows), res.Metrics)
+		obs.FormatDuration(res.Trace.Duration()), len(res.Rows), res.Metrics)
 	return sb.String(), res, nil
 }
 

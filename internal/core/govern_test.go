@@ -13,6 +13,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/stats"
 	"repro/internal/temporal"
 )
 
@@ -125,68 +126,74 @@ func routedDemoQuery(t *testing.T, db *DB, d *netmodel.Demo) string {
 		And source(Phys)=target(D1)`, id)
 }
 
-func TestRouterBreakerAndFallbackPersist(t *testing.T) {
-	db, d, _ := openDemo(t, BackendGremlin)
-	dead, ca := openChaosDemo(t, chaos.WithFailProb(1, 17))
-	reg := obs.NewRegistry()
-	src := routedDemoQuery(t, db, d)
+// TestEntryPointsObserveOnce drives every way into a query through the
+// one prepare → run → observe body: a finished query is one db.queries
+// increment and one statistics observation under the statement's digest,
+// and one aborted by its deadline is additionally one db.queries_aborted
+// increment and one slow-log entry with outcome "deadline".
+func TestEntryPointsObserveOnce(t *testing.T) {
+	bg := context.Background()
+	entryPoints := map[string]func(db, other *DB, src string) (*exec.Result, error){
+		"Query":        func(db, _ *DB, src string) (*exec.Result, error) { return db.Query(src) },
+		"QueryContext": func(db, _ *DB, src string) (*exec.Result, error) { return db.QueryContext(bg, src) },
+		"ExplainAnalyze": func(db, _ *DB, src string) (*exec.Result, error) {
+			_, res, err := db.ExplainAnalyze(src)
+			return res, err
+		},
+		"QueryRouted": func(db, other *DB, src string) (*exec.Result, error) {
+			return db.QueryRouted(src, map[string]*DB{"Phys": other})
+		},
+		"Prepared.Exec": func(db, _ *DB, src string) (*exec.Result, error) {
+			p, err := db.Prepare(src)
+			if err != nil {
+				return nil, err
+			}
+			return p.Exec(bg)
+		},
+		"Prepared.ExecTraced": func(db, _ *DB, src string) (*exec.Result, error) {
+			p, err := db.Prepare(src)
+			if err != nil {
+				return nil, err
+			}
+			return p.ExecTraced(bg, db.Limits(), obs.NewSpan("Execute", ""))
+		},
+	}
+	for name, call := range entryPoints {
+		t.Run(name, func(t *testing.T) {
+			// Slow every probe so the query cannot finish inside 1ms.
+			db, _ := openChaosDemo(t, chaos.WithLatency(200*time.Microsecond))
+			other, d, _ := openDemo(t, BackendRelational)
+			src := routedDemoQuery(t, other, d)
+			reg, st := obs.NewRegistry(), stats.NewStore(16)
+			db.Instrument(reg)
+			db.SetStatementStats(st)
+			// Threshold far above any demo query: only the abort rule can log.
+			db.SetSlowLog(obs.NewSlowLog(time.Hour, nil))
+			digest, _ := stats.Fingerprint(src)
 
-	r := db.NewRouter(map[string]*DB{"Phys": dead}, RoutedOptions{
-		BreakerThreshold: 1,
-		Degrade:          exec.DegradeFallback,
-		Reg:              reg,
-	})
-	// First query: the probe fails, the breaker opens, the fallback serves.
-	res, err := r.Query(src)
-	if err != nil {
-		t.Fatalf("first routed query = %v, want degraded fallback", err)
-	}
-	if !res.Degraded || len(res.Rows) == 0 {
-		t.Fatalf("first query: degraded=%v rows=%d", res.Degraded, len(res.Rows))
-	}
-	if n := reg.Counter("exec.breaker_open").Value(); n != 1 {
-		t.Fatalf("exec.breaker_open = %d, want 1", n)
-	}
-	// Second query on the SAME router: the breaker is still open, so the
-	// dead engine is not probed again — breaker state persists.
-	before := ca.Calls()
-	res, err = r.Query(src)
-	if err != nil || !res.Degraded {
-		t.Fatalf("second routed query = %v (degraded=%v)", err, res.Degraded)
-	}
-	if ca.Calls() != before {
-		t.Errorf("open breaker probed the dead engine again (%d -> %d calls)", before, ca.Calls())
-	}
-	// The degraded answer agrees with a fully healthy routed run.
-	healthy, _, _ := openDemo(t, BackendRelational)
-	want, err := db.QueryRouted(src, map[string]*DB{"Phys": healthy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Errorf("degraded rows = %d, healthy routed rows = %d", len(res.Rows), len(want.Rows))
-	}
-}
+			res, err := call(db, other, src)
+			if err != nil || res.Digest != digest {
+				t.Fatalf("unlimited run = %v, digest %q; want ok under %q", err, res.Digest, digest)
+			}
+			db.SetLimits(exec.Limits{MaxDuration: time.Millisecond})
+			if _, err := call(db, other, src); !errors.Is(err, exec.ErrDeadlineExceeded) {
+				t.Fatalf("1ms run = %v, want ErrDeadlineExceeded", err)
+			}
 
-func TestRouterRetryRecovers(t *testing.T) {
-	db, d, _ := openDemo(t, BackendGremlin)
-	flaky, ca := openChaosDemo(t, chaos.WithFailFirst(2))
-	reg := obs.NewRegistry()
-	r := db.NewRouter(map[string]*DB{"Phys": flaky}, RoutedOptions{
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond},
-		Reg:   reg,
-	})
-	res, err := r.Query(routedDemoQuery(t, db, d))
-	if err != nil {
-		t.Fatalf("flaky routed query = %v, want retried success", err)
-	}
-	if res.Degraded || len(res.Rows) == 0 {
-		t.Fatalf("degraded=%v rows=%d, want healthy retried result", res.Degraded, len(res.Rows))
-	}
-	if ca.Faults() != 2 {
-		t.Errorf("faults = %d, want 2", ca.Faults())
-	}
-	if n := reg.Counter("exec.routed_retries").Value(); n != 2 {
-		t.Errorf("exec.routed_retries = %d, want 2", n)
+			if q, a := reg.Counter("db.queries").Value(), reg.Counter("db.queries_aborted").Value(); q != 2 || a != 1 {
+				t.Errorf("db.queries = %d, db.queries_aborted = %d; want 2 and 1", q, a)
+			}
+			snap := st.Snapshot(stats.SortCalls, 0)
+			if len(snap.Statements) != 1 {
+				t.Fatalf("statistics hold %d digests, want one: %+v", len(snap.Statements), snap.Statements)
+			}
+			if s := snap.Statements[0]; s.Digest != digest || s.Calls != 2 || s.OK != 1 || s.Deadline != 1 {
+				t.Errorf("statistics row = %+v; want digest %s with 2 calls, 1 ok, 1 deadline", s, digest)
+			}
+			entries := db.SlowLog().Entries()
+			if len(entries) != 1 || entries[0].Outcome != "deadline" || entries[0].Digest != digest || entries[0].Query != src {
+				t.Errorf("slow log = %+v; want one deadline entry for the statement", entries)
+			}
+		})
 	}
 }

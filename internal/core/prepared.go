@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rpe"
+	"repro/internal/schema"
 	"repro/internal/stats"
 )
 
@@ -84,33 +87,84 @@ func (p *Prepared) Footprint() []string {
 // Exec executes the prepared statement under ctx and the DB's installed
 // limits, observing into the DB's registry and slow log like Query does.
 func (p *Prepared) Exec(ctx context.Context) (*exec.Result, error) {
-	return p.ExecLimits(ctx, p.db.executor.Limits)
+	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: p.db.limits})
 }
 
-// ExecLimits is Exec under explicit per-call resource limits, the entry
-// point for per-request guardrails: the statement's compiled form is
-// reused, only the governor differs per call.
-func (p *Prepared) ExecLimits(ctx context.Context, lim exec.Limits) (*exec.Result, error) {
-	return p.ExecTraced(ctx, lim, nil)
-}
-
-// ExecTraced is ExecLimits with optional operator-DAG tracing: a non-nil
-// parent span receives the execution's "Query" span tree as a child (the
-// server passes its request's Execute phase span here, stitching engine
-// operators into the end-to-end trace). A nil parent runs untraced —
-// the counters-only fast path.
+// ExecTraced is Exec under explicit per-call resource limits — the
+// statement's compiled form is reused, only the governor differs per
+// call — with optional operator-DAG tracing: a non-nil parent span
+// receives the execution's "Query" span tree as a child (the server
+// passes its request's Execute phase span here, stitching engine
+// operators into the end-to-end trace). A nil parent runs untraced — the
+// counters-only fast path.
 func (p *Prepared) ExecTraced(ctx context.Context, lim exec.Limits, parent *obs.Span) (*exec.Result, error) {
+	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Parent: parent})
+}
+
+// run is the one body every query entry point executes: run the prepared
+// statement on x under o, then record the finished query into the
+// registry, the per-statement statistics store, and the slow log.
+// Aborted queries (err != nil) count into db.queries_aborted and are
+// always logged — regardless of duration — with their termination
+// outcome, since a query that died 1ms into its deadline is exactly the
+// one an operator wants to see. The context supplies the trace ID that
+// links slow-log entries to their end-to-end request trace; the digest
+// computed at Prepare lands on the result, the slow-log entry, and the
+// stats store.
+func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions) (*exec.Result, error) {
+	db := p.db
 	start := time.Now()
-	var res *exec.Result
-	var err error
-	if parent != nil {
-		res, err = p.db.executor.RunTracedContextLimits(ctx, p.a, parent, lim)
-	} else {
-		res, err = p.db.executor.RunContextLimits(ctx, p.a, lim)
+	res, err := x.Run(ctx, p.a, o)
+	dur := time.Since(start)
+	if res != nil {
+		res.Digest = p.digest
 	}
-	p.db.observeQuery(ctx, p.src, p.digest, p.norm, res, time.Since(start), err)
-	if err != nil {
-		return nil, err
+	if db.reg != nil {
+		db.reg.Counter("db.queries").Add(1)
+		if err != nil {
+			db.reg.Counter("db.queries_aborted").Add(1)
+		}
+		db.reg.Histogram("db.query_latency_ms").Observe(float64(dur) / 1e6)
+		if res != nil {
+			db.reg.HistogramBuckets("db.query_edges_scanned", obs.DefaultSizeBuckets).
+				Observe(float64(res.Metrics.EdgesScanned))
+		}
 	}
-	return res, nil
+	if db.stmtStats != nil {
+		ob := stats.Observation{Duration: dur, Outcome: exec.Outcome(err)}
+		if res != nil {
+			ob.Edges = int64(res.Metrics.EdgesScanned)
+			ob.Rows = int64(len(res.Rows))
+		}
+		db.stmtStats.Observe(p.digest, p.norm, ob)
+	}
+	if db.slowLog != nil && (err != nil || dur >= db.slowLog.Threshold()) {
+		entry := obs.SlowLogEntry{
+			When:     time.Now(),
+			Query:    p.src,
+			Duration: dur,
+			Outcome:  exec.Outcome(err),
+			TraceID:  obs.TraceIDFrom(ctx),
+			Digest:   p.digest,
+		}
+		if res != nil {
+			var planText strings.Builder
+			for _, name := range schema.SortedNames(planKeys(res.Plans)) {
+				fmt.Fprintf(&planText, "-- variable %s --\n%s", name, res.Plans[name].Explain())
+			}
+			entry.Plan = planText.String()
+			entry.Metrics = res.Metrics.String()
+			entry.Trace = res.Trace
+		}
+		db.slowLog.Observe(entry)
+	}
+	return res, err
+}
+
+func planKeys(m map[string]*plan.Plan) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
 }

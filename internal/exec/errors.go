@@ -1,19 +1,15 @@
 package exec
 
 import (
-	"context"
 	"errors"
-	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/plan"
 )
 
 // This file is the executor's half of the query-governance layer: the
-// error taxonomy re-exported at the API surface callers program against,
-// the transient-fault classification the retry loop uses, the retry
-// policy itself, and the per-route circuit breaker.
+// limits and error taxonomy re-exported at the API surface callers
+// program against, and the outcome classification the logs and the
+// statistics store share.
 
 // Limits re-exports plan.Limits: the per-query resource guardrails
 // (MaxPaths, MaxEdgesScanned, MaxDuration) enforced inside the operator
@@ -28,10 +24,6 @@ var (
 	ErrDeadlineExceeded = plan.ErrDeadlineExceeded
 	ErrLimitExceeded    = plan.ErrLimitExceeded
 	ErrPanic            = plan.ErrPanic
-
-	// ErrBreakerOpen short-circuits a routed variable whose engine's
-	// circuit breaker is open: the engine is not probed at all.
-	ErrBreakerOpen = errors.New("exec: routed engine circuit breaker open")
 )
 
 // Outcome classifies how a query terminated for the slow-query log and
@@ -52,156 +44,4 @@ func Outcome(err error) string {
 	default:
 		return "error"
 	}
-}
-
-// IsGovernance reports whether err is a governance abort (cancellation,
-// deadline, or resource limit) as opposed to an engine failure. The
-// routed retry loop never retries governance aborts — the budget is the
-// query's, not the engine's — and never degrades them away.
-func IsGovernance(err error) bool {
-	return errors.Is(err, ErrCanceled) ||
-		errors.Is(err, ErrDeadlineExceeded) ||
-		errors.Is(err, ErrLimitExceeded)
-}
-
-// Transient reports whether err self-classifies as transient by
-// implementing `Transient() bool` somewhere in its chain (the convention
-// internal/chaos faults follow). Only transient errors are retried.
-func Transient(err error) bool {
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
-}
-
-// RetryPolicy bounds the retry loop of a routed variable evaluation:
-// capped exponential backoff with jitter. The zero value disables
-// retries (a single attempt).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts, first try included;
-	// values below 1 mean 1.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// retry. Zero defaults to 1ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Zero defaults to 64×BaseDelay.
-	MaxDelay time.Duration
-}
-
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// backoff returns the randomized sleep before retry number n (n ≥ 1):
-// half the capped exponential step plus up to the same again in jitter,
-// so concurrent retriers decorrelate.
-func (p RetryPolicy) backoff(n int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 64 * base
-	}
-	d := base << uint(n-1)
-	if d <= 0 || d > max { // <= 0 guards shift overflow
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
-// sleepBackoff waits out one backoff step, aborting early (with the
-// governance mapping of the context error) when the query is canceled.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return plan.ContextError(ctx.Err())
-	case <-t.C:
-		return nil
-	}
-}
-
-// DegradeMode selects what a routed variable does when its engine stays
-// unavailable after retries (or its breaker is open).
-type DegradeMode int
-
-const (
-	// DegradeNone fails the query with the routed engine's error.
-	DegradeNone DegradeMode = iota
-	// DegradeFallback re-evaluates the variable on the default engine and
-	// flags the result as degraded.
-	DegradeFallback
-	// DegradePartial binds the variable to an empty pathway set and flags
-	// the result as degraded: rows that needed the variable disappear,
-	// rows that didn't survive.
-	DegradePartial
-)
-
-// breaker is a consecutive-failure circuit breaker for one routed
-// engine. threshold consecutive failures open it; while open, routed
-// evaluations short-circuit with ErrBreakerOpen. A positive cooldown
-// admits one probe per cooldown interval (half-open); a zero cooldown
-// keeps the breaker latched open until a probe elsewhere succeeds —
-// with no probes admitted, that means permanently, which suits
-// one-shot query batches.
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-
-	fails    int
-	open     bool
-	openedAt time.Time
-}
-
-// allow reports whether a routed evaluation may probe the engine now.
-func (b *breaker) allow(now time.Time) bool {
-	if b == nil || b.threshold <= 0 {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	if b.cooldown > 0 && now.Sub(b.openedAt) >= b.cooldown {
-		// Half-open: admit one probe and restart the cooldown clock so
-		// a failing engine is probed once per cooldown, not per query.
-		b.openedAt = now
-		return true
-	}
-	return false
-}
-
-// onSuccess closes the breaker and clears the failure streak.
-func (b *breaker) onSuccess() {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.fails = 0
-	b.open = false
-	b.mu.Unlock()
-}
-
-// onFailure records one failure, reporting whether this transition
-// opened the breaker.
-func (b *breaker) onFailure(now time.Time) bool {
-	if b == nil || b.threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails++
-	if b.fails >= b.threshold && !b.open {
-		b.open = true
-		b.openedAt = now
-		return true
-	}
-	return false
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -24,40 +23,11 @@ const SeedCostThreshold = 512
 
 // Executor runs analyzed queries. Default serves every variable unless
 // Routes maps a variable name to another engine (data-integration mode).
-//
-// The governance fields configure every query the executor runs: Limits
-// bounds each query's resources, Retry/BreakerThreshold/Degrade control
-// how routed variables behave when their engine fails, and Reg (optional)
-// receives the "exec.routed_retries" and "exec.breaker_open" counters.
-// Configure them before the executor starts serving queries; the breaker
-// state itself is internally synchronized and persists across queries on
-// the same Executor.
+// It holds no per-query state: everything that varies per execution
+// arrives in RunOptions, so one Executor serves concurrent queries.
 type Executor struct {
 	Default *plan.Engine
 	Routes  map[string]*plan.Engine
-
-	// Limits bounds every query run through this executor; the zero value
-	// is unlimited.
-	Limits Limits
-	// Retry is the retry policy for routed variable evaluations; the zero
-	// value disables retries.
-	Retry RetryPolicy
-	// BreakerThreshold opens a routed engine's circuit breaker after that
-	// many consecutive failures; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown, when positive, admits one half-open probe per
-	// cooldown interval; 0 keeps an open breaker latched.
-	BreakerCooldown time.Duration
-	// Degrade selects the behavior when a routed engine stays unavailable
-	// after retries: fail the query (DegradeNone), fall back to the
-	// default engine (DegradeFallback), or keep partial results
-	// (DegradePartial).
-	Degrade DegradeMode
-	// Reg, when non-nil, receives retry and breaker counters.
-	Reg *obs.Registry
-
-	mu       sync.Mutex
-	breakers map[string]*breaker
 }
 
 // New returns an executor over a single engine.
@@ -79,11 +49,23 @@ func (x *Executor) engineFor(varName string) *plan.Engine {
 	return x.Default
 }
 
+// RunOptions is what varies per execution.
+type RunOptions struct {
+	// Limits bounds this query's resources; the zero value is unlimited.
+	Limits Limits
+	// Traced enables operator-DAG tracing: every variable evaluation's
+	// Eval span nests under a per-variable group span inside the result's
+	// Trace tree. Parent, when non-nil, receives that tree as a child
+	// (and implies Traced); otherwise it is a root span.
+	Traced bool
+	Parent *obs.Span
+}
+
 // runCtx carries one query execution's instrumentation and governance:
 // the metrics totals accumulated across every variable evaluation
 // (subqueries included), the per-variable plans chosen by the optimizer,
-// the query's governor, the variables served degraded, and — when
-// tracing — the query span under which per-variable Eval spans nest.
+// the query's governor, and — when tracing — the query span under which
+// per-variable Eval spans nest.
 type runCtx struct {
 	metrics plan.Metrics
 	plans   map[string]*plan.Plan
@@ -95,16 +77,6 @@ type runCtx struct {
 	var0span *obs.Span
 	vars     map[string]*obs.Span
 	gov      *plan.Governor
-	degraded map[string]bool
-}
-
-// markDegraded records that a variable was served by a degraded path
-// (default-engine fallback or empty partial binding).
-func (rc *runCtx) markDegraded(name string) {
-	if rc.degraded == nil {
-		rc.degraded = map[string]bool{}
-	}
-	rc.degraded[name] = true
 }
 
 // varSpan returns the grouping span of one range variable's evaluations.
@@ -130,68 +102,23 @@ func (rc *runCtx) varSpan(name string) *obs.Span {
 	return sp
 }
 
-// Run executes the analyzed query. The result carries the evaluation
-// metrics totaled across all variables (a value copy, safe to read
-// concurrently with further queries).
-func (x *Executor) Run(a *query.Analyzed) (*Result, error) {
-	return x.RunContext(context.Background(), a)
-}
-
-// RunContext is Run under a context: the query aborts cooperatively with
-// ErrCanceled/ErrDeadlineExceeded when ctx is canceled or its deadline
-// (or the executor's Limits.MaxDuration, whichever is earlier) passes.
-func (x *Executor) RunContext(ctx context.Context, a *query.Analyzed) (*Result, error) {
-	return x.RunContextLimits(ctx, a, x.Limits)
-}
-
-// RunContextLimits is RunContext under explicit per-call limits instead
-// of the executor-wide Limits — the entry point for servers that carry
-// per-request guardrails (each request's governor is built fresh, so
-// concurrent calls with different limits never interfere). The zero
-// Limits is unlimited.
-func (x *Executor) RunContextLimits(ctx context.Context, a *query.Analyzed, lim Limits) (*Result, error) {
-	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, lim)}
-	return x.runGuarded(a, rc)
-}
-
-// RunTraced is Run with operator-DAG tracing: every variable evaluation's
-// Eval span nests under a per-variable group span inside the returned
-// result's Trace tree, and Plans records each variable's executed plan so
-// callers can render EXPLAIN ANALYZE.
-func (x *Executor) RunTraced(a *query.Analyzed, parent *obs.Span) (*Result, error) {
-	return x.RunTracedContext(context.Background(), a, parent)
-}
-
-// RunTracedContext is RunTraced under a context.
-func (x *Executor) RunTracedContext(ctx context.Context, a *query.Analyzed, parent *obs.Span) (*Result, error) {
-	return x.RunTracedContextLimits(ctx, a, parent, x.Limits)
-}
-
-// RunTracedContextLimits is RunTracedContext under explicit per-call
-// limits — the traced counterpart of RunContextLimits, used by the
-// server to nest a request's operator spans under its end-to-end trace
-// while still applying per-request guardrails.
-func (x *Executor) RunTracedContextLimits(ctx context.Context, a *query.Analyzed, parent *obs.Span, lim Limits) (*Result, error) {
-	var span *obs.Span
-	if parent != nil {
-		span = parent.StartChild("Query", "")
-	} else {
-		span = obs.NewSpan("Query", "")
+// Run executes the analyzed query under ctx and o.Limits: it aborts
+// cooperatively with ErrCanceled/ErrDeadlineExceeded when ctx is canceled
+// or its deadline (or Limits.MaxDuration, whichever is earlier) passes,
+// and with ErrLimitExceeded when a resource bound is crossed. The result
+// carries the evaluation metrics totaled across all variables, each
+// variable's executed plan, and the span tree when traced. Run is also
+// the query's panic boundary: a panic in the executor's own join
+// machinery (engine panics are already converted one layer down)
+// surfaces as a *plan.PanicError instead of unwinding the caller.
+func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (res *Result, err error) {
+	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits)}
+	if o.Parent != nil {
+		rc.span = o.Parent.StartChild("Query", "")
+	} else if o.Traced {
+		rc.span = obs.NewSpan("Query", "")
 	}
-	rc := &runCtx{
-		plans: map[string]*plan.Plan{},
-		span:  span,
-		gov:   plan.NewGovernor(ctx, lim),
-	}
-	res, err := x.runGuarded(a, rc)
-	span.Finish()
-	return res, err
-}
-
-// runGuarded is the query's panic boundary: a panic in the executor's
-// own join machinery (engine panics are already converted one layer
-// down) surfaces as a *plan.PanicError instead of unwinding the caller.
-func (x *Executor) runGuarded(a *query.Analyzed, rc *runCtx) (res *Result, err error) {
+	defer rc.span.Finish()
 	defer func() {
 		if r := recover(); r != nil {
 			err = &plan.PanicError{Value: r, Stack: debug.Stack(), Span: rc.span}
@@ -206,10 +133,6 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Metrics: rc.metrics, Plans: rc.plans, Trace: rc.span}
-	if len(rc.degraded) > 0 {
-		res.Degraded = true
-		res.DegradedVars = schema.SortedNames(rc.degraded)
-	}
 	if rc.span != nil {
 		rc.span.AddRows(0, int64(len(rows)))
 	}
@@ -283,11 +206,9 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 	// predicates as soon as both sides are bound (pushing selections into
 	// the nested-loops join).
 	tuples := []workRow{{bind: map[string]plan.Pathway{}, views: views, varTimes: map[string]temporal.Set{}}}
-	bound := map[string]bool{}
 	if outer != nil {
 		for name, p := range outer.bind {
 			tuples[0].bind[name] = p
-			bound[name] = true
 		}
 		for name, v := range outer.views {
 			if _, shadowed := views[name]; !shadowed {
@@ -304,27 +225,16 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 			if err := rc.gov.Check(); err != nil {
 				return nil, perVarTimes, err
 			}
-			paths, usedView, err := x.evalVar(a, step, views[step.name], tup, bound, rc)
+			paths, err := x.evalVar(a, step, views[step.name], tup, rc)
 			if err != nil {
 				return nil, perVarTimes, err
-			}
-			// A degraded fallback evaluates on the default engine's store;
-			// rebind the variable's view copy-on-write so joins and
-			// projections resolve its pathways in the store they live in.
-			tupViews := tup.views
-			if usedView.Store() != tup.views[step.name].Store() {
-				tupViews = make(map[string]graph.View, len(tup.views))
-				for k, v := range tup.views {
-					tupViews[k] = v
-				}
-				tupViews[step.name] = usedView
 			}
 			if next == nil && len(paths) > 0 {
 				// Exact for the first (often only) tuple; later ones append.
 				next = make([]workRow, 0, len(paths))
 			}
 			for _, p := range paths {
-				nt := workRow{bind: cloneBind(tup.bind), views: tupViews}
+				nt := workRow{bind: cloneBind(tup.bind), views: tup.views}
 				nt.bind[step.name] = p
 				if perVarTimes {
 					nt.varTimes = cloneTimes(tup.varTimes)
@@ -335,7 +245,6 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 				}
 			}
 		}
-		bound[step.name] = true
 		tuples = next
 	}
 
@@ -472,157 +381,45 @@ func (x *Executor) findSeed(a *query.Analyzed, name string, placed map[string]bo
 	return evalStep{}, false
 }
 
-// evalVar evaluates one variable for the current tuple, folding the
-// evaluation's metrics (and trace, when enabled) into the run context.
-// It returns the view the variable was actually evaluated under, which
-// differs from the planned view only when a routed variable fell back to
-// the default engine. Routed variables additionally go through the
-// retry/breaker/degrade machinery of evalRouted.
-func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, tup workRow, bound map[string]bool, rc *runCtx) ([]plan.Pathway, graph.View, error) {
-	if rc.plans != nil {
-		rc.plans[step.name] = step.plan
-	}
-	if _, routed := x.Routes[step.name]; routed {
-		return x.evalRouted(a, step, view, tup, rc)
-	}
+// evalVar evaluates one variable for the current tuple on its engine —
+// the default one, or the store the variable is routed to — with the
+// query's governor and trace threaded through, folding the evaluation's
+// metrics into the run context. An engine error fails the query with that
+// error.
+func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, tup workRow, rc *runCtx) ([]plan.Pathway, error) {
+	rc.plans[step.name] = step.plan
 	eng := x.engineFor(step.name)
-	seeds, err := x.seedsFor(step, tup, eng)
-	if err != nil {
-		return nil, view, err
-	}
-	set, err := x.evalOnce(eng, step, view, seeds, rc)
-	if err != nil {
-		return nil, view, err
-	}
-	return applyViewFilter(a, step.name, view, set.Paths()), view, nil
-}
-
-// evalOnce runs one engine evaluation of the variable with the query's
-// governor and trace threaded through, folding the metrics into the run.
-func (x *Executor) evalOnce(eng *plan.Engine, step evalStep, view graph.View, seeds []graph.UID, rc *runCtx) (*plan.PathwaySet, error) {
-	opts := plan.EvalOpts{Gov: rc.gov, Seeds: seeds}
-	if rc.span != nil {
-		opts.Traced = true
-		opts.TraceParent = rc.varSpan(step.name)
+	opts := plan.EvalOpts{Gov: rc.gov, TraceParent: rc.varSpan(step.name)}
+	if step.seeded {
+		seeds, err := x.seedsFor(step, tup, eng)
+		if err != nil {
+			return nil, err
+		}
+		opts.Seeds = seeds
 	}
 	set, m, _, err := eng.EvalWith(view, step.plan, opts)
 	rc.metrics.Merge(m)
-	return set, err
-}
-
-// evalRouted evaluates a variable routed to another engine under the
-// executor's fault-tolerance policy: a consecutive-failure circuit
-// breaker short-circuits known-bad engines, transient failures retry
-// with capped exponential backoff + jitter, and a still-failing engine
-// optionally degrades — falling back to the default engine or binding
-// the variable empty, in both cases flagging Result.Degraded. Governance
-// aborts (cancellation, deadline, limits) are never retried or degraded:
-// the exhausted budget is the query's, not the engine's.
-func (x *Executor) evalRouted(a *query.Analyzed, step evalStep, view graph.View, tup workRow, rc *runCtx) ([]plan.Pathway, graph.View, error) {
-	eng := x.Routes[step.name]
-	br := x.breakerFor(step.name)
-	var lastErr error
-	if br.allow(time.Now()) {
-		seeds, err := x.seedsFor(step, tup, eng)
-		if err != nil {
-			return nil, view, err
-		}
-		for attempt := 1; attempt <= x.Retry.attempts(); attempt++ {
-			if attempt > 1 {
-				x.Reg.Counter("exec.routed_retries").Add(1)
-				if err := sleepBackoff(rc.gov.Context(), x.Retry.backoff(attempt-1)); err != nil {
-					return nil, view, err
-				}
-			}
-			set, err := x.evalOnce(eng, step, view, seeds, rc)
-			if err == nil {
-				br.onSuccess()
-				return applyViewFilter(a, step.name, view, set.Paths()), view, nil
-			}
-			lastErr = err
-			if IsGovernance(err) {
-				return nil, view, err
-			}
-			if br.onFailure(time.Now()) {
-				x.Reg.Counter("exec.breaker_open").Add(1)
-				break
-			}
-			if !Transient(err) {
-				break
-			}
-		}
-	} else {
-		lastErr = fmt.Errorf("exec: variable %q: %w", step.name, ErrBreakerOpen)
+	if err != nil {
+		return nil, err
 	}
-	switch x.Degrade {
-	case DegradeFallback:
-		if x.Default != nil && x.Default != eng {
-			// The fallback evaluates against the default engine's store, so
-			// the variable's temporal view is rebuilt over that store and
-			// the seeds are translated into it.
-			fview := viewOn(x.Default.Accessor().Store(), a.Query, varTimeSpec(a.Query, step.name))
-			seeds, err := x.seedsFor(step, tup, x.Default)
-			if err != nil {
-				return nil, view, err
-			}
-			set, err := x.evalOnce(x.Default, step, fview, seeds, rc)
-			if err == nil {
-				rc.markDegraded(step.name)
-				return applyViewFilter(a, step.name, fview, set.Paths()), fview, nil
-			}
-			if IsGovernance(err) {
-				return nil, view, err
-			}
-		}
-		return nil, view, lastErr
-	case DegradePartial:
-		rc.markDegraded(step.name)
-		return nil, view, nil
-	default:
-		return nil, view, lastErr
-	}
+	return applyViewFilter(a, step.name, view, set.Paths()), nil
 }
 
 // seedsFor resolves the seed nodes of a seeded step for evaluation on
 // eng: the joined variable's endpoint in this tuple, translated into
 // eng's store when the stores differ (identity crosses via the unique
-// id field). The seed variable's store comes from its tuple view, which
-// tracks degraded fallbacks. Non-seeded steps have no seeds.
+// id field).
 func (x *Executor) seedsFor(step evalStep, tup workRow, eng *plan.Engine) ([]graph.UID, error) {
-	if !step.seeded {
-		return nil, nil
-	}
 	seedPath, ok := tup.bind[step.seedVar]
 	if !ok {
 		return nil, fmt.Errorf("exec: internal: seed variable %q not bound", step.seedVar)
 	}
-	var seedNode graph.UID
+	seedNode := seedPath.Source()
 	if step.seedVarFn == query.FnTarget {
 		seedNode = seedPath.Target()
-	} else {
-		seedNode = seedPath.Source()
 	}
 	from := x.engineFor(step.seedVar).Accessor().Store()
-	if v, ok := tup.views[step.seedVar]; ok {
-		from = v.Store()
-	}
 	return translateSeed(from, eng.Accessor().Store(), seedNode)
-}
-
-// breakerFor returns (creating on first use) the circuit breaker of one
-// routed variable's engine.
-func (x *Executor) breakerFor(name string) *breaker {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.breakers == nil {
-		x.breakers = map[string]*breaker{}
-	}
-	b := x.breakers[name]
-	if b == nil {
-		b = &breaker{threshold: x.BreakerThreshold, cooldown: x.BreakerCooldown}
-		x.breakers[name] = b
-	}
-	return b
 }
 
 // applyViewFilter restricts a variable's pathways to its named view (when
@@ -726,8 +523,6 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any,
 	if t.Fn == query.FnTarget {
 		node = p.Target()
 	}
-	// The tuple view tracks which store the binding actually lives in
-	// (degraded fallbacks rebind it to the default engine's store).
 	view, ok := tup.views[t.Var]
 	if !ok {
 		view = graph.CurrentView(x.engineFor(t.Var).Accessor().Store())
@@ -771,23 +566,9 @@ func (x *Executor) applyNotExists(sub *query.Analyzed, tuples []workRow, rc *run
 	return kept, nil
 }
 
-// varTimeSpec returns a variable's own time binding, if any.
-func varTimeSpec(q *query.Query, name string) *query.TimeSpec {
-	for _, rv := range q.Vars {
-		if rv.Name == name {
-			return rv.At
-		}
-	}
-	return nil
-}
-
 // viewFor resolves the temporal view of a variable on its routed store.
 func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec) graph.View {
-	return viewOn(x.engineFor(varName).Accessor().Store(), q, varAt)
-}
-
-// viewOn resolves a variable's temporal view over an explicit store.
-func viewOn(st *graph.Store, q *query.Query, varAt *query.TimeSpec) graph.View {
+	st := x.engineFor(varName).Accessor().Store()
 	ts := varAt
 	if ts == nil {
 		ts = q.At

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func (f *fixture) run(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("analyze %q: %v", src, err)
 	}
-	res, err := f.x.Run(a)
+	res, err := f.x.Run(context.Background(), a, RunOptions{})
 	if err != nil {
 		t.Fatalf("run %q: %v", src, err)
 	}
@@ -356,7 +357,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.x.Run(a)
+	res, err := f.x.Run(context.Background(), a, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func TestUnanchorableWithoutJoinErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.x.Run(a); err == nil {
+	if _, err := f.x.Run(context.Background(), a, RunOptions{}); err == nil {
 		t.Fatal("unanchorable variable without joins accepted")
 	}
 }

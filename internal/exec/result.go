@@ -57,15 +57,8 @@ type Result struct {
 	// Plans records the executed plan of each range variable by name.
 	Plans map[string]*plan.Plan
 	// Trace is the query's operator-DAG span tree; nil unless the query
-	// ran through RunTraced.
+	// ran with RunOptions.Traced or a Parent span.
 	Trace *obs.Span
-	// Degraded reports that at least one routed variable was served by a
-	// degraded path (default-engine fallback or empty partial binding)
-	// because its engine stayed unavailable; DegradedVars names them.
-	// Degraded results may be incomplete and must not be treated as an
-	// authoritative inventory answer.
-	Degraded     bool
-	DegradedVars []string
 }
 
 // AggValue is the answer to First/Last/When-Exists.

@@ -39,8 +39,7 @@ type AccessEntry struct {
 	// GET /v1/stats/statements, shared with the slow log and trace store.
 	Digest string `json:"digest,omitempty"`
 	// EdgesScanned is the query's engine-side scan volume.
-	EdgesScanned int  `json:"edges_scanned,omitempty"`
-	Degraded     bool `json:"degraded,omitempty"`
+	EdgesScanned int `json:"edges_scanned,omitempty"`
 	// BytesOut is the response body size written.
 	BytesOut int64 `json:"bytes_out"`
 	// Epoch is the primary epoch the response was served under (0 when
@@ -113,9 +112,6 @@ func (l *AccessLog) Log(e AccessEntry) {
 	if e.EdgesScanned != 0 {
 		b = append(b, `,"edges_scanned":`...)
 		b = strconv.AppendInt(b, int64(e.EdgesScanned), 10)
-	}
-	if e.Degraded {
-		b = append(b, `,"degraded":true`...)
 	}
 	b = append(b, `,"bytes_out":`...)
 	b = strconv.AppendInt(b, e.BytesOut, 10)

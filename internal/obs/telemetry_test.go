@@ -396,7 +396,6 @@ func TestRequestTraceInteresting(t *testing.T) {
 		{"healthy", mkTrace("a", time.Time{}, "ok", time.Millisecond), false},
 		{"errored outcome", mkTrace("b", time.Time{}, "http_429", time.Millisecond), true},
 		{"slow", mkTrace("c", time.Time{}, "ok", slow), true},
-		{"degraded", &RequestTrace{ID: "d", Outcome: "ok", Degraded: true}, true},
 		{"error text", &RequestTrace{ID: "e", Outcome: "ok", Error: "boom"}, true},
 	}
 	for _, c := range cases {

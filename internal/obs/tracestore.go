@@ -24,13 +24,12 @@ type RequestTrace struct {
 	Outcome      string
 	Duration     time.Duration
 	EdgesScanned int
-	Degraded     bool
 	Error        string
 	Root         *Span
 }
 
 // Interesting reports whether the trace should survive tail-sampling
-// eviction: errored, degraded, or slower than the threshold.
+// eviction: errored or slower than the threshold.
 func (t *RequestTrace) Interesting(slow time.Duration) bool {
 	if t == nil {
 		return false
@@ -38,7 +37,7 @@ func (t *RequestTrace) Interesting(slow time.Duration) bool {
 	if t.Outcome != "" && t.Outcome != "ok" {
 		return true
 	}
-	if t.Degraded || t.Error != "" {
+	if t.Error != "" {
 		return true
 	}
 	return slow > 0 && t.Duration >= slow
@@ -53,10 +52,10 @@ const DefaultSlowTraceThreshold = 250 * time.Millisecond
 
 // TraceStore retains recent request traces in memory with tail-sampling:
 // two bounded rings, one of the most recent requests regardless of
-// outcome and one of "interesting" requests (errored, degraded, or
-// slow), so a burst of healthy traffic cannot flush the failures an
-// operator is trying to diagnose. Lookup by ID covers both rings. A nil
-// store ignores writes and returns nothing.
+// outcome and one of "interesting" requests (errored or slow), so a
+// burst of healthy traffic cannot flush the failures an operator is
+// trying to diagnose. Lookup by ID covers both rings. A nil store
+// ignores writes and returns nothing.
 type TraceStore struct {
 	mu     sync.RWMutex
 	keep   int

@@ -253,7 +253,7 @@ func checkTraceInvariants(t *testing.T, label string, set *plan.PathwaySet, m pl
 		t.Errorf("%s: PathsEmitted=%d but result set has %d pathways", label, m.PathsEmitted, set.Len())
 	}
 	if root == nil {
-		t.Errorf("%s: EvalTraced returned nil root span", label)
+		t.Errorf("%s: traced EvalWith returned nil root span", label)
 		return
 	}
 	var selectRows, extendEdges int64

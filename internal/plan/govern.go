@@ -69,8 +69,8 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return ErrPanic }
 
-// ContextError maps a context error onto the governance taxonomy.
-func ContextError(err error) error {
+// contextError maps a context error onto the governance taxonomy.
+func contextError(err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -152,16 +152,6 @@ func NewGovernor(ctx context.Context, lim Limits) *Governor {
 	return g
 }
 
-// Context returns the governing context (context.Background for a nil
-// governor), for callers that block outside the search loops (e.g. the
-// executor's retry backoff sleeps).
-func (g *Governor) Context() context.Context {
-	if g == nil || g.ctx == nil {
-		return context.Background()
-	}
-	return g.ctx
-}
-
 // Check is the cooperative cancellation checkpoint. It returns nil while
 // the query may continue, and the sticky governance error once the
 // context is done, the deadline passed, or a limit was exceeded. The
@@ -192,7 +182,7 @@ func (g *Governor) CheckNow() error {
 	}
 	select {
 	case <-g.done:
-		g.err = ContextError(g.ctx.Err())
+		g.err = contextError(g.ctx.Err())
 		return g.err
 	default:
 	}

@@ -33,46 +33,10 @@ func (m Metrics) String() string {
 // Merge folds another evaluation's counters into m — the executor uses it
 // to total metrics across the variable evaluations of one query.
 func (m *Metrics) Merge(o Metrics) {
-	if m == nil {
-		return
-	}
 	m.AnchorRecords += o.AnchorRecords
 	m.EdgesScanned += o.EdgesScanned
 	m.ElementsConsumed += o.ElementsConsumed
 	m.ElementsRejected += o.ElementsRejected
 	m.PartialsExplored += o.PartialsExplored
 	m.PathsEmitted += o.PathsEmitted
-}
-
-// The counters below are nil-safe so the engine can thread an optional
-// *Metrics without branching at every site.
-
-func (m *Metrics) addAnchors(n int) {
-	if m != nil {
-		m.AnchorRecords += n
-	}
-}
-
-func (m *Metrics) addEdges(n int) {
-	if m != nil {
-		m.EdgesScanned += n
-	}
-}
-
-func (m *Metrics) addConsumed() {
-	if m != nil {
-		m.ElementsConsumed++
-	}
-}
-
-func (m *Metrics) addRejected() {
-	if m != nil {
-		m.ElementsRejected++
-	}
-}
-
-func (m *Metrics) addPartial() {
-	if m != nil {
-		m.PartialsExplored++
-	}
 }

@@ -82,7 +82,7 @@ func runBoth(t *testing.T, st *graph.Store, view graph.View, src string) *plan.P
 	ref := plan.ReferenceEval(view, c)
 	var last *plan.PathwaySet
 	for name, eng := range engines(st) {
-		got, err := eng.Eval(view, p)
+		got, _, err := eng.EvalMetered(view, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -240,7 +240,7 @@ func TestSeededEvaluation(t *testing.T) {
 	// anchor imported from a join (§3.4).
 	p := plan.BuildSeeded(c, plan.Forward)
 	for name, eng := range engines(st) {
-		got, err := eng.EvalSeeded(view, p, []graph.UID{d.Host1})
+		got, _, _, err := eng.EvalWith(view, p, plan.EvalOpts{Seeds: []graph.UID{d.Host1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestSeededEvaluation(t *testing.T) {
 	// Target-seeded: pathways ending at host-1.
 	pb := plan.BuildSeeded(c, plan.Backward)
 	for name, eng := range engines(st) {
-		got, err := eng.EvalSeeded(view, pb, []graph.UID{d.Host1})
+		got, _, _, err := eng.EvalWith(view, pb, plan.EvalOpts{Seeds: []graph.UID{d.Host1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestTimeTravelPointQuery(t *testing.T) {
 	before := graph.PointView(st, t0.Add(5*time.Hour))
 	for name, eng := range engines(st) {
 		_, p := mustPlan(t, st, src)
-		got, err := eng.Eval(before, p)
+		got, _, err := eng.EvalMetered(before, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestTimeTravelPointQuery(t *testing.T) {
 	now := graph.CurrentView(st)
 	for name, eng := range engines(st) {
 		_, p := mustPlan(t, st, src)
-		got, err := eng.Eval(now, p)
+		got, _, err := eng.EvalMetered(now, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func TestEvalMetered(t *testing.T) {
 		}
 		// Metering is one-shot: a plain Eval afterwards must not panic or
 		// accumulate into stale metrics.
-		if _, err := eng.Eval(view, p); err != nil {
+		if _, _, err := eng.EvalMetered(view, p); err != nil {
 			t.Fatal(err)
 		}
 	}

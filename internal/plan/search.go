@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime/debug"
 	"slices"
@@ -79,14 +78,14 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 }
 
 // evalState carries one evaluation's instrumentation, governance and
-// search scratch: the optional counters, the optional operator-span
-// trace, the query's Governor, the first failure (governance or backend)
-// that aborts the search, and the arena the partial pathways live in.
-// The zero value disables every sink; all of them are nil-safe so the
-// uninstrumented, ungoverned path costs only nil checks. Nothing in it
-// outlives the evaluation (DESIGN.md, "Search core memory model").
+// search scratch: the counters, the optional operator-span trace, the
+// query's Governor, the first failure (governance or backend) that aborts
+// the search, and the arena the partial pathways live in. A nil trace or
+// governor is a no-op at every call site, so the search loops have one
+// body. Nothing in it outlives the evaluation (DESIGN.md, "Search core
+// memory model").
 type evalState struct {
-	m   *Metrics
+	m   Metrics
 	tr  *traceEval
 	gov *Governor
 	err error
@@ -255,14 +254,14 @@ type EvalOpts struct {
 	TraceParent *obs.Span
 }
 
-// EvalWith is the general evaluation entry point: metered, optionally
-// traced, optionally governed. Seeded plans draw their anchors from
-// o.Seeds; anchored plans ignore them. Engine panics are converted to a
+// EvalWith is the evaluation entry point: metered, optionally traced,
+// optionally governed. It returns all satisfying pathways with their
+// maximal validity ranges. Seeded plans draw their anchors from o.Seeds;
+// anchored plans ignore them. Engine panics are converted to a
 // *PanicError at this boundary, with the operator span attached when
 // tracing. The returned span is nil unless tracing was enabled.
 func (e *Engine) EvalWith(view graph.View, p *Plan, o EvalOpts) (*PathwaySet, Metrics, *obs.Span, error) {
-	var m Metrics
-	es := &evalState{m: &m, gov: o.Gov}
+	es := &evalState{gov: o.Gov}
 	if o.Traced || o.TraceParent != nil {
 		es.tr = newTraceEval(e.acc.Name(), p, o.TraceParent)
 	}
@@ -275,47 +274,28 @@ func (e *Engine) EvalWith(view graph.View, p *Plan, o EvalOpts) (*PathwaySet, Me
 		set, err = e.eval(view, p, es)
 	}
 	if set != nil {
-		m.PathsEmitted = set.Len()
+		es.m.PathsEmitted = set.Len()
 	}
 	var root *obs.Span
 	if es.tr != nil {
-		es.tr.finish(set, m)
+		es.tr.finish(set, es.m)
 		root = es.tr.root
 	}
-	e.record(m, time.Since(start))
-	return set, m, root, err
+	e.record(es.m, time.Since(start))
+	return set, es.m, root, err
 }
 
-// Eval evaluates the plan within the view and returns all satisfying
-// pathways with their maximal validity ranges.
-func (e *Engine) Eval(view graph.View, p *Plan) (*PathwaySet, error) {
-	if e.reg != nil {
-		set, _, err := e.EvalMetered(view, p)
-		return set, err
-	}
-	return e.eval(view, p, &evalState{})
-}
-
-// EvalMetered is Eval with instrumentation: it returns the operator
-// pipeline's counters alongside the pathway set.
+// EvalMetered is EvalWith for an anchored plan with no governor and no
+// trace: the pathway set and the operator pipeline's counters.
 func (e *Engine) EvalMetered(view graph.View, p *Plan) (*PathwaySet, Metrics, error) {
 	set, m, _, err := e.EvalWith(view, p, EvalOpts{})
 	return set, m, err
 }
 
-// EvalTraced is EvalMetered with operator-DAG tracing: it additionally
-// returns the evaluation's span tree (one span per Select/Extend/Union
-// operator, accumulating wall time, rows, and probe counts). When parent
-// is non-nil the Eval span nests under it; otherwise it is a root span.
-func (e *Engine) EvalTraced(view graph.View, p *Plan, parent *obs.Span) (*PathwaySet, Metrics, *obs.Span, error) {
-	return e.EvalWith(view, p, EvalOpts{Traced: true, TraceParent: parent})
-}
-
 // recovered converts an engine panic into a *PanicError, attaching the
 // evaluation's operator span when the run was traced. Recovery sits at
-// the eval/evalSeeded boundary so every public entry point (and every
-// routed retry in the executor) observes a plain error instead of a
-// process-killing panic.
+// the eval/evalSeeded boundary so EvalWith's callers observe a plain
+// error instead of a process-killing panic.
 func recovered(es *evalState, err *error) {
 	if r := recover(); r != nil {
 		pe := &PanicError{Value: r, Stack: debug.Stack()}
@@ -329,9 +309,6 @@ func recovered(es *evalState, err *error) {
 
 func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet, err error) {
 	defer recovered(es, &err)
-	if p.Seeded {
-		return nil, fmt.Errorf("plan: seeded plan requires EvalSeeded")
-	}
 	out := NewPathwaySet()
 	c := p.Checked
 	nfa := c.NFA()
@@ -350,7 +327,7 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 			es.fail(aerr)
 			break
 		}
-		es.m.addAnchors(len(elements))
+		es.m.AnchorRecords += len(elements)
 		transIdxs := nfa.TransWithAtom(atom.ID())
 		for _, uid := range elements {
 			if es.checkpoint() {
@@ -380,28 +357,9 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 	return out, nil
 }
 
-// EvalSeeded evaluates a plan whose anchor is imported from a join. Seeds
+// evalSeeded evaluates a plan whose anchor is imported from a join. Seeds
 // are node UIDs bound to the pathway's source (Forward) or target
 // (Backward) end.
-func (e *Engine) EvalSeeded(view graph.View, p *Plan, seeds []graph.UID) (*PathwaySet, error) {
-	if e.reg != nil {
-		set, _, err := e.EvalSeededMetered(view, p, seeds)
-		return set, err
-	}
-	return e.evalSeeded(view, p, seeds, &evalState{})
-}
-
-// EvalSeededMetered is EvalSeeded with instrumentation.
-func (e *Engine) EvalSeededMetered(view graph.View, p *Plan, seeds []graph.UID) (*PathwaySet, Metrics, error) {
-	set, m, _, err := e.EvalWith(view, p, EvalOpts{Seeds: seeds})
-	return set, m, err
-}
-
-// EvalSeededTraced is EvalSeeded with operator-DAG tracing.
-func (e *Engine) EvalSeededTraced(view graph.View, p *Plan, seeds []graph.UID, parent *obs.Span) (*PathwaySet, Metrics, *obs.Span, error) {
-	return e.EvalWith(view, p, EvalOpts{Seeds: seeds, Traced: true, TraceParent: parent})
-}
-
 func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *evalState) (set *PathwaySet, err error) {
 	defer recovered(es, &err)
 	out := NewPathwaySet()
@@ -421,7 +379,7 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 		e.evalSeedOne(view, p, obj, out, es)
 		union.end(t0)
 		union.rows(0, out.Len()-before)
-		es.m.addAnchors(1)
+		es.m.AnchorRecords++
 	}
 	if es.err != nil {
 		return nil, es.err
@@ -481,7 +439,7 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 			break
 		}
 		cur := es.pop()
-		es.m.addPartial()
+		es.m.PartialsExplored++
 		n, states := es.partials[cur], es.states(cur)
 		if (consumed || cur != root) && states.Has(final) {
 			*done = append(*done, es.complete(cur, dir))
@@ -512,7 +470,7 @@ func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.U
 		es.fail(err)
 		return
 	}
-	es.m.addEdges(len(edges))
+	es.m.EdgesScanned += len(edges)
 	if err := es.gov.AddEdges(len(edges)); err != nil {
 		es.fail(err)
 		return
@@ -533,10 +491,10 @@ func (e *Engine) step(view graph.View, c *rpe.Checked, cur int32, elem graph.UID
 	}
 	obj := e.acc.Store().Object(elem)
 	if !e.consume(view, c, cur, obj, dir, es) {
-		es.m.addRejected()
+		es.m.ElementsRejected++
 		return false
 	}
-	es.m.addConsumed()
+	es.m.ElementsConsumed++
 	es.stack = append(es.stack, es.push(cur, obj, dir))
 	return true
 }

@@ -325,9 +325,9 @@ func (o opStats) annotation() string {
 }
 
 // traceStats is the per-atom view of a traced evaluation, extracted from
-// a span (sub)tree produced by EvalTraced. The tree may be a single Eval
-// span or any ancestor (a per-variable or per-query span): all descendant
-// operator spans are folded in.
+// a span (sub)tree produced by a traced EvalWith. The tree may be a single
+// Eval span or any ancestor (a per-variable or per-query span): all
+// descendant operator spans are folded in.
 type traceStats struct {
 	selects  map[int]*opStats
 	extends  map[int]*opStats
@@ -411,8 +411,9 @@ func (ts *traceStats) subtreeStats(e rpe.Expr) opStats {
 // ExplainAnalyze renders the plan's operator DAG annotated with the
 // measured per-operator statistics of a traced evaluation — wall time,
 // rows in/out, backend probe counts, and EdgesScanned — in the style of
-// EXPLAIN ANALYZE. root is a span returned by EvalTraced (or any ancestor
-// span containing one or more such evaluations, whose stats aggregate).
+// EXPLAIN ANALYZE. root is a span returned by a traced EvalWith (or any
+// ancestor span containing one or more such evaluations, whose stats
+// aggregate).
 func (p *Plan) ExplainAnalyze(root *obs.Span) string {
 	ts := collectTraceStats(root)
 	var sb strings.Builder

@@ -11,50 +11,51 @@ import (
 
 var sch = netmodel.MustSchema()
 
+// paperQueries is every query from §3.4 and §4 of the paper (with class
+// names adjusted to the netmodel schema).
+var paperQueries = []string{
+	`Retrieve P From PATHS P WHERE P MATCHES VNF()->VFC()->VM()->Host(id=23245)`,
+
+	`Retrieve P From PATHS P WHERE P MATCHES VNF()->[Vertical()]{1,6}->Host(id=23245)`,
+
+	`Retrieve Phys
+	 From PATHS D1, PATHS D2, PATHS Phys
+	 Where D1 MATCHES VNF(id=123)->Vertical(){1,6}->Host()
+	 And D2 MATCHES VNF(id=234)->Vertical(){1,6}->Host()
+	 And Phys MATCHES ConnectsTo(){1,8}
+	 And source(Phys)=target(D1)
+	 And target(Phys)=target(D2)`,
+
+	`Retrieve V From PATHS V
+	 Where V MATCHES VM()
+	 And NOT EXISTS(
+	   Retrieve P from PATHS P
+	   Where P MATCHES (VNF()|VFC())->[HostedOn()]{1,5}->VM()
+	   And target(V) = target(P)
+	 )`,
+
+	`Select source(V).name, source(V).id From PATHS V Where V MATCHES VM()`,
+
+	`AT '2017-02-15 10:00:00'
+	 Select source(P) From PATHS P
+	 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)`,
+
+	`Select source(P) From PATHS P(@'2017-02-15 10:00'), Q(@'2017-02-15 11:00')
+	 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)
+	 And Q MATCHES VNF()->[HostedOn()]{1,6}->Host(id=34356)
+	 And source(P) = source(Q)`,
+
+	`AT '2017-02-15 09:00' : '2017-02-15 11:00'
+	 Select source(P) From PATHS P
+	 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)`,
+
+	`First Time When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
+	`Last Time When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
+	`When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
+}
+
 func TestParsePaperQueries(t *testing.T) {
-	// Every query from §3.4 and §4 of the paper must parse (with class
-	// names adjusted to the netmodel schema).
-	sources := []string{
-		`Retrieve P From PATHS P WHERE P MATCHES VNF()->VFC()->VM()->Host(id=23245)`,
-
-		`Retrieve P From PATHS P WHERE P MATCHES VNF()->[Vertical()]{1,6}->Host(id=23245)`,
-
-		`Retrieve Phys
-		 From PATHS D1, PATHS D2, PATHS Phys
-		 Where D1 MATCHES VNF(id=123)->Vertical(){1,6}->Host()
-		 And D2 MATCHES VNF(id=234)->Vertical(){1,6}->Host()
-		 And Phys MATCHES ConnectsTo(){1,8}
-		 And source(Phys)=target(D1)
-		 And target(Phys)=target(D2)`,
-
-		`Retrieve V From PATHS V
-		 Where V MATCHES VM()
-		 And NOT EXISTS(
-		   Retrieve P from PATHS P
-		   Where P MATCHES (VNF()|VFC())->[HostedOn()]{1,5}->VM()
-		   And target(V) = target(P)
-		 )`,
-
-		`Select source(V).name, source(V).id From PATHS V Where V MATCHES VM()`,
-
-		`AT '2017-02-15 10:00:00'
-		 Select source(P) From PATHS P
-		 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)`,
-
-		`Select source(P) From PATHS P(@'2017-02-15 10:00'), Q(@'2017-02-15 11:00')
-		 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)
-		 And Q MATCHES VNF()->[HostedOn()]{1,6}->Host(id=34356)
-		 And source(P) = source(Q)`,
-
-		`AT '2017-02-15 09:00' : '2017-02-15 11:00'
-		 Select source(P) From PATHS P
-		 Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)`,
-
-		`First Time When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
-		`Last Time When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
-		`When Exists Retrieve P From PATHS P Where P MATCHES VM(status='Red')`,
-	}
-	for _, src := range sources {
+	for _, src := range paperQueries {
 		q, err := Parse(src)
 		if err != nil {
 			t.Errorf("Parse failed: %v\n  query: %s", err, src)

@@ -37,6 +37,9 @@ type FollowerConfig struct {
 	// Logf receives one line per state transition (connect, sever,
 	// bootstrap, promote); nil discards.
 	Logf func(format string, args ...any)
+	// Registry, when non-nil, receives the follower's counters and lag
+	// gauges.
+	Registry *obs.Registry
 	// OnApplied, when non-nil, observes every replicated mutation the
 	// moment it is applied to the local store, with its global stream
 	// index, in apply order. It runs on the pull loop — keep it cheap and
@@ -140,13 +143,14 @@ type Follower struct {
 	hashKnown bool
 	diverged  bool
 	changed   chan struct{} // closed+replaced whenever the watermark advances
-	onApplied func(index uint64, m *graph.Mutation)
 
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
 	done      chan struct{}
 
+	// Metric handles, resolved from cfg.Registry before the pull loop
+	// exists; nil (and no-ops) without a registry.
 	mBatches    *obs.Counter
 	mRecords    *obs.Counter
 	mBytes      *obs.Counter
@@ -186,8 +190,22 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		changed: make(chan struct{}),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+
+		mBatches:    cfg.Registry.Counter("repl.follower.batches"),
+		mRecords:    cfg.Registry.Counter("repl.follower.records_applied"),
+		mBytes:      cfg.Registry.Counter("repl.follower.bytes_received"),
+		mReconnects: cfg.Registry.Counter("repl.follower.reconnects"),
+		mBootstraps: cfg.Registry.Counter("repl.follower.bootstraps"),
+		mDiverged:   cfg.Registry.Counter("repl.follower.diverged"),
 	}
-	f.onApplied = cfg.OnApplied
+	cfg.Registry.GaugeFunc("repl.follower.applied_index", func() float64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return float64(f.applied)
+	})
+	cfg.Registry.GaugeFunc("repl.follower.lag_records", func() float64 {
+		return float64(f.Status().LagRecords)
+	})
 	if r := cfg.Resume; r != nil {
 		f.logID = r.LogID
 		f.applied = r.Applied
@@ -196,15 +214,6 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		f.watermark = r.AppliedThrough
 	}
 	return f
-}
-
-// SetOnApplied installs (or replaces) the per-record apply observer; see
-// FollowerConfig.OnApplied. Install it before Start, or races the pull
-// loop's capture per batch.
-func (f *Follower) SetOnApplied(fn func(index uint64, m *graph.Mutation)) {
-	f.mu.Lock()
-	f.onApplied = fn
-	f.mu.Unlock()
 }
 
 // StreamState captures the link's resumable identity — log ID, position,
@@ -222,24 +231,6 @@ func (f *Follower) StreamState() StreamState {
 		HashKnown:      f.hashKnown,
 		AppliedThrough: f.watermark,
 	}
-}
-
-// Instrument publishes the follower's counters and lag gauges.
-func (f *Follower) Instrument(reg *obs.Registry) {
-	f.mBatches = reg.Counter("repl.follower.batches")
-	f.mRecords = reg.Counter("repl.follower.records_applied")
-	f.mBytes = reg.Counter("repl.follower.bytes_received")
-	f.mReconnects = reg.Counter("repl.follower.reconnects")
-	f.mBootstraps = reg.Counter("repl.follower.bootstraps")
-	f.mDiverged = reg.Counter("repl.follower.diverged")
-	reg.GaugeFunc("repl.follower.applied_index", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.applied)
-	})
-	reg.GaugeFunc("repl.follower.lag_records", func() float64 {
-		return float64(f.Status().LagRecords)
-	})
 }
 
 // Start launches the pull loop. It is safe to call once; the loop runs
@@ -362,7 +353,6 @@ func (f *Follower) reqCtx(d time.Duration) (context.Context, context.CancelFunc)
 func (f *Follower) pull() error {
 	f.mu.Lock()
 	from, h, hashKnown, pinnedEpoch := f.applied, f.hash, f.hashKnown, f.epoch
-	onApplied := f.onApplied
 	f.mu.Unlock()
 
 	url := fmt.Sprintf("%s/v1/wal?from=%d&wait_ms=%d", f.cfg.Primary, from, f.cfg.PollWait.Milliseconds())
@@ -471,8 +461,8 @@ func (f *Follower) pull() error {
 		if _, err := f.st.ApplyMutation(m); err != nil {
 			return fmt.Errorf("repl: replaying record %d: %w", applied, err)
 		}
-		if onApplied != nil {
-			onApplied(applied, m)
+		if f.cfg.OnApplied != nil {
+			f.cfg.OnApplied(applied, m)
 		}
 		// Mirror the primary's prefix-hash chain record by record, so the
 		// link can always prove which history it applied.

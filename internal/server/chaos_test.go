@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/exec"
 	"repro/internal/server"
 )
 
 // TestClientSurfacesDroppedConnection serves through a chaos.FlakyListener
 // that severs every connection after a handful of response bytes — the
 // shape of a server dying mid-response — and asserts the client surfaces
-// a typed, transient *client.TransportError, never a truncated success.
+// a typed *client.TransportError, never a truncated success.
 func TestClientSurfacesDroppedConnection(t *testing.T) {
 	s := server.New(newDemoDB(t), server.Config{})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -37,9 +36,6 @@ func TestClientSurfacesDroppedConnection(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("want *client.TransportError, got %T: %v", err, err)
 	}
-	if !exec.Transient(err) {
-		t.Error("transport error does not classify as transient")
-	}
 	if flaky.Severed() == 0 {
 		t.Error("flaky listener reports no severed connections")
 	}
@@ -47,7 +43,7 @@ func TestClientSurfacesDroppedConnection(t *testing.T) {
 
 // TestClientHealsAfterFlakyWindow lets the first connections through a
 // fault window die, then heals the listener path by skipping injection —
-// the retry pattern callers build on the Transient classification.
+// the retry pattern callers build on the *client.TransportError type.
 func TestClientHealsAfterFlakyWindow(t *testing.T) {
 	s := server.New(newDemoDB(t), server.Config{})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,8 +69,9 @@ func TestClientHealsAfterFlakyWindow(t *testing.T) {
 			}
 			return
 		}
-		if !exec.Transient(lastErr) {
-			t.Fatalf("attempt %d: non-transient error %v", attempt, lastErr)
+		var te *client.TransportError
+		if !errors.As(lastErr, &te) {
+			t.Fatalf("attempt %d: non-transport error %v", attempt, lastErr)
 		}
 	}
 	t.Fatalf("client never recovered after outage: %v", lastErr)

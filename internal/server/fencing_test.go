@@ -167,10 +167,8 @@ func TestReadyzReportsDiverged(t *testing.T) {
 	resume := f.StreamState()
 	resume.Hash ^= 0xbeef
 	cfg.Resume = &resume
-	forked := repl.NewFollower(fdb.Store(), nil, cfg)
-	forked.Start()
-	t.Cleanup(forked.Stop)
-	_, rc := newTestServer(t, fdb, server.Config{Follower: forked})
+	fs, rc := newTestServer(t, fdb, server.Config{Follow: &cfg})
+	t.Cleanup(fs.Follower().Stop)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

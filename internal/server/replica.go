@@ -37,7 +37,7 @@ const defaultReadyMaxLag = 1024
 
 // replica reports whether this server is an unpromoted read replica.
 func (s *Server) replica() bool {
-	return s.cfg.Follower != nil && !s.cfg.Follower.Promoted()
+	return s.follower != nil && !s.follower.Promoted()
 }
 
 // rejectReadOnly answers mutation attempts on a replica. Returns true
@@ -56,13 +56,13 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter, r *http.Request) bool {
 // primary (including a promoted replica, whose Promote bumped it), or
 // 0 for a node with no epoch at all (in-memory, never replicated).
 func (s *Server) nodeEpoch() uint64 {
-	if f := s.cfg.Follower; f != nil && !f.Promoted() {
+	if f := s.follower; f != nil && !f.Promoted() {
 		return f.Status().Epoch
 	}
 	if mgr := s.db.WAL(); mgr != nil {
 		return mgr.Epoch()
 	}
-	if f := s.cfg.Follower; f != nil {
+	if f := s.follower; f != nil {
 		return f.Status().Epoch
 	}
 	return 0
@@ -154,12 +154,12 @@ func (s *Server) waitFresh(ctx context.Context, w http.ResponseWriter, r *http.R
 			"min_timestamp must be RFC3339 or \"2006-01-02 15:04:05\": "+err.Error())
 		return false
 	}
-	if s.cfg.Follower == nil {
+	if s.follower == nil {
 		return true // the primary is always current
 	}
 	wctx, cancel := context.WithTimeout(ctx, s.maxStalenessWait())
 	defer cancel()
-	if err := s.cfg.Follower.WaitUntil(wctx, ts); err != nil {
+	if err := s.follower.WaitUntil(wctx, ts); err != nil {
 		if errors.Is(err, repl.ErrLagging) || errors.Is(err, repl.ErrStopped) {
 			// Retry-After steers clients to another replica (or the
 			// primary) instead of hot-looping here.
@@ -182,10 +182,10 @@ func (s *Server) stampStaleness(w http.ResponseWriter, resp *QueryResponse) {
 	if epoch := s.stampEpoch(w); resp != nil {
 		resp.Epoch = epoch
 	}
-	if s.cfg.Follower == nil {
+	if s.follower == nil {
 		return
 	}
-	_, watermark := s.cfg.Follower.Applied()
+	_, watermark := s.follower.Applied()
 	rendered := watermark.Format(repl.ClockFormat)
 	w.Header().Set(repl.HeaderAppliedThrough, rendered)
 	if resp != nil {
@@ -199,7 +199,7 @@ func (s *Server) stampStaleness(w http.ResponseWriter, resp *QueryResponse) {
 // either way.
 func (s *Server) readyState() (ReadyResponse, bool) {
 	fenced := s.fenced.Load()
-	if s.cfg.Follower == nil {
+	if s.follower == nil {
 		resp := ReadyResponse{Status: "ready", Role: "primary", Epoch: s.nodeEpoch(), Fenced: fenced}
 		if mgr := s.db.WAL(); mgr != nil {
 			// A primary's applied index is its own stream end: every durably
@@ -215,7 +215,7 @@ func (s *Server) readyState() (ReadyResponse, bool) {
 		}
 		return resp, true
 	}
-	st := s.cfg.Follower.Status()
+	st := s.follower.Status()
 	resp := ReadyResponse{
 		Role:         "replica",
 		AppliedIndex: st.Applied,
@@ -278,7 +278,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // primary it is the re-promotion path: the epoch is bumped above every
 // era known to have superseded this node, and the fence lifts.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Follower == nil {
+	if s.follower == nil {
 		if !s.fenced.Load() {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "this node is not a replica")
 			return
@@ -298,7 +298,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, StreamPosition: mgr.NextIndex(), Epoch: epoch})
 		return
 	}
-	pos, err := s.cfg.Follower.Promote()
+	pos, err := s.follower.Promote()
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
 		return
@@ -348,8 +348,7 @@ func (s *Server) mountReplication() {
 		s.mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 		s.mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
 	}
-	if f := s.cfg.Follower; f != nil {
-		f.Instrument(s.reg)
+	if f := s.follower; f != nil {
 		s.reg.GaugeFunc("repl.follower.lag_seconds", func() float64 {
 			st := f.Status()
 			if st.AppliedThrough.IsZero() || st.Promoted {

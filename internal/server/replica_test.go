@@ -34,19 +34,17 @@ func newReplicaPair(t *testing.T, followerOpts ...core.Option) (primary, replica
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fdb.Close() })
-	f = repl.NewFollower(fdb.Store(), fdb.WAL(), repl.FollowerConfig{
-		Primary:      pc.Base(),
-		PollWait:     200 * time.Millisecond,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-	})
-	f.Start()
-	t.Cleanup(f.Stop)
-	_, rc := newTestServer(t, fdb, server.Config{
-		Follower:         f,
+	fs, rc := newTestServer(t, fdb, server.Config{
+		Follow: &repl.FollowerConfig{
+			Primary:      pc.Base(),
+			PollWait:     200 * time.Millisecond,
+			ReconnectMin: 5 * time.Millisecond,
+			ReconnectMax: 50 * time.Millisecond,
+		},
 		MaxStalenessWait: 250 * time.Millisecond,
 	})
-	return pc, rc, f
+	t.Cleanup(fs.Follower().Stop)
+	return pc, rc, fs.Follower()
 }
 
 func waitCaughtUp(t *testing.T, f *repl.Follower) {

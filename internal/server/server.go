@@ -84,11 +84,14 @@ type Config struct {
 	// IDs, counters, histograms, and the access log remain: they are
 	// cheap and load-bearing for correlation.
 	DisableTelemetry bool
-	// Follower makes this server a read replica of Follower's primary:
+	// Follow makes this server a read replica of Follow.Primary:
 	// mutations are rejected ("read_only"), responses carry the
 	// applied-through watermark, and /readyz reports replication lag.
-	// The caller starts/stops the follower; see replica.go.
-	Follower *repl.Follower
+	// New builds the replication link over the db from this config —
+	// publishing into the server's registry, tapping applied records into
+	// the watch feed — and starts it once both are wired; Shutdown and
+	// Close stop it. See replica.go.
+	Follow *repl.FollowerConfig
 	// MaxStalenessWait bounds how long a min_timestamp read blocks on a
 	// lagging replica before the typed "replica_lagging" error; 0 means
 	// 2s.
@@ -126,6 +129,7 @@ type Server struct {
 	accessLog *obs.AccessLog
 	traces    *obs.TraceStore
 	stats     *stats.Store
+	follower  *repl.Follower // non-nil on a server configured with Follow
 	source    *repl.Source
 	feed      watch.Feed
 	ffeed     *watch.FollowerFeed // non-nil when feed tails a follower
@@ -214,11 +218,25 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
+	if cfg.Follow != nil {
+		fc := *cfg.Follow
+		fc.Registry = reg
+		// mountWatch creates the feed before the link starts applying.
+		fc.OnApplied = func(index uint64, m *graph.Mutation) { s.ffeed.Observe(index, m) }
+		s.follower = repl.NewFollower(db.Store(), db.WAL(), fc)
+	}
 	s.mountReplication()
 	s.mountWatch()
 	s.hs = &http.Server{Handler: s.telemetry()}
+	if s.follower != nil {
+		s.follower.Start()
+	}
 	return s
 }
+
+// Follower returns the replication link of a server configured with
+// Follow (nil on a primary).
+func (s *Server) Follower() *repl.Follower { return s.follower }
 
 // Registry returns the registry the server publishes into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -268,6 +286,9 @@ func (s *Server) broadcastShutdown() {
 		}
 		if s.ffeed != nil {
 			s.ffeed.Close()
+		}
+		if s.follower != nil {
+			s.follower.Stop()
 		}
 	})
 }
@@ -711,11 +732,9 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 			PartialsExplored: res.Metrics.PartialsExplored,
 			PathsEmitted:     res.Metrics.PathsEmitted,
 		},
-		Degraded:     res.Degraded,
-		DegradedVars: res.DegradedVars,
-		Cached:       cached,
-		ElapsedMS:    float64(elapsed) / 1e6,
-		Digest:       res.Digest,
+		Cached:    cached,
+		ElapsedMS: float64(elapsed) / 1e6,
+		Digest:    res.Digest,
 	}
 	if res.Agg != nil {
 		agg := &Agg{Exists: res.Agg.Exists, Current: res.Agg.Current, Set: intervalsOut(res.Agg.Set)}

@@ -217,21 +217,19 @@ func TestClusterView(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fdb.Close() })
-	f := repl.NewFollower(fdb.Store(), fdb.WAL(), repl.FollowerConfig{
-		Primary:      pc.Base(),
-		PollWait:     200 * time.Millisecond,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-	})
-	f.Start()
-	t.Cleanup(f.Stop)
 	deadPeer := "http://127.0.0.1:1"
-	_, rc := newTestServer(t, fdb, server.Config{
-		Follower:         f,
+	fs, rc := newTestServer(t, fdb, server.Config{
+		Follow: &repl.FollowerConfig{
+			Primary:      pc.Base(),
+			PollWait:     200 * time.Millisecond,
+			ReconnectMin: 5 * time.Millisecond,
+			ReconnectMax: 50 * time.Millisecond,
+		},
 		Peers:            []string{pc.Base(), deadPeer},
 		PeerProbeTimeout: 2 * time.Second,
 	})
-	waitCaughtUp(t, f)
+	t.Cleanup(fs.Follower().Stop)
+	waitCaughtUp(t, fs.Follower())
 
 	view, err := rc.ClusterView(context.Background())
 	if err != nil {

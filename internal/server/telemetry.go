@@ -32,7 +32,6 @@ type requestTelemetry struct {
 	digest        string
 	outcome       string // set by writeErr; empty means derive from status
 	edges         int
-	degraded      bool
 	errMsg        string
 }
 
@@ -82,14 +81,13 @@ func (rt *requestTelemetry) setDigest(digest string) {
 	rt.digest = digest
 }
 
-// recordResult captures result-derived telemetry: engine scan volume,
-// degraded-path service, and the statement digest the engine stamped.
+// recordResult captures result-derived telemetry: engine scan volume
+// and the statement digest the engine stamped.
 func (rt *requestTelemetry) recordResult(res *exec.Result) {
 	if rt == nil || res == nil {
 		return
 	}
 	rt.edges = res.Metrics.EdgesScanned
-	rt.degraded = res.Degraded
 	if res.Digest != "" {
 		rt.digest = res.Digest
 	}
@@ -180,7 +178,6 @@ func (s *Server) telemetry() http.Handler {
 			Statement:       rt.statement,
 			Digest:          rt.digest,
 			EdgesScanned:    rt.edges,
-			Degraded:        rt.degraded,
 			BytesOut:        sw.bytes,
 			Epoch:           epoch,
 			Error:           rt.errMsg,
@@ -202,7 +199,6 @@ func (s *Server) telemetry() http.Handler {
 				Outcome:       outcome,
 				Duration:      dur,
 				EdgesScanned:  rt.edges,
-				Degraded:      rt.degraded,
 				Error:         rt.errMsg,
 				Root:          rt.root,
 			})
@@ -247,7 +243,6 @@ func traceSummaryOut(t *obs.RequestTrace) TraceSummary {
 		Outcome:       t.Outcome,
 		DurationMS:    float64(t.Duration) / 1e6,
 		EdgesScanned:  t.EdgesScanned,
-		Degraded:      t.Degraded,
 		Error:         t.Error,
 	}
 }

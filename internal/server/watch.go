@@ -54,9 +54,8 @@ const watchMaxWait = 60 * time.Second
 // node through a promotion); a WAL-backed primary tails the log
 // directly; a node with neither answers 503 "watch_unavailable".
 func (s *Server) mountWatch() {
-	if f := s.cfg.Follower; f != nil {
+	if f := s.follower; f != nil {
 		ff := watch.NewFollowerFeed(f, s.db.Store(), s.db.WAL(), s.cfg.WatchRingSize)
-		f.SetOnApplied(ff.Observe)
 		s.feed, s.ffeed = ff, ff
 	} else if mgr := s.db.WAL(); mgr != nil {
 		s.feed = watch.NewWALFeed(mgr, s.db.Store())
@@ -255,9 +254,10 @@ func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint
 
 // handleWatchQuery serves a standing pathway query as an SSE stream:
 // an initial full-snapshot "delta" event, then one "delta" event per
-// incremental result change, and a "watch_lagging" event when this
+// incremental result change, a "watch_lagging" event when this
 // subscriber's bounded queue overflowed (the next delta after it is a
-// full snapshot again).
+// full snapshot again), and a "watch_query_failed" event when a
+// re-evaluation failed (typed by outcome; the stream continues).
 func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	src := q.Get("q")
@@ -302,6 +302,8 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 		switch n.Kind {
 		case watch.KindLagging:
 			writeSSE(w, n.Resume, watch.OpLagging, n)
+		case watch.KindFailed:
+			writeSSE(w, n.Resume, watch.KindFailed, n)
 		default:
 			writeSSE(w, n.Delta.Index, "delta", n.Delta)
 		}

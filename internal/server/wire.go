@@ -231,9 +231,6 @@ type QueryResponse struct {
 	// rendering (explain=analyze).
 	Explain string  `json:"explain,omitempty"`
 	Metrics Metrics `json:"metrics"`
-	// Degraded flags results served by a degraded path; see exec.Result.
-	Degraded     bool     `json:"degraded,omitempty"`
-	DegradedVars []string `json:"degraded_vars,omitempty"`
 	// Cached reports whether the statement came from the plan cache.
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -388,7 +385,6 @@ type TraceSummary struct {
 	Outcome       string    `json:"outcome"`
 	DurationMS    float64   `json:"duration_ms"`
 	EdgesScanned  int       `json:"edges_scanned,omitempty"`
-	Degraded      bool      `json:"degraded,omitempty"`
 	Error         string    `json:"error,omitempty"`
 }
 

@@ -82,11 +82,11 @@ func (f *WALFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error) {
 	return events, idx, nil
 }
 
-func (f *WALFeed) NextIndex() uint64          { return f.mgr.NextIndex() }
-func (f *WALFeed) BaseIndex() uint64          { return f.mgr.BaseIndex() }
-func (f *WALFeed) Changed() <-chan struct{}   { return f.mgr.Changed() }
-func (f *WALFeed) Epoch() uint64              { return f.mgr.Epoch() }
-func (f *WALFeed) LogID() string              { return f.mgr.LogID() }
+func (f *WALFeed) NextIndex() uint64        { return f.mgr.NextIndex() }
+func (f *WALFeed) BaseIndex() uint64        { return f.mgr.BaseIndex() }
+func (f *WALFeed) Changed() <-chan struct{} { return f.mgr.Changed() }
+func (f *WALFeed) Epoch() uint64            { return f.mgr.Epoch() }
+func (f *WALFeed) LogID() string            { return f.mgr.LogID() }
 
 // FollowerFeed serves the change feed from a replica, so subscribers can
 // be offloaded from the primary. Replicated records bypass the local WAL
@@ -119,11 +119,11 @@ type FollowerFeed struct {
 // passes 0.
 const DefaultRingSize = 4096
 
-// NewFollowerFeed returns a replica feed over f's applied stream. Wire
-// its Observe method into the follower (repl.Follower.SetOnApplied)
-// before the link starts applying, or the ring begins at whatever the
-// link had already applied. mgr may be nil; with it, the feed follows
-// the node through a promotion.
+// NewFollowerFeed returns a replica feed over f's applied stream. Its
+// Observe method must be the follower's FollowerConfig.OnApplied tap,
+// and the feed must exist before the link starts applying, or the ring
+// begins at whatever the link had already applied. mgr may be nil; with
+// it, the feed follows the node through a promotion.
 func NewFollowerFeed(f *repl.Follower, st *graph.Store, mgr *wal.Manager, ringSize int) *FollowerFeed {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
@@ -142,7 +142,7 @@ func NewFollowerFeed(f *repl.Follower, st *graph.Store, mgr *wal.Manager, ringSi
 }
 
 // Observe folds one applied mutation into the ring. It is the
-// follower-side tap (repl.Follower.SetOnApplied) and must be called in
+// follower-side tap (repl.FollowerConfig.OnApplied) and must be called in
 // apply order; a non-contiguous index — a snapshot bootstrap jumped the
 // applied position — resets the ring there, and the skipped prefix
 // becomes compacted history.

@@ -32,24 +32,31 @@ type Delta struct {
 	Removed []string `json:"removed,omitempty"`
 }
 
-// Notification is one item on a subscriber's queue: a result delta, or a
+// Notification is one item on a subscriber's queue: a result delta, a
 // lagging marker reporting that deltas were dropped on the floor because
-// the queue was full.
+// the queue was full, or a failed re-evaluation.
 type Notification struct {
-	// Kind is "delta" or "lagging".
+	// Kind is one of the Kind constants.
 	Kind string `json:"kind"`
 	// Delta is set when Kind is "delta".
 	Delta *Delta `json:"delta,omitempty"`
 	// Resume is the stream index of the last evaluation the subscriber
-	// missed; set when Kind is "lagging". The next delta after a lagging
-	// notification is always a full snapshot.
+	// missed; set when Kind is "lagging" (the next delta after it is
+	// always a full snapshot) or "watch_query_failed" (the next delta is
+	// relative to the last result the subscriber did receive).
 	Resume uint64 `json:"resume,omitempty"`
+	// Outcome classifies a failed re-evaluation the way the slow log and
+	// the statistics store do (exec.Outcome: "deadline", "limit", ...),
+	// and Error carries its message; set when Kind is "watch_query_failed".
+	Outcome string `json:"outcome,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
-// KindDelta and KindLagging are the Notification kinds.
+// The Notification kinds.
 const (
 	KindDelta   = "delta"
 	KindLagging = "lagging"
+	KindFailed  = "watch_query_failed"
 )
 
 // DefaultQueueLen bounds a subscriber's notification queue when the
@@ -136,18 +143,18 @@ func (s *Subscription) Close() {
 // queue latches the lagging state and the delta is dropped — the
 // subscriber learns about the gap (with the resume token) the moment it
 // drains, and the next evaluation pushes a full snapshot.
-func (s *Subscription) push(n Notification) {
+func (s *Subscription) push(n Notification, through uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lagging {
-		s.resume = n.Delta.Index
+		s.resume = through
 		return
 	}
 	select {
 	case s.ch <- n:
 	default:
 		s.lagging = true
-		s.resume = n.Delta.Index
+		s.resume = through
 		s.hub.countLagged()
 	}
 }
@@ -171,6 +178,7 @@ type Hub struct {
 	mSkipped *obs.Counter
 	mDeltas  *obs.Counter
 	mLagged  *obs.Counter
+	mErrors  *obs.Counter
 }
 
 // NewHub returns a hub tailing feed, with its pump running. The pump
@@ -195,11 +203,13 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 	h.mSkipped = reg.Counter("watch.standing.skipped")
 	h.mDeltas = reg.Counter("watch.standing.deltas")
 	h.mLagged = reg.Counter("watch.standing.lagged")
+	h.mErrors = reg.Counter("watch.standing.errors")
 	reg.SetHelp("watch.events", "Change-feed events processed by the standing-query pump")
 	reg.SetHelp("watch.standing.evals", "Standing-query re-evaluations triggered by footprint hits")
 	reg.SetHelp("watch.standing.skipped", "Standing-query re-evaluations skipped: batch outside the class footprint")
 	reg.SetHelp("watch.standing.deltas", "Standing-query result deltas pushed to subscribers")
 	reg.SetHelp("watch.standing.lagged", "Subscriber queue overflows (watch_lagging)")
+	reg.SetHelp("watch.standing.errors", "Standing-query re-evaluations that failed (watch_query_failed)")
 	reg.GaugeFunc("watch.standing.queries", func() float64 {
 		h.mu.Lock()
 		defer h.mu.Unlock()
@@ -342,9 +352,12 @@ func (h *Hub) pump() {
 
 // evaluate folds one mutation batch (its touched classes) into every
 // registered query: footprint misses are counted and skipped, hits are
-// re-executed and diffed. force bypasses the footprint filter — used
-// when the batch's classes are unknowable (compaction gap, unattributed
-// event).
+// re-executed — through Prepared.Exec, so under the DB's limits and into
+// its statistics and slow log like any query — and diffed. A failed
+// re-execution is counted and pushed as a KindFailed notification; the
+// subscription stays enrolled, and its next delta is relative to the last
+// result it was sent. force bypasses the footprint filter — used when the
+// batch's classes are unknowable (compaction gap, unattributed event).
 func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -364,6 +377,8 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		count(h.mEvals, 1)
 		res, err := s.prepared.Exec(context.Background())
 		if err != nil {
+			count(h.mErrors, 1)
+			s.push(Notification{Kind: KindFailed, Resume: through, Outcome: exec.Outcome(err), Error: err.Error()}, through)
 			continue
 		}
 		rows := h.renderRows(res)
@@ -380,7 +395,7 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		}
 		d.Query = s.name
 		d.Index = through
-		s.push(Notification{Kind: KindDelta, Delta: d})
+		s.push(Notification{Kind: KindDelta, Delta: d}, through)
 		count(h.mDeltas, 1)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -287,6 +288,48 @@ func TestStandingQueryIncrementality(t *testing.T) {
 	}
 	if len(n.Delta.Removed) != 1 {
 		t.Fatalf("delete delta = %+v; want one removed row", n.Delta)
+	}
+}
+
+// TestStandingQueryFailureIsSurfaced makes a standing query fail after
+// registration — an ingest grows its result past the DB's MaxPaths — and
+// proves the subscriber is told, typed, exactly once, and keeps its
+// subscription: lifting the limit resumes deltas relative to the last
+// result it was sent.
+func TestStandingQueryFailureIsSurfaced(t *testing.T) {
+	db := openWALDB(t)
+	insertHost(t, db, 1, "host-a")
+	db.SetLimits(exec.Limits{MaxPaths: 1})
+	hub := NewHub(db, NewWALFeed(db.WAL(), db.Store()))
+	defer hub.Close()
+	reg := obs.NewRegistry()
+	hub.Instrument(reg)
+
+	sub, err := hub.Register("hosts", "Select source(P).name From PATHS P Where P MATCHES ComputeHost()", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if n, err := sub.Next(ctx); err != nil || !n.Delta.Full {
+		t.Fatalf("initial notification = %+v, %v; want full delta", n, err)
+	}
+
+	insertHost(t, db, 2, "host-b")
+	n, err := sub.Next(ctx)
+	if err != nil || n.Kind != KindFailed || n.Outcome != "limit" || n.Error == "" || n.Resume != db.WAL().NextIndex() {
+		t.Fatalf("notification after the limit was crossed = %+v, %v; want watch_query_failed, outcome limit", n, err)
+	}
+	if got := reg.Counter("watch.standing.errors").Value(); got != 1 {
+		t.Fatalf("watch.standing.errors = %d; want 1", got)
+	}
+
+	db.SetLimits(exec.Limits{})
+	insertHost(t, db, 3, "host-c")
+	n, err = sub.Next(ctx)
+	if err != nil || n.Kind != KindDelta || n.Delta.Full || len(n.Delta.Added) != 2 {
+		t.Fatalf("delta after the limit was lifted = %+v, %v; want host-b and host-c added", n, err)
 	}
 }
 

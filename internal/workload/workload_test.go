@@ -84,7 +84,7 @@ func TestServiceSamplersReturnPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		set, err := eng.Eval(view, p)
+		set, _, err := eng.EvalMetered(view, p)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -140,7 +140,7 @@ func TestServiceChurnHistoryOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	past, err := eng.Eval(graph.PointView(st, t0.Add(time.Minute)), p)
+	past, _, err := eng.EvalMetered(graph.PointView(st, t0.Add(time.Minute)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestLegacyQueriesBothModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode=%v %s: %v", subclassed, name, err)
 			}
-			set, err := eng.Eval(view, p)
+			set, _, err := eng.EvalMetered(view, p)
 			if err != nil {
 				t.Fatalf("mode=%v %s: %v", subclassed, name, err)
 			}
@@ -261,7 +261,7 @@ func TestLegacyModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, err := eng.Eval(graph.CurrentView(st), p)
+			set, _, err := eng.EvalMetered(graph.CurrentView(st), p)
 			if err != nil {
 				t.Fatal(err)
 			}
