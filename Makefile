@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-e2e chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet test test-race bench-e2e chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
@@ -21,9 +21,6 @@ test-race:
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/
 	$(GO) test -race -short ./internal/wal/ ./internal/chaos/
 	$(GO) test -race -short ./internal/bench/ ./cmd/...
-
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # The end-to-end benchmark of BENCHMARK.json, one plain run per workload
 # at the driver's size, printing the three end-to-end metrics of each —

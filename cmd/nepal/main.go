@@ -64,7 +64,8 @@ type options struct {
 	// prints the plan annotated with measured per-operator statistics.
 	explainAnalyze bool
 	gen            string
-	// metrics dumps the engine metrics registry after the queries run.
+	// metrics prints the engine metrics registry, in Prometheus text
+	// exposition format, after the queries run.
 	metrics bool
 	// slowQuery, when positive, logs queries at least this slow with
 	// their plan and metrics.
@@ -156,7 +157,7 @@ func main() {
 	flag.BoolVar(&opt.explain, "explain", false, "print the operator plan instead of executing")
 	flag.BoolVar(&opt.explainAnalyze, "explain-analyze", false, "execute with tracing and print the measured operator plan")
 	flag.StringVar(&opt.gen, "codegen", "", "also print generated target code: sql, gremlin, script, or ddl")
-	flag.BoolVar(&opt.metrics, "metrics", false, "dump the engine metrics registry after the queries")
+	flag.BoolVar(&opt.metrics, "metrics", false, "print the engine metrics registry (Prometheus text format) after the queries")
 	flag.DurationVar(&opt.slowQuery, "slow-query", 0, "log queries at least this slow with plan and metrics (0 disables)")
 	flag.DurationVar(&opt.timeout, "timeout", 0, "abort queries running longer than this (0 disables)")
 	flag.IntVar(&opt.maxPaths, "max-paths", 0, "abort queries emitting more than this many pathways (0 disables)")
@@ -351,7 +352,7 @@ func dumpMetrics(reg *obs.Registry, out io.Writer, opt options) error {
 		return nil
 	}
 	fmt.Fprintln(out, "-- metrics --")
-	reg.Dump(out)
+	obs.WritePrometheus(out, reg)
 	return nil
 }
 

@@ -85,12 +85,12 @@ func TestRunMetricsAndSlowLog(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		"SLOW QUERY",    // every query is slower than 1ns
-		"-- metrics --", // registry dump section
-		"engine.relational.evals 1",
-		"engine.relational.eval_latency_ms_count 1",
-		"db.queries 1",
-		"store.adjacency_probes",
-		"backend.relational.anchor_probes",
+		"-- metrics --", // Prometheus exposition of the registry
+		"\nengine_relational_evals 1\n",
+		"\nengine_relational_eval_latency_ms_count 1\n",
+		"\ndb_queries 1\n",
+		"# TYPE store_adjacency_probes counter",
+		"# TYPE backend_relational_anchor_probes counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)

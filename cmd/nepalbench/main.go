@@ -7,60 +7,32 @@
 // Gremlin/Postgres testbed, synthetic vs production data); the shape —
 // which queries are interactive, which are mining queries, where the
 // slow tail sits, and what subclassing buys — is the reproduction target.
-//
-// Every run also accumulates the engine metrics registry and writes a
-// machine-readable report (tables + registry snapshot) to
-// BENCH_results.json, for regression tracking across commits.
+// The seeded #paths and edges columns and the storage percentages repeat
+// exactly run to run; the timing columns are single wall-clock samples.
+// Per-layer numbers that gate changes come from `go run ./benchmark`.
 //
 // Usage:
 //
-//	nepalbench [-backend relational|gremlin] [-instances 50] [-services 8000] \
-//	           [-quick] [-json BENCH_results.json] [-pprof localhost:6060]
+//	nepalbench [-backend relational|gremlin] [-instances 50] [-services 8000] [-quick]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
 // options collects one invocation's configuration; tests construct it
-// directly with a capture writer and a temp-dir JSON path.
+// directly with a capture writer.
 type options struct {
 	backend   string
 	instances int
 	services  int
-	// jsonPath, when non-empty, is where the machine-readable report is
-	// written at the end of the run.
-	jsonPath string
-	// pprofAddr, when set, serves net/http/pprof (and the registry under
-	// /debug/vars) on the address for the life of the process.
-	pprofAddr string
-	// servingMode runs the network-serving closed-loop bench instead of
-	// the paper tables: a self-hosted HTTP server driven by
-	// servingClients concurrent clients issuing servingRequests each.
-	servingMode     bool
-	servingClients  int
-	servingRequests int
-	// replicas, with servingMode, additionally measures read scaling:
-	// the same read workload against the primary alone vs spread over N
-	// WAL-streaming read replicas through the cluster client.
-	replicas int
-	// watchers, with servingMode, additionally measures change-feed
-	// fan-out: subscriber counts swept over {1,8,64} capped at this value,
-	// each level ingesting watchEvents mutations into a WAL-backed server
-	// while every subscriber tails /v1/watch.
-	watchers    int
-	watchEvents int
 	// out receives all table output; nil means os.Stdout.
 	out io.Writer
 }
@@ -71,20 +43,10 @@ func main() {
 	flag.IntVar(&opt.instances, "instances", 50, "query instances per mix (paper: 50)")
 	flag.IntVar(&opt.services, "services", 8000, "legacy topology scale (paper's feed ~ 1,200,000)")
 	quick := flag.Bool("quick", false, "small quick run (8 instances, 2500 services)")
-	flag.StringVar(&opt.jsonPath, "json", "BENCH_results.json", "write the machine-readable report here (empty disables)")
-	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and /debug/vars on this address")
-	flag.BoolVar(&opt.servingMode, "server", false, "run the network-serving closed-loop bench instead of the paper tables")
-	flag.IntVar(&opt.servingClients, "clients", 8, "server mode: concurrent closed-loop clients")
-	flag.IntVar(&opt.servingRequests, "requests", 50, "server mode: requests per client")
-	flag.IntVar(&opt.replicas, "replicas", 0, "server mode: also measure read scaling across this many read replicas (0 skips)")
-	flag.IntVar(&opt.watchers, "watchers", 0, "server mode: also measure change-feed fan-out to up to this many watch subscribers (0 skips)")
-	flag.IntVar(&opt.watchEvents, "watch-events", 200, "server mode: mutations ingested per watch fan-out level")
 	flag.Parse()
 	if *quick {
 		opt.instances = 8
 		opt.services = 2500
-		opt.servingRequests = 20
-		opt.watchEvents = 40
 	}
 
 	if err := run(opt); err != nil {
@@ -93,63 +55,11 @@ func main() {
 	}
 }
 
-// publishOnce guards the process-wide expvar registration (expvar panics
-// on duplicate names, and tests call run repeatedly).
-var publishOnce sync.Once
-
 func run(opt options) error {
 	out := opt.out
 	if out == nil {
 		out = os.Stdout
 	}
-	reg := obs.NewRegistry()
-	if opt.pprofAddr != "" {
-		publishOnce.Do(func() { reg.Publish("nepalbench") })
-		go func() {
-			if err := http.ListenAndServe(opt.pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "nepalbench: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/ (metrics at /debug/vars)\n", opt.pprofAddr)
-	}
-	report := &bench.Report{
-		Backend:   opt.backend,
-		Instances: opt.instances,
-		Services:  opt.services,
-		StartedAt: time.Now(),
-	}
-	runStart := time.Now()
-
-	if opt.servingMode {
-		if err := runServing(opt, reg, report, out); err != nil {
-			return err
-		}
-		if opt.replicas > 0 {
-			if err := runReadScaling(opt, report, out); err != nil {
-				return err
-			}
-		}
-		if opt.watchers > 0 {
-			walDir, err := os.MkdirTemp("", "nepalbench-watch-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(walDir)
-			if err := runWatchBench(opt, report, out, walDir); err != nil {
-				return err
-			}
-		}
-		report.Elapsed = time.Since(runStart).Round(time.Millisecond).String()
-		report.Metrics = reg.Snapshot()
-		if opt.jsonPath != "" {
-			if err := writeReport(report, opt.jsonPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "\nwrote %s\n", opt.jsonPath)
-		}
-		return nil
-	}
-
 	fmt.Fprintf(out, "nepalbench: backend=%s instances=%d legacy-services=%d\n",
 		opt.backend, opt.instances, opt.services)
 
@@ -159,16 +69,14 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
-	svc.Registry = reg
-	svc.Store.SetRegistry(reg)
 	live, versions := svc.Store.Counts()
 	fmt.Fprintf(out, "  %d live objects, %d stored versions (%.1fs)\n", live, versions, time.Since(start).Seconds())
 
-	report.Table1, err = bench.Table1(svc, opt.backend, opt.instances)
+	table1, err := bench.Table1(svc, opt.backend, opt.instances)
 	if err != nil {
 		return err
 	}
-	printTable(out, "Table 1. Query response times, virtualized service graph", report.Table1)
+	printTable(out, "Table 1. Query response times, virtualized service graph", table1)
 
 	fmt.Fprintf(out, "\nbuilding legacy topology fixtures (Table 2 / ablation: %d services, both load modes)...\n", opt.services)
 	start = time.Now()
@@ -180,26 +88,23 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
-	single.Registry, sub.Registry = reg, reg
-	single.Store.SetRegistry(reg)
-	sub.Store.SetRegistry(reg)
 	live, versions = single.Store.Counts()
 	fmt.Fprintf(out, "  %d live objects, %d stored versions per mode (%.1fs)\n", live, versions, time.Since(start).Seconds())
 
-	report.Table2, err = bench.Table2(single, opt.backend, opt.instances)
+	table2, err := bench.Table2(single, opt.backend, opt.instances)
 	if err != nil {
 		return err
 	}
-	printTable(out, "Table 2. Query response times, legacy topology (single-class load)", report.Table2)
+	printTable(out, "Table 2. Query response times, legacy topology (single-class load)", table2)
 
-	report.Ablation, err = bench.Ablation(single, sub, opt.backend, opt.instances)
+	ablation, err := bench.Ablation(single, sub, opt.backend, opt.instances)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "\n§6 ablation. Legacy graph reloaded with 66 edge subclasses")
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Type\tsingle-class\tsubclassed\tedges single\tedges sub\tpaper single\tpaper subclassed")
-	for _, r := range report.Ablation {
+	for _, r := range ablation {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%.0f\t%.0f\t%s\t%s\n",
 			r.Type, fmtDur(r.SingleClass), fmtDur(r.Subclassed),
 			r.SingleClassEdges, r.SubclassedEdges,
@@ -210,34 +115,11 @@ func run(opt options) error {
 	fmt.Fprintln(out, "\n§6 storage. Two-month history overhead vs 60 independent copies")
 	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Dataset\tmeasured\tpaper\tnaive 60 copies")
-	report.Overheads = bench.HistoryOverheads(svc, single)
-	for _, r := range report.Overheads {
+	for _, r := range bench.HistoryOverheads(svc, single) {
 		fmt.Fprintf(w, "%s\t%.1f%%\t%.0f%%\t%.0f%%\n",
 			r.Dataset, r.Overhead*100, r.PaperOverhead*100, r.NaiveCopies*100)
 	}
-	w.Flush()
-
-	report.Elapsed = time.Since(runStart).Round(time.Millisecond).String()
-	report.Metrics = reg.Snapshot()
-	if opt.jsonPath != "" {
-		if err := writeReport(report, opt.jsonPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", opt.jsonPath)
-	}
-	return nil
-}
-
-func writeReport(report *bench.Report, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return w.Flush()
 }
 
 func printTable(out io.Writer, title string, rows []bench.Row) {

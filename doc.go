@@ -4,7 +4,9 @@
 // database layer for virtualized network inventory and topology.
 //
 // The public API lives in internal/core; the layered network model of the
-// paper in internal/netmodel; the evaluation harness in internal/bench
-// and cmd/nepalbench. See README.md for a tour, DESIGN.md for the system
+// paper in internal/netmodel. cmd/nepalbench prints the paper's tables
+// from the fixtures in internal/bench, whose Test*Shape tests assert each
+// result; ./benchmark measures the served system layer by layer against
+// BENCHMARK.json. See README.md for a tour, DESIGN.md for the system
 // inventory, and EXPERIMENTS.md for the paper-versus-measured record.
 package repro

@@ -1,19 +1,20 @@
-// Package bench is the shared harness behind bench_test.go and
-// cmd/nepalbench: it builds the evaluation fixtures (virtualized service
-// graph with 60-day history; legacy topology in single-class and
-// subclassed loads) and runs the query mixes of the paper's Table 1,
-// Table 2, and §6 in-text experiments, reporting the same columns the
-// paper reports — average path count, snapshot time, history time.
+// Package bench is the harness behind cmd/nepalbench and this package's
+// Test*Shape reproductions: it builds the evaluation fixtures
+// (virtualized service graph with 60-day history; legacy topology in
+// single-class and subclassed loads) and runs the query mixes of the
+// paper's Table 1, Table 2, and §6 in-text experiments, reporting the
+// same columns the paper reports — average path count, snapshot time,
+// history time.
 package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/gremlin"
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relational"
 	"repro/internal/rpe"
@@ -28,27 +29,26 @@ import (
 var LoadTime = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
 // Row is one benchmark table row: the measured counterpart of the paper's
-// (Type, #paths, Time snap, Time hist) columns, plus the operator-pipeline
-// counters averaged over the snapshot runs.
+// (Type, #paths, Time snap, Time hist) columns, plus the scan volume
+// averaged over the snapshot runs.
 type Row struct {
-	Type      string        `json:"type"`
-	Instances int           `json:"instances"`
-	AvgPaths  float64       `json:"avg_paths"`
-	Snap      time.Duration `json:"snap_ns"`
-	Hist      time.Duration `json:"hist_ns"`
+	Type      string
+	Instances int
+	AvgPaths  float64
+	Snap      time.Duration
+	Hist      time.Duration
 	// Paper columns for side-by-side reporting (zero when the paper gives
 	// no figure for the cell).
-	PaperPaths float64       `json:"paper_paths,omitempty"`
-	PaperSnap  time.Duration `json:"paper_snap_ns,omitempty"`
-	PaperHist  time.Duration `json:"paper_hist_ns,omitempty"`
+	PaperPaths float64
+	PaperSnap  time.Duration
+	PaperHist  time.Duration
 	// SlowSamples counts instances slower than 4x the median — the
 	// bottom-up tail statistic of §6.
-	SlowSamples int `json:"slow_samples"`
-	// AvgAnchors and AvgEdgesScanned average the Select and Extend read
-	// volumes per instance — scan-volume counterparts of the timing
-	// columns, independent of machine speed.
-	AvgAnchors      float64 `json:"avg_anchors"`
-	AvgEdgesScanned float64 `json:"avg_edges_scanned"`
+	SlowSamples int
+	// AvgEdgesScanned averages the Extend read volume per instance — the
+	// scan-volume counterpart of the timing columns, independent of
+	// machine speed.
+	AvgEdgesScanned float64
 }
 
 // ServiceFixture is the Table 1 dataset: the virtualized service graph
@@ -56,13 +56,8 @@ type Row struct {
 type ServiceFixture struct {
 	Store   *graph.Store
 	Service *workload.Service
-	Clock   *temporal.Clock
 	// HistAt is the mid-history instant history-mode queries run at.
 	HistAt time.Time
-	// Registry, when set, is attached to every engine the fixture builds
-	// (and should be attached to Store by the caller), so a benchmark run
-	// accumulates engine metrics for reporting.
-	Registry *obs.Registry
 }
 
 // BuildServiceFixture constructs the Table 1 dataset deterministically.
@@ -79,44 +74,27 @@ func BuildServiceFixture() (*ServiceFixture, error) {
 	return &ServiceFixture{
 		Store:   st,
 		Service: svc,
-		Clock:   clock,
 		HistAt:  LoadTime.Add(30 * 24 * time.Hour),
 	}, nil
 }
 
 // Engine builds a fresh engine of the named backend over the fixture.
 func (f *ServiceFixture) Engine(backend string) *plan.Engine {
-	return engineFor(f.Store, backend, f.Registry)
+	return engineFor(f.Store, backend)
 }
 
-func engineFor(st *graph.Store, backend string, reg *obs.Registry) *plan.Engine {
-	var acc plan.Accessor
+func engineFor(st *graph.Store, backend string) *plan.Engine {
 	if backend == "relational" {
-		acc = relational.New(st)
-	} else {
-		acc = gremlin.New(st)
+		return plan.NewEngine(relational.New(st))
 	}
-	if reg != nil {
-		if in, ok := acc.(interface{ Instrument(*obs.Registry) }); ok {
-			in.Instrument(reg)
-		}
-	}
-	eng := plan.NewEngine(acc)
-	eng.SetRegistry(reg)
-	return eng
+	return plan.NewEngine(gremlin.New(st))
 }
 
-// RunQuery plans and evaluates one RPE instance, returning the path count
-// and elapsed time — measured, like the paper, "from when the first query
-// was submitted to when the final paths table is completed".
-func RunQuery(eng *plan.Engine, view graph.View, src string) (int, time.Duration, error) {
-	n, d, _, err := RunQueryMetered(eng, view, src)
-	return n, d, err
-}
-
-// RunQueryMetered is RunQuery returning the evaluation's operator-pipeline
-// counters alongside the measurements.
-func RunQueryMetered(eng *plan.Engine, view graph.View, src string) (int, time.Duration, plan.Metrics, error) {
+// RunQuery plans and evaluates one RPE instance, returning the path count,
+// the elapsed time — measured, like the paper, "from when the first query
+// was submitted to when the final paths table is completed" — and the
+// evaluation's operator-pipeline counters.
+func RunQuery(eng *plan.Engine, view graph.View, src string) (int, time.Duration, plan.Metrics, error) {
 	st := eng.Accessor().Store()
 	start := time.Now()
 	c, err := rpe.CheckString(src, st.Schema())
@@ -141,32 +119,30 @@ func runMix(eng *plan.Engine, histAt time.Time, name string, n int, gen func(i i
 	// Warm the backend: derived indexes (the relational per-class hash
 	// indexes) build lazily on first access and must not be billed to the
 	// first instance.
-	if _, _, err := RunQuery(eng, graph.CurrentView(st), gen(0)); err != nil {
+	if _, _, _, err := RunQuery(eng, graph.CurrentView(st), gen(0)); err != nil {
 		return Row{}, err
 	}
 	row := Row{Type: name, Instances: n}
-	var totalPaths, totalAnchors, totalEdges int
+	var totalPaths, totalEdges int
 	var snapTotal, histTotal time.Duration
 	var times []time.Duration
 	for i := 0; i < n; i++ {
 		src := gen(i)
-		paths, d, m, err := RunQueryMetered(eng, graph.CurrentView(st), src)
+		paths, d, m, err := RunQuery(eng, graph.CurrentView(st), src)
 		if err != nil {
 			return row, fmt.Errorf("bench: %s instance %d: %w", name, i, err)
 		}
 		totalPaths += paths
-		totalAnchors += m.AnchorRecords
 		totalEdges += m.EdgesScanned
 		snapTotal += d
 		times = append(times, d)
-		_, dh, err := RunQuery(eng, graph.PointView(st, histAt), src)
+		_, dh, _, err := RunQuery(eng, graph.PointView(st, histAt), src)
 		if err != nil {
 			return row, fmt.Errorf("bench: %s instance %d (hist): %w", name, i, err)
 		}
 		histTotal += dh
 	}
 	row.AvgPaths = float64(totalPaths) / float64(n)
-	row.AvgAnchors = float64(totalAnchors) / float64(n)
 	row.AvgEdgesScanned = float64(totalEdges) / float64(n)
 	row.Snap = snapTotal / time.Duration(n)
 	row.Hist = histTotal / time.Duration(n)
@@ -183,12 +159,8 @@ func median(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration{}, ds...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	return sorted[len(sorted)/2]
 }
 
@@ -198,10 +170,7 @@ func median(ds []time.Duration) time.Duration {
 func Table1(f *ServiceFixture, backend string, instances int) ([]Row, error) {
 	eng := f.Engine(backend)
 	sampler := workload.NewServiceSampler(f.Store, f.Service, 1001)
-	topDownN := 33
-	if instances < topDownN {
-		topDownN = instances
-	}
+	topDownN := min(instances, 33)
 	specs := []struct {
 		name       string
 		n          int
@@ -232,10 +201,7 @@ func Table1(f *ServiceFixture, backend string, instances int) ([]Row, error) {
 type LegacyFixture struct {
 	Store  *graph.Store
 	Legacy *workload.Legacy
-	Clock  *temporal.Clock
 	HistAt time.Time
-	// Registry, when set, is attached to every engine the fixture builds.
-	Registry *obs.Registry
 }
 
 // BuildLegacyFixture constructs the legacy dataset. services scales the
@@ -258,12 +224,12 @@ func BuildLegacyFixture(services int, subclassed bool) (*LegacyFixture, error) {
 	if err := workload.ApplyLegacyChurn(st, l, clock, workload.DefaultLegacyChurn(l)); err != nil {
 		return nil, err
 	}
-	return &LegacyFixture{Store: st, Legacy: l, Clock: clock, HistAt: LoadTime.Add(30 * 24 * time.Hour)}, nil
+	return &LegacyFixture{Store: st, Legacy: l, HistAt: LoadTime.Add(30 * 24 * time.Hour)}, nil
 }
 
 // Engine builds a fresh engine of the named backend over the fixture.
 func (f *LegacyFixture) Engine(backend string) *plan.Engine {
-	return engineFor(f.Store, backend, f.Registry)
+	return engineFor(f.Store, backend)
 }
 
 // Table2 runs the four Table 2 query mixes. The reverse-path mining query
@@ -272,10 +238,7 @@ func (f *LegacyFixture) Engine(backend string) *plan.Engine {
 func Table2(f *LegacyFixture, backend string, instances int) ([]Row, error) {
 	eng := f.Engine(backend)
 	sampler := workload.NewLegacySampler(f.Legacy, 2002)
-	reverseN := instances / 5
-	if reverseN < 1 {
-		reverseN = 1
-	}
+	reverseN := max(instances/5, 1)
 	specs := []struct {
 		name       string
 		n          int
@@ -306,15 +269,15 @@ func Table2(f *LegacyFixture, backend string, instances int) ([]Row, error) {
 // vary with machine and load, but the scan-volume collapse from full
 // telemetry fan-in to per-class index probes is deterministic.
 type AblationRow struct {
-	Type             string        `json:"type"`
-	SingleClass      time.Duration `json:"single_class_ns"`
-	Subclassed       time.Duration `json:"subclassed_ns"`
-	PaperSingle      time.Duration `json:"paper_single_ns,omitempty"`
-	PaperSubclassed  time.Duration `json:"paper_subclassed_ns,omitempty"`
-	SingleClassPaths float64       `json:"single_class_paths"`
-	SubclassedPaths  float64       `json:"subclassed_paths"`
-	SingleClassEdges float64       `json:"single_class_edges_scanned"`
-	SubclassedEdges  float64       `json:"subclassed_edges_scanned"`
+	Type             string
+	SingleClass      time.Duration
+	Subclassed       time.Duration
+	PaperSingle      time.Duration
+	PaperSubclassed  time.Duration
+	SingleClassPaths float64
+	SubclassedPaths  float64
+	SingleClassEdges float64
+	SubclassedEdges  float64
 }
 
 // Ablation reproduces the §6 edge-subclassing experiment: the two slowest
@@ -367,10 +330,10 @@ func Ablation(single, sub *LegacyFixture, backend string, instances int) ([]Abla
 
 // OverheadResult reports the §6 storage experiment.
 type OverheadResult struct {
-	Dataset       string  `json:"dataset"`
-	Overhead      float64 `json:"overhead"` // measured: (versions-live)/live over 60 days
-	PaperOverhead float64 `json:"paper_overhead"`
-	NaiveCopies   float64 `json:"naive_copies"` // the conventional 60-copy alternative
+	Dataset       string
+	Overhead      float64 // measured: (versions-live)/live over 60 days
+	PaperOverhead float64
+	NaiveCopies   float64 // the conventional 60-copy alternative
 }
 
 // HistoryOverheads measures storage overhead on both fixtures.
@@ -381,11 +344,4 @@ func HistoryOverheads(svc *ServiceFixture, legacy *LegacyFixture) []OverheadResu
 		{Dataset: "legacy topology", Overhead: workload.HistoryOverhead(legacy.Store),
 			PaperOverhead: 0.16, NaiveCopies: workload.NaiveCopyOverhead(60)},
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

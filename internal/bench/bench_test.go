@@ -115,7 +115,7 @@ func TestAblationShape(t *testing.T) {
 		eng := f.Engine("relational")
 		view := graph.CurrentView(f.Store)
 		s := workload.NewLegacySampler(f.Legacy, 1)
-		if _, _, err := RunQuery(eng, view, s.BottomUp()); err != nil {
+		if _, _, _, err := RunQuery(eng, view, s.BottomUp()); err != nil {
 			t.Fatal(err)
 		}
 		heavySet := map[graph.UID]bool{}
@@ -132,7 +132,7 @@ func TestAblationShape(t *testing.T) {
 			// query would otherwise stand for the whole class.
 			var d time.Duration
 			for k := 0; k < 3; k++ {
-				_, dk, err := RunQuery(eng, view, s.BottomUpAt(rack))
+				_, dk, _, err := RunQuery(eng, view, s.BottomUpAt(rack))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,6 +185,9 @@ func TestAblationShape(t *testing.T) {
 	// are a wash.
 }
 
+// TestHistoryOverheadExperiment asserts the §6 storage claim: the
+// temporal store's 60-day history costs a few percent (paper: 6% and
+// 16%), versus ~5,900% for 60 independent copies.
 func TestHistoryOverheadExperiment(t *testing.T) {
 	svc, err := BuildServiceFixture()
 	if err != nil {
@@ -194,15 +197,22 @@ func TestHistoryOverheadExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range HistoryOverheads(svc, legacy) {
+	rows := HistoryOverheads(svc, legacy)
+	for _, r := range rows {
 		t.Logf("%s: measured %.1f%% (paper %.0f%%), naive 60 copies: %.0f%%",
 			r.Dataset, r.Overhead*100, r.PaperOverhead*100, r.NaiveCopies*100)
 		if r.Overhead <= 0 || r.Overhead > 3*r.PaperOverhead {
 			t.Errorf("%s overhead %.3f out of band (paper %.2f)", r.Dataset, r.Overhead, r.PaperOverhead)
 		}
-		if r.NaiveCopies < 10 {
-			t.Errorf("naive copy overhead %.0f implausible", r.NaiveCopies)
+		if r.NaiveCopies < 50 {
+			t.Errorf("naive copy overhead %.0f%%, want ~5900%%", r.NaiveCopies*100)
 		}
+	}
+	// The legacy feed churns more than the service graph (paper: 16% vs
+	// 6%) but stays far below its 60-copy alternative.
+	virt, leg := rows[0].Overhead, rows[1].Overhead
+	if leg <= virt/2 || leg > 0.40 {
+		t.Errorf("legacy history overhead = %.1f%% (virtualized %.1f%%), want ~16%%", leg*100, virt*100)
 	}
 }
 
@@ -223,11 +233,11 @@ func TestBackendsAgreeOnTable1Mix(t *testing.T) {
 		if q1 != q2 {
 			t.Fatal("samplers diverged")
 		}
-		n1, _, err := RunQuery(grem, view, q1)
+		n1, _, _, err := RunQuery(grem, view, q1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n2, _, err := RunQuery(rel, view, q2)
+		n2, _, _, err := RunQuery(rel, view, q2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,15 +267,7 @@ func TestAblationScanVolume(t *testing.T) {
 		view := graph.CurrentView(f.Store)
 		s := workload.NewLegacySampler(f.Legacy, 1)
 		src := s.BottomUpAt(f.Legacy.HeavyRacks[rackIdx])
-		c, err := rpe.CheckString(src, f.Store.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := plan.Build(c, f.Store.Stats())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, m, err := eng.EvalMetered(view, p)
+		_, _, m, err := RunQuery(eng, view, src)
 		if err != nil {
 			t.Fatal(err)
 		}

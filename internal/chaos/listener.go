@@ -51,9 +51,6 @@ func NewFlakyListener(inner net.Listener, writeBudget, skipConns int64) *FlakyLi
 	return l
 }
 
-// SetWriteBudget replaces the per-connection budget for future accepts.
-func (l *FlakyListener) SetWriteBudget(n int64) { l.budget.Store(n) }
-
 // Partition cuts the node off: every live connection is severed
 // abruptly (a TCP RST where supported) and new connections are refused
 // until Heal. The listener keeps accepting at the socket level — its
@@ -78,9 +75,6 @@ func (l *FlakyListener) Heal() {
 	l.budget.Store(0)
 	l.partitioned.Store(false)
 }
-
-// Partitioned reports whether the listener is currently partitioned.
-func (l *FlakyListener) Partitioned() bool { return l.partitioned.Load() }
 
 // Accept implements net.Listener.
 func (l *FlakyListener) Accept() (net.Conn, error) {
@@ -165,10 +159,7 @@ func (c *trackedConn) Write(p []byte) (int, error) {
 	if rem > 0 {
 		n, _ = c.Conn.Write(p[:rem])
 	}
-	c.abort()
-	if c.onSever != nil {
-		c.onSever()
-	}
+	c.cut()
 	return n, net.ErrClosed
 }
 
@@ -181,14 +172,16 @@ func (c *trackedConn) sever() {
 	}
 	c.dead = true
 	c.mu.Unlock()
-	c.abort()
+	c.cut()
+}
+
+// cut counts the sever, then closes the underlying socket with linger
+// disabled (RST). The count comes first: the peer can observe the reset
+// the moment the socket closes, and by then Severed must include it.
+func (c *trackedConn) cut() {
 	if c.onSever != nil {
 		c.onSever()
 	}
-}
-
-// abort closes the underlying socket with linger disabled (RST).
-func (c *trackedConn) abort() {
 	if tc, ok := c.Conn.(*net.TCPConn); ok {
 		_ = tc.SetLinger(0)
 	}

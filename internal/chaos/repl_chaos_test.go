@@ -209,7 +209,7 @@ func TestKillPrimaryPromoteKeepsAckedWrites(t *testing.T) {
 	}
 
 	// Lag and reconnect accounting survived in Prometheus form.
-	mtx, err := nc.PrometheusMetrics(ctx)
+	mtx, err := nc.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,14 +264,14 @@ func TestPartitionedPrimarySplitBrainIsFencedAndDetected(t *testing.T) {
 
 	// ---- observability: the fence and the epochs are visible in the
 	// Prometheus dumps on both sides of the brain.
-	pm, err := rogue.PrometheusMetrics(ctx)
+	pm, err := rogue.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(pm, "server_fenced 1") {
 		t.Fatal("stale primary's prometheus dump does not report server_fenced 1")
 	}
-	nm, err := nc.PrometheusMetrics(ctx)
+	nm, err := nc.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -441,15 +441,26 @@ func (c *Client) Demote(ctx context.Context) (*server.DemoteResponse, error) {
 // Base returns the endpoint URL this client talks to.
 func (c *Client) Base() string { return c.base }
 
-// Metrics fetches the /metrics text dump.
+// Metrics fetches /metrics in the Prometheus text exposition format.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	return c.rawGet(ctx, "/metrics", "")
-}
-
-// PrometheusMetrics fetches /metrics in the Prometheus text exposition
-// format (Accept: text/plain negotiates it server-side).
-func (c *Client) PrometheusMetrics(ctx context.Context) (string, error) {
-	return c.rawGet(ctx, "/metrics", "text/plain")
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
+	if err != nil {
+		return "", err
+	}
+	c.injectTrace(ctx, req)
+	hresp, err := c.hc.Do(req)
+	if err != nil {
+		return "", &TransportError{Op: "send", Err: err}
+	}
+	defer hresp.Body.Close()
+	body, err := io.ReadAll(hresp.Body)
+	if err != nil {
+		return "", &TransportError{Op: "decode", Err: err}
+	}
+	if hresp.StatusCode != http.StatusOK {
+		return "", &APIError{Status: hresp.StatusCode, Code: "internal", Message: string(body)}
+	}
+	return string(body), nil
 }
 
 // StatementStats fetches GET /v1/stats/statements: the server's
@@ -510,31 +521,6 @@ func (c *Client) Trace(ctx context.Context, id string) (*server.TraceDetail, err
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// rawGet fetches a text endpoint, optionally with an Accept header.
-func (c *Client) rawGet(ctx context.Context, path, accept string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return "", err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	c.injectTrace(ctx, req)
-	hresp, err := c.hc.Do(req)
-	if err != nil {
-		return "", &TransportError{Op: "send", Err: err}
-	}
-	defer hresp.Body.Close()
-	body, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return "", &TransportError{Op: "decode", Err: err}
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return "", &APIError{Status: hresp.StatusCode, Code: "internal", Message: string(body)}
-	}
-	return string(body), nil
 }
 
 // ---- transport ----

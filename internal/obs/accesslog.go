@@ -8,49 +8,10 @@ import (
 	"unicode/utf8"
 )
 
-// AccessEntry is one structured access-log record: exactly one is
-// emitted per HTTP request the server sees, whatever its fate —
-// admission rejections, malformed bodies, and governance aborts
-// included — so the log is a complete, greppable request ledger keyed
-// by trace ID.
-type AccessEntry struct {
-	// Time is the request arrival time.
-	Time time.Time `json:"time"`
-	// TraceID tags the request's end-to-end trace; the same ID appears
-	// in the response header, error envelope, slow log, and trace store.
-	TraceID string `json:"trace_id"`
-	Method  string `json:"method"`
-	Path    string `json:"path"`
-	Status  int    `json:"status"`
-	// Outcome is the request's terminal classification: "ok" or the
-	// error envelope's machine-readable code ("overloaded", "deadline",
-	// "limit", "parse_error", "bad_request", "internal", ...).
-	Outcome    string  `json:"outcome"`
-	DurationMS float64 `json:"duration_ms"`
-	// AdmissionWaitMS is the time spent queued for an execution slot
-	// (0 for endpoints that bypass admission).
-	AdmissionWaitMS float64 `json:"admission_wait_ms,omitempty"`
-	// StatementHash is the stable SHA-256 handle of the statement text
-	// (the same handle /v1/prepare returns), for cardinality-safe
-	// aggregation; Statement is the raw text.
-	StatementHash string `json:"statement_hash,omitempty"`
-	Statement     string `json:"statement,omitempty"`
-	// Digest is the literal-masked statement fingerprint — the key into
-	// GET /v1/stats/statements, shared with the slow log and trace store.
-	Digest string `json:"digest,omitempty"`
-	// EdgesScanned is the query's engine-side scan volume.
-	EdgesScanned int `json:"edges_scanned,omitempty"`
-	// BytesOut is the response body size written.
-	BytesOut int64 `json:"bytes_out"`
-	// Epoch is the primary epoch the response was served under (0 when
-	// the node has none), correlating each request with its failover era.
-	Epoch uint64 `json:"epoch,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// AccessLog writes one JSON line per entry to an underlying writer,
-// serialized so concurrent requests never interleave partial lines. A
-// nil *AccessLog is a valid disabled log.
+// AccessLog writes one JSON line per request to an underlying writer,
+// serialized so concurrent requests never interleave partial lines —
+// a complete, greppable request ledger keyed by trace ID. A nil
+// *AccessLog is a valid disabled log.
 type AccessLog struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -66,21 +27,22 @@ func NewAccessLog(w io.Writer) *AccessLog {
 	return &AccessLog{w: w}
 }
 
-// Log writes one entry as a single JSON line. Safe on a nil receiver.
+// Log writes one request as a single JSON line. Safe on a nil receiver.
 //
-// The line is encoded by hand into a buffer reused across entries:
+// The line is encoded by hand into a buffer reused across requests:
 // the access log sits on the per-request telemetry path, where
 // reflection-based encoding was a measurable share of the traced
-// overhead BenchmarkTelemetryOverhead pins. The output is plain JSON
-// that round-trips through encoding/json.
-func (l *AccessLog) Log(e AccessEntry) {
+// overhead (obs.telemetry_cost_us in BENCHMARK.json). The output is
+// plain JSON that round-trips through encoding/json; durations are
+// written in milliseconds.
+func (l *AccessLog) Log(e *Request) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	b := l.buf[:0]
 	b = append(b, `{"time":"`...)
-	b = e.Time.AppendFormat(b, time.RFC3339Nano)
+	b = e.Start.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, `","trace_id":`...)
 	b = appendJSONString(b, e.TraceID)
 	b = append(b, `,"method":`...)
@@ -92,10 +54,10 @@ func (l *AccessLog) Log(e AccessEntry) {
 	b = append(b, `,"outcome":`...)
 	b = appendJSONString(b, e.Outcome)
 	b = append(b, `,"duration_ms":`...)
-	b = strconv.AppendFloat(b, e.DurationMS, 'f', -1, 64)
-	if e.AdmissionWaitMS != 0 {
+	b = strconv.AppendFloat(b, float64(e.Duration)/1e6, 'f', -1, 64)
+	if e.AdmissionWait != 0 {
 		b = append(b, `,"admission_wait_ms":`...)
-		b = strconv.AppendFloat(b, e.AdmissionWaitMS, 'f', -1, 64)
+		b = strconv.AppendFloat(b, float64(e.AdmissionWait)/1e6, 'f', -1, 64)
 	}
 	if e.StatementHash != "" {
 		b = append(b, `,"statement_hash":`...)

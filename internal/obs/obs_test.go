@@ -9,8 +9,7 @@ import (
 )
 
 func TestSpanLifecycle(t *testing.T) {
-	tr := &Tracer{}
-	root := tr.StartSpan("Eval", "VNF()->Host()")
+	root := NewSpan("Eval", "VNF()->Host()")
 	sel := root.StartChild("Select", "Host(id=5)")
 	sel.AddRows(0, 1)
 	sel.Finish()
@@ -22,9 +21,6 @@ func TestSpanLifecycle(t *testing.T) {
 	ext.Add("edges_scanned", 2)
 	root.Finish()
 
-	if got := len(tr.Roots()); got != 1 {
-		t.Fatalf("roots = %d, want 1", got)
-	}
 	if root.Name() != "Eval" || root.Detail() != "VNF()->Host()" {
 		t.Errorf("root identity = %q/%q", root.Name(), root.Detail())
 	}
@@ -56,12 +52,8 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 }
 
-func TestNilSpanAndTracerAreSafe(t *testing.T) {
-	var tr *Tracer
-	s := tr.StartSpan("x", "y")
-	if s != nil {
-		t.Fatal("nil tracer must return nil span")
-	}
+func TestNilSpanIsSafe(t *testing.T) {
+	var s *Span
 	// Every operation must be a no-op, not a panic.
 	s.Finish()
 	s.AddDuration(time.Second)
@@ -153,21 +145,6 @@ func TestRegistryCreatesAndReuses(t *testing.T) {
 	if !ok || hs.Count != 1 {
 		t.Errorf("histogram snapshot = %#v", snap["engine.latency_ms"])
 	}
-
-	var sb strings.Builder
-	r.Dump(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"engine.evals 2\n",
-		"engine.live 7\n",
-		"engine.latency_ms_count 1\n",
-		`engine.latency_ms_bucket{le="5"} 1`,
-		`engine.latency_ms_bucket{le="+Inf"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q in:\n%s", want, out)
-		}
-	}
 }
 
 func TestNilRegistryIsSafe(t *testing.T) {
@@ -179,9 +156,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		t.Error("nil registry snapshot must be nil")
 	}
 	var sb strings.Builder
-	r.Dump(&sb)
+	WritePrometheus(&sb, r)
 	if sb.Len() != 0 {
-		t.Error("nil registry dump must be empty")
+		t.Error("nil registry exposition must be empty")
 	}
 }
 

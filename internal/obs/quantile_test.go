@@ -152,8 +152,8 @@ func TestSlowLogEntryFormatDigest(t *testing.T) {
 func TestAccessLogDigestField(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf)
-	l.Log(AccessEntry{
-		Time:      time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
+	l.Log(&Request{
+		Start:     time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
 		TraceID:   "t1",
 		Method:    "POST",
 		Path:      "/v1/query",
@@ -166,7 +166,9 @@ func TestAccessLogDigestField(t *testing.T) {
 	if !strings.Contains(line, `"statement":"Host(id=1)","digest":"deadbeefcafef00d"`) {
 		t.Errorf("digest not encoded after statement: %s", line)
 	}
-	var back AccessEntry
+	var back struct {
+		Digest string `json:"digest"`
+	}
 	if err := json.Unmarshal([]byte(line), &back); err != nil {
 		t.Fatalf("access line does not round-trip: %v\n%s", err, line)
 	}
@@ -175,7 +177,7 @@ func TestAccessLogDigestField(t *testing.T) {
 	}
 
 	buf.Reset()
-	l.Log(AccessEntry{Time: time.Now(), TraceID: "t2", Method: "GET", Path: "/healthz", Status: 200, Outcome: "ok"})
+	l.Log(&Request{Start: time.Now(), TraceID: "t2", Method: "GET", Path: "/healthz", Status: 200, Outcome: "ok"})
 	if strings.Contains(buf.String(), "digest") {
 		t.Errorf("empty digest should be omitted: %s", buf.String())
 	}
@@ -194,8 +196,8 @@ func TestTraceStoreConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				tr := &RequestTrace{
-					ID:       fmt.Sprintf("w%d-%d", w, i),
+				tr := &Request{
+					TraceID:  fmt.Sprintf("w%d-%d", w, i),
 					Start:    time.Now(),
 					Method:   "POST",
 					Path:     "/v1/query",
@@ -225,7 +227,7 @@ func TestTraceStoreConcurrency(t *testing.T) {
 				}
 				for _, tr := range s.List() {
 					if tr.Digest != "deadbeefcafef00d" {
-						t.Errorf("trace %s lost its digest: %q", tr.ID, tr.Digest)
+						t.Errorf("trace %s lost its digest: %q", tr.TraceID, tr.Digest)
 						return
 					}
 				}

@@ -3,21 +3,18 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry is a process-wide collection of named metrics. All operations
-// are safe for concurrent use; reads (Snapshot, Dump) observe each metric
-// atomically. A nil *Registry is a valid no-op registry: metric lookups
-// return nil metrics whose operations are no-ops, so instrumented code
-// can hold an optional registry without branching.
+// are safe for concurrent use; reads (Snapshot, WritePrometheus) observe
+// each metric atomically. A nil *Registry is a valid no-op registry:
+// metric lookups return nil metrics whose operations are no-ops, so
+// instrumented code can hold an optional registry without branching.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -27,10 +24,6 @@ type Registry struct {
 	infos    map[string]map[string]string
 	help     map[string]string
 }
-
-// Default is the process-wide registry the CLIs and benchmark harness
-// publish into.
-var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -217,50 +210,10 @@ func (r *Registry) Snapshot() map[string]any {
 	return out
 }
 
-// Dump writes every metric as plain text, one per line, sorted by name.
-// Counters and gauges print as "name value"; histograms print their
-// count, sum, mean, and cumulative bucket counts.
-func (r *Registry) Dump(w io.Writer) {
-	if r == nil {
-		return
-	}
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		switch v := snap[name].(type) {
-		case map[string]string: // info metric: constant 1 with labels
-			pairs := make([]string, 0, len(v))
-			for _, k := range sortedKeys(v) {
-				pairs = append(pairs, fmt.Sprintf("%s=%q", k, v[k]))
-			}
-			fmt.Fprintf(w, "%s{%s} 1\n", name, strings.Join(pairs, ","))
-		case HistogramSnapshot:
-			fmt.Fprintf(w, "%s_count %d\n", name, v.Count)
-			fmt.Fprintf(w, "%s_sum %.3f\n", name, v.Sum)
-			if v.Count > 0 {
-				fmt.Fprintf(w, "%s_mean %.3f\n", name, v.Sum/float64(v.Count))
-			}
-			for _, b := range v.Buckets {
-				le := "+Inf"
-				if !math.IsInf(b.UpperBound, 1) {
-					le = strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.3f", b.UpperBound), "0"), ".")
-				}
-				fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, b.CumulativeCount)
-			}
-		default:
-			fmt.Fprintf(w, "%s %v\n", name, v)
-		}
-	}
-}
-
 // Publish registers the registry under name in the process expvar set, so
 // an attached pprof/debug HTTP server exposes it at /debug/vars. It must
 // be called at most once per name per process (expvar panics on
-// duplicates); the CLIs call it once at startup.
+// duplicates); cmd/nepal calls it once at startup.
 func (r *Registry) Publish(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
@@ -374,7 +327,7 @@ type BucketSnapshot struct {
 
 // MarshalJSON encodes the bucket with its bound as a string, since the
 // overflow bucket's +Inf bound is not a valid JSON number. This keeps
-// both Report JSON files and expvar's /debug/vars encodable.
+// both the /metrics JSON snapshot and expvar's /debug/vars encodable.
 func (b BucketSnapshot) MarshalJSON() ([]byte, error) {
 	type alias BucketSnapshot
 	a := alias(b)

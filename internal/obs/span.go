@@ -1,8 +1,10 @@
 // Package obs is Nepal's observability layer: operator-DAG tracing
-// (Tracer/Span), a process-wide registry of named counters, gauges, and
-// latency histograms, and a slow-query log. It is dependency-free — only
-// the standard library — so every other package (plan, exec, graph, the
-// backends, core, the CLIs) can import it without cycles.
+// (Span), a process-wide registry of named counters, gauges, and
+// latency histograms, a slow-query log, and the per-request record
+// (Request) the server's access log and trace store share. It is
+// dependency-free — only the standard library — so every other package
+// (plan, exec, graph, the backends, core, the CLIs) can import it
+// without cycles.
 //
 // The design follows the shape of per-operator execution statistics in
 // distributed path engines: a query evaluation produces a tree of spans
@@ -12,7 +14,7 @@
 // "what did edge subclassing eliminate?") are answered by reading the
 // counters off this tree instead of timing from the outside.
 //
-// All Span and Tracer methods are nil-receiver safe, so instrumented code
+// All Span methods are nil-receiver safe, so instrumented code
 // threads an optional *Span without branching at every site; the disabled
 // path costs one nil check.
 package obs
@@ -24,38 +26,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Tracer creates root spans for traced evaluations. A nil *Tracer is a
-// valid no-op tracer: StartSpan returns a nil span and every operation on
-// it is a no-op.
-type Tracer struct {
-	mu    sync.Mutex
-	roots []*Span
-}
-
-// StartSpan starts a new root span. Safe on a nil receiver (returns nil).
-func (t *Tracer) StartSpan(name, detail string) *Span {
-	if t == nil {
-		return nil
-	}
-	s := NewSpan(name, detail)
-	t.mu.Lock()
-	t.roots = append(t.roots, s)
-	t.mu.Unlock()
-	return s
-}
-
-// Roots returns the root spans started so far, in start order.
-func (t *Tracer) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, len(t.roots))
-	copy(out, t.roots)
-	return out
-}
 
 // Span is one operator (or phase) of a traced evaluation. Spans accumulate
 // rather than measure once: an Extend operator that probes the adjacency
@@ -83,7 +53,7 @@ type spanCounter struct {
 	val  int64
 }
 
-// NewSpan returns a started standalone span (no tracer).
+// NewSpan returns a started root span.
 func NewSpan(name, detail string) *Span {
 	return &Span{name: name, detail: detail, started: time.Now(), running: true}
 }

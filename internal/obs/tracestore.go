@@ -6,43 +6,6 @@ import (
 	"time"
 )
 
-// RequestTrace is one completed request's end-to-end record: its
-// identity, outcome, and the root span whose children are the server
-// phases (admission, decode, execute, encode), with the engine's
-// operator DAG and the WAL append nested below.
-type RequestTrace struct {
-	ID            string
-	Start         time.Time
-	Method        string
-	Path          string
-	Statement     string
-	StatementHash string
-	// Digest is the literal-masked statement fingerprint shared with the
-	// access log, slow log, and the per-digest statistics store.
-	Digest       string
-	Status       int
-	Outcome      string
-	Duration     time.Duration
-	EdgesScanned int
-	Error        string
-	Root         *Span
-}
-
-// Interesting reports whether the trace should survive tail-sampling
-// eviction: errored or slower than the threshold.
-func (t *RequestTrace) Interesting(slow time.Duration) bool {
-	if t == nil {
-		return false
-	}
-	if t.Outcome != "" && t.Outcome != "ok" {
-		return true
-	}
-	if t.Error != "" {
-		return true
-	}
-	return slow > 0 && t.Duration >= slow
-}
-
 // DefaultTraceKeep is the per-ring retention when the server does not
 // configure one.
 const DefaultTraceKeep = 256
@@ -50,25 +13,25 @@ const DefaultTraceKeep = 256
 // DefaultSlowTraceThreshold marks a request slow enough to always keep.
 const DefaultSlowTraceThreshold = 250 * time.Millisecond
 
-// TraceStore retains recent request traces in memory with tail-sampling:
-// two bounded rings, one of the most recent requests regardless of
-// outcome and one of "interesting" requests (errored or slow), so a
-// burst of healthy traffic cannot flush the failures an operator is
-// trying to diagnose. Lookup by ID covers both rings. A nil store
-// ignores writes and returns nothing.
+// TraceStore retains recent requests (with their span trees) in memory
+// with tail-sampling: two bounded rings, one of the most recent requests
+// regardless of outcome and one of "interesting" requests (errored or
+// slow), so a burst of healthy traffic cannot flush the failures an
+// operator is trying to diagnose. Lookup by trace ID covers both rings.
+// A nil store ignores writes and returns nothing.
 type TraceStore struct {
 	mu     sync.RWMutex
 	keep   int
 	slow   time.Duration
-	recent []*RequestTrace // ring, oldest first
-	kept   []*RequestTrace // interesting ring, oldest first
+	recent []*Request // ring, oldest first
+	kept   []*Request // interesting ring, oldest first
 	byID   map[string]*traceRef
 }
 
 // traceRef counts how many rings reference a trace so byID entries are
 // evicted only when the last ring slot holding them is overwritten.
 type traceRef struct {
-	trace *RequestTrace
+	trace *Request
 	refs  int
 }
 
@@ -89,9 +52,9 @@ func NewTraceStore(keep int, slow time.Duration) *TraceStore {
 	}
 }
 
-// Observe records a completed request trace. Safe on a nil store.
-func (s *TraceStore) Observe(t *RequestTrace) {
-	if s == nil || t == nil || t.ID == "" {
+// Observe records a completed request. Safe on a nil store.
+func (s *TraceStore) Observe(t *Request) {
+	if s == nil || t == nil || t.TraceID == "" {
 		return
 	}
 	s.mu.Lock()
@@ -104,30 +67,30 @@ func (s *TraceStore) Observe(t *RequestTrace) {
 
 // push appends t to the ring, evicting the oldest entry (and its byID
 // reference) once the ring is full. Caller holds s.mu.
-func (s *TraceStore) push(ring *[]*RequestTrace, t *RequestTrace) {
+func (s *TraceStore) push(ring *[]*Request, t *Request) {
 	if len(*ring) >= s.keep {
 		old := (*ring)[0]
 		copy(*ring, (*ring)[1:])
 		(*ring)[len(*ring)-1] = nil
 		*ring = (*ring)[:len(*ring)-1]
-		if ref := s.byID[old.ID]; ref != nil {
+		if ref := s.byID[old.TraceID]; ref != nil {
 			ref.refs--
 			if ref.refs <= 0 {
-				delete(s.byID, old.ID)
+				delete(s.byID, old.TraceID)
 			}
 		}
 	}
 	*ring = append(*ring, t)
-	ref := s.byID[t.ID]
+	ref := s.byID[t.TraceID]
 	if ref == nil {
 		ref = &traceRef{trace: t}
-		s.byID[t.ID] = ref
+		s.byID[t.TraceID] = ref
 	}
 	ref.refs++
 }
 
 // Get returns the trace with the given ID, or nil. Safe on a nil store.
-func (s *TraceStore) Get(id string) *RequestTrace {
+func (s *TraceStore) Get(id string) *Request {
 	if s == nil {
 		return nil
 	}
@@ -140,12 +103,12 @@ func (s *TraceStore) Get(id string) *RequestTrace {
 }
 
 // List returns every retained trace, newest first. Safe on a nil store.
-func (s *TraceStore) List() []*RequestTrace {
+func (s *TraceStore) List() []*Request {
 	if s == nil {
 		return nil
 	}
 	s.mu.RLock()
-	out := make([]*RequestTrace, 0, len(s.byID))
+	out := make([]*Request, 0, len(s.byID))
 	for _, ref := range s.byID {
 		out = append(out, ref.trace)
 	}
@@ -154,7 +117,7 @@ func (s *TraceStore) List() []*RequestTrace {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.After(out[j].Start)
 		}
-		return out[i].ID > out[j].ID
+		return out[i].TraceID > out[j].TraceID
 	})
 	return out
 }

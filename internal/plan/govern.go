@@ -110,7 +110,8 @@ const govCheckInterval = 64
 //
 // A nil *Governor is a valid ungoverned query: all methods are no-ops
 // costing one nil check, which keeps the ungoverned hot path within
-// noise of the pre-governance baseline (see BenchmarkGovernanceOverhead).
+// noise of the pre-governance baseline (plan.eval_ns_per_edge in
+// BENCHMARK.json).
 //
 // A Governor belongs to a single query execution and is not safe for
 // concurrent use; the executor evaluates variables sequentially.

@@ -59,16 +59,6 @@ func appendKey(dst []byte, elems []graph.UID) []byte {
 	return dst
 }
 
-// ContainsElement reports whether the pathway passes through the element.
-func (p Pathway) ContainsElement(uid graph.UID) bool {
-	for _, e := range p.Elems {
-		if e == uid {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the pathway for display: uid(Class) chained with arrows.
 func (p Pathway) Render(st *graph.Store) string {
 	var sb strings.Builder

@@ -22,7 +22,7 @@ import (
 // the span exactly once when the evaluation finishes. This keeps traced
 // evaluation close to metered cost — the per-probe price is a slice
 // index and a few integer adds, with clock reads sampled (see opNode),
-// pinned end to end by BenchmarkTelemetryOverhead.
+// measured end to end as obs.telemetry_cost_us in BENCHMARK.json.
 type traceEval struct {
 	root    *obs.Span
 	backend string
@@ -124,8 +124,8 @@ func (n *opNode) rows(in, out int) {
 // labels come from the Checked expression's rendering cache
 // (rpe.Checked.Rendered) — the compiled expression outlives the per-run
 // Plan, so the recursive renderings are built once per statement, not
-// once per traced evaluation. Load-bearing for the ≤5% telemetry-on
-// budget BenchmarkTelemetryOverhead pins.
+// once per traced evaluation. Load-bearing for the telemetry-on cost
+// BENCHMARK.json reports as obs.telemetry_cost_us.
 func newTraceEval(backend string, p *Plan, parent *obs.Span) *traceEval {
 	expr, atoms := p.Checked.Rendered()
 	sfx := " [" + backend + "]"

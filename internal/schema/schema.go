@@ -171,17 +171,6 @@ func (s *Schema) SetAbstract(name string) error {
 	return nil
 }
 
-// SetCardinalityHint installs the schema hint used by anchor costing when
-// store statistics are unavailable.
-func (s *Schema) SetCardinalityHint(name string, hint int) error {
-	c, ok := s.classes[name]
-	if !ok {
-		return fmt.Errorf("schema: unknown class %q", name)
-	}
-	c.CardinalityHint = hint
-	return nil
-}
-
 // AllowEdge registers an allowed-edge rule. All three classes must exist by
 // Finalize time; registration order is free.
 func (s *Schema) AllowEdge(edge, from, to string) {

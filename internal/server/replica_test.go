@@ -177,7 +177,7 @@ func TestReadyzRolesAndLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"repl.follower.applied_index", "repl.follower.lag_records", "repl.follower.lag_seconds"} {
+	for _, key := range []string{"repl_follower_applied_index", "repl_follower_lag_records", "repl_follower_lag_seconds"} {
 		if !strings.Contains(metrics, key) {
 			t.Errorf("/metrics missing %s", key)
 		}

@@ -70,7 +70,7 @@ type Config struct {
 	// Registry receives the server's metrics and backs /metrics; nil
 	// creates a private registry.
 	Registry *obs.Registry
-	// AccessLog receives one JSON line per request (see obs.AccessEntry);
+	// AccessLog receives one JSON line per request (see obs.Request);
 	// nil disables access logging.
 	AccessLog io.Writer
 	// TraceKeep bounds each ring of the in-memory trace store; 0 means
@@ -80,9 +80,9 @@ type Config struct {
 	// to always retain; 0 means obs.DefaultSlowTraceThreshold.
 	SlowTraceThreshold time.Duration
 	// DisableTelemetry turns off the spans and the trace store — the
-	// dark baseline BenchmarkTelemetryOverhead compares against. Trace
-	// IDs, counters, histograms, and the access log remain: they are
-	// cheap and load-bearing for correlation.
+	// dark baseline obs.telemetry_cost_us in BENCHMARK.json is measured
+	// against. Trace IDs, counters, histograms, and the access log
+	// remain: they are cheap and load-bearing for correlation.
 	DisableTelemetry bool
 	// Follow makes this server a read replica of Follow.Primary:
 	// mutations are rejected ("read_only"), responses carry the
@@ -241,8 +241,7 @@ func (s *Server) Follower() *repl.Follower { return s.follower }
 // Registry returns the registry the server publishes into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Cache returns the compiled-plan cache (tests and the bench harness
-// inspect hit rates through it).
+// Cache returns the compiled-plan cache (tests inspect it).
 func (s *Server) Cache() *PlanCache { return s.cache }
 
 // Traces returns the in-memory trace store (nil when telemetry is
@@ -333,12 +332,10 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 // so the access log and trace store classify the failure the same way
 // the client saw it.
 func writeErr(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	rt := rtFrom(r.Context())
-	if rt != nil {
-		rt.outcome = code
-		rt.errMsg = msg
-	}
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg, TraceID: rt.id()}})
+	rq := obs.RequestFrom(r.Context())
+	rq.Outcome = code
+	rq.Error = msg
+	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg, TraceID: rq.TraceID}})
 }
 
 // writeQueryErr maps an execution error onto the HTTP status and typed
@@ -365,16 +362,13 @@ func writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
 // The wait for a slot is measured into server.admission_wait_ms, the
 // request's Admission phase span, and its access-log line.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	rt := rtFrom(r.Context())
-	sp := rt.child("Admission", "")
+	rq := obs.RequestFrom(r.Context())
+	sp := rq.Root.StartChild("Admission", "")
 	start := time.Now()
 	err := s.adm.acquire(r.Context())
-	wait := time.Since(start)
+	rq.AdmissionWait = time.Since(start)
 	sp.Finish()
-	if rt != nil {
-		rt.admissionWait = wait
-	}
-	s.mAdmWait.Observe(float64(wait) / 1e6)
+	s.mAdmWait.Observe(float64(rq.AdmissionWait) / 1e6)
 	switch {
 	case err == nil:
 		return true
@@ -424,8 +418,8 @@ func (s *Server) effectiveLimits(l *Limits) exec.Limits {
 // ---- handlers ----
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	rt := rtFrom(r.Context())
-	dec := rt.child("Decode", "")
+	rq := obs.RequestFrom(r.Context())
+	dec := rq.Root.StartChild("Decode", "")
 	var req QueryRequest
 	ok := decode(w, r, &req)
 	dec.Finish()
@@ -445,7 +439,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		src = fmt.Sprintf("AT '%s' %s", req.At, src)
 	}
-	rt.setStatement(src)
+	rq.Statement, rq.StatementHash = src, Handle(src)
 	if !s.waitFresh(r.Context(), w, r, req.MinTimestamp) {
 		return
 	}
@@ -467,48 +461,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, QueryResponse{
 			Explain:   text,
 			ElapsedMS: float64(time.Since(start)) / 1e6,
-			TraceID:   rt.id(),
+			TraceID:   rq.TraceID,
 		})
 		return
 	case ExplainAnalyze:
-		ex := rt.child("Execute", "")
+		ex := rq.Root.StartChild("Execute", "")
 		text, res, err := s.db.ExplainAnalyze(src)
 		ex.Finish()
 		if err != nil {
 			s.writeStatementErr(w, r, src, err)
 			return
 		}
-		rt.recordResult(res)
+		recordResult(rq, res)
 		resp := s.resultOut(res, false, time.Since(start))
 		resp.Explain = text
-		resp.TraceID = rt.id()
+		resp.TraceID = rq.TraceID
 		s.stampStaleness(w, &resp)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 
-	pc := rt.child("PlanCache", "")
+	pc := rq.Root.StartChild("PlanCache", "")
 	stmt, hit, err := s.cache.Get(s.db, src)
 	pc.Finish()
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
-	rt.setDigest(stmt.Digest())
+	rq.Digest = stmt.Digest()
 	if hit {
 		s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
 	}
-	ex := rt.child("Execute", "")
+	ex := rq.Root.StartChild("Execute", "")
 	res, err := stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
 	ex.Finish()
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
 	}
-	rt.recordResult(res)
-	enc := rt.child("Encode", "")
+	recordResult(rq, res)
+	enc := rq.Root.StartChild("Encode", "")
 	resp := s.resultOut(res, hit, time.Since(start))
-	resp.TraceID = rt.id()
+	resp.TraceID = rq.TraceID
 	s.stampStaleness(w, &resp)
 	writeJSON(w, http.StatusOK, resp)
 	enc.Finish()
@@ -533,27 +527,27 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "empty query")
 		return
 	}
-	rt := rtFrom(r.Context())
-	rt.setStatement(req.Query)
+	rq := obs.RequestFrom(r.Context())
+	rq.Statement, rq.StatementHash = req.Query, Handle(req.Query)
 	stmt, hit, err := s.cache.Get(s.db, req.Query)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
-	rt.setDigest(stmt.Digest())
+	rq.Digest = stmt.Digest()
 	writeJSON(w, http.StatusOK, PrepareResponse{Handle: Handle(req.Query), Cached: hit, Digest: stmt.Digest()})
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	rt := rtFrom(r.Context())
-	dec := rt.child("Decode", "")
+	rq := obs.RequestFrom(r.Context())
+	dec := rq.Root.StartChild("Decode", "")
 	var req ExecuteRequest
 	ok := decode(w, r, &req)
 	dec.Finish()
 	if !ok {
 		return
 	}
-	pc := rt.child("PlanCache", "")
+	pc := rq.Root.StartChild("PlanCache", "")
 	stmt, found := s.cache.GetHandle(req.Handle)
 	pc.Finish()
 	if !found {
@@ -561,10 +555,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("handle %q is not prepared (evicted or never prepared); re-prepare", req.Handle))
 		return
 	}
-	if rt != nil {
-		rt.stmtHash = req.Handle
-	}
-	rt.setDigest(stmt.Digest())
+	rq.StatementHash, rq.Digest = req.Handle, stmt.Digest()
 	// Executing by handle is by definition a plan-cache hit.
 	s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
 	if !s.waitFresh(r.Context(), w, r, req.MinTimestamp) {
@@ -577,17 +568,17 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	start := time.Now()
-	ex := rt.child("Execute", "")
+	ex := rq.Root.StartChild("Execute", "")
 	res, err := stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
 	ex.Finish()
 	if err != nil {
 		writeQueryErr(w, r, err)
 		return
 	}
-	rt.recordResult(res)
-	enc := rt.child("Encode", "")
+	recordResult(rq, res)
+	enc := rq.Root.StartChild("Encode", "")
 	resp := s.resultOut(res, true, time.Since(start))
-	resp.TraceID = rt.id()
+	resp.TraceID = rq.TraceID
 	s.stampStaleness(w, &resp)
 	writeJSON(w, http.StatusOK, resp)
 	enc.Finish()
@@ -597,8 +588,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w, r) || s.rejectStalePrimary(w, r) {
 		return
 	}
-	rt := rtFrom(r.Context())
-	dec := rt.child("Decode", "")
+	rq := obs.RequestFrom(r.Context())
+	dec := rq.Root.StartChild("Decode", "")
 	var req IngestRequest
 	ok := decode(w, r, &req)
 	dec.Finish()
@@ -615,7 +606,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.release()
 	// Mutations run under the Execute phase span so a WAL-backed store's
 	// append spans nest inside the request trace.
-	ex := rt.child("Execute", "")
+	ex := rq.Root.StartChild("Execute", "")
 	ctx := obs.ContextWithSpan(r.Context(), ex)
 	resp := IngestResponse{UIDs: make([]int64, 0, len(req.Ops))}
 	for i, op := range req.Ops {
@@ -698,25 +689,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics content-negotiates the registry: Prometheus text
-// exposition for text/plain (and OpenMetrics) scrapers, the structured
-// JSON snapshot for application/json, and the legacy human-readable dump
-// otherwise.
+// handleMetrics content-negotiates the registry: the structured JSON
+// snapshot for application/json, Prometheus text exposition otherwise.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/json"):
+	if strings.Contains(r.Header.Get("Accept"), "application/json") {
 		writeJSON(w, http.StatusOK, s.reg.Snapshot())
-	case strings.Contains(accept, "text/plain"), strings.Contains(accept, "openmetrics"):
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, s.reg)
-		// Per-digest statement series ride the same scrape, bounded to the
-		// top statements by total time so cardinality stays fixed.
-		stats.WritePrometheus(w, s.stats, 0)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.reg.Dump(w)
+		return
 	}
+	w.Header().Set("Content-Type", obs.PrometheusContentType)
+	obs.WritePrometheus(w, s.reg)
+	// Per-digest statement series ride the same scrape, bounded to the
+	// top statements by total time so cardinality stays fixed.
+	stats.WritePrometheus(w, s.stats, 0)
 }
 
 // ---- result conversion ----

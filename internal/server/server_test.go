@@ -311,7 +311,7 @@ func TestIngestHealthMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"server.requests", "server.plan_cache_misses", "db.queries"} {
+	for _, want := range []string{"server_requests", "server_plan_cache_misses", "db_queries"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics dump missing %s", want)
 		}

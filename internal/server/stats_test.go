@@ -148,7 +148,7 @@ func TestStatementStatsConcurrentWorkload(t *testing.T) {
 	}
 
 	// Per-digest series ride the Prometheus exposition, bounded.
-	prom, err := c.PrometheusMetrics(ctx)
+	prom, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -15,100 +14,35 @@ import (
 // Request telemetry: the middleware around the mux that gives every
 // request — successful, rejected at admission, or malformed — a trace
 // ID, a root span with per-phase children, exactly one access-log line,
-// and (tail-sampled) a slot in the in-memory trace store. Handlers reach
-// their request's record through rtFrom(ctx) to attach phase spans and
-// annotate the statement and result.
-
-// requestTelemetry is one request's mutable telemetry record. It lives
-// on the request context; the middleware creates and finalizes it,
-// handlers fill it in. All methods are nil-receiver safe so handlers
-// never branch on whether telemetry is wired.
-type requestTelemetry struct {
-	traceID       string
-	root          *obs.Span // nil when tracing is disabled
-	admissionWait time.Duration
-	statement     string
-	stmtHash      string
-	digest        string
-	outcome       string // set by writeErr; empty means derive from status
-	edges         int
-	errMsg        string
-}
-
-type telemetryKey struct{}
-
-// rtFrom returns the request's telemetry record, or nil when the
-// request did not pass through the telemetry middleware.
-func rtFrom(ctx context.Context) *requestTelemetry {
-	rt, _ := ctx.Value(telemetryKey{}).(*requestTelemetry)
-	return rt
-}
-
-// child starts a phase span under the request's root span; it returns
-// nil (a valid no-op span) when tracing is disabled.
-func (rt *requestTelemetry) child(name, detail string) *obs.Span {
-	if rt == nil {
-		return nil
-	}
-	return rt.root.StartChild(name, detail)
-}
-
-// id returns the request's trace ID ("" without middleware).
-func (rt *requestTelemetry) id() string {
-	if rt == nil {
-		return ""
-	}
-	return rt.traceID
-}
-
-// setStatement records the statement a request executes, with its
-// stable hash (the same handle /v1/prepare returns).
-func (rt *requestTelemetry) setStatement(src string) {
-	if rt == nil {
-		return
-	}
-	rt.statement = src
-	rt.stmtHash = Handle(src)
-}
-
-// setDigest records the statement's literal-masked fingerprint so the
-// access log, trace store, and trace summaries all carry the key into
-// the per-digest statistics surfaces.
-func (rt *requestTelemetry) setDigest(digest string) {
-	if rt == nil || digest == "" {
-		return
-	}
-	rt.digest = digest
-}
+// and (tail-sampled) a slot in the in-memory trace store. All three are
+// fed from one obs.Request allocated here; handlers reach it through
+// obs.RequestFrom(ctx) to attach phase spans (rq.Root.StartChild is a
+// no-op when spans are off) and annotate the statement and result.
 
 // recordResult captures result-derived telemetry: engine scan volume
 // and the statement digest the engine stamped.
-func (rt *requestTelemetry) recordResult(res *exec.Result) {
-	if rt == nil || res == nil {
-		return
-	}
-	rt.edges = res.Metrics.EdgesScanned
+func recordResult(rq *obs.Request, res *exec.Result) {
+	rq.EdgesScanned = res.Metrics.EdgesScanned
 	if res.Digest != "" {
-		rt.digest = res.Digest
+		rq.Digest = res.Digest
 	}
 }
 
-// statusWriter captures the response status and body size for the
-// access log.
+// statusWriter records the response status and body size on the
+// request's telemetry record.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	rq *obs.Request
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
+	sw.rq.Status = code
 	sw.ResponseWriter.WriteHeader(code)
 }
 
 func (sw *statusWriter) Write(b []byte) (int, error) {
 	n, err := sw.ResponseWriter.Write(b)
-	sw.bytes += int64(n)
+	sw.rq.BytesOut += int64(n)
 	return n, err
 }
 
@@ -126,82 +60,46 @@ func (sw *statusWriter) Flush() {
 // line per request, and trace-store capture for /v1 requests.
 func (s *Server) telemetry() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		rq := &obs.Request{Start: time.Now(), Method: r.Method, Path: r.URL.Path, Status: http.StatusOK}
 		s.mRequests.Add(1)
 
-		rt := &requestTelemetry{}
-		rt.traceID = obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
-		if rt.traceID == "" {
-			rt.traceID = obs.NewTraceID()
+		rq.TraceID = obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
+		if rq.TraceID == "" {
+			rq.TraceID = obs.NewTraceID()
 		}
-		ctx := obs.WithTraceID(r.Context(), rt.traceID)
+		ctx := obs.WithTraceID(r.Context(), rq.TraceID)
 		if !s.cfg.DisableTelemetry {
-			rt.root = obs.NewSpan("Request", r.Method+" "+r.URL.Path)
-			ctx = obs.ContextWithSpan(ctx, rt.root)
+			rq.Root = obs.NewSpan("Request", r.Method+" "+r.URL.Path)
+			ctx = obs.ContextWithSpan(ctx, rq.Root)
 		}
-		ctx = context.WithValue(ctx, telemetryKey{}, rt)
+		ctx = obs.WithRequest(ctx, rq)
 		// Echo the trace ID before the handler writes anything, so even
 		// responses that fail mid-body carry it.
-		w.Header().Set(obs.TraceHeader, rt.traceID)
+		w.Header().Set(obs.TraceHeader, rq.TraceID)
 
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		s.mux.ServeHTTP(sw, r.WithContext(ctx))
+		s.mux.ServeHTTP(&statusWriter{ResponseWriter: w, rq: rq}, r.WithContext(ctx))
 
-		dur := time.Since(start)
-		rt.root.Finish()
-		s.mLatency.Observe(float64(dur) / 1e6)
-
-		outcome := rt.outcome
-		if outcome == "" {
-			if sw.status < 400 {
-				outcome = "ok"
+		rq.Duration = time.Since(rq.Start)
+		rq.Root.Finish()
+		s.mLatency.Observe(float64(rq.Duration) / 1e6)
+		if rq.Outcome == "" { // writeErr sets it for typed failures
+			if rq.Status < 400 {
+				rq.Outcome = "ok"
 			} else {
-				outcome = fmt.Sprintf("http_%d", sw.status)
+				rq.Outcome = fmt.Sprintf("http_%d", rq.Status)
 			}
 		}
-
 		// The handler stamped the node's primary epoch on the response (when
 		// it has one); lifting it off the header here gives every access-log
 		// line its era without threading epoch through each handler.
-		epoch, _ := strconv.ParseUint(sw.Header().Get(HeaderEpoch), 10, 64)
+		rq.Epoch, _ = strconv.ParseUint(w.Header().Get(HeaderEpoch), 10, 64)
 
-		s.accessLog.Log(obs.AccessEntry{
-			Time:            start,
-			TraceID:         rt.traceID,
-			Method:          r.Method,
-			Path:            r.URL.Path,
-			Status:          sw.status,
-			Outcome:         outcome,
-			DurationMS:      float64(dur) / 1e6,
-			AdmissionWaitMS: float64(rt.admissionWait) / 1e6,
-			StatementHash:   rt.stmtHash,
-			Statement:       rt.statement,
-			Digest:          rt.digest,
-			EdgesScanned:    rt.edges,
-			BytesOut:        sw.bytes,
-			Epoch:           epoch,
-			Error:           rt.errMsg,
-		})
-
+		s.accessLog.Log(rq)
 		// The trace store holds API requests only: scrapes of /metrics,
 		// /healthz, and the trace endpoints themselves would drown the
 		// traffic an operator is diagnosing.
-		if !s.cfg.DisableTelemetry && strings.HasPrefix(r.URL.Path, "/v1/") {
-			s.traces.Observe(&obs.RequestTrace{
-				ID:            rt.traceID,
-				Start:         start,
-				Method:        r.Method,
-				Path:          r.URL.Path,
-				Statement:     rt.statement,
-				StatementHash: rt.stmtHash,
-				Digest:        rt.digest,
-				Status:        sw.status,
-				Outcome:       outcome,
-				Duration:      dur,
-				EdgesScanned:  rt.edges,
-				Error:         rt.errMsg,
-				Root:          rt.root,
-			})
+		if strings.HasPrefix(rq.Path, "/v1/") {
+			s.traces.Observe(rq)
 		}
 	})
 }
@@ -230,9 +128,9 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, traceDetailOut(t))
 }
 
-func traceSummaryOut(t *obs.RequestTrace) TraceSummary {
+func traceSummaryOut(t *obs.Request) TraceSummary {
 	return TraceSummary{
-		TraceID:       t.ID,
+		TraceID:       t.TraceID,
 		Start:         t.Start,
 		Method:        t.Method,
 		Path:          t.Path,
@@ -247,7 +145,7 @@ func traceSummaryOut(t *obs.RequestTrace) TraceSummary {
 	}
 }
 
-func traceDetailOut(t *obs.RequestTrace) TraceDetail {
+func traceDetailOut(t *obs.Request) TraceDetail {
 	return TraceDetail{
 		TraceSummary: traceSummaryOut(t),
 		Spans:        spanOut(t.Root),

@@ -33,17 +33,28 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-func (b *syncBuffer) entries(t *testing.T) []obs.AccessEntry {
+// accessLine is the subset of an access-log line the tests inspect.
+type accessLine struct {
+	TraceID      string `json:"trace_id"`
+	Path         string `json:"path"`
+	Status       int    `json:"status"`
+	Outcome      string `json:"outcome"`
+	Digest       string `json:"digest"`
+	EdgesScanned int    `json:"edges_scanned"`
+	Error        string `json:"error"`
+}
+
+func (b *syncBuffer) entries(t *testing.T) []accessLine {
 	t.Helper()
 	b.mu.Lock()
 	raw := b.buf.String()
 	b.mu.Unlock()
-	var out []obs.AccessEntry
+	var out []accessLine
 	for _, line := range strings.Split(strings.TrimRight(raw, "\n"), "\n") {
 		if line == "" {
 			continue
 		}
-		var e obs.AccessEntry
+		var e accessLine
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("access log line is not JSON: %v\n%s", err, line)
 		}
@@ -238,7 +249,7 @@ func TestAccessLog429Regression(t *testing.T) {
 		t.Fatalf("in-flight query failed: %v", err)
 	}
 
-	var queryLines []obs.AccessEntry
+	var queryLines []accessLine
 	for _, e := range logBuf.entries(t) {
 		if e.TraceID == "" {
 			t.Errorf("access entry without trace id: %+v", e)
@@ -251,7 +262,7 @@ func TestAccessLog429Regression(t *testing.T) {
 	if len(queryLines) != 2 {
 		t.Fatalf("got %d /v1/query access lines, want 2: %+v", len(queryLines), queryLines)
 	}
-	var rejected *obs.AccessEntry
+	var rejected *accessLine
 	for i := range queryLines {
 		if queryLines[i].Status == 429 {
 			rejected = &queryLines[i]
@@ -308,10 +319,49 @@ func TestAccessLogMalformedBody(t *testing.T) {
 	}
 }
 
+// TestAccessLogAndTraceStoreShareRecord checks both request sinks are
+// fed from one record: the access-log line and the retained trace carry
+// the same trace ID, digest, outcome, and scan volume, for a success and
+// for a typed failure.
+func TestAccessLogAndTraceStoreShareRecord(t *testing.T) {
+	logBuf := &syncBuffer{}
+	s, c := newTestServer(t, newDemoDB(t), server.Config{AccessLog: logBuf})
+	ctx := context.Background()
+	if _, err := c.Query(ctx, retrieveQ, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(ctx, "Retrieve P From PATHS P Where P MATCHES Nope()", nil); err == nil {
+		t.Fatal("query over an unknown class succeeded")
+	}
+
+	var lines []accessLine
+	for _, e := range logBuf.entries(t) {
+		if e.Path == "/v1/query" {
+			lines = append(lines, e)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("got %d /v1/query access lines, want 2", len(lines))
+	}
+	for _, e := range lines {
+		rq := s.Traces().Get(e.TraceID)
+		if rq == nil {
+			t.Fatalf("access line %s has no retained trace", e.TraceID)
+		}
+		if rq.TraceID != e.TraceID || rq.Digest != e.Digest || rq.Outcome != e.Outcome ||
+			rq.EdgesScanned != e.EdgesScanned || rq.Status != e.Status || rq.Error != e.Error {
+			t.Errorf("sinks disagree:\n access %+v\n trace  %+v", e, *rq)
+		}
+	}
+	if ok, bad := lines[0], lines[1]; ok.Outcome != "ok" || ok.Digest == "" || ok.EdgesScanned == 0 ||
+		bad.Outcome != "parse_error" || bad.Error == "" {
+		t.Errorf("unexpected records: ok=%+v failed=%+v", ok, bad)
+	}
+}
+
 // TestMetricsPrometheusNegotiation checks the /metrics content
-// negotiation: text/plain yields the Prometheus exposition with
-// histogram series, application/json the structured snapshot, and no
-// Accept header the legacy dump (pinned by TestIngestHealthMetrics).
+// negotiation: the default is the Prometheus exposition with histogram
+// series, and application/json yields the structured snapshot.
 func TestMetricsPrometheusNegotiation(t *testing.T) {
 	_, c := newTestServer(t, newDemoDB(t), server.Config{})
 	ctx := context.Background()
@@ -319,7 +369,26 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text, err := c.PrometheusMetrics(ctx)
+	req, err := http.NewRequest(http.MethodGet, c.Base()+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("JSON /metrics does not decode: %v", err)
+	}
+	if _, ok := snap["server.requests"]; !ok {
+		t.Error("JSON snapshot missing server.requests")
+	}
+
+	text, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,95 +474,3 @@ func TestDisableTelemetry(t *testing.T) {
 		t.Errorf("dark mode retained %d traces", len(list.Traces))
 	}
 }
-
-// BenchmarkTelemetryOverhead compares end-to-end request cost with the
-// telemetry layer dark vs fully on (spans + trace store + access log to
-// a discarding writer), BenchmarkGovernanceOverhead-style: the same
-// workload with one knob flipped. The workload is the paper's topology
-// retrieval (prepared, alternating with the point lookup) — the serving
-// mix nepalbench drives — not just the cheapest possible request. The
-// issue's acceptance bar is <= 5% throughput overhead.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B, cfg server.Config) {
-		db := newDemoDB(b)
-		_, c := newTestServer(b, db, cfg)
-		ctx := context.Background()
-		retrieve, err := c.Prepare(ctx, retrieveQ)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookup, err := c.Prepare(ctx, selectQ)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			stmt := retrieve
-			if i%2 == 1 {
-				stmt = lookup
-			}
-			if _, err := stmt.Exec(ctx, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		run(b, server.Config{DisableTelemetry: true})
-	})
-	b.Run("on", func(b *testing.B) {
-		run(b, server.Config{AccessLog: discard{}})
-	})
-	// paired interleaves single requests against an off-server and an
-	// on-server, timing each side separately. Sequential off-then-on
-	// sub-benchmark runs are biased by machine-load drift between them;
-	// alternating request-by-request exposes both configurations to the
-	// same noise, so the reported overhead-% is a fair paired estimate.
-	b.Run("paired", func(b *testing.B) {
-		ctx := context.Background()
-		prep := func(cfg server.Config) [2]*client.Stmt {
-			db := newDemoDB(b)
-			_, c := newTestServer(b, db, cfg)
-			retrieve, err := c.Prepare(ctx, retrieveQ)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lookup, err := c.Prepare(ctx, selectQ)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return [2]*client.Stmt{retrieve, lookup}
-		}
-		off := prep(server.Config{DisableTelemetry: true})
-		on := prep(server.Config{AccessLog: discard{}})
-		for i := 0; i < 2; i++ { // warm both paths before timing
-			if _, err := off[i].Exec(ctx, nil); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := on[i].Exec(ctx, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var tOff, tOn time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			_, errOff := off[i%2].Exec(ctx, nil)
-			tOff += time.Since(start)
-			start = time.Now()
-			_, errOn := on[i%2].Exec(ctx, nil)
-			tOn += time.Since(start)
-			if errOff != nil || errOn != nil {
-				b.Fatal(errOff, errOn)
-			}
-		}
-		b.StopTimer()
-		n := float64(b.N)
-		b.ReportMetric(float64(tOff.Nanoseconds())/n, "ns/req-off")
-		b.ReportMetric(float64(tOn.Nanoseconds())/n, "ns/req-on")
-		b.ReportMetric((float64(tOn)-float64(tOff))*100/float64(tOff), "overhead-%")
-	})
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

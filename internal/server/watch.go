@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/watch"
 )
@@ -274,7 +275,7 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	name := q.Get("name")
 	if name == "" {
-		name = rtFrom(r.Context()).id()
+		name = obs.TraceIDFrom(r.Context())
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {

@@ -178,14 +178,6 @@ func NewStore(max int) *Store {
 	return &Store{max: max, entries: make(map[string]*entry)}
 }
 
-// MaxStatements returns the cardinality cap.
-func (s *Store) MaxStatements() int {
-	if s == nil {
-		return 0
-	}
-	return s.max
-}
-
 // Observe records one execution of the statement identified by digest.
 // text is the normalized statement, retained on first sight.
 func (s *Store) Observe(digest, text string, o Observation) {

@@ -124,15 +124,6 @@ func (s Set) Last() (time.Time, bool) {
 	return n[len(n)-1].End, true
 }
 
-// TotalDuration sums the durations of the normalized set.
-func (s Set) TotalDuration(now time.Time) time.Duration {
-	var d time.Duration
-	for _, iv := range s.Normalize() {
-		d += iv.Duration(now)
-	}
-	return d
-}
-
 // String renders the normalized set as a comma-separated interval list.
 func (s Set) String() string {
 	n := s.Normalize()

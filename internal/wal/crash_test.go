@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
-	"repro/internal/temporal"
 )
 
 // copyDir copies every regular file of src into a fresh temp dir.
@@ -396,41 +395,4 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		t.Error("recovery after mid-checkpoint crash lost history")
 	}
 	mustNoViolations(t, st2)
-}
-
-func BenchmarkWALAppend(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		noSync bool
-	}{{"sync", false}, {"nosync", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			st := graph.NewStore(testSchema(b), temporal.NewManualClock(t0))
-			mgr, _, err := Open(b.TempDir(), st, Options{NoSync: bc.noSync})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mgr.Close()
-			st.SetMutationHook(mgr.Append)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.InsertNode("Host", graph.Fields{"id": i}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(mgr.Size())/float64(b.N), "bytes/record")
-		})
-	}
-}
-
-// BenchmarkMutateNoWAL measures the plain mutation path with no hook
-// installed — the baseline the WAL-off path must stay within noise of.
-func BenchmarkMutateNoWAL(b *testing.B) {
-	st := graph.NewStore(testSchema(b), temporal.NewManualClock(t0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.InsertNode("Host", graph.Fields{"id": i}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -223,12 +223,6 @@ func (mgr *Manager) Snapshot() (io.ReadCloser, uint64, uint64, error) {
 	return f, base, hash, nil
 }
 
-// HasCheckpoint reports whether a committed checkpoint exists on disk.
-func (mgr *Manager) HasCheckpoint() bool {
-	_, err := os.Stat(checkpointPath(mgr.dir))
-	return err == nil
-}
-
 func checkpointPath(dir string) string {
 	return filepath.Join(dir, checkpointName)
 }

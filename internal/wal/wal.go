@@ -577,9 +577,6 @@ func (mgr *Manager) Close() error {
 	return nil
 }
 
-// Dir returns the log directory.
-func (mgr *Manager) Dir() string { return mgr.dir }
-
 // Size reports the byte size of the active segment — the durable log
 // bytes appended since the last rotation.
 func (mgr *Manager) Size() int64 {
