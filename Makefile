@@ -46,11 +46,12 @@ chaos:
 		./internal/plan/ ./internal/exec/ ./internal/core/
 
 # Durability suite: the WAL crash-point property tests, crash-injection
-# recovery, and the store invariant checker, twice under the race
-# detector (-short keeps the full-byte-sweep property test sampled).
+# recovery (torn sidecars included), the store invariant checker, and the
+# live-write/replay parity tests, twice under the race detector (-short
+# keeps the full-byte-sweep property test sampled).
 crash:
 	$(GO) test -race -count=2 -short ./internal/wal/ ./internal/chaos/
-	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped' \
+	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped|Replay|Sidecar' \
 		./internal/graph/ ./internal/core/ ./internal/server/ ./cmd/nepal/
 
 # Short coverage-guided fuzz passes over the two parsers fed untrusted

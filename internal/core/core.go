@@ -213,16 +213,11 @@ func (db *DB) Backend() string { return db.backend }
 // Engine exposes the backend engine (for benchmark harnesses).
 func (db *DB) Engine() *plan.Engine { return db.engine }
 
-// InsertNode validates and inserts a node, returning its UID.
+// InsertNode validates and inserts a node, returning its UID. This and
+// the three writes below are shorthands for Store().Mutate without a
+// caller context; a write that must reach a request's trace calls Mutate.
 func (db *DB) InsertNode(class string, fields graph.Fields) (graph.UID, error) {
 	return db.store.InsertNode(class, fields)
-}
-
-// InsertNodeCtx is InsertNode under a caller context: the context reaches
-// the durability hook, so a WAL-backed write's append span lands in the
-// request's trace.
-func (db *DB) InsertNodeCtx(ctx context.Context, class string, fields graph.Fields) (graph.UID, error) {
-	return db.store.InsertNodeCtx(ctx, class, fields)
 }
 
 // InsertEdge validates and inserts an edge between two nodes.
@@ -230,29 +225,14 @@ func (db *DB) InsertEdge(class string, src, dst graph.UID, fields graph.Fields) 
 	return db.store.InsertEdge(class, src, dst, fields)
 }
 
-// InsertEdgeCtx is InsertEdge under a caller context.
-func (db *DB) InsertEdgeCtx(ctx context.Context, class string, src, dst graph.UID, fields graph.Fields) (graph.UID, error) {
-	return db.store.InsertEdgeCtx(ctx, class, src, dst, fields)
-}
-
 // Update replaces an object's fields, versioning the previous state.
 func (db *DB) Update(uid graph.UID, fields graph.Fields) error {
 	return db.store.Update(uid, fields)
 }
 
-// UpdateCtx is Update under a caller context.
-func (db *DB) UpdateCtx(ctx context.Context, uid graph.UID, fields graph.Fields) error {
-	return db.store.UpdateCtx(ctx, uid, fields)
-}
-
 // Delete closes an object's current version (cascading to incident edges
 // for nodes); its history remains queryable.
 func (db *DB) Delete(uid graph.UID) error { return db.store.Delete(uid) }
-
-// DeleteCtx is Delete under a caller context.
-func (db *DB) DeleteCtx(ctx context.Context, uid graph.UID) error {
-	return db.store.DeleteCtx(ctx, uid)
-}
 
 // ApplySnapshot reconciles the database with a full source snapshot — the
 // update-by-snapshot service for sources that publish periodic dumps.

@@ -87,104 +87,164 @@ func (st *Store) SetMutationHook(h MutationHook) {
 	st.hook = h
 }
 
-// ApplyMutation replays one logged mutation at its recorded timestamp,
-// bypassing the clock and the hook. It validates like the live write path
-// and additionally tolerates records the store already reflects — an
-// insert of an existing UID, an update whose version already exists, a
+// Mutate validates, stamps, logs and applies one live write. The store
+// stamps m itself (an insert's UID, every write's At) after clearing the
+// fields m's op does not carry, so the record the hook logs is the one
+// replay will apply. The context reaches the hook: a WAL-backed write's
+// append span lands in the caller's trace. Mutate returns the UID an
+// insert was given, 0 for update and delete. Deleting a deleted object is
+// a no-op that logs nothing.
+func (st *Store) Mutate(ctx context.Context, m *Mutation) (UID, error) {
+	switch m.Op {
+	case OpInsertNode:
+		m.Src, m.Dst = 0, 0
+	case OpUpdate:
+		m.Class, m.Src, m.Dst = "", 0, 0
+	case OpDelete:
+		m.Class, m.Src, m.Dst, m.Fields = "", 0, 0, nil
+	}
+	if err := st.checkRecord(m); err != nil {
+		return 0, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, err := st.applyLocked(ctx, m, false); err != nil || !m.Op.isInsert() {
+		return 0, err
+	}
+	return m.UID, nil
+}
+
+// ApplyMutation replays one logged mutation at its recorded UID and
+// timestamp, bypassing the clock and the hook. It validates exactly like
+// Mutate and additionally tolerates records the store already reflects —
+// an insert of an existing UID, an update whose version already exists, a
 // delete of an already-closed object — reporting applied=false for them.
 // That idempotence is what lets recovery replay a log whose prefix
 // overlaps the checkpoint it starts from.
 func (st *Store) ApplyMutation(m *Mutation) (applied bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.clock.EnsureAfter(m.At)
-
-	switch m.Op {
-	case OpInsertNode, OpInsertEdge:
-		return st.replayInsert(m)
-	case OpUpdate:
-		return st.replayUpdate(m)
-	case OpDelete:
-		return st.replayDelete(m)
+	if err = st.checkRecord(m); err == nil {
+		st.mu.Lock()
+		applied, err = st.applyLocked(context.Background(), m, true)
+		st.clock.EnsureAfter(m.At)
+		st.mu.Unlock()
 	}
-	return false, fmt.Errorf("graph: replay of unknown mutation op %d", m.Op)
+	if err != nil {
+		return false, fmt.Errorf("graph: replaying %s %d: %w", m.Op, m.UID, err)
+	}
+	return applied, nil
 }
 
-func (st *Store) replayInsert(m *Mutation) (bool, error) {
-	if existing := st.objects[m.UID]; existing != nil {
-		if existing.Class.Name != m.Class {
-			return false, fmt.Errorf("graph: replay insert %d: store has class %s, log says %s",
-				m.UID, existing.Class.Name, m.Class)
-		}
-		return false, nil // already present (checkpoint overlap)
-	}
-	if m.UID <= 0 {
-		return false, fmt.Errorf("graph: replay insert with invalid uid %d", m.UID)
+func (op MutationOp) isInsert() bool { return op == OpInsertNode || op == OpInsertEdge }
+
+// checkRecord is the part of a write's validation that reads no store
+// state — an insert's record against its class, and the class's kind
+// against the op — so both entry points run it before the write lock.
+func (st *Store) checkRecord(m *Mutation) error {
+	if !m.Op.isInsert() {
+		return nil
 	}
 	if err := st.schema.ValidateRecord(m.Class, m.Fields); err != nil {
-		return false, fmt.Errorf("graph: replay insert %d: %w", m.UID, err)
+		return err
 	}
-	c, _ := st.schema.Class(m.Class)
 	kind := schema.NodeKind
 	if m.Op == OpInsertEdge {
 		kind = schema.EdgeKind
 	}
-	if c.Kind != kind {
-		return false, fmt.Errorf("graph: replay insert %d: class %q is a %s class", m.UID, m.Class, c.Kind)
+	if c, _ := st.schema.Class(m.Class); c.Kind != kind {
+		return fmt.Errorf("graph: class %q is a %s class", m.Class, c.Kind)
 	}
-	if kind == schema.EdgeKind {
-		srcObj, dstObj := st.objects[m.Src], st.objects[m.Dst]
-		if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
-			return false, fmt.Errorf("graph: replay edge %d: source %d is not a live node", m.UID, m.Src)
-		}
-		if dstObj == nil || dstObj.Current() == nil || dstObj.IsEdge() {
-			return false, fmt.Errorf("graph: replay edge %d: target %d is not a live node", m.UID, m.Dst)
-		}
-		if !st.schema.EdgeAllowed(c, srcObj.Class, dstObj.Class) {
-			return false, fmt.Errorf("graph: replay edge %d: schema permits no %s edge from %s to %s",
-				m.UID, m.Class, srcObj.Class, dstObj.Class)
-		}
-	}
-	if err := st.claimUnique(c, m.Fields, 0); err != nil {
-		return false, fmt.Errorf("graph: replay insert %d: %w", m.UID, err)
-	}
-	st.installLocked(c, m.UID, m.Src, m.Dst, m.Fields, m.At)
-	return true, nil
+	return nil
 }
 
-func (st *Store) replayUpdate(m *Mutation) (bool, error) {
-	obj := st.objects[m.UID]
-	if obj == nil {
-		return false, fmt.Errorf("graph: replay update of unknown uid %d", m.UID)
+// applyLocked is the one body of every write, live or replayed, after
+// checkRecord: it validates m against the store (edge endpoints and
+// rules, unique fields, the object an update or delete targets) and
+// applies it. A live write is stamped and handed to the hook before it is
+// applied, so log order is apply order and a hook error applies nothing.
+// A replay keeps the record's UID and At, and first skips with
+// applied=false what the store already reflects. A delete of a closed
+// object applies nothing in either mode.
+func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (applied bool, err error) {
+	var c *schema.Class
+	var obj *Object
+	var cur *Version
+	switch m.Op {
+	case OpInsertNode, OpInsertEdge:
+		if replay {
+			if existing := st.objects[m.UID]; existing != nil {
+				if existing.Class.Name != m.Class {
+					return false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
+				}
+				return false, nil // already present (checkpoint overlap)
+			}
+			if m.UID <= 0 {
+				return false, fmt.Errorf("graph: invalid uid %d", m.UID)
+			}
+		}
+		c, _ = st.schema.Class(m.Class) // resolved by checkRecord
+		if m.Op == OpInsertEdge {
+			srcObj, dstObj := st.objects[m.Src], st.objects[m.Dst]
+			if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
+				return false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
+			}
+			if dstObj == nil || dstObj.Current() == nil || dstObj.IsEdge() {
+				return false, fmt.Errorf("graph: edge %s target %d is not a live node", m.Class, m.Dst)
+			}
+			if !st.schema.EdgeAllowed(c, srcObj.Class, dstObj.Class) {
+				return false, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
+					m.Class, srcObj.Class, dstObj.Class)
+			}
+		}
+		if err := st.claimUnique(c, m.Fields, 0); err != nil {
+			return false, err
+		}
+	case OpUpdate, OpDelete:
+		if obj = st.objects[m.UID]; obj == nil {
+			return false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
+		}
+		if replay && m.Op == OpUpdate {
+			for i := range obj.Versions {
+				if obj.Versions[i].Period.Start.Equal(m.At) {
+					return false, nil // version already present (checkpoint overlap)
+				}
+			}
+		}
+		if cur = obj.Current(); cur == nil {
+			if m.Op == OpDelete {
+				return false, nil // already closed
+			}
+			return false, fmt.Errorf("graph: update of deleted object %d", m.UID)
+		}
+		if m.Op == OpUpdate {
+			if err := st.schema.ValidateRecord(obj.Class.Name, m.Fields); err != nil {
+				return false, err
+			}
+			if err := st.claimUnique(obj.Class, m.Fields, m.UID); err != nil {
+				return false, err
+			}
+		}
+	default:
+		return false, fmt.Errorf("graph: unknown mutation op %d", m.Op)
 	}
-	for i := range obj.Versions {
-		if obj.Versions[i].Period.Start.Equal(m.At) {
-			return false, nil // version already present (checkpoint overlap)
+
+	if !replay {
+		if m.Op.isInsert() {
+			m.UID = st.nextUID
+		}
+		m.At = st.clock.Next()
+		if st.hook != nil {
+			if err := st.hook(ctx, m); err != nil {
+				return false, fmt.Errorf("graph: mutation rejected by log: %w", err)
+			}
 		}
 	}
-	cur := obj.Current()
-	if cur == nil {
-		return false, fmt.Errorf("graph: replay update of deleted object %d", m.UID)
+	switch m.Op {
+	case OpInsertNode, OpInsertEdge:
+		st.installLocked(c, m.UID, m.Src, m.Dst, m.Fields, m.At)
+	case OpUpdate:
+		st.updateLocked(obj, cur, m.Fields, m.At)
+	case OpDelete:
+		st.deleteAtLocked(obj, cur, m.At)
 	}
-	if err := st.schema.ValidateRecord(obj.Class.Name, m.Fields); err != nil {
-		return false, fmt.Errorf("graph: replay update %d: %w", m.UID, err)
-	}
-	if err := st.claimUnique(obj.Class, m.Fields, m.UID); err != nil {
-		return false, fmt.Errorf("graph: replay update %d: %w", m.UID, err)
-	}
-	st.updateLocked(obj, cur, m.Fields, m.At)
-	return true, nil
-}
-
-func (st *Store) replayDelete(m *Mutation) (bool, error) {
-	obj := st.objects[m.UID]
-	if obj == nil {
-		return false, fmt.Errorf("graph: replay delete of unknown uid %d", m.UID)
-	}
-	cur := obj.Current()
-	if cur == nil {
-		return false, nil // already closed (checkpoint overlap)
-	}
-	st.deleteAtLocked(obj, cur, m.At)
 	return true, nil
 }

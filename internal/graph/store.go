@@ -187,84 +187,33 @@ func (st *Store) CommittedClock() time.Time {
 
 // InsertNode validates and inserts a node record, returning its UID.
 func (st *Store) InsertNode(class string, fields Fields) (UID, error) {
-	return st.insert(context.Background(), class, 0, 0, fields, schema.NodeKind)
-}
-
-// InsertNodeCtx is InsertNode with a caller context; the context reaches
-// the mutation hook so durability work is attributed to the request.
-func (st *Store) InsertNodeCtx(ctx context.Context, class string, fields Fields) (UID, error) {
-	return st.insert(ctx, class, 0, 0, fields, schema.NodeKind)
+	return st.Mutate(context.Background(), &Mutation{Op: OpInsertNode, Class: class, Fields: fields})
 }
 
 // InsertEdge validates and inserts an edge from src to dst. The edge class
 // must permit the connection under the schema's allowed-edge rules, and
 // both endpoints must be live.
 func (st *Store) InsertEdge(class string, src, dst UID, fields Fields) (UID, error) {
-	return st.insert(context.Background(), class, src, dst, fields, schema.EdgeKind)
+	return st.Mutate(context.Background(), &Mutation{Op: OpInsertEdge, Class: class, Src: src, Dst: dst, Fields: fields})
 }
 
-// InsertEdgeCtx is InsertEdge with a caller context.
-func (st *Store) InsertEdgeCtx(ctx context.Context, class string, src, dst UID, fields Fields) (UID, error) {
-	return st.insert(ctx, class, src, dst, fields, schema.EdgeKind)
+// Update closes the object's current version and opens a new one with the
+// supplied full field map (Nepal's sources supply complete records, not
+// patches). Updating a deleted object is an error.
+func (st *Store) Update(uid UID, fields Fields) error {
+	_, err := st.Mutate(context.Background(), &Mutation{Op: OpUpdate, UID: uid, Fields: fields})
+	return err
 }
 
-func (st *Store) insert(ctx context.Context, class string, src, dst UID, fields Fields, kind schema.Kind) (UID, error) {
-	if err := st.schema.ValidateRecord(class, fields); err != nil {
-		return 0, err
-	}
-	c, _ := st.schema.Class(class)
-	if c.Kind != kind {
-		return 0, fmt.Errorf("graph: class %q is a %s class", class, c.Kind)
-	}
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if kind == schema.EdgeKind {
-		srcObj, dstObj := st.objects[src], st.objects[dst]
-		if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
-			return 0, fmt.Errorf("graph: edge %s source %d is not a live node", class, src)
-		}
-		if dstObj == nil || dstObj.Current() == nil || dstObj.IsEdge() {
-			return 0, fmt.Errorf("graph: edge %s target %d is not a live node", class, dst)
-		}
-		if !st.schema.EdgeAllowed(c, srcObj.Class, dstObj.Class) {
-			return 0, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
-				class, srcObj.Class, dstObj.Class)
-		}
-	}
-
-	if err := st.claimUnique(c, fields, 0); err != nil {
-		return 0, err
-	}
-
-	uid := st.nextUID
-	ts := st.clock.Next()
-	op := OpInsertNode
-	if kind == schema.EdgeKind {
-		op = OpInsertEdge
-	}
-	if err := st.logMutation(ctx, &Mutation{Op: op, UID: uid, Class: class, Src: src, Dst: dst, Fields: fields, At: ts}); err != nil {
-		return 0, err
-	}
-	st.installLocked(c, uid, src, dst, fields, ts)
-	return uid, nil
-}
-
-// logMutation runs the hook, if any; a hook error aborts the mutation
-// before anything is applied.
-func (st *Store) logMutation(ctx context.Context, m *Mutation) error {
-	if st.hook == nil {
-		return nil
-	}
-	if err := st.hook(ctx, m); err != nil {
-		return fmt.Errorf("graph: mutation rejected by log: %w", err)
-	}
-	return nil
+// Delete closes the object's current version. Deleting a node also deletes
+// its live incident edges, mirroring referential integrity in the
+// relational mapping. Deleting a deleted object is a no-op.
+func (st *Store) Delete(uid UID) error {
+	_, err := st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: uid})
+	return err
 }
 
 // installLocked installs a fully validated object at a fixed timestamp.
-// It is the shared tail of the live insert path and log replay.
 func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fields, ts time.Time) {
 	obj := &Object{
 		UID:      uid,
@@ -288,78 +237,13 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fi
 	}
 }
 
-// Update closes the object's current version and opens a new one with the
-// supplied full field map (Nepal's sources supply complete records, not
-// patches). Updating a deleted object is an error.
-func (st *Store) Update(uid UID, fields Fields) error {
-	return st.UpdateCtx(context.Background(), uid, fields)
-}
-
-// UpdateCtx is Update with a caller context.
-func (st *Store) UpdateCtx(ctx context.Context, uid UID, fields Fields) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	obj := st.objects[uid]
-	if obj == nil {
-		return fmt.Errorf("graph: update of unknown uid %d", uid)
-	}
-	cur := obj.Current()
-	if cur == nil {
-		return fmt.Errorf("graph: update of deleted object %d", uid)
-	}
-	if err := st.schema.ValidateRecord(obj.Class.Name, fields); err != nil {
-		return err
-	}
-	if err := st.claimUnique(obj.Class, fields, uid); err != nil {
-		return err
-	}
-	t := st.clock.Next()
-	if err := st.logMutation(ctx, &Mutation{Op: OpUpdate, UID: uid, Fields: fields, At: t}); err != nil {
-		return err
-	}
-	st.updateLocked(obj, cur, fields, t)
-	return nil
-}
-
 // updateLocked closes cur and opens a new version at a fixed timestamp.
-// Shared by the live update path and log replay.
 func (st *Store) updateLocked(obj *Object, cur *Version, fields Fields, t time.Time) {
 	st.releaseUnique(obj.Class, cur.Fields, obj.UID)
 	st.recordUnique(obj.Class, fields, obj.UID)
 	cur.Period.End = t
 	obj.Versions = append(obj.Versions, Version{Fields: fields.Clone(), Period: temporal.Current(t)})
 	st.versionCount++
-}
-
-// Delete closes the object's current version. Deleting a node also deletes
-// its live incident edges, mirroring referential integrity in the
-// relational mapping. Deleting a deleted object is a no-op.
-func (st *Store) Delete(uid UID) error {
-	return st.DeleteCtx(context.Background(), uid)
-}
-
-// DeleteCtx is Delete with a caller context.
-func (st *Store) DeleteCtx(ctx context.Context, uid UID) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.deleteLocked(ctx, uid)
-}
-
-func (st *Store) deleteLocked(ctx context.Context, uid UID) error {
-	obj := st.objects[uid]
-	if obj == nil {
-		return fmt.Errorf("graph: delete of unknown uid %d", uid)
-	}
-	cur := obj.Current()
-	if cur == nil {
-		return nil
-	}
-	t := st.clock.Next()
-	if err := st.logMutation(ctx, &Mutation{Op: OpDelete, UID: uid, At: t}); err != nil {
-		return err
-	}
-	st.deleteAtLocked(obj, cur, t)
-	return nil
 }
 
 // deleteAtLocked closes the object — and, for a node, its live incident

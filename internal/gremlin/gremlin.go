@@ -87,15 +87,11 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 		return nil, err
 	}
 	cls := c.ClassOf(a)
-	if uid, ok := uniqueLookup(b.store, cls, a); ok {
+	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
 		if o != nil {
 			o.uniqueLookups.Add(1)
 		}
-		obj := b.store.Object(uid)
-		if obj != nil && obj.Class.IsSubclassOf(cls) {
-			return []graph.UID{uid}, nil
-		}
-		return nil, nil
+		return elems, nil
 	}
 	queryLabel := Label(cls)
 	var out []graph.UID
@@ -127,26 +123,4 @@ func (b *Backend) IncidentEdges(view graph.View, node graph.UID, dir plan.Direct
 		return b.store.OutEdges(node), nil
 	}
 	return b.store.InEdges(node), nil
-}
-
-// uniqueLookup resolves an equality predicate on a unique field through
-// the store's unique index. The field may be declared on the atom's class
-// or any ancestor; the index is keyed by the declaring class.
-func uniqueLookup(st *graph.Store, cls *schema.Class, a *rpe.Atom) (graph.UID, bool) {
-	for _, p := range a.Preds {
-		if p.Op != rpe.OpEq {
-			continue
-		}
-		for cur := cls; cur != nil; cur = cur.Parent {
-			for _, f := range cur.OwnFields {
-				if f.Name == p.Field && f.Unique {
-					if uid, ok := st.LookupUnique(cur.Name, f.Name, p.Value); ok {
-						return uid, true
-					}
-					return 0, true // unique miss: provably empty
-				}
-			}
-		}
-	}
-	return 0, false
 }

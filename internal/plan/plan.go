@@ -52,6 +52,34 @@ type Accessor interface {
 	IncidentEdges(view graph.View, node graph.UID, dir Direction, atom *rpe.Atom, c *rpe.Checked, gov *Governor) ([]graph.UID, error)
 }
 
+// UniqueAnchor is the Select operator's index path both backends share:
+// when the atom pins a unique field with equality (the field declared on
+// the atom's class or any ancestor, the index keyed by the declaring
+// class), ok is true and elems is the live owner of that value if it
+// belongs to the atom's class, or nil — a unique miss is provably empty.
+// ok is false when no such predicate exists and the backend must scan.
+func UniqueAnchor(st *graph.Store, cls *schema.Class, a *rpe.Atom) (elems []graph.UID, ok bool) {
+	for _, p := range a.Preds {
+		if p.Op != rpe.OpEq {
+			continue
+		}
+		for cur := cls; cur != nil; cur = cur.Parent {
+			for _, f := range cur.OwnFields {
+				if f.Name != p.Field || !f.Unique {
+					continue
+				}
+				if uid, found := st.LookupUnique(cur.Name, f.Name, p.Value); found {
+					if obj := st.Object(uid); obj != nil && obj.Class.IsSubclassOf(cls) {
+						return []graph.UID{uid}, true
+					}
+				}
+				return nil, true
+			}
+		}
+	}
+	return nil, false
+}
+
 // Plan is an executable query plan: the checked RPE, the selected anchor,
 // and the operator DAG description used by EXPLAIN and code generation.
 type Plan struct {

@@ -148,15 +148,13 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 		return nil, err
 	}
 	cls := c.ClassOf(a)
-	if uid, ok := uniqueLookup(b.store, cls, a); ok {
+	// The relational schema keeps a dedicated uniqueness table (§5.2),
+	// realized by the store's unique index.
+	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
 		if o != nil {
 			o.uniqueLookups.Add(1)
 		}
-		obj := b.store.Object(uid)
-		if obj != nil && obj.Class.IsSubclassOf(cls) {
-			return []graph.UID{uid}, nil
-		}
-		return nil, nil
+		return elems, nil
 	}
 	return b.store.BySubtree(cls), nil
 }
@@ -196,26 +194,4 @@ func (b *Backend) IncidentEdges(view graph.View, node graph.UID, dir plan.Direct
 		out = append(out, idx[name][node]...)
 	}
 	return out, nil
-}
-
-// uniqueLookup resolves an equality predicate on a unique field; the
-// relational schema keeps a dedicated uniqueness table (§5.2), realized
-// here by the store's unique index.
-func uniqueLookup(st *graph.Store, cls *schema.Class, a *rpe.Atom) (graph.UID, bool) {
-	for _, p := range a.Preds {
-		if p.Op != rpe.OpEq {
-			continue
-		}
-		for cur := cls; cur != nil; cur = cur.Parent {
-			for _, f := range cur.OwnFields {
-				if f.Name == p.Field && f.Unique {
-					if uid, ok := st.LookupUnique(cur.Name, f.Name, p.Value); ok {
-						return uid, true
-					}
-					return 0, true
-				}
-			}
-		}
-	}
-	return 0, false
 }

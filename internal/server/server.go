@@ -628,18 +628,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// ingestOps maps the wire's op names to the store's.
+var ingestOps = map[string]graph.MutationOp{
+	"insert-node": graph.OpInsertNode,
+	"insert-edge": graph.OpInsertEdge,
+	"update":      graph.OpUpdate,
+	"delete":      graph.OpDelete,
+}
+
+// applyOp turns one wire op into the store's mutation record — the same
+// record the WAL hook logs — and applies it under the request context.
 func (s *Server) applyOp(ctx context.Context, op IngestOp) (graph.UID, error) {
-	switch op.Op {
-	case "insert-node":
-		return s.db.InsertNodeCtx(ctx, op.Class, graph.Fields(op.Fields))
-	case "insert-edge":
-		return s.db.InsertEdgeCtx(ctx, op.Class, graph.UID(op.Src), graph.UID(op.Dst), graph.Fields(op.Fields))
-	case "update":
-		return 0, s.db.UpdateCtx(ctx, graph.UID(op.UID), graph.Fields(op.Fields))
-	case "delete":
-		return 0, s.db.DeleteCtx(ctx, graph.UID(op.UID))
+	kind, ok := ingestOps[op.Op]
+	if !ok {
+		return 0, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
 	}
-	return 0, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
+	return s.db.Store().Mutate(ctx, &graph.Mutation{Op: kind, UID: graph.UID(op.UID), Class: op.Class,
+		Src: graph.UID(op.Src), Dst: graph.UID(op.Dst), Fields: graph.Fields(op.Fields)})
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,8 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/netmodel"
+	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/watch"
@@ -99,6 +101,68 @@ func TestWatchLongPoll(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll never woke on append")
+	}
+}
+
+// TestIngestEveryOpReachesWALFeed posts one batch holding all four wire
+// ops: inserts answer their new UIDs, update and delete answer 0, and the
+// WAL-fed watch stream carries one event per op under the store's names.
+func TestIngestEveryOpReachesWALFeed(t *testing.T) {
+	_, db, _, c := newWatchServer(t, server.Config{})
+	ctx := context.Background()
+	uidOf := func(id int64) int64 {
+		uid, ok := db.Store().LookupUnique(schema.NodeRoot, "id", id)
+		if !ok {
+			t.Fatalf("demo id %d missing", id)
+		}
+		return int64(uid)
+	}
+	// The demo numbers its nodes from 1001: host-1, host-2, tor-1, tor-2,
+	// spine-1, vm-1.
+	host1, host2, tor2, vm1 := uidOf(1001), uidOf(1002), uidOf(1004), uidOf(1006)
+	from := db.WAL().NextIndex()
+
+	resp, err := c.Ingest(ctx, []server.IngestOp{
+		{Op: "insert-node", Class: "ComputeHost", Fields: map[string]any{"id": 9101, "name": "all-ops", "rack": "r9", "status": "Active"}},
+		{Op: "insert-edge", Class: netmodel.OnServer, Src: vm1, Dst: host2, Fields: map[string]any{"id": 9102}},
+		{Op: "update", UID: host1, Fields: map[string]any{"id": 1001, "name": "host-1", "rack": "r1", "status": "Maintenance"}},
+		{Op: "delete", UID: tor2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Applied != 4 || len(resp.UIDs) != 4 || resp.UIDs[0] == 0 || resp.UIDs[1] == 0 || resp.UIDs[2] != 0 || resp.UIDs[3] != 0 {
+		t.Fatalf("ingest answered applied %d, uids %v; want 4 with uids for the inserts only", resp.Applied, resp.UIDs)
+	}
+
+	poll, err := c.WatchPoll(ctx, from, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		op    string
+		uid   int64
+		class string
+	}{
+		{"insert_node", resp.UIDs[0], "ComputeHost"},
+		{"insert_edge", resp.UIDs[1], netmodel.OnServer},
+		{"update", host1, "ComputeHost"},
+		{"delete", tor2, "TORSwitch"},
+	}
+	if len(poll.Events) != len(want) {
+		t.Fatalf("watch returned %d events after the batch, want %d: %+v", len(poll.Events), len(want), poll.Events)
+	}
+	for i, ev := range poll.Events {
+		if ev.Index != from+uint64(i) || ev.Op != want[i].op || ev.UID != want[i].uid || ev.Class != want[i].class {
+			t.Errorf("event %d = {index %d op %s uid %d class %s}, want {index %d op %s uid %d class %s}",
+				i, ev.Index, ev.Op, ev.UID, ev.Class, from+uint64(i), want[i].op, want[i].uid, want[i].class)
+		}
+	}
+	if got := poll.Events[1]; got.Src != vm1 || got.Dst != host2 {
+		t.Errorf("edge event endpoints %d -> %d, want %d -> %d", got.Src, got.Dst, vm1, host2)
+	}
+	if got := poll.Events[2].Fields["status"]; got != "Maintenance" {
+		t.Errorf("update event status = %v, want Maintenance", got)
 	}
 }
 

@@ -64,7 +64,7 @@ func loadOrMintEpoch(dir string) (uint64, error) {
 // writeEpochFile durably persists an epoch value (temp+rename+dir sync,
 // so a crash can never leave a torn epoch — only the previous one).
 func writeEpochFile(dir string, epoch uint64) error {
-	if err := writeFileDurable(dir, epochName, strconv.FormatUint(epoch, 10)+"\n"); err != nil {
+	if err := (Options{}).writeFileDurable(filepath.Join(dir, epochName), strconv.FormatUint(epoch, 10)+"\n"); err != nil {
 		return fmt.Errorf("wal: persisting epoch %d: %w", epoch, err)
 	}
 	return nil
@@ -200,13 +200,13 @@ func (mgr *Manager) AdoptStream(logID string, next, epoch, hash uint64) error {
 	return nil
 }
 
-// writeFileDurable writes name inside dir via temp+rename with fsyncs on
-// both the file and the directory, so the content is either the old
-// value or the new one — never torn.
-func writeFileDurable(dir, name, contents string) error {
-	path := filepath.Join(dir, name)
+// writeFileDurable writes path via temp+rename with fsyncs on both the
+// file and its directory, so the content is either the old value or the
+// new one — never torn. The temp goes through the options' file opener;
+// the zero Options writes to the real filesystem.
+func (o Options) writeFileDurable(path, contents string) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := o.open(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
@@ -224,6 +224,6 @@ func writeFileDurable(dir, name, contents string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	syncDir(dir)
+	syncDir(filepath.Dir(path))
 	return nil
 }

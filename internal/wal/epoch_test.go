@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/graph"
 )
 
@@ -185,5 +186,70 @@ func TestAdoptStreamSurvivesReopen(t *testing.T) {
 	}
 	if got, err := mgr2.PrefixHash(next); err != nil || got != hash {
 		t.Fatalf("PrefixHash(%d) = (%016x, %v), want (%016x, nil)", next, got, err, hash)
+	}
+}
+
+// TestTornSidecarIsNotAStreamPosition: a crash while AdoptStream writes
+// the active segment's sidecar must leave a log that never claimed the
+// primary's lineage. A sidecar written in place would be torn to "12" of
+// "123 <hash>" and read back as stream position 12 under the node's own
+// identity.
+func TestTornSidecarIsNotAStreamPosition(t *testing.T) {
+	dir := t.TempDir()
+	fs := chaos.NewCrashFS(2)
+	mgr, _, err := Open(dir, newTestStore(t), Options{
+		NoSync: true,
+		OpenFile: func(name string, flag int, perm os.FileMode) (File, error) {
+			return fs.OpenFile(name, flag, perm)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownID := mgr.LogID()
+	adopted := strings.Repeat("ab", 16)
+	if err := mgr.AdoptStream(adopted, 123, 5, 0xfeed); err == nil {
+		t.Fatal("adoption survived a 2-byte crash budget")
+	}
+	mgr.Close()
+
+	mgr2, _, err := Open(dir, newTestStore(t), Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopen after a crash mid-adoption: %v", err)
+	}
+	defer mgr2.Close()
+	if got := mgr2.NextIndex(); got != 0 {
+		t.Errorf("NextIndex after a crash mid-adoption = %d, want 0", got)
+	}
+	if got := mgr2.LogID(); got != ownID {
+		t.Errorf("log id = %q, want the node's own %q", got, ownID)
+	}
+	if got := mgr2.Epoch(); got != 1 {
+		t.Errorf("epoch = %d, want 1", got)
+	}
+}
+
+// TestOneFieldSidecarFailsOpen: a sidecar is only ever installed whole as
+// "start hash", so one that is not fails recovery, naming the file,
+// instead of being trusted as a stream position.
+func TestOneFieldSidecarFailsOpen(t *testing.T) {
+	f := newStreamFixture(t)
+	f.run(1, 10)
+	if err := f.mgr.Checkpoint(f.st); err != nil {
+		t.Fatal(err)
+	}
+	f.run(2, 5)
+	f.mgr.Close()
+	seqs, err := listSegments(f.dir)
+	if err != nil || len(seqs) != 1 {
+		t.Fatalf("segments after checkpoint = %v, %v", seqs, err)
+	}
+	idx := segmentIdxPath(f.dir, seqs[0])
+	if err := os.WriteFile(idx, []byte("10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(f.dir, newTestStore(t), Options{NoSync: true})
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(idx)) {
+		t.Fatalf("open over a one-field sidecar = %v, want an error naming %s", err, filepath.Base(idx))
 	}
 }

@@ -80,7 +80,7 @@ func loadOrMintLogID(dir string) (string, error) {
 // sync). Besides minting, AdoptStream uses it to rewrite the identity
 // when a promoted follower takes over its primary's log.
 func writeLogIDFile(dir, id string) error {
-	if err := writeFileDurable(dir, logIDName, id+"\n"); err != nil {
+	if err := (Options{}).writeFileDurable(filepath.Join(dir, logIDName), id+"\n"); err != nil {
 		return fmt.Errorf("wal: persisting log identity: %w", err)
 	}
 	return nil
@@ -234,53 +234,42 @@ func segmentIdxPath(dir string, seq uint64) string {
 }
 
 // writeSegIdx persists a segment's global start index and the chained
-// prefix hash at that index, synced, through the Manager's (possibly
-// fault-injected) file opener. Format: "start hash\n" with the hash in
-// hex; readers also accept the legacy single-field form.
+// prefix hash at that index as "start hash\n", the hash in hex. It goes
+// through the Manager's (possibly fault-injected) file opener and is
+// installed by rename like log.id, so a crash leaves the previous sidecar
+// or none, never a torn one.
 func writeSegIdx(opts Options, dir string, seq, start, hash uint64) error {
-	f, err := opts.open(segmentIdxPath(dir, seq), os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
-	if err != nil {
-		return fmt.Errorf("wal: creating segment %d index sidecar: %w", seq, err)
-	}
 	line := strconv.FormatUint(start, 10) + " " + strconv.FormatUint(hash, 16) + "\n"
-	if _, err := f.Write([]byte(line)); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: writing segment %d index sidecar: %w", seq, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: syncing segment %d index sidecar: %w", seq, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: closing segment %d index sidecar: %w", seq, err)
+	if err := opts.writeFileDurable(segmentIdxPath(dir, seq), line); err != nil {
+		return fmt.Errorf("wal: persisting segment %d index sidecar: %w", seq, err)
 	}
 	return nil
 }
 
-// readSegIdx loads a segment's persisted start index and prefix hash; ok
-// is false when the sidecar is missing or unparseable (recovery then
-// derives the start by chaining record counts from stream position
-// zero). hashOK is false for a legacy single-field sidecar, which
-// predates prefix hashing.
-func readSegIdx(dir string, seq uint64) (start, hash uint64, hashOK, ok bool) {
-	data, err := os.ReadFile(segmentIdxPath(dir, seq))
+// readSegIdx loads a segment's persisted start index and prefix hash. ok
+// is false when the segment has no sidecar (recovery then derives the
+// start by chaining record counts from stream position zero); a sidecar
+// that is not "start hash" is an error naming the file.
+func readSegIdx(dir string, seq uint64) (start, hash uint64, ok bool, err error) {
+	path := segmentIdxPath(dir, seq)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, 0, false, nil
+	}
 	if err != nil {
-		return 0, 0, false, false
+		return 0, 0, false, fmt.Errorf("wal: reading index sidecar %s: %w", path, err)
 	}
 	fields := strings.Fields(string(data))
-	if len(fields) == 0 {
-		return 0, 0, false, false
-	}
-	start, err = strconv.ParseUint(fields[0], 10, 64)
-	if err != nil {
-		return 0, 0, false, false
-	}
-	if len(fields) >= 2 {
-		if hash, err = strconv.ParseUint(fields[1], 16, 64); err == nil {
-			return start, hash, true, true
+	if len(fields) == 2 {
+		start, err = strconv.ParseUint(fields[0], 10, 64)
+		if err == nil {
+			hash, err = strconv.ParseUint(fields[1], 16, 64)
+		}
+		if err == nil {
+			return start, hash, true, nil
 		}
 	}
-	return start, 0, false, true
+	return 0, 0, false, fmt.Errorf("wal: index sidecar %s holds %q, want \"start hash\"", path, strings.TrimSpace(string(data)))
 }
 
 // frameSize validates one frame's header and checksum and returns its

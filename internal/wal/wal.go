@@ -9,8 +9,9 @@
 // visible in memory — so the log order is exactly the store's
 // serialization order and an acknowledged write is always on disk.
 // Because every record carries its transaction timestamp, replay through
-// graph.ApplyMutation reproduces the identical temporal version history,
-// not merely the same live state.
+// graph.ApplyMutation — the same validate-and-apply body as the live
+// write — reproduces the identical temporal version history, not merely
+// the same live state.
 //
 // Checkpoints rotate the log instead of blocking it: the active segment
 // is sealed, a new one opened, and the store's full history is snapshotted
@@ -64,8 +65,8 @@ type Options struct {
 	// to keep randomized workloads fast.
 	NoSync bool
 
-	// OpenFile overrides how the Manager opens files it writes (segments
-	// and checkpoint temporaries), mirroring os.OpenFile. nil uses the
+	// OpenFile overrides how the Manager opens files it writes (segments,
+	// sidecar and checkpoint temporaries), mirroring os.OpenFile. nil uses the
 	// real filesystem. Recovery reads and renames always use the real
 	// filesystem: fault injection models a crashing writer, not a lying
 	// reader.
@@ -111,7 +112,9 @@ func (s RecoveryStats) String() string {
 	return msg
 }
 
-// walObs caches the registry metrics the hot append path records.
+// walObs holds the registry metrics the append and checkpoint paths
+// record. The zero value (no registry) records nothing: nil obs metrics
+// are no-ops.
 type walObs struct {
 	appends      *obs.Counter
 	appendBytes  *obs.Counter
@@ -154,7 +157,7 @@ type Manager struct {
 	seq    uint64
 	size   int64 // bytes in the active segment
 	broken error // set when the log can no longer accept appends
-	o      *walObs
+	o      walObs
 
 	// segs lists every on-disk segment with its global start index,
 	// ascending; the last entry is the active segment. next is the global
@@ -236,32 +239,29 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 	// state: trust the ".idx" sidecar when present (it survives
 	// checkpoints deleting earlier segments — for the oldest on-disk
 	// segment it is the only source), and derive by chaining record
-	// counts/CRCs when not (a legacy directory, or a sidecar lost to a
-	// crash mid-rotation; safe because the one sidecar that is ever
-	// load-bearing, the rotated segment's, is made durable inside
-	// Checkpoint before its predecessors are pruned, so a sidecar-less
-	// oldest segment always starts the stream at zero).
+	// counts/CRCs when not (a segment never rotated to or adopted, or a
+	// sidecar lost to a crash mid-rotation; safe because the one sidecar
+	// that is ever load-bearing, the rotated segment's, is made durable
+	// inside Checkpoint before its predecessors are pruned, so a
+	// sidecar-less oldest segment always starts the stream at zero).
 	segs := make([]segMeta, len(seqs))
 	var start uint64
 	hash := PrefixHashSeed
 	for i, seq := range seqs {
-		if s, h, hashOK, ok := readSegIdx(dir, seq); ok {
+		s, h, ok, err := readSegIdx(dir, seq)
+		if err != nil {
+			return nil, stats, err
+		}
+		if ok {
 			if i > 0 && s != start {
 				return nil, stats, fmt.Errorf("wal: segment %d index sidecar says start %d, chained replay says %d",
 					seq, s, start)
 			}
-			start = s
-			if hashOK {
-				if i > 0 && h != hash {
-					return nil, stats, fmt.Errorf("wal: segment %d index sidecar says prefix hash %016x, chained replay says %016x",
-						seq, h, hash)
-				}
-				hash = h
+			if i > 0 && h != hash {
+				return nil, stats, fmt.Errorf("wal: segment %d index sidecar says prefix hash %016x, chained replay says %016x",
+					seq, h, hash)
 			}
-			// A legacy hash-less sidecar on the oldest segment keeps the
-			// seed chain state: cross-node lineage comparison only becomes
-			// meaningful once both logs carry hashed sidecars, which every
-			// rotation from now on writes.
+			start, hash = s, h
 		}
 		segs[i] = segMeta{seq: seq, start: start, hash: hash}
 		start += uint64(len(crcs[i]))
@@ -378,7 +378,7 @@ func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
 		mgr.mu.Unlock()
 		return fmt.Errorf("wal: log is broken: %w", mgr.broken)
 	}
-	o := mgr.o.load()
+	o := mgr.o
 	n, err := mgr.f.Write(frame)
 	if err != nil {
 		o.appendErrors.Add(1)
@@ -496,18 +496,11 @@ func (mgr *Manager) Checkpoint(st *graph.Store) error {
 	for len(mgr.segs) > 0 && mgr.segs[0].seq <= sealed {
 		mgr.segs = mgr.segs[1:]
 	}
+	o := mgr.o
 	mgr.mu.Unlock()
-	o := mgr.metrics()
 	o.checkpoints.Add(1)
 	o.checkpointMS.Observe(float64(time.Since(start)) / 1e6)
 	return nil
-}
-
-// metrics returns the attached sink under the log lock (no-op when none).
-func (mgr *Manager) metrics() *walObs {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	return mgr.o.load()
 }
 
 // writeCheckpoint writes, syncs, and atomically installs the snapshot.
@@ -596,10 +589,10 @@ func (mgr *Manager) Instrument(reg *obs.Registry) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	if reg == nil {
-		mgr.o = nil
+		mgr.o = walObs{}
 		return
 	}
-	mgr.o = &walObs{
+	mgr.o = walObs{
 		appends:      reg.Counter("wal.appends"),
 		appendBytes:  reg.Counter("wal.append_bytes"),
 		appendErrors: reg.Counter("wal.append_errors"),
@@ -616,13 +609,4 @@ func (mgr *Manager) Instrument(reg *obs.Registry) {
 	if mgr.stats.TailTruncated {
 		reg.Counter("wal.tail_truncations").Add(1)
 	}
-}
-
-// load returns the metrics sink, never nil field-wise: a nil *walObs
-// yields nil metrics whose methods are no-ops (see internal/obs).
-func (o *walObs) load() *walObs {
-	if o == nil {
-		return &walObs{}
-	}
-	return o
 }

@@ -155,7 +155,7 @@ func (s *Subscription) push(n Notification, through uint64) {
 	default:
 		s.lagging = true
 		s.resume = through
-		s.hub.countLagged()
+		s.hub.mLagged.Add(1)
 	}
 }
 
@@ -217,14 +217,6 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 	})
 }
 
-func count(c *obs.Counter, n int64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
-func (h *Hub) countLagged() { count(h.mLagged, 1) }
-
 // Register compiles src as a standing query named name, evaluates it
 // once for the initial full snapshot (pushed as the first notification),
 // and enrolls it for incremental re-evaluation. queueLen bounds the
@@ -268,7 +260,7 @@ func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
 	s.prev = rows
 	full := &Delta{Query: name, Index: h.cursor, Full: true, Added: sortedValues(rows)}
 	s.ch <- Notification{Kind: KindDelta, Delta: full}
-	count(h.mDeltas, 1)
+	h.mDeltas.Add(1)
 	h.subs = append(h.subs, s)
 	return s, nil
 }
@@ -326,7 +318,7 @@ func (h *Hub) pump() {
 			}
 		}
 		if len(events) > 0 {
-			count(h.mEvents, int64(len(events)))
+			h.mEvents.Add(int64(len(events)))
 			classes := map[string]struct{}{}
 			unattributed := false
 			for _, ev := range events {
@@ -371,13 +363,13 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		needFull := s.needFull
 		s.mu.Unlock()
 		if !force && !needFull && !touches(classes, s.footprint) {
-			count(h.mSkipped, 1)
+			h.mSkipped.Add(1)
 			continue
 		}
-		count(h.mEvals, 1)
+		h.mEvals.Add(1)
 		res, err := s.prepared.Exec(context.Background())
 		if err != nil {
-			count(h.mErrors, 1)
+			h.mErrors.Add(1)
 			s.push(Notification{Kind: KindFailed, Resume: through, Outcome: exec.Outcome(err), Error: err.Error()}, through)
 			continue
 		}
@@ -396,7 +388,7 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		d.Query = s.name
 		d.Index = through
 		s.push(Notification{Kind: KindDelta, Delta: d}, through)
-		count(h.mDeltas, 1)
+		h.mDeltas.Add(1)
 	}
 }
 
