@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench-e2e chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet test test-race bench-e2e bench-pairs chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
@@ -33,6 +33,13 @@ bench-e2e:
 			|| { echo "$$out" | tail -n 5; exit 1; }; \
 		echo "$$out" | grep -E '^(setup_s|alloc_kb_per_op|heap_mb) '; \
 	done
+
+# Alternating parent/working-tree pairs of one workload on consecutive
+# seeds, with each side's medians and quartiles and the change's win
+# count per end-to-end metric — how a performance claim is measured:
+#   make bench-pairs PARENT=<rev> WORKLOAD=ingest-durable PAIRS=10 SEED=201
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Fault-injection suite: the chaos package's own tests (probe faults and
 # latency injection, severed connections, failover), plus the query

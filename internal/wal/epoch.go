@@ -109,49 +109,33 @@ func (mgr *Manager) StreamHash() (next, hash uint64) {
 // PrefixHash returns the chained prefix hash at stream position pos: the
 // hash after folding in records [base, pos). Positions contracted into a
 // checkpoint return ErrTruncatedStream (their chain start survives only
-// as the oldest sidecar); pos == NextIndex() is O(1).
+// as the oldest sidecar); pos == NextIndex() is O(1), and any other
+// position folds fewer than markEvery checksums into its segment's
+// nearest mark.
 func (mgr *Manager) PrefixHash(pos uint64) (uint64, error) {
-	mgr.mu.Lock()
-	segs := make([]segMeta, len(mgr.segs))
-	copy(segs, mgr.segs)
-	next, end := mgr.next, mgr.hash
-	mgr.mu.Unlock()
-
+	segs, next, end, o := mgr.streamView()
 	if pos > next {
 		return 0, fmt.Errorf("wal: stream position %d is beyond the log end %d", pos, next)
 	}
 	if pos == next {
 		return end, nil
 	}
-	if len(segs) == 0 || pos < segs[0].start {
+	if pos < segs[0].start {
 		return 0, fmt.Errorf("%w (want hash at %d, oldest on disk %d)", ErrTruncatedStream, pos, segs[0].start)
 	}
-	si := 0
-	for i, s := range segs {
-		if s.start <= pos {
-			si = i
-		}
+	seg := &segs[segFor(segs, pos)]
+	if at, _, h := seg.markAt(pos); at == pos {
+		return h, nil
 	}
-	if segs[si].start == pos {
-		return segs[si].hash, nil
-	}
-	data, err := os.ReadFile(segmentPath(mgr.dir, segs[si].seq))
+	r, h, err := openAt(mgr.dir, seg, pos)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, os.ErrNotExist) {
 			// A concurrent checkpoint pruned the segment under us.
-			return 0, fmt.Errorf("%w (segment %d removed)", ErrTruncatedStream, segs[si].seq)
+			return 0, fmt.Errorf("%w (segment %d removed)", ErrTruncatedStream, seg.seq)
 		}
-		return 0, fmt.Errorf("wal: reading segment %d: %w", segs[si].seq, err)
+		return 0, err
 	}
-	h, off := segs[si].hash, 0
-	for k := segs[si].start; k < pos; k++ {
-		n, err := frameSize(data[off:])
-		if err != nil {
-			return 0, fmt.Errorf("wal: segment %d offset %d: %w", segs[si].seq, off, err)
-		}
-		h = ChainHash(h, FrameChecksum(data[off:off+n]))
-		off += n
-	}
+	r.close(o)
 	return h, nil
 }
 

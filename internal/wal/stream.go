@@ -5,9 +5,16 @@ package wal
 // the per-segment ".idx" sidecars), and a Manager can serve any suffix of
 // the stream that checkpointing has not yet contracted away. internal/repl
 // builds the primary's HTTP feed on ReadRecords/Changed and the follower
-// bootstrap path on Snapshot.
+// bootstrap path on Snapshot; internal/watch tails the log the same way.
+//
+// A stream read costs what it returns: each segment keeps a sparse frame
+// index (a mark every markEvery records, see segMeta), so ReadRecords and
+// PrefixHash seek to the nearest mark at or before their position and walk
+// fewer than markEvery frames from there, instead of reading the segment
+// from its first byte.
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -15,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -122,35 +130,25 @@ func (mgr *Manager) Changed() <-chan struct{} {
 // caught up. ErrTruncatedStream means from predates the oldest segment.
 //
 // Reads are safe concurrently with appends, checkpoints, and torn-append
-// rollbacks: the batch is bounded by the record count that was durable at
-// entry, so a partially written (or about-to-be-rolled-back) tail frame
-// is never shipped.
+// rollbacks: the batch is bounded by the record count and byte end that
+// were durable at entry, so a partially written (or about-to-be-rolled-
+// back) tail frame is never read, let alone shipped.
 func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, error) {
-	mgr.mu.Lock()
-	segs := make([]segMeta, len(mgr.segs))
-	copy(segs, mgr.segs)
-	next := mgr.next
-	mgr.mu.Unlock()
-
+	segs, next, _, o := mgr.streamView()
 	if from > next {
 		return nil, from, fmt.Errorf("wal: stream position %d is beyond the log end %d", from, next)
 	}
 	if from == next {
 		return nil, from, nil
 	}
-	if len(segs) == 0 || from < segs[0].start {
-		return nil, from, fmt.Errorf("%w (want %d, oldest on disk %d)", ErrTruncatedStream, from, mgr.BaseIndex())
-	}
-	si := 0
-	for i, s := range segs {
-		if s.start <= from {
-			si = i
-		}
+	if from < segs[0].start {
+		return nil, from, fmt.Errorf("%w (want %d, oldest on disk %d)", ErrTruncatedStream, from, segs[0].start)
 	}
 
 	var out []byte
 	cur := from
-	for i := si; i < len(segs) && cur < next; i++ {
+	full := func() bool { return maxBytes > 0 && len(out) >= maxBytes }
+	for i := segFor(segs, from); i < len(segs) && cur < next && !full(); i++ {
 		segEnd := next
 		if i+1 < len(segs) {
 			segEnd = segs[i+1].start
@@ -158,41 +156,128 @@ func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, erro
 		if cur >= segEnd {
 			continue
 		}
-		data, err := os.ReadFile(segmentPath(mgr.dir, segs[i].seq))
+		r, _, err := openAt(mgr.dir, &segs[i], cur)
 		if err != nil {
 			// A concurrent checkpoint may delete a sealed segment under us.
 			// Anything already copied is still a valid batch; an empty read
 			// means the position is gone and the caller must bootstrap.
-			if os.IsNotExist(err) {
+			if errors.Is(err, os.ErrNotExist) {
 				if len(out) > 0 {
 					return out, cur, nil
 				}
 				return nil, from, fmt.Errorf("%w (segment %d removed)", ErrTruncatedStream, segs[i].seq)
 			}
-			return nil, from, fmt.Errorf("wal: reading segment %d: %w", segs[i].seq, err)
+			return nil, from, err
 		}
-		off := 0
-		for skip := cur - segs[i].start; skip > 0; skip-- {
-			n, err := frameSize(data[off:])
-			if err != nil {
-				return nil, from, fmt.Errorf("wal: segment %d offset %d: %w", segs[i].seq, off, err)
-			}
-			off += n
+		// The batch runs to the byte end or the budget: size it once.
+		want := segs[i].end - r.off
+		if maxBytes > 0 {
+			want = min(want, int64(maxBytes-len(out)))
 		}
-		for cur < segEnd {
-			n, err := frameSize(data[off:])
-			if err != nil {
-				return nil, from, fmt.Errorf("wal: segment %d offset %d: %w", segs[i].seq, off, err)
+		out = slices.Grow(out, int(want))
+		for cur < segEnd && !full() && err == nil {
+			if out, err = r.next(out); err == nil {
+				cur++
 			}
-			out = append(out, data[off:off+n]...)
-			off += n
-			cur++
-			if maxBytes > 0 && len(out) >= maxBytes {
-				return out, cur, nil
-			}
+		}
+		r.close(o)
+		if err != nil {
+			return nil, from, err
 		}
 	}
 	return out, cur, nil
+}
+
+// streamView copies, under the lock, what a stream read needs: the
+// segment index with the active segment's end set to its durable size,
+// the durable record count and the chain hash there, and the metric
+// handles. Readers index each segment's marks only below the copied
+// length, so appends extending the live slice never race them.
+func (mgr *Manager) streamView() (segs []segMeta, next, hash uint64, o walObs) {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	segs = slices.Clone(mgr.segs)
+	segs[len(segs)-1].end = mgr.size
+	return segs, mgr.next, mgr.hash, mgr.o
+}
+
+// segFor returns the index of the segment holding stream position pos,
+// which must not precede segs[0].start.
+func segFor(segs []segMeta, pos uint64) int {
+	si := 0
+	for i, s := range segs {
+		if s.start <= pos {
+			si = i
+		}
+	}
+	return si
+}
+
+// frameReader reads checksum-verified frames out of one segment file, up
+// to the segment's byte end.
+type frameReader struct {
+	f   *os.File
+	sec *io.SectionReader
+	br  *bufio.Reader
+	seq uint64
+	off int64 // byte offset of the next frame
+}
+
+// openAt opens seg positioned at stream position pos, which must lie in
+// the segment below its end: it seeks to the nearest mark at or before
+// pos and walks the fewer than markEvery frames between, folding their
+// checksums into the mark's hash. It returns the reader and the chained
+// prefix hash at pos.
+func openAt(dir string, seg *segMeta, pos uint64) (*frameReader, uint64, error) {
+	at, off, hash := seg.markAt(pos)
+	f, err := os.Open(segmentPath(dir, seg.seq))
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: reading segment %d: %w", seg.seq, err)
+	}
+	sec := io.NewSectionReader(f, off, seg.end-off)
+	r := &frameReader{f: f, sec: sec, br: bufio.NewReader(sec), seq: seg.seq, off: off}
+	var frame []byte
+	for ; at < pos; at++ {
+		if frame, err = r.next(frame[:0]); err != nil {
+			f.Close()
+			return nil, 0, err
+		}
+		hash = ChainHash(hash, FrameChecksum(frame))
+	}
+	return r, hash, nil
+}
+
+// next appends the segment's next frame to dst, validated by frameSize.
+// A frame running past the byte end is torn.
+func (r *frameReader) next(dst []byte) ([]byte, error) {
+	hdr, err := r.br.Peek(frameHeaderSize)
+	if err != nil && err != io.EOF {
+		return dst, fmt.Errorf("wal: reading segment %d offset %d: %w", r.seq, r.off, err)
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return dst, fmt.Errorf("wal: segment %d offset %d: %w", r.seq, r.off, err)
+	}
+	l := len(dst)
+	dst = slices.Grow(dst, n)[:l+n]
+	if _, err := io.ReadFull(r.br, dst[l:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = errTorn
+		}
+		return dst[:l], fmt.Errorf("wal: segment %d offset %d: %w", r.seq, r.off, err)
+	}
+	if _, err := frameSize(dst[l:]); err != nil {
+		return dst[:l], fmt.Errorf("wal: segment %d offset %d: %w", r.seq, r.off, err)
+	}
+	r.off += int64(n)
+	return dst, nil
+}
+
+// close counts the bytes read from the file and closes it.
+func (r *frameReader) close(o walObs) {
+	read, _ := r.sec.Seek(0, io.SeekCurrent)
+	o.streamReadBytes.Add(read)
+	r.f.Close()
 }
 
 // Snapshot opens the latest checkpoint for reading and returns the stream
@@ -274,20 +359,30 @@ func readSegIdx(dir string, seq uint64) (start, hash uint64, ok bool, err error)
 
 // frameSize validates one frame's header and checksum and returns its
 // full byte length, without decoding the payload document — the cheap
-// walk the stream reader uses to slice frames out of a segment.
+// check the stream reader applies to every frame it walks or ships.
 func frameSize(b []byte) (int, error) {
-	if len(b) < frameHeaderSize {
+	n, err := frameLen(b)
+	if err != nil {
+		return 0, err
+	}
+	if len(b) < n {
 		return 0, errTorn
 	}
-	n := int(uint32frame(b))
+	if err := verifyFrameChecksum(b[:n]); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// frameLen validates a frame header's length prefix and returns the full
+// frame length, so a reader knows how much to read before trusting it.
+func frameLen(hdr []byte) (int, error) {
+	if len(hdr) < frameHeaderSize {
+		return 0, errTorn
+	}
+	n := int(uint32frame(hdr))
 	if n == 0 || n > maxRecordSize {
 		return 0, fmt.Errorf("%w: implausible length prefix %d", errCorrupt, n)
-	}
-	if len(b) < frameHeaderSize+n {
-		return 0, errTorn
-	}
-	if err := verifyFrameChecksum(b[:frameHeaderSize+n]); err != nil {
-		return 0, err
 	}
 	return frameHeaderSize + n, nil
 }

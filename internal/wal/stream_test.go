@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/temporal"
 )
 
@@ -379,5 +387,412 @@ func TestLogIDStableAcrossReopen(t *testing.T) {
 	defer mgr3.Close()
 	if mgr3.LogID() == id {
 		t.Fatal("two distinct WAL directories share a log identity")
+	}
+}
+
+// oracleReadRecords is the full-scan stream read the sparse frame index
+// replaced: load the whole segment and walk every frame from its first
+// byte. The equivalence tests hold ReadRecords to it.
+func oracleReadRecords(mgr *Manager, from uint64, maxBytes int) ([]byte, uint64, error) {
+	mgr.mu.Lock()
+	segs := slices.Clone(mgr.segs)
+	next := mgr.next
+	mgr.mu.Unlock()
+
+	if from > next {
+		return nil, from, fmt.Errorf("wal: stream position %d is beyond the log end %d", from, next)
+	}
+	if from == next {
+		return nil, from, nil
+	}
+	if from < segs[0].start {
+		return nil, from, fmt.Errorf("%w (want %d, oldest on disk %d)", ErrTruncatedStream, from, segs[0].start)
+	}
+	var out []byte
+	cur := from
+	for i := segFor(segs, from); i < len(segs) && cur < next; i++ {
+		segEnd := next
+		if i+1 < len(segs) {
+			segEnd = segs[i+1].start
+		}
+		if cur >= segEnd {
+			continue
+		}
+		path := segmentPath(mgr.dir, segs[i].seq)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, from, err
+		}
+		off := 0
+		for skip := cur - segs[i].start; skip > 0; skip-- {
+			n, err := frameSize(data[off:])
+			if err != nil {
+				return nil, from, err
+			}
+			off += n
+		}
+		for cur < segEnd {
+			n, err := frameSize(data[off:])
+			if err != nil {
+				return nil, from, err
+			}
+			out = append(out, data[off:off+n]...)
+			off += n
+			cur++
+			if maxBytes > 0 && len(out) >= maxBytes {
+				return out, cur, nil
+			}
+		}
+	}
+	return out, cur, nil
+}
+
+// oraclePrefixHash is the full-scan PrefixHash: fold every checksum from
+// the segment's first record.
+func oraclePrefixHash(mgr *Manager, pos uint64) (uint64, error) {
+	mgr.mu.Lock()
+	segs := slices.Clone(mgr.segs)
+	next, end := mgr.next, mgr.hash
+	mgr.mu.Unlock()
+
+	if pos > next {
+		return 0, fmt.Errorf("wal: stream position %d is beyond the log end %d", pos, next)
+	}
+	if pos == next {
+		return end, nil
+	}
+	if pos < segs[0].start {
+		return 0, ErrTruncatedStream
+	}
+	seg := segs[segFor(segs, pos)]
+	path := segmentPath(mgr.dir, seg.seq)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	h, off := seg.hash, 0
+	for k := seg.start; k < pos; k++ {
+		n, err := frameSize(data[off:])
+		if err != nil {
+			return 0, err
+		}
+		h = ChainHash(h, FrameChecksum(data[off:off+n]))
+		off += n
+	}
+	return h, nil
+}
+
+// checkAgainstOracle compares ReadRecords at every retained position and
+// byte budget, and PrefixHash at every retained position, with the
+// full-scan oracle.
+func checkAgainstOracle(t *testing.T, mgr *Manager) {
+	t.Helper()
+	base, next := mgr.BaseIndex(), mgr.NextIndex()
+	if next-base < 2*markEvery {
+		t.Fatalf("only %d records retained; the check needs marks to seek to", next-base)
+	}
+	for from := base; from < next; from++ {
+		for _, maxBytes := range []int{0, 1, 200, 1 << 20} {
+			got, gotNext, err := mgr.ReadRecords(from, maxBytes)
+			want, wantNext, werr := oracleReadRecords(mgr, from, maxBytes)
+			if err != nil || werr != nil {
+				t.Fatalf("ReadRecords(%d, %d): %v; oracle: %v", from, maxBytes, err, werr)
+			}
+			if gotNext != wantNext || !bytes.Equal(got, want) {
+				t.Fatalf("ReadRecords(%d, %d) = %d bytes, next %d; oracle %d bytes, next %d",
+					from, maxBytes, len(got), gotNext, len(want), wantNext)
+			}
+		}
+	}
+	for pos := base; pos <= next; pos++ {
+		got, err := mgr.PrefixHash(pos)
+		want, werr := oraclePrefixHash(mgr, pos)
+		if err != nil || werr != nil || got != want {
+			t.Fatalf("PrefixHash(%d) = %016x, %v; oracle %016x, %v", pos, got, err, want, werr)
+		}
+	}
+	if base > 0 {
+		if _, _, err := mgr.ReadRecords(base-1, 0); !IsTruncatedStream(err) {
+			t.Fatalf("ReadRecords below the base: %v; want ErrTruncatedStream", err)
+		}
+		if _, err := mgr.PrefixHash(base - 1); !IsTruncatedStream(err) {
+			t.Fatalf("PrefixHash below the base: %v; want ErrTruncatedStream", err)
+		}
+	}
+}
+
+// TestStreamReadsMatchFullScan holds the indexed ReadRecords and
+// PrefixHash to the full-scan oracle wherever the marks come from:
+// appends into one segment, reads spanning a rotation, a mid-stream
+// checkpoint, marks rebuilt by recovery over a truncated torn tail,
+// appends after that recovery, and an adopted stream starting at a
+// position that is not a multiple of markEvery.
+func TestStreamReadsMatchFullScan(t *testing.T) {
+	dir := t.TempDir()
+	failSnapshot := false
+	opts := Options{NoSync: true, OpenFile: func(name string, flag int, perm os.FileMode) (File, error) {
+		if failSnapshot && filepath.Base(name) == checkpointTemp {
+			return nil, errors.New("injected snapshot failure")
+		}
+		return os.OpenFile(name, flag, perm)
+	}}
+	var st *graph.Store
+	var mgr *Manager
+	open := func() RecoveryStats {
+		t.Helper()
+		st = newTestStore(t)
+		m, stats, err := Open(dir, st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr = m
+		t.Cleanup(func() { m.Close() })
+		st.SetMutationHook(mgr.Append)
+		return stats
+	}
+	run := func(seed int64, n int) {
+		t.Helper()
+		if got := workload(t, st, st.Clock(), seed, n); got != n {
+			t.Fatalf("workload acked %d/%d mutations", got, n)
+		}
+	}
+	// A checkpoint whose snapshot fails has already rotated: the sealed
+	// segment stays on disk, so reads span the two.
+	rotateOnly := func() {
+		t.Helper()
+		failSnapshot = true
+		if err := mgr.Checkpoint(st); err == nil {
+			t.Fatal("checkpoint with a failing snapshot succeeded")
+		}
+		failSnapshot = false
+	}
+
+	open()
+	run(1, 150)
+	checkAgainstOracle(t, mgr)
+
+	rotateOnly()
+	run(2, 100)
+	checkAgainstOracle(t, mgr)
+
+	if err := mgr.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	run(3, 90)
+	rotateOnly()
+	run(4, 170)
+	if mgr.BaseIndex() != 250 {
+		t.Fatalf("BaseIndex = %d after the checkpoint; want 250", mgr.BaseIndex())
+	}
+	checkAgainstOracle(t, mgr)
+
+	// Tear the final record and recover: marks come from the replay scan.
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) != 2 {
+		t.Fatalf("segments before reopen: %v, %v; want two", seqs, err)
+	}
+	last := segmentPath(dir, seqs[1])
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	if stats := open(); !stats.TailTruncated {
+		t.Fatalf("recovery stats %+v; want a truncated tail", stats)
+	}
+	if mgr.NextIndex() != 509 {
+		t.Fatalf("NextIndex after recovery = %d; want 509", mgr.NextIndex())
+	}
+	checkAgainstOracle(t, mgr)
+	run(5, 80)
+	checkAgainstOracle(t, mgr)
+
+	t.Run("adopted stream", func(t *testing.T) {
+		ast := newTestStore(t)
+		amgr, _, err := Open(t.TempDir(), ast, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer amgr.Close()
+		if err := amgr.AdoptStream(strings.Repeat("cd", 16), 1000, 2, 0xfeed); err != nil {
+			t.Fatal(err)
+		}
+		ast.SetMutationHook(amgr.Append)
+		if got := workload(t, ast, ast.Clock(), 6, 150); got != 150 {
+			t.Fatalf("workload acked %d/150 mutations", got)
+		}
+		checkAgainstOracle(t, amgr)
+	})
+}
+
+// TestStreamReadsDuringAppends reads and hashes random positions while
+// another goroutine appends and checkpoints, so the race detector sees
+// readers indexing copied marks while Append extends them; every sample
+// must agree with the oracle over the final log.
+func TestStreamReadsDuringAppends(t *testing.T) {
+	f := newStreamFixture(t)
+	f.run(1, 30)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if got := workload(t, f.st, f.clock, 2, 300); got != 300 {
+			t.Errorf("workload acked %d/300 mutations", got)
+		}
+		if err := f.mgr.Checkpoint(f.st); err != nil {
+			t.Error(err)
+		}
+		if got := workload(t, f.st, f.clock, 3, 300); got != 300 {
+			t.Errorf("workload acked %d/300 mutations", got)
+		}
+	}()
+
+	type sample struct {
+		from, next uint64
+		batch      []byte
+		hash       uint64
+	}
+	var samples []sample
+	rng := rand.New(rand.NewSource(1))
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		base, next := f.mgr.BaseIndex(), f.mgr.NextIndex()
+		if next == base {
+			continue
+		}
+		from := base + uint64(rng.Int63n(int64(next-base)))
+		batch, end, err := f.mgr.ReadRecords(from, []int{0, 200}[rng.Intn(2)])
+		if IsTruncatedStream(err) {
+			continue // a checkpoint contracted the position meanwhile
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := f.mgr.PrefixHash(end)
+		if IsTruncatedStream(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) < 400 {
+			samples = append(samples, sample{from: from, next: end, batch: batch, hash: hash})
+		}
+	}
+
+	checked := 0
+	for _, s := range samples {
+		if s.from < f.mgr.BaseIndex() {
+			continue
+		}
+		want, _, err := oracleReadRecords(f.mgr, s.from, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(want, s.batch) {
+			t.Fatalf("batch read at %d during appends is not a prefix of the final log", s.from)
+		}
+		frames := 0
+		for b := s.batch; len(b) > 0; frames++ {
+			n, err := frameSize(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = b[n:]
+		}
+		if uint64(frames) != s.next-s.from {
+			t.Fatalf("batch at %d holds %d frames but advanced to %d", s.from, frames, s.next)
+		}
+		if h, err := oraclePrefixHash(f.mgr, s.next); err != nil || h != s.hash {
+			t.Fatalf("PrefixHash(%d) during appends = %016x; oracle over the final log %016x, %v", s.next, s.hash, h, err)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no sample read during the appends survived the checkpoint")
+	}
+	t.Logf("%d of %d samples read during the appends checked against the final log", checked, len(samples))
+	checkAgainstOracle(t, f.mgr)
+}
+
+// TestReadRecordsCostFollowsResult pins the sparse index's gain: reading
+// or hashing one record near the end of the active segment allocates the
+// same whether the segment holds 1k or 16k records, and well under a
+// whole-segment read.
+func TestReadRecordsCostFollowsResult(t *testing.T) {
+	f := newStreamFixture(t)
+	insertHosts := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := f.st.InsertNode("Host", graph.Fields{"id": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// bytesPerCall is the heap allocated per call, averaged over runs.
+	bytesPerCall := func(call func() error) float64 {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_ = call() // checked above
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	measure := func() (read, hash float64) {
+		next := f.mgr.NextIndex()
+		read = bytesPerCall(func() error { _, _, err := f.mgr.ReadRecords(next-1, 0); return err })
+		hash = bytesPerCall(func() error { _, err := f.mgr.PrefixHash(next - 1); return err })
+		return read, hash
+	}
+
+	// Both sizes are multiples of markEvery, so each read walks the
+	// longest run of frames from a mark.
+	insertHosts(0, 1<<10)
+	read1k, hash1k := measure()
+	insertHosts(1<<10, 1<<14)
+	read16k, hash16k := measure()
+	t.Logf("bytes allocated per call at 1k / 16k records: ReadRecords %.0f / %.0f, PrefixHash %.0f / %.0f",
+		read1k, read16k, hash1k, hash16k)
+	for _, c := range []struct {
+		name       string
+		small, big float64
+	}{{"ReadRecords", read1k, read16k}, {"PrefixHash", hash1k, hash16k}} {
+		if ratio := max(c.small, c.big) / min(c.small, c.big); ratio > 1.5 {
+			t.Errorf("%s of the last record allocates %.0f B at 1k records and %.0f B at 16k (%.2fx); want within 1.5x",
+				c.name, c.small, c.big, ratio)
+		}
+		if c.big >= 64<<10 {
+			t.Errorf("%s of the last record allocates %.0f B at 16k records; want under 64 KB", c.name, c.big)
+		}
+	}
+
+	// wal.stream_read_bytes counts what the read took off the disk: the
+	// frames from the nearest mark to the durable end, not the segment.
+	reg := obs.NewRegistry()
+	f.mgr.Instrument(reg)
+	next := f.mgr.NextIndex()
+	if _, _, err := f.mgr.ReadRecords(next-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.mgr.mu.Lock()
+	_, off, _ := f.mgr.segs[len(f.mgr.segs)-1].markAt(next - 1)
+	size := f.mgr.size
+	f.mgr.mu.Unlock()
+	if got := reg.Counter("wal.stream_read_bytes").Value(); got != size-off {
+		t.Errorf("wal.stream_read_bytes = %d after one read of the last record; want %d, the bytes from its mark (segment %d bytes)",
+			got, size-off, size)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -123,6 +124,21 @@ type walObs struct {
 	fsyncMS      *obs.Histogram
 	checkpoints  *obs.Counter
 	checkpointMS *obs.Histogram
+	// streamReadBytes counts the segment bytes ReadRecords and PrefixHash
+	// read: beside appendBytes, it shows whether readers re-read the log.
+	streamReadBytes *obs.Counter
+}
+
+// markEvery is the spacing, in records, of a segment's sparse frame
+// index: a stream read seeks to the nearest mark and walks fewer than
+// markEvery frames to reach its position.
+const markEvery = 64
+
+// mark locates record start+k·markEvery of a segment (k ≥ 1): its byte
+// offset in the file and the chained prefix hash before it.
+type mark struct {
+	off  int64
+	hash uint64
 }
 
 // segMeta is the in-memory index of one on-disk segment: its sequence
@@ -139,6 +155,35 @@ type segMeta struct {
 	// sidecar beside start, so lineage comparisons survive checkpoints
 	// deleting the earlier segments the chain ran over.
 	hash uint64
+	// end is the byte length of a sealed segment; the active segment's is
+	// the Manager's size.
+	end int64
+	// marks is the sparse frame index, one entry per markEvery records
+	// (the segment start is the implicit mark 0). It is rebuilt by the
+	// recovery scan and extended by Append, and only ever appended to, so
+	// a reader holding a copied slice header may index below its length
+	// while appends continue.
+	marks []mark
+}
+
+// advance records that the segment's records now end at stream position
+// pos, byte offset off, with chain hash hash there, keeping a mark every
+// markEvery records.
+func (s *segMeta) advance(pos uint64, off int64, hash uint64) {
+	if (pos-s.start)%markEvery == 0 {
+		s.marks = append(s.marks, mark{off: off, hash: hash})
+	}
+}
+
+// markAt returns the nearest mark at or before stream position pos, which
+// must lie in the segment: the mark's position, byte offset and hash.
+func (s *segMeta) markAt(pos uint64) (at uint64, off int64, hash uint64) {
+	k := min((pos-s.start)/markEvery, uint64(len(s.marks)))
+	if k == 0 {
+		return s.start, 0, s.hash
+	}
+	m := s.marks[k-1]
+	return s.start + k*markEvery, m.off, m.hash
 }
 
 // Manager is an open write-ahead log bound to one directory. Its Append
@@ -226,23 +271,15 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 		return nil, stats, err
 	}
 	stats.Segments = len(seqs)
-	crcs := make([][]uint32, len(seqs))
-	for i, seq := range seqs {
-		c, err := replaySegment(dir, seq, i == len(seqs)-1, st, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		crcs[i] = c
-	}
 
-	// Reconstruct each segment's global start index and prefix-hash chain
-	// state: trust the ".idx" sidecar when present (it survives
-	// checkpoints deleting earlier segments — for the oldest on-disk
-	// segment it is the only source), and derive by chaining record
-	// counts/CRCs when not (a segment never rotated to or adopted, or a
-	// sidecar lost to a crash mid-rotation; safe because the one sidecar
-	// that is ever load-bearing, the rotated segment's, is made durable
-	// inside Checkpoint before its predecessors are pruned, so a
+	// Replay each segment in order, reconstructing its global start index
+	// and prefix-hash chain state: trust the ".idx" sidecar when present
+	// (it survives checkpoints deleting earlier segments — for the oldest
+	// on-disk segment it is the only source), and derive by chaining
+	// record counts/CRCs when not (a segment never rotated to or adopted,
+	// or a sidecar lost to a crash mid-rotation; safe because the one
+	// sidecar that is ever load-bearing, the rotated segment's, is made
+	// durable inside Checkpoint before its predecessors are pruned, so a
 	// sidecar-less oldest segment always starts the stream at zero).
 	segs := make([]segMeta, len(seqs))
 	var start uint64
@@ -264,29 +301,20 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 			start, hash = s, h
 		}
 		segs[i] = segMeta{seq: seq, start: start, hash: hash}
-		start += uint64(len(crcs[i]))
-		for _, crc := range crcs[i] {
-			hash = ChainHash(hash, crc)
+		if start, hash, err = replaySegment(dir, i == len(seqs)-1, st, &stats, &segs[i]); err != nil {
+			return nil, stats, err
 		}
 	}
 
-	seq := uint64(1)
-	if n := len(seqs); n > 0 {
-		seq = seqs[n-1]
-	} else {
-		segs = []segMeta{{seq: seq, start: 0, hash: PrefixHashSeed}}
-		hash = PrefixHashSeed
+	if len(segs) == 0 {
+		segs = []segMeta{{seq: 1, start: 0, hash: PrefixHashSeed}}
 	}
-	path := segmentPath(dir, seq)
-	f, err := opts.open(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND)
+	active := segs[len(segs)-1]
+	f, err := opts.open(segmentPath(dir, active.seq), os.O_WRONLY|os.O_CREATE|os.O_APPEND)
 	if err != nil {
 		return nil, stats, fmt.Errorf("wal: opening active segment: %w", err)
 	}
-	size := int64(0)
-	if fi, err := os.Stat(path); err == nil {
-		size = fi.Size()
-	}
-	return &Manager{dir: dir, opts: opts, f: f, seq: seq, size: size, stats: stats,
+	return &Manager{dir: dir, opts: opts, f: f, seq: active.seq, size: active.end, stats: stats,
 		segs: segs, next: start, hash: hash, epoch: epoch,
 		notify: make(chan struct{}), logID: logID}, stats, nil
 }
@@ -314,47 +342,51 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// replaySegment applies one segment's records to the store, returning
-// the stored CRC of each record the segment holds (after any tail
-// truncation) — the inputs the prefix-hash chain is rebuilt from. A torn
-// or corrupt record in the final segment is the crash tail: the file is
-// truncated at the first bad record and replay stops there. The same
-// damage in an earlier segment cannot be a crash artifact (segments are
-// synced before rotation) and is reported as an error.
-func replaySegment(dir string, seq uint64, last bool, st *graph.Store, stats *RecoveryStats) ([]uint32, error) {
-	path := segmentPath(dir, seq)
+// replaySegment applies one segment's records to the store, starting
+// from seg's start index and chain hash, and completes seg from the same
+// scan: its byte end (after any tail truncation) and its marks. It
+// returns the stream index and prefix hash after the segment's last
+// record. A torn or corrupt record in the final segment is the crash
+// tail: the file is truncated at the first bad record and replay stops
+// there. The same damage in an earlier segment cannot be a crash artifact
+// (segments are synced before rotation) and is reported as an error.
+func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats, seg *segMeta) (next, hash uint64, err error) {
+	path := segmentPath(dir, seg.seq)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: reading segment %d: %w", seq, err)
+		return 0, 0, fmt.Errorf("wal: reading segment %d: %w", seg.seq, err)
 	}
+	next, hash = seg.start, seg.hash
 	off := 0
-	var crcs []uint32
 	for off < len(data) {
 		m, n, err := decodeRecord(data[off:])
 		if err != nil {
 			if !last || !(errors.Is(err, errTorn) || errors.Is(err, errCorrupt)) {
-				return crcs, fmt.Errorf("wal: segment %d offset %d: %w", seq, off, err)
+				return 0, 0, fmt.Errorf("wal: segment %d offset %d: %w", seg.seq, off, err)
 			}
 			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return crcs, fmt.Errorf("wal: truncating torn tail of segment %d at %d: %w", seq, off, terr)
+				return 0, 0, fmt.Errorf("wal: truncating torn tail of segment %d at %d: %w", seg.seq, off, terr)
 			}
 			stats.TailTruncated = true
 			stats.DroppedBytes = int64(len(data) - off)
-			return crcs, nil
+			break
 		}
 		applied, err := st.ApplyMutation(m)
 		if err != nil {
-			return crcs, fmt.Errorf("wal: replaying segment %d offset %d: %w", seq, off, err)
+			return 0, 0, fmt.Errorf("wal: replaying segment %d offset %d: %w", seg.seq, off, err)
 		}
 		if applied {
 			stats.RecordsApplied++
 		} else {
 			stats.RecordsSkipped++
 		}
-		crcs = append(crcs, FrameChecksum(data[off:off+n]))
+		hash = ChainHash(hash, FrameChecksum(data[off:off+n]))
 		off += n
+		next++
+		seg.advance(next, int64(off), hash)
 	}
-	return crcs, nil
+	seg.end = int64(off)
+	return next, hash, nil
 }
 
 // Append logs one mutation, making it durable before the store applies
@@ -410,8 +442,12 @@ func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
 	}
 	o.appends.Add(1)
 	o.appendBytes.Add(int64(n))
+	// Only a durable append reaches here, so a rolled-back one never
+	// leaves a mark.
+	hash := ChainHash(mgr.hash, FrameChecksum(frame))
+	mgr.segs[len(mgr.segs)-1].advance(mgr.next+1, mgr.size, hash)
 	mgr.next++
-	mgr.hash = ChainHash(mgr.hash, FrameChecksum(frame))
+	mgr.hash = hash
 	// Wake long-poll stream readers: the closed channel is the broadcast,
 	// a fresh one arms the next wait.
 	close(mgr.notify)
@@ -472,6 +508,7 @@ func (mgr *Manager) Checkpoint(st *graph.Store) error {
 		return fmt.Errorf("wal: opening rotated segment: %w", err)
 	}
 	mgr.f = f
+	mgr.segs[len(mgr.segs)-1].end = mgr.size
 	mgr.size = 0
 	mgr.segs = append(mgr.segs, segMeta{seq: mgr.seq, start: mgr.next, hash: mgr.hash})
 	mgr.mu.Unlock()
@@ -493,9 +530,12 @@ func (mgr *Manager) Checkpoint(st *graph.Store) error {
 		}
 	}
 	mgr.mu.Lock()
-	for len(mgr.segs) > 0 && mgr.segs[0].seq <= sealed {
-		mgr.segs = mgr.segs[1:]
+	pruned := 0
+	for pruned < len(mgr.segs) && mgr.segs[pruned].seq <= sealed {
+		pruned++
 	}
+	// Delete rather than reslice, so the pruned segments' marks are freed.
+	mgr.segs = slices.Delete(mgr.segs, 0, pruned)
 	o := mgr.o
 	mgr.mu.Unlock()
 	o.checkpoints.Add(1)
@@ -582,9 +622,10 @@ func (mgr *Manager) Size() int64 {
 func (mgr *Manager) RecoveryStats() RecoveryStats { return mgr.stats }
 
 // Instrument attaches a metrics registry: appends, appended bytes, fsyncs,
-// append errors, checkpoints, and checkpoint duration are recorded under
-// "wal.*" names, and the recovery outcome counters are published once at
-// attach time. A nil registry detaches.
+// append errors, checkpoints, checkpoint duration, and the segment bytes
+// stream reads take off the disk are recorded under "wal.*" names, and
+// the recovery outcome counters are published once at attach time. A nil
+// registry detaches.
 func (mgr *Manager) Instrument(reg *obs.Registry) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
@@ -593,13 +634,14 @@ func (mgr *Manager) Instrument(reg *obs.Registry) {
 		return
 	}
 	mgr.o = walObs{
-		appends:      reg.Counter("wal.appends"),
-		appendBytes:  reg.Counter("wal.append_bytes"),
-		appendErrors: reg.Counter("wal.append_errors"),
-		fsyncs:       reg.Counter("wal.fsyncs"),
-		fsyncMS:      reg.Histogram("wal.fsync_ms"),
-		checkpoints:  reg.Counter("wal.checkpoints"),
-		checkpointMS: reg.Histogram("wal.checkpoint_ms"),
+		appends:         reg.Counter("wal.appends"),
+		appendBytes:     reg.Counter("wal.append_bytes"),
+		appendErrors:    reg.Counter("wal.append_errors"),
+		fsyncs:          reg.Counter("wal.fsyncs"),
+		fsyncMS:         reg.Histogram("wal.fsync_ms"),
+		checkpoints:     reg.Counter("wal.checkpoints"),
+		checkpointMS:    reg.Histogram("wal.checkpoint_ms"),
+		streamReadBytes: reg.Counter("wal.stream_read_bytes"),
 	}
 	reg.GaugeFunc("wal.next_index", func() float64 { return float64(mgr.NextIndex()) })
 	reg.GaugeFunc("wal.base_index", func() float64 { return float64(mgr.BaseIndex()) })

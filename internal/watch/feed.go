@@ -59,14 +59,14 @@ func (f *WALFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error) {
 	if maxEvents <= 0 {
 		maxEvents = defaultMaxEvents
 	}
-	raw, _, err := f.mgr.ReadRecords(from, readBudgetBytes)
+	raw, next, err := f.mgr.ReadRecords(from, readBudgetBytes)
 	if err != nil {
 		if wal.IsTruncatedStream(err) {
 			return nil, from, &CompactedError{Base: f.mgr.BaseIndex()}
 		}
 		return nil, from, err
 	}
-	events := make([]Event, 0, min(maxEvents, 64))
+	events := make([]Event, 0, min(next-from, uint64(maxEvents)))
 	idx := from
 	for len(raw) > 0 && len(events) < maxEvents {
 		m, n, err := wal.DecodeRecord(raw)
@@ -165,6 +165,11 @@ func (ff *FollowerFeed) append(ev Event) {
 		ff.base += uint64(drop)
 		ff.events = append(ff.events[:0], ff.events[drop:]...)
 	}
+	ff.broadcast()
+}
+
+// broadcast wakes Changed waiters; callers hold ff.mu.
+func (ff *FollowerFeed) broadcast() {
 	close(ff.notify)
 	ff.notify = make(chan struct{})
 }
@@ -185,7 +190,10 @@ func (ff *FollowerFeed) pumpWAL() {
 	}
 }
 
-// syncWAL reads any WAL records past the ring end into the ring.
+// syncWAL reads any WAL records past the ring end into the ring. When a
+// checkpoint has contracted the ring end away (the pump fell behind it),
+// the ring restarts at the WAL's base, the rule Observe applies to a
+// snapshot jump: the skipped prefix becomes compacted history.
 func (ff *FollowerFeed) syncWAL() {
 	if !ff.f.Promoted() {
 		return
@@ -194,10 +202,23 @@ func (ff *FollowerFeed) syncWAL() {
 		ff.mu.Lock()
 		from := ff.base + uint64(len(ff.events))
 		ff.mu.Unlock()
-		if ff.mgr.NextIndex() <= from || ff.mgr.BaseIndex() > from {
+		if ff.mgr.NextIndex() <= from {
 			return
 		}
 		raw, _, err := ff.mgr.ReadRecords(from, readBudgetBytes)
+		if wal.IsTruncatedStream(err) {
+			base := ff.mgr.BaseIndex()
+			if base <= from {
+				// The segment went before the checkpoint pruned its index
+				// entry; the next append retries.
+				return
+			}
+			ff.mu.Lock()
+			ff.base, ff.events = base, ff.events[:0]
+			ff.broadcast()
+			ff.mu.Unlock()
+			continue
+		}
 		if err != nil || len(raw) == 0 {
 			return
 		}

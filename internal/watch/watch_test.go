@@ -204,6 +204,50 @@ func TestFollowerFeedRing(t *testing.T) {
 	}
 }
 
+// TestPromotedFeedSurvivesCheckpoint: a promoted replica's feed pump
+// that falls behind a checkpoint must restart its ring at the WAL's base
+// and keep reading, not stall at the contracted position forever.
+func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
+	db := openWALDB(t)
+	f := repl.NewFollower(db.Store(), db.WAL(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
+	// No pump goroutine: syncWAL is driven by hand below.
+	feed := NewFollowerFeed(f, db.Store(), nil, 0)
+	feed.mgr = db.WAL()
+	defer feed.Close()
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		insertHost(t, db, i, "pre-checkpoint")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(3); i < 5; i++ {
+		insertHost(t, db, i, "post-checkpoint")
+	}
+
+	feed.syncWAL()
+	mgr := db.WAL()
+	if feed.BaseIndex() != mgr.BaseIndex() || feed.NextIndex() != mgr.NextIndex() {
+		t.Fatalf("wal base %d next %d; feed base %d next %d",
+			mgr.BaseIndex(), mgr.NextIndex(), feed.BaseIndex(), feed.NextIndex())
+	}
+	events, _, err := feed.Read(feed.BaseIndex(), 0)
+	if err != nil || len(events) != 2 || events[0].Index != mgr.BaseIndex() {
+		t.Fatalf("read after the reset: %+v, %v; want the two post-checkpoint events", events, err)
+	}
+	if _, _, err := feed.Read(0, 0); !IsCompacted(err) {
+		t.Fatalf("read of a contracted position: %v; want compacted", err)
+	}
+
+	insertHost(t, db, 5, "later")
+	feed.syncWAL()
+	if feed.NextIndex() != mgr.NextIndex() {
+		t.Fatalf("feed next %d after a later append; wal next %d", feed.NextIndex(), mgr.NextIndex())
+	}
+}
+
 // TestStandingQueryIncrementality is the footprint-filter proof: a
 // mutation outside a standing query's class footprint triggers zero
 // re-evaluations (watch.standing.skipped advances instead), and one
