@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench-e2e bench-pairs chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet fmt test test-race bench-e2e bench-pairs chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -114,7 +114,8 @@ func main() {
 func printPhys(physical *core.DB, res *exec.Result) {
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
-		line := physical.RenderPath(row.Bindings["Phys"])
+		phys, _ := row.Binding("Phys")
+		line := physical.RenderPath(phys)
 		if !seen[line] {
 			seen[line] = true
 			fmt.Println("  " + line)

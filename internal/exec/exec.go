@@ -128,7 +128,7 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 }
 
 func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
-	rows, perVarTimes, err := x.rows(a, nil, rc)
+	sl, rows, err := x.rows(a, nil, workRow{}, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 		rc.span.AddRows(0, int64(len(rows)))
 	}
 	if a.Query.Agg != query.AggNone {
-		res.Agg = aggregate(a.Query, rows, perVarTimes)
+		res.Agg = aggregate(a.Query, rows, sl.perVar)
 		return res, nil
 	}
 	for _, t := range a.Query.Projs {
@@ -146,11 +146,11 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 	// Pathway-set aggregation: count(P) counts distinct pathways bound to
 	// the variable across the result rows and collapses to a single row.
 	if len(a.Query.Projs) > 0 && a.Query.Projs[0].Fn == query.FnCount {
-		out := Row{Bindings: map[string]plan.Pathway{}}
+		var out Row
 		for _, t := range a.Query.Projs {
 			distinct := map[string]bool{}
 			for _, row := range rows {
-				if p, ok := row.bind[t.Var]; ok {
+				if p, ok := sl.lookup(t.Var, row.bind); ok {
 					distinct[p.Key()] = true
 				}
 			}
@@ -159,45 +159,81 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 		res.Rows = append(res.Rows, out)
 		return res, nil
 	}
-	if len(rows) > 0 {
-		res.Rows = make([]Row, 0, len(rows))
+	if len(rows) == 0 {
+		return res, nil
 	}
-	for _, row := range rows {
-		out := Row{Bindings: row.bind, Coexist: row.coexist, VarTimes: row.varTimes}
-		for _, t := range a.Query.Projs {
-			v, err := x.termValue(a, t, row)
+	// One slab backs every row's Values.
+	n := len(a.Query.Projs)
+	vals := make([]any, len(rows)*n)
+	res.Rows = make([]Row, len(rows))
+	for i, row := range rows {
+		out := Row{Values: vals[i*n : (i+1)*n : (i+1)*n], Coexist: row.coexist, bind: row.bind, slots: sl}
+		for j, t := range a.Query.Projs {
+			v, err := x.termValue(a, t, sl, row)
 			if err != nil {
 				return nil, err
 			}
-			out.Values = append(out.Values, v)
+			out.Values[j] = v
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[i] = out
 	}
 	return res, nil
 }
 
-// workRow is a candidate tuple during join processing.
-type workRow struct {
-	bind     map[string]plan.Pathway
-	views    map[string]graph.View
-	coexist  temporal.Set            // query-level time semantics only
-	varTimes map[string]temporal.Set // per-variable time bindings only
+// slots names the binding slots of one query level. Slot i of every
+// tuple binds names[i], found in views[i]; a tuple holds only the slots
+// bound so far, in evaluation order. A correlated subquery's slots
+// extend the outer tuple's, so lookup, which scans from the end, finds a
+// subquery variable before an outer one of the same name.
+type slots struct {
+	names  []string
+	views  []graph.View
+	perVar bool // variables carry their own time bindings
 }
 
-// rows materializes the joined tuples of a query. outer supplies bindings
-// for correlated subqueries.
-func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRow, bool, error) {
-	q := a.Query
-	perVarTimes := hasPerVarTimes(q)
-
-	views := make(map[string]graph.View, len(q.Vars))
-	for _, rv := range q.Vars {
-		views[rv.Name] = x.viewFor(rv.Name, q, rv.At)
+// slot returns the index of name among bind's slots, or -1 when unbound.
+func (sl *slots) slot(name string, bind []plan.Pathway) int {
+	for i := len(bind) - 1; i >= 0; i-- {
+		if sl.names[i] == name {
+			return i
+		}
 	}
+	return -1
+}
 
+// lookup returns the pathway bound to name in bind.
+func (sl *slots) lookup(name string, bind []plan.Pathway) (plan.Pathway, bool) {
+	if i := sl.slot(name, bind); i >= 0 {
+		return bind[i], true
+	}
+	return plan.Pathway{}, false
+}
+
+// workRow is a candidate tuple during join processing.
+type workRow struct {
+	bind    []plan.Pathway // by slot; carved from its evaluation step's slab
+	coexist temporal.Set   // query-level time semantics only
+}
+
+// rows materializes the joined tuples of a query and the slots they bind.
+// outer and outerRow supply the bindings of a correlated subquery's
+// enclosing tuple; outer is nil at the top level.
+func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow workRow, rc *runCtx) (*slots, []workRow, error) {
+	q := a.Query
 	order, err := x.evalOrder(a)
 	if err != nil {
-		return nil, perVarTimes, err
+		return nil, nil, err
+	}
+	base := len(outerRow.bind)
+	sl := &slots{perVar: hasPerVarTimes(q)}
+	if outer != nil {
+		sl.names = append(sl.names, outer.names[:base]...)
+		sl.views = append(sl.views, outer.views[:base]...)
+	}
+	for _, step := range order {
+		rv, _ := q.Var(step.name)
+		sl.names = append(sl.names, step.name)
+		sl.views = append(sl.views, x.viewFor(step.name, q, rv.At))
 	}
 
 	joins, subNE := splitPreds(a)
@@ -205,44 +241,38 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 	// Evaluate variables in order, growing the tuple set and applying join
 	// predicates as soon as both sides are bound (pushing selections into
 	// the nested-loops join).
-	tuples := []workRow{{bind: map[string]plan.Pathway{}, views: views, varTimes: map[string]temporal.Set{}}}
-	if outer != nil {
-		for name, p := range outer.bind {
-			tuples[0].bind[name] = p
-		}
-		for name, v := range outer.views {
-			if _, shadowed := views[name]; !shadowed {
-				tuples[0].views[name] = v
-			}
-		}
-	}
-
-	for _, step := range order {
+	tuples := []workRow{outerRow}
+	for k, step := range order {
+		width := base + k + 1
+		view := sl.views[width-1]
 		var next []workRow
 		for _, tup := range tuples {
 			// Checkpoint between tuple evaluations: a canceled query stops
 			// growing the join instead of finishing the nested loop.
 			if err := rc.gov.Check(); err != nil {
-				return nil, perVarTimes, err
+				return nil, nil, err
 			}
-			paths, err := x.evalVar(a, step, views[step.name], tup, rc)
+			paths, err := x.evalVar(a, step, view, sl, tup, rc)
 			if err != nil {
-				return nil, perVarTimes, err
+				return nil, nil, err
 			}
 			if next == nil && len(paths) > 0 {
 				// Exact for the first (often only) tuple; later ones append.
 				next = make([]workRow, 0, len(paths))
 			}
+			// One slab holds every new tuple's slots: the parent's, then
+			// the pathway just bound. A tuple the joins reject gives its
+			// slots back to the next one.
+			slab := make([]plan.Pathway, 0, len(paths)*width)
 			for _, p := range paths {
-				nt := workRow{bind: cloneBind(tup.bind), views: tup.views}
-				nt.bind[step.name] = p
-				if perVarTimes {
-					nt.varTimes = cloneTimes(tup.varTimes)
-					nt.varTimes[step.name] = p.Validity
+				at := len(slab)
+				slab = append(append(slab, tup.bind...), p)
+				nt := workRow{bind: slab[at:len(slab):len(slab)]}
+				if !x.joinsSatisfied(a, joins, sl, nt) {
+					slab = slab[:at]
+					continue
 				}
-				if x.joinsSatisfied(a, joins, nt) {
-					next = append(next, nt)
-				}
+				next = append(next, nt)
 			}
 		}
 		tuples = next
@@ -250,11 +280,11 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 
 	// Temporal row semantics: with query-level time, all pathways in a row
 	// must coexist and the row reports the maximal coexistence ranges.
-	if !perVarTimes {
+	if !sl.perVar {
 		window := x.windowFor(q)
 		kept := tuples[:0] // filtered in place
 		for _, tup := range tuples {
-			co := coexistence(q, tup)
+			co := coexistence(q, sl, tup)
 			if co.IsEmpty() {
 				continue
 			}
@@ -269,12 +299,12 @@ func (x *Executor) rows(a *query.Analyzed, outer *workRow, rc *runCtx) ([]workRo
 
 	// NOT EXISTS subqueries.
 	for _, sub := range subNE {
-		tuples, err = x.applyNotExists(sub, tuples, rc)
+		tuples, err = x.applyNotExists(sub, sl, tuples, rc)
 		if err != nil {
-			return nil, perVarTimes, err
+			return nil, nil, err
 		}
 	}
-	return tuples, perVarTimes, nil
+	return sl, tuples, nil
 }
 
 // evalStep is one variable evaluation with its chosen strategy.
@@ -386,12 +416,12 @@ func (x *Executor) findSeed(a *query.Analyzed, name string, placed map[string]bo
 // query's governor and trace threaded through, folding the evaluation's
 // metrics into the run context. An engine error fails the query with that
 // error.
-func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, tup workRow, rc *runCtx) ([]plan.Pathway, error) {
+func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl *slots, tup workRow, rc *runCtx) ([]plan.Pathway, error) {
 	rc.plans[step.name] = step.plan
 	eng := x.engineFor(step.name)
 	opts := plan.EvalOpts{Gov: rc.gov, TraceParent: rc.varSpan(step.name)}
 	if step.seeded {
-		seeds, err := x.seedsFor(step, tup, eng)
+		seeds, err := x.seedsFor(step, sl, tup, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -409,8 +439,8 @@ func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, tu
 // eng: the joined variable's endpoint in this tuple, translated into
 // eng's store when the stores differ (identity crosses via the unique
 // id field).
-func (x *Executor) seedsFor(step evalStep, tup workRow, eng *plan.Engine) ([]graph.UID, error) {
-	seedPath, ok := tup.bind[step.seedVar]
+func (x *Executor) seedsFor(step evalStep, sl *slots, tup workRow, eng *plan.Engine) ([]graph.UID, error) {
+	seedPath, ok := sl.lookup(step.seedVar, tup.bind)
 	if !ok {
 		return nil, fmt.Errorf("exec: internal: seed variable %q not bound", step.seedVar)
 	}
@@ -487,17 +517,13 @@ func translateSeed(from, to *graph.Store, seed graph.UID) ([]graph.UID, error) {
 
 // joinsSatisfied applies all join predicates whose variables are bound in
 // the tuple (just-bound variable included).
-func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, tup workRow) bool {
-	isBound := func(v string) bool {
-		_, ok := tup.bind[v]
-		return ok
-	}
+func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, sl *slots, tup workRow) bool {
 	for _, jp := range joins {
-		if !isBound(jp.Left.Var) || !isBound(jp.Right.Var) {
+		if sl.slot(jp.Left.Var, tup.bind) < 0 || sl.slot(jp.Right.Var, tup.bind) < 0 {
 			continue
 		}
-		lv, lerr := x.joinValue(a, jp.Left, tup)
-		rv, rerr := x.joinValue(a, jp.Right, tup)
+		lv, lerr := x.joinValue(a, jp.Left, sl, tup)
+		rv, rerr := x.joinValue(a, jp.Right, sl, tup)
 		if lerr != nil || rerr != nil {
 			return false
 		}
@@ -511,11 +537,12 @@ func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, tu
 
 // joinValue computes a join term's comparable value: the endpoint node's
 // unique id (store-independent identity), a field value, or the length.
-func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any, error) {
-	p, ok := tup.bind[t.Var]
-	if !ok {
+func (x *Executor) joinValue(a *query.Analyzed, t query.Term, sl *slots, tup workRow) (any, error) {
+	i := sl.slot(t.Var, tup.bind)
+	if i < 0 {
 		return nil, fmt.Errorf("exec: unbound variable %q", t.Var)
 	}
+	p := tup.bind[i]
 	if t.Fn == query.FnLen {
 		return int64(p.Hops()), nil
 	}
@@ -523,10 +550,7 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any,
 	if t.Fn == query.FnTarget {
 		node = p.Target()
 	}
-	view, ok := tup.views[t.Var]
-	if !ok {
-		view = graph.CurrentView(x.engineFor(t.Var).Accessor().Store())
-	}
+	view := sl.views[i]
 	st := view.Store()
 	obj := st.Object(node)
 	if obj == nil {
@@ -544,18 +568,19 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, tup workRow) (any,
 }
 
 // termValue computes a projection value for a finished row.
-func (x *Executor) termValue(a *query.Analyzed, t query.Term, row workRow) (any, error) {
+func (x *Executor) termValue(a *query.Analyzed, t query.Term, sl *slots, row workRow) (any, error) {
 	if t.Fn == query.FnNone {
-		return row.bind[t.Var], nil
+		p, _ := sl.lookup(t.Var, row.bind)
+		return p, nil
 	}
-	return x.joinValue(a, t, row)
+	return x.joinValue(a, t, sl, row)
 }
 
 // applyNotExists filters tuples through one NOT EXISTS subquery.
-func (x *Executor) applyNotExists(sub *query.Analyzed, tuples []workRow, rc *runCtx) ([]workRow, error) {
+func (x *Executor) applyNotExists(sub *query.Analyzed, sl *slots, tuples []workRow, rc *runCtx) ([]workRow, error) {
 	var kept []workRow
 	for _, tup := range tuples {
-		subRows, _, err := x.rows(sub, &tup, rc)
+		_, subRows, err := x.rows(sub, sl, tup, rc)
 		if err != nil {
 			return nil, err
 		}
@@ -610,11 +635,11 @@ func (x *Executor) windowFor(q *query.Query) temporal.Interval {
 }
 
 // coexistence intersects all bound pathway validities of a row.
-func coexistence(q *query.Query, tup workRow) temporal.Set {
+func coexistence(q *query.Query, sl *slots, tup workRow) temporal.Set {
 	var co temporal.Set
 	first := true
 	for _, rv := range q.Vars {
-		p, ok := tup.bind[rv.Name]
+		p, ok := sl.lookup(rv.Name, tup.bind)
 		if !ok {
 			continue
 		}
@@ -628,13 +653,14 @@ func coexistence(q *query.Query, tup workRow) temporal.Set {
 	return co
 }
 
-// aggregate computes First/Last/When-Exists over the row times.
+// aggregate computes First/Last/When-Exists over the row times: with
+// per-variable time, each bound pathway's own validity.
 func aggregate(q *query.Query, rows []workRow, perVar bool) *AggValue {
 	var all temporal.Set
 	for _, tup := range rows {
 		if perVar {
-			for _, s := range tup.varTimes {
-				all = append(all, s...)
+			for _, p := range tup.bind {
+				all = append(all, p.Validity...)
 			}
 			continue
 		}
@@ -681,22 +707,6 @@ func splitPreds(a *query.Analyzed) ([]*query.JoinPred, []*query.Analyzed) {
 		}
 	}
 	return joins, subs
-}
-
-func cloneBind(m map[string]plan.Pathway) map[string]plan.Pathway {
-	out := make(map[string]plan.Pathway, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneTimes(m map[string]temporal.Set) map[string]temporal.Set {
-	out := make(map[string]temporal.Set, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // valueEqual compares join values with numeric canonicalization.

@@ -231,7 +231,7 @@ func TestPerVariableTimes(t *testing.T) {
 		if row.Coexist != nil {
 			t.Error("per-variable query must not compute coexistence")
 		}
-		if len(row.VarTimes["P"]) == 0 || len(row.VarTimes["Q"]) == 0 {
+		if len(row.VarTime("P")) == 0 || len(row.VarTime("Q")) == 0 {
 			t.Error("per-variable times missing")
 		}
 	})
@@ -254,8 +254,8 @@ func TestRangeQueryCoexistence(t *testing.T) {
 			names[row.Values[0]] = row.Coexist
 			// The mirror of the per-variable case above: query-level time
 			// reports coexistence, and no per-variable ranges are built.
-			if row.VarTimes != nil {
-				t.Errorf("query-level time must not populate VarTimes: %v", row.VarTimes)
+			if vt := row.VarTime("P"); vt != nil {
+				t.Errorf("query-level time must not populate VarTime: %v", vt)
 			}
 		}
 		h2, ok2 := names["host-2"]
@@ -367,7 +367,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	// Every Phys pathway must live in store 2 and start at the host-1
 	// counterpart there.
 	for _, row := range res.Rows {
-		p := row.Bindings["Phys"]
+		p, _ := row.Binding("Phys")
 		src := st2.Object(p.Source())
 		if src == nil {
 			t.Fatal("Phys pathway source not in the routed store")

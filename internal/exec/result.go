@@ -28,16 +28,33 @@ import (
 // its temporal annotation.
 type Row struct {
 	// Values holds the projected values in projection order: a
-	// plan.Pathway for Retrieve, scalars for Select terms.
+	// plan.Pathway for Retrieve, scalars for Select terms. All rows of a
+	// result share one backing array.
 	Values []any
-	// Bindings maps each range variable to its pathway.
-	Bindings map[string]plan.Pathway
 	// Coexist is the maximal range during which all bound pathways
 	// coexisted; populated for query-level time semantics.
 	Coexist temporal.Set
-	// VarTimes holds each variable's own maximal validity ranges;
-	// populated when variables carry their own time bindings.
-	VarTimes map[string]temporal.Set
+	// bind holds the pathway of each range variable by slot, a window of
+	// its join step's slab; slots names them.
+	bind  []plan.Pathway
+	slots *slots
+}
+
+// Binding returns the pathway bound to a range variable; ok is false for
+// a name the query does not declare (and on a count(...) row).
+func (r Row) Binding(name string) (plan.Pathway, bool) {
+	return r.slots.lookup(name, r.bind) // a nil slots binds nothing
+}
+
+// VarTime returns a variable's own maximal validity ranges when the
+// variables carry their own time bindings, and nil under query-level
+// time (where Coexist holds the row's ranges).
+func (r Row) VarTime(name string) temporal.Set {
+	p, ok := r.Binding(name)
+	if !ok || !r.slots.perVar {
+		return nil
+	}
+	return p.Validity
 }
 
 // Result is a query's full answer.

@@ -1,0 +1,215 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/plan"
+)
+
+// paths returns the pathways of a one-variable Retrieve.
+func (f *fixture) paths(t *testing.T, src string) []plan.Pathway {
+	t.Helper()
+	var out []plan.Pathway
+	for _, row := range f.run(t, src).Rows {
+		out = append(out, row.Values[0].(plan.Pathway))
+	}
+	return out
+}
+
+func mustBinding(t *testing.T, row Row, name string) plan.Pathway {
+	t.Helper()
+	p, ok := row.Binding(name)
+	if !ok {
+		t.Fatalf("row has no binding for %s", name)
+	}
+	return p
+}
+
+// sameStrings compares two string multisets.
+func sameStrings(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	sort.Strings(got)
+	sort.Strings(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s:\n got %v\nwant %v", what, got, want)
+	}
+}
+
+// TestRowAllocations pins what the executor adds to the engine's search
+// for a one-variable Retrieve: a constant plus at most two allocations
+// per row (the Pathway boxed into Values is one). Bindings live in one
+// slab per evaluation step and Values in one per result, so no row
+// carries a map of its own.
+func TestRowAllocations(t *testing.T) {
+	f := newFixture(t, "gremlin")
+	for i := 0; i < 200; i++ {
+		if _, err := f.st.InsertNode("ComputeHost", graph.Fields{"id": int64(20000 + i), "name": fmt.Sprintf("h%d", i), "rack": "rx", "status": "Active"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := f.analyze(t, "Retrieve P From PATHS P Where P MATCHES ComputeHost()")
+	ctx := context.Background()
+	res, err := f.x.Run(ctx, a, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(a.Checked["P"], f.st.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := graph.CurrentView(f.st)
+	run := testing.AllocsPerRun(20, func() { f.x.Run(ctx, a, RunOptions{}) })
+	search := testing.AllocsPerRun(20, func() { f.x.Default.EvalWith(view, p, plan.EvalOpts{}) })
+	rows := len(res.Rows)
+	if extra, bound := run-search, 40+2*rows; rows < 200 || extra > float64(bound) {
+		t.Errorf("%d rows: the executor allocates %.0f on top of the search's %.0f, want at most %d",
+			rows, extra, search, bound)
+	}
+}
+
+// TestBindingSourceTargetJoin checks a two-variable join's rows against
+// the cross product of the variables' own results: every pair whose
+// endpoints meet, each bound under its own name, with the pair's
+// coexistence as the row's range.
+func TestBindingSourceTargetJoin(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		chains := f.paths(t, "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()")
+		links := f.paths(t, "Retrieve Q From PATHS Q Where Q MATCHES Host()->[PhysicalLink()]{1,2}->Switch()")
+		var want []string
+		for _, p := range chains {
+			for _, q := range links {
+				if q.Source() == p.Target() {
+					want = append(want, p.Key()+" / "+q.Key()+" "+p.Validity.Intersect(q.Validity).String())
+				}
+			}
+		}
+		res := f.run(t, `Retrieve P, Q From PATHS P, PATHS Q
+			Where P MATCHES VNF()->[Vertical()]{1,6}->Host()
+			And Q MATCHES Host()->[PhysicalLink()]{1,2}->Switch()
+			And source(Q) = target(P)`)
+		var got []string
+		for _, row := range res.Rows {
+			p, q := mustBinding(t, row, "P"), mustBinding(t, row, "Q")
+			if row.Values[0].(plan.Pathway).Key() != p.Key() || row.Values[1].(plan.Pathway).Key() != q.Key() {
+				t.Errorf("projected %v, bound P=%s Q=%s", row.Values, p.Key(), q.Key())
+			}
+			got = append(got, p.Key()+" / "+q.Key()+" "+row.Coexist.String())
+		}
+		if len(want) == 0 {
+			t.Fatal("fixture has no joinable pairs")
+		}
+		sameStrings(t, "join rows", got, want)
+	})
+}
+
+// TestBindingNotExistsReadsOuter filters VM placements through a
+// correlated NOT EXISTS that reads the outer V: the one VM nothing is
+// deployed on survives, and the subquery's own variable is not bound on
+// the outer row.
+func TestBindingNotExistsReadsOuter(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		idle, err := f.st.InsertNode("VMWare", graph.Fields{"id": int64(7777), "name": "idle-vm", "status": "Green"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.st.InsertEdge("OnServer", idle, f.d.Host1, graph.Fields{"id": int64(7778)}); err != nil {
+			t.Fatal(err)
+		}
+		res := f.run(t, `Retrieve V From PATHS V
+			Where V MATCHES VM()->OnServer()->Host()
+			And NOT EXISTS(
+				Retrieve P From PATHS P
+				Where P MATCHES (VNF()|VFC())->[Vertical()]{1,5}->VM()
+				And target(P) = source(V)
+			)`)
+		if len(res.Rows) != 1 {
+			t.Fatalf("rows = %d, want the idle VM's placement only", len(res.Rows))
+		}
+		v := mustBinding(t, res.Rows[0], "V")
+		if v.Source() != idle || v.Target() != f.d.Host1 {
+			t.Errorf("V = %s, want idle-vm on host-1", v.Render(f.st))
+		}
+		if _, ok := res.Rows[0].Binding("P"); ok {
+			t.Error("the subquery's P is bound on the outer row")
+		}
+	})
+}
+
+// TestBindingSubqueryShadowsOuter declares P both outside and inside a
+// NOT EXISTS. Inside, P must be the subquery's own placement pathway:
+// read as the outer P (a single VM node) it would never meet a host, and
+// every host would survive.
+func TestBindingSubqueryShadowsOuter(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		for _, e := range f.st.InEdges(f.d.Host2) {
+			if obj := f.st.Object(e); obj.Class.Name == "OnServer" && obj.Current() != nil {
+				if err := f.st.Delete(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		res := f.run(t, fmt.Sprintf(`Retrieve H From PATHS H, PATHS P
+			Where H MATCHES Host()
+			And P MATCHES VM(id=%d)
+			And NOT EXISTS(
+				Retrieve P From PATHS P
+				Where P MATCHES VM()->OnServer()->Host()
+				And target(P) = target(H)
+			)`, f.idOf(f.d.VM1)))
+		if len(res.Rows) != 1 {
+			t.Fatalf("rows = %d, want host-2 only", len(res.Rows))
+		}
+		row := res.Rows[0]
+		if h := mustBinding(t, row, "H"); h.Source() != f.d.Host2 {
+			t.Errorf("H = %s, want host-2", h.Render(f.st))
+		}
+		if p := mustBinding(t, row, "P"); p.Len() != 1 || p.Source() != f.d.VM1 {
+			t.Errorf("outer P = %s, want vm-1 itself", p.Render(f.st))
+		}
+	})
+}
+
+// TestBindingPerVariableTimes checks per-variable AT through the
+// accessors: each variable's range is its own pathway's, reported
+// unclipped, and no coexistence is computed.
+func TestBindingPerVariableTimes(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		migrateVM3(t, f, t0.Add(10*time.Hour))
+		res := f.run(t, fmt.Sprintf(`Retrieve P, Q
+			From PATHS P(@'2017-02-15 05:00'), Q(@'2017-02-15 12:00')
+			Where P MATCHES VM(id=%[1]d)->OnServer()->Host(id=%[2]d)
+			And Q MATCHES VM(id=%[1]d)->OnServer()->Host(id=%[3]d)
+			And source(P) = source(Q)`,
+			f.idOf(f.d.VM3), f.idOf(f.d.Host2), f.idOf(f.d.Host1)))
+		if len(res.Rows) != 1 {
+			t.Fatalf("rows = %d, want 1", len(res.Rows))
+		}
+		row := res.Rows[0]
+		if row.Coexist != nil {
+			t.Errorf("per-variable query computed coexistence %v", row.Coexist)
+		}
+		// P holds from the demo load to the migration, Q from the
+		// migration's re-placement on (the clock ticks per mutation).
+		migrated := t0.Add(10 * time.Hour)
+		p, q := row.VarTime("P"), row.VarTime("Q")
+		if len(p) != 1 || p[0].Start.Before(t0) || !p[0].Start.Before(t0.Add(time.Hour)) || !p[0].End.Equal(migrated) {
+			t.Errorf("VarTime(P) = %v, want load time to 10:00", p)
+		}
+		if len(q) != 1 || q[0].Start.Before(migrated) || !q[0].Start.Before(migrated.Add(time.Hour)) || !q[0].IsCurrent() {
+			t.Errorf("VarTime(Q) = %v, want 10:00 onwards", q)
+		}
+		for _, name := range []string{"P", "Q"} {
+			if vt, bound := row.VarTime(name), mustBinding(t, row, name).Validity; vt.String() != bound.String() {
+				t.Errorf("VarTime(%s) = %v, bound pathway's validity %v", name, vt, bound)
+			}
+		}
+		if row.VarTime("X") != nil {
+			t.Error("VarTime of an undeclared variable is not nil")
+		}
+	})
+}

@@ -9,7 +9,7 @@
 package plan
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,8 +42,9 @@ func (p Pathway) Len() int { return len(p.Elems) }
 // Hops returns the number of edges in the pathway.
 func (p Pathway) Hops() int { return len(p.Elems) / 2 }
 
-// Key returns a canonical identity string over the element UIDs, used for
-// deduplication and set semantics.
+// Key returns a canonical identity string over the element UIDs: what
+// count(P) and the watch hub's row keys compare, and what PathwaySet's
+// collision spill is keyed by.
 func (p Pathway) Key() string {
 	return string(appendKey(make([]byte, 0, 8*len(p.Elems)), p.Elems))
 }
@@ -59,19 +60,23 @@ func appendKey(dst []byte, elems []graph.UID) []byte {
 	return dst
 }
 
-// String renders the pathway for display: uid(Class) chained with arrows.
+// Render renders the pathway for display: Class#uid chained with arrows,
+// ?uid for an element missing from the store.
 func (p Pathway) Render(st *graph.Store) string {
 	var sb strings.Builder
+	sb.Grow(24 * len(p.Elems))
+	var num [20]byte
 	for i, uid := range p.Elems {
 		if i > 0 {
 			sb.WriteString(" -> ")
 		}
-		obj := st.Object(uid)
-		if obj == nil {
-			fmt.Fprintf(&sb, "?%d", uid)
-			continue
+		if obj := st.Object(uid); obj == nil {
+			sb.WriteByte('?')
+		} else {
+			sb.WriteString(obj.Class.Name)
+			sb.WriteByte('#')
 		}
-		fmt.Fprintf(&sb, "%s#%d", obj.Class.Name, uid)
+		sb.Write(strconv.AppendInt(num[:0], int64(uid), 10))
 	}
 	return sb.String()
 }
@@ -80,8 +85,13 @@ func (p Pathway) Render(st *graph.Store) string {
 // sequences merge by unioning their validity sets — the true assertion
 // range of a pathway is the union over all accepting runs.
 type PathwaySet struct {
-	byKey map[string]int
-	paths []Pathway
+	// byHash indexes paths by hashElems of their elements; spill, keyed
+	// by Key, holds the rare pathway whose hash an earlier one took. A
+	// hit is confirmed by comparing the elements, so a collision costs a
+	// spill probe, never a wrong merge.
+	byHash map[uint64]int32
+	spill  map[string]int32
+	paths  []Pathway
 	// slab backs the Elems of pathways the engine admits: one array per
 	// doubling chunk instead of one per pathway.
 	slab []graph.UID
@@ -93,45 +103,70 @@ const slabMax = 4096
 
 // NewPathwaySet returns an empty set.
 func NewPathwaySet() *PathwaySet {
-	return &PathwaySet{byKey: make(map[string]int)}
+	return &PathwaySet{byHash: make(map[uint64]int32)}
+}
+
+// hashElems is the hash PathwaySet dedups on: each element is folded in
+// through the splitmix64 finaliser, a bijection, so sequences that share
+// a prefix still spread over the whole word.
+func hashElems(elems []graph.UID) uint64 {
+	h := uint64(len(elems)) * 0x9e3779b97f4a7c15
+	for _, uid := range elems {
+		h ^= uint64(uid)
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
 }
 
 // Add merges a pathway into the set.
-func (s *PathwaySet) Add(p Pathway) {
-	key := p.Key()
-	if i, ok := s.byKey[key]; ok {
+func (s *PathwaySet) Add(p Pathway) { s.add(hashElems(p.Elems), p) }
+
+// add is Add for elements already hashed to h.
+func (s *PathwaySet) add(h uint64, p Pathway) {
+	if i, ok := s.find(h, p.Elems); ok {
 		s.paths[i].Validity = s.paths[i].Validity.Union(p.Validity)
 		return
 	}
-	s.byKey[key] = len(s.paths)
-	s.paths = append(s.paths, p)
+	s.insert(h, p)
 }
 
-// Has reports whether a pathway with the given Key is already present.
-func (s *PathwaySet) Has(key string) bool {
-	_, ok := s.byKey[key]
-	return ok
+// find returns the index of the pathway whose elements are elems, which
+// hash to h. It does not allocate unless h is a true collision.
+func (s *PathwaySet) find(h uint64, elems []graph.UID) (int32, bool) {
+	i, ok := s.byHash[h]
+	if !ok || slices.Equal(s.paths[i].Elems, elems) {
+		return i, ok
+	}
+	i, ok = s.spill[string(appendKey(nil, elems))]
+	return i, ok
 }
 
-// hasKey is Has for a key still in a scratch buffer; the lookup does not
-// allocate.
-func (s *PathwaySet) hasKey(key []byte) bool {
-	_, ok := s.byKey[string(key)]
-	return ok
+// insert appends a pathway find reported absent, indexing it under h.
+func (s *PathwaySet) insert(h uint64, p Pathway) {
+	i := int32(len(s.paths))
+	if _, taken := s.byHash[h]; !taken {
+		s.byHash[h] = i
+	} else {
+		if s.spill == nil {
+			s.spill = make(map[string]int32)
+		}
+		s.spill[p.Key()] = i
+	}
+	s.paths = append(grown(s.paths, 1), p)
 }
 
-// addKeyed admits a pathway the caller knows to be absent (hasKey), under
-// the key it already built. elems and key are scratch memory: the set
-// keeps its own copies, the elements carved from the slab with their
-// capacity clipped so an append by a consumer cannot reach a neighbour.
-func (s *PathwaySet) addKeyed(key []byte, elems []graph.UID, validity temporal.Set) {
+// admit inserts a pathway find reported absent. elems is scratch memory:
+// the set keeps its own copy, carved from the slab with its capacity
+// clipped so an append by a consumer cannot reach a neighbour.
+func (s *PathwaySet) admit(h uint64, elems []graph.UID, validity temporal.Set) {
 	if n := len(elems); cap(s.slab)-len(s.slab) < n {
 		s.slab = make([]graph.UID, 0, max(n, min(2*cap(s.slab), slabMax)))
 	}
 	at := len(s.slab)
 	s.slab = append(s.slab, elems...)
-	s.byKey[string(key)] = len(s.paths)
-	s.paths = append(grown(s.paths, 1), Pathway{Elems: s.slab[at:len(s.slab):len(s.slab)], Validity: validity})
+	s.insert(h, Pathway{Elems: s.slab[at:len(s.slab):len(s.slab)], Validity: validity})
 }
 
 // Paths returns the pathways in insertion order.

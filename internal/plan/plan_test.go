@@ -453,6 +453,16 @@ func TestPathwaySetMergesValidity(t *testing.T) {
 	}
 }
 
+func TestPathwayRender(t *testing.T) {
+	st, d, _ := demoStore(t)
+	onServer := st.OutEdges(d.VM1)[0]
+	p := plan.Pathway{Elems: []graph.UID{d.VM1, onServer, d.Host1, 987654321}}
+	const want = "VMWare#6 -> OnServer#22 -> ComputeHost#1 -> ?987654321"
+	if got := p.Render(st); got != want {
+		t.Errorf("Render = %q, want %q", got, want)
+	}
+}
+
 func containsStr(haystack, needle string) bool {
 	return strings.Contains(haystack, needle)
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -82,8 +83,10 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 // query's Governor, the first failure (governance or backend) that aborts
 // the search, and the arena the partial pathways live in. A nil trace or
 // governor is a no-op at every call site, so the search loops have one
-// body. Nothing in it outlives the evaluation (DESIGN.md, "Search core
-// memory model").
+// body. One evaluation owns its evalState from getEvalState to
+// putEvalState; the pool hands the arenas, capacity kept, to the next
+// one, and nothing the evaluation returns points into them (DESIGN.md,
+// "Search core memory model").
 type evalState struct {
 	m   Metrics
 	tr  *traceEval
@@ -110,8 +113,38 @@ type evalState struct {
 	// looking at, as bit masks over the atoms' dense ids.
 	known, sat []uint64
 	elems      []graph.UID // the candidate pathway being assembled
-	key        []byte      // and its PathwaySet key
 	validity   validityScratch
+}
+
+var evalPool = sync.Pool{New: func() any { return new(evalState) }}
+
+// getEvalState takes a pooled evalState and resets every field, keeping
+// only the arenas' capacity.
+func getEvalState(gov *Governor) *evalState {
+	es := evalPool.Get().(*evalState)
+	*es = evalState{
+		gov:      gov,
+		partials: es.partials[:0],
+		sets:     es.sets[:0],
+		stack:    es.stack[:0],
+		halves:   es.halves[:0],
+		fwd:      es.fwd[:0],
+		bwd:      es.bwd[:0],
+		known:    es.known[:0],
+		elems:    es.elems[:0],
+		validity: es.validity,
+	}
+	return es
+}
+
+// putEvalState returns es to the pool once nothing reads it any more,
+// dropping every pointer into the store, the trace and the query so an
+// idle pooled state pins none of them.
+func putEvalState(es *evalState) {
+	clear(es.validity.objs)
+	clear(es.validity.elements)
+	es.tr, es.gov, es.err = nil, nil, nil
+	evalPool.Put(es)
 }
 
 // partial is one partial pathway: elem appended to (prepended to, in a
@@ -133,7 +166,7 @@ type half struct{ off, end int32 }
 func (es *evalState) begin(p *Plan) {
 	es.nw = (p.Checked.NFA().NumStates + 63) / 64
 	aw := (len(p.Checked.Atoms()) + 63) / 64
-	masks := make([]uint64, 2*aw)
+	masks := grown(es.known[:0], 2*aw)[:2*aw]
 	es.known, es.sat = masks[:aw], masks[aw:]
 }
 
@@ -261,7 +294,8 @@ type EvalOpts struct {
 // *PanicError at this boundary, with the operator span attached when
 // tracing. The returned span is nil unless tracing was enabled.
 func (e *Engine) EvalWith(view graph.View, p *Plan, o EvalOpts) (*PathwaySet, Metrics, *obs.Span, error) {
-	es := &evalState{gov: o.Gov}
+	es := getEvalState(o.Gov)
+	defer putEvalState(es)
 	if o.Traced || o.TraceParent != nil {
 		es.tr = newTraceEval(e.acc.Name(), p, o.TraceParent)
 	}
@@ -644,8 +678,8 @@ func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems 
 	if hasDuplicates(elems) {
 		return
 	}
-	es.key = appendKey(es.key[:0], elems)
-	if out.hasKey(es.key) {
+	h := hashElems(elems)
+	if _, dup := out.find(h, elems); dup {
 		return
 	}
 	validity := computeValidity(e.acc.Store(), c, elems, &es.validity)
@@ -662,7 +696,7 @@ func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems 
 	if !overlaps {
 		return
 	}
-	out.addKeyed(es.key, elems, validity)
+	out.admit(h, elems, validity)
 	if err := es.gov.AddPaths(1); err != nil {
 		es.fail(err)
 	}

@@ -256,7 +256,7 @@ func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := h.renderRows(res)
+	rows := h.renderRows(res, nil)
 	s.prev = rows
 	full := &Delta{Query: name, Index: h.cursor, Full: true, Added: sortedValues(rows)}
 	s.ch <- Notification{Kind: KindDelta, Delta: full}
@@ -373,7 +373,7 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 			s.push(Notification{Kind: KindFailed, Resume: through, Outcome: exec.Outcome(err), Error: err.Error()}, through)
 			continue
 		}
-		rows := h.renderRows(res)
+		rows := h.renderRows(res, s.prev)
 		d := diff(s.prev, rows)
 		s.prev = rows
 		if needFull {
@@ -408,23 +408,31 @@ func touches(classes, footprint map[string]struct{}) bool {
 
 // renderRows keys and renders a result set: pathway values key by their
 // canonical step-UID key and render through the store, scalars by their
-// printed form.
-func (h *Hub) renderRows(res *exec.Result) map[string]string {
+// printed form. A row whose key is already in prev reuses its rendering:
+// a key fixes the UIDs, and a UID's class never changes, so an unchanged
+// standing-query result renders nothing.
+func (h *Hub) renderRows(res *exec.Result, prev map[string]string) map[string]string {
 	rows := make(map[string]string, len(res.Rows))
 	for _, row := range res.Rows {
 		keys := make([]string, 0, len(row.Values))
-		parts := make([]string, 0, len(row.Values))
 		for _, v := range row.Values {
 			if pw, ok := v.(plan.Pathway); ok {
 				keys = append(keys, pw.Key())
-				parts = append(parts, h.db.RenderPath(pw))
 			} else {
-				sv := fmt.Sprint(v)
-				keys = append(keys, sv)
-				parts = append(parts, sv)
+				keys = append(keys, fmt.Sprint(v))
 			}
 		}
-		rows[strings.Join(keys, "\x1f")] = strings.Join(parts, " | ")
+		key := strings.Join(keys, "\x1f")
+		if r, ok := prev[key]; ok {
+			rows[key] = r
+			continue
+		}
+		for i, v := range row.Values { // a scalar's key is its rendering
+			if pw, ok := v.(plan.Pathway); ok {
+				keys[i] = h.db.RenderPath(pw)
+			}
+		}
+		rows[key] = strings.Join(keys, " | ")
 	}
 	return rows
 }

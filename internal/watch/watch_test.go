@@ -3,6 +3,7 @@ package watch
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -444,5 +445,29 @@ func TestSubscriberOverflowLags(t *testing.T) {
 	}
 	if !sawLagging || !sawFullAfter {
 		t.Fatalf("lagging=%v fullAfter=%v; want both", sawLagging, sawFullAfter)
+	}
+}
+
+// TestRenderRowsReusesPrev pins the standing-query render cache: a row
+// whose key the previous result already holds takes its rendering from
+// there, and only new rows go through the store.
+func TestRenderRowsReusesPrev(t *testing.T) {
+	db := openMemDB(t)
+	a := insertHost(t, db, 1, "host-a")
+	b := insertHost(t, db, 2, "host-b")
+	res, err := db.Query("Retrieve P From PATHS P Where P MATCHES ComputeHost()")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Hub{db: db}
+	first := h.renderRows(res, nil)
+	keyA, keyB := strconv.FormatInt(int64(a), 10), strconv.FormatInt(int64(b), 10)
+	if first[keyA] != "ComputeHost#"+keyA || first[keyB] != "ComputeHost#"+keyB || len(first) != 2 {
+		t.Fatalf("fresh rendering = %v", first)
+	}
+	// A sentinel in prev proves reuse: a re-render would overwrite it.
+	next := h.renderRows(res, map[string]string{keyA: "cached"})
+	if next[keyA] != "cached" || next[keyB] != first[keyB] {
+		t.Fatalf("rendering with prev = %v; want host-a reused, host-b rendered", next)
 	}
 }
