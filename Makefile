@@ -22,9 +22,10 @@ test:
 # -race, so the harness packages run in -short mode.
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/core/ ./internal/exec/
-	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/
+	$(GO) test -race ./internal/gremlin/ ./internal/relational/
+	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/ ./cmd/nepal/
 	$(GO) test -race -short ./internal/wal/ ./internal/chaos/
-	$(GO) test -race -short ./internal/bench/ ./cmd/...
+	$(GO) test -race -short ./internal/bench/ ./cmd/nepalbench/ ./cmd/nepalgen/
 
 # The end-to-end benchmark of BENCHMARK.json, one plain run per workload
 # at the driver's size, printing the three end-to-end metrics of each —

@@ -217,7 +217,14 @@ func run(opt options) error {
 	if opt.checkpoint && opt.walDir == "" {
 		return fmt.Errorf("-checkpoint requires -wal-dir")
 	}
-	dbOpts := []core.Option{core.WithBackend(opt.backend)}
+	dbOpts := []core.Option{core.WithBackend(opt.backend), core.WithLimits(exec.Limits{
+		MaxDuration:     opt.timeout,
+		MaxPaths:        opt.maxPaths,
+		MaxEdgesScanned: opt.maxEdges,
+	})}
+	if opt.slowQuery > 0 {
+		dbOpts = append(dbOpts, core.WithSlowLog(obs.NewSlowLog(opt.slowQuery, out)))
+	}
 	if opt.walDir != "" {
 		dbOpts = append(dbOpts, core.WithWAL(opt.walDir))
 	}
@@ -229,16 +236,7 @@ func run(opt options) error {
 	if opt.walDir != "" {
 		fmt.Fprintf(os.Stderr, "wal: recovered %s: %s\n", opt.walDir, db.RecoveryStats())
 	}
-	reg := obs.NewRegistry()
-	db.Instrument(reg)
-	if opt.slowQuery > 0 {
-		db.SetSlowLog(obs.NewSlowLog(opt.slowQuery, out))
-	}
-	db.SetLimits(exec.Limits{
-		MaxDuration:     opt.timeout,
-		MaxPaths:        opt.maxPaths,
-		MaxEdgesScanned: opt.maxEdges,
-	})
+	reg := db.Registry()
 	if opt.pprofAddr != "" {
 		publishOnce.Do(func() { reg.Publish("nepal") })
 		go func() {
@@ -291,7 +289,7 @@ func run(opt options) error {
 	}
 
 	if opt.serveAddr != "" {
-		return runServe(db, reg, opt)
+		return runServe(db, opt)
 	}
 
 	if opt.q != "" {

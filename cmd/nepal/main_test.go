@@ -89,7 +89,7 @@ func TestRunMetricsAndSlowLog(t *testing.T) {
 		"\nengine_relational_evals 1\n",
 		"\nengine_relational_eval_latency_ms_count 1\n",
 		"\ndb_queries 1\n",
-		"# TYPE store_adjacency_probes counter",
+		"# TYPE store_class_scans counter",
 		"# TYPE backend_relational_anchor_probes counter",
 	} {
 		if !strings.Contains(text, want) {

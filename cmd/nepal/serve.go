@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
 )
@@ -26,7 +25,7 @@ import (
 // SIGINT/SIGTERM, then shut down gracefully — the listener stops,
 // in-flight queries drain, and the DB closes so the WAL syncs its final
 // segment.
-func runServe(db *core.DB, reg *obs.Registry, opt options) error {
+func runServe(db *core.DB, opt options) error {
 	var accessLog io.Writer
 	if opt.accessLog != "" {
 		if opt.accessLog == "-" {
@@ -53,7 +52,7 @@ func runServe(db *core.DB, reg *obs.Registry, opt options) error {
 		PlanCacheSize:      opt.planCache,
 		DefaultLimits:      db.Limits(),
 		MaxTimeout:         opt.timeout,
-		Registry:           reg,
+		Registry:           db.Registry(),
 		AccessLog:          accessLog,
 		Follow:             follow,
 		Peers:              splitPeers(opt.peers),

@@ -42,7 +42,7 @@ func run(kind string, services int, seed int64, out string, statsOnly bool) erro
 	case "service":
 		cfg := workload.DefaultServiceConfig()
 		cfg.Seed = seed
-		st = graph.NewStore(netmodel.MustSchema(), nil)
+		st = graph.NewStore(netmodel.MustSchema(), nil, nil)
 		if _, err := workload.BuildService(st, cfg); err != nil {
 			return err
 		}
@@ -55,12 +55,12 @@ func run(kind string, services int, seed int64, out string, statsOnly bool) erro
 		if err != nil {
 			return err
 		}
-		st = graph.NewStore(sch, nil)
+		st = graph.NewStore(sch, nil, nil)
 		if _, err := workload.BuildLegacy(st, cfg); err != nil {
 			return err
 		}
 	case "demo":
-		st = graph.NewStore(netmodel.MustSchema(), nil)
+		st = graph.NewStore(netmodel.MustSchema(), nil, nil)
 		if _, err := netmodel.BuildDemo(st, 1000); err != nil {
 			return err
 		}

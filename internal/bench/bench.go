@@ -63,7 +63,7 @@ type ServiceFixture struct {
 // BuildServiceFixture constructs the Table 1 dataset deterministically.
 func BuildServiceFixture() (*ServiceFixture, error) {
 	clock := temporal.NewManualClock(LoadTime)
-	st := graph.NewStore(netmodel.MustSchema(), clock)
+	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
 	svc, err := workload.BuildService(st, workload.DefaultServiceConfig())
 	if err != nil {
 		return nil, err
@@ -216,7 +216,7 @@ func BuildLegacyFixture(services int, subclassed bool) (*LegacyFixture, error) {
 		return nil, err
 	}
 	clock := temporal.NewManualClock(LoadTime)
-	st := graph.NewStore(sch, clock)
+	st := graph.NewStore(sch, clock, nil)
 	l, err := workload.BuildLegacy(st, cfg)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
 func demoStore(t *testing.T) *graph.Store {
 	t.Helper()
-	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0))
+	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
 	if _, err := netmodel.BuildDemo(st, 1000); err != nil {
 		t.Fatal(err)
 	}

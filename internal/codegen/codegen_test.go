@@ -16,7 +16,7 @@ func testPlan(t *testing.T, src string) *plan.Plan {
 	t.Helper()
 	sch := netmodel.MustSchema()
 	clock := temporal.NewManualClock(time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC))
-	st := graph.NewStore(sch, clock)
+	st := graph.NewStore(sch, clock, nil)
 	if _, err := netmodel.BuildDemo(st, 1000); err != nil {
 		t.Fatal(err)
 	}

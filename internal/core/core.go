@@ -51,6 +51,8 @@ type config struct {
 	wrap    func(plan.Accessor) plan.Accessor
 	walDir  string
 	walOpts wal.Options
+	limits  exec.Limits
+	slowLog *obs.SlowLog
 }
 
 // Option configures Open.
@@ -93,6 +95,22 @@ func WithAccessorWrapper(w func(plan.Accessor) plan.Accessor) Option {
 	return func(c *config) { c.wrap = w }
 }
 
+// WithLimits installs per-query resource guardrails: every query on the
+// DB that does not bring its own (Prepared.ExecTraced does) runs under
+// them and aborts with exec.ErrLimitExceeded (or ErrDeadlineExceeded for
+// MaxDuration) when a bound is crossed. The zero Limits, the default, sets
+// no guardrail.
+func WithLimits(lim exec.Limits) Option {
+	return func(c *config) { c.limits = lim }
+}
+
+// WithSlowLog installs a slow-query log: every query whose total time
+// reaches the log's threshold is captured with its text, plan, metrics,
+// and trace (when traced), and every aborted query regardless of time.
+func WithSlowLog(l *obs.SlowLog) Option {
+	return func(c *config) { c.slowLog = l }
+}
+
 // DB is an open Nepal database.
 type DB struct {
 	store     *graph.Store
@@ -101,7 +119,7 @@ type DB struct {
 	limits    exec.Limits
 	backend   string
 	views     query.Views
-	reg       *obs.Registry
+	o         dbObs
 	slowLog   *obs.SlowLog
 	stmtStats *stats.Store
 	wal       *wal.Manager
@@ -109,13 +127,25 @@ type DB struct {
 	closed    atomic.Bool
 }
 
-// Open creates an empty database over the finalized schema.
+// dbObs holds the per-query metrics every query entry point records.
+type dbObs struct {
+	queries      *obs.Counter
+	aborted      *obs.Counter
+	latency      *obs.Histogram
+	edgesScanned *obs.Histogram
+}
+
+// Open creates an empty database over the finalized schema. The database
+// owns one metrics registry (see Registry): the store, the backend, the
+// engine, and the write-ahead log resolve their metrics on it as they are
+// built, and every query records into it.
 func Open(sch *schema.Schema, opts ...Option) (*DB, error) {
 	cfg := config{backend: BackendGremlin}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	store := graph.NewStore(sch, cfg.clock)
+	reg := obs.NewRegistry()
+	store := graph.NewStore(sch, cfg.clock, reg)
 	var mgr *wal.Manager
 	var recovery wal.RecoveryStats
 	if cfg.walDir != "" {
@@ -141,8 +171,14 @@ func Open(sch *schema.Schema, opts ...Option) (*DB, error) {
 	}
 	engine := plan.NewEngine(acc)
 	return &DB{store: store, engine: engine, executor: exec.New(engine),
-		backend: cfg.backend, views: query.Views{},
-		wal: mgr, recovery: recovery}, nil
+		limits: cfg.limits, backend: cfg.backend, views: query.Views{},
+		slowLog: cfg.slowLog, wal: mgr, recovery: recovery,
+		o: dbObs{
+			queries:      reg.Counter("db.queries"),
+			aborted:      reg.Counter("db.queries_aborted"),
+			latency:      reg.Histogram("db.query_latency_ms"),
+			edgesScanned: reg.HistogramBuckets("db.query_edges_scanned", obs.DefaultSizeBuckets),
+		}}, nil
 }
 
 // Checkpoint snapshots the database's full temporal history and contracts
@@ -240,47 +276,21 @@ func (db *DB) ApplySnapshot(snap *graph.Snapshot) (graph.DiffStats, error) {
 	return db.store.ApplySnapshot(snap)
 }
 
-// Instrument attaches a metrics registry to the database: the engine
-// records per-evaluation latency and counters, the store counts adjacency
-// probes and snapshot reconciliations, and the backend counts its index
-// probes — all under names prefixed with the component and backend. A nil
-// registry detaches. Call before the database starts serving queries.
-func (db *DB) Instrument(reg *obs.Registry) {
-	db.reg = reg
-	db.engine.SetRegistry(reg)
-	db.store.SetRegistry(reg)
-	if in, ok := db.engine.Accessor().(interface{ Instrument(*obs.Registry) }); ok {
-		in.Instrument(reg)
-	}
-	if db.wal != nil {
-		db.wal.Instrument(reg)
-	}
-}
+// Registry returns the database's metrics registry: engine, store,
+// backend, WAL, and per-query ("db.*") metrics.
+func (db *DB) Registry() *obs.Registry { return db.store.Registry() }
+
+// Instrument publishes the database's metrics into reg as well (see
+// obs.Registry.Include), so one dump — a server's /metrics — shows them
+// beside reg's own. Nothing is re-pointed: the database keeps recording
+// into its own registry, whose metric objects reg then shares.
+func (db *DB) Instrument(reg *obs.Registry) { reg.Include(db.Registry()) }
 
 // SetStatementStats installs a per-statement statistics store: every
 // query records its digest, outcome, latency, scan volume, and row
 // count into the store's bounded top-K aggregates. A nil store disables
-// collection. Call before the database starts serving queries.
+// collection.
 func (db *DB) SetStatementStats(s *stats.Store) { db.stmtStats = s }
-
-// StatementStats returns the installed statistics store, if any.
-func (db *DB) StatementStats() *stats.Store { return db.stmtStats }
-
-// SetSlowLog installs a slow-query log: every query whose total time
-// reaches the log's threshold is captured with its text, plan, metrics,
-// and trace (when traced). A nil log disables capture.
-func (db *DB) SetSlowLog(l *obs.SlowLog) { db.slowLog = l }
-
-// SlowLog returns the installed slow-query log, if any.
-func (db *DB) SlowLog() *obs.SlowLog { return db.slowLog }
-
-// SetLimits installs per-query resource guardrails: every subsequent
-// query on this DB that does not bring its own (Prepared.ExecTraced
-// does) runs under them and aborts with exec.ErrLimitExceeded (or
-// ErrDeadlineExceeded for MaxDuration) when a bound is crossed. The zero
-// Limits removes all guardrails. Call before the database starts serving
-// queries.
-func (db *DB) SetLimits(lim exec.Limits) { db.limits = lim }
 
 // Limits returns the installed per-query guardrails.
 func (db *DB) Limits() exec.Limits { return db.limits }

@@ -13,10 +13,10 @@ import (
 
 var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
-func openDemo(t *testing.T, backend string) (*DB, *netmodel.Demo, *temporal.Clock) {
+func openDemo(t *testing.T, backend string, extra ...Option) (*DB, *netmodel.Demo, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	db, err := Open(netmodel.MustSchema(), WithBackend(backend), WithClock(clock))
+	db, err := Open(netmodel.MustSchema(), append([]Option{WithBackend(backend), WithClock(clock)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,38 +17,35 @@ import (
 	"repro/internal/temporal"
 )
 
-// openChaosDemo opens a demo DB whose backend is wrapped for fault and
-// latency injection, returning the wrapper for test control.
-func openChaosDemo(t *testing.T, opts ...chaos.Option) (*DB, *chaos.Accessor) {
+// openSlowDemo opens a demo DB whose backend sleeps 200µs per probe, so
+// the demo query cannot finish inside 1ms; extra options apply last.
+func openSlowDemo(t *testing.T, extra ...Option) *DB {
 	t.Helper()
-	var ca *chaos.Accessor
-	db, err := Open(netmodel.MustSchema(),
+	db, err := Open(netmodel.MustSchema(), append([]Option{
 		WithBackend(BackendGremlin),
 		WithClock(temporal.NewManualClock(t0)),
 		WithAccessorWrapper(func(a plan.Accessor) plan.Accessor {
-			ca = chaos.Wrap(a, opts...)
-			return ca
-		}))
+			return chaos.Wrap(a, chaos.WithLatency(200*time.Microsecond))
+		})}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := netmodel.BuildDemo(db.Store(), 1000); err != nil {
 		t.Fatal(err)
 	}
-	return db, ca
+	return db
 }
 
 const demoQuery = "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()"
 
 func TestQueryContextTypedAborts(t *testing.T) {
-	// Slow every probe so the demo query cannot finish inside 1ms.
-	db, _ := openChaosDemo(t, chaos.WithLatency(200*time.Microsecond))
+	limited := openSlowDemo(t, WithLimits(exec.Limits{MaxDuration: time.Millisecond}))
+	db := openSlowDemo(t)
 	before := runtime.NumGoroutine()
 
 	// MaxDuration=1ms aborts promptly with the typed deadline error.
-	db.SetLimits(exec.Limits{MaxDuration: time.Millisecond})
 	start := time.Now()
-	_, err := db.Query(demoQuery)
+	_, err := limited.Query(demoQuery)
 	if !errors.Is(err, exec.ErrDeadlineExceeded) {
 		t.Fatalf("MaxDuration query = %v, want ErrDeadlineExceeded", err)
 	}
@@ -57,7 +54,6 @@ func TestQueryContextTypedAborts(t *testing.T) {
 	}
 
 	// A pre-canceled context aborts before any real work.
-	db.SetLimits(exec.Limits{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := db.QueryContext(ctx, demoQuery); !errors.Is(err, exec.ErrCanceled) {
@@ -83,27 +79,30 @@ func TestQueryContextTypedAborts(t *testing.T) {
 }
 
 func TestAbortObservability(t *testing.T) {
-	db, _, _ := openDemo(t, BackendGremlin)
-	reg := obs.NewRegistry()
-	db.Instrument(reg)
 	// Threshold far above any demo query: only the abort rule can log.
-	db.SetSlowLog(obs.NewSlowLog(time.Hour, nil))
+	slowLog := obs.NewSlowLog(time.Hour, nil)
+	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}), WithSlowLog(slowLog))
 
-	if _, err := db.Query(demoQuery); err != nil {
+	// Per-call limits replace the DB's: the unlimited run finishes.
+	p, err := db.Prepare(demoQuery)
+	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetLimits(exec.Limits{MaxPaths: 1})
+	if _, err := p.ExecTraced(context.Background(), exec.Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.Query(demoQuery); !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("limited query = %v, want ErrLimitExceeded", err)
 	}
 
+	reg := db.Registry()
 	if n := reg.Counter("db.queries").Value(); n != 2 {
 		t.Errorf("db.queries = %d, want 2", n)
 	}
 	if n := reg.Counter("db.queries_aborted").Value(); n != 1 {
 		t.Errorf("db.queries_aborted = %d, want 1", n)
 	}
-	entries := db.SlowLog().Entries()
+	entries := slowLog.Entries()
 	if len(entries) != 1 {
 		t.Fatalf("slow log entries = %d, want only the aborted query", len(entries))
 	}
@@ -127,10 +126,12 @@ func routedDemoQuery(t *testing.T, db *DB, d *netmodel.Demo) string {
 }
 
 // TestEntryPointsObserveOnce drives every way into a query through the
-// one prepare → run → observe body: a finished query is one db.queries
-// increment and one statistics observation under the statement's digest,
-// and one aborted by its deadline is additionally one db.queries_aborted
-// increment and one slow-log entry with outcome "deadline".
+// one prepare → run → observe body, once on a DB without limits and once
+// on a DB whose 1ms MaxDuration aborts it: a finished query is one
+// db.queries increment and one ok statistics observation under the
+// statement's digest, and the aborted one is additionally one
+// db.queries_aborted increment and one slow-log entry with outcome
+// "deadline".
 func TestEntryPointsObserveOnce(t *testing.T) {
 	bg := context.Background()
 	entryPoints := map[string]func(db, other *DB, src string) (*exec.Result, error){
@@ -160,39 +161,46 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 	}
 	for name, call := range entryPoints {
 		t.Run(name, func(t *testing.T) {
-			// Slow every probe so the query cannot finish inside 1ms.
-			db, _ := openChaosDemo(t, chaos.WithLatency(200*time.Microsecond))
 			other, d, _ := openDemo(t, BackendRelational)
 			src := routedDemoQuery(t, other, d)
-			reg, st := obs.NewRegistry(), stats.NewStore(16)
-			db.Instrument(reg)
-			db.SetStatementStats(st)
-			// Threshold far above any demo query: only the abort rule can log.
-			db.SetSlowLog(obs.NewSlowLog(time.Hour, nil))
 			digest, _ := stats.Fingerprint(src)
+			for _, lim := range []exec.Limits{{}, {MaxDuration: time.Millisecond}} {
+				// Threshold far above any demo query: only the abort rule can log.
+				slowLog, st := obs.NewSlowLog(time.Hour, nil), stats.NewStore(16, nil)
+				db := openSlowDemo(t, WithLimits(lim), WithSlowLog(slowLog))
+				db.SetStatementStats(st)
 
-			res, err := call(db, other, src)
-			if err != nil || res.Digest != digest {
-				t.Fatalf("unlimited run = %v, digest %q; want ok under %q", err, res.Digest, digest)
-			}
-			db.SetLimits(exec.Limits{MaxDuration: time.Millisecond})
-			if _, err := call(db, other, src); !errors.Is(err, exec.ErrDeadlineExceeded) {
-				t.Fatalf("1ms run = %v, want ErrDeadlineExceeded", err)
-			}
+				res, err := call(db, other, src)
+				wantAborted, wantDeadline, wantEntries := int64(0), int64(0), 0
+				if lim.MaxDuration == 0 {
+					if err != nil || res.Digest != digest {
+						t.Fatalf("unlimited run = %v, digest %q; want ok under %q", err, res.Digest, digest)
+					}
+				} else {
+					if !errors.Is(err, exec.ErrDeadlineExceeded) {
+						t.Fatalf("1ms run = %v, want ErrDeadlineExceeded", err)
+					}
+					wantAborted, wantDeadline, wantEntries = 1, 1, 1
+				}
 
-			if q, a := reg.Counter("db.queries").Value(), reg.Counter("db.queries_aborted").Value(); q != 2 || a != 1 {
-				t.Errorf("db.queries = %d, db.queries_aborted = %d; want 2 and 1", q, a)
-			}
-			snap := st.Snapshot(stats.SortCalls, 0)
-			if len(snap.Statements) != 1 {
-				t.Fatalf("statistics hold %d digests, want one: %+v", len(snap.Statements), snap.Statements)
-			}
-			if s := snap.Statements[0]; s.Digest != digest || s.Calls != 2 || s.OK != 1 || s.Deadline != 1 {
-				t.Errorf("statistics row = %+v; want digest %s with 2 calls, 1 ok, 1 deadline", s, digest)
-			}
-			entries := db.SlowLog().Entries()
-			if len(entries) != 1 || entries[0].Outcome != "deadline" || entries[0].Digest != digest || entries[0].Query != src {
-				t.Errorf("slow log = %+v; want one deadline entry for the statement", entries)
+				reg := db.Registry()
+				if q, a := reg.Counter("db.queries").Value(), reg.Counter("db.queries_aborted").Value(); q != 1 || a != wantAborted {
+					t.Errorf("limits %+v: db.queries = %d, db.queries_aborted = %d; want 1 and %d", lim, q, a, wantAborted)
+				}
+				snap := st.Snapshot(stats.SortCalls, 0)
+				if len(snap.Statements) != 1 {
+					t.Fatalf("statistics hold %d digests, want one: %+v", len(snap.Statements), snap.Statements)
+				}
+				if s := snap.Statements[0]; s.Digest != digest || s.Calls != 1 || s.OK != 1-wantDeadline || s.Deadline != wantDeadline {
+					t.Errorf("limits %+v: statistics row = %+v; want digest %s with 1 call, %d deadline", lim, s, digest, wantDeadline)
+				}
+				entries := slowLog.Entries()
+				if len(entries) != wantEntries {
+					t.Fatalf("limits %+v: slow log = %+v; want %d entries", lim, entries, wantEntries)
+				}
+				if wantEntries == 1 && (entries[0].Outcome != "deadline" || entries[0].Digest != digest || entries[0].Query != src) {
+					t.Errorf("slow log = %+v; want one deadline entry for the statement", entries)
+				}
 			}
 		})
 	}

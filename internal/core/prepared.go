@@ -119,16 +119,13 @@ func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions)
 	if res != nil {
 		res.Digest = p.digest
 	}
-	if db.reg != nil {
-		db.reg.Counter("db.queries").Add(1)
-		if err != nil {
-			db.reg.Counter("db.queries_aborted").Add(1)
-		}
-		db.reg.Histogram("db.query_latency_ms").Observe(float64(dur) / 1e6)
-		if res != nil {
-			db.reg.HistogramBuckets("db.query_edges_scanned", obs.DefaultSizeBuckets).
-				Observe(float64(res.Metrics.EdgesScanned))
-		}
+	db.o.queries.Add(1)
+	if err != nil {
+		db.o.aborted.Add(1)
+	}
+	db.o.latency.Observe(float64(dur) / 1e6)
+	if res != nil {
+		db.o.edgesScanned.Observe(float64(res.Metrics.EdgesScanned))
 	}
 	if db.stmtStats != nil {
 		ob := stats.Observation{Duration: dur, Outcome: exec.Outcome(err)}

@@ -9,7 +9,7 @@ import (
 
 func TestPreparedCarriesDigest(t *testing.T) {
 	db, _, _ := openDemo(t, BackendGremlin)
-	st := stats.NewStore(16)
+	st := stats.NewStore(16, nil)
 	db.SetStatementStats(st)
 
 	p1, err := db.Prepare("Select source(P).name From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)")

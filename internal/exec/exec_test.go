@@ -27,7 +27,7 @@ type fixture struct {
 func newFixture(t *testing.T, backend string) *fixture {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	st := graph.NewStore(netmodel.MustSchema(), clock)
+	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
 	d, err := netmodel.BuildDemo(st, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	// across them through the executor; identity crosses on node ids.
 	f := newFixture(t, "gremlin")
 	clock2 := temporal.NewManualClock(t0)
-	st2 := graph.NewStore(netmodel.MustSchema(), clock2)
+	st2 := graph.NewStore(netmodel.MustSchema(), clock2, nil)
 	if _, err := netmodel.BuildDemo(st2, 1000); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (f *fixture) analyze(t *testing.T, src string) *query.Analyzed {
 func routedFixture(t *testing.T, opts ...chaos.Option) (*fixture, *chaos.Accessor, string) {
 	t.Helper()
 	f := newFixture(t, "gremlin")
-	st2 := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0))
+	st2 := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
 	if _, err := netmodel.BuildDemo(st2, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLimitsTyped(t *testing.T) {
 func TestMaxDurationAbortsPromptly(t *testing.T) {
 	// A slow backend (200µs per probe) under a 1ms budget: the deadline
 	// must trip cooperatively within a few probes, not after the full scan.
-	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0))
+	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
 	if _, err := netmodel.BuildDemo(st, 1000); err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 // TestConcurrentUniqueClaims: two writers fighting over the same unique
 // id — exactly one must win per id.
 func TestConcurrentUniqueClaims(t *testing.T) {
-	st := NewStore(testSchema(t), temporal.NewManualClock(t0))
+	st := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 	const ids = 50
 	var wg sync.WaitGroup
 	wins := make([][]bool, 2)

@@ -41,7 +41,7 @@ func writeSchema(t *testing.T) *schema.Schema {
 // record it is handed, in log order.
 func loggedStore(t *testing.T) (*Store, *[]Mutation) {
 	t.Helper()
-	st := NewStore(writeSchema(t), temporal.NewManualClock(t0))
+	st := NewStore(writeSchema(t), temporal.NewManualClock(t0), nil)
 	var log []Mutation
 	st.SetMutationHook(func(_ context.Context, m *Mutation) error {
 		log = append(log, *m)
@@ -192,7 +192,7 @@ func TestReplayReproducesLiveHistory(t *testing.T) {
 		t.Errorf("delete record carries fields: %+v", got)
 	}
 
-	replica := NewStore(writeSchema(t), temporal.NewManualClock(t0))
+	replica := NewStore(writeSchema(t), temporal.NewManualClock(t0), nil)
 	for i := range *log {
 		m := (*log)[i]
 		if applied, err := replica.ApplyMutation(&m); err != nil || !applied {
@@ -207,9 +207,9 @@ func TestReplayReproducesLiveHistory(t *testing.T) {
 // TestStoreGaugesFollowCounts: store.live_objects and store.versions are
 // read at scrape time, so every write shows up without a refresh.
 func TestStoreGaugesFollowCounts(t *testing.T) {
-	st, clock := newTestStore(t)
+	clock := temporal.NewManualClock(t0)
 	reg := obs.NewRegistry()
-	st.SetRegistry(reg)
+	st := NewStore(testSchema(t), clock, reg)
 	check := func(after string) {
 		t.Helper()
 		live, versions := st.Counts()

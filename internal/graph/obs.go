@@ -6,43 +6,36 @@ import (
 	"repro/internal/obs"
 )
 
-// storeObs caches the store's registry metrics so that instrumented reads
-// cost one atomic pointer load plus an atomic add. The pointer lives in
-// Store.obs; a nil pointer (the default) disables recording entirely.
+// storeObs holds the store's registry metrics, resolved once by NewStore:
+// class-index scans (the reads behind Select) and update-by-snapshot
+// reconciliations. A store built without a registry holds nil metrics,
+// whose operations are no-ops.
 type storeObs struct {
-	adjProbes  *obs.Counter
 	classScans *obs.Counter
 	snapshots  *obs.Counter
 	snapshotMS *obs.Histogram
 }
 
-// SetRegistry attaches a metrics registry to the store: adjacency probes
-// (the physical reads behind the Extend operator), class-index scans (the
-// reads behind Select), and update-by-snapshot reconciliations are then
-// counted under "store.*" names, and the store's size is read at scrape
-// time as "store.live_objects" and "store.versions". A nil registry
-// detaches.
-func (st *Store) SetRegistry(r *obs.Registry) {
-	if r == nil {
-		st.obs.Store(nil)
-		return
+// newStoreObs resolves the "store.*" metrics on reg and registers the
+// store's size, read at scrape time, as "store.live_objects" and
+// "store.versions".
+func newStoreObs(st *Store, reg *obs.Registry) storeObs {
+	reg.GaugeFunc("store.live_objects", func() float64 { live, _ := st.Counts(); return float64(live) })
+	reg.GaugeFunc("store.versions", func() float64 { _, versions := st.Counts(); return float64(versions) })
+	return storeObs{
+		classScans: reg.Counter("store.class_scans"),
+		snapshots:  reg.Counter("store.snapshots_applied"),
+		snapshotMS: reg.Histogram("store.snapshot_apply_ms"),
 	}
-	st.obs.Store(&storeObs{
-		adjProbes:  r.Counter("store.adjacency_probes"),
-		classScans: r.Counter("store.class_scans"),
-		snapshots:  r.Counter("store.snapshots_applied"),
-		snapshotMS: r.Histogram("store.snapshot_apply_ms"),
-	})
-	r.GaugeFunc("store.live_objects", func() float64 { live, _ := st.Counts(); return float64(live) })
-	r.GaugeFunc("store.versions", func() float64 { _, versions := st.Counts(); return float64(versions) })
 }
+
+// Registry returns the registry the store was built with: the components
+// built over the store (backends, engines, the write-ahead log) resolve
+// their metrics on it.
+func (st *Store) Registry() *obs.Registry { return st.reg }
 
 // recordSnapshot folds one ApplySnapshot run into the registry.
 func (st *Store) recordSnapshot(d time.Duration) {
-	o := st.obs.Load()
-	if o == nil {
-		return
-	}
-	o.snapshots.Add(1)
-	o.snapshotMS.Observe(float64(d) / 1e6)
+	st.o.snapshots.Add(1)
+	st.o.snapshotMS.Observe(float64(d) / 1e6)
 }

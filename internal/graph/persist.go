@@ -151,7 +151,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 
 	// Stage into a scratch store sharing the schema; st is untouched
 	// until the commit at the bottom.
-	tmp := NewStore(st.schema, nil)
+	tmp := NewStore(st.schema, nil, nil)
 	var latest time.Time
 	for i := 0; i < hdr.Objects; i++ {
 		var doc objectDoc

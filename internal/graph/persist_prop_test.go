@@ -92,7 +92,7 @@ func TestHistoryChurnProperty(t *testing.T) {
 		if err := st.WriteHistory(&first); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0))
+		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 		if err := st2.LoadHistory(bytes.NewReader(first.Bytes())); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -137,7 +137,7 @@ func TestPersistTypedErrors(t *testing.T) {
 	}
 	good := buf.String()
 
-	fresh := func() *Store { return NewStore(testSchema(t), temporal.NewManualClock(t0)) }
+	fresh := func() *Store { return NewStore(testSchema(t), temporal.NewManualClock(t0), nil) }
 
 	// Truncation anywhere — inside the header or mid-object — is
 	// ErrTruncated, so operators can tell a torn file from a corrupt one.

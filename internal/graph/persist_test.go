@@ -38,7 +38,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2 := NewStore(testSchema(t), temporal.NewManualClock(t0))
+	st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 	if err := st2.LoadHistory(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestLoadHistoryValidation(t *testing.T) {
 		"ill-typed field": strings.Replace(good, `"status":"Green"`, `"status":7`, 1),
 	}
 	for name, doc := range cases {
-		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0))
+		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 		if err := st2.LoadHistory(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 
 	// Loading into a non-empty store is refused.
-	st3 := NewStore(testSchema(t), temporal.NewManualClock(t0))
+	st3 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 	if _, err := st3.InsertNode("Host", Fields{"id": 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLoadHistoryAtomicOnFailure(t *testing.T) {
 	}
 	full := buf.Bytes()
 
-	st2 := NewStore(testSchema(t), temporal.NewManualClock(t0))
+	st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 	if err := st2.LoadHistory(bytes.NewReader(full[:len(full)-20])); err == nil {
 		t.Fatal("truncated history load succeeded")
 	}

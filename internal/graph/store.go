@@ -15,9 +15,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/temporal"
 )
@@ -129,9 +129,10 @@ type Store struct {
 	versionCount int
 	liveCount    int
 
-	// obs holds the optional metrics sink (see SetRegistry); read with a
-	// single atomic load on the probe paths.
-	obs atomic.Pointer[storeObs]
+	// reg is the registry the store and the components built over it
+	// record into; o holds the store's own metrics, resolved from it once.
+	reg *obs.Registry
+	o   storeObs
 
 	// hook, when non-nil, observes each mutation after validation and
 	// before application, under the write lock (see SetMutationHook).
@@ -144,12 +145,13 @@ type uniqueKey struct {
 }
 
 // NewStore returns an empty store over a finalized schema. A nil clock
-// uses the wall clock; tests pass a manual clock for determinism.
-func NewStore(s *schema.Schema, clock *temporal.Clock) *Store {
+// uses the wall clock; tests pass a manual clock for determinism. The
+// store records its metrics into reg (nil records nothing).
+func NewStore(s *schema.Schema, clock *temporal.Clock, reg *obs.Registry) *Store {
 	if clock == nil {
 		clock = &temporal.Clock{}
 	}
-	return &Store{
+	st := &Store{
 		schema:     s,
 		clock:      clock,
 		objects:    make(map[UID]*Object),
@@ -159,7 +161,10 @@ func NewStore(s *schema.Schema, clock *temporal.Clock) *Store {
 		unique:     make(map[uniqueKey]map[string]UID),
 		classCount: make(map[string]int),
 		nextUID:    1,
+		reg:        reg,
 	}
+	st.o = newStoreObs(st, reg)
+	return st
 }
 
 // Schema returns the store's schema.
@@ -364,9 +369,6 @@ func (st *Store) Object(uid UID) *Object {
 // node (temporal filtering is the caller's concern). The returned slice
 // must not be modified.
 func (st *Store) OutEdges(node UID) []UID {
-	if o := st.obs.Load(); o != nil {
-		o.adjProbes.Add(1)
-	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.out[node]
@@ -374,9 +376,6 @@ func (st *Store) OutEdges(node UID) []UID {
 
 // InEdges returns the UIDs of all edges ever attached incoming to the node.
 func (st *Store) InEdges(node UID) []UID {
-	if o := st.obs.Load(); o != nil {
-		o.adjProbes.Add(1)
-	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.in[node]
@@ -385,9 +384,7 @@ func (st *Store) InEdges(node UID) []UID {
 // ByClass returns the UIDs of all objects whose concrete class is exactly
 // name. The returned slice must not be modified.
 func (st *Store) ByClass(name string) []UID {
-	if o := st.obs.Load(); o != nil {
-		o.classScans.Add(1)
-	}
+	st.o.classScans.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.byClass[name]

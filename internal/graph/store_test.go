@@ -34,7 +34,7 @@ func testSchema(t *testing.T) *schema.Schema {
 func newTestStore(t *testing.T) (*Store, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	return NewStore(testSchema(t), clock), clock
+	return NewStore(testSchema(t), clock, nil), clock
 }
 
 func TestInsertAndLookup(t *testing.T) {

@@ -14,7 +14,6 @@ package gremlin
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -26,40 +25,28 @@ import (
 // Backend is the Gremlin-style accessor over a temporal graph store.
 type Backend struct {
 	store *graph.Store
-	obs   atomic.Pointer[backendObs]
+
+	// Anchor probes, unique-index lookups and adjacency probes, counted
+	// under "backend.gremlin.*" in the store's registry.
+	anchorProbes, uniqueLookups, edgeProbes *obs.Counter
 }
 
-// backendObs caches the registry counters an instrumented backend
-// records; nil (the default) disables recording.
-type backendObs struct {
-	anchorProbes  *obs.Counter
-	uniqueLookups *obs.Counter
-	edgeProbes    *obs.Counter
+// New returns a backend over the store, recording into its registry.
+func New(store *graph.Store) *Backend {
+	reg := store.Registry()
+	return &Backend{
+		store:         store,
+		anchorProbes:  reg.Counter("backend.gremlin.anchor_probes"),
+		uniqueLookups: reg.Counter("backend.gremlin.unique_lookups"),
+		edgeProbes:    reg.Counter("backend.gremlin.edge_probes"),
+	}
 }
-
-// New returns a backend over the store.
-func New(store *graph.Store) *Backend { return &Backend{store: store} }
 
 // Name implements plan.Accessor.
 func (b *Backend) Name() string { return "gremlin" }
 
 // Store implements plan.Accessor.
 func (b *Backend) Store() *graph.Store { return b.store }
-
-// Instrument attaches a metrics registry: anchor probes, unique-index
-// lookups, and adjacency probes are then counted under
-// "backend.gremlin.*". A nil registry detaches.
-func (b *Backend) Instrument(r *obs.Registry) {
-	if r == nil {
-		b.obs.Store(nil)
-		return
-	}
-	b.obs.Store(&backendObs{
-		anchorProbes:  r.Counter("backend.gremlin.anchor_probes"),
-		uniqueLookups: r.Counter("backend.gremlin.unique_lookups"),
-		edgeProbes:    r.Counter("backend.gremlin.edge_probes"),
-	})
-}
 
 // Label returns the Gremlin label of a class: its inheritance path.
 func Label(c *schema.Class) string { return c.Path() }
@@ -79,18 +66,13 @@ func LabelMatches(queryLabel, elemLabel string) bool {
 // label scan checks the governor once per class partition, so a canceled
 // query aborts mid-scan instead of materializing the whole anchor set.
 func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, gov *plan.Governor) ([]graph.UID, error) {
-	o := b.obs.Load()
-	if o != nil {
-		o.anchorProbes.Add(1)
-	}
+	b.anchorProbes.Add(1)
 	if err := gov.CheckNow(); err != nil {
 		return nil, err
 	}
 	cls := c.ClassOf(a)
 	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
-		if o != nil {
-			o.uniqueLookups.Add(1)
-		}
+		b.uniqueLookups.Add(1)
 		return elems, nil
 	}
 	queryLabel := Label(cls)
@@ -113,9 +95,7 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 // label afterwards. One governor check per probe keeps a canceled query
 // from queueing further adjacency reads.
 func (b *Backend) IncidentEdges(view graph.View, node graph.UID, dir plan.Direction, _ *rpe.Atom, _ *rpe.Checked, gov *plan.Governor) ([]graph.UID, error) {
-	if o := b.obs.Load(); o != nil {
-		o.edgeProbes.Add(1)
-	}
+	b.edgeProbes.Add(1)
 	if err := gov.CheckNow(); err != nil {
 		return nil, err
 	}

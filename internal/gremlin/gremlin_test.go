@@ -15,7 +15,7 @@ var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
 func demoBackend(t *testing.T) (*Backend, *netmodel.Demo) {
 	t.Helper()
-	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0))
+	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
 	d, err := netmodel.BuildDemo(st, 1000)
 	if err != nil {
 		t.Fatal(err)

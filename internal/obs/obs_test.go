@@ -147,6 +147,41 @@ func TestRegistryCreatesAndReuses(t *testing.T) {
 	}
 }
 
+// TestRegistryInclude: Include shares src's metric objects with r (an
+// update through either shows in both), repeating it changes nothing,
+// and including a registry into itself is a no-op.
+func TestRegistryInclude(t *testing.T) {
+	src, r := NewRegistry(), NewRegistry()
+	src.Counter("db.queries").Add(3)
+	src.Histogram("db.query_latency_ms").Observe(1)
+	src.GaugeFunc("store.versions", func() float64 { return 9 })
+	r.Counter("server.requests").Add(1)
+
+	r.Include(src)
+	r.Include(src)
+	if r.Counter("db.queries") != src.Counter("db.queries") ||
+		r.Histogram("db.query_latency_ms") != src.Histogram("db.query_latency_ms") {
+		t.Fatal("included metrics are copies, not the source's objects")
+	}
+	src.Counter("db.queries").Add(1)
+	snap := r.Snapshot()
+	if snap["db.queries"].(int64) != 4 || snap["store.versions"].(float64) != 9 || snap["server.requests"].(int64) != 1 {
+		t.Errorf("snapshot after including twice = %v", snap)
+	}
+	if len(snap) != 4 {
+		t.Errorf("snapshot holds %d metrics, want 4: %v", len(snap), snap)
+	}
+
+	before := src.Snapshot()
+	src.Include(src)
+	var none *Registry
+	none.Include(src)
+	r.Include(nil)
+	if after := src.Snapshot(); len(after) != len(before) || after["db.queries"] != before["db.queries"] {
+		t.Errorf("self-include changed the registry: %v -> %v", before, after)
+	}
+}
+
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Add(1)

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -170,6 +171,29 @@ func (r *Registry) helpFor(name string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.help[name]
+}
+
+// Include publishes every metric src holds into r under the same names,
+// replacing any r held there: afterwards both registries share the
+// metric objects, so what src's owners record shows in r's dumps too. It
+// is idempotent, and a no-op when src is r or either is nil. Metrics src
+// creates after the call are not published.
+func (r *Registry) Include(src *Registry) {
+	if r == nil || src == nil || r == src {
+		return
+	}
+	src.mu.RLock()
+	counters, gauges, hists := maps.Clone(src.counters), maps.Clone(src.gauges), maps.Clone(src.hists)
+	funcs, infos, help := maps.Clone(src.funcs), maps.Clone(src.infos), maps.Clone(src.help)
+	src.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	maps.Copy(r.counters, counters)
+	maps.Copy(r.gauges, gauges)
+	maps.Copy(r.hists, hists)
+	maps.Copy(r.funcs, funcs)
+	maps.Copy(r.infos, infos)
+	maps.Copy(r.help, help)
 }
 
 // Snapshot returns a consistent point-in-time copy of every metric:

@@ -313,7 +313,7 @@ func compareSets(t *testing.T, label string, st *graph.Store, got, want *plan.Pa
 func randomStore(t *testing.T, rng *rand.Rand) (*graph.Store, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	st := graph.NewStore(netmodel.MustSchema(), clock)
+	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
 
 	var id int64
 	nextID := func() int64 { id++; return id }

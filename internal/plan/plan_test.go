@@ -22,7 +22,7 @@ var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 func demoStore(t *testing.T) (*graph.Store, *netmodel.Demo, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	st := graph.NewStore(netmodel.MustSchema(), clock)
+	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
 	d, err := netmodel.BuildDemo(st, 1000)
 	if err != nil {
 		t.Fatal(err)

@@ -23,18 +23,10 @@ import (
 // the search rather than in Engine fields.
 type Engine struct {
 	acc Accessor
-	// reg, when non-nil, receives per-evaluation metrics (eval counts,
-	// latency histogram, scan volume); set via SetRegistry before serving.
-	reg *engineObs
+	o   engineObs
 }
 
-// NewEngine returns an engine over the backend accessor.
-func NewEngine(acc Accessor) *Engine { return &Engine{acc: acc} }
-
-// Accessor returns the backend accessor the engine drives.
-func (e *Engine) Accessor() Accessor { return e.acc }
-
-// engineObs caches the engine's registry metrics so the per-eval record
+// engineObs holds the engine's registry metrics, so the per-eval record
 // is a handful of atomic adds.
 type engineObs struct {
 	evals    *obs.Counter
@@ -45,31 +37,27 @@ type engineObs struct {
 	paths    *obs.Counter
 }
 
-// SetRegistry attaches a metrics registry: every evaluation then records
-// its latency and operator counters under "engine.<backend>.*". A nil
-// registry detaches. Call before the engine starts serving queries.
-func (e *Engine) SetRegistry(r *obs.Registry) {
-	if r == nil {
-		e.reg = nil
-		return
-	}
-	prefix := "engine." + e.acc.Name() + "."
-	e.reg = &engineObs{
+// NewEngine returns an engine over the backend accessor. Every evaluation
+// records its latency and operator counters under "engine.<backend>.*" in
+// the registry of the accessor's store.
+func NewEngine(acc Accessor) *Engine {
+	r, prefix := acc.Store().Registry(), "engine."+acc.Name()+"."
+	return &Engine{acc: acc, o: engineObs{
 		evals:    r.Counter(prefix + "evals"),
 		latency:  r.Histogram(prefix + "eval_latency_ms"),
 		anchors:  r.Counter(prefix + "anchor_records"),
 		edges:    r.Counter(prefix + "edges_scanned"),
 		partials: r.Counter(prefix + "partials_explored"),
 		paths:    r.Counter(prefix + "paths_emitted"),
-	}
+	}}
 }
+
+// Accessor returns the backend accessor the engine drives.
+func (e *Engine) Accessor() Accessor { return e.acc }
 
 // record folds one evaluation into the registry metrics.
 func (e *Engine) record(m Metrics, d time.Duration) {
-	o := e.reg
-	if o == nil {
-		return
-	}
+	o := &e.o
 	o.evals.Add(1)
 	o.latency.Observe(float64(d) / 1e6)
 	o.anchors.Add(int64(m.AnchorRecords))

@@ -15,7 +15,6 @@ package relational
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -39,27 +38,26 @@ type Backend struct {
 	// endpoints are immutable so edges never need reindexing.
 	indexedThrough graph.UID
 
-	obs atomic.Pointer[backendObs]
+	// Anchor probes, unique-index lookups, and hinted vs unpruned
+	// adjacency probes, counted under "backend.relational.*" in the store's
+	// registry. The hinted/unpruned split makes the §6 ablation's physical
+	// difference directly readable from the metrics dump: hinted probes
+	// touch only one class subtree's hash indexes, unpruned probes join
+	// every edge table.
+	anchorProbes, uniqueLookups, hintedProbes, unprunedProbes *obs.Counter
 }
 
-// backendObs caches the registry counters an instrumented backend
-// records; nil (the default) disables recording. The hinted/unpruned
-// split makes the §6 ablation's physical difference directly readable
-// from the metrics dump: hinted probes touch only one class subtree's
-// hash indexes, unpruned probes join every edge table.
-type backendObs struct {
-	anchorProbes  *obs.Counter
-	uniqueLookups *obs.Counter
-	hintedProbes  *obs.Counter
-	unprunedProbe *obs.Counter
-}
-
-// New returns a backend over the store.
+// New returns a backend over the store, recording into its registry.
 func New(store *graph.Store) *Backend {
+	reg := store.Registry()
 	return &Backend{
-		store: store,
-		bySrc: make(map[string]map[graph.UID][]graph.UID),
-		byDst: make(map[string]map[graph.UID][]graph.UID),
+		store:          store,
+		bySrc:          make(map[string]map[graph.UID][]graph.UID),
+		byDst:          make(map[string]map[graph.UID][]graph.UID),
+		anchorProbes:   reg.Counter("backend.relational.anchor_probes"),
+		uniqueLookups:  reg.Counter("backend.relational.unique_lookups"),
+		hintedProbes:   reg.Counter("backend.relational.hinted_probes"),
+		unprunedProbes: reg.Counter("backend.relational.unpruned_probes"),
 	}
 }
 
@@ -68,22 +66,6 @@ func (b *Backend) Name() string { return "relational" }
 
 // Store implements plan.Accessor.
 func (b *Backend) Store() *graph.Store { return b.store }
-
-// Instrument attaches a metrics registry: anchor probes, unique-index
-// lookups, and hinted vs unpruned adjacency probes are then counted under
-// "backend.relational.*". A nil registry detaches.
-func (b *Backend) Instrument(r *obs.Registry) {
-	if r == nil {
-		b.obs.Store(nil)
-		return
-	}
-	b.obs.Store(&backendObs{
-		anchorProbes:  r.Counter("backend.relational.anchor_probes"),
-		uniqueLookups: r.Counter("backend.relational.unique_lookups"),
-		hintedProbes:  r.Counter("backend.relational.hinted_probes"),
-		unprunedProbe: r.Counter("backend.relational.unpruned_probes"),
-	})
-}
 
 // refreshCheckStride bounds how many UIDs an index rebuild folds between
 // governor checks: large enough that the check cost vanishes against the
@@ -140,10 +122,7 @@ func (b *Backend) refresh(gov *plan.Governor) error {
 // unique-field equality, otherwise a scan of each concrete class table in
 // the atom's subtree (SELECT ... FROM <class>__historical WHERE ...).
 func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, gov *plan.Governor) ([]graph.UID, error) {
-	o := b.obs.Load()
-	if o != nil {
-		o.anchorProbes.Add(1)
-	}
+	b.anchorProbes.Add(1)
 	if err := gov.CheckNow(); err != nil {
 		return nil, err
 	}
@@ -151,9 +130,7 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 	// The relational schema keeps a dedicated uniqueness table (§5.2),
 	// realized by the store's unique index.
 	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
-		if o != nil {
-			o.uniqueLookups.Add(1)
-		}
+		b.uniqueLookups.Add(1)
 		return elems, nil
 	}
 	return b.store.BySubtree(cls), nil
@@ -174,9 +151,7 @@ func (b *Backend) IncidentEdges(view graph.View, node graph.UID, dir plan.Direct
 		idx = b.byDst
 	}
 	if atom != nil {
-		if o := b.obs.Load(); o != nil {
-			o.hintedProbes.Add(1)
-		}
+		b.hintedProbes.Add(1)
 		cls := c.ClassOf(atom)
 		var out []graph.UID
 		for _, name := range cls.SubtreeNames() {
@@ -186,9 +161,7 @@ func (b *Backend) IncidentEdges(view graph.View, node graph.UID, dir plan.Direct
 		}
 		return out, nil
 	}
-	if o := b.obs.Load(); o != nil {
-		o.unprunedProbe.Add(1)
-	}
+	b.unprunedProbes.Add(1)
 	var out []graph.UID
 	for _, name := range schema.SortedNames(idx) {
 		out = append(out, idx[name][node]...)

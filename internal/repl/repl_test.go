@@ -40,7 +40,7 @@ func testSchema(t testing.TB) *schema.Schema {
 
 func newStore(t testing.TB) *graph.Store {
 	t.Helper()
-	return graph.NewStore(testSchema(t), temporal.NewManualClock(t0))
+	return graph.NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 }
 
 // primary is a WAL-backed store serving the replication feed over a real
@@ -65,7 +65,7 @@ func newPrimary(t *testing.T) *primary {
 	st.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
 		return mgr.Append(ctx, m)
 	})
-	src := NewSource(st, mgr)
+	src := NewSource(st, mgr, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
@@ -755,7 +755,7 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 		}
 	}
 
-	src := NewSource(fst, fmgr)
+	src := NewSource(fst, fmgr, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)

@@ -48,9 +48,20 @@ type Source struct {
 	closeOnce sync.Once
 }
 
-// NewSource returns a feed over st's WAL manager.
-func NewSource(st *graph.Store, mgr *wal.Manager) *Source {
-	return &Source{st: st, mgr: mgr, closing: make(chan struct{})}
+// NewSource returns a feed over st's WAL manager, publishing into reg
+// its counters — batches/records/bytes shipped, snapshots served, feed
+// requests answered 410 or 409 — and the long-poll waiter gauge.
+func NewSource(st *graph.Store, mgr *wal.Manager, reg *obs.Registry) *Source {
+	return &Source{st: st, mgr: mgr, closing: make(chan struct{}),
+		mBatches:    reg.Counter("repl.source.batches"),
+		mRecords:    reg.Counter("repl.source.records_shipped"),
+		mBytes:      reg.Counter("repl.source.bytes_shipped"),
+		mSnapshots:  reg.Counter("repl.source.snapshots_served"),
+		mTruncated:  reg.Counter("repl.source.truncated_requests"),
+		mDiverged:   reg.Counter("repl.source.diverged_requests"),
+		mStaleEpoch: reg.Counter("repl.source.stale_epoch_requests"),
+		gWaiters:    reg.Gauge("repl.source.poll_waiters"),
+	}
 }
 
 // Close releases every parked long-poll immediately (each answers with
@@ -60,20 +71,6 @@ func NewSource(st *graph.Store, mgr *wal.Manager) *Source {
 // Close, they just stop holding polls.
 func (s *Source) Close() {
 	s.closeOnce.Do(func() { close(s.closing) })
-}
-
-// Instrument publishes the source's counters: batches/records/bytes
-// shipped, snapshots served, feed requests answered 410, and the
-// long-poll waiter gauge.
-func (s *Source) Instrument(reg *obs.Registry) {
-	s.mBatches = reg.Counter("repl.source.batches")
-	s.mRecords = reg.Counter("repl.source.records_shipped")
-	s.mBytes = reg.Counter("repl.source.bytes_shipped")
-	s.mSnapshots = reg.Counter("repl.source.snapshots_served")
-	s.mTruncated = reg.Counter("repl.source.truncated_requests")
-	s.mDiverged = reg.Counter("repl.source.diverged_requests")
-	s.mStaleEpoch = reg.Counter("repl.source.stale_epoch_requests")
-	s.gWaiters = reg.Gauge("repl.source.poll_waiters")
 }
 
 func (s *Source) maxBatch() int {

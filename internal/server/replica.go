@@ -338,8 +338,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 // everywhere.
 func (s *Server) mountReplication() {
 	if mgr := s.db.WAL(); mgr != nil {
-		src := repl.NewSource(s.db.Store(), mgr)
-		src.Instrument(s.reg)
+		src := repl.NewSource(s.db.Store(), mgr, s.reg)
 		// A feed request pinned to a higher epoch is proof of supersession:
 		// one of this node's old followers now follows the new primary.
 		// Fence immediately — before the next client write can be acked.

@@ -161,10 +161,10 @@ type Server struct {
 	mAdmWait  *obs.Histogram
 }
 
-// New returns a server over db. The server instruments the db and its
-// own components into cfg.Registry (or a private registry when nil), so
-// /metrics exposes engine, store, WAL, cache, and admission metrics in
-// one dump.
+// New returns a server over db. The server's own components record into
+// cfg.Registry (or a private registry when nil), and the db's metrics are
+// published there too (core.DB.Instrument), so /metrics exposes engine,
+// store, WAL, cache, and admission metrics in one dump.
 func New(db *core.DB, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
@@ -202,9 +202,8 @@ func New(db *core.DB, cfg Config) *Server {
 		s.traces = obs.NewTraceStore(cfg.TraceKeep, cfg.SlowTraceThreshold)
 	}
 	if cfg.StatementStatsSize >= 0 {
-		s.stats = stats.NewStore(cfg.StatementStatsSize)
+		s.stats = stats.NewStore(cfg.StatementStatsSize, reg)
 		db.SetStatementStats(s.stats)
-		s.stats.Instrument(reg)
 	}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/prepare", s.handlePrepare)

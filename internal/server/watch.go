@@ -70,8 +70,7 @@ func (s *Server) mountWatch() {
 		s.mux.HandleFunc("GET /v1/watch/query", unavailable)
 		return
 	}
-	s.hub = watch.NewHub(s.db, s.feed)
-	s.hub.Instrument(s.reg)
+	s.hub = watch.NewHub(s.db, s.feed, s.reg)
 	s.mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	s.mux.HandleFunc("GET /v1/watch/query", s.handleWatchQuery)
 }

@@ -170,12 +170,23 @@ type Store struct {
 }
 
 // NewStore returns a store tracking at most max digests (plus the
-// "other" overflow bucket). max <= 0 uses DefaultMaxStatements.
-func NewStore(max int) *Store {
+// "other" overflow bucket); max <= 0 uses DefaultMaxStatements. The
+// store's own health — cardinality actually tracked and digests evicted
+// into "other" — is read into reg at scrape time (nil publishes nothing).
+func NewStore(max int, reg *obs.Registry) *Store {
 	if max <= 0 {
 		max = DefaultMaxStatements
 	}
-	return &Store{max: max, entries: make(map[string]*entry)}
+	s := &Store{max: max, entries: make(map[string]*entry)}
+	reg.SetHelp("stats.statements_tracked", "Distinct statement digests currently tracked by the statistics store.")
+	reg.GaugeFunc("stats.statements_tracked", func() float64 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return float64(len(s.entries))
+	})
+	reg.SetHelp("stats.statements_evicted", "Statement digests evicted into the 'other' bucket to cap cardinality.")
+	reg.GaugeFunc("stats.statements_evicted", func() float64 { return float64(s.evicted.Load()) })
+	return s
 }
 
 // Observe records one execution of the statement identified by digest.
@@ -297,23 +308,4 @@ func (s *Store) Reset() {
 	s.other = nil
 	s.evicted.Store(0)
 	s.mu.Unlock()
-}
-
-// Instrument registers the store's own health metrics on reg:
-// cardinality actually tracked and digests evicted into "other".
-func (s *Store) Instrument(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	reg.SetHelp("stats.statements_tracked", "Distinct statement digests currently tracked by the statistics store.")
-	reg.GaugeFunc("stats.statements_tracked", func() float64 {
-		s.mu.RLock()
-		n := len(s.entries)
-		s.mu.RUnlock()
-		return float64(n)
-	})
-	reg.SetHelp("stats.statements_evicted", "Statement digests evicted into the 'other' bucket to cap cardinality.")
-	reg.GaugeFunc("stats.statements_evicted", func() float64 {
-		return float64(s.evicted.Load())
-	})
 }

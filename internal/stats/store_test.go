@@ -9,7 +9,7 @@ import (
 )
 
 func TestStoreObserveAndSnapshot(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(10, nil)
 	for i := 0; i < 5; i++ {
 		s.Observe("aaa", "Host ( id = ? )", Observation{Duration: 10 * time.Millisecond, Outcome: "ok", Edges: 100, Rows: 2})
 	}
@@ -56,7 +56,7 @@ func TestStoreObserveAndSnapshot(t *testing.T) {
 }
 
 func TestStoreEvictionFoldsIntoOther(t *testing.T) {
-	s := NewStore(3)
+	s := NewStore(3, nil)
 	// Three digests with clearly ordered total time.
 	s.Observe("cold", "q0", Observation{Duration: 1 * time.Millisecond, Outcome: "ok", Edges: 1, Rows: 1})
 	s.Observe("warm", "q1", Observation{Duration: 50 * time.Millisecond, Outcome: "ok"})
@@ -95,7 +95,7 @@ func TestStoreEvictionFoldsIntoOther(t *testing.T) {
 }
 
 func TestStoreReset(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore(2, nil)
 	s.Observe("a", "qa", Observation{Duration: time.Millisecond, Outcome: "ok"})
 	s.Observe("b", "qb", Observation{Duration: time.Millisecond, Outcome: "ok"})
 	s.Observe("c", "qc", Observation{Duration: time.Millisecond, Outcome: "ok"}) // forces an eviction
@@ -126,7 +126,7 @@ func TestStoreNilSafe(t *testing.T) {
 // and periodic resets; run under -race -count=2 this is the digest-store
 // half of the concurrency satellite.
 func TestStoreConcurrency(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore(8, nil)
 	const writers = 8
 	const perWriter = 500
 	var writeWG, readWG sync.WaitGroup

@@ -113,7 +113,7 @@ func (mgr *Manager) StreamHash() (next, hash uint64) {
 // position folds fewer than markEvery checksums into its segment's
 // nearest mark.
 func (mgr *Manager) PrefixHash(pos uint64) (uint64, error) {
-	segs, next, end, o := mgr.streamView()
+	segs, next, end := mgr.streamView()
 	if pos > next {
 		return 0, fmt.Errorf("wal: stream position %d is beyond the log end %d", pos, next)
 	}
@@ -135,7 +135,7 @@ func (mgr *Manager) PrefixHash(pos uint64) (uint64, error) {
 		}
 		return 0, err
 	}
-	r.close(o)
+	r.close(mgr.o.streamReadBytes)
 	return h, nil
 }
 

@@ -25,6 +25,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // ErrTruncatedStream reports that the requested stream position has been
@@ -134,7 +136,7 @@ func (mgr *Manager) Changed() <-chan struct{} {
 // were durable at entry, so a partially written (or about-to-be-rolled-
 // back) tail frame is never read, let alone shipped.
 func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, error) {
-	segs, next, _, o := mgr.streamView()
+	segs, next, _ := mgr.streamView()
 	if from > next {
 		return nil, from, fmt.Errorf("wal: stream position %d is beyond the log end %d", from, next)
 	}
@@ -180,7 +182,7 @@ func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, erro
 				cur++
 			}
 		}
-		r.close(o)
+		r.close(mgr.o.streamReadBytes)
 		if err != nil {
 			return nil, from, err
 		}
@@ -190,15 +192,15 @@ func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, erro
 
 // streamView copies, under the lock, what a stream read needs: the
 // segment index with the active segment's end set to its durable size,
-// the durable record count and the chain hash there, and the metric
-// handles. Readers index each segment's marks only below the copied
-// length, so appends extending the live slice never race them.
-func (mgr *Manager) streamView() (segs []segMeta, next, hash uint64, o walObs) {
+// and the durable record count and the chain hash there. Readers index
+// each segment's marks only below the copied length, so appends extending
+// the live slice never race them.
+func (mgr *Manager) streamView() (segs []segMeta, next, hash uint64) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	segs = slices.Clone(mgr.segs)
 	segs[len(segs)-1].end = mgr.size
-	return segs, mgr.next, mgr.hash, mgr.o
+	return segs, mgr.next, mgr.hash
 }
 
 // segFor returns the index of the segment holding stream position pos,
@@ -273,10 +275,10 @@ func (r *frameReader) next(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// close counts the bytes read from the file and closes it.
-func (r *frameReader) close(o walObs) {
+// close counts the bytes read from the file into readBytes and closes it.
+func (r *frameReader) close(readBytes *obs.Counter) {
 	read, _ := r.sec.Seek(0, io.SeekCurrent)
-	o.streamReadBytes.Add(read)
+	readBytes.Add(read)
 	r.f.Close()
 }
 

@@ -32,7 +32,7 @@ type streamFixture struct {
 func newStreamFixture(t *testing.T) *streamFixture {
 	t.Helper()
 	dir := t.TempDir()
-	st := newTestStore(t)
+	st := graph.NewStore(testSchema(t), temporal.NewManualClock(t0), obs.NewRegistry())
 	mgr, _, err := Open(dir, st, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -781,8 +781,8 @@ func TestReadRecordsCostFollowsResult(t *testing.T) {
 
 	// wal.stream_read_bytes counts what the read took off the disk: the
 	// frames from the nearest mark to the durable end, not the segment.
-	reg := obs.NewRegistry()
-	f.mgr.Instrument(reg)
+	readBytes := f.st.Registry().Counter("wal.stream_read_bytes")
+	before := readBytes.Value()
 	next := f.mgr.NextIndex()
 	if _, _, err := f.mgr.ReadRecords(next-1, 0); err != nil {
 		t.Fatal(err)
@@ -791,7 +791,7 @@ func TestReadRecordsCostFollowsResult(t *testing.T) {
 	_, off, _ := f.mgr.segs[len(f.mgr.segs)-1].markAt(next - 1)
 	size := f.mgr.size
 	f.mgr.mu.Unlock()
-	if got := reg.Counter("wal.stream_read_bytes").Value(); got != size-off {
+	if got := readBytes.Value() - before; got != size-off {
 		t.Errorf("wal.stream_read_bytes = %d after one read of the last record; want %d, the bytes from its mark (segment %d bytes)",
 			got, size-off, size)
 	}

@@ -113,9 +113,9 @@ func (s RecoveryStats) String() string {
 	return msg
 }
 
-// walObs holds the registry metrics the append and checkpoint paths
-// record. The zero value (no registry) records nothing: nil obs metrics
-// are no-ops.
+// walObs holds the registry metrics the append, checkpoint and stream
+// read paths record, resolved once by Open. The zero value (no registry)
+// records nothing: nil obs metrics are no-ops.
 type walObs struct {
 	appends      *obs.Counter
 	appendBytes  *obs.Counter
@@ -202,7 +202,6 @@ type Manager struct {
 	seq    uint64
 	size   int64 // bytes in the active segment
 	broken error // set when the log can no longer accept appends
-	o      walObs
 
 	// segs lists every on-disk segment with its global start index,
 	// ascending; the last entry is the active segment. next is the global
@@ -223,6 +222,7 @@ type Manager struct {
 	hash  uint64
 
 	stats RecoveryStats
+	o     walObs
 }
 
 // Open recovers the log directory into st (which must be empty) and
@@ -230,6 +230,11 @@ type Manager struct {
 // replay every segment in order, truncate a torn tail, and open the
 // newest segment for appending. The caller wires durability up with
 // st.SetMutationHook(mgr.Append).
+//
+// The Manager records into st's registry under "wal.*" names: appends,
+// appended bytes, fsyncs, append errors, checkpoints and their duration,
+// the segment bytes stream reads take off the disk, the stream's next and
+// base indexes read at scrape time, and this recovery's outcome counters.
 func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, error) {
 	var stats RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -314,9 +319,29 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 	if err != nil {
 		return nil, stats, fmt.Errorf("wal: opening active segment: %w", err)
 	}
-	return &Manager{dir: dir, opts: opts, f: f, seq: active.seq, size: active.end, stats: stats,
+	reg := st.Registry()
+	mgr := &Manager{dir: dir, opts: opts, f: f, seq: active.seq, size: active.end, stats: stats,
 		segs: segs, next: start, hash: hash, epoch: epoch,
-		notify: make(chan struct{}), logID: logID}, stats, nil
+		notify: make(chan struct{}), logID: logID,
+		o: walObs{
+			appends:         reg.Counter("wal.appends"),
+			appendBytes:     reg.Counter("wal.append_bytes"),
+			appendErrors:    reg.Counter("wal.append_errors"),
+			fsyncs:          reg.Counter("wal.fsyncs"),
+			fsyncMS:         reg.Histogram("wal.fsync_ms"),
+			checkpoints:     reg.Counter("wal.checkpoints"),
+			checkpointMS:    reg.Histogram("wal.checkpoint_ms"),
+			streamReadBytes: reg.Counter("wal.stream_read_bytes"),
+		}}
+	reg.GaugeFunc("wal.next_index", func() float64 { return float64(mgr.NextIndex()) })
+	reg.GaugeFunc("wal.base_index", func() float64 { return float64(mgr.BaseIndex()) })
+	reg.Counter("wal.recoveries").Add(1)
+	reg.Counter("wal.recovered_records").Add(int64(stats.RecordsApplied))
+	reg.Counter("wal.recovery_skipped_records").Add(int64(stats.RecordsSkipped))
+	if stats.TailTruncated {
+		reg.Counter("wal.tail_truncations").Add(1)
+	}
+	return mgr, stats, nil
 }
 
 func segmentPath(dir string, seq uint64) string {
@@ -410,7 +435,7 @@ func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
 		mgr.mu.Unlock()
 		return fmt.Errorf("wal: log is broken: %w", mgr.broken)
 	}
-	o := mgr.o
+	o := &mgr.o
 	n, err := mgr.f.Write(frame)
 	if err != nil {
 		o.appendErrors.Add(1)
@@ -536,10 +561,9 @@ func (mgr *Manager) Checkpoint(st *graph.Store) error {
 	}
 	// Delete rather than reslice, so the pruned segments' marks are freed.
 	mgr.segs = slices.Delete(mgr.segs, 0, pruned)
-	o := mgr.o
 	mgr.mu.Unlock()
-	o.checkpoints.Add(1)
-	o.checkpointMS.Observe(float64(time.Since(start)) / 1e6)
+	mgr.o.checkpoints.Add(1)
+	mgr.o.checkpointMS.Observe(float64(time.Since(start)) / 1e6)
 	return nil
 }
 
@@ -620,35 +644,3 @@ func (mgr *Manager) Size() int64 {
 
 // RecoveryStats returns what Open recovered.
 func (mgr *Manager) RecoveryStats() RecoveryStats { return mgr.stats }
-
-// Instrument attaches a metrics registry: appends, appended bytes, fsyncs,
-// append errors, checkpoints, checkpoint duration, and the segment bytes
-// stream reads take off the disk are recorded under "wal.*" names, and
-// the recovery outcome counters are published once at attach time. A nil
-// registry detaches.
-func (mgr *Manager) Instrument(reg *obs.Registry) {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	if reg == nil {
-		mgr.o = walObs{}
-		return
-	}
-	mgr.o = walObs{
-		appends:         reg.Counter("wal.appends"),
-		appendBytes:     reg.Counter("wal.append_bytes"),
-		appendErrors:    reg.Counter("wal.append_errors"),
-		fsyncs:          reg.Counter("wal.fsyncs"),
-		fsyncMS:         reg.Histogram("wal.fsync_ms"),
-		checkpoints:     reg.Counter("wal.checkpoints"),
-		checkpointMS:    reg.Histogram("wal.checkpoint_ms"),
-		streamReadBytes: reg.Counter("wal.stream_read_bytes"),
-	}
-	reg.GaugeFunc("wal.next_index", func() float64 { return float64(mgr.NextIndex()) })
-	reg.GaugeFunc("wal.base_index", func() float64 { return float64(mgr.BaseIndex()) })
-	reg.Counter("wal.recoveries").Add(1)
-	reg.Counter("wal.recovered_records").Add(int64(mgr.stats.RecordsApplied))
-	reg.Counter("wal.recovery_skipped_records").Add(int64(mgr.stats.RecordsSkipped))
-	if mgr.stats.TailTruncated {
-		reg.Counter("wal.tail_truncations").Add(1)
-	}
-}

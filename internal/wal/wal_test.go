@@ -41,7 +41,7 @@ func testSchema(t testing.TB) *schema.Schema {
 
 func newTestStore(t testing.TB) *graph.Store {
 	t.Helper()
-	return graph.NewStore(testSchema(t), temporal.NewManualClock(t0))
+	return graph.NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 }
 
 // ackedMutation is one acknowledged write of a golden run together with
@@ -407,13 +407,12 @@ func TestOpenRequiresEmptyStore(t *testing.T) {
 
 func TestConcurrentMutationsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	st := graph.NewStore(testSchema(t), nil) // wall clock: concurrent writers
+	reg := obs.NewRegistry()
+	st := graph.NewStore(testSchema(t), nil, reg) // wall clock: concurrent writers
 	mgr, _, err := Open(dir, st, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	mgr.Instrument(reg)
 	st.SetMutationHook(mgr.Append)
 
 	const writers, each = 4, 120
@@ -461,7 +460,7 @@ func TestConcurrentMutationsAndCheckpoints(t *testing.T) {
 		t.Errorf("wal.appends = %d, want %d", reg.Counter("wal.appends").Value(), writers*each*5/3)
 	}
 
-	st2 := graph.NewStore(testSchema(t), nil)
+	st2 := graph.NewStore(testSchema(t), nil, nil)
 	mgr2, _, err := Open(dir, st2, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -184,26 +184,20 @@ type Hub struct {
 // NewHub returns a hub tailing feed, with its pump running. The pump
 // starts at the feed's current end: standing queries see mutations from
 // registration time forward (their initial full snapshot covers the
-// history).
-func NewHub(db *core.DB, feed Feed) *Hub {
+// history). The hub publishes its counters and gauges into reg.
+func NewHub(db *core.DB, feed Feed, reg *obs.Registry) *Hub {
 	h := &Hub{
-		db:     db,
-		feed:   feed,
-		cursor: feed.NextIndex(),
-		done:   make(chan struct{}),
+		db:       db,
+		feed:     feed,
+		cursor:   feed.NextIndex(),
+		done:     make(chan struct{}),
+		mEvents:  reg.Counter("watch.events"),
+		mEvals:   reg.Counter("watch.standing.evals"),
+		mSkipped: reg.Counter("watch.standing.skipped"),
+		mDeltas:  reg.Counter("watch.standing.deltas"),
+		mLagged:  reg.Counter("watch.standing.lagged"),
+		mErrors:  reg.Counter("watch.standing.errors"),
 	}
-	go h.pump()
-	return h
-}
-
-// Instrument publishes the hub's counters and gauges.
-func (h *Hub) Instrument(reg *obs.Registry) {
-	h.mEvents = reg.Counter("watch.events")
-	h.mEvals = reg.Counter("watch.standing.evals")
-	h.mSkipped = reg.Counter("watch.standing.skipped")
-	h.mDeltas = reg.Counter("watch.standing.deltas")
-	h.mLagged = reg.Counter("watch.standing.lagged")
-	h.mErrors = reg.Counter("watch.standing.errors")
 	reg.SetHelp("watch.events", "Change-feed events processed by the standing-query pump")
 	reg.SetHelp("watch.standing.evals", "Standing-query re-evaluations triggered by footprint hits")
 	reg.SetHelp("watch.standing.skipped", "Standing-query re-evaluations skipped: batch outside the class footprint")
@@ -215,6 +209,8 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 		defer h.mu.Unlock()
 		return float64(len(h.subs))
 	})
+	go h.pump()
+	return h
 }
 
 // Register compiles src as a standing query named name, evaluates it

@@ -3,6 +3,7 @@ package watch
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -16,9 +17,9 @@ import (
 	"repro/internal/wal"
 )
 
-func openWALDB(t *testing.T) *core.DB {
+func openWALDB(t *testing.T, extra ...core.Option) *core.DB {
 	t.Helper()
-	db, err := core.Open(netmodel.MustSchema(), core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
+	db, err := core.Open(netmodel.MustSchema(), append([]core.Option{core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true})}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +259,9 @@ func TestStandingQueryIncrementality(t *testing.T) {
 	insertHost(t, db, 1, "host-a")
 
 	feed := NewWALFeed(db.WAL(), db.Store())
-	hub := NewHub(db, feed)
-	defer hub.Close()
 	reg := obs.NewRegistry()
-	hub.Instrument(reg)
+	hub := NewHub(db, feed, reg)
+	defer hub.Close()
 	evals := reg.Counter("watch.standing.evals")
 	skipped := reg.Counter("watch.standing.skipped")
 
@@ -339,16 +339,14 @@ func TestStandingQueryIncrementality(t *testing.T) {
 // TestStandingQueryFailureIsSurfaced makes a standing query fail after
 // registration — an ingest grows its result past the DB's MaxPaths — and
 // proves the subscriber is told, typed, exactly once, and keeps its
-// subscription: lifting the limit resumes deltas relative to the last
-// result it was sent.
+// subscription: once a delete brings the result back under the limit,
+// deltas resume relative to the last result it was sent.
 func TestStandingQueryFailureIsSurfaced(t *testing.T) {
-	db := openWALDB(t)
-	insertHost(t, db, 1, "host-a")
-	db.SetLimits(exec.Limits{MaxPaths: 1})
-	hub := NewHub(db, NewWALFeed(db.WAL(), db.Store()))
-	defer hub.Close()
+	db := openWALDB(t, core.WithLimits(exec.Limits{MaxPaths: 1}))
+	hostA := insertHost(t, db, 1, "host-a")
 	reg := obs.NewRegistry()
-	hub.Instrument(reg)
+	hub := NewHub(db, NewWALFeed(db.WAL(), db.Store()), reg)
+	defer hub.Close()
 
 	sub, err := hub.Register("hosts", "Select source(P).name From PATHS P Where P MATCHES ComputeHost()", 8)
 	if err != nil {
@@ -370,11 +368,13 @@ func TestStandingQueryFailureIsSurfaced(t *testing.T) {
 		t.Fatalf("watch.standing.errors = %d; want 1", got)
 	}
 
-	db.SetLimits(exec.Limits{})
-	insertHost(t, db, 3, "host-c")
+	if err := db.Delete(hostA); err != nil {
+		t.Fatal(err)
+	}
 	n, err = sub.Next(ctx)
-	if err != nil || n.Kind != KindDelta || n.Delta.Full || len(n.Delta.Added) != 2 {
-		t.Fatalf("delta after the limit was lifted = %+v, %v; want host-b and host-c added", n, err)
+	if err != nil || n.Kind != KindDelta || n.Delta.Full ||
+		!slices.Equal(n.Delta.Added, []string{"host-b"}) || !slices.Equal(n.Delta.Removed, []string{"host-a"}) {
+		t.Fatalf("delta back under the limit = %+v, %v; want host-b added and host-a removed", n, err)
 	}
 }
 
@@ -399,10 +399,9 @@ func TestSubscriberOverflowLags(t *testing.T) {
 	insertHost(t, db, 1, "host-0")
 
 	feed := NewWALFeed(db.WAL(), db.Store())
-	hub := NewHub(db, feed)
-	defer hub.Close()
 	reg := obs.NewRegistry()
-	hub.Instrument(reg)
+	hub := NewHub(db, feed, reg)
+	defer hub.Close()
 	lagged := reg.Counter("watch.standing.lagged")
 
 	// Queue of 1: the initial full snapshot fills it; every further delta

@@ -18,7 +18,7 @@ var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 func buildServiceGraph(t *testing.T, cfg ServiceConfig) (*graph.Store, *Service, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
-	st := graph.NewStore(netmodel.MustSchema(), clock)
+	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
 	svc, err := BuildService(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func legacyStore(t *testing.T, cfg LegacyConfig) (*graph.Store, *Legacy, *tempor
 		t.Fatal(err)
 	}
 	clock := temporal.NewManualClock(t0)
-	st := graph.NewStore(sch, clock)
+	st := graph.NewStore(sch, clock, nil)
 	l, err := BuildLegacy(st, cfg)
 	if err != nil {
 		t.Fatal(err)
