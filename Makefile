@@ -17,15 +17,16 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The obs registry, trace spans, and instrumented engine paths are
-# exercised under the race detector; the bench fixtures are too slow for
-# -race, so the harness packages run in -short mode.
+# Every package under the race detector. The bench fixtures are too slow
+# for -race, so the harness packages run in -short mode, as do the WAL
+# and chaos suites (their full crash-point sweeps run in make test).
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/core/ ./internal/exec/
 	$(GO) test -race ./internal/gremlin/ ./internal/relational/
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/ ./cmd/nepal/
+	$(GO) test -race . ./internal/schema/ ./internal/temporal/ ./internal/rpe/ ./internal/query/ ./internal/codegen/ ./internal/netmodel/ ./internal/workload/
 	$(GO) test -race -short ./internal/wal/ ./internal/chaos/
-	$(GO) test -race -short ./internal/bench/ ./cmd/nepalbench/ ./cmd/nepalgen/
+	$(GO) test -race -short ./internal/bench/ ./cmd/nepalbench/ ./cmd/nepalgen/ ./benchmark/
 
 # The end-to-end benchmark of BENCHMARK.json, one plain run per workload
 # at the driver's size, printing the three end-to-end metrics of each —

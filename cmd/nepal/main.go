@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -391,7 +392,11 @@ func execute(db *core.DB, out io.Writer, src string, opt options) error {
 		return nil
 	}
 	if opt.explainAnalyze {
-		text, res, err := db.ExplainAnalyze(src)
+		stmt, err := db.Prepare(src)
+		if err != nil {
+			return err
+		}
+		text, res, err := stmt.ExplainAnalyze(context.Background(), db.Limits())
 		if err != nil {
 			return err
 		}

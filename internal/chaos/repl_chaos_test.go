@@ -79,7 +79,7 @@ func TestSeveredStreamResumesFromOffset(t *testing.T) {
 	purl := serveOn(t, ps, flaky)
 
 	fdb := openWALDB(t)
-	f := repl.NewFollower(fdb.Store(), fdb.WAL(), repl.FollowerConfig{
+	f := repl.NewFollower(fdb.Store(), repl.FollowerConfig{
 		Primary:      purl,
 		PollWait:     100 * time.Millisecond,
 		ReconnectMin: time.Millisecond,

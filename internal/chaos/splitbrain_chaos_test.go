@@ -62,7 +62,7 @@ func TestPartitionedPrimarySplitBrainIsFencedAndDetected(t *testing.T) {
 	f1url := serveOn(t, f1s, listen(t))
 
 	f2db := openWALDB(t)
-	f2 := repl.NewFollower(f2db.Store(), f2db.WAL(), fcfg())
+	f2 := repl.NewFollower(f2db.Store(), fcfg())
 	f2.Start()
 	t.Cleanup(f2.Stop)
 
@@ -238,7 +238,7 @@ func TestPartitionedPrimarySplitBrainIsFencedAndDetected(t *testing.T) {
 	forkApplied, _ := f2.Applied()
 	f2.Stop()
 	resume := f2.StreamState()
-	repointed := repl.NewFollower(f2db.Store(), f2db.WAL(), repl.FollowerConfig{
+	repointed := repl.NewFollower(f2db.Store(), repl.FollowerConfig{
 		Primary:      f1url,
 		PollWait:     100 * time.Millisecond,
 		ReconnectMin: time.Millisecond,

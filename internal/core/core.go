@@ -392,34 +392,6 @@ func (db *DB) Explain(src string) (string, error) {
 	return sb.String(), nil
 }
 
-// ExplainAnalyze executes the query with operator-DAG tracing and renders
-// each variable's plan annotated with the measured per-operator
-// statistics — wall time, rows in/out, backend probes, EdgesScanned — in
-// the style of EXPLAIN ANALYZE. The traced result is returned alongside
-// the rendering for programmatic use.
-func (db *DB) ExplainAnalyze(src string) (string, *exec.Result, error) {
-	stmt, err := db.Prepare(src)
-	if err != nil {
-		return "", nil, err
-	}
-	res, err := stmt.run(context.Background(), db.executor, exec.RunOptions{Limits: db.limits, Traced: true})
-	if err != nil {
-		return "", nil, err
-	}
-	var sb strings.Builder
-	for _, rv := range stmt.a.Query.Vars {
-		p := res.Plans[rv.Name]
-		if p == nil {
-			continue
-		}
-		fmt.Fprintf(&sb, "-- variable %s [%s] --\n", rv.Name, db.backend)
-		sb.WriteString(p.ExplainAnalyze(varSpan(res.Trace, rv.Name)))
-	}
-	fmt.Fprintf(&sb, "Query: time=%s rows=%d %s\n",
-		obs.FormatDuration(res.Trace.Duration()), len(res.Rows), res.Metrics)
-	return sb.String(), res, nil
-}
-
 // varSpan finds the per-variable group span inside a query trace; when
 // absent (e.g. the variable never evaluated) the whole trace is used, so
 // stats degrade to query-wide aggregates instead of vanishing.

@@ -138,7 +138,11 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 		"Query":        func(db, _ *DB, src string) (*exec.Result, error) { return db.Query(src) },
 		"QueryContext": func(db, _ *DB, src string) (*exec.Result, error) { return db.QueryContext(bg, src) },
 		"ExplainAnalyze": func(db, _ *DB, src string) (*exec.Result, error) {
-			_, res, err := db.ExplainAnalyze(src)
+			p, err := db.Prepare(src)
+			if err != nil {
+				return nil, err
+			}
+			_, res, err := p.ExplainAnalyze(bg, db.Limits())
 			return res, err
 		},
 		"QueryRouted": func(db, other *DB, src string) (*exec.Result, error) {

@@ -101,6 +101,30 @@ func (p *Prepared) ExecTraced(ctx context.Context, lim exec.Limits, parent *obs.
 	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Parent: parent})
 }
 
+// ExplainAnalyze executes the statement under ctx and lim with
+// operator-DAG tracing and renders each variable's plan annotated with
+// the measured per-operator statistics — wall time, rows in/out, backend
+// probes, EdgesScanned — in the style of EXPLAIN ANALYZE. The traced
+// result is returned alongside the rendering for programmatic use.
+func (p *Prepared) ExplainAnalyze(ctx context.Context, lim exec.Limits) (string, *exec.Result, error) {
+	res, err := p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Traced: true})
+	if err != nil {
+		return "", nil, err
+	}
+	var sb strings.Builder
+	for _, rv := range p.a.Query.Vars {
+		pl := res.Plans[rv.Name]
+		if pl == nil {
+			continue
+		}
+		fmt.Fprintf(&sb, "-- variable %s [%s] --\n", rv.Name, p.db.backend)
+		sb.WriteString(pl.ExplainAnalyze(varSpan(res.Trace, rv.Name)))
+	}
+	fmt.Fprintf(&sb, "Query: time=%s rows=%d %s\n",
+		obs.FormatDuration(res.Trace.Duration()), len(res.Rows), res.Metrics)
+	return sb.String(), res, nil
+}
+
 // run is the one body every query entry point executes: run the prepared
 // statement on x under o, then record the finished query into the
 // registry, the per-statement statistics store, and the slow log.

@@ -167,7 +167,6 @@ func (st *Store) checkRecord(m *Mutation) error {
 func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (applied bool, err error) {
 	var c *schema.Class
 	var obj *Object
-	var cur *Version
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
 		if replay {
@@ -209,7 +208,7 @@ func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (app
 				}
 			}
 		}
-		if cur = obj.Current(); cur == nil {
+		if obj.Current() == nil {
 			if m.Op == OpDelete {
 				return false, nil // already closed
 			}
@@ -242,9 +241,9 @@ func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (app
 	case OpInsertNode, OpInsertEdge:
 		st.installLocked(c, m.UID, m.Src, m.Dst, m.Fields, m.At)
 	case OpUpdate:
-		st.updateLocked(obj, cur, m.Fields, m.At)
+		st.updateLocked(obj, m.Fields, m.At)
 	case OpDelete:
-		st.deleteAtLocked(obj, cur, m.At)
+		st.deleteAtLocked(obj, m.At)
 	}
 	return true, nil
 }

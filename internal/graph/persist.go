@@ -112,12 +112,13 @@ func (st *Store) WriteHistory(w io.Writer) error {
 
 // LoadHistory reconstructs a previously written history stream into st,
 // which must be empty. Every version is validated against the schema
-// (the strong-typing guarantee holds across restore), structural
-// invariants are re-checked (edge endpoints exist and are nodes, version
-// periods are ordered and non-overlapping, at most one open version),
-// and the live unique indexes, adjacency, class indexes, and statistics
-// are rebuilt. The store's clock is advanced past the newest stored
-// timestamp so post-restore writes stay strictly monotonic.
+// (the strong-typing guarantee holds across restore), the live unique
+// indexes, adjacency, class indexes, and statistics are rebuilt, and the
+// staged store must pass CheckInvariants — the same checker behind
+// `nepal -fsck` — so a history loads exactly when the store it builds is
+// one the live write path could have produced. The store's clock is
+// advanced past the newest stored timestamp so post-restore writes stay
+// strictly monotonic.
 //
 // The load is atomic: everything is staged into scratch state and
 // installed only after the whole stream has decoded and validated, so on
@@ -179,20 +180,8 @@ func (st *Store) LoadHistory(r io.Reader) error {
 		return fmt.Errorf("graph: trailing data after the %d declared history objects", hdr.Objects)
 	}
 
-	// Endpoint integrity: every edge's endpoints must exist and be nodes,
-	// and the endpoints must already exist whenever the edge does.
-	for _, obj := range tmp.objects {
-		if !obj.IsEdge() {
-			continue
-		}
-		for _, end := range []UID{obj.Src, obj.Dst} {
-			other := tmp.objects[end]
-			if other == nil || other.IsEdge() {
-				return fmt.Errorf("graph: history edge %d references invalid endpoint %d", obj.UID, end)
-			}
-		}
-		tmp.out[obj.Src] = append(tmp.out[obj.Src], obj.UID)
-		tmp.in[obj.Dst] = append(tmp.in[obj.Dst], obj.UID)
+	if v := tmp.CheckInvariants(); len(v) > 0 {
+		return fmt.Errorf("graph: history fails %d invariant checks, first: %s", len(v), v[0])
 	}
 
 	// Commit: install the fully validated state.
@@ -213,7 +202,10 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	return nil
 }
 
-// restoreObject validates and installs one object document.
+// restoreObject validates one object document's class and versions
+// against the schema and installs it with its indexes. Structural
+// invariants — version order, open versions, edge endpoints and
+// lifetimes, unique values — are LoadHistory's CheckInvariants pass.
 func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 	cls, ok := st.schema.Class(doc.Class)
 	if !ok {
@@ -229,12 +221,8 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 	if _, dup := st.objects[uid]; dup {
 		return nil, fmt.Errorf("graph: duplicate uid %d in history", uid)
 	}
-	if len(doc.Versions) == 0 {
-		return nil, fmt.Errorf("graph: history object %d has no versions", uid)
-	}
 
 	obj := &Object{UID: uid, Class: cls, Src: UID(doc.Src), Dst: UID(doc.Dst)}
-	var prevEnd time.Time
 	for vi, vd := range doc.Versions {
 		if err := st.schema.ValidateRecord(doc.Class, vd.Fields); err != nil {
 			return nil, fmt.Errorf("graph: history object %d version %d: %w", uid, vi, err)
@@ -250,31 +238,23 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 				return nil, fmt.Errorf("graph: history object %d version %d end: %w", uid, vi, err)
 			}
 			period = temporal.Between(start, end)
-			if period.IsEmpty() {
-				return nil, fmt.Errorf("graph: history object %d version %d has empty period", uid, vi)
-			}
-		} else if vi != len(doc.Versions)-1 {
-			return nil, fmt.Errorf("graph: history object %d has an open non-final version", uid)
 		}
-		if vi > 0 && start.Before(prevEnd) {
-			return nil, fmt.Errorf("graph: history object %d versions overlap", uid)
-		}
-		prevEnd = period.End
 		obj.Versions = append(obj.Versions, Version{Fields: vd.Fields.Clone(), Period: period})
 		st.versionCount++
 	}
 
 	st.objects[uid] = obj
 	st.byClass[doc.Class] = append(st.byClass[doc.Class], uid)
+	if obj.IsEdge() {
+		st.out[obj.Src] = append(st.out[obj.Src], uid)
+		st.in[obj.Dst] = append(st.in[obj.Dst], uid)
+	}
 	if uid >= st.nextUID {
 		st.nextUID = uid + 1
 	}
 	if cur := obj.Current(); cur != nil {
 		st.classCount[doc.Class]++
 		st.liveCount++
-		if err := st.claimUnique(cls, cur.Fields, 0); err != nil {
-			return nil, fmt.Errorf("graph: history object %d: %w", uid, err)
-		}
 		st.recordUnique(cls, cur.Fields, uid)
 	}
 	return obj, nil

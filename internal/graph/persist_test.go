@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -121,13 +122,27 @@ func TestLoadHistoryValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
+	// reopen drops the end of the closed version carrying fields. Edge
+	// 101's endpoint vm2 was deleted at t0+3h and the cascade closed the
+	// edge with it, so reopening the edge makes it outlive its endpoint;
+	// reopening vm1's first version leaves an open version before the last.
+	reopen := func(fields string) string {
+		doc := regexp.MustCompile(`("fields":`+regexp.QuoteMeta(fields)+`,"start":"[^"]*"),"end":"[^"]*"`).
+			ReplaceAllString(good, "$1")
+		if doc == good {
+			t.Fatalf("fixture has no closed version with fields %s", fields)
+		}
+		return doc
+	}
 
 	cases := map[string]string{
-		"garbage header":  "not json\n",
-		"wrong format":    `{"format":"other/9","objects":0,"next_uid":1}` + "\n",
-		"truncated":       good[:len(good)/2],
-		"unknown class":   strings.Replace(good, `"class":"VM"`, `"class":"Blob"`, 1),
-		"ill-typed field": strings.Replace(good, `"status":"Green"`, `"status":7`, 1),
+		"edge outlives endpoint": reopen(`{"id":101}`),
+		"open non-final version": reopen(`{"id":1,"status":"Green"}`),
+		"garbage header":         "not json\n",
+		"wrong format":           `{"format":"other/9","objects":0,"next_uid":1}` + "\n",
+		"truncated":              good[:len(good)/2],
+		"unknown class":          strings.Replace(good, `"class":"VM"`, `"class":"Blob"`, 1),
+		"ill-typed field":        strings.Replace(good, `"status":"Green"`, `"status":7`, 1),
 	}
 	for name, doc := range cases {
 		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)

@@ -51,6 +51,12 @@ type Version struct {
 // Object is a node or edge with its full version history. Versions are
 // ordered by period start and non-overlapping; the last one is open
 // (IsCurrent) unless the object has been deleted.
+//
+// An Object is immutable once the store has published it: a write that
+// changes one — an update or a delete closing its open version — installs
+// a fresh Object with a copied Versions slice under the write lock. So a
+// reader holding an *Object from Object (or an index) reads it without a
+// lock and never sees a version closed or appended underneath it.
 type Object struct {
 	UID   UID
 	Class *schema.Class
@@ -242,19 +248,33 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fi
 	}
 }
 
-// updateLocked closes cur and opens a new version at a fixed timestamp.
-func (st *Store) updateLocked(obj *Object, cur *Version, fields Fields, t time.Time) {
-	st.releaseUnique(obj.Class, cur.Fields, obj.UID)
+// updateLocked closes obj's open version and opens a new one at a fixed
+// timestamp, publishing the result as a fresh object.
+func (st *Store) updateLocked(obj *Object, fields Fields, t time.Time) {
+	st.releaseUnique(obj.Class, obj.Current().Fields, obj.UID)
 	st.recordUnique(obj.Class, fields, obj.UID)
-	cur.Period.End = t
-	obj.Versions = append(obj.Versions, Version{Fields: fields.Clone(), Period: temporal.Current(t)})
+	next := st.closedCopy(obj, t, 1)
+	next.Versions = append(next.Versions, Version{Fields: fields.Clone(), Period: temporal.Current(t)})
 	st.versionCount++
+}
+
+// closedCopy publishes a copy of obj whose open version ends at t, with
+// capacity for extra versions to be appended, and returns it. The
+// published original is never written: objects are immutable once readers
+// can reach them.
+func (st *Store) closedCopy(obj *Object, t time.Time, extra int) *Object {
+	next := *obj
+	next.Versions = make([]Version, len(obj.Versions), len(obj.Versions)+extra)
+	copy(next.Versions, obj.Versions)
+	next.Versions[len(next.Versions)-1].Period.End = t
+	st.objects[obj.UID] = &next
+	return &next
 }
 
 // deleteAtLocked closes the object — and, for a node, its live incident
 // edges — at one shared timestamp t, so the whole cascade is a single
 // atomic transaction-time event that log replay reproduces exactly.
-func (st *Store) deleteAtLocked(obj *Object, cur *Version, t time.Time) {
+func (st *Store) deleteAtLocked(obj *Object, t time.Time) {
 	if !obj.IsEdge() {
 		for _, eid := range st.out[obj.UID] {
 			st.closeIfLive(eid, t)
@@ -263,20 +283,18 @@ func (st *Store) deleteAtLocked(obj *Object, cur *Version, t time.Time) {
 			st.closeIfLive(eid, t)
 		}
 	}
-	st.closeObject(obj, cur, t)
+	st.closeObject(obj, t)
 }
 
 func (st *Store) closeIfLive(uid UID, t time.Time) {
-	if obj := st.objects[uid]; obj != nil {
-		if cur := obj.Current(); cur != nil {
-			st.closeObject(obj, cur, t)
-		}
+	if obj := st.objects[uid]; obj != nil && obj.Current() != nil {
+		st.closeObject(obj, t)
 	}
 }
 
-func (st *Store) closeObject(obj *Object, cur *Version, t time.Time) {
-	cur.Period.End = t
-	st.releaseUnique(obj.Class, cur.Fields, obj.UID)
+func (st *Store) closeObject(obj *Object, t time.Time) {
+	st.releaseUnique(obj.Class, obj.Current().Fields, obj.UID)
+	st.closedCopy(obj, t, 0)
 	st.classCount[obj.Class.Name]--
 	st.liveCount--
 }

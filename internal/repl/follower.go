@@ -22,9 +22,6 @@ import (
 type FollowerConfig struct {
 	// Primary is the primary server's base URL, e.g. "http://10.0.0.1:7474".
 	Primary string
-	// HTTPClient issues the feed requests; nil uses a private client with
-	// no overall timeout (long-polls are bounded per request).
-	HTTPClient *http.Client
 	// PollWait is the long-poll hold the follower asks the primary for;
 	// 0 means 20s.
 	PollWait time.Duration
@@ -104,8 +101,7 @@ type Status struct {
 	LastContact time.Time
 	// LastError is the most recent feed failure ("" when healthy).
 	LastError string
-	// Epoch is the primary epoch this link is pinned to — after Promote,
-	// the new epoch this node took the log over at.
+	// Epoch is the primary epoch this link is pinned to.
 	Epoch uint64
 	// Diverged reports the link parked with ErrDiverged: the primary's
 	// history and the locally applied history forked, and the replica
@@ -115,11 +111,10 @@ type Status struct {
 
 // Follower replicates a primary's WAL into a local store. Create with
 // NewFollower, start the pull loop with Start, and serve reads from the
-// store at the staleness bounds Status/WaitUntil expose. A follower is
-// promoted to primary with Promote.
+// store at the staleness bounds Status/WaitUntil expose. A follower's node
+// is promoted to primary with Node.Promote.
 type Follower struct {
 	st  *graph.Store
-	mgr *wal.Manager // optional local WAL; used to make promotion durable
 	cfg FollowerConfig
 	hc  *http.Client
 
@@ -160,16 +155,9 @@ type Follower struct {
 }
 
 // NewFollower returns an unstarted replication link that replays the
-// primary at cfg.Primary into st. mgr may be nil (a purely in-memory
-// replica); when present it is NOT written during replication — replayed
-// records bypass the mutation hook — but Promote checkpoints into it so
-// the replicated state is durable the moment the node starts acking
-// writes of its own.
-func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Follower {
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
+// primary at cfg.Primary into st. Replayed records bypass the store's
+// mutation hook, so a node's own WAL stays empty until Node.Promote.
+func NewFollower(st *graph.Store, cfg FollowerConfig) *Follower {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 20 * time.Second
 	}
@@ -183,7 +171,7 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		cfg.Logf = func(string, ...any) {}
 	}
 	f := &Follower{
-		st: st, mgr: mgr, cfg: cfg, hc: hc,
+		st: st, cfg: cfg, hc: &http.Client{},
 		// A link starting at position 0 provably has the empty history:
 		// its prefix-hash chain starts at the seed.
 		hash: wal.PrefixHashSeed, hashKnown: true,
@@ -687,65 +675,27 @@ func (f *Follower) WaitUntil(ctx context.Context, ts time.Time) error {
 	}
 }
 
-// Promote turns the follower into a primary: the pull loop stops, the
-// node's own WAL (when attached) adopts the primary's log identity,
-// stream position, and prefix hash under a freshly bumped epoch, and the
-// replicated state is checkpointed into it so every replayed mutation is
-// durable before the node acks writes of its own. Adopting the stream —
-// rather than starting a fresh log — is what makes a later fork by the
-// old primary detectable: both logs then claim the same identity and
-// positions, and any follower comparing prefix hashes sees which era it
-// is on. Idempotent; returns the stream position the node took over at.
-func (f *Follower) Promote() (uint64, error) {
+// Promote ends the link for a promotion: it marks the follower promoted
+// (WaitUntil stops waiting — the node is about to be the authority),
+// stops the pull loop, and hands over the link's stream state. Node.Promote
+// takes it from there: the epoch, the WAL adoption and the checkpoint are
+// the node's. Idempotent.
+func (f *Follower) Promote() StreamState {
 	f.mu.Lock()
-	if f.promoted {
-		applied := f.applied
-		f.mu.Unlock()
-		return applied, nil
+	if !f.promoted {
+		f.promoted = true
+		close(f.changed)
+		f.changed = make(chan struct{})
 	}
-	f.promoted = true
-	close(f.changed)
-	f.changed = make(chan struct{})
 	f.mu.Unlock()
-
 	// Stop the pull loop BEFORE reading the stream position: a promote
 	// racing an in-flight bootstrap must observe either the empty store
 	// (the canceled download's LoadHistory installed nothing) or the
 	// fully loaded one with its applied index already advanced — never a
 	// checkpoint of half-staged state at a stale position.
 	f.Stop()
-
-	f.mu.Lock()
-	applied, h, hashKnown, pinnedEpoch, logID := f.applied, f.hash, f.hashKnown, f.epoch, f.logID
-	f.mu.Unlock()
-
-	newEpoch := pinnedEpoch + 1
-	if f.mgr != nil {
-		if own := f.mgr.Epoch(); own > pinnedEpoch {
-			newEpoch = own + 1
-		}
-		if logID != "" && hashKnown {
-			if err := f.mgr.AdoptStream(logID, applied, newEpoch, h); err != nil {
-				return applied, fmt.Errorf("repl: adopting primary's stream on promote: %w", err)
-			}
-		} else if err := f.mgr.SetEpoch(newEpoch); err != nil {
-			// Never contacted an epoch-stamping primary (or the chain state
-			// is unknown): keep the node's own log identity and just open a
-			// new era on it.
-			return applied, fmt.Errorf("repl: bumping epoch on promote: %w", err)
-		}
-		if err := f.mgr.Checkpoint(f.st); err != nil {
-			return applied, fmt.Errorf("repl: checkpointing replicated state on promote: %w", err)
-		}
-	} else if pinnedEpoch == 0 {
-		// In-memory replica of a WAL-less primary: epochs are not in play.
-		newEpoch = 0
-	}
-	f.mu.Lock()
-	f.epoch = newEpoch
-	f.mu.Unlock()
-	f.cfg.Logf("repl: promoted at stream position %d (epoch %d)", applied, newEpoch)
-	return applied, nil
+	f.cfg.Logf("repl: link to %s stopped for promotion", f.cfg.Primary)
+	return f.StreamState()
 }
 
 // Promoted reports whether Promote has run.

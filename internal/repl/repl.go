@@ -16,11 +16,15 @@
 //	    the feed from (X-Nepal-Wal-Resume). Records the checkpoint
 //	    already reflects replay as no-ops (ApplyMutation is idempotent).
 //
+// Both answer 503 "not_primary" on a node that is an unpromoted replica.
+//
 // Followers expose a bounded-staleness contract: Status reports the
 // applied-through timestamp and record lag, and WaitUntil blocks a read
 // that demands a minimum timestamp until the replica catches up or the
-// caller's deadline expires (ErrLagging). Promote turns a follower into
-// a writable primary that provably contains every mutation it applied.
+// caller's deadline expires (ErrLagging). Node is the one authority on a
+// node's role and epoch: the feed, the serving layer and the watch feed
+// ask it, and Node.Promote turns a replica into a writable primary that
+// provably contains every mutation it applied.
 package repl
 
 import (
@@ -89,10 +93,6 @@ const ClockFormat = time.RFC3339Nano
 // timestamp within the caller's deadline. The serving layer maps it to
 // the typed "replica_lagging" wire error.
 var ErrLagging = errors.New("repl: replica lagging behind requested timestamp")
-
-// ErrPromoted reports an operation that requires an active replication
-// link on a follower that has already been promoted to primary.
-var ErrPromoted = errors.New("repl: follower has been promoted")
 
 // ErrStopped reports an operation on a follower whose replication loop
 // has been stopped without promotion.

@@ -48,6 +48,7 @@ func newStore(t testing.TB) *graph.Store {
 type primary struct {
 	st    *graph.Store
 	mgr   *wal.Manager
+	node  *Node
 	src   *Source
 	srv   *httptest.Server
 	clock *temporal.Clock
@@ -65,13 +66,14 @@ func newPrimary(t *testing.T) *primary {
 	st.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
 		return mgr.Append(ctx, m)
 	})
-	src := NewSource(st, mgr, nil)
+	node := NewNode(st, mgr, nil)
+	src := NewSource(node, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return &primary{st: st, mgr: mgr, src: src, srv: srv, clock: st.Clock()}
+	return &primary{st: st, mgr: mgr, node: node, src: src, srv: srv, clock: st.Clock()}
 }
 
 // write lands n acked mutations on the primary.
@@ -122,7 +124,7 @@ func TestFollowerReplicates(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 30)
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "initial catch-up", func() bool { return f.Status().Applied == 30 })
@@ -155,7 +157,7 @@ func TestFollowerBootstrap(t *testing.T) {
 	}
 	p.write(t, 10)
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "bootstrap + catch-up", func() bool { return f.Status().Applied == 35 })
@@ -174,7 +176,7 @@ func TestWaitUntilBoundedStaleness(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 5)
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 
 	// Not started: any future timestamp must fail with ErrLagging.
@@ -206,7 +208,7 @@ func TestWaitUntilWakesOnCatchUp(t *testing.T) {
 	p.write(t, 3)
 	target := p.st.Now()
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	errc := make(chan error, 1)
 	go func() {
@@ -241,11 +243,12 @@ func TestPromoteDurable(t *testing.T) {
 	fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
 		return fmgr.Append(ctx, m)
 	})
-	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
+	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 20 })
 
-	pos, err := f.Promote()
+	pos, _, err := node.Promote()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +259,7 @@ func TestPromoteDurable(t *testing.T) {
 		t.Fatal("Promoted() = false after Promote")
 	}
 	// Idempotent.
-	if pos2, err := f.Promote(); err != nil || pos2 != 20 {
+	if pos2, _, err := node.Promote(); err != nil || pos2 != 20 {
 		t.Fatalf("second Promote = (%d, %v), want (20, nil)", pos2, err)
 	}
 
@@ -292,7 +295,7 @@ func TestFollowerReconnectAccounting(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 4)
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 4 })
@@ -389,7 +392,7 @@ func TestFollowerConvergesWithTinyBatches(t *testing.T) {
 
 	cfg := testFollowerConfig(p.srv.URL)
 	cfg.MaxBatchBytes = 1
-	f := NewFollower(newStore(t), nil, cfg)
+	f := NewFollower(newStore(t), cfg)
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up through capped batches", func() bool { return f.Status().Applied == 20 })
@@ -431,7 +434,7 @@ func TestBootstrapRetriesAfterSeveredSnapshot(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "bootstrap retry + catch-up", func() bool { return f.Status().Applied == 30 })
@@ -467,7 +470,7 @@ func TestFollowerRejectsForeignLog(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up on the real primary", func() bool { return f.Status().Applied == 5 })
@@ -568,13 +571,14 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 		fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
 			return fmgr.Append(ctx, m)
 		})
-		f := NewFollower(fst, fmgr, testFollowerConfig(srv.URL))
+		f := NewFollower(fst, testFollowerConfig(srv.URL))
+		node := NewNode(fst, fmgr, f)
 		f.Start()
 		<-started
 		if round > 0 {
 			close(release)
 		}
-		applied, perr := f.Promote()
+		applied, _, perr := node.Promote()
 		if round == 0 {
 			close(release)
 		}
@@ -617,13 +621,11 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 
 // TestSourceRejectsStaleEpoch: a feed request pinned to a higher epoch
 // proves this primary was superseded. The source must refuse to ship
-// (409 wal_stale_epoch) and notify the serving layer via OnStaleEpoch
-// so the node can fence itself.
+// (409 wal_stale_epoch) and the node must fence itself, learning the
+// superseding epoch.
 func TestSourceRejectsStaleEpoch(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 3)
-	var learned atomic.Uint64
-	p.src.OnStaleEpoch = func(remote uint64) { learned.Store(remote) }
 
 	resp, err := http.Get(p.srv.URL + "/v1/wal?from=0&epoch=5")
 	if err != nil {
@@ -637,8 +639,8 @@ func TestSourceRejectsStaleEpoch(t *testing.T) {
 	if !strings.Contains(string(body), "wal_stale_epoch") {
 		t.Fatalf("409 body missing wal_stale_epoch: %s", body)
 	}
-	if got := learned.Load(); got != 5 {
-		t.Fatalf("OnStaleEpoch learned %d, want 5", got)
+	if fenced, got := p.node.Fenced(); !fenced || got != 5 {
+		t.Fatalf("node learned %d (fenced=%v), want 5", got, fenced)
 	}
 
 	// An equal or lower pinned epoch ships normally.
@@ -658,7 +660,7 @@ func TestSourceRejectsStaleEpoch(t *testing.T) {
 func TestFollowerAdoptsHigherEpoch(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 6)
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 6 })
@@ -693,7 +695,7 @@ func TestFollowerParksDivergedOnForgedFork(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 8)
 
-	f := NewFollower(newStore(t), nil, testFollowerConfig(p.srv.URL))
+	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 8 })
 	f.Stop()
@@ -705,7 +707,7 @@ func TestFollowerParksDivergedOnForgedFork(t *testing.T) {
 
 	cfg := testFollowerConfig(p.srv.URL)
 	cfg.Resume = &resume
-	forked := NewFollower(newStore(t), nil, cfg)
+	forked := NewFollower(newStore(t), cfg)
 	defer forked.Stop()
 	forked.Start()
 	waitFor(t, "diverged park", func() bool { return forked.Status().Diverged })
@@ -736,10 +738,11 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 	fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
 		return fmgr.Append(ctx, m)
 	})
-	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
+	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 10 })
-	if _, err := f.Promote(); err != nil {
+	if _, _, err := node.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmgr.Epoch(); got != 2 {
@@ -755,14 +758,14 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 		}
 	}
 
-	src := NewSource(fst, fmgr, nil)
+	src := NewSource(node, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f2 := NewFollower(newStore(t), nil, testFollowerConfig(srv.URL))
+	f2 := NewFollower(newStore(t), testFollowerConfig(srv.URL))
 	defer f2.Stop()
 	f2.Start()
 	waitFor(t, "fresh follower catch-up", func() bool { return f2.Status().Applied == 15 })
@@ -772,5 +775,81 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 	}
 	if !bytes.Equal(history(t, f2.st), history(t, fst)) {
 		t.Fatal("fresh follower history differs from the promoted node")
+	}
+}
+
+// TestNodeRoleAndEpochRule walks one node through every role: a
+// WAL-backed replica (feed answers not_primary, a higher epoch never
+// fences it), its promotion (one mint above the followed era), a fence
+// by a higher epoch, and the re-promotion above the fencing era; then an
+// in-memory primary, which has no epoch to mint.
+func TestNodeRoleAndEpochRule(t *testing.T) {
+	p := newPrimary(t)
+	p.write(t, 4)
+	fst := newStore(t)
+	fmgr, _, err := wal.Open(t.TempDir(), fst, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fmgr.Close() })
+	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	node := NewNode(fst, fmgr, f)
+	f.Start()
+	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 4 })
+
+	src := NewSource(node, nil)
+	for _, path := range []string{"/v1/wal?from=0&epoch=9", "/v1/wal/snapshot"} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if path == "/v1/wal/snapshot" {
+			src.ServeSnapshot(rec, req)
+		} else {
+			src.ServeWAL(rec, req)
+		}
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "not_primary") || rec.Header().Get(HeaderLogID) != "" {
+			t.Fatalf("GET %s on a replica = %d %q (log %q); want 503 not_primary naming no log",
+				path, rec.Code, rec.Body.String(), rec.Header().Get(HeaderLogID))
+		}
+	}
+	if !node.Replica() || node.Epoch() != 1 || node.LogID() != p.mgr.LogID() {
+		t.Fatalf("replica node: replica=%v epoch=%d log=%q", node.Replica(), node.Epoch(), node.LogID())
+	}
+	if !node.Observe(9) {
+		t.Fatal("epoch 9 does not supersede a replica pinned to 1")
+	}
+	if fenced, _ := node.Fenced(); fenced {
+		t.Fatal("a replica was fenced")
+	}
+	if !errors.Is(node.CheckWrite(0), ErrReadOnly) || node.Demote() == nil {
+		t.Fatal("a replica accepted a write or a demote")
+	}
+
+	pos, epoch, err := node.Promote()
+	if err != nil || pos != 4 || epoch != 2 {
+		t.Fatalf("promote = (%d, %d, %v); want (4, 2, nil)", pos, epoch, err)
+	}
+	if node.Replica() || node.Epoch() != 2 || fmgr.Epoch() != 2 || node.CheckWrite(0) != nil {
+		t.Fatalf("promoted node: replica=%v epoch=%d wal epoch=%d", node.Replica(), node.Epoch(), fmgr.Epoch())
+	}
+
+	if !node.Observe(7) || !errors.Is(node.CheckWrite(0), ErrStalePrimary) {
+		t.Fatal("epoch 7 did not fence the epoch-2 primary")
+	}
+	if _, epoch, err = node.Promote(); err != nil || epoch != 8 || node.CheckWrite(0) != nil {
+		t.Fatalf("re-promote = (%d, %v); want epoch 8 and an open write gate", epoch, err)
+	}
+
+	mem := NewNode(newStore(t), nil, nil)
+	if mem.Observe(5) || mem.Epoch() != 0 {
+		t.Fatal("an epoch-less node was superseded")
+	}
+	if err := mem.Demote(); err != nil || !errors.Is(mem.CheckWrite(0), ErrStalePrimary) {
+		t.Fatalf("demoted in-memory primary: %v", err)
+	}
+	if _, epoch, err := mem.Promote(); err != nil || epoch != 0 || mem.CheckWrite(0) != nil {
+		t.Fatalf("re-promoted in-memory primary: epoch %d, %v", epoch, err)
+	}
+	if _, _, err := mem.Promote(); !errors.Is(err, ErrNotReplica) {
+		t.Fatalf("promote of an unfenced primary: %v; want ErrNotReplica", err)
 	}
 }

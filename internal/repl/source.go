@@ -9,31 +9,19 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
-// Source is the primary side of replication: HTTP handlers over a WAL
-// manager that serve the record feed and the checkpoint bootstrap. The
+// Source is the primary side of replication: HTTP handlers over a node's
+// WAL that serve the record feed and the checkpoint bootstrap. The
 // serving layer mounts ServeWAL at GET /v1/wal and ServeSnapshot at
-// GET /v1/wal/snapshot on any WAL-backed server.
+// GET /v1/wal/snapshot on any WAL-backed server; they serve only while
+// the node is a primary (fenced or not). An unpromoted replica's WAL is
+// its own empty log, not the stream it follows, so there both answer 503
+// "not_primary" before naming any log.
 type Source struct {
-	st  *graph.Store
-	mgr *wal.Manager
-
-	// MaxBatchBytes caps one feed response body; 0 means 1 MiB. A batch
-	// always carries at least one whole record, so a single oversized
-	// record still ships.
-	MaxBatchBytes int
-	// MaxWait caps a feed request's wait_ms long-poll; 0 means 30s.
-	MaxWait time.Duration
-	// OnStaleEpoch, when set, is invoked with the remote epoch whenever a
-	// feed request proves this log's epoch has been superseded (the
-	// requester has seen a higher one). The serving layer uses it to
-	// self-fence a stale primary the moment one of its old followers —
-	// now pinned to the new era — reconnects.
-	OnStaleEpoch func(remoteEpoch uint64)
+	node *Node
 
 	mBatches    *obs.Counter
 	mRecords    *obs.Counter
@@ -48,11 +36,19 @@ type Source struct {
 	closeOnce sync.Once
 }
 
-// NewSource returns a feed over st's WAL manager, publishing into reg
-// its counters — batches/records/bytes shipped, snapshots served, feed
-// requests answered 410 or 409 — and the long-poll waiter gauge.
-func NewSource(st *graph.Store, mgr *wal.Manager, reg *obs.Registry) *Source {
-	return &Source{st: st, mgr: mgr, closing: make(chan struct{}),
+// maxBatchBytes caps one feed response body. A batch always carries at
+// least one whole record, so a single oversized record still ships.
+const maxBatchBytes = 1 << 20
+
+// maxPollWait caps a feed request's wait_ms long-poll.
+const maxPollWait = 30 * time.Second
+
+// NewSource returns a feed over node's WAL, which must exist, publishing
+// into reg its counters — batches/records/bytes shipped, snapshots
+// served, feed requests answered 410 or 409 — and the long-poll waiter
+// gauge.
+func NewSource(node *Node, reg *obs.Registry) *Source {
+	return &Source{node: node, closing: make(chan struct{}),
 		mBatches:    reg.Counter("repl.source.batches"),
 		mRecords:    reg.Counter("repl.source.records_shipped"),
 		mBytes:      reg.Counter("repl.source.bytes_shipped"),
@@ -73,18 +69,16 @@ func (s *Source) Close() {
 	s.closeOnce.Do(func() { close(s.closing) })
 }
 
-func (s *Source) maxBatch() int {
-	if s.MaxBatchBytes > 0 {
-		return s.MaxBatchBytes
+// rejectReplica answers a feed or snapshot request on an unpromoted
+// replica. Returns true when the request was rejected.
+func (s *Source) rejectReplica(w http.ResponseWriter) bool {
+	if !s.node.Replica() {
+		return false
 	}
-	return 1 << 20
-}
-
-func (s *Source) maxWait() time.Duration {
-	if s.MaxWait > 0 {
-		return s.MaxWait
-	}
-	return 30 * time.Second
+	w.Header().Set("Retry-After", "1")
+	sourceErr(w, http.StatusServiceUnavailable, "not_primary",
+		"this node is an unpromoted replica: its log is not the stream it follows; replicate from the primary")
+	return true
 }
 
 // sourceErr is the minimal JSON error envelope, shaped like the serving
@@ -103,12 +97,15 @@ func sourceErr(w http.ResponseWriter, status int, code, msg string) {
 // lands or the wait expires (an empty 200 body). 410 Gone directs the
 // follower to the snapshot endpoint.
 func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
+	if s.rejectReplica(w) {
+		return
+	}
 	// Every feed answer — batches, 410s, even a "position beyond end" 400
 	// from a follower pointed at the wrong primary — carries the log's
 	// identity, so a mispointed follower detects the foreign log instead
 	// of retrying against it.
-	w.Header().Set(HeaderLogID, s.mgr.LogID())
-	epoch := s.mgr.Epoch()
+	w.Header().Set(HeaderLogID, s.node.LogID())
+	epoch := s.node.Epoch()
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
@@ -117,20 +114,17 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A follower pinned to a higher epoch proves this log was superseded:
-	// a newer primary exists and took the stream over. Refuse to ship (the
-	// requester must not re-adopt a stale era) and notify the serving
-	// layer so the node can fence itself.
+	// a newer primary exists and took the stream over. The node fences
+	// itself, and the feed refuses to ship (the requester must not re-adopt
+	// a stale era).
 	if v := q.Get("epoch"); v != "" {
 		remote, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			sourceErr(w, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
 			return
 		}
-		if remote > epoch {
+		if s.node.Observe(remote) {
 			s.mStaleEpoch.Add(1)
-			if s.OnStaleEpoch != nil {
-				s.OnStaleEpoch(remote)
-			}
 			sourceErr(w, http.StatusConflict, "wal_stale_epoch",
 				fmt.Sprintf("this log is at epoch %d but the requester has seen epoch %d: this primary was superseded and must not be followed", epoch, remote))
 			return
@@ -148,7 +142,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			sourceErr(w, http.StatusBadRequest, "bad_request", "hash must be a hex-encoded prefix hash")
 			return
 		}
-		if local, err := s.mgr.PrefixHash(from); err == nil && local != remote {
+		if local, err := s.node.mgr.PrefixHash(from); err == nil && local != remote {
 			s.mDiverged.Add(1)
 			w.Header().Set(HeaderHash, strconv.FormatUint(local, 16))
 			sourceErr(w, http.StatusConflict, "wal_diverged",
@@ -156,7 +150,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	maxBytes := s.maxBatch()
+	maxBytes := maxBatchBytes
 	if v := q.Get("max_bytes"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
@@ -175,9 +169,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		wait = time.Duration(n) * time.Millisecond
-		if max := s.maxWait(); wait > max {
-			wait = max
-		}
+		wait = min(wait, maxPollWait)
 	}
 
 	deadline := time.Now().Add(wait)
@@ -191,7 +183,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		// Grab the change channel before reading: a record appended
 		// between the read and the wait closes this channel, so the poll
 		// can never sleep through it.
-		changed := s.mgr.Changed()
+		changed := s.node.mgr.Changed()
 		// Capture order is load-bearing for the staleness contract. The
 		// committed clock is fenced first: every mutation at or before it
 		// is already durable, and nothing later can be stamped at or
@@ -199,14 +191,14 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		// record the clock covers. A follower that applies through
 		// "durable" may therefore adopt "clock" as its applied-through
 		// watermark without ever claiming a record it did not replay.
-		clock := s.st.CommittedClock()
-		durable := s.mgr.NextIndex()
-		batch, batchEnd, err := s.mgr.ReadRecords(from, maxBytes)
+		clock := s.node.st.CommittedClock()
+		durable := s.node.mgr.NextIndex()
+		batch, batchEnd, err := s.node.mgr.ReadRecords(from, maxBytes)
 		switch {
 		case err == nil:
 		case wal.IsTruncatedStream(err):
 			s.mTruncated.Add(1)
-			w.Header().Set(HeaderBase, strconv.FormatUint(s.mgr.BaseIndex(), 10))
+			w.Header().Set(HeaderBase, strconv.FormatUint(s.node.mgr.BaseIndex(), 10))
 			sourceErr(w, http.StatusGone, "wal_truncated",
 				fmt.Sprintf("stream position %d predates the oldest retained record; bootstrap from /v1/wal/snapshot", from))
 			return
@@ -243,8 +235,8 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 // writeEmpty answers an expiring long-poll with a fresh empty batch,
 // re-capturing the clock and durable end in contract order.
 func (s *Source) writeEmpty(w http.ResponseWriter, from uint64) {
-	clock := s.st.CommittedClock()
-	s.writeBatch(w, from, from, s.mgr.NextIndex(), clock, nil)
+	clock := s.node.st.CommittedClock()
+	s.writeBatch(w, from, from, s.node.mgr.NextIndex(), clock, nil)
 }
 
 // writeBatch ships frames [from, batchEnd) and advertises the log's
@@ -260,7 +252,7 @@ func (s *Source) writeBatch(w http.ResponseWriter, from, batchEnd, durable uint6
 	// chain after applying — omitted only when a concurrent checkpoint
 	// contracted the position away between the read and now (the follower
 	// then just skips the check for this batch).
-	if h, err := s.mgr.PrefixHash(batchEnd); err == nil {
+	if h, err := s.node.mgr.PrefixHash(batchEnd); err == nil {
 		w.Header().Set(HeaderHash, strconv.FormatUint(h, 16))
 	}
 	w.WriteHeader(http.StatusOK)
@@ -277,7 +269,10 @@ func (s *Source) writeBatch(w http.ResponseWriter, from, batchEnd, durable uint6
 // checkpoint exists yet — a fresh follower then simply streams from
 // position zero.
 func (s *Source) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
-	rc, resume, hash, err := s.mgr.Snapshot()
+	if s.rejectReplica(w) {
+		return
+	}
+	rc, resume, hash, err := s.node.mgr.Snapshot()
 	if err != nil {
 		if wal.IsNoCheckpoint(err) {
 			sourceErr(w, http.StatusNotFound, "no_checkpoint",
@@ -289,11 +284,11 @@ func (s *Source) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rc.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderLogID, s.mgr.LogID())
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.mgr.Epoch(), 10))
+	w.Header().Set(HeaderLogID, s.node.LogID())
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.node.Epoch(), 10))
 	w.Header().Set(HeaderResume, strconv.FormatUint(resume, 10))
 	w.Header().Set(HeaderHash, strconv.FormatUint(hash, 16))
-	w.Header().Set(HeaderClock, s.st.Now().Format(ClockFormat))
+	w.Header().Set(HeaderClock, s.node.st.Now().Format(ClockFormat))
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.Copy(w, rc)
 	s.mSnapshots.Add(1)

@@ -157,7 +157,7 @@ func TestReadyzReportsDiverged(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fdb.Close() })
-	f := repl.NewFollower(fdb.Store(), nil, cfg)
+	f := repl.NewFollower(fdb.Store(), cfg)
 	f.Start()
 	waitCaughtUp(t, f)
 	f.Stop()

@@ -8,14 +8,14 @@ package server
 // (bounded) or fail typed "replica_lagging", /readyz reports lag, and
 // POST /v1/promote turns the replica into a writable primary.
 //
-// Failover safety lives here too. Every node serves under a primary
-// epoch; a promotion mints a strictly higher one. A primary that learns
-// a higher epoch exists — from an old follower reconnecting with
-// epoch= pinned to the new era, or from a client stamping X-Nepal-Epoch
-// on a write — fences itself: reads keep flowing, mutations fail typed
-// "stale_primary", and /readyz answers 503 "fenced" until an operator
-// re-promotes it (which mints an epoch above the one that fenced it).
-// POST /v1/demote is the operator-initiated form of the same fence.
+// Failover safety lives in repl.Node, which this file only asks: every
+// node serves under a primary epoch, a promotion mints a strictly higher
+// one, and a primary that learns a higher epoch exists — from an old
+// follower reconnecting with epoch= pinned to the new era, a watch
+// subscriber, or a client stamping X-Nepal-Epoch on a write — fences
+// itself: reads keep flowing, mutations fail typed "stale_primary", and
+// /readyz answers 503 "fenced" until an operator re-promotes it. POST
+// /v1/demote is the operator-initiated form of the same fence.
 
 import (
 	"context"
@@ -31,82 +31,27 @@ import (
 // a lagging replica before failing typed.
 const defaultMaxStalenessWait = 2 * time.Second
 
-// defaultReadyMaxLag is the record lag under which a replica still
-// answers /readyz with 200.
-const defaultReadyMaxLag = 1024
+// readyMaxLag is the record lag under which a replica still answers
+// /readyz with 200.
+const readyMaxLag = 1024
 
-// replica reports whether this server is an unpromoted read replica.
-func (s *Server) replica() bool {
-	return s.follower != nil && !s.follower.Promoted()
-}
-
-// rejectReadOnly answers mutation attempts on a replica. Returns true
-// when the request was rejected.
-func (s *Server) rejectReadOnly(w http.ResponseWriter, r *http.Request) bool {
-	if !s.replica() {
+// rejectWrite is the mutation gate: the node answers whether it may ack a
+// write, learning first from the epoch the writer has seen — a client
+// that has watched a failover stamps the new primary's epoch on its
+// writes, and the write that would have split the brain is the very
+// thing that fences this node. Returns true when the request was
+// rejected.
+func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
+	remote, _ := strconv.ParseUint(r.Header.Get(HeaderEpoch), 10, 64)
+	err := s.node.CheckWrite(remote)
+	if err == nil {
 		return false
 	}
-	writeErr(w, r, http.StatusForbidden, "read_only",
-		"this node is a read replica; send writes to the primary (or promote it via POST /v1/promote)")
-	return true
-}
-
-// nodeEpoch returns the primary epoch this node serves under: the
-// stream epoch a replica is pinned to, the WAL's durable epoch on a
-// primary (including a promoted replica, whose Promote bumped it), or
-// 0 for a node with no epoch at all (in-memory, never replicated).
-func (s *Server) nodeEpoch() uint64 {
-	if f := s.follower; f != nil && !f.Promoted() {
-		return f.Status().Epoch
+	code := "stale_primary"
+	if errors.Is(err, repl.ErrReadOnly) {
+		code = "read_only"
 	}
-	if mgr := s.db.WAL(); mgr != nil {
-		return mgr.Epoch()
-	}
-	if f := s.follower; f != nil {
-		return f.Status().Epoch
-	}
-	return 0
-}
-
-// fence marks this node a superseded primary. remoteEpoch is the epoch
-// proving the supersession (CAS-max into fencedBy so re-promotion mints
-// above the highest era seen); 0 fences without epoch evidence — the
-// operator-demote case. Idempotent and monotonic: once fenced, only an
-// explicit re-promotion unfences.
-func (s *Server) fence(remoteEpoch uint64) {
-	for {
-		cur := s.fencedBy.Load()
-		if remoteEpoch <= cur || s.fencedBy.CompareAndSwap(cur, remoteEpoch) {
-			break
-		}
-	}
-	s.fenced.Store(true)
-}
-
-// rejectStalePrimary answers mutation attempts on a fenced primary.
-// Before deciding, it learns from the requester: a client that has
-// watched a failover stamps the new primary's epoch on its writes, and
-// a higher epoch than our own is proof this node was superseded — the
-// write that would have split the brain is the very thing that fences
-// it. Returns true when the request was rejected.
-func (s *Server) rejectStalePrimary(w http.ResponseWriter, r *http.Request) bool {
-	if v := r.Header.Get(HeaderEpoch); v != "" {
-		if remote, err := strconv.ParseUint(v, 10, 64); err == nil {
-			if own := s.nodeEpoch(); own > 0 && remote > own {
-				s.fence(remote)
-			}
-		}
-	}
-	if !s.fenced.Load() {
-		return false
-	}
-	msg := "this primary was demoted; re-promote it via POST /v1/promote or send writes to the current primary"
-	if by := s.fencedBy.Load(); by > 0 {
-		msg = "this primary (epoch " + strconv.FormatUint(s.nodeEpoch(), 10) +
-			") was superseded by epoch " + strconv.FormatUint(by, 10) +
-			"; send writes to the current primary"
-	}
-	writeErr(w, r, http.StatusForbidden, "stale_primary", msg)
+	writeErr(w, r, http.StatusForbidden, code, err.Error())
 	return true
 }
 
@@ -114,7 +59,7 @@ func (s *Server) rejectStalePrimary(w http.ResponseWriter, r *http.Request) bool
 // returns it, so bodies can carry the same value. Epoch-less nodes
 // stamp nothing.
 func (s *Server) stampEpoch(w http.ResponseWriter) uint64 {
-	epoch := s.nodeEpoch()
+	epoch := s.node.Epoch()
 	if epoch > 0 {
 		w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 	}
@@ -154,8 +99,8 @@ func (s *Server) waitFresh(ctx context.Context, w http.ResponseWriter, r *http.R
 			"min_timestamp must be RFC3339 or \"2006-01-02 15:04:05\": "+err.Error())
 		return false
 	}
-	if s.follower == nil {
-		return true // the primary is always current
+	if !s.node.Replica() {
+		return true // a primary is always current
 	}
 	wctx, cancel := context.WithTimeout(ctx, s.maxStalenessWait())
 	defer cancel()
@@ -198,62 +143,40 @@ func (s *Server) stampStaleness(w http.ResponseWriter, resp *QueryResponse) {
 // /debug/cluster self entry, so an operator sees the same verdict
 // either way.
 func (s *Server) readyState() (ReadyResponse, bool) {
-	fenced := s.fenced.Load()
-	if s.follower == nil {
-		resp := ReadyResponse{Status: "ready", Role: "primary", Epoch: s.nodeEpoch(), Fenced: fenced}
-		if mgr := s.db.WAL(); mgr != nil {
-			// A primary's applied index is its own stream end: every durably
-			// logged record is applied. Lets /debug/cluster compute per-node
-			// lag without a second endpoint.
-			resp.AppliedIndex = mgr.NextIndex()
+	fenced, _ := s.node.Fenced()
+	replica := s.node.Replica()
+	// A primary's applied index is its own stream end: every durably
+	// logged record is applied. Lets /debug/cluster compute per-node lag
+	// without a second endpoint.
+	resp := ReadyResponse{Status: "ready", Role: "primary", AppliedIndex: s.node.Position(),
+		Epoch: s.node.Epoch(), Fenced: fenced}
+	var st repl.Status
+	if s.follower != nil {
+		st = s.follower.Status()
+		resp.PrimaryNext, resp.LagRecords, resp.CaughtUp = st.PrimaryNext, st.LagRecords, st.CaughtUp
+		resp.Promoted, resp.Reconnects, resp.Bootstraps = !replica, st.Reconnects, st.Bootstraps
+		resp.LastError, resp.Diverged = st.LastError, st.Diverged
+		if !st.AppliedThrough.IsZero() {
+			resp.AppliedThrough = st.AppliedThrough.Format(repl.ClockFormat)
 		}
-		if fenced {
-			// A fenced primary still serves reads, but it must not win a
-			// readiness probe: traffic belongs on the new primary.
-			resp.Status = "fenced"
-			return resp, false
-		}
-		return resp, true
 	}
-	st := s.follower.Status()
-	resp := ReadyResponse{
-		Role:         "replica",
-		AppliedIndex: st.Applied,
-		PrimaryNext:  st.PrimaryNext,
-		LagRecords:   st.LagRecords,
-		CaughtUp:     st.CaughtUp,
-		Promoted:     st.Promoted,
-		Reconnects:   st.Reconnects,
-		Bootstraps:   st.Bootstraps,
-		LastError:    st.LastError,
-		Epoch:        s.nodeEpoch(),
-		Fenced:       fenced && st.Promoted,
-		Diverged:     st.Diverged,
-	}
-	if !st.AppliedThrough.IsZero() {
-		resp.AppliedThrough = st.AppliedThrough.Format(repl.ClockFormat)
-	}
-	maxLag := uint64(defaultReadyMaxLag)
-	if s.cfg.ReadyMaxLag > 0 {
-		maxLag = uint64(s.cfg.ReadyMaxLag)
-	} else if s.cfg.ReadyMaxLag < 0 {
-		maxLag = 0
+	if replica {
+		resp.Role = "replica"
 	}
 	switch {
-	case st.Promoted && fenced:
-		resp.Status, resp.Role = "fenced", "primary"
-	case st.Promoted:
-		resp.Status, resp.Role = "ready", "primary"
+	case fenced:
+		// A fenced primary still serves reads, but it must not win a
+		// readiness probe: traffic belongs on the new primary.
+		resp.Status = "fenced"
+	case !replica:
 	case st.Diverged:
 		// The replica's history forked from its primary's log; it parked
 		// rather than apply either side of the fork and must be rebuilt.
 		resp.Status = "diverged"
 	case st.LastContact.IsZero():
 		resp.Status = "syncing"
-	case !st.CaughtUp && st.LagRecords > maxLag:
+	case !st.CaughtUp && st.LagRecords > readyMaxLag:
 		resp.Status = "lagging"
-	default:
-		resp.Status = "ready"
 	}
 	return resp, resp.Status == "ready"
 }
@@ -275,48 +198,18 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // handlePromote serves POST /v1/promote: stop replicating, checkpoint
 // the replicated state into the local WAL (when present), and start
 // acking writes under a freshly minted epoch. Idempotent. On a fenced
-// primary it is the re-promotion path: the epoch is bumped above every
+// primary it is the re-promotion path: the epoch is minted above every
 // era known to have superseded this node, and the fence lifts.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.follower == nil {
-		if !s.fenced.Load() {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "this node is not a replica")
-			return
-		}
-		mgr := s.db.WAL()
-		if mgr == nil {
-			writeErr(w, r, http.StatusBadRequest, "bad_request",
-				"this fenced node has no WAL to mint a new epoch in; restart it instead")
-			return
-		}
-		epoch := max(mgr.Epoch(), s.fencedBy.Load()) + 1
-		if err := mgr.SetEpoch(epoch); err != nil {
-			writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		s.fenced.Store(false)
-		writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, StreamPosition: mgr.NextIndex(), Epoch: epoch})
-		return
-	}
-	pos, err := s.follower.Promote()
-	if err != nil {
+	pos, epoch, err := s.node.Promote()
+	switch {
+	case errors.Is(err, repl.ErrNotReplica):
+		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	case err != nil:
 		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
-		return
+	default:
+		writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, StreamPosition: pos, Epoch: epoch})
 	}
-	epoch := s.nodeEpoch()
-	if s.fenced.Load() {
-		// A promoted-then-fenced replica re-promotes the same way a fenced
-		// primary does: mint above the superseding era, then lift the fence.
-		if mgr := s.db.WAL(); mgr != nil {
-			epoch = max(epoch, s.fencedBy.Load()) + 1
-			if err := mgr.SetEpoch(epoch); err != nil {
-				writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
-				return
-			}
-		}
-		s.fenced.Store(false)
-	}
-	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, StreamPosition: pos, Epoch: epoch})
 }
 
 // handleDemote serves POST /v1/demote: operator-initiated fencing of a
@@ -325,27 +218,21 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // bringing it back into a cluster that failed over while it was down.
 // Idempotent; POST /v1/promote reverses it.
 func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
-	if s.replica() {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "this node is already a read replica")
+	if err := s.node.Demote(); err != nil {
+		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	s.fence(0)
-	writeJSON(w, http.StatusOK, DemoteResponse{Demoted: true, Epoch: s.nodeEpoch()})
+	writeJSON(w, http.StatusOK, DemoteResponse{Demoted: true, Epoch: s.node.Epoch()})
 }
 
 // mountReplication wires the replication surface onto the mux: the WAL
-// feed on any WAL-backed node, /readyz, /v1/promote, and /v1/demote
-// everywhere.
+// feed on any WAL-backed node (serving once the node is a primary),
+// /readyz, /v1/promote, and /v1/demote everywhere.
 func (s *Server) mountReplication() {
-	if mgr := s.db.WAL(); mgr != nil {
-		src := repl.NewSource(s.db.Store(), mgr, s.reg)
-		// A feed request pinned to a higher epoch is proof of supersession:
-		// one of this node's old followers now follows the new primary.
-		// Fence immediately — before the next client write can be acked.
-		src.OnStaleEpoch = s.fence
-		s.source = src
-		s.mux.HandleFunc("GET /v1/wal", src.ServeWAL)
-		s.mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
+	if s.db.WAL() != nil {
+		s.source = repl.NewSource(s.node, s.reg)
+		s.mux.HandleFunc("GET /v1/wal", s.source.ServeWAL)
+		s.mux.HandleFunc("GET /v1/wal/snapshot", s.source.ServeSnapshot)
 	}
 	if f := s.follower; f != nil {
 		s.reg.GaugeFunc("repl.follower.lag_seconds", func() float64 {
@@ -359,9 +246,9 @@ func (s *Server) mountReplication() {
 			return max(lag.Seconds(), 0)
 		})
 	}
-	s.reg.GaugeFunc("repl.epoch", func() float64 { return float64(s.nodeEpoch()) })
+	s.reg.GaugeFunc("repl.epoch", func() float64 { return float64(s.node.Epoch()) })
 	s.reg.GaugeFunc("server.fenced", func() float64 {
-		if s.fenced.Load() {
+		if fenced, _ := s.node.Fenced(); fenced {
 			return 1
 		}
 		return 0

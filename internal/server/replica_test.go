@@ -184,6 +184,51 @@ func TestReadyzRolesAndLag(t *testing.T) {
 	}
 }
 
+// TestFollowerOfReplicaPinsNothing points a fresh follower at a
+// WAL-backed replica that was never promoted. The replica's WAL is its
+// own empty log, not the stream it follows, so its feed answers 503
+// not_primary: the chained follower must pin no log, never report itself
+// caught up, and refuse a min_timestamp read instead of answering it
+// from an empty store.
+func TestFollowerOfReplicaPinsNothing(t *testing.T) {
+	_, rc, f := newReplicaPair(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
+	waitCaughtUp(t, f)
+
+	cdb, err := core.Open(netmodel.MustSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cdb.Close() })
+	cs, cc := newTestServer(t, cdb, server.Config{
+		Follow: &repl.FollowerConfig{
+			Primary:      rc.Base(),
+			PollWait:     200 * time.Millisecond,
+			ReconnectMin: 5 * time.Millisecond,
+			ReconnectMax: 20 * time.Millisecond,
+		},
+		MaxStalenessWait: 250 * time.Millisecond,
+	})
+	chained := cs.Follower()
+	t.Cleanup(chained.Stop)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(chained.Status().LastError, "not_primary") {
+		if time.Now().After(deadline) {
+			t.Fatalf("chained follower never saw not_primary: %+v", chained.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // a few more polls against the replica
+	if st := chained.Status(); st.CaughtUp || st.Applied != 0 || chained.StreamState().LogID != "" {
+		t.Fatalf("follower of an unpromoted replica: %+v, log %q; want no progress and no pinned log",
+			st, chained.StreamState().LogID)
+	}
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	if _, err := cc.Query(context.Background(), selectQ, &client.QueryOptions{MinTimestamp: now}); !errors.Is(err, client.ErrReplicaLagging) {
+		t.Fatalf("min_timestamp read on the chained follower: %v; want ErrReplicaLagging", err)
+	}
+}
+
 func TestPromoteTurnsReplicaWritable(t *testing.T) {
 	pc, rc, f := newReplicaPair(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
 	waitCaughtUp(t, f)

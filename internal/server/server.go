@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -62,9 +61,6 @@ type Config struct {
 	// a request carries none; requests may tighten or (when a field is
 	// zero here) set their own.
 	DefaultLimits exec.Limits
-	// DefaultTimeout bounds requests that carry no timeout_ms; 0 leaves
-	// them unbounded.
-	DefaultTimeout time.Duration
 	// MaxTimeout caps any requested timeout_ms; 0 leaves requests free.
 	MaxTimeout time.Duration
 	// Registry receives the server's metrics and backs /metrics; nil
@@ -73,12 +69,6 @@ type Config struct {
 	// AccessLog receives one JSON line per request (see obs.Request);
 	// nil disables access logging.
 	AccessLog io.Writer
-	// TraceKeep bounds each ring of the in-memory trace store; 0 means
-	// obs.DefaultTraceKeep.
-	TraceKeep int
-	// SlowTraceThreshold marks a request slow enough for the trace store
-	// to always retain; 0 means obs.DefaultSlowTraceThreshold.
-	SlowTraceThreshold time.Duration
 	// DisableTelemetry turns off the spans and the trace store — the
 	// dark baseline obs.telemetry_cost_us in BENCHMARK.json is measured
 	// against. Trace IDs, counters, histograms, and the access log
@@ -96,14 +86,6 @@ type Config struct {
 	// lagging replica before the typed "replica_lagging" error; 0 means
 	// 2s.
 	MaxStalenessWait time.Duration
-	// ReadyMaxLag is the record lag under which /readyz still answers
-	// 200; 0 means 1024, negative means the replica must be fully caught
-	// up.
-	ReadyMaxLag int
-	// WatchRingSize bounds the in-memory event ring a replica retains for
-	// /v1/watch subscribers (the primary serves the feed straight off the
-	// WAL and ignores this); 0 means watch.DefaultRingSize.
-	WatchRingSize int
 	// StatementStatsSize bounds how many distinct statement digests the
 	// per-statement statistics store tracks before folding the coldest
 	// into its "other" bucket; 0 means stats.DefaultMaxStatements,
@@ -113,8 +95,6 @@ type Config struct {
 	// (e.g. "http://10.0.0.2:7687"). GET /debug/cluster probes each
 	// peer's /readyz and returns the cluster-wide role/epoch/lag map.
 	Peers []string
-	// PeerProbeTimeout bounds each /debug/cluster peer probe; 0 means 2s.
-	PeerProbeTimeout time.Duration
 }
 
 // Server serves one core.DB over HTTP. Create with New, attach with
@@ -130,6 +110,7 @@ type Server struct {
 	traces    *obs.TraceStore
 	stats     *stats.Store
 	follower  *repl.Follower // non-nil on a server configured with Follow
+	node      *repl.Node     // the node's role and epoch authority
 	source    *repl.Source
 	feed      watch.Feed
 	ffeed     *watch.FollowerFeed // non-nil when feed tails a follower
@@ -145,14 +126,6 @@ type Server struct {
 	// can never hang on an idle subscriber.
 	drain     chan struct{}
 	drainOnce sync.Once
-
-	// fenced marks this node a superseded (or operator-demoted) primary:
-	// it keeps serving reads but rejects mutations with the typed
-	// "stale_primary" error until re-promoted. fencedBy records the
-	// highest epoch known to have superseded this node (0 for a pure
-	// operator demote); re-promotion must mint an epoch above it.
-	fenced   atomic.Bool
-	fencedBy atomic.Uint64
 
 	// Per-request metric handles, resolved once: registry lookups hash
 	// the metric name, and these three fire on every request.
@@ -199,7 +172,7 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mLatency = reg.Histogram("server.request_latency_ms")
 	s.mAdmWait = reg.Histogram("server.admission_wait_ms")
 	if !cfg.DisableTelemetry {
-		s.traces = obs.NewTraceStore(cfg.TraceKeep, cfg.SlowTraceThreshold)
+		s.traces = obs.NewTraceStore(0, 0)
 	}
 	if cfg.StatementStatsSize >= 0 {
 		s.stats = stats.NewStore(cfg.StatementStatsSize, reg)
@@ -222,8 +195,9 @@ func New(db *core.DB, cfg Config) *Server {
 		fc.Registry = reg
 		// mountWatch creates the feed before the link starts applying.
 		fc.OnApplied = func(index uint64, m *graph.Mutation) { s.ffeed.Observe(index, m) }
-		s.follower = repl.NewFollower(db.Store(), db.WAL(), fc)
+		s.follower = repl.NewFollower(db.Store(), fc)
 	}
+	s.node = repl.NewNode(db.Store(), db.WAL(), s.follower)
 	s.mountReplication()
 	s.mountWatch()
 	s.hs = &http.Server{Handler: s.telemetry()}
@@ -381,12 +355,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // requestContext applies the effective timeout to the request context:
-// the request's timeout_ms, defaulted and capped by the config.
+// the request's timeout_ms, capped by the config.
 func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := time.Duration(timeoutMS) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
 	if s.cfg.MaxTimeout > 0 && (d <= 0 || d > s.cfg.MaxTimeout) {
 		d = s.cfg.MaxTimeout
 	}
@@ -450,8 +421,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	switch req.Explain {
-	case ExplainPlan:
+	if req.Explain == ExplainPlan {
 		text, err := s.db.Explain(src)
 		if err != nil {
 			writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
@@ -462,21 +432,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ElapsedMS: float64(time.Since(start)) / 1e6,
 			TraceID:   rq.TraceID,
 		})
-		return
-	case ExplainAnalyze:
-		ex := rq.Root.StartChild("Execute", "")
-		text, res, err := s.db.ExplainAnalyze(src)
-		ex.Finish()
-		if err != nil {
-			s.writeStatementErr(w, r, src, err)
-			return
-		}
-		recordResult(rq, res)
-		resp := s.resultOut(res, false, time.Since(start))
-		resp.Explain = text
-		resp.TraceID = rq.TraceID
-		s.stampStaleness(w, &resp)
-		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -492,7 +447,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
 	}
 	ex := rq.Root.StartChild("Execute", "")
-	res, err := stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
+	var text string
+	var res *exec.Result
+	if req.Explain == ExplainAnalyze {
+		text, res, err = stmt.ExplainAnalyze(ctx, s.effectiveLimits(req.Limits))
+	} else {
+		res, err = stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
+	}
 	ex.Finish()
 	if err != nil {
 		writeQueryErr(w, r, err)
@@ -501,20 +462,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	recordResult(rq, res)
 	enc := rq.Root.StartChild("Encode", "")
 	resp := s.resultOut(res, hit, time.Since(start))
+	resp.Explain = text
 	resp.TraceID = rq.TraceID
 	s.stampStaleness(w, &resp)
 	writeJSON(w, http.StatusOK, resp)
 	enc.Finish()
-}
-
-// writeStatementErr distinguishes compile-time statement errors (400)
-// from execution errors on paths that report both through one error.
-func (s *Server) writeStatementErr(w http.ResponseWriter, r *http.Request, src string, err error) {
-	if _, perr := s.db.Prepare(src); perr != nil {
-		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
-		return
-	}
-	writeQueryErr(w, r, err)
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -584,7 +536,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w, r) || s.rejectStalePrimary(w, r) {
+	if s.rejectWrite(w, r) {
 		return
 	}
 	rq := obs.RequestFrom(r.Context())
@@ -647,7 +599,7 @@ func (s *Server) applyOp(ctx context.Context, op IngestOp) (graph.UID, error) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w, r) || s.rejectStalePrimary(w, r) {
+	if s.rejectWrite(w, r) {
 		return
 	}
 	start := time.Now()
@@ -663,9 +615,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	role := "primary"
-	if s.replica() {
+	if s.node.Replica() {
 		role = "replica"
 	}
+	fenced, _ := s.node.Fenced()
 	resp := HealthResponse{
 		Status:        "ok",
 		Role:          role,
@@ -675,8 +628,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Version:       s.version,
 		Commit:        s.commit,
-		Epoch:         s.nodeEpoch(),
-		Fenced:        s.fenced.Load(),
+		Epoch:         s.node.Epoch(),
+		Fenced:        fenced,
 	}
 	if s.db.WAL() != nil {
 		rs := s.db.RecoveryStats()

@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -145,6 +147,26 @@ func TestExplainModes(t *testing.T) {
 	}
 	if len(res.Rows) == 0 {
 		t.Error("explain-analyze did not also return rows")
+	}
+}
+
+// TestExplainAnalyzeHonorsRequestLimits: EXPLAIN ANALYZE runs the
+// request's own statement under the request's limits and deadline, like
+// any other query — a max_paths the answer exceeds is a 422 "limit".
+func TestExplainAnalyzeHonorsRequestLimits(t *testing.T) {
+	_, c := newTestServer(t, newDemoDB(t), server.Config{})
+	body := `{"query":"` + selectQ + `","explain":"analyze","limits":{"max_paths":1}}`
+	resp, err := http.Post(c.Base()+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb server.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "limit" {
+		t.Fatalf("explain analyze over max_paths=1 = %d %+v; want 422 limit", resp.StatusCode, eb.Error)
 	}
 }
 

@@ -22,9 +22,8 @@ import (
 	"repro/internal/stats"
 )
 
-// defaultPeerProbeTimeout bounds each /debug/cluster peer probe when
-// the config does not.
-const defaultPeerProbeTimeout = 2 * time.Second
+// peerProbeTimeout bounds each /debug/cluster peer probe.
+const peerProbeTimeout = 2 * time.Second
 
 // handleStatements serves GET /v1/stats/statements: the per-digest
 // workload table. Query parameters: sort=total_time|calls|mean_time
@@ -81,14 +80,6 @@ func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResetResponse{OK: true})
 }
 
-// peerProbeTimeout is the cap on one /debug/cluster peer probe.
-func (s *Server) peerProbeTimeout() time.Duration {
-	if s.cfg.PeerProbeTimeout > 0 {
-		return s.cfg.PeerProbeTimeout
-	}
-	return defaultPeerProbeTimeout
-}
-
 // handleCluster serves GET /debug/cluster: this node's readiness plus
 // every configured peer's, probed concurrently over /readyz. A peer
 // answering 503 is still "reachable" — its body says whether it is
@@ -120,7 +111,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // the same ReadyResponse, just with a non-"ready" verdict.
 func (s *Server) probePeer(ctx context.Context, peer string) ClusterNode {
 	node := ClusterNode{URL: peer}
-	ctx, cancel := context.WithTimeout(ctx, s.peerProbeTimeout())
+	ctx, cancel := context.WithTimeout(ctx, peerProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
 	if err != nil {

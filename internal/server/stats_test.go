@@ -225,8 +225,7 @@ func TestClusterView(t *testing.T) {
 			ReconnectMin: 5 * time.Millisecond,
 			ReconnectMax: 50 * time.Millisecond,
 		},
-		Peers:            []string{pc.Base(), deadPeer},
-		PeerProbeTimeout: 2 * time.Second,
+		Peers: []string{pc.Base(), deadPeer},
 	})
 	t.Cleanup(fs.Follower().Stop)
 	waitCaughtUp(t, fs.Follower())

@@ -12,8 +12,9 @@ package server
 // oldest retained position answers 410 "watch_compacted" with the
 // fresh base in X-Nepal-Wal-Base (the client re-syncs, then resumes
 // there), and a client pinned to a higher epoch than this node proves
-// the node was superseded — it self-fences and answers 409
-// "watch_stale_epoch" so the subscriber moves to the current primary.
+// the node was superseded — the node fences (when it is a primary) and
+// answers 409 "watch_stale_epoch" so the subscriber moves to the current
+// primary.
 
 import (
 	"context"
@@ -55,8 +56,8 @@ const watchMaxWait = 60 * time.Second
 // node through a promotion); a WAL-backed primary tails the log
 // directly; a node with neither answers 503 "watch_unavailable".
 func (s *Server) mountWatch() {
-	if f := s.follower; f != nil {
-		ff := watch.NewFollowerFeed(f, s.db.Store(), s.db.WAL(), s.cfg.WatchRingSize)
+	if s.follower != nil {
+		ff := watch.NewFollowerFeed(s.node, s.db.Store(), s.db.WAL(), 0)
 		s.feed, s.ffeed = ff, ff
 	} else if mgr := s.db.WAL(); mgr != nil {
 		s.feed = watch.NewWALFeed(mgr, s.db.Store())
@@ -78,11 +79,11 @@ func (s *Server) mountWatch() {
 // Hub exposes the standing-query engine (tests register through it).
 func (s *Server) Hub() *watch.Hub { return s.hub }
 
-// rejectWatchEpoch fences on proof of supersession: a subscriber that
-// resumed through a failover pins the new primary's epoch on its watch
-// requests, and a higher epoch than this node's own means this node's
-// era is over. Mirrors the replication feed's wal_stale_epoch handling.
-// Returns true when the request was rejected.
+// rejectWatchEpoch answers a subscriber that resumed through a failover
+// and pins a newer primary's epoch: the node observes it (fencing a
+// superseded primary) and the subscriber is sent on. Mirrors the
+// replication feed's wal_stale_epoch handling. Returns true when the
+// request was rejected.
 func (s *Server) rejectWatchEpoch(w http.ResponseWriter, r *http.Request) bool {
 	v := r.URL.Query().Get("epoch")
 	if v == "" {
@@ -93,15 +94,13 @@ func (s *Server) rejectWatchEpoch(w http.ResponseWriter, r *http.Request) bool {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
 		return true
 	}
-	own := s.feed.Epoch()
-	if own > 0 && remote > own {
-		s.fence(remote)
-		w.Header().Set(HeaderEpoch, strconv.FormatUint(own, 10))
-		writeErr(w, r, http.StatusConflict, "watch_stale_epoch",
-			fmt.Sprintf("this node serves epoch %d but the subscriber has seen epoch %d: a newer primary exists; resubscribe there", own, remote))
-		return true
+	if !s.node.Observe(remote) {
+		return false
 	}
-	return false
+	own := s.stampEpoch(w)
+	writeErr(w, r, http.StatusConflict, "watch_stale_epoch",
+		fmt.Sprintf("this node serves epoch %d but the subscriber has seen epoch %d: a newer primary exists; resubscribe there", own, remote))
+	return true
 }
 
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -180,7 +179,7 @@ func (s *Server) writeWatchReadErr(w http.ResponseWriter, r *http.Request, err e
 }
 
 func (s *Server) writeWatchBatch(w http.ResponseWriter, events []watch.Event, next uint64) {
-	epoch := s.feed.Epoch()
+	epoch := s.node.Epoch()
 	for i := range events {
 		events[i].Epoch = epoch
 	}
@@ -188,14 +187,14 @@ func (s *Server) writeWatchBatch(w http.ResponseWriter, events []watch.Event, ne
 		events = []watch.Event{}
 	}
 	w.Header().Set(repl.HeaderNext, strconv.FormatUint(next, 10))
-	w.Header().Set(repl.HeaderLogID, s.feed.LogID())
+	w.Header().Set(repl.HeaderLogID, s.node.LogID())
 	s.stampEpoch(w)
 	writeJSON(w, http.StatusOK, WatchResponse{
 		Events:  events,
 		Next:    next,
 		Durable: s.feed.NextIndex(),
 		Epoch:   epoch,
-		LogID:   s.feed.LogID(),
+		LogID:   s.node.LogID(),
 	})
 }
 
@@ -212,7 +211,7 @@ func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set(repl.HeaderLogID, s.feed.LogID())
+	w.Header().Set(repl.HeaderLogID, s.node.LogID())
 	s.stampEpoch(w)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
@@ -224,14 +223,14 @@ func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint
 		if err != nil {
 			var ce *watch.CompactedError
 			if watch.IsCompacted(err) && errors.As(err, &ce) {
-				ev := watch.Event{Index: ce.Base, Op: watch.OpCompacted, Epoch: s.feed.Epoch()}
+				ev := watch.Event{Index: ce.Base, Op: watch.OpCompacted, Epoch: s.node.Epoch()}
 				writeSSE(w, ce.Base, watch.OpCompacted, ev)
 				flusher.Flush()
 			}
 			return
 		}
 		if len(events) > 0 {
-			epoch := s.feed.Epoch()
+			epoch := s.node.Epoch()
 			for _, ev := range events {
 				ev.Epoch = epoch
 				writeSSE(w, ev.Index+1, "mutation", ev)

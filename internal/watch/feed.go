@@ -29,10 +29,6 @@ type Feed interface {
 	BaseIndex() uint64
 	// Changed returns a channel closed when the stream grows.
 	Changed() <-chan struct{}
-	// Epoch is the primary epoch the feed currently serves under.
-	Epoch() uint64
-	// LogID is the identity of the log the stream derives from.
-	LogID() string
 }
 
 // defaultMaxEvents bounds one Read batch when the caller passes 0.
@@ -85,8 +81,6 @@ func (f *WALFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error) {
 func (f *WALFeed) NextIndex() uint64        { return f.mgr.NextIndex() }
 func (f *WALFeed) BaseIndex() uint64        { return f.mgr.BaseIndex() }
 func (f *WALFeed) Changed() <-chan struct{} { return f.mgr.Changed() }
-func (f *WALFeed) Epoch() uint64            { return f.mgr.Epoch() }
-func (f *WALFeed) LogID() string            { return f.mgr.LogID() }
 
 // FollowerFeed serves the change feed from a replica, so subscribers can
 // be offloaded from the primary. Replicated records bypass the local WAL
@@ -101,10 +95,10 @@ func (f *WALFeed) LogID() string            { return f.mgr.LogID() }
 // the ring at their adopted stream indexes, so a subscriber rides
 // through the promotion without a token change.
 type FollowerFeed struct {
-	f   *repl.Follower
-	st  *graph.Store
-	mgr *wal.Manager // the node's own WAL; nil for in-memory replicas
-	cap int
+	node *repl.Node
+	st   *graph.Store
+	mgr  *wal.Manager // the node's own WAL; nil for in-memory replicas
+	cap  int
 
 	mu     sync.Mutex
 	base   uint64 // stream index of events[0]
@@ -119,19 +113,18 @@ type FollowerFeed struct {
 // passes 0.
 const DefaultRingSize = 4096
 
-// NewFollowerFeed returns a replica feed over f's applied stream. Its
-// Observe method must be the follower's FollowerConfig.OnApplied tap,
-// and the feed must exist before the link starts applying, or the ring
-// begins at whatever the link had already applied. mgr may be nil; with
-// it, the feed follows the node through a promotion.
-func NewFollowerFeed(f *repl.Follower, st *graph.Store, mgr *wal.Manager, ringSize int) *FollowerFeed {
+// NewFollowerFeed returns a feed over a replica node's applied stream.
+// Its Observe method must be the node's FollowerConfig.OnApplied tap, and
+// the feed must exist before the link starts applying, or the ring begins
+// at whatever the link had already applied. mgr may be nil; with it, the
+// feed follows the node through a promotion.
+func NewFollowerFeed(node *repl.Node, st *graph.Store, mgr *wal.Manager, ringSize int) *FollowerFeed {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	applied, _ := f.Applied()
 	ff := &FollowerFeed{
-		f: f, st: st, mgr: mgr, cap: ringSize,
-		base:   applied,
+		node: node, st: st, mgr: mgr, cap: ringSize,
+		base:   node.Position(),
 		notify: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -195,7 +188,7 @@ func (ff *FollowerFeed) pumpWAL() {
 // the ring restarts at the WAL's base, the rule Observe applies to a
 // snapshot jump: the skipped prefix becomes compacted history.
 func (ff *FollowerFeed) syncWAL() {
-	if !ff.f.Promoted() {
+	if ff.node.Replica() {
 		return
 	}
 	for {
@@ -282,19 +275,4 @@ func (ff *FollowerFeed) Changed() <-chan struct{} {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
 	return ff.notify
-}
-
-func (ff *FollowerFeed) Epoch() uint64 {
-	st := ff.f.Status()
-	if st.Promoted && ff.mgr != nil {
-		return ff.mgr.Epoch()
-	}
-	return st.Epoch
-}
-
-func (ff *FollowerFeed) LogID() string {
-	if ff.f.Promoted() && ff.mgr != nil {
-		return ff.mgr.LogID()
-	}
-	return ff.f.StreamState().LogID
 }

@@ -163,8 +163,8 @@ func TestWALFeedCheckpointBoundary(t *testing.T) {
 // compacted), and an index gap — a snapshot bootstrap — resets cleanly.
 func TestFollowerFeedRing(t *testing.T) {
 	db := openMemDB(t)
-	f := repl.NewFollower(db.Store(), nil, repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
-	feed := NewFollowerFeed(f, db.Store(), nil, 4)
+	f := repl.NewFollower(db.Store(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
+	feed := NewFollowerFeed(repl.NewNode(db.Store(), nil, f), db.Store(), nil, 4)
 	defer feed.Close()
 
 	mut := func(i int64) *graph.Mutation {
@@ -211,12 +211,13 @@ func TestFollowerFeedRing(t *testing.T) {
 // and keep reading, not stall at the contracted position forever.
 func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
 	db := openWALDB(t)
-	f := repl.NewFollower(db.Store(), db.WAL(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
+	f := repl.NewFollower(db.Store(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
+	node := repl.NewNode(db.Store(), db.WAL(), f)
 	// No pump goroutine: syncWAL is driven by hand below.
-	feed := NewFollowerFeed(f, db.Store(), nil, 0)
+	feed := NewFollowerFeed(node, db.Store(), nil, 0)
 	feed.mgr = db.WAL()
 	defer feed.Close()
-	if _, err := f.Promote(); err != nil {
+	if _, _, err := node.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 3; i++ {
