@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test test-race bench-e2e bench-pairs chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
+.PHONY: all build vet fmt test test-race bench-e2e bench-pairs bench-layers chaos crash fuzz-smoke serve-smoke obs-smoke repl-smoke watch-smoke stats-smoke vulncheck
 
 all: build vet test
 
@@ -46,6 +46,13 @@ bench-e2e:
 #   make bench-pairs PARENT=<rev> WORKLOAD=ingest-durable PAIRS=10 SEED=201
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
+# One traced run per side of the same comparison, printing every
+# per-layer metric of both with their ratio — where a claimed saving
+# appears:
+#   make bench-layers PARENT=<rev> WORKLOAD=path-mining SEED=1
+bench-layers:
+	./scripts/bench_layers.sh $(PARENT) $(WORKLOAD) $(SEED)
 
 # Fault-injection suite: the chaos package's own tests (probe faults and
 # latency injection, severed connections, failover), plus the query

@@ -20,7 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -431,25 +430,14 @@ func (db *DB) PathEvolution(p plan.Pathway, rpeSrc string) ([]EvolutionStep, err
 		return nil, err
 	}
 	objs := make([]*graph.Object, len(p.Elems))
-	boundaries := map[int64]time.Time{}
 	for i, uid := range p.Elems {
 		obj := db.store.Object(uid)
 		if obj == nil {
 			return nil, fmt.Errorf("core: pathway element %d not found", uid)
 		}
 		objs[i] = obj
-		for _, v := range obj.Versions {
-			boundaries[v.Period.Start.UnixNano()] = v.Period.Start
-			if !v.Period.IsCurrent() {
-				boundaries[v.Period.End.UnixNano()] = v.Period.End
-			}
-		}
 	}
-	times := make([]time.Time, 0, len(boundaries))
-	for _, t := range boundaries {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
+	times := plan.VersionBoundaries(nil, objs)
 
 	var steps []EvolutionStep
 	for i, start := range times {

@@ -3,6 +3,7 @@ package plan_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/netmodel"
@@ -15,7 +16,11 @@ import (
 // searches. It runs a Host-Host query at 4 and at 6 hops on the demo
 // topology, and again with the demo's fabric widened to seven spines,
 // where the 6-hop search explores over twice the partial pathways of the
-// 4-hop one for the same 14 results.
+// 4-hop one for the same 14 results. The third fixture gives the added
+// spines' links a history: three updates each, which on every other
+// spine turn a link down and up again, so half the pathways are stable
+// for the query and half need the validity computation's boundary
+// slicing — and both regimes must stay within the same bound.
 //
 // The search scratch is pooled, so a warm evaluation pays only for what
 // it returns: the set, and per pathway its validity and its share of the
@@ -26,16 +31,42 @@ import (
 // -race, sync.Pool drops a random quarter of what is put back, so the
 // bound there allows one freshly grown scratch per evaluation.
 func TestExtendAllocations(t *testing.T) {
-	for _, spines := range []int{0, 6} {
-		st, d, _ := demoStore(t)
-		for i := 0; i < spines; i++ {
+	for _, fx := range []struct {
+		spines int
+		churn  bool
+	}{{0, false}, {6, false}, {6, true}} {
+		st, d, clock := demoStore(t)
+		var links [][]graph.UID // per added spine, its four links
+		for i := 0; i < fx.spines; i++ {
 			sp, err := st.InsertNode("SpineSwitch", graph.Fields{"id": int64(5000 + i), "name": fmt.Sprintf("spine-x%d", i), "status": "Active"})
 			if err != nil {
 				t.Fatal(err)
 			}
+			links = append(links, nil)
 			for j, link := range [][2]graph.UID{{d.TOR1, sp}, {sp, d.TOR1}, {d.TOR2, sp}, {sp, d.TOR2}} {
-				if _, err := st.InsertEdge(netmodel.PhysicalLink, link[0], link[1], graph.Fields{"id": int64(6000 + 4*i + j)}); err != nil {
+				uid, err := st.InsertEdge(netmodel.PhysicalLink, link[0], link[1], graph.Fields{"id": int64(6000 + 4*i + j), "switchInterface": "up"})
+				if err != nil {
 					t.Fatal(err)
+				}
+				links[i] = append(links[i], uid)
+			}
+		}
+		src := "Host()->[PhysicalLink()]{1,%d}->Host()"
+		if fx.churn {
+			src = "Host()->[PhysicalLink(switchInterface!='down')]{1,%d}->Host()"
+			for round, state := range []string{"down", "up", "up"} {
+				clock.SetNow(t0.Add(time.Duration(round+1) * time.Hour))
+				for i, spine := range links {
+					for _, uid := range spine {
+						f := st.Object(uid).Current().Fields.Clone()
+						f["serverInterface"] = fmt.Sprintf("eth%d", round)
+						if i%2 == 0 {
+							f["switchInterface"] = state
+						}
+						if err := st.Update(uid, f); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 			}
 		}
@@ -43,7 +74,7 @@ func TestExtendAllocations(t *testing.T) {
 		for name, eng := range engines(st) {
 			perPath := map[int]float64{}
 			for _, hops := range []int{4, 6} {
-				_, p := mustPlan(t, st, fmt.Sprintf("Host()->[PhysicalLink()]{1,%d}->Host()", hops))
+				_, p := mustPlan(t, st, fmt.Sprintf(src, hops))
 				set, m, _, err := eng.EvalWith(view, p, plan.EvalOpts{})
 				if err != nil || set.Len() == 0 {
 					t.Fatalf("%s: %d pathways, err %v", name, set.Len(), err)
@@ -57,14 +88,14 @@ func TestExtendAllocations(t *testing.T) {
 					bound += 24
 				}
 				if allocs > float64(bound) {
-					t.Errorf("%s, %d extra spines, %d hops: %.0f allocations, want at most %d (%v)",
-						name, spines, hops, allocs, bound, m)
+					t.Errorf("%s, %d extra spines (churn %v), %d hops: %.0f allocations, want at most %d (%v)",
+						name, fx.spines, fx.churn, hops, allocs, bound, m)
 				}
 				perPath[hops] = allocs / float64(set.Len())
 			}
 			if name == "gremlin" && perPath[6] > 1.5*perPath[4] {
-				t.Errorf("%s, %d extra spines: %.1f allocations per pathway at 6 hops, %.1f at 4: they grow with the search",
-					name, spines, perPath[6], perPath[4])
+				t.Errorf("%s, %d extra spines (churn %v): %.1f allocations per pathway at 6 hops, %.1f at 4: they grow with the search",
+					name, fx.spines, fx.churn, perPath[6], perPath[4])
 			}
 		}
 	}

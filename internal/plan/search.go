@@ -69,7 +69,8 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 // evalState carries one evaluation's instrumentation, governance and
 // search scratch: the counters, the optional operator-span trace, the
 // query's Governor, the first failure (governance or backend) that aborts
-// the search, and the arena the partial pathways live in. A nil trace or
+// the search, the element table every element read goes through, and the
+// arena the partial pathways live in. A nil trace or
 // governor is a no-op at every call site, so the search loops have one
 // body. One evaluation owns its evalState from getEvalState to
 // putEvalState; the pool hands the arenas, capacity kept, to the next
@@ -80,6 +81,10 @@ type evalState struct {
 	tr  *traceEval
 	gov *Governor
 	err error
+
+	// tab resolves each element the evaluation touches once and serves
+	// the pinned object, and what was learned about it, from then on.
+	tab elemTable
 
 	// partials is the arena of partial pathways, addressed by index, and
 	// sets their NFA state sets: partial i owns words [i*nw, (i+1)*nw).
@@ -97,11 +102,8 @@ type evalState struct {
 	// assembled.
 	halves   []graph.UID
 	fwd, bwd []half
-	// known/sat memoise atom satisfaction for the one element consume is
-	// looking at, as bit masks over the atoms' dense ids.
-	known, sat []uint64
-	elems      []graph.UID // the candidate pathway being assembled
-	validity   validityScratch
+	elems    []graph.UID // the candidate pathway being assembled
+	validity validityScratch
 }
 
 var evalPool = sync.Pool{New: func() any { return new(evalState) }}
@@ -112,13 +114,13 @@ func getEvalState(gov *Governor) *evalState {
 	es := evalPool.Get().(*evalState)
 	*es = evalState{
 		gov:      gov,
+		tab:      es.tab,
 		partials: es.partials[:0],
 		sets:     es.sets[:0],
 		stack:    es.stack[:0],
 		halves:   es.halves[:0],
 		fwd:      es.fwd[:0],
 		bwd:      es.bwd[:0],
-		known:    es.known[:0],
 		elems:    es.elems[:0],
 		validity: es.validity,
 	}
@@ -129,6 +131,7 @@ func getEvalState(gov *Governor) *evalState {
 // dropping every pointer into the store, the trace and the query so an
 // idle pooled state pins none of them.
 func putEvalState(es *evalState) {
+	es.tab.drop()
 	clear(es.validity.objs)
 	clear(es.validity.elements)
 	es.tr, es.gov, es.err = nil, nil, nil
@@ -149,13 +152,96 @@ type partial struct {
 // half locates one completed half-pathway in evalState.halves.
 type half struct{ off, end int32 }
 
-// begin sizes the scratch for one plan: state sets of the automaton's
-// width and one mask bit per atom.
-func (es *evalState) begin(p *Plan) {
+// begin sizes the scratch for one plan over view: state sets of the
+// automaton's width and an element table for the plan's atoms.
+func (es *evalState) begin(st *graph.Store, view graph.View, p *Plan) {
 	es.nw = (p.Checked.NFA().NumStates + 63) / 64
-	aw := (len(p.Checked.Atoms()) + 63) / 64
-	masks := grown(es.known[:0], 2*aw)[:2*aw]
-	es.known, es.sat = masks[:aw], masks[aw:]
+	es.tab.reset(st, view, p.Checked)
+}
+
+// elemTable is an evaluation's element table. Each element is resolved
+// at first touch — one store read, pinning the object version the rest
+// of the evaluation sees — and Select, Extend and the validity
+// computation all read it from here, together with what they learned
+// about it: visibility in the view, satisfaction of each atom in the
+// view, and stability for the query. Entries live in a slab addressed
+// through idx, their atom bits in a second one; both keep their capacity
+// in the pool, and drop strips the object pointers.
+type elemTable struct {
+	st   *graph.Store
+	view graph.View
+	c    *rpe.Checked
+	aw   int // words per atom mask
+	idx  map[graph.UID]int32
+	ents []elemEntry
+	// bits holds entry i's atom masks at words [2*i*aw, 2*(i+1)*aw): first
+	// which atoms are known, then which of those are satisfied in the view.
+	bits []uint64
+}
+
+// elemEntry is one resolved element; obj is nil when the uid names none.
+type elemEntry struct {
+	obj                 *graph.Object
+	visible             bool
+	stableKnown, stable bool
+}
+
+// reset readies an emptied table for one evaluation of c over view.
+func (t *elemTable) reset(st *graph.Store, view graph.View, c *rpe.Checked) {
+	t.st, t.view, t.c = st, view, c
+	t.aw = (len(c.Atoms()) + 63) / 64
+	if t.idx == nil {
+		t.idx = make(map[graph.UID]int32)
+	}
+}
+
+// drop empties the table, keeping its capacity, and drops every pointer
+// into the store and the query.
+func (t *elemTable) drop() {
+	clear(t.idx)
+	clear(t.ents)
+	t.ents, t.bits = t.ents[:0], t.bits[:0]
+	t.st, t.view, t.c = nil, graph.View{}, nil
+}
+
+// resolve returns uid's entry, reading the store on first touch only.
+func (t *elemTable) resolve(uid graph.UID) int32 {
+	if i, ok := t.idx[uid]; ok {
+		return i
+	}
+	obj := t.st.Object(uid)
+	i := int32(len(t.ents))
+	t.ents = append(t.ents, elemEntry{obj: obj, visible: obj != nil && t.view.Visible(obj)})
+	off := len(t.bits)
+	t.bits = grown(t.bits, 2*t.aw)[:off+2*t.aw]
+	clear(t.bits[off:])
+	t.idx[uid] = i
+	return i
+}
+
+// satisfies reports whether entry i's object, which must exist,
+// satisfies atom a at some instant the view admits, deciding it on the
+// first ask.
+func (t *elemTable) satisfies(i int32, a *rpe.Atom) bool {
+	w := 2*int(i)*t.aw + a.ID()>>6
+	known, sat, bit := &t.bits[w], &t.bits[w+t.aw], uint64(1)<<(uint(a.ID())&63)
+	if *known&bit == 0 {
+		*known |= bit
+		if satisfiedInView(t.view, t.c, a, t.ents[i].obj) {
+			*sat |= bit
+		}
+	}
+	return *sat&bit != 0
+}
+
+// stable reports whether entry i's object, which must exist, is stable
+// for the query (stableForQuery), deciding it on the first ask.
+func (t *elemTable) stable(i int32) bool {
+	e := &t.ents[i]
+	if !e.stableKnown {
+		e.stableKnown, e.stable = true, stableForQuery(t.c, e.obj)
+	}
+	return e.stable
 }
 
 // release empties the arena and the completed halves once an anchor
@@ -334,8 +420,7 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 	out := NewPathwaySet()
 	c := p.Checked
 	nfa := c.NFA()
-	st := e.acc.Store()
-	es.begin(p)
+	es.begin(e.acc.Store(), view, p)
 	for _, atom := range p.Anchor.Atoms {
 		if es.checkpoint() {
 			break
@@ -355,8 +440,9 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 			if es.checkpoint() {
 				break
 			}
-			obj := st.Object(uid)
-			if obj == nil || !e.atomSatisfiedInView(view, c, atom, obj) {
+			ei := es.tab.resolve(uid)
+			obj := es.tab.ents[ei].obj
+			if obj == nil || !es.tab.satisfies(ei, atom) {
 				continue
 			}
 			for _, ti := range transIdxs {
@@ -366,7 +452,7 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 				union := es.tr.unionNode()
 				before := out.Len()
 				t0 := union.begin()
-				e.combine(view, c, out, es)
+				e.combine(view, out, es)
 				union.end(t0)
 				union.rows(len(es.bwd)*len(es.fwd), out.Len()-before)
 				es.release()
@@ -385,20 +471,20 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *evalState) (set *PathwaySet, err error) {
 	defer recovered(es, &err)
 	out := NewPathwaySet()
-	es.begin(p)
+	es.begin(e.acc.Store(), view, p)
 	for _, seed := range seeds {
 		if es.checkpoint() {
 			break
 		}
-		obj := e.acc.Store().Object(seed)
-		if obj == nil || obj.IsEdge() || !view.Visible(obj) {
+		ei := es.tab.resolve(seed)
+		if !es.tab.ents[ei].visible || es.tab.ents[ei].obj.IsEdge() {
 			continue
 		}
 		es.tr.seedSelectNode().rows(1, 1)
 		union := es.tr.unionNode()
 		before := out.Len()
 		t0 := union.begin()
-		e.evalSeedOne(view, p, obj, out, es)
+		e.evalSeedOne(view, p, ei, out, es)
 		union.end(t0)
 		union.rows(0, out.Len()-before)
 		es.m.AnchorRecords++
@@ -409,10 +495,12 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 	return out, nil
 }
 
-// evalSeedOne runs both seed branches (§3.4) for one seed node.
-func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed *graph.Object, out *PathwaySet, es *evalState) {
+// evalSeedOne runs both seed branches (§3.4) for one seed node, given as
+// its element-table entry.
+func (e *Engine) evalSeedOne(view graph.View, p *Plan, ei int32, out *PathwaySet, es *evalState) {
 	c := p.Checked
 	nfa := c.NFA()
+	seed := es.tab.ents[ei].obj
 	start := nfa.Closure(nfa.Start)
 	if p.SeedDir == Backward {
 		start = nfa.ClosureRev(nfa.Accept)
@@ -420,7 +508,7 @@ func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed *graph.Object, out *
 	implicit := es.root(seed, start, p.SeedDir)
 	// Branch (a): the seed node is consumed by a leading (for a Backward
 	// plan, trailing) node atom.
-	if e.consume(view, c, implicit, seed, p.SeedDir, es) {
+	if e.consume(c, implicit, ei, p.SeedDir, es) {
 		e.seedBranch(view, p, es.push(-1, seed, p.SeedDir), true, out, es)
 	}
 	// Branch (b): the seed is the implicit endpoint of a leading edge
@@ -438,7 +526,7 @@ func (e *Engine) seedBranch(view graph.View, p *Plan, root int32, consumed bool,
 		done = es.bwd
 	}
 	for _, h := range done {
-		e.finish(view, p.Checked, out, es.halves[h.off:h.end], es)
+		e.finish(view, out, es.halves[h.off:h.end], es)
 	}
 	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
 }
@@ -471,7 +559,7 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 		}
 		if n.isEdge {
 			// Structural successor: the edge's far endpoint node.
-			e.step(view, c, cur, n.next, dir, es)
+			e.step(c, cur, n.next, dir, es)
 		} else if hint, feasible := e.expandHint(c, states, dir); feasible {
 			e.expand(view, c, cur, n.elem, hint, dir, es)
 		}
@@ -498,37 +586,37 @@ func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.U
 		return
 	}
 	for _, edge := range edges {
-		n.candidate(e.step(view, c, cur, edge, dir, es))
+		n.candidate(e.step(c, cur, edge, dir, es))
 	}
 }
 
 // step consumes one element in the given direction, pushing the extended
 // partial when any transition fires. It reports whether the element was
 // consumed.
-func (e *Engine) step(view graph.View, c *rpe.Checked, cur int32, elem graph.UID, dir Direction, es *evalState) bool {
+func (e *Engine) step(c *rpe.Checked, cur int32, elem graph.UID, dir Direction, es *evalState) bool {
 	for i := cur; i >= 0; i = es.partials[i].parent {
 		if es.partials[i].elem == elem {
 			return false // cycle prevention: H.id_ != ANY(uid_list)
 		}
 	}
-	obj := e.acc.Store().Object(elem)
-	if !e.consume(view, c, cur, obj, dir, es) {
+	ei := es.tab.resolve(elem)
+	if !e.consume(c, cur, ei, dir, es) {
 		es.m.ElementsRejected++
 		return false
 	}
 	es.m.ElementsConsumed++
-	es.stack = append(es.stack, es.push(cur, obj, dir))
+	es.stack = append(es.stack, es.push(cur, es.tab.ents[ei].obj, dir))
 	return true
 }
 
-// consume advances partial cur's state set over one element: skip
-// transitions fire whenever the element exists in the view; atom
-// transitions additionally require class and predicate satisfaction. The
-// successor set, already epsilon-closed, is written at the tail of
-// es.sets for the caller to push its partial; when no transition fires
-// the tail is rolled back and consume reports false.
-func (e *Engine) consume(view graph.View, c *rpe.Checked, cur int32, obj *graph.Object, dir Direction, es *evalState) bool {
-	if obj == nil || !view.Visible(obj) {
+// consume advances partial cur's state set over one element, given as
+// its element-table entry: skip transitions fire whenever the element
+// exists in the view; atom transitions additionally require class and
+// predicate satisfaction. The successor set, already epsilon-closed, is
+// written at the tail of es.sets for the caller to push its partial; when
+// no transition fires the tail is rolled back and consume reports false.
+func (e *Engine) consume(c *rpe.Checked, cur int32, ei int32, dir Direction, es *evalState) bool {
+	if !es.tab.ents[ei].visible {
 		return false
 	}
 	nfa := c.NFA()
@@ -536,10 +624,7 @@ func (e *Engine) consume(view graph.View, c *rpe.Checked, cur int32, obj *graph.
 	es.sets = grown(es.sets, es.nw)[:off+es.nw]
 	from, next := es.states(cur), rpe.StateSet(es.sets[off:])
 	next.Reset()
-	for i := range es.known {
-		es.known[i] = 0
-	}
-	isEdge := obj.IsEdge()
+	isEdge := es.tab.ents[ei].obj.IsEdge()
 	fired := false
 	for wi, w := range from {
 		for ; w != 0; w &= w - 1 {
@@ -553,18 +638,8 @@ func (e *Engine) consume(view graph.View, c *rpe.Checked, cur int32, obj *graph.
 					continue // statically dead for this element kind
 				}
 				tr := &nfa.Trans[ti]
-				if a := tr.Atom; a != nil {
-					aw, bit := a.ID()>>6, uint64(1)<<(uint(a.ID())&63)
-					if es.known[aw]&bit == 0 {
-						es.known[aw] |= bit
-						es.sat[aw] &^= bit
-						if e.atomSatisfiedInView(view, c, a, obj) {
-							es.sat[aw] |= bit
-						}
-					}
-					if es.sat[aw]&bit == 0 {
-						continue
-					}
+				if tr.Atom != nil && !es.tab.satisfies(ei, tr.Atom) {
+					continue
 				}
 				fired = true
 				if dir == Forward {
@@ -581,10 +656,10 @@ func (e *Engine) consume(view graph.View, c *rpe.Checked, cur int32, obj *graph.
 	return fired
 }
 
-// atomSatisfiedInView reports whether the object satisfies the atom at
-// some instant admitted by the view (exact for point views; a candidate
-// filter for range views, with exact validity computed at assembly).
-func (e *Engine) atomSatisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Atom, obj *graph.Object) bool {
+// satisfiedInView reports whether the object satisfies the atom at some
+// instant admitted by the view (exact for point views; a candidate filter
+// for range views, with exact validity computed at assembly).
+func satisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Atom, obj *graph.Object) bool {
 	if !obj.Class.IsSubclassOf(c.ClassOf(a)) {
 		return false
 	}
@@ -641,7 +716,7 @@ func (e *Engine) expandHint(c *rpe.Checked, cur rpe.StateSet, dir Direction) (hi
 // combine joins the current anchor element's backward and forward
 // halves and finalizes each pathway. Both halves hold the anchor; it is
 // taken from the forward one.
-func (e *Engine) combine(view graph.View, c *rpe.Checked, out *PathwaySet, es *evalState) {
+func (e *Engine) combine(view graph.View, out *PathwaySet, es *evalState) {
 	for _, b := range es.bwd {
 		if es.checkpoint() {
 			return
@@ -650,7 +725,7 @@ func (e *Engine) combine(view graph.View, c *rpe.Checked, out *PathwaySet, es *e
 		es.elems = append(es.elems[:0], head...)
 		for _, f := range es.fwd {
 			es.elems = append(es.elems[:len(head)], es.halves[f.off:f.end]...)
-			e.finish(view, c, out, es.elems, es)
+			e.finish(view, out, es.elems, es)
 		}
 	}
 }
@@ -660,9 +735,10 @@ func (e *Engine) combine(view graph.View, c *rpe.Checked, out *PathwaySet, es *e
 // pathways (found again through another anchor instance or run) are
 // skipped before the validity computation — ComputeValidity is
 // deterministic per element sequence, so recomputation would be pure
-// waste. The candidate still lives in scratch memory; only an admitted
-// one is copied, into the set's own backing array.
-func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems []graph.UID, es *evalState) {
+// waste. The candidate comes out of an accepting run of the search, which
+// computeValidity may rely on. It still lives in scratch memory; only an
+// admitted one is copied, into the set's own backing array.
+func (e *Engine) finish(view graph.View, out *PathwaySet, elems []graph.UID, es *evalState) {
 	if hasDuplicates(elems) {
 		return
 	}
@@ -670,7 +746,7 @@ func (e *Engine) finish(view graph.View, c *rpe.Checked, out *PathwaySet, elems 
 	if _, dup := out.find(h, elems); dup {
 		return
 	}
-	validity := computeValidity(e.acc.Store(), c, elems, &es.validity)
+	validity := computeValidity(&es.tab, elems, &es.validity, true)
 	if validity.IsEmpty() {
 		return
 	}

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -14,7 +14,7 @@ import (
 // satisfies the checked RPE.
 //
 // Field values are piecewise-constant between version boundaries, so the
-// pathway's satisfaction is piecewise-constant too. Three regimes, from
+// pathway's satisfaction is piecewise-constant too. Two regimes, from
 // cheap to general:
 //
 //  1. Every element is *stable*: either single-version, or all its
@@ -22,46 +22,59 @@ import (
 //     fields the query never tests). Then satisfaction cannot change
 //     while all elements exist: one matcher run over the intersection of
 //     the element lifetimes decides everything.
-//  2. Otherwise, boundaries are collected from the unstable elements
-//     only, the matcher runs once per constant-satisfaction slice, and
-//     the satisfied slices union into maximal ranges — the §4 semantics,
-//     where a time-range result reports the maximal range the pathway can
-//     be asserted, possibly extending beyond the query window.
+//  2. Otherwise, the matcher runs once per slice between consecutive
+//     version boundaries of the elements, and the satisfied slices union
+//     into maximal ranges — the §4 semantics, where a time-range result
+//     reports the maximal range the pathway can be asserted, possibly
+//     extending beyond the query window.
+//
+// It resolves the elements in a table of its own; the engine runs the
+// same computation over its evaluation's table (computeValidity).
 func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) temporal.Set {
-	return computeValidity(st, c, elems, &validityScratch{})
+	var tab elemTable
+	tab.reset(st, graph.View{}, c)
+	return computeValidity(&tab, elems, &validityScratch{}, false)
 }
 
 // validityScratch holds computeValidity's working arrays, so an
 // evaluation pays for them once rather than once per candidate pathway.
 type validityScratch struct {
-	objs     []*graph.Object
-	elements []rpe.Element
+	objs       []*graph.Object
+	elements   []rpe.Element
+	boundaries []time.Time
+	ranges     temporal.Set
+	cur, next  rpe.StateSet
 }
 
-func computeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID, sc *validityScratch) temporal.Set {
+// computeValidity is ComputeValidity over the elements of tab, pinned at
+// their first touch. matched reports that the search already found an
+// accepting run over elems: in regime 1 that run holds at every version,
+// since no stable element's versions differ on any atom, so the matcher
+// is not run again.
+func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, matched bool) temporal.Set {
 	if n := len(elems); cap(sc.objs) < n {
 		n = max(n, 2*cap(sc.objs))
 		sc.objs, sc.elements = make([]*graph.Object, n), make([]rpe.Element, n)
 	}
-	objs, elements := sc.objs[:len(elems)], sc.elements[:len(elems)]
+	objs := sc.objs[:len(elems)]
 	allStable := true
 	for i, uid := range elems {
-		obj := st.Object(uid)
-		if obj == nil {
+		ei := tab.resolve(uid)
+		if objs[i] = tab.ents[ei].obj; objs[i] == nil {
 			return nil
 		}
-		objs[i] = obj
-		if !stableForQuery(c, obj) {
+		if allStable && !tab.stable(ei) {
 			allStable = false
 		}
 	}
+	c := tab.c
 
 	if allStable {
 		// Lifetimes of stable elements coalesce to a single interval each
 		// (updates never interrupt existence; only delete ends it, and a
 		// deleted uid is never re-created).
 		iv := temporal.Interval{Start: time.Time{}, End: temporal.Forever}
-		for i, obj := range objs {
+		for _, obj := range objs {
 			life := temporal.Interval{
 				Start: obj.Versions[0].Period.Start,
 				End:   obj.Versions[len(obj.Versions)-1].Period.End,
@@ -70,53 +83,83 @@ func computeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID, sc *val
 			if iv, ok = iv.Intersect(life); !ok {
 				return nil
 			}
-			elements[i] = rpe.Element{Class: obj.Class, Fields: obj.Versions[0].Fields}
 		}
-		if !c.MatchesPathway(elements) {
-			return nil
+		if !matched {
+			elements := sc.elements[:len(objs)]
+			for i, obj := range objs {
+				elements[i] = rpe.Element{Class: obj.Class, Fields: obj.Versions[0].Fields}
+			}
+			if !sc.matches(c, elements) {
+				return nil
+			}
 		}
 		return temporal.Set{iv}
 	}
 
-	boundarySet := make(map[int64]time.Time)
-	for _, obj := range objs {
-		for _, v := range obj.Versions {
-			boundarySet[v.Period.Start.UnixNano()] = v.Period.Start
-			if !v.Period.IsCurrent() {
-				boundarySet[v.Period.End.UnixNano()] = v.Period.End
-			}
+	// The slices between consecutive boundaries come in time order, so a
+	// satisfied one either extends the last range or starts a new one.
+	sc.boundaries = VersionBoundaries(sc.boundaries, objs)
+	out := sc.ranges[:0]
+	for i, start := range sc.boundaries {
+		iv := temporal.Current(start)
+		if i+1 < len(sc.boundaries) {
+			iv = temporal.Between(start, sc.boundaries[i+1])
 		}
-	}
-	boundaries := make([]time.Time, 0, len(boundarySet))
-	for _, t := range boundarySet {
-		boundaries = append(boundaries, t)
-	}
-	sort.Slice(boundaries, func(i, j int) bool { return boundaries[i].Before(boundaries[j]) })
-
-	var out temporal.Set
-	appendIfSatisfied := func(iv temporal.Interval, probe time.Time) {
-		for i, obj := range objs {
-			ver := obj.VersionAt(probe)
-			if ver == nil {
-				return
-			}
-			elements[i] = rpe.Element{Class: obj.Class, Fields: ver.Fields}
+		if !sc.matchesAt(c, objs, start) {
+			continue
 		}
-		if c.MatchesPathway(elements) {
+		if n := len(out); n > 0 && out[n-1].Meets(iv) {
+			out[n-1].End = iv.End
+		} else {
 			out = append(out, iv)
 		}
 	}
-	for i := 0; i < len(boundaries); i++ {
-		start := boundaries[i]
-		var iv temporal.Interval
-		if i+1 < len(boundaries) {
-			iv = temporal.Between(start, boundaries[i+1])
-		} else {
-			iv = temporal.Current(start)
-		}
-		appendIfSatisfied(iv, start)
+	sc.ranges = out
+	if len(out) == 0 {
+		return nil
 	}
-	return out.Normalize()
+	return slices.Clone(out)
+}
+
+// matchesAt reports whether the pathway of objs, every one existing at
+// t, satisfies c with the field values they held at t.
+func (sc *validityScratch) matchesAt(c *rpe.Checked, objs []*graph.Object, t time.Time) bool {
+	elements := sc.elements[:len(objs)]
+	for i, obj := range objs {
+		ver := obj.VersionAt(t)
+		if ver == nil {
+			return false
+		}
+		elements[i] = rpe.Element{Class: obj.Class, Fields: ver.Fields}
+	}
+	return sc.matches(c, elements)
+}
+
+// matches runs the matcher over elements in the scratch state sets.
+func (sc *validityScratch) matches(c *rpe.Checked, elements []rpe.Element) bool {
+	w := (c.NFA().NumStates + 63) / 64
+	if cap(sc.cur) < w {
+		sc.cur, sc.next = make(rpe.StateSet, w), make(rpe.StateSet, w)
+	}
+	return c.MatchesPathwayIn(elements, sc.cur[:w], sc.next[:w])
+}
+
+// VersionBoundaries returns, in time order and once each, every instant
+// at which a version of one of objs starts or a closed one ends: between
+// two consecutive ones, every object's field values are constant. It
+// reuses buf's storage and discards its contents.
+func VersionBoundaries(buf []time.Time, objs []*graph.Object) []time.Time {
+	buf = buf[:0]
+	for _, obj := range objs {
+		for _, v := range obj.Versions {
+			buf = append(buf, v.Period.Start)
+			if !v.Period.IsCurrent() {
+				buf = append(buf, v.Period.End)
+			}
+		}
+	}
+	slices.SortFunc(buf, time.Time.Compare)
+	return slices.CompactFunc(buf, time.Time.Equal)
 }
 
 // stableForQuery reports whether the object's satisfaction of every atom

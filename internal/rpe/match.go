@@ -20,6 +20,15 @@ type Element struct {
 // This is the executable specification for both backends: exhaustive NFA
 // simulation with no anchors, indexes, or pruning.
 func (c *Checked) MatchesPathway(elems []Element) bool {
+	w := (c.nfa.NumStates + 63) / 64
+	sets := make(StateSet, 2*w)
+	return c.MatchesPathwayIn(elems, sets[:w], sets[w:])
+}
+
+// MatchesPathwayIn is MatchesPathway simulating in the caller's two state
+// sets, each sized for the automaton, which it overwrites: a caller
+// testing many pathways pays for the sets once.
+func (c *Checked) MatchesPathwayIn(elems []Element, cur, next StateSet) bool {
 	if len(elems) == 0 {
 		return false
 	}
@@ -27,22 +36,21 @@ func (c *Checked) MatchesPathway(elems []Element) bool {
 	// The match region may start at element 0, or at element 1 when the
 	// leading node is the implicit endpoint of an initial edge match.
 	for start := 0; start <= 1 && start < len(elems); start++ {
-		if c.simulate(n.Closure(n.Start), elems, start) {
+		copy(cur, n.Closure(n.Start))
+		if c.simulate(elems, start, cur, next) {
 			return true
 		}
 	}
 	return false
 }
 
-// simulate advances the state set across elems[from:]; it accepts when the
+// simulate advances the state set cur, already epsilon-closed, across
+// elems[from:], using next as the second buffer; it accepts when the
 // Accept state is live having consumed through the final element, or
 // through the penultimate element when the last one is a node (implicit
-// trailing endpoint of an edge match). The initial state set must already
-// be epsilon-closed and is not modified.
-func (c *Checked) simulate(states StateSet, elems []Element, from int) bool {
+// trailing endpoint of an edge match).
+func (c *Checked) simulate(elems []Element, from int, cur, next StateSet) bool {
 	n := c.nfa
-	cur := states.Clone()
-	next := NewStateSet(n.NumStates)
 	for i := from; i < len(elems); i++ {
 		el := &elems[i]
 		isEdge := el.Class.IsEdge()
