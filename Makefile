@@ -74,15 +74,19 @@ crash:
 	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped|Replay|Sidecar' \
 		./internal/graph/ ./internal/core/ ./internal/server/ ./cmd/nepal/
 
-# Short coverage-guided fuzz passes over the two parsers fed untrusted
-# bytes: the WAL frame decoder (every replication batch and
-# crash-recovery scan) and statement preparation (every /v1/query and
-# /v1/prepare body: parse, analyze, fingerprint). Seeds are real encoded
-# frames and the paper's queries; 15s each is a smoke budget that still
-# reaches six-digit exec counts.
+# Short coverage-guided fuzz passes over the inputs fed untrusted bytes:
+# the WAL frame decoder (every replication batch and crash-recovery
+# scan), statement preparation (every /v1/query and /v1/prepare body:
+# parse, analyze, fingerprint) and the /v1/ingest write path (random op
+# batches through the server's handler into a WAL-backed store, held to
+# the atomic-batch contract). Seeds are real encoded frames, the paper's
+# queries and batches that fail on an earlier op; 15s each is a smoke
+# budget (the two parsers reach six-digit exec counts, the ingest target,
+# which opens a store per input, a few hundred).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
+	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

@@ -368,8 +368,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Ingest applies a batch of mutations in order. A nil error means every
-// op is applied — durably, when the server's store is WAL-backed.
+// Ingest applies a batch of mutations in order, atomically. A nil error
+// means every op is applied — durably, when the server's store is
+// WAL-backed. A rejection from the server means none is; a transport
+// error leaves it unknown.
 func (c *Client) Ingest(ctx context.Context, ops []server.IngestOp) (*server.IngestResponse, error) {
 	var resp server.IngestResponse
 	if err := c.post(ctx, "/v1/ingest", server.IngestRequest{Ops: ops}, &resp); err != nil {

@@ -67,16 +67,20 @@ func ParseMutationOp(s string) (MutationOp, error) {
 	return 0, fmt.Errorf("graph: unknown mutation op %q", s)
 }
 
-// MutationHook observes every mutation after validation and immediately
-// before it is applied, while the store's write lock is held — so the hook
-// call order is exactly the store's serialization order. A non-nil error
-// aborts the mutation: nothing is applied and the caller sees the error.
-// Durability layers (internal/wal) append and sync here, which makes
-// "hook returned nil" the acknowledgement point: every acknowledged write
-// is on disk before it is visible in memory. The context is the writer's
+// MutationHook observes every batch of writes once: after each of its ops
+// is validated and stamped, immediately before the last of them is
+// applied, while the store's write lock is held — so the hook call order
+// is exactly the store's serialization order. The slice is the stamped
+// group in op order, leaving out ops that apply nothing (a delete of a
+// deleted object); it is the store's and valid only for the call, but the
+// mutations it holds may be kept. A non-nil error rejects the whole batch:
+// nothing of it is applied and the caller sees the error. Durability
+// layers (internal/wal) append and sync the group here, which makes "hook
+// returned nil" the acknowledgement point: every acknowledged write is on
+// disk before it is visible in memory. The context is the writer's
 // request context, carrying trace identity so the durability layer can
 // attach its spans (e.g. the WAL append) to the request's trace.
-type MutationHook func(context.Context, *Mutation) error
+type MutationHook func(context.Context, []*Mutation) error
 
 // SetMutationHook installs the hook (nil removes it). Install before the
 // store starts serving writes; the hook itself must not call back into the
@@ -87,14 +91,89 @@ func (st *Store) SetMutationHook(h MutationHook) {
 	st.hook = h
 }
 
-// Mutate validates, stamps, logs and applies one live write. The store
-// stamps m itself (an insert's UID, every write's At) after clearing the
-// fields m's op does not carry, so the record the hook logs is the one
-// replay will apply. The context reaches the hook: a WAL-backed write's
-// append span lands in the caller's trace. Mutate returns the UID an
-// insert was given, 0 for update and delete. Deleting a deleted object is
-// a no-op that logs nothing.
-func (st *Store) Mutate(ctx context.Context, m *Mutation) (UID, error) {
+// BatchError reports the op that rejected a batch of more than one
+// mutation. Nothing of the batch was applied or logged.
+type BatchError struct {
+	Index int // the rejected op's position in the batch
+	Err   error
+}
+
+func (e *BatchError) Error() string { return fmt.Sprintf("op %d: %v", e.Index, e.Err) }
+func (e *BatchError) Unwrap() error { return e.Err }
+
+// Mutate validates, stamps, logs and applies a batch of live writes as one
+// atomic group, under one hold of the write lock. Op i is validated
+// against the store as ops 0…i−1 left it. The store stamps every op itself
+// (an insert's UID, every write's At) after clearing the fields its op
+// does not carry, and hands the stamped group to the hook once, so the
+// records the hook logs are the ones replay will apply. If an op is
+// rejected or the hook fails, the batch restores what it changed: nothing
+// of it is applied, logged or seen by a reader. A rejected op of a batch
+// of more than one is reported as a *BatchError. The context reaches the
+// hook: a WAL-backed write's append span lands in the caller's trace.
+// Deleting a deleted object is a no-op that logs nothing.
+func (st *Store) Mutate(ctx context.Context, ms ...*Mutation) error {
+	for i, m := range ms {
+		m.clearUnused()
+		if err := st.checkRecord(m); err != nil {
+			return batchErr(ms, i, err)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, bad, err := st.applyLocked(ctx, ms, false); err != nil {
+		if bad < 0 {
+			return err
+		}
+		return batchErr(ms, bad, err)
+	}
+	return nil
+}
+
+// ApplyMutation replays one logged group — the records of one Mutate
+// batch — at their recorded UIDs and timestamps, bypassing the clock and
+// the hook, under one hold of the write lock, so a reader sees all of the
+// group or none of it. It validates exactly like Mutate and additionally
+// skips records the store already reflects — an insert of an existing
+// UID, an update whose version already exists, a delete of an
+// already-closed object — returning how many records it applied. That
+// idempotence is what lets recovery replay a log whose prefix overlaps
+// the checkpoint it starts from. A group with a rejected record applies
+// nothing.
+func (st *Store) ApplyMutation(ms ...*Mutation) (applied int, err error) {
+	for _, m := range ms {
+		if err := st.checkRecord(m); err != nil {
+			return 0, replayErr(m, err)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	applied, bad, err := st.applyLocked(context.Background(), ms, true)
+	if err != nil {
+		return 0, replayErr(ms[bad], err)
+	}
+	for _, m := range ms {
+		st.clock.EnsureAfter(m.At)
+	}
+	return applied, nil
+}
+
+func batchErr(ms []*Mutation, i int, err error) error {
+	if len(ms) == 1 {
+		return err
+	}
+	return &BatchError{Index: i, Err: err}
+}
+
+func replayErr(m *Mutation, err error) error {
+	return fmt.Errorf("graph: replaying %s %d: %w", m.Op, m.UID, err)
+}
+
+func (op MutationOp) isInsert() bool { return op == OpInsertNode || op == OpInsertEdge }
+
+// clearUnused zeroes the fields m's op does not carry, so a live write
+// logs only what replay reads.
+func (m *Mutation) clearUnused() {
 	switch m.Op {
 	case OpInsertNode:
 		m.Src, m.Dst = 0, 0
@@ -103,38 +182,7 @@ func (st *Store) Mutate(ctx context.Context, m *Mutation) (UID, error) {
 	case OpDelete:
 		m.Class, m.Src, m.Dst, m.Fields = "", 0, 0, nil
 	}
-	if err := st.checkRecord(m); err != nil {
-		return 0, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, err := st.applyLocked(ctx, m, false); err != nil || !m.Op.isInsert() {
-		return 0, err
-	}
-	return m.UID, nil
 }
-
-// ApplyMutation replays one logged mutation at its recorded UID and
-// timestamp, bypassing the clock and the hook. It validates exactly like
-// Mutate and additionally tolerates records the store already reflects —
-// an insert of an existing UID, an update whose version already exists, a
-// delete of an already-closed object — reporting applied=false for them.
-// That idempotence is what lets recovery replay a log whose prefix
-// overlaps the checkpoint it starts from.
-func (st *Store) ApplyMutation(m *Mutation) (applied bool, err error) {
-	if err = st.checkRecord(m); err == nil {
-		st.mu.Lock()
-		applied, err = st.applyLocked(context.Background(), m, true)
-		st.clock.EnsureAfter(m.At)
-		st.mu.Unlock()
-	}
-	if err != nil {
-		return false, fmt.Errorf("graph: replaying %s %d: %w", m.Op, m.UID, err)
-	}
-	return applied, nil
-}
-
-func (op MutationOp) isInsert() bool { return op == OpInsertNode || op == OpInsertEdge }
 
 // checkRecord is the part of a write's validation that reads no store
 // state — an insert's record against its class, and the class's kind
@@ -156,87 +204,142 @@ func (st *Store) checkRecord(m *Mutation) error {
 	return nil
 }
 
-// applyLocked is the one body of every write, live or replayed, after
-// checkRecord: it validates m against the store (edge endpoints and
-// rules, unique fields, the object an update or delete targets) and
-// applies it. A live write is stamped and handed to the hook before it is
-// applied, so log order is apply order and a hook error applies nothing.
-// A replay keeps the record's UID and At, and first skips with
-// applied=false what the store already reflects. A delete of a closed
-// object applies nothing in either mode.
-func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (applied bool, err error) {
-	var c *schema.Class
-	var obj *Object
+// applyLocked is the one body of every batch, live or replayed, after
+// checkRecord. Each op is validated against the store as the ops before
+// it left it, and a live op is then stamped. Every op but the last is
+// applied at once, journaled by the undo log; the last is applied only
+// after the hook accepted the group, so a one-op write keeps validate →
+// stamp → log → apply and journals nothing. A rejected op — bad is its
+// index — or a hook error (bad < 0) rolls back the ops already applied.
+// A replay keeps each record's UID and At, and skips what the store
+// already reflects. A delete of a closed object applies nothing in either
+// mode.
+func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (applied, bad int, err error) {
+	batch := len(ms) > 1
+	if batch {
+		st.beginUndo()
+	}
+	var (
+		last    *Mutation // the final op, applied after the hook
+		lastC   *schema.Class
+		lastObj *Object
+	)
+	group := st.group[:0]
+	for i, m := range ms {
+		c, obj, skip, err := st.prepareLocked(m, replay)
+		if err != nil {
+			clear(group)
+			if batch {
+				st.rollbackUndo()
+			}
+			return 0, i, err
+		}
+		if skip {
+			continue
+		}
+		if !replay {
+			if m.Op.isInsert() {
+				m.UID = st.nextUID
+			}
+			m.At = st.clock.Next()
+			group = append(group, m)
+		}
+		applied++
+		if i == len(ms)-1 {
+			last, lastC, lastObj = m, c, obj
+		} else {
+			st.commitLocked(m, c, obj)
+		}
+	}
+	st.group = group
+	if len(group) > 0 && st.hook != nil {
+		err = st.hook(ctx, group)
+	}
+	clear(group)
+	if err != nil {
+		if batch {
+			st.rollbackUndo()
+		}
+		return 0, -1, fmt.Errorf("graph: mutation rejected by log: %w", err)
+	}
+	if batch {
+		st.endUndo()
+	}
+	if last != nil {
+		st.commitLocked(last, lastC, lastObj)
+	}
+	return applied, 0, nil
+}
+
+// prepareLocked validates m against the store — edge endpoints and rules,
+// unique fields, the object an update or delete targets — and returns the
+// class an insert installs or the object an update or delete changes.
+// skip reports a record that applies nothing: a delete of a closed
+// object, or in a replay a record the store already reflects.
+func (st *Store) prepareLocked(m *Mutation, replay bool) (c *schema.Class, obj *Object, skip bool, err error) {
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
 		if replay {
 			if existing := st.objects[m.UID]; existing != nil {
 				if existing.Class.Name != m.Class {
-					return false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
+					return nil, nil, false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
 				}
-				return false, nil // already present (checkpoint overlap)
+				return nil, nil, true, nil // already present (checkpoint overlap)
 			}
 			if m.UID <= 0 {
-				return false, fmt.Errorf("graph: invalid uid %d", m.UID)
+				return nil, nil, false, fmt.Errorf("graph: invalid uid %d", m.UID)
 			}
 		}
 		c, _ = st.schema.Class(m.Class) // resolved by checkRecord
 		if m.Op == OpInsertEdge {
 			srcObj, dstObj := st.objects[m.Src], st.objects[m.Dst]
 			if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
-				return false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
+				return nil, nil, false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
 			}
 			if dstObj == nil || dstObj.Current() == nil || dstObj.IsEdge() {
-				return false, fmt.Errorf("graph: edge %s target %d is not a live node", m.Class, m.Dst)
+				return nil, nil, false, fmt.Errorf("graph: edge %s target %d is not a live node", m.Class, m.Dst)
 			}
 			if !st.schema.EdgeAllowed(c, srcObj.Class, dstObj.Class) {
-				return false, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
+				return nil, nil, false, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
 					m.Class, srcObj.Class, dstObj.Class)
 			}
 		}
 		if err := st.claimUnique(c, m.Fields, 0); err != nil {
-			return false, err
+			return nil, nil, false, err
 		}
 	case OpUpdate, OpDelete:
 		if obj = st.objects[m.UID]; obj == nil {
-			return false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
+			return nil, nil, false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
 		}
 		if replay && m.Op == OpUpdate {
 			for i := range obj.Versions {
 				if obj.Versions[i].Period.Start.Equal(m.At) {
-					return false, nil // version already present (checkpoint overlap)
+					return nil, nil, true, nil // version already present (checkpoint overlap)
 				}
 			}
 		}
 		if obj.Current() == nil {
 			if m.Op == OpDelete {
-				return false, nil // already closed
+				return nil, nil, true, nil // already closed
 			}
-			return false, fmt.Errorf("graph: update of deleted object %d", m.UID)
+			return nil, nil, false, fmt.Errorf("graph: update of deleted object %d", m.UID)
 		}
 		if m.Op == OpUpdate {
 			if err := st.schema.ValidateRecord(obj.Class.Name, m.Fields); err != nil {
-				return false, err
+				return nil, nil, false, err
 			}
 			if err := st.claimUnique(obj.Class, m.Fields, m.UID); err != nil {
-				return false, err
+				return nil, nil, false, err
 			}
 		}
 	default:
-		return false, fmt.Errorf("graph: unknown mutation op %d", m.Op)
+		return nil, nil, false, fmt.Errorf("graph: unknown mutation op %d", m.Op)
 	}
+	return c, obj, false, nil
+}
 
-	if !replay {
-		if m.Op.isInsert() {
-			m.UID = st.nextUID
-		}
-		m.At = st.clock.Next()
-		if st.hook != nil {
-			if err := st.hook(ctx, m); err != nil {
-				return false, fmt.Errorf("graph: mutation rejected by log: %w", err)
-			}
-		}
-	}
+// commitLocked applies a record prepareLocked accepted.
+func (st *Store) commitLocked(m *Mutation, c *schema.Class, obj *Object) {
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
 		st.installLocked(c, m.UID, m.Src, m.Dst, m.Fields, m.At)
@@ -245,5 +348,4 @@ func (st *Store) applyLocked(ctx context.Context, m *Mutation, replay bool) (app
 	case OpDelete:
 		st.deleteAtLocked(obj, m.At)
 	}
-	return true, nil
 }

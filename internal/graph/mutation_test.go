@@ -43,8 +43,10 @@ func loggedStore(t *testing.T) (*Store, *[]Mutation) {
 	t.Helper()
 	st := NewStore(writeSchema(t), temporal.NewManualClock(t0), nil)
 	var log []Mutation
-	st.SetMutationHook(func(_ context.Context, m *Mutation) error {
-		log = append(log, *m)
+	st.SetMutationHook(func(_ context.Context, ms []*Mutation) error {
+		for _, m := range ms {
+			log = append(log, *m)
+		}
 		return nil
 	})
 	return st, &log
@@ -99,7 +101,7 @@ func TestReplayAndLiveRejectAlike(t *testing.T) {
 	live, versions := st.Counts()
 	for _, c := range cases {
 		m := c.m
-		if _, err := st.Mutate(context.Background(), &m); err == nil {
+		if err := st.Mutate(context.Background(), &m); err == nil {
 			t.Errorf("%s: live write accepted", c.name)
 		}
 		r := c.m // as a log would carry it: UID and At stamped
@@ -107,7 +109,7 @@ func TestReplayAndLiveRejectAlike(t *testing.T) {
 			_, r.UID = st.UIDRange()
 		}
 		r.At = st.Now().Add(time.Hour)
-		if applied, err := st.ApplyMutation(&r); err == nil || applied {
+		if applied, err := st.ApplyMutation(&r); err == nil || applied != 0 {
 			t.Errorf("%s: replay = (%v, %v), want a rejection", c.name, applied, err)
 		}
 		if l, v := st.Counts(); l != live || v != versions {
@@ -143,8 +145,8 @@ func TestReplayOverlapIsSkipped(t *testing.T) {
 	before := historyOf(t, st)
 	for i := range *log {
 		m := (*log)[i]
-		if applied, err := st.ApplyMutation(&m); err != nil || applied {
-			t.Errorf("record %d (%s uid %d): replay = (%v, %v), want (false, nil)", i, m.Op, m.UID, applied, err)
+		if applied, err := st.ApplyMutation(&m); err != nil || applied != 0 {
+			t.Errorf("record %d (%s uid %d): replay = (%v, %v), want (0, nil)", i, m.Op, m.UID, applied, err)
 		}
 	}
 	if !bytes.Equal(historyOf(t, st), before) {
@@ -166,15 +168,16 @@ func TestReplayReproducesLiveHistory(t *testing.T) {
 	st, log := loggedStore(t)
 	vm := mustInsertNode(t, st, "VM", Fields{"id": 1, "status": "Green"})
 	host := mustInsertNode(t, st, "Host", Fields{"id": 2})
-	edge, err := st.Mutate(context.Background(), &Mutation{Op: OpInsertEdge, Class: "HostedOn", Src: vm, Dst: host, Fields: Fields{"id": 10}})
-	if err != nil || edge == 0 {
-		t.Fatalf("edge insert = (%d, %v)", edge, err)
+	em := &Mutation{Op: OpInsertEdge, Class: "HostedOn", Src: vm, Dst: host, Fields: Fields{"id": 10}}
+	if err := st.Mutate(context.Background(), em); err != nil || em.UID == 0 {
+		t.Fatalf("edge insert = (%d, %v)", em.UID, err)
 	}
-	if uid, err := st.Mutate(context.Background(), &Mutation{Op: OpUpdate, UID: vm, Class: "Host", Src: host, Fields: Fields{"id": 1, "status": "Red"}}); err != nil || uid != 0 {
-		t.Fatalf("update = (%d, %v), want (0, nil)", uid, err)
+	edge := em.UID
+	if err := st.Mutate(context.Background(), &Mutation{Op: OpUpdate, UID: vm, Class: "Host", Src: host, Fields: Fields{"id": 1, "status": "Red"}}); err != nil {
+		t.Fatalf("update: %v", err)
 	}
-	if uid, err := st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: host, Fields: Fields{"id": 2}}); err != nil || uid != 0 {
-		t.Fatalf("delete = (%d, %v), want (0, nil)", uid, err)
+	if err := st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: host, Fields: Fields{"id": 2}}); err != nil {
+		t.Fatalf("delete: %v", err)
 	}
 	if err := st.Delete(host); err != nil {
 		t.Fatalf("second delete: %v", err)
@@ -195,7 +198,7 @@ func TestReplayReproducesLiveHistory(t *testing.T) {
 	replica := NewStore(writeSchema(t), temporal.NewManualClock(t0), nil)
 	for i := range *log {
 		m := (*log)[i]
-		if applied, err := replica.ApplyMutation(&m); err != nil || !applied {
+		if applied, err := replica.ApplyMutation(&m); err != nil || applied != 1 {
 			t.Fatalf("record %d (%s uid %d): replay = (%v, %v)", i, m.Op, m.UID, applied, err)
 		}
 	}

@@ -140,9 +140,13 @@ type Store struct {
 	reg *obs.Registry
 	o   storeObs
 
-	// hook, when non-nil, observes each mutation after validation and
-	// before application, under the write lock (see SetMutationHook).
-	hook MutationHook
+	// hook, when non-nil, observes each batch's stamped group before its
+	// last op is applied, under the write lock (see SetMutationHook);
+	// group is the reused slice it is handed.
+	hook  MutationHook
+	group []*Mutation
+	// undo journals a multi-op batch's changes until it stands.
+	undo undoLog
 }
 
 type uniqueKey struct {
@@ -198,50 +202,54 @@ func (st *Store) CommittedClock() time.Time {
 
 // InsertNode validates and inserts a node record, returning its UID.
 func (st *Store) InsertNode(class string, fields Fields) (UID, error) {
-	return st.Mutate(context.Background(), &Mutation{Op: OpInsertNode, Class: class, Fields: fields})
+	m := &Mutation{Op: OpInsertNode, Class: class, Fields: fields}
+	if err := st.Mutate(context.Background(), m); err != nil {
+		return 0, err
+	}
+	return m.UID, nil
 }
 
 // InsertEdge validates and inserts an edge from src to dst. The edge class
 // must permit the connection under the schema's allowed-edge rules, and
 // both endpoints must be live.
 func (st *Store) InsertEdge(class string, src, dst UID, fields Fields) (UID, error) {
-	return st.Mutate(context.Background(), &Mutation{Op: OpInsertEdge, Class: class, Src: src, Dst: dst, Fields: fields})
+	m := &Mutation{Op: OpInsertEdge, Class: class, Src: src, Dst: dst, Fields: fields}
+	if err := st.Mutate(context.Background(), m); err != nil {
+		return 0, err
+	}
+	return m.UID, nil
 }
 
 // Update closes the object's current version and opens a new one with the
 // supplied full field map (Nepal's sources supply complete records, not
 // patches). Updating a deleted object is an error.
 func (st *Store) Update(uid UID, fields Fields) error {
-	_, err := st.Mutate(context.Background(), &Mutation{Op: OpUpdate, UID: uid, Fields: fields})
-	return err
+	return st.Mutate(context.Background(), &Mutation{Op: OpUpdate, UID: uid, Fields: fields})
 }
 
 // Delete closes the object's current version. Deleting a node also deletes
 // its live incident edges, mirroring referential integrity in the
 // relational mapping. Deleting a deleted object is a no-op.
 func (st *Store) Delete(uid UID) error {
-	_, err := st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: uid})
-	return err
+	return st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: uid})
 }
 
 // installLocked installs a fully validated object at a fixed timestamp.
 func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fields, ts time.Time) {
-	obj := &Object{
+	st.setObject(uid, &Object{
 		UID:      uid,
 		Class:    c,
 		Src:      src,
 		Dst:      dst,
 		Versions: []Version{{Fields: fields.Clone(), Period: temporal.Current(ts)}},
-	}
-	st.objects[uid] = obj
-	st.byClass[c.Name] = append(st.byClass[c.Name], uid)
-	st.classCount[c.Name]++
+	})
+	st.appendByClass(c.Name, uid)
+	st.addClassCount(c.Name, 1)
 	st.versionCount++
 	st.liveCount++
 	st.recordUnique(c, fields, uid)
 	if c.IsEdge() {
-		st.out[src] = append(st.out[src], uid)
-		st.in[dst] = append(st.in[dst], uid)
+		st.appendAdjacency(src, dst, uid)
 	}
 	if uid >= st.nextUID {
 		st.nextUID = uid + 1
@@ -267,7 +275,7 @@ func (st *Store) closedCopy(obj *Object, t time.Time, extra int) *Object {
 	next.Versions = make([]Version, len(obj.Versions), len(obj.Versions)+extra)
 	copy(next.Versions, obj.Versions)
 	next.Versions[len(next.Versions)-1].Period.End = t
-	st.objects[obj.UID] = &next
+	st.setObject(obj.UID, &next)
 	return &next
 }
 
@@ -295,7 +303,7 @@ func (st *Store) closeIfLive(uid UID, t time.Time) {
 func (st *Store) closeObject(obj *Object, t time.Time) {
 	st.releaseUnique(obj.Class, obj.Current().Fields, obj.UID)
 	st.closedCopy(obj, t, 0)
-	st.classCount[obj.Class.Name]--
+	st.addClassCount(obj.Class.Name, -1)
 	st.liveCount--
 }
 
@@ -328,14 +336,14 @@ func (st *Store) recordUnique(c *schema.Class, fields Fields, uid UID) {
 			m = make(map[string]UID)
 			st.unique[key] = m
 		}
-		m[vk] = uid
+		st.setUnique(m, vk, uid)
 	})
 }
 
 func (st *Store) releaseUnique(c *schema.Class, fields Fields, uid UID) {
 	st.eachUnique(c, fields, func(key uniqueKey, vk string) {
 		if m := st.unique[key]; m != nil && m[vk] == uid {
-			delete(m, vk)
+			st.setUnique(m, vk, 0)
 		}
 	})
 }

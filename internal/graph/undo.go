@@ -1,0 +1,160 @@
+package graph
+
+// undoLog journals what a multi-op batch changes, so a batch that fails
+// part-way — an op rejected, or the log refusing the group — is restored
+// before the write lock is released and no reader ever sees it. Every
+// structure a write touches is changed through one of the record helpers
+// below; each appends what it replaces while the log is on. The scalar
+// counters are snapshotted once instead. The entry slice is reused from
+// batch to batch, and a one-op batch never turns the log on: its single
+// op is applied only after the hook accepted it, so it has nothing to
+// undo.
+type undoLog struct {
+	on      bool
+	entries []undoEntry
+
+	nextUID                 UID
+	versionCount, liveCount int
+}
+
+type undoKind uint8
+
+const (
+	undoObject     undoKind = iota + 1 // objects[uid] was obj (nil: absent)
+	undoOut                            // out[uid] had length n (0: absent)
+	undoIn                             // in[uid] had length n (0: absent)
+	undoByClass                        // byClass[name] had length n (0: absent)
+	undoClassCount                     // classCount[name] was n (had: present)
+	undoUnique                         // index[vk] was uid (had: present)
+)
+
+type undoEntry struct {
+	kind  undoKind
+	had   bool
+	uid   UID
+	n     int
+	obj   *Object
+	name  string
+	index map[string]UID // one unique index
+	vk    string
+}
+
+// beginUndo turns the journal on for a batch.
+func (st *Store) beginUndo() {
+	u := &st.undo
+	u.on = true
+	u.nextUID, u.versionCount, u.liveCount = st.nextUID, st.versionCount, st.liveCount
+}
+
+// endUndo turns the journal off and forgets it: the batch stands.
+func (st *Store) endUndo() {
+	u := &st.undo
+	u.on = false
+	clear(u.entries) // drop the replaced objects for the collector
+	u.entries = u.entries[:0]
+}
+
+// rollbackUndo restores everything the batch changed since beginUndo, in
+// reverse order, and turns the journal off.
+func (st *Store) rollbackUndo() {
+	u := &st.undo
+	for i := len(u.entries) - 1; i >= 0; i-- {
+		e := &u.entries[i]
+		switch e.kind {
+		case undoObject:
+			if e.obj == nil {
+				delete(st.objects, e.uid)
+			} else {
+				st.objects[e.uid] = e.obj
+			}
+		case undoOut:
+			truncateIndex(st.out, e.uid, e.n)
+		case undoIn:
+			truncateIndex(st.in, e.uid, e.n)
+		case undoByClass:
+			truncateIndex(st.byClass, e.name, e.n)
+		case undoClassCount:
+			if e.had {
+				st.classCount[e.name] = e.n
+			} else {
+				delete(st.classCount, e.name)
+			}
+		case undoUnique:
+			if e.had {
+				e.index[e.vk] = e.uid
+			} else {
+				delete(e.index, e.vk)
+			}
+		}
+	}
+	st.nextUID, st.versionCount, st.liveCount = u.nextUID, u.versionCount, u.liveCount
+	st.endUndo()
+}
+
+// truncateIndex cuts an append-only index slice back to n entries,
+// deleting the key when it held none. Readers that took the slice before
+// the batch hold a header no longer than n, so the entries past it that
+// later appends overwrite were never theirs.
+func truncateIndex[K comparable](m map[K][]UID, k K, n int) {
+	if n == 0 {
+		delete(m, k)
+	} else {
+		m[k] = m[k][:n]
+	}
+}
+
+// The record helpers journal only while the log is on, and build no
+// entry otherwise: a one-op write pays one branch per change.
+
+// setObject publishes obj as uid's object.
+func (st *Store) setObject(uid UID, obj *Object) {
+	if st.undo.on {
+		st.journal(undoEntry{kind: undoObject, uid: uid, obj: st.objects[uid]})
+	}
+	st.objects[uid] = obj
+}
+
+// appendAdjacency records edge as outgoing from src and incoming to dst.
+func (st *Store) appendAdjacency(src, dst, edge UID) {
+	if st.undo.on {
+		st.journal(undoEntry{kind: undoOut, uid: src, n: len(st.out[src])})
+		st.journal(undoEntry{kind: undoIn, uid: dst, n: len(st.in[dst])})
+	}
+	st.out[src] = append(st.out[src], edge)
+	st.in[dst] = append(st.in[dst], edge)
+}
+
+// appendByClass records uid as an object of the named concrete class.
+func (st *Store) appendByClass(name string, uid UID) {
+	if st.undo.on {
+		st.journal(undoEntry{kind: undoByClass, name: name, n: len(st.byClass[name])})
+	}
+	st.byClass[name] = append(st.byClass[name], uid)
+}
+
+// addClassCount moves the named class's live count by d.
+func (st *Store) addClassCount(name string, d int) {
+	if st.undo.on {
+		n, had := st.classCount[name]
+		st.journal(undoEntry{kind: undoClassCount, name: name, n: n, had: had})
+	}
+	st.classCount[name] += d
+}
+
+// setUnique makes uid the owner of value vk in one unique index (uid 0
+// releases it).
+func (st *Store) setUnique(m map[string]UID, vk string, uid UID) {
+	if st.undo.on {
+		held, had := m[vk]
+		st.journal(undoEntry{kind: undoUnique, index: m, vk: vk, uid: held, had: had})
+	}
+	if uid == 0 {
+		delete(m, vk)
+	} else {
+		m[vk] = uid
+	}
+}
+
+func (st *Store) journal(e undoEntry) {
+	st.undo.entries = append(st.undo.entries, e)
+}

@@ -29,8 +29,7 @@ func (a *updateOnProbe) IncidentEdges(view graph.View, node graph.UID, dir plan.
 		f["status"] = "Maintenance"
 		errc := make(chan error)
 		go func() {
-			_, err := st.Mutate(context.Background(), &graph.Mutation{Op: graph.OpUpdate, UID: node, Fields: f})
-			errc <- err
+			errc <- st.Mutate(context.Background(), &graph.Mutation{Op: graph.OpUpdate, UID: node, Fields: f})
 		}()
 		if err := <-errc; err != nil {
 			return nil, err

@@ -37,9 +37,9 @@ type FollowerConfig struct {
 	// Registry, when non-nil, receives the follower's counters and lag
 	// gauges.
 	Registry *obs.Registry
-	// OnApplied, when non-nil, observes every replicated mutation the
-	// moment it is applied to the local store, with its global stream
-	// index, in apply order. It runs on the pull loop — keep it cheap and
+	// OnApplied, when non-nil, observes every replicated mutation once its
+	// group is applied to the local store, with its global stream index,
+	// in apply order. It runs on the pull loop — keep it cheap and
 	// never let it block (the watch subsystem's replica feed enqueues into
 	// a bounded ring here). Snapshot bootstraps jump the applied position
 	// without per-record callbacks; observers must treat a non-contiguous
@@ -416,9 +416,9 @@ func (f *Follower) pull() error {
 			return fmt.Errorf("repl: reading feed body: %w", rerr)
 		}
 		// The connection died mid-body, but ReadAll hands back the prefix
-		// that made it through: apply its whole frames and re-request the
+		// that made it through: apply its whole groups and re-request the
 		// tail from the new offset. A severed stream resumes from the last
-		// applied record; it never re-bootstraps. The dead connection
+		// applied group; it never re-bootstraps. The dead connection
 		// forces a fresh dial, so it counts as a reconnect.
 		f.mReconnects.Add(1)
 		f.mu.Lock()
@@ -435,30 +435,37 @@ func (f *Follower) pull() error {
 	var lastAt time.Time
 	torn := false
 	for len(batch) > 0 {
-		m, n, err := wal.DecodeRecord(batch)
+		ms, ends, err := wal.DecodeGroup(batch)
 		if err != nil {
-			// The primary only ships whole frames; a cut here means the
-			// connection died mid-body. Re-request from the last record
-			// that fully applied.
+			// The primary only ships whole groups; a cut here — mid-frame,
+			// or between two frames of one group — means the connection
+			// died mid-body. Re-request from the last group that fully
+			// applied.
 			if wal.IsTorn(err) {
 				torn = true
 				break
 			}
 			return fmt.Errorf("repl: undecodable record at stream position %d: %w", applied, err)
 		}
-		if _, err := f.st.ApplyMutation(m); err != nil {
-			return fmt.Errorf("repl: replaying record %d: %w", applied, err)
-		}
-		if f.cfg.OnApplied != nil {
-			f.cfg.OnApplied(applied, m)
+		// One group is one store write lock hold: a reader on this replica
+		// sees all of a primary batch or none of it.
+		if _, err := f.st.ApplyMutation(ms...); err != nil {
+			return fmt.Errorf("repl: replaying group at %d: %w", applied, err)
 		}
 		// Mirror the primary's prefix-hash chain record by record, so the
 		// link can always prove which history it applied.
-		h = wal.ChainHash(h, wal.FrameChecksum(batch[:n]))
-		f.mBytes.Add(int64(n))
-		batch = batch[n:]
-		applied++
-		lastAt = m.At
+		start := 0
+		for i, m := range ms {
+			if f.cfg.OnApplied != nil {
+				f.cfg.OnApplied(applied, m)
+			}
+			h = wal.ChainHash(h, wal.FrameChecksum(batch[start:]))
+			start = ends[i]
+			applied++
+			lastAt = m.At
+		}
+		f.mBytes.Add(int64(start))
+		batch = batch[start:]
 	}
 	if applied > from {
 		f.mBatches.Add(1)

@@ -63,9 +63,7 @@ func newPrimary(t *testing.T) *primary {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	st.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		return mgr.Append(ctx, m)
-	})
+	st.SetMutationHook(mgr.Append)
 	node := NewNode(st, mgr, nil)
 	src := NewSource(node, nil)
 	mux := http.NewServeMux()
@@ -240,9 +238,7 @@ func TestPromoteDurable(t *testing.T) {
 	// The hook is installed up front (exactly how a serving replica
 	// opens): replicated records bypass it, so the follower's log stays
 	// empty until promotion.
-	fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		return fmgr.Append(ctx, m)
-	})
+	fst.SetMutationHook(fmgr.Append)
 	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
 	node := NewNode(fst, fmgr, f)
 	f.Start()
@@ -568,9 +564,7 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-			return fmgr.Append(ctx, m)
-		})
+		fst.SetMutationHook(fmgr.Append)
 		f := NewFollower(fst, testFollowerConfig(srv.URL))
 		node := NewNode(fst, fmgr, f)
 		f.Start()
@@ -735,9 +729,7 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fmgr.Close() })
-	fst.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		return fmgr.Append(ctx, m)
-	})
+	fst.SetMutationHook(fmgr.Append)
 	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
 	node := NewNode(fst, fmgr, f)
 	f.Start()

@@ -92,7 +92,9 @@ func sourceErr(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // ServeWAL answers GET /v1/wal?from=N[&wait_ms=M][&max_bytes=K]: a batch
-// of raw WAL frames starting at stream index N. With wait_ms, an
+// of raw WAL frames starting at stream index N and ending on a group
+// boundary, so a follower can apply every group it receives whole. With
+// wait_ms, an
 // up-to-date follower long-polls — the response is held until a record
 // lands or the wait expires (an empty 200 body). 410 Gone directs the
 // follower to the snapshot endpoint.

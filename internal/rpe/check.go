@@ -75,7 +75,11 @@ func Check(e Expr, sch *schema.Schema) (*Checked, error) {
 	if len(c.atoms) == 0 {
 		return nil, fmt.Errorf("rpe: expression has no atoms")
 	}
-	c.nfa = buildNFA(norm)
+	nfa, err := buildNFA(norm)
+	if err != nil {
+		return nil, err
+	}
+	c.nfa = nfa
 	c.feas = c.nfa.transFeasibility(func(a *Atom) bool { return c.classes[a.id].IsEdge() })
 	return c, nil
 }

@@ -1,5 +1,7 @@
 package rpe
 
+import "fmt"
+
 // NFA is the nondeterministic automaton compiled from a normalized RPE.
 // Transitions consume one pathway element each. Concatenation contributes
 // "bridge" points that allow either direct adjacency or a one-element skip
@@ -67,12 +69,54 @@ var epsMarker = &Atom{Class: "\x00eps"}
 // into explicit alternatives where each optional part is either omitted
 // (no bridge at all) or present with min >= 1 (bridge with skip), sharing
 // atom occurrences so anchor labeling is unaffected.
-func buildNFA(e Expr) *NFA {
+//
+// An expression that would unroll to more than maxStates states is
+// rejected before anything is built.
+func buildNFA(e Expr) (*NFA, error) {
+	e = expandEmptyReps(e)
+	if unrolledStates(e) > maxStates {
+		return nil, fmt.Errorf("rpe: expression unrolls to more than %d automaton states; lower its repetition bounds", maxStates)
+	}
 	b := &nfaBuilder{n: &NFA{}}
-	start, accept := b.build(expandEmptyReps(e))
+	start, accept := b.build(e)
 	b.n.Start, b.n.Accept = start, accept
 	b.finish()
-	return b.n
+	return b.n, nil
+}
+
+// maxStates bounds the automaton an expression unrolls to. Every state
+// caches its epsilon closure as a bit set over all states, so memory
+// grows with the square of the state count: {1,77776} alone would ask for
+// gigabytes. 4,096 states (4 MB of closure sets) is more than ten times
+// the largest automaton any shipped query or test builds.
+const maxStates = 4096
+
+// unrolledStates counts the states build makes for e, saturating just
+// past maxStates.
+func unrolledStates(e Expr) int {
+	switch x := e.(type) {
+	case *Atom:
+		return 2
+	case *Sequence:
+		n := len(x.Parts) - 1 // one skip state per bridge
+		for _, p := range x.Parts {
+			n = min(n+unrolledStates(p), maxStates+1)
+		}
+		return n
+	case *Alternation:
+		n := 2
+		for _, p := range x.Alts {
+			n = min(n+unrolledStates(p), maxStates+1)
+		}
+		return n
+	case *Repetition:
+		body := unrolledStates(x.Body) + 1 // each copy but the first is bridged
+		if x.Max > maxStates/body {
+			return maxStates + 1
+		}
+		return min(1+x.Max*body, maxStates+1)
+	}
+	return 0
 }
 
 // expandEmptyReps rewrites the expression so no subexpression can match

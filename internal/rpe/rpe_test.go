@@ -598,3 +598,31 @@ func TestOptionalBlocksDontSkipAlone(t *testing.T) {
 		t.Error("both-blocks case must match with the inter-block skip")
 	}
 }
+
+// TestCheckBoundsUnrolledAutomaton: repetitions are unrolled and every
+// state caches a closure set over all states, so an expression whose
+// automaton would pass maxStates is rejected before anything is built —
+// `{1,77776}` used to ask for gigabytes of closure sets. The count the
+// bound is checked against is exactly the number of states built.
+func TestCheckBoundsUnrolledAutomaton(t *testing.T) {
+	for _, src := range []string{
+		"VNF()->[Vertical()]{1,6}->Host(id=23245)",
+		"Host(id=1)->[PhysicalLink()]{1,6}->Host(id=2)",
+		"VNF(id=1)->[ComposedOf()|Vertical()]{0,4}->[VFC()]{0,2}->Host()",
+		"[[VNF(id=1)->Vertical()]{1,8}]{1,8}->Host()",
+	} {
+		c := checked(t, src)
+		if got := unrolledStates(expandEmptyReps(c.Expr)); got != c.nfa.NumStates {
+			t.Errorf("%s: counted %d states, built %d", src, got, c.nfa.NumStates)
+		}
+	}
+	for _, src := range []string{
+		"VNF()->[Vertical()]{1,77776}->Host(id=23245)",
+		"VNF(id=1)->[[[Vertical()]{1,20}]{1,20}]{1,20}->Host()",
+		"VNF(id=1)->[Vertical()]{1,9223372036854775807}",
+	} {
+		if _, err := CheckString(src, testSchema); err == nil || !strings.Contains(err.Error(), "automaton states") {
+			t.Errorf("%s: err = %v, want the automaton-size rejection", src, err)
+		}
+	}
+}

@@ -32,7 +32,7 @@ var wantMetricKeys = []string{
 	"store.class_scans", "store.live_objects", "store.snapshot_apply_ms", "store.snapshots_applied",
 	"store.versions",
 	"wal.append_bytes", "wal.append_errors", "wal.appends", "wal.base_index", "wal.checkpoint_ms",
-	"wal.checkpoints", "wal.fsync_ms", "wal.fsyncs", "wal.next_index", "wal.recovered_records",
+	"wal.checkpoints", "wal.fsync_ms", "wal.fsyncs", "wal.group_records", "wal.next_index", "wal.recovered_records",
 	"wal.recoveries", "wal.recovery_skipped_records", "wal.stream_read_bytes",
 	"watch.events", "watch.standing.deltas", "watch.standing.errors", "watch.standing.evals",
 	"watch.standing.lagged", "watch.standing.queries", "watch.standing.skipped",

@@ -555,28 +555,50 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release()
-	// Mutations run under the Execute phase span so a WAL-backed store's
-	// append spans nest inside the request trace.
-	ex := rq.Root.StartChild("Execute", "")
-	ctx := obs.ContextWithSpan(r.Context(), ex)
-	resp := IngestResponse{UIDs: make([]int64, 0, len(req.Ops))}
+	// The batch is one atomic store write: every op is turned into its
+	// mutation record first, then one Mutate validates, logs (one WAL
+	// group, one sync) and applies them all, or none. It runs under the
+	// Execute phase span so a WAL-backed store's append span nests inside
+	// the request trace.
+	ms := make([]*graph.Mutation, len(req.Ops))
 	for i, op := range req.Ops {
-		uid, err := s.applyOp(ctx, op)
+		m, err := mutationOf(op)
 		if err != nil {
-			ex.Finish()
-			// Ops apply in order and are not transactional: everything
-			// before i is applied (and durably logged under a WAL); the
-			// error names the failing op so the client can resume.
-			writeErr(w, r, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("op %d (%s): %v (%d ops applied)", i, op.Op, err, resp.Applied))
+			writeErr(w, r, http.StatusBadRequest, "bad_request", rejectedMsg(i, op, err))
 			return
 		}
-		resp.UIDs = append(resp.UIDs, int64(uid))
-		resp.Applied++
+		ms[i] = m
 	}
+	ex := rq.Root.StartChild("Execute", "")
+	err := s.db.Store().Mutate(obs.ContextWithSpan(r.Context(), ex), ms...)
 	ex.Finish()
+	if err != nil {
+		var be *graph.BatchError
+		switch {
+		case errors.As(err, &be):
+			err = errors.New(rejectedMsg(be.Index, req.Ops[be.Index], be.Err))
+		case len(ms) == 1:
+			err = errors.New(rejectedMsg(0, req.Ops[0], err))
+		default:
+			err = fmt.Errorf("%v; nothing was applied", err)
+		}
+		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	resp := IngestResponse{UIDs: make([]int64, len(ms)), Applied: len(ms)}
+	for i, m := range ms {
+		if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
+			resp.UIDs[i] = int64(m.UID)
+		}
+	}
 	resp.Epoch = s.stampEpoch(w)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// rejectedMsg names the op that rejected an ingest batch. A batch is
+// atomic, so nothing of it was applied.
+func rejectedMsg(i int, op IngestOp, err error) string {
+	return fmt.Sprintf("op %d (%s): %v; nothing was applied", i, op.Op, err)
 }
 
 // ingestOps maps the wire's op names to the store's.
@@ -587,15 +609,15 @@ var ingestOps = map[string]graph.MutationOp{
 	"delete":      graph.OpDelete,
 }
 
-// applyOp turns one wire op into the store's mutation record — the same
-// record the WAL hook logs — and applies it under the request context.
-func (s *Server) applyOp(ctx context.Context, op IngestOp) (graph.UID, error) {
+// mutationOf turns one wire op into the store's mutation record — the
+// same record the WAL hook logs.
+func mutationOf(op IngestOp) (*graph.Mutation, error) {
 	kind, ok := ingestOps[op.Op]
 	if !ok {
-		return 0, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
+		return nil, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
 	}
-	return s.db.Store().Mutate(ctx, &graph.Mutation{Op: kind, UID: graph.UID(op.UID), Class: op.Class,
-		Src: graph.UID(op.Src), Dst: graph.UID(op.Dst), Fields: graph.Fields(op.Fields)})
+	return &graph.Mutation{Op: kind, UID: graph.UID(op.UID), Class: op.Class,
+		Src: graph.UID(op.Src), Dst: graph.UID(op.Dst), Fields: graph.Fields(op.Fields)}, nil
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -264,16 +264,20 @@ type IngestOp struct {
 	Fields map[string]any `json:"fields,omitempty"`
 }
 
-// IngestRequest is the body of POST /v1/ingest. Ops apply in order; the
-// response acknowledges only after every op is applied — with a
-// WAL-backed store, after each is durably logged — so an acked batch
-// survives a crash.
+// IngestRequest is the body of POST /v1/ingest. A batch is atomic: its
+// ops apply in order, each seeing the effects of the ops before it, and
+// either all of them apply or none does. With a WAL-backed store the
+// batch is logged as one group — one write, one sync — before any of it
+// is visible, so an acked batch survives a crash whole. A rejected batch
+// answers 400 naming the failing op; nothing of it was applied or
+// logged.
 type IngestRequest struct {
 	Ops []IngestOp `json:"ops"`
 }
 
-// IngestResponse reports the UIDs created by insert ops (in op order,
-// 0 for non-inserts) and the number of ops applied.
+// IngestResponse acknowledges a whole batch: the UIDs created by insert
+// ops (in op order, 0 for non-inserts) and the number of ops applied,
+// which is always the number of ops sent.
 type IngestResponse struct {
 	UIDs    []int64 `json:"uids"`
 	Applied int     `json:"applied"`

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
@@ -31,10 +32,11 @@ func copyDir(t testing.TB, src string) string {
 	return dst
 }
 
-// runGolden executes a deterministic workload against a WAL-backed store,
-// optionally checkpointing at mutation checkpointAt, and returns the live
-// store plus the acknowledgement ledger: every acknowledged mutation with
-// the segment and offset its record ends at.
+// runGolden executes a deterministic workload, sent as groups of 1 to 8
+// mutations, against a WAL-backed store, optionally checkpointing at
+// mutation checkpointAt, and returns the live store plus the
+// acknowledgement ledger: every acknowledged mutation with the segment
+// and offset its group ends at.
 func runGolden(t testing.TB, dir string, seed int64, n, checkpointAt int) (*graph.Store, []ackedMutation) {
 	t.Helper()
 	st := newTestStore(t)
@@ -52,7 +54,7 @@ func runGolden(t testing.TB, dir string, seed int64, n, checkpointAt int) (*grap
 	}
 	captureAcked(st, mgr, seg, &acked)
 	if checkpointAt > 0 {
-		if got := workload(t, st, st.Clock(), seed, checkpointAt); got != checkpointAt {
+		if got := groupWorkload(t, st, st.Clock(), seed, checkpointAt, 8); got != checkpointAt {
 			t.Fatalf("golden workload acked %d/%d before checkpoint", got, checkpointAt)
 		}
 		if err := mgr.Checkpoint(st); err != nil {
@@ -61,7 +63,7 @@ func runGolden(t testing.TB, dir string, seed int64, n, checkpointAt int) (*grap
 		n -= checkpointAt
 		seed++
 	}
-	if got := workload(t, st, st.Clock(), seed, n); got != n {
+	if got := groupWorkload(t, st, st.Clock(), seed, n, 8); got != n {
 		t.Fatalf("golden workload acked %d/%d", got, n)
 	}
 	if err := mgr.Close(); err != nil {
@@ -106,10 +108,12 @@ func (r *referenceStore) historyAt(acked []ackedMutation, k int) []byte {
 
 // TestCrashPointProperty is the headline durability property: for every
 // byte offset at which the active log can be cut — every possible crash
-// point of a randomized mutation workload — recovery produces a store
-// whose full temporal history equals the reference store holding exactly
-// the acknowledged prefix of mutations whose records made it to disk. No
-// acknowledged write is lost, no torn record surfaces.
+// point of a randomized workload of grouped writes — recovery produces a
+// store whose full temporal history equals the reference store holding
+// exactly the acknowledged prefix of whole groups that made it to disk.
+// No acknowledged write is lost, no torn record surfaces, and no group is
+// recovered in part: a cut on a frame boundary inside a group is a torn
+// tail like a cut mid-frame.
 func TestCrashPointProperty(t *testing.T) {
 	golden := t.TempDir()
 	_, acked := runGolden(t, golden, 42, 30, 0)
@@ -136,9 +140,12 @@ func TestCrashPointProperty(t *testing.T) {
 	for _, a := range acked {
 		ends[a.end] = true
 	}
+	if len(ends) == len(acked) {
+		t.Fatal("the golden run wrote no group of more than one record")
+	}
 	k := 0
 	for _, off := range offsets {
-		// Acknowledged prefix that fully fits in off bytes.
+		// Acknowledged prefix of whole groups that fully fits in off bytes.
 		for k < len(acked) && acked[k].end <= off {
 			k++
 		}
@@ -187,7 +194,7 @@ func TestCrashPointPropertyAcrossCheckpoint(t *testing.T) {
 	}
 	total := int64(len(data))
 
-	// Offsets to test: every record boundary in the active segment, its
+	// Offsets to test: every group boundary in the active segment, its
 	// immediate neighbors, and offset zero (crash right after rotation).
 	offsets := map[int64]bool{0: true, 1: true, total: true}
 	ends := map[int64]bool{0: true}
@@ -262,6 +269,18 @@ func TestCrashPointPropertyAcrossCheckpoint(t *testing.T) {
 // manager's own rollback repair. Recovery with a healthy filesystem must
 // restore exactly the acknowledged prefix.
 func TestChaosCrashRecovery(t *testing.T) {
+	chaosCrashRecovery(t, 1)
+}
+
+// TestChaosCrashRecoveryGrouped is TestChaosCrashRecovery with writes
+// sent as groups of 1 to 8 records: the crash tears a group's one write,
+// and recovery must drop all of that group, the records it wrote whole
+// included.
+func TestChaosCrashRecoveryGrouped(t *testing.T) {
+	chaosCrashRecovery(t, 8)
+}
+
+func chaosCrashRecovery(t *testing.T, maxGroup int) {
 	budgets := []int64{0, 1, 37, 256, 900, 2000, 5000}
 	for _, budget := range budgets {
 		fs := chaos.NewCrashFS(budget)
@@ -278,7 +297,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 		}
 		var acked []ackedMutation
 		captureAcked(st, mgr, func() uint64 { return 1 }, &acked)
-		n := workload(t, st, st.Clock(), budget, 400)
+		n := groupWorkload(t, st, st.Clock(), budget, 400, maxGroup)
 		if n == 400 && budget < 5000 {
 			t.Fatalf("budget %d: workload survived the crash budget", budget)
 		}
@@ -395,4 +414,57 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		t.Error("recovery after mid-checkpoint crash lost history")
 	}
 	mustNoViolations(t, st2)
+}
+
+// TestRecoverRejectsUnterminatedGroupMidLog: a segment that ends inside a
+// group cannot be a crash tail when a later segment exists (a group never
+// spans two segments, and a segment is synced whole before rotation), so
+// recovery fails loudly instead of truncating.
+func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
+	at := t0.Add(time.Minute)
+	group, err := appendGroup(nil, []*graph.Mutation{
+		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
+		{Op: graph.OpInsertNode, UID: 2, Class: "Host", Fields: graph.Fields{"id": 2}, At: at.Add(time.Second)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := decodeRecord(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later, err := appendGroup(nil, []*graph.Mutation{
+		{Op: graph.OpInsertNode, UID: 3, Class: "Host", Fields: graph.Fields{"id": 3}, At: at.Add(time.Hour)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(segmentPath(dir, 1), group[:first], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segmentPath(dir, 2), later, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, newTestStore(t), Options{NoSync: true}); err == nil || !IsTorn(err) {
+		t.Fatalf("recovery over an unterminated mid-log group = %v, want a torn-record error", err)
+	}
+
+	// The same cut in the final segment is an ordinary torn tail.
+	if err := os.Remove(segmentPath(dir, 2)); err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t)
+	mgr, stats, err := Open(dir, st, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if !stats.TailTruncated || stats.DroppedBytes != int64(first) || stats.RecordsApplied != 0 {
+		t.Fatalf("stats = %+v, want the whole %d-byte group dropped", stats, first)
+	}
+	if live, _ := st.Counts(); live != 0 {
+		t.Fatalf("recovered %d objects from an unterminated group", live)
+	}
 }

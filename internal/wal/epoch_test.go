@@ -1,14 +1,12 @@
 package wal
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/graph"
 )
 
 // TestEpochAndHashSurviveReopen pins the durability half of the fencing
@@ -46,9 +44,7 @@ func TestEpochAndHashSurviveReopen(t *testing.T) {
 	}
 	// More writes keep extending the same chain: the recovered hash is
 	// the live chain state, not a frozen copy.
-	st2.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		return mgr2.Append(ctx, m)
-	})
+	st2.SetMutationHook(mgr2.Append)
 	if got := workload(t, st2, st2.Clock(), 9, 5); got != 5 {
 		t.Fatalf("post-reopen workload acked %d/5", got)
 	}

@@ -34,16 +34,22 @@ func fuzzSeedMutations() []*graph.Mutation {
 func FuzzDecodeRecord(f *testing.F) {
 	var frames [][]byte
 	for _, m := range fuzzSeedMutations() {
-		frame, err := encodeRecord(m)
+		frame, err := appendRecord(nil, m, false)
 		if err != nil {
 			f.Fatal(err)
 		}
 		frames = append(frames, frame)
 		f.Add(frame)
 	}
-	// A shipped batch (two whole frames back to back), a torn tail, a
+	// A shipped batch (two whole frames back to back), a two-record group
+	// (the first frame carries the continuation mark), a torn tail, a
 	// flipped payload byte, and degenerate headers.
 	f.Add(append(append([]byte{}, frames[0]...), frames[1]...))
+	group, err := appendGroup(nil, fuzzSeedMutations()[:2])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(group)
 	f.Add(frames[0][:len(frames[0])-3])
 	bad := append([]byte{}, frames[2]...)
 	bad[len(bad)-1] ^= 0x40
@@ -73,10 +79,15 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("FrameChecksum = %08x, header says %08x", got, uint32frame(b[4:8]))
 		}
 		// Round trip: a mutation the decoder accepts must re-encode, and
-		// decoding the re-encoded frame must reproduce it field for field.
-		frame, err := encodeRecord(m)
+		// decoding the re-encoded frame must reproduce it field for field,
+		// its continuation mark included.
+		more := continued(b[:n])
+		frame, err := appendRecord(nil, m, more)
 		if err != nil {
 			t.Fatalf("re-encoding accepted mutation: %v", err)
+		}
+		if continued(frame) != more {
+			t.Fatalf("round trip changed the continuation mark: %v", more)
 		}
 		m2, n2, err := DecodeRecord(frame)
 		if err != nil {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,15 @@ import (
 //	[4 bytes little-endian payload length]
 //	[4 bytes little-endian CRC-32C of the payload]
 //	[payload: one JSON mutation document]
+//
+// Records come in groups: the records of one store batch (one Mutate
+// call, one /v1/ingest request) are written with one write and made
+// durable with one sync, and recovery and replication apply a group whole
+// or not at all. Every record of a group but the last carries the
+// continuation mark — its payload starts with {"more":true, — so the CRC
+// covers it, a single-record group is exactly the pre-group record
+// format, and a log ending in a record that carries the mark ends inside
+// a group, the torn tail of a crash mid-append.
 //
 // The CRC covers only the payload; the length prefix is validated by
 // bounds (a frame can never exceed maxRecordSize), so any bit flip in
@@ -39,8 +49,11 @@ var errTorn = errors.New("wal: torn record")
 // errCorrupt marks a frame whose length or checksum is invalid.
 var errCorrupt = errors.New("wal: corrupt record")
 
-// recordDoc is the JSON payload of one logged mutation.
+// recordDoc is the JSON payload of one logged mutation. More, the
+// continuation mark, is encoded first (and only when set), so a reader
+// finds it by the payload's prefix without decoding the document.
 type recordDoc struct {
+	More   bool         `json:"more,omitempty"`
 	Op     string       `json:"op"`
 	UID    int64        `json:"uid"`
 	Class  string       `json:"class,omitempty"`
@@ -52,9 +65,27 @@ type recordDoc struct {
 
 const recordTimeLayout = time.RFC3339Nano
 
-// encodeRecord renders one mutation as a full wire frame.
-func encodeRecord(m *graph.Mutation) ([]byte, error) {
+// moreMark is the payload prefix of a record that carries the
+// continuation mark.
+var moreMark = []byte(`{"more":true,`)
+
+// appendGroup appends the wire frames of one group of mutations to dst:
+// every frame but the last carries the continuation mark.
+func appendGroup(dst []byte, ms []*graph.Mutation) ([]byte, error) {
+	for i, m := range ms {
+		var err error
+		if dst, err = appendRecord(dst, m, i < len(ms)-1); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// appendRecord appends one mutation's wire frame to dst, with the
+// continuation mark when more records of its group follow.
+func appendRecord(dst []byte, m *graph.Mutation, more bool) ([]byte, error) {
 	payload, err := json.Marshal(recordDoc{
+		More:   more,
 		Op:     m.Op.String(),
 		UID:    int64(m.UID),
 		Class:  m.Class,
@@ -64,17 +95,21 @@ func encodeRecord(m *graph.Mutation) ([]byte, error) {
 		At:     m.At.Format(recordTimeLayout),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wal: encoding mutation %s uid %d: %w", m.Op, m.UID, err)
+		return dst, fmt.Errorf("wal: encoding mutation %s uid %d: %w", m.Op, m.UID, err)
 	}
 	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("wal: mutation %s uid %d encodes to %d bytes (max %d)",
+		return dst, fmt.Errorf("wal: mutation %s uid %d encodes to %d bytes (max %d)",
 			m.Op, m.UID, len(payload), maxRecordSize)
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...), nil
+}
+
+// continued reports whether a whole frame carries the continuation mark:
+// more records of its group follow it.
+func continued(frame []byte) bool {
+	return bytes.HasPrefix(frame[frameHeaderSize:], moreMark)
 }
 
 // uint32frame reads the little-endian length prefix of a frame.
@@ -95,11 +130,33 @@ func verifyFrameChecksum(frame []byte) error {
 
 // DecodeRecord reads one frame from the front of b, returning the decoded
 // mutation and the number of bytes consumed — the exported form the
-// replication follower uses to ingest a shipped batch. IsTorn
-// distinguishes "the batch ends mid-frame" (resume from the last whole
-// record) from real corruption.
+// watch feed uses to turn shipped records into events. IsTorn
+// distinguishes "the batch ends mid-frame" from real corruption.
 func DecodeRecord(b []byte) (*graph.Mutation, int, error) {
 	return decodeRecord(b)
+}
+
+// DecodeGroup reads the group at the front of b: whole frames up to and
+// including the first without the continuation mark. It returns the
+// group's mutations and, for each, the byte offset in b just past its
+// frame. A b that ends inside the group — mid-frame, or on a frame
+// boundary before the group's last record — is torn (IsTorn): recovery
+// and the replication follower apply a group whole or not at all.
+func DecodeGroup(b []byte) ([]*graph.Mutation, []int, error) {
+	var ms []*graph.Mutation
+	var ends []int
+	for off := 0; ; {
+		m, n, err := decodeRecord(b[off:])
+		if err != nil {
+			return nil, nil, err
+		}
+		ms = append(ms, m)
+		off += n
+		ends = append(ends, off)
+		if !continued(b[off-n : off]) {
+			return ms, ends, nil
+		}
+	}
 }
 
 // FrameChecksum reads the stored CRC-32C out of a frame's header — the
@@ -141,6 +198,9 @@ func decodeRecord(b []byte) (*graph.Mutation, int, error) {
 	var doc recordDoc
 	if err := json.Unmarshal(payload, &doc); err != nil {
 		return nil, 0, fmt.Errorf("%w: undecodable payload: %v", errCorrupt, err)
+	}
+	if doc.More != bytes.HasPrefix(payload, moreMark) {
+		return nil, 0, fmt.Errorf("%w: continuation mark out of place", errCorrupt)
 	}
 	op, err := graph.ParseMutationOp(doc.Op)
 	if err != nil {

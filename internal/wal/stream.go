@@ -125,9 +125,10 @@ func (mgr *Manager) Changed() <-chan struct{} {
 }
 
 // ReadRecords copies raw record frames starting at global index from,
-// stopping at the durable end of the log or once maxBytes (0 = unbounded)
-// is reached — always shipping at least one whole frame when any is
-// available. It returns the frames and the index of the record after the
+// stopping at the durable end of the log or at the first group boundary
+// at or past maxBytes (0 = unbounded) — always shipping at least one
+// whole group when any is available, so a batch never ends inside a
+// group. It returns the frames and the index of the record after the
 // last one shipped; an empty batch with next == from means the reader is
 // caught up. ErrTruncatedStream means from predates the oldest segment.
 //
@@ -149,7 +150,8 @@ func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, erro
 
 	var out []byte
 	cur := from
-	full := func() bool { return maxBytes > 0 && len(out) >= maxBytes }
+	open := false // the last frame shipped carries the continuation mark
+	full := func() bool { return !open && maxBytes > 0 && len(out) >= maxBytes }
 	for i := segFor(segs, from); i < len(segs) && cur < next && !full(); i++ {
 		segEnd := next
 		if i+1 < len(segs) {
@@ -178,8 +180,10 @@ func (mgr *Manager) ReadRecords(from uint64, maxBytes int) ([]byte, uint64, erro
 		}
 		out = slices.Grow(out, int(want))
 		for cur < segEnd && !full() && err == nil {
+			l := len(out)
 			if out, err = r.next(out); err == nil {
 				cur++
+				open = continued(out[l:])
 			}
 		}
 		r.close(mgr.o.streamReadBytes)

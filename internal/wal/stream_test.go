@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -38,9 +37,7 @@ func newStreamFixture(t *testing.T) *streamFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	st.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		return mgr.Append(ctx, m)
-	})
+	st.SetMutationHook(mgr.Append)
 	return &streamFixture{t: t, dir: dir, st: st, mgr: mgr, clock: st.Clock()}
 }
 
@@ -51,20 +48,20 @@ func (f *streamFixture) run(seed int64, n int) {
 	}
 }
 
-// replayInto decodes a shipped batch and applies every record to st.
+// replayInto decodes a shipped batch and applies every group to st.
 func replayInto(t *testing.T, st *graph.Store, batch []byte) int {
 	t.Helper()
 	applied := 0
 	for len(batch) > 0 {
-		m, n, err := DecodeRecord(batch)
+		ms, ends, err := DecodeGroup(batch)
 		if err != nil {
 			t.Fatalf("decoding shipped batch: %v", err)
 		}
-		if _, err := st.ApplyMutation(m); err != nil {
-			t.Fatalf("applying shipped record: %v", err)
+		if _, err := st.ApplyMutation(ms...); err != nil {
+			t.Fatalf("applying shipped group: %v", err)
 		}
-		batch = batch[n:]
-		applied++
+		batch = batch[ends[len(ends)-1]:]
+		applied += len(ms)
 	}
 	return applied
 }
@@ -392,7 +389,8 @@ func TestLogIDStableAcrossReopen(t *testing.T) {
 
 // oracleReadRecords is the full-scan stream read the sparse frame index
 // replaced: load the whole segment and walk every frame from its first
-// byte. The equivalence tests hold ReadRecords to it.
+// byte, stopping at the byte budget only on a group boundary. The
+// equivalence tests hold ReadRecords to it.
 func oracleReadRecords(mgr *Manager, from uint64, maxBytes int) ([]byte, uint64, error) {
 	mgr.mu.Lock()
 	segs := slices.Clone(mgr.segs)
@@ -439,7 +437,7 @@ func oracleReadRecords(mgr *Manager, from uint64, maxBytes int) ([]byte, uint64,
 			out = append(out, data[off:off+n]...)
 			off += n
 			cur++
-			if maxBytes > 0 && len(out) >= maxBytes {
+			if maxBytes > 0 && len(out) >= maxBytes && !continued(data[off-n:off]) {
 				return out, cur, nil
 			}
 		}
@@ -525,8 +523,8 @@ func checkAgainstOracle(t *testing.T, mgr *Manager) {
 // PrefixHash to the full-scan oracle wherever the marks come from:
 // appends into one segment, reads spanning a rotation, a mid-stream
 // checkpoint, marks rebuilt by recovery over a truncated torn tail,
-// appends after that recovery, and an adopted stream starting at a
-// position that is not a multiple of markEvery.
+// grouped appends after that recovery, and an adopted stream starting at
+// a position that is not a multiple of markEvery.
 func TestStreamReadsMatchFullScan(t *testing.T) {
 	dir := t.TempDir()
 	failSnapshot := false
@@ -538,6 +536,7 @@ func TestStreamReadsMatchFullScan(t *testing.T) {
 	}}
 	var st *graph.Store
 	var mgr *Manager
+	maxGroup := 1
 	open := func() RecoveryStats {
 		t.Helper()
 		st = newTestStore(t)
@@ -552,7 +551,7 @@ func TestStreamReadsMatchFullScan(t *testing.T) {
 	}
 	run := func(seed int64, n int) {
 		t.Helper()
-		if got := workload(t, st, st.Clock(), seed, n); got != n {
+		if got := groupWorkload(t, st, st.Clock(), seed, n, maxGroup); got != n {
 			t.Fatalf("workload acked %d/%d mutations", got, n)
 		}
 	}
@@ -609,7 +608,8 @@ func TestStreamReadsMatchFullScan(t *testing.T) {
 		t.Fatalf("NextIndex after recovery = %d; want 509", mgr.NextIndex())
 	}
 	checkAgainstOracle(t, mgr)
-	run(5, 80)
+	maxGroup = 8
+	run(5, 160)
 	checkAgainstOracle(t, mgr)
 
 	t.Run("adopted stream", func(t *testing.T) {
@@ -623,7 +623,7 @@ func TestStreamReadsMatchFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ast.SetMutationHook(amgr.Append)
-		if got := workload(t, ast, ast.Clock(), 6, 150); got != 150 {
+		if got := groupWorkload(t, ast, ast.Clock(), 6, 150, 8); got != 150 {
 			t.Fatalf("workload acked %d/150 mutations", got)
 		}
 		checkAgainstOracle(t, amgr)

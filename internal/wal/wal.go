@@ -4,10 +4,11 @@
 // replays the log on top of the latest checkpoint.
 //
 // The durability contract is write-ahead: a Manager installed as the
-// store's mutation hook appends (and, by default, fsyncs) each record
-// while the store's write lock is held, before the mutation becomes
-// visible in memory — so the log order is exactly the store's
-// serialization order and an acknowledged write is always on disk.
+// store's mutation hook appends (and, by default, fsyncs) each batch's
+// group of records — one write, one sync — while the store's write lock
+// is held, before the batch becomes visible in memory — so the log order
+// is exactly the store's serialization order and an acknowledged write is
+// always on disk.
 // Because every record carries its transaction timestamp, replay through
 // graph.ApplyMutation — the same validate-and-apply body as the live
 // write — reproduces the identical temporal version history, not merely
@@ -20,8 +21,9 @@
 // checkpoint/segment overlap window harmless and keeps every crash point
 // of the checkpoint protocol itself recoverable. Recovery tolerates a
 // torn or corrupt tail — the signature of a crash mid-append — by
-// truncating the log at the first bad record; corruption anywhere else is
-// an error, never silently skipped.
+// truncating the log at the start of the first group with a bad or
+// missing record; corruption anywhere else is an error, never silently
+// skipped.
 package wal
 
 import (
@@ -124,6 +126,8 @@ type walObs struct {
 	fsyncMS      *obs.Histogram
 	checkpoints  *obs.Counter
 	checkpointMS *obs.Histogram
+	// groupRecords is the records per append — per sync, unless NoSync.
+	groupRecords *obs.Histogram
 	// streamReadBytes counts the segment bytes ReadRecords and PrefixHash
 	// read: beside appendBytes, it shows whether readers re-read the log.
 	streamReadBytes *obs.Counter
@@ -223,6 +227,9 @@ type Manager struct {
 
 	stats RecoveryStats
 	o     walObs
+
+	// buf is the reused encoding buffer of Append, under mu.
+	buf []byte
 }
 
 // Open recovers the log directory into st (which must be empty) and
@@ -331,6 +338,7 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 			fsyncMS:         reg.Histogram("wal.fsync_ms"),
 			checkpoints:     reg.Counter("wal.checkpoints"),
 			checkpointMS:    reg.Histogram("wal.checkpoint_ms"),
+			groupRecords:    reg.HistogramBuckets("wal.group_records", obs.DefaultSizeBuckets),
 			streamReadBytes: reg.Counter("wal.stream_read_bytes"),
 		}}
 	reg.GaugeFunc("wal.next_index", func() float64 { return float64(mgr.NextIndex()) })
@@ -367,14 +375,15 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// replaySegment applies one segment's records to the store, starting
-// from seg's start index and chain hash, and completes seg from the same
-// scan: its byte end (after any tail truncation) and its marks. It
-// returns the stream index and prefix hash after the segment's last
-// record. A torn or corrupt record in the final segment is the crash
-// tail: the file is truncated at the first bad record and replay stops
-// there. The same damage in an earlier segment cannot be a crash artifact
-// (segments are synced before rotation) and is reported as an error.
+// replaySegment applies one segment's groups to the store, starting from
+// seg's start index and chain hash, and completes seg from the same scan:
+// its byte end (after any tail truncation) and its marks. It returns the
+// stream index and prefix hash after the segment's last record. A torn
+// or corrupt record in the final segment, or a final group the segment
+// ends inside, is the crash tail: the file is truncated at the start of
+// that group and replay stops there. The same damage in an earlier
+// segment cannot be a crash artifact (segments are synced before
+// rotation, and a group never spans two) and is reported as an error.
 func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats, seg *segMeta) (next, hash uint64, err error) {
 	path := segmentPath(dir, seg.seq)
 	data, err := os.ReadFile(path)
@@ -384,7 +393,7 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 	next, hash = seg.start, seg.hash
 	off := 0
 	for off < len(data) {
-		m, n, err := decodeRecord(data[off:])
+		ms, ends, err := DecodeGroup(data[off:])
 		if err != nil {
 			if !last || !(errors.Is(err, errTorn) || errors.Is(err, errCorrupt)) {
 				return 0, 0, fmt.Errorf("wal: segment %d offset %d: %w", seg.seq, off, err)
@@ -396,47 +405,55 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 			stats.DroppedBytes = int64(len(data) - off)
 			break
 		}
-		applied, err := st.ApplyMutation(m)
+		applied, err := st.ApplyMutation(ms...)
 		if err != nil {
 			return 0, 0, fmt.Errorf("wal: replaying segment %d offset %d: %w", seg.seq, off, err)
 		}
-		if applied {
-			stats.RecordsApplied++
-		} else {
-			stats.RecordsSkipped++
+		stats.RecordsApplied += applied
+		stats.RecordsSkipped += len(ms) - applied
+		start := off
+		for _, end := range ends {
+			hash = ChainHash(hash, FrameChecksum(data[off:]))
+			off = start + end
+			next++
+			seg.advance(next, int64(off), hash)
 		}
-		hash = ChainHash(hash, FrameChecksum(data[off:off+n]))
-		off += n
-		next++
-		seg.advance(next, int64(off), hash)
 	}
 	seg.end = int64(off)
 	return next, hash, nil
 }
 
-// Append logs one mutation, making it durable before the store applies
-// it. It is installed as the store's MutationHook, so it runs under the
-// store's write lock; an error aborts the mutation. A partial write is
-// rolled back by truncating the segment; if that rollback fails the log
-// is latched broken and every later append fails fast, because an
-// unrepaired torn middle would corrupt all subsequent records.
+// Append logs one batch's group of mutations, making it durable before
+// the store applies any of it: the group is encoded into one buffer,
+// written with one Write and synced with one Sync, and the stream index,
+// marks and prefix hash then advance record by record. It is installed as
+// the store's MutationHook, so it runs under the store's write lock; an
+// error rejects the whole batch. A partial write is rolled back by
+// truncating the segment; if that rollback fails the log is latched
+// broken and every later append fails fast, because an unrepaired torn
+// middle would corrupt all subsequent records.
 //
 // When ctx carries a request span (obs.SpanFromContext), the append is
-// recorded as a "WALAppend" child span, so the durability cost of an
-// ingest shows up inside its end-to-end trace.
-func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
+// recorded as one "WALAppend" child span per group, carrying its records
+// and bytes, so the durability cost of an ingest shows up inside its
+// end-to-end trace.
+func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 	start := time.Now()
-	frame, err := encodeRecord(m)
-	if err != nil {
-		return err
-	}
 	mgr.mu.Lock()
 	if mgr.broken != nil {
 		mgr.mu.Unlock()
 		return fmt.Errorf("wal: log is broken: %w", mgr.broken)
 	}
+	buf, err := appendGroup(mgr.buf[:0], ms)
+	if cap(buf) <= maxKeptBuffer {
+		mgr.buf = buf
+	}
+	if err != nil {
+		mgr.mu.Unlock()
+		return err
+	}
 	o := &mgr.o
-	n, err := mgr.f.Write(frame)
+	n, err := mgr.f.Write(buf)
 	if err != nil {
 		o.appendErrors.Add(1)
 		if n > 0 {
@@ -445,34 +462,36 @@ func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
 			}
 		}
 		mgr.mu.Unlock()
-		return fmt.Errorf("wal: appending %s uid %d: %w", m.Op, m.UID, err)
+		return fmt.Errorf("wal: appending %s: %w", describeGroup(ms), err)
 	}
-	mgr.size += int64(n)
 	if !mgr.opts.NoSync {
 		syncStart := time.Now()
 		if err := mgr.f.Sync(); err != nil {
-			// The record is written but not durably: the safe reading is
-			// "not acknowledged", so fail the mutation and roll back.
+			// The group is written but not durably: the safe reading is
+			// "not acknowledged", so fail the batch and roll back.
 			o.appendErrors.Add(1)
-			if terr := mgr.f.Truncate(mgr.size - int64(n)); terr != nil {
+			if terr := mgr.f.Truncate(mgr.size); terr != nil {
 				mgr.broken = fmt.Errorf("unsynced append could not be rolled back: %v (sync: %w)", terr, err)
-			} else {
-				mgr.size -= int64(n)
 			}
 			mgr.mu.Unlock()
-			return fmt.Errorf("wal: syncing %s uid %d: %w", m.Op, m.UID, err)
+			return fmt.Errorf("wal: syncing %s: %w", describeGroup(ms), err)
 		}
 		o.fsyncs.Add(1)
 		o.fsyncMS.Observe(float64(time.Since(syncStart)) / 1e6)
 	}
-	o.appends.Add(1)
+	o.appends.Add(int64(len(ms)))
 	o.appendBytes.Add(int64(n))
-	// Only a durable append reaches here, so a rolled-back one never
+	o.groupRecords.Observe(float64(len(ms)))
+	// Only a durable group reaches here, so a rolled-back one never
 	// leaves a mark.
-	hash := ChainHash(mgr.hash, FrameChecksum(frame))
-	mgr.segs[len(mgr.segs)-1].advance(mgr.next+1, mgr.size, hash)
-	mgr.next++
-	mgr.hash = hash
+	seg := &mgr.segs[len(mgr.segs)-1]
+	for off := 0; off < len(buf); {
+		mgr.hash = ChainHash(mgr.hash, FrameChecksum(buf[off:]))
+		off += frameHeaderSize + int(uint32frame(buf[off:]))
+		mgr.next++
+		seg.advance(mgr.next, mgr.size+int64(off), mgr.hash)
+	}
+	mgr.size += int64(n)
 	// Wake long-poll stream readers: the closed channel is the broadcast,
 	// a fresh one arms the next wait.
 	close(mgr.notify)
@@ -480,11 +499,25 @@ func (mgr *Manager) Append(ctx context.Context, m *graph.Mutation) error {
 	mgr.mu.Unlock()
 
 	if parent := obs.SpanFromContext(ctx); parent != nil {
-		sp := parent.Child("WALAppend", m.Op.String())
+		sp := parent.Child("WALAppend", describeGroup(ms))
 		sp.AddDuration(time.Since(start))
+		sp.Add("records", int64(len(ms)))
 		sp.Add("bytes", int64(n))
 	}
 	return nil
+}
+
+// maxKeptBuffer bounds the encoding buffer Append keeps between groups,
+// so one huge batch does not pin its size for the life of the log.
+const maxKeptBuffer = 1 << 20
+
+// describeGroup names a group in errors and spans: its op for a single
+// record, its size otherwise.
+func describeGroup(ms []*graph.Mutation) string {
+	if len(ms) == 1 {
+		return fmt.Sprintf("%s uid %d", ms[0].Op, ms[0].UID)
+	}
+	return fmt.Sprintf("group of %d records", len(ms))
 }
 
 // Checkpoint snapshots the store's full history and contracts the log:

@@ -45,7 +45,8 @@ func newTestStore(t testing.TB) *graph.Store {
 }
 
 // ackedMutation is one acknowledged write of a golden run together with
-// the log offset its record ends at (within the then-active segment).
+// the log offset its group ends at (within the then-active segment): a
+// group is acknowledged, and recovered, whole.
 type ackedMutation struct {
 	m   graph.Mutation
 	seg uint64
@@ -61,22 +62,35 @@ func cloneMutation(m *graph.Mutation) graph.Mutation {
 }
 
 // captureAcked chains the manager's Append with a recorder of every
-// acknowledged mutation and its end offset.
+// acknowledged mutation and the end offset of its group.
 func captureAcked(st *graph.Store, mgr *Manager, seg func() uint64, out *[]ackedMutation) {
-	st.SetMutationHook(func(ctx context.Context, m *graph.Mutation) error {
-		if err := mgr.Append(ctx, m); err != nil {
+	st.SetMutationHook(func(ctx context.Context, ms []*graph.Mutation) error {
+		if err := mgr.Append(ctx, ms); err != nil {
 			return err
 		}
-		*out = append(*out, ackedMutation{m: cloneMutation(m), seg: seg(), end: mgr.Size()})
+		for _, m := range ms {
+			*out = append(*out, ackedMutation{m: cloneMutation(m), seg: seg(), end: mgr.Size()})
+		}
 		return nil
 	})
 }
 
 // workload drives a deterministic randomized mutation mix (inserts,
-// updates, deletes with cascades) against the store, stopping at the
-// first failed mutation — the moment the simulated process died. It
-// returns how many mutations were acknowledged.
+// updates, deletes with cascades) against the store, one mutation per
+// write, stopping at the first failed write — the moment the simulated
+// process died. It returns how many mutations were acknowledged.
 func workload(t testing.TB, st *graph.Store, clock *temporal.Clock, seed int64, n int) int {
+	t.Helper()
+	return groupWorkload(t, st, clock, seed, n, 1)
+}
+
+// groupWorkload is workload sent as batches of 1 to maxGroup mutations,
+// one Mutate call — one log group — each. A batch's ops are drawn against
+// the store as it stood before the batch, never touching an object an
+// earlier op of the same batch deleted, so every op of a batch applies
+// and is logged. It returns how many mutations were acknowledged, a
+// whole number of batches.
+func groupWorkload(t testing.TB, st *graph.Store, clock *temporal.Clock, seed int64, n, maxGroup int) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	// Namespace unique ids by seed so successive workload phases against
@@ -93,51 +107,82 @@ func workload(t testing.TB, st *graph.Store, clock *temporal.Clock, seed int64, 
 		}
 		return out
 	}
-	for i := 0; i < n; i++ {
+	for acked < n {
+		size := 1
+		if maxGroup > 1 {
+			size = min(1+rng.Intn(maxGroup), n-acked)
+		}
 		if clock != nil && rng.Intn(3) == 0 {
 			clock.Advance(time.Duration(1+rng.Intn(120)) * time.Second)
 		}
-		var err error
-		switch p := rng.Float64(); {
-		case p < 0.35 || len(nodes) < 2:
+		batch := make([]*graph.Mutation, 0, size)
+		gone := map[graph.UID]bool{} // deleted by an earlier op of the batch
+		insertNode := func() *graph.Mutation {
 			class, fields := "Host", graph.Fields{"id": nextID}
 			if rng.Intn(2) == 0 {
 				class, fields = "VM", graph.Fields{"id": nextID, "status": "Green"}
 			}
 			nextID++
-			var uid graph.UID
-			if uid, err = st.InsertNode(class, fields); err == nil {
-				nodes = append(nodes, uid)
-			}
-		case p < 0.55:
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			var uid graph.UID
-			if uid, err = st.InsertEdge("ConnectsTo", src, dst, graph.Fields{"id": nextID}); err == nil {
-				edges = append(edges, uid)
-			}
-			nextID++
-		case p < 0.80:
-			uid := nodes[rng.Intn(len(nodes))]
-			obj := st.Object(uid)
-			fields := obj.Current().Fields.Clone()
-			if obj.Class.Name == "VM" {
-				fields["status"] = []string{"Green", "Yellow", "Red"}[rng.Intn(3)]
-			}
-			err = st.Update(uid, fields)
-		default:
-			if len(edges) > 0 && rng.Intn(2) == 0 {
-				err = st.Delete(edges[rng.Intn(len(edges))])
-			} else {
-				err = st.Delete(nodes[rng.Intn(len(nodes))])
-			}
-			nodes, edges = prune(nodes), prune(edges)
+			return &graph.Mutation{Op: graph.OpInsertNode, Class: class, Fields: fields}
 		}
-		if err != nil {
-			t.Logf("workload: mutation %d failed: %v", i, err)
+		for len(batch) < size {
+			var m *graph.Mutation
+			switch p := rng.Float64(); {
+			case p < 0.35 || len(nodes) < 2:
+				m = insertNode()
+			case p < 0.55:
+				src := nodes[rng.Intn(len(nodes))]
+				dst := nodes[rng.Intn(len(nodes))]
+				m = &graph.Mutation{Op: graph.OpInsertEdge, Class: "ConnectsTo", Src: src, Dst: dst, Fields: graph.Fields{"id": nextID}}
+				nextID++
+				if gone[src] || gone[dst] {
+					m = insertNode()
+				}
+			case p < 0.80:
+				uid := nodes[rng.Intn(len(nodes))]
+				obj := st.Object(uid)
+				fields := obj.Current().Fields.Clone()
+				if obj.Class.Name == "VM" {
+					fields["status"] = []string{"Green", "Yellow", "Red"}[rng.Intn(3)]
+				}
+				m = &graph.Mutation{Op: graph.OpUpdate, UID: uid, Fields: fields}
+				if gone[uid] {
+					m = insertNode()
+				}
+			default:
+				var uid graph.UID
+				if len(edges) > 0 && rng.Intn(2) == 0 {
+					uid = edges[rng.Intn(len(edges))]
+					if e := st.Object(uid); gone[e.Src] || gone[e.Dst] {
+						gone[uid] = true // closed by an earlier op's cascade
+					}
+				} else {
+					uid = nodes[rng.Intn(len(nodes))]
+				}
+				m = &graph.Mutation{Op: graph.OpDelete, UID: uid}
+				if gone[uid] {
+					m = insertNode()
+				}
+				gone[uid] = true
+			}
+			batch = append(batch, m)
+		}
+		if err := st.Mutate(context.Background(), batch...); err != nil {
+			t.Logf("workload: batch at mutation %d failed: %v", acked, err)
 			return acked
 		}
-		acked++
+		for _, m := range batch {
+			switch m.Op {
+			case graph.OpInsertNode:
+				nodes = append(nodes, m.UID)
+			case graph.OpInsertEdge:
+				edges = append(edges, m.UID)
+			}
+		}
+		if len(gone) > 0 {
+			nodes, edges = prune(nodes), prune(edges)
+		}
+		acked += len(batch)
 	}
 	return acked
 }
@@ -477,7 +522,7 @@ func TestRecordCodec(t *testing.T) {
 		Op: graph.OpInsertEdge, UID: 42, Class: "ConnectsTo", Src: 7, Dst: 9,
 		Fields: graph.Fields{"id": 42}, At: t0.Add(time.Hour),
 	}
-	frame, err := encodeRecord(m)
+	frame, err := appendRecord(nil, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
