@@ -55,10 +55,11 @@ bench-layers:
 	./scripts/bench_layers.sh $(PARENT) $(WORKLOAD) $(SEED)
 
 # Fault-injection suite: the chaos package's own tests (probe faults and
-# latency injection, severed connections, failover), plus the query
-# governance tests — cancellation, deadline and limit aborts against a
-# slow backend, panic conversion, a routed engine's error failing the
-# query — run twice under the race detector to shake out
+# latency injection, the flaky listener, the cluster simulation's seed
+# corpus with its history checker and fault-coverage guard), plus the
+# query governance tests — cancellation, deadline and limit aborts
+# against a slow backend, panic conversion, a routed engine's error
+# failing the query — run twice under the race detector to shake out
 # scheduling-dependent failures.
 chaos:
 	$(GO) test -race -count=2 ./internal/chaos/
@@ -79,14 +80,17 @@ crash:
 # scan), statement preparation (every /v1/query and /v1/prepare body:
 # parse, analyze, fingerprint) and the /v1/ingest write path (random op
 # batches through the server's handler into a WAL-backed store, held to
-# the atomic-batch contract). Seeds are real encoded frames, the paper's
-# queries and batches that fail on an earlier op; 15s each is a smoke
-# budget (the two parsers reach six-digit exec counts, the ingest target,
-# which opens a store per input, a few hundred).
+# the atomic-batch contract), plus new seeds of the cluster simulation.
+# Seeds are real encoded frames, the paper's queries, batches that fail
+# on an earlier op and the simulation's corpus; 15s each is a smoke
+# budget (the two parsers reach six-digit exec counts, the ingest
+# target, which opens a store per input, a few hundred, the simulation,
+# which runs a three-node cluster per seed, a few dozen).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
+	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

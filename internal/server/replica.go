@@ -127,7 +127,9 @@ func (s *Server) stampStaleness(w http.ResponseWriter, resp *QueryResponse) {
 	if epoch := s.stampEpoch(w); resp != nil {
 		resp.Epoch = epoch
 	}
-	if s.follower == nil {
+	// Only an unpromoted replica stamps: a promoted node's link is dead,
+	// and its frozen watermark says nothing about the answer.
+	if s.follower == nil || !s.node.Replica() {
 		return
 	}
 	_, watermark := s.follower.Applied()

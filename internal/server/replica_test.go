@@ -7,7 +7,9 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -177,7 +179,7 @@ func TestReadyzRolesAndLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"repl_follower_applied_index", "repl_follower_lag_records", "repl_follower_lag_seconds"} {
+	for _, key := range []string{"repl_follower_applied_index", "repl_follower_lag_records", "repl_follower_lag_seconds", "repl_follower_reconnects"} {
 		if !strings.Contains(metrics, key) {
 			t.Errorf("/metrics missing %s", key)
 		}
@@ -238,6 +240,16 @@ func TestPromoteTurnsReplicaWritable(t *testing.T) {
 	if _, err := pc.Promote(ctx); err == nil {
 		t.Fatal("promote on primary succeeded")
 	}
+	// The replica stamps its watermark in the body and the header; once
+	// promoted, it stamps neither.
+	if body, hdr := appliedThrough(t, rc.Base()); body == "" || hdr != body {
+		t.Fatalf("replica applied_through: body %q, header %q; want equal and set", body, hdr)
+	}
+	// A watch token past the replica's end is history it has yet to apply:
+	// 503, which a cluster subscriber answers by reading another node.
+	if status := watchPastEnd(t, rc); status != http.StatusServiceUnavailable {
+		t.Fatalf("replica watch past its end: HTTP %d; want 503", status)
+	}
 
 	resp, err := rc.Promote(ctx)
 	if err != nil {
@@ -266,4 +278,38 @@ func TestPromoteTurnsReplicaWritable(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("read-your-write after promote: rows=%v err=%v", res, err)
 	}
+	if body, hdr := appliedThrough(t, rc.Base()); body != "" || hdr != "" {
+		t.Fatalf("promoted node stamps applied_through: body %q, header %q; want neither", body, hdr)
+	}
+	// A primary never applies history it did not log: the token is bad.
+	if status := watchPastEnd(t, rc); status != http.StatusBadRequest {
+		t.Fatalf("promoted node watch past its end: HTTP %d; want 400", status)
+	}
+}
+
+// watchPastEnd polls c's change feed far past its end and returns the
+// HTTP status of the typed refusal.
+func watchPastEnd(t *testing.T, c *client.Client) int {
+	t.Helper()
+	var apiErr *client.APIError
+	if _, err := c.WatchPoll(context.Background(), 1<<40, nil); !errors.As(err, &apiErr) {
+		t.Fatalf("watch past the end: %v; want an API error", err)
+	}
+	return apiErr.Status
+}
+
+// appliedThrough runs one query against base over raw HTTP and returns
+// the applied_through watermark from the body and from the header.
+func appliedThrough(t *testing.T, base string) (body, header string) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(`{"query": "`+selectQ+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr server.QueryResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&qr) != nil {
+		t.Fatalf("query on %s: HTTP %d", base, resp.StatusCode)
+	}
+	return qr.AppliedThrough, resp.Header.Get(repl.HeaderAppliedThrough)
 }

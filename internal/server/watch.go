@@ -175,6 +175,11 @@ func (s *Server) writeWatchReadErr(w http.ResponseWriter, r *http.Request, err e
 		writeErr(w, r, http.StatusGone, "watch_compacted", err.Error())
 		return
 	}
+	if errors.Is(err, watch.ErrBehind) {
+		// Not yet, not never: a cluster subscriber moves to another node.
+		writeErr(w, r, http.StatusServiceUnavailable, "watch_unavailable", err.Error())
+		return
+	}
 	writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
 }
 

@@ -21,7 +21,7 @@ type Feed interface {
 	// Read returns up to maxEvents events starting at stream index from,
 	// plus the resume token after the last one (== from when caught up).
 	// A from older than BaseIndex returns *CompactedError; a from beyond
-	// the stream end is an error.
+	// the stream end is an error, ErrBehind on an unpromoted replica.
 	Read(from uint64, maxEvents int) ([]Event, uint64, error)
 	// NextIndex is the index the next mutation will take.
 	NextIndex() uint64
@@ -247,6 +247,9 @@ func (ff *FollowerFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error
 		return nil, from, &CompactedError{Base: ff.base}
 	}
 	if from > end {
+		if ff.node.Replica() {
+			return nil, from, fmt.Errorf("%w: position %d, applied through %d", ErrBehind, from, end)
+		}
 		return nil, from, fmt.Errorf("watch: stream position %d is beyond the feed end %d", from, end)
 	}
 	n := int(end - from)

@@ -92,6 +92,11 @@ func (e Event) Control() bool {
 // ErrCompacted matches CompactedError with errors.Is.
 var ErrCompacted = errors.New("watch: stream position compacted away")
 
+// ErrBehind reports a resume token past the end of a replica's applied
+// stream: history read on another node that this replica has yet to
+// apply. The subscriber reads another node, or retries here later.
+var ErrBehind = errors.New("watch: this replica has not applied the stream position yet")
+
 // ErrClosed reports the hub or subscription was closed.
 var ErrClosed = errors.New("watch: closed")
 

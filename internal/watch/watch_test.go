@@ -217,6 +217,9 @@ func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
 	feed := NewFollowerFeed(node, db.Store(), nil, 0)
 	feed.mgr = db.WAL()
 	defer feed.Close()
+	if _, _, err := feed.Read(feed.NextIndex()+1, 0); !errors.Is(err, ErrBehind) {
+		t.Fatalf("replica read past its end: %v; want ErrBehind", err)
+	}
 	if _, _, err := node.Promote(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +251,11 @@ func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
 	feed.syncWAL()
 	if feed.NextIndex() != mgr.NextIndex() {
 		t.Fatalf("feed next %d after a later append; wal next %d", feed.NextIndex(), mgr.NextIndex())
+	}
+	// Promoted, the node logs its own history: a token past the end is an
+	// error, not history still to come.
+	if _, _, err := feed.Read(feed.NextIndex()+1, 0); err == nil || errors.Is(err, ErrBehind) {
+		t.Fatalf("promoted read past its end: %v; want a plain error", err)
 	}
 }
 
