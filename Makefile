@@ -77,17 +77,22 @@ crash:
 
 # Short coverage-guided fuzz passes over the inputs fed untrusted bytes:
 # the WAL frame decoder (every replication batch and crash-recovery
-# scan), statement preparation (every /v1/query and /v1/prepare body:
-# parse, analyze, fingerprint) and the /v1/ingest write path (random op
-# batches through the server's handler into a WAL-backed store, held to
-# the atomic-batch contract), plus new seeds of the cluster simulation.
-# Seeds are real encoded frames, the paper's queries, batches that fail
-# on an earlier op and the simulation's corpus; 15s each is a smoke
-# budget (the two parsers reach six-digit exec counts, the ingest
+# scan), the checkpoint loader (every recovery's checkpoint and every
+# follower's bootstrap snapshot), statement preparation (every /v1/query
+# and /v1/prepare body: parse, analyze, fingerprint) and the /v1/ingest
+# write path (random op batches through the server's handler into a
+# WAL-backed store, held to the atomic-batch contract), plus new seeds of
+# the cluster simulation. Seeds are real encoded frames, a checkpoint and
+# its copy naming a UID far past the allocation frontier, the paper's
+# queries, batches that fail on an earlier op and the simulation's
+# corpus; 15s each is a smoke budget (the two parsers reach six-digit
+# exec counts, the checkpoint loader tens of thousands — its 1s
+# minimization cap keeps new inputs from eating the budget — the ingest
 # target, which opens a store per input, a few hundred, the simulation,
 # which runs a three-node cluster per seed, a few dozen).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
+	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
@@ -99,9 +104,9 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Observability smoke: start a server with an access log, run a query,
-# then assert /metrics parses as Prometheus exposition, /debug/traces
-# resolves the just-run query to a span tree, and every request left
-# one trace-tagged access-log line.
+# then assert /metrics parses as Prometheus exposition with a live
+# runtime heap gauge, /debug/traces resolves the just-run query to a
+# span tree, and every request left one trace-tagged access-log line.
 obs-smoke:
 	./scripts/obs_smoke.sh
 

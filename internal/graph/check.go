@@ -52,7 +52,11 @@ func (st *Store) CheckInvariants() []Violation {
 
 	live, versions := 0, 0
 	classCount := make(map[string]int)
-	for uid, obj := range st.objects {
+	for uid := UID(0); uid < st.objects.end(); uid++ {
+		obj := st.objects.at(uid)
+		if obj == nil {
+			continue
+		}
 		if uid != obj.UID {
 			add(uid, "uid-range", "object table key %d holds object with uid %d", uid, obj.UID)
 		}
@@ -120,7 +124,7 @@ func checkVersions(obj *Object) []Violation {
 func (st *Store) checkEdge(obj *Object) []Violation {
 	var out []Violation
 	for _, end := range []UID{obj.Src, obj.Dst} {
-		other := st.objects[end]
+		other := st.objects.at(end)
 		if other == nil {
 			out = append(out, Violation{UID: obj.UID, Kind: "endpoint",
 				Msg: fmt.Sprintf("endpoint %d does not exist", end)})
@@ -159,10 +163,11 @@ func covers(outer, inner temporal.Set) bool {
 // agree in both directions.
 func (st *Store) checkAdjacency() []Violation {
 	var out []Violation
-	seen := make(map[UID]int) // edge uid -> 1 (in out) | 2 (in in) | 3 (both)
-	for node, edges := range st.out {
-		for _, eid := range edges {
-			e := st.objects[eid]
+	// seen[edge] is 1 when out lists it, 2 when in does, 3 for both.
+	seen := make([]uint8, st.objects.end())
+	for node := UID(0); node < st.out.end(); node++ {
+		for _, eid := range st.out.at(node) {
+			e := st.objects.at(eid)
 			if e == nil || !e.IsEdge() || e.Src != node {
 				out = append(out, Violation{UID: eid, Kind: "adjacency",
 					Msg: fmt.Sprintf("out[%d] lists uid %d which is not an edge from it", node, eid)})
@@ -171,9 +176,9 @@ func (st *Store) checkAdjacency() []Violation {
 			seen[eid] |= 1
 		}
 	}
-	for node, edges := range st.in {
-		for _, eid := range edges {
-			e := st.objects[eid]
+	for node := UID(0); node < st.in.end(); node++ {
+		for _, eid := range st.in.at(node) {
+			e := st.objects.at(eid)
 			if e == nil || !e.IsEdge() || e.Dst != node {
 				out = append(out, Violation{UID: eid, Kind: "adjacency",
 					Msg: fmt.Sprintf("in[%d] lists uid %d which is not an edge into it", node, eid)})
@@ -182,8 +187,9 @@ func (st *Store) checkAdjacency() []Violation {
 			seen[eid] |= 2
 		}
 	}
-	for uid, obj := range st.objects {
-		if !obj.IsEdge() {
+	for uid := UID(0); uid < st.objects.end(); uid++ {
+		obj := st.objects.at(uid)
+		if obj == nil || !obj.IsEdge() {
 			continue
 		}
 		if seen[uid]&1 == 0 {
@@ -205,7 +211,7 @@ func (st *Store) checkUnique() []Violation {
 	var out []Violation
 	for key, entries := range st.unique {
 		for vk, holder := range entries {
-			obj := st.objects[holder]
+			obj := st.objects.at(holder)
 			if obj == nil || obj.Current() == nil {
 				out = append(out, Violation{UID: holder, Kind: "unique-index",
 					Msg: fmt.Sprintf("%s.%s entry %q points at a dead object", key.class, key.field, vk)})
@@ -223,7 +229,11 @@ func (st *Store) checkUnique() []Violation {
 			}
 		}
 	}
-	for uid, obj := range st.objects {
+	for uid := UID(0); uid < st.objects.end(); uid++ {
+		obj := st.objects.at(uid)
+		if obj == nil {
+			continue
+		}
 		cur := obj.Current()
 		if cur == nil {
 			continue

@@ -68,44 +68,53 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			st.nextUID = 2
 		}},
 		{"object table key mismatch", "uid-range", func(t *testing.T, st *Store) {
-			obj := st.objects[1]
-			st.objects[99] = obj
+			*st.objects.slot(99) = st.objects.at(1)
 			st.nextUID = 200
-			// Key 99 now holds the object whose UID field says 1.
+			// Slot 99 now holds the object whose UID field says 1.
+		}},
+		{"object on a page past next_uid", "uid-range", func(t *testing.T, st *Store) {
+			// A second page, beyond next_uid, holding a copy of vm1.
+			obj := *st.objects.at(1)
+			obj.UID = 3 * pageSize
+			*st.objects.slot(obj.UID) = &obj
 		}},
 		{"empty version period", "version-order", func(t *testing.T, st *Store) {
-			v := &st.objects[1].Versions[0]
+			v := &st.objects.at(1).Versions[0]
 			v.Period.End = v.Period.Start
 		}},
 		{"overlapping versions", "version-order", func(t *testing.T, st *Store) {
-			obj := st.objects[1] // vm1: updated, two versions
+			obj := st.objects.at(1) // vm1: updated, two versions
 			if len(obj.Versions) < 2 {
 				t.Fatal("fixture changed: vm1 needs two versions")
 			}
 			obj.Versions[1].Period.Start = obj.Versions[0].Period.Start
 		}},
 		{"non-final open version", "open-version", func(t *testing.T, st *Store) {
-			obj := st.objects[1]
+			obj := st.objects.at(1)
 			obj.Versions[0].Period.End = temporal.Forever
 		}},
 		{"edge endpoint missing", "endpoint", func(t *testing.T, st *Store) {
-			delete(st.objects, 3) // the host, endpoint of two HostedOn edges
+			*st.objects.slot(3) = nil // the host, endpoint of two HostedOn edges
 		}},
 		{"edge outlives endpoint", "edge-lifetime", func(t *testing.T, st *Store) {
 			// Shrink the host's lifetime to end before its edges do.
-			obj := st.objects[3]
+			obj := st.objects.at(3)
 			obj.Versions[0].Period.End = obj.Versions[0].Period.Start.Add(time.Nanosecond)
 		}},
 		{"adjacency entry dropped", "adjacency", func(t *testing.T, st *Store) {
-			st.out[1] = nil // vm1 no longer lists its outgoing edges
+			*st.out.slot(1) = nil // vm1 no longer lists its outgoing edges
+		}},
+		{"adjacency entry on an edge's slot", "adjacency", func(t *testing.T, st *Store) {
+			*st.out.slot(4) = []UID{5} // edge 4 listed as the source of edge 5
 		}},
 		{"adjacency entry forged", "adjacency", func(t *testing.T, st *Store) {
-			st.in[1] = append(st.in[1], 4) // edge 4's Dst is the host, not vm1
+			in := st.in.slot(1)
+			*in = append(*in, 4) // edge 4's Dst is the host, not vm1
 		}},
 		{"unique entry points at dead object", "unique-index", func(t *testing.T, st *Store) {
 			for key, entries := range st.unique {
 				for vk, holder := range entries {
-					obj := st.objects[holder]
+					obj := st.objects.at(holder)
 					cur := obj.Current()
 					cur.Period.End = cur.Period.Start.Add(time.Nanosecond)
 					_ = key

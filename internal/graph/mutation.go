@@ -280,19 +280,19 @@ func (st *Store) prepareLocked(m *Mutation, replay bool) (c *schema.Class, obj *
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
 		if replay {
-			if existing := st.objects[m.UID]; existing != nil {
+			if existing := st.objects.at(m.UID); existing != nil {
 				if existing.Class.Name != m.Class {
 					return nil, nil, false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
 				}
 				return nil, nil, true, nil // already present (checkpoint overlap)
 			}
-			if m.UID <= 0 {
-				return nil, nil, false, fmt.Errorf("graph: invalid uid %d", m.UID)
+			if err := st.admitUID(m.UID); err != nil {
+				return nil, nil, false, err
 			}
 		}
 		c, _ = st.schema.Class(m.Class) // resolved by checkRecord
 		if m.Op == OpInsertEdge {
-			srcObj, dstObj := st.objects[m.Src], st.objects[m.Dst]
+			srcObj, dstObj := st.objects.at(m.Src), st.objects.at(m.Dst)
 			if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
 				return nil, nil, false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
 			}
@@ -308,7 +308,7 @@ func (st *Store) prepareLocked(m *Mutation, replay bool) (c *schema.Class, obj *
 			return nil, nil, false, err
 		}
 	case OpUpdate, OpDelete:
-		if obj = st.objects[m.UID]; obj == nil {
+		if obj = st.objects.at(m.UID); obj == nil {
 			return nil, nil, false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
 		}
 		if replay && m.Op == OpUpdate {

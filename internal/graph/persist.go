@@ -77,13 +77,13 @@ func (st *Store) WriteHistory(w io.Writer) error {
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(historyHeader{
 		Format:  historyFormat,
-		Objects: len(st.objects),
+		Objects: st.objectCount(),
 		NextUID: int64(st.nextUID),
 	}); err != nil {
 		return fmt.Errorf("graph: writing history header: %w", err)
 	}
 	for uid := UID(1); uid < st.nextUID; uid++ {
-		obj := st.objects[uid]
+		obj := st.objects.at(uid)
 		if obj == nil {
 			continue
 		}
@@ -110,6 +110,17 @@ func (st *Store) WriteHistory(w io.Writer) error {
 	return nil
 }
 
+// objectCount counts the objects in the table.
+func (st *Store) objectCount() int {
+	n := 0
+	for uid := UID(0); uid < st.objects.end(); uid++ {
+		if st.objects.at(uid) != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // LoadHistory reconstructs a previously written history stream into st,
 // which must be empty. Every version is validated against the schema
 // (the strong-typing guarantee holds across restore), the live unique
@@ -129,9 +140,9 @@ func (st *Store) WriteHistory(w io.Writer) error {
 func (st *Store) LoadHistory(r io.Reader) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.objects) != 0 {
+	if n := st.objectCount(); n != 0 {
 		return fmt.Errorf("%w: LoadHistory requires an empty store, found %d objects",
-			ErrStoreNotEmpty, len(st.objects))
+			ErrStoreNotEmpty, n)
 	}
 
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -180,6 +191,10 @@ func (st *Store) LoadHistory(r io.Reader) error {
 		return fmt.Errorf("graph: trailing data after the %d declared history objects", hdr.Objects)
 	}
 
+	if UID(hdr.NextUID)-tmp.nextUID > maxUIDGap {
+		return fmt.Errorf("graph: history header next_uid %d lies beyond the allocation frontier %d",
+			hdr.NextUID, tmp.nextUID)
+	}
 	if v := tmp.CheckInvariants(); len(v) > 0 {
 		return fmt.Errorf("graph: history fails %d invariant checks, first: %s", len(v), v[0])
 	}
@@ -214,12 +229,19 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 	if cls.Abstract {
 		return nil, fmt.Errorf("graph: history object %d uses abstract class %q", doc.UID, doc.Class)
 	}
-	if doc.UID <= 0 {
-		return nil, fmt.Errorf("graph: history object has invalid uid %d", doc.UID)
-	}
 	uid := UID(doc.UID)
-	if _, dup := st.objects[uid]; dup {
+	if err := st.admitUID(uid); err != nil {
+		return nil, err
+	}
+	if st.objects.at(uid) != nil {
 		return nil, fmt.Errorf("graph: duplicate uid %d in history", uid)
+	}
+	if cls.IsEdge() {
+		for _, end := range []UID{UID(doc.Src), UID(doc.Dst)} {
+			if err := st.admitUID(end); err != nil {
+				return nil, fmt.Errorf("%w (an endpoint of history edge %d)", err, uid)
+			}
+		}
 	}
 
 	obj := &Object{UID: uid, Class: cls, Src: UID(doc.Src), Dst: UID(doc.Dst)}
@@ -243,11 +265,10 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 		st.versionCount++
 	}
 
-	st.objects[uid] = obj
+	*st.objects.slot(uid) = obj
 	st.byClass[doc.Class] = append(st.byClass[doc.Class], uid)
 	if obj.IsEdge() {
-		st.out[obj.Src] = append(st.out[obj.Src], uid)
-		st.in[obj.Dst] = append(st.in[obj.Dst], uid)
+		st.appendAdjacency(obj.Src, obj.Dst, uid)
 	}
 	if uid >= st.nextUID {
 		st.nextUID = uid + 1

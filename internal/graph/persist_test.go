@@ -12,7 +12,7 @@ import (
 
 // buildHistoryFixture creates a store with inserts, updates, deletes, and
 // a migration so that the history stream carries every structural case.
-func buildHistoryFixture(t *testing.T) (*Store, *temporal.Clock) {
+func buildHistoryFixture(t testing.TB) (*Store, *temporal.Clock) {
 	t.Helper()
 	st, clock := newTestStore(t)
 	vm1, _ := st.InsertNode("VM", Fields{"id": 1, "status": "Green"})

@@ -176,7 +176,7 @@ func (st *Store) CurrentSnapshot() *Snapshot {
 	defer st.mu.RUnlock()
 	snap := &Snapshot{}
 	for uid := UID(1); uid < st.nextUID; uid++ {
-		obj := st.objects[uid]
+		obj := st.objects.at(uid)
 		if obj == nil {
 			continue
 		}
@@ -185,8 +185,8 @@ func (st *Store) CurrentSnapshot() *Snapshot {
 			continue
 		}
 		if obj.IsEdge() {
-			srcCur := st.objects[obj.Src].Current()
-			dstCur := st.objects[obj.Dst].Current()
+			srcCur := st.objects.at(obj.Src).Current()
+			dstCur := st.objects.at(obj.Dst).Current()
 			if srcCur == nil || dstCur == nil {
 				continue
 			}

@@ -113,13 +113,16 @@ type Store struct {
 	schema *schema.Schema
 	clock  *temporal.Clock
 
-	objects map[UID]*Object
+	// objects holds every object ever stored, at its UID; nextUID is the
+	// allocation frontier, one past the largest UID allocated.
+	objects table[*Object]
 	nextUID UID
 
-	// out and in map a node UID to the UIDs of its outgoing/incoming edges
-	// (all classes, all times; visibility is filtered temporally at read).
-	out map[UID][]UID
-	in  map[UID][]UID
+	// out and in hold, at a node's UID, the UIDs of its outgoing/incoming
+	// edges (all classes, all times; visibility is filtered temporally at
+	// read).
+	out table[[]UID]
+	in  table[[]UID]
 
 	// byClass maps a concrete class name to the UIDs of its objects.
 	byClass map[string][]UID
@@ -164,9 +167,6 @@ func NewStore(s *schema.Schema, clock *temporal.Clock, reg *obs.Registry) *Store
 	st := &Store{
 		schema:     s,
 		clock:      clock,
-		objects:    make(map[UID]*Object),
-		out:        make(map[UID][]UID),
-		in:         make(map[UID][]UID),
 		byClass:    make(map[string][]UID),
 		unique:     make(map[uniqueKey]map[string]UID),
 		classCount: make(map[string]int),
@@ -284,10 +284,10 @@ func (st *Store) closedCopy(obj *Object, t time.Time, extra int) *Object {
 // atomic transaction-time event that log replay reproduces exactly.
 func (st *Store) deleteAtLocked(obj *Object, t time.Time) {
 	if !obj.IsEdge() {
-		for _, eid := range st.out[obj.UID] {
+		for _, eid := range st.out.at(obj.UID) {
 			st.closeIfLive(eid, t)
 		}
-		for _, eid := range st.in[obj.UID] {
+		for _, eid := range st.in.at(obj.UID) {
 			st.closeIfLive(eid, t)
 		}
 	}
@@ -295,7 +295,7 @@ func (st *Store) deleteAtLocked(obj *Object, t time.Time) {
 }
 
 func (st *Store) closeIfLive(uid UID, t time.Time) {
-	if obj := st.objects[uid]; obj != nil && obj.Current() != nil {
+	if obj := st.objects.at(uid); obj != nil && obj.Current() != nil {
 		st.closeObject(obj, t)
 	}
 }
@@ -388,7 +388,7 @@ func valueKey(v any) string {
 func (st *Store) Object(uid UID) *Object {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.objects[uid]
+	return st.objects.at(uid)
 }
 
 // OutEdges returns the UIDs of all edges ever attached outgoing from the
@@ -397,14 +397,14 @@ func (st *Store) Object(uid UID) *Object {
 func (st *Store) OutEdges(node UID) []UID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.out[node]
+	return st.out.at(node)
 }
 
 // InEdges returns the UIDs of all edges ever attached incoming to the node.
 func (st *Store) InEdges(node UID) []UID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.in[node]
+	return st.in.at(node)
 }
 
 // ByClass returns the UIDs of all objects whose concrete class is exactly

@@ -10,7 +10,7 @@ import (
 
 var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
-func testSchema(t *testing.T) *schema.Schema {
+func testSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	must := func(_ *schema.Class, err error) {
@@ -31,7 +31,7 @@ func testSchema(t *testing.T) *schema.Schema {
 	return s
 }
 
-func newTestStore(t *testing.T) (*Store, *temporal.Clock) {
+func newTestStore(t testing.TB) (*Store, *temporal.Clock) {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
 	return NewStore(testSchema(t), clock, nil), clock

@@ -21,8 +21,8 @@ type undoKind uint8
 
 const (
 	undoObject     undoKind = iota + 1 // objects[uid] was obj (nil: absent)
-	undoOut                            // out[uid] had length n (0: absent)
-	undoIn                             // in[uid] had length n (0: absent)
+	undoOut                            // out[uid] had length n
+	undoIn                             // in[uid] had length n
 	undoByClass                        // byClass[name] had length n (0: absent)
 	undoClassCount                     // classCount[name] was n (had: present)
 	undoUnique                         // index[vk] was uid (had: present)
@@ -62,17 +62,17 @@ func (st *Store) rollbackUndo() {
 		e := &u.entries[i]
 		switch e.kind {
 		case undoObject:
-			if e.obj == nil {
-				delete(st.objects, e.uid)
-			} else {
-				st.objects[e.uid] = e.obj
-			}
+			*st.objects.slot(e.uid) = e.obj
 		case undoOut:
-			truncateIndex(st.out, e.uid, e.n)
+			truncateIndex(st.out.slot(e.uid), e.n)
 		case undoIn:
-			truncateIndex(st.in, e.uid, e.n)
+			truncateIndex(st.in.slot(e.uid), e.n)
 		case undoByClass:
-			truncateIndex(st.byClass, e.name, e.n)
+			if e.n == 0 {
+				delete(st.byClass, e.name)
+			} else {
+				st.byClass[e.name] = st.byClass[e.name][:e.n]
+			}
 		case undoClassCount:
 			if e.had {
 				st.classCount[e.name] = e.n
@@ -91,15 +91,15 @@ func (st *Store) rollbackUndo() {
 	st.endUndo()
 }
 
-// truncateIndex cuts an append-only index slice back to n entries,
-// deleting the key when it held none. Readers that took the slice before
-// the batch hold a header no longer than n, so the entries past it that
-// later appends overwrite were never theirs.
-func truncateIndex[K comparable](m map[K][]UID, k K, n int) {
+// truncateIndex cuts an append-only adjacency slice back to n entries,
+// dropping it when it held none. Readers that took the slice before the
+// batch hold a header no longer than n, so the entries past it that later
+// appends overwrite were never theirs.
+func truncateIndex(l *[]UID, n int) {
 	if n == 0 {
-		delete(m, k)
+		*l = nil
 	} else {
-		m[k] = m[k][:n]
+		*l = (*l)[:n]
 	}
 }
 
@@ -109,19 +109,20 @@ func truncateIndex[K comparable](m map[K][]UID, k K, n int) {
 // setObject publishes obj as uid's object.
 func (st *Store) setObject(uid UID, obj *Object) {
 	if st.undo.on {
-		st.journal(undoEntry{kind: undoObject, uid: uid, obj: st.objects[uid]})
+		st.journal(undoEntry{kind: undoObject, uid: uid, obj: st.objects.at(uid)})
 	}
-	st.objects[uid] = obj
+	*st.objects.slot(uid) = obj
 }
 
 // appendAdjacency records edge as outgoing from src and incoming to dst.
 func (st *Store) appendAdjacency(src, dst, edge UID) {
+	out, in := st.out.slot(src), st.in.slot(dst)
 	if st.undo.on {
-		st.journal(undoEntry{kind: undoOut, uid: src, n: len(st.out[src])})
-		st.journal(undoEntry{kind: undoIn, uid: dst, n: len(st.in[dst])})
+		st.journal(undoEntry{kind: undoOut, uid: src, n: len(*out)})
+		st.journal(undoEntry{kind: undoIn, uid: dst, n: len(*in)})
 	}
-	st.out[src] = append(st.out[src], edge)
-	st.in[dst] = append(st.in[dst], edge)
+	*out = append(*out, edge)
+	*in = append(*in, edge)
 }
 
 // appendByClass records uid as an object of the named concrete class.

@@ -1,0 +1,27 @@
+package obs
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestRegisterRuntime: the four runtime gauges read live values at
+// scrape time.
+func TestRegisterRuntime(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	runtime.GC()
+	snap := r.Snapshot()
+	for name, min := range map[string]float64{
+		"go.heap_inuse_bytes":     1,
+		"go.gc_cycles":            1,
+		"go.gc_pause_cpu_seconds": 0,
+		"go.goroutines":           1,
+	} {
+		v, ok := snap[name].(float64)
+		if !ok || v < min {
+			t.Errorf("%s = %v, want a number of at least %v", name, snap[name], min)
+		}
+	}
+	RegisterRuntime(nil) // a nil registry publishes nothing, and must not panic
+}

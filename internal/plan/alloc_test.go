@@ -2,12 +2,15 @@ package plan_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/gremlin"
 	"repro/internal/netmodel"
 	"repro/internal/plan"
+	"repro/internal/temporal"
 )
 
 // TestExtendAllocations pins the search core's memory model: what one
@@ -98,6 +101,64 @@ func TestExtendAllocations(t *testing.T) {
 					name, fx.spines, fx.churn, perPath[6], perPath[4])
 			}
 		}
+	}
+}
+
+// TestElementIndexSparseRange pins what the element table's UID index
+// costs: one cold evaluation touching 100 elements allocates the same
+// whether their UIDs span a hundred or a million, up to the few index
+// pages and directories the spread adds. The same 34 hosts, 33 VMs and
+// 33 OnServer edges are replayed at UIDs 1-100, and again with the VMs
+// and edges moved past UID 1,000,000. A flat per-UID array would cost
+// 4 MB at the wide range, a one-level page directory 31 KB.
+func TestElementIndexSparseRange(t *testing.T) {
+	build := func(far graph.UID) *graph.Store {
+		st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
+		at := t0
+		apply := func(m *graph.Mutation) {
+			at = at.Add(time.Millisecond)
+			m.At = at
+			if _, err := st.ApplyMutation(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := graph.UID(1); i <= 34; i++ {
+			apply(&graph.Mutation{Op: graph.OpInsertNode, UID: i, Class: "ComputeHost", Fields: graph.Fields{"id": int64(i), "status": "Active"}})
+		}
+		for i := graph.UID(0); i < 33; i++ {
+			vm, edge := far+35+2*i, far+36+2*i
+			apply(&graph.Mutation{Op: graph.OpInsertNode, UID: vm, Class: "VMWare", Fields: graph.Fields{"id": int64(vm), "status": "Green"}})
+			apply(&graph.Mutation{Op: graph.OpInsertEdge, UID: edge, Class: netmodel.OnServer, Src: vm, Dst: 1 + i, Fields: graph.Fields{"id": int64(edge)}})
+		}
+		return st
+	}
+	// coldBytes is the least any of five evaluations allocates with the
+	// pool emptied first (two collections drop its pooled states).
+	coldBytes := func(st *graph.Store) uint64 {
+		eng := plan.NewEngine(gremlin.New(st))
+		_, p := mustPlan(t, st, "VM()->OnServer()->Host()")
+		view := graph.CurrentView(st)
+		least := ^uint64(0)
+		for range 5 {
+			runtime.GC()
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			set, m, _, err := eng.EvalWith(view, p, plan.EvalOpts{})
+			runtime.ReadMemStats(&m1)
+			if err != nil || set.Len() != 33 || m.EdgesScanned != 33 {
+				t.Fatalf("%d pathways over %d edges, err %v; want 33 over 33", set.Len(), m.EdgesScanned, err)
+			}
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least
+	}
+	narrow, wide := coldBytes(build(0)), coldBytes(build(1_000_000))
+	// The wide store's elements sit on two more index pages (1 KB each)
+	// under one more directory (2 KB), and its top directory holds 16
+	// pointers.
+	if slack := uint64(8 << 10); wide > narrow+slack {
+		t.Errorf("one cold evaluation allocates %d bytes over a 1M-UID range, %d over 100 UIDs: more than %d apart", wide, narrow, slack)
 	}
 }
 

@@ -369,6 +369,12 @@ func randomStore(t *testing.T, rng *rand.Rand) (*graph.Store, *temporal.Clock) {
 	for i := 0; i+1 < len(switches.uids); i++ {
 		link(netmodel.PhysicalLink, switches.uids[i], switches.uids[i+1])
 	}
+	// On a coin flip, close the chain into a ring: cycles of three or
+	// more hops, which the search must cut where the path meets itself
+	// and then backtrack past to the ring's other direction.
+	if n := len(switches.uids); n > 1 && rng.Intn(2) == 0 {
+		link(netmodel.PhysicalLink, switches.uids[n-1], switches.uids[0])
+	}
 
 	// Temporal churn: status flips and occasional deletes over 3 hours.
 	allNodes := append(append(append([]graph.UID{}, vms.uids...), hosts.uids...), vfcs.uids...)

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,6 +218,54 @@ func TestCyclePrevention(t *testing.T) {
 				t.Fatalf("pathway %v revisits element %d", p.Elems, e)
 			}
 			seen[e] = true
+		}
+	}
+}
+
+// TestCycleCutOnPath pins the search's on-path mark on a ring of four
+// switches. Round a one-way ring, the forward search consumes each ring
+// element once and is cut where the ring returns to the anchor: eight
+// partials, plus the backward search's root, where a search without the
+// cut would go round again. Round a two-way ring, the anchor's subtree in
+// one direction ends three switches deep before the other direction
+// starts, so every mark the first left behind must be gone when it does:
+// the pathways must equal the reference oracle's.
+func TestCycleCutOnPath(t *testing.T) {
+	for _, twoWay := range []bool{false, true} {
+		st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
+		var ring []graph.UID
+		for i := 1; i <= 4; i++ {
+			uid, err := st.InsertNode("TORSwitch", graph.Fields{"id": int64(i), "name": fmt.Sprintf("tor-%d", i), "status": "Active"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring = append(ring, uid)
+		}
+		id := int64(100)
+		link := func(a, b graph.UID) {
+			id++
+			if _, err := st.InsertEdge(netmodel.PhysicalLink, a, b, graph.Fields{"id": id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, sw := range ring {
+			next := ring[(i+1)%len(ring)]
+			if link(sw, next); twoWay {
+				link(next, sw)
+			}
+		}
+		view := graph.CurrentView(st)
+		c, p := mustPlan(t, st, "TORSwitch(id=1)->[PhysicalLink()]{1,8}->TORSwitch()")
+		want := plan.ReferenceEval(view, c)
+		for name, eng := range engines(st) {
+			got, m, err := eng.EvalMetered(view, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareSets(t, fmt.Sprintf("%s, two-way %v", name, twoWay), st, got, want)
+			if !twoWay && m.PartialsExplored != 9 {
+				t.Errorf("%s: %d partials explored round a one-way ring of four; want 9 (%v)", name, m.PartialsExplored, m)
+			}
 		}
 	}
 }

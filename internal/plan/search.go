@@ -144,6 +144,7 @@ func putEvalState(es *evalState) {
 type partial struct {
 	elem   graph.UID
 	next   graph.UID // an edge's structural successor: Dst forward, Src backward
+	ent    int32     // elem's element-table entry
 	parent int32     // -1 at a search root
 	depth  int32     // elements in the sequence, root included
 	isEdge bool
@@ -164,15 +165,16 @@ func (es *evalState) begin(st *graph.Store, view graph.View, p *Plan) {
 // of the evaluation sees — and Select, Extend and the validity
 // computation all read it from here, together with what they learned
 // about it: visibility in the view, satisfaction of each atom in the
-// view, and stability for the query. Entries live in a slab addressed
-// through idx, their atom bits in a second one; both keep their capacity
-// in the pool, and drop strips the object pointers.
+// view, stability for the query, and whether the partial pathway being
+// expanded holds it. Entries live in a slab addressed through idx, their
+// atom bits in a second one; all three keep their capacity in the pool,
+// and drop strips the object pointers.
 type elemTable struct {
 	st   *graph.Store
 	view graph.View
 	c    *rpe.Checked
 	aw   int // words per atom mask
-	idx  map[graph.UID]int32
+	idx  uidIndex
 	ents []elemEntry
 	// bits holds entry i's atom masks at words [2*i*aw, 2*(i+1)*aw): first
 	// which atoms are known, then which of those are satisfied in the view.
@@ -180,25 +182,26 @@ type elemTable struct {
 }
 
 // elemEntry is one resolved element; obj is nil when the uid names none.
+// isEdge copies the object's kind, so the search's per-candidate checks
+// never load the object itself. onPath marks an element of the partial
+// pathway search is expanding (markPath).
 type elemEntry struct {
 	obj                 *graph.Object
-	visible             bool
+	visible, isEdge     bool
 	stableKnown, stable bool
+	onPath              bool
 }
 
 // reset readies an emptied table for one evaluation of c over view.
 func (t *elemTable) reset(st *graph.Store, view graph.View, c *rpe.Checked) {
 	t.st, t.view, t.c = st, view, c
 	t.aw = (len(c.Atoms()) + 63) / 64
-	if t.idx == nil {
-		t.idx = make(map[graph.UID]int32)
-	}
+	t.idx.reset()
 }
 
 // drop empties the table, keeping its capacity, and drops every pointer
 // into the store and the query.
 func (t *elemTable) drop() {
-	clear(t.idx)
 	clear(t.ents)
 	t.ents, t.bits = t.ents[:0], t.bits[:0]
 	t.st, t.view, t.c = nil, graph.View{}, nil
@@ -206,16 +209,21 @@ func (t *elemTable) drop() {
 
 // resolve returns uid's entry, reading the store on first touch only.
 func (t *elemTable) resolve(uid graph.UID) int32 {
-	if i, ok := t.idx[uid]; ok {
+	if i, ok := t.idx.get(uid); ok {
 		return i
 	}
 	obj := t.st.Object(uid)
 	i := int32(len(t.ents))
-	t.ents = append(t.ents, elemEntry{obj: obj, visible: obj != nil && t.view.Visible(obj)})
+	t.ents = append(t.ents, elemEntry{obj: obj, visible: obj != nil && t.view.Visible(obj), isEdge: obj != nil && obj.IsEdge()})
 	off := len(t.bits)
 	t.bits = grown(t.bits, 2*t.aw)[:off+2*t.aw]
 	clear(t.bits[off:])
-	t.idx[uid] = i
+	if obj != nil {
+		// Only a UID naming an object is indexed, so the index's
+		// directory is bounded by the store's UID range, whatever a
+		// stray seed names.
+		t.idx.set(uid, i)
+	}
 	return i
 }
 
@@ -256,21 +264,23 @@ func (es *evalState) states(i int32) rpe.StateSet {
 	return es.sets[int(i)*es.nw : (int(i)+1)*es.nw]
 }
 
-// root starts a half-search at obj with the given (shared, read-only)
-// closure as its state set and returns the new partial's index.
-func (es *evalState) root(obj *graph.Object, states rpe.StateSet, dir Direction) int32 {
+// root starts a half-search at element elem, entry ei of the element
+// table, with the given (shared, read-only) closure as its state set and
+// returns the new partial's index.
+func (es *evalState) root(elem graph.UID, ei int32, states rpe.StateSet, dir Direction) int32 {
 	es.sets = append(es.sets, states...)
-	return es.push(-1, obj, dir)
+	return es.push(-1, elem, ei, dir)
 }
 
-// push adds the partial whose state set was just written at the tail of
-// es.sets (by root or consume).
-func (es *evalState) push(parent int32, obj *graph.Object, dir Direction) int32 {
-	p := partial{elem: obj.UID, parent: parent, depth: 1, isEdge: obj.IsEdge()}
+// push adds the partial of element elem, entry ei, whose state set was
+// just written at the tail of es.sets (by root or consume).
+func (es *evalState) push(parent int32, elem graph.UID, ei int32, dir Direction) int32 {
+	p := partial{elem: elem, ent: ei, parent: parent, depth: 1, isEdge: es.tab.ents[ei].isEdge}
 	if parent >= 0 {
 		p.depth = es.partials[parent].depth + 1
 	}
 	if p.isEdge {
+		obj := es.tab.ents[ei].obj
 		p.next = obj.Dst
 		if dir == Backward {
 			p.next = obj.Src
@@ -280,12 +290,28 @@ func (es *evalState) push(parent int32, obj *graph.Object, dir Direction) int32 
 	return int32(len(es.partials) - 1)
 }
 
-// pop takes the top pending partial and drops the finished ones above it.
-func (es *evalState) pop() int32 {
+// pop takes the top pending partial, moves the on-path marks from the
+// partial expanded last onto it (markPath), and drops the finished ones
+// above it.
+func (es *evalState) pop(last int32) int32 {
 	cur := es.stack[len(es.stack)-1]
 	es.stack = es.stack[:len(es.stack)-1]
+	es.markPath(last, es.partials[cur].parent)
+	es.tab.ents[es.partials[cur].ent].onPath = true
 	es.partials, es.sets = es.partials[:cur+1], es.sets[:(int(cur)+1)*es.nw]
 	return cur
+}
+
+// markPath clears the on-path marks of partial last's chain down to, not
+// including, its ancestor keep (-1 clears the whole chain). The marked
+// elements are then exactly those of keep's chain, the partial pathway
+// whose child is expanded next, so a cycle test is one load. In DFS
+// order the next partial's parent is always on the chain of the one
+// expanded before it, and that chain is still in the arena.
+func (es *evalState) markPath(last, keep int32) {
+	for i := last; i > keep; i = es.partials[i].parent {
+		es.tab.ents[es.partials[i].ent].onPath = false
+	}
 }
 
 // complete writes partial i's element sequence out in pathway order — a
@@ -447,8 +473,8 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 			}
 			for _, ti := range transIdxs {
 				tr := nfa.Trans[ti]
-				e.search(view, p, es.root(obj, nfa.Closure(tr.To), Forward), true, Forward, es)
-				e.search(view, p, es.root(obj, nfa.ClosureRev(tr.From), Backward), true, Backward, es)
+				e.search(view, p, es.root(uid, ei, nfa.Closure(tr.To), Forward), true, Forward, es)
+				e.search(view, p, es.root(uid, ei, nfa.ClosureRev(tr.From), Backward), true, Backward, es)
 				union := es.tr.unionNode()
 				before := out.Len()
 				t0 := union.begin()
@@ -477,14 +503,14 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 			break
 		}
 		ei := es.tab.resolve(seed)
-		if !es.tab.ents[ei].visible || es.tab.ents[ei].obj.IsEdge() {
+		if !es.tab.ents[ei].visible || es.tab.ents[ei].isEdge {
 			continue
 		}
 		es.tr.seedSelectNode().rows(1, 1)
 		union := es.tr.unionNode()
 		before := out.Len()
 		t0 := union.begin()
-		e.evalSeedOne(view, p, ei, out, es)
+		e.evalSeedOne(view, p, seed, ei, out, es)
 		union.end(t0)
 		union.rows(0, out.Len()-before)
 		es.m.AnchorRecords++
@@ -495,21 +521,20 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 	return out, nil
 }
 
-// evalSeedOne runs both seed branches (§3.4) for one seed node, given as
-// its element-table entry.
-func (e *Engine) evalSeedOne(view graph.View, p *Plan, ei int32, out *PathwaySet, es *evalState) {
+// evalSeedOne runs both seed branches (§3.4) for one seed node, given
+// with its element-table entry.
+func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed graph.UID, ei int32, out *PathwaySet, es *evalState) {
 	c := p.Checked
 	nfa := c.NFA()
-	seed := es.tab.ents[ei].obj
 	start := nfa.Closure(nfa.Start)
 	if p.SeedDir == Backward {
 		start = nfa.ClosureRev(nfa.Accept)
 	}
-	implicit := es.root(seed, start, p.SeedDir)
+	implicit := es.root(seed, ei, start, p.SeedDir)
 	// Branch (a): the seed node is consumed by a leading (for a Backward
 	// plan, trailing) node atom.
 	if e.consume(c, implicit, ei, p.SeedDir, es) {
-		e.seedBranch(view, p, es.push(-1, seed, p.SeedDir), true, out, es)
+		e.seedBranch(view, p, es.push(-1, seed, ei, p.SeedDir), true, out, es)
 	}
 	// Branch (b): the seed is the implicit endpoint of a leading edge
 	// match; nothing consumed yet.
@@ -544,11 +569,13 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 		final, done = c.NFA().Start, &es.bwd
 	}
 	es.stack = append(es.stack[:0], root)
+	last := int32(-1) // the partial expanded last, whose chain is marked
 	for len(es.stack) > 0 {
 		if es.checkpoint() {
 			break
 		}
-		cur := es.pop()
+		cur := es.pop(last)
+		last = cur
 		es.m.PartialsExplored++
 		n, states := es.partials[cur], es.states(cur)
 		if (consumed || cur != root) && states.Has(final) {
@@ -564,6 +591,7 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 			e.expand(view, c, cur, n.elem, hint, dir, es)
 		}
 	}
+	es.markPath(last, -1)
 }
 
 // expand performs one Extend operator execution: an adjacency probe at
@@ -594,18 +622,16 @@ func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.U
 // partial when any transition fires. It reports whether the element was
 // consumed.
 func (e *Engine) step(c *rpe.Checked, cur int32, elem graph.UID, dir Direction, es *evalState) bool {
-	for i := cur; i >= 0; i = es.partials[i].parent {
-		if es.partials[i].elem == elem {
-			return false // cycle prevention: H.id_ != ANY(uid_list)
-		}
-	}
 	ei := es.tab.resolve(elem)
+	if es.tab.ents[ei].onPath {
+		return false // cycle prevention: H.id_ != ANY(uid_list)
+	}
 	if !e.consume(c, cur, ei, dir, es) {
 		es.m.ElementsRejected++
 		return false
 	}
 	es.m.ElementsConsumed++
-	es.stack = append(es.stack, es.push(cur, es.tab.ents[ei].obj, dir))
+	es.stack = append(es.stack, es.push(cur, elem, ei, dir))
 	return true
 }
 
@@ -624,7 +650,7 @@ func (e *Engine) consume(c *rpe.Checked, cur int32, ei int32, dir Direction, es 
 	es.sets = grown(es.sets, es.nw)[:off+es.nw]
 	from, next := es.states(cur), rpe.StateSet(es.sets[off:])
 	next.Reset()
-	isEdge := es.tab.ents[ei].obj.IsEdge()
+	isEdge := es.tab.ents[ei].isEdge
 	fired := false
 	for wi, w := range from {
 		for ; w != 0; w &= w - 1 {

@@ -28,12 +28,15 @@ import (
 //     reports the maximal range the pathway can be asserted, possibly
 //     extending beyond the query window.
 //
-// It resolves the elements in a table of its own; the engine runs the
-// same computation over its evaluation's table (computeValidity).
+// It resolves the elements in the table of a pooled evaluation state of
+// its own, so a caller filtering many pathways reuses one table's pages;
+// the engine runs the same computation over its evaluation's table
+// (computeValidity).
 func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) temporal.Set {
-	var tab elemTable
-	tab.reset(st, graph.View{}, c)
-	return computeValidity(&tab, elems, &validityScratch{}, false)
+	es := getEvalState(nil)
+	defer putEvalState(es)
+	es.tab.reset(st, graph.View{}, c)
+	return computeValidity(&es.tab, elems, &es.validity, false)
 }
 
 // validityScratch holds computeValidity's working arrays, so an

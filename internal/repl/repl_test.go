@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/temporal"
 	"repro/internal/wal"
@@ -508,6 +509,64 @@ func TestSourceLongPollDelivers(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("long-poll took %v; the append should have woken it", elapsed)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("long-poll never returned")
+	}
+}
+
+// TestSourceStampsEpochAfterRead re-promotes the primary while a
+// follower's long-poll is parked on it, then logs a record under the new
+// epoch: the answer that ships the record must carry the new epoch, not
+// the one current when the poll started.
+func TestSourceStampsEpochAfterRead(t *testing.T) {
+	st := newStore(t)
+	mgr, _, err := wal.Open(t.TempDir(), st, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	st.SetMutationHook(mgr.Append)
+	node, reg := NewNode(st, mgr, nil), obs.NewRegistry()
+	src := NewSource(node, reg)
+	srv := httptest.NewServer(http.HandlerFunc(src.ServeWAL))
+	t.Cleanup(srv.Close)
+	if _, err := st.InsertNode("Host", graph.Fields{"id": 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := node.Epoch()
+
+	type answer struct{ count, epoch string }
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/v1/wal?from=1&wait_ms=10000")
+		if err != nil {
+			done <- answer{err.Error(), ""}
+			return
+		}
+		resp.Body.Close()
+		done <- answer{resp.Header.Get(HeaderCount), resp.Header.Get(HeaderEpoch)}
+	}()
+	waiters := reg.Gauge("repl.source.poll_waiters")
+	waitFor(t, "the poll to park", func() bool { return waiters.Value() == 1 })
+	if err := node.Demote(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := node.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	after := node.Epoch()
+	if after <= before {
+		t.Fatalf("re-promotion moved the epoch from %d to %d", before, after)
+	}
+	if _, err := st.InsertNode("Host", graph.Fields{"id": 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-done:
+		if want := strconv.FormatUint(after, 10); a.count != "1" || a.epoch != want {
+			t.Fatalf("held poll answered %s=%q %s=%q; want 1 record at epoch %s (the poll began at %d)",
+				HeaderCount, a.count, HeaderEpoch, a.epoch, want, before)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("long-poll never returned")

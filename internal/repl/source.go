@@ -105,7 +105,8 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	// Every feed answer — batches, 410s, even a "position beyond end" 400
 	// from a follower pointed at the wrong primary — carries the log's
 	// identity, so a mispointed follower detects the foreign log instead
-	// of retrying against it.
+	// of retrying against it. A batch re-stamps the epoch after its read
+	// (writeBatch).
 	w.Header().Set(HeaderLogID, s.node.LogID())
 	epoch := s.node.Epoch()
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
@@ -243,8 +244,11 @@ func (s *Source) writeEmpty(w http.ResponseWriter, from uint64) {
 
 // writeBatch ships frames [from, batchEnd) and advertises the log's
 // durable end — which a max_bytes cap may hold the batch short of, so a
-// partially shipped follower knows it is still lagging.
+// partially shipped follower knows it is still lagging. The epoch is
+// read after the frames were: a long-poll may outlive a re-promotion,
+// and a record logged under the new epoch must not ship under the old.
 func (s *Source) writeBatch(w http.ResponseWriter, from, batchEnd, durable uint64, clock time.Time, batch []byte) {
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.node.Epoch(), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderFrom, strconv.FormatUint(from, 10))
 	w.Header().Set(HeaderNext, strconv.FormatUint(durable, 10))

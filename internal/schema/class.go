@@ -45,10 +45,11 @@ type Class struct {
 	children []*Class
 	allField map[string]*Field // cached inherited+own fields, built on finalize
 	depth    int
-	// path and subtree are cached on Finalize; before that they are
-	// computed on demand.
+	// path, subtree and fields are cached on Finalize; before that they
+	// are computed on demand.
 	path    string
 	subtree []string
+	fields  []Field
 }
 
 // IsNode reports whether the class descends from Node.
@@ -122,8 +123,12 @@ func (c *Class) Field(name string) (*Field, bool) {
 }
 
 // Fields returns all fields visible on the class: inherited first (root
-// downward), then own, in declaration order.
+// downward), then own, in declaration order. The result is cached after
+// Finalize and must not be modified.
 func (c *Class) Fields() []Field {
+	if c.allField != nil {
+		return c.fields
+	}
 	var chain []*Class
 	for cur := c; cur != nil; cur = cur.Parent {
 		chain = append(chain, cur)

@@ -199,9 +199,11 @@ func (s *Schema) Finalize() error {
 	if err := s.checkDataTypeDAG(); err != nil {
 		return err
 	}
-	// Build per-class caches: field resolution, inheritance paths, and
-	// subtree name lists (hot in the backends' class-partition probes).
+	// Build per-class caches: field resolution, inheritance paths,
+	// subtree name lists (hot in the backends' class-partition probes)
+	// and field lists (read by every ValidateRecord).
 	for _, c := range s.classes {
+		c.fields = c.Fields() // before allField, which marks the caches built
 		c.allField = make(map[string]*Field)
 		for cur := c; cur != nil; cur = cur.Parent {
 			for i := range cur.OwnFields {

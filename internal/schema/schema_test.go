@@ -116,6 +116,31 @@ func TestFieldInheritance(t *testing.T) {
 	}
 }
 
+// TestFieldsCached pins Fields' order — inherited first, root downward,
+// then own, in declaration order — and that a finalized class serves it
+// from the cache Finalize builds, so ValidateRecord allocates no field
+// list per record.
+func TestFieldsCached(t *testing.T) {
+	s := buildTestSchema(t)
+	for class, want := range map[string]string{
+		"Firewall": "id name vnfType ruleCount",
+		"VMWare":   "id name status",
+		"VFC":      "id name",
+	} {
+		c := s.MustClass(class)
+		var names []string
+		for _, f := range c.Fields() {
+			names = append(names, f.Name)
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Errorf("%s.Fields() = %s, want %s", class, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { c.Fields() }); allocs != 0 {
+			t.Errorf("%s.Fields() allocates %.0f times on a finalized class", class, allocs)
+		}
+	}
+}
+
 func TestRedeclareInheritedFieldRejected(t *testing.T) {
 	s := buildTestSchema(t)
 	_, err := s.DefineNode("BadVM", "VM", Field{Name: "status", Type: TypeInt})

@@ -20,6 +20,7 @@ var wantMetricKeys = []string{
 	"db.queries", "db.queries_aborted", "db.query_edges_scanned", "db.query_latency_ms",
 	"engine.gremlin.anchor_records", "engine.gremlin.edges_scanned", "engine.gremlin.eval_latency_ms",
 	"engine.gremlin.evals", "engine.gremlin.partials_explored", "engine.gremlin.paths_emitted",
+	"go.gc_cycles", "go.gc_pause_cpu_seconds", "go.goroutines", "go.heap_inuse_bytes",
 	"nepal.build_info", "nepal.uptime_seconds",
 	"repl.epoch", "repl.source.batches", "repl.source.bytes_shipped", "repl.source.diverged_requests",
 	"repl.source.poll_waiters", "repl.source.records_shipped", "repl.source.snapshots_served",

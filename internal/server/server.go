@@ -168,6 +168,7 @@ func New(db *core.DB, cfg Config) *Server {
 		drain:     make(chan struct{}),
 	}
 	s.version, s.commit = obs.RegisterBuildInfo(reg, s.start)
+	obs.RegisterRuntime(reg)
 	s.mRequests = reg.Counter("server.requests")
 	s.mLatency = reg.Histogram("server.request_latency_ms")
 	s.mAdmWait = reg.Histogram("server.admission_wait_ms")

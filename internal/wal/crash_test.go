@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -467,4 +468,51 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 	if live, _ := st.Counts(); live != 0 {
 		t.Fatalf("recovered %d objects from an unterminated group", live)
 	}
+}
+
+// TestReplayRejectsUIDBeyondFrontier: a logged insert naming a UID far
+// past the store's allocation frontier (1<<62) is an error, both in
+// crash recovery and in a shipped group a follower applies, never a
+// table sized for it. The group before it recovers normally.
+func TestReplayRejectsUIDBeyondFrontier(t *testing.T) {
+	at := t0.Add(time.Minute)
+	good, err := appendGroup(nil, []*graph.Mutation{
+		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := appendGroup(nil, []*graph.Mutation{
+		{Op: graph.OpInsertNode, UID: 1 << 62, Class: "Host", Fields: graph.Fields{"id": 2}, At: at.Add(time.Second)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(segmentPath(dir, 1), append(good, far...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, newTestStore(t), Options{NoSync: true}); err == nil || !strings.Contains(err.Error(), "allocation frontier") {
+		t.Fatalf("recovery over a record naming uid 1<<62 = %v, want an allocation-frontier error", err)
+	}
+
+	st := newTestStore(t)
+	for i, group := range [][]byte{good, far} {
+		ms, _, err := DecodeGroup(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.ApplyMutation(ms...)
+		if i == 0 && err != nil {
+			t.Fatalf("applying the valid group: %v", err)
+		}
+		if i == 1 && (err == nil || !strings.Contains(err.Error(), "allocation frontier")) {
+			t.Fatalf("applying a shipped group naming uid 1<<62 = %v, want an allocation-frontier error", err)
+		}
+	}
+	if lo, hi := st.UIDRange(); lo != 1 || hi != 2 {
+		t.Fatalf("UID range [%d, %d) after the rejected group, want [1, 2)", lo, hi)
+	}
+	mustNoViolations(t, st)
 }

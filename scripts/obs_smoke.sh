@@ -5,7 +5,8 @@
 # runs a query over the wire, and then checks all three telemetry
 # surfaces from the outside:
 #   1. /metrics with Accept: text/plain parses as Prometheus exposition
-#      (# HELP/# TYPE headers, histogram _bucket{le=...}/_sum/_count).
+#      (# HELP/# TYPE headers, histogram _bucket{le=...}/_sum/_count)
+#      with a live runtime heap gauge (go_heap_inuse_bytes > 0).
 #   2. /debug/traces lists the just-run query, and its trace ID
 #      resolves at /debug/traces/{id} to a span tree with the server
 #      phases and the engine operator spans.
@@ -45,7 +46,8 @@ for want in "# HELP " "# TYPE server_requests counter" \
     "# TYPE server_request_latency_ms histogram" \
     "server_request_latency_ms_bucket{le=" \
     "server_request_latency_ms_sum" "server_request_latency_ms_count" \
-    "nepal_build_info{" "nepal_uptime_seconds"; do
+    "nepal_build_info{" "nepal_uptime_seconds" \
+    "# TYPE go_heap_inuse_bytes gauge"; do
     case "$PROM" in
         *"$want"*) ;;
         *) echo "obs-smoke: /metrics exposition missing: $want"; echo "$PROM" | head -40; exit 1 ;;
@@ -55,7 +57,10 @@ done
 if echo "$PROM" | grep -v '^#' | grep -q '^[a-zA-Z_:][a-zA-Z0-9_:]*\.'; then
     echo "obs-smoke: /metrics leaked unsanitized metric names"; exit 1
 fi
-echo "obs-smoke: /metrics Prometheus exposition ok"
+# The runtime heap gauge is read at scrape time: a live server's is > 0.
+HEAP="$(echo "$PROM" | sed -n 's/^go_heap_inuse_bytes \([0-9.e+]*\)$/\1/p')"
+awk -v h="${HEAP:-0}" 'BEGIN {exit !(h > 0)}' || { echo "obs-smoke: go_heap_inuse_bytes is '$HEAP', want > 0"; exit 1; }
+echo "obs-smoke: /metrics Prometheus exposition ok (heap in use $HEAP bytes)"
 
 # 2. Trace store: the query we just ran is listed, and its ID resolves
 # to a span tree with the server phases and engine spans.
