@@ -21,7 +21,7 @@ test:
 # for -race, so the harness packages run in -short mode, as do the WAL
 # and chaos suites (their full crash-point sweeps run in make test).
 test-race:
-	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/core/ ./internal/exec/
+	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/codec/ ./internal/core/ ./internal/exec/
 	$(GO) test -race ./internal/gremlin/ ./internal/relational/
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/ ./cmd/nepal/
 	$(GO) test -race . ./internal/schema/ ./internal/temporal/ ./internal/rpe/ ./internal/query/ ./internal/codegen/ ./internal/netmodel/ ./internal/workload/
@@ -67,13 +67,15 @@ chaos:
 		./internal/plan/ ./internal/exec/ ./internal/core/
 
 # Durability suite: the WAL crash-point property tests, crash-injection
-# recovery (torn sidecars included), the store invariant checker, and the
+# recovery (torn sidecars included), the binary codec's round-trip and
+# canonical-encoding tests, the refusal of retired (JSON) log and
+# checkpoint formats, the store invariant checker, and the
 # live-write/replay parity tests, twice under the race detector (-short
 # keeps the full-byte-sweep property test sampled).
 crash:
-	$(GO) test -race -count=2 -short ./internal/wal/ ./internal/chaos/
-	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped|Replay|Sidecar' \
-		./internal/graph/ ./internal/core/ ./internal/server/ ./cmd/nepal/
+	$(GO) test -race -count=2 -short ./internal/wal/ ./internal/codec/ ./internal/chaos/
+	$(GO) test -race -count=2 -run 'WAL|Crash|Recover|Invariant|Fsck|Checkpoint|HistoryChurn|PersistTyped|Replay|Sidecar|Format|RoundTrip' \
+		./internal/graph/ ./internal/core/ ./internal/server/ ./internal/repl/ ./cmd/nepal/
 
 # Short coverage-guided fuzz passes over the inputs fed untrusted bytes:
 # the WAL frame decoder (every replication batch and crash-recovery
@@ -82,8 +84,9 @@ crash:
 # and /v1/prepare body: parse, analyze, fingerprint) and the /v1/ingest
 # write path (random op batches through the server's handler into a
 # WAL-backed store, held to the atomic-batch contract), plus new seeds of
-# the cluster simulation. Seeds are real encoded frames, a checkpoint and
-# its copy naming a UID far past the allocation frontier, the paper's
+# the cluster simulation. Seeds are binary frames from the record
+# encoder (and one retired JSON frame), a binary checkpoint and its copy
+# re-encoded to name a UID far past the allocation frontier, the paper's
 # queries, batches that fail on an earlier op and the simulation's
 # corpus; 15s each is a smoke budget (the two parsers reach six-digit
 # exec counts, the checkpoint loader tens of thousands — its 1s

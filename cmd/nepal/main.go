@@ -334,6 +334,9 @@ func eachQueryLine(in io.Reader, fn func(line string)) error {
 func runFsck(db *core.DB, out io.Writer) error {
 	live, versions := db.Store().Counts()
 	lo, hi := db.Store().UIDRange()
+	if db.RecoveryStats().CheckpointLoaded {
+		fmt.Fprintf(out, "fsck: loaded checkpoint format %s\n", graph.HistoryFormat)
+	}
 	fmt.Fprintf(out, "fsck: %d live objects, %d versions, uids [%d, %d]\n", live, versions, lo, hi)
 	violations := db.Store().CheckInvariants()
 	if len(violations) == 0 {

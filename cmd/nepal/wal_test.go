@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestRunWALPersistAndRecover(t *testing.T) {
@@ -70,11 +75,34 @@ func TestRunFsckFlag(t *testing.T) {
 	if !strings.Contains(out.String(), "fsck: ok") {
 		t.Errorf("fsck output missing ok line: %q", out.String())
 	}
+	if want := "fsck: loaded checkpoint format " + graph.HistoryFormat; !strings.Contains(out.String(), want) {
+		t.Errorf("fsck output missing %q: %q", want, out.String())
+	}
 
 	// fsck works without a WAL too (in-memory demo).
 	out.Reset()
 	if err := run(options{model: "netmodel", demo: true, backend: "gremlin",
 		fsck: true, out: &out}); err != nil {
 		t.Fatalf("fsck on demo store: %v", err)
+	}
+}
+
+// TestFsckRefusesRetiredFormat: fsck over a WAL directory whose
+// checkpoint is in the retired JSON format fails with a
+// *graph.FormatError naming the file, and leaves the file as it was.
+func TestFsckRefusesRetiredFormat(t *testing.T) {
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "checkpoint")
+	old := []byte(`{"format":"nepal-history/1","objects":0,"next_uid":1}` + "\n")
+	if err := os.WriteFile(cp, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(options{model: "netmodel", walDir: dir, fsck: true, out: &bytes.Buffer{}})
+	var fe *graph.FormatError
+	if !errors.As(err, &fe) || fe.File != cp || fe.Got != "nepal-history/1" {
+		t.Fatalf("fsck over a nepal-history/1 checkpoint = %v, want a FormatError naming %s", err, cp)
+	}
+	if got, err := os.ReadFile(cp); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("fsck changed the checkpoint (err %v): %q", err, got)
 	}
 }

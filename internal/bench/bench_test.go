@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -77,25 +79,45 @@ func TestTable2Shape(t *testing.T) {
 	byName := map[string]Row{}
 	for _, r := range rows {
 		byName[r.Type] = r
-		t.Logf("%-13s paths=%9.1f snap=%-12v hist=%-12v (paper: %9.1f, %v, %v)",
-			r.Type, r.AvgPaths, r.Snap, r.Hist, r.PaperPaths, r.PaperSnap, r.PaperHist)
+		t.Logf("%-13s paths=%9.1f edges=%9.1f snap=%-12v hist=%-12v (paper: %9.1f, %v, %v)",
+			r.Type, r.AvgPaths, r.AvgEdgesScanned, r.Snap, r.Hist, r.PaperPaths, r.PaperSnap, r.PaperHist)
 	}
+	for _, msg := range table2Shape(byName) {
+		t.Error(msg)
+	}
+	// The check has teeth: with the reverse mix replaced by the service
+	// mix, "reverse dwarfs service" must fail.
+	swapped := maps.Clone(byName)
+	swapped["Reverse path"] = byName["Service path"]
+	if len(table2Shape(swapped)) == 0 {
+		t.Error("the Table 2 shape check passes with the reverse mix replaced by the service mix")
+	}
+}
+
+// table2Shape checks Table 2's shape on what the program counts exactly —
+// paths returned and edges scanned per instance — and returns one message
+// per violation. Wall times are only logged: a 10-query mean of
+// sub-millisecond queries is at the mercy of whatever else the host runs.
+func table2Shape(byName map[string]Row) []string {
+	var bad []string
+	rev, svc := byName["Reverse path"], byName["Service path"]
 	// The reverse mining query returns orders of magnitude more paths and
-	// takes orders of magnitude longer than the forwards service path.
-	if byName["Reverse path"].AvgPaths < 20*byName["Service path"].AvgPaths {
-		t.Errorf("reverse path count (%.0f) must dwarf service path (%.0f)",
-			byName["Reverse path"].AvgPaths, byName["Service path"].AvgPaths)
+	// scans orders of magnitude more edges than the forwards service path.
+	if rev.AvgPaths < 20*svc.AvgPaths {
+		bad = append(bad, fmt.Sprintf("reverse path count (%.0f) must dwarf service path (%.0f)", rev.AvgPaths, svc.AvgPaths))
 	}
-	if byName["Reverse path"].Snap < 10*byName["Service path"].Snap {
-		t.Errorf("reverse path time (%v) must dwarf service path (%v)",
-			byName["Reverse path"].Snap, byName["Service path"].Snap)
+	if rev.AvgEdgesScanned < 10*svc.AvgEdgesScanned {
+		bad = append(bad, fmt.Sprintf("reverse path edges scanned (%.0f) must dwarf service path (%.0f)",
+			rev.AvgEdgesScanned, svc.AvgEdgesScanned))
 	}
-	// Top-down is interactive and faster than bottom-up on the
+	// Top-down is interactive and lighter than bottom-up on the
 	// single-class load (paper: 0.029s vs 0.672s).
-	if byName["Bottom-up"].Snap < byName["Top-down"].Snap {
-		t.Errorf("bottom-up (%v) must be slower than top-down (%v) on the single-class load",
-			byName["Bottom-up"].Snap, byName["Top-down"].Snap)
+	td, bu := byName["Top-down"], byName["Bottom-up"]
+	if bu.AvgPaths <= td.AvgPaths || bu.AvgEdgesScanned <= td.AvgEdgesScanned {
+		bad = append(bad, fmt.Sprintf("bottom-up (%.1f paths, %.0f edges scanned) must be heavier than top-down (%.1f, %.0f) on the single-class load",
+			bu.AvgPaths, bu.AvgEdgesScanned, td.AvgPaths, td.AvgEdgesScanned))
 	}
+	return bad
 }
 
 func TestAblationShape(t *testing.T) {

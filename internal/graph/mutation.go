@@ -52,21 +52,6 @@ func (op MutationOp) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// ParseMutationOp is the inverse of MutationOp.String.
-func ParseMutationOp(s string) (MutationOp, error) {
-	switch s {
-	case "insert_node":
-		return OpInsertNode, nil
-	case "insert_edge":
-		return OpInsertEdge, nil
-	case "update":
-		return OpUpdate, nil
-	case "delete":
-		return OpDelete, nil
-	}
-	return 0, fmt.Errorf("graph: unknown mutation op %q", s)
-}
-
 // MutationHook observes every batch of writes once: after each of its ops
 // is validated and stamped, immediately before the last of them is
 // applied, while the store's write lock is held — so the hook call order

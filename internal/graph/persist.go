@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/temporal"
 )
 
@@ -20,87 +24,98 @@ var ErrTruncated = errors.New("graph: truncated stream")
 // that already holds objects; restores require a fresh store.
 var ErrStoreNotEmpty = errors.New("graph: store is not empty")
 
-// FormatError reports a persisted stream whose format tag is not one this
-// build can read (a future or foreign format version).
+// FormatError reports a persisted stream — a checkpoint, a snapshot
+// download, a log record — whose format is not the one this build reads:
+// a future or foreign version, or the retired JSON format. It is never
+// corruption: the bytes are intact, and recovery must refuse them rather
+// than truncate them.
 type FormatError struct {
-	Got  string // the format tag found in the stream
+	File string // the file or URL the stream came from, when known
+	Got  string // the format found in the stream
 	Want string // the format this build reads
 }
 
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("graph: unsupported stream format %q (this build reads %q)", e.Got, e.Want)
+	msg := fmt.Sprintf("unsupported stream format %q (this build reads %q)", e.Got, e.Want)
+	if e.File != "" {
+		msg = e.File + ": " + msg
+	}
+	return "graph: " + msg
+}
+
+// SetFormatFile records file in err's *FormatError, if err carries one,
+// and reports whether it did. The caller that opened the file or URL
+// names it; the decoder that found the format does not know it.
+func SetFormatFile(err error, file string) bool {
+	var fe *FormatError
+	if errors.As(err, &fe) {
+		fe.File = file
+		return true
+	}
+	return false
 }
 
 // History persistence: WriteHistory serializes the complete temporal
 // store — every object with its full version history — and LoadHistory
 // reconstructs it into an empty store. Unlike the Snapshot format (which
 // carries only the live state of external sources), the history format is
-// Nepal's own backup/restore and fixture-shipping representation: a
-// header line followed by one JSON document per object, so multi-million
-// object stores stream without building one giant value in memory.
+// Nepal's own checkpoint, backup/restore and snapshot-shipping
+// representation, in the binary codec (internal/codec):
+//
+//	format tag   length-prefixed string, HistoryFormat
+//	objects      uvarint count
+//	next_uid     uvarint
+//	then per object, in ascending UID order, a uvarint byte length and:
+//	  uid        uvarint, the gap from the previous object's UID
+//	  class      length-prefixed name
+//	  src dst    uvarints (0 for a node)
+//	  versions   uvarint count, then per version a zigzag varint start
+//	             (Unix nanoseconds), a uvarint end (0 while the version
+//	             is open, else end−start+1) and a codec field map
+//
+// Each object is length-prefixed so a multi-million object store streams
+// through one reused buffer without building one giant value in memory.
 
-// historyHeader is the first line of a history stream.
-type historyHeader struct {
-	Format  string `json:"format"`
-	Objects int    `json:"objects"`
-	NextUID int64  `json:"next_uid"`
-}
+// HistoryFormat identifies the history stream format and version.
+const HistoryFormat = "nepal-history/2"
 
-// historyFormat identifies the stream format and version.
-const historyFormat = "nepal-history/1"
+// maxFormatTag bounds the format tag a reader will read: a longer one is
+// not a history stream.
+const maxFormatTag = 64
 
-// objectDoc is the wire form of one object with its versions.
-type objectDoc struct {
-	UID      int64        `json:"uid"`
-	Class    string       `json:"class"`
-	Src      int64        `json:"src,omitempty"`
-	Dst      int64        `json:"dst,omitempty"`
-	Versions []versionDoc `json:"versions"`
-}
-
-// versionDoc is the wire form of one version; End is empty for the
-// current (open) version.
-type versionDoc struct {
-	Fields Fields `json:"fields"`
-	Start  string `json:"start"`
-	End    string `json:"end,omitempty"`
-}
-
-const historyTimeLayout = time.RFC3339Nano
+// maxObjectSize bounds one encoded object, like the log's maxRecordSize.
+const maxObjectSize = 64 << 20
 
 // WriteHistory streams the full store (all objects, all versions) to w.
 func (st *Store) WriteHistory(w io.Writer) error {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(historyHeader{
-		Format:  historyFormat,
-		Objects: st.objectCount(),
-		NextUID: int64(st.nextUID),
-	}); err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	hdr := codec.AppendString(nil, HistoryFormat)
+	hdr = binary.AppendUvarint(hdr, uint64(st.objectCount()))
+	hdr = binary.AppendUvarint(hdr, uint64(st.nextUID))
+	if _, err := bw.Write(hdr); err != nil {
 		return fmt.Errorf("graph: writing history header: %w", err)
 	}
+	var obj, size []byte
+	prev := UID(0)
 	for uid := UID(1); uid < st.nextUID; uid++ {
-		obj := st.objects.at(uid)
-		if obj == nil {
+		o := st.objects.at(uid)
+		if o == nil {
 			continue
 		}
-		doc := objectDoc{
-			UID:   int64(obj.UID),
-			Class: obj.Class.Name,
-			Src:   int64(obj.Src),
-			Dst:   int64(obj.Dst),
+		doc := objectDoc{UID: uid, Class: o.Class.Name, Src: o.Src, Dst: o.Dst, Versions: o.Versions}
+		var err error
+		if obj, err = appendObject(obj[:0], &doc, prev); err != nil {
+			return fmt.Errorf("graph: encoding history object %d: %w", uid, err)
 		}
-		for _, v := range obj.Versions {
-			vd := versionDoc{Fields: v.Fields, Start: v.Period.Start.Format(historyTimeLayout)}
-			if !v.Period.IsCurrent() {
-				vd.End = v.Period.End.Format(historyTimeLayout)
-			}
-			doc.Versions = append(doc.Versions, vd)
+		prev = uid
+		size = binary.AppendUvarint(size[:0], uint64(len(obj)))
+		if _, err = bw.Write(size); err == nil {
+			_, err = bw.Write(obj)
 		}
-		if err := enc.Encode(doc); err != nil {
+		if err != nil {
 			return fmt.Errorf("graph: writing history object %d: %w", uid, err)
 		}
 	}
@@ -108,6 +123,96 @@ func (st *Store) WriteHistory(w io.Writer) error {
 		return fmt.Errorf("graph: flushing history stream: %w", err)
 	}
 	return nil
+}
+
+// objectDoc is one object of a history stream: what WriteHistory encodes
+// and LoadHistory decodes, before schema validation.
+type objectDoc struct {
+	UID      UID
+	Class    string
+	Src, Dst UID
+	Versions []Version
+}
+
+// appendObject appends one object's history encoding; prev is the UID of
+// the object before it in the stream.
+func appendObject(dst []byte, o *objectDoc, prev UID) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(o.UID-prev))
+	dst = codec.AppendString(dst, o.Class)
+	dst = binary.AppendUvarint(dst, uint64(o.Src))
+	dst = binary.AppendUvarint(dst, uint64(o.Dst))
+	dst = binary.AppendUvarint(dst, uint64(len(o.Versions)))
+	for _, v := range o.Versions {
+		var err error
+		if dst, err = codec.AppendTime(dst, v.Period.Start); err != nil {
+			return dst, err
+		}
+		end := uint64(0)
+		if !v.Period.IsCurrent() {
+			d := v.Period.End.Sub(v.Period.Start)
+			if d < 0 || d == math.MaxInt64 { // Sub saturates past ~292 years
+				return dst, fmt.Errorf("version period %v does not encode", v.Period)
+			}
+			end = uint64(d) + 1
+		}
+		dst = binary.AppendUvarint(dst, end)
+		if dst, err = codec.AppendFields(dst, v.Fields); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// readObject reads one length-prefixed object encoding into buf. It
+// grows buf a megabyte at a time as bytes arrive, so a corrupt length
+// costs what the stream actually holds, not what it claims.
+func readObject(br *bufio.Reader, buf []byte) ([]byte, error) {
+	size, err := binary.ReadUvarint(br)
+	if err != nil {
+		return buf, err
+	}
+	if size > maxObjectSize {
+		return buf, fmt.Errorf("object of %d bytes exceeds the %d-byte bound", size, maxObjectSize)
+	}
+	buf = buf[:0]
+	for len(buf) < int(size) {
+		l := len(buf)
+		n := min(int(size)-l, 1<<20)
+		buf = slices.Grow(buf, n)[:l+n]
+		if _, err := io.ReadFull(br, buf[l:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// decodeObject decodes one object's encoding; prev is the UID of the
+// object before it in the stream.
+func decodeObject(r *codec.Reader, prev UID) objectDoc {
+	doc := objectDoc{UID: prev + UID(r.Uvarint()), Class: r.Name()}
+	doc.Src, doc.Dst = UID(r.Uvarint()), UID(r.Uvarint())
+	n := r.Uvarint()
+	if n > uint64(r.Len()/3) { // a version takes at least three bytes
+		r.Fail("version count %d exceeds the %d bytes left", n, r.Len())
+		return doc
+	}
+	doc.Versions = make([]Version, n)
+	for i := range doc.Versions {
+		start := r.Time()
+		period := temporal.Current(start)
+		if end := r.Uvarint(); end > 0 {
+			if end-1 > math.MaxInt64 {
+				r.Fail("version end out of range")
+			}
+			period = temporal.Between(start, start.Add(time.Duration(end-1)))
+		}
+		doc.Versions[i] = Version{Fields: r.Fields(), Period: period}
+	}
+	r.Done()
+	return doc
 }
 
 // objectCount counts the objects in the table.
@@ -119,6 +224,59 @@ func (st *Store) objectCount() int {
 		}
 	}
 	return n
+}
+
+// readHistoryHeader reads and checks the header of a history stream,
+// returning its object count and next_uid. A stream in the retired JSON
+// format, or under any other format tag, is a *FormatError.
+func readHistoryHeader(br *bufio.Reader) (objects, nextUID uint64, err error) {
+	if b, _ := br.Peek(1); len(b) == 1 && b[0] == '{' {
+		line, _ := br.ReadSlice('\n')
+		return 0, 0, &FormatError{Got: legacyFormat(line), Want: HistoryFormat}
+	}
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, 0, streamErr(err, "history ended before the header")
+	}
+	if n > maxFormatTag {
+		return 0, 0, &FormatError{Got: fmt.Sprintf("(a %d-byte tag)", n), Want: HistoryFormat}
+	}
+	tag := make([]byte, n)
+	if _, err := io.ReadFull(br, tag); err != nil {
+		return 0, 0, streamErr(err, "history ended inside the format tag")
+	}
+	if string(tag) != HistoryFormat {
+		return 0, 0, &FormatError{Got: string(tag), Want: HistoryFormat}
+	}
+	if objects, err = binary.ReadUvarint(br); err == nil {
+		nextUID, err = binary.ReadUvarint(br)
+	}
+	if err != nil {
+		return 0, 0, streamErr(err, "history ended inside the header")
+	}
+	return objects, nextUID, nil
+}
+
+// legacyFormat names the format of a JSON history header line: its
+// "format" value, or "JSON" when it has none.
+func legacyFormat(line []byte) string {
+	const key = `"format":"`
+	if i := bytes.Index(line, []byte(key)); i >= 0 {
+		rest := line[i+len(key):]
+		if j := bytes.IndexByte(rest, '"'); j >= 0 && j <= maxFormatTag {
+			return string(rest[:j])
+		}
+	}
+	return "JSON"
+}
+
+// streamErr maps a read error to ErrTruncated when the stream simply
+// ended, and wraps it otherwise.
+func streamErr(err error, what string) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: %s", ErrTruncated, what)
+	}
+	return fmt.Errorf("graph: %s: %w", what, err)
 }
 
 // LoadHistory reconstructs a previously written history stream into st,
@@ -145,39 +303,34 @@ func (st *Store) LoadHistory(r io.Reader) error {
 			ErrStoreNotEmpty, n)
 	}
 
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr historyHeader
-	if err := dec.Decode(&hdr); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: history ended before the header", ErrTruncated)
-		}
-		return fmt.Errorf("graph: reading history header: %w", err)
-	}
-	if hdr.Format != historyFormat {
-		return &FormatError{Got: hdr.Format, Want: historyFormat}
-	}
-	if hdr.Objects < 0 || hdr.NextUID < 0 {
-		return fmt.Errorf("graph: history header has negative counts (objects=%d, next_uid=%d)",
-			hdr.Objects, hdr.NextUID)
+	br := bufio.NewReaderSize(r, 64<<10)
+	objects, nextUID, err := readHistoryHeader(br)
+	if err != nil {
+		return err
 	}
 
 	// Stage into a scratch store sharing the schema; st is untouched
 	// until the commit at the bottom.
 	tmp := NewStore(st.schema, nil, nil)
 	var latest time.Time
-	for i := 0; i < hdr.Objects; i++ {
-		var doc objectDoc
-		if err := dec.Decode(&doc); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("%w: history declares %d objects but ended after %d",
-					ErrTruncated, hdr.Objects, i)
-			}
-			return fmt.Errorf("graph: reading history object %d/%d: %w", i+1, hdr.Objects, err)
+	var buf []byte
+	var rd codec.Reader
+	rd.InternNames()
+	prev := UID(0)
+	for i := uint64(0); i < objects; i++ {
+		if buf, err = readObject(br, buf); err != nil {
+			return streamErr(err, fmt.Sprintf("history declares %d objects but ended inside object %d", objects, i+1))
+		}
+		rd.Reset(buf)
+		doc := decodeObject(&rd, prev)
+		if err := rd.Err(); err != nil {
+			return fmt.Errorf("graph: decoding history object %d/%d: %w", i+1, objects, err)
 		}
 		obj, err := tmp.restoreObject(&doc)
 		if err != nil {
 			return err
 		}
+		prev = obj.UID
 		for _, v := range obj.Versions {
 			if v.Period.Start.After(latest) {
 				latest = v.Period.Start
@@ -187,13 +340,15 @@ func (st *Store) LoadHistory(r io.Reader) error {
 			}
 		}
 	}
-	if dec.More() {
-		return fmt.Errorf("graph: trailing data after the %d declared history objects", hdr.Objects)
+	if _, err := br.ReadByte(); err == nil {
+		return fmt.Errorf("graph: trailing data after the %d declared history objects", objects)
+	} else if err != io.EOF {
+		return fmt.Errorf("graph: reading past the %d declared history objects: %w", objects, err)
 	}
 
-	if UID(hdr.NextUID)-tmp.nextUID > maxUIDGap {
+	if nextUID > math.MaxInt64 || UID(nextUID)-tmp.nextUID > maxUIDGap {
 		return fmt.Errorf("graph: history header next_uid %d lies beyond the allocation frontier %d",
-			hdr.NextUID, tmp.nextUID)
+			nextUID, tmp.nextUID)
 	}
 	if v := tmp.CheckInvariants(); len(v) > 0 {
 		return fmt.Errorf("graph: history fails %d invariant checks, first: %s", len(v), v[0])
@@ -207,8 +362,8 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	if tmp.nextUID > st.nextUID {
 		st.nextUID = tmp.nextUID
 	}
-	if UID(hdr.NextUID) > st.nextUID {
-		st.nextUID = UID(hdr.NextUID)
+	if UID(nextUID) > st.nextUID {
+		st.nextUID = UID(nextUID)
 	}
 	// Advance the clock beyond everything restored.
 	if !latest.IsZero() {
@@ -217,19 +372,19 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	return nil
 }
 
-// restoreObject validates one object document's class and versions
+// restoreObject validates one decoded object's class and versions
 // against the schema and installs it with its indexes. Structural
 // invariants — version order, open versions, edge endpoints and
 // lifetimes, unique values — are LoadHistory's CheckInvariants pass.
 func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
+	uid := doc.UID
 	cls, ok := st.schema.Class(doc.Class)
 	if !ok {
-		return nil, fmt.Errorf("graph: history object %d has unknown class %q", doc.UID, doc.Class)
+		return nil, fmt.Errorf("graph: history object %d has unknown class %q", uid, doc.Class)
 	}
 	if cls.Abstract {
-		return nil, fmt.Errorf("graph: history object %d uses abstract class %q", doc.UID, doc.Class)
+		return nil, fmt.Errorf("graph: history object %d uses abstract class %q", uid, doc.Class)
 	}
-	uid := UID(doc.UID)
 	if err := st.admitUID(uid); err != nil {
 		return nil, err
 	}
@@ -237,34 +392,20 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 		return nil, fmt.Errorf("graph: duplicate uid %d in history", uid)
 	}
 	if cls.IsEdge() {
-		for _, end := range []UID{UID(doc.Src), UID(doc.Dst)} {
+		for _, end := range []UID{doc.Src, doc.Dst} {
 			if err := st.admitUID(end); err != nil {
 				return nil, fmt.Errorf("%w (an endpoint of history edge %d)", err, uid)
 			}
 		}
 	}
-
-	obj := &Object{UID: uid, Class: cls, Src: UID(doc.Src), Dst: UID(doc.Dst)}
-	for vi, vd := range doc.Versions {
-		if err := st.schema.ValidateRecord(doc.Class, vd.Fields); err != nil {
+	for vi, v := range doc.Versions {
+		if err := st.schema.ValidateRecord(doc.Class, v.Fields); err != nil {
 			return nil, fmt.Errorf("graph: history object %d version %d: %w", uid, vi, err)
 		}
-		start, err := time.Parse(historyTimeLayout, vd.Start)
-		if err != nil {
-			return nil, fmt.Errorf("graph: history object %d version %d start: %w", uid, vi, err)
-		}
-		period := temporal.Current(start)
-		if vd.End != "" {
-			end, err := time.Parse(historyTimeLayout, vd.End)
-			if err != nil {
-				return nil, fmt.Errorf("graph: history object %d version %d end: %w", uid, vi, err)
-			}
-			period = temporal.Between(start, end)
-		}
-		obj.Versions = append(obj.Versions, Version{Fields: vd.Fields.Clone(), Period: period})
-		st.versionCount++
 	}
 
+	obj := &Object{UID: uid, Class: cls, Src: doc.Src, Dst: doc.Dst, Versions: doc.Versions}
+	st.versionCount += len(obj.Versions)
 	*st.objects.slot(uid) = obj
 	st.byClass[doc.Class] = append(st.byClass[doc.Class], uid)
 	if obj.IsEdge() {

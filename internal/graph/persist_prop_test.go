@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/temporal"
 )
 
@@ -135,26 +137,34 @@ func TestPersistTypedErrors(t *testing.T) {
 	if err := st.WriteHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
+	good := buf.Bytes()
 
 	fresh := func() *Store { return NewStore(testSchema(t), temporal.NewManualClock(t0), nil) }
 
-	// Truncation anywhere — inside the header or mid-object — is
-	// ErrTruncated, so operators can tell a torn file from a corrupt one.
-	for _, cut := range []int{0, 10, len(good) / 2, len(good) - 2} {
-		err := fresh().LoadHistory(strings.NewReader(good[:cut]))
+	// Truncation anywhere — inside the header, between objects or inside
+	// one — is ErrTruncated, so operators can tell a torn file from a
+	// corrupt one.
+	for cut := range len(good) {
+		err := fresh().LoadHistory(bytes.NewReader(good[:cut]))
 		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
+			t.Errorf("cut at %d of %d: err = %v, want ErrTruncated", cut, len(good), err)
 		}
 	}
 
-	// A future or foreign format version surfaces as *FormatError.
-	bad := strings.Replace(good, historyFormat, "nepal-history/99", 1)
-	var fe *FormatError
-	if err := fresh().LoadHistory(strings.NewReader(bad)); !errors.As(err, &fe) {
-		t.Errorf("format mismatch err = %v, want *FormatError", err)
-	} else if fe.Got != "nepal-history/99" || fe.Want != historyFormat {
-		t.Errorf("FormatError = %+v", fe)
+	// A future or foreign format tag, and the retired JSON format,
+	// surface as *FormatError naming the format found.
+	tagLen := len(codec.AppendString(nil, HistoryFormat))
+	legacy := `{"format":"nepal-history/1","objects":0,"next_uid":1}` + "\n"
+	for stream, got := range map[string]string{
+		string(codec.AppendString(nil, "nepal-history/99")) + string(good[tagLen:]): "nepal-history/99",
+		legacy: "nepal-history/1",
+	} {
+		var fe *FormatError
+		if err := fresh().LoadHistory(strings.NewReader(stream)); !errors.As(err, &fe) {
+			t.Errorf("format %s: err = %v, want *FormatError", got, err)
+		} else if fe.Got != got || fe.Want != HistoryFormat {
+			t.Errorf("FormatError = %+v, want Got %q", fe, got)
+		}
 	}
 
 	// Loading into a non-empty store is ErrStoreNotEmpty.
@@ -162,13 +172,19 @@ func TestPersistTypedErrors(t *testing.T) {
 	if _, err := dirty.InsertNode("Host", Fields{"id": 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirty.LoadHistory(strings.NewReader(good)); !errors.Is(err, ErrStoreNotEmpty) {
+	if err := dirty.LoadHistory(bytes.NewReader(good)); !errors.Is(err, ErrStoreNotEmpty) {
 		t.Errorf("non-empty store err = %v, want ErrStoreNotEmpty", err)
 	}
 
-	// Trailing garbage after the declared object count is rejected.
-	if err := fresh().LoadHistory(strings.NewReader(good + `{"uid":999}` + "\n")); err == nil {
+	// Trailing data after the declared object count is rejected, as is a
+	// declared count one short of the objects that follow.
+	if err := fresh().LoadHistory(bytes.NewReader(append(slices.Clip(good), 0))); err == nil {
 		t.Error("trailing data accepted")
+	}
+	short := editHistory(t, good, func(h *history) {})
+	short[tagLen]-- // the object count, one byte for the fixture
+	if err := fresh().LoadHistory(bytes.NewReader(short)); err == nil {
+		t.Error("an undeclared trailing object accepted")
 	}
 
 	// ReadSnapshot distinguishes truncation the same way.

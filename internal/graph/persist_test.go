@@ -1,12 +1,13 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
-	"regexp"
-	"strings"
+	"encoding/binary"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/temporal"
 )
 
@@ -115,38 +116,135 @@ func TestHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// history is a decoded history stream, for tests that edit a valid
+// checkpoint into a damaged one: decode it, change it, encode it.
+type history struct {
+	nextUID uint64
+	objs    []objectDoc
+}
+
+func decodeHistory(t testing.TB, b []byte) *history {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(b))
+	n, next, err := readHistoryHeader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &history{nextUID: next}
+	var buf []byte
+	var rd codec.Reader
+	for i := uint64(0); i < n; i++ {
+		if buf, err = readObject(br, buf); err != nil {
+			t.Fatal(err)
+		}
+		rd.Reset(buf)
+		doc := decodeObject(&rd, h.lastUID())
+		if err := rd.Err(); err != nil {
+			t.Fatal(err)
+		}
+		h.objs = append(h.objs, doc)
+	}
+	return h
+}
+
+func (h *history) lastUID() UID {
+	if len(h.objs) == 0 {
+		return 0
+	}
+	return h.objs[len(h.objs)-1].UID
+}
+
+// encode writes the stream back, declaring len(h.objs) objects.
+func (h *history) encode(t testing.TB) []byte {
+	t.Helper()
+	out := codec.AppendString(nil, HistoryFormat)
+	out = binary.AppendUvarint(out, uint64(len(h.objs)))
+	out = binary.AppendUvarint(out, h.nextUID)
+	prev := UID(0)
+	for i := range h.objs {
+		obj, err := appendObject(nil, &h.objs[i], prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(binary.AppendUvarint(out, uint64(len(obj))), obj...)
+		prev = h.objs[i].UID
+	}
+	return out
+}
+
+// editHistory returns the history stream b changed by fn.
+func editHistory(t testing.TB, b []byte, fn func(h *history)) []byte {
+	t.Helper()
+	h := decodeHistory(t, b)
+	fn(h)
+	return h.encode(t)
+}
+
+// version returns the first version, over all objects, whose field key
+// holds want.
+func (h *history) version(t testing.TB, key string, want any) *Version {
+	t.Helper()
+	for i := range h.objs {
+		for j := range h.objs[i].Versions {
+			if v := &h.objs[i].Versions[j]; valueKey(v.Fields[key]) == valueKey(want) {
+				return v
+			}
+		}
+	}
+	t.Fatalf("fixture has no version with %s = %v", key, want)
+	return nil
+}
+
+// object returns the object with the given UID.
+func (h *history) object(t testing.TB, uid UID) *objectDoc {
+	t.Helper()
+	for i := range h.objs {
+		if h.objs[i].UID == uid {
+			return &h.objs[i]
+		}
+	}
+	t.Fatalf("fixture has no object %d", uid)
+	return nil
+}
+
 func TestLoadHistoryValidation(t *testing.T) {
 	st, _ := buildHistoryFixture(t)
 	var buf bytes.Buffer
 	if err := st.WriteHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
-	// reopen drops the end of the closed version carrying fields. Edge
-	// 101's endpoint vm2 was deleted at t0+3h and the cascade closed the
-	// edge with it, so reopening the edge makes it outlive its endpoint;
-	// reopening vm1's first version leaves an open version before the last.
-	reopen := func(fields string) string {
-		doc := regexp.MustCompile(`("fields":`+regexp.QuoteMeta(fields)+`,"start":"[^"]*"),"end":"[^"]*"`).
-			ReplaceAllString(good, "$1")
-		if doc == good {
-			t.Fatalf("fixture has no closed version with fields %s", fields)
-		}
-		return doc
+	good := buf.Bytes()
+	if again := decodeHistory(t, good).encode(t); !bytes.Equal(again, good) {
+		t.Fatal("decoding and re-encoding the fixture's history changed it")
+	}
+	edit := func(fn func(h *history)) []byte { return editHistory(t, good, fn) }
+	// reopen drops the end of the first version whose field key holds
+	// val, which must be closed. Edge 101's endpoint vm2 was deleted at t0+3h and the
+	// cascade closed the edge with it, so reopening the edge makes it
+	// outlive its endpoint; reopening vm1's first version (the first
+	// "Green" one) leaves an open version before the last.
+	reopen := func(key string, val any) []byte {
+		return edit(func(h *history) {
+			v := h.version(t, key, val)
+			if v.Period.IsCurrent() {
+				t.Fatalf("fixture version %v is already open", v.Fields)
+			}
+			v.Period = temporal.Current(v.Period.Start)
+		})
 	}
 
-	cases := map[string]string{
-		"edge outlives endpoint": reopen(`{"id":101}`),
-		"open non-final version": reopen(`{"id":1,"status":"Green"}`),
-		"garbage header":         "not json\n",
-		"wrong format":           `{"format":"other/9","objects":0,"next_uid":1}` + "\n",
+	cases := map[string][]byte{
+		"edge outlives endpoint": reopen("id", 101),
+		"open non-final version": reopen("status", "Green"),
+		"garbage header":         []byte("not a history\n"),
+		"wrong format":           append(codec.AppendString(nil, "other/9"), 0, 1),
 		"truncated":              good[:len(good)/2],
-		"unknown class":          strings.Replace(good, `"class":"VM"`, `"class":"Blob"`, 1),
-		"ill-typed field":        strings.Replace(good, `"status":"Green"`, `"status":7`, 1),
+		"unknown class":          edit(func(h *history) { h.objs[0].Class = "Blob" }),
+		"ill-typed field":        edit(func(h *history) { h.version(t, "status", "Green").Fields["status"] = 7 }),
 	}
 	for name, doc := range cases {
 		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
-		if err := st2.LoadHistory(strings.NewReader(doc)); err == nil {
+		if err := st2.LoadHistory(bytes.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -156,7 +254,7 @@ func TestLoadHistoryValidation(t *testing.T) {
 	if _, err := st3.InsertNode("Host", Fields{"id": 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st3.LoadHistory(strings.NewReader(good)); err == nil {
+	if err := st3.LoadHistory(bytes.NewReader(good)); err == nil {
 		t.Error("load into non-empty store accepted")
 	}
 }

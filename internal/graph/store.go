@@ -14,6 +14,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -363,23 +364,26 @@ func (st *Store) eachUnique(c *schema.Class, fields Fields, fn func(uniqueKey, s
 
 // valueKey canonicalizes a field value for index keys: all integer-valued
 // numerics collapse to the same key so that 5, int64(5) and 5.0 collide.
+// It runs on every insert, update and restored version, so the common
+// kinds are built with strconv rather than fmt.
 func valueKey(v any) string {
+	var buf [32]byte
 	switch n := v.(type) {
 	case int:
-		return fmt.Sprintf("i%d", int64(n))
+		return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
 	case int32:
-		return fmt.Sprintf("i%d", int64(n))
+		return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
 	case int64:
-		return fmt.Sprintf("i%d", n)
+		return string(strconv.AppendInt(append(buf[:0], 'i'), n, 10))
 	case float64:
 		if n == float64(int64(n)) {
-			return fmt.Sprintf("i%d", int64(n))
+			return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
 		}
-		return fmt.Sprintf("f%g", n)
+		return string(strconv.AppendFloat(append(buf[:0], 'f'), n, 'g', -1, 64))
 	case string:
 		return "s" + n
 	case bool:
-		return fmt.Sprintf("b%t", n)
+		return string(strconv.AppendBool(append(buf[:0], 'b'), n))
 	}
 	return fmt.Sprintf("v%v", v)
 }

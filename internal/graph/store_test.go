@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -426,5 +427,26 @@ func TestObjectLifetime(t *testing.T) {
 	}
 	if !life[0].Start.Equal(t0) || !life[0].End.Equal(t0.Add(2*time.Hour)) {
 		t.Errorf("lifetime = %v", life)
+	}
+}
+
+// TestValueKey pins every unique-index key string: integer-valued
+// numerics of any kind collapse to one "i" key, other floats keep their
+// shortest form, and kinds without a fast path print through fmt.
+func TestValueKey(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{5, "i5"}, {int64(5), "i5"}, {5.0, "i5"}, {int32(5), "i5"},
+		{-12, "i-12"}, {int64(math.MinInt64), "i-9223372036854775808"}, {-0.0, "i0"},
+		{2.5, "f2.5"}, {-1e-7, "f-1e-07"}, {1e21, "f1e+21"}, {math.NaN(), "fNaN"}, {math.Inf(1), "f+Inf"},
+		{"", "s"}, {"host-1", "shost-1"},
+		{true, "btrue"}, {false, "bfalse"},
+		{[]any{1, "x"}, "v[1 x]"}, {nil, "v<nil>"}, {float32(1.5), "v1.5"},
+	} {
+		if got := valueKey(c.v); got != c.want {
+			t.Errorf("valueKey(%#v) = %q, want %q", c.v, got, c.want)
+		}
 	}
 }

@@ -75,19 +75,17 @@ func TestLoadHistoryUIDFrontier(t *testing.T) {
 	if err := st.WriteHistory(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
-	for name, bad := range map[string]string{
-		"object":   strings.Replace(good, `{"uid":7,`, `{"uid":4611686018427387904,`, 1),
-		"endpoint": strings.Replace(good, `"src":1,"dst":4`, `"src":1,"dst":4611686018427387904`, 1),
-		"next_uid": strings.Replace(good, `"next_uid":8`, `"next_uid":4611686018427387904`, 1),
+	good := buf.Bytes()
+	const far = 1 << 62
+	for name, bad := range map[string][]byte{
+		"object":   editHistory(t, good, func(h *history) { h.object(t, 7).UID = far }),
+		"endpoint": editHistory(t, good, func(h *history) { h.object(t, 7).Dst = far }),
+		"next_uid": editHistory(t, good, func(h *history) { h.nextUID = far }),
 	} {
-		if bad == good {
-			t.Fatalf("%s: fixture changed, nothing replaced", name)
-		}
 		fresh, _ := newTestStore(t)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := fresh.LoadHistory(strings.NewReader(bad))
+		err := fresh.LoadHistory(bytes.NewReader(bad))
 		runtime.ReadMemStats(&m1)
 		if err == nil || !strings.Contains(err.Error(), "allocation frontier") {
 			t.Errorf("%s naming uid 1<<62: err = %v, want an allocation-frontier error", name, err)

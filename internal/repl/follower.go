@@ -445,6 +445,10 @@ func (f *Follower) pull() error {
 				torn = true
 				break
 			}
+			if graph.SetFormatFile(err, f.cfg.Primary+"/v1/wal") {
+				// A primary shipping another record format: no retry helps.
+				return fmt.Errorf("%w: record at stream position %d: %w", errFatal, applied, err)
+			}
 			return fmt.Errorf("repl: undecodable record at stream position %d: %w", applied, err)
 		}
 		// One group is one store write lock hold: a reader on this replica
@@ -571,6 +575,9 @@ func (f *Follower) bootstrap() error {
 			// restart the replica with a fresh store — never silently
 			// discard local state.
 			return fmt.Errorf("%w: replica needs a bootstrap but its store is not empty; restart it with a fresh store: %v", errFatal, err)
+		}
+		if graph.SetFormatFile(err, req.URL.String()) {
+			return fmt.Errorf("%w: loading snapshot: %w", errFatal, err)
 		}
 		return fmt.Errorf("repl: loading snapshot: %w", err)
 	}

@@ -443,6 +443,45 @@ func TestBootstrapRetriesAfterSeveredSnapshot(t *testing.T) {
 	}
 }
 
+// TestBootstrapRefusesRetiredFormat: a snapshot in the retired JSON
+// checkpoint format parks the link with a format error naming the
+// snapshot's URL, after one download: no retry can make it loadable.
+func TestBootstrapRefusesRetiredFormat(t *testing.T) {
+	p := newPrimary(t)
+	p.write(t, 5)
+	if err := p.mgr.Checkpoint(p.st); err != nil {
+		t.Fatal(err)
+	}
+	var downloads atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/wal", p.src.ServeWAL)
+	mux.HandleFunc("GET /v1/wal/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		downloads.Add(1)
+		rec := httptest.NewRecorder()
+		p.src.ServeSnapshot(rec, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		io.WriteString(w, `{"format":"nepal-history/1","objects":0,"next_uid":1}`+"\n")
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
+	defer f.Stop()
+	f.Start()
+	waitFor(t, "the format error", func() bool { return f.Status().LastError != "" })
+	f.Stop()
+	msg := f.Status().LastError
+	if !strings.Contains(msg, srv.URL+"/v1/wal/snapshot") || !strings.Contains(msg, `"nepal-history/1"`) {
+		t.Fatalf("LastError = %q, want a format error naming the snapshot URL", msg)
+	}
+	if n := downloads.Load(); n != 1 || f.Status().Bootstraps != 0 {
+		t.Fatalf("%d snapshot downloads, %d bootstraps; want one download and none", n, f.Status().Bootstraps)
+	}
+}
+
 // TestFollowerRejectsForeignLog repoints a follower's address at an
 // unrelated primary mid-link: the pinned log identity must park the link
 // fatally instead of resuming its offset against a foreign stream and

@@ -1,14 +1,12 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
+	"repro/internal/codec"
 	"repro/internal/graph"
 )
 
@@ -16,16 +14,25 @@ import (
 //
 //	[4 bytes little-endian payload length]
 //	[4 bytes little-endian CRC-32C of the payload]
-//	[payload: one JSON mutation document]
+//	[payload]
+//
+// and the payload is one mutation in the binary codec (internal/codec):
+//
+//	flags   one byte; bit 0 is the continuation mark, the others are zero
+//	op      one byte, graph.MutationOp
+//	uid     uvarint
+//	src dst uvarints, insert_edge only
+//	at      zigzag varint of Unix nanoseconds
+//	class   length-prefixed string, inserts only
+//	fields  a codec field map, inserts and updates only
 //
 // Records come in groups: the records of one store batch (one Mutate
 // call, one /v1/ingest request) are written with one write and made
 // durable with one sync, and recovery and replication apply a group whole
 // or not at all. Every record of a group but the last carries the
-// continuation mark — its payload starts with {"more":true, — so the CRC
-// covers it, a single-record group is exactly the pre-group record
-// format, and a log ending in a record that carries the mark ends inside
-// a group, the torn tail of a crash mid-append.
+// continuation mark, inside the CRC, so a flipped mark is corruption and
+// can never merge or split a group; a log ending in a record that carries
+// the mark ends inside a group, the torn tail of a crash mid-append.
 //
 // The CRC covers only the payload; the length prefix is validated by
 // bounds (a frame can never exceed maxRecordSize), so any bit flip in
@@ -33,41 +40,37 @@ import (
 // record that does not fully fit in the remaining bytes is a torn tail —
 // the crash left a partial write — and is distinguished from checksum
 // corruption so recovery can report what it truncated.
+//
+// The payload is canonical — decoding rejects every byte string the
+// encoder would not produce — so re-encoding a decoded record reproduces
+// its frame byte for byte. A frame whose CRC holds but whose payload is a
+// JSON document ('{' where the flags byte belongs) is a record of the
+// retired JSON log format: a *graph.FormatError, never corruption, so
+// recovery refuses an old log instead of truncating it as a torn tail.
+
+// recordFormat names the record encoding, in FormatErrors.
+const recordFormat = "nepal-wal/2"
+
+// legacyRecordFormat names the retired JSON record encoding.
+const legacyRecordFormat = "nepal-wal/1 (JSON)"
 
 const (
 	frameHeaderSize = 8
-	// maxRecordSize bounds one mutation document; a length prefix above it
-	// is treated as corruption, not as an instruction to allocate.
+	// maxRecordSize bounds one mutation's payload; a length prefix above
+	// it is treated as corruption, not as an instruction to allocate.
 	maxRecordSize = 16 << 20
 )
+
+// flagMore is the continuation mark in a payload's flags byte.
+const flagMore = 1
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errTorn marks an incomplete final frame (crash mid-append).
 var errTorn = errors.New("wal: torn record")
 
-// errCorrupt marks a frame whose length or checksum is invalid.
+// errCorrupt marks a frame whose length, checksum or payload is invalid.
 var errCorrupt = errors.New("wal: corrupt record")
-
-// recordDoc is the JSON payload of one logged mutation. More, the
-// continuation mark, is encoded first (and only when set), so a reader
-// finds it by the payload's prefix without decoding the document.
-type recordDoc struct {
-	More   bool         `json:"more,omitempty"`
-	Op     string       `json:"op"`
-	UID    int64        `json:"uid"`
-	Class  string       `json:"class,omitempty"`
-	Src    int64        `json:"src,omitempty"`
-	Dst    int64        `json:"dst,omitempty"`
-	Fields graph.Fields `json:"fields,omitempty"`
-	At     string       `json:"at"`
-}
-
-const recordTimeLayout = time.RFC3339Nano
-
-// moreMark is the payload prefix of a record that carries the
-// continuation mark.
-var moreMark = []byte(`{"more":true,`)
 
 // appendGroup appends the wire frames of one group of mutations to dst:
 // every frame but the last carries the continuation mark.
@@ -82,34 +85,51 @@ func appendGroup(dst []byte, ms []*graph.Mutation) ([]byte, error) {
 }
 
 // appendRecord appends one mutation's wire frame to dst, with the
-// continuation mark when more records of its group follow.
+// continuation mark when more records of its group follow. It encodes
+// what m's op carries and nothing else, and allocates nothing when dst
+// has room and m has at most 16 fields per nesting level. On error dst
+// comes back as it was.
 func appendRecord(dst []byte, m *graph.Mutation, more bool) ([]byte, error) {
-	payload, err := json.Marshal(recordDoc{
-		More:   more,
-		Op:     m.Op.String(),
-		UID:    int64(m.UID),
-		Class:  m.Class,
-		Src:    int64(m.Src),
-		Dst:    int64(m.Dst),
-		Fields: m.Fields,
-		At:     m.At.Format(recordTimeLayout),
-	})
-	if err != nil {
-		return dst, fmt.Errorf("wal: encoding mutation %s uid %d: %w", m.Op, m.UID, err)
+	if m.Op < graph.OpInsertNode || m.Op > graph.OpDelete {
+		return dst, fmt.Errorf("wal: encoding mutation uid %d: unknown op %s", m.UID, m.Op)
 	}
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	flags := byte(0)
+	if more {
+		flags = flagMore
+	}
+	dst = append(dst, flags, byte(m.Op))
+	dst = binary.AppendUvarint(dst, uint64(m.UID))
+	if m.Op == graph.OpInsertEdge {
+		dst = binary.AppendUvarint(dst, uint64(m.Src))
+		dst = binary.AppendUvarint(dst, uint64(m.Dst))
+	}
+	var err error
+	dst, err = codec.AppendTime(dst, m.At)
+	if err == nil && (m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge) {
+		dst = codec.AppendString(dst, m.Class)
+	}
+	if err == nil && m.Op != graph.OpDelete {
+		dst, err = codec.AppendFields(dst, m.Fields)
+	}
+	if err != nil {
+		return dst[:start], fmt.Errorf("wal: encoding mutation %s uid %d: %w", m.Op, m.UID, err)
+	}
+	payload := dst[start+frameHeaderSize:]
 	if len(payload) > maxRecordSize {
-		return dst, fmt.Errorf("wal: mutation %s uid %d encodes to %d bytes (max %d)",
+		return dst[:start], fmt.Errorf("wal: mutation %s uid %d encodes to %d bytes (max %d)",
 			m.Op, m.UID, len(payload), maxRecordSize)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
 // continued reports whether a whole frame carries the continuation mark:
 // more records of its group follow it.
 func continued(frame []byte) bool {
-	return bytes.HasPrefix(frame[frameHeaderSize:], moreMark)
+	return frame[frameHeaderSize]&flagMore != 0
 }
 
 // uint32frame reads the little-endian length prefix of a frame.
@@ -172,51 +192,46 @@ func FrameChecksum(frame []byte) uint32 {
 func IsTorn(err error) bool { return errors.Is(err, errTorn) }
 
 // IsCorrupt reports whether err marks an invalid frame (bad length,
-// checksum, or payload document).
+// checksum, or payload).
 func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 
 // decodeRecord reads one frame from the front of b, returning the decoded
 // mutation and the number of bytes consumed. It returns errTorn when b
-// ends before the frame does and errCorrupt when the length bound, the
-// checksum, or the payload document is invalid.
+// ends before the frame does, errCorrupt when the length bound, the
+// checksum, or the payload is invalid, and a *graph.FormatError when the
+// payload is a record of the retired JSON format.
 func decodeRecord(b []byte) (*graph.Mutation, int, error) {
-	if len(b) < frameHeaderSize {
-		return nil, 0, errTorn
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n == 0 || n > maxRecordSize {
-		return nil, 0, fmt.Errorf("%w: implausible length prefix %d", errCorrupt, n)
-	}
-	if len(b) < frameHeaderSize+int(n) {
-		return nil, 0, errTorn
-	}
-	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
-	want := binary.LittleEndian.Uint32(b[4:8])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", errCorrupt, want, got)
-	}
-	var doc recordDoc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return nil, 0, fmt.Errorf("%w: undecodable payload: %v", errCorrupt, err)
-	}
-	if doc.More != bytes.HasPrefix(payload, moreMark) {
-		return nil, 0, fmt.Errorf("%w: continuation mark out of place", errCorrupt)
-	}
-	op, err := graph.ParseMutationOp(doc.Op)
+	n, err := frameSize(b)
 	if err != nil {
+		return nil, 0, err
+	}
+	payload := b[frameHeaderSize:n]
+	if payload[0] == '{' {
+		return nil, 0, &graph.FormatError{Got: legacyRecordFormat, Want: recordFormat}
+	}
+	var r codec.Reader
+	r.Reset(payload)
+	if r.Byte()&^flagMore != 0 {
+		return nil, 0, fmt.Errorf("%w: unknown flag bits %#x", errCorrupt, payload[0])
+	}
+	m := &graph.Mutation{Op: graph.MutationOp(r.Byte()), UID: graph.UID(r.Uvarint())}
+	switch m.Op {
+	case graph.OpInsertNode, graph.OpUpdate, graph.OpDelete:
+	case graph.OpInsertEdge:
+		m.Src, m.Dst = graph.UID(r.Uvarint()), graph.UID(r.Uvarint())
+	default:
+		r.Fail("unknown op %d", m.Op)
+	}
+	m.At = r.Time()
+	if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
+		m.Class = r.Str()
+	}
+	if m.Op != graph.OpDelete {
+		m.Fields = r.Fields()
+	}
+	r.Done()
+	if err := r.Err(); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-	at, err := time.Parse(recordTimeLayout, doc.At)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: bad timestamp %q: %v", errCorrupt, doc.At, err)
-	}
-	return &graph.Mutation{
-		Op:     op,
-		UID:    graph.UID(doc.UID),
-		Class:  doc.Class,
-		Src:    graph.UID(doc.Src),
-		Dst:    graph.UID(doc.Dst),
-		Fields: doc.Fields,
-		At:     at,
-	}, frameHeaderSize + int(n), nil
+	return m, n, nil
 }

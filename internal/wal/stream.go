@@ -364,7 +364,7 @@ func readSegIdx(dir string, seq uint64) (start, hash uint64, ok bool, err error)
 }
 
 // frameSize validates one frame's header and checksum and returns its
-// full byte length, without decoding the payload document — the cheap
+// full byte length, without decoding the payload — the cheap
 // check the stream reader applies to every frame it walks or ships.
 func frameSize(b []byte) (int, error) {
 	n, err := frameLen(b)

@@ -271,6 +271,7 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 		err = st.LoadHistory(f)
 		f.Close()
 		if err != nil {
+			graph.SetFormatFile(err, cp)
 			return nil, stats, fmt.Errorf("wal: loading checkpoint: %w", err)
 		}
 		stats.CheckpointLoaded = true
@@ -396,6 +397,7 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 		ms, ends, err := DecodeGroup(data[off:])
 		if err != nil {
 			if !last || !(errors.Is(err, errTorn) || errors.Is(err, errCorrupt)) {
+				graph.SetFormatFile(err, path)
 				return 0, 0, fmt.Errorf("wal: segment %d offset %d: %w", seg.seq, off, err)
 			}
 			if terr := os.Truncate(path, int64(off)); terr != nil {

@@ -285,11 +285,26 @@ func (h *Hub) Close() {
 }
 
 // pump is the hub's only evaluation goroutine: it folds feed batches
-// into the registered standing queries, one batch at a time.
+// into the registered standing queries, one batch at a time. With no
+// query registered it reads nothing: it moves the cursor to the feed's
+// end and waits for the next change. That skips nothing a later
+// subscriber needs, because Register's initial snapshot is evaluated
+// after every record before the cursor was applied, and the cursor only
+// moves forward.
 func (h *Hub) pump() {
 	for {
 		ch := h.feed.Changed()
 		h.mu.Lock()
+		if len(h.subs) == 0 {
+			h.cursor = max(h.cursor, h.feed.NextIndex())
+			h.mu.Unlock()
+			select {
+			case <-ch:
+				continue
+			case <-h.done:
+				return
+			}
+		}
 		from := h.cursor
 		h.mu.Unlock()
 		events, next, err := h.feed.Read(from, defaultMaxEvents)

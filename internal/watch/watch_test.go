@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,6 +385,70 @@ func TestStandingQueryFailureIsSurfaced(t *testing.T) {
 	if err != nil || n.Kind != KindDelta || n.Delta.Full ||
 		!slices.Equal(n.Delta.Added, []string{"host-b"}) || !slices.Equal(n.Delta.Removed, []string{"host-a"}) {
 		t.Fatalf("delta back under the limit = %+v, %v; want host-b added and host-a removed", n, err)
+	}
+}
+
+// countingFeed counts the Reads a hub makes of its feed.
+type countingFeed struct {
+	Feed
+	reads atomic.Int64
+}
+
+func (f *countingFeed) Read(from uint64, maxEvents int) ([]Event, uint64, error) {
+	f.reads.Add(1)
+	return f.Feed.Read(from, maxEvents)
+}
+
+// TestIdleHubReadsNothing: a hub with no standing query registered reads
+// nothing from its feed however many writes land, and a query registered
+// after them still gets a delta for the next write, at an index covering
+// that write.
+func TestIdleHubReadsNothing(t *testing.T) {
+	db := openWALDB(t)
+	feed := &countingFeed{Feed: NewWALFeed(db.WAL(), db.Store())}
+	hub := NewHub(db, feed, obs.NewRegistry())
+	defer hub.Close()
+
+	for i := int64(1); i <= 20; i++ {
+		insertHost(t, db, i, "idle-"+strconv.FormatInt(i, 10))
+	}
+	// Let the pump see the writes: its cursor reaches the feed's end.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hub.mu.Lock()
+		cursor := hub.cursor
+		hub.mu.Unlock()
+		if cursor == feed.NextIndex() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idle pump's cursor stuck at %d; feed end %d", cursor, feed.NextIndex())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := feed.reads.Load(); n != 0 {
+		t.Fatalf("idle hub made %d feed reads; want 0", n)
+	}
+
+	sub, err := hub.Register("hosts", "Select source(P).name From PATHS P Where P MATCHES ComputeHost()", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	n, err := sub.Next(ctx)
+	if err != nil || !n.Delta.Full || len(n.Delta.Added) != 20 {
+		t.Fatalf("initial notification = %+v, %v; want a full delta of 20 rows", n, err)
+	}
+
+	insertHost(t, db, 21, "late")
+	n, err = sub.Next(ctx)
+	if err != nil || n.Kind != KindDelta || !slices.Equal(n.Delta.Added, []string{"late"}) {
+		t.Fatalf("delta after registering = %+v, %v; want host late added", n, err)
+	}
+	if want := db.WAL().NextIndex(); n.Delta.Index != want {
+		t.Fatalf("delta index %d; want %d, covering the write", n.Delta.Index, want)
 	}
 }
 
