@@ -60,8 +60,8 @@ func main() {
 	}
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
-		p := row.Values[0].(plan.Pathway)
-		line := db.RenderPath(p)
+		p := row.Values[0].(*plan.Pathway)
+		line := db.RenderPath(*p)
 		if seen[line] {
 			continue
 		}

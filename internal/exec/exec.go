@@ -128,7 +128,7 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 }
 
 func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
-	sl, rows, err := x.rows(a, nil, workRow{}, rc)
+	sl, rows, err := x.rows(a, nil, Row{}, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -145,16 +145,17 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 	}
 	// Pathway-set aggregation: count(P) counts distinct pathways bound to
 	// the variable across the result rows and collapses to a single row.
+	// The set dedups on the elements alone: validity plays no part.
 	if len(a.Query.Projs) > 0 && a.Query.Projs[0].Fn == query.FnCount {
 		var out Row
 		for _, t := range a.Query.Projs {
-			distinct := map[string]bool{}
+			var distinct plan.PathwaySet
 			for _, row := range rows {
 				if p, ok := sl.lookup(t.Var, row.bind); ok {
-					distinct[p.Key()] = true
+					distinct.Add(plan.Pathway{Elems: p.Elems})
 				}
 			}
-			out.Values = append(out.Values, int64(len(distinct)))
+			out.Values = append(out.Values, int64(distinct.Len()))
 		}
 		res.Rows = append(res.Rows, out)
 		return res, nil
@@ -165,18 +166,18 @@ func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
 	// One slab backs every row's Values.
 	n := len(a.Query.Projs)
 	vals := make([]any, len(rows)*n)
-	res.Rows = make([]Row, len(rows))
-	for i, row := range rows {
-		out := Row{Values: vals[i*n : (i+1)*n : (i+1)*n], Coexist: row.coexist, bind: row.bind, slots: sl}
+	for i := range rows {
+		row := &rows[i]
+		row.Values = vals[i*n : (i+1)*n : (i+1)*n]
 		for j, t := range a.Query.Projs {
-			v, err := x.termValue(a, t, sl, row)
+			v, err := x.termValue(a, t, sl, row.bind)
 			if err != nil {
 				return nil, err
 			}
-			out.Values[j] = v
+			row.Values[j] = v
 		}
-		res.Rows[i] = out
 	}
+	res.Rows = rows
 	return res, nil
 }
 
@@ -209,16 +210,10 @@ func (sl *slots) lookup(name string, bind []plan.Pathway) (plan.Pathway, bool) {
 	return plan.Pathway{}, false
 }
 
-// workRow is a candidate tuple during join processing.
-type workRow struct {
-	bind    []plan.Pathway // by slot; carved from its evaluation step's slab
-	coexist temporal.Set   // query-level time semantics only
-}
-
-// rows materializes the joined tuples of a query and the slots they bind.
-// outer and outerRow supply the bindings of a correlated subquery's
-// enclosing tuple; outer is nil at the top level.
-func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow workRow, rc *runCtx) (*slots, []workRow, error) {
+// rows materializes the joined tuples of a query, as rows without Values,
+// and the slots they bind. outer and outerRow supply the bindings of a
+// correlated subquery's enclosing tuple; outer is nil at the top level.
+func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow Row, rc *runCtx) (*slots, []Row, error) {
 	q := a.Query
 	order, err := x.evalOrder(a)
 	if err != nil {
@@ -241,34 +236,42 @@ func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow workRow, rc *r
 	// Evaluate variables in order, growing the tuple set and applying join
 	// predicates as soon as both sides are bound (pushing selections into
 	// the nested-loops join).
-	tuples := []workRow{outerRow}
+	tuples := []Row{outerRow}
 	for k, step := range order {
 		width := base + k + 1
 		view := sl.views[width-1]
-		var next []workRow
+		var next []Row
 		for _, tup := range tuples {
 			// Checkpoint between tuple evaluations: a canceled query stops
 			// growing the join instead of finishing the nested loop.
 			if err := rc.gov.Check(); err != nil {
 				return nil, nil, err
 			}
-			paths, err := x.evalVar(a, step, view, sl, tup, rc)
+			paths, err := x.evalVar(a, step, view, sl, tup.bind, rc)
 			if err != nil {
 				return nil, nil, err
 			}
 			if next == nil && len(paths) > 0 {
 				// Exact for the first (often only) tuple; later ones append.
-				next = make([]workRow, 0, len(paths))
+				next = make([]Row, 0, len(paths))
 			}
-			// One slab holds every new tuple's slots: the parent's, then
-			// the pathway just bound. A tuple the joins reject gives its
-			// slots back to the next one.
-			slab := make([]plan.Pathway, 0, len(paths)*width)
-			for _, p := range paths {
+			// A tuple with no slots yet binds each pathway in place, as a
+			// window of the evaluation's own set. Otherwise one slab holds
+			// every new tuple's slots: the parent's, then the pathway just
+			// bound. A tuple the joins reject gives its slots back to the
+			// next one.
+			var slab []plan.Pathway
+			if width > 1 {
+				slab = make([]plan.Pathway, 0, len(paths)*width)
+			}
+			for i := range paths {
 				at := len(slab)
-				slab = append(append(slab, tup.bind...), p)
-				nt := workRow{bind: slab[at:len(slab):len(slab)]}
-				if !x.joinsSatisfied(a, joins, sl, nt) {
+				nt := Row{bind: paths[i : i+1 : i+1], slots: sl}
+				if width > 1 {
+					slab = append(append(slab, tup.bind...), paths[i])
+					nt.bind = slab[at:len(slab):len(slab)]
+				}
+				if !x.joinsSatisfied(a, joins, sl, nt.bind) {
 					slab = slab[:at]
 					continue
 				}
@@ -284,14 +287,14 @@ func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow workRow, rc *r
 		window := x.windowFor(q)
 		kept := tuples[:0] // filtered in place
 		for _, tup := range tuples {
-			co := coexistence(q, sl, tup)
+			co := coexistence(q, sl, tup.bind)
 			if co.IsEmpty() {
 				continue
 			}
 			if !co.Overlaps(window) {
 				continue
 			}
-			tup.coexist = co
+			tup.Coexist = co
 			kept = append(kept, tup)
 		}
 		tuples = kept
@@ -416,12 +419,12 @@ func (x *Executor) findSeed(a *query.Analyzed, name string, placed map[string]bo
 // query's governor and trace threaded through, folding the evaluation's
 // metrics into the run context. An engine error fails the query with that
 // error.
-func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl *slots, tup workRow, rc *runCtx) ([]plan.Pathway, error) {
+func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl *slots, bind []plan.Pathway, rc *runCtx) ([]plan.Pathway, error) {
 	rc.plans[step.name] = step.plan
 	eng := x.engineFor(step.name)
 	opts := plan.EvalOpts{Gov: rc.gov, TraceParent: rc.varSpan(step.name)}
 	if step.seeded {
-		seeds, err := x.seedsFor(step, sl, tup, eng)
+		seeds, err := x.seedsFor(step, sl, bind, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -436,11 +439,11 @@ func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl
 }
 
 // seedsFor resolves the seed nodes of a seeded step for evaluation on
-// eng: the joined variable's endpoint in this tuple, translated into
-// eng's store when the stores differ (identity crosses via the unique
-// id field).
-func (x *Executor) seedsFor(step evalStep, sl *slots, tup workRow, eng *plan.Engine) ([]graph.UID, error) {
-	seedPath, ok := sl.lookup(step.seedVar, tup.bind)
+// eng: the joined variable's endpoint in the tuple of bind, translated
+// into eng's store when the stores differ (identity crosses via the
+// unique id field).
+func (x *Executor) seedsFor(step evalStep, sl *slots, bind []plan.Pathway, eng *plan.Engine) ([]graph.UID, error) {
+	seedPath, ok := sl.lookup(step.seedVar, bind)
 	if !ok {
 		return nil, fmt.Errorf("exec: internal: seed variable %q not bound", step.seedVar)
 	}
@@ -516,14 +519,14 @@ func translateSeed(from, to *graph.Store, seed graph.UID) ([]graph.UID, error) {
 }
 
 // joinsSatisfied applies all join predicates whose variables are bound in
-// the tuple (just-bound variable included).
-func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, sl *slots, tup workRow) bool {
+// the tuple of bind (just-bound variable included).
+func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, sl *slots, bind []plan.Pathway) bool {
 	for _, jp := range joins {
-		if sl.slot(jp.Left.Var, tup.bind) < 0 || sl.slot(jp.Right.Var, tup.bind) < 0 {
+		if sl.slot(jp.Left.Var, bind) < 0 || sl.slot(jp.Right.Var, bind) < 0 {
 			continue
 		}
-		lv, lerr := x.joinValue(a, jp.Left, sl, tup)
-		rv, rerr := x.joinValue(a, jp.Right, sl, tup)
+		lv, lerr := x.joinValue(a, jp.Left, sl, bind)
+		rv, rerr := x.joinValue(a, jp.Right, sl, bind)
 		if lerr != nil || rerr != nil {
 			return false
 		}
@@ -537,12 +540,12 @@ func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, sl
 
 // joinValue computes a join term's comparable value: the endpoint node's
 // unique id (store-independent identity), a field value, or the length.
-func (x *Executor) joinValue(a *query.Analyzed, t query.Term, sl *slots, tup workRow) (any, error) {
-	i := sl.slot(t.Var, tup.bind)
+func (x *Executor) joinValue(a *query.Analyzed, t query.Term, sl *slots, bind []plan.Pathway) (any, error) {
+	i := sl.slot(t.Var, bind)
 	if i < 0 {
 		return nil, fmt.Errorf("exec: unbound variable %q", t.Var)
 	}
-	p := tup.bind[i]
+	p := bind[i]
 	if t.Fn == query.FnLen {
 		return int64(p.Hops()), nil
 	}
@@ -567,18 +570,21 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, sl *slots, tup wor
 	return fields[field], nil
 }
 
-// termValue computes a projection value for a finished row.
-func (x *Executor) termValue(a *query.Analyzed, t query.Term, sl *slots, row workRow) (any, error) {
+// termValue computes a projection value for a finished row's tuple: a
+// pathway projection is a pointer to its slot in bind, not a copy.
+func (x *Executor) termValue(a *query.Analyzed, t query.Term, sl *slots, bind []plan.Pathway) (any, error) {
 	if t.Fn == query.FnNone {
-		p, _ := sl.lookup(t.Var, row.bind)
-		return p, nil
+		if i := sl.slot(t.Var, bind); i >= 0 {
+			return &bind[i], nil
+		}
+		return nil, fmt.Errorf("exec: unbound variable %q", t.Var)
 	}
-	return x.joinValue(a, t, sl, row)
+	return x.joinValue(a, t, sl, bind)
 }
 
 // applyNotExists filters tuples through one NOT EXISTS subquery.
-func (x *Executor) applyNotExists(sub *query.Analyzed, sl *slots, tuples []workRow, rc *runCtx) ([]workRow, error) {
-	var kept []workRow
+func (x *Executor) applyNotExists(sub *query.Analyzed, sl *slots, tuples []Row, rc *runCtx) ([]Row, error) {
+	var kept []Row
 	for _, tup := range tuples {
 		_, subRows, err := x.rows(sub, sl, tup, rc)
 		if err != nil {
@@ -634,12 +640,12 @@ func (x *Executor) windowFor(q *query.Query) temporal.Interval {
 	return temporal.Between(q.At.Start, q.At.Start.Add(time.Nanosecond))
 }
 
-// coexistence intersects all bound pathway validities of a row.
-func coexistence(q *query.Query, sl *slots, tup workRow) temporal.Set {
+// coexistence intersects all bound pathway validities of a tuple.
+func coexistence(q *query.Query, sl *slots, bind []plan.Pathway) temporal.Set {
 	var co temporal.Set
 	first := true
 	for _, rv := range q.Vars {
-		p, ok := sl.lookup(rv.Name, tup.bind)
+		p, ok := sl.lookup(rv.Name, bind)
 		if !ok {
 			continue
 		}
@@ -655,7 +661,7 @@ func coexistence(q *query.Query, sl *slots, tup workRow) temporal.Set {
 
 // aggregate computes First/Last/When-Exists over the row times: with
 // per-variable time, each bound pathway's own validity.
-func aggregate(q *query.Query, rows []workRow, perVar bool) *AggValue {
+func aggregate(q *query.Query, rows []Row, perVar bool) *AggValue {
 	var all temporal.Set
 	for _, tup := range rows {
 		if perVar {
@@ -664,7 +670,7 @@ func aggregate(q *query.Query, rows []workRow, perVar bool) *AggValue {
 			}
 			continue
 		}
-		all = append(all, tup.coexist...)
+		all = append(all, tup.Coexist...)
 	}
 	all = all.Normalize()
 	if q.At != nil && q.At.IsRange {

@@ -85,9 +85,9 @@ func TestRetrieveTopDown(t *testing.T) {
 			t.Fatalf("rows = %d, want 2", len(res.Rows))
 		}
 		for _, row := range res.Rows {
-			p, ok := row.Values[0].(plan.Pathway)
+			p, ok := row.Values[0].(*plan.Pathway)
 			if !ok {
-				t.Fatalf("Retrieve value is %T, want Pathway", row.Values[0])
+				t.Fatalf("Retrieve value is %T, want *plan.Pathway", row.Values[0])
 			}
 			if p.Source() != f.d.FirewallVNF {
 				t.Errorf("source = %d, want firewall VNF", p.Source())
@@ -135,7 +135,7 @@ func TestJoinPhysicalPathBetweenVNFs(t *testing.T) {
 			t.Fatal("no physical paths found between the VNF hosts")
 		}
 		for _, row := range res.Rows {
-			p := row.Values[0].(plan.Pathway)
+			p := row.Values[0].(*plan.Pathway)
 			if p.Source() != f.d.Host1 || p.Target() != f.d.Host2 {
 				t.Errorf("physical path endpoints = %d -> %d", p.Source(), p.Target())
 			}
@@ -165,7 +165,7 @@ func TestNotExistsIdleVMs(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Fatalf("idle VMs = %d, want 1", len(res.Rows))
 		}
-		p := res.Rows[0].Values[0].(plan.Pathway)
+		p := res.Rows[0].Values[0].(*plan.Pathway)
 		if p.Source() != idle {
 			t.Errorf("idle VM = %d, want %d", p.Source(), idle)
 		}
@@ -506,7 +506,7 @@ func TestSharedElements(t *testing.T) {
 		res := f.run(t, `Retrieve P From PATHS P Where P MATCHES VNF(vnfType='firewall')->[Vertical()]{1,6}->Host()`)
 		var paths []plan.Pathway
 		for _, row := range res.Rows {
-			paths = append(paths, row.Values[0].(plan.Pathway))
+			paths = append(paths, *row.Values[0].(*plan.Pathway))
 		}
 		shared := plan.SharedElements(paths)
 		want := map[graph.UID]bool{f.d.FirewallVNF: true, f.d.Host1: true}
@@ -583,7 +583,7 @@ func TestCorrelatedSeededSubquery(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Fatalf("hosts without placements = %d, want 1 (host-2)", len(res.Rows))
 		}
-		if res.Rows[0].Values[0].(plan.Pathway).Source() != f.d.Host2 {
+		if res.Rows[0].Values[0].(*plan.Pathway).Source() != f.d.Host2 {
 			t.Fatal("wrong host qualified")
 		}
 	})

@@ -27,15 +27,16 @@ import (
 // Row is one result tuple: the pathway bound to each range variable plus
 // its temporal annotation.
 type Row struct {
-	// Values holds the projected values in projection order: a
-	// plan.Pathway for Retrieve, scalars for Select terms. All rows of a
-	// result share one backing array.
+	// Values holds the projected values in projection order: for
+	// Retrieve a *plan.Pathway pointing at the row's binding, scalars for
+	// Select terms. All rows of a result share one backing array.
 	Values []any
 	// Coexist is the maximal range during which all bound pathways
 	// coexisted; populated for query-level time semantics.
 	Coexist temporal.Set
-	// bind holds the pathway of each range variable by slot, a window of
-	// its join step's slab; slots names them.
+	// bind holds the pathway of each range variable by slot: a window of
+	// the evaluation's pathway set when the query binds one variable, of
+	// its last join step's slab otherwise; slots names them.
 	bind  []plan.Pathway
 	slots *slots
 }
@@ -112,8 +113,8 @@ func (r *Result) Format(render func(plan.Pathway) string) string {
 	for _, row := range r.Rows {
 		parts := make([]string, len(row.Values))
 		for i, v := range row.Values {
-			if p, ok := v.(plan.Pathway); ok {
-				parts[i] = render(p)
+			if p, ok := v.(*plan.Pathway); ok {
+				parts[i] = render(*p)
 				if len(p.Validity) > 0 {
 					parts[i] += " " + p.Validity.String()
 				}

@@ -3,12 +3,15 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // paths returns the pathways of a one-variable Retrieve.
@@ -16,7 +19,7 @@ func (f *fixture) paths(t *testing.T, src string) []plan.Pathway {
 	t.Helper()
 	var out []plan.Pathway
 	for _, row := range f.run(t, src).Rows {
-		out = append(out, row.Values[0].(plan.Pathway))
+		out = append(out, *row.Values[0].(*plan.Pathway))
 	}
 	return out
 }
@@ -41,10 +44,10 @@ func sameStrings(t *testing.T, what string, got, want []string) {
 }
 
 // TestRowAllocations pins what the executor adds to the engine's search
-// for a one-variable Retrieve: a constant plus at most two allocations
-// per row (the Pathway boxed into Values is one). Bindings live in one
-// slab per evaluation step and Values in one per result, so no row
-// carries a map of its own.
+// for a one-variable Retrieve: a constant, whatever the number of rows.
+// The rows are built once, each binding is a window of the evaluation's
+// pathway set, Values share one slab per result and a projected pathway
+// is a pointer to its binding, so nothing is allocated per row.
 func TestRowAllocations(t *testing.T) {
 	f := newFixture(t, "gremlin")
 	for i := 0; i < 200; i++ {
@@ -66,7 +69,7 @@ func TestRowAllocations(t *testing.T) {
 	run := testing.AllocsPerRun(20, func() { f.x.Run(ctx, a, RunOptions{}) })
 	search := testing.AllocsPerRun(20, func() { f.x.Default.EvalWith(view, p, plan.EvalOpts{}) })
 	rows := len(res.Rows)
-	if extra, bound := run-search, 40+2*rows; rows < 200 || extra > float64(bound) {
+	if extra, bound := run-search, 40; rows < 200 || extra > float64(bound) {
 		t.Errorf("%d rows: the executor allocates %.0f on top of the search's %.0f, want at most %d",
 			rows, extra, search, bound)
 	}
@@ -95,7 +98,7 @@ func TestBindingSourceTargetJoin(t *testing.T) {
 		var got []string
 		for _, row := range res.Rows {
 			p, q := mustBinding(t, row, "P"), mustBinding(t, row, "Q")
-			if row.Values[0].(plan.Pathway).Key() != p.Key() || row.Values[1].(plan.Pathway).Key() != q.Key() {
+			if row.Values[0].(*plan.Pathway).Key() != p.Key() || row.Values[1].(*plan.Pathway).Key() != q.Key() {
 				t.Errorf("projected %v, bound P=%s Q=%s", row.Values, p.Key(), q.Key())
 			}
 			got = append(got, p.Key()+" / "+q.Key()+" "+row.Coexist.String())
@@ -210,6 +213,78 @@ func TestBindingPerVariableTimes(t *testing.T) {
 		}
 		if row.VarTime("X") != nil {
 			t.Error("VarTime of an undeclared variable is not nil")
+		}
+	})
+}
+
+// TestRetainedResult keeps the Results of queries whose rows bind an
+// evaluation's pathway set in place (one variable) and through a join
+// step's slab (two), then runs them and larger and smaller queries from
+// four goroutines on the same executor, every evaluation reusing pooled
+// search scratch: each kept row's projected values, bindings and
+// coexistence must read as they did when the Result was returned.
+func TestRetainedResult(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		var analyzed []*query.Analyzed
+		for _, src := range []string{
+			"Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()",
+			`Retrieve P, Q From PATHS P, PATHS Q
+				Where P MATCHES VNF()->[Vertical()]{1,6}->Host()
+				And Q MATCHES Host()->[PhysicalLink()]{1,2}->Switch()
+				And source(Q) = target(P)`,
+			"Select source(P).name, len(P) From PATHS P Where P MATCHES VM()->OnServer()->Host()",
+			"Retrieve Q From PATHS Q Where Q MATCHES Host()->[PhysicalLink()]{1,6}->Host()",
+		} {
+			analyzed = append(analyzed, f.analyze(t, src))
+		}
+		snapshot := func(res *Result) []string {
+			var out []string
+			for _, row := range res.Rows {
+				line := row.Coexist.String()
+				for _, v := range row.Values {
+					if p, ok := v.(*plan.Pathway); ok {
+						line += " | " + p.Key() + " " + p.Validity.String()
+					} else {
+						line += fmt.Sprintf(" | %v", v)
+					}
+				}
+				for _, name := range []string{"P", "Q"} {
+					if p, ok := row.Binding(name); ok {
+						line += " / " + name + "=" + p.Key() + " " + p.Validity.String()
+					}
+				}
+				out = append(out, line)
+			}
+			return out
+		}
+		ctx := context.Background()
+		kept := make([]*Result, len(analyzed))
+		want := make([][]string, len(analyzed))
+		for i, a := range analyzed {
+			res, err := f.x.Run(ctx, a, RunOptions{})
+			if err != nil || len(res.Rows) == 0 {
+				t.Fatalf("query %d: %d rows, err %v", i, len(res.Rows), err)
+			}
+			kept[i], want[i] = res, snapshot(res)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := 0; n < 20; n++ {
+					if _, err := f.x.Run(ctx, analyzed[(g+n)%len(analyzed)], RunOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for i, res := range kept {
+			if got := snapshot(res); !slices.Equal(got, want[i]) {
+				t.Errorf("query %d: the kept rows changed under later queries:\n got %v\nwant %v", i, got, want[i])
+			}
 		}
 	})
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // TestExtendAllocations pins the search core's memory model: what one
-// untraced evaluation allocates is bounded by the pathways it emits and
-// the anchors it starts from, not by the edges it scans or how deep it
+// untraced evaluation allocates is bounded by the anchors it starts from,
+// not by the pathways it emits, the edges it scans or how deep it
 // searches. It runs a Host-Host query at 4 and at 6 hops on the demo
 // topology, and again with the demo's fabric widened to seven spines,
 // where the 6-hop search explores over twice the partial pathways of the
@@ -25,14 +25,15 @@ import (
 // for the query and half need the validity computation's boundary
 // slicing — and both regimes must stay within the same bound.
 //
-// The search scratch is pooled, so a warm evaluation pays only for what
-// it returns: the set, and per pathway its validity and its share of the
-// set's doubling arrays. The relational backend builds a result slice
-// per adjacency probe — physical access, outside the shared core — so it
-// is allowed one allocation per expanded partial on top; gremlin hands
-// out the store's own adjacency lists and gets the bare bound. Under
-// -race, sync.Pool drops a random quarter of what is put back, so the
-// bound there allows one freshly grown scratch per evaluation.
+// The search scratch is pooled and the result is built in it, so a warm
+// evaluation pays only for what it returns: the set, sealed at exact size
+// in three arrays whatever the number of pathways. The relational backend
+// builds a result slice per adjacency probe — physical access, outside
+// the shared core — so it is allowed one allocation per expanded partial
+// on top; gremlin hands out the store's own adjacency lists and gets the
+// bare bound. Under -race, sync.Pool drops a random quarter of what is
+// put back, so the bound there allows one freshly grown scratch per
+// evaluation.
 func TestExtendAllocations(t *testing.T) {
 	for _, fx := range []struct {
 		spines int
@@ -83,7 +84,7 @@ func TestExtendAllocations(t *testing.T) {
 					t.Fatalf("%s: %d pathways, err %v", name, set.Len(), err)
 				}
 				allocs := testing.AllocsPerRun(20, func() { eng.EvalWith(view, p, plan.EvalOpts{}) })
-				bound := 4*set.Len() + 2*m.AnchorRecords + 16
+				bound := 2*m.AnchorRecords + 16
 				if name == "relational" {
 					bound += m.PartialsExplored
 				}

@@ -43,21 +43,16 @@ func (p Pathway) Len() int { return len(p.Elems) }
 func (p Pathway) Hops() int { return len(p.Elems) / 2 }
 
 // Key returns a canonical identity string over the element UIDs: what
-// count(P) and the watch hub's row keys compare, and what PathwaySet's
-// collision spill is keyed by.
+// the watch hub's row keys compare.
 func (p Pathway) Key() string {
-	return string(appendKey(make([]byte, 0, 8*len(p.Elems)), p.Elems))
-}
-
-// appendKey appends the Key of an element sequence to dst.
-func appendKey(dst []byte, elems []graph.UID) []byte {
-	for i, uid := range elems {
+	b := make([]byte, 0, 8*len(p.Elems))
+	for i, uid := range p.Elems {
 		if i > 0 {
-			dst = append(dst, ',')
+			b = append(b, ',')
 		}
-		dst = strconv.AppendInt(dst, int64(uid), 10)
+		b = strconv.AppendInt(b, int64(uid), 10)
 	}
-	return dst
+	return string(b)
 }
 
 // Render renders the pathway for display: Class#uid chained with arrows,
@@ -83,28 +78,20 @@ func (p Pathway) Render(st *graph.Store) string {
 
 // PathwaySet is a deduplicated collection of pathways. Duplicate element
 // sequences merge by unioning their validity sets — the true assertion
-// range of a pathway is the union over all accepting runs.
+// range of a pathway is the union over all accepting runs. The zero value
+// is an empty set.
 type PathwaySet struct {
-	// byHash indexes paths by hashElems of their elements; spill, keyed
-	// by Key, holds the rare pathway whose hash an earlier one took. A
-	// hit is confirmed by comparing the elements, so a collision costs a
-	// spill probe, never a wrong merge.
-	byHash map[uint64]int32
-	spill  map[string]int32
-	paths  []Pathway
-	// slab backs the Elems of pathways the engine admits: one array per
-	// doubling chunk instead of one per pathway.
-	slab []graph.UID
+	paths []Pathway
+	// table is the dedup index: open-addressed, probed linearly from
+	// hashElems of the elements, each slot 0 (empty) or 1 + an index into
+	// paths. A probe's hit is confirmed by comparing the elements, so a
+	// hash collision costs a probe, never a wrong merge. find keeps it at
+	// most half full. A set EvalWith returns has none until its first Add.
+	table []int32
 }
-
-// slabMax caps a slab chunk (in UIDs), bounding both the tail a set
-// leaves unused and what a single retained Pathway can pin.
-const slabMax = 4096
 
 // NewPathwaySet returns an empty set.
-func NewPathwaySet() *PathwaySet {
-	return &PathwaySet{byHash: make(map[uint64]int32)}
-}
+func NewPathwaySet() *PathwaySet { return &PathwaySet{} }
 
 // hashElems is the hash PathwaySet dedups on: each element is folded in
 // through the splitmix64 finaliser, a bijection, so sequences that share
@@ -125,48 +112,60 @@ func (s *PathwaySet) Add(p Pathway) { s.add(hashElems(p.Elems), p) }
 
 // add is Add for elements already hashed to h.
 func (s *PathwaySet) add(h uint64, p Pathway) {
-	if i, ok := s.find(h, p.Elems); ok {
+	if i, slot := s.find(h, p.Elems); i >= 0 {
 		s.paths[i].Validity = s.paths[i].Validity.Union(p.Validity)
-		return
+	} else {
+		s.insert(slot, p)
 	}
-	s.insert(h, p)
 }
 
 // find returns the index of the pathway whose elements are elems, which
-// hash to h. It does not allocate unless h is a true collision.
-func (s *PathwaySet) find(h uint64, elems []graph.UID) (int32, bool) {
-	i, ok := s.byHash[h]
-	if !ok || slices.Equal(s.paths[i].Elems, elems) {
-		return i, ok
+// hash to h, or -1 and the empty slot insert then takes. It first grows
+// the table, if need be, to stay at most half full after that insert.
+func (s *PathwaySet) find(h uint64, elems []graph.UID) (i int32, slot int) {
+	if len(s.table) < 2*(len(s.paths)+1) {
+		s.reindex()
 	}
-	i, ok = s.spill[string(appendKey(nil, elems))]
-	return i, ok
-}
-
-// insert appends a pathway find reported absent, indexing it under h.
-func (s *PathwaySet) insert(h uint64, p Pathway) {
-	i := int32(len(s.paths))
-	if _, taken := s.byHash[h]; !taken {
-		s.byHash[h] = i
-	} else {
-		if s.spill == nil {
-			s.spill = make(map[string]int32)
+	mask := len(s.table) - 1
+	for slot = int(h & uint64(mask)); ; slot = (slot + 1) & mask {
+		e := s.table[slot]
+		if e == 0 {
+			return -1, slot
 		}
-		s.spill[p.Key()] = i
+		if slices.Equal(s.paths[e-1].Elems, elems) {
+			return e - 1, slot
+		}
 	}
-	s.paths = append(grown(s.paths, 1), p)
 }
 
-// admit inserts a pathway find reported absent. elems is scratch memory:
-// the set keeps its own copy, carved from the slab with its capacity
-// clipped so an append by a consumer cannot reach a neighbour.
-func (s *PathwaySet) admit(h uint64, elems []graph.UID, validity temporal.Set) {
-	if n := len(elems); cap(s.slab)-len(s.slab) < n {
-		s.slab = make([]graph.UID, 0, max(n, min(2*cap(s.slab), slabMax)))
+// reindex rebuilds the table at the least power of two, 16 or more, that
+// holds the set's pathways and one more at most half full, reusing its
+// storage when large enough.
+func (s *PathwaySet) reindex() {
+	size := 16
+	for size < 2*(len(s.paths)+1) {
+		size *= 2
 	}
-	at := len(s.slab)
-	s.slab = append(s.slab, elems...)
-	s.insert(h, Pathway{Elems: s.slab[at:len(s.slab):len(s.slab)], Validity: validity})
+	if cap(s.table) >= size {
+		s.table = s.table[:size]
+		clear(s.table)
+	} else {
+		s.table = make([]int32, size)
+	}
+	mask := len(s.table) - 1
+	for i := range s.paths {
+		slot := int(hashElems(s.paths[i].Elems) & uint64(mask))
+		for s.table[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		s.table[slot] = int32(i + 1)
+	}
+}
+
+// insert appends a pathway find reported absent at slot.
+func (s *PathwaySet) insert(slot int, p Pathway) {
+	s.paths = append(grown(s.paths, 1), p)
+	s.table[slot] = int32(len(s.paths))
 }
 
 // Paths returns the pathways in insertion order.

@@ -3,6 +3,8 @@ package plan_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,7 +34,10 @@ func (a *probePanic) IncidentEdges(view graph.View, node graph.UID, dir plan.Dir
 // evaluations trade pooled scratch: every result must equal the
 // sequential one, pathway order and Metrics included. Each goroutine also
 // runs evaluations of the same plans that panic mid-search, and the
-// evaluation after each on the same goroutine must be unaffected.
+// evaluation after each on the same goroutine must be unaffected. The
+// sets of the sequential runs are kept throughout: each is built in
+// scratch that the concurrent runs then reuse, so its elements and
+// validity must still deep-equal a copy taken when it was returned.
 func TestConcurrentEvalPooled(t *testing.T) {
 	st, d, _ := demoStore(t)
 	view := graph.CurrentView(st)
@@ -57,24 +62,29 @@ func TestConcurrentEvalPooled(t *testing.T) {
 				keys []string
 				m    plan.Metrics
 			}
-			eval := func(i int) (answer, error) {
+			eval := func(i int) (*plan.PathwaySet, answer, error) {
 				set, m, _, err := eng.EvalWith(view, plans[i], plan.EvalOpts{Seeds: seeds[i]})
 				if err != nil {
-					return answer{}, err
+					return nil, answer{}, err
 				}
 				var keys []string
 				for _, p := range set.Paths() {
 					keys = append(keys, p.Key()+" "+p.Validity.String())
 				}
-				return answer{keys, m}, nil
+				return set, answer{keys, m}, nil
 			}
 			want := make([]answer, len(plans))
+			kept := make([]*plan.PathwaySet, len(plans))
+			copies := make([][]plan.Pathway, len(plans))
 			for i := range plans {
-				a, err := eval(i)
+				set, a, err := eval(i)
 				if err != nil || len(a.keys) == 0 {
 					t.Fatalf("plan %d: %d pathways, err %v", i, len(a.keys), err)
 				}
-				want[i] = a
+				want[i], kept[i] = a, set
+				for _, p := range set.Paths() {
+					copies[i] = append(copies[i], plan.Pathway{Elems: slices.Clone(p.Elems), Validity: slices.Clone(p.Validity)})
+				}
 			}
 
 			var wg sync.WaitGroup
@@ -97,7 +107,7 @@ func TestConcurrentEvalPooled(t *testing.T) {
 								return
 							}
 						}
-						got, err := eval(i)
+						_, got, err := eval(i)
 						if err != nil {
 							errs <- fmt.Errorf("goroutine %d, plan %d: %v", g, i, err)
 							return
@@ -116,6 +126,11 @@ func TestConcurrentEvalPooled(t *testing.T) {
 			}
 			if panics.Load() == 0 {
 				t.Error("no evaluation panicked: the accessor lets every search finish")
+			}
+			for i, set := range kept {
+				if !reflect.DeepEqual(set.Paths(), copies[i]) {
+					t.Errorf("plan %d: the set kept from before the concurrent runs changed under them", i)
+				}
 			}
 		})
 	}

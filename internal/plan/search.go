@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rpe"
+	"repro/internal/temporal"
 )
 
 // Engine executes plans against a backend's Accessor. It implements the
@@ -69,13 +70,13 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 // evalState carries one evaluation's instrumentation, governance and
 // search scratch: the counters, the optional operator-span trace, the
 // query's Governor, the first failure (governance or backend) that aborts
-// the search, the element table every element read goes through, and the
-// arena the partial pathways live in. A nil trace or
-// governor is a no-op at every call site, so the search loops have one
-// body. One evaluation owns its evalState from getEvalState to
-// putEvalState; the pool hands the arenas, capacity kept, to the next
-// one, and nothing the evaluation returns points into them (DESIGN.md,
-// "Search core memory model").
+// the search, the element table every element read goes through, the
+// arena the partial pathways live in, and the result under construction.
+// A nil trace or governor is a no-op at every call site, so the search
+// loops have one body. One evaluation owns its evalState from
+// getEvalState to putEvalState; the pool hands the arenas, capacity kept,
+// to the next one, and nothing the evaluation returns points into them:
+// seal copies the result out (DESIGN.md, "Search core memory model").
 type evalState struct {
 	m   Metrics
 	tr  *traceEval
@@ -104,6 +105,13 @@ type evalState struct {
 	fwd, bwd []half
 	elems    []graph.UID // the candidate pathway being assembled
 	validity validityScratch
+
+	// out is the result under construction. Its pathways' elements and
+	// validity are windows of outElems and outIvs, appended in pathway
+	// order.
+	out      PathwaySet
+	outElems []graph.UID
+	outIvs   temporal.Set
 }
 
 var evalPool = sync.Pool{New: func() any { return new(evalState) }}
@@ -123,6 +131,9 @@ func getEvalState(gov *Governor) *evalState {
 		bwd:      es.bwd[:0],
 		elems:    es.elems[:0],
 		validity: es.validity,
+		out:      PathwaySet{paths: es.out.paths[:0], table: es.out.table[:0]},
+		outElems: es.outElems[:0],
+		outIvs:   es.outIvs[:0],
 	}
 	return es
 }
@@ -134,6 +145,7 @@ func putEvalState(es *evalState) {
 	es.tab.drop()
 	clear(es.validity.objs)
 	clear(es.validity.elements)
+	clear(es.out.paths) // windows of slab arrays that growth has replaced
 	es.tr, es.gov, es.err = nil, nil, nil
 	evalPool.Put(es)
 }
@@ -400,14 +412,15 @@ func (e *Engine) EvalWith(view graph.View, p *Plan, o EvalOpts) (*PathwaySet, Me
 		es.tr = newTraceEval(e.acc.Name(), p, o.TraceParent)
 	}
 	start := time.Now()
-	var set *PathwaySet
 	var err error
 	if p.Seeded {
-		set, err = e.evalSeeded(view, p, o.Seeds, es)
+		err = e.evalSeeded(view, p, o.Seeds, es)
 	} else {
-		set, err = e.eval(view, p, es)
+		err = e.eval(view, p, es)
 	}
-	if set != nil {
+	var set *PathwaySet
+	if err == nil {
+		set = es.seal()
 		es.m.PathsEmitted = set.Len()
 	}
 	var root *obs.Span
@@ -441,9 +454,8 @@ func recovered(es *evalState, err *error) {
 	}
 }
 
-func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet, err error) {
+func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (err error) {
 	defer recovered(es, &err)
-	out := NewPathwaySet()
 	c := p.Checked
 	nfa := c.NFA()
 	es.begin(e.acc.Store(), view, p)
@@ -476,27 +488,23 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (set *PathwaySet,
 				e.search(view, p, es.root(uid, ei, nfa.Closure(tr.To), Forward), true, Forward, es)
 				e.search(view, p, es.root(uid, ei, nfa.ClosureRev(tr.From), Backward), true, Backward, es)
 				union := es.tr.unionNode()
-				before := out.Len()
+				before := es.out.Len()
 				t0 := union.begin()
-				e.combine(view, out, es)
+				e.combine(view, es)
 				union.end(t0)
-				union.rows(len(es.bwd)*len(es.fwd), out.Len()-before)
+				union.rows(len(es.bwd)*len(es.fwd), es.out.Len()-before)
 				es.release()
 			}
 		}
 	}
-	if es.err != nil {
-		return nil, es.err
-	}
-	return out, nil
+	return es.err
 }
 
 // evalSeeded evaluates a plan whose anchor is imported from a join. Seeds
 // are node UIDs bound to the pathway's source (Forward) or target
 // (Backward) end.
-func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *evalState) (set *PathwaySet, err error) {
+func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *evalState) (err error) {
 	defer recovered(es, &err)
-	out := NewPathwaySet()
 	es.begin(e.acc.Store(), view, p)
 	for _, seed := range seeds {
 		if es.checkpoint() {
@@ -508,22 +516,19 @@ func (e *Engine) evalSeeded(view graph.View, p *Plan, seeds []graph.UID, es *eva
 		}
 		es.tr.seedSelectNode().rows(1, 1)
 		union := es.tr.unionNode()
-		before := out.Len()
+		before := es.out.Len()
 		t0 := union.begin()
-		e.evalSeedOne(view, p, seed, ei, out, es)
+		e.evalSeedOne(view, p, seed, ei, es)
 		union.end(t0)
-		union.rows(0, out.Len()-before)
+		union.rows(0, es.out.Len()-before)
 		es.m.AnchorRecords++
 	}
-	if es.err != nil {
-		return nil, es.err
-	}
-	return out, nil
+	return es.err
 }
 
 // evalSeedOne runs both seed branches (§3.4) for one seed node, given
 // with its element-table entry.
-func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed graph.UID, ei int32, out *PathwaySet, es *evalState) {
+func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed graph.UID, ei int32, es *evalState) {
 	c := p.Checked
 	nfa := c.NFA()
 	start := nfa.Closure(nfa.Start)
@@ -534,24 +539,24 @@ func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed graph.UID, ei int32,
 	// Branch (a): the seed node is consumed by a leading (for a Backward
 	// plan, trailing) node atom.
 	if e.consume(c, implicit, ei, p.SeedDir, es) {
-		e.seedBranch(view, p, es.push(-1, seed, ei, p.SeedDir), true, out, es)
+		e.seedBranch(view, p, es.push(-1, seed, ei, p.SeedDir), true, es)
 	}
 	// Branch (b): the seed is the implicit endpoint of a leading edge
 	// match; nothing consumed yet.
-	e.seedBranch(view, p, implicit, false, out, es)
+	e.seedBranch(view, p, implicit, false, es)
 	es.release()
 }
 
 // seedBranch searches from one seed root and admits every completion: a
 // seeded search has a single half, which carries the whole match.
-func (e *Engine) seedBranch(view graph.View, p *Plan, root int32, consumed bool, out *PathwaySet, es *evalState) {
+func (e *Engine) seedBranch(view graph.View, p *Plan, root int32, consumed bool, es *evalState) {
 	e.search(view, p, root, consumed, p.SeedDir, es)
 	done := es.fwd
 	if p.SeedDir == Backward {
 		done = es.bwd
 	}
 	for _, h := range done {
-		e.finish(view, out, es.halves[h.off:h.end], es)
+		e.finish(view, es.halves[h.off:h.end], es)
 	}
 	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
 }
@@ -742,7 +747,7 @@ func (e *Engine) expandHint(c *rpe.Checked, cur rpe.StateSet, dir Direction) (hi
 // combine joins the current anchor element's backward and forward
 // halves and finalizes each pathway. Both halves hold the anchor; it is
 // taken from the forward one.
-func (e *Engine) combine(view graph.View, out *PathwaySet, es *evalState) {
+func (e *Engine) combine(view graph.View, es *evalState) {
 	for _, b := range es.bwd {
 		if es.checkpoint() {
 			return
@@ -751,7 +756,7 @@ func (e *Engine) combine(view graph.View, out *PathwaySet, es *evalState) {
 		es.elems = append(es.elems[:0], head...)
 		for _, f := range es.fwd {
 			es.elems = append(es.elems[:len(head)], es.halves[f.off:f.end]...)
-			e.finish(view, out, es.elems, es)
+			e.finish(view, es.elems, es)
 		}
 	}
 }
@@ -762,34 +767,53 @@ func (e *Engine) combine(view graph.View, out *PathwaySet, es *evalState) {
 // skipped before the validity computation — ComputeValidity is
 // deterministic per element sequence, so recomputation would be pure
 // waste. The candidate comes out of an accepting run of the search, which
-// computeValidity may rely on. It still lives in scratch memory; only an
-// admitted one is copied, into the set's own backing array.
-func (e *Engine) finish(view graph.View, out *PathwaySet, elems []graph.UID, es *evalState) {
+// computeValidity may rely on.
+func (e *Engine) finish(view graph.View, elems []graph.UID, es *evalState) {
 	if hasDuplicates(elems) {
 		return
 	}
-	h := hashElems(elems)
-	if _, dup := out.find(h, elems); dup {
+	i, slot := es.out.find(hashElems(elems), elems)
+	if i >= 0 {
 		return
 	}
 	validity := computeValidity(&es.tab, elems, &es.validity, true)
-	if validity.IsEmpty() {
+	if !validity.Overlaps(view.Window()) {
 		return
 	}
-	overlaps := false
-	for _, iv := range validity {
-		if iv.Overlaps(view.Window()) {
-			overlaps = true
-			break
-		}
-	}
-	if !overlaps {
-		return
-	}
-	out.admit(h, elems, validity)
+	es.admit(slot, elems, validity)
 	if err := es.gov.AddPaths(1); err != nil {
 		es.fail(err)
 	}
+}
+
+// admit inserts a candidate find reported absent at slot. elems and
+// validity are scratch: they are appended to the result's slabs.
+func (es *evalState) admit(slot int, elems []graph.UID, validity temporal.Set) {
+	e, v := len(es.outElems), len(es.outIvs)
+	es.outElems = append(grown(es.outElems, len(elems)), elems...)
+	es.outIvs = append(grown(es.outIvs, len(validity)), validity...)
+	es.out.insert(slot, Pathway{Elems: es.outElems[e:], Validity: es.outIvs[v:]})
+}
+
+// seal returns the evaluation's result at exact size: the pathways, their
+// elements and their validity copied out of the scratch into one array
+// each, so nothing the caller keeps points into the pool.
+func (es *evalState) seal() *PathwaySet {
+	set := &PathwaySet{}
+	if len(es.out.paths) == 0 {
+		return set
+	}
+	set.paths = make([]Pathway, len(es.out.paths))
+	elems := make([]graph.UID, len(es.outElems))
+	copy(elems, es.outElems)
+	ivs := make(temporal.Set, len(es.outIvs))
+	copy(ivs, es.outIvs)
+	for i, p := range es.out.paths {
+		n, v := len(p.Elems), len(p.Validity)
+		set.paths[i] = Pathway{Elems: elems[:n:n], Validity: ivs[:v:v]}
+		elems, ivs = elems[n:], ivs[v:]
+	}
+	return set
 }
 
 // hasDuplicates reports whether a UID occurs twice. Pathways are a handful

@@ -36,7 +36,7 @@ func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) tempora
 	es := getEvalState(nil)
 	defer putEvalState(es)
 	es.tab.reset(st, graph.View{}, c)
-	return computeValidity(&es.tab, elems, &es.validity, false)
+	return slices.Clone(computeValidity(&es.tab, elems, &es.validity, false))
 }
 
 // validityScratch holds computeValidity's working arrays, so an
@@ -50,10 +50,10 @@ type validityScratch struct {
 }
 
 // computeValidity is ComputeValidity over the elements of tab, pinned at
-// their first touch. matched reports that the search already found an
-// accepting run over elems: in regime 1 that run holds at every version,
-// since no stable element's versions differ on any atom, so the matcher
-// is not run again.
+// their first touch, returned in sc's storage: valid until its next call.
+// matched reports that the search already found an accepting run over
+// elems: in regime 1 that run holds at every version, since no stable
+// element's versions differ on any atom, so the matcher is not run again.
 func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, matched bool) temporal.Set {
 	if n := len(elems); cap(sc.objs) < n {
 		n = max(n, 2*cap(sc.objs))
@@ -96,7 +96,8 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 				return nil
 			}
 		}
-		return temporal.Set{iv}
+		sc.ranges = append(sc.ranges[:0], iv)
+		return sc.ranges
 	}
 
 	// The slices between consecutive boundaries come in time order, so a
@@ -121,7 +122,7 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 	if len(out) == 0 {
 		return nil
 	}
-	return slices.Clone(out)
+	return out
 }
 
 // matchesAt reports whether the pathway of objs, every one existing at

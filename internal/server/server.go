@@ -708,27 +708,44 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 		}
 		out.Agg = agg
 	}
+	if len(res.Rows) == 0 {
+		return out
+	}
+	// One slab backs every row's Values, one every pathway's Elems.
+	cells, uids := 0, 0
 	for _, row := range res.Rows {
-		wr := Row{Values: make([]Value, len(row.Values)), Coexist: intervalsOut(row.Coexist)}
-		for i, v := range row.Values {
-			wr.Values[i] = s.valueOut(v)
+		cells += len(row.Values)
+		for _, v := range row.Values {
+			if p, ok := v.(*plan.Pathway); ok {
+				uids += len(p.Elems)
+			}
 		}
-		out.Rows = append(out.Rows, wr)
+	}
+	vals, elems := make([]Value, cells), make([]int64, uids)
+	out.Rows = make([]Row, len(res.Rows))
+	for i, row := range res.Rows {
+		n := len(row.Values)
+		wr := Row{Values: vals[:n:n], Coexist: intervalsOut(row.Coexist)}
+		vals = vals[n:]
+		for j, v := range row.Values {
+			p, ok := v.(*plan.Pathway)
+			if !ok {
+				wr.Values[j] = Value{Scalar: v}
+				continue
+			}
+			m := len(p.Elems)
+			wire := elems[:m:m]
+			elems = elems[m:]
+			for k, uid := range p.Elems {
+				wire[k] = int64(uid)
+			}
+			wr.Values[j] = Value{Pathway: &Pathway{
+				Elems:    wire,
+				Validity: intervalsOut(p.Validity),
+				Rendered: s.db.RenderPath(*p),
+			}}
+		}
+		out.Rows[i] = wr
 	}
 	return out
-}
-
-func (s *Server) valueOut(v any) Value {
-	if p, ok := v.(plan.Pathway); ok {
-		elems := make([]int64, len(p.Elems))
-		for i, e := range p.Elems {
-			elems[i] = int64(e)
-		}
-		return Value{Pathway: &Pathway{
-			Elems:    elems,
-			Validity: intervalsOut(p.Validity),
-			Rendered: s.db.RenderPath(p),
-		}}
-	}
-	return Value{Scalar: v}
 }

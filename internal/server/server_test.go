@@ -103,7 +103,7 @@ func TestQueryResultsMatchLocal(t *testing.T) {
 	}
 	localKeys := map[string]bool{}
 	for _, row := range local.Rows {
-		localKeys[row.Values[0].(plan.Pathway).Key()] = true
+		localKeys[row.Values[0].(*plan.Pathway).Key()] = true
 	}
 	for _, row := range remote.Rows {
 		key := row.Values[0].(*client.Pathway).Pathway.Key()

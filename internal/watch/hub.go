@@ -427,7 +427,7 @@ func (h *Hub) renderRows(res *exec.Result, prev map[string]string) map[string]st
 	for _, row := range res.Rows {
 		keys := make([]string, 0, len(row.Values))
 		for _, v := range row.Values {
-			if pw, ok := v.(plan.Pathway); ok {
+			if pw, ok := v.(*plan.Pathway); ok {
 				keys = append(keys, pw.Key())
 			} else {
 				keys = append(keys, fmt.Sprint(v))
@@ -439,8 +439,8 @@ func (h *Hub) renderRows(res *exec.Result, prev map[string]string) map[string]st
 			continue
 		}
 		for i, v := range row.Values { // a scalar's key is its rendering
-			if pw, ok := v.(plan.Pathway); ok {
-				keys[i] = h.db.RenderPath(pw)
+			if pw, ok := v.(*plan.Pathway); ok {
+				keys[i] = h.db.RenderPath(*pw)
 			}
 		}
 		rows[key] = strings.Join(keys, " | ")
