@@ -20,11 +20,12 @@ test:
 # Every package under the race detector. The bench fixtures are too slow
 # for -race, so the harness packages run in -short mode, as do the WAL
 # and chaos suites (their full crash-point sweeps run in make test). The
-# tests of the pooled search scratch — concurrent evaluations trading it,
-# and results kept while later ones reuse it — run ten times over.
+# tests of the pooled search scratch and the client's pooled response
+# buffers — concurrent evaluations trading them, and results kept while
+# later ones reuse them — run ten times over.
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/codec/ ./internal/core/ ./internal/exec/
-	$(GO) test -race -count=10 -run 'Pooled|Retained' ./internal/plan/ ./internal/exec/
+	$(GO) test -race -count=10 -run 'Pooled|Retained' ./internal/plan/ ./internal/exec/ ./internal/client/
 	$(GO) test -race ./internal/gremlin/ ./internal/relational/
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/ ./cmd/nepal/
 	$(GO) test -race . ./internal/schema/ ./internal/temporal/ ./internal/rpe/ ./internal/query/ ./internal/codegen/ ./internal/netmodel/ ./internal/workload/

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -586,11 +587,13 @@ func (c *Client) do(req *http.Request, into any) error {
 			c.observeEpoch(e)
 		}
 	}
-	raw, err := io.ReadAll(hresp.Body)
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(hresp.Body); err != nil {
 		// The connection died mid-response: the body is incomplete.
 		return &TransportError{Op: "decode", Err: err}
 	}
+	raw := buf.Bytes()
 	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
 		traceID := hresp.Header.Get(obs.TraceHeader)
 		retryAfter := parseRetryAfter(hresp.Header.Get("Retry-After"))
@@ -611,6 +614,24 @@ func (c *Client) do(req *http.Request, into any) error {
 		return &TransportError{Op: "decode", Err: err}
 	}
 	return nil
+}
+
+// bodyPool recycles the buffers do reads response bodies into. Nothing
+// decoded from a body aliases it — encoding/json copies every string and
+// the error paths copy the message — so a buffer is reusable as soon as
+// do returns.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody caps the buffers kept: a rare large answer's buffer is
+// dropped rather than pinned in the pool.
+const maxPooledBody = 64 << 10
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
 }
 
 // parseRetryAfter reads the delay-seconds form of Retry-After (the only

@@ -333,12 +333,20 @@ func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, erro
 	return p.run(context.Background(), x, exec.RunOptions{Limits: db.limits})
 }
 
-func (db *DB) analyze(src string) (*query.Analyzed, error) {
-	q, err := query.Parse(src)
+// analyze lexes, parses and analyzes src, returning its tokens with the
+// analysis so a caller can fingerprint the statement without lexing it
+// again.
+func (db *DB) analyze(src string) (*query.Analyzed, []rpe.Token, error) {
+	toks, err := rpe.Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return query.AnalyzeWithViews(q, db.Schema(), db.views)
+	q, err := query.ParseTokens(src, toks)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := query.AnalyzeWithViews(q, db.Schema(), db.views)
+	return a, toks, err
 }
 
 // MatchPaths evaluates a bare RPE against the current snapshot and
@@ -373,7 +381,7 @@ func (db *DB) MatchPathsAt(rpeSrc string, at time.Time) ([]plan.Pathway, error) 
 // Explain returns the query's textual plan: per-variable anchors and
 // operator DAGs (§5.1's Select/Extend/Union form).
 func (db *DB) Explain(src string) (string, error) {
-	a, err := db.analyze(src)
+	a, _, err := db.analyze(src)
 	if err != nil {
 		return "", err
 	}

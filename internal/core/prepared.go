@@ -39,11 +39,11 @@ type Prepared struct {
 // views, returning a reusable statement. Parse or analysis errors are
 // returned exactly as Query would return them.
 func (db *DB) Prepare(src string) (*Prepared, error) {
-	a, err := db.analyze(src)
+	a, toks, err := db.analyze(src)
 	if err != nil {
 		return nil, err
 	}
-	digest, norm := stats.Fingerprint(src)
+	digest, norm := stats.FingerprintTokens(toks)
 	return &Prepared{db: db, src: src, a: a, digest: digest, norm: norm}, nil
 }
 

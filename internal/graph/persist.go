@@ -357,7 +357,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	// Commit: install the fully validated state.
 	st.objects, st.out, st.in = tmp.objects, tmp.out, tmp.in
 	st.byClass, st.unique = tmp.byClass, tmp.unique
-	st.classCount = tmp.classCount
+	st.classCount, st.stats = tmp.classCount, nil
 	st.versionCount, st.liveCount = tmp.versionCount, tmp.liveCount
 	if tmp.nextUID > st.nextUID {
 		st.nextUID = tmp.nextUID
@@ -415,7 +415,7 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 		st.nextUID = uid + 1
 	}
 	if cur := obj.Current(); cur != nil {
-		st.classCount[doc.Class]++
+		st.addClassCount(doc.Class, 1)
 		st.liveCount++
 		st.recordUnique(cls, cur.Fields, uid)
 	}

@@ -133,8 +133,14 @@ type Store struct {
 	unique map[uniqueKey]map[string]UID
 
 	// classCount tracks live objects per concrete class (statistics for the
-	// anchor cost model).
+	// anchor cost model). stats is the copy Stats hands out, kept until a
+	// count changes: addClassCount and LoadHistory clear it under the
+	// write lock (an undo rollback only follows writes that did), and the
+	// next Stats rebuilds it under statsMu, which orders the readers
+	// racing to do so.
 	classCount map[string]int
+	statsMu    sync.Mutex
+	stats      *schema.Stats
 	// versionCount counts all versions ever stored (storage accounting).
 	versionCount int
 	liveCount    int
@@ -441,14 +447,21 @@ func (st *Store) LookupUnique(class, field string, value any) (UID, bool) {
 }
 
 // Stats returns live per-class record counts for the planner's cost model.
+// The result is a snapshot shared by every caller until a write changes
+// a count, and must not be modified.
 func (st *Store) Stats() *schema.Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	counts := make(map[string]int, len(st.classCount))
-	for k, v := range st.classCount {
-		counts[k] = v
+	st.statsMu.Lock()
+	defer st.statsMu.Unlock()
+	if st.stats == nil {
+		counts := make(map[string]int, len(st.classCount))
+		for k, v := range st.classCount {
+			counts[k] = v
+		}
+		st.stats = &schema.Stats{ClassCount: counts}
 	}
-	return &schema.Stats{ClassCount: counts}
+	return st.stats
 }
 
 // Counts reports the number of live objects and total stored versions —

@@ -140,6 +140,7 @@ func (st *Store) addClassCount(name string, d int) {
 		st.journal(undoEntry{kind: undoClassCount, name: name, n: n, had: had})
 	}
 	st.classCount[name] += d
+	st.stats = nil
 }
 
 // setUnique makes uid the owner of value vk in one unique index (uid 0

@@ -21,6 +21,13 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(src, toks)
+}
+
+// ParseTokens is Parse over src's token stream from rpe.Lex, for a
+// caller that uses the tokens again (core.Prepare fingerprints the
+// statement from them). It does not modify toks.
+func ParseTokens(src string, toks []rpe.Token) (*Query, error) {
 	p := &parser{toks: toks, src: src}
 	q, err := p.query()
 	if err != nil {
@@ -207,17 +214,7 @@ func (p *parser) term() (Term, error) {
 		return Term{}, p.errf("expected a variable or pathway function, found %q", p.cur().Text)
 	}
 	name := p.next().Text
-	fn := FnNone
-	switch strings.ToLower(name) {
-	case "source":
-		fn = FnSource
-	case "target":
-		fn = FnTarget
-	case "len":
-		fn = FnLen
-	case "count":
-		fn = FnCount
-	}
+	fn := fnNamed(name)
 	if fn == FnNone || p.cur().Kind != rpe.KindLParen {
 		// A bare variable reference. Reserved function names cannot double
 		// as variable names, which analysis enforces.
@@ -358,20 +355,31 @@ func (p *parser) pred() (Pred, error) {
 	return &JoinPred{Left: left, Right: right, Negated: negated}, nil
 }
 
-func isFn(s string) bool {
-	switch strings.ToLower(s) {
-	case "source", "target", "len", "count":
-		return true
+// fnNamed returns the pathway function an identifier names, compared
+// case-insensitively, or FnNone.
+func fnNamed(s string) PathFn {
+	for _, f := range [...]PathFn{FnSource, FnTarget, FnLen, FnCount} {
+		if strings.EqualFold(s, f.String()) {
+			return f
+		}
 	}
-	return false
+	return FnNone
+}
+
+func isFn(s string) bool { return fnNamed(s) != FnNone }
+
+// reserved lists the keywords, which cannot name a variable.
+var reserved = [...]string{
+	"retrieve", "select", "from", "where", "and", "matches", "paths",
+	"at", "not", "exists", "source", "target", "len", "count", "first",
+	"last", "time", "when",
 }
 
 func isReserved(s string) bool {
-	switch strings.ToLower(s) {
-	case "retrieve", "select", "from", "where", "and", "matches", "paths",
-		"at", "not", "exists", "source", "target", "len", "count", "first",
-		"last", "time", "when":
-		return true
+	for _, kw := range reserved {
+		if strings.EqualFold(s, kw) {
+			return true
+		}
 	}
 	return false
 }

@@ -93,11 +93,7 @@ func (c *Checked) FindAnchors(stats *schema.Stats) []AnchorSet {
 func (c *Checked) BestAnchor(stats *schema.Stats) (AnchorSet, error) {
 	candidates := c.FindAnchors(stats)
 	for _, cand := range candidates {
-		ids := make(map[int]bool, len(cand.Atoms))
-		for _, a := range cand.Atoms {
-			ids[a.id] = true
-		}
-		if !c.nfa.AcceptsWithout(ids) {
+		if !c.nfa.AcceptsWithout(cand.Atoms) {
 			return cand, nil
 		}
 	}

@@ -233,34 +233,26 @@ func Normalize(e Expr) Expr {
 // element of a match: the labels of consuming transitions leaving the
 // start state's epsilon closure.
 func (c *Checked) FirstAtoms() []*Atom {
-	return c.boundaryAtoms(c.nfa.EpsClosure(map[int]bool{c.nfa.Start: true}), true)
+	return c.boundaryAtoms(c.nfa.Closure(c.nfa.Start), c.nfa.OutTrans)
 }
 
 // LastAtoms returns the atom occurrences that can consume the final
 // element of a match.
 func (c *Checked) LastAtoms() []*Atom {
-	return c.boundaryAtoms(c.nfa.EpsClosureRev(map[int]bool{c.nfa.Accept: true}), false)
+	return c.boundaryAtoms(c.nfa.ClosureRev(c.nfa.Accept), c.nfa.InTrans)
 }
 
-func (c *Checked) boundaryAtoms(states map[int]bool, out bool) []*Atom {
-	seen := make(map[int]bool)
+// boundaryAtoms returns, once each, the atoms labeling the transitions
+// trans lists for the states in states.
+func (c *Checked) boundaryAtoms(states StateSet, trans func(int) []int) []*Atom {
 	var atoms []*Atom
-	for s := range states {
-		var transIdx []int
-		if out {
-			transIdx = c.nfa.OutTrans(s)
-		} else {
-			transIdx = c.nfa.InTrans(s)
-		}
-		for _, ti := range transIdx {
-			a := c.nfa.Trans[ti].Atom
-			if a == nil || seen[a.id] {
-				continue
+	states.ForEach(func(s int) {
+		for _, ti := range trans(s) {
+			if a := c.nfa.Trans[ti].Atom; a != nil && !containsAtom(atoms, a) {
+				atoms = append(atoms, a)
 			}
-			seen[a.id] = true
-			atoms = append(atoms, a)
 		}
-	}
+	})
 	return atoms
 }
 

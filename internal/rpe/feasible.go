@@ -18,9 +18,15 @@ package rpe
 // consume an edge does not block the per-class index probe — the physical
 // property the paper's edge-subclassing ablation measures.
 //
-// The analysis is a product construction over (NFA state, kind of the
-// last consumed element); a (transition, kind) pair is feasible when some
-// path from the start (nothing consumed yet) to the accept state uses it.
+// The analysis walks the product of the automaton with the kind of the
+// last consumed element, (state, last), without materialising it: a
+// forward walk from (Start, nothing consumed yet) and a backward walk
+// from Accept, both over the NFA's own epsilon and transition indexes,
+// mark one byte per product node. A (transition, kind) pair is feasible
+// when the forward walk reaches the transition's source with a last kind
+// other than the one it consumes and the backward walk reaches its
+// target having just consumed that kind. Each walk pushes a product node
+// at most once.
 
 // kindMask is a bit set over element kinds.
 type kindMask uint8
@@ -30,93 +36,105 @@ const (
 	kindEdge
 )
 
+// A product node's id is state*lasts + last, where last is lastNone
+// before any element is consumed, else the consumed kind's mask (1 or 2).
+const (
+	lastNone = 0
+	lasts    = 3
+)
+
+// Marks of the two walks, bits of one byte per product node.
+const (
+	reached   uint8 = 1 << iota // forward from the start
+	coreached                   // backward from the accept state
+)
+
 // transFeasibility computes, for every consuming transition, the kinds of
 // elements it can consume in some alternation-consistent accepting run.
 // isEdgeAtom reports an atom's kind (true = edge class).
 func (n *NFA) transFeasibility(isEdgeAtom func(*Atom) bool) []kindMask {
-	// Product node id: state*3 + last, where last is 0 (nothing consumed
-	// yet), 1 (node), 2 (edge).
-	const lasts = 3
-	pid := func(state, last int) int { return state*lasts + last }
-	total := n.NumStates * lasts
-
-	// Product edges: epsilon edges preserve `last`; a consuming transition
-	// t firing on kind k requires last != k (alternation) and moves last
-	// to k.
-	type pedge struct {
-		from, to int
-		trans    int // index into n.Trans, -1 for epsilon
-		kind     kindMask
-	}
-	var edges []pedge
-	for s := 0; s < n.NumStates; s++ {
-		for last := 0; last < lasts; last++ {
-			from := pid(s, last)
-			for _, to := range n.eps[s] {
-				edges = append(edges, pedge{from: from, to: pid(to, last), trans: -1})
-			}
-			for _, ti := range n.fromIdx[s] {
-				tr := n.Trans[ti]
-				kinds := kindNode | kindEdge
-				if tr.Atom != nil {
-					if isEdgeAtom(tr.Atom) {
-						kinds = kindEdge
-					} else {
-						kinds = kindNode
-					}
-				}
-				for _, k := range []struct {
-					mask kindMask
-					last int
-				}{{kindNode, 1}, {kindEdge, 2}} {
-					if kinds&k.mask == 0 {
-						continue
-					}
-					if last == k.last {
-						continue // two consecutive elements of one kind: impossible
-					}
-					edges = append(edges, pedge{from: from, to: pid(tr.To, k.last), trans: ti, kind: k.mask})
-				}
-			}
-		}
-	}
-
-	fwdAdj := make([][]int, total)
-	revAdj := make([][]int, total)
-	for i, e := range edges {
-		fwdAdj[e.from] = append(fwdAdj[e.from], i)
-		revAdj[e.to] = append(revAdj[e.to], i)
-	}
-
-	bfs := func(starts []int, adj [][]int, pick func(pedge) int) []bool {
-		seen := make([]bool, total)
-		stack := append([]int{}, starts...)
-		for _, s := range starts {
-			seen[s] = true
-		}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, ei := range adj[cur] {
-				nxt := pick(edges[ei])
-				if !seen[nxt] {
-					seen[nxt] = true
-					stack = append(stack, nxt)
-				}
-			}
-		}
-		return seen
-	}
-
-	reach := bfs([]int{pid(n.Start, 0)}, fwdAdj, func(e pedge) int { return e.to })
-	co := bfs([]int{pid(n.Accept, 0), pid(n.Accept, 1), pid(n.Accept, 2)}, revAdj,
-		func(e pedge) int { return e.from })
-
+	// out starts as the kinds each label admits (an atom its class's
+	// kind, a skip either) and ends as the feasible subset.
 	out := make([]kindMask, len(n.Trans))
-	for _, e := range edges {
-		if e.trans >= 0 && reach[e.from] && co[e.to] {
-			out[e.trans] |= e.kind
+	for ti, tr := range n.Trans {
+		switch {
+		case tr.Atom == nil:
+			out[ti] = kindNode | kindEdge
+		case isEdgeAtom(tr.Atom):
+			out[ti] = kindEdge
+		default:
+			out[ti] = kindNode
 		}
+	}
+	mark := make([]uint8, n.NumStates*lasts)
+	stack := make([]int, 0, n.NumStates*lasts)
+	visit := func(id int, bit uint8) {
+		if mark[id]&bit == 0 {
+			mark[id] |= bit
+			stack = append(stack, id)
+		}
+	}
+
+	// Forward: epsilons keep last; a transition consuming kind k needs
+	// last != k (pathways alternate) and moves last to k.
+	visit(n.Start*lasts+lastNone, reached)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		s, last := id/lasts, id%lasts
+		for _, t := range n.eps.of(s) {
+			visit(t*lasts+last, reached)
+		}
+		for _, ti := range n.from[s] {
+			for _, k := range [...]kindMask{kindNode, kindEdge} {
+				if out[ti]&k != 0 && last != int(k) {
+					visit(n.Trans[ti].To*lasts+int(k), reached)
+				}
+			}
+		}
+	}
+
+	// Backward: (s, k) having just consumed k is entered by a transition
+	// consuming k from any (From, last) with last != k.
+	for last := 0; last < lasts; last++ {
+		visit(n.Accept*lasts+last, coreached)
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		s, last := id/lasts, id%lasts
+		for _, t := range n.epsRev.of(s) {
+			visit(t*lasts+last, coreached)
+		}
+		if last == lastNone {
+			continue // nothing consumed: no transition entered s
+		}
+		for _, ti := range n.to[s] {
+			if out[ti]&kindMask(last) == 0 {
+				continue
+			}
+			for prev := 0; prev < lasts; prev++ {
+				if prev != last {
+					visit(n.Trans[ti].From*lasts+prev, coreached)
+				}
+			}
+		}
+	}
+
+	for ti, tr := range n.Trans {
+		var feasible kindMask
+		for _, k := range [...]kindMask{kindNode, kindEdge} {
+			if out[ti]&k == 0 || mark[tr.To*lasts+int(k)]&coreached == 0 {
+				continue
+			}
+			for prev := 0; prev < lasts; prev++ {
+				if prev != int(k) && mark[tr.From*lasts+prev]&reached != 0 {
+					feasible |= k
+					break
+				}
+			}
+		}
+		out[ti] = feasible
 	}
 	return out
 }

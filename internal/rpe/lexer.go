@@ -106,9 +106,15 @@ type lexer struct {
 	toks []Token
 }
 
+// maxTokenGuess caps Lex's initial token capacity (16 KB of tokens).
+const maxTokenGuess = 512
+
 // Lex tokenizes src, returning the token stream or a positioned error.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src}
+	// One token per two bytes covers typical statements in one
+	// allocation; denser text grows the slice. The guess is capped so a
+	// long literal does not reserve room for tokens it does not hold.
+	l := &lexer{src: src, toks: make([]Token, 0, min(len(src)/2, maxTokenGuess)+1)}
 	if err := l.run(); err != nil {
 		return nil, err
 	}
@@ -191,25 +197,29 @@ func (l *lexer) emit(kind Kind, text string, width int) {
 	l.pos += width
 }
 
-// lexString scans a single-quoted SQL-style string; ” escapes a quote.
+// lexString scans a single-quoted SQL-style string, in which a doubled
+// quote stands for one. A string without one is its slice of the source.
 func (l *lexer) lexString() error {
 	start := l.pos
 	l.pos++ // opening quote
-	var sb strings.Builder
+	escaped := false
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.peek(1) == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			l.toks = append(l.toks, Token{Kind: KindString, Text: sb.String(), Pos: start})
-			return nil
+			continue
 		}
-		sb.WriteByte(c)
+		if l.peek(1) == '\'' {
+			escaped = true
+			l.pos += 2
+			continue
+		}
+		text := l.src[start+1 : l.pos]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
 		l.pos++
+		l.toks = append(l.toks, Token{Kind: KindString, Text: text, Pos: start})
+		return nil
 	}
 	return fmt.Errorf("rpe: unterminated string starting at position %d", start)
 }

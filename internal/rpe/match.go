@@ -57,13 +57,13 @@ func (c *Checked) simulate(elems []Element, from int, cur, next StateSet) bool {
 		next.Reset()
 		any := false
 		cur.ForEach(func(s int) {
-			for _, ti := range n.fromIdx[s] {
+			for _, ti := range n.from[s] {
 				tr := n.Trans[ti]
 				if !c.CanConsume(ti, isEdge) {
 					continue
 				}
 				if tr.Atom == nil || c.Satisfies(tr.Atom, el.Class, el.Fields) {
-					next.Or(n.closureMask[tr.To])
+					next.Or(n.Closure(tr.To))
 					any = true
 				}
 			}

@@ -16,17 +16,59 @@ type NFA struct {
 	Start     int
 	Accept    int
 	Trans     []Trans
-	eps       [][]int // eps[s] = states reachable by one epsilon from s
 
-	fromIdx [][]int // fromIdx[s] = indices into Trans with From == s
-	toIdx   [][]int // toIdx[s] = indices into Trans with To == s
-	epsRev  [][]int
+	// eps and epsRev list the states one epsilon edge away, forward and
+	// backward; from and to the indices into Trans leaving and entering
+	// each state. All four are built flat (see adjacency). The search
+	// reads from and to once per live state per element, so those two
+	// are kept as per-state windows of their flat lists: reading a
+	// window is one load, where an offset pair is two loads and a slice
+	// (in a loop shaped like plan's consume, the offset pairs took about
+	// twice as long).
+	eps, epsRev adjacency
+	from, to    [][]int
 
-	// closureMask and closureRevMask cache each state's epsilon closure as
-	// a bit set, so subset simulation advances with word ORs.
-	closureMask    []StateSet
-	closureRevMask []StateSet
+	// closure and closureRev cache each state's forward and backward
+	// epsilon closure as a bit set, so subset simulation advances with
+	// word ORs.
+	closure, closureRev closures
 }
+
+// adjacency is a per-state index in two flat arrays: state s's entries
+// are list[off[s]:off[s+1]].
+type adjacency struct{ off, list []int }
+
+func (a adjacency) of(s int) []int { return a.list[a.off[s]:a.off[s+1]:a.off[s+1]] }
+
+// fill indexes entries pairs into a, whose arrays are zeroed and sized
+// for them: pair(i) gives entry i's state and value. A counting sort, so
+// each state's values keep the order of i.
+func (a adjacency) fill(entries int, pair func(i int) (state, value int)) {
+	for i := 0; i < entries; i++ {
+		s, _ := pair(i)
+		a.off[s+1]++
+	}
+	for s := 1; s < len(a.off); s++ {
+		a.off[s] += a.off[s-1]
+	}
+	// off[s] is s's write cursor until every entry is placed, when it
+	// has reached the start of s+1: shift the offsets back into place.
+	for i := 0; i < entries; i++ {
+		s, v := pair(i)
+		a.list[a.off[s]] = v
+		a.off[s]++
+	}
+	copy(a.off[1:], a.off[:len(a.off)-1])
+	a.off[0] = 0
+}
+
+// closures holds one StateSet of w words per state in one flat array.
+type closures struct {
+	sets StateSet
+	w    int
+}
+
+func (c closures) of(s int) StateSet { return c.sets[s*c.w : (s+1)*c.w : (s+1)*c.w] }
 
 // Trans is one consuming transition. A nil Atom is a skip transition: it
 // consumes any single element unconditionally.
@@ -38,7 +80,11 @@ type Trans struct {
 type nfaBuilder struct {
 	n     *NFA
 	count int
+	eps   []edge // epsilon edges, indexed by finish
 }
+
+// edge is one epsilon edge during construction.
+type edge struct{ from, to int }
 
 func (b *nfaBuilder) state() int {
 	s := b.count
@@ -51,13 +97,8 @@ func (b *nfaBuilder) trans(from, to int, a *Atom) {
 }
 
 func (b *nfaBuilder) epsilon(from, to int) {
-	b.n.eps = append(b.n.eps, nil) // placeholder; rebuilt in finish
-	b.n.Trans = append(b.n.Trans, Trans{From: from, To: to, Atom: epsMarker})
+	b.eps = append(b.eps, edge{from, to})
 }
-
-// epsMarker distinguishes epsilon rows in the flat Trans slice during
-// construction; finish() separates them out.
-var epsMarker = &Atom{Class: "\x00eps"}
 
 // buildNFA compiles a normalized expression.
 //
@@ -74,10 +115,13 @@ var epsMarker = &Atom{Class: "\x00eps"}
 // rejected before anything is built.
 func buildNFA(e Expr) (*NFA, error) {
 	e = expandEmptyReps(e)
-	if unrolledStates(e) > maxStates {
+	states := unrolledStates(e)
+	if states > maxStates {
 		return nil, fmt.Errorf("rpe: expression unrolls to more than %d automaton states; lower its repetition bounds", maxStates)
 	}
-	b := &nfaBuilder{n: &NFA{}}
+	// By induction over the expression, an automaton of S states has
+	// fewer than S transitions and fewer than S epsilon edges.
+	b := &nfaBuilder{n: &NFA{Trans: make([]Trans, 0, states)}, eps: make([]edge, 0, states)}
 	start, accept := b.build(e)
 	b.n.Start, b.n.Accept = start, accept
 	b.finish()
@@ -247,103 +291,81 @@ func (b *nfaBuilder) bridge(from, to int) {
 	b.trans(mid, to, nil) // skip one element
 }
 
-// finish separates epsilon rows from consuming rows and builds the
-// adjacency indexes used by forward and backward simulation.
+// finish builds the adjacency indexes used by forward and backward
+// simulation in one []int, the from/to windows in one [][]int, and the
+// epsilon closures in one StateSet.
 func (b *nfaBuilder) finish() {
 	n := b.n
-	n.NumStates = b.count
-	consuming := n.Trans[:0]
-	eps := make([][]int, n.NumStates)
-	epsRev := make([][]int, n.NumStates)
-	for _, t := range n.Trans {
-		if t.Atom == epsMarker {
-			eps[t.From] = append(eps[t.From], t.To)
-			epsRev[t.To] = append(epsRev[t.To], t.From)
-			continue
-		}
-		consuming = append(consuming, t)
+	ns := b.count
+	n.NumStates = ns
+	slab := make([]int, 4*(ns+1)+2*len(b.eps)+2*len(n.Trans))
+	carve := func(entries int) adjacency {
+		a := adjacency{off: slab[: ns+1 : ns+1], list: slab[ns+1 : ns+1+entries : ns+1+entries]}
+		slab = slab[ns+1+entries:]
+		return a
 	}
-	n.Trans = consuming
-	n.eps = eps
-	n.epsRev = epsRev
-	n.fromIdx = make([][]int, n.NumStates)
-	n.toIdx = make([][]int, n.NumStates)
-	for i, t := range n.Trans {
-		n.fromIdx[t.From] = append(n.fromIdx[t.From], i)
-		n.toIdx[t.To] = append(n.toIdx[t.To], i)
+	n.eps, n.epsRev = carve(len(b.eps)), carve(len(b.eps))
+	from, to := carve(len(n.Trans)), carve(len(n.Trans))
+	eps, trans := b.eps, n.Trans
+	n.eps.fill(len(eps), func(i int) (int, int) { return eps[i].from, eps[i].to })
+	n.epsRev.fill(len(eps), func(i int) (int, int) { return eps[i].to, eps[i].from })
+	from.fill(len(trans), func(i int) (int, int) { return trans[i].From, i })
+	to.fill(len(trans), func(i int) (int, int) { return trans[i].To, i })
+	windows := make([][]int, 2*ns)
+	n.from, n.to = windows[:ns:ns], windows[ns:]
+	for s := 0; s < ns; s++ {
+		n.from[s], n.to[s] = from.of(s), to.of(s)
 	}
-	n.closureMask = closureMasks(n.NumStates, eps)
-	n.closureRevMask = closureMasks(n.NumStates, epsRev)
+
+	w := (ns + 63) / 64
+	sets := make(StateSet, 2*ns*w)
+	n.closure = closures{sets: sets[: ns*w : ns*w], w: w}
+	n.closureRev = closures{sets: sets[ns*w:], w: w}
+	mark := make([]uint8, ns)
+	for s := 0; s < ns; s++ {
+		closeState(s, n.eps, n.closure, mark)
+	}
+	clear(mark)
+	for s := 0; s < ns; s++ {
+		closeState(s, n.epsRev, n.closureRev, mark)
+	}
 }
 
-// closureMasks computes the epsilon closure of every state as a bit set.
-func closureMasks(numStates int, adj [][]int) []StateSet {
-	masks := make([]StateSet, numStates)
-	var visit func(s int) StateSet
-	visiting := make([]bool, numStates)
-	visit = func(s int) StateSet {
-		if masks[s] != nil {
-			return masks[s]
-		}
-		out := NewStateSet(numStates)
-		out.Add(s)
-		if visiting[s] {
-			return out // epsilon cycle: partial result, completed by caller
-		}
-		visiting[s] = true
-		for _, t := range adj[s] {
-			out.Or(visit(t))
-		}
-		visiting[s] = false
-		masks[s] = out
-		return out
+// Marks of the closure walk.
+const (
+	visiting uint8 = 1 + iota
+	closed
+)
+
+// closeState fills s's set in c, and first those of the states it
+// reaches, with its epsilon closure over adj; mark holds one byte per
+// state.
+func closeState(s int, adj adjacency, c closures, mark []uint8) {
+	if mark[s] != 0 {
+		return // closed, or on the walk's path: an epsilon cycle leaves the partial set
 	}
-	for s := 0; s < numStates; s++ {
-		visit(s)
+	mark[s] = visiting
+	set := c.of(s)
+	set.Add(s)
+	for _, t := range adj.of(s) {
+		closeState(t, adj, c, mark)
+		set.Or(c.of(t))
 	}
-	return masks
+	mark[s] = closed
 }
 
 // Closure returns the cached forward epsilon closure of one state. The
 // result must not be modified.
-func (n *NFA) Closure(state int) StateSet { return n.closureMask[state] }
+func (n *NFA) Closure(state int) StateSet { return n.closure.of(state) }
 
 // ClosureRev returns the cached backward epsilon closure of one state.
-func (n *NFA) ClosureRev(state int) StateSet { return n.closureRevMask[state] }
-
-// EpsClosure expands a state set by forward epsilon reachability.
-func (n *NFA) EpsClosure(states map[int]bool) map[int]bool {
-	return n.closure(states, n.eps)
-}
-
-// EpsClosureRev expands a state set by backward epsilon reachability.
-func (n *NFA) EpsClosureRev(states map[int]bool) map[int]bool {
-	return n.closure(states, n.epsRev)
-}
-
-func (n *NFA) closure(states map[int]bool, adj [][]int) map[int]bool {
-	stack := make([]int, 0, len(states))
-	for s := range states {
-		stack = append(stack, s)
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range adj[s] {
-			if !states[t] {
-				states[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return states
-}
+func (n *NFA) ClosureRev(state int) StateSet { return n.closureRev.of(state) }
 
 // OutTrans returns the indices of consuming transitions leaving s.
-func (n *NFA) OutTrans(s int) []int { return n.fromIdx[s] }
+func (n *NFA) OutTrans(s int) []int { return n.from[s] }
 
 // InTrans returns the indices of consuming transitions entering s.
-func (n *NFA) InTrans(s int) []int { return n.toIdx[s] }
+func (n *NFA) InTrans(s int) []int { return n.to[s] }
 
 // TransWithAtom returns the indices of all consuming transitions labeled
 // with the given atom occurrence id.
@@ -358,34 +380,42 @@ func (n *NFA) TransWithAtom(id int) []int {
 }
 
 // AcceptsWithout reports whether the automaton can reach Accept from Start
-// without consuming any transition labeled by an atom in the given id set.
+// without consuming any transition labeled by one of the given atoms.
 // Skip transitions and epsilons are always allowed. An anchor set is valid
 // exactly when this returns false: every match must touch an anchor.
-func (n *NFA) AcceptsWithout(anchorIDs map[int]bool) bool {
-	visited := make(map[int]bool)
-	stack := []int{n.Start}
-	visited[n.Start] = true
+func (n *NFA) AcceptsWithout(anchors []*Atom) bool {
+	visited := NewStateSet(n.NumStates)
+	stack := make([]int, 1, n.NumStates)
+	stack[0] = n.Start
+	visited.Add(n.Start)
+	push := func(s int) {
+		if !visited.Has(s) {
+			visited.Add(s)
+			stack = append(stack, s)
+		}
+	}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if s == n.Accept {
 			return true
 		}
-		for _, t := range n.eps[s] {
-			if !visited[t] {
-				visited[t] = true
-				stack = append(stack, t)
+		for _, t := range n.eps.of(s) {
+			push(t)
+		}
+		for _, ti := range n.from[s] {
+			if tr := n.Trans[ti]; tr.Atom == nil || !containsAtom(anchors, tr.Atom) {
+				push(tr.To)
 			}
 		}
-		for _, ti := range n.fromIdx[s] {
-			tr := n.Trans[ti]
-			if tr.Atom != nil && anchorIDs[tr.Atom.id] {
-				continue
-			}
-			if !visited[tr.To] {
-				visited[tr.To] = true
-				stack = append(stack, tr.To)
-			}
+	}
+	return false
+}
+
+func containsAtom(atoms []*Atom, a *Atom) bool {
+	for _, x := range atoms {
+		if x.id == a.id {
+			return true
 		}
 	}
 	return false

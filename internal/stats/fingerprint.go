@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"hash/fnv"
 	"strings"
 
 	"repro/internal/rpe"
@@ -32,11 +31,30 @@ const MaskedLiteral = "?"
 // an "!" prefix on the normalized form, keeping the digest stable per
 // unlexable spelling without colliding with lexable statements.
 func Fingerprint(src string) (digest, normalized string) {
-	normalized = Normalize(src)
-	h := fnv.New64a()
-	h.Write([]byte(normalized))
+	return digestOf(Normalize(src))
+}
+
+// FingerprintTokens is Fingerprint over src's token stream from rpe.Lex,
+// for a caller that has lexed the statement already (core.Prepare
+// parses from the same tokens): one lex per statement.
+func FingerprintTokens(toks []rpe.Token) (digest, normalized string) {
+	return digestOf(normalizeTokens(toks))
+}
+
+// digestOf returns the 64-bit FNV-1a hash of normalized as 16 lowercase
+// hex characters, together with normalized. The hash is computed inline:
+// hash/fnv's hasher and the []byte it reads would each allocate.
+func digestOf(normalized string) (digest, norm string) {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	sum := uint64(offset64)
+	for i := 0; i < len(normalized); i++ {
+		sum ^= uint64(normalized[i])
+		sum *= prime64
+	}
 	const hexdigits = "0123456789abcdef"
-	sum := h.Sum64()
 	var buf [16]byte
 	for i := 15; i >= 0; i-- {
 		buf[i] = hexdigits[sum&0xf]
@@ -54,8 +72,16 @@ func Normalize(src string) string {
 	if err != nil {
 		return "!" + strings.TrimSpace(src)
 	}
+	return normalizeTokens(toks)
+}
+
+func normalizeTokens(toks []rpe.Token) string {
+	n := 0
+	for _, t := range toks {
+		n += max(len(t.Text), 1) + 1
+	}
 	var sb strings.Builder
-	sb.Grow(len(src))
+	sb.Grow(n)
 	for _, t := range toks {
 		if t.Kind == rpe.KindEOF {
 			break
@@ -67,11 +93,7 @@ func Normalize(src string) string {
 		case rpe.KindString, rpe.KindInt, rpe.KindFloat:
 			sb.WriteString(MaskedLiteral)
 		case rpe.KindIdent:
-			if isKeyword(t.Text) {
-				sb.WriteString(strings.ToUpper(t.Text))
-			} else {
-				sb.WriteString(t.Text)
-			}
+			sb.WriteString(keywordOr(t.Text))
 		default:
 			sb.WriteString(t.Text)
 		}
@@ -79,16 +101,22 @@ func Normalize(src string) string {
 	return sb.String()
 }
 
-// isKeyword reports whether an identifier is one of the language's
-// case-insensitive reserved words (mirrors the query parser's reserved
-// set). Class and variable names stay case-sensitive; keywords fold so
-// "select" and "SELECT" digest identically.
-func isKeyword(s string) bool {
-	switch strings.ToLower(s) {
-	case "retrieve", "select", "from", "where", "and", "matches", "paths",
-		"at", "not", "exists", "source", "target", "len", "count", "first",
-		"last", "time", "when":
-		return true
+// keywords are the language's case-insensitive reserved words (mirrors
+// the query parser's reserved set), in their normalized upper case.
+var keywords = [...]string{
+	"RETRIEVE", "SELECT", "FROM", "WHERE", "AND", "MATCHES", "PATHS",
+	"AT", "NOT", "EXISTS", "SOURCE", "TARGET", "LEN", "COUNT", "FIRST",
+	"LAST", "TIME", "WHEN",
+}
+
+// keywordOr returns an identifier's normalized spelling: a keyword in
+// upper case, so "select" and "SELECT" digest identically; class and
+// variable names as written, since they are case-sensitive.
+func keywordOr(s string) string {
+	for _, kw := range keywords {
+		if strings.EqualFold(s, kw) {
+			return kw
+		}
 	}
-	return false
+	return s
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"regexp"
 	"testing"
@@ -93,6 +94,26 @@ func TestFingerprintDigestShape(t *testing.T) {
 		if !hex16.MatchString(d) {
 			t.Fatalf("digest %q for %q is not 16 lowercase hex chars", d, q)
 		}
+	}
+}
+
+// TestFingerprintDigestIsFNV1a pins the digest to the 64-bit FNV-1a hash
+// of the normalized text, the digest every release has published (the
+// slow log, /metrics series and -top key on it), and the normalized text
+// of a known statement.
+func TestFingerprintDigestIsFNV1a(t *testing.T) {
+	for _, q := range append(append([]string{}, distinctCorpus...), "Host(id=1) $$$", "VM(name='it''s')") {
+		d, norm := Fingerprint(q)
+		h := fnv.New64a()
+		h.Write([]byte(norm))
+		if want := fmt.Sprintf("%016x", h.Sum64()); d != want {
+			t.Errorf("%q: digest %s, FNV-1a of %q is %s", q, d, norm, want)
+		}
+	}
+	const q = "retrieve P From PATHS P where P matches VM(name='it''s', id=7)->Host(speed=1.5)"
+	want := "RETRIEVE P FROM PATHS P WHERE P MATCHES VM ( name = ? , id = ? ) -> Host ( speed = ? )"
+	if _, norm := Fingerprint(q); norm != want {
+		t.Errorf("normalized %q\n  got  %q\n  want %q", q, norm, want)
 	}
 }
 
