@@ -327,15 +327,18 @@ func (s *sim) repoint(n *simNode, to int) {
 }
 
 // drain waits until replica n has applied its primary's whole log and
-// learned its epoch. A promotion mints above the epoch its link has
-// learned, so failing over before that could mint the old primary's own
-// epoch again, an open defect (ROADMAP item 12) that this wait keeps out
-// of the schedule; the corpus entry seed401-workaround-guard-epoch-remint
-// fails without it.
+// its link is pinned to that log. A replica promoted before its link ever
+// learned the log's identity opens a log of its own, which the other
+// replicas cannot follow (ROADMAP item 12); in a fresh cluster the
+// primary's log is empty, so applying it all does not imply a poll. It
+// does not wait for the link to learn the primary's epoch: a failover
+// mints above the epoch its client has seen too, so a link that has not
+// polled since a re-promotion, which keeps the log, cannot make it mint
+// a live epoch again (the corpus entry seed401-regression-epoch-remint).
 func (s *sim) drain(n *simNode) {
 	f, up := n.srv.Follower(), s.nodes[n.up].db.WAL()
 	deadline := time.Now().Add(5 * time.Second)
-	for st := f.Status(); st.Applied < up.NextIndex() || st.Epoch != up.Epoch(); st = f.Status() {
+	for st := f.Status(); st.Applied < up.NextIndex() || f.StreamState().LogID != up.LogID(); st = f.Status() {
 		if time.Now().After(deadline) {
 			s.fatalf("node %d never caught up with node %d: %+v", n.id, n.up, st)
 		}
@@ -1166,7 +1169,7 @@ func check(h *history) []violation {
 	// 5. Watch tokens are gap-free, epochs never decrease, and every event
 	// is the WAL record at its index. Epoch 0 is skipped: a fresh replica
 	// stamps 0 until its link learns the epoch, an open defect (ROADMAP item
-	// 12); the corpus entry seed18-workaround-guard-epoch0-stamp fails
+	// 13); the corpus entry seed18-workaround-guard-epoch0-stamp fails
 	// without the skip, and TestWatchSurvivesSeverAndFailover checks 0 too.
 	for _, s := range h.subs {
 		want, top := s.from, uint64(0)

@@ -418,7 +418,9 @@ func (c *Client) Ready(ctx context.Context) (ready bool, status *server.ReadyRes
 // Promote asks a replica to become the primary (POST /v1/promote):
 // replication stops, replicated state is made durable, and the node
 // starts acking writes under a freshly minted epoch. Idempotent
-// server-side; on a fenced primary it is the re-promotion path.
+// server-side; on a fenced primary it is the re-promotion path. A client
+// in the epoch exchange stamps the highest epoch it has seen on the
+// request, and the node mints above it.
 func (c *Client) Promote(ctx context.Context) (*server.PromoteResponse, error) {
 	var resp server.PromoteResponse
 	if err := c.post(ctx, "/v1/promote", struct{}{}, &resp); err != nil {

@@ -425,7 +425,11 @@ func (cl *Cluster) Stats(ctx context.Context) *server.ClusterResponse {
 // (parked) replicas are never candidates. Unreachable replicas fall to
 // the back as promote-blind fallbacks, tried only when no replica could
 // report status at all. The promoted node becomes the write endpoint
-// and leaves the read rotation. Returns the new primary's client.
+// and leaves the read rotation. The promote request carries the highest
+// epoch the cluster has seen (the epoch exchange stamps it on every
+// POST), and the node mints above it: a replica whose link has not
+// polled since its primary was re-promoted cannot mint the live
+// primary's epoch again. Returns the new primary's client.
 func (cl *Cluster) Failover(ctx context.Context) (*Client, error) {
 	cl.mu.Lock()
 	replicas := append([]*clusterReplica(nil), cl.replicas...)

@@ -67,6 +67,14 @@ func AppendFields(dst []byte, f map[string]any) ([]byte, error) {
 	return appendMap(dst, f, 0)
 }
 
+// AppendValue appends one top-level value of a field map. A caller that
+// holds a map's entries in another layout writes the map's exact bytes
+// as AppendFields would: the entry count as a uvarint, then per entry in
+// ascending name order AppendString of the name and AppendValue.
+func AppendValue(dst []byte, v any) ([]byte, error) {
+	return appendValue(dst, v, 0)
+}
+
 func appendMap(dst []byte, m map[string]any, depth int) ([]byte, error) {
 	var small [16]string
 	names := small[:0]

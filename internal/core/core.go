@@ -437,9 +437,9 @@ func (db *DB) PathEvolution(p plan.Pathway, rpeSrc string) ([]EvolutionStep, err
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]*graph.Object, len(p.Elems))
+	objs := make([]*graph.Elem, len(p.Elems))
 	for i, uid := range p.Elems {
-		obj := db.store.Object(uid)
+		obj := db.store.Elem(uid)
 		if obj == nil {
 			return nil, fmt.Errorf("core: pathway element %d not found", uid)
 		}
@@ -463,8 +463,8 @@ func (db *DB) PathEvolution(p plan.Pathway, rpeSrc string) ([]EvolutionStep, err
 				step.Exists = false
 				break
 			}
-			step.Fields = append(step.Fields, ver.Fields)
-			elements[j] = rpe.Element{Class: obj.Class, Fields: ver.Fields}
+			step.Fields = append(step.Fields, obj.Class.Map(ver.Rec))
+			elements[j] = rpe.Element{Class: obj.Class, Rec: ver.Rec}
 		}
 		if step.Exists {
 			step.Satisfies = c.MatchesPathway(elements)

@@ -496,19 +496,12 @@ func translateSeed(from, to *graph.Store, seed graph.UID) ([]graph.UID, error) {
 	if from == to {
 		return []graph.UID{seed}, nil
 	}
-	obj := from.Object(seed)
-	if obj == nil {
+	obj := from.Elem(seed)
+	if obj == nil || len(obj.Versions) == 0 {
 		return nil, nil
 	}
-	cur := obj.Current()
-	if cur == nil {
-		if len(obj.Versions) == 0 {
-			return nil, nil
-		}
-		cur = &obj.Versions[len(obj.Versions)-1]
-	}
-	id, ok := cur.Fields["id"]
-	if !ok {
+	id := obj.Versions[len(obj.Versions)-1].Rec[schema.IDSlot]
+	if id == nil {
 		return nil, nil
 	}
 	uid, found := to.LookupUnique(schema.NodeRoot, "id", id)
@@ -555,19 +548,22 @@ func (x *Executor) joinValue(a *query.Analyzed, t query.Term, sl *slots, bind []
 	}
 	view := sl.views[i]
 	st := view.Store()
-	obj := st.Object(node)
+	obj := st.Elem(node)
 	if obj == nil {
 		return nil, fmt.Errorf("exec: dangling node %d", node)
 	}
-	fields := view.FieldsAt(obj)
-	if fields == nil && len(obj.Versions) > 0 {
-		fields = obj.Versions[len(obj.Versions)-1].Fields
+	rec := view.RecordAt(obj)
+	if rec == nil && len(obj.Versions) > 0 {
+		rec = obj.Versions[len(obj.Versions)-1].Rec
 	}
-	field := "id"
+	slot, ok := schema.IDSlot, true
 	if t.Field != "" {
-		field = t.Field
+		slot, ok = obj.Class.Slot(t.Field)
 	}
-	return fields[field], nil
+	if rec == nil || !ok {
+		return nil, nil
+	}
+	return rec[slot], nil
 }
 
 // termValue computes a projection value for a finished row's tuple: a

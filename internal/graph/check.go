@@ -97,7 +97,7 @@ func (st *Store) CheckInvariants() []Violation {
 }
 
 // checkVersions validates one object's version history ordering.
-func checkVersions(obj *Object) []Violation {
+func checkVersions(obj *Elem) []Violation {
 	var out []Violation
 	if len(obj.Versions) == 0 {
 		return []Violation{{UID: obj.UID, Kind: "version-order", Msg: "object has no versions"}}
@@ -121,7 +121,7 @@ func checkVersions(obj *Object) []Violation {
 }
 
 // checkEdge validates an edge's endpoints and temporal containment.
-func (st *Store) checkEdge(obj *Object) []Violation {
+func (st *Store) checkEdge(obj *Elem) []Violation {
 	var out []Violation
 	for _, end := range []UID{obj.Src, obj.Dst} {
 		other := st.objects.at(end)
@@ -218,7 +218,7 @@ func (st *Store) checkUnique() []Violation {
 				continue
 			}
 			found := false
-			st.eachUnique(obj.Class, obj.Current().Fields, func(k uniqueKey, v string) {
+			st.eachUnique(obj.Class, obj.Current().Rec, func(k uniqueKey, v string) {
 				if k == key && v == vk {
 					found = true
 				}
@@ -238,7 +238,7 @@ func (st *Store) checkUnique() []Violation {
 		if cur == nil {
 			continue
 		}
-		st.eachUnique(obj.Class, cur.Fields, func(key uniqueKey, vk string) {
+		st.eachUnique(obj.Class, cur.Rec, func(key uniqueKey, vk string) {
 			if st.unique[key][vk] != uid {
 				out = append(out, Violation{UID: uid, Kind: "unique-index",
 					Msg: fmt.Sprintf("live value %q for %s.%s not indexed to owner", vk, key.class, key.field)})

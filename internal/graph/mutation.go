@@ -205,13 +205,12 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (
 		st.beginUndo()
 	}
 	var (
-		last    *Mutation // the final op, applied after the hook
-		lastC   *schema.Class
-		lastObj *Object
+		last  *Mutation // the final op, applied after the hook
+		lastP prepared
 	)
 	group := st.group[:0]
 	for i, m := range ms {
-		c, obj, skip, err := st.prepareLocked(m, replay)
+		p, skip, err := st.prepareLocked(m, replay)
 		if err != nil {
 			clear(group)
 			if batch {
@@ -231,9 +230,9 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (
 		}
 		applied++
 		if i == len(ms)-1 {
-			last, lastC, lastObj = m, c, obj
+			last, lastP = m, p
 		} else {
-			st.commitLocked(m, c, obj)
+			st.commitLocked(m, p)
 		}
 	}
 	st.group = group
@@ -251,86 +250,101 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (
 		st.endUndo()
 	}
 	if last != nil {
-		st.commitLocked(last, lastC, lastObj)
+		st.commitLocked(last, lastP)
 	}
 	return applied, 0, nil
 }
 
+// prepared is what prepareLocked resolved for a record it accepted: the
+// class an insert installs or the element an update or delete changes,
+// and an insert's or update's values as a record of that class.
+type prepared struct {
+	c   *schema.Class
+	obj *Elem
+	rec schema.Record
+}
+
 // prepareLocked validates m against the store — edge endpoints and rules,
-// unique fields, the object an update or delete targets — and returns the
-// class an insert installs or the object an update or delete changes.
-// skip reports a record that applies nothing: a delete of a closed
-// object, or in a replay a record the store already reflects.
-func (st *Store) prepareLocked(m *Mutation, replay bool) (c *schema.Class, obj *Object, skip bool, err error) {
+// unique fields, the element an update or delete targets — and lays an
+// insert's or update's field map out as a record, once. An update's
+// record keeps the open version's values for the fields it re-sends
+// unchanged. skip reports a record that applies nothing: a delete of a
+// closed element, or in a replay a record the store already reflects.
+func (st *Store) prepareLocked(m *Mutation, replay bool) (p prepared, skip bool, err error) {
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
 		if replay {
 			if existing := st.objects.at(m.UID); existing != nil {
 				if existing.Class.Name != m.Class {
-					return nil, nil, false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
+					return p, false, fmt.Errorf("graph: store has class %s, log says %s", existing.Class.Name, m.Class)
 				}
-				return nil, nil, true, nil // already present (checkpoint overlap)
+				return p, true, nil // already present (checkpoint overlap)
 			}
 			if err := st.admitUID(m.UID); err != nil {
-				return nil, nil, false, err
+				return p, false, err
 			}
 		}
-		c, _ = st.schema.Class(m.Class) // resolved by checkRecord
+		p.c, _ = st.schema.Class(m.Class) // resolved by checkRecord
 		if m.Op == OpInsertEdge {
 			srcObj, dstObj := st.objects.at(m.Src), st.objects.at(m.Dst)
 			if srcObj == nil || srcObj.Current() == nil || srcObj.IsEdge() {
-				return nil, nil, false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
+				return p, false, fmt.Errorf("graph: edge %s source %d is not a live node", m.Class, m.Src)
 			}
 			if dstObj == nil || dstObj.Current() == nil || dstObj.IsEdge() {
-				return nil, nil, false, fmt.Errorf("graph: edge %s target %d is not a live node", m.Class, m.Dst)
+				return p, false, fmt.Errorf("graph: edge %s target %d is not a live node", m.Class, m.Dst)
 			}
-			if !st.schema.EdgeAllowed(c, srcObj.Class, dstObj.Class) {
-				return nil, nil, false, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
+			if !st.schema.EdgeAllowed(p.c, srcObj.Class, dstObj.Class) {
+				return p, false, fmt.Errorf("graph: schema permits no %s edge from %s to %s",
 					m.Class, srcObj.Class, dstObj.Class)
 			}
 		}
-		if err := st.claimUnique(c, m.Fields, 0); err != nil {
-			return nil, nil, false, err
+		p.rec = p.c.NewRecord(m.Fields, nil)
+		if err := st.claimUnique(p.c, p.rec, 0); err != nil {
+			return p, false, err
 		}
 	case OpUpdate, OpDelete:
-		if obj = st.objects.at(m.UID); obj == nil {
-			return nil, nil, false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
+		obj := st.objects.at(m.UID)
+		if obj == nil {
+			return p, false, fmt.Errorf("graph: %s of unknown uid %d", m.Op, m.UID)
 		}
 		if replay && m.Op == OpUpdate {
 			for i := range obj.Versions {
 				if obj.Versions[i].Period.Start.Equal(m.At) {
-					return nil, nil, true, nil // version already present (checkpoint overlap)
+					return p, true, nil // version already present (checkpoint overlap)
 				}
 			}
 		}
-		if obj.Current() == nil {
+		cur := obj.Current()
+		if cur == nil {
 			if m.Op == OpDelete {
-				return nil, nil, true, nil // already closed
+				return p, true, nil // already closed
 			}
-			return nil, nil, false, fmt.Errorf("graph: update of deleted object %d", m.UID)
+			return p, false, fmt.Errorf("graph: update of deleted object %d", m.UID)
 		}
+		p.obj = obj
 		if m.Op == OpUpdate {
 			if err := st.schema.ValidateRecord(obj.Class.Name, m.Fields); err != nil {
-				return nil, nil, false, err
+				return p, false, err
 			}
-			if err := st.claimUnique(obj.Class, m.Fields, m.UID); err != nil {
-				return nil, nil, false, err
+			p.rec = obj.Class.NewRecord(m.Fields, cur.Rec)
+			if err := st.claimUnique(obj.Class, p.rec, m.UID); err != nil {
+				return p, false, err
 			}
 		}
 	default:
-		return nil, nil, false, fmt.Errorf("graph: unknown mutation op %d", m.Op)
+		return p, false, fmt.Errorf("graph: unknown mutation op %d", m.Op)
 	}
-	return c, obj, false, nil
+	return p, false, nil
 }
 
 // commitLocked applies a record prepareLocked accepted.
-func (st *Store) commitLocked(m *Mutation, c *schema.Class, obj *Object) {
+func (st *Store) commitLocked(m *Mutation, p prepared) {
 	switch m.Op {
 	case OpInsertNode, OpInsertEdge:
-		st.installLocked(c, m.UID, m.Src, m.Dst, m.Fields, m.At)
+		st.installLocked(p.c, m.UID, m.Src, m.Dst, p.rec, m.At)
 	case OpUpdate:
-		st.updateLocked(obj, m.Fields, m.At)
+		st.updateLocked(p.obj, p.rec, m.At)
 	case OpDelete:
-		st.deleteAtLocked(obj, m.At)
+		st.deleteAtLocked(p.obj, m.At)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/schema"
 	"repro/internal/temporal"
 )
 
@@ -105,9 +106,8 @@ func (st *Store) WriteHistory(w io.Writer) error {
 		if o == nil {
 			continue
 		}
-		doc := objectDoc{UID: uid, Class: o.Class.Name, Src: o.Src, Dst: o.Dst, Versions: o.Versions}
 		var err error
-		if obj, err = appendObject(obj[:0], &doc, prev); err != nil {
+		if obj, err = appendElem(obj[:0], o, prev); err != nil {
 			return fmt.Errorf("graph: encoding history object %d: %w", uid, err)
 		}
 		prev = uid
@@ -125,8 +125,8 @@ func (st *Store) WriteHistory(w io.Writer) error {
 	return nil
 }
 
-// objectDoc is one object of a history stream: what WriteHistory encodes
-// and LoadHistory decodes, before schema validation.
+// objectDoc is one object of a history stream as LoadHistory decodes it,
+// before schema validation: its versions in map form.
 type objectDoc struct {
 	UID      UID
 	Class    string
@@ -134,33 +134,63 @@ type objectDoc struct {
 	Versions []Version
 }
 
-// appendObject appends one object's history encoding; prev is the UID of
-// the object before it in the stream.
-func appendObject(dst []byte, o *objectDoc, prev UID) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(o.UID-prev))
-	dst = codec.AppendString(dst, o.Class)
-	dst = binary.AppendUvarint(dst, uint64(o.Src))
-	dst = binary.AppendUvarint(dst, uint64(o.Dst))
-	dst = binary.AppendUvarint(dst, uint64(len(o.Versions)))
-	for _, v := range o.Versions {
+// appendElem appends one element's history encoding; prev is the UID of
+// the element before it in the stream. Each version's record is written
+// as the field map it holds, walking the class's slots in name order.
+func appendElem(dst []byte, e *Elem, prev UID) ([]byte, error) {
+	dst = appendObjectHead(dst, e.UID-prev, e.Class.Name, e.Src, e.Dst, len(e.Versions))
+	fields, order := e.Class.Fields(), e.Class.NameOrder()
+	for _, v := range e.Versions {
 		var err error
-		if dst, err = codec.AppendTime(dst, v.Period.Start); err != nil {
+		if dst, err = appendPeriod(dst, v.Period); err != nil {
 			return dst, err
 		}
-		end := uint64(0)
-		if !v.Period.IsCurrent() {
-			d := v.Period.End.Sub(v.Period.Start)
-			if d < 0 || d == math.MaxInt64 { // Sub saturates past ~292 years
-				return dst, fmt.Errorf("version period %v does not encode", v.Period)
+		n := 0
+		for _, x := range v.Rec {
+			if x != nil {
+				n++
 			}
-			end = uint64(d) + 1
 		}
-		dst = binary.AppendUvarint(dst, end)
-		if dst, err = codec.AppendFields(dst, v.Fields); err != nil {
-			return dst, err
+		dst = binary.AppendUvarint(dst, uint64(n))
+		for _, i := range order {
+			if v.Rec[i] == nil {
+				continue
+			}
+			dst = codec.AppendString(dst, fields[i].Name)
+			if dst, err = codec.AppendValue(dst, v.Rec[i]); err != nil {
+				return dst, fmt.Errorf("%q: %w", fields[i].Name, err)
+			}
 		}
 	}
 	return dst, nil
+}
+
+// appendObjectHead appends what precedes an object's versions: its UID
+// gap, class, endpoints and version count.
+func appendObjectHead(b []byte, gap UID, class string, src, dst UID, versions int) []byte {
+	b = binary.AppendUvarint(b, uint64(gap))
+	b = codec.AppendString(b, class)
+	b = binary.AppendUvarint(b, uint64(src))
+	b = binary.AppendUvarint(b, uint64(dst))
+	return binary.AppendUvarint(b, uint64(versions))
+}
+
+// appendPeriod appends a version's period: its start, then 0 while it is
+// open, else end−start+1.
+func appendPeriod(dst []byte, p temporal.Interval) ([]byte, error) {
+	dst, err := codec.AppendTime(dst, p.Start)
+	if err != nil {
+		return dst, err
+	}
+	end := uint64(0)
+	if !p.IsCurrent() {
+		d := p.End.Sub(p.Start)
+		if d < 0 || d == math.MaxInt64 { // Sub saturates past ~292 years
+			return dst, fmt.Errorf("version period %v does not encode", p)
+		}
+		end = uint64(d) + 1
+	}
+	return binary.AppendUvarint(dst, end), nil
 }
 
 // readObject reads one length-prefixed object encoding into buf. It
@@ -376,7 +406,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 // against the schema and installs it with its indexes. Structural
 // invariants — version order, open versions, edge endpoints and
 // lifetimes, unique values — are LoadHistory's CheckInvariants pass.
-func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
+func (st *Store) restoreObject(doc *objectDoc) (*Elem, error) {
 	uid := doc.UID
 	cls, ok := st.schema.Class(doc.Class)
 	if !ok {
@@ -398,13 +428,16 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 			}
 		}
 	}
+	obj := &Elem{UID: uid, Class: cls, Src: doc.Src, Dst: doc.Dst, Versions: make([]Row, len(doc.Versions))}
+	var prev schema.Record
 	for vi, v := range doc.Versions {
 		if err := st.schema.ValidateRecord(doc.Class, v.Fields); err != nil {
 			return nil, fmt.Errorf("graph: history object %d version %d: %w", uid, vi, err)
 		}
+		prev = cls.NewRecord(v.Fields, prev)
+		obj.Versions[vi] = Row{Rec: prev, Period: v.Period}
 	}
 
-	obj := &Object{UID: uid, Class: cls, Src: doc.Src, Dst: doc.Dst, Versions: doc.Versions}
 	st.versionCount += len(obj.Versions)
 	*st.objects.slot(uid) = obj
 	st.byClass[doc.Class] = append(st.byClass[doc.Class], uid)
@@ -417,7 +450,7 @@ func (st *Store) restoreObject(doc *objectDoc) (*Object, error) {
 	if cur := obj.Current(); cur != nil {
 		st.addClassCount(doc.Class, 1)
 		st.liveCount++
-		st.recordUnique(cls, cur.Fields, uid)
+		st.recordUnique(cls, cur.Rec, uid)
 	}
 	return obj, nil
 }

@@ -172,6 +172,22 @@ func (h *history) encode(t testing.TB) []byte {
 	return out
 }
 
+// appendObject appends the history encoding of a decoded object, which
+// may be one no store could hold (an unknown class, an ill-typed field).
+func appendObject(b []byte, o *objectDoc, prev UID) ([]byte, error) {
+	b = appendObjectHead(b, o.UID-prev, o.Class, o.Src, o.Dst, len(o.Versions))
+	for _, v := range o.Versions {
+		var err error
+		if b, err = appendPeriod(b, v.Period); err != nil {
+			return b, err
+		}
+		if b, err = codec.AppendFields(b, v.Fields); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
 // editHistory returns the history stream b changed by fn.
 func editHistory(t testing.TB, b []byte, fn func(h *history)) []byte {
 	t.Helper()

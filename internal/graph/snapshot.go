@@ -69,7 +69,7 @@ func (st *Store) ApplySnapshot(snap *Snapshot) (DiffStats, error) {
 			return stats, fmt.Errorf("graph: snapshot node %d of class %s has no id", i, n.Class)
 		}
 		if uid, exists := st.LookupUnique(schema.NodeRoot, "id", id); exists {
-			obj := st.Object(uid)
+			obj := st.Elem(uid)
 			if obj.Class.Name != n.Class {
 				// A node changed class: model as delete + insert.
 				if err := st.Delete(uid); err != nil {
@@ -84,7 +84,7 @@ func (st *Store) ApplySnapshot(snap *Snapshot) (DiffStats, error) {
 				seenNodes[newUID] = true
 				continue
 			}
-			if !sameFields(obj.Current().Fields, n.Fields) {
+			if !sameFields(obj.Class.Map(obj.Current().Rec), n.Fields) {
 				if err := st.Update(uid, n.Fields); err != nil {
 					return stats, fmt.Errorf("graph: snapshot update node id=%v: %w", id, err)
 				}
@@ -117,14 +117,14 @@ func (st *Store) ApplySnapshot(snap *Snapshot) (DiffStats, error) {
 				id, e.SrcID, e.DstID)
 		}
 		if uid, exists := st.LookupUnique(schema.EdgeRoot, "id", id); exists {
-			obj := st.Object(uid)
+			obj := st.Elem(uid)
 			if obj.Class.Name != e.Class || obj.Src != src || obj.Dst != dst {
 				if err := st.Delete(uid); err != nil {
 					return stats, err
 				}
 				stats.EdgesDeleted++
 			} else {
-				if !sameFields(obj.Current().Fields, e.Fields) {
+				if !sameFields(obj.Class.Map(obj.Current().Rec), e.Fields) {
 					if err := st.Update(uid, e.Fields); err != nil {
 						return stats, fmt.Errorf("graph: snapshot update edge id=%v: %w", id, err)
 					}
@@ -146,7 +146,7 @@ func (st *Store) ApplySnapshot(snap *Snapshot) (DiffStats, error) {
 	// Edges first, so node deletion cascades don't double-count.
 	for class := range edgeClasses {
 		for _, uid := range st.ByClass(class) {
-			obj := st.Object(uid)
+			obj := st.Elem(uid)
 			if obj.Current() != nil && !seenEdges[uid] {
 				if err := st.Delete(uid); err != nil {
 					return stats, err
@@ -157,7 +157,7 @@ func (st *Store) ApplySnapshot(snap *Snapshot) (DiffStats, error) {
 	}
 	for class := range nodeClasses {
 		for _, uid := range st.ByClass(class) {
-			obj := st.Object(uid)
+			obj := st.Elem(uid)
 			if obj.Current() != nil && !seenNodes[uid] {
 				if err := st.Delete(uid); err != nil {
 					return stats, err
@@ -192,12 +192,12 @@ func (st *Store) CurrentSnapshot() *Snapshot {
 			}
 			snap.Edges = append(snap.Edges, EdgeSpec{
 				Class:  obj.Class.Name,
-				SrcID:  srcCur.Fields["id"],
-				DstID:  dstCur.Fields["id"],
-				Fields: cur.Fields.Clone(),
+				SrcID:  srcCur.Rec[schema.IDSlot],
+				DstID:  dstCur.Rec[schema.IDSlot],
+				Fields: obj.Class.Map(cur.Rec),
 			})
 		} else {
-			snap.Nodes = append(snap.Nodes, NodeSpec{Class: obj.Class.Name, Fields: cur.Fields.Clone()})
+			snap.Nodes = append(snap.Nodes, NodeSpec{Class: obj.Class.Name, Fields: obj.Class.Map(cur.Rec)})
 		}
 	}
 	return snap

@@ -49,15 +49,10 @@ type Version struct {
 	Period temporal.Interval
 }
 
-// Object is a node or edge with its full version history. Versions are
-// ordered by period start and non-overlapping; the last one is open
-// (IsCurrent) unless the object has been deleted.
-//
-// An Object is immutable once the store has published it: a write that
-// changes one — an update or a delete closing its open version — installs
-// a fresh Object with a copied Versions slice under the write lock. So a
-// reader holding an *Object from Object (or an index) reads it without a
-// lock and never sees a version closed or appended underneath it.
+// Object is a node or edge with its full version history, in the map form
+// tools, tests and examples read: Store.Object decodes it from the stored
+// Elem. Versions are ordered by period start and non-overlapping; the last
+// one is open (IsCurrent) unless the object has been deleted.
 type Object struct {
 	UID   UID
 	Class *schema.Class
@@ -107,6 +102,77 @@ func (o *Object) Lifetime() temporal.Set {
 	return s.Normalize()
 }
 
+// Row is one temporal version of an Elem: the slot record of the values
+// that held during Period.
+type Row struct {
+	Rec    schema.Record
+	Period temporal.Interval
+}
+
+// Elem is a node or edge as the store keeps it: its class, endpoints and
+// version history, each version a slot record of its class (one row of
+// the class's table in the paper's relational mapping). Versions are
+// ordered by period start and non-overlapping; the last one is open
+// (IsCurrent) unless the element has been deleted.
+//
+// An Elem is immutable once the store has published it: a write that
+// changes one — an update or a delete closing its open version — installs
+// a fresh Elem with a copied Versions slice under the write lock. So a
+// reader holding an *Elem from Elem (or an index) reads it without a lock
+// and never sees a version closed or appended underneath it.
+type Elem struct {
+	UID   UID
+	Class *schema.Class
+	// Src and Dst are the endpoint node UIDs; meaningful for edges only.
+	Src, Dst UID
+	Versions []Row
+}
+
+// IsEdge reports whether the element is an edge.
+func (e *Elem) IsEdge() bool { return e.Class.IsEdge() }
+
+// Current returns the open version, or nil when the element is deleted.
+func (e *Elem) Current() *Row {
+	if n := len(e.Versions); n > 0 && e.Versions[n-1].Period.IsCurrent() {
+		return &e.Versions[n-1]
+	}
+	return nil
+}
+
+// VersionAt returns the version visible at time t, or nil.
+func (e *Elem) VersionAt(t time.Time) *Row {
+	// Versions are few per element; linear scan from the end is fastest
+	// for the common "current or near-current" case.
+	for i := len(e.Versions) - 1; i >= 0; i-- {
+		if e.Versions[i].Period.Contains(t) {
+			return &e.Versions[i]
+		}
+		if e.Versions[i].Period.End.Before(t) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// Lifetime returns the normalized set of periods during which the element
+// existed (across all versions, regardless of field changes).
+func (e *Elem) Lifetime() temporal.Set {
+	s := make(temporal.Set, len(e.Versions))
+	for i, v := range e.Versions {
+		s[i] = v.Period
+	}
+	return s.Normalize()
+}
+
+// object decodes e into its map form.
+func (e *Elem) object() *Object {
+	o := &Object{UID: e.UID, Class: e.Class, Src: e.Src, Dst: e.Dst, Versions: make([]Version, len(e.Versions))}
+	for i, v := range e.Versions {
+		o.Versions[i] = Version{Fields: e.Class.Map(v.Rec), Period: v.Period}
+	}
+	return o
+}
+
 // Store is the temporal graph store. All methods are safe for concurrent
 // use; reads proceed under a shared lock.
 type Store struct {
@@ -114,9 +180,9 @@ type Store struct {
 	schema *schema.Schema
 	clock  *temporal.Clock
 
-	// objects holds every object ever stored, at its UID; nextUID is the
+	// objects holds every element ever stored, at its UID; nextUID is the
 	// allocation frontier, one past the largest UID allocated.
-	objects table[*Object]
+	objects table[*Elem]
 	nextUID UID
 
 	// out and in hold, at a node's UID, the UIDs of its outgoing/incoming
@@ -241,20 +307,20 @@ func (st *Store) Delete(uid UID) error {
 	return st.Mutate(context.Background(), &Mutation{Op: OpDelete, UID: uid})
 }
 
-// installLocked installs a fully validated object at a fixed timestamp.
-func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fields, ts time.Time) {
-	st.setObject(uid, &Object{
+// installLocked installs a fully validated element at a fixed timestamp.
+func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schema.Record, ts time.Time) {
+	st.setObject(uid, &Elem{
 		UID:      uid,
 		Class:    c,
 		Src:      src,
 		Dst:      dst,
-		Versions: []Version{{Fields: fields.Clone(), Period: temporal.Current(ts)}},
+		Versions: []Row{{Rec: rec, Period: temporal.Current(ts)}},
 	})
 	st.appendByClass(c.Name, uid)
 	st.addClassCount(c.Name, 1)
 	st.versionCount++
 	st.liveCount++
-	st.recordUnique(c, fields, uid)
+	st.recordUnique(c, rec, uid)
 	if c.IsEdge() {
 		st.appendAdjacency(src, dst, uid)
 	}
@@ -264,32 +330,32 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, fields Fi
 }
 
 // updateLocked closes obj's open version and opens a new one at a fixed
-// timestamp, publishing the result as a fresh object.
-func (st *Store) updateLocked(obj *Object, fields Fields, t time.Time) {
-	st.releaseUnique(obj.Class, obj.Current().Fields, obj.UID)
-	st.recordUnique(obj.Class, fields, obj.UID)
+// timestamp, publishing the result as a fresh element.
+func (st *Store) updateLocked(obj *Elem, rec schema.Record, t time.Time) {
+	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
+	st.recordUnique(obj.Class, rec, obj.UID)
 	next := st.closedCopy(obj, t, 1)
-	next.Versions = append(next.Versions, Version{Fields: fields.Clone(), Period: temporal.Current(t)})
+	next.Versions = append(next.Versions, Row{Rec: rec, Period: temporal.Current(t)})
 	st.versionCount++
 }
 
 // closedCopy publishes a copy of obj whose open version ends at t, with
 // capacity for extra versions to be appended, and returns it. The
-// published original is never written: objects are immutable once readers
-// can reach them.
-func (st *Store) closedCopy(obj *Object, t time.Time, extra int) *Object {
+// published original is never written: elements are immutable once
+// readers can reach them.
+func (st *Store) closedCopy(obj *Elem, t time.Time, extra int) *Elem {
 	next := *obj
-	next.Versions = make([]Version, len(obj.Versions), len(obj.Versions)+extra)
+	next.Versions = make([]Row, len(obj.Versions), len(obj.Versions)+extra)
 	copy(next.Versions, obj.Versions)
 	next.Versions[len(next.Versions)-1].Period.End = t
 	st.setObject(obj.UID, &next)
 	return &next
 }
 
-// deleteAtLocked closes the object — and, for a node, its live incident
+// deleteAtLocked closes the element — and, for a node, its live incident
 // edges — at one shared timestamp t, so the whole cascade is a single
 // atomic transaction-time event that log replay reproduces exactly.
-func (st *Store) deleteAtLocked(obj *Object, t time.Time) {
+func (st *Store) deleteAtLocked(obj *Elem, t time.Time) {
 	if !obj.IsEdge() {
 		for _, eid := range st.out.at(obj.UID) {
 			st.closeIfLive(eid, t)
@@ -307,37 +373,28 @@ func (st *Store) closeIfLive(uid UID, t time.Time) {
 	}
 }
 
-func (st *Store) closeObject(obj *Object, t time.Time) {
-	st.releaseUnique(obj.Class, obj.Current().Fields, obj.UID)
+func (st *Store) closeObject(obj *Elem, t time.Time) {
+	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
 	st.closedCopy(obj, t, 0)
 	st.addClassCount(obj.Class.Name, -1)
 	st.liveCount--
 }
 
-// claimUnique verifies no other live object holds the unique field values
-// in fields; self may already hold them (updates).
-func (st *Store) claimUnique(c *schema.Class, fields Fields, self UID) error {
-	for cur := c; cur != nil; cur = cur.Parent {
-		for _, f := range cur.OwnFields {
-			if !f.Unique {
-				continue
-			}
-			v, ok := fields[f.Name]
-			if !ok {
-				continue
-			}
-			key := uniqueKey{class: cur.Name, field: f.Name}
-			if held, exists := st.unique[key][valueKey(v)]; exists && held != self {
-				return fmt.Errorf("graph: duplicate value %v for unique field %s.%s (held by uid %d)",
-					v, cur.Name, f.Name, held)
-			}
+// claimUnique verifies no other live element holds the unique field
+// values in rec; self may already hold them (updates).
+func (st *Store) claimUnique(c *schema.Class, rec schema.Record, self UID) error {
+	var err error
+	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
+		if held, exists := st.unique[key][vk]; err == nil && exists && held != self {
+			err = fmt.Errorf("graph: duplicate value %s for unique field %s.%s (held by uid %d)",
+				vk[1:], key.class, key.field, held)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
-func (st *Store) recordUnique(c *schema.Class, fields Fields, uid UID) {
-	st.eachUnique(c, fields, func(key uniqueKey, vk string) {
+func (st *Store) recordUnique(c *schema.Class, rec schema.Record, uid UID) {
+	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
 		m := st.unique[key]
 		if m == nil {
 			m = make(map[string]UID)
@@ -347,21 +404,26 @@ func (st *Store) recordUnique(c *schema.Class, fields Fields, uid UID) {
 	})
 }
 
-func (st *Store) releaseUnique(c *schema.Class, fields Fields, uid UID) {
-	st.eachUnique(c, fields, func(key uniqueKey, vk string) {
+func (st *Store) releaseUnique(c *schema.Class, rec schema.Record, uid UID) {
+	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
 		if m := st.unique[key]; m != nil && m[vk] == uid {
 			st.setUnique(m, vk, 0)
 		}
 	})
 }
 
-func (st *Store) eachUnique(c *schema.Class, fields Fields, fn func(uniqueKey, string)) {
+// eachUnique calls fn with the index key and value key of every unique
+// field rec holds. A class's own fields take the last len(OwnFields)
+// slots of its field list, so each declaring class's slots are found
+// without a name lookup.
+func (st *Store) eachUnique(c *schema.Class, rec schema.Record, fn func(uniqueKey, string)) {
 	for cur := c; cur != nil; cur = cur.Parent {
-		for _, f := range cur.OwnFields {
+		base := len(cur.Fields()) - len(cur.OwnFields)
+		for i, f := range cur.OwnFields {
 			if !f.Unique {
 				continue
 			}
-			if v, ok := fields[f.Name]; ok {
+			if v := rec[base+i]; v != nil {
 				fn(uniqueKey{class: cur.Name, field: f.Name}, valueKey(v))
 			}
 		}
@@ -394,11 +456,22 @@ func valueKey(v any) string {
 	return fmt.Sprintf("v%v", v)
 }
 
-// Object returns the object with the given UID, or nil.
-func (st *Store) Object(uid UID) *Object {
+// Elem returns the stored element with the given UID, or nil. It is the
+// engine's read: the element is immutable and read without a lock.
+func (st *Store) Elem(uid UID) *Elem {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.objects.at(uid)
+}
+
+// Object returns the object with the given UID in map form, or nil: a
+// fresh decode of the stored element, for tools, tests and examples. The
+// engine reads Elem.
+func (st *Store) Object(uid UID) *Object {
+	if e := st.Elem(uid); e != nil {
+		return e.object()
+	}
+	return nil
 }
 
 // OutEdges returns the UIDs of all edges ever attached outgoing from the

@@ -215,9 +215,10 @@ func TestViewPointAndRange(t *testing.T) {
 	_ = st.Update(uid, Fields{"id": 1, "status": "Red"})
 	clock.Advance(time.Hour)
 	_ = st.Update(uid, Fields{"id": 1, "status": "Green"})
-	obj := st.Object(uid)
+	obj := st.Elem(uid)
 
-	isGreen := func(f Fields) bool { return f["status"] == "Green" }
+	status, _ := obj.Class.Slot("status")
+	isGreen := func(r schema.Record) bool { return r[status] == "Green" }
 
 	// Point view inside the Red period.
 	v := PointView(st, t0.Add(90*time.Minute))

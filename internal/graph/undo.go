@@ -33,7 +33,7 @@ type undoEntry struct {
 	had   bool
 	uid   UID
 	n     int
-	obj   *Object
+	obj   *Elem
 	name  string
 	index map[string]UID // one unique index
 	vk    string
@@ -107,7 +107,7 @@ func truncateIndex(l *[]UID, n int) {
 // entry otherwise: a one-op write pays one branch per change.
 
 // setObject publishes obj as uid's object.
-func (st *Store) setObject(uid UID, obj *Object) {
+func (st *Store) setObject(uid UID, obj *Elem) {
 	if st.undo.on {
 		st.journal(undoEntry{kind: undoObject, uid: uid, obj: st.objects.at(uid)})
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"time"
 
+	"repro/internal/schema"
 	"repro/internal/temporal"
 )
 
@@ -46,8 +47,8 @@ func (v View) At() time.Time { return v.at }
 // nanosecond window at the instant).
 func (v View) Window() temporal.Interval { return v.window }
 
-// Pred tests one version's fields.
-type Pred func(Fields) bool
+// Pred tests one version's record.
+type Pred func(schema.Record) bool
 
 // Match evaluates pred over the object's versions and returns the maximal
 // (unclipped) periods during which the object existed and satisfied pred,
@@ -55,13 +56,13 @@ type Pred func(Fields) bool
 // precisely: ok is true when the returned set overlaps the window; the set
 // itself contains all maximal match periods so that range queries report
 // full assertion ranges as §4 requires.
-func (v View) Match(obj *Object, pred Pred) (temporal.Set, bool) {
+func (v View) Match(obj *Elem, pred Pred) (temporal.Set, bool) {
 	if obj == nil {
 		return nil, false
 	}
 	if v.point {
 		ver := obj.VersionAt(v.at)
-		if ver == nil || (pred != nil && !pred(ver.Fields)) {
+		if ver == nil || (pred != nil && !pred(ver.Rec)) {
 			return nil, false
 		}
 		// Expand to the maximal contiguous match period around the instant
@@ -82,11 +83,11 @@ func (v View) Match(obj *Object, pred Pred) (temporal.Set, bool) {
 
 // maximalSet returns the normalized union of version periods where pred
 // holds across the object's entire history.
-func (v View) maximalSet(obj *Object, pred Pred) temporal.Set {
+func (v View) maximalSet(obj *Elem, pred Pred) temporal.Set {
 	set := make(temporal.Set, 0, len(obj.Versions))
 	for i := range obj.Versions {
 		ver := &obj.Versions[i]
-		if pred == nil || pred(ver.Fields) {
+		if pred == nil || pred(ver.Rec) {
 			set = append(set, ver.Period)
 		}
 	}
@@ -96,7 +97,7 @@ func (v View) maximalSet(obj *Object, pred Pred) temporal.Set {
 // Visible reports whether the object exists anywhere in the view's window,
 // regardless of field values. It is the allocation-free fast path the
 // execution engines call per candidate element.
-func (v View) Visible(obj *Object) bool {
+func (v View) Visible(obj *Elem) bool {
 	if v.point {
 		return obj.VersionAt(v.at) != nil
 	}
@@ -108,38 +109,19 @@ func (v View) Visible(obj *Object) bool {
 	return false
 }
 
-// Satisfies reports whether the object satisfies pred at some instant the
-// view admits: exactly at the point instant for point views, or during
-// any version overlapping the window for range views. Like Visible it
-// allocates nothing; Match is the variant that also reports the maximal
-// periods.
-func (v View) Satisfies(obj *Object, pred Pred) bool {
-	if v.point {
-		ver := obj.VersionAt(v.at)
-		return ver != nil && (pred == nil || pred(ver.Fields))
-	}
-	for i := range obj.Versions {
-		ver := &obj.Versions[i]
-		if ver.Period.Overlaps(v.window) && (pred == nil || pred(ver.Fields)) {
-			return true
-		}
-	}
-	return false
-}
-
-// FieldsAt returns a representative field map for result rendering: the
+// RecordAt returns a representative record for result rendering: the
 // version at the point instant, or the latest version overlapping the
 // window for a range view.
-func (v View) FieldsAt(obj *Object) Fields {
+func (v View) RecordAt(obj *Elem) schema.Record {
 	if v.point {
 		if ver := obj.VersionAt(v.at); ver != nil {
-			return ver.Fields
+			return ver.Rec
 		}
 		return nil
 	}
 	for i := len(obj.Versions) - 1; i >= 0; i-- {
 		if obj.Versions[i].Period.Overlaps(v.window) {
-			return obj.Versions[i].Fields
+			return obj.Versions[i].Rec
 		}
 	}
 	return nil

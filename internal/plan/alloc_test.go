@@ -31,9 +31,8 @@ import (
 // builds a result slice per adjacency probe — physical access, outside
 // the shared core — so it is allowed one allocation per expanded partial
 // on top; gremlin hands out the store's own adjacency lists and gets the
-// bare bound. Under -race, sync.Pool drops a random quarter of what is
-// put back, so the bound there allows one freshly grown scratch per
-// evaluation.
+// bare bound. The scratch waits in a free list, not a sync.Pool, so
+// nothing drops it between evaluations, under -race included.
 func TestExtendAllocations(t *testing.T) {
 	for _, fx := range []struct {
 		spines int
@@ -88,9 +87,6 @@ func TestExtendAllocations(t *testing.T) {
 				if name == "relational" {
 					bound += m.PartialsExplored
 				}
-				if raceEnabled {
-					bound += 24
-				}
 				if allocs > float64(bound) {
 					t.Errorf("%s, %d extra spines (churn %v), %d hops: %.0f allocations, want at most %d (%v)",
 						name, fx.spines, fx.churn, hops, allocs, bound, m)
@@ -133,15 +129,15 @@ func TestElementIndexSparseRange(t *testing.T) {
 		}
 		return st
 	}
-	// coldBytes is the least any of five evaluations allocates with the
-	// pool emptied first (two collections drop its pooled states).
+	// coldBytes is the least any of five evaluations allocates with no
+	// idle evaluation state to reuse.
 	coldBytes := func(st *graph.Store) uint64 {
 		eng := plan.NewEngine(gremlin.New(st))
 		_, p := mustPlan(t, st, "VM()->OnServer()->Host()")
 		view := graph.CurrentView(st)
 		least := ^uint64(0)
 		for range 5 {
-			runtime.GC()
+			plan.DropIdleStates()
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
@@ -162,6 +158,3 @@ func TestElementIndexSparseRange(t *testing.T) {
 		t.Errorf("one cold evaluation allocates %d bytes over a 1M-UID range, %d over 100 UIDs: more than %d apart", wide, narrow, slack)
 	}
 }
-
-// raceEnabled reports a -race build; race_test.go sets it.
-var raceEnabled bool

@@ -127,7 +127,7 @@ func randomSeeds(rng *rand.Rand, view graph.View) []graph.UID {
 	var nodes []graph.UID
 	lo, hi := st.UIDRange()
 	for uid := lo; uid < hi; uid++ {
-		if obj := st.Object(uid); obj != nil && !obj.IsEdge() && view.Visible(obj) {
+		if obj := st.Elem(uid); obj != nil && !obj.IsEdge() && view.Visible(obj) {
 			nodes = append(nodes, uid)
 		}
 	}

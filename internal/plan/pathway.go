@@ -65,7 +65,7 @@ func (p Pathway) Render(st *graph.Store) string {
 		if i > 0 {
 			sb.WriteString(" -> ")
 		}
-		if obj := st.Object(uid); obj == nil {
+		if obj := st.Elem(uid); obj == nil {
 			sb.WriteByte('?')
 		} else {
 			sb.WriteString(obj.Class.Name)

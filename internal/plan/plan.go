@@ -69,7 +69,7 @@ func UniqueAnchor(st *graph.Store, cls *schema.Class, a *rpe.Atom) (elems []grap
 					continue
 				}
 				if uid, found := st.LookupUnique(cur.Name, f.Name, p.Value); found {
-					if obj := st.Object(uid); obj != nil && obj.Class.IsSubclassOf(cls) {
+					if obj := st.Elem(uid); obj != nil && obj.Class.IsSubclassOf(cls) {
 						return []graph.UID{uid}, true
 					}
 				}

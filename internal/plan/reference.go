@@ -33,7 +33,7 @@ func ReferenceEval(view graph.View, c *rpe.Checked) *PathwaySet {
 		}
 		tail := elems[len(elems)-1]
 		for _, e := range st.OutEdges(tail) {
-			eo := st.Object(e)
+			eo := st.Elem(e)
 			if !view.Visible(eo) {
 				continue
 			}
@@ -45,7 +45,7 @@ func ReferenceEval(view graph.View, c *rpe.Checked) *PathwaySet {
 		}
 	}
 	for uid := lo; uid < hi; uid++ {
-		obj := st.Object(uid)
+		obj := st.Elem(uid)
 		if obj == nil || obj.IsEdge() || !view.Visible(obj) {
 			continue
 		}

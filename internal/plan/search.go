@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -114,12 +115,29 @@ type evalState struct {
 	outIvs   temporal.Set
 }
 
-var evalPool = sync.Pool{New: func() any { return new(evalState) }}
+// idleStates holds evalStates between evaluations, at most one per
+// processor. It is a free list, not a sync.Pool: a pool is emptied by
+// every other collection, and the scratch regrown after each would cost
+// an allocation per evaluation in proportion to how often the heap is
+// collected — a smaller live heap would allocate more per query.
+var idleStates struct {
+	sync.Mutex
+	list []*evalState
+}
 
-// getEvalState takes a pooled evalState and resets every field, keeping
-// only the arenas' capacity.
+// getEvalState takes an idle evalState, or a new one, and resets every
+// field, keeping only the arenas' capacity.
 func getEvalState(gov *Governor) *evalState {
-	es := evalPool.Get().(*evalState)
+	var es *evalState
+	idleStates.Lock()
+	if n := len(idleStates.list); n > 0 {
+		es, idleStates.list[n-1] = idleStates.list[n-1], nil
+		idleStates.list = idleStates.list[:n-1]
+	}
+	idleStates.Unlock()
+	if es == nil {
+		es = new(evalState)
+	}
 	*es = evalState{
 		gov:      gov,
 		tab:      es.tab,
@@ -138,16 +156,21 @@ func getEvalState(gov *Governor) *evalState {
 	return es
 }
 
-// putEvalState returns es to the pool once nothing reads it any more,
-// dropping every pointer into the store, the trace and the query so an
-// idle pooled state pins none of them.
+// putEvalState makes es idle once nothing reads it any more, dropping
+// every pointer into the store, the trace and the query so an idle state
+// pins none of them. A state beyond one per processor is left to the
+// collector.
 func putEvalState(es *evalState) {
 	es.tab.drop()
 	clear(es.validity.objs)
 	clear(es.validity.elements)
 	clear(es.out.paths) // windows of slab arrays that growth has replaced
 	es.tr, es.gov, es.err = nil, nil, nil
-	evalPool.Put(es)
+	idleStates.Lock()
+	if len(idleStates.list) < runtime.GOMAXPROCS(0) {
+		idleStates.list = append(idleStates.list, es)
+	}
+	idleStates.Unlock()
 }
 
 // partial is one partial pathway: elem appended to (prepended to, in a
@@ -198,7 +221,7 @@ type elemTable struct {
 // never load the object itself. onPath marks an element of the partial
 // pathway search is expanding (markPath).
 type elemEntry struct {
-	obj                 *graph.Object
+	obj                 *graph.Elem
 	visible, isEdge     bool
 	stableKnown, stable bool
 	onPath              bool
@@ -224,7 +247,7 @@ func (t *elemTable) resolve(uid graph.UID) int32 {
 	if i, ok := t.idx.get(uid); ok {
 		return i
 	}
-	obj := t.st.Object(uid)
+	obj := t.st.Elem(uid)
 	i := int32(len(t.ents))
 	t.ents = append(t.ents, elemEntry{obj: obj, visible: obj != nil && t.view.Visible(obj), isEdge: obj != nil && obj.IsEdge()})
 	off := len(t.bits)
@@ -690,17 +713,17 @@ func (e *Engine) consume(c *rpe.Checked, cur int32, ei int32, dir Direction, es 
 // satisfiedInView reports whether the object satisfies the atom at some
 // instant admitted by the view (exact for point views; a candidate filter
 // for range views, with exact validity computed at assembly).
-func satisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Atom, obj *graph.Object) bool {
+func satisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Atom, obj *graph.Elem) bool {
 	if !obj.Class.IsSubclassOf(c.ClassOf(a)) {
 		return false
 	}
 	if view.IsPoint() {
 		ver := obj.VersionAt(view.At())
-		return ver != nil && c.Satisfies(a, obj.Class, ver.Fields)
+		return ver != nil && c.Satisfies(a, obj.Class, ver.Rec)
 	}
 	for i := range obj.Versions {
 		ver := &obj.Versions[i]
-		if ver.Period.Overlaps(view.Window()) && c.Satisfies(a, obj.Class, ver.Fields) {
+		if ver.Period.Overlaps(view.Window()) && c.Satisfies(a, obj.Class, ver.Rec) {
 			return true
 		}
 	}

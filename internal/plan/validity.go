@@ -42,7 +42,7 @@ func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) tempora
 // validityScratch holds computeValidity's working arrays, so an
 // evaluation pays for them once rather than once per candidate pathway.
 type validityScratch struct {
-	objs       []*graph.Object
+	objs       []*graph.Elem
 	elements   []rpe.Element
 	boundaries []time.Time
 	ranges     temporal.Set
@@ -57,7 +57,7 @@ type validityScratch struct {
 func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, matched bool) temporal.Set {
 	if n := len(elems); cap(sc.objs) < n {
 		n = max(n, 2*cap(sc.objs))
-		sc.objs, sc.elements = make([]*graph.Object, n), make([]rpe.Element, n)
+		sc.objs, sc.elements = make([]*graph.Elem, n), make([]rpe.Element, n)
 	}
 	objs := sc.objs[:len(elems)]
 	allStable := true
@@ -90,7 +90,7 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 		if !matched {
 			elements := sc.elements[:len(objs)]
 			for i, obj := range objs {
-				elements[i] = rpe.Element{Class: obj.Class, Fields: obj.Versions[0].Fields}
+				elements[i] = rpe.Element{Class: obj.Class, Rec: obj.Versions[0].Rec}
 			}
 			if !sc.matches(c, elements) {
 				return nil
@@ -127,14 +127,14 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 
 // matchesAt reports whether the pathway of objs, every one existing at
 // t, satisfies c with the field values they held at t.
-func (sc *validityScratch) matchesAt(c *rpe.Checked, objs []*graph.Object, t time.Time) bool {
+func (sc *validityScratch) matchesAt(c *rpe.Checked, objs []*graph.Elem, t time.Time) bool {
 	elements := sc.elements[:len(objs)]
 	for i, obj := range objs {
 		ver := obj.VersionAt(t)
 		if ver == nil {
 			return false
 		}
-		elements[i] = rpe.Element{Class: obj.Class, Fields: ver.Fields}
+		elements[i] = rpe.Element{Class: obj.Class, Rec: ver.Rec}
 	}
 	return sc.matches(c, elements)
 }
@@ -152,7 +152,7 @@ func (sc *validityScratch) matches(c *rpe.Checked, elements []rpe.Element) bool 
 // at which a version of one of objs starts or a closed one ends: between
 // two consecutive ones, every object's field values are constant. It
 // reuses buf's storage and discards its contents.
-func VersionBoundaries(buf []time.Time, objs []*graph.Object) []time.Time {
+func VersionBoundaries(buf []time.Time, objs []*graph.Elem) []time.Time {
 	buf = buf[:0]
 	for _, obj := range objs {
 		for _, v := range obj.Versions {
@@ -169,7 +169,7 @@ func VersionBoundaries(buf []time.Time, objs []*graph.Object) []time.Time {
 // stableForQuery reports whether the object's satisfaction of every atom
 // in the checked RPE is the same across all of its versions, so that no
 // version boundary can flip the pathway's match status.
-func stableForQuery(c *rpe.Checked, obj *graph.Object) bool {
+func stableForQuery(c *rpe.Checked, obj *graph.Elem) bool {
 	if len(obj.Versions) == 1 {
 		return true
 	}
@@ -177,9 +177,9 @@ func stableForQuery(c *rpe.Checked, obj *graph.Object) bool {
 		if !obj.Class.IsSubclassOf(c.ClassOf(a)) {
 			continue // the atom never matches this object in any version
 		}
-		first := c.Satisfies(a, obj.Class, obj.Versions[0].Fields)
+		first := c.Satisfies(a, obj.Class, obj.Versions[0].Rec)
 		for i := 1; i < len(obj.Versions); i++ {
-			if c.Satisfies(a, obj.Class, obj.Versions[i].Fields) != first {
+			if c.Satisfies(a, obj.Class, obj.Versions[i].Rec) != first {
 				return false
 			}
 		}

@@ -96,7 +96,7 @@ func (b *Backend) refresh(gov *plan.Governor) error {
 				return err
 			}
 		}
-		obj := b.store.Object(uid)
+		obj := b.store.Elem(uid)
 		if obj == nil || !obj.IsEdge() {
 			continue
 		}

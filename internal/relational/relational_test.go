@@ -143,10 +143,10 @@ func TestHistoryRowsStayIndexed(t *testing.T) {
 	if !found {
 		t.Fatal("deleted edge dropped from the index; history queries would miss it")
 	}
-	if graph.CurrentView(b.Store()).Visible(b.Store().Object(placement)) {
+	if graph.CurrentView(b.Store()).Visible(b.Store().Elem(placement)) {
 		t.Fatal("deleted edge still visible in the current view")
 	}
-	if !graph.PointView(b.Store(), t0.Add(time.Minute)).Visible(b.Store().Object(placement)) {
+	if !graph.PointView(b.Store(), t0.Add(time.Minute)).Visible(b.Store().Elem(placement)) {
 		t.Fatal("deleted edge invisible in the past")
 	}
 }

@@ -22,9 +22,13 @@ import (
 //   - Observe: a remote epoch above a positive own epoch proves a newer
 //     primary exists, and fences a primary (never a replica, whose era is
 //     its primary's and moves with its feed);
-//   - Promote mints max(durable, pinned, fencedBy) + 1 — above this log's
-//     era, the era the link followed, and every era that fenced the node —
-//     or stays without an epoch when all three are 0.
+//   - Promote mints max(durable, pinned, fencedBy, seen) + 1 — above this
+//     log's era, the era the link followed, every era that fenced the
+//     node, and the highest era the promoting client has seen — or stays
+//     without an epoch when all four are 0. The last bound covers a link
+//     that has not polled since its primary was re-promoted: the link
+//     still holds the old era, but a client that wrote to the re-promoted
+//     primary has seen the new one.
 type Node struct {
 	st  *graph.Store
 	mgr *wal.Manager // nil for an in-memory node
@@ -185,10 +189,12 @@ func (n *Node) Demote() error {
 // fresh log is what makes a later fork by the old primary detectable:
 // both logs then claim one identity and one set of positions, and a
 // follower comparing prefix hashes sees which era it is on. On a fenced
-// primary it lifts the fence. The node stays a replica, rejecting writes,
-// until every step has succeeded; a promoted, unfenced node answers
-// idempotently, and any other primary with ErrNotReplica.
-func (n *Node) Promote() (pos, epoch uint64, err error) {
+// primary it lifts the fence. seen is the highest epoch the caller has
+// seen (0 for none); the minted epoch is above it too. The node stays a
+// replica, rejecting writes, until every step has succeeded; a promoted,
+// unfenced node answers idempotently, and any other primary with
+// ErrNotReplica.
+func (n *Node) Promote(seen uint64) (pos, epoch uint64, err error) {
 	n.promoteMu.Lock()
 	defer n.promoteMu.Unlock()
 	n.mu.Lock()
@@ -209,7 +215,7 @@ func (n *Node) Promote() (pos, epoch uint64, err error) {
 	if n.mgr != nil {
 		durable = n.mgr.Epoch()
 	}
-	if top := max(durable, link.Epoch, fencedBy); top > 0 {
+	if top := max(durable, link.Epoch, fencedBy, seen); top > 0 {
 		epoch = top + 1
 	}
 	if n.mgr != nil {

@@ -245,7 +245,7 @@ func TestPromoteDurable(t *testing.T) {
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 20 })
 
-	pos, _, err := node.Promote()
+	pos, _, err := node.Promote(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPromoteDurable(t *testing.T) {
 		t.Fatal("Promoted() = false after Promote")
 	}
 	// Idempotent.
-	if pos2, _, err := node.Promote(); err != nil || pos2 != 20 {
+	if pos2, _, err := node.Promote(0); err != nil || pos2 != 20 {
 		t.Fatalf("second Promote = (%d, %v), want (20, nil)", pos2, err)
 	}
 
@@ -591,7 +591,7 @@ func TestSourceStampsEpochAfterRead(t *testing.T) {
 	if err := node.Demote(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := node.Promote(); err != nil {
+	if _, _, err := node.Promote(0); err != nil {
 		t.Fatal(err)
 	}
 	after := node.Epoch()
@@ -670,7 +670,7 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 		if round > 0 {
 			close(release)
 		}
-		applied, _, perr := node.Promote()
+		applied, _, perr := node.Promote(0)
 		if round == 0 {
 			close(release)
 		}
@@ -832,7 +832,7 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 10 })
-	if _, _, err := node.Promote(); err != nil {
+	if _, _, err := node.Promote(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmgr.Epoch(); got != 2 {
@@ -914,7 +914,7 @@ func TestNodeRoleAndEpochRule(t *testing.T) {
 		t.Fatal("a replica accepted a write or a demote")
 	}
 
-	pos, epoch, err := node.Promote()
+	pos, epoch, err := node.Promote(0)
 	if err != nil || pos != 4 || epoch != 2 {
 		t.Fatalf("promote = (%d, %d, %v); want (4, 2, nil)", pos, epoch, err)
 	}
@@ -925,7 +925,7 @@ func TestNodeRoleAndEpochRule(t *testing.T) {
 	if !node.Observe(7) || !errors.Is(node.CheckWrite(0), ErrStalePrimary) {
 		t.Fatal("epoch 7 did not fence the epoch-2 primary")
 	}
-	if _, epoch, err = node.Promote(); err != nil || epoch != 8 || node.CheckWrite(0) != nil {
+	if _, epoch, err = node.Promote(0); err != nil || epoch != 8 || node.CheckWrite(0) != nil {
 		t.Fatalf("re-promote = (%d, %v); want epoch 8 and an open write gate", epoch, err)
 	}
 
@@ -936,10 +936,10 @@ func TestNodeRoleAndEpochRule(t *testing.T) {
 	if err := mem.Demote(); err != nil || !errors.Is(mem.CheckWrite(0), ErrStalePrimary) {
 		t.Fatalf("demoted in-memory primary: %v", err)
 	}
-	if _, epoch, err := mem.Promote(); err != nil || epoch != 0 || mem.CheckWrite(0) != nil {
+	if _, epoch, err := mem.Promote(0); err != nil || epoch != 0 || mem.CheckWrite(0) != nil {
 		t.Fatalf("re-promoted in-memory primary: epoch %d, %v", epoch, err)
 	}
-	if _, _, err := mem.Promote(); !errors.Is(err, ErrNotReplica) {
+	if _, _, err := mem.Promote(0); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("promote of an unfenced primary: %v; want ErrNotReplica", err)
 	}
 }

@@ -59,7 +59,7 @@ func Check(e Expr, sch *schema.Schema) (*Checked, error) {
 				return
 			}
 		}
-		pred, err := CompileAll(a.Preds)
+		pred, err := compileAll(a.Preds, cls)
 		if err != nil {
 			firstErr = err
 			return
@@ -169,15 +169,15 @@ func (c *Checked) MaxLen() int { return c.Expr.MaxLen() }
 // MinLen returns the minimum number of pathway elements a match consumes.
 func (c *Checked) MinLen() int { return c.Expr.MinLen() }
 
-// Satisfies reports whether an element of class cls with the given fields
-// satisfies the atom occurrence: the element's class must be the atom's
-// class or a transitive subclass, and the predicates must hold.
-func (c *Checked) Satisfies(a *Atom, cls *schema.Class, fields map[string]any) bool {
+// Satisfies reports whether an element of class cls holding the record
+// rec satisfies the atom occurrence: the element's class must be the
+// atom's class or a transitive subclass, and the predicates must hold.
+func (c *Checked) Satisfies(a *Atom, cls *schema.Class, rec schema.Record) bool {
 	if !cls.IsSubclassOf(c.classes[a.id]) {
 		return false
 	}
 	if p := c.preds[a.id]; p != nil {
-		return p(fields)
+		return p(rec)
 	}
 	return true
 }

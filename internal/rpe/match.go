@@ -3,12 +3,12 @@ package rpe
 import "repro/internal/schema"
 
 // Element abstracts one pathway element for the reference matcher: its
-// kind, concrete class, and field values. Backends use their own richer
-// representations; this one exists so match semantics can be tested (and
-// differentially checked) independently of any store.
+// concrete class and its record of that class. Backends use their own
+// richer representations; this one exists so match semantics can be
+// tested (and differentially checked) independently of any store.
 type Element struct {
-	Class  *schema.Class
-	Fields map[string]any
+	Class *schema.Class
+	Rec   schema.Record
 }
 
 // MatchesPathway reports whether the alternating element sequence
@@ -62,7 +62,7 @@ func (c *Checked) simulate(elems []Element, from int, cur, next StateSet) bool {
 				if !c.CanConsume(ti, isEdge) {
 					continue
 				}
-				if tr.Atom == nil || c.Satisfies(tr.Atom, el.Class, el.Fields) {
+				if tr.Atom == nil || c.Satisfies(tr.Atom, el.Class, el.Rec) {
 					next.Or(n.Closure(tr.To))
 					any = true
 				}

@@ -3,96 +3,75 @@ package rpe
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/schema"
 )
 
-// CompiledPred tests one element's field map.
-type CompiledPred func(fields map[string]any) bool
+// CompiledPred tests one element's record.
+type CompiledPred func(rec schema.Record) bool
 
-// pathValues resolves a dotted field path against a field map, returning
-// every reachable leaf value: list and set containers fan out over their
-// elements, maps index by the path segment, and composite data types
-// resolve the segment as a field. A predicate over a path holds when any
-// reachable leaf satisfies it (the natural semantics for "a route to
-// 10.0.0.0 exists in the routing table").
-func pathValues(fields map[string]any, segs []string) []any {
-	v, ok := fields[segs[0]]
-	if !ok {
-		return nil
-	}
-	cur := []any{v}
-	for _, seg := range segs[1:] {
-		var next []any
-		var walk func(v any)
-		walk = func(v any) {
-			switch x := v.(type) {
-			case []any:
-				for _, item := range x {
-					walk(item)
-				}
-			case map[string]any:
-				if sub, ok := x[seg]; ok {
-					next = append(next, sub)
-				}
-			}
-		}
-		for _, v := range cur {
-			walk(v)
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	// Final fan-out: a leaf that is itself a list/set compares element-wise.
-	var out []any
-	for _, v := range cur {
-		if items, ok := v.([]any); ok {
-			out = append(out, items...)
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func splitFieldPath(path string) []string {
-	var segs []string
-	start := 0
-	for i := 0; i <= len(path); i++ {
-		if i == len(path) || path[i] == '.' {
-			segs = append(segs, path[start:i])
-			start = i + 1
-		}
-	}
-	return segs
-}
-
-// Compile turns the predicate into an executable test. Comparison follows
-// SQL-like semantics: absent fields satisfy nothing, numerics compare
-// across int/float representations, strings compare lexicographically.
-// Dotted field paths test structured data with existential semantics:
-// the predicate holds when any reachable leaf value satisfies it.
-func (p FieldPred) Compile() (CompiledPred, error) {
+// compile turns the predicate into an executable test of the records of
+// cls and its subclasses: the field, or a dotted path's first segment, is
+// resolved to its slot once, here, and the test reads that slot.
+// Comparison follows SQL-like semantics: absent fields satisfy nothing,
+// numerics compare across int/float representations, strings compare
+// lexicographically. Dotted field paths test structured data with
+// existential semantics: the predicate holds when any reachable leaf
+// value satisfies it (anyLeaf).
+func (p FieldPred) compile(cls *schema.Class) (CompiledPred, error) {
 	leaf, err := p.leafTest()
 	if err != nil {
 		return nil, err
 	}
-	if strings.ContainsRune(p.Field, '.') {
-		segs := splitFieldPath(p.Field)
-		return func(f map[string]any) bool {
-			for _, v := range pathValues(f, segs) {
-				if leaf(v) {
+	field, path, dotted := strings.Cut(p.Field, ".")
+	slot, ok := cls.Slot(field)
+	if !ok {
+		return nil, fmt.Errorf("rpe: class %q has no field %q", cls.Name, field)
+	}
+	if dotted {
+		rest := strings.Split(path, ".")
+		return func(r schema.Record) bool {
+			v := r[slot]
+			return v != nil && anyLeaf(v, rest, leaf)
+		}, nil
+	}
+	return func(r schema.Record) bool {
+		v := r[slot]
+		return v != nil && leaf(v)
+	}, nil
+}
+
+// anyLeaf reports whether leaf holds for any value the path segs reaches
+// from v: list and set containers fan out over their elements, maps index
+// by the segment, and composite data types resolve the segment as a
+// field. A leaf that is itself a list or set is tested element-wise. It
+// is the natural semantics for "a route to 10.0.0.0 exists in the routing
+// table".
+func anyLeaf(v any, segs []string, leaf func(any) bool) bool {
+	if len(segs) == 0 {
+		if items, ok := v.([]any); ok {
+			for _, item := range items {
+				if leaf(item) {
 					return true
 				}
 			}
 			return false
-		}, nil
+		}
+		return leaf(v)
 	}
-	field := p.Field
-	return func(f map[string]any) bool {
-		v, ok := f[field]
-		return ok && leaf(v)
-	}, nil
+	switch x := v.(type) {
+	case []any:
+		for _, item := range x {
+			if anyLeaf(item, segs, leaf) {
+				return true
+			}
+		}
+	case map[string]any:
+		if sub, ok := x[segs[0]]; ok {
+			return anyLeaf(sub, segs[1:], leaf)
+		}
+	}
+	return false
 }
 
 // leafTest builds the single-value comparison for the predicate's op.
@@ -144,15 +123,15 @@ func (p FieldPred) leafTest() (func(any) bool, error) {
 	return nil, fmt.Errorf("rpe: unknown operator %v", p.Op)
 }
 
-// CompileAll conjoins the compiled forms of all predicates; nil predicates
-// compile to an always-true test.
-func CompileAll(preds []FieldPred) (CompiledPred, error) {
+// compileAll conjoins the compiled forms of all predicates over the
+// records of cls; no predicates compile to nil, an always-true test.
+func compileAll(preds []FieldPred, cls *schema.Class) (CompiledPred, error) {
 	if len(preds) == 0 {
 		return nil, nil
 	}
 	compiled := make([]CompiledPred, len(preds))
 	for i, p := range preds {
-		c, err := p.Compile()
+		c, err := p.compile(cls)
 		if err != nil {
 			return nil, err
 		}
@@ -161,9 +140,9 @@ func CompileAll(preds []FieldPred) (CompiledPred, error) {
 	if len(compiled) == 1 {
 		return compiled[0], nil
 	}
-	return func(f map[string]any) bool {
+	return func(r schema.Record) bool {
 		for _, c := range compiled {
-			if !c(f) {
+			if !c(r) {
 				return false
 			}
 		}

@@ -163,9 +163,9 @@ func randomElem(r *rand.Rand, classes []string, edge bool) Element {
 		if cls.IsEdge() != edge {
 			continue
 		}
-		return Element{Class: cls, Fields: map[string]any{
+		return Element{Class: cls, Rec: cls.NewRecord(map[string]any{
 			"id":   int64(r.Intn(100)),
 			"name": "vm-" + string(rune('a'+r.Intn(3))),
-		}}
+		}, nil)}
 	}
 }

@@ -233,16 +233,16 @@ func TestSatisfiesInheritance(t *testing.T) {
 	vmware := testSchema.MustClass("VMWare")
 	docker := testSchema.MustClass(netmodel.Docker)
 
-	if !c.Satisfies(atom, vmware, map[string]any{"status": "Green"}) {
+	if !c.Satisfies(atom, vmware, vmware.NewRecord(map[string]any{"status": "Green"}, nil)) {
 		t.Error("VM atom must match VMWare records (subclass polymorphism)")
 	}
-	if c.Satisfies(atom, docker, map[string]any{"status": "Green"}) {
+	if c.Satisfies(atom, docker, docker.NewRecord(map[string]any{"status": "Green"}, nil)) {
 		t.Error("VM atom must not match Docker records (§3.3)")
 	}
-	if c.Satisfies(atom, vmware, map[string]any{"status": "Red"}) {
+	if c.Satisfies(atom, vmware, vmware.NewRecord(map[string]any{"status": "Red"}, nil)) {
 		t.Error("predicate must filter")
 	}
-	if c.Satisfies(atom, vmware, map[string]any{}) {
+	if c.Satisfies(atom, vmware, vmware.NewRecord(map[string]any{}, nil)) {
 		t.Error("absent field must not satisfy equality")
 	}
 }
@@ -259,7 +259,7 @@ func elems(t *testing.T, classFields ...any) []Element {
 		if !ok {
 			t.Fatalf("unknown class %q", name)
 		}
-		out = append(out, Element{Class: cls, Fields: fields})
+		out = append(out, Element{Class: cls, Rec: cls.NewRecord(fields, nil)})
 	}
 	return out
 }
@@ -280,7 +280,7 @@ func TestMatchesPathwayNodeChain(t *testing.T) {
 		t.Fatal("layered pathway must match node-chain RPE")
 	}
 	// Wrong host id must not match.
-	p[6].Fields = map[string]any{"id": int64(99)}
+	p[6].Rec = p[6].Class.NewRecord(map[string]any{"id": int64(99)}, nil)
 	if c.MatchesPathway(p) {
 		t.Fatal("wrong anchor id matched")
 	}
@@ -497,7 +497,7 @@ func TestPredOperators(t *testing.T) {
 	vmware := testSchema.MustClass("VMWare")
 	for _, cse := range cases {
 		c := checked(t, cse.src)
-		got := c.Satisfies(c.Atoms()[0], vmware, cse.fields)
+		got := c.Satisfies(c.Atoms()[0], vmware, vmware.NewRecord(cse.fields, nil))
 		if got != cse.want {
 			t.Errorf("%s on %v = %v, want %v", cse.src, cse.fields, got, cse.want)
 		}

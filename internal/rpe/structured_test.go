@@ -48,7 +48,7 @@ func TestStructuredPathPredicates(t *testing.T) {
 			t.Errorf("%s: %v", c.src, err)
 			continue
 		}
-		got := checked.Satisfies(checked.Atoms()[0], vrouter, fields)
+		got := checked.Satisfies(checked.Atoms()[0], vrouter, vrouter.NewRecord(fields, nil))
 		if got != c.want {
 			t.Errorf("%s = %v, want %v", c.src, got, c.want)
 		}
@@ -76,10 +76,10 @@ func TestStructuredPathOnEmptyOrMissing(t *testing.T) {
 	}
 	vrouter := testSchema.MustClass(netmodel.VirtualRouter)
 	atom := c.Atoms()[0]
-	if c.Satisfies(atom, vrouter, map[string]any{"status": "Active"}) {
+	if c.Satisfies(atom, vrouter, vrouter.NewRecord(map[string]any{"status": "Active"}, nil)) {
 		t.Error("missing container satisfied predicate")
 	}
-	if c.Satisfies(atom, vrouter, routerFields()) {
+	if c.Satisfies(atom, vrouter, vrouter.NewRecord(routerFields(), nil)) {
 		t.Error("empty container satisfied predicate")
 	}
 }

@@ -43,13 +43,16 @@ type Class struct {
 	CardinalityHint int
 
 	children []*Class
-	allField map[string]*Field // cached inherited+own fields, built on finalize
 	depth    int
-	// path, subtree and fields are cached on Finalize; before that they
-	// are computed on demand.
+	// path, subtree, fields, slots and byName are cached on Finalize;
+	// before that they are computed on demand. slots maps a field name to
+	// its index in fields, which is also its slot in the class's records;
+	// byName lists the slots in ascending field-name order.
 	path    string
 	subtree []string
 	fields  []Field
+	slots   map[string]int
+	byName  []int
 }
 
 // IsNode reports whether the class descends from Node.
@@ -108,9 +111,12 @@ func (c *Class) SubtreeNames() []string {
 
 // Field resolves a field by name, searching own fields then ancestors.
 func (c *Class) Field(name string) (*Field, bool) {
-	if c.allField != nil {
-		f, ok := c.allField[name]
-		return f, ok
+	if c.slots != nil {
+		i, ok := c.slots[name]
+		if !ok {
+			return nil, false
+		}
+		return &c.fields[i], true
 	}
 	for cur := c; cur != nil; cur = cur.Parent {
 		for i := range cur.OwnFields {
@@ -126,7 +132,7 @@ func (c *Class) Field(name string) (*Field, bool) {
 // downward), then own, in declaration order. The result is cached after
 // Finalize and must not be modified.
 func (c *Class) Fields() []Field {
-	if c.allField != nil {
+	if c.slots != nil {
 		return c.fields
 	}
 	var chain []*Class

@@ -199,19 +199,15 @@ func (s *Schema) Finalize() error {
 	if err := s.checkDataTypeDAG(); err != nil {
 		return err
 	}
-	// Build per-class caches: field resolution, inheritance paths,
-	// subtree name lists (hot in the backends' class-partition probes)
-	// and field lists (read by every ValidateRecord).
+	// Build per-class caches: field lists (read by every ValidateRecord)
+	// with their record slots, inheritance paths, and subtree name lists
+	// (hot in the backends' class-partition probes).
 	for _, c := range s.classes {
-		c.fields = c.Fields() // before allField, which marks the caches built
-		c.allField = make(map[string]*Field)
-		for cur := c; cur != nil; cur = cur.Parent {
-			for i := range cur.OwnFields {
-				f := &cur.OwnFields[i]
-				if _, ok := c.allField[f.Name]; !ok {
-					c.allField[f.Name] = f
-				}
-			}
+		c.fields = c.Fields() // before slots, which marks the caches built
+		c.byName = c.NameOrder()
+		c.slots = make(map[string]int, len(c.fields))
+		for i, f := range c.fields {
+			c.slots[f.Name] = i
 		}
 	}
 	for _, c := range s.classes {

@@ -138,6 +138,53 @@ func TestRepromoteLiftsFence(t *testing.T) {
 	}
 }
 
+// TestFailoverMintsAboveRepromotedPrimary: a primary is demoted and
+// re-promoted (epoch 1 -> 2) after its replica's link last polled, so the
+// link still holds epoch 1. A cluster client that wrote to the
+// re-promoted primary has seen epoch 2, and its Failover sends that with
+// the promote request: the replica must mint above both, never the live
+// primary's epoch 2 again.
+func TestFailoverMintsAboveRepromotedPrimary(t *testing.T) {
+	pc, rc, f := newReplicaPair(t)
+	waitCaughtUp(t, f)
+	if st := f.Status(); st.Epoch != 1 {
+		t.Fatalf("replica link pinned epoch %d, want the primary's 1", st.Epoch)
+	}
+	f.Stop() // the replica never polls again
+	ctx := context.Background()
+	if _, err := pc.Demote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := pc.Promote(ctx); err != nil || resp.Epoch != 2 {
+		t.Fatalf("re-promote: %+v, %v; want epoch 2", resp, err)
+	}
+
+	cl, err := client.NewCluster(client.ClusterConfig{Primary: pc.Base(), Replicas: []string{rc.Base()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Ingest(ctx, []server.IngestOp{demoOp(910010)}); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Epoch() != 2 {
+		t.Fatalf("cluster saw epoch %d after writing to the re-promoted primary, want 2", cl.Epoch())
+	}
+	nc, err := cl.Failover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := nc.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Epoch <= 2 || f.Status().Epoch >= h.Epoch {
+		t.Fatalf("failover minted epoch %d; want above the re-promoted primary's 2 and the link's %d", h.Epoch, f.Status().Epoch)
+	}
+	if cl.Epoch() != h.Epoch {
+		t.Fatalf("cluster epoch %d after failover, want the minted %d", cl.Epoch(), h.Epoch)
+	}
+}
+
 // TestReadyzReportsDiverged: a replica parked on a forked stream must
 // say so in /readyz — "diverged" is an operator-action state (rebuild
 // the replica), not a transient lag.

@@ -201,9 +201,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // the replicated state into the local WAL (when present), and start
 // acking writes under a freshly minted epoch. Idempotent. On a fenced
 // primary it is the re-promotion path: the epoch is minted above every
-// era known to have superseded this node, and the fence lifts.
+// era known to have superseded this node, and the fence lifts. The epoch
+// is also minted above the one the request's X-Nepal-Epoch header
+// carries: the highest a failover-aware client has seen, which may be
+// newer than the era a replica's link last polled.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	pos, epoch, err := s.node.Promote()
+	seen, _ := strconv.ParseUint(r.Header.Get(HeaderEpoch), 10, 64)
+	pos, epoch, err := s.node.Promote(seen)
 	switch {
 	case errors.Is(err, repl.ErrNotReplica):
 		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())

@@ -131,7 +131,7 @@ func eventFrom(st *graph.Store, m *graph.Mutation, index uint64) Event {
 		Fields: m.Fields,
 		At:     m.At,
 	}
-	if obj := st.Object(m.UID); obj != nil {
+	if obj := st.Elem(m.UID); obj != nil {
 		ev.Class = obj.Class.Name
 		if obj.IsEdge() {
 			ev.Kind = "edge"

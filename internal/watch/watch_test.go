@@ -221,7 +221,7 @@ func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
 	if _, _, err := feed.Read(feed.NextIndex()+1, 0); !errors.Is(err, ErrBehind) {
 		t.Fatalf("replica read past its end: %v; want ErrBehind", err)
 	}
-	if _, _, err := node.Promote(); err != nil {
+	if _, _, err := node.Promote(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 3; i++ {
