@@ -106,9 +106,11 @@ type options struct {
 	// connectURL, when set, turns nepal into a thin client of a running
 	// server: no store is opened; queries go over the wire.
 	connectURL string
-	// followURL, with -serve, makes this node a read replica: it streams
-	// the primary's WAL from the URL, serves read-only queries with a
-	// staleness watermark, and can be promoted via POST /v1/promote.
+	// followURL, with -serve and -wal-dir, makes this node a read
+	// replica: it streams the primary's WAL from the URL into its own,
+	// serves read-only queries with a staleness watermark, resumes where
+	// its log ends after a restart, and can be promoted via POST
+	// /v1/promote.
 	followURL string
 	// watch, with -connect, tails the server's change feed and prints one
 	// JSON event per line until interrupted (or -timeout elapses).
@@ -173,7 +175,7 @@ func main() {
 	flag.IntVar(&opt.planCache, "plan-cache", 0, "serve: compiled-plan cache entries (0 = default 256)")
 	flag.StringVar(&opt.accessLog, "access-log", "", "serve: append one JSON access-log line per request to this file (- for stderr)")
 	flag.StringVar(&opt.connectURL, "connect", "", "act as a client of a running server at this URL (e.g. http://127.0.0.1:7474)")
-	flag.StringVar(&opt.followURL, "follow", "", "serve: replicate from the primary at this URL and serve read-only queries (read replica)")
+	flag.StringVar(&opt.followURL, "follow", "", "serve: replicate from the primary at this URL into -wal-dir and serve read-only queries (read replica)")
 	flag.BoolVar(&opt.watch, "watch", false, "connect: tail the server's change feed, printing one JSON event per line")
 	flag.Uint64Var(&opt.watchFrom, "watch-from", 0, "watch: stream index to resume from (0 = oldest retained)")
 	flag.BoolVar(&opt.top, "top", false, "connect: print the server's per-statement statistics table, then exit")
@@ -211,8 +213,11 @@ func run(opt options) error {
 		if opt.serveAddr == "" {
 			return fmt.Errorf("-follow requires -serve")
 		}
+		if opt.walDir == "" {
+			return fmt.Errorf("-follow requires -wal-dir (a replica logs what it applies)")
+		}
 		if opt.demo || opt.dataPath != "" {
-			return fmt.Errorf("-follow starts from an empty store (it bootstraps from the primary); drop -demo/-data")
+			return fmt.Errorf("-follow builds its store from the primary's log; drop -demo/-data")
 		}
 	}
 	if opt.checkpoint && opt.walDir == "" {

@@ -37,7 +37,7 @@ func TestServeFollowPromote(t *testing.T) {
 	})
 	raddr, rstop, rerr := startServer(options{
 		model: "netmodel", backend: "gremlin",
-		followURL: "http://" + paddr,
+		followURL: "http://" + paddr, walDir: t.TempDir(),
 	})
 
 	// The replica answers reads once replicated; poll through the client
@@ -66,9 +66,14 @@ func TestServeFollowPromote(t *testing.T) {
 		t.Errorf("promote output: %q", out.String())
 	}
 
-	// -follow without -serve, and -follow with -demo, are usage errors.
+	// -follow without -serve, and -follow without -wal-dir, are usage
+	// errors.
 	if err := run(options{model: "netmodel", followURL: "http://" + paddr}); err == nil {
 		t.Error("-follow without -serve accepted")
+	}
+	if err := run(options{model: "netmodel", followURL: "http://" + paddr, serveAddr: "127.0.0.1:0"}); err == nil ||
+		!strings.Contains(err.Error(), "-wal-dir") {
+		t.Errorf("-follow without -wal-dir: %v", err)
 	}
 
 	for name, pair := range map[string]struct {

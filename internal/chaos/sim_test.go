@@ -6,11 +6,12 @@ package chaos_test
 // client.Cluster (unique-id writes, min_timestamp reads, watch
 // subscribers) between severs, partitions, torn-tail kills, restarts on
 // the same directory, failovers, a split brain, demote and re-promote,
-// checkpoints under a watcher, and followers repointed with Resume. The
-// run records a history, and check holds it to the cluster's contracts;
-// it sees only the history, so TestCheckerCatchesEachContract can feed
-// it hand-made ones. Tier-1 runs simCorpus; -fuzz explores new seeds,
-// and a failing one, saved under testdata/fuzz, reproduces by number.
+// checkpoints under a watcher, and replicas restarted or repointed on
+// their own logs, which are their primaries'. The run records a
+// history, and check holds it to the cluster's contracts; it sees only
+// the history, so TestCheckerCatchesEachContract can feed it hand-made
+// ones. Tier-1 runs simCorpus; -fuzz explores new seeds, and a failing
+// one, saved under testdata/fuzz, reproduces by number.
 
 import (
 	"bytes"
@@ -56,6 +57,7 @@ var simFaults = []string{
 	"stale-read",       // a client rejected an answer from a stale era
 	"rediscovery",      // a stale_primary write found the new primary
 	"diverged",         // a follower parked on a forked history
+	"replica-restart",  // a killed replica restarted on its log and resumed, no bootstrap
 }
 
 // simHTTP dials a connection per request: a pooled connection a fault
@@ -110,10 +112,9 @@ type simNode struct {
 	up        int            // node its link follows; -1 on a primary
 	era       int            // era it logs into; -1 before it first does
 	tail      uint64         // next WAL index to copy into its era
-	// spent: it holds a log of its own, so cannot adopt a stream and is
-	// never promoted; forked: its history left the cluster's.
-	live, spent, forked bool
-	fork                []byte // its history when repointed or resumed
+	// forked: its history left the cluster's.
+	live, forked bool
+	fork         []byte // its history when last started or repointed as a replica
 }
 
 type sim struct {
@@ -212,7 +213,7 @@ func (s *sim) rotation() []*simNode {
 // ---- node lifecycle ----
 
 // start opens n's directory and serves it as a primary, or as a replica
-// of up, resuming from its own log when it holds one.
+// of up, resuming where its log ends.
 func (s *sim) start(n *simNode, up int) {
 	n.fs.Store(chaos.NewCrashFS(1 << 40)) // no crash until a kill sets a budget
 	open := func(name string, flag int, perm os.FileMode) (wal.File, error) {
@@ -227,21 +228,15 @@ func (s *sim) start(n *simNode, up int) {
 		s.fatalf("opening node %d: %v", n.id, err)
 	}
 	n.db, n.live = db, true
-	var resume *repl.StreamState
-	if mgr := db.WAL(); up >= 0 && mgr.NextIndex() > 0 {
-		next, hash := mgr.StreamHash()
-		resume = &repl.StreamState{LogID: mgr.LogID(), Applied: next, Epoch: mgr.Epoch(), Hash: hash, HashKnown: true,
-			AppliedThrough: db.Store().Clock().Latest()}
-		n.spent, n.fork = true, writeHistory(db)
-	}
-	s.serve(n, up, resume)
+	s.serve(n, up)
 }
 
-func (s *sim) serve(n *simNode, up int, resume *repl.StreamState) {
+func (s *sim) serve(n *simNode, up int) {
 	cfg := server.Config{MaxStalenessWait: 100 * time.Millisecond}
 	if up >= 0 {
 		cfg.Follow = &repl.FollowerConfig{Primary: s.url(up), PollWait: 50 * time.Millisecond,
-			ReconnectMin: time.Millisecond, ReconnectMax: 20 * time.Millisecond, Resume: resume}
+			ReconnectMin: time.Millisecond, ReconnectMax: 20 * time.Millisecond}
+		n.fork = writeHistory(n.db)
 	}
 	n.srv, n.up = server.New(n.db, cfg), up
 	inner, err := net.Listen("tcp", n.addr)
@@ -318,27 +313,26 @@ func (s *sim) copyLog(n *simNode) {
 	}
 }
 
-// repoint moves replica n's link onto node to, resuming its stream.
+// repoint moves replica n's link onto node to: the new link resumes
+// where n's log ends.
 func (s *sim) repoint(n *simNode, to int) {
 	n.srv.Close()
-	resume := n.srv.Follower().StreamState()
-	n.fork = writeHistory(n.db)
-	s.serve(n, to, &resume)
+	s.serve(n, to)
 }
 
-// drain waits until replica n has applied its primary's whole log and
-// its link is pinned to that log. A replica promoted before its link ever
-// learned the log's identity opens a log of its own, which the other
-// replicas cannot follow (ROADMAP item 12); in a fresh cluster the
-// primary's log is empty, so applying it all does not imply a poll. It
-// does not wait for the link to learn the primary's epoch: a failover
-// mints above the epoch its client has seen too, so a link that has not
-// polled since a re-promotion, which keeps the log, cannot make it mint
-// a live epoch again (the corpus entry seed401-regression-epoch-remint).
+// drain waits until replica n has applied its primary's whole log. It
+// does not wait for the link to pin the log: in a fresh cluster the
+// primary's log is empty, so a replica that never polled has applied it
+// all, and Failover passes such an unpinned replica over (the corpus
+// entry seed38-regression-unpinned-promote). Nor does it wait for the
+// link to learn the primary's epoch: a failover mints above the epoch
+// its client has seen too, so a link that has not polled since a
+// re-promotion, which keeps the log, cannot make it mint a live epoch
+// again (the corpus entry seed401-regression-epoch-remint).
 func (s *sim) drain(n *simNode) {
 	f, up := n.srv.Follower(), s.nodes[n.up].db.WAL()
 	deadline := time.Now().Add(5 * time.Second)
-	for st := f.Status(); st.Applied < up.NextIndex() || f.StreamState().LogID != up.LogID(); st = f.Status() {
+	for st := f.Status(); st.Applied < up.NextIndex(); st = f.Status() {
 		if time.Now().After(deadline) {
 			s.fatalf("node %d never caught up with node %d: %+v", n.id, n.up, st)
 		}
@@ -350,7 +344,7 @@ func (s *sim) drain(n *simNode) {
 }
 
 func (s *sim) healthy(n *simNode) bool {
-	return n.live && n.up == s.prim && !n.spent && !n.forked
+	return n.live && n.up == s.prim && !n.forked
 }
 
 func (s *sim) drainAll() {
@@ -533,7 +527,9 @@ func (s *sim) partition() {
 }
 
 // killRestart kills a node — the primary with a torn log tail — runs
-// traffic while it is down, and restarts it on its directory.
+// traffic while it is down, and restarts it on its directory. A
+// restarted replica resumes where its log ends: it catches up with no
+// bootstrap.
 func (s *sim) killRestart() {
 	n := s.pick(func(n *simNode) bool { return n.id == s.prim || s.healthy(n) })
 	tear := n.id == s.prim
@@ -551,6 +547,12 @@ func (s *sim) killRestart() {
 		if n.db.RecoveryStats().TailTruncated {
 			s.fired["tear-restart"] = true
 		}
+	} else {
+		s.drain(n)
+		if st := n.srv.Follower().Status(); st.Bootstraps != 0 {
+			s.t.Errorf("seed %d step %d: node %d restarted on its log but bootstrapped %d times", s.seed, s.step, n.id, st.Bootstraps)
+		}
+		s.fired["replica-restart"] = true
 	}
 	s.traffic(2)
 }
@@ -622,7 +624,7 @@ func (s *sim) promote() *simNode {
 	}
 	s.done(o)
 	s.newEra(q, s.nodes[q.up].era)
-	q.up, q.spent, s.prim = -1, true, q.id
+	q.up, s.prim = -1, q.id
 	s.fired["failover"] = true
 	return q
 }
@@ -708,9 +710,9 @@ func (s *sim) checkpoint() {
 	s.traffic(2)
 }
 
-func (s *sim) rebuildable(n *simNode) bool { return n.live && (n.forked || n.spent && n.id != s.prim) }
+func (s *sim) rebuildable(n *simNode) bool { return n.live && n.forked }
 
-// rebuild wipes a forked or spent node into a fresh replica.
+// rebuild wipes a forked node into a fresh replica.
 func (s *sim) rebuild() {
 	s.wipe(s.pick(s.rebuildable), s.prim)
 	s.traffic(2)
@@ -723,7 +725,7 @@ func (s *sim) wipe(n *simNode, up int) {
 	if err := os.RemoveAll(n.dir); err != nil {
 		s.fatalf("%v", err)
 	}
-	n.spent, n.forked = false, false
+	n.forked = false
 	s.start(n, up)
 }
 
@@ -763,7 +765,9 @@ func (s *sim) final(n *simNode) final {
 	fn := final{node: n.id, history: writeHistory(n.db)}
 	if f := n.srv.Follower(); f != nil && !f.Promoted() {
 		st := f.Status()
-		fn.replica, fn.diverged, fn.fork, fn.upHistory = true, st.Diverged, n.fork, writeHistory(s.nodes[n.up].db)
+		up := s.nodes[n.up].db
+		fn.replica, fn.diverged, fn.fork, fn.upHistory = true, st.Diverged, n.fork, writeHistory(up)
+		fn.log, fn.upLog = sharedLog(n.db.WAL(), up.WAL())
 		s.fired["diverged"] = s.fired["diverged"] || st.Diverged
 	}
 	_, ready, rerr := n.c.Ready(s.ctx)
@@ -792,6 +796,33 @@ func (s *sim) final(n *simNode) final {
 		fn.fencedRead = fmt.Sprint(err)
 	}
 	return fn
+}
+
+// sharedLog returns the record frames of a and of b over the stream
+// range both logs hold.
+func sharedLog(a, b *wal.Manager) (ra, rb []byte) {
+	lo, hi := max(a.BaseIndex(), b.BaseIndex()), min(a.NextIndex(), b.NextIndex())
+	return frames(a, lo, hi), frames(b, lo, hi)
+}
+
+// frames returns the record frames of mgr at [lo, hi), and what it could
+// not read as text, so the comparison fails.
+func frames(mgr *wal.Manager, lo, hi uint64) []byte {
+	var out []byte
+	for lo < hi {
+		raw, _, err := mgr.ReadRecords(lo, 1<<20)
+		if err != nil || len(raw) == 0 {
+			return fmt.Appendf(out, "unreadable at %d: %v", lo, err)
+		}
+		for ; len(raw) > 0 && lo < hi; lo++ {
+			_, size, err := wal.DecodeRecord(raw)
+			if err != nil {
+				return fmt.Appendf(out, "undecodable at %d: %v", lo, err)
+			}
+			out, raw = append(out, raw[:size]...), raw[size:]
+		}
+	}
+	return out
 }
 
 func writeHistory(db *core.DB) []byte {
@@ -951,14 +982,15 @@ func TestWatchSurvivesSeverAndFailover(t *testing.T) {
 		t.Errorf("the subscriber's last delivery is not stamped the promoted epoch %d", epoch)
 	}
 	// Stricter than contract 5 for the cluster subscriber: no checkpoint
-	// ran and the promoted replica's ring holds the whole run, so nothing
-	// may compact it, and no delivery may step back an epoch, even to 0.
-	// (subB, on node 0 alone, may compact: the killed primary comes back as
-	// a replica whose ring starts at its recovered log end.)
+	// ran and every node's WAL holds the whole run, so nothing may compact
+	// it, every delivery carries an epoch, and none steps back an epoch.
 	var top uint64
 	for i, d := range s.subA.got {
 		if d.ev.Control() {
 			t.Errorf("delivery %d is a %s control event; the feeds must have retained the whole run", i, d.ev.Op)
+		}
+		if d.ev.Epoch == 0 {
+			t.Errorf("delivery %d (index %d) carries no epoch", i, d.ev.Index)
 		}
 		if d.ev.Epoch < top {
 			t.Errorf("delivery %d carries epoch %d after epoch %d", i, d.ev.Epoch, top)
@@ -1027,7 +1059,8 @@ type sub struct {
 type final struct {
 	node                                    int
 	replica, diverged                       bool
-	history, upHistory, fork                []byte // its history, its primary's, its own when last repointed
+	history, upHistory, fork                []byte // its history, its primary's, its own when last started or repointed
+	log, upLog                              []byte // its WAL's records and its primary's, over the range both hold
 	readyStatus                             string
 	readyFenced, healthFenced, metricFenced bool
 	readyEpoch, healthEpoch, metricEpoch    uint64
@@ -1146,8 +1179,7 @@ func check(h *history) []violation {
 			if j >= s.window {
 				seen = max(seen, s.got[j-s.window].seenEpoch)
 			}
-			// Epoch 0 is skipped, as in contract 5.
-			if !d.ev.Control() && d.ev.Epoch > 0 && d.ev.Epoch < seen {
+			if !d.ev.Control() && d.ev.Epoch < seen {
 				bad(3, "%s: event %d (index %d) stamped epoch %d after its client saw epoch %d", s.name, j, d.ev.Index, d.ev.Epoch, seen)
 			}
 		}
@@ -1167,10 +1199,9 @@ func check(h *history) []violation {
 	}
 
 	// 5. Watch tokens are gap-free, epochs never decrease, and every event
-	// is the WAL record at its index. Epoch 0 is skipped: a fresh replica
-	// stamps 0 until its link learns the epoch, an open defect (ROADMAP item
-	// 13); the corpus entry seed18-workaround-guard-epoch0-stamp fails
-	// without the skip, and TestWatchSurvivesSeverAndFailover checks 0 too.
+	// is the WAL record at its index, under an epoch of its lineage (the
+	// corpus entry seed18-regression-epoch0-stamp: a replica once stamped
+	// epoch 0 until its link learned the epoch).
 	for _, s := range h.subs {
 		want, top := s.from, uint64(0)
 		for j, d := range s.got {
@@ -1182,7 +1213,7 @@ func check(h *history) []violation {
 			if ev.Index > want {
 				bad(5, "%s: event %d jumps to index %d past unseen %d", s.name, j, ev.Index, want)
 			}
-			if want = max(want, ev.Index+1); ev.Epoch > 0 && ev.Epoch < top {
+			if want = max(want, ev.Index+1); ev.Epoch < top {
 				bad(5, "%s: event %d carries epoch %d after epoch %d", s.name, j, ev.Epoch, top)
 			}
 			if top = max(top, ev.Epoch); !h.matchesWAL(ev) {
@@ -1194,14 +1225,18 @@ func check(h *history) []violation {
 		}
 	}
 
-	// 6, 7. A quiescent replica equals its primary, or is parked with
-	// nothing applied since it was repointed; every node agrees with itself.
+	// 6, 7. A quiescent replica equals its primary, history and log
+	// records alike, or is parked with nothing applied since it was
+	// repointed; every node agrees with itself.
 	for _, n := range h.nodes {
 		if n.replica && n.diverged && !bytes.Equal(n.history, n.fork) {
 			bad(6, "node %d parked diverged but applied records after it was repointed", n.node)
 		}
 		if n.replica && !n.diverged && !bytes.Equal(n.history, n.upHistory) {
 			bad(6, "node %d's history (%d bytes) differs from its primary's (%d bytes)", n.node, len(n.history), len(n.upHistory))
+		}
+		if n.replica && !n.diverged && !bytes.Equal(n.log, n.upLog) {
+			bad(6, "node %d's WAL records (%d bytes) differ from its primary's (%d bytes) over the range both hold", n.node, len(n.log), len(n.upLog))
 		}
 		status := (n.readyStatus == "fenced") == n.readyFenced && (n.readyStatus == "diverged") == (n.diverged && !n.readyFenced)
 		if !status || n.readyFenced != n.healthFenced || n.readyFenced != n.metricFenced ||
@@ -1254,7 +1289,7 @@ func (h *history) find(e int, id int64) (uint64, rec, bool) {
 func (h *history) matchesWAL(ev watch.Event) bool {
 	for e := range h.eras {
 		a := e
-		for a >= 0 && ev.Epoch != 0 && h.eras[a].epoch != ev.Epoch {
+		for a >= 0 && h.eras[a].epoch != ev.Epoch {
 			a = h.eras[a].up
 		}
 		r, ok := h.record(e, ev.Index)
@@ -1334,7 +1369,9 @@ func TestCheckerCatchesEachContract(t *testing.T) {
 		{4, "a replica answer misses a write under its watermark", func(h *history) { delete(h.ops[4].seen, 2) }},
 		{5, "a watch token gap", func(h *history) { h.subs[0].got = h.subs[0].got[1:] }},
 		{5, "a watch event differs from the WAL", func(h *history) { h.subs[0].got[1].ev.Fields = graph.Fields{"id": 9} }},
+		{5, "a watch event without an epoch", func(h *history) { h.subs[0].got[0].ev.Epoch = 0 }},
 		{6, "a replica's history differs", func(h *history) { h.nodes[1].history = []byte("x") }},
+		{6, "a replica's WAL records differ", func(h *history) { h.nodes[1].log = []byte("x") }},
 		{6, "a diverged replica applied past the fork", func(h *history) {
 			h.nodes[1].diverged, h.nodes[1].readyStatus, h.nodes[1].fork = true, "diverged", []byte("g")
 		}},

@@ -422,7 +422,8 @@ func (cl *Cluster) Stats(ctx context.Context) *server.ClusterResponse {
 // CAUGHT-UP healthy one — highest applied stream index, ties broken by
 // configuration order — not the first that answers: promoting a laggard
 // silently discards every acked write past its position. Diverged
-// (parked) replicas are never candidates. Unreachable replicas fall to
+// (parked) replicas, and unpinned ones, whose logs never reached the
+// primary's, are never candidates. Unreachable replicas fall to
 // the back as promote-blind fallbacks, tried only when no replica could
 // report status at all. The promoted node becomes the write endpoint
 // and leaves the read rotation. The promote request carries the highest
@@ -455,6 +456,10 @@ func (cl *Cluster) Failover(ctx context.Context) (*Client, error) {
 		}
 		if st.Diverged {
 			lastErr = fmt.Errorf("client: replica %s parked diverged; it cannot be promoted", r.c.Base())
+			continue
+		}
+		if st.Unpinned {
+			lastErr = fmt.Errorf("client: replica %s never reached its primary's log; it cannot be promoted", r.c.Base())
 			continue
 		}
 		cands = append(cands, candidate{idx: i, applied: st.AppliedIndex, ranked: true})

@@ -106,7 +106,7 @@ func (st *Store) Mutate(ctx context.Context, ms ...*Mutation) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, bad, err := st.applyLocked(ctx, ms, false); err != nil {
+	if _, bad, err := st.applyLocked(ctx, ms, false, nil); err != nil {
 		if bad < 0 {
 			return err
 		}
@@ -126,6 +126,16 @@ func (st *Store) Mutate(ctx context.Context, ms ...*Mutation) error {
 // the checkpoint it starts from. A group with a rejected record applies
 // nothing.
 func (st *Store) ApplyMutation(ms ...*Mutation) (applied int, err error) {
+	return st.ApplyLogged(nil, ms...)
+}
+
+// ApplyLogged is ApplyMutation with a log step: log runs once every
+// record of the group has validated, under the same hold of the write
+// lock, before the last record is applied — the validate → log → apply
+// order of a live write's hook. It runs even when the store already
+// reflects every record, so a replica logs each shipped group at its
+// stream position. A log error applies nothing and is returned as is.
+func (st *Store) ApplyLogged(log func() error, ms ...*Mutation) (applied int, err error) {
 	for _, m := range ms {
 		if err := st.checkRecord(m); err != nil {
 			return 0, replayErr(m, err)
@@ -133,8 +143,11 @@ func (st *Store) ApplyMutation(ms ...*Mutation) (applied int, err error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	applied, bad, err := st.applyLocked(context.Background(), ms, true)
+	applied, bad, err := st.applyLocked(context.Background(), ms, true, log)
 	if err != nil {
+		if bad < 0 {
+			return 0, err
+		}
 		return 0, replayErr(ms[bad], err)
 	}
 	for _, m := range ms {
@@ -195,11 +208,11 @@ func (st *Store) checkRecord(m *Mutation) error {
 // applied at once, journaled by the undo log; the last is applied only
 // after the hook accepted the group, so a one-op write keeps validate →
 // stamp → log → apply and journals nothing. A rejected op — bad is its
-// index — or a hook error (bad < 0) rolls back the ops already applied.
-// A replay keeps each record's UID and At, and skips what the store
-// already reflects. A delete of a closed object applies nothing in either
-// mode.
-func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (applied, bad int, err error) {
+// index — or a hook or log error (bad < 0) rolls back the ops already
+// applied. A replay keeps each record's UID and At, skips what the store
+// already reflects, and calls log, when non-nil, in the hook's place. A
+// delete of a closed object applies nothing in either mode.
+func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool, log func() error) (applied, bad int, err error) {
 	batch := len(ms) > 1
 	if batch {
 		st.beginUndo()
@@ -236,7 +249,10 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool) (
 		}
 	}
 	st.group = group
-	if len(group) > 0 && st.hook != nil {
+	switch {
+	case log != nil:
+		err = log()
+	case len(group) > 0 && st.hook != nil:
 		err = st.hook(ctx, group)
 	}
 	clear(group)

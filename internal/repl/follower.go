@@ -37,48 +37,13 @@ type FollowerConfig struct {
 	// Registry, when non-nil, receives the follower's counters and lag
 	// gauges.
 	Registry *obs.Registry
-	// OnApplied, when non-nil, observes every replicated mutation once its
-	// group is applied to the local store, with its global stream index,
-	// in apply order. It runs on the pull loop — keep it cheap and
-	// never let it block (the watch subsystem's replica feed enqueues into
-	// a bounded ring here). Snapshot bootstraps jump the applied position
-	// without per-record callbacks; observers must treat a non-contiguous
-	// index as a gap.
-	OnApplied func(index uint64, m *graph.Mutation)
-	// Resume seeds the link with a previous link's stream state (see
-	// StreamState), so a follower repointed at a new primary — typically
-	// the sibling that won a failover — keeps its pinned log identity,
-	// epoch, position, and prefix hash instead of starting as a blank
-	// link over a non-empty store. nil starts fresh at position 0.
-	Resume *StreamState
-}
-
-// StreamState is the resumable identity of a replication link: enough
-// for a new Follower over the same store to continue exactly where this
-// one stood, including the lineage checks. Captured with
-// (*Follower).StreamState after Stop.
-type StreamState struct {
-	// LogID is the pinned primary log identity ("" before first contact).
-	LogID string
-	// Applied is the next stream index the link will request.
-	Applied uint64
-	// Epoch is the pinned primary epoch (0 before first contact with an
-	// epoch-stamping primary).
-	Epoch uint64
-	// Hash is the chained prefix hash at Applied; HashKnown reports
-	// whether the link ever learned it (it is seeded for links that
-	// started at position 0 and adopted from snapshot bootstraps).
-	Hash      uint64
-	HashKnown bool
-	// AppliedThrough is the staleness watermark at capture time.
-	AppliedThrough time.Time
 }
 
 // Status is a point-in-time snapshot of a replication link, exposed via
 // /readyz on replica servers.
 type Status struct {
-	// Applied is the next stream index the follower will request — the
-	// count of records it has applied.
+	// Applied is the next stream index the follower will request: the
+	// end of the node's WAL, which holds every record it has applied.
 	Applied uint64
 	// AppliedThrough is the staleness watermark: every primary mutation
 	// at or before this timestamp is reflected in the local store.
@@ -101,26 +66,36 @@ type Status struct {
 	LastContact time.Time
 	// LastError is the most recent feed failure ("" when healthy).
 	LastError string
-	// Epoch is the primary epoch this link is pinned to.
+	// Epoch is the epoch of the node's WAL: on a replica, the primary
+	// epoch the link last adopted.
 	Epoch uint64
+	// Pinned reports that the node's WAL is its primary's log: the link
+	// has confirmed or adopted the primary's log identity, or the WAL
+	// holds records (a replica logs only its primary's). An unpinned
+	// replica cannot be promoted (ErrUnpinned).
+	Pinned bool
 	// Diverged reports the link parked with ErrDiverged: the primary's
 	// history and the locally applied history forked, and the replica
 	// must be rebuilt rather than resumed.
 	Diverged bool
 }
 
-// Follower replicates a primary's WAL into a local store. Create with
-// NewFollower, start the pull loop with Start, and serve reads from the
-// store at the staleness bounds Status/WaitUntil expose. A follower's node
-// is promoted to primary with Node.Promote.
+// Follower replicates a primary's WAL into a local store and the node's
+// own WAL: each shipped group is logged verbatim at the primary's stream
+// indexes, then applied, so the replica's log is its primary's. The
+// link's position, prefix hash, log identity and epoch are the WAL's;
+// the follower keeps only what the log cannot say — the staleness
+// watermark, lag, and link health. Create with NewFollower, start the
+// pull loop with Start, and serve reads from the store at the staleness
+// bounds Status/WaitUntil expose. A follower's node is promoted to
+// primary with Node.Promote.
 type Follower struct {
 	st  *graph.Store
+	mgr *wal.Manager
 	cfg FollowerConfig
 	hc  *http.Client
 
 	mu          sync.Mutex
-	logID       string // primary log identity, pinned on first contact
-	applied     uint64
 	watermark   time.Time
 	primaryNext uint64
 	caughtUp    bool
@@ -129,15 +104,11 @@ type Follower struct {
 	lastContact time.Time
 	reconnects  uint64
 	bootstraps  uint64
-	// epoch is the pinned primary epoch; hash is the chained prefix hash
-	// at applied (meaningful only when hashKnown — a link that started at
-	// position 0 knows it from the seed, a bootstrap adopts it from the
-	// snapshot). diverged latches when the link parks on a forked stream.
-	epoch     uint64
-	hash      uint64
-	hashKnown bool
-	diverged  bool
-	changed   chan struct{} // closed+replaced whenever the watermark advances
+	// pinned: the WAL is the primary's log (see Status.Pinned); diverged
+	// latches when the link parks on a forked stream.
+	pinned   bool
+	diverged bool
+	changed  chan struct{} // closed+replaced whenever the watermark advances
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -155,9 +126,11 @@ type Follower struct {
 }
 
 // NewFollower returns an unstarted replication link that replays the
-// primary at cfg.Primary into st. Replayed records bypass the store's
-// mutation hook, so a node's own WAL stays empty until Node.Promote.
-func NewFollower(st *graph.Store, cfg FollowerConfig) *Follower {
+// primary at cfg.Primary into st, logging every shipped group into mgr,
+// st's WAL, before applying it. The link resumes where the WAL ends: a
+// restarted replica recovers its log and asks for the next record, with
+// no bootstrap.
+func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Follower {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 20 * time.Second
 	}
@@ -171,13 +144,14 @@ func NewFollower(st *graph.Store, cfg FollowerConfig) *Follower {
 		cfg.Logf = func(string, ...any) {}
 	}
 	f := &Follower{
-		st: st, cfg: cfg, hc: &http.Client{},
-		// A link starting at position 0 provably has the empty history:
-		// its prefix-hash chain starts at the seed.
-		hash: wal.PrefixHashSeed, hashKnown: true,
-		changed: make(chan struct{}),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		st: st, mgr: mgr, cfg: cfg, hc: &http.Client{},
+		// Every record in the store is one the WAL holds, so the store's
+		// newest transaction time is covered.
+		watermark: st.Clock().Latest(),
+		pinned:    mgr.NextIndex() > 0,
+		changed:   make(chan struct{}),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 
 		mBatches:    cfg.Registry.Counter("repl.follower.batches"),
 		mRecords:    cfg.Registry.Counter("repl.follower.records_applied"),
@@ -187,38 +161,12 @@ func NewFollower(st *graph.Store, cfg FollowerConfig) *Follower {
 		mDiverged:   cfg.Registry.Counter("repl.follower.diverged"),
 	}
 	cfg.Registry.GaugeFunc("repl.follower.applied_index", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return float64(f.applied)
+		return float64(mgr.NextIndex())
 	})
 	cfg.Registry.GaugeFunc("repl.follower.lag_records", func() float64 {
 		return float64(f.Status().LagRecords)
 	})
-	if r := cfg.Resume; r != nil {
-		f.logID = r.LogID
-		f.applied = r.Applied
-		f.epoch = r.Epoch
-		f.hash, f.hashKnown = r.Hash, r.HashKnown
-		f.watermark = r.AppliedThrough
-	}
 	return f
-}
-
-// StreamState captures the link's resumable identity — log ID, position,
-// epoch, and prefix hash — for handing to a new Follower's Resume when
-// repointing this store at a different primary. Meaningful once the link
-// is stopped (a running link keeps moving underneath the snapshot).
-func (f *Follower) StreamState() StreamState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return StreamState{
-		LogID:          f.logID,
-		Applied:        f.applied,
-		Epoch:          f.epoch,
-		Hash:           f.hash,
-		HashKnown:      f.hashKnown,
-		AppliedThrough: f.watermark,
-	}
 }
 
 // Start launches the pull loop. It is safe to call once; the loop runs
@@ -286,42 +234,51 @@ var errFatal = errors.New("repl: unrecoverable")
 // errNeedBootstrap routes a 410 feed answer to the snapshot path.
 var errNeedBootstrap = errors.New("repl: stream position truncated; bootstrap required")
 
-// pinLogID enforces stream identity: the first non-empty log ID the
-// primary sends is pinned for the link's lifetime, and any later
-// mismatch — this follower, or the address it polls, now points at an
-// unrelated log whose stream positions mean something else — is fatal.
-// Resuming an offset against a foreign log would either loop on errors
-// or silently apply misaligned records; parking with a clear error is
-// the only safe answer.
-func (f *Follower) pinLogID(id string) error {
-	if id == "" {
+// checkLogID enforces stream identity: the WAL holds the primary's
+// log from position from on, so the log ID the primary sends must be
+// the WAL's — except at position 0, where the empty log claims nothing
+// yet and adopts the primary's identity at first contact (adoptLogID).
+// Any other mismatch — this follower, or the address it polls, now points
+// at an unrelated log whose stream positions mean something else — is
+// fatal. Resuming an offset against a foreign log would either loop on
+// errors or silently apply misaligned records; parking with a clear error
+// is the only safe answer.
+func (f *Follower) checkLogID(id string, from uint64) error {
+	if id == "" || from == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.logID == "" {
-		f.logID = id
-		return nil
-	}
-	if f.logID != id {
-		return fmt.Errorf("%w: primary %s serves WAL log %s, but this link is pinned to log %s (repointed at an unrelated primary?)",
-			errFatal, f.cfg.Primary, id, f.logID)
+	if own := f.mgr.LogID(); id != own {
+		return fmt.Errorf("%w: primary %s serves WAL log %s, but this replica is pinned to log %s (repointed at an unrelated primary?)",
+			errFatal, f.cfg.Primary, id, own)
 	}
 	return nil
 }
 
-// syncOnce performs one feed exchange: long-poll the primary from the
-// current applied position, replay whatever arrives, and update the
-// staleness watermark. A 410 triggers a checkpoint bootstrap first.
-func (f *Follower) syncOnce() error {
-	err := f.pull()
-	if errors.Is(err, errNeedBootstrap) {
-		if err := f.bootstrap(); err != nil {
-			return err
-		}
+// adoptLogID pins the link after a successful exchange: an empty log
+// still under an identity of its own adopts the primary's.
+func (f *Follower) adoptLogID(id string) error {
+	if id == "" {
 		return nil
 	}
-	return err
+	if id != f.mgr.LogID() {
+		if err := f.mgr.AdoptStream(f.st, id, 0, f.mgr.Epoch(), wal.PrefixHashSeed); err != nil {
+			return fmt.Errorf("repl: adopting log %s: %w", id, err)
+		}
+	}
+	f.mu.Lock()
+	f.pinned = true
+	f.mu.Unlock()
+	return nil
+}
+
+// syncOnce performs one feed exchange: long-poll the primary from the
+// end of the WAL, log and replay whatever arrives, and update the
+// staleness watermark. A 410 triggers a checkpoint bootstrap instead.
+func (f *Follower) syncOnce() error {
+	if err := f.pull(); !errors.Is(err, errNeedBootstrap) {
+		return err
+	}
+	return f.bootstrap()
 }
 
 // reqCtx derives a request context canceled by Stop, bounded a little
@@ -339,24 +296,18 @@ func (f *Follower) reqCtx(d time.Duration) (context.Context, context.CancelFunc)
 }
 
 func (f *Follower) pull() error {
-	f.mu.Lock()
-	from, h, hashKnown, pinnedEpoch := f.applied, f.hash, f.hashKnown, f.epoch
-	f.mu.Unlock()
+	from, h := f.mgr.StreamHash()
+	pinnedEpoch := f.mgr.Epoch()
 
-	url := fmt.Sprintf("%s/v1/wal?from=%d&wait_ms=%d", f.cfg.Primary, from, f.cfg.PollWait.Milliseconds())
-	if f.cfg.MaxBatchBytes > 0 {
-		url += "&max_bytes=" + strconv.Itoa(f.cfg.MaxBatchBytes)
-	}
 	// Offer the link's lineage state: the prefix hash at from lets the
 	// source verify "same history through here" BEFORE shipping a single
-	// record, and the pinned epoch lets a superseded primary learn it was
+	// record, and the WAL's epoch lets a superseded primary learn it was
 	// superseded (it answers 409 and self-fences instead of feeding us a
 	// stale era).
-	if hashKnown {
-		url += "&hash=" + strconv.FormatUint(h, 16)
-	}
-	if pinnedEpoch > 0 {
-		url += "&epoch=" + strconv.FormatUint(pinnedEpoch, 10)
+	url := fmt.Sprintf("%s/v1/wal?from=%d&wait_ms=%d&hash=%s&epoch=%d", f.cfg.Primary, from,
+		f.cfg.PollWait.Milliseconds(), strconv.FormatUint(h, 16), pinnedEpoch)
+	if f.cfg.MaxBatchBytes > 0 {
+		url += "&max_bytes=" + strconv.Itoa(f.cfg.MaxBatchBytes)
 	}
 	ctx, cancel := f.reqCtx(f.cfg.PollWait + 10*time.Second)
 	defer cancel()
@@ -374,7 +325,8 @@ func (f *Follower) pull() error {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := f.pinLogID(resp.Header.Get(HeaderLogID)); err != nil {
+	logID := resp.Header.Get(HeaderLogID)
+	if err := f.checkLogID(logID, from); err != nil {
 		io.Copy(io.Discard, resp.Body)
 		return err
 	}
@@ -403,11 +355,23 @@ func (f *Follower) pull() error {
 		return fmt.Errorf("repl: feed returned %s: %s", resp.Status, body)
 	}
 	srvEpoch, _ := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64)
-	if srvEpoch > 0 && pinnedEpoch > 0 && srvEpoch < pinnedEpoch {
+	if srvEpoch > 0 && srvEpoch < pinnedEpoch {
 		// Belt and braces: a primary that did not implement the epoch=
 		// 409 still must not drag this link back into a superseded era.
-		return fmt.Errorf("%w: primary %s serves epoch %d but this link is pinned to epoch %d (stale primary)",
+		return fmt.Errorf("%w: primary %s serves epoch %d but this replica's log is at epoch %d (stale primary)",
 			errFatal, f.cfg.Primary, srvEpoch, pinnedEpoch)
+	}
+	if err := f.adoptLogID(logID); err != nil {
+		return err
+	}
+	// A higher epoch is a clean failover: the feed ships only from a
+	// position whose prefix hash matched the link's offer, so the
+	// primary's history contains the replica's. The replica adopts the era
+	// before it logs a record of it.
+	if srvEpoch > pinnedEpoch {
+		if err := f.mgr.SetEpoch(srvEpoch); err != nil {
+			return fmt.Errorf("repl: adopting epoch %d: %w", srvEpoch, err)
+		}
 	}
 
 	batch, rerr := io.ReadAll(resp.Body)
@@ -451,61 +415,43 @@ func (f *Follower) pull() error {
 			}
 			return fmt.Errorf("repl: undecodable record at stream position %d: %w", applied, err)
 		}
-		// One group is one store write lock hold: a reader on this replica
-		// sees all of a primary batch or none of it.
-		if _, err := f.st.ApplyMutation(ms...); err != nil {
-			return fmt.Errorf("repl: replaying group at %d: %w", applied, err)
+		// One group is one store write lock hold, logged before it
+		// applies: a reader on this replica sees all of a primary batch or
+		// none of it, and sees nothing its log does not hold.
+		group := batch[:ends[len(ends)-1]]
+		if _, err := f.st.ApplyLogged(func() error { return f.mgr.AppendFrames(group, len(ms)) }, ms...); err != nil {
+			return fmt.Errorf("repl: logging and replaying group at %d: %w", applied, err)
 		}
-		// Mirror the primary's prefix-hash chain record by record, so the
-		// link can always prove which history it applied.
-		start := 0
-		for i, m := range ms {
-			if f.cfg.OnApplied != nil {
-				f.cfg.OnApplied(applied, m)
-			}
-			h = wal.ChainHash(h, wal.FrameChecksum(batch[start:]))
-			start = ends[i]
-			applied++
-			lastAt = m.At
-		}
-		f.mBytes.Add(int64(start))
-		batch = batch[start:]
+		applied += uint64(len(ms))
+		lastAt = ms[len(ms)-1].At
+		f.mBytes.Add(int64(len(group)))
+		batch = batch[len(group):]
 	}
 	if applied > from {
 		f.mBatches.Add(1)
 		f.mRecords.Add(int64(applied - from))
 	}
 
-	// With the whole batch applied, the locally chained hash must land
-	// exactly on the hash the source stamped for the batch end: a
-	// mismatch means the histories forked (the source-side check at
-	// "from" is the first line of defense; this one also covers sources
-	// we never offered a hash to). A batch cut short by a dying
-	// connection — even on a clean frame boundary — is excluded by
-	// matching the applied count against the served count.
+	// With the whole batch logged, the WAL's chained hash must land
+	// exactly on the hash the source stamped for the batch end: a mismatch
+	// means the histories forked (the source-side check at "from" is the
+	// first line of defense; this one also covers a source that skipped
+	// it). A batch cut short by a dying connection — even on a clean frame
+	// boundary — is excluded by matching the applied count against the
+	// served count.
 	count, cerr := strconv.ParseUint(resp.Header.Get(HeaderCount), 10, 64)
 	complete := !torn && rerr == nil && cerr == nil && applied-from == count
 	if hdr := resp.Header.Get(HeaderHash); hdr != "" && complete {
 		if srvHash, perr := strconv.ParseUint(hdr, 16, 64); perr == nil {
-			if hashKnown && h != srvHash {
+			if _, h := f.mgr.StreamHash(); h != srvHash {
 				f.markDiverged()
 				return fmt.Errorf("%w: %w: primary chains to %016x at stream position %d, this replica to %016x",
 					errFatal, ErrDiverged, srvHash, applied, h)
-			}
-			if !hashKnown {
-				h, hashKnown = srvHash, true
 			}
 		}
 	}
 
 	f.mu.Lock()
-	f.applied = applied
-	f.hash, f.hashKnown = h, hashKnown
-	if srvEpoch > f.epoch {
-		// A higher epoch whose history verifiably contains ours (the
-		// hash checks above) is a clean failover: adopt the new era.
-		f.epoch = srvEpoch
-	}
 	if lastAt.After(f.watermark) {
 		f.watermark = lastAt
 	}
@@ -526,16 +472,20 @@ func (f *Follower) pull() error {
 	return nil
 }
 
-// bootstrap loads the primary's checkpoint into the (empty) local store
-// and repositions the feed at the snapshot's resume index. The load is
-// atomic — graph.(*Store).LoadHistory stages into scratch state and
-// installs nothing on failure — so a download severed mid-stream leaves
-// the store empty and the next loop iteration retries cleanly. A
-// follower whose store already has state therefore genuinely cannot
-// re-bootstrap in place (it fell past the feed's retention): that is a
-// fatal condition surfaced to the operator (restart with a fresh store),
-// never a silent full resync.
+// bootstrap loads the primary's checkpoint into the empty local store
+// and grafts it onto the empty WAL at the snapshot's resume index
+// (wal.Manager.AdoptStream, crash-atomic). The load is atomic too —
+// graph.(*Store).LoadHistory stages into scratch state and installs
+// nothing on failure — so a download severed mid-stream leaves store and
+// log empty and the next loop iteration retries cleanly. A replica whose
+// log already holds records genuinely cannot re-bootstrap in place (it
+// fell past the feed's retention): that is a fatal condition surfaced to
+// the operator (rebuild it from an empty directory), never a silent full
+// resync.
 func (f *Follower) bootstrap() error {
+	if pos := f.mgr.NextIndex(); pos > 0 {
+		return fmt.Errorf("%w: the primary no longer holds stream position %d; rebuild this replica from an empty WAL directory", errFatal, pos)
+	}
 	ctx, cancel := f.reqCtx(5 * time.Minute)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/v1/wal/snapshot", nil)
@@ -547,10 +497,6 @@ func (f *Follower) bootstrap() error {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := f.pinLogID(resp.Header.Get(HeaderLogID)); err != nil {
-		io.Copy(io.Discard, resp.Body)
-		return err
-	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("repl: snapshot returned %s: %s", resp.Status, body)
@@ -559,37 +505,33 @@ func (f *Follower) bootstrap() error {
 	if err != nil {
 		return fmt.Errorf("repl: snapshot response missing %s", HeaderResume)
 	}
+	srvHash, err := strconv.ParseUint(resp.Header.Get(HeaderHash), 16, 64)
+	if err != nil {
+		return fmt.Errorf("repl: snapshot response missing %s", HeaderHash)
+	}
 	srvEpoch, _ := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64)
-	f.mu.Lock()
-	pinnedEpoch := f.epoch
-	f.mu.Unlock()
-	if srvEpoch > 0 && pinnedEpoch > 0 && srvEpoch < pinnedEpoch {
-		return fmt.Errorf("%w: snapshot from %s is at epoch %d but this link is pinned to epoch %d (stale primary)",
+	pinnedEpoch := f.mgr.Epoch()
+	if srvEpoch > 0 && srvEpoch < pinnedEpoch {
+		return fmt.Errorf("%w: snapshot from %s is at epoch %d but this replica's log is at epoch %d (stale primary)",
 			errFatal, f.cfg.Primary, srvEpoch, pinnedEpoch)
 	}
-	srvHash, herr := strconv.ParseUint(resp.Header.Get(HeaderHash), 16, 64)
 	if err := f.st.LoadHistory(resp.Body); err != nil {
-		if errors.Is(err, graph.ErrStoreNotEmpty) {
-			// In-place full resyncs are deliberately not supported: fall
-			// so far behind that the feed is gone and the operator must
-			// restart the replica with a fresh store — never silently
-			// discard local state.
-			return fmt.Errorf("%w: replica needs a bootstrap but its store is not empty; restart it with a fresh store: %v", errFatal, err)
-		}
 		if graph.SetFormatFile(err, req.URL.String()) {
 			return fmt.Errorf("%w: loading snapshot: %w", errFatal, err)
 		}
 		return fmt.Errorf("repl: loading snapshot: %w", err)
 	}
+	if err := f.mgr.AdoptStream(f.st, resp.Header.Get(HeaderLogID), resume, max(srvEpoch, pinnedEpoch), srvHash); err != nil {
+		// The store holds a snapshot its log does not: only a restart,
+		// which recovers both from the directory, makes them agree again.
+		f.mu.Lock()
+		f.pinned = false
+		f.mu.Unlock()
+		return fmt.Errorf("%w: logging the snapshot: %w; restart the replica", errFatal, err)
+	}
 	f.mBootstraps.Add(1)
 	f.mu.Lock()
-	f.applied = resume
-	// The snapshot repositions the link: adopt the source's chain state
-	// at the resume index (the position-0 seed no longer applies there).
-	f.hash, f.hashKnown = srvHash, herr == nil
-	if srvEpoch > f.epoch {
-		f.epoch = srvEpoch
-	}
+	f.pinned = true
 	// The snapshot proves coverage only through its newest stored
 	// transaction time (which LoadHistory fenced the local clock past) —
 	// NOT through the local wall clock, which would claim primary commits
@@ -623,10 +565,11 @@ func (f *Follower) markDiverged() {
 
 // Status snapshots the link.
 func (f *Follower) Status() Status {
+	applied, epoch := f.mgr.NextIndex(), f.mgr.Epoch()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := Status{
-		Applied:        f.applied,
+		Applied:        applied,
 		AppliedThrough: f.watermark,
 		PrimaryNext:    f.primaryNext,
 		CaughtUp:       f.caughtUp,
@@ -634,24 +577,17 @@ func (f *Follower) Status() Status {
 		Reconnects:     f.reconnects,
 		Bootstraps:     f.bootstraps,
 		LastContact:    f.lastContact,
-		Epoch:          f.epoch,
+		Epoch:          epoch,
+		Pinned:         f.pinned,
 		Diverged:       f.diverged,
 	}
-	if f.primaryNext > f.applied {
-		s.LagRecords = f.primaryNext - f.applied
+	if f.primaryNext > applied {
+		s.LagRecords = f.primaryNext - applied
 	}
 	if f.lastErr != nil {
 		s.LastError = f.lastErr.Error()
 	}
 	return s
-}
-
-// Applied returns the follower's stream position and staleness
-// watermark.
-func (f *Follower) Applied() (uint64, time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.applied, f.watermark
 }
 
 // WaitUntil blocks until the replica's watermark reaches ts, the
@@ -690,11 +626,10 @@ func (f *Follower) WaitUntil(ctx context.Context, ts time.Time) error {
 }
 
 // Promote ends the link for a promotion: it marks the follower promoted
-// (WaitUntil stops waiting — the node is about to be the authority),
-// stops the pull loop, and hands over the link's stream state. Node.Promote
-// takes it from there: the epoch, the WAL adoption and the checkpoint are
-// the node's. Idempotent.
-func (f *Follower) Promote() StreamState {
+// (WaitUntil stops waiting — the node is about to be the authority) and
+// stops the pull loop, so no shipped record lands after it returns.
+// Node.Promote takes it from there: the epoch is the node's. Idempotent.
+func (f *Follower) Promote() {
 	f.mu.Lock()
 	if !f.promoted {
 		f.promoted = true
@@ -702,14 +637,8 @@ func (f *Follower) Promote() StreamState {
 		f.changed = make(chan struct{})
 	}
 	f.mu.Unlock()
-	// Stop the pull loop BEFORE reading the stream position: a promote
-	// racing an in-flight bootstrap must observe either the empty store
-	// (the canceled download's LoadHistory installed nothing) or the
-	// fully loaded one with its applied index already advanced — never a
-	// checkpoint of half-staged state at a stale position.
 	f.Stop()
 	f.cfg.Logf("repl: link to %s stopped for promotion", f.cfg.Primary)
-	return f.StreamState()
 }
 
 // Promoted reports whether Promote has run.

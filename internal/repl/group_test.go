@@ -66,7 +66,7 @@ func TestReplicaAppliesWholeGroups(t *testing.T) {
 	p := newPrimary(t)
 	cfg := testFollowerConfig(p.srv.URL)
 	cfg.MaxBatchBytes = 1
-	f := NewFollower(newStore(t), cfg)
+	f := newFollower(t, cfg)
 	defer f.Stop()
 	stop := countWatcher(f.st, 10)
 	f.Start()
@@ -122,7 +122,7 @@ func TestSeveredBodyAppliesWholeGroups(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	f := NewFollower(newStore(t), testFollowerConfig(proxy.URL))
+	f := newFollower(t, testFollowerConfig(proxy.URL))
 	defer f.Stop()
 	stop := countWatcher(f.st, 10)
 	f.Start()

@@ -15,29 +15,31 @@ import (
 // replication Source and the watch feed all ask it; none re-derives the
 // role from the follower or the WAL.
 //
-// The epoch rule has three parts, all here:
-//   - a replica serves under the epoch its link is pinned to; a primary
-//     under its WAL's durable epoch, or under the one Promote minted in
-//     memory when it has no WAL;
+// Every WAL-backed node has one stream, its WAL: a replica logs what it
+// applies at its primary's indexes, so its position, log identity and
+// epoch are its WAL's exactly as a primary's are. The epoch rule has
+// three parts, all here:
+//   - a node serves under its WAL's epoch — on a replica, the primary
+//     epoch its link last adopted — or, without a WAL, under the one
+//     Promote minted in memory;
 //   - Observe: a remote epoch above a positive own epoch proves a newer
 //     primary exists, and fences a primary (never a replica, whose era is
 //     its primary's and moves with its feed);
-//   - Promote mints max(durable, pinned, fencedBy, seen) + 1 — above this
-//     log's era, the era the link followed, every era that fenced the
-//     node, and the highest era the promoting client has seen — or stays
-//     without an epoch when all four are 0. The last bound covers a link
-//     that has not polled since its primary was re-promoted: the link
-//     still holds the old era, but a client that wrote to the re-promoted
-//     primary has seen the new one.
+//   - Promote mints max(own, fencedBy, seen) + 1 — above this log's era,
+//     every era that fenced the node, and the highest era the promoting
+//     client has seen — or stays without an epoch when all three are 0.
+//     The last bound covers a link that has not polled since its primary
+//     was re-promoted: the link still holds the old era, but a client
+//     that wrote to the re-promoted primary has seen the new one.
 type Node struct {
 	st  *graph.Store
-	mgr *wal.Manager // nil for an in-memory node
+	mgr *wal.Manager // nil for an in-memory node, which is never a replica
 	f   *Follower    // nil on a node that was never a replica
 
 	promoteMu sync.Mutex // serializes Promote
 
 	mu       sync.Mutex
-	promoted bool   // f's log has been taken over; the node is a primary
+	promoted bool   // f's link has been stopped; the node is a primary
 	fenced   bool   // superseded or demoted: reads only until re-promoted
 	fencedBy uint64 // the highest epoch seen superseding this node
 	epoch    uint64 // the epoch Promote minted, for a node without a WAL
@@ -52,6 +54,11 @@ var ErrStalePrimary = errors.New("repl: stale primary")
 // ErrNotReplica reports a Promote of a primary that is neither fenced
 // nor a former replica: there is nothing to promote.
 var ErrNotReplica = errors.New("repl: this node is not a replica")
+
+// ErrUnpinned reports a Promote of a replica whose log was never pinned
+// to a primary's (see Status.Pinned): promoted, it would open a log of its
+// own, which no other replica could follow.
+var ErrUnpinned = errors.New("repl: this replica's log was never pinned to a primary's; promote a replica that has reached the stream")
 
 // NewNode returns the role authority over st and its optional WAL. f is
 // the node's replication link, nil on a primary; a node built with one
@@ -70,7 +77,7 @@ func (n *Node) Replica() bool {
 func (n *Node) replicaLocked() bool { return n.f != nil && !n.promoted }
 
 // Epoch returns the primary epoch the node serves under; 0 for a node
-// with none (in-memory, never replicated).
+// with none (in-memory, never promoted).
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -78,45 +85,28 @@ func (n *Node) Epoch() uint64 {
 }
 
 func (n *Node) epochLocked() uint64 {
-	switch {
-	case n.replicaLocked():
-		return n.link().Epoch
-	case n.mgr != nil:
+	if n.mgr != nil {
 		return n.mgr.Epoch()
 	}
 	return n.epoch
 }
 
-// LogID returns the identity of the log the node's stream belongs to:
-// its own WAL's (adopted at promotion) on a WAL-backed primary, else the
-// log its link pinned.
+// LogID returns the identity of the node's WAL ("" without one): on a
+// pinned replica, its primary's.
 func (n *Node) LogID() string {
-	if n.ownsWAL() {
-		return n.mgr.LogID()
+	if n.mgr == nil {
+		return ""
 	}
-	return n.link().LogID
+	return n.mgr.LogID()
 }
 
-// Position returns the node's stream end: the next index a WAL-backed
-// primary will log, else the next index its link will apply.
+// Position returns the node's stream end: the next index its WAL will
+// log (0 without one).
 func (n *Node) Position() uint64 {
-	if n.ownsWAL() {
-		return n.mgr.NextIndex()
+	if n.mgr == nil {
+		return 0
 	}
-	return n.link().Applied
-}
-
-// ownsWAL reports whether the node's stream is its own WAL (a WAL-backed
-// primary) rather than its link's.
-func (n *Node) ownsWAL() bool { return n.mgr != nil && !n.Replica() }
-
-// link returns the replication link's stream state; zero on a node that
-// was never a replica.
-func (n *Node) link() StreamState {
-	if n.f == nil {
-		return StreamState{}
-	}
-	return n.f.StreamState()
+	return n.mgr.NextIndex()
 }
 
 // Fenced reports whether the node is a fenced primary, and the highest
@@ -181,19 +171,17 @@ func (n *Node) Demote() error {
 
 // Promote makes the node a writable primary under a freshly minted epoch
 // and returns its stream position and that epoch. On a replica it stops
-// the link and, with a WAL, adopts the followed log's identity, position
-// and prefix hash into it (or, when the link never learned them, just
-// opens the new era on the node's own log), then checkpoints the
-// replicated state so every replayed mutation is durable before the node
-// acks a write of its own. Adopting the stream rather than starting a
-// fresh log is what makes a later fork by the old primary detectable:
-// both logs then claim one identity and one set of positions, and a
-// follower comparing prefix hashes sees which era it is on. On a fenced
-// primary it lifts the fence. seen is the highest epoch the caller has
-// seen (0 for none); the minted epoch is above it too. The node stays a
-// replica, rejecting writes, until every step has succeeded; a promoted,
-// unfenced node answers idempotently, and any other primary with
-// ErrNotReplica.
+// the link and raises its WAL's epoch: the WAL already holds every record
+// the replica applied, at the primary's positions under the primary's
+// identity, so its later appends continue the same log in a new era.
+// That is what makes a later fork by the old primary detectable: both
+// logs claim one identity and one set of positions, and a follower
+// comparing prefix hashes sees which era it is on. A replica whose log
+// was never pinned to a primary's answers ErrUnpinned and keeps
+// following. On a fenced primary it lifts the fence. seen is the highest
+// epoch the caller has seen (0 for none); the minted epoch is above it
+// too. A promoted, unfenced node answers idempotently, and any other
+// primary with ErrNotReplica.
 func (n *Node) Promote(seen uint64) (pos, epoch uint64, err error) {
 	n.promoteMu.Lock()
 	defer n.promoteMu.Unlock()
@@ -206,29 +194,18 @@ func (n *Node) Promote(seen uint64) (pos, epoch uint64, err error) {
 		}
 		return n.Position(), n.Epoch(), nil
 	}
-
-	var link StreamState
-	if n.f != nil {
-		link = n.f.Promote()
+	if replica {
+		if !n.f.Status().Pinned {
+			return 0, 0, ErrUnpinned
+		}
+		n.f.Promote()
 	}
-	var durable uint64
-	if n.mgr != nil {
-		durable = n.mgr.Epoch()
-	}
-	if top := max(durable, link.Epoch, fencedBy, seen); top > 0 {
+	if top := max(n.Epoch(), fencedBy, seen); top > 0 {
 		epoch = top + 1
 	}
 	if n.mgr != nil {
-		if replica && link.LogID != "" && link.HashKnown {
-			err = n.mgr.AdoptStream(link.LogID, link.Applied, epoch, link.Hash)
-		} else {
-			err = n.mgr.SetEpoch(epoch)
-		}
-		if err == nil && replica {
-			err = n.mgr.Checkpoint(n.st)
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("repl: promoting at stream position %d: %w", link.Applied, err)
+		if err := n.mgr.SetEpoch(epoch); err != nil {
+			return 0, 0, fmt.Errorf("repl: promoting at stream position %d: %w", n.Position(), err)
 		}
 	}
 	n.mu.Lock()

@@ -1,8 +1,11 @@
 // Package repl is Nepal's primary→follower replication subsystem: the
-// primary ships its write-ahead log over HTTP and followers replay it
-// through graph.(*Store).ApplyMutation, so replay order equals the
-// primary's serialization order and a follower's state at any replayed
-// timestamp is byte-identical to the primary's state at that timestamp.
+// primary ships its write-ahead log over HTTP, and a follower logs each
+// shipped group verbatim into its own WAL at the primary's stream indexes
+// and then replays it through graph.(*Store).ApplyLogged. Replay order
+// equals the primary's serialization order, a follower's state at any
+// replayed timestamp is byte-identical to the primary's state at that
+// timestamp, and its log is byte-identical to the primary's over the
+// range both hold.
 //
 // The wire protocol is two endpoints the serving layer mounts:
 //
@@ -62,21 +65,22 @@ const (
 	// stale", and the watermark never claims an unshipped commit.
 	HeaderClock = "X-Nepal-Wal-Clock"
 	// HeaderLogID carries the primary WAL's immutable identity on every
-	// feed and snapshot response. A follower pins the first value it sees
-	// and parks fatal on a mismatch, so a link repointed at an unrelated
-	// primary (or a sibling promoted onto its own log) can never apply
-	// misaligned records from a foreign stream.
+	// feed and snapshot response. A follower's empty WAL adopts it at
+	// first contact; a WAL holding records parks the link fatal on a
+	// mismatch, so a link repointed at an unrelated primary can never
+	// apply misaligned records from a foreign stream.
 	HeaderLogID = "X-Nepal-Wal-Log-Id"
 	// HeaderAppliedThrough is stamped by replica servers on query
 	// responses: every mutation at or before this timestamp is reflected
 	// in the answer.
 	HeaderAppliedThrough = "X-Nepal-Applied-Through"
 	// HeaderEpoch carries the log's primary epoch on every feed and
-	// snapshot response. Followers pin it: a higher epoch whose prefix
-	// hash matches at the follower's position is a clean failover and is
-	// adopted; a lower epoch marks a stale, superseded primary and is
-	// rejected. Feed requests echo the pinned value back (epoch= query
-	// param), which is how a stale primary first learns it was superseded.
+	// snapshot response. A higher epoch whose prefix hash matches at the
+	// follower's position is a clean failover, and the follower raises its
+	// WAL's epoch to it; a lower epoch marks a stale, superseded primary
+	// and is rejected. Feed requests echo the WAL's epoch back (epoch=
+	// query param), which is how a stale primary first learns it was
+	// superseded.
 	HeaderEpoch = "X-Nepal-Wal-Epoch"
 	// HeaderHash carries the chained prefix hash (hex) at the batch end
 	// on feed responses — at the requested position for an empty batch —

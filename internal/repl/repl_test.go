@@ -44,6 +44,28 @@ func newStore(t testing.TB) *graph.Store {
 	return graph.NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
 }
 
+// openReplica recovers a WAL-backed store from dir the way a serving
+// node opens one: the WAL is its mutation hook, and a replica's link logs
+// into it.
+func openReplica(t testing.TB, dir string) (*graph.Store, *wal.Manager) {
+	t.Helper()
+	st := newStore(t)
+	mgr, _, err := wal.Open(dir, st, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	st.SetMutationHook(mgr.Append)
+	return st, mgr
+}
+
+// newFollower returns an unstarted link over a fresh WAL-backed store.
+func newFollower(t testing.TB, cfg FollowerConfig) *Follower {
+	t.Helper()
+	st, mgr := openReplica(t, t.TempDir())
+	return NewFollower(st, mgr, cfg)
+}
+
 // primary is a WAL-backed store serving the replication feed over a real
 // HTTP listener.
 type primary struct {
@@ -123,7 +145,7 @@ func TestFollowerReplicates(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 30)
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "initial catch-up", func() bool { return f.Status().Applied == 30 })
@@ -156,7 +178,7 @@ func TestFollowerBootstrap(t *testing.T) {
 	}
 	p.write(t, 10)
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "bootstrap + catch-up", func() bool { return f.Status().Applied == 35 })
@@ -168,6 +190,61 @@ func TestFollowerBootstrap(t *testing.T) {
 	}
 }
 
+// TestRestartedReplicaResumesFromItsLog: a replica logs what it applies,
+// byte for byte at its primary's indexes, so a restart recovers its own
+// WAL and resumes the feed where the log ends — no bootstrap, even though
+// the primary's early history exists only in a checkpoint.
+func TestRestartedReplicaResumesFromItsLog(t *testing.T) {
+	p := newPrimary(t)
+	p.write(t, 10)
+	if err := p.mgr.Checkpoint(p.st); err != nil {
+		t.Fatal(err)
+	}
+	p.write(t, 5)
+
+	dir := t.TempDir()
+	st, mgr := openReplica(t, dir)
+	f := NewFollower(st, mgr, testFollowerConfig(p.srv.URL))
+	f.Start()
+	waitFor(t, "bootstrap + catch-up", func() bool { return f.Status().Applied == 15 })
+	f.Stop()
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.write(t, 5)
+
+	st2, mgr2 := openReplica(t, dir)
+	if mgr2.NextIndex() != 15 || mgr2.LogID() != p.mgr.LogID() {
+		t.Fatalf("recovered replica log at %d under %q; want 15 under the primary's %q", mgr2.NextIndex(), mgr2.LogID(), p.mgr.LogID())
+	}
+	f2 := NewFollower(st2, mgr2, testFollowerConfig(p.srv.URL))
+	defer f2.Stop()
+	if !f2.Status().Pinned {
+		t.Fatal("a restarted replica whose log holds records is not pinned")
+	}
+	f2.Start()
+	waitFor(t, "resumed catch-up", func() bool { return f2.Status().Applied == 20 })
+	if got := f2.Status().Bootstraps; got != 0 {
+		t.Fatalf("restarted replica bootstrapped %d times; want a resume from its log", got)
+	}
+	if !bytes.Equal(history(t, st2), history(t, p.st)) {
+		t.Fatal("restarted replica's history differs from the primary's")
+	}
+	// The log is the primary's over the range both hold.
+	base := max(mgr2.BaseIndex(), p.mgr.BaseIndex())
+	mine, _, err := mgr2.ReadRecords(base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirs, _, err := p.mgr.ReadRecords(base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mine) == 0 || !bytes.Equal(mine, theirs) {
+		t.Fatalf("replica WAL from %d (%d bytes) differs from the primary's (%d bytes)", base, len(mine), len(theirs))
+	}
+}
+
 // TestWaitUntilBoundedStaleness pins the read contract: a read demanding
 // a timestamp the replica has not reached waits, and fails typed when
 // the deadline beats the replication.
@@ -175,7 +252,7 @@ func TestWaitUntilBoundedStaleness(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 5)
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 
 	// Not started: any future timestamp must fail with ErrLagging.
@@ -207,7 +284,7 @@ func TestWaitUntilWakesOnCatchUp(t *testing.T) {
 	p.write(t, 3)
 	target := p.st.Now()
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	errc := make(chan error, 1)
 	go func() {
@@ -222,25 +299,17 @@ func TestWaitUntilWakesOnCatchUp(t *testing.T) {
 	}
 }
 
-// TestPromoteDurable promotes a caught-up follower that carries its own
-// WAL: the replicated state must be durable (checkpointed) at promotion,
-// and writes taken as the new primary must land in its log — proven by
-// recovering the follower's WAL directory into a fresh store.
+// TestPromoteDurable promotes a caught-up follower: the replicated state
+// is durable in its WAL before promotion, and writes taken as the new
+// primary must land in the same log — proven by recovering the
+// follower's WAL directory into a fresh store.
 func TestPromoteDurable(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 20)
 
 	fdir := t.TempDir()
-	fst := newStore(t)
-	fmgr, _, err := wal.Open(fdir, fst, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hook is installed up front (exactly how a serving replica
-	// opens): replicated records bypass it, so the follower's log stays
-	// empty until promotion.
-	fst.SetMutationHook(fmgr.Append)
-	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	fst, fmgr := openReplica(t, fdir)
+	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
 	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 20 })
@@ -273,12 +342,7 @@ func TestPromoteDurable(t *testing.T) {
 
 	// Crash-restart the promoted node: recovery must reproduce both the
 	// replicated prefix and its own writes.
-	st2 := newStore(t)
-	mgr2, _, err := wal.Open(fdir, st2, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr2.Close()
+	st2, _ := openReplica(t, fdir)
 	if !bytes.Equal(history(t, st2), want) {
 		t.Fatal("recovered promoted node differs from its pre-restart state")
 	}
@@ -292,7 +356,7 @@ func TestFollowerReconnectAccounting(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 4)
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 4 })
@@ -389,7 +453,7 @@ func TestFollowerConvergesWithTinyBatches(t *testing.T) {
 
 	cfg := testFollowerConfig(p.srv.URL)
 	cfg.MaxBatchBytes = 1
-	f := NewFollower(newStore(t), cfg)
+	f := newFollower(t, cfg)
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up through capped batches", func() bool { return f.Status().Applied == 20 })
@@ -431,7 +495,7 @@ func TestBootstrapRetriesAfterSeveredSnapshot(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
+	f := newFollower(t, testFollowerConfig(srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "bootstrap retry + catch-up", func() bool { return f.Status().Applied == 30 })
@@ -468,7 +532,7 @@ func TestBootstrapRefusesRetiredFormat(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
+	f := newFollower(t, testFollowerConfig(srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "the format error", func() bool { return f.Status().LastError != "" })
@@ -506,7 +570,7 @@ func TestFollowerRejectsForeignLog(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f := NewFollower(newStore(t), testFollowerConfig(srv.URL))
+	f := newFollower(t, testFollowerConfig(srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up on the real primary", func() bool { return f.Status().Applied == 5 })
@@ -613,12 +677,14 @@ func TestSourceStampsEpochAfterRead(t *testing.T) {
 }
 
 // TestPromoteRacingBootstrap promotes a follower while its checkpoint
-// bootstrap download is still in flight. Promote stops the pull loop
-// before reading the stream position, so it must observe either the
-// empty store (the canceled download installed nothing) or the fully
-// loaded one with its applied index already advanced — never a
-// checkpoint of half-staged state at a stale position. Run under -race
-// this also pins the Stop-before-read ordering inside Promote.
+// bootstrap download is still in flight. Until the snapshot is grafted
+// onto its log the replica is unpinned, so Promote refuses it and the
+// link keeps running; once grafted, Promote stops the pull loop before
+// reading the stream position. Either way the node must end with the
+// empty store at position 0 (the canceled download installed nothing) or
+// the fully loaded one at the resume index — never half-staged state at a
+// stale position, in memory or in its WAL directory. Run under -race this
+// also pins the Stop-before-read ordering inside Promote.
 func TestPromoteRacingBootstrap(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 40)
@@ -657,28 +723,28 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 		srv := httptest.NewServer(mux)
 
 		fdir := t.TempDir()
-		fst := newStore(t)
-		fmgr, _, err := wal.Open(fdir, fst, wal.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fst.SetMutationHook(fmgr.Append)
-		f := NewFollower(fst, testFollowerConfig(srv.URL))
+		fst, fmgr := openReplica(t, fdir)
+		f := NewFollower(fst, fmgr, testFollowerConfig(srv.URL))
 		node := NewNode(fst, fmgr, f)
 		f.Start()
 		<-started
 		if round > 0 {
 			close(release)
 		}
-		applied, _, perr := node.Promote(0)
+		_, _, perr := node.Promote(0)
 		if round == 0 {
+			if !errors.Is(perr, ErrUnpinned) {
+				t.Fatalf("round 0: Promote mid-download = %v; want ErrUnpinned", perr)
+			}
 			close(release)
 		}
+		f.Stop()
 		srv.Close()
-		if perr != nil {
+		if perr != nil && !errors.Is(perr, ErrUnpinned) {
 			t.Fatalf("round %d: Promote: %v", round, perr)
 		}
 
+		applied := fmgr.NextIndex()
 		got := history(t, fst)
 		switch applied {
 		case 0:
@@ -693,21 +759,17 @@ func TestPromoteRacingBootstrap(t *testing.T) {
 			t.Fatalf("round %d: promoted at %d, want 0 (canceled) or 40 (complete)", round, applied)
 		}
 
-		// The checkpoint Promote wrote must reproduce exactly the state
-		// it observed: a crash-restart of the promoted node lands on the
-		// same history, whichever side of the race won.
+		// The node's WAL directory must reproduce exactly the state it
+		// observed: a crash-restart lands on the same history and
+		// position, whichever side of the race won.
 		if err := fmgr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st2 := newStore(t)
-		mgr2, _, err := wal.Open(fdir, st2, wal.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
+		st2, mgr2 := openReplica(t, fdir)
+		if !bytes.Equal(history(t, st2), got) || mgr2.NextIndex() != applied {
+			t.Fatalf("round %d: recovered node (position %d) differs from its pre-restart state (position %d)",
+				round, mgr2.NextIndex(), applied)
 		}
-		if !bytes.Equal(history(t, st2), got) {
-			t.Fatalf("round %d: recovered promoted node differs from its pre-restart state", round)
-		}
-		mgr2.Close()
 	}
 }
 
@@ -752,7 +814,7 @@ func TestSourceRejectsStaleEpoch(t *testing.T) {
 func TestFollowerAdoptsHigherEpoch(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 6)
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	f := newFollower(t, testFollowerConfig(p.srv.URL))
 	defer f.Stop()
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 6 })
@@ -778,34 +840,34 @@ func TestFollowerAdoptsHigherEpoch(t *testing.T) {
 	}
 }
 
-// TestFollowerParksDivergedOnForgedFork resumes a link whose recorded
-// prefix hash disagrees with the primary's chain at the same position —
-// the on-disk shape of a follower that applied a forked history. The
-// source must refuse before shipping a single record and the follower
-// must park with the typed ErrDiverged, applying nothing.
+// TestFollowerParksDivergedOnForgedFork builds a real fork: a stopped
+// replica's WAL takes one record of its own at the position where its
+// primary then logs a different one — the on-disk shape of a replica that
+// applied a forked history. Resumed over that directory, the link offers
+// its prefix hash; the source must refuse before shipping a single
+// record and the follower must park with the typed ErrDiverged, applying
+// nothing.
 func TestFollowerParksDivergedOnForgedFork(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 8)
 
-	f := NewFollower(newStore(t), testFollowerConfig(p.srv.URL))
+	fst, fmgr := openReplica(t, t.TempDir())
+	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 8 })
 	f.Stop()
-	resume := f.StreamState()
-	if !resume.HashKnown {
-		t.Fatal("caught-up follower never learned the prefix hash")
+	if _, err := fst.InsertNode("Host", graph.Fields{"id": 9999}); err != nil {
+		t.Fatal(err)
 	}
-	resume.Hash ^= 0xdeadbeef // forge: same position, different history
+	p.write(t, 4)
 
-	cfg := testFollowerConfig(p.srv.URL)
-	cfg.Resume = &resume
-	forked := NewFollower(newStore(t), cfg)
+	forked := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
 	defer forked.Stop()
 	forked.Start()
 	waitFor(t, "diverged park", func() bool { return forked.Status().Diverged })
 	st := forked.Status()
-	if st.Applied != 8 {
-		t.Fatalf("diverged link applied %d records past the fork, want none (still at 8)", st.Applied-8)
+	if st.Applied != 9 {
+		t.Fatalf("diverged link applied %d records past the fork, want none (still at 9)", st.Applied-9)
 	}
 	if !strings.Contains(st.LastError, ErrDiverged.Error()) {
 		t.Fatalf("LastError = %q, want it to carry ErrDiverged", st.LastError)
@@ -813,22 +875,16 @@ func TestFollowerParksDivergedOnForgedFork(t *testing.T) {
 }
 
 // TestPromotedNodeServesFreshFollower closes the failover loop: a
-// follower promotes (adopting the dead primary's stream identity into
-// its own WAL), keeps writing, and a brand-new replica bootstrapping
-// from it converges to the full history — replicated prefix plus
-// post-promotion writes — under the bumped epoch.
+// follower promotes (its WAL already the dead primary's log, at the same
+// positions under the same identity), keeps writing, and a brand-new
+// replica following it converges to the full history — replicated
+// prefix plus post-promotion writes — under the bumped epoch.
 func TestPromotedNodeServesFreshFollower(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 10)
 
-	fst := newStore(t)
-	fmgr, _, err := wal.Open(t.TempDir(), fst, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fmgr.Close() })
-	fst.SetMutationHook(fmgr.Append)
-	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	fst, fmgr := openReplica(t, t.TempDir())
+	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
 	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 10 })
@@ -855,7 +911,7 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	f2 := NewFollower(newStore(t), testFollowerConfig(srv.URL))
+	f2 := newFollower(t, testFollowerConfig(srv.URL))
 	defer f2.Stop()
 	f2.Start()
 	waitFor(t, "fresh follower catch-up", func() bool { return f2.Status().Applied == 15 })
@@ -876,13 +932,8 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 func TestNodeRoleAndEpochRule(t *testing.T) {
 	p := newPrimary(t)
 	p.write(t, 4)
-	fst := newStore(t)
-	fmgr, _, err := wal.Open(t.TempDir(), fst, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fmgr.Close() })
-	f := NewFollower(fst, testFollowerConfig(p.srv.URL))
+	fst, fmgr := openReplica(t, t.TempDir())
+	f := NewFollower(fst, fmgr, testFollowerConfig(p.srv.URL))
 	node := NewNode(fst, fmgr, f)
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 4 })

@@ -18,8 +18,9 @@ import (
 // serving layer mounts ServeWAL at GET /v1/wal and ServeSnapshot at
 // GET /v1/wal/snapshot on any WAL-backed server; they serve only while
 // the node is a primary (fenced or not). An unpromoted replica's WAL is
-// its own empty log, not the stream it follows, so there both answer 503
-// "not_primary" before naming any log.
+// its primary's log, but replication does not cascade: there both answer
+// 503 "not_primary" before naming any log, so a follower of a replica
+// pins nothing.
 type Source struct {
 	node *Node
 
@@ -77,7 +78,7 @@ func (s *Source) rejectReplica(w http.ResponseWriter) bool {
 	}
 	w.Header().Set("Retry-After", "1")
 	sourceErr(w, http.StatusServiceUnavailable, "not_primary",
-		"this node is an unpromoted replica: its log is not the stream it follows; replicate from the primary")
+		"this node is an unpromoted replica: replicate from the primary")
 	return true
 }
 

@@ -10,12 +10,13 @@ package server_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/netmodel"
+	"repro/internal/graph"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -147,8 +148,9 @@ func TestRepromoteLiftsFence(t *testing.T) {
 func TestFailoverMintsAboveRepromotedPrimary(t *testing.T) {
 	pc, rc, f := newReplicaPair(t)
 	waitCaughtUp(t, f)
-	if st := f.Status(); st.Epoch != 1 {
-		t.Fatalf("replica link pinned epoch %d, want the primary's 1", st.Epoch)
+	link := f.Status().Epoch
+	if link != 1 {
+		t.Fatalf("replica link pinned epoch %d, want the primary's 1", link)
 	}
 	f.Stop() // the replica never polls again
 	ctx := context.Background()
@@ -177,8 +179,8 @@ func TestFailoverMintsAboveRepromotedPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Epoch <= 2 || f.Status().Epoch >= h.Epoch {
-		t.Fatalf("failover minted epoch %d; want above the re-promoted primary's 2 and the link's %d", h.Epoch, f.Status().Epoch)
+	if h.Epoch <= 2 || link >= h.Epoch {
+		t.Fatalf("failover minted epoch %d; want above the re-promoted primary's 2 and the link's %d", h.Epoch, link)
 	}
 	if cl.Epoch() != h.Epoch {
 		t.Fatalf("cluster epoch %d after failover, want the minted %d", cl.Epoch(), h.Epoch)
@@ -187,7 +189,9 @@ func TestFailoverMintsAboveRepromotedPrimary(t *testing.T) {
 
 // TestReadyzReportsDiverged: a replica parked on a forked stream must
 // say so in /readyz — "diverged" is an operator-action state (rebuild
-// the replica), not a transient lag.
+// the replica), not a transient lag. The fork is real: the stopped
+// replica's WAL takes a record of its own at the position where the
+// primary then logs a different one.
 func TestReadyzReportsDiverged(t *testing.T) {
 	pdb := newDemoDB(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
 	t.Cleanup(func() { pdb.Close() })
@@ -199,27 +203,25 @@ func TestReadyzReportsDiverged(t *testing.T) {
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 50 * time.Millisecond,
 	}
-	fdb, err := core.Open(netmodel.MustSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fdb.Close() })
-	f := repl.NewFollower(fdb.Store(), cfg)
+	fdb := openReplicaDB(t)
+	f := repl.NewFollower(fdb.Store(), fdb.WAL(), cfg)
 	f.Start()
 	waitCaughtUp(t, f)
 	f.Stop()
 
-	// Resume the link with a forged prefix hash: the on-disk shape of a
-	// replica that applied a forked history.
-	resume := f.StreamState()
-	resume.Hash ^= 0xbeef
-	cfg.Resume = &resume
+	ctx := context.Background()
+	if _, err := fdb.InsertNode("ComputeHost", graph.Fields{"id": int64(910020), "name": "fork", "rack": "rz", "status": "Active"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Ingest(ctx, []server.IngestOp{demoOp(910021), demoOp(910022)}); err != nil {
+		t.Fatal(err)
+	}
 	fs, rc := newTestServer(t, fdb, server.Config{Follow: &cfg})
 	t.Cleanup(fs.Follower().Stop)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		ready, st, err := rc.Ready(context.Background())
+		ready, st, err := rc.Ready(ctx)
 		if err != nil {
 			t.Fatalf("readyz: %v", err)
 		}
@@ -233,5 +235,65 @@ func TestReadyzReportsDiverged(t *testing.T) {
 			t.Fatalf("replica never reported diverged: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFailoverPassesOverUnpinnedReplica: a replica whose link never
+// reached its primary holds a log of its own at position 0. Promoted, it
+// would open a log no other replica could follow, so it answers 409
+// "unpinned" and /readyz says so; Cluster.Failover promotes the pinned
+// replica beside it, and the unpinned one, pointed at the new primary,
+// converges on it.
+func TestFailoverPassesOverUnpinnedReplica(t *testing.T) {
+	pdb := openReplicaDB(t) // an empty primary: both replicas stand at 0
+	ps, pc := newTestServer(t, pdb, server.Config{})
+	follow := func(primary string) repl.FollowerConfig {
+		return repl.FollowerConfig{Primary: primary, PollWait: 100 * time.Millisecond,
+			ReconnectMin: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond}
+	}
+	pinnedCfg := follow(pc.Base())
+	as, ac := newTestServer(t, openReplicaDB(t), server.Config{Follow: &pinnedCfg})
+	t.Cleanup(as.Follower().Stop)
+	waitCaughtUp(t, as.Follower())
+
+	bdb := openReplicaDB(t)
+	deadCfg := follow("http://127.0.0.1:1") // its primary died before the first poll
+	bs, bc := newTestServer(t, bdb, server.Config{Follow: &deadCfg})
+	ctx := context.Background()
+	if _, st, err := bc.Ready(ctx); err != nil || !st.Unpinned || st.AppliedIndex != 0 {
+		t.Fatalf("never-polled replica /readyz = %+v, %v; want unpinned at 0", st, err)
+	}
+	if _, err := bc.Promote(ctx); err == nil || !strings.Contains(err.Error(), "unpinned") {
+		t.Fatalf("promote of the never-polled replica: %v; want 409 unpinned", err)
+	}
+	if _, st, err := ac.Ready(ctx); err != nil || st.Unpinned {
+		t.Fatalf("polled replica /readyz = %+v, %v; want pinned", st, err)
+	}
+
+	ps.Close()
+	cl, err := client.NewCluster(client.ClusterConfig{Primary: pc.Base(), Replicas: []string{bc.Base(), ac.Base()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := cl.Failover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nc.Base() != ac.Base() {
+		t.Fatalf("failover promoted %s; want the pinned replica %s", nc.Base(), ac.Base())
+	}
+	if _, err := cl.Ingest(ctx, []server.IngestOp{demoOp(910030)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The refused replica kept its log to itself: repointed, it adopts
+	// the new primary's and catches up.
+	bs.Follower().Stop()
+	repointed := follow(ac.Base())
+	rs, _ := newTestServer(t, bdb, server.Config{Follow: &repointed})
+	t.Cleanup(rs.Follower().Stop)
+	waitCaughtUp(t, rs.Follower())
+	if st := rs.Follower().Status(); !st.Pinned || st.Applied != 1 || bdb.WAL().LogID() != pdb.WAL().LogID() {
+		t.Fatalf("repointed replica: %+v, log %q; want pinned at 1 on the cluster's log %q", st, bdb.WAL().LogID(), pdb.WAL().LogID())
 	}
 }

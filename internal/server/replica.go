@@ -132,8 +132,7 @@ func (s *Server) stampStaleness(w http.ResponseWriter, resp *QueryResponse) {
 	if s.follower == nil || !s.node.Replica() {
 		return
 	}
-	_, watermark := s.follower.Applied()
-	rendered := watermark.Format(repl.ClockFormat)
+	rendered := s.follower.Status().AppliedThrough.Format(repl.ClockFormat)
 	w.Header().Set(repl.HeaderAppliedThrough, rendered)
 	if resp != nil {
 		resp.AppliedThrough = rendered
@@ -157,7 +156,7 @@ func (s *Server) readyState() (ReadyResponse, bool) {
 		st = s.follower.Status()
 		resp.PrimaryNext, resp.LagRecords, resp.CaughtUp = st.PrimaryNext, st.LagRecords, st.CaughtUp
 		resp.Promoted, resp.Reconnects, resp.Bootstraps = !replica, st.Reconnects, st.Bootstraps
-		resp.LastError, resp.Diverged = st.LastError, st.Diverged
+		resp.LastError, resp.Diverged, resp.Unpinned = st.LastError, st.Diverged, replica && !st.Pinned
 		if !st.AppliedThrough.IsZero() {
 			resp.AppliedThrough = st.AppliedThrough.Format(repl.ClockFormat)
 		}
@@ -197,9 +196,10 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePromote serves POST /v1/promote: stop replicating, checkpoint
-// the replicated state into the local WAL (when present), and start
-// acking writes under a freshly minted epoch. Idempotent. On a fenced
+// handlePromote serves POST /v1/promote: stop replicating and start
+// acking writes under a freshly minted epoch, continuing the log the
+// replica already holds. Idempotent. A replica whose log was never
+// pinned to its primary's answers 409 "unpinned". On a fenced
 // primary it is the re-promotion path: the epoch is minted above every
 // era known to have superseded this node, and the fence lifts. The epoch
 // is also minted above the one the request's X-Nepal-Epoch header
@@ -211,6 +211,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, repl.ErrNotReplica):
 		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	case errors.Is(err, repl.ErrUnpinned):
+		writeErr(w, r, http.StatusConflict, "unpinned", err.Error())
 	case err != nil:
 		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
 	default:

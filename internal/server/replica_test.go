@@ -22,21 +22,28 @@ import (
 	"repro/internal/wal"
 )
 
+// openReplicaDB opens the empty WAL-backed store a replica serves: it
+// logs what it applies.
+func openReplicaDB(t *testing.T) *core.DB {
+	t.Helper()
+	db, err := core.Open(netmodel.MustSchema(), core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 // newReplicaPair stands up a WAL-backed primary with demo data and a
 // follower server replicating from it. Returns both clients plus the
 // follower handle for status polling.
-func newReplicaPair(t *testing.T, followerOpts ...core.Option) (primary, replica *client.Client, f *repl.Follower) {
+func newReplicaPair(t *testing.T) (primary, replica *client.Client, f *repl.Follower) {
 	t.Helper()
 	pdb := newDemoDB(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
 	t.Cleanup(func() { pdb.Close() })
 	_, pc := newTestServer(t, pdb, server.Config{})
 
-	fdb, err := core.Open(netmodel.MustSchema(), followerOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fdb.Close() })
-	fs, rc := newTestServer(t, fdb, server.Config{
+	fs, rc := newTestServer(t, openReplicaDB(t), server.Config{
 		Follow: &repl.FollowerConfig{
 			Primary:      pc.Base(),
 			PollWait:     200 * time.Millisecond,
@@ -47,6 +54,22 @@ func newReplicaPair(t *testing.T, followerOpts ...core.Option) (primary, replica
 	})
 	t.Cleanup(fs.Follower().Stop)
 	return pc, rc, fs.Follower()
+}
+
+// TestFollowRequiresWAL: a replica logs what it applies, so a follower
+// over an in-memory DB is refused at construction.
+func TestFollowRequiresWAL(t *testing.T) {
+	db, err := core.Open(netmodel.MustSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("server.New accepted Follow over an in-memory DB")
+		}
+	}()
+	server.New(db, server.Config{Follow: &repl.FollowerConfig{Primary: "http://127.0.0.1:1"}})
 }
 
 func waitCaughtUp(t *testing.T, f *repl.Follower) {
@@ -193,15 +216,10 @@ func TestReadyzRolesAndLag(t *testing.T) {
 // caught up, and refuse a min_timestamp read instead of answering it
 // from an empty store.
 func TestFollowerOfReplicaPinsNothing(t *testing.T) {
-	_, rc, f := newReplicaPair(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
+	_, rc, f := newReplicaPair(t)
 	waitCaughtUp(t, f)
 
-	cdb, err := core.Open(netmodel.MustSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cdb.Close() })
-	cs, cc := newTestServer(t, cdb, server.Config{
+	cs, cc := newTestServer(t, openReplicaDB(t), server.Config{
 		Follow: &repl.FollowerConfig{
 			Primary:      rc.Base(),
 			PollWait:     200 * time.Millisecond,
@@ -221,9 +239,8 @@ func TestFollowerOfReplicaPinsNothing(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	time.Sleep(100 * time.Millisecond) // a few more polls against the replica
-	if st := chained.Status(); st.CaughtUp || st.Applied != 0 || chained.StreamState().LogID != "" {
-		t.Fatalf("follower of an unpromoted replica: %+v, log %q; want no progress and no pinned log",
-			st, chained.StreamState().LogID)
+	if st := chained.Status(); st.CaughtUp || st.Applied != 0 || st.Pinned {
+		t.Fatalf("follower of an unpromoted replica: %+v; want no progress and no pinned log", st)
 	}
 	now := time.Now().UTC().Format(time.RFC3339Nano)
 	if _, err := cc.Query(context.Background(), selectQ, &client.QueryOptions{MinTimestamp: now}); !errors.Is(err, client.ErrReplicaLagging) {
@@ -232,7 +249,7 @@ func TestFollowerOfReplicaPinsNothing(t *testing.T) {
 }
 
 func TestPromoteTurnsReplicaWritable(t *testing.T) {
-	pc, rc, f := newReplicaPair(t, core.WithWALOptions(t.TempDir(), wal.Options{NoSync: true}))
+	pc, rc, f := newReplicaPair(t)
 	waitCaughtUp(t, f)
 	ctx := context.Background()
 

@@ -77,10 +77,10 @@ type Config struct {
 	// Follow makes this server a read replica of Follow.Primary:
 	// mutations are rejected ("read_only"), responses carry the
 	// applied-through watermark, and /readyz reports replication lag.
-	// New builds the replication link over the db from this config —
-	// publishing into the server's registry, tapping applied records into
-	// the watch feed — and starts it once both are wired; Shutdown and
-	// Close stop it. See replica.go.
+	// The db must be WAL-backed: the replica logs what it applies there.
+	// New builds the replication link over the db from this config,
+	// publishing into the server's registry, and starts it once the
+	// server is wired; Shutdown and Close stop it. See replica.go.
 	Follow *repl.FollowerConfig
 	// MaxStalenessWait bounds how long a min_timestamp read blocks on a
 	// lagging replica before the typed "replica_lagging" error; 0 means
@@ -113,7 +113,6 @@ type Server struct {
 	node      *repl.Node     // the node's role and epoch authority
 	source    *repl.Source
 	feed      watch.Feed
-	ffeed     *watch.FollowerFeed // non-nil when feed tails a follower
 	hub       *watch.Hub
 	start     time.Time
 	version   string
@@ -192,11 +191,12 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
 	if cfg.Follow != nil {
+		if db.WAL() == nil {
+			panic("server: Config.Follow requires a WAL-backed DB: a replica logs what it applies")
+		}
 		fc := *cfg.Follow
 		fc.Registry = reg
-		// mountWatch creates the feed before the link starts applying.
-		fc.OnApplied = func(index uint64, m *graph.Mutation) { s.ffeed.Observe(index, m) }
-		s.follower = repl.NewFollower(db.Store(), fc)
+		s.follower = repl.NewFollower(db.Store(), db.WAL(), fc)
 	}
 	s.node = repl.NewNode(db.Store(), db.WAL(), s.follower)
 	s.mountReplication()
@@ -256,9 +256,6 @@ func (s *Server) broadcastShutdown() {
 		}
 		if s.hub != nil {
 			s.hub.Close()
-		}
-		if s.ffeed != nil {
-			s.ffeed.Close()
 		}
 		if s.follower != nil {
 			s.follower.Stop()

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/netmodel"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/stats"
@@ -212,13 +211,8 @@ func TestClusterView(t *testing.T) {
 	t.Cleanup(func() { pdb.Close() })
 	_, pc := newTestServer(t, pdb, server.Config{})
 
-	fdb, err := core.Open(netmodel.MustSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fdb.Close() })
 	deadPeer := "http://127.0.0.1:1"
-	fs, rc := newTestServer(t, fdb, server.Config{
+	fs, rc := newTestServer(t, openReplicaDB(t), server.Config{
 		Follow: &repl.FollowerConfig{
 			Primary:      pc.Base(),
 			PollWait:     200 * time.Millisecond,

@@ -2,11 +2,12 @@ package server
 
 // The watch surface: GET /v1/watch serves the durable change feed
 // (long-poll JSON or SSE), GET /v1/watch/query serves a standing
-// pathway query as an SSE delta stream. Both are served by any node
-// with a mutation stream to tail — a WAL-backed primary, or a replica
-// (off its applied stream, offloading the primary). Resume tokens are
-// global WAL stream indexes: a client that reconnects with from=
-// <token> sees every later mutation in log order, at least once.
+// pathway query as an SSE delta stream. Both are served by any
+// WAL-backed node off its own log — a primary's, or a replica's, which
+// holds its primary's records at the same indexes (offloading the
+// primary). Resume tokens are global WAL stream indexes: a client that
+// reconnects with from=<token> sees every later mutation in log order,
+// at least once, on any node of the cluster and across a promotion.
 //
 // Failure typing mirrors the replication feed: a token older than the
 // oldest retained position answers 410 "watch_compacted" with the
@@ -51,26 +52,21 @@ type WatchResponse struct {
 // watchMaxWait caps a /v1/watch long-poll hold.
 const watchMaxWait = 60 * time.Second
 
-// mountWatch wires the change-feed and standing-query endpoints. A
-// follower-configured server tails the applied stream (and follows the
-// node through a promotion); a WAL-backed primary tails the log
-// directly; a node with neither answers 503 "watch_unavailable".
+// mountWatch wires the change-feed and standing-query endpoints: a
+// WAL-backed node, primary or replica, tails its log; an in-memory node
+// answers 503 "watch_unavailable".
 func (s *Server) mountWatch() {
-	if s.follower != nil {
-		ff := watch.NewFollowerFeed(s.node, s.db.Store(), s.db.WAL(), 0)
-		s.feed, s.ffeed = ff, ff
-	} else if mgr := s.db.WAL(); mgr != nil {
-		s.feed = watch.NewWALFeed(mgr, s.db.Store())
-	}
-	if s.feed == nil {
+	mgr := s.db.WAL()
+	if mgr == nil {
 		unavailable := func(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, r, http.StatusServiceUnavailable, "watch_unavailable",
-				"this node has no mutation stream to tail (in-memory store, not a replica); run it with -wal or as a replica")
+				"this node has no mutation stream to tail (in-memory store); run it with -wal-dir")
 		}
 		s.mux.HandleFunc("GET /v1/watch", unavailable)
 		s.mux.HandleFunc("GET /v1/watch/query", unavailable)
 		return
 	}
+	s.feed = watch.NewWALFeed(mgr, s.db.Store())
 	s.hub = watch.NewHub(s.db, s.feed, s.reg)
 	s.mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	s.mux.HandleFunc("GET /v1/watch/query", s.handleWatchQuery)
@@ -175,7 +171,7 @@ func (s *Server) writeWatchReadErr(w http.ResponseWriter, r *http.Request, err e
 		writeErr(w, r, http.StatusGone, "watch_compacted", err.Error())
 		return
 	}
-	if errors.Is(err, watch.ErrBehind) {
+	if errors.Is(err, watch.ErrBehind) && s.node.Replica() {
 		// Not yet, not never: a cluster subscriber moves to another node.
 		writeErr(w, r, http.StatusServiceUnavailable, "watch_unavailable", err.Error())
 		return

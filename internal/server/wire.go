@@ -325,6 +325,9 @@ type ReadyResponse struct {
 	// Diverged reports a parked replica whose applied history forked from
 	// its primary's log (prefix-hash mismatch); it must be rebuilt.
 	Diverged bool `json:"diverged,omitempty"`
+	// Unpinned reports a replica whose log was never pinned to its
+	// primary's: POST /v1/promote refuses it, and failover passes it over.
+	Unpinned bool `json:"unpinned,omitempty"`
 }
 
 // PromoteResponse acknowledges POST /v1/promote: the node stopped

@@ -516,3 +516,140 @@ func TestReplayRejectsUIDBeyondFrontier(t *testing.T) {
 	}
 	mustNoViolations(t, st)
 }
+
+// crashOpen opens dir with every file it writes going through fs.
+func crashOpen(t *testing.T, dir string, st *graph.Store, fs *chaos.CrashFS, noSync bool) *Manager {
+	t.Helper()
+	mgr, _, err := Open(dir, st, Options{
+		NoSync: noSync,
+		OpenFile: func(name string, flag int, perm os.FileMode) (File, error) {
+			return fs.OpenFile(name, flag, perm)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mgr
+}
+
+// crashStride is the byte step of the crash-point sweeps below: every
+// byte, or a sample of them in -short mode.
+func crashStride() int64 {
+	if testing.Short() {
+		return 7
+	}
+	return 1
+}
+
+// TestCrashDuringAdoptStream sweeps a crash through every byte a
+// replica's bootstrap graft writes — the sidecar, epoch and identity
+// files and the snapshot checkpoint. Recovery must find one of the two
+// states the graft allows: the empty log at position 0 over an empty
+// store, or the whole snapshot at the resume index under the primary's
+// identity and epoch. Never an adopted position over a store without the
+// snapshot.
+func TestCrashDuringAdoptStream(t *testing.T) {
+	p := newStreamFixture(t)
+	p.run(1, 12)
+	next, hash := p.mgr.StreamHash()
+	snapshot, empty := historyBytes(t, p.st), historyBytes(t, newTestStore(t))
+
+	var sawEmpty, sawFull bool
+	for budget := int64(0); !sawFull; budget += crashStride() {
+		dir := t.TempDir()
+		st := newTestStore(t)
+		mgr := crashOpen(t, dir, st, chaos.NewCrashFS(budget), true)
+		if err := st.LoadHistory(bytes.NewReader(snapshot)); err != nil {
+			t.Fatal(err)
+		}
+		err := mgr.AdoptStream(st, p.mgr.LogID(), next, 2, hash)
+		mgr.Close()
+
+		st2 := newTestStore(t)
+		mgr2, _, oerr := Open(dir, st2, Options{NoSync: true})
+		if oerr != nil {
+			t.Fatalf("budget %d: recovery failed: %v", budget, oerr)
+		}
+		pos, h := mgr2.StreamHash()
+		got := historyBytes(t, st2)
+		switch {
+		case pos == 0 && h == PrefixHashSeed && bytes.Equal(got, empty):
+			sawEmpty = true
+		case pos == next && h == hash && bytes.Equal(got, snapshot) && mgr2.LogID() == p.mgr.LogID() && mgr2.Epoch() == 2:
+			sawFull = true
+			if err != nil {
+				t.Logf("budget %d: graft committed, then failed: %v", budget, err)
+			}
+		default:
+			t.Fatalf("budget %d: recovered position %d (hash %016x, log %s, epoch %d) over a %d-byte history; want empty at 0 or the snapshot at %d",
+				budget, pos, h, mgr2.LogID(), mgr2.Epoch(), len(got), next)
+		}
+		if err == nil && !sawFull {
+			t.Fatalf("budget %d: AdoptStream succeeded but recovery lost it", budget)
+		}
+		mgr2.Close()
+	}
+	if !sawEmpty {
+		t.Fatal("no crash point recovered the empty log")
+	}
+}
+
+// TestCrashDuringVerbatimAppend sweeps a crash through every byte of one
+// shipped group a replica logs before applying it. Recovery must find
+// the log and store before the group or after it, whole; and a failed
+// append must leave the live store unchanged.
+func TestCrashDuringVerbatimAppend(t *testing.T) {
+	p := newStreamFixture(t)
+	if got := groupWorkload(t, p.st, p.clock, 3, 6, 6); got != 6 {
+		t.Fatalf("workload acked %d/6", got)
+	}
+	raw, _, err := p.mgr.ReadRecords(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, ends, err := DecodeGroup(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := raw[:ends[len(ends)-1]]
+	ref := newTestStore(t)
+	empty := historyBytes(t, ref)
+	if _, err := ref.ApplyMutation(ms...); err != nil {
+		t.Fatal(err)
+	}
+	after := historyBytes(t, ref)
+
+	var sawBefore, sawAfter bool
+	for budget := int64(0); !sawAfter; budget = min(budget+crashStride(), int64(len(group))) {
+		dir := t.TempDir()
+		st := newTestStore(t)
+		mgr := crashOpen(t, dir, st, chaos.NewCrashFS(budget), false)
+		_, err := st.ApplyLogged(func() error { return mgr.AppendFrames(group, len(ms)) }, ms...)
+		if err != nil && !bytes.Equal(historyBytes(t, st), empty) {
+			t.Fatalf("budget %d: the append failed (%v) but the store applied the group", budget, err)
+		}
+		mgr.Close()
+
+		st2 := newTestStore(t)
+		mgr2, _, oerr := Open(dir, st2, Options{NoSync: true})
+		if oerr != nil {
+			t.Fatalf("budget %d: recovery failed: %v", budget, oerr)
+		}
+		got, _, rerr := mgr2.ReadRecords(0, 0)
+		switch pos := mgr2.NextIndex(); {
+		case pos == 0 && bytes.Equal(historyBytes(t, st2), empty):
+			sawBefore = true
+		case pos == uint64(len(ms)) && rerr == nil && bytes.Equal(got, group) && bytes.Equal(historyBytes(t, st2), after):
+			sawAfter = true
+		default:
+			t.Fatalf("budget %d: recovered position %d; want 0 or the whole %d-record group, byte for byte", budget, pos, len(ms))
+		}
+		if err == nil && mgr2.NextIndex() == 0 {
+			t.Fatalf("budget %d: AppendFrames succeeded but recovery lost the group", budget)
+		}
+		mgr2.Close()
+	}
+	if !sawBefore {
+		t.Fatal("no crash point recovered the log before the group")
+	}
+}

@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/graph"
 )
 
 // epochName is the file persisting the log's primary epoch inside the
@@ -55,7 +57,7 @@ func loadOrMintEpoch(dir string) (uint64, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("wal: reading epoch: %w", err)
 	}
-	if err := writeEpochFile(dir, 1); err != nil {
+	if err := (Options{}).writeEpochFile(dir, 1); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -63,8 +65,8 @@ func loadOrMintEpoch(dir string) (uint64, error) {
 
 // writeEpochFile durably persists an epoch value (temp+rename+dir sync,
 // so a crash can never leave a torn epoch — only the previous one).
-func writeEpochFile(dir string, epoch uint64) error {
-	if err := (Options{}).writeFileDurable(filepath.Join(dir, epochName), strconv.FormatUint(epoch, 10)+"\n"); err != nil {
+func (o Options) writeEpochFile(dir string, epoch uint64) error {
+	if err := o.writeFileDurable(filepath.Join(dir, epochName), strconv.FormatUint(epoch, 10)+"\n"); err != nil {
 		return fmt.Errorf("wal: persisting epoch %d: %w", epoch, err)
 	}
 	return nil
@@ -90,7 +92,7 @@ func (mgr *Manager) SetEpoch(epoch uint64) error {
 	if epoch == mgr.epoch {
 		return nil
 	}
-	if err := writeEpochFile(mgr.dir, epoch); err != nil {
+	if err := mgr.opts.writeEpochFile(mgr.dir, epoch); err != nil {
 		return err
 	}
 	mgr.epoch = epoch
@@ -139,46 +141,56 @@ func (mgr *Manager) PrefixHash(pos uint64) (uint64, error) {
 	return h, nil
 }
 
-// AdoptStream grafts a replicated stream's identity onto this (empty)
-// log: a follower that replayed records [0, next) of log logID promotes
-// by adopting that identity, position, and prefix hash into its own WAL,
-// so its post-promotion appends continue the SAME log at the SAME
-// positions under a new epoch. That alignment is what makes forks
-// detectable — a partitioned old primary appending at those positions
-// produces different records, and any follower comparing prefix hashes
-// sees the histories disagree instead of silently interleaving them.
+// AdoptStream makes this empty log a copy of the followed log logID
+// from stream position next on, under epoch: a replica adopts its
+// primary's identity at first contact (next 0, the seed hash), or at a
+// snapshot bootstrap, where st already holds the snapshot and next and
+// hash are its resume index and the chain hash there. From then on the
+// replica appends the primary's records verbatim at the same positions,
+// so its log is the primary's and a promotion continues it under a new
+// epoch. That alignment is what makes forks detectable — a partitioned
+// old primary appending at those positions produces different records,
+// and any follower comparing prefix hashes sees the histories disagree.
 //
-// The log must be empty of its own records (a follower's local WAL never
-// sees replicated appends — they bypass the mutation hook). Persistence
-// order is position, then epoch, then identity: the identity write is
-// the commit point, so a crash mid-adoption leaves a log that never
-// claimed the primary's lineage.
-func (mgr *Manager) AdoptStream(logID string, next, epoch, hash uint64) error {
+// A bootstrap is crash-atomic. Its files are written in the order
+// position (the active segment's sidecar), epoch, identity, and then
+// st's checkpoint, whose rename is the commit point: recovery reads a
+// log whose oldest segment starts past zero with no checkpoint beneath
+// it as an adoption that never committed and opens it empty at position
+// 0. A crash leaves that empty log or the whole snapshot at next under
+// logID, never an adopted position over a store without the snapshot.
+func (mgr *Manager) AdoptStream(st *graph.Store, logID string, next, epoch, hash uint64) error {
+	mgr.cpMu.Lock()
+	defer mgr.cpMu.Unlock()
+	mgr.mu.Lock()
+	seq, empty, broken, own := mgr.seq, mgr.next == 0 && mgr.size == 0, mgr.broken, mgr.epoch
+	mgr.mu.Unlock()
+	switch {
+	case broken != nil:
+		return fmt.Errorf("wal: log is broken: %w", broken)
+	case !empty:
+		return fmt.Errorf("wal: cannot adopt a stream onto a log with its own records")
+	case epoch < own:
+		return fmt.Errorf("wal: adopting epoch %d would rewind this log's epoch %d", epoch, own)
+	}
+	if err := writeSegIdx(mgr.opts, mgr.dir, seq, next, hash); err != nil {
+		return err
+	}
+	if err := mgr.opts.writeEpochFile(mgr.dir, epoch); err != nil {
+		return err
+	}
+	if err := mgr.opts.writeLogIDFile(mgr.dir, logID); err != nil {
+		return err
+	}
+	if next > 0 {
+		if err := mgr.writeCheckpoint(st); err != nil {
+			return err
+		}
+	}
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	if mgr.broken != nil {
-		return fmt.Errorf("wal: log is broken: %w", mgr.broken)
-	}
-	if mgr.next != 0 || mgr.size != 0 {
-		return fmt.Errorf("wal: cannot adopt stream identity onto a log with its own records (next %d, active segment %d bytes)", mgr.next, mgr.size)
-	}
-	if epoch < mgr.epoch {
-		return fmt.Errorf("wal: adopting epoch %d would rewind this log's epoch %d", epoch, mgr.epoch)
-	}
-	if err := writeSegIdx(mgr.opts, mgr.dir, mgr.seq, next, hash); err != nil {
-		return err
-	}
-	if err := writeEpochFile(mgr.dir, epoch); err != nil {
-		return err
-	}
-	if err := writeLogIDFile(mgr.dir, logID); err != nil {
-		return err
-	}
-	mgr.logID = logID
-	mgr.next = next
-	mgr.epoch = epoch
-	mgr.hash = hash
-	mgr.segs = []segMeta{{seq: mgr.seq, start: next, hash: hash}}
+	mgr.logID, mgr.epoch, mgr.next, mgr.hash = logID, epoch, next, hash
+	mgr.segs = []segMeta{{seq: seq, start: next, hash: hash}}
 	close(mgr.notify)
 	mgr.notify = make(chan struct{})
 	return nil

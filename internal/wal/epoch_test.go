@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,14 +132,16 @@ func TestPrefixHashDetectsFork(t *testing.T) {
 	}
 }
 
-// TestAdoptStreamSurvivesReopen: a promoted follower grafts the
-// primary's identity, position, and hash onto its empty log under a
-// bumped epoch, and all of it must survive a crash-restart — the
-// adopted lineage is what post-promotion forks are detected against.
+// TestAdoptStreamSurvivesReopen: a bootstrapping replica grafts the
+// primary's identity, position, and hash onto its empty log under the
+// snapshot's epoch, with the snapshot as its checkpoint, and all of it
+// must survive a crash-restart — the adopted lineage is what the replica
+// resumes from and what post-promotion forks are detected against.
 func TestAdoptStreamSurvivesReopen(t *testing.T) {
 	p := newStreamFixture(t)
 	p.run(1, 18)
 	next, hash := p.mgr.StreamHash()
+	snapshot := historyBytes(t, p.st)
 
 	fdir := t.TempDir()
 	fst := newTestStore(t)
@@ -146,7 +149,17 @@ func TestAdoptStreamSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fmgr.AdoptStream(p.mgr.LogID(), next, 2, hash); err != nil {
+	if err := fst.LoadHistory(bytes.NewReader(snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	// Adoption never rewinds an era, and is exclusive to empty logs.
+	if err := fmgr.AdoptStream(fst, p.mgr.LogID(), next, 0, hash); err == nil {
+		t.Fatal("adopting a lower epoch succeeded")
+	}
+	if err := p.mgr.AdoptStream(p.st, "other", 0, 9, PrefixHashSeed); err == nil {
+		t.Fatal("adopting onto a log with its own records succeeded")
+	}
+	if err := fmgr.AdoptStream(fst, p.mgr.LogID(), next, 2, hash); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmgr.Epoch(); got != 2 {
@@ -155,22 +168,19 @@ func TestAdoptStreamSurvivesReopen(t *testing.T) {
 	if n, h := fmgr.StreamHash(); n != next || h != hash {
 		t.Fatalf("adopted stream hash = (%d, %016x), want (%d, %016x)", n, h, next, hash)
 	}
-	// Adoption is exclusive to empty logs and never rewinds an era.
-	if err := p.mgr.AdoptStream("other", 0, 9, PrefixHashSeed); err == nil {
-		t.Fatal("adopting onto a log with its own records succeeded")
-	}
-	if err := fmgr.AdoptStream(p.mgr.LogID(), next, 1, hash); err == nil {
-		t.Fatal("adopting a lower epoch succeeded")
-	}
 	if err := fmgr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	mgr2, _, err := Open(fdir, newTestStore(t), Options{NoSync: true})
+	st2 := newTestStore(t)
+	mgr2, stats, err := Open(fdir, st2, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr2.Close()
+	if !stats.CheckpointLoaded || !bytes.Equal(historyBytes(t, st2), snapshot) {
+		t.Fatalf("reopened store does not hold the adopted snapshot (checkpoint loaded %v)", stats.CheckpointLoaded)
+	}
 	if got := mgr2.LogID(); got != p.mgr.LogID() {
 		t.Fatalf("reopened log id = %q, want the adopted %q", got, p.mgr.LogID())
 	}
@@ -193,7 +203,8 @@ func TestAdoptStreamSurvivesReopen(t *testing.T) {
 func TestTornSidecarIsNotAStreamPosition(t *testing.T) {
 	dir := t.TempDir()
 	fs := chaos.NewCrashFS(2)
-	mgr, _, err := Open(dir, newTestStore(t), Options{
+	st := newTestStore(t)
+	mgr, _, err := Open(dir, st, Options{
 		NoSync: true,
 		OpenFile: func(name string, flag int, perm os.FileMode) (File, error) {
 			return fs.OpenFile(name, flag, perm)
@@ -204,7 +215,7 @@ func TestTornSidecarIsNotAStreamPosition(t *testing.T) {
 	}
 	ownID := mgr.LogID()
 	adopted := strings.Repeat("ab", 16)
-	if err := mgr.AdoptStream(adopted, 123, 5, 0xfeed); err == nil {
+	if err := mgr.AdoptStream(st, adopted, 123, 5, 0xfeed); err == nil {
 		t.Fatal("adoption survived a 2-byte crash budget")
 	}
 	mgr.Close()

@@ -49,11 +49,16 @@ func IsNoCheckpoint(err error) bool { return errors.Is(err, ErrNoCheckpoint) }
 // the WAL directory.
 const logIDName = "log.id"
 
-// LogID returns the log's immutable identity: 32 hex characters minted
-// the first time the directory was opened and persisted alongside the
-// segments. Two WAL directories never share an ID, so replication
-// followers use it to refuse a feed from an unrelated log.
-func (mgr *Manager) LogID() string { return mgr.logID }
+// LogID returns the log's identity: 32 hex characters minted the first
+// time the directory was opened and persisted alongside the segments, or
+// the primary's, once a replica adopted it (AdoptStream). Two unrelated
+// logs never share an ID, so replication followers use it to refuse a
+// feed from an unrelated log.
+func (mgr *Manager) LogID() string {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	return mgr.logID
+}
 
 // loadOrMintLogID reads the directory's persisted log identity, minting
 // and durably writing a fresh one when none (or a mangled one) exists.
@@ -80,7 +85,7 @@ func loadOrMintLogID(dir string) (string, error) {
 		return "", fmt.Errorf("wal: minting log identity: %w", err)
 	}
 	id := hex.EncodeToString(raw[:])
-	if err := writeLogIDFile(dir, id); err != nil {
+	if err := (Options{}).writeLogIDFile(dir, id); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -88,9 +93,9 @@ func loadOrMintLogID(dir string) (string, error) {
 
 // writeLogIDFile durably persists the log identity (temp+rename+dir
 // sync). Besides minting, AdoptStream uses it to rewrite the identity
-// when a promoted follower takes over its primary's log.
-func writeLogIDFile(dir, id string) error {
-	if err := (Options{}).writeFileDurable(filepath.Join(dir, logIDName), id+"\n"); err != nil {
+// when a replica takes over its primary's log.
+func (o Options) writeLogIDFile(dir, id string) error {
+	if err := o.writeFileDurable(filepath.Join(dir, logIDName), id+"\n"); err != nil {
 		return fmt.Errorf("wal: persisting log identity: %w", err)
 	}
 	return nil

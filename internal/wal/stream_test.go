@@ -619,7 +619,7 @@ func TestStreamReadsMatchFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer amgr.Close()
-		if err := amgr.AdoptStream(strings.Repeat("cd", 16), 1000, 2, 0xfeed); err != nil {
+		if err := amgr.AdoptStream(ast, strings.Repeat("cd", 16), 1000, 2, 0xfeed); err != nil {
 			t.Fatal(err)
 		}
 		ast.SetMutationHook(amgr.Append)

@@ -218,7 +218,7 @@ type Manager struct {
 	// logID is the log's identity, minted when the directory is first
 	// opened and persisted in it; replication feeds echo it so a follower
 	// can detect being repointed at an unrelated log. It changes only via
-	// AdoptStream, when a promoted follower takes over its primary's log.
+	// AdoptStream, when a replica takes over its primary's log.
 	logID string
 	// epoch is the log's durable primary epoch (see epoch.go); hash is
 	// the chained prefix hash at next, updated on every append.
@@ -319,6 +319,20 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 		}
 	}
 
+	// A log checkpoints before it prunes the segments a checkpoint holds,
+	// so an oldest segment starting past zero with no checkpoint beneath
+	// it is a replica's AdoptStream that crashed before its checkpoint
+	// committed. It holds no records: it opens empty at position 0.
+	if len(segs) > 0 && segs[0].start > 0 && !stats.CheckpointLoaded {
+		if len(segs) > 1 || start != segs[0].start {
+			return nil, stats, fmt.Errorf("wal: log starts at stream position %d but holds no checkpoint", segs[0].start)
+		}
+		if err := os.Remove(segmentIdxPath(dir, segs[0].seq)); err != nil {
+			return nil, stats, fmt.Errorf("wal: removing an uncommitted adoption: %w", err)
+		}
+		segs[0].start, segs[0].hash, segs[0].marks = 0, PrefixHashSeed, nil
+		start, hash = 0, PrefixHashSeed
+	}
 	if len(segs) == 0 {
 		segs = []segMeta{{seq: 1, start: 0, hash: PrefixHashSeed}}
 	}
@@ -426,14 +440,10 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 }
 
 // Append logs one batch's group of mutations, making it durable before
-// the store applies any of it: the group is encoded into one buffer,
-// written with one Write and synced with one Sync, and the stream index,
-// marks and prefix hash then advance record by record. It is installed as
-// the store's MutationHook, so it runs under the store's write lock; an
-// error rejects the whole batch. A partial write is rolled back by
-// truncating the segment; if that rollback fails the log is latched
-// broken and every later append fails fast, because an unrepaired torn
-// middle would corrupt all subsequent records.
+// the store applies any of it: the group is encoded into one buffer and
+// handed to the body AppendFrames shares. It is installed as the store's
+// MutationHook, so it runs under the store's write lock; an error rejects
+// the whole batch.
 //
 // When ctx carries a request span (obs.SpanFromContext), the append is
 // recorded as one "WALAppend" child span per group, carrying its records
@@ -442,17 +452,48 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 	start := time.Now()
 	mgr.mu.Lock()
-	if mgr.broken != nil {
-		mgr.mu.Unlock()
-		return fmt.Errorf("wal: log is broken: %w", mgr.broken)
-	}
 	buf, err := appendGroup(mgr.buf[:0], ms)
 	if cap(buf) <= maxKeptBuffer {
 		mgr.buf = buf
 	}
+	if err == nil {
+		err = mgr.appendLocked(buf, len(ms))
+	}
+	mgr.mu.Unlock()
 	if err != nil {
-		mgr.mu.Unlock()
-		return err
+		return fmt.Errorf("wal: appending %s: %w", describeGroup(ms), err)
+	}
+	if parent := obs.SpanFromContext(ctx); parent != nil {
+		sp := parent.Child("WALAppend", describeGroup(ms))
+		sp.AddDuration(time.Since(start))
+		sp.Add("records", int64(len(ms)))
+		sp.Add("bytes", int64(len(buf)))
+	}
+	return nil
+}
+
+// AppendFrames logs a group of records verbatim: frames is one whole
+// group as another log encoded it — a replica logging what its primary
+// shipped, at the primary's stream indexes, before applying it. The
+// caller has validated the frames (wal.DecodeGroup); records counts them.
+func (mgr *Manager) AppendFrames(frames []byte, records int) error {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	if err := mgr.appendLocked(frames, records); err != nil {
+		return fmt.Errorf("wal: appending group of %d records: %w", records, err)
+	}
+	return nil
+}
+
+// appendLocked is the body of both appends: one Write and one Sync of
+// the group's frames, then the stream index, marks and prefix hash
+// advance record by record. A partial write is rolled back by truncating
+// the segment; if that rollback fails the log is latched broken and every
+// later append fails fast, because an unrepaired torn middle would
+// corrupt all subsequent records. Callers hold mgr.mu.
+func (mgr *Manager) appendLocked(buf []byte, records int) error {
+	if mgr.broken != nil {
+		return fmt.Errorf("log is broken: %w", mgr.broken)
 	}
 	o := &mgr.o
 	n, err := mgr.f.Write(buf)
@@ -463,8 +504,7 @@ func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 				mgr.broken = fmt.Errorf("torn append could not be rolled back: %v (append: %w)", terr, err)
 			}
 		}
-		mgr.mu.Unlock()
-		return fmt.Errorf("wal: appending %s: %w", describeGroup(ms), err)
+		return err
 	}
 	if !mgr.opts.NoSync {
 		syncStart := time.Now()
@@ -475,15 +515,14 @@ func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 			if terr := mgr.f.Truncate(mgr.size); terr != nil {
 				mgr.broken = fmt.Errorf("unsynced append could not be rolled back: %v (sync: %w)", terr, err)
 			}
-			mgr.mu.Unlock()
-			return fmt.Errorf("wal: syncing %s: %w", describeGroup(ms), err)
+			return fmt.Errorf("syncing: %w", err)
 		}
 		o.fsyncs.Add(1)
 		o.fsyncMS.Observe(float64(time.Since(syncStart)) / 1e6)
 	}
-	o.appends.Add(int64(len(ms)))
+	o.appends.Add(int64(records))
 	o.appendBytes.Add(int64(n))
-	o.groupRecords.Observe(float64(len(ms)))
+	o.groupRecords.Observe(float64(records))
 	// Only a durable group reaches here, so a rolled-back one never
 	// leaves a mark.
 	seg := &mgr.segs[len(mgr.segs)-1]
@@ -498,14 +537,6 @@ func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 	// a fresh one arms the next wait.
 	close(mgr.notify)
 	mgr.notify = make(chan struct{})
-	mgr.mu.Unlock()
-
-	if parent := obs.SpanFromContext(ctx); parent != nil {
-		sp := parent.Child("WALAppend", describeGroup(ms))
-		sp.AddDuration(time.Since(start))
-		sp.Add("records", int64(len(ms)))
-		sp.Add("bytes", int64(n))
-	}
 	return nil
 }
 

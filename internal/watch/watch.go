@@ -4,15 +4,15 @@
 // Two surfaces share one substrate:
 //
 //   - The durable change feed: a Feed tails the mutation stream — the
-//     primary's WAL segments, or the applied stream on a replica — and
-//     decodes raw records into typed, schema-enriched Events. Every event
-//     carries its global stream index, which doubles as the resume token:
-//     a consumer that reconnects with the index after the last event it
-//     processed sees every later mutation exactly as the log ordered
-//     them. Positions contracted away (checkpoint on a primary, ring
-//     overflow on a replica) surface as ErrCompacted with the oldest
-//     servable index; the consumer re-syncs from a snapshot or a fresh
-//     query and resumes from there.
+//     node's WAL segments, which on a replica hold its primary's records
+//     at the same indexes — and decodes raw records into typed,
+//     schema-enriched Events. Every event carries its global stream
+//     index, which doubles as the resume token: a consumer that
+//     reconnects with the index after the last event it processed sees
+//     every later mutation exactly as the log ordered them. Positions
+//     contracted away by a checkpoint surface as ErrCompacted with the
+//     oldest servable index; the consumer re-syncs from a snapshot or a
+//     fresh query and resumes from there.
 //
 //   - Standing queries: a Hub registers compiled pathway queries, derives
 //     each one's class footprint from its plan DAG (every atom's class
@@ -92,10 +92,11 @@ func (e Event) Control() bool {
 // ErrCompacted matches CompactedError with errors.Is.
 var ErrCompacted = errors.New("watch: stream position compacted away")
 
-// ErrBehind reports a resume token past the end of a replica's applied
-// stream: history read on another node that this replica has yet to
-// apply. The subscriber reads another node, or retries here later.
-var ErrBehind = errors.New("watch: this replica has not applied the stream position yet")
+// ErrBehind reports a resume token past the end of the node's log. On an
+// unpromoted replica it is history read on another node that this
+// replica has yet to apply: the subscriber reads another node, or
+// retries here later. On a primary the token is no position of its log.
+var ErrBehind = errors.New("watch: stream position past the end of this node's log")
 
 // ErrClosed reports the hub or subscription was closed.
 var ErrClosed = errors.New("watch: closed")

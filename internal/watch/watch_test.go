@@ -3,6 +3,8 @@ package watch
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -159,104 +161,131 @@ func TestWALFeedCheckpointBoundary(t *testing.T) {
 	}
 }
 
-// TestFollowerFeedRing proves the replica-side ring: contiguous appends
-// serve by index, overflow advances the base (old tokens answer
-// compacted), and an index gap — a snapshot bootstrap — resets cleanly.
-func TestFollowerFeedRing(t *testing.T) {
-	db := openMemDB(t)
-	f := repl.NewFollower(db.Store(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
-	feed := NewFollowerFeed(repl.NewNode(db.Store(), nil, f), db.Store(), nil, 4)
-	defer feed.Close()
+// replicaOf starts a follower of the primary db into a fresh WAL-backed
+// replica and returns the replica's database, follower and node.
+func replicaOf(t *testing.T, pdb *core.DB) (*core.DB, *repl.Follower, *repl.Node) {
+	t.Helper()
+	src := repl.NewSource(repl.NewNode(pdb.Store(), pdb.WAL(), nil), nil)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
+	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
 
-	mut := func(i int64) *graph.Mutation {
-		return &graph.Mutation{Op: graph.OpInsertNode, UID: graph.UID(1000 + i), Class: "ComputeHost",
-			Fields: graph.Fields{"id": i}, At: time.Unix(i, 0)}
-	}
-	for i := int64(0); i < 3; i++ {
-		feed.Observe(uint64(i), mut(i))
-	}
-	events, next, err := feed.Read(1, 0)
-	if err != nil || len(events) != 2 || next != 3 {
-		t.Fatalf("ring read: %d events next %d err %v", len(events), next, err)
-	}
-	if events[0].Index != 1 || events[0].Class != "ComputeHost" || events[0].Kind != "node" {
-		t.Fatalf("ring event not enriched: %+v", events[0])
-	}
+	db := openWALDB(t)
+	f := repl.NewFollower(db.Store(), db.WAL(), repl.FollowerConfig{Primary: srv.URL, PollWait: 50 * time.Millisecond})
+	node := repl.NewNode(db.Store(), db.WAL(), f)
+	f.Start()
+	t.Cleanup(f.Stop)
+	return db, f, node
+}
 
-	// Overflow the 4-slot ring: base must advance, old tokens compact.
-	for i := int64(3); i < 10; i++ {
-		feed.Observe(uint64(i), mut(i))
-	}
-	if base := feed.BaseIndex(); base != 6 {
-		t.Fatalf("ring base after overflow = %d; want 6", base)
-	}
-	_, _, err = feed.Read(2, 0)
-	var ce *CompactedError
-	if !errors.As(err, &ce) || ce.Base != 6 {
-		t.Fatalf("overflowed read returned %v; want compacted at 6", err)
-	}
-	if events, _, err := feed.Read(6, 0); err != nil || len(events) != 4 {
-		t.Fatalf("read from new base: %d events err %v", len(events), err)
-	}
-
-	// A non-contiguous index (snapshot bootstrap jumped the position)
-	// resets the ring there; the skipped prefix is compacted history.
-	feed.Observe(50, mut(50))
-	if base, nxt := feed.BaseIndex(), feed.NextIndex(); base != 50 || nxt != 51 {
-		t.Fatalf("gap reset: base %d next %d; want 50/51", base, nxt)
+// waitApplied polls until the replica's feed reaches the stream end want.
+func waitApplied(t *testing.T, feed *WALFeed, f *repl.Follower, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); feed.NextIndex() < want; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica feed at %d; want %d: %+v", feed.NextIndex(), want, f.Status())
+		}
 	}
 }
 
-// TestPromotedFeedSurvivesCheckpoint: a promoted replica's feed pump
-// that falls behind a checkpoint must restart its ring at the WAL's base
-// and keep reading, not stall at the contracted position forever.
-func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
-	db := openWALDB(t)
-	f := repl.NewFollower(db.Store(), repl.FollowerConfig{Primary: "http://127.0.0.1:0"})
-	node := repl.NewNode(db.Store(), db.WAL(), f)
-	// No pump goroutine: syncWAL is driven by hand below.
-	feed := NewFollowerFeed(node, db.Store(), nil, 0)
-	feed.mgr = db.WAL()
-	defer feed.Close()
-	if _, _, err := feed.Read(feed.NextIndex()+1, 0); !errors.Is(err, ErrBehind) {
+// TestFollowerFeedRing: a replica's WAL holds its primary's records at
+// the primary's indexes, so a WALFeed over it serves the primary's resume
+// tokens. A replica that bootstraps from a checkpoint snapshot starts its
+// feed at the primary's checkpoint base (tokens below it answer compacted
+// with that base), streamed records extend it contiguously, and a token
+// past what the replica has applied is ErrBehind.
+func TestFollowerFeedRing(t *testing.T) {
+	pdb := openWALDB(t)
+	for i := int64(0); i < 3; i++ {
+		insertHost(t, pdb, i, "pre-checkpoint")
+	}
+	if err := pdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	base := pdb.WAL().BaseIndex()
+	if base == 0 {
+		t.Fatal("checkpoint did not advance the primary's base; bootstrap test proves nothing")
+	}
+	insertHost(t, pdb, 3, "post-checkpoint")
+	insertHost(t, pdb, 4, "post-checkpoint")
+
+	db, f, _ := replicaOf(t, pdb)
+	feed := NewWALFeed(db.WAL(), db.Store())
+	waitApplied(t, feed, f, base+2)
+	if got := feed.BaseIndex(); got != base {
+		t.Fatalf("replica feed base %d after bootstrap; want the primary's checkpoint base %d", got, base)
+	}
+	_, _, err := feed.Read(base-1, 0)
+	var ce *CompactedError
+	if !errors.As(err, &ce) || ce.Base != base {
+		t.Fatalf("read below the bootstrap base: %v; want compacted at %d", err, base)
+	}
+	events, token, err := feed.Read(base, 0)
+	if err != nil || len(events) != 2 || token != base+2 {
+		t.Fatalf("replica feed read: %+v, token %d, %v; want the primary's 2 post-checkpoint events", events, token, err)
+	}
+	if events[0].Index != base || events[0].Class != "ComputeHost" || events[0].Kind != "node" {
+		t.Fatalf("replica event not enriched at the primary's index: %+v", events[0])
+	}
+	if _, _, err := feed.Read(token+1, 0); !errors.Is(err, ErrBehind) {
 		t.Fatalf("replica read past its end: %v; want ErrBehind", err)
 	}
+
+	ch := feed.Changed()
+	insertHost(t, pdb, 5, "streamed")
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("replica feed never woke on a streamed record: %+v", f.Status())
+	}
+	waitApplied(t, feed, f, token+1)
+	events, next, err := feed.Read(token, 0)
+	if err != nil || len(events) != 1 || events[0].Index != token || next != token+1 {
+		t.Fatalf("streamed read: %+v, next %d, %v; want one event at %d", events, next, err, token)
+	}
+}
+
+// TestPromotedFeedSurvivesCheckpoint: a subscriber's token on a replica
+// survives the replica's promotion (its own writes continue the same
+// index sequence) and then a checkpoint after the promotion, below which
+// tokens answer compacted.
+func TestPromotedFeedSurvivesCheckpoint(t *testing.T) {
+	pdb := openWALDB(t)
+	for i := int64(0); i < 3; i++ {
+		insertHost(t, pdb, i, "replicated")
+	}
+	db, f, node := replicaOf(t, pdb)
+	feed := NewWALFeed(db.WAL(), db.Store())
+	waitApplied(t, feed, f, 3)
+	events, token, err := feed.Read(0, 0)
+	if err != nil || len(events) != 3 || token != 3 || events[2].Class != "ComputeHost" {
+		t.Fatalf("replica feed read: %+v, token %d, %v; want the primary's 3 enriched events", events, token, err)
+	}
+
 	if _, _, err := node.Promote(0); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 3; i++ {
-		insertHost(t, db, i, "pre-checkpoint")
+	insertHost(t, db, 10, "promoted")
+	events, token, err = feed.Read(token, 0)
+	if err != nil || len(events) != 1 || events[0].Index != 3 || token != 4 {
+		t.Fatalf("read after promotion: %+v, token %d, %v; want the new primary's write at index 3", events, token, err)
 	}
+
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(3); i < 5; i++ {
-		insertHost(t, db, i, "post-checkpoint")
+	insertHost(t, db, 11, "post-checkpoint")
+	if base := feed.BaseIndex(); base != token {
+		t.Fatalf("checkpoint base %d; want the subscriber's token %d", base, token)
 	}
-
-	feed.syncWAL()
-	mgr := db.WAL()
-	if feed.BaseIndex() != mgr.BaseIndex() || feed.NextIndex() != mgr.NextIndex() {
-		t.Fatalf("wal base %d next %d; feed base %d next %d",
-			mgr.BaseIndex(), mgr.NextIndex(), feed.BaseIndex(), feed.NextIndex())
-	}
-	events, _, err := feed.Read(feed.BaseIndex(), 0)
-	if err != nil || len(events) != 2 || events[0].Index != mgr.BaseIndex() {
-		t.Fatalf("read after the reset: %+v, %v; want the two post-checkpoint events", events, err)
+	events, token, err = feed.Read(token, 0)
+	if err != nil || len(events) != 1 || events[0].Index != 4 || token != 5 {
+		t.Fatalf("read across the checkpoint: %+v, token %d, %v; want index 4", events, token, err)
 	}
 	if _, _, err := feed.Read(0, 0); !IsCompacted(err) {
 		t.Fatalf("read of a contracted position: %v; want compacted", err)
-	}
-
-	insertHost(t, db, 5, "later")
-	feed.syncWAL()
-	if feed.NextIndex() != mgr.NextIndex() {
-		t.Fatalf("feed next %d after a later append; wal next %d", feed.NextIndex(), mgr.NextIndex())
-	}
-	// Promoted, the node logs its own history: a token past the end is an
-	// error, not history still to come.
-	if _, _, err := feed.Read(feed.NextIndex()+1, 0); err == nil || errors.Is(err, ErrBehind) {
-		t.Fatalf("promoted read past its end: %v; want a plain error", err)
 	}
 }
 

@@ -10,8 +10,11 @@
 #   3. writes against a replica are rejected with the typed read_only
 #      error;
 #   4. replication lag metrics appear in the replica's /metrics;
-#   5. -connect -promote turns a replica into a writable primary;
-#   6. failover: the primary is killed, replica 1 is promoted and acks
+#   5. a replica killed with SIGKILL and restarted on its -wal-dir,
+#      while the primary checkpoints and takes a write, resumes the
+#      feed from its own log: it catches up with no bootstrap;
+#   6. -connect -promote turns a replica into a writable primary;
+#   7. failover: the primary is killed, replica 1 is promoted and acks
 #      writes under a higher epoch, and when the old primary restarts
 #      from its WAL a write carrying the new epoch fences it — the
 #      write is rejected stale_primary and /readyz reports fenced.
@@ -45,9 +48,9 @@ PRIMARY_PID=$!
 PRIMARY="$(wait_addr "$TMP/primary.log" "$PRIMARY_PID")"
 echo "repl-smoke: primary up at $PRIMARY"
 
-"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" 2>"$TMP/r1.log" &
+"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" -wal-dir "$TMP/r1-wal" 2>"$TMP/r1.log" &
 R1_PID=$!
-"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" 2>"$TMP/r2.log" &
+"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" -wal-dir "$TMP/r2-wal" 2>"$TMP/r2.log" &
 R2_PID=$!
 R1="$(wait_addr "$TMP/r1.log" "$R1_PID")"
 R2="$(wait_addr "$TMP/r2.log" "$R2_PID")"
@@ -105,7 +108,39 @@ for M in repl_follower_applied_index repl_follower_lag_records repl_follower_lag
 done
 echo "repl-smoke: lag metrics exported"
 
-# 5. Promote replica 2; it must flip to role=primary and accept writes.
+# 5. Kill replica 1 outright, checkpoint the primary past everything the
+# replica logged, write once more, and restart the replica on its WAL
+# directory: it recovers its log and resumes the feed where the log
+# ends, so it catches up with zero bootstraps (a fresh replica would
+# need the snapshot now).
+kill -KILL "$R1_PID"
+wait "$R1_PID" 2>/dev/null || true
+curl -fsS -X POST "http://$PRIMARY/v1/checkpoint" >/dev/null
+curl -fsS -X POST "http://$PRIMARY/v1/ingest" \
+    -H 'Content-Type: application/json' \
+    -d '{"ops":[{"op":"insert-node","class":"ComputeHost","fields":{"id":414141,"name":"while-down","rack":"rz","status":"Active"}}]}' >/dev/null
+"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" -wal-dir "$TMP/r1-wal" 2>"$TMP/r1-restart.log" &
+R1_PID=$!
+R1="$(wait_addr "$TMP/r1-restart.log" "$R1_PID")"
+READY=""
+for _ in $(seq 1 100); do
+    READY="$(curl -fsS "http://$R1/readyz" 2>/dev/null || true)"
+    case "$READY" in *'"caught_up":true'*) break ;; esac
+    sleep 0.1
+done
+# /readyz omits a zero bootstrap count.
+case "$READY" in
+    *'"bootstraps":'*) echo "repl-smoke: restarted replica bootstrapped: $READY"; exit 1 ;;
+    *'"status":"ready"'*'"caught_up":true'*) echo "repl-smoke: restarted replica at $R1 resumed from its log: caught up, bootstraps 0" ;;
+    *) echo "repl-smoke: restarted replica never caught up: $READY"; exit 1 ;;
+esac
+OUT="$("$TMP/nepal" -connect "http://$R1" -q "Select source(H).name From PATHS H Where H MATCHES ComputeHost(id=414141)")"
+case "$OUT" in
+    *while-down*) echo "repl-smoke: restarted replica serves the write it missed" ;;
+    *) echo "repl-smoke: restarted replica lacks the write it missed: $OUT"; exit 1 ;;
+esac
+
+# 6. Promote replica 2; it must flip to role=primary and accept writes.
 "$TMP/nepal" -connect "http://$R2" -promote
 READY="$(curl -fsS "http://$R2/readyz")"
 case "$READY" in
@@ -120,7 +155,7 @@ case "$WRITE" in
     *) echo "repl-smoke: promoted replica rejected a write: $WRITE"; exit 1 ;;
 esac
 
-# 6. Failover with fencing: kill the primary, promote replica 1, write
+# 7. Failover with fencing: kill the primary, promote replica 1, write
 # to the new primary, restart the old primary from its WAL, and check
 # that a write carrying the new epoch fences it.
 kill -TERM "$PRIMARY_PID"

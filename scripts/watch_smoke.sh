@@ -2,7 +2,8 @@
 # watch_smoke.sh — end-to-end change-feed smoke test.
 #
 # Builds nepal, starts a WAL-backed primary over the demo topology plus
-# one -follow read replica, then checks the watch subsystem's promises:
+# one -follow read replica (which logs what it applies into its own
+# -wal-dir and serves the feed off that log), then checks the watch subsystem's promises:
 #   1. nepal -connect -watch tails the feed from index 0: one JSON line
 #      per demo mutation, indexes dense from 0;
 #   2. -watch-from resumes mid-stream at exactly that index;
@@ -56,7 +57,7 @@ PRIMARY_PID=$!
 PRIMARY="$(wait_addr "$TMP/primary.log" "$PRIMARY_PID")"
 echo "watch-smoke: primary up at $PRIMARY"
 
-"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" 2>"$TMP/r1.log" &
+"$TMP/nepal" -serve 127.0.0.1:0 -follow "http://$PRIMARY" -wal-dir "$TMP/r1-wal" 2>"$TMP/r1.log" &
 R1_PID=$!
 R1="$(wait_addr "$TMP/r1.log" "$R1_PID")"
 READY=""
