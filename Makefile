@@ -88,7 +88,9 @@ crash:
 # and /v1/prepare body: parse, analyze, fingerprint) and the /v1/ingest
 # write path (random op batches through the server's handler into a
 # WAL-backed store, held to the atomic-batch contract), plus new seeds of
-# the cluster simulation. Seeds are binary frames from the record
+# the cluster simulation and the clock's edge conversion (every time a
+# request carries into the engine's int64 nanoseconds, saturating at the
+# range's ends and at the Forever sentinel). Seeds are binary frames from the record
 # encoder (and one retired JSON frame), a binary checkpoint and its copy
 # re-encoded to name a UID far past the allocation frontier, the paper's
 # queries, batches that fail on an earlier op and the simulation's
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
+	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

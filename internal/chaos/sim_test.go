@@ -39,6 +39,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 	"repro/internal/watch"
 )
@@ -386,7 +387,7 @@ func (s *sim) write(c *client.Cluster, who int) error {
 		o.ok, o.epoch, o.node, o.era = true, resp.Epoch, n.id, n.era
 		s.copyLog(n)
 		if _, r, ok := s.h.find(n.era, s.id); ok {
-			s.last = r.m.At
+			s.last = temporal.Time(r.m.At)
 		}
 	}
 	s.done(o)
@@ -1190,10 +1191,10 @@ func check(h *history) []violation {
 	// primary's read invocation.
 	for _, r := range h.ops {
 		for _, a := range acks {
-			due := r.replica && !a.rec.m.At.After(r.appliedThrough) || !r.replica && a.complete < r.invoke
+			due := r.replica && !temporal.Time(a.rec.m.At).After(r.appliedThrough) || !r.replica && a.complete < r.invoke
 			if r.kind == "read" && r.ok && due && a.epoch <= r.epoch && !h.exempt(a.op) && !r.seen[a.id] {
 				bad(4, "step %d: an answer (replica %v, applied through %s) misses write %d acked at %s",
-					r.step, r.replica, r.appliedThrough.Format(time.RFC3339Nano), a.id, a.rec.m.At.Format(time.RFC3339Nano))
+					r.step, r.replica, r.appliedThrough.Format(time.RFC3339Nano), a.id, temporal.Time(a.rec.m.At).Format(time.RFC3339Nano))
 			}
 		}
 	}
@@ -1299,7 +1300,7 @@ func (h *history) matchesWAL(ev watch.Event) bool {
 		fa, _ := json.Marshal(ev.Fields) // the wire made int64 float64: compare canonical JSON
 		fb, _ := json.Marshal(r.m.Fields)
 		if ev.Op == r.m.Op.String() && ev.UID == int64(r.m.UID) && ev.Src == int64(r.m.Src) && ev.Dst == int64(r.m.Dst) &&
-			ev.At.Equal(r.m.At) && bytes.Equal(fa, fb) {
+			ev.At.Equal(temporal.Time(r.m.At)) && bytes.Equal(fa, fb) {
 			return true
 		}
 	}
@@ -1316,7 +1317,7 @@ func TestCheckerCatchesEachContract(t *testing.T) {
 		frame := make([]byte, 8) // a frame header: the checksum sits at [4:8]
 		binary.LittleEndian.PutUint32(frame[4:], uint32(id)*2654435761)
 		return rec{frame, &graph.Mutation{Op: graph.OpInsertNode, UID: graph.UID(id), Class: "ComputeHost",
-			Fields: graph.Fields{"id": id}, At: t0.Add(time.Duration(id) * time.Second)}}
+			Fields: graph.Fields{"id": id}, At: temporal.Nanos(t0.Add(time.Duration(id) * time.Second))}}
 	}
 	chain := func(rs ...rec) uint64 {
 		h := wal.PrefixHashSeed
@@ -1326,7 +1327,7 @@ func TestCheckerCatchesEachContract(t *testing.T) {
 		return h
 	}
 	event := func(r rec, index, epoch, seen uint64) delivery {
-		return delivery{watch.Event{Index: index, Op: "insert_node", UID: int64(r.m.UID), Fields: r.m.Fields, At: r.m.At, Epoch: epoch}, seen}
+		return delivery{watch.Event{Index: index, Op: "insert_node", UID: int64(r.m.UID), Fields: r.m.Fields, At: temporal.Time(r.m.At), Epoch: epoch}, seen}
 	}
 	r1, r2, r3 := mk(1), mk(2), mk(3)
 	// Node 0 acks writes 1 and 2 under epoch 1; Failover promotes node 1 at
@@ -1344,7 +1345,7 @@ func TestCheckerCatchesEachContract(t *testing.T) {
 					{node: 1, reachable: true, applied: 2}, {node: 2, reachable: true, applied: 1}}},
 				{kind: "write", invoke: 6, complete: 7, node: 1, clientEpoch: 2, epoch: 2, ok: true, id: 3, era: 1},
 				{kind: "read", invoke: 8, complete: 9, node: -1, clientEpoch: 2, epoch: 2, ok: true, replica: true,
-					appliedThrough: r3.m.At, seen: map[int64]bool{1: true, 2: true, 3: true}},
+					appliedThrough: temporal.Time(r3.m.At), seen: map[int64]bool{1: true, 2: true, 3: true}},
 			},
 			subs: []*sub{{name: "sub", window: 1, got: []delivery{event(r1, 0, 1, 0), event(r2, 1, 1, 1)}}},
 			nodes: []final{{node: 1, readyStatus: "ready", readyEpoch: 2, healthEpoch: 2, metricEpoch: 2},

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 )
 
 // Value tags.
@@ -49,16 +48,6 @@ const MaxDepth = 32
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// AppendTime appends t as a zigzag varint of its Unix nanoseconds. A time
-// outside the nanosecond range (years 1678–2262) is an error.
-func AppendTime(dst []byte, t time.Time) ([]byte, error) {
-	ns := t.UnixNano()
-	if !time.Unix(0, ns).Equal(t) {
-		return dst, fmt.Errorf("codec: time %v is outside the Unix-nanosecond range", t)
-	}
-	return binary.AppendVarint(dst, ns), nil
 }
 
 // AppendFields appends the field map f. A field map of up to 16 entries
@@ -252,15 +241,6 @@ func (r *Reader) varint(n int) {
 	default:
 		r.off += n
 	}
-}
-
-// Time reads a time written by AppendTime, in UTC.
-func (r *Reader) Time() time.Time {
-	ns := r.Varint()
-	if r.err != nil {
-		return time.Time{}
-	}
-	return time.Unix(0, ns).UTC()
 }
 
 // bytes reads a uvarint length and that many bytes, aliasing r's input.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -64,21 +63,11 @@ func TestFieldsRoundTrip(t *testing.T) {
 	if r := newReader(b); r.Fields() != nil || r.Err() != nil {
 		t.Fatalf("empty map: %v", r.Err())
 	}
-
-	// Times come back in UTC, equal to their input.
-	at := time.Date(2017, 2, 15, 9, 30, 0, 123456789, time.FixedZone("NPT", 5*3600+45*60))
-	b, err = AppendTime(nil, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := newReader(b).Time(); !got.Equal(at) || got.Location() != time.UTC {
-		t.Fatalf("time %v, want %v in UTC", got, at)
-	}
 }
 
 // TestEncodeErrors: a value the codec has no tag for, an unsigned value
-// past int64, nesting past MaxDepth and a time outside the nanosecond
-// range are errors, not silent approximations.
+// past int64 and nesting past MaxDepth are errors, not silent
+// approximations.
 func TestEncodeErrors(t *testing.T) {
 	deep := any(1)
 	for i := 0; i <= MaxDepth; i++ {
@@ -92,9 +81,6 @@ func TestEncodeErrors(t *testing.T) {
 		if _, err := AppendFields(nil, map[string]any{"v": v}); err == nil {
 			t.Errorf("%s: encoded", name)
 		}
-	}
-	if _, err := AppendTime(nil, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
-		t.Error("a time past 2262 encoded")
 	}
 }
 

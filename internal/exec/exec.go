@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -603,37 +604,36 @@ func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec
 	if ts == nil {
 		if q.Agg != query.AggNone {
 			// Aggregates scan the full history by default.
-			return graph.RangeView(st, time.Unix(0, 0).UTC(), temporal.Forever)
+			return graph.WindowView(st, allHistory)
 		}
 		return graph.CurrentView(st)
 	}
 	if ts.IsRange {
-		return graph.RangeView(st, ts.Start, ts.End)
+		return graph.WindowView(st, ts.Window)
 	}
-	return graph.PointView(st, ts.Start)
+	return graph.PointViewAt(st, ts.Window.Start)
 }
+
+// allHistory is the default window of an aggregate: every transaction
+// time there is.
+var allHistory = temporal.Between(math.MinInt64, temporal.Forever)
 
 // windowFor is the query-level selection window used for coexistence.
 func (x *Executor) windowFor(q *query.Query) temporal.Interval {
 	if q.At == nil {
 		if q.Agg != query.AggNone {
-			return temporal.Between(time.Unix(0, 0).UTC(), temporal.Forever)
+			return allHistory
 		}
 		// Implicit current snapshot: the coexistence check happens against
 		// "now" — with routed variables on stores with independent clocks,
 		// the latest of the participating nows.
-		now := x.Default.Accessor().Store().Now()
+		now := x.Default.Accessor().Store().Clock().Now()
 		for _, eng := range x.Routes {
-			if n := eng.Accessor().Store().Now(); n.After(now) {
-				now = n
-			}
+			now = max(now, eng.Accessor().Store().Clock().Now())
 		}
-		return temporal.Between(now, now.Add(time.Nanosecond))
+		return temporal.Between(now, temporal.Add(now, time.Nanosecond))
 	}
-	if q.At.IsRange {
-		return temporal.Between(q.At.Start, q.At.End)
-	}
-	return temporal.Between(q.At.Start, q.At.Start.Add(time.Nanosecond))
+	return q.At.Window
 }
 
 // coexistence intersects all bound pathway validities of a tuple.
@@ -669,22 +669,22 @@ func aggregate(q *query.Query, rows []Row, perVar bool) *AggValue {
 		all = append(all, tup.Coexist...)
 	}
 	all = all.Normalize()
+	out := &AggValue{}
 	if q.At != nil && q.At.IsRange {
-		all = all.ClipTo(temporal.Between(q.At.Start, q.At.End))
+		all = all.ClipTo(q.At.Window)
+		out.at = q.At
 	}
-	out := &AggValue{Exists: !all.IsEmpty()}
-	if !out.Exists {
+	if out.Exists = !all.IsEmpty(); !out.Exists {
 		return out
 	}
 	switch q.Agg {
 	case query.AggFirstTime:
-		out.Time, _ = all.First()
+		first, _ := all.First()
+		out.Time = out.Bound(first)
 	case query.AggLastTime:
 		last, _ := all.Last()
-		if last.Equal(temporal.Forever) {
-			out.Current = true
-		}
-		out.Time = last
+		out.Time = out.Bound(last)
+		out.Current = temporal.Nanos(out.Time) == temporal.Forever
 	case query.AggWhenExists:
 		out.Set = all
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,14 +265,14 @@ func TestRangeQueryCoexistence(t *testing.T) {
 			t.Fatalf("targets = %v", names)
 		}
 		// host-2 placement: from load to 10:00 (maximal, unclipped).
-		if first, _ := h2.First(); !first.Before(t0.Add(time.Hour)) {
+		if first, _ := h2.First(); first >= temporal.Nanos(t0.Add(time.Hour)) {
 			t.Errorf("host-2 range = %v, must start at load time", h2)
 		}
-		if last, _ := h2.Last(); !last.Equal(t0.Add(10 * time.Hour)) {
+		if last, _ := h2.Last(); last != temporal.Nanos(t0.Add(10*time.Hour)) {
 			t.Errorf("host-2 range = %v, must end at migration", h2)
 		}
 		// host-1 placement is still open.
-		if last, _ := h1.Last(); !last.Equal(temporal.Forever) {
+		if last, _ := h1.Last(); last != temporal.Forever {
 			t.Errorf("host-1 range = %v, must be current", h1)
 		}
 	})
@@ -482,6 +483,101 @@ func TestAggregateClippedToRange(t *testing.T) {
 			t.Fatalf("clipped first time = %v, want 05:00", res.Agg.Time)
 		}
 	})
+}
+
+// TestLiteralsOutsideNanosecondRange: AT literals past the int64
+// nanosecond range (1678–2262) saturate and keep their answers — a time
+// before it sees nothing, one after it sees the current state, the
+// Forever sentinel itself sees nothing, and a range reaching past 2262
+// reports what an in-range range to the same state does.
+func TestLiteralsOutsideNanosecondRange(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		fields := f.st.Object(f.d.VM1).Current().Fields.Clone()
+		fields["status"] = "Red"
+		f.clock.SetNow(t0.Add(time.Hour))
+		if err := f.st.Update(f.d.VM1, fields); err != nil {
+			t.Fatal(err)
+		}
+		f.clock.SetNow(t0.Add(2 * time.Hour))
+		body := "Retrieve P From PATHS P Where P MATCHES VM()->OnServer()->Host()"
+		text := func(src string) string {
+			return f.run(t, src).Format(func(p plan.Pathway) string { return fmt.Sprint(p.Elems) })
+		}
+		now, empty := text(body), text("AT '2017-02-15 00:30' Retrieve P From PATHS P Where P MATCHES VM(status='Purple')")
+		for _, c := range []struct{ at, want string }{
+			{"AT '1500-01-01'", empty},
+			{"AT '3000-01-01'", now},
+			{"AT '9999-12-31 23:59:59'", empty},
+			{"AT '2017-02-15' : '3000-01-01'", text("AT '2017-02-15' : '2200-01-01' " + body)},
+			{"AT '2500-01-01' : '3000-01-01'", now},
+		} {
+			if got := text(c.at + " " + body); got != c.want {
+				t.Errorf("%s answers\n%s\nwant\n%s", c.at, got, c.want)
+			}
+		}
+		if now == empty {
+			t.Fatal("the current state has no placements")
+		}
+		// An aggregate clipped to the range reports the literals as
+		// written, not their saturated nanoseconds.
+		for _, c := range []struct{ q, want string }{
+			{"Last Time When Exists AT '2017-02-15' : '3000-01-01'", "3000-01-01 00:00:00\n"},
+			{"When Exists AT '2017-02-15' : '3000-01-01'", "when exists: {[2017-02-15 00:00:00, 3000-01-01 00:00:00]}\n"},
+			{"First Time When Exists AT '2500-01-01' : '3000-01-01'", "2500-01-01 00:00:00\n"},
+			{"Last Time When Exists AT '2500-01-01' : '3000-01-01'", "3000-01-01 00:00:00\n"},
+			{"When Exists AT '2500-01-01' : '3000-01-01'", "when exists: {[2500-01-01 00:00:00, 3000-01-01 00:00:00]}\n"},
+			{"Last Time When Exists AT '2017-02-15' : '9999-12-31 23:59:59'", "still exists (no last time)\n"},
+			{"First Time When Exists AT '1500-01-01' : '3000-01-01'", "2017-02-15 00:00:00\n"},
+		} {
+			if got := text(c.q + " " + body); got != c.want {
+				t.Errorf("%s answers %q, want %q", c.q, got, c.want)
+			}
+		}
+	})
+}
+
+// TestAggregatesSeePre1970History: an aggregate's default window is all
+// of history, so versions stamped before the Unix epoch count.
+func TestAggregatesSeePre1970History(t *testing.T) {
+	for _, backend := range []string{"gremlin", "relational"} {
+		t.Run(backend, func(t *testing.T) {
+			clock := temporal.NewManualClock(time.Date(1960, 1, 1, 0, 0, 0, 0, time.UTC))
+			st := graph.NewStore(netmodel.MustSchema(), clock, nil)
+			d, err := netmodel.BuildDemo(st, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := plan.NewEngine(gremlin.New(st))
+			if backend == "relational" {
+				eng = plan.NewEngine(relational.New(st))
+			}
+			f := &fixture{st: st, d: d, clock: clock, x: New(eng)}
+			// vm-1 is the only VM ever Red: from 1962 until its delete in 1965.
+			t1962, t1965 := time.Date(1962, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(1965, 1, 1, 0, 0, 0, 0, time.UTC)
+			clock.SetNow(t1962)
+			red := st.Object(d.VM1).Current().Fields.Clone()
+			red["status"] = "Red"
+			if err := st.Update(d.VM1, red); err != nil {
+				t.Fatal(err)
+			}
+			clock.SetNow(t1965)
+			if err := st.Delete(d.VM1); err != nil {
+				t.Fatal(err)
+			}
+			clock.SetNow(t0)
+			base := "Retrieve P From PATHS P Where P MATCHES VM(status='Red')"
+			if res := f.run(t, "First Time When Exists "+base); res.Agg == nil || !res.Agg.Exists || !res.Agg.Time.Equal(t1962) {
+				t.Errorf("first time = %+v, want 1962", res.Agg)
+			}
+			if res := f.run(t, "Last Time When Exists "+base); res.Agg == nil || res.Agg.Current || !res.Agg.Time.Equal(t1965) {
+				t.Errorf("last time = %+v, want 1965", res.Agg)
+			}
+			want := temporal.Set{temporal.Between(temporal.Nanos(t1962), temporal.Nanos(t1965))}
+			if res := f.run(t, "When Exists "+base); res.Agg == nil || !slices.Equal(res.Agg.Set, want) {
+				t.Errorf("when exists = %+v, want %v", res.Agg, want)
+			}
+		})
+	}
 }
 
 func TestUnanchorableWithoutJoinErrors(t *testing.T) {

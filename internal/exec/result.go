@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/temporal"
 )
 
@@ -90,6 +91,24 @@ type AggValue struct {
 	Set temporal.Set
 	// Exists reports whether any satisfying pathway was found at all.
 	Exists bool
+	// at is the AT range the answer was clipped to; nil without one.
+	at *query.TimeSpec
+}
+
+// Bound renders ns, a bound of Set or of the First/Last reading, as a
+// time. A bound at an edge of the query's AT range is that literal as
+// written: the engine clips with the range in int64 nanoseconds, which
+// saturates a literal outside 1678–2262 (temporal.Nanos).
+func (a *AggValue) Bound(ns int64) time.Time {
+	if ts := a.at; ts != nil {
+		switch ns {
+		case ts.Window.Start:
+			return ts.Start
+		case ts.Window.End:
+			return ts.End
+		}
+	}
+	return temporal.Time(ns)
 }
 
 // Format renders the result as an aligned text table for CLI output.
@@ -100,7 +119,7 @@ func (r *Result) Format(render func(plan.Pathway) string) string {
 		case !r.Agg.Exists:
 			sb.WriteString("no satisfying pathway\n")
 		case r.Agg.Set != nil:
-			fmt.Fprintf(&sb, "when exists: %s\n", r.Agg.Set)
+			fmt.Fprintf(&sb, "when exists: %s\n", r.Agg.Set.Format(r.Agg.Bound))
 		case r.Agg.Current:
 			sb.WriteString("still exists (no last time)\n")
 		default:

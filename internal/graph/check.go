@@ -112,7 +112,7 @@ func checkVersions(obj *Elem) []Violation {
 			out = append(out, Violation{UID: obj.UID, Kind: "open-version",
 				Msg: fmt.Sprintf("non-final version %d is open", i)})
 		}
-		if i > 0 && obj.Versions[i-1].Period.End.After(v.Period.Start) {
+		if i > 0 && obj.Versions[i-1].Period.End > v.Period.Start {
 			out = append(out, Violation{UID: obj.UID, Kind: "version-order",
 				Msg: fmt.Sprintf("version %d starts before version %d ends", i, i-1)})
 		}

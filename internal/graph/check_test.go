@@ -3,7 +3,6 @@ package graph
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/temporal"
 )
@@ -99,7 +98,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"edge outlives endpoint", "edge-lifetime", func(t *testing.T, st *Store) {
 			// Shrink the host's lifetime to end before its edges do.
 			obj := st.objects.at(3)
-			obj.Versions[0].Period.End = obj.Versions[0].Period.Start.Add(time.Nanosecond)
+			obj.Versions[0].Period.End = obj.Versions[0].Period.Start + 1
 		}},
 		{"adjacency entry dropped", "adjacency", func(t *testing.T, st *Store) {
 			*st.out.slot(1) = nil // vm1 no longer lists its outgoing edges
@@ -116,7 +115,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				for vk, holder := range entries {
 					obj := st.objects.at(holder)
 					cur := obj.Current()
-					cur.Period.End = cur.Period.Start.Add(time.Nanosecond)
+					cur.Period.End = cur.Period.Start + 1
 					_ = key
 					_ = vk
 					return

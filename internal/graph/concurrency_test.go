@@ -69,7 +69,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 						if v.Period.IsCurrent() {
 							current++
 						}
-						if i > 0 && v.Period.Start.Before(obj.Versions[i-1].Period.Start) {
+						if i > 0 && v.Period.Start < obj.Versions[i-1].Period.Start {
 							t.Error("versions out of order")
 							return
 						}

@@ -2,10 +2,11 @@ package graph
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/schema"
+	"repro/internal/temporal"
 )
 
 // Mutation is the logical write-ahead record of one committed store
@@ -24,7 +25,7 @@ type Mutation struct {
 	Class    string // concrete class name; inserts only
 	Src, Dst UID    // edge endpoints; InsertEdge only
 	Fields   Fields // full field map; inserts and updates
-	At       time.Time
+	At       int64  // transaction time, Unix nanoseconds
 }
 
 // MutationOp enumerates the store's write operations.
@@ -137,6 +138,9 @@ func (st *Store) ApplyMutation(ms ...*Mutation) (applied int, err error) {
 // stream position. A log error applies nothing and is returned as is.
 func (st *Store) ApplyLogged(log func() error, ms ...*Mutation) (applied int, err error) {
 	for _, m := range ms {
+		if m.At == temporal.Forever {
+			return 0, replayErr(m, errStampedForever)
+		}
 		if err := st.checkRecord(m); err != nil {
 			return 0, replayErr(m, err)
 		}
@@ -162,6 +166,10 @@ func batchErr(ms []*Mutation, i int, err error) error {
 	}
 	return &BatchError{Index: i, Err: err}
 }
+
+// errStampedForever rejects a replayed record at Forever, which no clock
+// issues: the version it opened would be empty.
+var errStampedForever = errors.New("graph: stamped at Forever")
 
 func replayErr(m *Mutation, err error) error {
 	return fmt.Errorf("graph: replaying %s %d: %w", m.Op, m.UID, err)
@@ -224,6 +232,9 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool, l
 	group := st.group[:0]
 	for i, m := range ms {
 		p, skip, err := st.prepareLocked(m, replay)
+		if err == nil && !skip && !replay {
+			m.At, err = st.clock.Next()
+		}
 		if err != nil {
 			clear(group)
 			if batch {
@@ -238,7 +249,6 @@ func (st *Store) applyLocked(ctx context.Context, ms []*Mutation, replay bool, l
 			if m.Op.isInsert() {
 				m.UID = st.nextUID
 			}
-			m.At = st.clock.Next()
 			group = append(group, m)
 		}
 		applied++
@@ -325,7 +335,7 @@ func (st *Store) prepareLocked(m *Mutation, replay bool) (p prepared, skip bool,
 		}
 		if replay && m.Op == OpUpdate {
 			for i := range obj.Versions {
-				if obj.Versions[i].Period.Start.Equal(m.At) {
+				if obj.Versions[i].Period.Start == m.At {
 					return p, true, nil // version already present (checkpoint overlap)
 				}
 			}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -108,7 +109,7 @@ func TestReplayAndLiveRejectAlike(t *testing.T) {
 		if r.Op.isInsert() {
 			_, r.UID = st.UIDRange()
 		}
-		r.At = st.Now().Add(time.Hour)
+		r.At = temporal.Nanos(st.Now().Add(time.Hour))
 		if applied, err := st.ApplyMutation(&r); err == nil || applied != 0 {
 			t.Errorf("%s: replay = (%v, %v), want a rejection", c.name, applied, err)
 		}
@@ -124,6 +125,43 @@ func TestReplayAndLiveRejectAlike(t *testing.T) {
 	}
 	if len(*log) != logged {
 		t.Errorf("rejected writes reached the log: %v", (*log)[logged:])
+	}
+}
+
+// TestExhaustedClockRejectsWrites: a clock pinned past 2262 issues one
+// stamp, Forever−1, and every later write is refused whole — a single
+// write and a batch alike — rather than stamped at Forever, where its
+// version would be empty and a closed one would stay current. A replayed
+// record stamped at Forever is refused too.
+func TestExhaustedClockRejectsWrites(t *testing.T) {
+	st, log := loggedStore(t)
+	st.clock.SetNow(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC))
+	vm := mustInsertNode(t, st, "VM", Fields{"id": 1, "status": "Green"})
+	if p := st.Object(vm).Versions[0].Period; p != temporal.Between(temporal.Forever-1, temporal.Forever) {
+		t.Fatalf("first write past 2262 has period %+v", p)
+	}
+	logged, before := len(*log), historyOf(t, st)
+	refuse := func(name string, ms ...*Mutation) {
+		t.Helper()
+		if err := st.Mutate(context.Background(), ms...); !errors.Is(err, temporal.ErrExhausted) {
+			t.Errorf("%s: err = %v, want ErrExhausted", name, err)
+		}
+	}
+	refuse("update", &Mutation{Op: OpUpdate, UID: vm, Fields: Fields{"id": 1, "status": "Red"}})
+	refuse("batch", &Mutation{Op: OpInsertNode, Class: "Host", Fields: Fields{"id": 2}},
+		&Mutation{Op: OpDelete, UID: vm})
+	if !bytes.Equal(historyOf(t, st), before) || len(*log) != logged {
+		t.Error("a refused write changed the history or reached the log")
+	}
+	if vs := st.CheckInvariants(); len(vs) != 0 {
+		t.Errorf("invariants violated: %v", vs)
+	}
+	r := &Mutation{Op: OpUpdate, UID: vm, Fields: Fields{"id": 1, "status": "Red"}, At: temporal.Forever}
+	if applied, err := st.ApplyMutation(r); err == nil || applied != 0 {
+		t.Errorf("replay stamped at Forever = (%d, %v), want a rejection", applied, err)
+	}
+	if !bytes.Equal(historyOf(t, st), before) {
+		t.Error("a refused replay changed the history")
 	}
 }
 
@@ -185,7 +223,7 @@ func TestReplayReproducesLiveHistory(t *testing.T) {
 	if len(*log) != 5 {
 		t.Fatalf("logged %d records, want 5 (a repeated delete logs nothing)", len(*log))
 	}
-	if got := (*log)[2]; got.UID != edge || got.At.IsZero() {
+	if got := (*log)[2]; got.UID != edge || got.At == 0 {
 		t.Errorf("edge record = %+v, want uid %d and a stamped time", got, edge)
 	}
 	if got := (*log)[3]; got.Class != "" || got.Src != 0 {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/schema"
@@ -178,17 +177,13 @@ func appendObjectHead(b []byte, gap UID, class string, src, dst UID, versions in
 // appendPeriod appends a version's period: its start, then 0 while it is
 // open, else end−start+1.
 func appendPeriod(dst []byte, p temporal.Interval) ([]byte, error) {
-	dst, err := codec.AppendTime(dst, p.Start)
-	if err != nil {
-		return dst, err
-	}
+	dst = binary.AppendVarint(dst, p.Start)
 	end := uint64(0)
 	if !p.IsCurrent() {
-		d := p.End.Sub(p.Start)
-		if d < 0 || d == math.MaxInt64 { // Sub saturates past ~292 years
+		if p.End < p.Start {
 			return dst, fmt.Errorf("version period %v does not encode", p)
 		}
-		end = uint64(d) + 1
+		end = uint64(p.End) - uint64(p.Start) + 1
 	}
 	return binary.AppendUvarint(dst, end), nil
 }
@@ -231,13 +226,14 @@ func decodeObject(r *codec.Reader, prev UID) objectDoc {
 	}
 	doc.Versions = make([]Version, n)
 	for i := range doc.Versions {
-		start := r.Time()
+		start := r.Varint()
 		period := temporal.Current(start)
 		if end := r.Uvarint(); end > 0 {
-			if end-1 > math.MaxInt64 {
+			// A closed period ends before Forever.
+			if end-1 >= uint64(temporal.Forever)-uint64(start) {
 				r.Fail("version end out of range")
 			}
-			period = temporal.Between(start, start.Add(time.Duration(end-1)))
+			period = temporal.Between(start, int64(uint64(start)+end-1))
 		}
 		doc.Versions[i] = Version{Fields: r.Fields(), Period: period}
 	}
@@ -342,7 +338,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	// Stage into a scratch store sharing the schema; st is untouched
 	// until the commit at the bottom.
 	tmp := NewStore(st.schema, nil, nil)
-	var latest time.Time
+	latest := int64(math.MinInt64)
 	var buf []byte
 	var rd codec.Reader
 	rd.InternNames()
@@ -362,11 +358,9 @@ func (st *Store) LoadHistory(r io.Reader) error {
 		}
 		prev = obj.UID
 		for _, v := range obj.Versions {
-			if v.Period.Start.After(latest) {
-				latest = v.Period.Start
-			}
-			if !v.Period.IsCurrent() && v.Period.End.After(latest) {
-				latest = v.Period.End
+			latest = max(latest, v.Period.Start)
+			if !v.Period.IsCurrent() {
+				latest = max(latest, v.Period.End)
 			}
 		}
 	}
@@ -396,7 +390,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 		st.nextUID = UID(nextUID)
 	}
 	// Advance the clock beyond everything restored.
-	if !latest.IsZero() {
+	if latest > math.MinInt64 {
 		st.clock.EnsureAfter(latest)
 	}
 	return nil

@@ -111,7 +111,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 	obj := st2.Object(vm1)
 	last := obj.Versions[len(obj.Versions)-1]
 	prev := obj.Versions[len(obj.Versions)-2]
-	if !last.Period.Start.After(prev.Period.Start) {
+	if last.Period.Start <= prev.Period.Start {
 		t.Fatal("post-restore write broke timestamp monotonicity")
 	}
 }

@@ -14,6 +14,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -79,14 +80,10 @@ func (o *Object) Current() *Version {
 
 // VersionAt returns the version visible at time t, or nil.
 func (o *Object) VersionAt(t time.Time) *Version {
-	// Versions are few per object; linear scan from the end is fastest for
-	// the common "current or near-current" case.
+	ns := temporal.Nanos(t)
 	for i := len(o.Versions) - 1; i >= 0; i-- {
-		if o.Versions[i].Period.Contains(t) {
+		if o.Versions[i].Period.Contains(ns) {
 			return &o.Versions[i]
-		}
-		if o.Versions[i].Period.End.Before(t) {
-			return nil
 		}
 	}
 	return nil
@@ -139,17 +136,14 @@ func (e *Elem) Current() *Row {
 	return nil
 }
 
-// VersionAt returns the version visible at time t, or nil.
-func (e *Elem) VersionAt(t time.Time) *Row {
-	// Versions are few per element; linear scan from the end is fastest
-	// for the common "current or near-current" case.
-	for i := len(e.Versions) - 1; i >= 0; i-- {
-		if e.Versions[i].Period.Contains(t) {
-			return &e.Versions[i]
-		}
-		if e.Versions[i].Period.End.Before(t) {
-			return nil
-		}
+// VersionAt returns the version visible at time t, or nil. Versions are
+// ordered by start, so one binary search finds the last one starting at
+// or before t: O(log v) in the element's history.
+func (e *Elem) VersionAt(t int64) *Row {
+	vs := e.Versions
+	i := sort.Search(len(vs), func(i int) bool { return vs[i].Period.Start > t })
+	if i > 0 && t < vs[i-1].Period.End {
+		return &vs[i-1]
 	}
 	return nil
 }
@@ -257,7 +251,7 @@ func (st *Store) Schema() *schema.Schema { return st.schema }
 func (st *Store) Clock() *temporal.Clock { return st.clock }
 
 // Now reports the store's current transaction time.
-func (st *Store) Now() time.Time { return st.clock.Now() }
+func (st *Store) Now() time.Time { return temporal.Time(st.clock.Now()) }
 
 // CommittedClock returns a replication-safe coverage watermark: every
 // mutation stamped at or before the returned time has fully committed
@@ -270,7 +264,7 @@ func (st *Store) Now() time.Time { return st.clock.Now() }
 func (st *Store) CommittedClock() time.Time {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.clock.Fence()
+	return temporal.Time(st.clock.Fence())
 }
 
 // InsertNode validates and inserts a node record, returning its UID.
@@ -308,7 +302,7 @@ func (st *Store) Delete(uid UID) error {
 }
 
 // installLocked installs a fully validated element at a fixed timestamp.
-func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schema.Record, ts time.Time) {
+func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schema.Record, ts int64) {
 	st.setObject(uid, &Elem{
 		UID:      uid,
 		Class:    c,
@@ -331,7 +325,7 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schem
 
 // updateLocked closes obj's open version and opens a new one at a fixed
 // timestamp, publishing the result as a fresh element.
-func (st *Store) updateLocked(obj *Elem, rec schema.Record, t time.Time) {
+func (st *Store) updateLocked(obj *Elem, rec schema.Record, t int64) {
 	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
 	st.recordUnique(obj.Class, rec, obj.UID)
 	next := st.closedCopy(obj, t, 1)
@@ -343,7 +337,7 @@ func (st *Store) updateLocked(obj *Elem, rec schema.Record, t time.Time) {
 // capacity for extra versions to be appended, and returns it. The
 // published original is never written: elements are immutable once
 // readers can reach them.
-func (st *Store) closedCopy(obj *Elem, t time.Time, extra int) *Elem {
+func (st *Store) closedCopy(obj *Elem, t int64, extra int) *Elem {
 	next := *obj
 	next.Versions = make([]Row, len(obj.Versions), len(obj.Versions)+extra)
 	copy(next.Versions, obj.Versions)
@@ -355,7 +349,7 @@ func (st *Store) closedCopy(obj *Elem, t time.Time, extra int) *Elem {
 // deleteAtLocked closes the element — and, for a node, its live incident
 // edges — at one shared timestamp t, so the whole cascade is a single
 // atomic transaction-time event that log replay reproduces exactly.
-func (st *Store) deleteAtLocked(obj *Elem, t time.Time) {
+func (st *Store) deleteAtLocked(obj *Elem, t int64) {
 	if !obj.IsEdge() {
 		for _, eid := range st.out.at(obj.UID) {
 			st.closeIfLive(eid, t)
@@ -367,13 +361,13 @@ func (st *Store) deleteAtLocked(obj *Elem, t time.Time) {
 	st.closeObject(obj, t)
 }
 
-func (st *Store) closeIfLive(uid UID, t time.Time) {
+func (st *Store) closeIfLive(uid UID, t int64) {
 	if obj := st.objects.at(uid); obj != nil && obj.Current() != nil {
 		st.closeObject(obj, t)
 	}
 }
 
-func (st *Store) closeObject(obj *Elem, t time.Time) {
+func (st *Store) closeObject(obj *Elem, t int64) {
 	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
 	st.closedCopy(obj, t, 0)
 	st.addClassCount(obj.Class.Name, -1)
@@ -457,7 +451,9 @@ func valueKey(v any) string {
 }
 
 // Elem returns the stored element with the given UID, or nil. It is the
-// engine's read: the element is immutable and read without a lock.
+// engine's read. The element it returns is immutable, so the caller reads
+// it without a lock; the read lock Elem takes guards only the table probe
+// itself, which a published read snapshot would make lock-free.
 func (st *Store) Elem(uid UID) *Elem {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

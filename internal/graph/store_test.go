@@ -126,7 +126,7 @@ func TestUpdateCreatesHistory(t *testing.T) {
 	if v0.Period.IsCurrent() || !v1.Period.IsCurrent() {
 		t.Error("old version must be closed and new version current")
 	}
-	if !v0.Period.End.Equal(v1.Period.Start) {
+	if v0.Period.End != v1.Period.Start {
 		t.Error("versions must meet with no gap")
 	}
 	if v0.Fields["status"] != "Green" || v1.Fields["status"] != "Red" {
@@ -235,7 +235,7 @@ func TestViewPointAndRange(t *testing.T) {
 	if !ok {
 		t.Fatal("green not matched in green period")
 	}
-	if len(set) == 0 || !set[0].Start.Equal(t0) || !set[0].End.Equal(t0.Add(time.Hour)) {
+	if len(set) == 0 || set[0].Start != temporal.Nanos(t0) || set[0].End != temporal.Nanos(t0.Add(time.Hour)) {
 		t.Errorf("maximal green range = %v", set)
 	}
 
@@ -257,7 +257,7 @@ func TestViewPointAndRange(t *testing.T) {
 	}
 	// But existence matches, and the reported set is the full lifetime.
 	set, ok = v.Match(obj, nil)
-	if !ok || len(set) != 1 || !set[0].Start.Equal(t0) {
+	if !ok || len(set) != 1 || set[0].Start != temporal.Nanos(t0) {
 		t.Errorf("existence set = %v, %v (must be maximal, unclipped)", set, ok)
 	}
 }
@@ -426,7 +426,7 @@ func TestObjectLifetime(t *testing.T) {
 	if len(life) != 1 {
 		t.Fatalf("lifetime = %v (updates must coalesce)", life)
 	}
-	if !life[0].Start.Equal(t0) || !life[0].End.Equal(t0.Add(2*time.Hour)) {
+	if life[0].Start != temporal.Nanos(t0) || life[0].End != temporal.Nanos(t0.Add(2*time.Hour)) {
 		t.Errorf("lifetime = %v", life)
 	}
 }

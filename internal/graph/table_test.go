@@ -41,7 +41,7 @@ func TestReplayUIDFrontier(t *testing.T) {
 	st, _ := newTestStore(t)
 	vm := mustInsertNode(t, st, "VM", Fields{"id": 1})
 	before := tableSizes(st)
-	at := st.Now().Add(1)
+	at := st.Clock().Now() + 1
 	for _, m := range []*Mutation{
 		{Op: OpInsertNode, UID: 1 << 62, Class: "Host", Fields: Fields{"id": 2}, At: at},
 		{Op: OpInsertNode, UID: st.nextUID + maxUIDGap, Class: "Host", Fields: Fields{"id": 2}, At: at},

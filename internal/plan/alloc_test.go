@@ -111,9 +111,9 @@ func TestExtendAllocations(t *testing.T) {
 func TestElementIndexSparseRange(t *testing.T) {
 	build := func(far graph.UID) *graph.Store {
 		st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
-		at := t0
+		at := temporal.Nanos(t0)
 		apply := func(m *graph.Mutation) {
-			at = at.Add(time.Millisecond)
+			at += int64(time.Millisecond)
 			m.At = at
 			if _, err := st.ApplyMutation(m); err != nil {
 				t.Fatal(err)

@@ -37,7 +37,7 @@ func TestDifferentialRandom(t *testing.T) {
 			views := map[string]graph.View{
 				"current": graph.CurrentView(st),
 				"past":    graph.PointView(st, t0.Add(90*time.Minute)),
-				"range":   graph.RangeView(st, t0.Add(30*time.Minute), clock.Now()),
+				"range":   graph.WindowView(st, temporal.Between(temporal.Nanos(t0.Add(30*time.Minute)), clock.Now())),
 			}
 			seedRng := map[string]*rand.Rand{}
 			for i, vname := range []string{"current", "past", "range"} {
@@ -194,7 +194,7 @@ func TestDifferentialRandomDeadline(t *testing.T) {
 			}
 			views := map[string]graph.View{
 				"current": graph.CurrentView(st),
-				"range":   graph.RangeView(st, t0.Add(30*time.Minute), clock.Now()),
+				"range":   graph.WindowView(st, temporal.Between(temporal.Nanos(t0.Add(30*time.Minute)), clock.Now())),
 			}
 			for q := 0; q < 4; q++ {
 				src := randomRPE(rng)

@@ -19,7 +19,7 @@ import (
 func TestPathwaySetHashCollision(t *testing.T) {
 	t0 := time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 	hour := func(from, to int) temporal.Set {
-		return temporal.Set{temporal.Between(t0.Add(time.Duration(from)*time.Hour), t0.Add(time.Duration(to)*time.Hour))}
+		return temporal.Set{temporal.Between(temporal.Nanos(t0.Add(time.Duration(from)*time.Hour)), temporal.Nanos(t0.Add(time.Duration(to)*time.Hour)))}
 	}
 	const h = 42
 	a, b, c := []graph.UID{1, 2, 3}, []graph.UID{4, 5, 6}, []graph.UID{1, 2, 4}
@@ -61,13 +61,13 @@ func TestPathwaySetHashCollision(t *testing.T) {
 			t.Errorf("find(%v) = %d, want %d", elems, j, i)
 		}
 	}
-	if got := s.Paths()[0].Validity; len(got) != 1 || !got[0].End.Equal(t0.Add(2*time.Hour)) {
+	if got := s.Paths()[0].Validity; len(got) != 1 || got[0].End != temporal.Nanos(t0.Add(2*time.Hour)) {
 		t.Errorf("first pathway validity = %v, want the merged 00:00-02:00", got)
 	}
 	if got := s.Paths()[1].Validity; len(got) != 2 {
 		t.Errorf("second pathway validity = %v, want both disjoint ranges", got)
 	}
-	if got := s.Paths()[2].Validity; len(got) != 1 || !got[0].End.Equal(t0.Add(time.Hour)) {
+	if got := s.Paths()[2].Validity; len(got) != 1 || got[0].End != temporal.Nanos(t0.Add(time.Hour)) {
 		t.Errorf("third pathway validity = %v, want it untouched", got)
 	}
 }

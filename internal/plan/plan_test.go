@@ -411,15 +411,15 @@ func TestTimeRangeQueryMaximalRanges(t *testing.T) {
 		case d.Host2:
 			// The old placement existed from load time — well before the
 			// 9h window start: the range must NOT be clipped to the window.
-			if !iv.Start.Before(t0.Add(time.Hour)) {
+			if iv.Start >= temporal.Nanos(t0.Add(time.Hour)) {
 				t.Errorf("old placement range start = %v, want load time", iv.Start)
 			}
-			if !iv.End.Equal(t0.Add(10 * time.Hour)) {
+			if iv.End != temporal.Nanos(t0.Add(10*time.Hour)) {
 				t.Errorf("old placement range end = %v, want 10h", iv.End)
 			}
 		case d.Host1:
 			// The insert lands a clock micro-tick after the delete at 10h.
-			if iv.Start.Before(t0.Add(10*time.Hour)) || iv.Start.After(t0.Add(10*time.Hour+time.Millisecond)) {
+			if iv.Start < temporal.Nanos(t0.Add(10*time.Hour)) || iv.Start > temporal.Nanos(t0.Add(10*time.Hour+time.Millisecond)) {
 				t.Errorf("new placement range start = %v, want ~10h", iv.Start)
 			}
 			if !iv.IsCurrent() {
@@ -465,7 +465,7 @@ func TestFieldChangeAffectsValidity(t *testing.T) {
 	if len(v) != 2 {
 		t.Fatalf("validity = %v, want two green periods", v)
 	}
-	if !v[0].End.Equal(t0.Add(4*time.Hour)) || !v[1].Start.Equal(t0.Add(6*time.Hour)) {
+	if v[0].End != temporal.Nanos(t0.Add(4*time.Hour)) || v[1].Start != temporal.Nanos(t0.Add(6*time.Hour)) {
 		t.Errorf("green periods = %v", v)
 	}
 
@@ -490,14 +490,14 @@ func TestExplain(t *testing.T) {
 
 func TestPathwaySetMergesValidity(t *testing.T) {
 	s := plan.NewPathwaySet()
-	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 3}, Validity: temporal.Set{temporal.Between(t0, t0.Add(time.Hour))}})
-	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 3}, Validity: temporal.Set{temporal.Between(t0.Add(time.Hour), t0.Add(2*time.Hour))}})
-	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 4}, Validity: temporal.Set{temporal.Between(t0, t0.Add(time.Hour))}})
+	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 3}, Validity: temporal.Set{temporal.Between(temporal.Nanos(t0), temporal.Nanos(t0.Add(time.Hour)))}})
+	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 3}, Validity: temporal.Set{temporal.Between(temporal.Nanos(t0.Add(time.Hour)), temporal.Nanos(t0.Add(2*time.Hour)))}})
+	s.Add(plan.Pathway{Elems: []graph.UID{1, 2, 4}, Validity: temporal.Set{temporal.Between(temporal.Nanos(t0), temporal.Nanos(t0.Add(time.Hour)))}})
 	if s.Len() != 2 {
 		t.Fatalf("set size = %d, want 2", s.Len())
 	}
 	merged := s.Paths()[0].Validity
-	if len(merged) != 1 || !merged[0].End.Equal(t0.Add(2*time.Hour)) {
+	if len(merged) != 1 || merged[0].End != temporal.Nanos(t0.Add(2*time.Hour)) {
 		t.Errorf("merged validity = %v", merged)
 	}
 }

@@ -1,8 +1,8 @@
 package plan
 
 import (
+	"math"
 	"slices"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rpe"
@@ -44,7 +44,7 @@ func ComputeValidity(st *graph.Store, c *rpe.Checked, elems []graph.UID) tempora
 type validityScratch struct {
 	objs       []*graph.Elem
 	elements   []rpe.Element
-	boundaries []time.Time
+	boundaries []int64
 	ranges     temporal.Set
 	cur, next  rpe.StateSet
 }
@@ -76,7 +76,7 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 		// Lifetimes of stable elements coalesce to a single interval each
 		// (updates never interrupt existence; only delete ends it, and a
 		// deleted uid is never re-created).
-		iv := temporal.Interval{Start: time.Time{}, End: temporal.Forever}
+		iv := temporal.Interval{Start: math.MinInt64, End: temporal.Forever}
 		for _, obj := range objs {
 			life := temporal.Interval{
 				Start: obj.Versions[0].Period.Start,
@@ -127,7 +127,7 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 
 // matchesAt reports whether the pathway of objs, every one existing at
 // t, satisfies c with the field values they held at t.
-func (sc *validityScratch) matchesAt(c *rpe.Checked, objs []*graph.Elem, t time.Time) bool {
+func (sc *validityScratch) matchesAt(c *rpe.Checked, objs []*graph.Elem, t int64) bool {
 	elements := sc.elements[:len(objs)]
 	for i, obj := range objs {
 		ver := obj.VersionAt(t)
@@ -152,7 +152,7 @@ func (sc *validityScratch) matches(c *rpe.Checked, elements []rpe.Element) bool 
 // at which a version of one of objs starts or a closed one ends: between
 // two consecutive ones, every object's field values are constant. It
 // reuses buf's storage and discards its contents.
-func VersionBoundaries(buf []time.Time, objs []*graph.Elem) []time.Time {
+func VersionBoundaries(buf []int64, objs []*graph.Elem) []int64 {
 	buf = buf[:0]
 	for _, obj := range objs {
 		for _, v := range obj.Versions {
@@ -162,8 +162,8 @@ func VersionBoundaries(buf []time.Time, objs []*graph.Elem) []time.Time {
 			}
 		}
 	}
-	slices.SortFunc(buf, time.Time.Compare)
-	return slices.CompactFunc(buf, time.Time.Equal)
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // stableForQuery reports whether the object's satisfaction of every atom

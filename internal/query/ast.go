@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/rpe"
+	"repro/internal/temporal"
 )
 
 // Verb distinguishes Retrieve (pathways out) from Select (post-processed
@@ -53,10 +54,32 @@ func (a AggKind) String() string {
 }
 
 // TimeSpec is an AT clause: a point (AT t) or a range (AT t1 : t2).
+// Start and End are the literals as written, which the clause renders;
+// Window is what the engine selects with, converted once when the clause
+// is parsed.
 type TimeSpec struct {
 	Start   time.Time
 	End     time.Time
 	IsRange bool
+	// Window is the clause in Unix nanoseconds: [Start, End) for a range,
+	// the nanosecond at Start for a point. Literals outside the int64
+	// range saturate (temporal.Nanos); a range whose End is after its
+	// Start keeps a non-empty window when both saturate to one value.
+	Window temporal.Interval
+}
+
+// newTimeSpec returns the clause AT start, or AT start : end when end is
+// non-nil, with its window.
+func newTimeSpec(start time.Time, end *time.Time) *TimeSpec {
+	s := temporal.Nanos(start)
+	if end == nil {
+		return &TimeSpec{Start: start, Window: temporal.Between(s, temporal.Add(s, time.Nanosecond))}
+	}
+	e := temporal.Nanos(*end)
+	if end.After(start) {
+		e = max(e, temporal.Add(s, time.Nanosecond))
+	}
+	return &TimeSpec{Start: start, End: *end, IsRange: true, Window: temporal.Between(s, e)}
 }
 
 func (ts *TimeSpec) String() string {

@@ -189,23 +189,21 @@ func (p *parser) timeSpec() (*TimeSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &TimeSpec{Start: start}
-	if p.cur().Kind == rpe.KindColon {
-		p.next()
-		if p.cur().Kind != rpe.KindString {
-			return nil, p.errf("expected a quoted timestamp after ':'")
-		}
-		end, err := parseTime(p.next().Text)
-		if err != nil {
-			return nil, err
-		}
-		if !start.Before(end) {
-			return nil, fmt.Errorf("query: time range start %v is not before end %v", start, end)
-		}
-		ts.End = end
-		ts.IsRange = true
+	if p.cur().Kind != rpe.KindColon {
+		return newTimeSpec(start, nil), nil
 	}
-	return ts, nil
+	p.next()
+	if p.cur().Kind != rpe.KindString {
+		return nil, p.errf("expected a quoted timestamp after ':'")
+	}
+	end, err := parseTime(p.next().Text)
+	if err != nil {
+		return nil, err
+	}
+	if !start.Before(end) {
+		return nil, fmt.Errorf("query: time range start %v is not before end %v", start, end)
+	}
+	return newTimeSpec(start, &end), nil
 }
 
 // term := IDENT | fn '(' IDENT ')' ('.' IDENT)?
@@ -276,20 +274,19 @@ func (p *parser) rangeVar() (RangeVar, error) {
 		if err != nil {
 			return RangeVar{}, err
 		}
-		ts := &TimeSpec{Start: start}
+		var end *time.Time
 		if p.cur().Kind == rpe.KindColon {
 			p.next()
 			if p.cur().Kind != rpe.KindString {
 				return RangeVar{}, p.errf("expected a quoted timestamp after ':'")
 			}
-			end, err := parseTime(p.next().Text)
+			t, err := parseTime(p.next().Text)
 			if err != nil {
 				return RangeVar{}, err
 			}
-			ts.End = end
-			ts.IsRange = true
+			end = &t
 		}
-		rv.At = ts
+		rv.At = newTimeSpec(start, end)
 		if p.cur().Kind != rpe.KindRParen {
 			return RangeVar{}, p.errf("expected ')' after variable time binding")
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 )
 
@@ -147,7 +149,7 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		st: st, mgr: mgr, cfg: cfg, hc: &http.Client{},
 		// Every record in the store is one the WAL holds, so the store's
 		// newest transaction time is covered.
-		watermark: st.Clock().Latest(),
+		watermark: stampTime(st.Clock().Latest()),
 		pinned:    mgr.NextIndex() > 0,
 		changed:   make(chan struct{}),
 		stop:      make(chan struct{}),
@@ -396,7 +398,7 @@ func (f *Follower) pull() error {
 	primaryClock, _ := time.Parse(ClockFormat, resp.Header.Get(HeaderClock))
 
 	applied := from
-	var lastAt time.Time
+	lastAt := int64(math.MinInt64)
 	torn := false
 	for len(batch) > 0 {
 		ms, ends, err := wal.DecodeGroup(batch)
@@ -452,8 +454,8 @@ func (f *Follower) pull() error {
 	}
 
 	f.mu.Lock()
-	if lastAt.After(f.watermark) {
-		f.watermark = lastAt
+	if t := stampTime(lastAt); t.After(f.watermark) {
+		f.watermark = t
 	}
 	// Caught up with the primary's durable end: adopt the primary's clock
 	// as the watermark, so an idle primary's replicas still prove
@@ -536,7 +538,7 @@ func (f *Follower) bootstrap() error {
 	// transaction time (which LoadHistory fenced the local clock past) —
 	// NOT through the local wall clock, which would claim primary commits
 	// that postdate the checkpoint before the feed has replayed them.
-	if latest := f.st.Clock().Latest(); latest.After(f.watermark) {
+	if latest := stampTime(f.st.Clock().Latest()); latest.After(f.watermark) {
 		f.watermark = latest
 	}
 	f.bootstraps++
@@ -561,6 +563,15 @@ func (f *Follower) markDiverged() {
 	f.mu.Lock()
 	f.diverged = true
 	f.mu.Unlock()
+}
+
+// stampTime renders a transaction time of the store's clock as a
+// watermark: the zero time for math.MinInt64, the clock's "none yet".
+func stampTime(ns int64) time.Time {
+	if ns == math.MinInt64 {
+		return time.Time{}
+	}
+	return temporal.Time(ns)
 }
 
 // Status snapshots the link.

@@ -44,6 +44,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/repl"
 	"repro/internal/stats"
+	"repro/internal/temporal"
 	"repro/internal/watch"
 )
 
@@ -698,7 +699,7 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 		Digest:    res.Digest,
 	}
 	if res.Agg != nil {
-		agg := &Agg{Exists: res.Agg.Exists, Current: res.Agg.Current, Set: intervalsOut(res.Agg.Set)}
+		agg := &Agg{Exists: res.Agg.Exists, Current: res.Agg.Current, Set: intervalsOut(res.Agg.Set, res.Agg.Bound)}
 		if !res.Agg.Time.IsZero() {
 			t := res.Agg.Time
 			agg.Time = &t
@@ -722,7 +723,7 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 	out.Rows = make([]Row, len(res.Rows))
 	for i, row := range res.Rows {
 		n := len(row.Values)
-		wr := Row{Values: vals[:n:n], Coexist: intervalsOut(row.Coexist)}
+		wr := Row{Values: vals[:n:n], Coexist: intervalsOut(row.Coexist, temporal.Time)}
 		vals = vals[n:]
 		for j, v := range row.Values {
 			p, ok := v.(*plan.Pathway)
@@ -738,7 +739,7 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 			}
 			wr.Values[j] = Value{Pathway: &Pathway{
 				Elems:    wire,
-				Validity: intervalsOut(p.Validity),
+				Validity: intervalsOut(p.Validity, temporal.Time),
 				Rendered: s.db.RenderPath(*p),
 			}}
 		}

@@ -139,16 +139,19 @@ type Interval struct {
 	End   *time.Time `json:"end,omitempty"`
 }
 
-func intervalsOut(s temporal.Set) []Interval {
+// intervalsOut renders s with at rendering each bound: temporal.Time, or
+// an aggregate's AggValue.Bound. An end that renders as Forever's time
+// is left nil.
+func intervalsOut(s temporal.Set, at func(int64) time.Time) []Interval {
 	if len(s) == 0 {
 		return nil
 	}
 	out := make([]Interval, len(s))
 	for i, iv := range s {
-		out[i] = Interval{Start: iv.Start}
-		if !iv.IsCurrent() {
-			end := iv.End
-			out[i].End = &end
+		out[i] = Interval{Start: at(iv.Start)}
+		if end := at(iv.End); temporal.Nanos(end) != temporal.Forever {
+			out[i].End = new(time.Time)
+			*out[i].End = end
 		}
 	}
 	return out
@@ -163,9 +166,9 @@ func IntervalsIn(ivs []Interval) temporal.Set {
 	for i, iv := range ivs {
 		end := temporal.Forever
 		if iv.End != nil {
-			end = *iv.End
+			end = temporal.Nanos(*iv.End)
 		}
-		out[i] = temporal.Interval{Start: iv.Start, End: end}
+		out[i] = temporal.Interval{Start: temporal.Nanos(iv.Start), End: end}
 	}
 	return out
 }

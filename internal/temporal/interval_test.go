@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,12 +11,12 @@ import (
 
 var base = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
-func at(h int) time.Time { return base.Add(time.Duration(h) * time.Hour) }
+func at(h int) int64 { return Nanos(base.Add(time.Duration(h) * time.Hour)) }
 
 func TestIntervalContains(t *testing.T) {
 	iv := Between(at(1), at(5))
 	cases := []struct {
-		t    time.Time
+		t    int64
 		want bool
 	}{
 		{at(0), false},
@@ -129,10 +130,10 @@ func TestSetIntersect(t *testing.T) {
 
 func TestSetFirstLast(t *testing.T) {
 	s := Set{Between(at(8), at(9)), Between(at(1), at(2))}
-	if first, ok := s.First(); !ok || !first.Equal(at(1)) {
+	if first, ok := s.First(); !ok || first != at(1) {
 		t.Errorf("First = %v, %v", first, ok)
 	}
-	if last, ok := s.Last(); !ok || !last.Equal(at(9)) {
+	if last, ok := s.Last(); !ok || last != at(9) {
 		t.Errorf("Last = %v, %v", last, ok)
 	}
 	if _, ok := (Set{}).First(); ok {
@@ -205,7 +206,7 @@ func TestQuickNormalizeMaximal(t *testing.T) {
 			if n[i-1].Overlaps(n[i]) || n[i-1].Meets(n[i]) {
 				return false
 			}
-			if !n[i-1].Start.Before(n[i].Start) {
+			if n[i-1].Start >= n[i].Start {
 				return false
 			}
 		}
@@ -280,12 +281,22 @@ func TestQuickIntersectDistributesOverUnion(t *testing.T) {
 	}
 }
 
+// next is c.Next for a clock that has stamps left.
+func next(t *testing.T, c *Clock) int64 {
+	t.Helper()
+	ts, err := c.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
 func TestClockMonotonic(t *testing.T) {
 	c := &Clock{}
-	prev := c.Next()
+	prev := next(t, c)
 	for i := 0; i < 1000; i++ {
-		next := c.Next()
-		if !next.After(prev) {
+		next := next(t, c)
+		if next <= prev {
 			t.Fatalf("clock went backwards: %v then %v", prev, next)
 		}
 		prev = next
@@ -293,38 +304,64 @@ func TestClockMonotonic(t *testing.T) {
 }
 
 func TestManualClock(t *testing.T) {
-	c := NewManualClock(at(0))
-	t1 := c.Next()
-	if !t1.Equal(at(0)) {
+	c := NewManualClock(base)
+	t1 := next(t, c)
+	if t1 != at(0) {
 		t.Fatalf("first tick = %v", t1)
 	}
-	t2 := c.Next()
-	if !t2.After(t1) {
+	t2 := next(t, c)
+	if t2 <= t1 {
 		t.Fatal("manual clock must still be strictly monotonic")
 	}
 	c.Advance(time.Hour)
-	t3 := c.Next()
-	if !t3.Equal(at(1)) {
+	t3 := next(t, c)
+	if t3 != at(1) {
 		t.Fatalf("after Advance tick = %v", t3)
 	}
-	if c.Now().Before(t3) {
+	if c.Now() < t3 {
 		t.Error("Now must not run behind issued timestamps")
 	}
 }
 
 func TestClockNextConcurrent(t *testing.T) {
-	c := NewManualClock(at(0))
+	c := NewManualClock(base)
 	const n = 100
-	ch := make(chan time.Time, n)
+	ch := make(chan int64, n)
 	for i := 0; i < n; i++ {
-		go func() { ch <- c.Next() }()
+		go func() { ts, _ := c.Next(); ch <- ts }()
 	}
 	seen := make(map[int64]bool, n)
 	for i := 0; i < n; i++ {
 		ts := <-ch
-		if seen[ts.UnixNano()] {
+		if seen[ts] {
 			t.Fatal("duplicate timestamp issued concurrently")
 		}
-		seen[ts.UnixNano()] = true
+		seen[ts] = true
+	}
+}
+
+// TestClockExhausted: a clock at the end of the int64 range issues its
+// last stamp below Forever, then refuses instead of repeating Forever.
+func TestClockExhausted(t *testing.T) {
+	c := NewManualClock(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC))
+	if ts := next(t, c); ts != Forever-1 {
+		t.Fatalf("first stamp past 2262 = %d, want Forever-1", ts)
+	}
+	for range 2 {
+		if ts, err := c.Next(); !errors.Is(err, ErrExhausted) {
+			t.Fatalf("stamp after Forever-1 = %d, %v; want ErrExhausted", ts, err)
+		}
+	}
+	if c.Latest() != Forever-1 {
+		t.Errorf("Latest = %d after refusals, want Forever-1", c.Latest())
+	}
+	c = NewManualClock(foreverTime)
+	if _, err := c.Next(); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("clock pinned at Forever issued a stamp: %v", err)
+	}
+	c = NewManualClock(base)
+	c.EnsureAfter(Forever - 1)
+	if _, err := c.Next(); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("clock ensured past Forever-1 issued a stamp: %v", err)
 	}
 }

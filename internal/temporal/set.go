@@ -1,7 +1,8 @@
 package temporal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"time"
 )
@@ -26,11 +27,11 @@ func (s Set) Normalize() Set {
 	if len(work) <= 1 {
 		return work
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if !work[i].Start.Equal(work[j].Start) {
-			return work[i].Start.Before(work[j].Start)
+	slices.SortFunc(work, func(a, b Interval) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return work[i].End.Before(work[j].End)
+		return cmp.Compare(a.End, b.End)
 	})
 	out := Set{work[0]}
 	for _, iv := range work[1:] {
@@ -45,7 +46,7 @@ func (s Set) Normalize() Set {
 }
 
 // Contains reports whether any interval in the set contains t.
-func (s Set) Contains(t time.Time) bool {
+func (s Set) Contains(t int64) bool {
 	for _, iv := range s {
 		if iv.Contains(t) {
 			return true
@@ -84,7 +85,7 @@ func (s Set) Intersect(other Set) Set {
 		if iv, ok := a[i].Intersect(b[j]); ok {
 			out = append(out, iv)
 		}
-		if a[i].End.Before(b[j].End) {
+		if a[i].End < b[j].End {
 			i++
 		} else {
 			j++
@@ -105,10 +106,10 @@ func (s Set) ClipTo(w Interval) Set {
 
 // First returns the earliest time point covered by the set; ok is false
 // when the set is empty. It answers First-Time-When-Exists aggregates.
-func (s Set) First() (time.Time, bool) {
+func (s Set) First() (int64, bool) {
 	n := s.Normalize()
 	if len(n) == 0 {
-		return time.Time{}, false
+		return 0, false
 	}
 	return n[0].Start, true
 }
@@ -116,20 +117,23 @@ func (s Set) First() (time.Time, bool) {
 // Last returns the supremum of the set: the end of its latest interval
 // (Forever when the set is still current). ok is false when the set is
 // empty. It answers Last-Time-When-Exists aggregates.
-func (s Set) Last() (time.Time, bool) {
+func (s Set) Last() (int64, bool) {
 	n := s.Normalize()
 	if len(n) == 0 {
-		return time.Time{}, false
+		return 0, false
 	}
 	return n[len(n)-1].End, true
 }
 
 // String renders the normalized set as a comma-separated interval list.
-func (s Set) String() string {
+func (s Set) String() string { return s.Format(Time) }
+
+// Format is String with at rendering each bound (Interval.Format).
+func (s Set) Format(at func(int64) time.Time) string {
 	n := s.Normalize()
 	parts := make([]string, len(n))
 	for i, iv := range n {
-		parts[i] = iv.String()
+		parts[i] = iv.Format(at)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
+	"repro/internal/temporal"
 )
 
 // copyDir copies every regular file of src into a fresh temp dir.
@@ -422,10 +423,10 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 // spans two segments, and a segment is synced whole before rotation), so
 // recovery fails loudly instead of truncating.
 func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
-	at := t0.Add(time.Minute)
+	at := temporal.Nanos(t0.Add(time.Minute))
 	group, err := appendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
-		{Op: graph.OpInsertNode, UID: 2, Class: "Host", Fields: graph.Fields{"id": 2}, At: at.Add(time.Second)},
+		{Op: graph.OpInsertNode, UID: 2, Class: "Host", Fields: graph.Fields{"id": 2}, At: at + int64(time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +436,7 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	later, err := appendGroup(nil, []*graph.Mutation{
-		{Op: graph.OpInsertNode, UID: 3, Class: "Host", Fields: graph.Fields{"id": 3}, At: at.Add(time.Hour)},
+		{Op: graph.OpInsertNode, UID: 3, Class: "Host", Fields: graph.Fields{"id": 3}, At: at + int64(time.Hour)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +476,7 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 // crash recovery and in a shipped group a follower applies, never a
 // table sized for it. The group before it recovers normally.
 func TestReplayRejectsUIDBeyondFrontier(t *testing.T) {
-	at := t0.Add(time.Minute)
+	at := temporal.Nanos(t0.Add(time.Minute))
 	good, err := appendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
 	})
@@ -483,7 +484,7 @@ func TestReplayRejectsUIDBeyondFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	far, err := appendGroup(nil, []*graph.Mutation{
-		{Op: graph.OpInsertNode, UID: 1 << 62, Class: "Host", Fields: graph.Fields{"id": 2}, At: at.Add(time.Second)},
+		{Op: graph.OpInsertNode, UID: 1 << 62, Class: "Host", Fields: graph.Fields{"id": 2}, At: at + int64(time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)

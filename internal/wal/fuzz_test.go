@@ -7,23 +7,24 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/temporal"
 )
 
 // fuzzSeedMutations are realistic mutations whose encoded frames seed
-// the corpus: every op, edge endpoints, rich field payloads, and
-// non-UTC timestamps, so the fuzzer starts from real wire bytes rather
-// than having to discover the frame layout from scratch.
+// the corpus: every op, edge endpoints and rich field payloads, so the
+// fuzzer starts from real wire bytes rather than having to discover the
+// frame layout from scratch.
 func fuzzSeedMutations() []*graph.Mutation {
-	at := time.Date(2017, 2, 15, 9, 30, 0, 123456789, time.UTC)
+	at := temporal.Nanos(time.Date(2017, 2, 15, 9, 30, 0, 123456789, time.UTC))
 	return []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1, Class: "ComputeHost",
 			Fields: graph.Fields{"id": 1001, "name": "host-1", "rack": "rz", "status": "Active"}, At: at},
 		{Op: graph.OpInsertEdge, UID: 2, Class: "OnServer", Src: 7, Dst: 1,
-			Fields: graph.Fields{"id": 2001}, At: at.Add(time.Second)},
+			Fields: graph.Fields{"id": 2001}, At: at + int64(time.Second)},
 		{Op: graph.OpUpdate, UID: 1,
 			Fields: graph.Fields{"status": "Maintenance", "weight": 2.5, "note": "unicode ✓ \"quoted\""},
-			At:     at.Add(2 * time.Second).In(time.FixedZone("NPT", 5*3600+45*60))},
-		{Op: graph.OpDelete, UID: 2, At: at.Add(3 * time.Second)},
+			At:     at + int64(2*time.Second)},
+		{Op: graph.OpDelete, UID: 2, At: at + int64(3*time.Second)},
 	}
 }
 

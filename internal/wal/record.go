@@ -105,12 +105,12 @@ func appendRecord(dst []byte, m *graph.Mutation, more bool) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(m.Src))
 		dst = binary.AppendUvarint(dst, uint64(m.Dst))
 	}
-	var err error
-	dst, err = codec.AppendTime(dst, m.At)
-	if err == nil && (m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge) {
+	dst = binary.AppendVarint(dst, m.At)
+	if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
 		dst = codec.AppendString(dst, m.Class)
 	}
-	if err == nil && m.Op != graph.OpDelete {
+	var err error
+	if m.Op != graph.OpDelete {
 		dst, err = codec.AppendFields(dst, m.Fields)
 	}
 	if err != nil {
@@ -222,7 +222,7 @@ func decodeRecord(b []byte) (*graph.Mutation, int, error) {
 	default:
 		r.Fail("unknown op %d", m.Op)
 	}
-	m.At = r.Time()
+	m.At = r.Varint()
 	if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
 		m.Class = r.Str()
 	}

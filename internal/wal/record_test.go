@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/temporal"
 )
 
 // rawFrame frames payload with a valid length and CRC: a hand-built
@@ -86,14 +87,13 @@ func randomMap(rng *rand.Rand, depth int) (in, want graph.Fields) {
 // TestRecordRoundTripProperty: random mutations of every op, with field
 // values of every kind the codec encodes — nested lists and maps
 // included — decode to their input: fields reflect.DeepEqual with every
-// integer as int64, At equal under time.Equal, whatever its zone.
+// integer as int64, At equal to its input.
 func TestRecordRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	zones := []*time.Location{time.UTC, time.FixedZone("NPT", 5*3600+45*60), time.FixedZone("W", -7*3600)}
 	for i := 0; i < 2000; i++ {
 		op := graph.MutationOp(1 + rng.Intn(4))
 		m := &graph.Mutation{Op: op, UID: graph.UID(1 + rng.Int63n(1<<40)),
-			At: t0.Add(time.Duration(rng.Int63n(int64(100 * 365 * 24 * time.Hour)))).In(zones[rng.Intn(len(zones))])}
+			At: temporal.Nanos(t0) + rng.Int63n(int64(100*365*24*time.Hour))}
 		var want graph.Fields
 		switch op {
 		case graph.OpInsertEdge:
@@ -120,7 +120,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		if got.Op != m.Op || got.UID != m.UID || got.Class != m.Class || got.Src != m.Src || got.Dst != m.Dst {
 			t.Fatalf("mutation %d: identity %+v, want %+v", i, got, m)
 		}
-		if !got.At.Equal(m.At) {
+		if got.At != m.At {
 			t.Fatalf("mutation %d: At %v, want %v", i, got.At, m.At)
 		}
 		if !reflect.DeepEqual(got.Fields, want) {
@@ -174,7 +174,7 @@ func TestAppendRecordAllocations(t *testing.T) {
 			fields[fmt.Sprintf("b%02d", i)] = i%2 == 0
 		}
 	}
-	m := &graph.Mutation{Op: graph.OpInsertNode, UID: 1 << 20, Class: "ComputeHost", Fields: fields, At: t0}
+	m := &graph.Mutation{Op: graph.OpInsertNode, UID: 1 << 20, Class: "ComputeHost", Fields: fields, At: temporal.Nanos(t0)}
 	buf := make([]byte, 0, 4096)
 	if allocs := testing.AllocsPerRun(100, func() {
 		var err error
@@ -236,10 +236,10 @@ func TestRetiredFormatRefused(t *testing.T) {
 // final segment, recovery keeps the groups before the damaged one and
 // drops that group whole.
 func TestFlippedContinuationIsCorruption(t *testing.T) {
-	at := t0.Add(time.Minute)
+	at := temporal.Nanos(t0.Add(time.Minute))
 	insert := func(uid graph.UID) *graph.Mutation {
 		return &graph.Mutation{Op: graph.OpInsertNode, UID: uid, Class: "Host",
-			Fields: graph.Fields{"id": int(uid)}, At: at.Add(time.Duration(uid) * time.Second)}
+			Fields: graph.Fields{"id": int(uid)}, At: at + int64(uid)*int64(time.Second)}
 	}
 	first, err := appendGroup(nil, []*graph.Mutation{insert(1)})
 	if err != nil {

@@ -520,7 +520,7 @@ func TestConcurrentMutationsAndCheckpoints(t *testing.T) {
 func TestRecordCodec(t *testing.T) {
 	m := &graph.Mutation{
 		Op: graph.OpInsertEdge, UID: 42, Class: "ConnectsTo", Src: 7, Dst: 9,
-		Fields: graph.Fields{"id": 42}, At: t0.Add(time.Hour),
+		Fields: graph.Fields{"id": 42}, At: temporal.Nanos(t0.Add(time.Hour)),
 	}
 	frame, err := appendRecord(nil, m, false)
 	if err != nil {
@@ -531,7 +531,7 @@ func TestRecordCodec(t *testing.T) {
 		t.Fatalf("decode: %v (n=%d)", err, n)
 	}
 	if got.Op != m.Op || got.UID != m.UID || got.Class != m.Class ||
-		got.Src != m.Src || got.Dst != m.Dst || !got.At.Equal(m.At) {
+		got.Src != m.Src || got.Dst != m.Dst || got.At != m.At {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/temporal"
 )
 
 // Control-event ops. Events whose Op is one of these are synthetic
@@ -130,7 +131,7 @@ func eventFrom(st *graph.Store, m *graph.Mutation, index uint64) Event {
 		Src:    int64(m.Src),
 		Dst:    int64(m.Dst),
 		Fields: m.Fields,
-		At:     m.At,
+		At:     temporal.Time(m.At),
 	}
 	if obj := st.Elem(m.UID); obj != nil {
 		ev.Class = obj.Class.Name
