@@ -19,7 +19,7 @@
 //	# execute with operator-DAG tracing and print the annotated plan
 //	nepal -demo -explain-analyze -q "..."
 //
-//	# dump engine metrics after the queries, log queries slower than 50ms
+//	# dump engine metrics after the queries, report queries slower than 50ms
 //	nepal -demo -metrics -slow-query 50ms -q "..."
 //
 //	# expose net/http/pprof and /debug/vars while serving stdin queries
@@ -35,6 +35,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -68,8 +69,10 @@ type options struct {
 	// metrics prints the engine metrics registry, in Prometheus text
 	// exposition format, after the queries run.
 	metrics bool
-	// slowQuery, when positive, logs queries at least this slow with
-	// their plan and metrics.
+	// slowQuery, when positive, prints a SLOW QUERY block (statement,
+	// digest, metrics, plan) before the rows of each local query at least
+	// this slow. Local only: a server keeps its slow and failed requests
+	// in its trace store (/debug/traces).
 	slowQuery time.Duration
 	// timeout, maxPaths, and maxEdges are per-query guardrails: a query
 	// that crosses one aborts with a one-line typed error instead of
@@ -161,7 +164,7 @@ func main() {
 	flag.BoolVar(&opt.explainAnalyze, "explain-analyze", false, "execute with tracing and print the measured operator plan")
 	flag.StringVar(&opt.gen, "codegen", "", "also print generated target code: sql, gremlin, script, or ddl")
 	flag.BoolVar(&opt.metrics, "metrics", false, "print the engine metrics registry (Prometheus text format) after the queries")
-	flag.DurationVar(&opt.slowQuery, "slow-query", 0, "log queries at least this slow with plan and metrics (0 disables)")
+	flag.DurationVar(&opt.slowQuery, "slow-query", 0, "local queries: print a SLOW QUERY block (digest, metrics, plan) for those at least this slow (0 disables; served requests keep theirs at /debug/traces)")
 	flag.DurationVar(&opt.timeout, "timeout", 0, "abort queries running longer than this (0 disables)")
 	flag.IntVar(&opt.maxPaths, "max-paths", 0, "abort queries emitting more than this many pathways (0 disables)")
 	flag.IntVar(&opt.maxEdges, "max-edges", 0, "abort queries scanning more than this many edges (0 disables)")
@@ -209,6 +212,9 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
+	if opt.slowQuery > 0 && (opt.serveAddr != "" || opt.followURL != "") {
+		return fmt.Errorf("-slow-query reports local queries only; a server keeps every failed or slow request, with its operator span tree, at /debug/traces")
+	}
 	if opt.followURL != "" {
 		if opt.serveAddr == "" {
 			return fmt.Errorf("-follow requires -serve")
@@ -228,9 +234,6 @@ func run(opt options) error {
 		MaxPaths:        opt.maxPaths,
 		MaxEdgesScanned: opt.maxEdges,
 	})}
-	if opt.slowQuery > 0 {
-		dbOpts = append(dbOpts, core.WithSlowLog(obs.NewSlowLog(opt.slowQuery, out)))
-	}
 	if opt.walDir != "" {
 		dbOpts = append(dbOpts, core.WithWAL(opt.walDir))
 	}
@@ -412,13 +415,36 @@ func execute(db *core.DB, out io.Writer, src string, opt options) error {
 		fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 		return nil
 	}
+	start := time.Now()
 	res, err := db.Query(src)
 	if err != nil {
 		return err
 	}
+	if d := time.Since(start); opt.slowQuery > 0 && d >= opt.slowQuery {
+		printSlowQuery(out, src, d, res)
+	}
 	fmt.Fprint(out, res.Format(db.RenderPath))
 	fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 	return nil
+}
+
+// printSlowQuery writes the SLOW QUERY block of a local query that met
+// the -slow-query threshold: its duration, statement, digest, metrics,
+// and each variable's plan.
+func printSlowQuery(out io.Writer, src string, d time.Duration, res *exec.Result) {
+	fmt.Fprintf(out, "SLOW QUERY (%s)\n  query: %s\n  digest: %s\n  metrics: %s\n",
+		obs.FormatDuration(d), src, res.Digest, res.Metrics)
+	names := make([]string, 0, len(res.Plans))
+	for name := range res.Plans {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(out, "  plan> -- variable %s --\n", name)
+		for _, line := range strings.Split(strings.TrimRight(res.Plans[name].Explain(), "\n"), "\n") {
+			fmt.Fprintf(out, "  plan> %s\n", line)
+		}
+	}
 }
 
 // printGenerated emits the retargetable translation of each range

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/stats"
 )
 
 func TestRunDemoQuery(t *testing.T) {
@@ -94,6 +95,68 @@ func TestRunMetricsAndSlowLog(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestSlowQueryBlockShape: a local query over -slow-query prints, before
+// its rows, the block with the statement, its digest, the run's metrics
+// and each variable's plan.
+func TestSlowQueryBlockShape(t *testing.T) {
+	q := "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)"
+	var out bytes.Buffer
+	if err := run(options{model: "netmodel", demo: true, backend: "gremlin", q: q,
+		slowQuery: time.Nanosecond, out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	digest, _ := stats.Fingerprint(q)
+	text := out.String()
+	last := -1
+	for _, want := range []string{
+		"SLOW QUERY (",
+		"\n  query: " + q + "\n",
+		"\n  digest: " + digest + "\n",
+		"\n  metrics: anchors=",
+		"\n  plan> -- variable P --\n",
+		"\n  plan> Select: {Host(id=1001)}",
+		"\nP\n", // the rows follow the block
+		"(2 rows)",
+	} {
+		i := strings.Index(text, want)
+		if i <= last {
+			t.Fatalf("output missing %q after offset %d:\n%s", want, last, text)
+		}
+		last = i
+	}
+}
+
+// TestSlowQueryUnderThresholdPrintsNoBlock: a local query faster than
+// -slow-query prints its rows and no SLOW QUERY block.
+func TestSlowQueryUnderThresholdPrintsNoBlock(t *testing.T) {
+	q := "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()"
+	var out bytes.Buffer
+	if err := run(options{model: "netmodel", demo: true, backend: "gremlin", q: q,
+		slowQuery: time.Hour, out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	if text := out.String(); strings.Contains(text, "SLOW QUERY") || !strings.Contains(text, "rows)") {
+		t.Errorf("query under the threshold printed a slow-query block or no rows:\n%s", text)
+	}
+}
+
+// TestSlowQueryRefusedWhenServing: -slow-query reports local queries
+// only, so combining it with -serve (or -follow) is refused with a
+// pointer to the server's trace store.
+func TestSlowQueryRefusedWhenServing(t *testing.T) {
+	for _, opt := range []options{
+		{model: "netmodel", demo: true, backend: "gremlin", serveAddr: "127.0.0.1:0", slowQuery: time.Second},
+		{model: "netmodel", backend: "gremlin", serveAddr: "127.0.0.1:0", followURL: "http://127.0.0.1:1",
+			walDir: t.TempDir(), slowQuery: time.Second},
+	} {
+		err := run(opt)
+		if err == nil || !strings.Contains(err.Error(), "/debug/traces") {
+			t.Errorf("serve=%q follow=%q with -slow-query = %v; want a refusal naming /debug/traces",
+				opt.serveAddr, opt.followURL, err)
 		}
 	}
 }

@@ -597,18 +597,7 @@ func (c *Client) do(req *http.Request, into any) error {
 	}
 	raw := buf.Bytes()
 	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
-		traceID := hresp.Header.Get(obs.TraceHeader)
-		retryAfter := parseRetryAfter(hresp.Header.Get("Retry-After"))
-		var eb server.ErrorBody
-		if jerr := json.Unmarshal(raw, &eb); jerr == nil && eb.Error.Code != "" {
-			if eb.Error.TraceID != "" {
-				traceID = eb.Error.TraceID
-			}
-			return &APIError{Status: hresp.StatusCode, Code: eb.Error.Code,
-				Message: eb.Error.Message, TraceID: traceID, RetryAfter: retryAfter}
-		}
-		return &APIError{Status: hresp.StatusCode, Code: "internal",
-			Message: strings.TrimSpace(string(raw)), TraceID: traceID, RetryAfter: retryAfter}
+		return decodeAPIError(hresp, raw)
 	}
 	if err := json.Unmarshal(raw, into); err != nil {
 		// 200 with an undecodable body: almost always a connection cut

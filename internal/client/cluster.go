@@ -379,44 +379,6 @@ func (cl *Cluster) Checkpoint(ctx context.Context) error {
 	return cl.writeRetry(ctx, func(c *Client) error { return c.Checkpoint(ctx) })
 }
 
-// Stats probes every configured endpoint's /readyz concurrently and
-// returns the same map shape GET /debug/cluster serves: role, epoch,
-// applied index, and lag per node, with transport failures surfaced as
-// unreachable entries instead of errors. This is the client-side
-// cluster view — it needs no server-side peer configuration because the
-// cluster already knows its endpoints.
-func (cl *Cluster) Stats(ctx context.Context) *server.ClusterResponse {
-	cl.mu.Lock()
-	endpoints := make([]*Client, 0, len(cl.replicas)+1)
-	endpoints = append(endpoints, cl.primary)
-	for _, r := range cl.replicas {
-		endpoints = append(endpoints, r.c)
-	}
-	cl.mu.Unlock()
-
-	resp := &server.ClusterResponse{Nodes: make(map[string]server.ClusterNode, len(endpoints))}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, c := range endpoints {
-		wg.Add(1)
-		go func(c *Client) {
-			defer wg.Done()
-			node := server.ClusterNode{URL: c.Base()}
-			if _, st, err := c.Ready(ctx); err != nil {
-				node.Error = err.Error()
-			} else {
-				node.Reachable = true
-				node.Ready = st
-			}
-			mu.Lock()
-			resp.Nodes[c.Base()] = node
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	return resp
-}
-
 // Failover promotes a replica to primary after the primary is lost. It
 // asks every replica for its replication status and promotes the MOST
 // CAUGHT-UP healthy one — highest applied stream index, ties broken by

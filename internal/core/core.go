@@ -51,7 +51,6 @@ type config struct {
 	walDir  string
 	walOpts wal.Options
 	limits  exec.Limits
-	slowLog *obs.SlowLog
 }
 
 // Option configures Open.
@@ -103,13 +102,6 @@ func WithLimits(lim exec.Limits) Option {
 	return func(c *config) { c.limits = lim }
 }
 
-// WithSlowLog installs a slow-query log: every query whose total time
-// reaches the log's threshold is captured with its text, plan, metrics,
-// and trace (when traced), and every aborted query regardless of time.
-func WithSlowLog(l *obs.SlowLog) Option {
-	return func(c *config) { c.slowLog = l }
-}
-
 // DB is an open Nepal database.
 type DB struct {
 	store     *graph.Store
@@ -119,7 +111,6 @@ type DB struct {
 	backend   string
 	views     query.Views
 	o         dbObs
-	slowLog   *obs.SlowLog
 	stmtStats *stats.Store
 	wal       *wal.Manager
 	recovery  wal.RecoveryStats
@@ -171,7 +162,7 @@ func Open(sch *schema.Schema, opts ...Option) (*DB, error) {
 	engine := plan.NewEngine(acc)
 	return &DB{store: store, engine: engine, executor: exec.New(engine),
 		limits: cfg.limits, backend: cfg.backend, views: query.Views{},
-		slowLog: cfg.slowLog, wal: mgr, recovery: recovery,
+		wal: mgr, recovery: recovery,
 		o: dbObs{
 			queries:      reg.Counter("db.queries"),
 			aborted:      reg.Counter("db.queries_aborted"),
@@ -304,8 +295,8 @@ func (db *DB) Query(src string) (*exec.Result, error) {
 // QueryContext is Query under a context: the query aborts cooperatively
 // with exec.ErrCanceled/exec.ErrDeadlineExceeded when ctx is canceled or
 // its deadline (or the DB's Limits.MaxDuration, whichever is earlier)
-// passes. Aborts are recorded in the db.queries_aborted counter and, as
-// entries with a non-"ok" Outcome, in the slow-query log.
+// passes. Aborts are recorded in the db.queries_aborted counter and, by
+// outcome, in the statement's statistics.
 func (db *DB) QueryContext(ctx context.Context, src string) (*exec.Result, error) {
 	p, err := db.Prepare(src)
 	if err != nil {
@@ -318,8 +309,8 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*exec.Result, error
 // other databases: routes maps a variable name to the DB serving it.
 // Pathways from the routed stores are joined in the executor, with node
 // identity crossing store boundaries via the schema-unique id field. It
-// runs under this DB's limits and observes into its registry, statistics
-// and slow log like a local query; a routed engine's error fails the
+// runs under this DB's limits and observes into its registry and
+// statistics like a local query; a routed engine's error fails the
 // query with that error.
 func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, error) {
 	p, err := db.Prepare(src)

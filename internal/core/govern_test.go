@@ -79,9 +79,9 @@ func TestQueryContextTypedAborts(t *testing.T) {
 }
 
 func TestAbortObservability(t *testing.T) {
-	// Threshold far above any demo query: only the abort rule can log.
-	slowLog := obs.NewSlowLog(time.Hour, nil)
-	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}), WithSlowLog(slowLog))
+	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}))
+	st := stats.NewStore(16, nil)
+	db.SetStatementStats(st)
 
 	// Per-call limits replace the DB's: the unlimited run finishes.
 	p, err := db.Prepare(demoQuery)
@@ -102,16 +102,12 @@ func TestAbortObservability(t *testing.T) {
 	if n := reg.Counter("db.queries_aborted").Value(); n != 1 {
 		t.Errorf("db.queries_aborted = %d, want 1", n)
 	}
-	entries := slowLog.Entries()
-	if len(entries) != 1 {
-		t.Fatalf("slow log entries = %d, want only the aborted query", len(entries))
+	snap := st.Snapshot(stats.SortCalls, 0)
+	if len(snap.Statements) != 1 {
+		t.Fatalf("statistics hold %d digests, want one: %+v", len(snap.Statements), snap.Statements)
 	}
-	e := entries[0]
-	if e.Outcome != "limit" || !e.Aborted() {
-		t.Errorf("entry outcome = %q (aborted=%v), want limit", e.Outcome, e.Aborted())
-	}
-	if e.Query != demoQuery {
-		t.Errorf("entry query = %q", e.Query)
+	if s := snap.Statements[0]; s.Digest != p.Digest() || s.Calls != 2 || s.OK != 1 || s.LimitHits != 1 {
+		t.Errorf("statistics row = %+v; want digest %s with 2 calls, 1 ok, 1 limit", s, p.Digest())
 	}
 }
 
@@ -129,8 +125,8 @@ func routedDemoQuery(t *testing.T, db *DB, d *netmodel.Demo) string {
 // one prepare → run → observe body, once on a DB without limits and once
 // on a DB whose 1ms MaxDuration aborts it: a finished query is one
 // db.queries increment and one ok statistics observation under the
-// statement's digest, and the aborted one is additionally one
-// db.queries_aborted increment and one slow-log entry with outcome
+// statement's digest; the aborted one is additionally one
+// db.queries_aborted increment, and its observation's outcome is
 // "deadline".
 func TestEntryPointsObserveOnce(t *testing.T) {
 	bg := context.Background()
@@ -169,13 +165,12 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 			src := routedDemoQuery(t, other, d)
 			digest, _ := stats.Fingerprint(src)
 			for _, lim := range []exec.Limits{{}, {MaxDuration: time.Millisecond}} {
-				// Threshold far above any demo query: only the abort rule can log.
-				slowLog, st := obs.NewSlowLog(time.Hour, nil), stats.NewStore(16, nil)
-				db := openSlowDemo(t, WithLimits(lim), WithSlowLog(slowLog))
+				st := stats.NewStore(16, nil)
+				db := openSlowDemo(t, WithLimits(lim))
 				db.SetStatementStats(st)
 
 				res, err := call(db, other, src)
-				wantAborted, wantDeadline, wantEntries := int64(0), int64(0), 0
+				wantAborted, wantDeadline := int64(0), int64(0)
 				if lim.MaxDuration == 0 {
 					if err != nil || res.Digest != digest {
 						t.Fatalf("unlimited run = %v, digest %q; want ok under %q", err, res.Digest, digest)
@@ -184,7 +179,7 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 					if !errors.Is(err, exec.ErrDeadlineExceeded) {
 						t.Fatalf("1ms run = %v, want ErrDeadlineExceeded", err)
 					}
-					wantAborted, wantDeadline, wantEntries = 1, 1, 1
+					wantAborted, wantDeadline = 1, 1
 				}
 
 				reg := db.Registry()
@@ -197,13 +192,6 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 				}
 				if s := snap.Statements[0]; s.Digest != digest || s.Calls != 1 || s.OK != 1-wantDeadline || s.Deadline != wantDeadline {
 					t.Errorf("limits %+v: statistics row = %+v; want digest %s with 1 call, %d deadline", lim, s, digest, wantDeadline)
-				}
-				entries := slowLog.Entries()
-				if len(entries) != wantEntries {
-					t.Fatalf("limits %+v: slow log = %+v; want %d entries", lim, entries, wantEntries)
-				}
-				if wantEntries == 1 && (entries[0].Outcome != "deadline" || entries[0].Digest != digest || entries[0].Query != src) {
-					t.Errorf("slow log = %+v; want one deadline entry for the statement", entries)
 				}
 			}
 		})

@@ -11,7 +11,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rpe"
-	"repro/internal/schema"
 	"repro/internal/stats"
 )
 
@@ -85,7 +84,7 @@ func (p *Prepared) Footprint() []string {
 }
 
 // Exec executes the prepared statement under ctx and the DB's installed
-// limits, observing into the DB's registry and slow log like Query does.
+// limits, observing into the DB's registry and statistics like Query does.
 func (p *Prepared) Exec(ctx context.Context) (*exec.Result, error) {
 	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: p.db.limits})
 }
@@ -127,14 +126,10 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context, lim exec.Limits) (string,
 
 // run is the one body every query entry point executes: run the prepared
 // statement on x under o, then record the finished query into the
-// registry, the per-statement statistics store, and the slow log.
-// Aborted queries (err != nil) count into db.queries_aborted and are
-// always logged — regardless of duration — with their termination
-// outcome, since a query that died 1ms into its deadline is exactly the
-// one an operator wants to see. The context supplies the trace ID that
-// links slow-log entries to their end-to-end request trace; the digest
-// computed at Prepare lands on the result, the slow-log entry, and the
-// stats store.
+// registry's db.* metrics and the per-statement statistics store.
+// Aborted queries (err != nil) count into db.queries_aborted and under
+// their outcome in the statistics. The digest computed at Prepare lands
+// on the result and the stats store.
 func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions) (*exec.Result, error) {
 	db := p.db
 	start := time.Now()
@@ -159,33 +154,5 @@ func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions)
 		}
 		db.stmtStats.Observe(p.digest, p.norm, ob)
 	}
-	if db.slowLog != nil && (err != nil || dur >= db.slowLog.Threshold()) {
-		entry := obs.SlowLogEntry{
-			When:     time.Now(),
-			Query:    p.src,
-			Duration: dur,
-			Outcome:  exec.Outcome(err),
-			TraceID:  obs.TraceIDFrom(ctx),
-			Digest:   p.digest,
-		}
-		if res != nil {
-			var planText strings.Builder
-			for _, name := range schema.SortedNames(planKeys(res.Plans)) {
-				fmt.Fprintf(&planText, "-- variable %s --\n%s", name, res.Plans[name].Explain())
-			}
-			entry.Plan = planText.String()
-			entry.Metrics = res.Metrics.String()
-			entry.Trace = res.Trace
-		}
-		db.slowLog.Observe(entry)
-	}
 	return res, err
-}
-
-func planKeys(m map[string]*plan.Plan) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }

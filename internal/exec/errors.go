@@ -26,7 +26,7 @@ var (
 	ErrPanic            = plan.ErrPanic
 )
 
-// Outcome classifies how a query terminated for the slow-query log and
+// Outcome classifies how a query terminated for the statistics store and
 // abort metrics: "ok", "canceled", "deadline", "limit", "panic", or
 // "error" for non-governance failures.
 func Outcome(err error) string {

@@ -274,46 +274,6 @@ func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestSlowLogThresholdAndRing(t *testing.T) {
-	var sb strings.Builder
-	l := NewSlowLog(10*time.Millisecond, &sb)
-	if l.Observe(SlowLogEntry{Query: "fast", Duration: 9 * time.Millisecond}) {
-		t.Error("fast query captured")
-	}
-	if !l.Observe(SlowLogEntry{Query: "slow", Duration: 11 * time.Millisecond, Metrics: "edges_scanned=9"}) {
-		t.Error("slow query not captured")
-	}
-	if got := len(l.Entries()); got != 1 {
-		t.Fatalf("entries = %d, want 1", got)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "SLOW QUERY") || !strings.Contains(out, "slow") ||
-		!strings.Contains(out, "edges_scanned=9") {
-		t.Errorf("slow log output = %q", out)
-	}
-
-	// Ring bound: capture far more than the cap; the oldest fall off.
-	for i := 0; i < DefaultSlowLogKeep*2; i++ {
-		l.Observe(SlowLogEntry{Query: "q", Duration: time.Second})
-	}
-	if got := len(l.Entries()); got != DefaultSlowLogKeep {
-		t.Errorf("ring length = %d, want %d", got, DefaultSlowLogKeep)
-	}
-	if l.Total() != 1+DefaultSlowLogKeep*2 {
-		t.Errorf("total = %d", l.Total())
-	}
-}
-
-func TestSlowLogNilIsSafe(t *testing.T) {
-	var l *SlowLog
-	if l.Observe(SlowLogEntry{Duration: time.Hour}) {
-		t.Error("nil slow log captured")
-	}
-	if l.Entries() != nil || l.Total() != 0 || l.Threshold() != 0 {
-		t.Error("nil slow log must read as empty")
-	}
-}
-
 func TestFormatDuration(t *testing.T) {
 	cases := map[time.Duration]string{
 		500 * time.Nanosecond:   "500ns",

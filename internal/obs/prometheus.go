@@ -41,8 +41,9 @@ func PromName(name string) string {
 	return sb.String()
 }
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
+// PromEscape escapes a label value (or HELP text) per the exposition
+// format.
+func PromEscape(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	v = strings.ReplaceAll(v, `"`, `\"`)
@@ -66,7 +67,7 @@ func (r *Registry) writeHeader(w io.Writer, name, pname, typ string) {
 	if help == "" {
 		help = name
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n", pname, promEscape(help))
+	fmt.Fprintf(w, "# HELP %s %s\n", pname, PromEscape(help))
 	fmt.Fprintf(w, "# TYPE %s %s\n", pname, typ)
 }
 
@@ -121,7 +122,7 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		labels := infos[name]
 		pairs := make([]string, 0, len(labels))
 		for _, k := range sortedKeys(labels) {
-			pairs = append(pairs, fmt.Sprintf("%s=%q", PromName(k), promEscape(labels[k])))
+			pairs = append(pairs, fmt.Sprintf("%s=%q", PromName(k), PromEscape(labels[k])))
 		}
 		fmt.Fprintf(w, "%s{%s} 1\n", pname, strings.Join(pairs, ","))
 	}

@@ -117,35 +117,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestSlowLogEntryFormatDigest is the format regression for the digest
-// satellite: the digest renders on its own line between trace_id and
-// metrics, and is omitted entirely when empty.
-func TestSlowLogEntryFormatDigest(t *testing.T) {
-	e := SlowLogEntry{
-		When:     time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
-		Query:    "Host(id=1)",
-		Duration: 1500 * time.Millisecond,
-		Outcome:  "ok",
-		TraceID:  "74ab12cd",
-		Digest:   "deadbeefcafef00d",
-		Metrics:  "edges=12",
-	}
-	got := e.Format()
-	want := "SLOW QUERY (1.50s) at 2026-08-09 12:00:00.000\n" +
-		"  query: Host(id=1)\n" +
-		"  outcome: ok\n" +
-		"  trace_id: 74ab12cd\n" +
-		"  digest: deadbeefcafef00d\n" +
-		"  metrics: edges=12\n"
-	if got != want {
-		t.Errorf("Format with digest:\n got %q\nwant %q", got, want)
-	}
-	e.Digest = ""
-	if strings.Contains(e.Format(), "digest:") {
-		t.Errorf("empty digest should not render: %q", e.Format())
-	}
-}
-
 // TestAccessLogDigestField is the JSON access-log regression: the
 // digest field appears after statement, round-trips through
 // encoding/json, and is omitted when empty.

@@ -15,7 +15,7 @@ type Request struct {
 	// Start is the request arrival time.
 	Start time.Time
 	// TraceID tags the request's end-to-end trace; the same ID appears
-	// in the response header, error envelope, slow log, and trace store.
+	// in the response header, error envelope, access log, and trace store.
 	TraceID string
 	Method  string
 	Path    string
@@ -34,7 +34,7 @@ type Request struct {
 	StatementHash string
 	Statement     string
 	// Digest is the literal-masked statement fingerprint — the key into
-	// GET /v1/stats/statements, shared with the slow log.
+	// GET /v1/stats/statements.
 	Digest string
 	// EdgesScanned is the query's engine-side scan volume.
 	EdgesScanned int

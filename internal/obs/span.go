@@ -1,7 +1,7 @@
 // Package obs is Nepal's observability layer: operator-DAG tracing
 // (Span), a process-wide registry of named counters, gauges, and
-// latency histograms, a slow-query log, and the per-request record
-// (Request) the server's access log and trace store share. It is
+// latency histograms, and the per-request record (Request) the server's
+// access log and trace store share. It is
 // dependency-free — only the standard library — so every other package
 // (plan, exec, graph, the backends, core, the CLIs) can import it
 // without cycles.

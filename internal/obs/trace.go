@@ -12,8 +12,8 @@ import (
 // Request-scoped trace context: every request entering the system gets a
 // 128-bit trace ID (16 random bytes, 32 lowercase hex characters — the
 // W3C trace-context trace-id format), carried on the wire in the
-// X-Nepal-Trace header and in-process on the context. Spans, slow-log
-// entries, access-log lines, and error envelopes are all tagged with it,
+// X-Nepal-Trace header and in-process on the context. Spans, retained
+// traces, access-log lines, and error envelopes are all tagged with it,
 // so a client-reported failure is greppable end to end.
 //
 // Propagation is context-based and allocation-free when disabled:

@@ -59,8 +59,8 @@ type Config struct {
 	// PlanCacheSize bounds the compiled-statement LRU; 0 means 256.
 	PlanCacheSize int
 	// DefaultLimits are the per-request resource guardrails applied when
-	// a request carries none; requests may tighten or (when a field is
-	// zero here) set their own.
+	// a request carries none; requests may tighten them or (when a field
+	// is zero here) set their own, but never loosen them.
 	DefaultLimits exec.Limits
 	// MaxTimeout caps any requested timeout_ms; 0 leaves requests free.
 	MaxTimeout time.Duration
@@ -366,22 +366,27 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return context.WithTimeout(r.Context(), d)
 }
 
-// effectiveLimits folds per-request limits over the server defaults.
+// effectiveLimits folds per-request limits over the server defaults: per
+// field, the smaller nonzero bound wins, so a request can tighten a
+// default or set a bound the server leaves open, never loosen one.
 func (s *Server) effectiveLimits(l *Limits) exec.Limits {
 	out := s.cfg.DefaultLimits
 	if l == nil {
 		return out
 	}
-	if l.MaxPaths > 0 {
-		out.MaxPaths = l.MaxPaths
-	}
-	if l.MaxEdgesScanned > 0 {
-		out.MaxEdgesScanned = l.MaxEdgesScanned
-	}
-	if l.TimeoutMS > 0 {
-		out.MaxDuration = time.Duration(l.TimeoutMS) * time.Millisecond
-	}
+	out.MaxPaths = tighter(out.MaxPaths, l.MaxPaths)
+	out.MaxEdgesScanned = tighter(out.MaxEdgesScanned, l.MaxEdgesScanned)
+	out.MaxDuration = tighter(out.MaxDuration, time.Duration(l.TimeoutMS)*time.Millisecond)
 	return out
+}
+
+// tighter returns the smaller of two bounds where zero (or less) means
+// unbounded.
+func tighter[T int | time.Duration](def, req T) T {
+	if req > 0 && (def <= 0 || req < def) {
+		return req
+	}
+	return def
 }
 
 // ---- handlers ----

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -183,6 +184,37 @@ func TestTypedErrors(t *testing.T) {
 	_, err = c.Query(ctx, retrieveQ, &client.QueryOptions{Limits: &server.Limits{MaxPaths: 1}})
 	if !errors.Is(err, client.ErrLimit) {
 		t.Errorf("limit error: got %v", err)
+	}
+}
+
+// TestRequestLimitsOnlyTighten: a request's limits can tighten the
+// server's default guardrails but never loosen them — each field takes
+// the smaller nonzero bound, so asking for more paths, edges or time
+// than the server allows still aborts at the server's bound.
+func TestRequestLimitsOnlyTighten(t *testing.T) {
+	slow := core.WithAccessorWrapper(func(a plan.Accessor) plan.Accessor {
+		return chaos.Wrap(a, chaos.WithLatency(5*time.Millisecond))
+	})
+	for _, tc := range []struct {
+		name    string
+		db      *core.DB
+		def     exec.Limits
+		req     server.Limits
+		wantErr error
+	}{
+		{"paths", newDemoDB(t), exec.Limits{MaxPaths: 1}, server.Limits{MaxPaths: 1_000_000}, client.ErrLimit},
+		{"edges", newDemoDB(t), exec.Limits{MaxEdgesScanned: 1}, server.Limits{MaxEdgesScanned: 1_000_000}, client.ErrLimit},
+		{"timeout", newDemoDB(t, slow), exec.Limits{MaxDuration: time.Millisecond}, server.Limits{TimeoutMS: 60_000}, client.ErrDeadline},
+		{"tighten", newDemoDB(t), exec.Limits{MaxPaths: 1_000_000}, server.Limits{MaxPaths: 1}, client.ErrLimit},
+		{"open default", newDemoDB(t), exec.Limits{}, server.Limits{MaxPaths: 1}, client.ErrLimit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := newTestServer(t, tc.db, server.Config{DefaultLimits: tc.def})
+			_, err := c.Query(context.Background(), retrieveQ, &client.QueryOptions{Limits: &tc.req})
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("default %+v, request %+v: got %v, want %v", tc.def, tc.req, err, tc.wantErr)
+			}
+		})
 	}
 }
 

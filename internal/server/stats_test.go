@@ -253,20 +253,4 @@ func TestClusterView(t *testing.T) {
 		t.Errorf("dead peer should be unreachable with an error: %+v", dead)
 	}
 
-	// The client-side cluster view (no server Peers needed) sees both
-	// endpoints with their roles.
-	cl, err := client.NewCluster(client.ClusterConfig{Primary: pc.Base(), Replicas: []string{rc.Base()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv := cl.Stats(context.Background())
-	if len(cv.Nodes) != 2 {
-		t.Fatalf("client cluster stats has %d nodes, want 2", len(cv.Nodes))
-	}
-	if n := cv.Nodes[pc.Base()]; !n.Reachable || n.Ready == nil || n.Ready.Role != "primary" {
-		t.Errorf("client view primary wrong: %+v", n)
-	}
-	if n := cv.Nodes[rc.Base()]; !n.Reachable || n.Ready == nil || n.Ready.Role != "replica" {
-		t.Errorf("client view replica wrong: %+v", n)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -67,18 +66,6 @@ type Limits struct {
 	MaxPaths        int   `json:"max_paths,omitempty"`
 	MaxEdgesScanned int   `json:"max_edges_scanned,omitempty"`
 	TimeoutMS       int64 `json:"timeout_ms,omitempty"`
-}
-
-// Exec converts to the executor's limits type.
-func (l *Limits) Exec() exec.Limits {
-	if l == nil {
-		return exec.Limits{}
-	}
-	return exec.Limits{
-		MaxPaths:        l.MaxPaths,
-		MaxEdgesScanned: l.MaxEdgesScanned,
-		MaxDuration:     time.Duration(l.TimeoutMS) * time.Millisecond,
-	}
 }
 
 // QueryRequest is the body of POST /v1/query.
@@ -238,8 +225,8 @@ type QueryResponse struct {
 	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Digest is the statement's literal-masked fingerprint — the key into
-	// GET /v1/stats/statements, the slow log, and the per-digest /metrics
-	// series.
+	// GET /v1/stats/statements and the per-digest /metrics series, and
+	// stamped on the request's retained trace.
 	Digest string `json:"digest,omitempty"`
 	// TraceID identifies the request's end-to-end trace; while retained,
 	// the full span tree resolves at /debug/traces/{trace_id}.

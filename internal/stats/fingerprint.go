@@ -3,9 +3,8 @@
 // digest by masking literals through the query lexer, and a bounded
 // top-K store accumulates calls, outcomes, latency, and scan volume per
 // digest. The store is the rollup layer above the per-request telemetry
-// from internal/obs — the slow-query log, access log, and trace store
-// all carry the same digest so one hot statement can be chased across
-// every surface.
+// from internal/obs — the access log and trace store carry the same
+// digest, so one hot statement can be chased across every surface.
 package stats
 
 import (

@@ -99,7 +99,7 @@ func TestFingerprintDigestShape(t *testing.T) {
 
 // TestFingerprintDigestIsFNV1a pins the digest to the 64-bit FNV-1a hash
 // of the normalized text, the digest every release has published (the
-// slow log, /metrics series and -top key on it), and the normalized text
+// statistics table, /metrics series and -top key on it), and the normalized text
 // of a known statement.
 func TestFingerprintDigestIsFNV1a(t *testing.T) {
 	for _, q := range append(append([]string{}, distinctCorpus...), "Host(id=1) $$$", "VM(name='it''s')") {

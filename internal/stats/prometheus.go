@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+
+	"repro/internal/obs"
 )
 
 // DefaultPromSeries is how many digests WritePrometheus exposes by
@@ -58,17 +59,7 @@ func WritePrometheus(w io.Writer, s *Store, limit int) {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s counter\n", f.name)
 		for _, r := range rows {
-			fmt.Fprintf(w, "%s{digest=\"%s\"} %s\n", f.name, labelEscape(r.Digest), f.value(r))
+			fmt.Fprintf(w, "%s{digest=\"%s\"} %s\n", f.name, obs.PromEscape(r.Digest), f.value(r))
 		}
 	}
-}
-
-// labelEscape escapes a label value per the exposition format (digests
-// are hex so this is a no-op in practice, but "other" and future labels
-// go through the same path).
-func labelEscape(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
 }

@@ -45,8 +45,8 @@ type Notification struct {
 	// always a full snapshot) or "watch_query_failed" (the next delta is
 	// relative to the last result the subscriber did receive).
 	Resume uint64 `json:"resume,omitempty"`
-	// Outcome classifies a failed re-evaluation the way the slow log and
-	// the statistics store do (exec.Outcome: "deadline", "limit", ...),
+	// Outcome classifies a failed re-evaluation the way the statistics
+	// store does (exec.Outcome: "deadline", "limit", ...),
 	// and Error carries its message; set when Kind is "watch_query_failed".
 	Outcome string `json:"outcome,omitempty"`
 	Error   string `json:"error,omitempty"`
@@ -356,7 +356,7 @@ func (h *Hub) pump() {
 // evaluate folds one mutation batch (its touched classes) into every
 // registered query: footprint misses are counted and skipped, hits are
 // re-executed — through Prepared.Exec, so under the DB's limits and into
-// its statistics and slow log like any query — and diffed. A failed
+// its metrics and per-digest statistics like any query — and diffed. A failed
 // re-execution is counted and pushed as a KindFailed notification; the
 // subscription stays enrolled, and its next delta is relative to the last
 // result it was sent. force bypasses the footprint filter — used when the

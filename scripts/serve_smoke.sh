@@ -4,8 +4,11 @@
 # Builds the nepal binary, starts it as a server over the demo topology
 # on an ephemeral port, waits until /healthz answers through the Go
 # client (-connect checks health before querying), runs one pathway
-# query over the wire, and shuts the server down with SIGTERM, checking
-# it exits cleanly (graceful drain + store close).
+# query over the wire, checks that a request asking for more paths than
+# the server's -max-paths bound still answers 422 "limit" (a request may
+# tighten the server's limits, never loosen them), and shuts the server
+# down with SIGTERM, checking it exits cleanly (graceful drain + store
+# close).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,7 +20,7 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "serve-smoke: building nepal..."
 go build -o "$TMP/nepal" ./cmd/nepal
 
-"$TMP/nepal" -demo -serve 127.0.0.1:0 2>"$LOG" &
+"$TMP/nepal" -demo -max-paths 2 -serve 127.0.0.1:0 2>"$LOG" &
 SERVER_PID=$!
 
 # The server logs its bound address once the listener is up.
@@ -37,6 +40,17 @@ case "$OUT" in
     *"rows)"*) echo "serve-smoke: query over the wire ok" ;;
     *) echo "serve-smoke: unexpected query output"; exit 1 ;;
 esac
+
+# The unanchored query binds 3 pathways, over the server's bound of 2:
+# the request's own, larger max_paths must not lift it.
+BODY='{"query": "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()", "limits": {"max_paths": 1000000}}'
+STATUS="$(curl -s -o "$TMP/limit.json" -w '%{http_code}' -d "$BODY" "http://$ADDR/v1/query")"
+cat "$TMP/limit.json"; echo
+if [ "$STATUS" = 422 ] && grep -q '"code":"limit"' "$TMP/limit.json"; then
+    echo "serve-smoke: request limits cannot loosen the server's ok"
+else
+    echo "serve-smoke: looser request limits answered $STATUS, want 422 limit"; exit 1
+fi
 
 kill -TERM "$SERVER_PID"
 if wait "$SERVER_PID"; then
