@@ -85,16 +85,19 @@ crash:
 # the WAL frame decoder (every replication batch and crash-recovery
 # scan), the checkpoint loader (every recovery's checkpoint and every
 # follower's bootstrap snapshot), statement preparation (every /v1/query
-# and /v1/prepare body: parse, analyze, fingerprint) and the /v1/ingest
-# write path (random op batches through the server's handler into a
-# WAL-backed store, held to the atomic-batch contract), plus new seeds of
-# the cluster simulation and the clock's edge conversion (every time a
-# request carries into the engine's int64 nanoseconds, saturating at the
-# range's ends and at the Forever sentinel). Seeds are binary frames from the record
-# encoder (and one retired JSON frame), a binary checkpoint and its copy
-# re-encoded to name a UID far past the allocation frontier, the paper's
-# queries, batches that fail on an earlier op and the simulation's
-# corpus; 15s each is a smoke budget (the two parsers reach six-digit
+# and /v1/prepare body: parse, analyze, fingerprint, and the statement
+# template bound to substituted literals against a fresh compile), the
+# /v1/execute handle decoder (a handle binds only the literal kinds its
+# shape expects) and the /v1/ingest write path (random op batches
+# through the server's handler into a WAL-backed store, held to the
+# atomic-batch contract), plus new seeds of the cluster simulation and
+# the clock's edge conversion (every time a request carries into the
+# engine's int64 nanoseconds, saturating at the range's ends and at the
+# Forever sentinel). Seeds are binary frames from the record encoder (and
+# one retired JSON frame), a binary checkpoint and its copy re-encoded to
+# name a UID far past the allocation frontier, the paper's queries, the
+# handles of a few prepared shapes, batches that fail on an earlier op
+# and the simulation's corpus; 15s each is a smoke budget (the two parsers reach six-digit
 # exec counts, the checkpoint loader tens of thousands — its 1s
 # minimization cap keeps new inputs from eating the budget — the ingest
 # target, which opens a store per input, a few hundred, the simulation,
@@ -104,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
+	$(GO) test -fuzz=FuzzExecuteHandle -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/
 

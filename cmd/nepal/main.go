@@ -97,11 +97,10 @@ type options struct {
 	// query API on the address until SIGINT/SIGTERM, instead of running
 	// local queries.
 	serveAddr string
-	// maxInFlight, maxQueue, and planCache size the server's admission
-	// control and compiled-plan cache (0 = server defaults).
+	// maxInFlight and maxQueue size the server's admission control
+	// (0 = server defaults).
 	maxInFlight int
 	maxQueue    int
-	planCache   int
 	// accessLog, when set, appends one structured JSON line per served
 	// request (trace ID, status, outcome, latency) to this file; "-"
 	// writes to stderr.
@@ -175,7 +174,6 @@ func main() {
 	flag.StringVar(&opt.serveAddr, "serve", "", "serve the loaded store over the HTTP/JSON query API on this address (e.g. :7474)")
 	flag.IntVar(&opt.maxInFlight, "max-inflight", 0, "serve: max concurrently executing requests (0 = default 64)")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "serve: max requests waiting for a slot before 429 (0 = 2x max-inflight)")
-	flag.IntVar(&opt.planCache, "plan-cache", 0, "serve: compiled-plan cache entries (0 = default 256)")
 	flag.StringVar(&opt.accessLog, "access-log", "", "serve: append one JSON access-log line per request to this file (- for stderr)")
 	flag.StringVar(&opt.connectURL, "connect", "", "act as a client of a running server at this URL (e.g. http://127.0.0.1:7474)")
 	flag.StringVar(&opt.followURL, "follow", "", "serve: replicate from the primary at this URL into -wal-dir and serve read-only queries (read replica)")
@@ -205,15 +203,15 @@ func run(opt options) error {
 	if out == nil {
 		out = os.Stdout
 	}
+	if opt.slowQuery > 0 && (opt.serveAddr != "" || opt.followURL != "" || opt.connectURL != "") {
+		return fmt.Errorf("-slow-query reports local queries only; a server keeps every failed or slow request, with its operator span tree, at /debug/traces")
+	}
 	if opt.connectURL != "" {
 		return runConnect(opt)
 	}
 	sch, err := loadSchema(opt.model, opt.schemaPath)
 	if err != nil {
 		return err
-	}
-	if opt.slowQuery > 0 && (opt.serveAddr != "" || opt.followURL != "") {
-		return fmt.Errorf("-slow-query reports local queries only; a server keeps every failed or slow request, with its operator span tree, at /debug/traces")
 	}
 	if opt.followURL != "" {
 		if opt.serveAddr == "" {

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/netmodel"
+	"repro/internal/server"
 	"repro/internal/stats"
 )
 
@@ -158,6 +162,30 @@ func TestSlowQueryRefusedWhenServing(t *testing.T) {
 			t.Errorf("serve=%q follow=%q with -slow-query = %v; want a refusal naming /debug/traces",
 				opt.serveAddr, opt.followURL, err)
 		}
+	}
+}
+
+// TestSlowQueryRefusedWhenConnecting: a -connect client runs its query
+// on the server, so -slow-query is refused there too — against a live
+// server, before any query is sent or any row printed.
+func TestSlowQueryRefusedWhenConnecting(t *testing.T) {
+	db, err := core.Open(netmodel.MustSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := netmodel.BuildDemo(db.Store(), 1000); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(db, server.Config{}).Handler())
+	defer ts.Close()
+	var out bytes.Buffer
+	err = run(options{connectURL: ts.URL, slowQuery: time.Nanosecond, out: &out,
+		q: "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)"})
+	if err == nil || !strings.Contains(err.Error(), "/debug/traces") {
+		t.Errorf("-connect with -slow-query = %v; want a refusal naming /debug/traces", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("the refused run printed %q", out.String())
 	}
 }
 

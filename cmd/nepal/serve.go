@@ -49,7 +49,6 @@ func runServe(db *core.DB, opt options) error {
 	s := server.New(db, server.Config{
 		MaxInFlight:        opt.maxInFlight,
 		MaxQueue:           opt.maxQueue,
-		PlanCacheSize:      opt.planCache,
 		DefaultLimits:      db.Limits(),
 		MaxTimeout:         opt.timeout,
 		Registry:           db.Registry(),

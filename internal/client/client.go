@@ -301,8 +301,10 @@ func (c *Client) ExplainAnalyze(ctx context.Context, query string) (string, *Res
 }
 
 // Stmt is a prepared statement handle. Exec transparently re-prepares
-// once when the server answers "unprepared" (the plan was evicted), so
-// long-lived statements survive cache churn.
+// once when the server answers "unprepared" (it does not hold the
+// statement's compiled shape: evicted, or a restarted or different
+// server) and executes by the fresh handle, so long-lived statements
+// survive statement-table churn and failovers.
 type Stmt struct {
 	c      *Client
 	query  string
@@ -343,9 +345,11 @@ func (s *Stmt) Exec(ctx context.Context, o *QueryOptions) (*Result, error) {
 		if err := sleepCtx(ctx, time.Duration(rand.Int63n(int64(25*time.Millisecond)))); err != nil {
 			return nil, err
 		}
-		if _, rerr := s.c.Prepare(ctx, s.query); rerr != nil {
+		again, rerr := s.c.Prepare(ctx, s.query)
+		if rerr != nil {
 			return nil, rerr
 		}
+		req.Handle = again.handle
 		err = s.c.post(ctx, "/v1/execute", req, &resp)
 	}
 	if err != nil {

@@ -20,7 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -109,7 +109,7 @@ type DB struct {
 	executor  *exec.Executor
 	limits    exec.Limits
 	backend   string
-	views     query.Views
+	stmts     statements
 	o         dbObs
 	stmtStats *stats.Store
 	wal       *wal.Manager
@@ -161,8 +161,8 @@ func Open(sch *schema.Schema, opts ...Option) (*DB, error) {
 	}
 	engine := plan.NewEngine(acc)
 	return &DB{store: store, engine: engine, executor: exec.New(engine),
-		limits: cfg.limits, backend: cfg.backend, views: query.Views{},
-		wal: mgr, recovery: recovery,
+		limits: cfg.limits, backend: cfg.backend, wal: mgr, recovery: recovery,
+		stmts: statements{views: query.Views{}, shapes: map[uint64]*shape{}},
 		o: dbObs{
 			queries:      reg.Counter("db.queries"),
 			aborted:      reg.Counter("db.queries_aborted"),
@@ -212,18 +212,23 @@ func (db *DB) WAL() *wal.Manager { return db.wal }
 //
 // A variable may combine a view with its own MATCHES predicate; the
 // pathway must then satisfy both, with validity-intersection semantics.
+// Defining a view — or redefining one — drops every compiled statement
+// shape, so statements over it answer with its new definition at once.
+// It is safe to call while queries run.
 func (db *DB) DefineView(name, rpeSrc string) error {
 	if name == query.BaseView || name == "" {
 		return fmt.Errorf("core: %q cannot name a view", name)
 	}
-	expr, err := rpe.Parse(rpeSrc)
+	c, err := rpe.CheckString(rpeSrc, db.Schema())
 	if err != nil {
 		return err
 	}
-	if _, err := rpe.Check(expr, db.Schema()); err != nil {
-		return err
-	}
-	db.views[name] = expr
+	db.stmts.mu.Lock()
+	defer db.stmts.mu.Unlock()
+	views := maps.Clone(db.stmts.views)
+	views[name] = c
+	db.stmts.views, db.stmts.gen = views, db.stmts.gen+1
+	clear(db.stmts.shapes)
 	return nil
 }
 
@@ -324,22 +329,6 @@ func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, erro
 	return p.run(context.Background(), x, exec.RunOptions{Limits: db.limits})
 }
 
-// analyze lexes, parses and analyzes src, returning its tokens with the
-// analysis so a caller can fingerprint the statement without lexing it
-// again.
-func (db *DB) analyze(src string) (*query.Analyzed, []rpe.Token, error) {
-	toks, err := rpe.Lex(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := query.ParseTokens(src, toks)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := query.AnalyzeWithViews(q, db.Schema(), db.views)
-	return a, toks, err
-}
-
 // MatchPaths evaluates a bare RPE against the current snapshot and
 // returns the matching pathways — the programmatic fast path equivalent
 // to "Retrieve P From PATHS P Where P MATCHES <rpe>".
@@ -372,22 +361,11 @@ func (db *DB) MatchPathsAt(rpeSrc string, at time.Time) ([]plan.Pathway, error) 
 // Explain returns the query's textual plan: per-variable anchors and
 // operator DAGs (§5.1's Select/Extend/Union form).
 func (db *DB) Explain(src string) (string, error) {
-	a, _, err := db.analyze(src)
+	p, err := db.Prepare(src)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	for _, rv := range a.Query.Vars {
-		checked := a.Checked[rv.Name]
-		fmt.Fprintf(&sb, "-- variable %s --\n", rv.Name)
-		p, err := plan.Build(checked, db.store.Stats())
-		if err != nil {
-			fmt.Fprintf(&sb, "anchor: imported from join (%v)\n", err)
-			p = plan.BuildSeeded(checked, plan.Forward)
-		}
-		sb.WriteString(p.Explain())
-	}
-	return sb.String(), nil
+	return p.Explain(), nil
 }
 
 // varSpan finds the per-variable group span inside a query trace; when

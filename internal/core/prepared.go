@@ -14,48 +14,59 @@ import (
 	"repro/internal/stats"
 )
 
-// Prepared is a query parsed and semantically analyzed once, ready to
-// execute many times — the parse/compile-once half of a prepared
-// statement. A Prepared is immutable after Prepare returns and safe for
+// Prepared is a statement ready to execute many times: its analysis,
+// bound from the statement table's template of its shape (see
+// DB.Prepare), and its fingerprint. A Prepared is immutable and safe for
 // concurrent Exec calls: every execution builds its own governor and
 // physical plans, so prepared statements can be shared across server
-// request handlers (internal/server keeps them in its plan cache).
+// request handlers and standing queries.
 //
 // A Prepared is bound to the DB (schema, views, backend) it was prepared
-// on; executing it after the schema's store contents changed is fine —
-// the anchor choice is re-costed per execution from live statistics.
+// on; executing it after the store's contents changed is fine — the
+// anchor choice is re-costed per execution from live statistics.
 type Prepared struct {
-	db  *DB
-	src string
-	a   *query.Analyzed
-	// digest/norm are the statement's literal-masked fingerprint and
-	// normalized text, computed once here so executions never re-lex.
-	digest string
-	norm   string
+	db    *DB
+	src   string // empty when bound from a handle
+	a     *query.Analyzed
+	shape *shape
+	lits  []query.Literal
+	// cached reports that Prepare found the shape compiled.
+	cached bool
 }
 
-// Prepare parses and analyzes src against the database's schema and
-// views, returning a reusable statement. Parse or analysis errors are
-// returned exactly as Query would return them.
-func (db *DB) Prepare(src string) (*Prepared, error) {
-	a, toks, err := db.analyze(src)
-	if err != nil {
-		return nil, err
-	}
-	digest, norm := stats.FingerprintTokens(toks)
-	return &Prepared{db: db, src: src, a: a, digest: digest, norm: norm}, nil
-}
-
-// Text returns the statement's original query text.
+// Text returns the statement's original query text; it is empty for a
+// statement bound from a handle.
 func (p *Prepared) Text() string { return p.src }
+
+// Cached reports whether the statement was bound to a template already
+// in the statement table rather than compiled.
+func (p *Prepared) Cached() bool { return p.cached }
 
 // Digest returns the statement's literal-masked fingerprint — the key
 // under which its executions aggregate in the statistics store.
-func (p *Prepared) Digest() string { return p.digest }
+func (p *Prepared) Digest() string { return p.shape.digest }
 
 // NormalizedText returns the literal-masked statement the digest is
 // computed from.
-func (p *Prepared) NormalizedText() string { return p.norm }
+func (p *Prepared) NormalizedText() string { return p.shape.norm }
+
+// Explain returns the statement's textual plan: per-variable anchors and
+// operator DAGs (§5.1's Select/Extend/Union form), costed on the live
+// statistics.
+func (p *Prepared) Explain() string {
+	var sb strings.Builder
+	for _, rv := range p.a.Query.Vars {
+		checked := p.a.Checked[rv.Name]
+		fmt.Fprintf(&sb, "-- variable %s --\n", rv.Name)
+		pl, err := plan.Build(checked, p.db.store.Stats())
+		if err != nil {
+			fmt.Fprintf(&sb, "anchor: imported from join (%v)\n", err)
+			pl = plan.BuildSeeded(checked, plan.Forward)
+		}
+		sb.WriteString(pl.Explain())
+	}
+	return sb.String()
+}
 
 // Footprint returns the sorted set of class names whose mutations can
 // change this statement's result: the union of every atom's subclass
@@ -136,7 +147,7 @@ func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions)
 	res, err := x.Run(ctx, p.a, o)
 	dur := time.Since(start)
 	if res != nil {
-		res.Digest = p.digest
+		res.Digest = p.shape.digest
 	}
 	db.o.queries.Add(1)
 	if err != nil {
@@ -152,7 +163,7 @@ func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions)
 			ob.Edges = int64(res.Metrics.EdgesScanned)
 			ob.Rows = int64(len(res.Rows))
 		}
-		db.stmtStats.Observe(p.digest, p.norm, ob)
+		db.stmtStats.Observe(p.shape.digest, p.shape.norm, ob)
 	}
 	return res, err
 }

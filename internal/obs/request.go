@@ -28,9 +28,10 @@ type Request struct {
 	// AdmissionWait is the time spent queued for an execution slot (0 for
 	// endpoints that bypass admission).
 	AdmissionWait time.Duration
-	// StatementHash is the stable SHA-256 handle of the statement text
-	// (the same handle /v1/prepare returns), for cardinality-safe
-	// aggregation; Statement is the raw text.
+	// StatementHash is the statement's handle — the one /v1/prepare
+	// returns: its shape's hash and its literals — so a /v1/query and a
+	// /v1/execute of one statement carry the same value; Statement is the
+	// raw text.
 	StatementHash string
 	Statement     string
 	// Digest is the literal-masked statement fingerprint — the key into

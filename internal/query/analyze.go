@@ -26,11 +26,13 @@ type Analyzed struct {
 	Outer *Analyzed
 }
 
-// Views maps user-defined pathway view names to their defining RPEs
-// (§3.4: "the view PATHS is the set of all pathways. Additional views can
-// be defined"). A variable ranging over a view gets the view's RPE as an
-// implicit MATCHES predicate.
-type Views map[string]rpe.Expr
+// Views maps user-defined pathway view names to their defining RPEs,
+// checked once when the view is defined (§3.4: "the view PATHS is the set
+// of all pathways. Additional views can be defined"). A variable ranging
+// over a view gets the view's RPE as an implicit MATCHES predicate.
+// Analysis shares a view's checked form, read-only, with every statement
+// over it.
+type Views map[string]*rpe.Checked
 
 // Analyze validates q against the schema. Rules enforced:
 //   - every range variable has exactly one MATCHES predicate (§3.4);
@@ -62,15 +64,11 @@ func analyze(q *Query, sch *schema.Schema, outer *Analyzed, views Views) (*Analy
 		}
 		seen[rv.Name] = true
 		if rv.Source != "" && rv.Source != BaseView {
-			expr, ok := views[rv.Source]
+			checked, ok := views[rv.Source]
 			if !ok {
 				return nil, fmt.Errorf("query: variable %q ranges over unknown view %q", rv.Name, rv.Source)
 			}
-			rv.ViewMatch = expr
-			checked, err := rpe.Check(expr, sch)
-			if err != nil {
-				return nil, fmt.Errorf("query: view %q: %w", rv.Source, err)
-			}
+			rv.ViewMatch = checked.Expr
 			a.ViewChecked[rv.Name] = checked
 		}
 	}

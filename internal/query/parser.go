@@ -200,10 +200,18 @@ func (p *parser) timeSpec() (*TimeSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !start.Before(end) {
-		return nil, fmt.Errorf("query: time range start %v is not before end %v", start, end)
+	if err := checkRange(start, end); err != nil {
+		return nil, err
 	}
 	return newTimeSpec(start, &end), nil
+}
+
+// checkRange rejects a query-level AT range that does not run forward.
+func checkRange(start, end time.Time) error {
+	if !start.Before(end) {
+		return fmt.Errorf("query: time range start %v is not before end %v", start, end)
+	}
+	return nil
 }
 
 // term := IDENT | fn '(' IDENT ')' ('.' IDENT)?

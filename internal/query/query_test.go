@@ -243,7 +243,7 @@ func TestParseViewSource(t *testing.T) {
 	if _, err := Analyze(q, sch); err == nil {
 		t.Fatal("unknown view accepted")
 	}
-	views := Views{"Placements": rpe.MustParse("VM()->OnServer()->Host()")}
+	views := placementsView(t)
 	q = MustParse(`Retrieve P From Placements P`)
 	a, err := AnalyzeWithViews(q, sch, views)
 	if err != nil {
@@ -287,4 +287,14 @@ func TestParseCountProjection(t *testing.T) {
 	if _, err := Analyze(q, sch); err == nil {
 		t.Fatal("count in join accepted")
 	}
+}
+
+// placementsView is the view set of the view tests: Placements, checked
+// against the test schema as core.DB.DefineView checks it.
+func placementsView(tb testing.TB) Views {
+	c, err := rpe.CheckString("VM()->OnServer()->Host()", sch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Views{"Placements": c}
 }

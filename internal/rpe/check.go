@@ -48,18 +48,7 @@ func Check(e Expr, sch *schema.Schema) (*Checked, error) {
 			firstErr = fmt.Errorf("rpe: unknown class %q", a.Class)
 			return
 		}
-		for _, p := range a.Preds {
-			leafType, err := resolvePredType(sch, cls.Name, p.Field)
-			if err != nil {
-				firstErr = err
-				return
-			}
-			if err := checkPredValue(cls.Name, p.Field, leafType, p); err != nil {
-				firstErr = err
-				return
-			}
-		}
-		pred, err := compileAll(a.Preds, cls)
+		pred, err := compilePreds(sch, cls, a.Preds)
 		if err != nil {
 			firstErr = err
 			return
@@ -91,6 +80,22 @@ func CheckString(src string, sch *schema.Schema) (*Checked, error) {
 		return nil, err
 	}
 	return Check(e, sch)
+}
+
+// compilePreds validates an atom's predicates against the fields of cls —
+// each field declared, each literal fitting the field's type — and
+// compiles their conjunction.
+func compilePreds(sch *schema.Schema, cls *schema.Class, preds []FieldPred) (CompiledPred, error) {
+	for _, p := range preds {
+		leafType, err := resolvePredType(sch, cls.Name, p.Field)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkPredValue(cls.Name, p.Field, leafType, p); err != nil {
+			return nil, err
+		}
+	}
+	return compileAll(preds, cls)
 }
 
 // resolvePredType resolves a (possibly dotted) predicate field path to

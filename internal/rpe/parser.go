@@ -56,7 +56,7 @@ func (p *exprParser) expect(kind Kind) (Token, error) {
 }
 
 func (p *exprParser) errf(format string, args ...any) error {
-	return fmt.Errorf("rpe: %s at position %d in %q", fmt.Sprintf(format, args...), p.cur().Pos, p.src)
+	return posErr(p.cur().Pos, p.src, format, args...)
 }
 
 // alternation := sequence ('|' sequence)*
@@ -298,26 +298,9 @@ func (p *exprParser) value() (any, error) {
 	}
 	t := p.cur()
 	switch t.Kind {
-	case KindInt:
+	case KindInt, KindFloat:
 		p.next()
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad integer %q", t.Text)
-		}
-		if neg {
-			n = -n
-		}
-		return n, nil
-	case KindFloat:
-		p.next()
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, p.errf("bad float %q", t.Text)
-		}
-		if neg {
-			f = -f
-		}
-		return f, nil
+		return LiteralValue(t, neg, p.cur().Pos, p.src)
 	case KindString:
 		if neg {
 			return nil, p.errf("'-' before string literal")
@@ -338,6 +321,40 @@ func (p *exprParser) value() (any, error) {
 		}
 	}
 	return nil, p.errf("expected a literal value, found %s", t.Kind)
+}
+
+// LiteralValue is the value of a string or number literal token as the
+// parser reads it: the string, an int64 or a float64, negated when neg
+// (a '-' precedes the number). A number out of range fails with the
+// parser's error, which names errPos in src: the position of the token
+// after the literal, where the parser stands when it converts it.
+func LiteralValue(t Token, neg bool, errPos int, src string) (any, error) {
+	switch t.Kind {
+	case KindInt:
+		n, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
+			return nil, posErr(errPos, src, "bad integer %q", t.Text)
+		}
+		if neg {
+			n = -n
+		}
+		return n, nil
+	case KindFloat:
+		f, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			return nil, posErr(errPos, src, "bad float %q", t.Text)
+		}
+		if neg {
+			f = -f
+		}
+		return f, nil
+	}
+	return t.Text, nil
+}
+
+// posErr is a parse error at byte position pos of src.
+func posErr(pos int, src, format string, args ...any) error {
+	return fmt.Errorf("rpe: %s at position %d in %q", fmt.Sprintf(format, args...), pos, src)
 }
 
 // ParseTokens parses an RPE from a token stream starting at offset i,

@@ -108,11 +108,12 @@ func TestConcurrentServing(t *testing.T) {
 	cp.Wait()
 }
 
-// TestConcurrentPrepareSameStatement hammers the plan cache's
+// TestConcurrentPrepareSameStatement hammers the statement table's
 // concurrent-miss path: many goroutines prepare the same statement at
-// once; all must succeed and the cache must converge to one entry.
+// once; all must succeed and the table must converge to one shape.
 func TestConcurrentPrepareSameStatement(t *testing.T) {
-	s, c := newTestServer(t, newDemoDB(t), server.Config{})
+	db := newDemoDB(t)
+	_, c := newTestServer(t, db, server.Config{})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -130,8 +131,8 @@ func TestConcurrentPrepareSameStatement(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := s.Cache().Len(); n != 1 {
-		t.Errorf("cache holds %d entries for one statement", n)
+	if n, _ := db.StatementTable(); n != 1 {
+		t.Errorf("statement table holds %d shapes for one statement", n)
 	}
 }
 

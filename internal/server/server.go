@@ -7,8 +7,9 @@
 //
 // Request lifecycle: decode → admission governor (bounded in-flight +
 // bounded wait queue; beyond both the request is rejected immediately
-// with 429/ErrOverloaded instead of queueing unboundedly) → plan cache
-// (parse/analyze once per distinct statement text) → executor under the
+// with 429/ErrOverloaded instead of queueing unboundedly) → the DB's
+// statement table (compile once per statement shape, bind the literals
+// per request) → executor under the
 // request context (client disconnect and timeout_ms both cancel the
 // query cooperatively) → JSON encoding. Every stage publishes counters
 // into the obs registry, so /metrics exposes cache hit rates, admission
@@ -56,8 +57,6 @@ type Config struct {
 	// MaxQueue caps requests waiting for an execution slot; past it the
 	// server answers 429. 0 means 2×MaxInFlight; negative means no queue.
 	MaxQueue int
-	// PlanCacheSize bounds the compiled-statement LRU; 0 means 256.
-	PlanCacheSize int
 	// DefaultLimits are the per-request resource guardrails applied when
 	// a request carries none; requests may tighten them or (when a field
 	// is zero here) set their own, but never loosen them.
@@ -105,7 +104,6 @@ type Server struct {
 	db        *core.DB
 	cfg       Config
 	reg       *obs.Registry
-	cache     *PlanCache
 	adm       *admission
 	accessLog *obs.AccessLog
 	traces    *obs.TraceStore
@@ -128,10 +126,15 @@ type Server struct {
 	drainOnce sync.Once
 
 	// Per-request metric handles, resolved once: registry lookups hash
-	// the metric name, and these three fire on every request.
+	// the metric name, and these fire on every request.
 	mRequests *obs.Counter
 	mLatency  *obs.Histogram
 	mAdmWait  *obs.Histogram
+	// Statement-table hits and misses of this server's requests (a hit
+	// binds a compiled shape; a miss compiles, or finds no shape for a
+	// handle).
+	mPlanHits   *obs.Counter
+	mPlanMisses *obs.Counter
 }
 
 // New returns a server over db. The server's own components record into
@@ -148,9 +151,6 @@ func New(db *core.DB, cfg Config) *Server {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0
 	}
-	if cfg.PlanCacheSize <= 0 {
-		cfg.PlanCacheSize = 256
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -160,7 +160,6 @@ func New(db *core.DB, cfg Config) *Server {
 		db:        db,
 		cfg:       cfg,
 		reg:       reg,
-		cache:     NewPlanCache(cfg.PlanCacheSize, reg),
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue, reg),
 		accessLog: obs.NewAccessLog(cfg.AccessLog),
 		start:     time.Now(),
@@ -172,6 +171,16 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mRequests = reg.Counter("server.requests")
 	s.mLatency = reg.Histogram("server.request_latency_ms")
 	s.mAdmWait = reg.Histogram("server.admission_wait_ms")
+	s.mPlanHits = reg.Counter("server.plan_cache_hits")
+	s.mPlanMisses = reg.Counter("server.plan_cache_misses")
+	reg.GaugeFunc("server.plan_cache_size", func() float64 {
+		n, _ := db.StatementTable()
+		return float64(n)
+	})
+	reg.GaugeFunc("server.plan_cache_evictions", func() float64 {
+		_, n := db.StatementTable()
+		return float64(n)
+	})
 	if !cfg.DisableTelemetry {
 		s.traces = obs.NewTraceStore(0, 0)
 	}
@@ -215,9 +224,6 @@ func (s *Server) Follower() *repl.Follower { return s.follower }
 
 // Registry returns the registry the server publishes into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Cache returns the compiled-plan cache (tests inspect it).
-func (s *Server) Cache() *PlanCache { return s.cache }
 
 // Traces returns the in-memory trace store (nil when telemetry is
 // disabled).
@@ -413,50 +419,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		src = fmt.Sprintf("AT '%s' %s", req.At, src)
 	}
-	rq.Statement, rq.StatementHash = src, Handle(src)
-	if !s.waitFresh(r.Context(), w, r, req.MinTimestamp) {
+	rq.Statement = src
+	ctx, done, ok := s.admitQuery(w, r, req.MinTimestamp, req.TimeoutMS)
+	if !ok {
 		return
 	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
+	defer done()
 	start := time.Now()
-	if req.Explain == ExplainPlan {
-		text, err := s.db.Explain(src)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Explain:   text,
-			ElapsedMS: float64(time.Since(start)) / 1e6,
-			TraceID:   rq.TraceID,
-		})
-		return
-	}
-
 	pc := rq.Root.StartChild("PlanCache", "")
-	stmt, hit, err := s.cache.Get(s.db, src)
+	stmt, err := s.db.Prepare(src)
 	pc.Finish()
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
-	rq.Digest = stmt.Digest()
-	if hit {
-		s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
+	s.recordPrepared(rq, stmt)
+	if req.Explain == ExplainPlan {
+		writeJSON(w, http.StatusOK, QueryResponse{
+			Explain:   stmt.Explain(),
+			Cached:    stmt.Cached(),
+			ElapsedMS: float64(time.Since(start)) / 1e6,
+			TraceID:   rq.TraceID,
+		})
+		return
 	}
+	s.answer(ctx, w, r, stmt, req.Explain == ExplainAnalyze, req.Limits, start)
+}
+
+// admitQuery holds a query back until the node is fresh enough for
+// minTimestamp and admission grants it a slot, and returns its context
+// under the request's timeout and the func that releases both; ok false
+// means the request has been answered.
+func (s *Server) admitQuery(w http.ResponseWriter, r *http.Request, minTimestamp string, timeoutMS int64) (context.Context, func(), bool) {
+	if !s.waitFresh(r.Context(), w, r, minTimestamp) || !s.admit(w, r) {
+		return nil, nil, false
+	}
+	ctx, cancel := s.requestContext(r, timeoutMS)
+	return ctx, func() { cancel(); s.adm.release() }, true
+}
+
+// answer executes a bound statement under ctx and the request's limits —
+// with operator-DAG statistics when analyze — and writes its result.
+func (s *Server) answer(ctx context.Context, w http.ResponseWriter, r *http.Request, stmt *core.Prepared, analyze bool, lim *Limits, start time.Time) {
+	rq := obs.RequestFrom(r.Context())
 	ex := rq.Root.StartChild("Execute", "")
 	var text string
 	var res *exec.Result
-	if req.Explain == ExplainAnalyze {
-		text, res, err = stmt.ExplainAnalyze(ctx, s.effectiveLimits(req.Limits))
+	var err error
+	if analyze {
+		text, res, err = stmt.ExplainAnalyze(ctx, s.effectiveLimits(lim))
 	} else {
-		res, err = stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
+		res, err = stmt.ExecTraced(ctx, s.effectiveLimits(lim), ex)
 	}
 	ex.Finish()
 	if err != nil {
@@ -465,12 +478,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	recordResult(rq, res)
 	enc := rq.Root.StartChild("Encode", "")
-	resp := s.resultOut(res, hit, time.Since(start))
+	resp := s.resultOut(res, stmt.Cached(), time.Since(start))
 	resp.Explain = text
 	resp.TraceID = rq.TraceID
 	s.stampStaleness(w, &resp)
 	writeJSON(w, http.StatusOK, resp)
 	enc.Finish()
+}
+
+// recordPrepared counts a statement-table hit or miss and tags the
+// request with the statement's handle and digest.
+func (s *Server) recordPrepared(rq *obs.Request, stmt *core.Prepared) {
+	rq.Digest = stmt.Digest()
+	if rq.StatementHash == "" {
+		rq.StatementHash = stmt.Handle()
+	}
+	if !stmt.Cached() {
+		s.mPlanMisses.Add(1)
+		return
+	}
+	s.mPlanHits.Add(1)
+	s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -483,14 +511,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rq := obs.RequestFrom(r.Context())
-	rq.Statement, rq.StatementHash = req.Query, Handle(req.Query)
-	stmt, hit, err := s.cache.Get(s.db, req.Query)
+	rq.Statement = req.Query
+	stmt, err := s.db.Prepare(req.Query)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
-	rq.Digest = stmt.Digest()
-	writeJSON(w, http.StatusOK, PrepareResponse{Handle: Handle(req.Query), Cached: hit, Digest: stmt.Digest()})
+	s.recordPrepared(rq, stmt)
+	writeJSON(w, http.StatusOK, PrepareResponse{Handle: rq.StatementHash, Cached: stmt.Cached(), Digest: stmt.Digest()})
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -503,40 +531,26 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pc := rq.Root.StartChild("PlanCache", "")
-	stmt, found := s.cache.GetHandle(req.Handle)
+	rq.StatementHash = req.Handle
+	stmt, err := s.db.PrepareHandle(req.Handle)
 	pc.Finish()
-	if !found {
+	switch {
+	case errors.Is(err, core.ErrUnprepared):
+		s.mPlanMisses.Add(1)
 		writeErr(w, r, http.StatusGone, "unprepared",
 			fmt.Sprintf("handle %q is not prepared (evicted or never prepared); re-prepare", req.Handle))
 		return
-	}
-	rq.StatementHash, rq.Digest = req.Handle, stmt.Digest()
-	// Executing by handle is by definition a plan-cache hit.
-	s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
-	if !s.waitFresh(r.Context(), w, r, req.MinTimestamp) {
+	case err != nil:
+		writeErr(w, r, http.StatusBadRequest, "bad_request", fmt.Sprintf("handle %q does not fit its statement: %v", req.Handle, err))
 		return
 	}
-	if !s.admit(w, r) {
+	s.recordPrepared(rq, stmt)
+	ctx, done, ok := s.admitQuery(w, r, req.MinTimestamp, req.TimeoutMS)
+	if !ok {
 		return
 	}
-	defer s.adm.release()
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	ex := rq.Root.StartChild("Execute", "")
-	res, err := stmt.ExecTraced(ctx, s.effectiveLimits(req.Limits), ex)
-	ex.Finish()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	recordResult(rq, res)
-	enc := rq.Root.StartChild("Encode", "")
-	resp := s.resultOut(res, true, time.Since(start))
-	resp.TraceID = rq.TraceID
-	s.stampStaleness(w, &resp)
-	writeJSON(w, http.StatusOK, resp)
-	enc.Finish()
+	defer done()
+	s.answer(ctx, w, r, stmt, false, req.Limits, time.Now())
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,7 +232,8 @@ func TestDeadlineOverAPI(t *testing.T) {
 
 func TestPrepareExecuteAndCache(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, c := newTestServer(t, newDemoDB(t), server.Config{Registry: reg})
+	db := newDemoDB(t)
+	_, c := newTestServer(t, db, server.Config{Registry: reg})
 	ctx := context.Background()
 
 	stmt, err := c.Prepare(ctx, retrieveQ)
@@ -253,8 +255,8 @@ func TestPrepareExecuteAndCache(t *testing.T) {
 	if hits := reg.Counter("server.plan_cache_hits").Value(); hits < 3 {
 		t.Errorf("plan cache hits = %d, want >= 3", hits)
 	}
-	if s.Cache().Len() != 1 {
-		t.Errorf("cache holds %d statements, want 1", s.Cache().Len())
+	if n, _ := db.StatementTable(); n != 1 {
+		t.Errorf("statement table holds %d shapes, want 1", n)
 	}
 
 	// Ad-hoc /v1/query reuses the same cached plan.
@@ -268,24 +270,36 @@ func TestPrepareExecuteAndCache(t *testing.T) {
 }
 
 func TestExecuteUnpreparedAndReprepare(t *testing.T) {
-	_, c := newTestServer(t, newDemoDB(t), server.Config{PlanCacheSize: 1})
+	// Prepare on one server, then execute against a fresh server over a
+	// fresh database — a restart or failover — whose statement table has
+	// never seen the shape.
+	first := server.New(newDemoDB(t), server.Config{})
+	second := server.New(newDemoDB(t), server.Config{})
+	var target atomic.Pointer[server.Server]
+	target.Store(first)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		target.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
 	ctx := context.Background()
 
 	stmt, err := c.Prepare(ctx, retrieveQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Preparing a second statement evicts the first from the size-1 LRU.
-	if _, err := c.Prepare(ctx, selectQ); err != nil {
-		t.Fatal(err)
-	}
-	// The client transparently re-prepares and the exec succeeds.
+	target.Store(second)
+	// The fresh server answers unprepared; the client transparently
+	// re-prepares and the exec succeeds with the same handle.
 	res, err := stmt.Exec(ctx, nil)
 	if err != nil {
 		t.Fatalf("exec after eviction: %v", err)
 	}
 	if len(res.Rows) == 0 {
 		t.Error("re-prepared exec returned no rows")
+	}
+	if misses := second.Registry().Counter("server.plan_cache_misses").Value(); misses < 2 {
+		t.Errorf("fresh server counted %d statement-table misses, want the unprepared execute and the re-prepare", misses)
 	}
 }
 

@@ -105,9 +105,9 @@ func TestStatementStatsConcurrentWorkload(t *testing.T) {
 				row.Digest, row.P50MS, row.P95MS, row.P99MS)
 		}
 	}
-	// Literal variants of selectQ hit distinct plan-cache entries but the
-	// same digest; re-running one exact text produces a plan-cache hit
-	// attributed to that digest.
+	// Literal variants of selectQ share one digest and one statement
+	// shape: a variant is a statement-table hit attributed to that
+	// digest.
 	if _, err := c.Query(ctx, selectVariant(1001), nil); err != nil {
 		t.Fatal(err)
 	}
