@@ -46,8 +46,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/workload"
 )
@@ -385,15 +383,16 @@ func loadSchema(model, schemaPath string) (*schema.Schema, error) {
 }
 
 func execute(db *core.DB, out io.Writer, src string, opt options) error {
+	start := time.Now()
+	stmt, err := db.Prepare(src)
+	if err != nil {
+		return err
+	}
 	if opt.explain {
-		text, err := db.Explain(src)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, text)
+		fmt.Fprint(out, stmt.Explain())
 	}
 	if opt.gen != "" {
-		if err := printGenerated(db, out, src, opt.gen); err != nil {
+		if err := printGenerated(db, stmt, out, opt.gen); err != nil {
 			return err
 		}
 	}
@@ -401,11 +400,7 @@ func execute(db *core.DB, out io.Writer, src string, opt options) error {
 		return nil
 	}
 	if opt.explainAnalyze {
-		stmt, err := db.Prepare(src)
-		if err != nil {
-			return err
-		}
-		text, res, err := stmt.ExplainAnalyze(context.Background(), db.Limits())
+		text, res, err := stmt.ExplainAnalyze(context.Background(), exec.Limits{})
 		if err != nil {
 			return err
 		}
@@ -413,8 +408,7 @@ func execute(db *core.DB, out io.Writer, src string, opt options) error {
 		fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 		return nil
 	}
-	start := time.Now()
-	res, err := db.Query(src)
+	res, err := stmt.Exec(context.Background())
 	if err != nil {
 		return err
 	}
@@ -446,28 +440,17 @@ func printSlowQuery(out io.Writer, src string, d time.Duration, res *exec.Result
 }
 
 // printGenerated emits the retargetable translation of each range
-// variable's MATCHES expression.
-func printGenerated(db *core.DB, out io.Writer, src, gen string) error {
-	parsed, err := query.Parse(src)
-	if err != nil {
-		return err
-	}
-	analyzed, err := query.Analyze(parsed, db.Schema())
-	if err != nil {
-		return err
-	}
-	for _, rv := range parsed.Vars {
-		checked := analyzed.Checked[rv.Name]
-		p, err := plan.Build(checked, db.Store().Stats())
-		if err != nil {
-			p = plan.BuildSeeded(checked, plan.Forward)
-		}
+// variable's MATCHES expression, from the plans Explain shows.
+func printGenerated(db *core.DB, stmt *core.Prepared, out io.Writer, gen string) error {
+	q := stmt.Query()
+	for _, rv := range q.Vars {
+		p, _ := stmt.VarPlan(rv.Name)
 		fmt.Fprintf(out, "-- generated code for variable %s --\n", rv.Name)
 		switch gen {
 		case "sql":
 			at := ""
-			if parsed.At != nil && !parsed.At.IsRange {
-				at = parsed.At.Start.Format("2006-01-02 15:04:05")
+			if q.At != nil && !q.At.IsRange {
+				at = q.At.Start.Format("2006-01-02 15:04:05")
 			}
 			fmt.Fprintln(out, codegen.SQL(p, at))
 		case "gremlin":

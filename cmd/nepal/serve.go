@@ -49,8 +49,6 @@ func runServe(db *core.DB, opt options) error {
 	s := server.New(db, server.Config{
 		MaxInFlight:        opt.maxInFlight,
 		MaxQueue:           opt.maxQueue,
-		DefaultLimits:      db.Limits(),
-		MaxTimeout:         opt.timeout,
 		Registry:           db.Registry(),
 		AccessLog:          accessLog,
 		Follow:             follow,

@@ -94,10 +94,11 @@ func WithAccessorWrapper(w func(plan.Accessor) plan.Accessor) Option {
 }
 
 // WithLimits installs per-query resource guardrails: every query on the
-// DB that does not bring its own (Prepared.ExecTraced does) runs under
-// them and aborts with exec.ErrLimitExceeded (or ErrDeadlineExceeded for
-// MaxDuration) when a bound is crossed. The zero Limits, the default, sets
-// no guardrail.
+// DB — Query, Prepared.Exec and ExecTraced, QueryRouted, standing
+// queries, MatchPaths — runs under them and aborts with
+// exec.ErrLimitExceeded (or ErrDeadlineExceeded for MaxDuration) when a
+// bound is crossed. Limits passed per call only tighten them. The zero
+// Limits, the default, sets no guardrail.
 func WithLimits(lim exec.Limits) Option {
 	return func(c *config) { c.limits = lim }
 }
@@ -287,9 +288,6 @@ func (db *DB) Instrument(reg *obs.Registry) { reg.Include(db.Registry()) }
 // collection.
 func (db *DB) SetStatementStats(s *stats.Store) { db.stmtStats = s }
 
-// Limits returns the installed per-query guardrails.
-func (db *DB) Limits() exec.Limits { return db.limits }
-
 // Query parses, analyzes, and executes a Nepal query. The result carries
 // the evaluation's operator-pipeline metrics; tracing stays off on this
 // path, keeping its overhead to counter increments.
@@ -326,12 +324,12 @@ func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, erro
 	for name, other := range routes {
 		x.Route(name, other.engine)
 	}
-	return p.run(context.Background(), x, exec.RunOptions{Limits: db.limits})
+	return p.run(context.Background(), x, exec.RunOptions{})
 }
 
-// MatchPaths evaluates a bare RPE against the current snapshot and
-// returns the matching pathways — the programmatic fast path equivalent
-// to "Retrieve P From PATHS P Where P MATCHES <rpe>".
+// MatchPaths evaluates a bare RPE against the current snapshot under the
+// DB's limits and returns the matching pathways — the programmatic fast
+// path equivalent to "Retrieve P From PATHS P Where P MATCHES <rpe>".
 func (db *DB) MatchPaths(rpeSrc string) ([]plan.Pathway, error) {
 	return db.MatchPathsAt(rpeSrc, time.Time{})
 }
@@ -351,7 +349,8 @@ func (db *DB) MatchPathsAt(rpeSrc string, at time.Time) ([]plan.Pathway, error) 
 	if !at.IsZero() {
 		view = graph.PointView(db.store, at)
 	}
-	set, _, err := db.engine.EvalMetered(view, p)
+	gov := plan.NewGovernor(context.Background(), db.limits)
+	set, _, _, err := db.engine.EvalWith(view, p, plan.EvalOpts{Gov: gov})
 	if err != nil {
 		return nil, err
 	}

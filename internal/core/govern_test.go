@@ -79,19 +79,20 @@ func TestQueryContextTypedAborts(t *testing.T) {
 }
 
 func TestAbortObservability(t *testing.T) {
-	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}))
+	db, _, _ := openDemo(t, BackendGremlin)
 	st := stats.NewStore(16, nil)
 	db.SetStatementStats(st)
 
-	// Per-call limits replace the DB's: the unlimited run finishes.
+	// The DB's open limits let one run finish; a per-call bound aborts
+	// the other.
 	p, err := db.Prepare(demoQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ExecTraced(context.Background(), exec.Limits{}, nil); err != nil {
+	if _, err := p.Exec(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(demoQuery); !errors.Is(err, exec.ErrLimitExceeded) {
+	if _, err := p.ExecTraced(context.Background(), exec.Limits{MaxPaths: 1}, nil); !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("limited query = %v, want ErrLimitExceeded", err)
 	}
 
@@ -108,6 +109,35 @@ func TestAbortObservability(t *testing.T) {
 	}
 	if s := snap.Statements[0]; s.Digest != p.Digest() || s.Calls != 2 || s.OK != 1 || s.LimitHits != 1 {
 		t.Errorf("statistics row = %+v; want digest %s with 2 calls, 1 ok, 1 limit", s, p.Digest())
+	}
+}
+
+// TestDBLimitsBoundEveryEntryPoint: the DB's limits govern every way
+// into a query, and per-call limits only tighten them — an open or
+// looser per-call bound still aborts at the DB's.
+func TestDBLimitsBoundEveryEntryPoint(t *testing.T) {
+	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}))
+	bg := context.Background()
+	p, err := db.Prepare(demoQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"ExecTraced open": func() error { _, err := p.ExecTraced(bg, exec.Limits{}, nil); return err },
+		"ExecTraced looser": func() error {
+			_, err := p.ExecTraced(bg, exec.Limits{MaxPaths: 1_000_000}, obs.NewSpan("Execute", ""))
+			return err
+		},
+		"ExplainAnalyze": func() error { _, _, err := p.ExplainAnalyze(bg, exec.Limits{}); return err },
+		"MatchPaths":     func() error { _, err := db.MatchPaths("VNF()->[Vertical()]{1,6}->Host()"); return err },
+		"MatchPathsAt": func() error {
+			_, err := db.MatchPathsAt("VNF()->[Vertical()]{1,6}->Host()", db.Store().Now())
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, exec.ErrLimitExceeded) {
+			t.Errorf("%s on a MaxPaths=1 DB = %v, want ErrLimitExceeded", name, err)
+		}
 	}
 }
 
@@ -138,7 +168,7 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			_, res, err := p.ExplainAnalyze(bg, db.Limits())
+			_, res, err := p.ExplainAnalyze(bg, exec.Limits{})
 			return res, err
 		},
 		"QueryRouted": func(db, other *DB, src string) (*exec.Result, error) {
@@ -156,7 +186,7 @@ func TestEntryPointsObserveOnce(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return p.ExecTraced(bg, db.Limits(), obs.NewSpan("Execute", ""))
+			return p.ExecTraced(bg, exec.Limits{}, obs.NewSpan("Execute", ""))
 		},
 	}
 	for name, call := range entryPoints {

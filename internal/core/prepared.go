@@ -56,16 +56,30 @@ func (p *Prepared) NormalizedText() string { return p.shape.norm }
 func (p *Prepared) Explain() string {
 	var sb strings.Builder
 	for _, rv := range p.a.Query.Vars {
-		checked := p.a.Checked[rv.Name]
 		fmt.Fprintf(&sb, "-- variable %s --\n", rv.Name)
-		pl, err := plan.Build(checked, p.db.store.Stats())
+		pl, err := p.VarPlan(rv.Name)
 		if err != nil {
 			fmt.Fprintf(&sb, "anchor: imported from join (%v)\n", err)
-			pl = plan.BuildSeeded(checked, plan.Forward)
 		}
 		sb.WriteString(pl.Explain())
 	}
 	return sb.String()
+}
+
+// Query returns the statement's syntax tree, literals bound. It is
+// shared by every execution: read it, do not modify it.
+func (p *Prepared) Query() *query.Query { return p.a.Query }
+
+// VarPlan returns the plan of range variable name as Explain shows it:
+// built on the live statistics, or — when the variable has no anchor of
+// its own, err saying why — seeded forward, its anchor to be imported
+// from a join.
+func (p *Prepared) VarPlan(name string) (pl *plan.Plan, err error) {
+	checked := p.a.Checked[name]
+	if pl, err = plan.Build(checked, p.db.store.Stats()); err != nil {
+		pl = plan.BuildSeeded(checked, plan.Forward)
+	}
+	return pl, err
 }
 
 // Footprint returns the sorted set of class names whose mutations can
@@ -94,33 +108,38 @@ func (p *Prepared) Footprint() []string {
 	return plan.ClassFootprint(cs...)
 }
 
-// Exec executes the prepared statement under ctx and the DB's installed
-// limits, observing into the DB's registry and statistics like Query does.
+// Exec executes the prepared statement under ctx and the DB's limits,
+// observing into the DB's registry and statistics like Query does.
 func (p *Prepared) Exec(ctx context.Context) (*exec.Result, error) {
-	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: p.db.limits})
+	return p.run(ctx, p.db.executor, exec.RunOptions{})
 }
 
-// ExecTraced is Exec under explicit per-call resource limits — the
-// statement's compiled form is reused, only the governor differs per
-// call — with optional operator-DAG tracing: a non-nil parent span
-// receives the execution's "Query" span tree as a child (the server
-// passes its request's Execute phase span here, stitching engine
-// operators into the end-to-end trace). A nil parent runs untraced — the
-// counters-only fast path.
+// ExecTraced is Exec with per-call limits and optional operator-DAG
+// tracing. The call's limits only tighten the DB's: per field, the
+// smaller nonzero bound wins. A non-nil parent span receives the
+// execution's "Query" span tree as a child (the server passes its
+// request's Execute phase span here, stitching engine operators into
+// the end-to-end trace), and ExplainTrace renders it; a nil parent runs
+// untraced — the counters-only fast path.
 func (p *Prepared) ExecTraced(ctx context.Context, lim exec.Limits, parent *obs.Span) (*exec.Result, error) {
 	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Parent: parent})
 }
 
-// ExplainAnalyze executes the statement under ctx and lim with
-// operator-DAG tracing and renders each variable's plan annotated with
-// the measured per-operator statistics — wall time, rows in/out, backend
-// probes, EdgesScanned — in the style of EXPLAIN ANALYZE. The traced
-// result is returned alongside the rendering for programmatic use.
+// ExplainAnalyze is ExecTraced under a fresh root span followed by
+// ExplainTrace: the rendering and the traced result.
 func (p *Prepared) ExplainAnalyze(ctx context.Context, lim exec.Limits) (string, *exec.Result, error) {
-	res, err := p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Traced: true})
+	res, err := p.ExecTraced(ctx, lim, obs.NewSpan("Execute", ""))
 	if err != nil {
 		return "", nil, err
 	}
+	return p.ExplainTrace(res), res, nil
+}
+
+// ExplainTrace renders a traced result of this statement in the style of
+// EXPLAIN ANALYZE: each variable's executed plan annotated with the
+// measured per-operator statistics of res.Trace — wall time, rows in/out,
+// backend probes, EdgesScanned — then the query's totals.
+func (p *Prepared) ExplainTrace(res *exec.Result) string {
 	var sb strings.Builder
 	for _, rv := range p.a.Query.Vars {
 		pl := res.Plans[rv.Name]
@@ -132,17 +151,19 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context, lim exec.Limits) (string,
 	}
 	fmt.Fprintf(&sb, "Query: time=%s rows=%d %s\n",
 		obs.FormatDuration(res.Trace.Duration()), len(res.Rows), res.Metrics)
-	return sb.String(), res, nil
+	return sb.String()
 }
 
 // run is the one body every query entry point executes: run the prepared
-// statement on x under o, then record the finished query into the
-// registry's db.* metrics and the per-statement statistics store.
+// statement on x under o, its limits folded into the DB's, then record
+// the finished query into the registry's db.* metrics and the
+// per-statement statistics store.
 // Aborted queries (err != nil) count into db.queries_aborted and under
 // their outcome in the statistics. The digest computed at Prepare lands
 // on the result and the stats store.
 func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions) (*exec.Result, error) {
 	db := p.db
+	o.Limits = db.limits.Tighten(o.Limits)
 	start := time.Now()
 	res, err := x.Run(ctx, p.a, o)
 	dur := time.Since(start)

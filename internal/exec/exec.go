@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/rpe"
 	"repro/internal/schema"
 	"repro/internal/temporal"
 )
@@ -54,11 +55,9 @@ func (x *Executor) engineFor(varName string) *plan.Engine {
 type RunOptions struct {
 	// Limits bounds this query's resources; the zero value is unlimited.
 	Limits Limits
-	// Traced enables operator-DAG tracing: every variable evaluation's
-	// Eval span nests under a per-variable group span inside the result's
-	// Trace tree. Parent, when non-nil, receives that tree as a child
-	// (and implies Traced); otherwise it is a root span.
-	Traced bool
+	// Parent, when non-nil, enables operator-DAG tracing: it receives the
+	// query's "Query" span as a child, and every variable evaluation's
+	// Eval span nests under a per-variable group span inside it.
 	Parent *obs.Span
 }
 
@@ -116,8 +115,6 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits)}
 	if o.Parent != nil {
 		rc.span = o.Parent.StartChild("Query", "")
-	} else if o.Traced {
-		rc.span = obs.NewSpan("Query", "")
 	}
 	defer rc.span.Finish()
 	defer func() {
@@ -524,8 +521,7 @@ func (x *Executor) joinsSatisfied(a *query.Analyzed, joins []*query.JoinPred, sl
 		if lerr != nil || rerr != nil {
 			return false
 		}
-		eq := valueEqual(lv, rv)
-		if eq == jp.Negated {
+		if rpe.Equal(lv, rv) == jp.Negated {
 			return false
 		}
 	}
@@ -709,29 +705,4 @@ func splitPreds(a *query.Analyzed) ([]*query.JoinPred, []*query.Analyzed) {
 		}
 	}
 	return joins, subs
-}
-
-// valueEqual compares join values with numeric canonicalization.
-func valueEqual(a, b any) bool {
-	if af, ok := asFloat(a); ok {
-		bf, ok := asFloat(b)
-		return ok && af == bf
-	}
-	return a == b
-}
-
-func asFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case int:
-		return float64(n), true
-	case int32:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case float32:
-		return float64(n), true
-	case float64:
-		return n, true
-	}
-	return 0, false
 }

@@ -684,3 +684,28 @@ func TestCorrelatedSeededSubquery(t *testing.T) {
 		}
 	})
 }
+
+// TestJoinComparesIntegersExactly: a join on node ids compares two
+// int64s exactly; 2^53 and 2^53+1 are one float64 but two hosts.
+func TestJoinComparesIntegersExactly(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		for i, id := range []int64{1 << 53, 1<<53 + 1} {
+			if _, err := f.st.InsertNode("ComputeHost", graph.Fields{"id": id, "name": fmt.Sprintf("big%d", i),
+				"rack": "rx", "status": "Active"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		join := `Select source(P).name From PATHS P, PATHS Q
+			Where P MATCHES ComputeHost(id=9007199254740992) And Q MATCHES ComputeHost(id=%d)
+			And source(P) %s source(Q)`
+		for _, tc := range []struct {
+			q    int64
+			op   string
+			want int
+		}{{1<<53 + 1, "=", 0}, {1<<53 + 1, "!=", 1}, {1 << 53, "=", 1}} {
+			if res := f.run(t, fmt.Sprintf(join, tc.q, tc.op)); len(res.Rows) != tc.want {
+				t.Errorf("hosts 2^53 %s %d joined %d rows, want %d", tc.op, tc.q, len(res.Rows), tc.want)
+			}
+		}
+	})
+}

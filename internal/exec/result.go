@@ -76,7 +76,7 @@ type Result struct {
 	// Plans records the executed plan of each range variable by name.
 	Plans map[string]*plan.Plan
 	// Trace is the query's operator-DAG span tree; nil unless the query
-	// ran with RunOptions.Traced or a Parent span.
+	// ran with a RunOptions.Parent span.
 	Trace *obs.Span
 }
 

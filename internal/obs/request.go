@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"time"
 )
 
@@ -78,4 +80,36 @@ func WithRequest(ctx context.Context, rq *Request) context.Context {
 func RequestFrom(ctx context.Context) *Request {
 	rq, _ := ctx.Value(requestKey{}).(*Request)
 	return rq
+}
+
+// ErrorBody is the JSON error envelope every non-2xx API answer carries.
+type ErrorBody struct {
+	Error ErrorDetail `json:"error"`
+}
+
+// ErrorDetail is the typed error: Code is a stable machine-readable
+// string ("parse_error", "overloaded", "deadline", "canceled", "limit",
+// "unprepared", "not_primary", "wal_truncated", "internal", ...), Message
+// the human one. TraceID links the failure to its server-side trace —
+// quote it when reporting a problem.
+type ErrorDetail struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+	TraceID string `json:"trace_id,omitempty"`
+}
+
+// WriteError writes the JSON error envelope with status. Under the
+// server's telemetry middleware it stamps the request's trace ID into the
+// envelope and records code and msg on the request (RequestFrom), so the
+// access log and the trace store classify the failure the way the client
+// saw it.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
+	d := ErrorDetail{Code: code, Message: msg}
+	if rq := RequestFrom(r.Context()); rq != nil {
+		rq.Outcome, rq.Error = code, msg
+		d.TraceID = rq.TraceID
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(ErrorBody{Error: d})
 }

@@ -97,6 +97,24 @@ type Limits struct {
 // IsZero reports whether no limit is set.
 func (l Limits) IsZero() bool { return l == Limits{} }
 
+// Tighten folds by into l: per field, the smaller nonzero bound wins, so
+// by can narrow a bound of l or set one l leaves open, never loosen one.
+func (l Limits) Tighten(by Limits) Limits {
+	l.MaxPaths = tighter(l.MaxPaths, by.MaxPaths)
+	l.MaxEdgesScanned = tighter(l.MaxEdgesScanned, by.MaxEdgesScanned)
+	l.MaxDuration = tighter(l.MaxDuration, by.MaxDuration)
+	return l
+}
+
+// tighter returns the smaller of two bounds where zero (or less) means
+// unbounded.
+func tighter[T int | time.Duration](a, b T) T {
+	if b > 0 && (a <= 0 || b < a) {
+		return b
+	}
+	return a
+}
+
 // govCheckInterval amortizes the context poll and clock read inside
 // Check: the cheap counter path runs on every checkpoint, the select and
 // time.Now only every govCheckInterval-th call.

@@ -137,10 +137,11 @@ func substitute(src string, toks []rpe.Token, rng *rand.Rand) string {
 
 // literalEnd returns the offset just past the literal token tk in src.
 func literalEnd(src string, tk rpe.Token) int {
+	pos := int(tk.Pos)
 	if tk.Kind != rpe.KindString {
-		return tk.Pos + len(tk.Text)
+		return pos + len(tk.Text)
 	}
-	for i := tk.Pos + 1; i < len(src); i++ {
+	for i := pos + 1; i < len(src); i++ {
 		if src[i] != '\'' {
 			continue
 		}

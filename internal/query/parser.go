@@ -373,20 +373,11 @@ func fnNamed(s string) PathFn {
 
 func isFn(s string) bool { return fnNamed(s) != FnNone }
 
-// reserved lists the keywords, which cannot name a variable.
-var reserved = [...]string{
-	"retrieve", "select", "from", "where", "and", "matches", "paths",
-	"at", "not", "exists", "source", "target", "len", "count", "first",
-	"last", "time", "when",
-}
-
+// isReserved reports whether s is a keyword, which cannot name a
+// variable.
 func isReserved(s string) bool {
-	for _, kw := range reserved {
-		if strings.EqualFold(s, kw) {
-			return true
-		}
-	}
-	return false
+	_, ok := rpe.Keyword(s)
+	return ok
 }
 
 // timeLayouts are the accepted timestamp spellings, tried in order.

@@ -187,7 +187,7 @@ func (t *Template) level(a *Analyzed, n *int) *level {
 func (t *Template) Literals(toks []rpe.Token) []Literal {
 	lits := make([]Literal, len(t.sites))
 	for i, s := range t.sites {
-		lits[i] = Literal{Kind: toks[s.tok].Kind, Text: toks[s.tok].Text, errPos: toks[s.tok+1].Pos}
+		lits[i] = Literal{Kind: toks[s.tok].Kind, Text: toks[s.tok].Text, errPos: int(toks[s.tok+1].Pos)}
 	}
 	return lits
 }

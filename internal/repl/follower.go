@@ -339,9 +339,7 @@ func (f *Follower) pull() error {
 		return errNeedBootstrap
 	case http.StatusConflict:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		var env struct {
-			Error struct{ Code, Message string } `json:"error"`
-		}
+		var env obs.ErrorBody
 		_ = json.Unmarshal(body, &env)
 		switch env.Error.Code {
 		case "wal_diverged":

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,24 +71,14 @@ func (s *Source) Close() {
 
 // rejectReplica answers a feed or snapshot request on an unpromoted
 // replica. Returns true when the request was rejected.
-func (s *Source) rejectReplica(w http.ResponseWriter) bool {
+func (s *Source) rejectReplica(w http.ResponseWriter, r *http.Request) bool {
 	if !s.node.Replica() {
 		return false
 	}
 	w.Header().Set("Retry-After", "1")
-	sourceErr(w, http.StatusServiceUnavailable, "not_primary",
+	obs.WriteError(w, r, http.StatusServiceUnavailable, "not_primary",
 		"this node is an unpromoted replica: replicate from the primary")
 	return true
-}
-
-// sourceErr is the minimal JSON error envelope, shaped like the serving
-// layer's so followers and the Go client decode both the same way.
-func sourceErr(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": msg},
-	})
 }
 
 // ServeWAL answers GET /v1/wal?from=N[&wait_ms=M][&max_bytes=K]: a batch
@@ -100,7 +89,7 @@ func sourceErr(w http.ResponseWriter, status int, code, msg string) {
 // lands or the wait expires (an empty 200 body). 410 Gone directs the
 // follower to the snapshot endpoint.
 func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReplica(w) {
+	if s.rejectReplica(w, r) {
 		return
 	}
 	// Every feed answer — batches, 410s, even a "position beyond end" 400
@@ -114,7 +103,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		sourceErr(w, http.StatusBadRequest, "bad_request", "feed requires a numeric from= stream position")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "feed requires a numeric from= stream position")
 		return
 	}
 	// A follower pinned to a higher epoch proves this log was superseded:
@@ -124,12 +113,12 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("epoch"); v != "" {
 		remote, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			sourceErr(w, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
 			return
 		}
 		if s.node.Observe(remote) {
 			s.mStaleEpoch.Add(1)
-			sourceErr(w, http.StatusConflict, "wal_stale_epoch",
+			obs.WriteError(w, r, http.StatusConflict, "wal_stale_epoch",
 				fmt.Sprintf("this log is at epoch %d but the requester has seen epoch %d: this primary was superseded and must not be followed", epoch, remote))
 			return
 		}
@@ -143,13 +132,13 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("hash"); v != "" {
 		remote, err := strconv.ParseUint(v, 16, 64)
 		if err != nil {
-			sourceErr(w, http.StatusBadRequest, "bad_request", "hash must be a hex-encoded prefix hash")
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "hash must be a hex-encoded prefix hash")
 			return
 		}
 		if local, err := s.node.mgr.PrefixHash(from); err == nil && local != remote {
 			s.mDiverged.Add(1)
 			w.Header().Set(HeaderHash, strconv.FormatUint(local, 16))
-			sourceErr(w, http.StatusConflict, "wal_diverged",
+			obs.WriteError(w, r, http.StatusConflict, "wal_diverged",
 				fmt.Sprintf("prefix hash mismatch at stream position %d: this log chains to %016x, the requester to %016x — the histories have forked", from, local, remote))
 			return
 		}
@@ -158,7 +147,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("max_bytes"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			sourceErr(w, http.StatusBadRequest, "bad_request", "max_bytes must be a positive integer")
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "max_bytes must be a positive integer")
 			return
 		}
 		if n < maxBytes {
@@ -169,7 +158,7 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait_ms"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			sourceErr(w, http.StatusBadRequest, "bad_request", "wait_ms must be a non-negative integer")
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "wait_ms must be a non-negative integer")
 			return
 		}
 		wait = time.Duration(n) * time.Millisecond
@@ -203,11 +192,11 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		case wal.IsTruncatedStream(err):
 			s.mTruncated.Add(1)
 			w.Header().Set(HeaderBase, strconv.FormatUint(s.node.mgr.BaseIndex(), 10))
-			sourceErr(w, http.StatusGone, "wal_truncated",
+			obs.WriteError(w, r, http.StatusGone, "wal_truncated",
 				fmt.Sprintf("stream position %d predates the oldest retained record; bootstrap from /v1/wal/snapshot", from))
 			return
 		default:
-			sourceErr(w, http.StatusBadRequest, "bad_request", err.Error())
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		if len(batch) > 0 || wait <= 0 || !time.Now().Before(deadline) {
@@ -276,17 +265,17 @@ func (s *Source) writeBatch(w http.ResponseWriter, from, batchEnd, durable uint6
 // checkpoint exists yet — a fresh follower then simply streams from
 // position zero.
 func (s *Source) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReplica(w) {
+	if s.rejectReplica(w, r) {
 		return
 	}
 	rc, resume, hash, err := s.node.mgr.Snapshot()
 	if err != nil {
 		if wal.IsNoCheckpoint(err) {
-			sourceErr(w, http.StatusNotFound, "no_checkpoint",
+			obs.WriteError(w, r, http.StatusNotFound, "no_checkpoint",
 				"no checkpoint exists; stream the feed from position 0")
 			return
 		}
-		sourceErr(w, http.StatusInternalServerError, "internal", err.Error())
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	defer rc.Close()

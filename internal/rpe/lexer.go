@@ -2,11 +2,12 @@ package rpe
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 )
 
-type Kind int
+type Kind uint8
 
 const (
 	KindEOF Kind = iota
@@ -92,10 +93,33 @@ func (k Kind) String() string {
 	return "?"
 }
 
+// keywords are the Nepal query language's reserved words in their
+// normalized upper case. The lexer emits them as identifiers; the query
+// parser refuses them as variable names and the statement fingerprint
+// upper-cases them.
+var keywords = [...]string{
+	"RETRIEVE", "SELECT", "FROM", "WHERE", "AND", "MATCHES", "PATHS",
+	"AT", "NOT", "EXISTS", "SOURCE", "TARGET", "LEN", "COUNT", "FIRST",
+	"LAST", "TIME", "WHEN",
+}
+
+// Keyword returns s's reserved word in upper case, matched without
+// regard to case, and whether s is one.
+func Keyword(s string) (string, bool) {
+	for _, kw := range keywords {
+		if strings.EqualFold(s, kw) {
+			return kw, true
+		}
+	}
+	return "", false
+}
+
+// Token is one lexeme: its kind, its text, and its byte offset in the
+// source. The fields are ordered so a token packs into 24 bytes.
 type Token struct {
 	Kind Kind
+	Pos  int32
 	Text string
-	Pos  int
 }
 
 // lexer tokenizes RPE (and Nepal query) source text. The Nepal language
@@ -106,11 +130,16 @@ type lexer struct {
 	toks []Token
 }
 
-// maxTokenGuess caps Lex's initial token capacity (16 KB of tokens).
+// maxTokenGuess caps Lex's initial token capacity (12 KB of tokens).
 const maxTokenGuess = 512
 
 // Lex tokenizes src, returning the token stream or a positioned error.
+// A token's position is an int32, so a source longer than
+// math.MaxInt32 bytes is refused.
 func Lex(src string) ([]Token, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("rpe: source of %d bytes exceeds the %d-byte limit", len(src), math.MaxInt32)
+	}
 	// One token per two bytes covers typical statements in one
 	// allocation; denser text grows the slice. The guess is capped so a
 	// long literal does not reserve room for tokens it does not hold.
@@ -181,7 +210,7 @@ func (l *lexer) run() error {
 			return fmt.Errorf("rpe: unexpected character %q at position %d", c, l.pos)
 		}
 	}
-	l.toks = append(l.toks, Token{Kind: KindEOF, Pos: l.pos})
+	l.toks = append(l.toks, Token{Kind: KindEOF, Pos: int32(l.pos)})
 	return nil
 }
 
@@ -193,7 +222,7 @@ func (l *lexer) peek(ahead int) byte {
 }
 
 func (l *lexer) emit(kind Kind, text string, width int) {
-	l.toks = append(l.toks, Token{Kind: kind, Text: text, Pos: l.pos})
+	l.toks = append(l.toks, Token{Kind: kind, Text: text, Pos: int32(l.pos)})
 	l.pos += width
 }
 
@@ -218,7 +247,7 @@ func (l *lexer) lexString() error {
 			text = strings.ReplaceAll(text, "''", "'")
 		}
 		l.pos++
-		l.toks = append(l.toks, Token{Kind: KindString, Text: text, Pos: start})
+		l.toks = append(l.toks, Token{Kind: KindString, Text: text, Pos: int32(start)})
 		return nil
 	}
 	return fmt.Errorf("rpe: unterminated string starting at position %d", start)
@@ -238,7 +267,7 @@ func (l *lexer) lexNumber() {
 			l.pos++
 		}
 	}
-	l.toks = append(l.toks, Token{Kind: kind, Text: l.src[start:l.pos], Pos: start})
+	l.toks = append(l.toks, Token{Kind: kind, Text: l.src[start:l.pos], Pos: int32(start)})
 }
 
 func (l *lexer) lexIdent() {
@@ -246,7 +275,7 @@ func (l *lexer) lexIdent() {
 	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 		l.pos++
 	}
-	l.toks = append(l.toks, Token{Kind: KindIdent, Text: l.src[start:l.pos], Pos: start})
+	l.toks = append(l.toks, Token{Kind: KindIdent, Text: l.src[start:l.pos], Pos: int32(start)})
 }
 
 func isIdentStart(r rune) bool {

@@ -56,7 +56,7 @@ func (p *exprParser) expect(kind Kind) (Token, error) {
 }
 
 func (p *exprParser) errf(format string, args ...any) error {
-	return posErr(p.cur().Pos, p.src, format, args...)
+	return posErr(int(p.cur().Pos), p.src, format, args...)
 }
 
 // alternation := sequence ('|' sequence)*
@@ -300,7 +300,7 @@ func (p *exprParser) value() (any, error) {
 	switch t.Kind {
 	case KindInt, KindFloat:
 		p.next()
-		return LiteralValue(t, neg, p.cur().Pos, p.src)
+		return LiteralValue(t, neg, int(p.cur().Pos), p.src)
 	case KindString:
 		if neg {
 			return nil, p.errf("'-' before string literal")

@@ -1,6 +1,7 @@
 package rpe
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -150,9 +151,27 @@ func compileAll(preds []FieldPred, cls *schema.Class) (CompiledPred, error) {
 	}, nil
 }
 
+// Equal reports whether two field values are equal: numbers by value
+// across int and float representations, other values when they are the
+// same. It is the equality of joins, as compareValues is the ordering of
+// predicates.
+func Equal(a, b any) bool {
+	if c, ok := compareValues(a, b); ok {
+		return c == 0
+	}
+	return a == b
+}
+
 // compareValues compares two field values of possibly different dynamic
 // types. It returns (-1|0|1, true) when comparable, (0, false) otherwise.
+// Two integers compare exactly; a float on either side compares both as
+// float64.
 func compareValues(a, b any) (int, bool) {
+	if ai, ok := asInt(a); ok {
+		if bi, ok := asInt(b); ok {
+			return cmp.Compare(ai, bi), true
+		}
+	}
 	if af, ok := asFloat(a); ok {
 		if bf, ok := asFloat(b); ok {
 			switch {
@@ -188,14 +207,23 @@ func compareValues(a, b any) (int, bool) {
 	return 0, false
 }
 
-func asFloat(v any) (float64, bool) {
+func asInt(v any) (int64, bool) {
 	switch n := v.(type) {
 	case int:
-		return float64(n), true
+		return int64(n), true
 	case int32:
-		return float64(n), true
+		return int64(n), true
 	case int64:
+		return n, true
+	}
+	return 0, false
+}
+
+func asFloat(v any) (float64, bool) {
+	if n, ok := asInt(v); ok {
 		return float64(n), true
+	}
+	switch n := v.(type) {
 	case float32:
 		return float64(n), true
 	case float64:

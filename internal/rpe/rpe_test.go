@@ -493,6 +493,11 @@ func TestPredOperators(t *testing.T) {
 		{"VM(id IN (1, 2, 3))", map[string]any{"id": int64(9)}, false},
 		{"VM(id=5, status='Green')", map[string]any{"id": int64(5), "status": "Green"}, true},
 		{"VM(id=5, status='Green')", map[string]any{"id": int64(5), "status": "Red"}, false},
+		// Two integers compare exactly: 2^53 and 2^53+1 are one float64.
+		{"VM(id>9007199254740992)", map[string]any{"id": int64(1<<53 + 1)}, true},
+		{"VM(id=9007199254740992)", map[string]any{"id": int64(1<<53 + 1)}, false},
+		{"VM(id!=9007199254740992)", map[string]any{"id": int64(1<<53 + 1)}, true},
+		{"VM(id IN (9007199254740992))", map[string]any{"id": int64(1<<53 + 1)}, false},
 	}
 	vmware := testSchema.MustClass("VMWare")
 	for _, cse := range cases {

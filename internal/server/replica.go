@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/repl"
 )
 
@@ -51,7 +52,7 @@ func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) bool {
 	if errors.Is(err, repl.ErrReadOnly) {
 		code = "read_only"
 	}
-	writeErr(w, r, http.StatusForbidden, code, err.Error())
+	obs.WriteError(w, r, http.StatusForbidden, code, err.Error())
 	return true
 }
 
@@ -85,34 +86,34 @@ func parseMinTimestamp(v string) (time.Time, error) {
 
 // waitFresh enforces a request's min_timestamp against the replication
 // watermark: on a primary it is trivially satisfied; on a replica the
-// request waits (bounded by MaxStalenessWait and the request deadline)
+// request waits (bounded by MaxStalenessWait and the request's context)
 // and fails with the typed "replica_lagging" error when the replica
 // cannot catch up in time. Returns false with the response written when
 // the request must not proceed.
-func (s *Server) waitFresh(ctx context.Context, w http.ResponseWriter, r *http.Request, minTS string) bool {
+func (s *Server) waitFresh(w http.ResponseWriter, r *http.Request, minTS string) bool {
 	if minTS == "" {
 		return true
 	}
 	ts, err := parseMinTimestamp(minTS)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request",
 			"min_timestamp must be RFC3339 or \"2006-01-02 15:04:05\": "+err.Error())
 		return false
 	}
 	if !s.node.Replica() {
 		return true // a primary is always current
 	}
-	wctx, cancel := context.WithTimeout(ctx, s.maxStalenessWait())
+	wctx, cancel := context.WithTimeout(r.Context(), s.maxStalenessWait())
 	defer cancel()
 	if err := s.follower.WaitUntil(wctx, ts); err != nil {
 		if errors.Is(err, repl.ErrLagging) || errors.Is(err, repl.ErrStopped) {
 			// Retry-After steers clients to another replica (or the
 			// primary) instead of hot-looping here.
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, r, http.StatusServiceUnavailable, "replica_lagging", err.Error())
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "replica_lagging", err.Error())
 			return false
 		}
-		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", err.Error())
 		return false
 	}
 	return true
@@ -210,11 +211,11 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	pos, epoch, err := s.node.Promote(seen)
 	switch {
 	case errors.Is(err, repl.ErrNotReplica):
-		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 	case errors.Is(err, repl.ErrUnpinned):
-		writeErr(w, r, http.StatusConflict, "unpinned", err.Error())
+		obs.WriteError(w, r, http.StatusConflict, "unpinned", err.Error())
 	case err != nil:
-		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", err.Error())
 	default:
 		writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, StreamPosition: pos, Epoch: epoch})
 	}
@@ -227,7 +228,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // Idempotent; POST /v1/promote reverses it.
 func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	if err := s.node.Demote(); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, DemoteResponse{Demoted: true, Epoch: s.node.Epoch()})

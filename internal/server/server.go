@@ -9,9 +9,10 @@
 // bounded wait queue; beyond both the request is rejected immediately
 // with 429/ErrOverloaded instead of queueing unboundedly) → the DB's
 // statement table (compile once per statement shape, bind the literals
-// per request) → executor under the
-// request context (client disconnect and timeout_ms both cancel the
-// query cooperatively) → JSON encoding. Every stage publishes counters
+// per request) → executor under the request context and the DB's
+// limits, which the request's limits and timeout_ms only tighten (a
+// client disconnect and a crossed bound both abort the query
+// cooperatively) → JSON encoding. Every stage publishes counters
 // into the obs registry, so /metrics exposes cache hit rates, admission
 // rejections, and in-flight gauges next to the engine's own metrics.
 //
@@ -57,12 +58,6 @@ type Config struct {
 	// MaxQueue caps requests waiting for an execution slot; past it the
 	// server answers 429. 0 means 2×MaxInFlight; negative means no queue.
 	MaxQueue int
-	// DefaultLimits are the per-request resource guardrails applied when
-	// a request carries none; requests may tighten them or (when a field
-	// is zero here) set their own, but never loosen them.
-	DefaultLimits exec.Limits
-	// MaxTimeout caps any requested timeout_ms; 0 leaves requests free.
-	MaxTimeout time.Duration
 	// Registry receives the server's metrics and backs /metrics; nil
 	// creates a private registry.
 	Registry *obs.Registry
@@ -292,7 +287,7 @@ func decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "decoding request body: "+err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "decoding request body: "+err.Error())
 		return false
 	}
 	return true
@@ -305,33 +300,22 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-// writeErr writes the JSON error envelope, stamping the request's trace
-// ID into it and recording the outcome code on the request's telemetry
-// so the access log and trace store classify the failure the same way
-// the client saw it.
-func writeErr(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	rq := obs.RequestFrom(r.Context())
-	rq.Outcome = code
-	rq.Error = msg
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg, TraceID: rq.TraceID}})
-}
-
 // writeQueryErr maps an execution error onto the HTTP status and typed
 // code contract clients program against.
 func writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		writeErr(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
+		obs.WriteError(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
 	case errors.Is(err, exec.ErrDeadlineExceeded):
-		writeErr(w, r, http.StatusGatewayTimeout, "deadline", err.Error())
+		obs.WriteError(w, r, http.StatusGatewayTimeout, "deadline", err.Error())
 	case errors.Is(err, exec.ErrCanceled), errors.Is(err, context.Canceled):
 		// 499 (client closed request): the peer is usually gone, but the
 		// status still lands in access logs and tests.
-		writeErr(w, r, 499, "canceled", err.Error())
+		obs.WriteError(w, r, 499, "canceled", err.Error())
 	case errors.Is(err, exec.ErrLimitExceeded):
-		writeErr(w, r, http.StatusUnprocessableEntity, "limit", err.Error())
+		obs.WriteError(w, r, http.StatusUnprocessableEntity, "limit", err.Error())
 	default:
-		writeErr(w, r, http.StatusInternalServerError, "internal", err.Error())
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
@@ -352,47 +336,24 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
+		obs.WriteError(w, r, http.StatusTooManyRequests, "overloaded", err.Error())
 	default: // client gave up while queued
-		writeErr(w, r, 499, "canceled", err.Error())
+		obs.WriteError(w, r, 499, "canceled", err.Error())
 	}
 	return false
 }
 
-// requestContext applies the effective timeout to the request context:
-// the request's timeout_ms, capped by the config.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := time.Duration(timeoutMS) * time.Millisecond
-	if s.cfg.MaxTimeout > 0 && (d <= 0 || d > s.cfg.MaxTimeout) {
-		d = s.cfg.MaxTimeout
-	}
-	if d <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// effectiveLimits folds per-request limits over the server defaults: per
-// field, the smaller nonzero bound wins, so a request can tighten a
-// default or set a bound the server leaves open, never loosen one.
-func (s *Server) effectiveLimits(l *Limits) exec.Limits {
-	out := s.cfg.DefaultLimits
+// requestLimits are a request's own bounds: its timeout_ms and its
+// limits, timeout_ms as MaxDuration, the tighter of the two durations
+// winning. The DB's limits still govern (core.Prepared.ExecTraced
+// folds these into them), so a request can only tighten them.
+func requestLimits(timeoutMS int64, l *Limits) exec.Limits {
+	lim := exec.Limits{MaxDuration: time.Duration(timeoutMS) * time.Millisecond}
 	if l == nil {
-		return out
+		return lim
 	}
-	out.MaxPaths = tighter(out.MaxPaths, l.MaxPaths)
-	out.MaxEdgesScanned = tighter(out.MaxEdgesScanned, l.MaxEdgesScanned)
-	out.MaxDuration = tighter(out.MaxDuration, time.Duration(l.TimeoutMS)*time.Millisecond)
-	return out
-}
-
-// tighter returns the smaller of two bounds where zero (or less) means
-// unbounded.
-func tighter[T int | time.Duration](def, req T) T {
-	if req > 0 && (def <= 0 || req < def) {
-		return req
-	}
-	return def
+	return lim.Tighten(exec.Limits{MaxPaths: l.MaxPaths, MaxEdgesScanned: l.MaxEdgesScanned,
+		MaxDuration: time.Duration(l.TimeoutMS) * time.Millisecond})
 }
 
 // ---- handlers ----
@@ -407,30 +368,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "empty query")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "empty query")
 		return
 	}
 	src := req.Query
 	if req.At != "" {
 		if strings.HasPrefix(strings.ToUpper(strings.TrimSpace(src)), "AT ") {
-			writeErr(w, r, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request",
 				`request "at" conflicts with the statement's own AT clause`)
 			return
 		}
 		src = fmt.Sprintf("AT '%s' %s", req.At, src)
 	}
 	rq.Statement = src
-	ctx, done, ok := s.admitQuery(w, r, req.MinTimestamp, req.TimeoutMS)
-	if !ok {
+	if !s.waitFresh(w, r, req.MinTimestamp) || !s.admit(w, r) {
 		return
 	}
-	defer done()
+	defer s.adm.release()
 	start := time.Now()
 	pc := rq.Root.StartChild("PlanCache", "")
 	stmt, err := s.db.Prepare(src)
 	pc.Finish()
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
 	s.recordPrepared(rq, stmt)
@@ -443,34 +403,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.answer(ctx, w, r, stmt, req.Explain == ExplainAnalyze, req.Limits, start)
+	s.answer(w, r, stmt, req.Explain == ExplainAnalyze, requestLimits(req.TimeoutMS, req.Limits), start)
 }
 
-// admitQuery holds a query back until the node is fresh enough for
-// minTimestamp and admission grants it a slot, and returns its context
-// under the request's timeout and the func that releases both; ok false
-// means the request has been answered.
-func (s *Server) admitQuery(w http.ResponseWriter, r *http.Request, minTimestamp string, timeoutMS int64) (context.Context, func(), bool) {
-	if !s.waitFresh(r.Context(), w, r, minTimestamp) || !s.admit(w, r) {
-		return nil, nil, false
-	}
-	ctx, cancel := s.requestContext(r, timeoutMS)
-	return ctx, func() { cancel(); s.adm.release() }, true
-}
-
-// answer executes a bound statement under ctx and the request's limits —
-// with operator-DAG statistics when analyze — and writes its result.
-func (s *Server) answer(ctx context.Context, w http.ResponseWriter, r *http.Request, stmt *core.Prepared, analyze bool, lim *Limits, start time.Time) {
+// answer executes a bound statement under the request's context and
+// limits, with operator-DAG tracing under the Execute phase span, and
+// writes its result — with the traced run rendered when analyze. Only
+// with telemetry off does analysis need a span of its own.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, stmt *core.Prepared, analyze bool, lim exec.Limits, start time.Time) {
 	rq := obs.RequestFrom(r.Context())
 	ex := rq.Root.StartChild("Execute", "")
-	var text string
-	var res *exec.Result
-	var err error
-	if analyze {
-		text, res, err = stmt.ExplainAnalyze(ctx, s.effectiveLimits(lim))
-	} else {
-		res, err = stmt.ExecTraced(ctx, s.effectiveLimits(lim), ex)
+	if ex == nil && analyze {
+		ex = obs.NewSpan("Execute", "")
 	}
+	res, err := stmt.ExecTraced(r.Context(), lim, ex)
 	ex.Finish()
 	if err != nil {
 		writeQueryErr(w, r, err)
@@ -479,7 +425,9 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	recordResult(rq, res)
 	enc := rq.Root.StartChild("Encode", "")
 	resp := s.resultOut(res, stmt.Cached(), time.Since(start))
-	resp.Explain = text
+	if analyze {
+		resp.Explain = stmt.ExplainTrace(res)
+	}
 	resp.TraceID = rq.TraceID
 	s.stampStaleness(w, &resp)
 	writeJSON(w, http.StatusOK, resp)
@@ -507,14 +455,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "empty query")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "empty query")
 		return
 	}
 	rq := obs.RequestFrom(r.Context())
 	rq.Statement = req.Query
 	stmt, err := s.db.Prepare(req.Query)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
 	s.recordPrepared(rq, stmt)
@@ -537,20 +485,19 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, core.ErrUnprepared):
 		s.mPlanMisses.Add(1)
-		writeErr(w, r, http.StatusGone, "unprepared",
+		obs.WriteError(w, r, http.StatusGone, "unprepared",
 			fmt.Sprintf("handle %q is not prepared (evicted or never prepared); re-prepare", req.Handle))
 		return
 	case err != nil:
-		writeErr(w, r, http.StatusBadRequest, "bad_request", fmt.Sprintf("handle %q does not fit its statement: %v", req.Handle, err))
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", fmt.Sprintf("handle %q does not fit its statement: %v", req.Handle, err))
 		return
 	}
 	s.recordPrepared(rq, stmt)
-	ctx, done, ok := s.admitQuery(w, r, req.MinTimestamp, req.TimeoutMS)
-	if !ok {
+	if !s.waitFresh(w, r, req.MinTimestamp) || !s.admit(w, r) {
 		return
 	}
-	defer done()
-	s.answer(ctx, w, r, stmt, false, req.Limits, time.Now())
+	defer s.adm.release()
+	s.answer(w, r, stmt, false, requestLimits(req.TimeoutMS, req.Limits), time.Now())
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -566,7 +513,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Ops) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "empty ops")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "empty ops")
 		return
 	}
 	if !s.admit(w, r) {
@@ -582,7 +529,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, op := range req.Ops {
 		m, err := mutationOf(op)
 		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", rejectedMsg(i, op, err))
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", rejectedMsg(i, op, err))
 			return
 		}
 		ms[i] = m
@@ -600,7 +547,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		default:
 			err = fmt.Errorf("%v; nothing was applied", err)
 		}
-		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	resp := IngestResponse{UIDs: make([]int64, len(ms)), Applied: len(ms)}
@@ -644,7 +591,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if err := s.db.Checkpoint(); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, CheckpointResponse{

@@ -189,33 +189,56 @@ func TestTypedErrors(t *testing.T) {
 }
 
 // TestRequestLimitsOnlyTighten: a request's limits can tighten the
-// server's default guardrails but never loosen them — each field takes
-// the smaller nonzero bound, so asking for more paths, edges or time
-// than the server allows still aborts at the server's bound.
+// database's guardrails (core.WithLimits) but never loosen them — each
+// field takes the smaller nonzero bound, so asking for more paths, edges
+// or time than the database allows still aborts at the database's bound.
 func TestRequestLimitsOnlyTighten(t *testing.T) {
 	slow := core.WithAccessorWrapper(func(a plan.Accessor) plan.Accessor {
 		return chaos.Wrap(a, chaos.WithLatency(5*time.Millisecond))
 	})
 	for _, tc := range []struct {
 		name    string
-		db      *core.DB
+		opts    []core.Option
 		def     exec.Limits
 		req     server.Limits
 		wantErr error
 	}{
-		{"paths", newDemoDB(t), exec.Limits{MaxPaths: 1}, server.Limits{MaxPaths: 1_000_000}, client.ErrLimit},
-		{"edges", newDemoDB(t), exec.Limits{MaxEdgesScanned: 1}, server.Limits{MaxEdgesScanned: 1_000_000}, client.ErrLimit},
-		{"timeout", newDemoDB(t, slow), exec.Limits{MaxDuration: time.Millisecond}, server.Limits{TimeoutMS: 60_000}, client.ErrDeadline},
-		{"tighten", newDemoDB(t), exec.Limits{MaxPaths: 1_000_000}, server.Limits{MaxPaths: 1}, client.ErrLimit},
-		{"open default", newDemoDB(t), exec.Limits{}, server.Limits{MaxPaths: 1}, client.ErrLimit},
+		{"paths", nil, exec.Limits{MaxPaths: 1}, server.Limits{MaxPaths: 1_000_000}, client.ErrLimit},
+		{"edges", nil, exec.Limits{MaxEdgesScanned: 1}, server.Limits{MaxEdgesScanned: 1_000_000}, client.ErrLimit},
+		{"timeout", []core.Option{slow}, exec.Limits{MaxDuration: time.Millisecond}, server.Limits{TimeoutMS: 60_000}, client.ErrDeadline},
+		{"tighten", nil, exec.Limits{MaxPaths: 1_000_000}, server.Limits{MaxPaths: 1}, client.ErrLimit},
+		{"open default", nil, exec.Limits{}, server.Limits{MaxPaths: 1}, client.ErrLimit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c := newTestServer(t, tc.db, server.Config{DefaultLimits: tc.def})
+			db := newDemoDB(t, append(tc.opts, core.WithLimits(tc.def))...)
+			_, c := newTestServer(t, db, server.Config{})
 			_, err := c.Query(context.Background(), retrieveQ, &client.QueryOptions{Limits: &tc.req})
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("default %+v, request %+v: got %v, want %v", tc.def, tc.req, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestDBLimitsGovernServedQueries: with a zero server.Config, the
+// database's own limits bound every query the server answers — plain,
+// EXPLAIN ANALYZE and a prepared handle's execution alike.
+func TestDBLimitsGovernServedQueries(t *testing.T) {
+	db := newDemoDB(t, core.WithLimits(exec.Limits{MaxPaths: 1}))
+	_, c := newTestServer(t, db, server.Config{})
+	ctx := context.Background()
+	if _, err := c.Query(ctx, retrieveQ, nil); !errors.Is(err, client.ErrLimit) {
+		t.Errorf("query: got %v, want 422 limit", err)
+	}
+	if _, _, err := c.ExplainAnalyze(ctx, retrieveQ); !errors.Is(err, client.ErrLimit) {
+		t.Errorf("explain analyze: got %v, want 422 limit", err)
+	}
+	stmt, err := c.Prepare(ctx, retrieveQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Exec(ctx, nil); !errors.Is(err, client.ErrLimit) {
+		t.Errorf("execute: got %v, want 422 limit", err)
 	}
 }
 

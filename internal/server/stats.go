@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -30,7 +31,7 @@ const peerProbeTimeout = 2 * time.Second
 // (default total_time) and limit=N (default all tracked digests).
 func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 	if s.stats == nil {
-		writeErr(w, r, http.StatusNotFound, "not_found",
+		obs.WriteError(w, r, http.StatusNotFound, "not_found",
 			"per-statement statistics are disabled on this server")
 		return
 	}
@@ -38,7 +39,7 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 	switch sortBy {
 	case "", stats.SortTotalTime, stats.SortCalls, stats.SortMeanTime:
 	default:
-		writeErr(w, r, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("unknown sort %q (use %s, %s, or %s)",
 				sortBy, stats.SortTotalTime, stats.SortCalls, stats.SortMeanTime))
 		return
@@ -50,7 +51,7 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeErr(w, r, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("limit must be a non-negative integer, got %q", v))
 			return
 		}
@@ -72,7 +73,7 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 // experiment, not for rewriting scrape history.
 func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {
 	if s.stats == nil {
-		writeErr(w, r, http.StatusNotFound, "not_found",
+		obs.WriteError(w, r, http.StatusNotFound, "not_found",
 			"per-statement statistics are disabled on this server")
 		return
 	}

@@ -121,7 +121,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	t := s.traces.Get(id)
 	if t == nil {
-		writeErr(w, r, http.StatusNotFound, "not_found",
+		obs.WriteError(w, r, http.StatusNotFound, "not_found",
 			fmt.Sprintf("trace %q not retained (expired from the trace store or never sampled)", id))
 		return
 	}

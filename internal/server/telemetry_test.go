@@ -15,6 +15,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/server"
@@ -157,6 +158,91 @@ func spanNames(nodes []*server.SpanNode) []string {
 		out[i] = n.Name
 	}
 	return out
+}
+
+// TestExplainAnalyzeTraceHoldsOperators: EXPLAIN ANALYZE is a traced
+// run of the request itself, so its trace holds the operator DAG under
+// Execute like any other query's — and with telemetry off it still
+// renders the annotated plan.
+func TestExplainAnalyzeTraceHoldsOperators(t *testing.T) {
+	_, c := newTestServer(t, newDemoDB(t), server.Config{})
+	ctx := context.Background()
+	_, res, err := c.ExplainAnalyze(ctx, retrieveQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail, err := c.Trace(ctx, res.TraceID)
+	if err != nil {
+		t.Fatalf("trace lookup: %v", err)
+	}
+	var query *server.SpanNode
+	for _, ph := range detail.Spans.Children {
+		for _, ch := range ph.Children {
+			if ph.Name == "Execute" && ch.Name == "Query" {
+				query = ch
+			}
+		}
+	}
+	if query == nil {
+		t.Fatalf("explain analyze trace has no Query span under Execute:\n%s", detail.Rendered)
+	}
+	ops := map[string]bool{}
+	walkSpans(query, func(n *server.SpanNode) { ops[n.Name] = true })
+	if !ops["Select"] || !ops["Extend"] {
+		t.Errorf("Query span holds %v, want Select and Extend operators", ops)
+	}
+
+	_, dark := newTestServer(t, newDemoDB(t), server.Config{DisableTelemetry: true})
+	text, _, err := dark.ExplainAnalyze(ctx, retrieveQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "time=") || !strings.Contains(text, "Extend") {
+		t.Errorf("explain analyze without telemetry rendered:\n%s", text)
+	}
+}
+
+// TestWALErrorsCarryEnvelope: the replication feed's errors are the
+// server's typed envelope — the body carries the trace ID, and the
+// access log and the trace store record the typed code, not a bare
+// HTTP status.
+func TestWALErrorsCarryEnvelope(t *testing.T) {
+	db, err := core.Open(netmodel.MustSchema(), core.WithWAL(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBuf := &syncBuffer{}
+	s, c := newTestServer(t, db, server.Config{AccessLog: logBuf})
+	t.Cleanup(func() { db.Close() })
+
+	resp, err := http.Get(c.Base() + "/v1/wal?from=abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb server.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	trace := resp.Header.Get(obs.TraceHeader)
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" || eb.Error.TraceID != trace {
+		t.Fatalf("GET /v1/wal?from=abc = %d %+v (trace header %q); want 400 bad_request with the trace id",
+			resp.StatusCode, eb.Error, trace)
+	}
+	entries := logBuf.entries(t)
+	if len(entries) != 1 || entries[0].TraceID != trace || entries[0].Outcome != "bad_request" {
+		t.Errorf("access log = %+v, want one bad_request line for trace %s", entries, trace)
+	}
+	list, err := c.Traces(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Traces) != 1 || list.Traces[0].Outcome != "bad_request" || list.Traces[0].Error == "" {
+		t.Errorf("trace summaries = %+v, want one bad_request", list.Traces)
+	}
+	if rq := s.Traces().Get(trace); rq == nil || rq.Outcome != "bad_request" {
+		t.Errorf("retained trace = %+v, want outcome bad_request", rq)
+	}
 }
 
 // TestIngestTraceIncludesWAL checks a mutating request on a WAL-backed

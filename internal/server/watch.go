@@ -59,7 +59,7 @@ func (s *Server) mountWatch() {
 	mgr := s.db.WAL()
 	if mgr == nil {
 		unavailable := func(w http.ResponseWriter, r *http.Request) {
-			writeErr(w, r, http.StatusServiceUnavailable, "watch_unavailable",
+			obs.WriteError(w, r, http.StatusServiceUnavailable, "watch_unavailable",
 				"this node has no mutation stream to tail (in-memory store); run it with -wal-dir")
 		}
 		s.mux.HandleFunc("GET /v1/watch", unavailable)
@@ -87,14 +87,14 @@ func (s *Server) rejectWatchEpoch(w http.ResponseWriter, r *http.Request) bool {
 	}
 	remote, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
 		return true
 	}
 	if !s.node.Observe(remote) {
 		return false
 	}
 	own := s.stampEpoch(w)
-	writeErr(w, r, http.StatusConflict, "watch_stale_epoch",
+	obs.WriteError(w, r, http.StatusConflict, "watch_stale_epoch",
 		fmt.Sprintf("this node serves epoch %d but the subscriber has seen epoch %d: a newer primary exists; resubscribe there", own, remote))
 	return true
 }
@@ -105,7 +105,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("from"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "from must be a non-negative integer")
+			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "from must be a non-negative integer")
 			return
 		}
 		from = n
@@ -168,15 +168,15 @@ func (s *Server) writeWatchReadErr(w http.ResponseWriter, r *http.Request, err e
 			w.Header().Set(repl.HeaderBase, strconv.FormatUint(ce.Base, 10))
 		}
 		s.stampEpoch(w)
-		writeErr(w, r, http.StatusGone, "watch_compacted", err.Error())
+		obs.WriteError(w, r, http.StatusGone, "watch_compacted", err.Error())
 		return
 	}
 	if errors.Is(err, watch.ErrBehind) && s.node.Replica() {
 		// Not yet, not never: a cluster subscriber moves to another node.
-		writeErr(w, r, http.StatusServiceUnavailable, "watch_unavailable", err.Error())
+		obs.WriteError(w, r, http.StatusServiceUnavailable, "watch_unavailable", err.Error())
 		return
 	}
-	writeErr(w, r, http.StatusBadRequest, "bad_request", err.Error())
+	obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 }
 
 func (s *Server) writeWatchBatch(w http.ResponseWriter, events []watch.Event, next uint64) {
@@ -207,7 +207,7 @@ func (s *Server) writeWatchBatch(w http.ResponseWriter, events []watch.Event, ne
 func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint64, maxEvents int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, r, http.StatusInternalServerError, "internal", "response writer cannot stream")
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -262,7 +262,7 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	src := q.Get("q")
 	if strings.TrimSpace(src) == "" {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "missing q (the standing query text)")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "missing q (the standing query text)")
 		return
 	}
 	if s.rejectWatchEpoch(w, r) {
@@ -278,12 +278,12 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, r, http.StatusInternalServerError, "internal", "response writer cannot stream")
+		obs.WriteError(w, r, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
 	sub, err := s.hub.Register(name, src, queueLen)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "parse_error", err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
 	defer sub.Close()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/temporal"
@@ -78,11 +79,12 @@ type QueryRequest struct {
 	At string `json:"at,omitempty"`
 	// Explain selects plan-only or traced execution; see ExplainMode.
 	Explain ExplainMode `json:"explain,omitempty"`
-	// TimeoutMS bounds the request wall clock; it becomes the request
-	// context's deadline, so the query aborts cooperatively server-side.
+	// TimeoutMS bounds the query's wall clock, like Limits.TimeoutMS
+	// (the tighter of the two applies), so the query aborts
+	// cooperatively server-side.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Limits are per-request resource guardrails; nil inherits the
-	// server's defaults.
+	// Limits are per-request resource guardrails. They only tighten the
+	// database's own; nil leaves those alone.
 	Limits *Limits `json:"limits,omitempty"`
 	// MinTimestamp (RFC3339 or "2006-01-02 15:04:05") demands the answer
 	// reflect every mutation at or before it. On a primary it is free;
@@ -458,17 +460,9 @@ type ClusterResponse struct {
 	Nodes map[string]ClusterNode `json:"nodes"`
 }
 
-// ErrorBody is the JSON error envelope every non-2xx answer carries.
-type ErrorBody struct {
-	Error ErrorDetail `json:"error"`
-}
-
-// ErrorDetail is the typed error: Code is a stable machine-readable
-// string ("parse_error", "overloaded", "deadline", "canceled", "limit",
-// "unprepared", "internal"), Message the human one. TraceID links the
-// failure to its server-side trace — quote it when reporting a problem.
-type ErrorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	TraceID string `json:"trace_id,omitempty"`
-}
+// ErrorBody and ErrorDetail are the JSON error envelope every non-2xx
+// answer carries, defined where it is written (obs.WriteError).
+type (
+	ErrorBody   = obs.ErrorBody
+	ErrorDetail = obs.ErrorDetail
+)

@@ -100,22 +100,12 @@ func normalizeTokens(toks []rpe.Token) string {
 	return sb.String()
 }
 
-// keywords are the language's case-insensitive reserved words (mirrors
-// the query parser's reserved set), in their normalized upper case.
-var keywords = [...]string{
-	"RETRIEVE", "SELECT", "FROM", "WHERE", "AND", "MATCHES", "PATHS",
-	"AT", "NOT", "EXISTS", "SOURCE", "TARGET", "LEN", "COUNT", "FIRST",
-	"LAST", "TIME", "WHEN",
-}
-
 // keywordOr returns an identifier's normalized spelling: a keyword in
 // upper case, so "select" and "SELECT" digest identically; class and
 // variable names as written, since they are case-sensitive.
 func keywordOr(s string) string {
-	for _, kw := range keywords {
-		if strings.EqualFold(s, kw) {
-			return kw
-		}
+	if kw, ok := rpe.Keyword(s); ok {
+		return kw
 	}
 	return s
 }

@@ -10,7 +10,9 @@
 #   2. /debug/traces lists the just-run query, and its trace ID
 #      resolves at /debug/traces/{id} to a span tree with the server
 #      phases and the engine operator spans.
-#   3. The access log holds one JSON line per request, tagged with a
+#   3. An EXPLAIN ANALYZE query is a traced run like any other: its
+#      trace holds the engine's Query span and operator spans.
+#   4. The access log holds one JSON line per request, tagged with a
 #      trace ID.
 set -eu
 
@@ -80,10 +82,26 @@ for want in '"name":"Request"' '"name":"Execute"' '"name":"Query"' "rendered"; d
 done
 echo "obs-smoke: /debug/traces span tree ok (trace $TRACE_ID)"
 
+# 3. EXPLAIN ANALYZE: the response's trace ID resolves to a span tree
+# with the engine's operator DAG, not just the server phases.
+ANALYZE="$(curl -sf "http://$ADDR/v1/query" -d "{\"query\":\"$Q\",\"explain\":\"analyze\"}")"
+ANALYZE_ID="$(echo "$ANALYZE" | tr ',' '\n' | sed -n 's|.*"trace_id":"\([0-9a-f]\{32\}\)".*|\1|p' | head -n 1)"
+[ -n "$ANALYZE_ID" ] || { echo "obs-smoke: no trace id in the explain analyze response"; echo "$ANALYZE"; exit 1; }
+DETAIL="$(curl -sf "http://$ADDR/debug/traces/$ANALYZE_ID")"
+case "$DETAIL" in
+    *'"name":"Query"'*) ;;
+    *) echo "obs-smoke: explain analyze trace has no Query span"; echo "$DETAIL"; exit 1 ;;
+esac
+case "$DETAIL" in
+    *'"name":"Select"'* | *'"name":"Extend"'*) ;;
+    *) echo "obs-smoke: explain analyze trace has no operator span"; echo "$DETAIL"; exit 1 ;;
+esac
+echo "obs-smoke: explain analyze trace holds the operator DAG (trace $ANALYZE_ID)"
+
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "obs-smoke: server exited nonzero:"; cat "$LOG"; exit 1; }
 
-# 3. Access log: one JSON line per request, every line trace-tagged.
+# 4. Access log: one JSON line per request, every line trace-tagged.
 [ -s "$ACCESS" ] || { echo "obs-smoke: access log is empty"; exit 1; }
 LINES="$(wc -l < "$ACCESS")"
 BAD="$(grep -cv '"trace_id":"' "$ACCESS" || true)"
