@@ -90,10 +90,12 @@ crash:
 # /v1/execute handle decoder (a handle binds only the literal kinds its
 # shape expects) and the /v1/ingest write path (random op batches
 # through the server's handler into a WAL-backed store, held to the
-# atomic-batch contract), plus new seeds of the cluster simulation and
+# atomic-batch contract), plus new seeds of the cluster simulation, of
 # the clock's edge conversion (every time a request carries into the
 # engine's int64 nanoseconds, saturating at the range's ends and at the
-# Forever sentinel). Seeds are binary frames from the record encoder (and
+# Forever sentinel), and of the standing-query patcher (a patchable
+# statement under a mutation stream the input chooses, its deltas held
+# to a fresh evaluation after every batch). Seeds are binary frames from the record encoder (and
 # one retired JSON frame), a binary checkpoint and its copy re-encoded to
 # name a UID far past the allocation frontier, the paper's queries, the
 # handles of a few prepared shapes, batches that fail on an earlier op
@@ -101,7 +103,8 @@ crash:
 # exec counts, the checkpoint loader tens of thousands — its 1s
 # minimization cap keeps new inputs from eating the budget — the ingest
 # target, which opens a store per input, a few hundred, the simulation,
-# which runs a three-node cluster per seed, a few dozen).
+# which runs a three-node cluster per seed, a few dozen, the patcher,
+# which builds a fixture and a hub per input, a few thousand).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
@@ -110,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzExecuteHandle -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/
+	$(GO) test -fuzz=FuzzStandingQuery -fuzztime=15s -run '^$$' ./internal/watch/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -85,7 +86,9 @@ func (p *Prepared) VarPlan(name string) (pl *plan.Plan, err error) {
 // Footprint returns the sorted set of class names whose mutations can
 // change this statement's result: the union of every atom's subclass
 // subtree across the query's pathway expressions, view constraints, and
-// NOT EXISTS subqueries. The watch subsystem uses it to skip re-running
+// NOT EXISTS subqueries, and every class of a kind those expressions'
+// pathways hold where no atom consumes it (plan.ClassFootprint). The
+// watch subsystem uses it to skip re-running
 // standing queries for mutations that provably cannot affect them.
 func (p *Prepared) Footprint() []string {
 	var cs []*rpe.Checked
@@ -105,13 +108,52 @@ func (p *Prepared) Footprint() []string {
 		}
 	}
 	walk(p.a)
-	return plan.ClassFootprint(cs...)
+	return plan.ClassFootprint(p.db.Schema(), cs...)
 }
 
 // Exec executes the prepared statement under ctx and the DB's limits,
 // observing into the DB's registry and statistics like Query does.
 func (p *Prepared) Exec(ctx context.Context) (*exec.Result, error) {
 	return p.run(ctx, p.db.executor, exec.RunOptions{})
+}
+
+// Patchable reports whether each row of the statement's answer is one
+// pathway's, in or out by that pathway's own elements now: one range
+// variable over PATHS, no time binding, no aggregate, no join predicate
+// and no subquery. A write then changes only the rows of the pathways
+// through the elements it touched, which ExecThrough finds.
+func (p *Prepared) Patchable() bool {
+	q := p.a.Query
+	if len(q.Vars) != 1 || q.At != nil || q.Vars[0].At != nil || q.Agg != query.AggNone ||
+		len(p.a.ViewChecked) > 0 || len(p.a.Subqueries) > 0 {
+		return false
+	}
+	for _, t := range q.Projs {
+		if t.Fn == query.FnCount {
+			return false
+		}
+	}
+	for _, pr := range q.Preds {
+		if _, ok := pr.(*query.MatchPred); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// ExecThrough is Exec restricted to the pathways that hold at least one
+// of the through elements, for a Patchable statement: each row is one
+// such pathway's (Row.Binding). kept counts pathways the caller keeps
+// from earlier runs; they are charged against the DB's MaxPaths first,
+// so the run fails with the limit a full run would cross.
+func (p *Prepared) ExecThrough(ctx context.Context, through []graph.UID, kept int) (*exec.Result, error) {
+	if !p.Patchable() {
+		return nil, fmt.Errorf("core: %q cannot be restricted to the pathways through given elements", p.shape.norm)
+	}
+	if through == nil {
+		through = []graph.UID{} // non-nil: restricted to nothing
+	}
+	return p.run(ctx, p.db.executor, exec.RunOptions{Through: through, Kept: kept})
 }
 
 // ExecTraced is Exec with per-call limits and optional operator-DAG

@@ -59,6 +59,14 @@ type RunOptions struct {
 	// query's "Query" span as a child, and every variable evaluation's
 	// Eval span nests under a per-variable group span inside it.
 	Parent *obs.Span
+	// Through, when non-nil, restricts the evaluation of a query with one
+	// range variable and no subquery to the pathways that hold one of
+	// these elements (plan.EvalOpts.Through): each row is one of them.
+	Through []graph.UID
+	// Kept counts pathways the caller keeps from an earlier run beside
+	// this one's. They are charged against Limits.MaxPaths first, so a
+	// restricted run fails where the whole answer would.
+	Kept int
 }
 
 // runCtx carries one query execution's instrumentation and governance:
@@ -70,6 +78,7 @@ type runCtx struct {
 	metrics plan.Metrics
 	plans   map[string]*plan.Plan
 	span    *obs.Span // non-nil enables operator-DAG tracing
+	through []graph.UID
 	// Per-variable grouping spans: almost every query has one range
 	// variable, so the first gets two plain fields and the map is only
 	// allocated for the second onward.
@@ -112,7 +121,7 @@ func (rc *runCtx) varSpan(name string) *obs.Span {
 // machinery (engine panics are already converted one layer down)
 // surfaces as a *plan.PanicError instead of unwinding the caller.
 func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (res *Result, err error) {
-	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits)}
+	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits), through: o.Through}
 	if o.Parent != nil {
 		rc.span = o.Parent.StartChild("Query", "")
 	}
@@ -122,6 +131,9 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 			err = &plan.PanicError{Value: r, Stack: debug.Stack(), Span: rc.span}
 		}
 	}()
+	if err := rc.gov.AddPaths(o.Kept); err != nil {
+		return nil, err
+	}
 	return x.run(a, rc)
 }
 
@@ -420,7 +432,7 @@ func (x *Executor) findSeed(a *query.Analyzed, name string, placed map[string]bo
 func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl *slots, bind []plan.Pathway, rc *runCtx) ([]plan.Pathway, error) {
 	rc.plans[step.name] = step.plan
 	eng := x.engineFor(step.name)
-	opts := plan.EvalOpts{Gov: rc.gov, TraceParent: rc.varSpan(step.name)}
+	opts := plan.EvalOpts{Gov: rc.gov, Through: rc.through, TraceParent: rc.varSpan(step.name)}
 	if step.seeded {
 		seeds, err := x.seedsFor(step, sl, bind, eng)
 		if err != nil {

@@ -107,6 +107,11 @@ type evalState struct {
 	elems    []graph.UID // the candidate pathway being assembled
 	validity validityScratch
 
+	// anchors holds a restricted evaluation's anchor elements, and keep,
+	// sorted, the elements each of its pathways must hold when anchors
+	// has more (EvalOpts.Through); keep is empty otherwise.
+	anchors, keep []graph.UID
+
 	// out is the result under construction. Its pathways' elements and
 	// validity are windows of outElems and outIvs, appended in pathway
 	// order.
@@ -149,6 +154,8 @@ func getEvalState(gov *Governor) *evalState {
 		bwd:      es.bwd[:0],
 		elems:    es.elems[:0],
 		validity: es.validity,
+		anchors:  es.anchors[:0],
+		keep:     es.keep[:0],
 		out:      PathwaySet{paths: es.out.paths[:0], table: es.out.table[:0]},
 		outElems: es.outElems[:0],
 		outIvs:   es.outIvs[:0],
@@ -410,12 +417,20 @@ func (es *evalState) fail(err error) {
 }
 
 // EvalOpts configures one evaluation through EvalWith: the query's
-// governor, the seed nodes (for seeded plans), and the tracing sink.
+// governor, the seed nodes (for seeded plans), the elements a restricted
+// evaluation runs through, and the tracing sink.
 type EvalOpts struct {
 	// Gov is the query's governor; nil evaluates ungoverned.
 	Gov *Governor
 	// Seeds supplies the imported anchor nodes of a seeded plan.
 	Seeds []graph.UID
+	// Through, when non-nil, restricts an anchored plan's evaluation to
+	// the pathways that hold at least one of these elements: every atom
+	// of the expression is anchored at the elements that satisfy it, in
+	// place of the plan's anchor. A pathway's membership depends on its
+	// own elements only, so this is the part of the answer a write to
+	// them can change.
+	Through []graph.UID
 	// Traced enables operator-DAG tracing; TraceParent, when non-nil,
 	// nests the Eval span under it (and implies Traced).
 	Traced      bool
@@ -439,7 +454,7 @@ func (e *Engine) EvalWith(view graph.View, p *Plan, o EvalOpts) (*PathwaySet, Me
 	if p.Seeded {
 		err = e.evalSeeded(view, p, o.Seeds, es)
 	} else {
-		err = e.eval(view, p, es)
+		err = e.eval(view, p, o.Through, es)
 	}
 	var set *PathwaySet
 	if err == nil {
@@ -477,19 +492,31 @@ func recovered(es *evalState, err *error) {
 	}
 }
 
-func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (err error) {
+// eval runs an anchored plan: Select the anchor atoms' elements, then
+// search both ways from each. A non-nil through restricts it
+// (EvalOpts.Through): every atom is selected, from through's elements.
+func (e *Engine) eval(view graph.View, p *Plan, through []graph.UID, es *evalState) (err error) {
 	defer recovered(es, &err)
 	c := p.Checked
 	nfa := c.NFA()
 	es.begin(e.acc.Store(), view, p)
-	for _, atom := range p.Anchor.Atoms {
+	atoms := p.Anchor.Atoms
+	if through != nil {
+		atoms = c.Atoms()
+		e.throughAnchors(view, c, through, es)
+	}
+	for _, atom := range atoms {
 		if es.checkpoint() {
 			break
 		}
 		sel := es.tr.selectNode(atom)
-		t0 := sel.begin()
-		elements, aerr := e.acc.AnchorElements(view, c, atom, es.gov)
-		sel.end(t0)
+		elements := es.anchors
+		var aerr error
+		if through == nil {
+			t0 := sel.begin()
+			elements, aerr = e.acc.AnchorElements(view, c, atom, es.gov)
+			sel.end(t0)
+		}
 		sel.probed(0, 0, len(elements))
 		if aerr != nil {
 			es.fail(aerr)
@@ -502,8 +529,7 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (err error) {
 				break
 			}
 			ei := es.tab.resolve(uid)
-			obj := es.tab.ents[ei].obj
-			if obj == nil || !es.tab.satisfies(ei, atom) {
+			if !es.tab.ents[ei].visible || !es.tab.satisfies(ei, atom) {
 				continue
 			}
 			for _, ti := range transIdxs {
@@ -521,6 +547,77 @@ func (e *Engine) eval(view graph.View, p *Plan, es *evalState) (err error) {
 		}
 	}
 	return es.err
+}
+
+// throughAnchors fills es.anchors with the elements a restricted
+// evaluation selects from. Every pathway element an atom consumes is one
+// of through's, or, where the automaton places elements no atom consumes
+// (freeKinds), one of its neighbours is: an element a bridge skips, or
+// the implicit endpoint node of a leading or trailing edge atom, sits
+// next to an element an atom consumes, since every sub-expression's
+// first and last consumption is an atom's. So the visible neighbours of
+// through's elements of such a kind join the anchors, and es.keep then
+// holds through for finish to admit only pathways that hold one of them.
+func (e *Engine) throughAnchors(view graph.View, c *rpe.Checked, through []graph.UID, es *evalState) {
+	es.anchors = append(es.anchors, through...)
+	freeEdges, freeNodes := freeKinds(c)
+	if !freeEdges && !freeNodes {
+		return
+	}
+	for _, uid := range through {
+		ei := es.tab.resolve(uid)
+		ent := es.tab.ents[ei]
+		switch {
+		case !ent.visible:
+		case ent.isEdge && freeEdges:
+			es.anchors = append(es.anchors, ent.obj.Src, ent.obj.Dst)
+		case !ent.isEdge && freeNodes:
+			for _, dir := range [2]Direction{Forward, Backward} {
+				edges, err := e.acc.IncidentEdges(view, uid, dir, nil, c, es.gov)
+				if err == nil {
+					err = es.gov.AddEdges(len(edges))
+				}
+				if err != nil {
+					es.fail(err)
+					return
+				}
+				es.m.EdgesScanned += len(edges)
+				es.anchors = append(es.anchors, edges...)
+			}
+		}
+	}
+	if len(es.anchors) > len(through) {
+		es.keep = append(es.keep, through...)
+		slices.Sort(es.keep)
+	}
+}
+
+// freeKinds reports whether a pathway matching c can hold an edge, and a
+// node, at a position no atom consumes: skipped by a concatenation
+// bridge, or — nodes only — the implicit endpoint before a leading or
+// after a trailing edge atom.
+func freeKinds(c *rpe.Checked) (edges, nodes bool) {
+	nfa := c.NFA()
+	for ti, tr := range nfa.Trans {
+		if tr.Atom == nil {
+			edges = edges || c.CanConsume(ti, true)
+			nodes = nodes || c.CanConsume(ti, false)
+		} else if c.CanConsume(ti, true) &&
+			(nfa.ClosureRev(tr.From).Has(nfa.Start) || nfa.Closure(tr.To).Has(nfa.Accept)) {
+			nodes = true
+		}
+	}
+	return edges, nodes
+}
+
+// holdsAny reports whether elems holds an element of sorted.
+func holdsAny(elems, sorted []graph.UID) bool {
+	for _, u := range elems {
+		if _, ok := slices.BinarySearch(sorted, u); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // evalSeeded evaluates a plan whose anchor is imported from a join. Seeds
@@ -792,7 +889,7 @@ func (e *Engine) combine(view graph.View, es *evalState) {
 // waste. The candidate comes out of an accepting run of the search, which
 // computeValidity may rely on.
 func (e *Engine) finish(view graph.View, elems []graph.UID, es *evalState) {
-	if hasDuplicates(elems) {
+	if hasDuplicates(elems) || len(es.keep) > 0 && !holdsAny(elems, es.keep) {
 		return
 	}
 	i, slot := es.out.find(hashElems(elems), elems)

@@ -36,7 +36,7 @@ var wantMetricKeys = []string{
 	"wal.checkpoints", "wal.fsync_ms", "wal.fsyncs", "wal.group_records", "wal.next_index", "wal.recovered_records",
 	"wal.recoveries", "wal.recovery_skipped_records", "wal.stream_read_bytes",
 	"watch.events", "watch.standing.deltas", "watch.standing.errors", "watch.standing.evals",
-	"watch.standing.lagged", "watch.standing.queries", "watch.standing.skipped",
+	"watch.standing.lagged", "watch.standing.patched", "watch.standing.queries", "watch.standing.skipped",
 }
 
 // TestMetricsKeySet: every component's metrics reach /metrics, whichever

@@ -195,6 +195,7 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
+	s.mux.HandleFunc("/", s.handleUnrouted)
 	if cfg.Follow != nil {
 		if db.WAL() == nil {
 			panic("server: Config.Follow requires a WAL-backed DB: a replica logs what it applies")
@@ -598,6 +599,31 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		OK:        true,
 		ElapsedMS: float64(time.Since(start)) / 1e6,
 	})
+}
+
+// routeMethods are the methods handleUnrouted tries a path with.
+var routeMethods = []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete}
+
+// handleUnrouted answers what no other route takes, in the typed
+// envelope every failure uses: 405 method_not_allowed with the Allow
+// header when the path has routes for other methods, 404 not_found
+// otherwise.
+func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range routeMethods {
+		probe := r.WithContext(r.Context())
+		probe.Method = m
+		if _, pattern := s.mux.Handler(probe); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) == 0 {
+		obs.WriteError(w, r, http.StatusNotFound, "not_found", fmt.Sprintf("no route for %s", r.URL.Path))
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	obs.WriteError(w, r, http.StatusMethodNotAllowed, "method_not_allowed",
+		fmt.Sprintf("%s %s: allowed %s", r.Method, r.URL.Path, strings.Join(allow, ", ")))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

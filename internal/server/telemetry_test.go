@@ -245,6 +245,49 @@ func TestWALErrorsCarryEnvelope(t *testing.T) {
 	}
 }
 
+// TestUnroutedRequestsAreTyped: a path no route takes answers 404
+// not_found, and a route asked with the wrong method 405
+// method_not_allowed with its Allow header, both in the typed envelope
+// with the trace ID and logged under their code. On an in-memory server,
+// which mounts no replication feed, /v1/wal is such a path.
+func TestUnroutedRequestsAreTyped(t *testing.T) {
+	logBuf := &syncBuffer{}
+	_, c := newTestServer(t, newDemoDB(t), server.Config{AccessLog: logBuf})
+	for _, tc := range []struct {
+		path   string
+		status int
+		code   string
+		allow  string
+	}{
+		{"/v1/nope", http.StatusNotFound, "not_found", ""},
+		{"/v1/query", http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{"/v1/wal?from=0", http.StatusNotFound, "not_found", ""},
+	} {
+		resp, err := http.Get(c.Base() + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb server.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: body is not the typed envelope: %v", tc.path, err)
+		}
+		trace := resp.Header.Get(obs.TraceHeader)
+		if resp.StatusCode != tc.status || eb.Error.Code != tc.code || eb.Error.TraceID == "" || eb.Error.TraceID != trace {
+			t.Errorf("GET %s = %d %+v (trace header %q); want %d %s with the trace id",
+				tc.path, resp.StatusCode, eb.Error, trace, tc.status, tc.code)
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("GET %s: Allow %q; want %q", tc.path, got, tc.allow)
+		}
+		entries := logBuf.entries(t)
+		if e := entries[len(entries)-1]; e.TraceID != trace || e.Status != tc.status || e.Outcome != tc.code {
+			t.Errorf("GET %s: access line %+v; want status %d, outcome %s", tc.path, e, tc.status, tc.code)
+		}
+	}
+}
+
 // TestIngestTraceIncludesWAL checks a mutating request on a WAL-backed
 // store produces a trace whose Execute phase contains the WALAppend
 // span — the context carried the request span through the store's

@@ -3,13 +3,16 @@ package watch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -72,6 +75,9 @@ type Subscription struct {
 
 	prepared  *core.Prepared
 	footprint map[string]struct{}
+	// pvar names the statement's pathway variable when the statement is
+	// Patchable, and is empty otherwise.
+	pvar string
 
 	ch chan Notification
 
@@ -79,7 +85,13 @@ type Subscription struct {
 	lagging  bool   // queue overflowed; deltas are being dropped
 	resume   uint64 // evaluated-through index of the last dropped delta
 	needFull bool   // next evaluation must push a full snapshot
-	prev     map[string]string
+
+	// ans is the answer the subscriber was last sent, and stale reports
+	// that an evaluation failed since: the store has moved on from ans,
+	// and the next evaluation is a full one, diffed against it. Only the
+	// pump touches them, under the hub's lock.
+	ans   answer
+	stale bool
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -161,7 +173,8 @@ func (s *Subscription) push(n Notification, through uint64) {
 
 // Hub is the standing-query engine: it tails a Feed with a single pump
 // goroutine, and re-evaluates each registered query only when a mutation
-// batch touches the query's class footprint.
+// batch touches the query's class footprint, patching the answer of a
+// Patchable statement from the elements the batch touched.
 type Hub struct {
 	db   *core.DB
 	feed Feed
@@ -169,12 +182,16 @@ type Hub struct {
 	mu     sync.Mutex
 	cursor uint64
 	subs   []*Subscription
+	// nsubs is len(subs), for the gauge: a scrape must not wait for the
+	// pump, which holds mu across a batch's evaluations.
+	nsubs atomic.Int64
 
 	done      chan struct{}
 	closeOnce sync.Once
 
 	mEvents  *obs.Counter
 	mEvals   *obs.Counter
+	mPatched *obs.Counter
 	mSkipped *obs.Counter
 	mDeltas  *obs.Counter
 	mLagged  *obs.Counter
@@ -193,6 +210,7 @@ func NewHub(db *core.DB, feed Feed, reg *obs.Registry) *Hub {
 		done:     make(chan struct{}),
 		mEvents:  reg.Counter("watch.events"),
 		mEvals:   reg.Counter("watch.standing.evals"),
+		mPatched: reg.Counter("watch.standing.patched"),
 		mSkipped: reg.Counter("watch.standing.skipped"),
 		mDeltas:  reg.Counter("watch.standing.deltas"),
 		mLagged:  reg.Counter("watch.standing.lagged"),
@@ -200,15 +218,12 @@ func NewHub(db *core.DB, feed Feed, reg *obs.Registry) *Hub {
 	}
 	reg.SetHelp("watch.events", "Change-feed events processed by the standing-query pump")
 	reg.SetHelp("watch.standing.evals", "Standing-query re-evaluations triggered by footprint hits")
+	reg.SetHelp("watch.standing.patched", "Standing-query re-evaluations answered by a patch: only the pathways through the elements the batch touched re-evaluated")
 	reg.SetHelp("watch.standing.skipped", "Standing-query re-evaluations skipped: batch outside the class footprint")
 	reg.SetHelp("watch.standing.deltas", "Standing-query result deltas pushed to subscribers")
 	reg.SetHelp("watch.standing.lagged", "Subscriber queue overflows (watch_lagging)")
 	reg.SetHelp("watch.standing.errors", "Standing-query re-evaluations that failed (watch_query_failed)")
-	reg.GaugeFunc("watch.standing.queries", func() float64 {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return float64(len(h.subs))
-	})
+	reg.GaugeFunc("watch.standing.queries", func() float64 { return float64(h.nsubs.Load()) })
 	go h.pump()
 	return h
 }
@@ -244,6 +259,9 @@ func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
 		ch:        make(chan Notification, queueLen),
 		closed:    make(chan struct{}),
 	}
+	if prepared.Patchable() {
+		s.pvar = prepared.Query().Vars[0].Name
+	}
 	// Snapshot + enroll under the pump lock so no batch lands between the
 	// initial evaluation and the subscription joining the pump's list.
 	h.mu.Lock()
@@ -252,23 +270,21 @@ func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := h.renderRows(res, nil)
-	s.prev = rows
-	full := &Delta{Query: name, Index: h.cursor, Full: true, Added: sortedValues(rows)}
+	s.ans = h.renderRows(res, nil, s.pvar)
+	full := &Delta{Query: name, Index: h.cursor, Full: true, Added: s.ans.texts()}
 	s.ch <- Notification{Kind: KindDelta, Delta: full}
 	h.mDeltas.Add(1)
 	h.subs = append(h.subs, s)
+	h.nsubs.Store(int64(len(h.subs)))
 	return s, nil
 }
 
 func (h *Hub) unregister(s *Subscription) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, x := range h.subs {
-		if x == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
-			return
-		}
+	if i := slices.Index(h.subs, s); i >= 0 {
+		h.subs = slices.Delete(h.subs, i, i+1) // clears the vacated slot
+		h.nsubs.Store(int64(len(h.subs)))
 	}
 }
 
@@ -276,8 +292,9 @@ func (h *Hub) unregister(s *Subscription) {
 func (h *Hub) Close() {
 	h.closeOnce.Do(func() { close(h.done) })
 	h.mu.Lock()
-	subs := append([]*Subscription(nil), h.subs...)
+	subs := h.subs
 	h.subs = nil
+	h.nsubs.Store(0)
 	h.mu.Unlock()
 	for _, s := range subs {
 		s.closeOnce.Do(func() { close(s.closed) })
@@ -312,12 +329,8 @@ func (h *Hub) pump() {
 			if IsCompacted(err) {
 				// The pump's position was contracted away (checkpoint or
 				// ring overflow): mutations it never saw may have touched
-				// any footprint, so every query re-evaluates.
-				base := err.(*CompactedError).Base
-				h.mu.Lock()
-				h.cursor = base
-				h.mu.Unlock()
-				h.evaluate(nil, base, true)
+				// anything, so every query re-evaluates in full.
+				h.evaluate(batch{full: true}, err.(*CompactedError).Base)
 				continue
 			}
 			// Transient read failure: back off briefly, then retry.
@@ -330,19 +343,7 @@ func (h *Hub) pump() {
 		}
 		if len(events) > 0 {
 			h.mEvents.Add(int64(len(events)))
-			classes := map[string]struct{}{}
-			unattributed := false
-			for _, ev := range events {
-				if ev.Class == "" {
-					unattributed = true
-					continue
-				}
-				classes[ev.Class] = struct{}{}
-			}
-			h.mu.Lock()
-			h.cursor = next
-			h.mu.Unlock()
-			h.evaluate(classes, next, unattributed)
+			h.evaluate(batchOf(events), next)
 			continue
 		}
 		select {
@@ -353,17 +354,44 @@ func (h *Hub) pump() {
 	}
 }
 
-// evaluate folds one mutation batch (its touched classes) into every
-// registered query: footprint misses are counted and skipped, hits are
-// re-executed — through Prepared.Exec, so under the DB's limits and into
-// its metrics and per-digest statistics like any query — and diffed. A failed
-// re-execution is counted and pushed as a KindFailed notification; the
-// subscription stays enrolled, and its next delta is relative to the last
-// result it was sent. force bypasses the footprint filter — used when the
-// batch's classes are unknowable (compaction gap, unattributed event).
-func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) {
+// batch is what the pump knows of one feed batch: the classes and the
+// elements its events touched, or full when that is unknowable — a
+// compaction gap, or an event the feed could not attribute to a class.
+type batch struct {
+	classes map[string]struct{}
+	uids    []graph.UID // sorted, distinct
+	full    bool
+}
+
+// batchOf returns what events touched.
+func batchOf(events []Event) batch {
+	b := batch{classes: map[string]struct{}{}, uids: make([]graph.UID, 0, len(events))}
+	for _, ev := range events {
+		if ev.Class == "" {
+			return batch{full: true}
+		}
+		b.classes[ev.Class] = struct{}{}
+		b.uids = append(b.uids, graph.UID(ev.UID))
+	}
+	slices.Sort(b.uids)
+	b.uids = slices.Compact(b.uids)
+	return b
+}
+
+// evaluate moves the cursor to through, the stream index after the
+// batch b, and folds b into every registered query, all under one hold
+// of the lock: a cursor read under it is evaluated through. Footprint
+// misses are counted and skipped; hits re-evaluate (reevaluate)
+// through core.Prepared, so under the DB's limits and into its metrics
+// and per-digest statistics like any query, and push the delta. A failed
+// re-evaluation is counted and pushed as a KindFailed notification; the
+// subscription stays enrolled, and its next delta is relative to the
+// last result it was sent. A subscriber back from lagging gets the
+// maintained answer as a full snapshot at the next batch.
+func (h *Hub) evaluate(b batch, through uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.cursor = through
 	for _, s := range h.subs {
 		select {
 		case <-s.closed:
@@ -373,25 +401,27 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		s.mu.Lock()
 		needFull := s.needFull
 		s.mu.Unlock()
-		if !force && !needFull && !touches(classes, s.footprint) {
+		hit := b.full || touches(b.classes, s.footprint)
+		if !hit && !needFull {
 			h.mSkipped.Add(1)
 			continue
 		}
-		h.mEvals.Add(1)
-		res, err := s.prepared.Exec(context.Background())
-		if err != nil {
-			h.mErrors.Add(1)
-			s.push(Notification{Kind: KindFailed, Resume: through, Outcome: exec.Outcome(err), Error: err.Error()}, through)
-			continue
+		var d *Delta
+		if hit || s.stale {
+			h.mEvals.Add(1)
+			var err error
+			if d, err = h.reevaluate(s, b); err != nil {
+				s.stale = true
+				h.mErrors.Add(1)
+				s.push(Notification{Kind: KindFailed, Resume: through, Outcome: exec.Outcome(err), Error: err.Error()}, through)
+				continue
+			}
 		}
-		rows := h.renderRows(res, s.prev)
-		d := diff(s.prev, rows)
-		s.prev = rows
 		if needFull {
 			s.mu.Lock()
 			s.needFull = false
 			s.mu.Unlock()
-			d = &Delta{Full: true, Added: sortedValues(rows)}
+			d = &Delta{Full: true, Added: s.ans.texts()}
 		}
 		if d == nil {
 			continue
@@ -401,6 +431,91 @@ func (h *Hub) evaluate(classes map[string]struct{}, through uint64, force bool) 
 		s.push(Notification{Kind: KindDelta, Delta: d}, through)
 		h.mDeltas.Add(1)
 	}
+}
+
+// reevaluate brings s's answer up to the store and returns the change,
+// nil when there is none. A patchable statement whose answer is current
+// up to this batch is patched; anything else evaluates in full.
+func (h *Hub) reevaluate(s *Subscription, b batch) (*Delta, error) {
+	if s.pvar != "" && !s.stale && !b.full {
+		d, err := h.patch(s, b.uids)
+		if err == nil {
+			h.mPatched.Add(1)
+		}
+		return d, err
+	}
+	res, err := s.prepared.Exec(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	next := h.renderRows(res, s.ans.rows, s.pvar)
+	d := diff(s.ans.rows, next.rows)
+	s.ans, s.stale = next, false
+	return d, nil
+}
+
+// patch re-evaluates the part of s's answer a write to the elements
+// touched can change: the pathways through them. It evaluates the
+// statement restricted to those elements, then swaps the pathways
+// indexed under them for the ones it found. A row is added when its
+// first pathway arrives and removed when its last one goes; only added
+// rows are rendered. On error the answer is left as it was.
+func (h *Hub) patch(s *Subscription, touched []graph.UID) (*Delta, error) {
+	a := &s.ans
+	a.gen++
+	var drop []*pathRow
+	for _, u := range touched {
+		for _, pr := range a.index[u] {
+			if pr.gen != a.gen {
+				pr.gen = a.gen
+				drop = append(drop, pr)
+			}
+		}
+	}
+	res, err := s.prepared.ExecThrough(context.Background(), touched, len(a.paths)-len(drop))
+	if err != nil {
+		return nil, err
+	}
+	var gone map[string]*resultRow // rows whose last pathway was dropped
+	for _, pr := range drop {
+		a.unlink(pr)
+		r := a.rows[pr.row]
+		if r.support--; r.support == 0 {
+			if gone == nil {
+				gone = map[string]*resultRow{}
+			}
+			gone[pr.row] = r
+			delete(a.rows, pr.row)
+		}
+	}
+	d := &Delta{}
+	for _, row := range res.Rows {
+		key := rowKey(row)
+		pw, _ := row.Binding(s.pvar)
+		if !a.link(pw, key) {
+			continue
+		}
+		r := a.rows[key]
+		if r == nil {
+			if r = gone[key]; r != nil {
+				delete(gone, key) // back again: unchanged
+			} else {
+				r = &resultRow{text: h.render(row)}
+				d.Added = append(d.Added, r.text)
+			}
+			a.rows[key] = r
+		}
+		r.support++
+	}
+	for _, r := range gone {
+		d.Removed = append(d.Removed, r.text)
+	}
+	if len(d.Added) == 0 && len(d.Removed) == 0 {
+		return nil, nil
+	}
+	sort.Strings(d.Added)
+	sort.Strings(d.Removed)
+	return d, nil
 }
 
 // touches reports whether any touched class is inside the footprint. An
@@ -417,49 +532,149 @@ func touches(classes, footprint map[string]struct{}) bool {
 	return false
 }
 
-// renderRows keys and renders a result set: pathway values key by their
-// canonical step-UID key and render through the store, scalars by their
-// printed form. A row whose key is already in prev reuses its rendering:
-// a key fixes the UIDs, and a UID's class never changes, so an unchanged
-// standing-query result renders nothing.
-func (h *Hub) renderRows(res *exec.Result, prev map[string]string) map[string]string {
-	rows := make(map[string]string, len(res.Rows))
-	for _, row := range res.Rows {
-		keys := make([]string, 0, len(row.Values))
-		for _, v := range row.Values {
-			if pw, ok := v.(*plan.Pathway); ok {
-				keys = append(keys, pw.Key())
-			} else {
-				keys = append(keys, fmt.Sprint(v))
-			}
-		}
-		key := strings.Join(keys, "\x1f")
-		if r, ok := prev[key]; ok {
-			rows[key] = r
-			continue
-		}
-		for i, v := range row.Values { // a scalar's key is its rendering
-			if pw, ok := v.(*plan.Pathway); ok {
-				keys[i] = h.db.RenderPath(*pw)
-			}
-		}
-		rows[key] = strings.Join(keys, " | ")
+// answer is a standing query's maintained result: its rows by key, and,
+// for a patchable statement, its pathways by key with an index from each
+// element to the pathways through it.
+type answer struct {
+	rows  map[string]*resultRow
+	paths map[string]*pathRow
+	index map[graph.UID][]*pathRow
+	gen   uint64 // patch's mark for the pathways it drops
+}
+
+// resultRow is one row of an answer: its rendering, and how many of the
+// answer's pathways produce it (a Select projection's rows repeat).
+type resultRow struct {
+	text    string
+	support int
+}
+
+// pathRow is one pathway of a patchable answer: the key of the row it
+// produces, its elements, and its position in each element's index list.
+type pathRow struct {
+	key, row string
+	elems    []graph.UID
+	slot     []int
+	gen      uint64
+}
+
+// link adds pathway pw, producing row key row, to the answer; it reports
+// false, changing nothing, when the answer already holds pw.
+func (a *answer) link(pw plan.Pathway, row string) bool {
+	key := pw.Key()
+	if _, ok := a.paths[key]; ok {
+		return false
 	}
-	return rows
+	pr := &pathRow{key: key, row: row, elems: pw.Elems, slot: make([]int, len(pw.Elems))}
+	a.paths[key] = pr
+	for j, u := range pw.Elems {
+		pr.slot[j] = len(a.index[u])
+		a.index[u] = append(a.index[u], pr)
+	}
+	return true
+}
+
+// unlink removes pathway pr from the answer's pathways and index; its
+// row's support is the caller's.
+func (a *answer) unlink(pr *pathRow) {
+	delete(a.paths, pr.key)
+	for j, u := range pr.elems {
+		list := a.index[u]
+		last := len(list) - 1
+		moved := list[last]
+		list[pr.slot[j]] = moved
+		moved.slot[slices.Index(moved.elems, u)] = pr.slot[j]
+		list[last] = nil
+		if last == 0 {
+			delete(a.index, u)
+		} else {
+			a.index[u] = list[:last]
+		}
+	}
+}
+
+// texts returns the answer's rendered rows, sorted.
+func (a answer) texts() []string {
+	out := make([]string, 0, len(a.rows))
+	for _, r := range a.rows {
+		out = append(out, r.text)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// renderRows builds the answer of a full result. A row whose key prev
+// already holds takes its rendering from there: a key fixes the UIDs,
+// and a UID's class never changes, so an unchanged standing-query result
+// renders nothing. With pvar, the pathway variable of a patchable
+// statement, the answer indexes each row's pathway too.
+func (h *Hub) renderRows(res *exec.Result, prev map[string]*resultRow, pvar string) answer {
+	a := answer{rows: make(map[string]*resultRow, len(res.Rows))}
+	if pvar != "" {
+		a.paths = make(map[string]*pathRow, len(res.Rows))
+		a.index = map[graph.UID][]*pathRow{}
+	}
+	for _, row := range res.Rows {
+		key := rowKey(row)
+		if pvar != "" {
+			if pw, _ := row.Binding(pvar); !a.link(pw, key) {
+				continue
+			}
+		}
+		r := a.rows[key]
+		if r == nil {
+			if old := prev[key]; old != nil {
+				r = &resultRow{text: old.text}
+			} else {
+				r = &resultRow{text: h.render(row)}
+			}
+			a.rows[key] = r
+		}
+		r.support++
+	}
+	return a
+}
+
+// rowKey keys a result row: pathway values by their canonical step-UID
+// key, scalars by their printed form.
+func rowKey(row exec.Row) string {
+	keys := make([]string, len(row.Values))
+	for i, v := range row.Values {
+		if pw, ok := v.(*plan.Pathway); ok {
+			keys[i] = pw.Key()
+		} else {
+			keys[i] = fmt.Sprint(v)
+		}
+	}
+	return strings.Join(keys, "\x1f")
+}
+
+// render renders a result row: pathway values through the store,
+// scalars by their printed form.
+func (h *Hub) render(row exec.Row) string {
+	parts := make([]string, len(row.Values))
+	for i, v := range row.Values {
+		if pw, ok := v.(*plan.Pathway); ok {
+			parts[i] = h.db.RenderPath(*pw)
+		} else {
+			parts[i] = fmt.Sprint(v)
+		}
+	}
+	return strings.Join(parts, " | ")
 }
 
 // diff returns the delta between two keyed result sets, or nil when
 // they are identical.
-func diff(prev, next map[string]string) *Delta {
+func diff(prev, next map[string]*resultRow) *Delta {
 	var added, removed []string
-	for k, v := range next {
+	for k, r := range next {
 		if _, ok := prev[k]; !ok {
-			added = append(added, v)
+			added = append(added, r.text)
 		}
 	}
-	for k, v := range prev {
+	for k, r := range prev {
 		if _, ok := next[k]; !ok {
-			removed = append(removed, v)
+			removed = append(removed, r.text)
 		}
 	}
 	if len(added) == 0 && len(removed) == 0 {
@@ -468,13 +683,4 @@ func diff(prev, next map[string]string) *Delta {
 	sort.Strings(added)
 	sort.Strings(removed)
 	return &Delta{Added: added, Removed: removed}
-}
-
-func sortedValues(rows map[string]string) []string {
-	out := make([]string, 0, len(rows))
-	for _, v := range rows {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

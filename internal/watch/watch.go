@@ -17,7 +17,9 @@
 //   - Standing queries: a Hub registers compiled pathway queries, derives
 //     each one's class footprint from its plan DAG (every atom's class
 //     expanded to the full subclass subtree), and re-evaluates a query
-//     only when a mutation batch touches its footprint. Result deltas are
+//     only when a mutation batch touches its footprint — for a query
+//     whose rows are single pathways, only the pathways through the
+//     elements the batch touched, patched into its answer. Result deltas are
 //     pushed to subscribers over bounded queues with at-least-once
 //     semantics: a slow consumer gets a typed "watch_lagging" control
 //     event carrying the resume token — never unbounded memory — and the

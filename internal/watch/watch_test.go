@@ -562,14 +562,74 @@ func TestRenderRowsReusesPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &Hub{db: db}
-	first := h.renderRows(res, nil)
+	first := h.renderRows(res, nil, "").rows
 	keyA, keyB := strconv.FormatInt(int64(a), 10), strconv.FormatInt(int64(b), 10)
-	if first[keyA] != "ComputeHost#"+keyA || first[keyB] != "ComputeHost#"+keyB || len(first) != 2 {
+	if first[keyA].text != "ComputeHost#"+keyA || first[keyB].text != "ComputeHost#"+keyB || len(first) != 2 {
 		t.Fatalf("fresh rendering = %v", first)
 	}
 	// A sentinel in prev proves reuse: a re-render would overwrite it.
-	next := h.renderRows(res, map[string]string{keyA: "cached"})
-	if next[keyA] != "cached" || next[keyB] != first[keyB] {
+	next := h.renderRows(res, map[string]*resultRow{keyA: {text: "cached"}}, "").rows
+	if next[keyA].text != "cached" || next[keyB].text != first[keyB].text {
 		t.Fatalf("rendering with prev = %v; want host-a reused, host-b rendered", next)
+	}
+}
+
+// TestClosedSubscriptionUnreachable: closing a subscription leaves no
+// slot of the hub's list, spare capacity included, pointing at it — its
+// queue and answer are garbage once the subscriber lets go.
+func TestClosedSubscriptionUnreachable(t *testing.T) {
+	db := openWALDB(t)
+	insertHost(t, db, 1, "host-a")
+	hub := NewHub(db, NewWALFeed(db.WAL(), db.Store()), obs.NewRegistry())
+	defer hub.Close()
+	var subs []*Subscription
+	for i := range 3 {
+		sub, err := hub.Register(strconv.Itoa(i), "Select source(P).name From PATHS P Where P MATCHES ComputeHost()", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	// The last one, whose slot becomes spare capacity, then the first.
+	for i, closed := range []*Subscription{subs[2], subs[0]} {
+		closed.Close()
+		hub.mu.Lock()
+		n, held := len(hub.subs), slices.Contains(hub.subs[:cap(hub.subs)], closed)
+		hub.mu.Unlock()
+		if n != 2-i {
+			t.Fatalf("%d subscriptions enrolled after closing %d of 3", n, i+1)
+		}
+		if held {
+			t.Fatalf("a slot of the hub's list still holds closed subscription %s", closed.Name())
+		}
+	}
+}
+
+// TestQueriesGaugeDoesNotWaitForPump: the watch.standing.queries gauge
+// reads while the pump holds the hub's lock, as it does across a batch's
+// evaluations.
+func TestQueriesGaugeDoesNotWaitForPump(t *testing.T) {
+	db := openWALDB(t)
+	reg := obs.NewRegistry()
+	hub := NewHub(db, NewWALFeed(db.WAL(), db.Store()), reg)
+	defer hub.Close()
+	sub, err := hub.Register("hosts", "Select source(P).name From PATHS P Where P MATCHES ComputeHost()", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	hub.mu.Lock()
+	got := make(chan any, 1)
+	go func() { got <- reg.Snapshot()["watch.standing.queries"] }()
+	select {
+	case v := <-got:
+		hub.mu.Unlock()
+		if v != float64(1) {
+			t.Fatalf("watch.standing.queries = %v; want 1", v)
+		}
+	case <-time.After(5 * time.Second):
+		hub.mu.Unlock()
+		t.Fatal("reading watch.standing.queries waited on the hub's lock")
 	}
 }
