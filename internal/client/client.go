@@ -88,6 +88,10 @@ type APIError struct {
 	// how long to wait before retrying this endpoint. Sent with 429
 	// "overloaded" and 503 "replica_lagging".
 	RetryAfter time.Duration
+
+	// header is the response's header, for the callers that read more of
+	// it (WatchPoll's X-Nepal-Wal-Base).
+	header http.Header
 }
 
 func (e *APIError) Error() string {
@@ -627,6 +631,22 @@ func putBody(buf *bytes.Buffer) {
 	}
 	buf.Reset()
 	bodyPool.Put(buf)
+}
+
+// decodeAPIError turns a non-2xx response into *APIError.
+func decodeAPIError(hresp *http.Response, raw []byte) *APIError {
+	traceID := hresp.Header.Get(obs.TraceHeader)
+	retryAfter := parseRetryAfter(hresp.Header.Get("Retry-After"))
+	var eb server.ErrorBody
+	if jerr := json.Unmarshal(raw, &eb); jerr == nil && eb.Error.Code != "" {
+		if eb.Error.TraceID != "" {
+			traceID = eb.Error.TraceID
+		}
+		return &APIError{Status: hresp.StatusCode, Code: eb.Error.Code,
+			Message: eb.Error.Message, TraceID: traceID, RetryAfter: retryAfter, header: hresp.Header}
+	}
+	return &APIError{Status: hresp.StatusCode, Code: "internal",
+		Message: strings.TrimSpace(string(raw)), TraceID: traceID, RetryAfter: retryAfter, header: hresp.Header}
 }
 
 // parseRetryAfter reads the delay-seconds form of Retry-After (the only

@@ -20,17 +20,13 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/watch"
@@ -85,70 +81,29 @@ func (o *WatchOptions) buffer() int {
 // the batch was served under. A compacted position returns
 // *WatchCompactedError (matches ErrWatchCompacted) with the fresh base.
 func (c *Client) WatchPoll(ctx context.Context, from uint64, o *WatchOptions) (*server.WatchResponse, error) {
-	u := fmt.Sprintf("%s/v1/watch?from=%d&wait_ms=%d", c.base, from, o.pollWait().Milliseconds())
+	path := fmt.Sprintf("/v1/watch?from=%d&wait_ms=%d", from, o.pollWait().Milliseconds())
 	if o != nil && o.MaxEvents > 0 {
-		u += "&max_events=" + strconv.Itoa(o.MaxEvents)
+		path += "&max_events=" + strconv.Itoa(o.MaxEvents)
 	}
 	// Pin the highest epoch this caller has seen: a superseded primary
 	// answering the watch would hand us a fenced era's events; instead it
 	// learns it was superseded and answers 409 watch_stale_epoch.
 	if c.provideEpoch != nil {
 		if e := c.provideEpoch(); e > 0 {
-			u += "&epoch=" + strconv.FormatUint(e, 10)
+			path += "&epoch=" + strconv.FormatUint(e, 10)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	var resp server.WatchResponse
+	err := c.get(ctx, path, &resp)
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Is(ErrWatchCompacted) {
+		base, _ := strconv.ParseUint(ae.header.Get(repl.HeaderBase), 10, 64)
+		return nil, &WatchCompactedError{Base: base, api: ae}
+	}
 	if err != nil {
 		return nil, err
 	}
-	c.injectTrace(ctx, req)
-	hresp, err := c.hc.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, &TransportError{Op: "send", Err: err}
-	}
-	defer hresp.Body.Close()
-	if c.observeEpoch != nil {
-		if e, perr := strconv.ParseUint(hresp.Header.Get(server.HeaderEpoch), 10, 64); perr == nil && e > 0 {
-			c.observeEpoch(e)
-		}
-	}
-	raw, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return nil, &TransportError{Op: "decode", Err: err}
-	}
-	if hresp.StatusCode != http.StatusOK {
-		apiErr := decodeAPIError(hresp, raw)
-		if errors.Is(apiErr, ErrWatchCompacted) {
-			base, _ := strconv.ParseUint(hresp.Header.Get(repl.HeaderBase), 10, 64)
-			return nil, &WatchCompactedError{Base: base, api: apiErr}
-		}
-		return nil, apiErr
-	}
-	var resp server.WatchResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, &TransportError{Op: "decode", Err: err}
-	}
 	return &resp, nil
-}
-
-// decodeAPIError turns a non-2xx response into *APIError (the same
-// mapping Client.do applies).
-func decodeAPIError(hresp *http.Response, raw []byte) *APIError {
-	traceID := hresp.Header.Get(obs.TraceHeader)
-	retryAfter := parseRetryAfter(hresp.Header.Get("Retry-After"))
-	var eb server.ErrorBody
-	if jerr := json.Unmarshal(raw, &eb); jerr == nil && eb.Error.Code != "" {
-		if eb.Error.TraceID != "" {
-			traceID = eb.Error.TraceID
-		}
-		return &APIError{Status: hresp.StatusCode, Code: eb.Error.Code,
-			Message: eb.Error.Message, TraceID: traceID, RetryAfter: retryAfter}
-	}
-	return &APIError{Status: hresp.StatusCode, Code: "internal",
-		Message: strings.TrimSpace(string(raw)), TraceID: traceID, RetryAfter: retryAfter}
 }
 
 // WatchStream is an auto-resuming change-feed subscription. Consume
@@ -245,57 +200,104 @@ func (ws *WatchStream) emit(ctx context.Context, ev watch.Event) bool {
 
 // Watch subscribes to this endpoint's change feed from the given stream
 // index, transparently reconnecting (same cursor) through transient
-// failures. History compacted past the cursor surfaces as a synthetic
-// watch.OpCompacted event carrying the new base, after which the stream
-// resumes there.
+// failures, with a backoff that doubles from 25ms to 2s. History
+// compacted past the cursor surfaces as a synthetic watch.OpCompacted
+// event carrying the new base, after which the stream resumes there.
 func (c *Client) Watch(ctx context.Context, from uint64, o *WatchOptions) *WatchStream {
 	ws := newWatchStream(o)
-	go func() {
-		cursor := from
-		backoff := 25 * time.Millisecond
-		for {
-			select {
-			case <-ws.done:
-				return
-			default:
+	go ws.resubscribe(ctx, from, o,
+		func() []*clusterReplica { return []*clusterReplica{{c: c}} },
+		func(ctx context.Context, attempt int) error {
+			return sleepCtx(ctx, min(25*time.Millisecond<<min(attempt, 7), 2*time.Second))
+		},
+		nil)
+	return ws
+}
+
+// Watch subscribes to the cluster's change feed from the given stream
+// index. The subscription is failover-safe: it prefers replicas
+// (offloading the primary), rotates endpoints on failure, and resumes
+// at the last delivered index — so it rides through a kill-primary →
+// Failover sequence, delivering every acked mutation at least once, in
+// stream order. Batches served under a lower epoch than the cluster
+// has already observed are discarded, never delivered: events from a
+// fenced primary's era cannot interleave with the new primary's.
+func (cl *Cluster) Watch(ctx context.Context, from uint64, o *WatchOptions) *WatchStream {
+	ws := newWatchStream(o)
+	go ws.resubscribe(ctx, from, o, cl.readPlan,
+		func(ctx context.Context, attempt int) error { return cl.backoff(ctx, attempt, nil) },
+		func(epoch uint64) bool {
+			if high := cl.Epoch(); epoch > 0 && epoch < high {
+				cl.mStaleReads.Add(1)
+				return true
 			}
-			if ctx.Err() != nil {
+			return false
+		})
+	return ws
+}
+
+// resubscribe is the one resubscribe loop behind Client.Watch and
+// Cluster.Watch, which differ only in its arguments. It long-polls the
+// endpoints of plan() in order from the cursor. A retryable failure
+// moves it to the next endpoint, and so does a batch that stale reports
+// as served under a superseded epoch (a nil stale accepts every batch).
+// Once a round of the plan is spent it sleeps backoff(attempt) and
+// rebuilds the plan, since a failover may have rewired primary and
+// replicas; a delivered batch resets attempt. A cursor compacted away
+// surfaces as an OpCompacted event, and the stream resumes at the base.
+func (ws *WatchStream) resubscribe(ctx context.Context, cursor uint64, o *WatchOptions,
+	plan func() []*clusterReplica, backoff func(context.Context, int) error, stale func(epoch uint64) bool) {
+	endpoints := plan()
+	idx, attempt := 0, 0
+	for {
+		select {
+		case <-ws.done:
+			return
+		default:
+		}
+		if ctx.Err() != nil {
+			ws.finish(ctx.Err())
+			return
+		}
+		if idx >= len(endpoints) {
+			if backoff(ctx, attempt) != nil {
 				ws.finish(ctx.Err())
 				return
 			}
-			resp, err := c.WatchPoll(ctx, cursor, o)
-			if err != nil {
-				var ce *WatchCompactedError
-				switch {
-				case errors.As(err, &ce):
-					if !ws.emit(ctx, watch.Event{Index: ce.Base, Op: watch.OpCompacted}) {
-						return
-					}
-					cursor = ce.Base
-				case retryWatch(err):
-					if sleepCtx(ctx, backoff) != nil {
-						ws.finish(ctx.Err())
-						return
-					}
-					backoff = min(backoff*2, 2*time.Second)
-				default:
-					ws.finish(err)
-					return
-				}
-				continue
+			attempt++
+			endpoints, idx = plan(), 0
+			continue
+		}
+		resp, err := endpoints[idx].c.WatchPoll(ctx, cursor, o)
+		var ce *WatchCompactedError
+		switch {
+		case errors.As(err, &ce):
+			// This node's retention no longer covers the cursor. Tell the
+			// consumer (it must re-sync) and resume at the base.
+			if !ws.emit(ctx, watch.Event{Index: ce.Base, Op: watch.OpCompacted}) {
+				return
 			}
-			backoff = 25 * time.Millisecond
-			for _, ev := range resp.Events {
-				if !ws.emit(ctx, ev) {
-					return
-				}
-			}
-			if resp.Next > cursor {
-				cursor = resp.Next
+			cursor = ce.Base
+			continue
+		case err != nil && retryWatch(err):
+			idx++
+			continue
+		case err != nil:
+			ws.finish(err)
+			return
+		case stale != nil && stale(resp.Epoch):
+			// A fenced era's events must never reach the consumer.
+			idx++
+			continue
+		}
+		attempt = 0
+		for _, ev := range resp.Events {
+			if !ws.emit(ctx, ev) {
+				return
 			}
 		}
-	}()
-	return ws
+		cursor = max(cursor, resp.Next)
+	}
 }
 
 // retryWatch reports whether a watch poll failure is worth retrying
@@ -316,79 +318,4 @@ func retryWatch(err error) bool {
 		return ae.Status == http.StatusServiceUnavailable
 	}
 	return false
-}
-
-// Watch subscribes to the cluster's change feed from the given stream
-// index. The subscription is failover-safe: it prefers replicas
-// (offloading the primary), rotates endpoints on failure, and resumes
-// at the last delivered index — so it rides through a kill-primary →
-// Failover sequence, delivering every acked mutation at least once, in
-// stream order. Batches served under a lower epoch than the cluster
-// has already observed are discarded, never delivered: events from a
-// fenced primary's era cannot interleave with the new primary's.
-func (cl *Cluster) Watch(ctx context.Context, from uint64, o *WatchOptions) *WatchStream {
-	ws := newWatchStream(o)
-	go func() {
-		cursor := from
-		plan := cl.readPlan()
-		idx, attempt := 0, 0
-		for {
-			select {
-			case <-ws.done:
-				return
-			default:
-			}
-			if ctx.Err() != nil {
-				ws.finish(ctx.Err())
-				return
-			}
-			if idx >= len(plan) {
-				// Every endpoint failed this round: back off, rebuild the
-				// plan (a failover may have rewired primary and replicas).
-				if cl.backoff(ctx, attempt, nil) != nil {
-					ws.finish(ctx.Err())
-					return
-				}
-				attempt++
-				plan = cl.readPlan()
-				idx = 0
-				continue
-			}
-			resp, err := plan[idx].c.WatchPoll(ctx, cursor, o)
-			if err != nil {
-				var ce *WatchCompactedError
-				switch {
-				case errors.As(err, &ce):
-					// This node's retention no longer covers our cursor. Tell
-					// the consumer (it must re-sync) and resume at the base.
-					if !ws.emit(ctx, watch.Event{Index: ce.Base, Op: watch.OpCompacted}) {
-						return
-					}
-					cursor = ce.Base
-				case retryWatch(err):
-					idx++
-				default:
-					ws.finish(err)
-					return
-				}
-				continue
-			}
-			if high := cl.Epoch(); resp.Epoch > 0 && resp.Epoch < high {
-				// A fenced era's events must never reach the consumer.
-				cl.mStaleReads.Add(1)
-				idx++
-				continue
-			}
-			attempt = 0
-			for _, ev := range resp.Events {
-				if !ws.emit(ctx, ev) {
-					return
-				}
-			}
-			if resp.Next > cursor {
-				cursor = resp.Next
-			}
-		}
-	}()
-	return ws
 }

@@ -217,48 +217,30 @@ func TestViewPointAndRange(t *testing.T) {
 	_ = st.Update(uid, Fields{"id": 1, "status": "Green"})
 	obj := st.Elem(uid)
 
-	status, _ := obj.Class.Slot("status")
-	isGreen := func(r schema.Record) bool { return r[status] == "Green" }
-
-	// Point view inside the Red period.
+	// A point view inside the Red period: the object exists, and the
+	// version there is the Red one.
 	v := PointView(st, t0.Add(90*time.Minute))
-	if _, ok := v.Match(obj, isGreen); ok {
-		t.Error("green predicate matched during red period")
-	}
-	if _, ok := v.Match(obj, nil); !ok {
+	if !v.Visible(obj) {
 		t.Error("existence match failed during red period")
 	}
-
-	// Point view in the first Green period returns the maximal green range.
-	v = PointView(st, t0.Add(30*time.Minute))
-	set, ok := v.Match(obj, isGreen)
-	if !ok {
-		t.Fatal("green not matched in green period")
-	}
-	if len(set) == 0 || set[0].Start != temporal.Nanos(t0) || set[0].End != temporal.Nanos(t0.Add(time.Hour)) {
-		t.Errorf("maximal green range = %v", set)
+	status, _ := obj.Class.Slot("status")
+	if got := v.RecordAt(obj)[status]; got != "Red" {
+		t.Errorf("point record status = %v, want Red", got)
 	}
 
-	// Range view across everything: two green periods, second current.
-	v = RangeView(st, t0, t0.Add(10*time.Hour))
-	set, ok = v.Match(obj, isGreen)
-	if !ok || len(set) != 2 {
-		t.Fatalf("range green set = %v, %v", set, ok)
-	}
-	if !set[1].IsCurrent() {
-		t.Error("second green period must be current")
+	// Before the insert the object does not exist yet.
+	if PointView(st, t0.Add(-time.Minute)).Visible(obj) {
+		t.Error("object visible before its insert")
 	}
 
-	// Range window that only covers the red period still reports unclipped
-	// green? No: green does not overlap the window, so no match.
-	v = RangeView(st, t0.Add(61*time.Minute), t0.Add(119*time.Minute))
-	if _, ok = v.Match(obj, isGreen); ok {
-		t.Error("green matched in a window covering only red")
+	// A range window that only covers the red period still sees the
+	// object, which exists throughout.
+	if !RangeView(st, t0.Add(61*time.Minute), t0.Add(119*time.Minute)).Visible(obj) {
+		t.Error("existence match failed in a window covering only red")
 	}
-	// But existence matches, and the reported set is the full lifetime.
-	set, ok = v.Match(obj, nil)
-	if !ok || len(set) != 1 || set[0].Start != temporal.Nanos(t0) {
-		t.Errorf("existence set = %v, %v (must be maximal, unclipped)", set, ok)
+	// A window wholly before the insert does not.
+	if RangeView(st, t0.Add(-2*time.Hour), t0.Add(-time.Hour)).Visible(obj) {
+		t.Error("object visible in a window before its insert")
 	}
 }
 

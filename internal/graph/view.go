@@ -58,53 +58,6 @@ func (v View) At() int64 { return v.at }
 // nanosecond window at the instant).
 func (v View) Window() temporal.Interval { return v.window }
 
-// Pred tests one version's record.
-type Pred func(schema.Record) bool
-
-// Match evaluates pred over the object's versions and returns the maximal
-// (unclipped) periods during which the object existed and satisfied pred,
-// restricted to versions that overlap the view's selection window... more
-// precisely: ok is true when the returned set overlaps the window; the set
-// itself contains all maximal match periods so that range queries report
-// full assertion ranges as §4 requires.
-func (v View) Match(obj *Elem, pred Pred) (temporal.Set, bool) {
-	if obj == nil {
-		return nil, false
-	}
-	if v.point {
-		ver := obj.VersionAt(v.at)
-		if ver == nil || (pred != nil && !pred(ver.Rec)) {
-			return nil, false
-		}
-		// Expand to the maximal contiguous match period around the instant
-		// so that joins and result reporting see true assertion ranges.
-		return v.maximalSet(obj, pred), true
-	}
-	set := v.maximalSet(obj, pred)
-	if set.IsEmpty() {
-		return nil, false
-	}
-	for _, iv := range set {
-		if iv.Overlaps(v.window) {
-			return set, true
-		}
-	}
-	return nil, false
-}
-
-// maximalSet returns the normalized union of version periods where pred
-// holds across the object's entire history.
-func (v View) maximalSet(obj *Elem, pred Pred) temporal.Set {
-	set := make(temporal.Set, 0, len(obj.Versions))
-	for i := range obj.Versions {
-		ver := &obj.Versions[i]
-		if pred == nil || pred(ver.Rec) {
-			set = append(set, ver.Period)
-		}
-	}
-	return set.Normalize()
-}
-
 // Visible reports whether the object exists anywhere in the view's window,
 // regardless of field values. It is the allocation-free fast path the
 // execution engines call per candidate element.

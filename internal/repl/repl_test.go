@@ -88,7 +88,7 @@ func newPrimary(t *testing.T) *primary {
 	t.Cleanup(func() { mgr.Close() })
 	st.SetMutationHook(mgr.Append)
 	node := NewNode(st, mgr, nil)
-	src := NewSource(node, nil)
+	src := NewSource(node, nil, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
@@ -631,7 +631,7 @@ func TestSourceStampsEpochAfterRead(t *testing.T) {
 	t.Cleanup(func() { mgr.Close() })
 	st.SetMutationHook(mgr.Append)
 	node, reg := NewNode(st, mgr, nil), obs.NewRegistry()
-	src := NewSource(node, reg)
+	src := NewSource(node, reg, nil)
 	srv := httptest.NewServer(http.HandlerFunc(src.ServeWAL))
 	t.Cleanup(srv.Close)
 	if _, err := st.InsertNode("Host", graph.Fields{"id": 1}); err != nil {
@@ -904,7 +904,7 @@ func TestPromotedNodeServesFreshFollower(t *testing.T) {
 		}
 	}
 
-	src := NewSource(node, nil)
+	src := NewSource(node, nil, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
@@ -938,7 +938,7 @@ func TestNodeRoleAndEpochRule(t *testing.T) {
 	f.Start()
 	waitFor(t, "catch-up", func() bool { return f.Status().Applied == 4 })
 
-	src := NewSource(node, nil)
+	src := NewSource(node, nil, nil)
 	for _, path := range []string{"/v1/wal?from=0&epoch=9", "/v1/wal/snapshot"} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, path, nil)

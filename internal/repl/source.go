@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -32,8 +31,7 @@ type Source struct {
 	mStaleEpoch *obs.Counter
 	gWaiters    *obs.Gauge
 
-	closing   chan struct{}
-	closeOnce sync.Once
+	drain <-chan struct{}
 }
 
 // maxBatchBytes caps one feed response body. A batch always carries at
@@ -46,9 +44,11 @@ const maxPollWait = 30 * time.Second
 // NewSource returns a feed over node's WAL, which must exist, publishing
 // into reg its counters — batches/records/bytes shipped, snapshots
 // served, feed requests answered 410 or 409 — and the long-poll waiter
-// gauge.
-func NewSource(node *Node, reg *obs.Registry) *Source {
-	return &Source{node: node, closing: make(chan struct{}),
+// gauge. Closing drain, the server's shutdown signal, answers every
+// parked long-poll at once, so held feed requests cannot outlive the
+// connection-drain timeout.
+func NewSource(node *Node, reg *obs.Registry, drain <-chan struct{}) *Source {
+	return &Source{node: node, drain: drain,
 		mBatches:    reg.Counter("repl.source.batches"),
 		mRecords:    reg.Counter("repl.source.records_shipped"),
 		mBytes:      reg.Counter("repl.source.bytes_shipped"),
@@ -58,15 +58,6 @@ func NewSource(node *Node, reg *obs.Registry) *Source {
 		mStaleEpoch: reg.Counter("repl.source.stale_epoch_requests"),
 		gWaiters:    reg.Gauge("repl.source.poll_waiters"),
 	}
-}
-
-// Close releases every parked long-poll immediately (each answers with
-// whatever is pending — usually an empty batch). A primary shutting down
-// gracefully calls this first, so held feed requests cannot outlive the
-// connection-drain timeout. Idempotent; the handlers keep working after
-// Close, they just stop holding polls.
-func (s *Source) Close() {
-	s.closeOnce.Do(func() { close(s.closing) })
 }
 
 // rejectReplica answers a feed or snapshot request on an unpromoted
@@ -84,10 +75,9 @@ func (s *Source) rejectReplica(w http.ResponseWriter, r *http.Request) bool {
 // ServeWAL answers GET /v1/wal?from=N[&wait_ms=M][&max_bytes=K]: a batch
 // of raw WAL frames starting at stream index N and ending on a group
 // boundary, so a follower can apply every group it receives whole. With
-// wait_ms, an
-// up-to-date follower long-polls — the response is held until a record
-// lands or the wait expires (an empty 200 body). 410 Gone directs the
-// follower to the snapshot endpoint.
+// wait_ms, an up-to-date follower long-polls: the response is held until
+// a record lands or the wait expires (an empty 200 body). 410 Gone
+// directs the follower to the snapshot endpoint.
 func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReplica(w, r) {
 		return
@@ -110,18 +100,15 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	// a newer primary exists and took the stream over. The node fences
 	// itself, and the feed refuses to ship (the requester must not re-adopt
 	// a stale era).
-	if v := q.Get("epoch"); v != "" {
-		remote, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
-			return
-		}
-		if s.node.Observe(remote) {
-			s.mStaleEpoch.Add(1)
-			obs.WriteError(w, r, http.StatusConflict, "wal_stale_epoch",
-				fmt.Sprintf("this log is at epoch %d but the requester has seen epoch %d: this primary was superseded and must not be followed", epoch, remote))
-			return
-		}
+	pin, ok := s.node.SupersededBy(w, r)
+	if !ok {
+		return
+	}
+	if pin > 0 {
+		s.mStaleEpoch.Add(1)
+		obs.WriteError(w, r, http.StatusConflict, "wal_stale_epoch",
+			fmt.Sprintf("this log is at epoch %d but the requester has seen epoch %d: this primary was superseded and must not be followed", epoch, pin))
+		return
 	}
 	// The follower's chained prefix hash at from, when offered, is
 	// verified BEFORE any record ships: on a fork the follower parks with
@@ -161,22 +148,9 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "wait_ms must be a non-negative integer")
 			return
 		}
-		wait = time.Duration(n) * time.Millisecond
-		wait = min(wait, maxPollWait)
+		wait = min(time.Duration(n)*time.Millisecond, maxPollWait)
 	}
-
-	deadline := time.Now().Add(wait)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		// Grab the change channel before reading: a record appended
-		// between the read and the wait closes this channel, so the poll
-		// can never sleep through it.
-		changed := s.node.mgr.Changed()
+	LongPoll(r, s.node.mgr.Changed, s.drain, wait, s.gWaiters, func(why Wake) bool {
 		// Capture order is load-bearing for the staleness contract. The
 		// committed clock is fenced first: every mutation at or before it
 		// is already durable, and nothing later can be stamped at or
@@ -188,48 +162,20 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		durable := s.node.mgr.NextIndex()
 		batch, batchEnd, err := s.node.mgr.ReadRecords(from, maxBytes)
 		switch {
-		case err == nil:
 		case wal.IsTruncatedStream(err):
 			s.mTruncated.Add(1)
 			w.Header().Set(HeaderBase, strconv.FormatUint(s.node.mgr.BaseIndex(), 10))
 			obs.WriteError(w, r, http.StatusGone, "wal_truncated",
 				fmt.Sprintf("stream position %d predates the oldest retained record; bootstrap from /v1/wal/snapshot", from))
-			return
-		default:
+		case err != nil:
 			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		if len(batch) > 0 || wait <= 0 || !time.Now().Before(deadline) {
+		case len(batch) == 0 && why == Appended:
+			return false
+		default:
 			s.writeBatch(w, from, batchEnd, durable, clock, batch)
-			return
 		}
-		if timer == nil {
-			timer = time.NewTimer(time.Until(deadline))
-		}
-		s.gWaiters.Add(1)
-		select {
-		case <-changed:
-			s.gWaiters.Add(-1)
-		case <-timer.C:
-			s.gWaiters.Add(-1)
-			s.writeEmpty(w, from)
-			return
-		case <-s.closing:
-			s.gWaiters.Add(-1)
-			s.writeEmpty(w, from)
-			return
-		case <-r.Context().Done():
-			s.gWaiters.Add(-1)
-			return
-		}
-	}
-}
-
-// writeEmpty answers an expiring long-poll with a fresh empty batch,
-// re-capturing the clock and durable end in contract order.
-func (s *Source) writeEmpty(w http.ResponseWriter, from uint64) {
-	clock := s.node.st.CommittedClock()
-	s.writeBatch(w, from, from, s.node.mgr.NextIndex(), clock, nil)
+		return true
+	})
 }
 
 // writeBatch ships frames [from, batchEnd) and advertises the log's

@@ -239,9 +239,9 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 // /readyz, /v1/promote, and /v1/demote everywhere.
 func (s *Server) mountReplication() {
 	if s.db.WAL() != nil {
-		s.source = repl.NewSource(s.node, s.reg)
-		s.mux.HandleFunc("GET /v1/wal", s.source.ServeWAL)
-		s.mux.HandleFunc("GET /v1/wal/snapshot", s.source.ServeSnapshot)
+		src := repl.NewSource(s.node, s.reg, s.drain)
+		s.mux.HandleFunc("GET /v1/wal", src.ServeWAL)
+		s.mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)
 	}
 	if f := s.follower; f != nil {
 		s.reg.GaugeFunc("repl.follower.lag_seconds", func() float64 {

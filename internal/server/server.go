@@ -105,7 +105,6 @@ type Server struct {
 	stats     *stats.Store
 	follower  *repl.Follower // non-nil on a server configured with Follow
 	node      *repl.Node     // the node's role and epoch authority
-	source    *repl.Source
 	feed      watch.Feed
 	hub       *watch.Hub
 	start     time.Time
@@ -114,9 +113,9 @@ type Server struct {
 	mux       *http.ServeMux
 	hs        *http.Server
 
-	// drain broadcasts shutdown to every parked long-poll and stream —
-	// replication feeds and watch subscribers alike — so graceful drain
-	// can never hang on an idle subscriber.
+	// drain broadcasts shutdown to every parked repl.LongPoll — /v1/wal
+	// feeds and /v1/watch long-polls and SSE streams alike — so graceful
+	// drain can never hang on an idle subscriber.
 	drain     chan struct{}
 	drainOnce sync.Once
 
@@ -247,16 +246,15 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// broadcastShutdown releases every parked long-poll and stream — the
-// replication feed's held requests, /v1/watch long-polls and SSE
-// streams, and the standing-query hub — so a drain can never hang on an
-// idle subscriber. Idempotent; shared by Shutdown and Close.
+// broadcastShutdown releases every parked long-poll and stream so a
+// drain can never hang on an idle subscriber: closing drain answers the
+// /v1/wal feed's held requests and the /v1/watch long-polls and SSE
+// streams (repl.LongPoll), and closing the hub ends the standing-query
+// streams. The follower stops too. Idempotent; shared by Shutdown and
+// Close.
 func (s *Server) broadcastShutdown() {
 	s.drainOnce.Do(func() {
 		close(s.drain)
-		if s.source != nil {
-			s.source.Close()
-		}
 		if s.hub != nil {
 			s.hub.Close()
 		}

@@ -18,7 +18,6 @@ package server
 // primary.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,22 +80,13 @@ func (s *Server) Hub() *watch.Hub { return s.hub }
 // replication feed's wal_stale_epoch handling. Returns true when the
 // request was rejected.
 func (s *Server) rejectWatchEpoch(w http.ResponseWriter, r *http.Request) bool {
-	v := r.URL.Query().Get("epoch")
-	if v == "" {
-		return false
+	pin, ok := s.node.SupersededBy(w, r)
+	if pin > 0 {
+		own := s.stampEpoch(w)
+		obs.WriteError(w, r, http.StatusConflict, "watch_stale_epoch",
+			fmt.Sprintf("this node serves epoch %d but the subscriber has seen epoch %d: a newer primary exists; resubscribe there", own, pin))
 	}
-	remote, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
-		return true
-	}
-	if !s.node.Observe(remote) {
-		return false
-	}
-	own := s.stampEpoch(w)
-	obs.WriteError(w, r, http.StatusConflict, "watch_stale_epoch",
-		fmt.Sprintf("this node serves epoch %d but the subscriber has seen epoch %d: a newer primary exists; resubscribe there", own, remote))
-	return true
+	return !ok || pin > 0
 }
 
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -124,49 +114,27 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var wait time.Duration
 	if v := q.Get("wait_ms"); v != "" {
 		ms, _ := strconv.Atoi(v)
-		wait = time.Duration(ms) * time.Millisecond
+		wait = min(time.Duration(ms)*time.Millisecond, watchMaxWait)
 	}
-	wait = min(wait, watchMaxWait)
-	var timeout <-chan time.Time
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for {
-		// The changed channel must be grabbed BEFORE the read: an append
-		// landing between the read and the select then still wakes us.
-		changed := s.feed.Changed()
+	repl.LongPoll(r, s.feed.Changed, s.drain, wait, nil, func(why repl.Wake) bool {
 		events, next, err := s.feed.Read(from, maxEvents)
-		if err != nil {
+		switch {
+		case err != nil:
 			s.writeWatchReadErr(w, r, err)
-			return
-		}
-		if len(events) > 0 || wait <= 0 {
+		case len(events) == 0 && why == repl.Appended:
+			return false
+		default:
 			s.writeWatchBatch(w, events, next)
-			return
 		}
-		select {
-		case <-changed:
-		case <-timeout:
-			s.writeWatchBatch(w, nil, from)
-			return
-		case <-s.drain:
-			s.writeWatchBatch(w, nil, from)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return true
+	})
 }
 
 // writeWatchReadErr maps a feed read failure onto the typed contract.
 func (s *Server) writeWatchReadErr(w http.ResponseWriter, r *http.Request, err error) {
 	var ce *watch.CompactedError
-	if watch.IsCompacted(err) {
-		if errors.As(err, &ce) {
-			w.Header().Set(repl.HeaderBase, strconv.FormatUint(ce.Base, 10))
-		}
+	if errors.As(err, &ce) {
+		w.Header().Set(repl.HeaderBase, strconv.FormatUint(ce.Base, 10))
 		s.stampEpoch(w)
 		obs.WriteError(w, r, http.StatusGone, "watch_compacted", err.Error())
 		return
@@ -203,7 +171,8 @@ func (s *Server) writeWatchBatch(w http.ResponseWriter, events []watch.Event, ne
 // "mutation" event per record with id: set to the resume token after
 // it, ": keepalive" comments while idle, and a terminal
 // "watch_compacted" event (carrying the fresh base) when the
-// subscriber's position falls out of retention mid-stream.
+// subscriber's position falls out of retention mid-stream. It is the
+// long-poll that keeps going after its first batch.
 func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint64, maxEvents int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -216,19 +185,23 @@ func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint
 	s.stampEpoch(w)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	keepalive := time.NewTicker(15 * time.Second)
-	defer keepalive.Stop()
-	for {
-		changed := s.feed.Changed()
+	repl.LongPoll(r, s.feed.Changed, s.drain, 15*time.Second, nil, func(why repl.Wake) bool {
+		switch why {
+		case repl.Drained:
+			return true
+		case repl.Expired:
+			fmt.Fprint(w, ": keepalive\n\n")
+			flusher.Flush()
+		}
 		events, next, err := s.feed.Read(from, maxEvents)
 		if err != nil {
 			var ce *watch.CompactedError
-			if watch.IsCompacted(err) && errors.As(err, &ce) {
+			if errors.As(err, &ce) {
 				ev := watch.Event{Index: ce.Base, Op: watch.OpCompacted, Epoch: s.node.Epoch()}
 				writeSSE(w, ce.Base, watch.OpCompacted, ev)
 				flusher.Flush()
 			}
-			return
+			return true
 		}
 		if len(events) > 0 {
 			epoch := s.node.Epoch()
@@ -239,17 +212,8 @@ func (s *Server) serveWatchSSE(w http.ResponseWriter, r *http.Request, from uint
 			from = next
 			flusher.Flush()
 		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			flusher.Flush()
-		case <-s.drain:
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return false
+	})
 }
 
 // handleWatchQuery serves a standing pathway query as an SSE stream:
@@ -292,10 +256,9 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 	s.stampEpoch(w)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	ctx, cancel := contextWithDrain(r, s.drain)
-	defer cancel()
 	for {
-		n, err := sub.Next(ctx)
+		// Shutdown closes the hub, which ends every subscription's Next.
+		n, err := sub.Next(r.Context())
 		if err != nil {
 			return
 		}
@@ -309,20 +272,6 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		flusher.Flush()
 	}
-}
-
-// contextWithDrain derives the request context so it is also canceled
-// by the server's shutdown broadcast, unparking blocked subscribers.
-func contextWithDrain(r *http.Request, drain <-chan struct{}) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
-	go func() {
-		select {
-		case <-drain:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
 }
 
 // writeSSE emits one server-sent event: id is the resume token, name

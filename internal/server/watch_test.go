@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -15,8 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
+	"repro/internal/repl"
 	"repro/internal/schema"
 	"repro/internal/server"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 	"repro/internal/watch"
 )
@@ -367,12 +372,48 @@ func TestWatchQuerySSEDeltas(t *testing.T) {
 }
 
 // TestShutdownUnblocksWatch proves the generalized drain: a parked
-// /v1/watch long-poll and a standing-query SSE stream both return
+// /v1/watch long-poll, a standing-query SSE stream, a follower's /v1/wal
+// long-poll parked at the log end and a /v1/watch SSE stream all return
 // promptly when the server shuts down, instead of pinning the drain
 // until their timers fire.
 func TestShutdownUnblocksWatch(t *testing.T) {
-	s, _, base, c := newWatchServer(t, server.Config{})
+	reg := obs.NewRegistry()
+	s, db, base, c := newWatchServer(t, server.Config{Registry: reg})
 	ctx := context.Background()
+
+	// The two feeds whose drain signals are one: the replication feed and
+	// the change feed's SSE form.
+	walPolled := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/wal?from=%d&wait_ms=25000", base, db.WAL().NextIndex()))
+		if err != nil {
+			walPolled <- err
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(repl.HeaderCount) != "0" {
+			walPolled <- fmt.Errorf("status %d, %s records; want an empty 200 batch",
+				resp.StatusCode, resp.Header.Get(repl.HeaderCount))
+			return
+		}
+		walPolled <- nil
+	}()
+	sse, err := http.Get(base + "/v1/watch?stream=sse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sseEnded := make(chan struct{})
+	go func() {
+		defer close(sseEnded)
+		defer sse.Body.Close()
+		_, _ = io.Copy(io.Discard, sse.Body)
+	}()
+	waiters := reg.Gauge("repl.source.poll_waiters")
+	for deadline := time.Now().Add(5 * time.Second); waiters.Value() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the /v1/wal long-poll never parked")
+		}
+	}
 
 	tail, err := c.WatchPoll(ctx, 0, nil)
 	if err != nil {
@@ -419,5 +460,67 @@ func TestShutdownUnblocksWatch(t *testing.T) {
 	case <-streamed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("standing-query stream still parked after Shutdown")
+	}
+	select {
+	case err := <-walPolled:
+		if err != nil {
+			t.Fatalf("drained /v1/wal long-poll: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("/v1/wal long-poll still parked after Shutdown")
+	}
+	select {
+	case <-sseEnded:
+	case <-time.After(5 * time.Second):
+		sse.Body.Close() // hang up, so the test server can close
+		t.Fatal("/v1/watch SSE stream still open after Shutdown")
+	}
+}
+
+// TestNodeDeleteFeedsOneEvent pins the change feed's contract for a
+// node delete: the store closes the node's live incident edges at the
+// delete's timestamp, but the feed carries one delete event, of the
+// node's class. A consumer derives the edge closes from it.
+func TestNodeDeleteFeedsOneEvent(t *testing.T) {
+	_, db, _, c := newWatchServer(t, server.Config{})
+	ctx := context.Background()
+	vm, ok := db.Store().LookupUnique(schema.NodeRoot, "id", int64(1006))
+	if !ok {
+		t.Fatal("demo vm-1 missing")
+	}
+	resp, err := c.Ingest(ctx, []server.IngestOp{
+		{Op: "insert-node", Class: "ComputeHost", Fields: map[string]any{"id": 9201, "name": "doomed", "rack": "r9", "status": "Active"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := resp.UIDs[0]
+	resp, err = c.Ingest(ctx, []server.IngestOp{
+		{Op: "insert-edge", Class: netmodel.OnServer, Src: int64(vm), Dst: host, Fields: map[string]any{"id": 9202}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := resp.UIDs[0]
+	from := db.WAL().NextIndex()
+	if _, err := c.Ingest(ctx, []server.IngestOp{{Op: "delete", UID: host}}); err != nil {
+		t.Fatal(err)
+	}
+
+	poll, err := c.WatchPoll(ctx, from, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(poll.Events) != 1 {
+		t.Fatalf("deleting a node with one live edge fed %d events, want 1: %+v", len(poll.Events), poll.Events)
+	}
+	ev := poll.Events[0]
+	if ev.Op != "delete" || ev.UID != host || ev.Class != "ComputeHost" {
+		t.Fatalf("event = {op %s uid %d class %s}, want {op delete uid %d class ComputeHost}", ev.Op, ev.UID, ev.Class, host)
+	}
+	e := db.Store().Elem(graph.UID(edge))
+	last := e.Versions[len(e.Versions)-1].Period
+	if last.IsCurrent() || last.End != temporal.Nanos(ev.At) {
+		t.Fatalf("incident edge's last period %v; want closed at the delete's At %v", last, ev.At)
 	}
 }

@@ -234,11 +234,6 @@ func NewHub(db *core.DB, feed Feed, reg *obs.Registry) *Hub {
 // subscriber's notification queue (DefaultQueueLen when 0): overflow is
 // reported as lagging, never buffered without bound.
 func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
-	select {
-	case <-h.done:
-		return nil, ErrClosed
-	default:
-	}
 	prepared, err := h.db.Prepare(src)
 	if err != nil {
 		return nil, err
@@ -263,9 +258,16 @@ func (h *Hub) Register(name, src string, queueLen int) (*Subscription, error) {
 		s.pvar = prepared.Query().Vars[0].Name
 	}
 	// Snapshot + enroll under the pump lock so no batch lands between the
-	// initial evaluation and the subscription joining the pump's list.
+	// initial evaluation and the subscription joining the pump's list. A
+	// closed hub is checked under it too: Close takes the list after
+	// closing done, so a subscription enrolled here is one Close ends.
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	select {
+	case <-h.done:
+		return nil, ErrClosed
+	default:
+	}
 	res, err := prepared.Exec(context.Background())
 	if err != nil {
 		return nil, err
@@ -327,9 +329,9 @@ func (h *Hub) pump() {
 		events, next, err := h.feed.Read(from, defaultMaxEvents)
 		if err != nil {
 			if IsCompacted(err) {
-				// The pump's position was contracted away (checkpoint or
-				// ring overflow): mutations it never saw may have touched
-				// anything, so every query re-evaluates in full.
+				// A checkpoint contracted the pump's position away:
+				// mutations it never saw may have touched anything, so
+				// every query re-evaluates in full.
 				h.evaluate(batch{full: true}, err.(*CompactedError).Base)
 				continue
 			}

@@ -45,9 +45,9 @@ import (
 // markers riding the same stream as mutations, not store writes.
 const (
 	// OpCompacted marks a history gap: events before Index were
-	// permanently discarded (checkpoint or ring overflow) and the consumer
-	// must re-sync its derived state before trusting later deltas. Index
-	// is the fresh resume token.
+	// permanently discarded (a checkpoint contracted the log past the
+	// consumer's position) and the consumer must re-sync its derived
+	// state before trusting later deltas. Index is the fresh resume token.
 	OpCompacted = "watch_compacted"
 	// OpLagging marks subscriber overflow: deltas after Index were dropped
 	// because the subscriber's bounded queue was full. The next delta the
@@ -63,7 +63,10 @@ type Event struct {
 	// token after processing this event.
 	Index uint64 `json:"index"`
 	// Op is the mutation op wire name ("insert_node", "insert_edge",
-	// "update", "delete") or a control op (OpCompacted, OpLagging).
+	// "update", "delete") or a control op (OpCompacted, OpLagging). A
+	// node's "delete" is its only event: the store also closes the node's
+	// live incident edges at the same At, and a consumer that mirrors
+	// edges must derive those closes itself.
 	Op string `json:"op"`
 	// UID is the mutated object.
 	UID int64 `json:"uid,omitempty"`

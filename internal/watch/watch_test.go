@@ -165,7 +165,7 @@ func TestWALFeedCheckpointBoundary(t *testing.T) {
 // replica and returns the replica's database, follower and node.
 func replicaOf(t *testing.T, pdb *core.DB) (*core.DB, *repl.Follower, *repl.Node) {
 	t.Helper()
-	src := repl.NewSource(repl.NewNode(pdb.Store(), pdb.WAL(), nil), nil)
+	src := repl.NewSource(repl.NewNode(pdb.Store(), pdb.WAL(), nil), nil, nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", src.ServeWAL)
 	mux.HandleFunc("GET /v1/wal/snapshot", src.ServeSnapshot)

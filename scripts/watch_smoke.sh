@@ -9,12 +9,14 @@
 #   2. -watch-from resumes mid-stream at exactly that index;
 #   3. an SSE subscription on the REPLICA sees a mutation ingested on
 #      the primary, with the right class, name, stream index, and epoch;
-#   4. a standing pathway query (/v1/watch/query) pushes its initial
+#   4. a -watch tail parked at the primary's log end wakes on the next
+#      ingest (the client's resubscribe loop over the server's long-poll);
+#   5. a standing pathway query (/v1/watch/query) pushes its initial
 #      full snapshot and then an incremental delta when a matching
 #      node is ingested;
-#   5. a resume token older than the oldest retained position answers
+#   6. a resume token older than the oldest retained position answers
 #      410 watch_compacted with the fresh base;
-#   6. watch.* metrics appear in the Prometheus dump.
+#   7. watch.* metrics appear in the Prometheus dump.
 # Finally both nodes are shut down with SIGTERM and must exit cleanly,
 # which also proves the drain broadcast unparks streaming handlers.
 set -eu
@@ -22,8 +24,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 TMP="$(mktemp -d)"
-PRIMARY_PID=""; R1_PID=""; SSE_PID=""; SQ_PID=""
-trap 'kill $PRIMARY_PID $R1_PID $SSE_PID $SQ_PID 2>/dev/null || true; rm -rf "$TMP"' EXIT
+PRIMARY_PID=""; R1_PID=""; SSE_PID=""; SQ_PID=""; TAIL_PID=""
+trap 'kill $PRIMARY_PID $R1_PID $SSE_PID $SQ_PID $TAIL_PID 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "watch-smoke: building nepal..."
 go build -o "$TMP/nepal" ./cmd/nepal
@@ -42,8 +44,10 @@ wait_addr() {
 }
 
 # wait_grep PATTERN FILE — poll until PATTERN appears in FILE.
+# wait_grep PATTERN FILE [TENTHS]: poll FILE for PATTERN, every 0.1 s,
+# for TENTHS tenths of a second (default 100).
 wait_grep() {
-    for _ in $(seq 1 100); do
+    for _ in $(seq 1 "${3:-100}"); do
         grep -q "$1" "$2" 2>/dev/null && return 0
         sleep 0.1
     done
@@ -110,7 +114,31 @@ echo "$EVLINE" | grep -q '"epoch":[1-9]' || {
     echo "watch-smoke: replica event carries no epoch: $EVLINE"; exit 1; }
 echo "watch-smoke: replica SSE delivered the primary's mutation at index $DURABLE"
 
-# 4. Standing query: initial full snapshot, then an incremental delta
+# 4. A -watch tail parked at the primary's log end: the long-poll must
+# wake on the next append and print that event. Each of the tail's
+# polls holds for 10 s, so the event must arrive within 3 s of the
+# ingest: a poll that missed the append and timed out would only read
+# it on the next poll. The tail logs "watching" after its health check,
+# just before its first poll.
+PDURABLE="$(curl -fsS "http://$PRIMARY/v1/watch?from=0&max_events=1" | sed -n 's|.*"durable":\([0-9]*\).*|\1|p')"
+[ -n "$PDURABLE" ] || { echo "watch-smoke: primary watch poll carried no durable index"; exit 1; }
+"$TMP/nepal" -connect "http://$PRIMARY" -watch -watch-from "$PDURABLE" -timeout 30s >"$TMP/woken.jsonl" 2>"$TMP/woken.log" &
+TAIL_PID=$!
+wait_grep "watching http://$PRIMARY from stream index $PDURABLE" "$TMP/woken.log"
+sleep 0.5
+[ ! -s "$TMP/woken.jsonl" ] || {
+    echo "watch-smoke: tail at the log end printed before any ingest: $(cat "$TMP/woken.jsonl")"; exit 1; }
+curl -fsS -X POST "http://$PRIMARY/v1/ingest" \
+    -H 'Content-Type: application/json' \
+    -d '{"ops":[{"op":"insert-node","class":"ComputeHost","fields":{"id":535353,"name":"woken-poll","rack":"rz","status":"Active"}}]}' >/dev/null
+wait_grep '"name":"woken-poll"' "$TMP/woken.jsonl" 30
+grep '"name":"woken-poll"' "$TMP/woken.jsonl" | grep -q "\"index\":$PDURABLE" || {
+    echo "watch-smoke: woken tail's event is not at index $PDURABLE: $(cat "$TMP/woken.jsonl")"; exit 1; }
+kill "$TAIL_PID" 2>/dev/null || true
+TAIL_PID=""
+echo "watch-smoke: a -watch tail parked at index $PDURABLE woke on the next ingest"
+
+# 5. Standing query: initial full snapshot, then an incremental delta
 # when a matching ComputeHost lands.
 curl -fsSNG "http://$PRIMARY/v1/watch/query" \
     --data-urlencode 'name=smoke-hosts' \
@@ -125,7 +153,7 @@ curl -fsS -X POST "http://$PRIMARY/v1/ingest" \
 wait_grep 'standing-delta' "$TMP/sq.out"
 echo "watch-smoke: standing query pushed an incremental delta"
 
-# 5. Compaction: checkpoint the primary's WAL, then a from=0 resume
+# 6. Compaction: checkpoint the primary's WAL, then a from=0 resume
 # must answer 410 watch_compacted with the fresh base.
 curl -fsS -X POST "http://$PRIMARY/v1/checkpoint" >/dev/null
 GONE="$(curl -sS "http://$PRIMARY/v1/watch?from=0&max_events=1")"
@@ -134,7 +162,7 @@ case "$GONE" in
     *) echo "watch-smoke: compacted resume not rejected: $GONE"; exit 1 ;;
 esac
 
-# 6. watch.* metrics are visible in the Prometheus dump.
+# 7. watch.* metrics are visible in the Prometheus dump.
 METRICS="$(curl -fsS -H 'Accept: text/plain' "http://$PRIMARY/metrics")"
 for M in watch_events watch_standing_evals watch_standing_deltas watch_standing_queries; do
     case "$METRICS" in
