@@ -90,7 +90,10 @@ crash:
 # /v1/execute handle decoder (a handle binds only the literal kinds its
 # shape expects) and the /v1/ingest write path (random op batches
 # through the server's handler into a WAL-backed store, held to the
-# atomic-batch contract), plus new seeds of the cluster simulation, of
+# atomic-batch contract, and sent again as WAL frames through the Go
+# client to a twin store that must answer and log the same bytes; raw
+# bytes as a WAL-framed body, never a panic, a 400 changing nothing),
+# plus new seeds of the cluster simulation, of
 # the clock's edge conversion (every time a request carries into the
 # engine's int64 nanoseconds, saturating at the range's ends and at the
 # Forever sentinel), and of the standing-query patcher (a patchable
@@ -98,18 +101,21 @@ crash:
 # to a fresh evaluation after every batch). Seeds are binary frames from the record encoder (and
 # one retired JSON frame), a binary checkpoint and its copy re-encoded to
 # name a UID far past the allocation frontier, the paper's queries, the
-# handles of a few prepared shapes, batches that fail on an earlier op
-# and the simulation's corpus; 15s each is a smoke budget (the two parsers reach six-digit
+# handles of a few prepared shapes, batches that fail on an earlier op,
+# one framed body of each kind the server refuses and the simulation's
+# corpus; 15s each is a smoke budget (the two parsers reach six-digit
 # exec counts, the checkpoint loader tens of thousands — its 1s
 # minimization cap keeps new inputs from eating the budget — the ingest
-# target, which opens a store per input, a few hundred, the simulation,
+# targets, which open a store per input (two for FuzzIngest), a few
+# hundred, the simulation,
 # which runs a three-node cluster per seed, a few dozen, the patcher,
 # which builds a fixture and a hub per input, a few thousand).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
-	$(GO) test -fuzz=FuzzIngest -fuzztime=15s -run '^$$' ./internal/server/
+	$(GO) test -fuzz='^FuzzIngest$$' -fuzztime=15s -run '^$$' ./internal/server/
+	$(GO) test -fuzz=FuzzIngestFrames -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzExecuteHandle -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/

@@ -30,10 +30,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/temporal"
+	"repro/internal/wal"
 )
 
 // Sentinel errors for errors.Is against *APIError.
@@ -380,13 +382,67 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Ingest applies a batch of mutations in order, atomically. A nil error
 // means every op is applied — durably, when the server's store is
 // WAL-backed. A rejection from the server means none is; a transport
-// error leaves it unknown.
+// error leaves it unknown. The batch travels as one WAL record group
+// (server.ContentTypeWAL), written by the log's own encoder, so an op it
+// cannot carry — an unknown op name, a field value the codec has no tag
+// for — fails here, naming the op, before anything is sent.
 func (c *Client) Ingest(ctx context.Context, ops []server.IngestOp) (*server.IngestResponse, error) {
+	payload, err := encodeIngest(ops)
+	if err != nil {
+		return nil, err
+	}
 	var resp server.IngestResponse
-	if err := c.post(ctx, "/v1/ingest", server.IngestRequest{Ops: ops}, &resp); err != nil {
+	if err := c.send(ctx, "/v1/ingest", server.ContentTypeWAL, payload, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// ingestScratch is what encoding one batch reuses: the mutation records,
+// the pointers wal.AppendGroup takes, and the frame buffer.
+type ingestScratch struct {
+	slab []graph.Mutation
+	ms   []*graph.Mutation
+	buf  []byte
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// encodeIngest frames ops as one record group and returns an exact-size
+// copy of it: the request body may outlive the call, the scratch does
+// not.
+func encodeIngest(ops []server.IngestOp) ([]byte, error) {
+	sc := ingestPool.Get().(*ingestScratch)
+	defer func() {
+		clear(sc.slab) // drop the callers' field maps
+		sc.slab, sc.ms = sc.slab[:0], sc.ms[:0]
+		if cap(sc.buf) <= maxPooledBody {
+			ingestPool.Put(sc)
+		}
+	}()
+	for i, op := range ops {
+		m, err := op.Mutation()
+		if err != nil {
+			return nil, ingestOpErr(i, op, err)
+		}
+		sc.slab = append(sc.slab, m)
+	}
+	for i := range sc.slab {
+		sc.ms = append(sc.ms, &sc.slab[i])
+	}
+	buf, err := wal.AppendGroup(sc.buf[:0], sc.ms)
+	sc.buf = buf
+	if err != nil {
+		be := err.(*graph.BatchError)
+		return nil, ingestOpErr(be.Index, ops[be.Index], be.Err)
+	}
+	return bytes.Clone(buf), nil
+}
+
+// ingestOpErr names the op a batch could not be framed for, as the
+// server names the op that rejected one.
+func ingestOpErr(i int, op server.IngestOp, err error) error {
+	return fmt.Errorf("client: op %d (%s): %v; nothing was sent", i, op.Op, err)
 }
 
 // Checkpoint snapshots the server's store and contracts its WAL.
@@ -554,11 +610,17 @@ func (c *Client) post(ctx context.Context, path string, body, into any) error {
 	if err != nil {
 		return err
 	}
+	return c.send(ctx, path, "application/json", payload, into)
+}
+
+// send POSTs payload, of the given Content-Type, and decodes the answer
+// into into.
+func (c *Client) send(ctx context.Context, path, contentType string, payload []byte, into any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	c.injectTrace(ctx, req)
 	// Stamp the highest epoch this caller has seen: a superseded primary
 	// receiving it fences itself instead of acking the write.

@@ -175,7 +175,7 @@ func TestClusterWriteRetriesOnlyOverloaded(t *testing.T) {
 		io.WriteString(w, `{"error":{"code":"overloaded","message":"queue full"}}`)
 	})
 	cl := fastCluster(t, primary)
-	if _, err := cl.Ingest(context.Background(), []server.IngestOp{{Op: "touch"}}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []server.IngestOp{{Op: "delete", UID: 1}}); err != nil {
 		t.Fatalf("ingest after 429: %v", err)
 	}
 	if got := primary.hits.Load(); got != 2 {
@@ -191,7 +191,7 @@ func TestClusterWriteRetriesOnlyOverloaded(t *testing.T) {
 		conn.Close()
 	})
 	cl2 := fastCluster(t, cut)
-	_, err := cl2.Ingest(context.Background(), []server.IngestOp{{Op: "touch"}})
+	_, err := cl2.Ingest(context.Background(), []server.IngestOp{{Op: "delete", UID: 1}})
 	var te *TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v; want *TransportError", err)
@@ -218,7 +218,7 @@ func TestClusterHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	start := time.Now()
-	if _, err := cl.Ingest(context.Background(), []server.IngestOp{{Op: "touch"}}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []server.IngestOp{{Op: "delete", UID: 1}}); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {

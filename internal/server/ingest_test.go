@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
 	"repro/internal/server"
+	"repro/internal/temporal"
 	"repro/internal/wal"
 )
 
@@ -136,7 +141,12 @@ func fuzzOps(data []byte) [][]server.IngestOp {
 // store over a WAL, and holds every answer to the batch contract: no
 // panic; a 200 applied every op; any other answer left the history and
 // the WAL's next index as they were; the store's invariants hold
-// throughout; and recovery from the log rebuilds the live history.
+// throughout; and recovery from the log rebuilds the live history. Each
+// op list also goes, through the Go client and so as a WAL-framed body,
+// to a twin store on the same manual clock: both transports must give
+// the same status, error code and message and the same UIDs, and leave
+// byte-identical logs and histories. An op the client cannot frame fails
+// in the client, naming the op the JSON answer names.
 func FuzzIngest(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 2, 1, 0, 1})                     // two hosts and a link between them
 	f.Add([]byte{1, 3, 0, 0, 0, 4, 0, 0, 2, 0, 0, 1, 4, 0, 1, 0})         // VM on a host, then the VM deleted
@@ -148,6 +158,31 @@ func FuzzIngest(f *testing.F) {
 	f.Fuzz(checkIngest)
 }
 
+// fuzzClockStart is where both stores of a FuzzIngest input start their
+// manual clocks, so equal writes get equal transaction times.
+var fuzzClockStart = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// openFuzzDB opens an empty store over a fresh WAL, on a manual clock.
+func openFuzzDB(t *testing.T, dir string) *core.DB {
+	t.Helper()
+	db, err := core.Open(netmodel.MustSchema(), core.WithWALOptions(dir, wal.Options{NoSync: true}),
+		core.WithClock(temporal.NewManualClock(fuzzClockStart)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// walOf returns every record db's log holds.
+func walOf(t *testing.T, db *core.DB) []byte {
+	t.Helper()
+	frames, _, err := db.WAL().ReadRecords(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
 // checkIngest is FuzzIngest's property over one input.
 func checkIngest(t *testing.T, data []byte) {
 	reqs := fuzzOps(data)
@@ -155,13 +190,18 @@ func checkIngest(t *testing.T, data []byte) {
 		return
 	}
 	dir := t.TempDir()
-	db, err := core.Open(netmodel.MustSchema(), core.WithWALOptions(dir, wal.Options{NoSync: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openFuzzDB(t, dir)
 	s := server.New(db, server.Config{})
 	h := s.Handler()
 	st := db.Store()
+	twin := openFuzzDB(t, t.TempDir())
+	ts := server.New(twin, server.Config{})
+	hs := httptest.NewServer(ts.Handler())
+	defer func() {
+		hs.Close()
+		ts.Shutdown(context.Background())
+	}()
+	c := client.New(hs.URL)
 	for _, ops := range reqs {
 		before, next := historyOf(t, st), db.WAL().NextIndex()
 		body, err := json.Marshal(server.IngestRequest{Ops: ops})
@@ -198,8 +238,15 @@ func checkIngest(t *testing.T, data []byte) {
 		if vs := st.CheckInvariants(); len(vs) != 0 {
 			t.Fatalf("invariants violated: %v", vs)
 		}
+		sameIngestAnswer(t, ops, rec, c)
 	}
 	live := historyOf(t, st)
+	if !bytes.Equal(walOf(t, twin), walOf(t, db)) {
+		t.Fatal("the framed batches logged other records than the JSON ones")
+	}
+	if !bytes.Equal(historyOf(t, twin.Store()), live) {
+		t.Fatal("the framed batches left another history than the JSON ones")
+	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +257,191 @@ func checkIngest(t *testing.T, data []byte) {
 	defer re.Close()
 	if !bytes.Equal(historyOf(t, re.Store()), live) {
 		t.Fatal("recovery from the log differs from the live history")
+	}
+}
+
+// sameIngestAnswer posts ops through c, as a WAL-framed body, and holds
+// the answer to the JSON answer rec: the same UIDs, or the same status,
+// code and message. When an op cannot be framed, c fails before sending,
+// naming the op the JSON rejection names.
+func sameIngestAnswer(t *testing.T, ops []server.IngestOp, rec *httptest.ResponseRecorder, c *client.Client) {
+	t.Helper()
+	resp, err := c.Ingest(context.Background(), ops)
+	var ae *client.APIError
+	errors.As(err, &ae)
+	for i, op := range ops {
+		if _, merr := op.Mutation(); merr != nil {
+			named := fmt.Sprintf("op %d (%s)", i, op.Op)
+			if err == nil || ae != nil || !strings.Contains(err.Error(), named) || !strings.Contains(rec.Body.String(), named) {
+				t.Fatalf("unframable %s: client answered %v, JSON %d %s", named, err, rec.Code, rec.Body)
+			}
+			return
+		}
+	}
+	if rec.Code == http.StatusOK {
+		var want server.IngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil || !reflect.DeepEqual(*resp, want) {
+			t.Fatalf("framed batch answered %+v, %v; JSON %+v", resp, err, want)
+		}
+		return
+	}
+	var want server.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if ae == nil || ae.Status != rec.Code || ae.Code != want.Error.Code || ae.Message != want.Error.Message {
+		t.Fatalf("framed batch answered %v; JSON %d %s: %s", err, rec.Code, want.Error.Code, want.Error.Message)
+	}
+}
+
+// frameCase is one WAL-framed /v1/ingest body and whether the server
+// takes it.
+type frameCase struct {
+	name string
+	body []byte
+	ok   bool
+}
+
+// frameCases are a good body and one of every body the server refuses.
+func frameCases(t testing.TB) []frameCase {
+	host := func(id int64) *graph.Mutation {
+		return &graph.Mutation{Op: graph.OpInsertNode, Class: "ComputeHost",
+			Fields: graph.Fields{"id": id, "name": fmt.Sprint("f", id), "rack": "r", "status": "Active"}}
+	}
+	group := func(ms ...*graph.Mutation) []byte {
+		b, err := wal.AppendGroup(nil, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	good := group(host(9401), host(9402))
+	_, first, err := wal.DecodeRecord(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)-1] ^= 0x40
+	stamped := host(9403)
+	stamped.At = 5
+	numbered := host(9404)
+	numbered.UID = 7
+	return []frameCase{
+		{"two inserts", good, true},
+		{"torn frame", good[:len(good)-3], false},
+		{"corrupt frame", corrupt, false},
+		{"trailing bytes", append(bytes.Clone(good), 0), false},
+		{"last frame carries the continuation mark", good[:first], false},
+		{"nonzero At", group(stamped), false},
+		{"insert with a UID", group(numbered), false},
+		{"a JSON document", []byte(`{"ops":[{"op":"delete","uid":1}]}`), false},
+	}
+}
+
+// postFrames posts body to h as a WAL-framed ingest batch.
+func postFrames(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+	req.Header.Set("Content-Type", server.ContentTypeWAL)
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestIngestFramesRefused: a framed body is exactly one record group that
+// leaves UIDs and times to the store; anything else answers 400
+// bad_request "decoding request body: ..." and applies nothing.
+func TestIngestFramesRefused(t *testing.T) {
+	_, db, _, _ := newWatchServer(t, server.Config{})
+	h := server.New(db, server.Config{}).Handler()
+	for _, tc := range frameCases(t) {
+		before, next := historyOf(t, db.Store()), db.WAL().NextIndex()
+		rec := postFrames(h, tc.body)
+		if tc.ok {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", tc.name, rec.Code, rec.Body)
+			}
+			continue
+		}
+		var eb server.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest ||
+			eb.Error.Code != "bad_request" || !strings.HasPrefix(eb.Error.Message, "decoding request body: ") {
+			t.Fatalf("%s: %d %s; want 400 bad_request decoding request body", tc.name, rec.Code, rec.Body)
+		}
+		t.Logf("%s: %s", tc.name, eb.Error.Message)
+		if db.WAL().NextIndex() != next || !bytes.Equal(historyOf(t, db.Store()), before) {
+			t.Fatalf("%s: a refused body changed the log or the history", tc.name)
+		}
+	}
+}
+
+// FuzzIngestFrames posts raw bytes as a WAL-framed /v1/ingest body to a
+// store over a WAL: no input panics the server, every answer is a 200 or
+// a 400, and a 400 leaves the history and the WAL's next index as they
+// were.
+func FuzzIngestFrames(f *testing.F) {
+	for _, tc := range frameCases(f) {
+		f.Add(tc.body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		db := openFuzzDB(t, t.TempDir())
+		s := server.New(db, server.Config{})
+		defer s.Shutdown(context.Background())
+		before, next := historyOf(t, db.Store()), db.WAL().NextIndex()
+		rec := postFrames(s.Handler(), body)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			if db.WAL().NextIndex() != next || !bytes.Equal(historyOf(t, db.Store()), before) {
+				t.Fatalf("refused body (%s) changed the log or the history", rec.Body)
+			}
+		default:
+			t.Fatalf("answer %d: %s", rec.Code, rec.Body)
+		}
+		if vs := db.Store().CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("invariants violated: %v", vs)
+		}
+	})
+}
+
+// TestIngestKeepsLargeIntegers: an integer above 2^53 survives ingest
+// exactly over both body forms, nested in a list of maps too — stored as
+// an int64 its unique index finds.
+func TestIngestKeepsLargeIntegers(t *testing.T) {
+	const big = 9007199254740993 // 2^53 + 1: the nearest float64 is 2^53
+	for _, form := range []string{"json", "frames"} {
+		t.Run(form, func(t *testing.T) {
+			_, db, url, c := newWatchServer(t, server.Config{})
+			if form == "json" {
+				body := fmt.Sprintf(`{"ops": [{"op": "insert-node", "class": "ComputeHost", "fields": {"id": %d,
+					"name": "hbig", "rack": "r", "status": "Active", "alarms": [{"code": "c", "severity": %d}]}}]}`, big, big)
+				resp, err := http.Post(url+"/v1/ingest", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("ingest answered %d", resp.StatusCode)
+				}
+			} else if _, err := c.Ingest(context.Background(), []server.IngestOp{{Op: "insert-node", Class: "ComputeHost",
+				Fields: map[string]any{"id": int64(big), "name": "hbig", "rack": "r", "status": "Active",
+					"alarms": []any{map[string]any{"code": "c", "severity": int64(big)}}}}}); err != nil {
+				t.Fatal(err)
+			}
+			uid, ok := db.Store().LookupUnique("Node", "id", int64(big))
+			if !ok {
+				t.Fatalf("no node with id %d", int64(big))
+			}
+			fields := db.Store().Object(uid).Current().Fields
+			if v := fields["id"]; v != any(int64(big)) {
+				t.Fatalf("stored id = %v (%T), want int64 %d", v, v, int64(big))
+			}
+			want := []any{map[string]any{"code": "c", "severity": int64(big)}}
+			if !reflect.DeepEqual(fields["alarms"], want) {
+				t.Fatalf("stored alarms = %#v, want %#v", fields["alarms"], want)
+			}
+		})
 	}
 }

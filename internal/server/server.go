@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/repl"
@@ -497,91 +496,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 	s.answer(w, r, stmt, false, requestLimits(req.TimeoutMS, req.Limits), time.Now())
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.rejectWrite(w, r) {
-		return
-	}
-	rq := obs.RequestFrom(r.Context())
-	dec := rq.Root.StartChild("Decode", "")
-	var req IngestRequest
-	ok := decode(w, r, &req)
-	dec.Finish()
-	if !ok {
-		return
-	}
-	if len(req.Ops) == 0 {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "empty ops")
-		return
-	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	// The batch is one atomic store write: every op is turned into its
-	// mutation record first, then one Mutate validates, logs (one WAL
-	// group, one sync) and applies them all, or none. It runs under the
-	// Execute phase span so a WAL-backed store's append span nests inside
-	// the request trace.
-	ms := make([]*graph.Mutation, len(req.Ops))
-	for i, op := range req.Ops {
-		m, err := mutationOf(op)
-		if err != nil {
-			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", rejectedMsg(i, op, err))
-			return
-		}
-		ms[i] = m
-	}
-	ex := rq.Root.StartChild("Execute", "")
-	err := s.db.Store().Mutate(obs.ContextWithSpan(r.Context(), ex), ms...)
-	ex.Finish()
-	if err != nil {
-		var be *graph.BatchError
-		switch {
-		case errors.As(err, &be):
-			err = errors.New(rejectedMsg(be.Index, req.Ops[be.Index], be.Err))
-		case len(ms) == 1:
-			err = errors.New(rejectedMsg(0, req.Ops[0], err))
-		default:
-			err = fmt.Errorf("%v; nothing was applied", err)
-		}
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	resp := IngestResponse{UIDs: make([]int64, len(ms)), Applied: len(ms)}
-	for i, m := range ms {
-		if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
-			resp.UIDs[i] = int64(m.UID)
-		}
-	}
-	resp.Epoch = s.stampEpoch(w)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// rejectedMsg names the op that rejected an ingest batch. A batch is
-// atomic, so nothing of it was applied.
-func rejectedMsg(i int, op IngestOp, err error) string {
-	return fmt.Sprintf("op %d (%s): %v; nothing was applied", i, op.Op, err)
-}
-
-// ingestOps maps the wire's op names to the store's.
-var ingestOps = map[string]graph.MutationOp{
-	"insert-node": graph.OpInsertNode,
-	"insert-edge": graph.OpInsertEdge,
-	"update":      graph.OpUpdate,
-	"delete":      graph.OpDelete,
-}
-
-// mutationOf turns one wire op into the store's mutation record — the
-// same record the WAL hook logs.
-func mutationOf(op IngestOp) (*graph.Mutation, error) {
-	kind, ok := ingestOps[op.Op]
-	if !ok {
-		return nil, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
-	}
-	return &graph.Mutation{Op: kind, UID: graph.UID(op.UID), Class: op.Class,
-		Src: graph.UID(op.Src), Dst: graph.UID(op.Dst), Fields: graph.Fields(op.Fields)}, nil
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

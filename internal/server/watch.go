@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -100,22 +101,19 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	if s.rejectWatchEpoch(w, r) {
+	maxEvents, ok := nonNegative(w, r, q, "max_events")
+	if !ok {
 		return
 	}
-	maxEvents := 0
-	if v := q.Get("max_events"); v != "" {
-		maxEvents, _ = strconv.Atoi(v)
+	ms, ok := nonNegative(w, r, q, "wait_ms")
+	if !ok || s.rejectWatchEpoch(w, r) {
+		return
 	}
 	if q.Get("stream") == "sse" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.serveWatchSSE(w, r, from, maxEvents)
 		return
 	}
-	var wait time.Duration
-	if v := q.Get("wait_ms"); v != "" {
-		ms, _ := strconv.Atoi(v)
-		wait = min(time.Duration(ms)*time.Millisecond, watchMaxWait)
-	}
+	wait := time.Duration(min(ms, int(watchMaxWait/time.Millisecond))) * time.Millisecond
 	repl.LongPoll(r, s.feed.Changed, s.drain, wait, nil, func(why repl.Wake) bool {
 		events, next, err := s.feed.Read(from, maxEvents)
 		switch {
@@ -128,6 +126,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	})
+}
+
+// nonNegative reads the optional integer parameter name of q, 0 when
+// absent. A malformed or negative value answers 400 bad_request, as
+// /v1/wal does, and reports false.
+func nonNegative(w http.ResponseWriter, r *http.Request, q url.Values, name string) (int, bool) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", name+" must be a non-negative integer")
+		return 0, false
+	}
+	return n, true
 }
 
 // writeWatchReadErr maps a feed read failure onto the typed contract.
@@ -229,12 +243,9 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "missing q (the standing query text)")
 		return
 	}
-	if s.rejectWatchEpoch(w, r) {
+	queueLen, ok := nonNegative(w, r, q, "queue")
+	if !ok || s.rejectWatchEpoch(w, r) {
 		return
-	}
-	queueLen := 0
-	if v := q.Get("queue"); v != "" {
-		queueLen, _ = strconv.Atoi(v)
 	}
 	name := q.Get("name")
 	if name == "" {

@@ -524,3 +524,31 @@ func TestNodeDeleteFeedsOneEvent(t *testing.T) {
 		t.Fatalf("incident edge's last period %v; want closed at the delete's At %v", last, ev.At)
 	}
 }
+
+// TestWatchRejectsBadParams: a malformed or negative count or wait on
+// either watch endpoint answers 400 bad_request, as /v1/wal does, rather
+// than being read as 0 (the default).
+func TestWatchRejectsBadParams(t *testing.T) {
+	_, _, base, _ := newWatchServer(t, server.Config{})
+	q := url.QueryEscape("Select source(P).name From PATHS P Where P MATCHES ComputeHost()")
+	for _, path := range []string{
+		"/v1/watch?from=0&wait_ms=abc",
+		"/v1/watch?from=0&wait_ms=-5",
+		"/v1/watch?from=0&wait_ms=1.5",
+		"/v1/watch?from=0&max_events=x",
+		"/v1/watch?from=0&max_events=-3",
+		"/v1/watch?from=0&stream=sse&max_events=-1",
+		"/v1/watch/query?q=" + q + "&queue=-1",
+		"/v1/watch/query?q=" + q + "&queue=many",
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"code":"bad_request"`) {
+			t.Errorf("GET %s: %d %s; want 400 bad_request", path, resp.StatusCode, body)
+		}
+	}
+}

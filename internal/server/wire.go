@@ -243,6 +243,14 @@ type QueryResponse struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
+// ContentTypeWAL is the Content-Type of the binary /v1/ingest body: one
+// WAL record group, as wal.AppendGroup writes it — a CRC-checked frame
+// per op, every frame but the last carrying the continuation mark, no
+// transaction time, and no UID on an insert. The Go client sends its
+// batches in this form and the server decodes them with the log's own
+// decoder; every other Content-Type is read as an IngestRequest in JSON.
+const ContentTypeWAL = "application/x-nepal-wal"
+
 // IngestOp is one mutation of a POST /v1/ingest batch.
 type IngestOp struct {
 	// Op is "insert-node", "insert-edge", "update", or "delete".
@@ -254,6 +262,36 @@ type IngestOp struct {
 	// UID targets update/delete.
 	UID    int64          `json:"uid,omitempty"`
 	Fields map[string]any `json:"fields,omitempty"`
+}
+
+// ingestOpNames are the wire's op names, indexed by the store's op.
+var ingestOpNames = [...]string{
+	graph.OpInsertNode: "insert-node",
+	graph.OpInsertEdge: "insert-edge",
+	graph.OpUpdate:     "update",
+	graph.OpDelete:     "delete",
+}
+
+// ingestOpName is the wire name of a store op; op is one of the four.
+func ingestOpName(op graph.MutationOp) string { return ingestOpNames[op] }
+
+// Mutation turns the wire op into the store's mutation record, the one
+// both body forms of /v1/ingest hand to Store.Mutate. An insert's UID is
+// left zero: the store assigns it. It fails only on an op name that is
+// not one of the four.
+func (op IngestOp) Mutation() (graph.Mutation, error) {
+	for kind, name := range ingestOpNames {
+		if name == "" || name != op.Op {
+			continue
+		}
+		m := graph.Mutation{Op: graph.MutationOp(kind), Class: op.Class,
+			Src: graph.UID(op.Src), Dst: graph.UID(op.Dst), Fields: graph.Fields(op.Fields)}
+		if m.Op == graph.OpUpdate || m.Op == graph.OpDelete {
+			m.UID = graph.UID(op.UID)
+		}
+		return m, nil
+	}
+	return graph.Mutation{}, fmt.Errorf("unknown op %q (use insert-node, insert-edge, update, delete)", op.Op)
 }
 
 // IngestRequest is the body of POST /v1/ingest. A batch is atomic: its

@@ -424,7 +424,7 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 // recovery fails loudly instead of truncating.
 func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 	at := temporal.Nanos(t0.Add(time.Minute))
-	group, err := appendGroup(nil, []*graph.Mutation{
+	group, err := AppendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
 		{Op: graph.OpInsertNode, UID: 2, Class: "Host", Fields: graph.Fields{"id": 2}, At: at + int64(time.Second)},
 	})
@@ -435,7 +435,7 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	later, err := appendGroup(nil, []*graph.Mutation{
+	later, err := AppendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 3, Class: "Host", Fields: graph.Fields{"id": 3}, At: at + int64(time.Hour)},
 	})
 	if err != nil {
@@ -477,13 +477,13 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 // table sized for it. The group before it recovers normally.
 func TestReplayRejectsUIDBeyondFrontier(t *testing.T) {
 	at := temporal.Nanos(t0.Add(time.Minute))
-	good, err := appendGroup(nil, []*graph.Mutation{
+	good, err := AppendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1, Class: "Host", Fields: graph.Fields{"id": 1}, At: at},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := appendGroup(nil, []*graph.Mutation{
+	far, err := AppendGroup(nil, []*graph.Mutation{
 		{Op: graph.OpInsertNode, UID: 1 << 62, Class: "Host", Fields: graph.Fields{"id": 2}, At: at + int64(time.Second)},
 	})
 	if err != nil {

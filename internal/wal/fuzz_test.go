@@ -49,7 +49,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	// flipped payload byte, a record of the retired JSON format, and
 	// degenerate headers.
 	f.Add(append(append([]byte{}, frames[0]...), frames[1]...))
-	group, err := appendGroup(nil, fuzzSeedMutations()[:2])
+	group, err := AppendGroup(nil, fuzzSeedMutations()[:2])
 	if err != nil {
 		f.Fatal(err)
 	}

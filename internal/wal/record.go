@@ -72,13 +72,17 @@ var errTorn = errors.New("wal: torn record")
 // errCorrupt marks a frame whose length, checksum or payload is invalid.
 var errCorrupt = errors.New("wal: corrupt record")
 
-// appendGroup appends the wire frames of one group of mutations to dst:
-// every frame but the last carries the continuation mark.
-func appendGroup(dst []byte, ms []*graph.Mutation) ([]byte, error) {
+// AppendGroup appends the wire frames of one group of mutations to dst:
+// every frame but the last carries the continuation mark. The log writes
+// its groups with it, and the Go client writes a /v1/ingest batch with
+// it. On error dst comes back as it was, and the error is a
+// *graph.BatchError naming the record that could not be encoded.
+func AppendGroup(dst []byte, ms []*graph.Mutation) ([]byte, error) {
+	start := len(dst)
 	for i, m := range ms {
 		var err error
 		if dst, err = appendRecord(dst, m, i < len(ms)-1); err != nil {
-			return dst, err
+			return dst[:start], &graph.BatchError{Index: i, Err: err}
 		}
 	}
 	return dst, nil
@@ -161,22 +165,45 @@ func DecodeRecord(b []byte) (*graph.Mutation, int, error) {
 // group's mutations and, for each, the byte offset in b just past its
 // frame. A b that ends inside the group — mid-frame, or on a frame
 // boundary before the group's last record — is torn (IsTorn): recovery
-// and the replication follower apply a group whole or not at all.
+// and the replication follower apply a group whole or not at all. The
+// mutations point into one slab, sized from the frame headers before any
+// is decoded; every string is copied, so none aliases b.
 func DecodeGroup(b []byte) ([]*graph.Mutation, []int, error) {
-	var ms []*graph.Mutation
-	var ends []int
+	n := groupLen(b)
+	slab := make([]graph.Mutation, 0, n)
+	ends := make([]int, 0, n)
 	for off := 0; ; {
-		m, n, err := decodeRecord(b[off:])
+		slab = append(slab, graph.Mutation{})
+		size, err := decodeRecordInto(&slab[len(slab)-1], b[off:])
 		if err != nil {
 			return nil, nil, err
 		}
-		ms = append(ms, m)
-		off += n
+		off += size
 		ends = append(ends, off)
-		if !continued(b[off-n : off]) {
-			return ms, ends, nil
+		if !continued(b[off-size : off]) {
+			break
 		}
 	}
+	ms := make([]*graph.Mutation, len(slab))
+	for i := range slab {
+		ms[i] = &slab[i]
+	}
+	return ms, ends, nil
+}
+
+// groupLen counts the frames of the group at the front of b from their
+// headers and continuation marks alone, without checking a CRC: it only
+// sizes DecodeGroup's slab, which decodes and verifies every frame.
+func groupLen(b []byte) int {
+	n := 1
+	for off := 0; len(b)-off > frameHeaderSize && continued(b[off:]); n++ {
+		size, err := frameLen(b[off:])
+		if err != nil {
+			break
+		}
+		off += size
+	}
+	return n
 }
 
 // FrameChecksum reads the stored CRC-32C out of a frame's header — the
@@ -201,20 +228,30 @@ func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 // checksum, or the payload is invalid, and a *graph.FormatError when the
 // payload is a record of the retired JSON format.
 func decodeRecord(b []byte) (*graph.Mutation, int, error) {
-	n, err := frameSize(b)
+	m := new(graph.Mutation)
+	n, err := decodeRecordInto(m, b)
 	if err != nil {
 		return nil, 0, err
 	}
+	return m, n, nil
+}
+
+// decodeRecordInto is decodeRecord into a zero mutation the caller owns.
+func decodeRecordInto(m *graph.Mutation, b []byte) (int, error) {
+	n, err := frameSize(b)
+	if err != nil {
+		return 0, err
+	}
 	payload := b[frameHeaderSize:n]
 	if payload[0] == '{' {
-		return nil, 0, &graph.FormatError{Got: legacyRecordFormat, Want: recordFormat}
+		return 0, &graph.FormatError{Got: legacyRecordFormat, Want: recordFormat}
 	}
 	var r codec.Reader
 	r.Reset(payload)
 	if r.Byte()&^flagMore != 0 {
-		return nil, 0, fmt.Errorf("%w: unknown flag bits %#x", errCorrupt, payload[0])
+		return 0, fmt.Errorf("%w: unknown flag bits %#x", errCorrupt, payload[0])
 	}
-	m := &graph.Mutation{Op: graph.MutationOp(r.Byte()), UID: graph.UID(r.Uvarint())}
+	m.Op, m.UID = graph.MutationOp(r.Byte()), graph.UID(r.Uvarint())
 	switch m.Op {
 	case graph.OpInsertNode, graph.OpUpdate, graph.OpDelete:
 	case graph.OpInsertEdge:
@@ -231,7 +268,7 @@ func decodeRecord(b []byte) (*graph.Mutation, int, error) {
 	}
 	r.Done()
 	if err := r.Err(); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", errCorrupt, err)
+		return 0, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-	return m, n, nil
+	return n, nil
 }

@@ -241,11 +241,11 @@ func TestFlippedContinuationIsCorruption(t *testing.T) {
 		return &graph.Mutation{Op: graph.OpInsertNode, UID: uid, Class: "Host",
 			Fields: graph.Fields{"id": int(uid)}, At: at + int64(uid)*int64(time.Second)}
 	}
-	first, err := appendGroup(nil, []*graph.Mutation{insert(1)})
+	first, err := AppendGroup(nil, []*graph.Mutation{insert(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := appendGroup(nil, []*graph.Mutation{insert(2), insert(3)})
+	pair, err := AppendGroup(nil, []*graph.Mutation{insert(2), insert(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -452,7 +452,7 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 func (mgr *Manager) Append(ctx context.Context, ms []*graph.Mutation) error {
 	start := time.Now()
 	mgr.mu.Lock()
-	buf, err := appendGroup(mgr.buf[:0], ms)
+	buf, err := AppendGroup(mgr.buf[:0], ms)
 	if cap(buf) <= maxKeptBuffer {
 		mgr.buf = buf
 	}

@@ -6,7 +6,9 @@
 # client (-connect checks health before querying), runs one pathway
 # query over the wire, checks that a request asking for more paths than
 # the server's -max-paths bound still answers 422 "limit" (a request may
-# tighten the server's limits, never loosen them), and shuts the server
+# tighten the server's limits, never loosen them), checks that an
+# integer above 2^53 ingested as JSON is stored exactly (a query by that
+# id finds the host), and shuts the server
 # down with SIGTERM, checking it exits cleanly (graceful drain + store
 # close).
 set -eu
@@ -51,6 +53,19 @@ if [ "$STATUS" = 422 ] && grep -q '"code":"limit"' "$TMP/limit.json"; then
 else
     echo "serve-smoke: looser request limits answered $STATUS, want 422 limit"; exit 1
 fi
+
+# 2^53 + 1 has no float64: the JSON ingest path must keep it an integer,
+# or the lookup by id finds nothing.
+BIG=9007199254740993
+BODY="{\"ops\": [{\"op\": \"insert-node\", \"class\": \"ComputeHost\", \"fields\": {\"id\": $BIG, \"name\": \"hbig\", \"rack\": \"r9\", \"status\": \"Active\"}}]}"
+STATUS="$(curl -s -o "$TMP/ingest.json" -w '%{http_code}' -d "$BODY" "http://$ADDR/v1/ingest")"
+[ "$STATUS" = 200 ] || { echo "serve-smoke: ingest answered $STATUS:"; cat "$TMP/ingest.json"; exit 1; }
+OUT="$("$TMP/nepal" -connect "http://$ADDR" -q "Select source(H).name From PATHS H Where H MATCHES Host(id=$BIG)")"
+echo "$OUT"
+case "$OUT" in
+    *"(1 rows)"*) echo "serve-smoke: integer above 2^53 stored exactly ok" ;;
+    *) echo "serve-smoke: Host(id=$BIG) did not find the ingested host"; exit 1 ;;
+esac
 
 kill -TERM "$SERVER_PID"
 if wait "$SERVER_PID"; then
