@@ -96,10 +96,13 @@ crash:
 # plus new seeds of the cluster simulation, of
 # the clock's edge conversion (every time a request carries into the
 # engine's int64 nanoseconds, saturating at the range's ends and at the
-# Forever sentinel), and of the standing-query patcher (a patchable
+# Forever sentinel), of the standing-query patcher (a patchable
 # statement under a mutation stream the input chooses, its deltas held
-# to a fresh evaluation after every batch). Seeds are binary frames from the record encoder (and
-# one retired JSON frame), a binary checkpoint and its copy re-encoded to
+# to a fresh evaluation after every batch) and of the feed parameter
+# readers (every integer query parameter of /v1/wal and /v1/watch: a
+# value read exactly when well-formed, a wait clamped to its cap).
+# Seeds are binary frames from the record encoder (and one retired JSON
+# frame), a binary checkpoint and its copy re-encoded to
 # name a UID far past the allocation frontier, the paper's queries, the
 # handles of a few prepared shapes, batches that fail on an earlier op,
 # one framed body of each kind the server refuses and the simulation's
@@ -109,7 +112,8 @@ crash:
 # targets, which open a store per input (two for FuzzIngest), a few
 # hundred, the simulation,
 # which runs a three-node cluster per seed, a few dozen, the patcher,
-# which builds a fixture and a hub per input, a few thousand).
+# which builds a fixture and a hub per input, a few thousand, the
+# parameter readers over a hundred thousand).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
@@ -120,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/
 	$(GO) test -fuzz=FuzzStandingQuery -fuzztime=15s -run '^$$' ./internal/watch/
+	$(GO) test -fuzz=FuzzFeedParams -fuzztime=15s -run '^$$' ./internal/repl/
 
 # End-to-end serving smoke: start a server over the demo topology, wait
 # for /healthz through the Go client, run one query over the wire, shut

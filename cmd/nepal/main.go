@@ -22,7 +22,7 @@
 //	# dump engine metrics after the queries, report queries slower than 50ms
 //	nepal -demo -metrics -slow-query 50ms -q "..."
 //
-//	# expose net/http/pprof and /debug/vars while serving stdin queries
+//	# expose net/http/pprof and the metrics while serving stdin queries
 //	nepal -demo -pprof localhost:6060
 package main
 
@@ -37,7 +37,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/codegen"
@@ -47,6 +46,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/schema"
+	"repro/internal/temporal"
 	"repro/internal/workload"
 )
 
@@ -78,8 +78,9 @@ type options struct {
 	timeout  time.Duration
 	maxPaths int
 	maxEdges int
-	// pprofAddr, when set, serves net/http/pprof (and expvar under
-	// /debug/vars) on the address for the life of the process.
+	// pprofAddr, when set, serves net/http/pprof and the registry's
+	// Prometheus text at /metrics on the address for the life of the
+	// process.
 	pprofAddr string
 	// walDir makes the store durable: mutations append to a write-ahead
 	// log in the directory, and startup recovers the store from its
@@ -165,7 +166,7 @@ func main() {
 	flag.DurationVar(&opt.timeout, "timeout", 0, "abort queries running longer than this (0 disables)")
 	flag.IntVar(&opt.maxPaths, "max-paths", 0, "abort queries emitting more than this many pathways (0 disables)")
 	flag.IntVar(&opt.maxEdges, "max-edges", 0, "abort queries scanning more than this many edges (0 disables)")
-	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and /debug/vars on this address (e.g. localhost:6060)")
+	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.StringVar(&opt.walDir, "wal-dir", "", "write-ahead log directory: recover the store from it on start and log every mutation durably")
 	flag.BoolVar(&opt.checkpoint, "checkpoint", false, "snapshot the store and contract the write-ahead log, then exit (requires -wal-dir)")
 	flag.BoolVar(&opt.fsck, "fsck", false, "verify store invariants after loading and exit nonzero on violations")
@@ -191,10 +192,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// publishOnce guards the process-wide expvar registration (expvar panics
-// on duplicate names, and tests call run repeatedly).
-var publishOnce sync.Once
 
 func run(opt options) error {
 	out := opt.out
@@ -243,13 +240,18 @@ func run(opt options) error {
 	}
 	reg := db.Registry()
 	if opt.pprofAddr != "" {
-		publishOnce.Do(func() { reg.Publish("nepal") })
+		mux := http.NewServeMux()
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", obs.PrometheusContentType)
+			obs.WritePrometheus(w, reg)
+		})
 		go func() {
-			if err := http.ListenAndServe(opt.pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(opt.pprofAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "nepal: pprof:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/ (metrics at /debug/vars)\n", opt.pprofAddr)
+		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/ (metrics at /metrics)\n", opt.pprofAddr)
 	}
 
 	if opt.demo {
@@ -450,7 +452,7 @@ func printGenerated(db *core.DB, stmt *core.Prepared, out io.Writer, gen string)
 		case "sql":
 			at := ""
 			if q.At != nil && !q.At.IsRange {
-				at = q.At.Start.Format("2006-01-02 15:04:05")
+				at = q.At.Start.Format(temporal.Layout)
 			}
 			fmt.Fprintln(out, codegen.SQL(p, at))
 		case "gremlin":

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/temporal"
 )
 
 // runServe turns the process into a network query server: the loaded
@@ -284,7 +285,7 @@ func printRemoteResult(out io.Writer, res *client.Result) {
 	if res.Agg != nil {
 		switch {
 		case res.Agg.Time != nil:
-			fmt.Fprintf(out, "exists = %v at %s\n", res.Agg.Exists, res.Agg.Time.Format("2006-01-02 15:04:05"))
+			fmt.Fprintf(out, "exists = %v at %s\n", res.Agg.Exists, res.Agg.Time.Format(temporal.Layout))
 		case res.Agg.Current:
 			fmt.Fprintf(out, "exists = %v (current)\n", res.Agg.Exists)
 		default:

@@ -405,8 +405,8 @@ func (s *sim) read(c *client.Cluster, who int) {
 		o.ok, o.epoch, o.seen, o.replica = true, res.Epoch, map[int64]bool{}, res.AppliedThrough != ""
 		o.appliedThrough, _ = time.Parse(repl.ClockFormat, res.AppliedThrough) // "" on a primary's answer
 		for _, row := range res.Rows {
-			id, _ := row.Values[0].(float64)
-			o.seen[int64(id)] = true
+			id, _ := row.Values[0].(int64)
+			o.seen[id] = true
 		}
 	}
 	s.done(o)

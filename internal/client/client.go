@@ -258,13 +258,13 @@ type Result struct {
 
 // QueryOptions carries the optional per-request fields of /v1/query.
 type QueryOptions struct {
-	// At runs the query at a point in time ("2006-01-02 15:04:05").
+	// At runs the query at a point in time (a temporal.Parse spelling).
 	At string
 	// TimeoutMS bounds the server-side execution.
 	TimeoutMS int64
 	// Limits are per-request resource guardrails.
 	Limits *server.Limits
-	// MinTimestamp (RFC3339 or "2006-01-02 15:04:05") demands the answer
+	// MinTimestamp (any temporal.Parse spelling) demands the answer
 	// reflect every mutation at or before it — the bounded-staleness
 	// contract when reading from a replica. Lagging replicas wait, then
 	// fail with ErrReplicaLagging.
@@ -742,10 +742,11 @@ func decodeResult(resp *server.QueryResponse) *Result {
 	for _, row := range resp.Rows {
 		r := Row{Values: make([]any, len(row.Values)), Coexist: server.IntervalsIn(row.Coexist)}
 		for i, v := range row.Values {
-			if v.Pathway != nil {
+			switch {
+			case v.Pathway != nil:
 				r.Values[i] = &Pathway{Pathway: v.Pathway.Plan(), Rendered: v.Pathway.Rendered}
-			} else {
-				r.Values[i] = v.Scalar
+			case v.Scalar != nil:
+				r.Values[i] = v.Scalar.V
 			}
 		}
 		out.Rows = append(out.Rows, r)

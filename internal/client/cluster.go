@@ -44,10 +44,6 @@ type ClusterConfig struct {
 	// HTTPClient is shared by every endpoint; nil uses each client's
 	// default (30s overall timeout).
 	HTTPClient *http.Client
-	// RetryBudget caps the total attempts one read makes across
-	// endpoints; 0 means len(Replicas)+2 (every replica once, then the
-	// primary, then one more for luck).
-	RetryBudget int
 	// BackoffMin/BackoffMax bound the jittered exponential backoff
 	// between attempts; 0 means 25ms / 1s. A server Retry-After hint
 	// overrides the computed backoff when longer.
@@ -95,9 +91,6 @@ type clusterReplica struct {
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Primary == "" {
 		return nil, errors.New("client: cluster needs a primary endpoint")
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = len(cfg.Replicas) + 2
 	}
 	if cfg.BackoffMin <= 0 {
 		cfg.BackoffMin = 25 * time.Millisecond
@@ -230,10 +223,14 @@ func (cl *Cluster) backoff(ctx context.Context, attempt int, err error) error {
 	return sleepCtx(ctx, d)
 }
 
+// attempts caps the total attempts one call makes across endpoints:
+// every replica once, then the primary, then one more for luck.
+func (cl *Cluster) attempts() int { return len(cl.cfg.Replicas) + 2 }
+
 // read runs one read-path call across the endpoint plan.
 func (cl *Cluster) read(ctx context.Context, fn func(*Client) error) error {
 	plan := cl.readPlan()
-	budget := cl.cfg.RetryBudget
+	budget := cl.attempts()
 	var lastErr error
 	for attempt := 0; attempt < budget; attempt++ {
 		r := plan[attempt%len(plan)]
@@ -298,7 +295,8 @@ func (cl *Cluster) Query(ctx context.Context, query string, o *QueryOptions) (*R
 // reporting it.
 func (cl *Cluster) writeRetry(ctx context.Context, fn func(*Client) error) error {
 	var lastErr error
-	for attempt := 0; attempt < cl.cfg.RetryBudget; attempt++ {
+	budget := cl.attempts()
+	for attempt := 0; attempt < budget; attempt++ {
 		err := fn(cl.Primary())
 		if err == nil {
 			return nil
@@ -308,7 +306,7 @@ func (cl *Cluster) writeRetry(ctx context.Context, fn func(*Client) error) error
 		case ctx.Err() != nil:
 			return err
 		case errors.Is(err, ErrOverloaded):
-			if attempt+1 < cl.cfg.RetryBudget {
+			if attempt+1 < budget {
 				if serr := cl.backoff(ctx, attempt, err); serr != nil {
 					return fmt.Errorf("%w (last endpoint error: %v)", serr, lastErr)
 				}

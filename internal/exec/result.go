@@ -123,7 +123,7 @@ func (r *Result) Format(render func(plan.Pathway) string) string {
 		case r.Agg.Current:
 			sb.WriteString("still exists (no last time)\n")
 		default:
-			fmt.Fprintf(&sb, "%s\n", r.Agg.Time.UTC().Format("2006-01-02 15:04:05"))
+			fmt.Fprintf(&sb, "%s\n", r.Agg.Time.UTC().Format(temporal.Layout))
 		}
 		return sb.String()
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,8 +256,7 @@ func TestStoreGaugesFollowCounts(t *testing.T) {
 	check := func(after string) {
 		t.Helper()
 		live, versions := st.Counts()
-		snap := reg.Snapshot()
-		if gotLive, gotVersions := asFloat(snap["store.live_objects"]), asFloat(snap["store.versions"]); gotLive != float64(live) || gotVersions != float64(versions) {
+		if gotLive, gotVersions := sample(reg, "store.live_objects"), sample(reg, "store.versions"); gotLive != float64(live) || gotVersions != float64(versions) {
 			t.Errorf("after %s: gauges read (%v, %v), Counts() = (%d, %d)", after, gotLive, gotVersions, live, versions)
 		}
 	}
@@ -272,12 +273,19 @@ func TestStoreGaugesFollowCounts(t *testing.T) {
 	check("delete")
 }
 
-func asFloat(v any) float64 {
-	switch n := v.(type) {
-	case int64:
-		return float64(n)
-	case float64:
-		return n
+// sample reads the unlabeled metric name from reg's Prometheus
+// exposition; -1 when it is absent.
+func sample(reg *obs.Registry, name string) float64 {
+	var sb strings.Builder
+	obs.WritePrometheus(&sb, reg)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, obs.PromName(name)+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return -1
+			}
+			return f
+		}
 	}
 	return -1
 }

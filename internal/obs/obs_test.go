@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -134,17 +136,43 @@ func TestRegistryCreatesAndReuses(t *testing.T) {
 	}
 	r.Gauge("engine.live").Set(7)
 	r.Histogram("engine.latency_ms").Observe(3.5)
-	snap := r.Snapshot()
-	if snap["engine.evals"].(int64) != 2 {
-		t.Errorf("counter snapshot = %v", snap["engine.evals"])
+	snap := scrape(r)
+	if snap["engine_evals"] != 2 {
+		t.Errorf("counter sample = %v", snap["engine_evals"])
 	}
-	if snap["engine.live"].(int64) != 7 {
-		t.Errorf("gauge snapshot = %v", snap["engine.live"])
+	if snap["engine_live"] != 7 {
+		t.Errorf("gauge sample = %v", snap["engine_live"])
 	}
-	hs, ok := snap["engine.latency_ms"].(HistogramSnapshot)
-	if !ok || hs.Count != 1 {
-		t.Errorf("histogram snapshot = %#v", snap["engine.latency_ms"])
+	if n, ok := snap["engine_latency_ms_count"]; !ok || n != 1 {
+		t.Errorf("histogram count sample = %v (present %v)", n, ok)
 	}
+}
+
+// scrape reads r's Prometheus exposition into a map from each sample's
+// series (its name, with labels if any) to its value.
+func scrape(r *Registry) map[string]float64 {
+	var sb strings.Builder
+	WritePrometheus(&sb, r)
+	out := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			panic(fmt.Sprintf("sample %q: %v", line, err))
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// families counts the metric families of r's exposition.
+func families(r *Registry) int {
+	var sb strings.Builder
+	WritePrometheus(&sb, r)
+	return strings.Count(sb.String(), "# TYPE ")
 }
 
 // TestRegistryInclude: Include shares src's metric objects with r (an
@@ -164,20 +192,20 @@ func TestRegistryInclude(t *testing.T) {
 		t.Fatal("included metrics are copies, not the source's objects")
 	}
 	src.Counter("db.queries").Add(1)
-	snap := r.Snapshot()
-	if snap["db.queries"].(int64) != 4 || snap["store.versions"].(float64) != 9 || snap["server.requests"].(int64) != 1 {
-		t.Errorf("snapshot after including twice = %v", snap)
+	snap := scrape(r)
+	if snap["db_queries"] != 4 || snap["store_versions"] != 9 || snap["server_requests"] != 1 {
+		t.Errorf("exposition after including twice = %v", snap)
 	}
-	if len(snap) != 4 {
-		t.Errorf("snapshot holds %d metrics, want 4: %v", len(snap), snap)
+	if n := families(r); n != 4 {
+		t.Errorf("exposition holds %d metrics, want 4: %v", n, snap)
 	}
 
-	before := src.Snapshot()
+	before, nBefore := scrape(src), families(src)
 	src.Include(src)
 	var none *Registry
 	none.Include(src)
 	r.Include(nil)
-	if after := src.Snapshot(); len(after) != len(before) || after["db.queries"] != before["db.queries"] {
+	if after := scrape(src); families(src) != nBefore || after["db_queries"] != before["db_queries"] {
 		t.Errorf("self-include changed the registry: %v -> %v", before, after)
 	}
 }
@@ -187,9 +215,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("a").Add(1)
 	r.Gauge("b").Set(1)
 	r.Histogram("c").Observe(1)
-	if r.Snapshot() != nil {
-		t.Error("nil registry snapshot must be nil")
-	}
 	var sb strings.Builder
 	WritePrometheus(&sb, r)
 	if sb.Len() != 0 {
@@ -198,7 +223,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 }
 
 // TestRegistrySnapshotUnderConcurrentWriters hammers one registry from
-// many goroutines while snapshotting concurrently; run under -race this
+// many goroutines while scraping it concurrently; run under -race this
 // is the data-race check, and the final totals must be exact.
 func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 	r := NewRegistry()
@@ -206,8 +231,8 @@ func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 	const perWriter = 2000
 	var readersWG, writersWG sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent snapshot readers: each observed snapshot must be
-	// internally consistent (histogram bucket totals match its count).
+	// Concurrent scrapers: each exposition must be internally consistent
+	// (the +Inf bucket's cumulative count matches the histogram's count).
 	for i := 0; i < 2; i++ {
 		readersWG.Add(1)
 		go func() {
@@ -218,18 +243,14 @@ func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 					return
 				default:
 				}
-				snap := r.Snapshot()
-				if v, ok := snap["shared"]; ok && v.(int64) < 0 {
+				snap := scrape(r)
+				if v, ok := snap["shared"]; ok && v < 0 {
 					t.Error("negative counter observed")
 					return
 				}
-				if hs, ok := snap["lat"].(HistogramSnapshot); ok {
-					var per int64
-					for _, b := range hs.Buckets {
-						per += b.Count
-					}
-					if per != hs.Count {
-						t.Errorf("inconsistent histogram snapshot: buckets=%d count=%d", per, hs.Count)
+				if n, ok := snap["lat_count"]; ok {
+					if per := snap[`lat_bucket{le="+Inf"}`]; per != n {
+						t.Errorf("inconsistent histogram exposition: buckets=%v count=%v", per, n)
 						return
 					}
 				}

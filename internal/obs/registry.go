@@ -1,18 +1,15 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"maps"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry is a process-wide collection of named metrics. All operations
-// are safe for concurrent use; reads (Snapshot, WritePrometheus) observe
+// are safe for concurrent use; a read (WritePrometheus) observes
 // each metric atomically. A nil *Registry is a valid no-op registry:
 // metric lookups return nil metrics whose operations are no-ops, so
 // instrumented code can hold an optional registry without branching.
@@ -196,52 +193,6 @@ func (r *Registry) Include(src *Registry) {
 	maps.Copy(r.help, help)
 }
 
-// Snapshot returns a consistent point-in-time copy of every metric:
-// counters and gauges by value, derived gauges evaluated, info metrics
-// as their label maps, histograms as HistogramSnapshot.
-func (r *Registry) Snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	funcs := make(map[string]func() float64, len(r.funcs))
-	for name, fn := range r.funcs {
-		funcs[name] = fn
-	}
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs)+len(r.infos))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name] = h.Snapshot()
-	}
-	for name, labels := range r.infos {
-		cp := make(map[string]string, len(labels))
-		for k, v := range labels {
-			cp[k] = v
-		}
-		out[name] = cp
-	}
-	r.mu.RUnlock()
-	// Derived gauges run outside the registry lock: the functions may
-	// take other locks of their own.
-	for name, fn := range funcs {
-		out[name] = fn()
-	}
-	return out
-}
-
-// Publish registers the registry under name in the process expvar set, so
-// an attached pprof/debug HTTP server exposes it at /debug/vars. It must
-// be called at most once per name per process (expvar panics on
-// duplicates); cmd/nepal calls it once at startup.
-func (r *Registry) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	v atomic.Int64
@@ -340,54 +291,16 @@ func (h *Histogram) Observe(v float64) {
 
 // BucketSnapshot is one bucket of a histogram snapshot.
 type BucketSnapshot struct {
-	UpperBound      float64 `json:"-"`          // +Inf for the overflow bucket
-	Count           int64   `json:"count"`      // observations in this bucket alone
-	CumulativeCount int64   `json:"cumulative"` // observations at or below UpperBound
-	// LE mirrors UpperBound for JSON ("+Inf" for the overflow bucket,
-	// which encoding/json cannot represent as a number). Filled by
-	// MarshalJSON; parsed back by UnmarshalJSON.
-	LE string `json:"le"`
-}
-
-// MarshalJSON encodes the bucket with its bound as a string, since the
-// overflow bucket's +Inf bound is not a valid JSON number. This keeps
-// both the /metrics JSON snapshot and expvar's /debug/vars encodable.
-func (b BucketSnapshot) MarshalJSON() ([]byte, error) {
-	type alias BucketSnapshot
-	a := alias(b)
-	if math.IsInf(b.UpperBound, 1) {
-		a.LE = "+Inf"
-	} else {
-		a.LE = strconv.FormatFloat(b.UpperBound, 'g', -1, 64)
-	}
-	return json.Marshal(a)
-}
-
-// UnmarshalJSON restores UpperBound from the string bound.
-func (b *BucketSnapshot) UnmarshalJSON(data []byte) error {
-	type alias BucketSnapshot
-	var a alias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*b = BucketSnapshot(a)
-	if a.LE == "+Inf" {
-		b.UpperBound = math.Inf(1)
-	} else if a.LE != "" {
-		v, err := strconv.ParseFloat(a.LE, 64)
-		if err != nil {
-			return err
-		}
-		b.UpperBound = v
-	}
-	return nil
+	UpperBound      float64 // +Inf for the overflow bucket
+	Count           int64   // observations in this bucket alone
+	CumulativeCount int64   // observations at or below UpperBound
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Buckets []BucketSnapshot `json:"buckets"`
+	Count   int64
+	Sum     float64
+	Buckets []BucketSnapshot
 }
 
 // Snapshot returns a consistent copy of the histogram's current state.

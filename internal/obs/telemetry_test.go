@@ -78,40 +78,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramSnapshotJSONRoundTrip checks a snapshot survives
-// marshal/unmarshal exactly, including the +Inf overflow bound that
-// JSON cannot represent as a number.
-func TestHistogramSnapshotJSONRoundTrip(t *testing.T) {
-	h := NewHistogram([]float64{0.5, 5})
-	for _, v := range []float64{0.1, 3, 100} {
-		h.Observe(v)
-	}
-	snap := h.Snapshot()
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back HistogramSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Count != snap.Count || back.Sum != snap.Sum {
-		t.Fatalf("round trip count/sum = %d/%v, want %d/%v", back.Count, back.Sum, snap.Count, snap.Sum)
-	}
-	if len(back.Buckets) != len(snap.Buckets) {
-		t.Fatalf("round trip buckets = %d, want %d", len(back.Buckets), len(snap.Buckets))
-	}
-	for i := range back.Buckets {
-		a, b := snap.Buckets[i], back.Buckets[i]
-		if a.Count != b.Count || a.CumulativeCount != b.CumulativeCount {
-			t.Errorf("bucket %d counts differ after round trip", i)
-		}
-		if a.UpperBound != b.UpperBound && !(math.IsInf(a.UpperBound, 1) && math.IsInf(b.UpperBound, 1)) {
-			t.Errorf("bucket %d bound %v != %v", i, a.UpperBound, b.UpperBound)
-		}
-	}
-}
-
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)

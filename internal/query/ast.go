@@ -83,11 +83,10 @@ func newTimeSpec(start time.Time, end *time.Time) *TimeSpec {
 }
 
 func (ts *TimeSpec) String() string {
-	const layout = "2006-01-02 15:04:05"
 	if ts.IsRange {
-		return fmt.Sprintf("AT '%s' : '%s'", ts.Start.Format(layout), ts.End.Format(layout))
+		return fmt.Sprintf("AT '%s' : '%s'", ts.Start.Format(temporal.Layout), ts.End.Format(temporal.Layout))
 	}
-	return fmt.Sprintf("AT '%s'", ts.Start.Format(layout))
+	return fmt.Sprintf("AT '%s'", ts.Start.Format(temporal.Layout))
 }
 
 // PathFn is a pathway function usable in projections and join terms.
@@ -166,9 +165,9 @@ func (rv RangeVar) String() string {
 	}
 	if rv.At.IsRange {
 		return fmt.Sprintf("%s %s(@'%s' : '%s')", src, rv.Name,
-			rv.At.Start.Format("2006-01-02 15:04:05"), rv.At.End.Format("2006-01-02 15:04:05"))
+			rv.At.Start.Format(temporal.Layout), rv.At.End.Format(temporal.Layout))
 	}
-	return fmt.Sprintf("%s %s(@'%s')", src, rv.Name, rv.At.Start.Format("2006-01-02 15:04:05"))
+	return fmt.Sprintf("%s %s(@'%s')", src, rv.Name, rv.At.Start.Format(temporal.Layout))
 }
 
 // Pred is one conjunct of the Where clause.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/rpe"
+	"repro/internal/temporal"
 )
 
 // Parse parses a Nepal query, e.g.
@@ -14,8 +15,7 @@ import (
 //	Select source(P) From PATHS P
 //	Where P MATCHES VNF()->[HostedOn()]{1,6}->Host(id=23245)
 //
-// Keywords are case-insensitive. Timestamps accept '2006-01-02 15:04',
-// '2006-01-02 15:04:05', and RFC3339 forms, interpreted as UTC.
+// Keywords are case-insensitive. Timestamps are read by temporal.Parse.
 func Parse(src string) (*Query, error) {
 	toks, err := rpe.Lex(src)
 	if err != nil {
@@ -185,9 +185,9 @@ func (p *parser) timeSpec() (*TimeSpec, error) {
 	if p.cur().Kind != rpe.KindString {
 		return nil, p.errf("expected a quoted timestamp after AT, found %q", p.cur().Text)
 	}
-	start, err := parseTime(p.next().Text)
+	start, err := temporal.Parse(p.next().Text)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("query: %w", err)
 	}
 	if p.cur().Kind != rpe.KindColon {
 		return newTimeSpec(start, nil), nil
@@ -196,9 +196,9 @@ func (p *parser) timeSpec() (*TimeSpec, error) {
 	if p.cur().Kind != rpe.KindString {
 		return nil, p.errf("expected a quoted timestamp after ':'")
 	}
-	end, err := parseTime(p.next().Text)
+	end, err := temporal.Parse(p.next().Text)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("query: %w", err)
 	}
 	if err := checkRange(start, end); err != nil {
 		return nil, err
@@ -278,9 +278,9 @@ func (p *parser) rangeVar() (RangeVar, error) {
 		if p.cur().Kind != rpe.KindString {
 			return RangeVar{}, p.errf("expected a quoted timestamp after '@'")
 		}
-		start, err := parseTime(p.next().Text)
+		start, err := temporal.Parse(p.next().Text)
 		if err != nil {
-			return RangeVar{}, err
+			return RangeVar{}, fmt.Errorf("query: %w", err)
 		}
 		var end *time.Time
 		if p.cur().Kind == rpe.KindColon {
@@ -288,9 +288,9 @@ func (p *parser) rangeVar() (RangeVar, error) {
 			if p.cur().Kind != rpe.KindString {
 				return RangeVar{}, p.errf("expected a quoted timestamp after ':'")
 			}
-			t, err := parseTime(p.next().Text)
+			t, err := temporal.Parse(p.next().Text)
 			if err != nil {
-				return RangeVar{}, err
+				return RangeVar{}, fmt.Errorf("query: %w", err)
 			}
 			end = &t
 		}
@@ -378,21 +378,4 @@ func isFn(s string) bool { return fnNamed(s) != FnNone }
 func isReserved(s string) bool {
 	_, ok := rpe.Keyword(s)
 	return ok
-}
-
-// timeLayouts are the accepted timestamp spellings, tried in order.
-var timeLayouts = []string{
-	"2006-01-02 15:04:05",
-	"2006-01-02 15:04",
-	"2006-01-02",
-	time.RFC3339,
-}
-
-func parseTime(s string) (time.Time, error) {
-	for _, layout := range timeLayouts {
-		if t, err := time.ParseInLocation(layout, s, time.UTC); err == nil {
-			return t, nil
-		}
-	}
-	return time.Time{}, fmt.Errorf("query: cannot parse timestamp %q", s)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/rpe"
+	"repro/internal/temporal"
 )
 
 // Template is an analyzed statement whose literals are parameters: the
@@ -215,7 +216,9 @@ func (t *Template) Bind(src string, lits []Literal) (*Analyzed, error) {
 		var v any
 		var err error
 		if s.isTime {
-			v, err = parseTime(l.Text)
+			if v, err = temporal.Parse(l.Text); err != nil {
+				err = fmt.Errorf("query: %w", err)
+			}
 		} else {
 			v, err = rpe.LiteralValue(rpe.Token{Kind: l.Kind, Text: l.Text}, s.neg, l.errPos, src)
 		}

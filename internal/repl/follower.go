@@ -113,9 +113,10 @@ type Follower struct {
 	changed  chan struct{} // closed+replaced whenever the watermark advances
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	// ctx is canceled by Stop; every feed request derives from it.
+	ctx  context.Context
+	stop context.CancelFunc
+	done chan struct{}
 
 	// Metric handles, resolved from cfg.Registry before the pull loop
 	// exists; nil (and no-ops) without a registry.
@@ -152,7 +153,6 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		watermark: stampTime(st.Clock().Latest()),
 		pinned:    mgr.NextIndex() > 0,
 		changed:   make(chan struct{}),
-		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 
 		mBatches:    cfg.Registry.Counter("repl.follower.batches"),
@@ -162,6 +162,7 @@ func NewFollower(st *graph.Store, mgr *wal.Manager, cfg FollowerConfig) *Followe
 		mBootstraps: cfg.Registry.Counter("repl.follower.bootstraps"),
 		mDiverged:   cfg.Registry.Counter("repl.follower.diverged"),
 	}
+	f.ctx, f.stop = context.WithCancel(context.Background())
 	cfg.Registry.GaugeFunc("repl.follower.applied_index", func() float64 {
 		return float64(mgr.NextIndex())
 	})
@@ -179,7 +180,7 @@ func (f *Follower) Start() {
 
 // Stop terminates the pull loop and waits for it to exit. Idempotent.
 func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
+	f.stop()
 	f.startOnce.Do(func() { close(f.done) }) // never started: nothing to wait for
 	<-f.done
 }
@@ -187,12 +188,7 @@ func (f *Follower) Stop() {
 func (f *Follower) run() {
 	defer close(f.done)
 	backoff := f.cfg.ReconnectMin
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
+	for f.ctx.Err() == nil {
 		err := f.syncOnce()
 		if err == nil {
 			backoff = f.cfg.ReconnectMin
@@ -216,7 +212,7 @@ func (f *Follower) run() {
 		// Jittered exponential backoff so a fleet of followers does not
 		// hammer a recovering primary in lockstep.
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 			return
 		case <-time.After(backoff/2 + time.Duration(rand.Int63n(int64(backoff)))):
 		}
@@ -283,20 +279,6 @@ func (f *Follower) syncOnce() error {
 	return f.bootstrap()
 }
 
-// reqCtx derives a request context canceled by Stop, bounded a little
-// past the long-poll hold.
-func (f *Follower) reqCtx(d time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	go func() {
-		select {
-		case <-f.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
-}
-
 func (f *Follower) pull() error {
 	from, h := f.mgr.StreamHash()
 	pinnedEpoch := f.mgr.Epoch()
@@ -311,7 +293,8 @@ func (f *Follower) pull() error {
 	if f.cfg.MaxBatchBytes > 0 {
 		url += "&max_bytes=" + strconv.Itoa(f.cfg.MaxBatchBytes)
 	}
-	ctx, cancel := f.reqCtx(f.cfg.PollWait + 10*time.Second)
+	// Bounded a little past the long-poll hold.
+	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.PollWait+10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -319,10 +302,8 @@ func (f *Follower) pull() error {
 	}
 	resp, err := f.hc.Do(req)
 	if err != nil {
-		select {
-		case <-f.stop:
+		if f.ctx.Err() != nil {
 			return errStopping
-		default:
 		}
 		return err
 	}
@@ -486,7 +467,7 @@ func (f *Follower) bootstrap() error {
 	if pos := f.mgr.NextIndex(); pos > 0 {
 		return fmt.Errorf("%w: the primary no longer holds stream position %d; rebuild this replica from an empty WAL directory", errFatal, pos)
 	}
-	ctx, cancel := f.reqCtx(5 * time.Minute)
+	ctx, cancel := context.WithTimeout(f.ctx, 5*time.Minute)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/v1/wal/snapshot", nil)
 	if err != nil {
@@ -619,7 +600,7 @@ func (f *Follower) WaitUntil(ctx context.Context, ts time.Time) error {
 		case <-ctx.Done():
 			return fmt.Errorf("%w: applied through %s, need %s",
 				ErrLagging, w.Format(ClockFormat), ts.Format(ClockFormat))
-		case <-f.stop:
+		case <-f.ctx.Done():
 			// Stopped without promotion: the watermark is frozen, so a
 			// future ts will never be reached.
 			f.mu.Lock()

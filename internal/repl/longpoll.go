@@ -1,7 +1,9 @@
 package repl
 
 import (
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -65,23 +67,48 @@ func LongPoll(r *http.Request, changed func() <-chan struct{}, drain <-chan stru
 	}
 }
 
+// MaxWait caps the hold a feed request's wait_ms asks for, on /v1/wal
+// and /v1/watch alike.
+const MaxWait = 60 * time.Second
+
+// Param reads the optional non-negative integer parameter name of q; ok
+// is false when it is absent. A value that is not a decimal integer in
+// [0, MaxInt] is an error naming the parameter. Every integer parameter
+// of the feed endpoints goes through it; what an absent or zero value
+// means stays the endpoint's.
+func Param(q url.Values, name string) (n int, ok bool, err error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, false, nil
+	}
+	u, err := strconv.ParseUint(v, 10, strconv.IntSize-1)
+	if err != nil {
+		return 0, false, fmt.Errorf("%s must be a non-negative integer", name)
+	}
+	return int(u), true, nil
+}
+
+// Wait reads q's wait_ms: the hold it asks for, clamped to MaxWait
+// before it is converted, so no value overflows into a shorter wait. It
+// is 0 when absent.
+func Wait(q url.Values) (time.Duration, error) {
+	ms, _, err := Param(q, "wait_ms")
+	return time.Duration(min(ms, int(MaxWait/time.Millisecond))) * time.Millisecond, err
+}
+
 // SupersededBy reads a feed request's epoch= pin, the highest epoch the
 // requester has seen, and lets the node observe it; a superseded primary
 // fences itself. It returns the pin when the pin proves this node was
 // superseded, and 0 otherwise; the caller answers its own 409. A
 // malformed pin is answered 400 here, and ok is false.
 func (n *Node) SupersededBy(w http.ResponseWriter, r *http.Request) (pin uint64, ok bool) {
-	v := r.URL.Query().Get("epoch")
-	if v == "" {
-		return 0, true
-	}
-	remote, err := strconv.ParseUint(v, 10, 64)
+	remote, _, err := Param(r.URL.Query(), "epoch")
 	if err != nil {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "epoch must be a non-negative integer")
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return 0, false
 	}
-	if !n.Observe(remote) {
+	if !n.Observe(uint64(remote)) {
 		return 0, true
 	}
-	return remote, true
+	return uint64(remote), true
 }

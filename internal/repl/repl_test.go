@@ -585,36 +585,44 @@ func TestFollowerRejectsForeignLog(t *testing.T) {
 }
 
 // TestSourceLongPollDelivers holds a poll open and lands a write: the
-// response must carry the record well before the wait expires.
+// poll stays parked until then, and the response carries the record well
+// before the wait expires. A wait_ms past what a Duration holds is
+// clamped to the cap, not overflowed into no wait.
 func TestSourceLongPollDelivers(t *testing.T) {
-	p := newPrimary(t)
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(p.srv.URL + "/v1/wal?from=0&wait_ms=10000")
-		if err != nil {
-			done <- err
-			return
+	for _, wait := range []string{"10000", "9223372036854775807"} {
+		p := newPrimary(t)
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.Get(p.srv.URL + "/v1/wal?from=0&wait_ms=" + wait)
+			if err != nil {
+				done <- err
+				return
+			}
+			defer resp.Body.Close()
+			if got := resp.Header.Get(HeaderCount); got != "1" {
+				done <- fmt.Errorf("%s = %q, want 1", HeaderCount, got)
+				return
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			t.Fatalf("wait_ms=%s: the poll answered before any append (%v)", wait, err)
+		case <-time.After(300 * time.Millisecond):
 		}
-		defer resp.Body.Close()
-		if got := resp.Header.Get(HeaderCount); got != "1" {
-			done <- fmt.Errorf("%s = %q, want 1", HeaderCount, got)
-			return
+		start := time.Now()
+		p.write(t, 1)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("wait_ms=%s: %v", wait, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("wait_ms=%s: long-poll took %v; the append should have woken it", wait, elapsed)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("wait_ms=%s: long-poll never returned", wait)
 		}
-		done <- nil
-	}()
-	time.Sleep(30 * time.Millisecond) // let the poll park
-	start := time.Now()
-	p.write(t, 1)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("long-poll took %v; the append should have woken it", elapsed)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("long-poll never returned")
 	}
 }
 

@@ -38,9 +38,6 @@ type Source struct {
 // least one whole record, so a single oversized record still ships.
 const maxBatchBytes = 1 << 20
 
-// maxPollWait caps a feed request's wait_ms long-poll.
-const maxPollWait = 30 * time.Second
-
 // NewSource returns a feed over node's WAL, which must exist, publishing
 // into reg its counters — batches/records/bytes shipped, snapshots
 // served, feed requests answered 410 or 409 — and the long-poll waiter
@@ -91,11 +88,12 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	epoch := s.node.Epoch()
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 	q := r.URL.Query()
-	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
-	if err != nil {
+	n, ok, err := Param(q, "from")
+	if err != nil || !ok {
 		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "feed requires a numeric from= stream position")
 		return
 	}
+	from := uint64(n)
 	// A follower pinned to a higher epoch proves this log was superseded:
 	// a newer primary exists and took the stream over. The node fences
 	// itself, and the feed refuses to ship (the requester must not re-adopt
@@ -130,25 +128,18 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	maxBytes := maxBatchBytes
-	if v := q.Get("max_bytes"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "max_bytes must be a positive integer")
-			return
-		}
-		if n < maxBytes {
-			maxBytes = n
-		}
+	maxBytes, ok, err := Param(q, "max_bytes")
+	if err != nil || ok && maxBytes == 0 {
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "max_bytes must be a positive integer")
+		return
 	}
-	var wait time.Duration
-	if v := q.Get("wait_ms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "wait_ms must be a non-negative integer")
-			return
-		}
-		wait = min(time.Duration(n)*time.Millisecond, maxPollWait)
+	if !ok || maxBytes > maxBatchBytes {
+		maxBytes = maxBatchBytes
+	}
+	wait, err := Wait(q)
+	if err != nil {
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
 	LongPoll(r, s.node.mgr.Changed, s.drain, wait, s.gWaiters, func(why Wake) bool {
 		// Capture order is load-bearing for the staleness contract. The

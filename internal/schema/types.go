@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/temporal"
 )
 
 // Type is a field type: a primitive, a container over an element type, or
@@ -76,8 +78,8 @@ func (p primitive) Validate(v any) error {
 		if !ok {
 			return typeErr(p, v)
 		}
-		if !looksLikeTimestamp(s) {
-			return fmt.Errorf("schema: %q is not a timestamp", s)
+		if _, err := temporal.Parse(s); err != nil {
+			return fmt.Errorf("schema: %w", err)
 		}
 	case TypeIPAddress:
 		s, ok := v.(string)
@@ -95,12 +97,6 @@ func (p primitive) Validate(v any) error {
 
 func typeErr(t Type, v any) error {
 	return fmt.Errorf("schema: value %v (%T) is not a %s", v, v, t)
-}
-
-func looksLikeTimestamp(s string) bool {
-	// Accepts "2006-01-02 15:04:05" and RFC3339-like forms; the store keeps
-	// timestamps as strings, parsing happens in the temporal layer.
-	return len(s) >= 10 && s[4] == '-' && s[7] == '-'
 }
 
 func looksLikeIP(s string) bool {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/graph"
@@ -79,9 +78,8 @@ func rejectedMsg(i int, op string, err error) string {
 	return fmt.Sprintf("op %d (%s): %v; nothing was applied", i, op, err)
 }
 
-// decodeIngestJSON reads an IngestRequest. Numbers in fields keep their
-// literal: an integer becomes an int64, exact past 2^53, and any other
-// number a float64 — the values a WAL-framed batch carries.
+// decodeIngestJSON reads an IngestRequest. Numbers in fields are read by
+// Number, so they are the values a WAL-framed batch carries.
 func decodeIngestJSON(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation, error) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -98,7 +96,7 @@ func decodeIngestJSON(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation
 			return nil, errors.New(rejectedMsg(i, op.Op, err))
 		}
 		for k, v := range m.Fields {
-			if m.Fields[k], err = exactNumbers(v); err != nil {
+			if m.Fields[k], err = numbers(v); err != nil {
 				return nil, fmt.Errorf("decoding request body: %w", err)
 			}
 		}
@@ -106,37 +104,6 @@ func decodeIngestJSON(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation
 		ms[i] = &slab[i]
 	}
 	return ms, nil
-}
-
-// exactNumbers replaces every json.Number in v, through lists and maps,
-// with an int64 when it is an integer literal in range and a float64
-// otherwise.
-func exactNumbers(v any) (any, error) {
-	var err error
-	switch x := v.(type) {
-	case json.Number:
-		if n, err := strconv.ParseInt(string(x), 10, 64); err == nil {
-			return n, nil
-		}
-		f, err := strconv.ParseFloat(string(x), 64)
-		if err != nil {
-			return nil, fmt.Errorf("number %s does not fit a float64", x)
-		}
-		return f, nil
-	case []any:
-		for i := range x {
-			if x[i], err = exactNumbers(x[i]); err != nil {
-				return nil, err
-			}
-		}
-	case map[string]any:
-		for k, e := range x {
-			if x[k], err = exactNumbers(e); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return v, nil
 }
 
 // decodeIngestFrames reads a ContentTypeWAL body: exactly one record

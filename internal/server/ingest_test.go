@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/temporal"
 	"repro/internal/wal"
@@ -29,9 +30,9 @@ import (
 func TestIngestBatchIsAtomic(t *testing.T) {
 	_, db, _, c := newWatchServer(t, server.Config{})
 	ctx := context.Background()
-	gauges := func() (any, any) {
-		snap := db.Registry().Snapshot()
-		return snap["wal.next_index"], snap["store.versions"]
+	gauges := func() (float64, float64) {
+		snap := scrape(db.Registry())
+		return snap[obs.PromName("wal.next_index")], snap[obs.PromName("store.versions")]
 	}
 	next0, versions0 := gauges()
 	before := historyOf(t, db.Store())

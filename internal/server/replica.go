@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/temporal"
 )
 
 // defaultMaxStalenessWait bounds how long a min_timestamp read blocks on
@@ -75,15 +76,6 @@ func (s *Server) maxStalenessWait() time.Duration {
 	return defaultMaxStalenessWait
 }
 
-// parseMinTimestamp accepts RFC3339(Nano) and the "2006-01-02 15:04:05"
-// form the query AT clause uses.
-func parseMinTimestamp(v string) (time.Time, error) {
-	if ts, err := time.Parse(time.RFC3339Nano, v); err == nil {
-		return ts, nil
-	}
-	return time.Parse("2006-01-02 15:04:05", v)
-}
-
 // waitFresh enforces a request's min_timestamp against the replication
 // watermark: on a primary it is trivially satisfied; on a replica the
 // request waits (bounded by MaxStalenessWait and the request's context)
@@ -94,10 +86,9 @@ func (s *Server) waitFresh(w http.ResponseWriter, r *http.Request, minTS string)
 	if minTS == "" {
 		return true
 	}
-	ts, err := parseMinTimestamp(minTS)
+	ts, err := temporal.Parse(minTS)
 	if err != nil {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request",
-			"min_timestamp must be RFC3339 or \"2006-01-02 15:04:05\": "+err.Error())
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "min_timestamp: "+err.Error())
 		return false
 	}
 	if !s.node.Replica() {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/netmodel"
+	"repro/internal/query"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -329,4 +330,37 @@ func appliedThrough(t *testing.T, base string) (body, header string) {
 		t.Fatalf("query on %s: HTTP %d", base, resp.StatusCode)
 	}
 	return qr.AppliedThrough, resp.Header.Get(repl.HeaderAppliedThrough)
+}
+
+// TestTimestampSpellings: one parser reads every timestamp at the edge,
+// so an AT clause, a request's min_timestamp and a timestamp field
+// accept and refuse the same spellings.
+func TestTimestampSpellings(t *testing.T) {
+	_, c := newTestServer(t, newDemoDB(t), server.Config{})
+	ctx := context.Background()
+	for i, tc := range []struct {
+		spelling string
+		ok       bool
+	}{
+		{"2017-02-15 10:00:00", true},
+		{"2017-02-15 10:00", true},
+		{"2017-02-15", true},
+		{"2017-02-15T10:00:00Z", true},
+		{"2017-02-15T10:00:00.123456789+02:00", true},
+		{"9999-99-99", false},
+		{"2017-02-15 25:00:00", false},
+		{"2017-99-99 garbage", false},
+		{"yesterday", false},
+	} {
+		_, atErr := query.Parse("AT '" + tc.spelling + "' " + retrieveQ)
+		_, minErr := c.Query(ctx, selectQ, &client.QueryOptions{MinTimestamp: tc.spelling})
+		_, fieldErr := c.Ingest(ctx, []server.IngestOp{{Op: "insert-node", Class: "ComputeHost",
+			Fields: map[string]any{"id": int64(7000 + i), "name": "h", "rack": "r", "status": "Active",
+				"alarms": []any{map[string]any{"code": "c", "raisedAt": tc.spelling}}}}})
+		for what, err := range map[string]error{"AT": atErr, "min_timestamp": minErr, "a timestamp field": fieldErr} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s %q: err = %v, want accepted = %v", what, tc.spelling, err, tc.ok)
+			}
+		}
+	}
 }

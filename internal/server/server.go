@@ -571,13 +571,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics content-negotiates the registry: the structured JSON
-// snapshot for application/json, Prometheus text exposition otherwise.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.reg.Snapshot())
-		return
-	}
+// handleMetrics writes the registry in the Prometheus text exposition.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	obs.WritePrometheus(w, s.reg)
 	// Per-digest statement series ride the same scrape, bounded to the
@@ -632,7 +627,9 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 		for j, v := range row.Values {
 			p, ok := v.(*plan.Pathway)
 			if !ok {
-				wr.Values[j] = Value{Scalar: v}
+				if v != nil {
+					wr.Values[j] = Value{Scalar: &Scalar{v}}
+				}
 				continue
 			}
 			m := len(p.Elems)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,6 +113,31 @@ func TestQueryResultsMatchLocal(t *testing.T) {
 		if !localKeys[key] {
 			t.Errorf("remote pathway %s not in local result", key)
 		}
+	}
+
+	// Scalar cells come back as the local answer holds them: an id past
+	// 2^53, which a float64 rounds, stays exact.
+	ctx := context.Background()
+	if err := ingestHost(ctx, c, 9007199254740993); err != nil {
+		t.Fatal(err)
+	}
+	const idQ = "Select source(H).id, source(H).name From PATHS H Where H MATCHES ComputeHost(id=9007199254740993)"
+	local, err = db.Query(idQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err = c.Query(ctx, idQ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Rows) != 1 || len(remote.Rows) != 1 {
+		t.Fatalf("big-id rows: local %d, remote %d; want 1 each", len(local.Rows), len(remote.Rows))
+	}
+	if got, want := remote.Rows[0].Values, local.Rows[0].Values; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("remote scalars %v, local %v", got, want)
+	}
+	if id, ok := remote.Rows[0].Values[0].(int64); !ok || id != 9007199254740993 {
+		t.Errorf("remote id = %v (%T), want the int64 9007199254740993", remote.Rows[0].Values[0], remote.Rows[0].Values[0])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -488,9 +489,9 @@ func TestAccessLogAndTraceStoreShareRecord(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusNegotiation checks the /metrics content
-// negotiation: the default is the Prometheus exposition with histogram
-// series, and application/json yields the structured snapshot.
+// TestMetricsPrometheusNegotiation checks /metrics has one format: the
+// Prometheus exposition with histogram series, whatever the Accept
+// header asks for.
 func TestMetricsPrometheusNegotiation(t *testing.T) {
 	_, c := newTestServer(t, newDemoDB(t), server.Config{})
 	ctx := context.Background()
@@ -507,14 +508,16 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&snap)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("JSON /metrics does not decode: %v", err)
+		t.Fatal(err)
 	}
-	if _, ok := snap["server.requests"]; !ok {
-		t.Error("JSON snapshot missing server.requests")
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
+		t.Errorf("Accept: application/json answered Content-Type %q, want the exposition's", ct)
+	}
+	if !strings.Contains(string(body), "# TYPE server_requests counter") {
+		t.Error("exposition asked for as JSON is missing server.requests")
 	}
 
 	text, err := c.Metrics(ctx)

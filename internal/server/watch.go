@@ -18,11 +18,11 @@ package server
 // primary.
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -48,9 +48,6 @@ type WatchResponse struct {
 	// LogID identifies the log the stream derives from.
 	LogID string `json:"log_id,omitempty"`
 }
-
-// watchMaxWait caps a /v1/watch long-poll hold.
-const watchMaxWait = 60 * time.Second
 
 // mountWatch wires the change-feed and standing-query endpoints: a
 // WAL-backed node, primary or replica, tails its log; an in-memory node
@@ -92,28 +89,24 @@ func (s *Server) rejectWatchEpoch(w http.ResponseWriter, r *http.Request) bool {
 
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from := s.feed.NextIndex() // default: tail from now
-	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "from must be a non-negative integer")
-			return
-		}
-		from = n
-	}
-	maxEvents, ok := nonNegative(w, r, q, "max_events")
+	n, ok, err := repl.Param(q, "from")
+	from := uint64(n)
 	if !ok {
+		from = s.feed.NextIndex() // default: tail from now
+	}
+	maxEvents, _, merr := repl.Param(q, "max_events")
+	wait, werr := repl.Wait(q)
+	if err = cmp.Or(err, merr, werr); err != nil {
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	ms, ok := nonNegative(w, r, q, "wait_ms")
-	if !ok || s.rejectWatchEpoch(w, r) {
+	if s.rejectWatchEpoch(w, r) {
 		return
 	}
 	if q.Get("stream") == "sse" || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.serveWatchSSE(w, r, from, maxEvents)
 		return
 	}
-	wait := time.Duration(min(ms, int(watchMaxWait/time.Millisecond))) * time.Millisecond
 	repl.LongPoll(r, s.feed.Changed, s.drain, wait, nil, func(why repl.Wake) bool {
 		events, next, err := s.feed.Read(from, maxEvents)
 		switch {
@@ -126,22 +119,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	})
-}
-
-// nonNegative reads the optional integer parameter name of q, 0 when
-// absent. A malformed or negative value answers 400 bad_request, as
-// /v1/wal does, and reports false.
-func nonNegative(w http.ResponseWriter, r *http.Request, q url.Values, name string) (int, bool) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", name+" must be a non-negative integer")
-		return 0, false
-	}
-	return n, true
 }
 
 // writeWatchReadErr maps a feed read failure onto the typed contract.
@@ -243,8 +220,12 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "missing q (the standing query text)")
 		return
 	}
-	queueLen, ok := nonNegative(w, r, q, "queue")
-	if !ok || s.rejectWatchEpoch(w, r) {
+	queueLen, _, err := repl.Param(q, "queue")
+	if err != nil {
+		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	if s.rejectWatchEpoch(w, r) {
 		return
 	}
 	name := q.Get("name")

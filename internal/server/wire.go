@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -73,7 +75,7 @@ type Limits struct {
 type QueryRequest struct {
 	// Query is the NPQL statement text.
 	Query string `json:"query"`
-	// At, when non-empty ("2006-01-02 15:04:05"), runs the query against
+	// At, when non-empty (a temporal.Parse spelling), runs the query against
 	// the snapshot at that time — shorthand for an AT clause, rejected if
 	// the statement already carries one.
 	At string `json:"at,omitempty"`
@@ -86,7 +88,7 @@ type QueryRequest struct {
 	// Limits are per-request resource guardrails. They only tighten the
 	// database's own; nil leaves those alone.
 	Limits *Limits `json:"limits,omitempty"`
-	// MinTimestamp (RFC3339 or "2006-01-02 15:04:05") demands the answer
+	// MinTimestamp (any temporal.Parse spelling) demands the answer
 	// reflect every mutation at or before it. On a primary it is free;
 	// on a replica the request waits (bounded) for replication to catch
 	// up, failing with the typed "replica_lagging" error if it cannot.
@@ -182,11 +184,83 @@ func (p *Pathway) Plan() plan.Pathway {
 	return plan.Pathway{Elems: elems, Validity: IntervalsIn(p.Validity)}
 }
 
-// Value is one projected cell: exactly one of Pathway or Scalar is set.
-// Scalars survive the wire as JSON natives (strings, numbers, booleans).
+// Value is one projected cell: at most one of Pathway or Scalar is set,
+// and neither when the projected value is absent.
 type Value struct {
 	Pathway *Pathway `json:"pathway,omitempty"`
-	Scalar  any      `json:"scalar,omitempty"`
+	Scalar  *Scalar  `json:"scalar,omitempty"`
+}
+
+// Scalar is a projected scalar cell: a string, bool, number, list or
+// map. It encodes as its bare JSON value. It decodes the way a
+// /v1/ingest body does, every number through Number, so an integer
+// comes back as an exact int64 — and so does a float field whose value
+// is integral, exactly as the same literal ingests.
+type Scalar struct{ V any }
+
+// MarshalJSON writes the bare value.
+func (s Scalar) MarshalJSON() ([]byte, error) { return json.Marshal(s.V) }
+
+// UnmarshalJSON reads a bare value, its numbers by Number. A string
+// without escapes, the common cell, is taken without a decoder.
+func (s *Scalar) UnmarshalJSON(b []byte) error {
+	switch {
+	case b[0] == '"' && bytes.IndexByte(b, '\\') < 0 && utf8.Valid(b):
+		s.V = string(b[1 : len(b)-1])
+		return nil
+	case b[0] == '-' || '0' <= b[0] && b[0] <= '9':
+		v, err := Number(string(b))
+		s.V = v
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	var err error
+	s.V, err = numbers(v)
+	return err
+}
+
+// Number is the one rule for a JSON number arriving at either edge — a
+// field value in a /v1/ingest body or a scalar cell of an answer. An
+// integer literal in the int64 range becomes an int64, exact past 2^53;
+// any other number becomes a float64; a literal that no float64 holds
+// is an error.
+func Number(lit string) (any, error) {
+	if n, err := strconv.ParseInt(lit, 10, 64); err == nil {
+		return n, nil
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return nil, fmt.Errorf("number %s does not fit a float64", lit)
+	}
+	return f, nil
+}
+
+// numbers replaces every json.Number in v, through lists and maps, with
+// its Number value.
+func numbers(v any) (any, error) {
+	var err error
+	switch x := v.(type) {
+	case json.Number:
+		return Number(string(x))
+	case []any:
+		for i := range x {
+			if x[i], err = numbers(x[i]); err != nil {
+				return nil, err
+			}
+		}
+	case map[string]any:
+		for k, e := range x {
+			if x[k], err = numbers(e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return v, nil
 }
 
 // Row is one result tuple.

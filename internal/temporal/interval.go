@@ -23,6 +23,27 @@ import (
 	"time"
 )
 
+// Layout is the one spelling the system writes a timestamp in: AT
+// literals, rendered intervals and aggregate times. Parse reads it back.
+const Layout = "2006-01-02 15:04:05"
+
+// layouts are the spellings Parse accepts, tried in order.
+var layouts = [...]string{Layout, "2006-01-02 15:04", "2006-01-02", time.RFC3339}
+
+// Parse reads a timestamp literal: Layout, Layout without its seconds,
+// a bare date, all three in UTC, or RFC 3339 (fractional seconds
+// allowed). Every edge that takes a timestamp parses it here: an AT or
+// @ literal, a literal bound into a prepared statement, a request's
+// min_timestamp and a timestamp field's value.
+func Parse(s string) (time.Time, error) {
+	for _, layout := range layouts {
+		if t, err := time.ParseInLocation(layout, s, time.UTC); err == nil {
+			return t, nil
+		}
+	}
+	return time.Time{}, fmt.Errorf("cannot parse timestamp %q", s)
+}
+
 // Forever is the sentinel upper bound for intervals that are still current.
 // No transaction time reaches it: Nanos saturates every instant past the
 // int64 range at Forever−1.
@@ -168,10 +189,9 @@ func (iv Interval) String() string { return iv.Format(Time) }
 // Format is String with at rendering each bound. An end that renders as
 // Forever's time is open.
 func (iv Interval) Format(at func(int64) time.Time) string {
-	const layout = "2006-01-02 15:04:05"
-	start, end := at(iv.Start).Format(layout), at(iv.End)
+	start, end := at(iv.Start).Format(Layout), at(iv.End)
 	if Nanos(end) == Forever {
 		return fmt.Sprintf("[%s, ]", start)
 	}
-	return fmt.Sprintf("[%s, %s]", start, end.Format(layout))
+	return fmt.Sprintf("[%s, %s]", start, end.Format(Layout))
 }

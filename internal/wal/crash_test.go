@@ -431,7 +431,7 @@ func TestRecoverRejectsUnterminatedGroupMidLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, first, err := decodeRecord(group)
+	_, first, err := DecodeRecord(group)
 	if err != nil {
 		t.Fatal(err)
 	}

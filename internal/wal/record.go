@@ -152,14 +152,6 @@ func verifyFrameChecksum(frame []byte) error {
 	return nil
 }
 
-// DecodeRecord reads one frame from the front of b, returning the decoded
-// mutation and the number of bytes consumed — the exported form the
-// watch feed uses to turn shipped records into events. IsTorn
-// distinguishes "the batch ends mid-frame" from real corruption.
-func DecodeRecord(b []byte) (*graph.Mutation, int, error) {
-	return decodeRecord(b)
-}
-
 // DecodeGroup reads the group at the front of b: whole frames up to and
 // including the first without the continuation mark. It returns the
 // group's mutations and, for each, the byte offset in b just past its
@@ -222,12 +214,13 @@ func IsTorn(err error) bool { return errors.Is(err, errTorn) }
 // checksum, or payload).
 func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 
-// decodeRecord reads one frame from the front of b, returning the decoded
-// mutation and the number of bytes consumed. It returns errTorn when b
-// ends before the frame does, errCorrupt when the length bound, the
-// checksum, or the payload is invalid, and a *graph.FormatError when the
-// payload is a record of the retired JSON format.
-func decodeRecord(b []byte) (*graph.Mutation, int, error) {
+// DecodeRecord reads one frame from the front of b, returning the decoded
+// mutation and the number of bytes consumed. It returns a torn error
+// (IsTorn) when b ends before the frame does, a corrupt one (IsCorrupt)
+// when the length bound, the checksum, or the payload is invalid, and a
+// *graph.FormatError when the payload is a record of the retired JSON
+// format.
+func DecodeRecord(b []byte) (*graph.Mutation, int, error) {
 	m := new(graph.Mutation)
 	n, err := decodeRecordInto(m, b)
 	if err != nil {
@@ -236,7 +229,7 @@ func decodeRecord(b []byte) (*graph.Mutation, int, error) {
 	return m, n, nil
 }
 
-// decodeRecordInto is decodeRecord into a zero mutation the caller owns.
+// decodeRecordInto is DecodeRecord into a zero mutation the caller owns.
 func decodeRecordInto(m *graph.Mutation, b []byte) (int, error) {
 	n, err := frameSize(b)
 	if err != nil {

@@ -249,7 +249,7 @@ func TestFlippedContinuationIsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, firstOfPair, err := decodeRecord(pair)
+	_, firstOfPair, err := DecodeRecord(pair)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -526,7 +526,7 @@ func TestRecordCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := decodeRecord(frame)
+	got, n, err := DecodeRecord(frame)
 	if err != nil || n != len(frame) {
 		t.Fatalf("decode: %v (n=%d)", err, n)
 	}
@@ -542,7 +542,7 @@ func TestRecordCodec(t *testing.T) {
 		"flipped byte": func(b []byte) []byte { c := append([]byte(nil), b...); c[12] ^= 1; return c },
 		"huge length":  func(b []byte) []byte { c := append([]byte(nil), b...); c[3] = 0xFF; return c },
 	} {
-		if _, _, err := decodeRecord(corrupt(frame)); err == nil {
+		if _, _, err := DecodeRecord(corrupt(frame)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

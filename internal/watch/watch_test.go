@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -620,16 +621,33 @@ func TestQueriesGaugeDoesNotWaitForPump(t *testing.T) {
 	defer sub.Close()
 
 	hub.mu.Lock()
-	got := make(chan any, 1)
-	go func() { got <- reg.Snapshot()["watch.standing.queries"] }()
+	got := make(chan float64, 1)
+	go func() { got <- sample(reg, "watch.standing.queries") }()
 	select {
 	case v := <-got:
 		hub.mu.Unlock()
-		if v != float64(1) {
+		if v != 1 {
 			t.Fatalf("watch.standing.queries = %v; want 1", v)
 		}
 	case <-time.After(5 * time.Second):
 		hub.mu.Unlock()
 		t.Fatal("reading watch.standing.queries waited on the hub's lock")
 	}
+}
+
+// sample reads the unlabeled metric name from reg's Prometheus
+// exposition; -1 when it is absent.
+func sample(reg *obs.Registry, name string) float64 {
+	var sb strings.Builder
+	obs.WritePrometheus(&sb, reg)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, obs.PromName(name)+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return -1
+			}
+			return f
+		}
+	}
+	return -1
 }

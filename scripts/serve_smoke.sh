@@ -8,7 +8,7 @@
 # the server's -max-paths bound still answers 422 "limit" (a request may
 # tighten the server's limits, never loosen them), checks that an
 # integer above 2^53 ingested as JSON is stored exactly (a query by that
-# id finds the host), and shuts the server
+# id finds the host) and reads back with every digit, and shuts the server
 # down with SIGTERM, checking it exits cleanly (graceful drain + store
 # close).
 set -eu
@@ -65,6 +65,14 @@ echo "$OUT"
 case "$OUT" in
     *"(1 rows)"*) echo "serve-smoke: integer above 2^53 stored exactly ok" ;;
     *) echo "serve-smoke: Host(id=$BIG) did not find the ingested host"; exit 1 ;;
+esac
+# Read back over the wire, the id keeps every digit: the client decodes
+# an answer's numbers by the rule the ingest path applies.
+OUT="$("$TMP/nepal" -connect "http://$ADDR" -q "Select source(H).id From PATHS H Where H MATCHES Host(id=$BIG)")"
+echo "$OUT"
+case "$OUT" in
+    *"$BIG"*) echo "serve-smoke: integer above 2^53 read back exactly ok" ;;
+    *) echo "serve-smoke: Host(id=$BIG).id did not read back as $BIG"; exit 1 ;;
 esac
 
 kill -TERM "$SERVER_PID"
