@@ -85,10 +85,11 @@ crash:
 # the WAL frame decoder (every replication batch and crash-recovery
 # scan), the checkpoint loader (every recovery's checkpoint and every
 # follower's bootstrap snapshot), statement preparation (every /v1/query
-# and /v1/prepare body: parse, analyze, fingerprint, and the statement
-# template bound to substituted literals against a fresh compile), the
-# /v1/execute handle decoder (a handle binds only the literal kinds its
-# shape expects) and the /v1/ingest write path (random op batches
+# body: parse, analyze, fingerprint, and the statement template bound to
+# substituted literals against a fresh compile), the statement entry
+# points (raw bytes as a /v1/query body and raw name, q and queue values
+# on /v1/watch/query: never a panic, a 5xx or an undocumented status)
+# and the /v1/ingest write path (random op batches
 # through the server's handler into a WAL-backed store, held to the
 # atomic-batch contract, and sent again as WAL frames through the Go
 # client to a twin store that must answer and log the same bytes; raw
@@ -103,14 +104,15 @@ crash:
 # value read exactly when well-formed, a wait clamped to its cap).
 # Seeds are binary frames from the record encoder (and one retired JSON
 # frame), a binary checkpoint and its copy re-encoded to
-# name a UID far past the allocation frontier, the paper's queries, the
-# handles of a few prepared shapes, batches that fail on an earlier op,
+# name a UID far past the allocation frontier, the paper's queries,
+# statements of every literal kind and an overflowing queue= value,
+# batches that fail on an earlier op,
 # one framed body of each kind the server refuses and the simulation's
 # corpus; 15s each is a smoke budget (the two parsers reach six-digit
 # exec counts, the checkpoint loader tens of thousands — its 1s
 # minimization cap keeps new inputs from eating the budget — the ingest
 # targets, which open a store per input (two for FuzzIngest), a few
-# hundred, the simulation,
+# hundred, the statement entry points tens of thousands, the simulation,
 # which runs a three-node cluster per seed, a few dozen, the patcher,
 # which builds a fixture and a hub per input, a few thousand, the
 # parameter readers over a hundred thousand).
@@ -120,7 +122,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz='^FuzzIngest$$' -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzIngestFrames -fuzztime=15s -run '^$$' ./internal/server/
-	$(GO) test -fuzz=FuzzExecuteHandle -fuzztime=15s -run '^$$' ./internal/server/
+	$(GO) test -fuzz=FuzzQueryRequest -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzClusterSim -fuzztime=15s -run '^$$' ./internal/chaos/
 	$(GO) test -fuzz=FuzzTimeBounds -fuzztime=15s -run '^$$' ./internal/temporal/
 	$(GO) test -fuzz=FuzzStandingQuery -fuzztime=15s -run '^$$' ./internal/watch/

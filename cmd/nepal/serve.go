@@ -64,7 +64,7 @@ func runServe(db *core.DB, opt options) error {
 	if follow != nil {
 		role = "replica of " + opt.followURL
 	}
-	fmt.Fprintf(os.Stderr, "nepal: serving on http://%s as %s (POST /v1/query, /v1/prepare, /v1/execute; GET /healthz, /readyz, /metrics)\n",
+	fmt.Fprintf(os.Stderr, "nepal: serving on http://%s as %s (POST /v1/query; GET /healthz, /readyz, /metrics)\n",
 		ln.Addr(), role)
 	if opt.ready != nil {
 		opt.ready(ln.Addr().String())

@@ -1297,7 +1297,9 @@ func (h *history) matchesWAL(ev watch.Event) bool {
 		if a < 0 || !ok {
 			continue
 		}
-		fa, _ := json.Marshal(ev.Fields) // the wire made int64 float64: compare canonical JSON
+		// JSON writes an integral float64 as an integer, which the wire
+		// reads back as an int64: compare canonical JSON.
+		fa, _ := json.Marshal(ev.Fields)
 		fb, _ := json.Marshal(r.m.Fields)
 		if ev.Op == r.m.Op.String() && ev.UID == int64(r.m.UID) && ev.Src == int64(r.m.Src) && ev.Dst == int64(r.m.Dst) &&
 			ev.At.Equal(temporal.Time(r.m.At)) && bytes.Equal(fa, fb) {

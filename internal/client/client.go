@@ -2,13 +2,12 @@
 // (internal/server): typed request/response structs shared with the
 // server so the wire contract cannot drift, connection reuse through one
 // http.Client, context propagation onto the server's cooperative
-// cancellation, prepared statements that transparently re-prepare after
-// a server-side cache eviction, and result decoding back into
+// cancellation, prepared statements, and result decoding back into
 // plan.Pathway values.
 //
 // Errors are typed: server-side rejections surface as *APIError (match
 // the overload/deadline/limit classes with errors.Is against
-// ErrOverloaded, ErrDeadline, ErrLimit, ErrUnprepared), while network
+// ErrOverloaded, ErrDeadline, ErrLimit), while network
 // failures — connection refused, connections dropped mid-response —
 // surface as *TransportError, whose Retryable() says whether another
 // endpoint is worth trying.
@@ -23,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -47,8 +45,6 @@ var (
 	ErrDeadline = errors.New("client: query deadline exceeded")
 	// ErrLimit matches 422: the query crossed a resource limit.
 	ErrLimit = errors.New("client: query resource limit exceeded")
-	// ErrUnprepared matches 410: the prepared handle was evicted.
-	ErrUnprepared = errors.New("client: statement not prepared")
 	// ErrReplicaLagging matches 503 "replica_lagging": the replica could
 	// not reach the request's min_timestamp in time. Retry against
 	// another replica or the primary.
@@ -112,8 +108,6 @@ func (e *APIError) Is(target error) bool {
 		return e.Code == "deadline"
 	case ErrLimit:
 		return e.Code == "limit"
-	case ErrUnprepared:
-		return e.Code == "unprepared"
 	case ErrReplicaLagging:
 		return e.Code == "replica_lagging"
 	case ErrReadOnly:
@@ -306,25 +300,24 @@ func (c *Client) ExplainAnalyze(ctx context.Context, query string) (string, *Res
 	return resp.Explain, decodeResult(&resp), nil
 }
 
-// Stmt is a prepared statement handle. Exec transparently re-prepares
-// once when the server answers "unprepared" (it does not hold the
-// statement's compiled shape: evicted, or a restarted or different
-// server) and executes by the fresh handle, so long-lived statements
-// survive statement-table churn and failovers.
+// Stmt is a prepared statement: its text, checked and compiled into the
+// server's statement table by Prepare. The text is all a Stmt sends, so
+// it executes on any server — after an eviction, a view definition, a
+// restart or a failover — in one request, compiling there if it must.
 type Stmt struct {
 	c      *Client
 	query  string
-	handle string
 	digest string
 }
 
-// Prepare compiles the statement server-side and returns its handle.
+// Prepare compiles the statement server-side, failing as a query of it
+// would, and returns it with its digest.
 func (c *Client) Prepare(ctx context.Context, query string) (*Stmt, error) {
-	var resp server.PrepareResponse
-	if err := c.post(ctx, "/v1/prepare", server.PrepareRequest{Query: query}, &resp); err != nil {
+	var resp server.QueryResponse
+	if err := c.post(ctx, "/v1/query", server.QueryRequest{Query: query, Explain: server.ExplainPlan}, &resp); err != nil {
 		return nil, err
 	}
-	return &Stmt{c: c, query: query, handle: resp.Handle, digest: resp.Digest}, nil
+	return &Stmt{c: c, query: query, digest: resp.Digest}, nil
 }
 
 // Text returns the statement's query text.
@@ -335,33 +328,9 @@ func (s *Stmt) Text() string { return s.query }
 // server's statistics surfaces.
 func (s *Stmt) Digest() string { return s.digest }
 
-// Exec executes the prepared statement.
+// Exec executes the prepared statement, as Client.Query would.
 func (s *Stmt) Exec(ctx context.Context, o *QueryOptions) (*Result, error) {
-	req := server.ExecuteRequest{Handle: s.handle}
-	if o != nil {
-		req.TimeoutMS, req.Limits = o.TimeoutMS, o.Limits
-		req.MinTimestamp = o.MinTimestamp
-	}
-	var resp server.QueryResponse
-	err := s.c.post(ctx, "/v1/execute", req, &resp)
-	if errors.Is(err, ErrUnprepared) {
-		// A short jittered pause before re-preparing: after a failover or
-		// a cache flush, every statement of every client hits this path
-		// at once, and the jitter keeps the re-prepare herd spread out.
-		if err := sleepCtx(ctx, time.Duration(rand.Int63n(int64(25*time.Millisecond)))); err != nil {
-			return nil, err
-		}
-		again, rerr := s.c.Prepare(ctx, s.query)
-		if rerr != nil {
-			return nil, rerr
-		}
-		req.Handle = again.handle
-		err = s.c.post(ctx, "/v1/execute", req, &resp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return decodeResult(&resp), nil
+	return s.c.Query(ctx, s.query, o)
 }
 
 // sleepCtx sleeps d or until ctx is done (returning its error).

@@ -27,16 +27,14 @@ import (
 // anchor choice is re-costed per execution from live statistics.
 type Prepared struct {
 	db    *DB
-	src   string // empty when bound from a handle
+	src   string
 	a     *query.Analyzed
 	shape *shape
-	lits  []query.Literal
 	// cached reports that Prepare found the shape compiled.
 	cached bool
 }
 
-// Text returns the statement's original query text; it is empty for a
-// statement bound from a handle.
+// Text returns the statement's original query text.
 func (p *Prepared) Text() string { return p.src }
 
 // Cached reports whether the statement was bound to a template already

@@ -1,24 +1,13 @@
 package core
 
 import (
-	"encoding/base64"
-	"encoding/binary"
-	"errors"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/codec"
 	"repro/internal/query"
 	"repro/internal/rpe"
 	"repro/internal/stats"
 )
-
-// ErrUnprepared is returned for a statement handle that names no shape
-// in the database's statement table: the shape was evicted, dropped by
-// DefineView, or prepared on another database — or the handle is not one
-// this version encodes. Preparing the statement's text again gives a
-// handle that binds.
-var ErrUnprepared = errors.New("core: statement shape not prepared")
 
 // statements is the database's statement table: one compiled template
 // per statement shape (query.AppendShape), shared by every query entry
@@ -46,13 +35,12 @@ type shape struct {
 	uses         atomic.Int64
 }
 
-// lookup returns the shape of hash h — if key is not nil, only when it is
-// that exact shape — or nil.
+// lookup returns the shape of hash h when it is the shape key, or nil.
 func (t *statements) lookup(h uint64, key []byte) *shape {
 	t.mu.RLock()
 	s := t.shapes[h]
 	t.mu.RUnlock()
-	if s == nil || (key != nil && s.key != string(key)) {
+	if s == nil || s.key != string(key) {
 		return nil
 	}
 	s.uses.Add(1)
@@ -96,12 +84,11 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 		h = (h ^ uint64(c)) * 1099511628211
 	}
 	if s := db.stmts.lookup(h, key); s != nil {
-		lits := s.tmpl.Literals(toks)
-		a, err := s.tmpl.Bind(src, lits)
+		a, err := s.tmpl.Bind(src, toks)
 		if err != nil {
 			return nil, err
 		}
-		return &Prepared{db: db, src: src, a: a, shape: s, lits: lits, cached: true}, nil
+		return &Prepared{db: db, src: src, a: a, shape: s, cached: true}, nil
 	}
 	db.stmts.mu.RLock()
 	views, gen := db.stmts.views, db.stmts.gen
@@ -121,56 +108,7 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 	s := &shape{key: string(key), hash: h, tmpl: tmpl}
 	s.digest, s.norm = stats.FingerprintTokens(toks)
 	db.stmts.put(gen, s)
-	return &Prepared{db: db, src: src, a: a, shape: s, lits: tmpl.Literals(toks)}, nil
-}
-
-// handleEncoding is the text form of a statement handle.
-var handleEncoding = base64.RawURLEncoding.Strict()
-
-// Handle returns the statement's handle: the hash of its shape and its
-// literals, codec-encoded, in unpadded base64url. PrepareHandle binds it
-// again on any database whose table holds the shape; the handle itself
-// keeps no state on the server.
-func (p *Prepared) Handle() string {
-	b := binary.AppendUvarint(nil, p.shape.hash)
-	b = binary.AppendUvarint(b, uint64(len(p.lits)))
-	for _, l := range p.lits {
-		b = codec.AppendString(append(b, byte(l.Kind)), l.Text)
-	}
-	return handleEncoding.EncodeToString(b)
-}
-
-// PrepareHandle binds a handle from Prepared.Handle to its shape's
-// template. It fails with ErrUnprepared when the handle does not decode
-// or the table does not hold its shape, and with the bind's error when
-// its literals do not fit the shape.
-func (db *DB) PrepareHandle(handle string) (*Prepared, error) {
-	b, err := handleEncoding.DecodeString(handle)
-	if err != nil {
-		return nil, ErrUnprepared
-	}
-	var r codec.Reader
-	r.Reset(b)
-	h := r.Uvarint()
-	n := r.Uvarint()
-	if n > uint64(r.Len()/2) { // every literal takes at least two bytes
-		return nil, ErrUnprepared
-	}
-	lits := make([]query.Literal, n)
-	for i := range lits {
-		lits[i].Kind = rpe.Kind(r.Byte())
-		lits[i].Text = r.Str()
-	}
-	r.Done()
-	s := db.stmts.lookup(h, nil)
-	if r.Err() != nil || s == nil {
-		return nil, ErrUnprepared
-	}
-	a, err := s.tmpl.Bind("", lits)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{db: db, a: a, shape: s, lits: lits, cached: true}, nil
+	return &Prepared{db: db, src: src, a: a, shape: s}, nil
 }
 
 // StatementTable reports how many statement shapes the table holds and

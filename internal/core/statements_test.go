@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -150,48 +149,11 @@ func TestGenericPlansMatchFreshCompile(t *testing.T) {
 		}
 		if err != nil {
 			errs++
-			continue
-		}
-		// The handle binds the same statement again.
-		h, err := db.PrepareHandle(p.Handle())
-		if err != nil {
-			t.Fatalf("statement %d: %s: handle: %v", i, src, err)
-		}
-		if again := answer(h, nil); again != want {
-			t.Fatalf("statement %d: %s\n--- from its handle:\n%s\n--- fresh compile:\n%s", i, src, again, want)
 		}
 	}
 	t.Logf("%d of 600 statements bound a compiled shape, %d failed", hits, errs)
 	if hits < 300 || errs == 0 {
 		t.Errorf("%d of 600 statements bound a compiled shape and %d failed; the mix should exercise both", hits, errs)
-	}
-}
-
-// TestHandleRejectsMisfits: a handle binds only the kinds its shape
-// expects, and a malformed one or one of an unknown shape is
-// ErrUnprepared.
-func TestHandleRejectsMisfits(t *testing.T) {
-	db, _, _ := openDemo(t, BackendGremlin)
-	p, err := db.Prepare("Select source(P).name From PATHS P Where P MATCHES VM(name='vm-1')->OnServer()->Host(id=1001)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := &Prepared{shape: p.shape, lits: []query.Literal{p.lits[1], p.lits[0]}}
-	if _, err := db.PrepareHandle(swapped.Handle()); err == nil || errors.Is(err, ErrUnprepared) {
-		t.Errorf("a handle with its literal kinds swapped: %v, want a bind error", err)
-	}
-	short := &Prepared{shape: p.shape, lits: p.lits[:1]}
-	if _, err := db.PrepareHandle(short.Handle()); err == nil || errors.Is(err, ErrUnprepared) {
-		t.Errorf("a handle with a literal missing: %v, want a bind error", err)
-	}
-	for _, h := range []string{"", "!!", p.Handle() + "A", p.Handle()[:len(p.Handle())-2]} {
-		if _, err := db.PrepareHandle(h); !errors.Is(err, ErrUnprepared) {
-			t.Errorf("malformed handle %q: %v, want ErrUnprepared", h, err)
-		}
-	}
-	other, _, _ := openDemo(t, BackendGremlin)
-	if _, err := other.PrepareHandle(p.Handle()); !errors.Is(err, ErrUnprepared) {
-		t.Errorf("a handle on a database that never prepared its shape: %v, want ErrUnprepared", err)
 	}
 }
 

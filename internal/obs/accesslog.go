@@ -59,10 +59,6 @@ func (l *AccessLog) Log(e *Request) {
 		b = append(b, `,"admission_wait_ms":`...)
 		b = strconv.AppendFloat(b, float64(e.AdmissionWait)/1e6, 'f', -1, 64)
 	}
-	if e.StatementHash != "" {
-		b = append(b, `,"statement_hash":`...)
-		b = appendJSONString(b, e.StatementHash)
-	}
 	if e.Statement != "" {
 		b = append(b, `,"statement":`...)
 		b = appendJSONString(b, e.Statement)

@@ -30,12 +30,8 @@ type Request struct {
 	// AdmissionWait is the time spent queued for an execution slot (0 for
 	// endpoints that bypass admission).
 	AdmissionWait time.Duration
-	// StatementHash is the statement's handle — the one /v1/prepare
-	// returns: its shape's hash and its literals — so a /v1/query and a
-	// /v1/execute of one statement carry the same value; Statement is the
-	// raw text.
-	StatementHash string
-	Statement     string
+	// Statement is the statement's text, as the engine ran it.
+	Statement string
 	// Digest is the literal-masked statement fingerprint — the key into
 	// GET /v1/stats/statements.
 	Digest string
@@ -89,8 +85,8 @@ type ErrorBody struct {
 
 // ErrorDetail is the typed error: Code is a stable machine-readable
 // string ("parse_error", "overloaded", "deadline", "canceled", "limit",
-// "unprepared", "not_primary", "wal_truncated", "internal", ...), Message
-// the human one. TraceID links the failure to its server-side trace —
+// "not_primary", "wal_truncated", "internal", ...), Message the human
+// one. TraceID links the failure to its server-side trace —
 // quote it when reporting a problem.
 type ErrorDetail struct {
 	Code    string `json:"code"`

@@ -393,7 +393,6 @@ func TestAccessLogGoldenLine(t *testing.T) {
 		Outcome:       "limit",
 		Duration:      12345678 * time.Nanosecond,
 		AdmissionWait: 250 * time.Microsecond,
-		StatementHash: "9f2c",
 		Statement:     "Retrieve P From PATHS P Where P MATCHES Host(name='h\"1\\')\t\x01é\xff",
 		Digest:        "deadbeefcafef00d",
 		EdgesScanned:  4096,
@@ -404,7 +403,7 @@ func TestAccessLogGoldenLine(t *testing.T) {
 	})
 	const want = `{"time":"2026-08-09T12:00:00.123456789Z","trace_id":"4bf92f3577b34da6a3ce929d0e0e4736",` +
 		`"method":"POST","path":"/v1/query","status":422,"outcome":"limit","duration_ms":12.345678,` +
-		`"admission_wait_ms":0.25,"statement_hash":"9f2c",` +
+		`"admission_wait_ms":0.25,` +
 		`"statement":"Retrieve P From PATHS P Where P MATCHES Host(name='h\"1\\')\t\u0001é�",` +
 		`"digest":"deadbeefcafef00d","edges_scanned":4096,"bytes_out":187,"epoch":3,` +
 		`"error":"limit: max_paths 10 exceeded"}` + "\n"

@@ -90,7 +90,7 @@ func checkSubstitution(t *testing.T, tmpl *Template, views Views, sub string) {
 		}
 		return AnalyzeWithViews(q, sch, views)
 	}()
-	got, gotErr := tmpl.Bind(sub, tmpl.Literals(toks))
+	got, gotErr := tmpl.Bind(sub, toks)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%q: bound error %v, compiled error %v", sub, gotErr, wantErr)
 	}

@@ -22,20 +22,9 @@ type Template struct {
 	sites []site // one per parameter, in statement order
 }
 
-// Literal is one parameter as the statement spells it: a string or
-// number literal token's kind and text.
-type Literal struct {
-	Kind rpe.Kind
-	Text string
-	// errPos is where the parser reports a number out of range: the
-	// position of the token after it.
-	errPos int
-}
-
 // site is one parameter: its token and how its literal becomes a value.
 type site struct {
 	tok    int
-	kind   rpe.Kind
 	neg    bool // a '-' precedes the number
 	isTime bool
 	// rangeStart is, for the end of the query's AT range, the site of its
@@ -103,7 +92,7 @@ func NewTemplate(a *Analyzed, toks []rpe.Token) (*Template, error) {
 	for i, tk := range toks {
 		if isParam(tk, &bounds) {
 			neg := i > 0 && toks[i-1].Kind == rpe.KindMinus
-			t.sites = append(t.sites, site{tok: i, kind: tk.Kind, neg: neg, rangeStart: -1})
+			t.sites = append(t.sites, site{tok: i, neg: neg, rangeStart: -1})
 		}
 	}
 	n := 0
@@ -183,44 +172,29 @@ func (t *Template) level(a *Analyzed, n *int) *level {
 	return l
 }
 
-// Literals returns the parameters of toks, a statement of the template's
-// shape, in statement order.
-func (t *Template) Literals(toks []rpe.Token) []Literal {
-	lits := make([]Literal, len(t.sites))
-	for i, s := range t.sites {
-		lits[i] = Literal{Kind: toks[s.tok].Kind, Text: toks[s.tok].Text, errPos: int(toks[s.tok+1].Pos)}
-	}
-	return lits
-}
-
-// Bind returns the analysis of the statement of the template's shape
-// whose parameters are lits — from Literals over src's tokens, or decoded
-// from a statement handle, src then empty. It runs every value check that
-// parsing and analysis run, in their order — number range, timestamp
-// syntax, the AT range's order, then each predicate value against its
-// field's type — so a statement that would not compile fails here with
-// the same error.
-func (t *Template) Bind(src string, lits []Literal) (*Analyzed, error) {
-	if len(lits) != len(t.sites) {
-		return nil, fmt.Errorf("query: %d literals for a statement of %d", len(lits), len(t.sites))
-	}
-	if len(lits) == 0 {
+// Bind returns the analysis of src, a statement of the template's shape
+// lexed into toks, by binding its parameters into the template. It runs
+// every value check that parsing and analysis run, in their order —
+// number range, timestamp syntax, the AT range's order, then each
+// predicate value against its field's type — so a statement that would
+// not compile fails here with the same error.
+func (t *Template) Bind(src string, toks []rpe.Token) (*Analyzed, error) {
+	if len(t.sites) == 0 {
 		return t.top.a, nil
 	}
-	vals := make([]any, len(lits))
+	vals := make([]any, len(t.sites))
 	for i, s := range t.sites {
-		l := lits[i]
-		if l.Kind != s.kind {
-			return nil, fmt.Errorf("query: literal %d is a %s where the statement has a %s", i, l.Kind, s.kind)
-		}
+		tk := toks[s.tok]
 		var v any
 		var err error
 		if s.isTime {
-			if v, err = temporal.Parse(l.Text); err != nil {
+			if v, err = temporal.Parse(tk.Text); err != nil {
 				err = fmt.Errorf("query: %w", err)
 			}
 		} else {
-			v, err = rpe.LiteralValue(rpe.Token{Kind: l.Kind, Text: l.Text}, s.neg, l.errPos, src)
+			// A number out of range is reported where the parser reports
+			// it: at the token after it.
+			v, err = rpe.LiteralValue(tk, s.neg, int(toks[s.tok+1].Pos), src)
 		}
 		if err == nil && s.rangeStart >= 0 {
 			err = checkRange(vals[s.rangeStart].(time.Time), v.(time.Time))

@@ -71,6 +71,11 @@ func LongPoll(r *http.Request, changed func() <-chan struct{}, drain <-chan stru
 // and /v1/watch alike.
 const MaxWait = 60 * time.Second
 
+// MaxQueue caps the notification queue a standing-query subscriber of
+// /v1/watch/query asks for with queue=: the queue is allocated whole
+// when the stream opens.
+const MaxQueue = 4096
+
 // Param reads the optional non-negative integer parameter name of q; ok
 // is false when it is absent. A value that is not a decimal integer in
 // [0, MaxInt] is an error naming the parameter. Every integer parameter

@@ -95,10 +95,8 @@ func decodeIngestJSON(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation
 		if err != nil {
 			return nil, errors.New(rejectedMsg(i, op.Op, err))
 		}
-		for k, v := range m.Fields {
-			if m.Fields[k], err = numbers(v); err != nil {
-				return nil, fmt.Errorf("decoding request body: %w", err)
-			}
+		if err := fieldNumbers(m.Fields); err != nil {
+			return nil, fmt.Errorf("decoding request body: %w", err)
 		}
 		slab[i] = m
 		ms[i] = &slab[i]

@@ -182,8 +182,6 @@ func New(db *core.DB, cfg Config) *Server {
 		db.SetStatementStats(s.stats)
 	}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/prepare", s.handlePrepare)
-	s.mux.HandleFunc("POST /v1/execute", s.handleExecute)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -397,6 +395,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Explain:   stmt.Explain(),
 			Cached:    stmt.Cached(),
 			ElapsedMS: float64(time.Since(start)) / 1e6,
+			Digest:    stmt.Digest(),
 			TraceID:   rq.TraceID,
 		})
 		return
@@ -433,69 +432,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, stmt *core.Prepa
 }
 
 // recordPrepared counts a statement-table hit or miss and tags the
-// request with the statement's handle and digest.
+// request with the statement's digest.
 func (s *Server) recordPrepared(rq *obs.Request, stmt *core.Prepared) {
 	rq.Digest = stmt.Digest()
-	if rq.StatementHash == "" {
-		rq.StatementHash = stmt.Handle()
-	}
 	if !stmt.Cached() {
 		s.mPlanMisses.Add(1)
 		return
 	}
 	s.mPlanHits.Add(1)
 	s.stats.CacheHit(stmt.Digest(), stmt.NormalizedText())
-}
-
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req PrepareRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", "empty query")
-		return
-	}
-	rq := obs.RequestFrom(r.Context())
-	rq.Statement = req.Query
-	stmt, err := s.db.Prepare(req.Query)
-	if err != nil {
-		obs.WriteError(w, r, http.StatusBadRequest, "parse_error", err.Error())
-		return
-	}
-	s.recordPrepared(rq, stmt)
-	writeJSON(w, http.StatusOK, PrepareResponse{Handle: rq.StatementHash, Cached: stmt.Cached(), Digest: stmt.Digest()})
-}
-
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	rq := obs.RequestFrom(r.Context())
-	dec := rq.Root.StartChild("Decode", "")
-	var req ExecuteRequest
-	ok := decode(w, r, &req)
-	dec.Finish()
-	if !ok {
-		return
-	}
-	pc := rq.Root.StartChild("PlanCache", "")
-	rq.StatementHash = req.Handle
-	stmt, err := s.db.PrepareHandle(req.Handle)
-	pc.Finish()
-	switch {
-	case errors.Is(err, core.ErrUnprepared):
-		s.mPlanMisses.Add(1)
-		obs.WriteError(w, r, http.StatusGone, "unprepared",
-			fmt.Sprintf("handle %q is not prepared (evicted or never prepared); re-prepare", req.Handle))
-		return
-	case err != nil:
-		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", fmt.Sprintf("handle %q does not fit its statement: %v", req.Handle, err))
-		return
-	}
-	s.recordPrepared(rq, stmt)
-	if !s.waitFresh(w, r, req.MinTimestamp) || !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	s.answer(w, r, stmt, false, requestLimits(req.TimeoutMS, req.Limits), time.Now())
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -248,7 +248,7 @@ func TestRequestLimitsOnlyTighten(t *testing.T) {
 
 // TestDBLimitsGovernServedQueries: with a zero server.Config, the
 // database's own limits bound every query the server answers — plain,
-// EXPLAIN ANALYZE and a prepared handle's execution alike.
+// EXPLAIN ANALYZE and a prepared statement's execution alike.
 func TestDBLimitsGovernServedQueries(t *testing.T) {
 	db := newDemoDB(t, core.WithLimits(exec.Limits{MaxPaths: 1}))
 	_, c := newTestServer(t, db, server.Config{})
@@ -300,6 +300,9 @@ func TestPrepareExecuteAndCache(t *testing.T) {
 		if len(res.Rows) == 0 {
 			t.Errorf("exec %d returned no rows", i)
 		}
+		if stmt.Digest() == "" || res.Digest != stmt.Digest() {
+			t.Errorf("exec %d: digest %q, prepared %q", i, res.Digest, stmt.Digest())
+		}
 	}
 	if hits := reg.Counter("server.plan_cache_hits").Value(); hits < 3 {
 		t.Errorf("plan cache hits = %d, want >= 3", hits)
@@ -318,15 +321,19 @@ func TestPrepareExecuteAndCache(t *testing.T) {
 	}
 }
 
-func TestExecuteUnpreparedAndReprepare(t *testing.T) {
-	// Prepare on one server, then execute against a fresh server over a
-	// fresh database — a restart or failover — whose statement table has
-	// never seen the shape.
+// TestStmtSurvivesServerSwap: a statement prepared on one server
+// executes on a fresh server over a fresh database — a restart or
+// failover — whose statement table has never seen its shape, and again
+// after that server redefines a view, in one request each.
+func TestStmtSurvivesServerSwap(t *testing.T) {
 	first := server.New(newDemoDB(t), server.Config{})
-	second := server.New(newDemoDB(t), server.Config{})
+	secondDB := newDemoDB(t)
+	second := server.New(secondDB, server.Config{})
 	var target atomic.Pointer[server.Server]
 	target.Store(first)
+	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
 		target.Load().Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
@@ -337,18 +344,65 @@ func TestExecuteUnpreparedAndReprepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	misses := second.Registry().Counter("server.plan_cache_misses")
+	run := func(step string, wantMisses int64) {
+		t.Helper()
+		before := requests.Load()
+		res, err := stmt.Exec(ctx, nil)
+		if err != nil {
+			t.Fatalf("exec %s: %v", step, err)
+		}
+		if len(res.Rows) == 0 {
+			t.Errorf("exec %s returned no rows", step)
+		}
+		if n := requests.Load() - before; n != 1 {
+			t.Errorf("exec %s took %d requests, want 1", step, n)
+		}
+		if n := misses.Value(); n != wantMisses {
+			t.Errorf("exec %s: the fresh server counted %d statement-table misses, want %d", step, n, wantMisses)
+		}
+	}
 	target.Store(second)
-	// The fresh server answers unprepared; the client transparently
-	// re-prepares and the exec succeeds with the same handle.
-	res, err := stmt.Exec(ctx, nil)
+	run("after the swap", 1)
+	// DefineView empties the statement table: one more compile.
+	if err := secondDB.DefineView("Placements", "VM()->OnServer()->Host()"); err != nil {
+		t.Fatal(err)
+	}
+	run("after DefineView", 2)
+}
+
+// TestStmtExecAt: Stmt.Exec honours QueryOptions.At as Client.Query
+// does, answering from the snapshot at that time.
+func TestStmtExecAt(t *testing.T) {
+	_, c := newTestServer(t, newDemoDB(t), server.Config{})
+	ctx := context.Background()
+	stmt, err := c.Prepare(ctx, "Select source(P).name From PATHS P Where P MATCHES ComputeHost(rack='r-at')")
 	if err != nil {
-		t.Fatalf("exec after eviction: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
-		t.Error("re-prepared exec returned no rows")
+	host := func(id int64) {
+		t.Helper()
+		if _, err := c.Ingest(ctx, []server.IngestOp{{Op: "insert-node", Class: "ComputeHost",
+			Fields: map[string]any{"id": id, "name": fmt.Sprint("at-", id), "rack": "r-at", "status": "Active"}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if misses := second.Registry().Counter("server.plan_cache_misses").Value(); misses < 2 {
-		t.Errorf("fresh server counted %d statement-table misses, want the unprepared execute and the re-prepare", misses)
+	host(7001)
+	time.Sleep(2 * time.Millisecond)
+	between := time.Now().UTC().Format(time.RFC3339Nano)
+	time.Sleep(2 * time.Millisecond)
+	host(7002)
+	for _, tc := range []struct {
+		at   string
+		rows int
+	}{{"", 2}, {between, 1}} {
+		res, err := stmt.Exec(ctx, &client.QueryOptions{At: tc.at})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != tc.rows {
+			t.Errorf("exec at %q: %d rows %v, want %d", tc.at, len(res.Rows), res.Rows, tc.rows)
+		}
 	}
 }
 

@@ -130,18 +130,17 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 func traceSummaryOut(t *obs.Request) TraceSummary {
 	return TraceSummary{
-		TraceID:       t.TraceID,
-		Start:         t.Start,
-		Method:        t.Method,
-		Path:          t.Path,
-		Statement:     t.Statement,
-		StatementHash: t.StatementHash,
-		Digest:        t.Digest,
-		Status:        t.Status,
-		Outcome:       t.Outcome,
-		DurationMS:    float64(t.Duration) / 1e6,
-		EdgesScanned:  t.EdgesScanned,
-		Error:         t.Error,
+		TraceID:      t.TraceID,
+		Start:        t.Start,
+		Method:       t.Method,
+		Path:         t.Path,
+		Statement:    t.Statement,
+		Digest:       t.Digest,
+		Status:       t.Status,
+		Outcome:      t.Outcome,
+		DurationMS:   float64(t.Duration) / 1e6,
+		EdgesScanned: t.EdgesScanned,
+		Error:        t.Error,
 	}
 }
 

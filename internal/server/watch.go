@@ -18,6 +18,7 @@ package server
 // primary.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -47,6 +48,24 @@ type WatchResponse struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 	// LogID identifies the log the stream derives from.
 	LogID string `json:"log_id,omitempty"`
+}
+
+// UnmarshalJSON reads a batch with its events' field values decoded as a
+// /v1/ingest body's are, every number through Number, so an integer
+// field comes back as the exact int64 that was ingested.
+func (r *WatchResponse) UnmarshalJSON(b []byte) error {
+	type plain WatchResponse
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if err := dec.Decode((*plain)(r)); err != nil {
+		return err
+	}
+	for _, ev := range r.Events {
+		if err := fieldNumbers(ev.Fields); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mountWatch wires the change-feed and standing-query endpoints: a
@@ -221,6 +240,9 @@ func (s *Server) handleWatchQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queueLen, _, err := repl.Param(q, "queue")
+	if err == nil && queueLen > repl.MaxQueue {
+		err = fmt.Errorf("queue must be at most %d", repl.MaxQueue)
+	}
 	if err != nil {
 		obs.WriteError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -522,6 +523,68 @@ func TestNodeDeleteFeedsOneEvent(t *testing.T) {
 	last := e.Versions[len(e.Versions)-1].Period
 	if last.IsCurrent() || last.End != temporal.Nanos(ev.At) {
 		t.Fatalf("incident edge's last period %v; want closed at the delete's At %v", last, ev.At)
+	}
+}
+
+// TestWatchQueryQueueCapped: a standing query's queue is allocated whole
+// when its stream opens, so a queue= past repl.MaxQueue — the largest
+// integer, or one past the cap — answers 400 bad_request, and the cap
+// itself opens the stream.
+func TestWatchQueryQueueCapped(t *testing.T) {
+	_, _, base, _ := newWatchServer(t, server.Config{})
+	q := url.QueryEscape("Select source(P).name From PATHS P Where P MATCHES ComputeHost()")
+	for _, tc := range []struct {
+		queue string
+		want  int
+	}{
+		{"9223372036854775807", http.StatusBadRequest},
+		{strconv.Itoa(repl.MaxQueue + 1), http.StatusBadRequest},
+		{strconv.Itoa(repl.MaxQueue), http.StatusOK},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/watch/query?q="+q+"&queue="+tc.queue, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("queue=%s: %v", tc.queue, err)
+		}
+		cancel()
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("queue=%s: status %d, want %d", tc.queue, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestWatchExactIntegers: an integer field past 2^53, ingested over the
+// wire, comes back through Client.Watch as the same int64.
+func TestWatchExactIntegers(t *testing.T) {
+	_, _, _, c := newWatchServer(t, server.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const id = int64(9007199254740993)
+	resp, err := c.Ingest(ctx, []server.IngestOp{{Op: "insert-node", Class: "ComputeHost",
+		Fields: map[string]any{"id": id, "name": "past-2^53", "rack": "r9", "status": "Active"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := c.Watch(ctx, 0, nil)
+	defer stream.Close()
+	for {
+		ev, err := stream.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.UID != resp.UIDs[0] {
+			continue
+		}
+		if got, ok := ev.Fields["id"].(int64); !ok || got != id {
+			t.Fatalf("id came back as %T %v, want int64 %d", ev.Fields["id"], ev.Fields["id"], id)
+		}
+		return
 	}
 }
 

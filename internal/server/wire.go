@@ -95,34 +95,6 @@ type QueryRequest struct {
 	MinTimestamp string `json:"min_timestamp,omitempty"`
 }
 
-// PrepareRequest is the body of POST /v1/prepare.
-type PrepareRequest struct {
-	Query string `json:"query"`
-}
-
-// PrepareResponse acknowledges a prepared statement: Handle names the
-// cached compiled plan for /v1/execute, Cached reports whether the plan
-// was already resident (a plan-cache hit).
-type PrepareResponse struct {
-	Handle string `json:"handle"`
-	Cached bool   `json:"cached"`
-	// Digest is the statement's literal-masked fingerprint: literal-only
-	// variants of one statement share it, so clients can correlate their
-	// prepared handles with the per-digest statistics surfaces.
-	Digest string `json:"digest,omitempty"`
-}
-
-// ExecuteRequest is the body of POST /v1/execute: a handle from
-// /v1/prepare plus per-request governance. If the plan was evicted the
-// server answers 410 with code "unprepared"; clients re-prepare.
-type ExecuteRequest struct {
-	Handle    string  `json:"handle"`
-	TimeoutMS int64   `json:"timeout_ms,omitempty"`
-	Limits    *Limits `json:"limits,omitempty"`
-	// MinTimestamp is the bounded-staleness demand; see QueryRequest.
-	MinTimestamp string `json:"min_timestamp,omitempty"`
-}
-
 // Interval is the wire form of temporal.Interval. A nil End means the
 // interval is still current (the store's Forever sentinel).
 type Interval struct {
@@ -263,6 +235,18 @@ func numbers(v any) (any, error) {
 	return v, nil
 }
 
+// fieldNumbers replaces every json.Number in f's values with its Number
+// value.
+func fieldNumbers(f graph.Fields) error {
+	for k, v := range f {
+		var err error
+		if f[k], err = numbers(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Row is one result tuple.
 type Row struct {
 	Values []Value `json:"values"`
@@ -288,7 +272,7 @@ type Metrics struct {
 	PathsEmitted     int `json:"paths_emitted"`
 }
 
-// QueryResponse is the body answered by /v1/query and /v1/execute.
+// QueryResponse is the body answered by /v1/query.
 type QueryResponse struct {
 	Columns []string `json:"columns,omitempty"`
 	Rows    []Row    `json:"rows,omitempty"`
@@ -485,18 +469,17 @@ type RecoveryInfo struct {
 // TraceSummary is one retained request trace as listed by GET
 // /debug/traces (newest first).
 type TraceSummary struct {
-	TraceID       string    `json:"trace_id"`
-	Start         time.Time `json:"start"`
-	Method        string    `json:"method"`
-	Path          string    `json:"path"`
-	Statement     string    `json:"statement,omitempty"`
-	StatementHash string    `json:"statement_hash,omitempty"`
-	Digest        string    `json:"digest,omitempty"`
-	Status        int       `json:"status"`
-	Outcome       string    `json:"outcome"`
-	DurationMS    float64   `json:"duration_ms"`
-	EdgesScanned  int       `json:"edges_scanned,omitempty"`
-	Error         string    `json:"error,omitempty"`
+	TraceID      string    `json:"trace_id"`
+	Start        time.Time `json:"start"`
+	Method       string    `json:"method"`
+	Path         string    `json:"path"`
+	Statement    string    `json:"statement,omitempty"`
+	Digest       string    `json:"digest,omitempty"`
+	Status       int       `json:"status"`
+	Outcome      string    `json:"outcome"`
+	DurationMS   float64   `json:"duration_ms"`
+	EdgesScanned int       `json:"edges_scanned,omitempty"`
+	Error        string    `json:"error,omitempty"`
 }
 
 // TraceListResponse is the body of GET /debug/traces.
