@@ -25,7 +25,7 @@ test:
 # later ones reuse them — run ten times over.
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/stats/ ./internal/plan/ ./internal/graph/ ./internal/codec/ ./internal/core/ ./internal/exec/
-	$(GO) test -race -count=10 -run 'Pooled|Retained' ./internal/plan/ ./internal/exec/ ./internal/client/
+	$(GO) test -race -count=10 -run 'Pooled|Retained' ./internal/plan/ ./internal/exec/ ./internal/client/ ./internal/graph/
 	$(GO) test -race ./internal/gremlin/ ./internal/relational/
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/repl/ ./internal/watch/ ./cmd/nepal/
 	$(GO) test -race . ./internal/schema/ ./internal/temporal/ ./internal/rpe/ ./internal/query/ ./internal/codegen/ ./internal/netmodel/ ./internal/workload/

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/graph"
+	"repro/internal/netmodel"
+	"repro/internal/temporal"
+	"repro/internal/wal"
 )
 
 func TestRunWALPersistAndRecover(t *testing.T) {
@@ -104,5 +109,78 @@ func TestFsckRefusesRetiredFormat(t *testing.T) {
 	}
 	if got, err := os.ReadFile(cp); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("fsck changed the checkpoint (err %v): %q", err, got)
+	}
+}
+
+// TestFsckCatchesBrokenVersions hand-breaks a store once per rule of the
+// version representation and wants fsck to refuse it, naming the rule.
+// A log can replay an update or a delete stamped before the element's
+// last start: fsck lists the violation. A checkpoint can hold a version
+// that never closes before the last one (the next starts at Forever):
+// recovery refuses it, naming the violation.
+func TestFsckCatchesBrokenVersions(t *testing.T) {
+	host := graph.Fields{"id": 1, "name": "h", "rack": "r", "status": "Active"}
+	insert := &graph.Mutation{Op: graph.OpInsertNode, UID: 1, Class: "ComputeHost", Fields: host, At: 200}
+	logged := func(t *testing.T, ms ...*graph.Mutation) string {
+		dir := t.TempDir()
+		mgr, _, err := wal.Open(dir, graph.NewStore(netmodel.MustSchema(), nil, nil), wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			frames, err := wal.AppendGroup(nil, []*graph.Mutation{m})
+			if err == nil {
+				err = mgr.AppendFrames(frames, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	checkpointed := func(t *testing.T) string {
+		dir := t.TempDir()
+		fields, err := codec.AppendFields(nil, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := binary.AppendUvarint(nil, 1) // uid gap
+		obj = codec.AppendString(obj, "ComputeHost")
+		obj = append(obj, 0, 0, 2) // src, dst, two versions
+		obj = binary.AppendUvarint(binary.AppendVarint(obj, 100), 0)
+		obj = append(obj, fields...) // open, yet not the last
+		obj = binary.AppendUvarint(binary.AppendVarint(obj, temporal.Forever), 0)
+		obj = append(obj, fields...)
+		cp := codec.AppendString(nil, graph.HistoryFormat)
+		cp = append(cp, 1, 2) // one object, next_uid 2
+		cp = append(binary.AppendUvarint(cp, uint64(len(obj))), obj...)
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint"), cp, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		name string
+		dir  func(t *testing.T) string
+		want string
+	}{
+		{"starts descend", func(t *testing.T) string {
+			return logged(t, insert, &graph.Mutation{Op: graph.OpUpdate, UID: 1, Fields: host, At: 100})
+		}, "[version-order] uid 1: version 1 starts before version 0"},
+		{"end before last start", func(t *testing.T) string {
+			return logged(t, insert, &graph.Mutation{Op: graph.OpDelete, UID: 1, At: 100})
+		}, "[version-order] uid 1: end 100 precedes the last version's start 200"},
+		{"non-final open", checkpointed, "[open-version] uid 1: non-final version 0 is open"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(options{model: "netmodel", backend: "gremlin", walDir: tc.dir(t), fsck: true, out: &out})
+			if err == nil || !strings.Contains(err.Error()+out.String(), tc.want) {
+				t.Fatalf("fsck answered %v\n%s\nwant a failure naming %q", err, out.String(), tc.want)
+			}
+		})
 	}
 }

@@ -169,8 +169,13 @@ func (r *Reader) Reset(b []byte) { r.b, r.off, r.err = b, 0, nil }
 
 // InternNames makes r share one string per distinct field-map name and
 // per Name call across everything it decodes — a checkpoint repeats the
-// same few class and field names once per object.
-func (r *Reader) InternNames() { r.names = map[string]string{} }
+// same few class and field names once per object. Calling it again keeps
+// the names already interned.
+func (r *Reader) InternNames() {
+	if r.names == nil {
+		r.names = map[string]string{}
+	}
+}
 
 // Err returns the first decoding error, wrapping ErrMalformed.
 func (r *Reader) Err() error { return r.err }
@@ -286,42 +291,63 @@ const maxInterned = 4096
 // Fields reads a field map written by AppendFields. An empty map decodes
 // as nil.
 func (r *Reader) Fields() map[string]any {
-	m := r.fieldMap(0)
-	if len(m) == 0 {
+	if m := r.fieldMap(0); len(m) > 0 {
+		return m
+	}
+	return nil
+}
+
+// FieldsInto reads a field map written by AppendFields into m, which
+// must be empty, so a caller that lays each map out elsewhere decodes
+// every one into the same map. Only m is reused: nested lists and maps
+// are fresh, and the values may be kept. With InternNames on, no name
+// costs an allocation once seen. On error m holds a prefix of the
+// entries.
+func (r *Reader) FieldsInto(m map[string]any) { r.entries(m, r.mapLen(), 0) }
+
+// fieldMap reads a field map nested depth levels deep into a fresh map.
+func (r *Reader) fieldMap(depth int) map[string]any {
+	n := r.mapLen()
+	if r.err != nil {
+		return nil
+	}
+	m := make(map[string]any, n)
+	r.entries(m, n, depth)
+	if r.err != nil {
 		return nil
 	}
 	return m
 }
 
-// fieldMap reads a count and that many name/value pairs in strictly
-// ascending name order. Every pair takes at least three bytes (a name
-// length, a tag and a payload byte), which bounds the count before
-// anything is allocated for it.
-func (r *Reader) fieldMap(depth int) map[string]any {
+// mapLen reads a field map's entry count. Every entry takes at least
+// three bytes (a name length, a tag and a payload byte), which bounds
+// the count before anything is allocated for it.
+func (r *Reader) mapLen() int {
 	n := r.Uvarint()
 	if r.err != nil {
-		return nil
+		return 0
 	}
 	if n > uint64(r.Len()/3) {
 		r.Fail("map count %d exceeds the %d bytes left", n, r.Len())
-		return nil
+		return 0
 	}
-	m := make(map[string]any, n)
+	return int(n)
+}
+
+// entries reads n name/value pairs in strictly ascending name order
+// into m.
+func (r *Reader) entries(m map[string]any, n, depth int) {
 	var prev []byte
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		name := r.bytes()
 		if i > 0 && string(name) <= string(prev) {
 			r.Fail("map names out of order or repeated")
-			return nil
+			return
 		}
 		prev = name
 		v := r.value(depth)
 		m[r.intern(name)] = v
 	}
-	if r.err != nil {
-		return nil
-	}
-	return m
 }
 
 func (r *Reader) value(depth int) any {

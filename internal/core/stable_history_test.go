@@ -290,7 +290,7 @@ func (r *historyRun) record() {
 	at := instant()
 	if r.rng.Intn(2) == 0 {
 		if e := st.Elem(graph.UID(1 + r.rng.Intn(int(r.id)))); e != nil {
-			v := e.Versions[r.rng.Intn(len(e.Versions))].Period
+			v := e.Period(r.rng.Intn(len(e.Versions)))
 			if at = v.Start; !v.IsCurrent() && r.rng.Intn(2) == 0 {
 				at = v.End
 			}

@@ -30,8 +30,9 @@ func (v Violation) String() string {
 // every violation found (nil for a healthy store). It is the shared
 // checker behind `nepal -fsck` and the WAL crash-recovery tests:
 //
-//   - version histories are non-empty, ordered, non-overlapping, with no
-//     empty periods and the open version (if any) final;
+//   - version histories are non-empty, with ascending starts, no empty
+//     periods, an End no earlier than the last start, and the open
+//     version (if any) final;
 //   - every edge's endpoints exist, are nodes, and their lifetimes cover
 //     the edge's lifetime;
 //   - the adjacency indexes agree exactly with edge endpoints;
@@ -96,25 +97,31 @@ func (st *Store) CheckInvariants() []Violation {
 	return out
 }
 
-// checkVersions validates one object's version history ordering.
+// checkVersions validates one element's version history: starts ascend,
+// no version is empty, the header's End is not before the last start,
+// and only the last version is open (a non-final version is open when
+// the next one starts at Forever).
 func checkVersions(obj *Elem) []Violation {
 	var out []Violation
-	if len(obj.Versions) == 0 {
+	n := len(obj.Versions)
+	if n == 0 {
 		return []Violation{{UID: obj.UID, Kind: "version-order", Msg: "object has no versions"}}
 	}
+	add := func(kind, format string, args ...any) {
+		out = append(out, Violation{UID: obj.UID, Kind: kind, Msg: fmt.Sprintf(format, args...)})
+	}
 	for i := range obj.Versions {
-		v := &obj.Versions[i]
-		if v.Period.IsEmpty() {
-			out = append(out, Violation{UID: obj.UID, Kind: "version-order",
-				Msg: fmt.Sprintf("version %d has empty period %v", i, v.Period)})
+		p := obj.Period(i)
+		switch {
+		case i+1 < n && p.End < p.Start:
+			add("version-order", "version %d starts before version %d", i+1, i)
+		case i+1 == n && p.End < p.Start:
+			add("version-order", "end %d precedes the last version's start %d", obj.End, p.Start)
+		case p.IsEmpty():
+			add("version-order", "version %d has empty period %v", i, p)
 		}
-		if v.Period.IsCurrent() && i != len(obj.Versions)-1 {
-			out = append(out, Violation{UID: obj.UID, Kind: "open-version",
-				Msg: fmt.Sprintf("non-final version %d is open", i)})
-		}
-		if i > 0 && obj.Versions[i-1].Period.End > v.Period.Start {
-			out = append(out, Violation{UID: obj.UID, Kind: "version-order",
-				Msg: fmt.Sprintf("version %d starts before version %d ends", i, i-1)})
+		if p.IsCurrent() && i+1 < n {
+			add("open-version", "non-final version %d is open", i)
 		}
 	}
 	return out

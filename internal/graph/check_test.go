@@ -78,19 +78,23 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			*st.objects.slot(obj.UID) = &obj
 		}},
 		{"empty version period", "version-order", func(t *testing.T, st *Store) {
-			v := &st.objects.at(1).Versions[0]
-			v.Period.End = v.Period.Start
+			obj := st.objects.at(2) // vm2: deleted, one version
+			obj.End = obj.Versions[0].Start
 		}},
 		{"overlapping versions", "version-order", func(t *testing.T, st *Store) {
 			obj := st.objects.at(1) // vm1: updated, two versions
 			if len(obj.Versions) < 2 {
 				t.Fatal("fixture changed: vm1 needs two versions")
 			}
-			obj.Versions[1].Period.Start = obj.Versions[0].Period.Start
+			obj.Versions[1].Start = obj.Versions[0].Start - 1 // starts descend
+		}},
+		{"end before last start", "version-order", func(t *testing.T, st *Store) {
+			obj := st.objects.at(2)
+			obj.End = obj.Versions[0].Start - 1
 		}},
 		{"non-final open version", "open-version", func(t *testing.T, st *Store) {
 			obj := st.objects.at(1)
-			obj.Versions[0].Period.End = temporal.Forever
+			obj.Versions[1].Start = temporal.Forever // version 0 never closes
 		}},
 		{"edge endpoint missing", "endpoint", func(t *testing.T, st *Store) {
 			*st.objects.slot(3) = nil // the host, endpoint of two HostedOn edges
@@ -98,7 +102,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"edge outlives endpoint", "edge-lifetime", func(t *testing.T, st *Store) {
 			// Shrink the host's lifetime to end before its edges do.
 			obj := st.objects.at(3)
-			obj.Versions[0].Period.End = obj.Versions[0].Period.Start + 1
+			obj.End = obj.Versions[0].Start + 1
 		}},
 		{"adjacency entry dropped", "adjacency", func(t *testing.T, st *Store) {
 			*st.out.slot(1) = nil // vm1 no longer lists its outgoing edges
@@ -114,8 +118,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			for key, entries := range st.unique {
 				for vk, holder := range entries {
 					obj := st.objects.at(holder)
-					cur := obj.Current()
-					cur.Period.End = cur.Period.Start + 1
+					obj.End = obj.Current().Start + 1
 					_ = key
 					_ = vk
 					return

@@ -19,6 +19,11 @@ import (
 // A Delete mutation carries only the deleted UID: the cascade to live
 // incident edges is deterministic (adjacency slices preserve insertion
 // order) and re-derived on replay, all closed at the same timestamp.
+//
+// The store reads Fields only while the write runs: it lays the map out
+// as a record of the element's class before Mutate or ApplyLogged
+// returns, and keeps the values, never the map. So a caller may reuse the
+// map once the write returns, as the log's decoder does (wal.Decoder).
 type Mutation struct {
 	Op       MutationOp
 	UID      UID
@@ -58,8 +63,11 @@ func (op MutationOp) String() string {
 // applied, while the store's write lock is held — so the hook call order
 // is exactly the store's serialization order. The slice is the stamped
 // group in op order, leaving out ops that apply nothing (a delete of a
-// deleted object); it is the store's and valid only for the call, but the
-// mutations it holds may be kept. A non-nil error rejects the whole batch:
+// deleted object); it is the store's and valid only for the call. The
+// mutations it holds may be kept, but not their Fields maps: a decoded
+// group's maps are reused once the write returns, so a hook that needs
+// the fields after its call copies them (or their encoding, as the log
+// does). A non-nil error rejects the whole batch:
 // nothing of it is applied and the caller sees the error. Durability
 // layers (internal/wal) append and sync the group here, which makes "hook
 // returned nil" the acknowledgement point: every acknowledged write is on
@@ -335,7 +343,7 @@ func (st *Store) prepareLocked(m *Mutation, replay bool) (p prepared, skip bool,
 		}
 		if replay && m.Op == OpUpdate {
 			for i := range obj.Versions {
-				if obj.Versions[i].Period.Start == m.At {
+				if obj.Versions[i].Start == m.At {
 					return p, true, nil // version already present (checkpoint overlap)
 				}
 			}

@@ -124,24 +124,15 @@ func (st *Store) WriteHistory(w io.Writer) error {
 	return nil
 }
 
-// objectDoc is one object of a history stream as LoadHistory decodes it,
-// before schema validation: its versions in map form.
-type objectDoc struct {
-	UID      UID
-	Class    string
-	Src, Dst UID
-	Versions []Version
-}
-
 // appendElem appends one element's history encoding; prev is the UID of
 // the element before it in the stream. Each version's record is written
 // as the field map it holds, walking the class's slots in name order.
 func appendElem(dst []byte, e *Elem, prev UID) ([]byte, error) {
 	dst = appendObjectHead(dst, e.UID-prev, e.Class.Name, e.Src, e.Dst, len(e.Versions))
 	fields, order := e.Class.Fields(), e.Class.NameOrder()
-	for _, v := range e.Versions {
+	for vi, v := range e.Versions {
 		var err error
-		if dst, err = appendPeriod(dst, v.Period); err != nil {
+		if dst, err = appendPeriod(dst, e.Period(vi)); err != nil {
 			return dst, err
 		}
 		n := 0
@@ -212,33 +203,6 @@ func readObject(br *bufio.Reader, buf []byte) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// decodeObject decodes one object's encoding; prev is the UID of the
-// object before it in the stream.
-func decodeObject(r *codec.Reader, prev UID) objectDoc {
-	doc := objectDoc{UID: prev + UID(r.Uvarint()), Class: r.Name()}
-	doc.Src, doc.Dst = UID(r.Uvarint()), UID(r.Uvarint())
-	n := r.Uvarint()
-	if n > uint64(r.Len()/3) { // a version takes at least three bytes
-		r.Fail("version count %d exceeds the %d bytes left", n, r.Len())
-		return doc
-	}
-	doc.Versions = make([]Version, n)
-	for i := range doc.Versions {
-		start := r.Varint()
-		period := temporal.Current(start)
-		if end := r.Uvarint(); end > 0 {
-			// A closed period ends before Forever.
-			if end-1 >= uint64(temporal.Forever)-uint64(start) {
-				r.Fail("version end out of range")
-			}
-			period = temporal.Between(start, int64(uint64(start)+end-1))
-		}
-		doc.Versions[i] = Version{Fields: r.Fields(), Period: period}
-	}
-	r.Done()
-	return doc
 }
 
 // objectCount counts the objects in the table.
@@ -342,26 +306,26 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	var buf []byte
 	var rd codec.Reader
 	rd.InternNames()
+	fields := make(Fields)
 	prev := UID(0)
 	for i := uint64(0); i < objects; i++ {
 		if buf, err = readObject(br, buf); err != nil {
 			return streamErr(err, fmt.Sprintf("history declares %d objects but ended inside object %d", objects, i+1))
 		}
 		rd.Reset(buf)
-		doc := decodeObject(&rd, prev)
+		obj, err := tmp.restoreObject(&rd, prev, fields)
 		if err := rd.Err(); err != nil {
 			return fmt.Errorf("graph: decoding history object %d/%d: %w", i+1, objects, err)
 		}
-		obj, err := tmp.restoreObject(&doc)
 		if err != nil {
 			return err
 		}
 		prev = obj.UID
 		for _, v := range obj.Versions {
-			latest = max(latest, v.Period.Start)
-			if !v.Period.IsCurrent() {
-				latest = max(latest, v.Period.End)
-			}
+			latest = max(latest, v.Start)
+		}
+		if obj.End != temporal.Forever {
+			latest = max(latest, obj.End)
 		}
 	}
 	if _, err := br.ReadByte(); err == nil {
@@ -396,18 +360,34 @@ func (st *Store) LoadHistory(r io.Reader) error {
 	return nil
 }
 
-// restoreObject validates one decoded object's class and versions
-// against the schema and installs it with its indexes. Structural
-// invariants — version order, open versions, edge endpoints and
-// lifetimes, unique values — are LoadHistory's CheckInvariants pass.
-func (st *Store) restoreObject(doc *objectDoc) (*Elem, error) {
-	uid := doc.UID
-	cls, ok := st.schema.Class(doc.Class)
+// restoreObject decodes one object's encoding from r, validates its
+// class and versions against the schema and installs it with its
+// indexes; prev is the UID of the object before it in the stream. Each
+// version's field map is read into fields, which it leaves empty, and
+// laid out as a record of the object's class: a version costs its record
+// and values, and no map of its own. When r fails, restoreObject returns
+// neither an element nor an error, and the caller reports r.Err().
+// Versions that do not meet — a start other than the previous version's
+// end — are refused here, since no element can hold them; the other
+// structural invariants (start order, open versions, edge endpoints and
+// lifetimes, unique values) are LoadHistory's CheckInvariants pass.
+func (st *Store) restoreObject(r *codec.Reader, prev UID, fields Fields) (*Elem, error) {
+	uid := prev + UID(r.Uvarint())
+	class := r.Name()
+	src, dst := UID(r.Uvarint()), UID(r.Uvarint())
+	n := r.Uvarint()
+	if n > uint64(r.Len()/3) { // a version takes at least three bytes
+		r.Fail("version count %d exceeds the %d bytes left", n, r.Len())
+	}
+	if r.Err() != nil {
+		return nil, nil
+	}
+	cls, ok := st.schema.Class(class)
 	if !ok {
-		return nil, fmt.Errorf("graph: history object %d has unknown class %q", uid, doc.Class)
+		return nil, fmt.Errorf("graph: history object %d has unknown class %q", uid, class)
 	}
 	if cls.Abstract {
-		return nil, fmt.Errorf("graph: history object %d uses abstract class %q", uid, doc.Class)
+		return nil, fmt.Errorf("graph: history object %d uses abstract class %q", uid, class)
 	}
 	if err := st.admitUID(uid); err != nil {
 		return nil, err
@@ -416,25 +396,50 @@ func (st *Store) restoreObject(doc *objectDoc) (*Elem, error) {
 		return nil, fmt.Errorf("graph: duplicate uid %d in history", uid)
 	}
 	if cls.IsEdge() {
-		for _, end := range []UID{doc.Src, doc.Dst} {
+		for _, end := range []UID{src, dst} {
 			if err := st.admitUID(end); err != nil {
 				return nil, fmt.Errorf("%w (an endpoint of history edge %d)", err, uid)
 			}
 		}
 	}
-	obj := &Elem{UID: uid, Class: cls, Src: doc.Src, Dst: doc.Dst, Versions: make([]Row, len(doc.Versions))}
-	var prev schema.Record
-	for vi, v := range doc.Versions {
-		if err := st.schema.ValidateRecord(doc.Class, v.Fields); err != nil {
+	obj := &Elem{UID: uid, Class: cls, Src: src, Dst: dst, Versions: make([]Row, n)}
+	var rec schema.Record
+	for vi := range obj.Versions {
+		start := r.Varint()
+		if vi > 0 && start != obj.End {
+			return nil, fmt.Errorf("graph: history object %d version %d starts at %d, not where version %d ends (%d)",
+				uid, vi, start, vi-1, obj.End)
+		}
+		obj.End = temporal.Forever
+		if end := r.Uvarint(); end > 0 {
+			// A closed period ends before Forever.
+			if end-1 >= uint64(temporal.Forever)-uint64(start) {
+				r.Fail("version end out of range")
+			}
+			obj.End = int64(uint64(start) + end - 1)
+		}
+		r.FieldsInto(fields)
+		if r.Err() != nil {
+			clear(fields)
+			return nil, nil
+		}
+		err := st.schema.ValidateRecord(class, fields)
+		if err == nil {
+			rec = cls.NewRecord(fields, rec)
+		}
+		clear(fields)
+		if err != nil {
 			return nil, fmt.Errorf("graph: history object %d version %d: %w", uid, vi, err)
 		}
-		prev = cls.NewRecord(v.Fields, prev)
-		obj.Versions[vi] = Row{Rec: prev, Period: v.Period}
+		obj.Versions[vi] = Row{Rec: rec, Start: start}
+	}
+	if r.Done(); r.Err() != nil {
+		return nil, nil
 	}
 
 	st.versionCount += len(obj.Versions)
 	*st.objects.slot(uid) = obj
-	st.byClass[doc.Class] = append(st.byClass[doc.Class], uid)
+	st.byClass[class] = append(st.byClass[class], uid)
 	if obj.IsEdge() {
 		st.appendAdjacency(obj.Src, obj.Dst, uid)
 	}
@@ -442,7 +447,7 @@ func (st *Store) restoreObject(doc *objectDoc) (*Elem, error) {
 		st.nextUID = uid + 1
 	}
 	if cur := obj.Current(); cur != nil {
-		st.addClassCount(doc.Class, 1)
+		st.addClassCount(class, 1)
 		st.liveCount++
 		st.recordUnique(cls, cur.Rec, uid)
 	}

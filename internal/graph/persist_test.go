@@ -123,6 +123,42 @@ type history struct {
 	objs    []objectDoc
 }
 
+// objectDoc is one object of a history stream decoded without a schema:
+// its versions in map form, periods as the stream states them.
+type objectDoc struct {
+	UID      UID
+	Class    string
+	Src, Dst UID
+	Versions []Version
+}
+
+// decodeObject decodes one object's encoding; prev is the UID of the
+// object before it in the stream.
+func decodeObject(r *codec.Reader, prev UID) objectDoc {
+	doc := objectDoc{UID: prev + UID(r.Uvarint()), Class: r.Name()}
+	doc.Src, doc.Dst = UID(r.Uvarint()), UID(r.Uvarint())
+	n := r.Uvarint()
+	if n > uint64(r.Len()/3) { // a version takes at least three bytes
+		r.Fail("version count %d exceeds the %d bytes left", n, r.Len())
+		return doc
+	}
+	doc.Versions = make([]Version, n)
+	for i := range doc.Versions {
+		start := r.Varint()
+		period := temporal.Current(start)
+		if end := r.Uvarint(); end > 0 {
+			// A closed period ends before Forever.
+			if end-1 >= uint64(temporal.Forever)-uint64(start) {
+				r.Fail("version end out of range")
+			}
+			period = temporal.Between(start, int64(uint64(start)+end-1))
+		}
+		doc.Versions[i] = Version{Fields: r.Fields(), Period: period}
+	}
+	r.Done()
+	return doc
+}
+
 func decodeHistory(t testing.TB, b []byte) *history {
 	t.Helper()
 	br := bufio.NewReader(bytes.NewReader(b))
@@ -257,6 +293,9 @@ func TestLoadHistoryValidation(t *testing.T) {
 		"truncated":              good[:len(good)/2],
 		"unknown class":          edit(func(h *history) { h.objs[0].Class = "Blob" }),
 		"ill-typed field":        edit(func(h *history) { h.version(t, "status", "Green").Fields["status"] = 7 }),
+		"versions that do not meet": edit(func(h *history) {
+			h.version(t, "status", "Green").Period.End-- // vm1 gone a nanosecond before its update
+		}),
 	}
 	for name, doc := range cases {
 		st2 := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)

@@ -100,37 +100,57 @@ func (o *Object) Lifetime() temporal.Set {
 }
 
 // Row is one temporal version of an Elem: the slot record of the values
-// that held during Period.
+// that held from Start until the next row's Start or, for the last row,
+// until the element's End.
 type Row struct {
-	Rec    schema.Record
-	Period temporal.Interval
+	Rec   schema.Record
+	Start int64
 }
 
 // Elem is a node or edge as the store keeps it: its class, endpoints and
 // version history, each version a slot record of its class (one row of
 // the class's table in the paper's relational mapping). Versions are
-// ordered by period start and non-overlapping; the last one is open
-// (IsCurrent) unless the element has been deleted.
+// ordered by start and meet: an update closes a version exactly where the
+// next one starts, so only the last version's end is stored, as End. The
+// last version is open (End is temporal.Forever) unless the element has
+// been deleted.
 //
-// An Elem is immutable once the store has published it: a write that
-// changes one — an update or a delete closing its open version — installs
-// a fresh Elem with a copied Versions slice under the write lock. So a
-// reader holding an *Elem from Elem (or an index) reads it without a lock
-// and never sees a version closed or appended underneath it.
+// Versions is append-only, and an Elem header is immutable once the store
+// has published it. A write that changes an element publishes a fresh
+// header under the write lock: an update appends its row past the
+// published length, len(Versions), in place when the array has room, and
+// a delete sets only the new header's End. No row a published header
+// covers is ever written again. So a reader holding an *Elem from Elem
+// (or an index) reads it without a lock and never sees a version closed
+// or appended underneath it. A batch that rolls back restores the earlier
+// header; the row it appended past that header's length was never
+// published, and the next update writes that slot again.
 type Elem struct {
 	UID   UID
 	Class *schema.Class
 	// Src and Dst are the endpoint node UIDs; meaningful for edges only.
 	Src, Dst UID
 	Versions []Row
+	// End is when the last version closed: temporal.Forever while it is
+	// open.
+	End int64
 }
 
 // IsEdge reports whether the element is an edge.
 func (e *Elem) IsEdge() bool { return e.Class.IsEdge() }
 
+// Period returns version i's period: from its start to the next
+// version's start, or to End for the last version.
+func (e *Elem) Period(i int) temporal.Interval {
+	if i+1 < len(e.Versions) {
+		return temporal.Between(e.Versions[i].Start, e.Versions[i+1].Start)
+	}
+	return temporal.Between(e.Versions[i].Start, e.End)
+}
+
 // Current returns the open version, or nil when the element is deleted.
 func (e *Elem) Current() *Row {
-	if n := len(e.Versions); n > 0 && e.Versions[n-1].Period.IsCurrent() {
+	if n := len(e.Versions); n > 0 && e.End == temporal.Forever {
 		return &e.Versions[n-1]
 	}
 	return nil
@@ -138,22 +158,23 @@ func (e *Elem) Current() *Row {
 
 // VersionAt returns the version visible at time t, or nil. Versions are
 // ordered by start, so one binary search finds the last one starting at
-// or before t: O(log v) in the element's history.
+// or before t: O(log v) in the element's history. The versions meet, so
+// t lies inside every one found but the last, which ends at End.
 func (e *Elem) VersionAt(t int64) *Row {
 	vs := e.Versions
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].Period.Start > t })
-	if i > 0 && t < vs[i-1].Period.End {
-		return &vs[i-1]
+	i := sort.Search(len(vs), func(i int) bool { return vs[i].Start > t })
+	if i == 0 || (i == len(vs) && t >= e.End) {
+		return nil
 	}
-	return nil
+	return &vs[i-1]
 }
 
 // Lifetime returns the normalized set of periods during which the element
 // existed (across all versions, regardless of field changes).
 func (e *Elem) Lifetime() temporal.Set {
 	s := make(temporal.Set, len(e.Versions))
-	for i, v := range e.Versions {
-		s[i] = v.Period
+	for i := range e.Versions {
+		s[i] = e.Period(i)
 	}
 	return s.Normalize()
 }
@@ -162,7 +183,7 @@ func (e *Elem) Lifetime() temporal.Set {
 func (e *Elem) object() *Object {
 	o := &Object{UID: e.UID, Class: e.Class, Src: e.Src, Dst: e.Dst, Versions: make([]Version, len(e.Versions))}
 	for i, v := range e.Versions {
-		o.Versions[i] = Version{Fields: e.Class.Map(v.Rec), Period: v.Period}
+		o.Versions[i] = Version{Fields: e.Class.Map(v.Rec), Period: e.Period(i)}
 	}
 	return o
 }
@@ -308,7 +329,8 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schem
 		Class:    c,
 		Src:      src,
 		Dst:      dst,
-		Versions: []Row{{Rec: rec, Period: temporal.Current(ts)}},
+		Versions: []Row{{Rec: rec, Start: ts}},
+		End:      temporal.Forever,
 	})
 	st.appendByClass(c.Name, uid)
 	st.addClassCount(c.Name, 1)
@@ -324,26 +346,17 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schem
 }
 
 // updateLocked closes obj's open version and opens a new one at a fixed
-// timestamp, publishing the result as a fresh element.
+// timestamp: it appends the new row past obj's published length and
+// publishes a fresh header over it. The closed version ends where the new
+// row starts, so no row is written but the appended one.
 func (st *Store) updateLocked(obj *Elem, rec schema.Record, t int64) {
 	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
 	st.recordUnique(obj.Class, rec, obj.UID)
-	next := st.closedCopy(obj, t, 1)
-	next.Versions = append(next.Versions, Row{Rec: rec, Period: temporal.Current(t)})
-	st.versionCount++
-}
-
-// closedCopy publishes a copy of obj whose open version ends at t, with
-// capacity for extra versions to be appended, and returns it. The
-// published original is never written: elements are immutable once
-// readers can reach them.
-func (st *Store) closedCopy(obj *Elem, t int64, extra int) *Elem {
 	next := *obj
-	next.Versions = make([]Row, len(obj.Versions), len(obj.Versions)+extra)
-	copy(next.Versions, obj.Versions)
-	next.Versions[len(next.Versions)-1].Period.End = t
+	next.Versions = append(obj.Versions, Row{Rec: rec, Start: t})
+	next.End = temporal.Forever
 	st.setObject(obj.UID, &next)
-	return &next
+	st.versionCount++
 }
 
 // deleteAtLocked closes the element — and, for a node, its live incident
@@ -369,7 +382,9 @@ func (st *Store) closeIfLive(uid UID, t int64) {
 
 func (st *Store) closeObject(obj *Elem, t int64) {
 	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
-	st.closedCopy(obj, t, 0)
+	next := *obj
+	next.End = t
+	st.setObject(obj.UID, &next)
 	st.addClassCount(obj.Class.Name, -1)
 	st.liveCount--
 }
@@ -451,7 +466,7 @@ func valueKey(v any) string {
 }
 
 // Elem returns the stored element with the given UID, or nil. It is the
-// engine's read. The element it returns is immutable, so the caller reads
+// engine's read. The header it returns is immutable, so the caller reads
 // it without a lock; the read lock Elem takes guards only the table probe
 // itself, which a published read snapshot would make lock-free.
 func (st *Store) Elem(uid UID) *Elem {

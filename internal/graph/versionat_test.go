@@ -11,21 +11,16 @@ import (
 )
 
 // deepElem returns an element with n versions of random nanosecond
-// lengths from t0, every third followed by a gap; the last is open
-// unless closed is set.
+// lengths from t0; the last is open unless closed is set.
 func deepElem(n int, closed bool, rng *rand.Rand) *Elem {
-	e := &Elem{Versions: make([]Row, n)}
+	e := &Elem{Versions: make([]Row, n), End: temporal.Forever}
 	at := temporal.Nanos(t0)
 	for i := range e.Versions {
-		end := at + 1 + rng.Int63n(int64(time.Hour))
-		e.Versions[i].Period = temporal.Between(at, end)
-		at = end
-		if i%3 == 2 {
-			at += 1 + rng.Int63n(int64(time.Minute))
-		}
+		e.Versions[i].Start = at
+		at += 1 + rng.Int63n(int64(time.Hour))
 	}
-	if !closed {
-		e.Versions[n-1].Period.End = temporal.Forever
+	if closed {
+		e.End = at
 	}
 	return e
 }
@@ -40,8 +35,9 @@ func TestVersionAtDeep(t *testing.T) {
 		for _, closed := range []bool{false, true} {
 			e := deepElem(n, closed, rng)
 			probes := []int64{temporal.Forever - 1}
-			for _, v := range e.Versions {
-				for _, b := range []int64{v.Period.Start, v.Period.End} {
+			for i := range e.Versions {
+				p := e.Period(i)
+				for _, b := range []int64{p.Start, p.End} {
 					if b != temporal.Forever {
 						probes = append(probes, b-1, b, b+1)
 					}
@@ -50,11 +46,11 @@ func TestVersionAtDeep(t *testing.T) {
 			slices.Sort(probes)
 			i := 0
 			for _, at := range probes {
-				for i < n && e.Versions[i].Period.End <= at {
+				for i < n && e.Period(i).End <= at {
 					i++
 				}
 				var want *Row
-				if i < n && e.Versions[i].Period.Start <= at {
+				if i < n && e.Period(i).Start <= at {
 					want = &e.Versions[i]
 				}
 				if got := e.VersionAt(at); got != want {
@@ -72,7 +68,7 @@ var versionSink *Row
 func lookupProbes(n int) (*Elem, []int64) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	e := deepElem(n, false, rng)
-	lo, hi := e.Versions[0].Period.Start, e.Versions[n-1].Period.Start+int64(time.Hour)
+	lo, hi := e.Versions[0].Start, e.Versions[n-1].Start+int64(time.Hour)
 	probes := make([]int64, 1024)
 	for i := range probes {
 		probes[i] = lo + rng.Int63n(hi-lo)

@@ -66,7 +66,7 @@ func (v View) Visible(obj *Elem) bool {
 		return obj.VersionAt(v.at) != nil
 	}
 	for i := range obj.Versions {
-		if obj.Versions[i].Period.Overlaps(v.window) {
+		if obj.Period(i).Overlaps(v.window) {
 			return true
 		}
 	}
@@ -84,7 +84,7 @@ func (v View) RecordAt(obj *Elem) schema.Record {
 		return nil
 	}
 	for i := len(obj.Versions) - 1; i >= 0; i-- {
-		if obj.Versions[i].Period.Overlaps(v.window) {
+		if obj.Period(i).Overlaps(v.window) {
 			return obj.Versions[i].Rec
 		}
 	}

@@ -819,8 +819,7 @@ func satisfiedInView(view graph.View, c *rpe.Checked, a *rpe.Atom, obj *graph.El
 		return ver != nil && c.Satisfies(a, obj.Class, ver.Rec)
 	}
 	for i := range obj.Versions {
-		ver := &obj.Versions[i]
-		if ver.Period.Overlaps(view.Window()) && c.Satisfies(a, obj.Class, ver.Rec) {
+		if obj.Period(i).Overlaps(view.Window()) && c.Satisfies(a, obj.Class, obj.Versions[i].Rec) {
 			return true
 		}
 	}

@@ -78,10 +78,7 @@ func computeValidity(tab *elemTable, elems []graph.UID, sc *validityScratch, mat
 		// deleted uid is never re-created).
 		iv := temporal.Interval{Start: math.MinInt64, End: temporal.Forever}
 		for _, obj := range objs {
-			life := temporal.Interval{
-				Start: obj.Versions[0].Period.Start,
-				End:   obj.Versions[len(obj.Versions)-1].Period.End,
-			}
+			life := temporal.Between(obj.Versions[0].Start, obj.End)
 			var ok bool
 			if iv, ok = iv.Intersect(life); !ok {
 				return nil
@@ -149,17 +146,17 @@ func (sc *validityScratch) matches(c *rpe.Checked, elements []rpe.Element) bool 
 }
 
 // VersionBoundaries returns, in time order and once each, every instant
-// at which a version of one of objs starts or a closed one ends: between
+// at which a version of one of objs starts or the last one closed: between
 // two consecutive ones, every object's field values are constant. It
 // reuses buf's storage and discards its contents.
 func VersionBoundaries(buf []int64, objs []*graph.Elem) []int64 {
 	buf = buf[:0]
 	for _, obj := range objs {
 		for _, v := range obj.Versions {
-			buf = append(buf, v.Period.Start)
-			if !v.Period.IsCurrent() {
-				buf = append(buf, v.Period.End)
-			}
+			buf = append(buf, v.Start)
+		}
+		if obj.End != temporal.Forever {
+			buf = append(buf, obj.End)
 		}
 	}
 	slices.Sort(buf)

@@ -112,6 +112,9 @@ type Follower struct {
 	diverged bool
 	changed  chan struct{} // closed+replaced whenever the watermark advances
 
+	// dec decodes the shipped groups; only the pull loop uses it.
+	dec wal.Decoder
+
 	startOnce sync.Once
 	// ctx is canceled by Stop; every feed request derives from it.
 	ctx  context.Context
@@ -380,7 +383,7 @@ func (f *Follower) pull() error {
 	lastAt := int64(math.MinInt64)
 	torn := false
 	for len(batch) > 0 {
-		ms, ends, err := wal.DecodeGroup(batch)
+		ms, ends, err := f.dec.Group(batch)
 		if err != nil {
 			// The primary only ships whole groups; a cut here — mid-frame,
 			// or between two frames of one group — means the connection

@@ -26,7 +26,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var ms []*graph.Mutation
 	var err error
 	if r.Header.Get("Content-Type") == ContentTypeWAL {
-		ms, err = decodeIngestFrames(w, r)
+		d := decoderPool.Get().(*wal.Decoder)
+		defer decoderPool.Put(d)
+		ms, err = decodeIngestFrames(w, r, d)
 	} else {
 		ms, err = decodeIngestJSON(w, r)
 	}
@@ -105,11 +107,12 @@ func decodeIngestJSON(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation
 }
 
 // decodeIngestFrames reads a ContentTypeWAL body: exactly one record
-// group, decoded by the log's own decoder. A record must leave to the
+// group, decoded by the log's own decoder into d's storage, which the
+// handler keeps until the batch is applied. A record must leave to the
 // store what the store stamps — every record's At, an insert's UID. The
 // decoded mutations copy every string, so the pooled body buffer goes
 // back as soon as they are decoded. An empty body is an empty batch.
-func decodeIngestFrames(w http.ResponseWriter, r *http.Request) ([]*graph.Mutation, error) {
+func decodeIngestFrames(w http.ResponseWriter, r *http.Request, d *wal.Decoder) ([]*graph.Mutation, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer putBody(buf)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
@@ -119,7 +122,7 @@ func decodeIngestFrames(w http.ResponseWriter, r *http.Request) ([]*graph.Mutati
 	if len(b) == 0 {
 		return nil, nil
 	}
-	ms, ends, err := wal.DecodeGroup(b)
+	ms, ends, err := d.Group(b)
 	switch {
 	case wal.IsTorn(err):
 		return nil, errors.New("decoding request body: the body ends inside its record group (a torn frame, or a last frame carrying the continuation mark)")
@@ -138,6 +141,11 @@ func decodeIngestFrames(w http.ResponseWriter, r *http.Request) ([]*graph.Mutati
 	}
 	return ms, nil
 }
+
+// decoderPool recycles the decoders WAL-framed ingest bodies are decoded
+// with: a batch's mutations and field maps are the decoder's until the
+// handler returns, and the store has laid them out as records by then.
+var decoderPool = sync.Pool{New: func() any { return new(wal.Decoder) }}
 
 // bodyPool recycles the buffers WAL-framed ingest bodies are read into.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}

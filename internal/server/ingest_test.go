@@ -381,12 +381,18 @@ func TestIngestFramesRefused(t *testing.T) {
 // FuzzIngestFrames posts raw bytes as a WAL-framed /v1/ingest body to a
 // store over a WAL: no input panics the server, every answer is a 200 or
 // a 400, and a 400 leaves the history and the WAL's next index as they
-// were.
+// were. A reused decoder, as the server's, decodes the body as a fresh
+// one does (checkFramesDecode).
 func FuzzIngestFrames(f *testing.F) {
-	for _, tc := range frameCases(f) {
+	cases := frameCases(f)
+	for _, tc := range cases {
 		f.Add(tc.body)
 	}
+	sch := netmodel.MustSchema()
+	var dec wal.Decoder // left holding a good body's fields
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkFramesDecode(t, &dec, sch, cases[0].body)
+		checkFramesDecode(t, &dec, sch, body)
 		db := openFuzzDB(t, t.TempDir())
 		s := server.New(db, server.Config{})
 		defer s.Shutdown(context.Background())

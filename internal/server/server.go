@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -344,12 +345,20 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // winning. The DB's limits still govern (core.Prepared.ExecTraced
 // folds these into them), so a request can only tighten them.
 func requestLimits(timeoutMS int64, l *Limits) exec.Limits {
-	lim := exec.Limits{MaxDuration: time.Duration(timeoutMS) * time.Millisecond}
+	lim := exec.Limits{MaxDuration: millis(timeoutMS)}
 	if l == nil {
 		return lim
 	}
 	return lim.Tighten(exec.Limits{MaxPaths: l.MaxPaths, MaxEdgesScanned: l.MaxEdgesScanned,
-		MaxDuration: time.Duration(l.TimeoutMS) * time.Millisecond})
+		MaxDuration: millis(l.TimeoutMS)})
+}
+
+// millis is a request's timeout_ms as a duration, clamped before it is
+// multiplied: a count past the largest time.Duration stays the largest
+// instead of wrapping into a short or negative one, and a negative count
+// is no bound, like zero.
+func millis(ms int64) time.Duration {
+	return time.Duration(min(max(ms, 0), int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 }
 
 // ---- handlers ----

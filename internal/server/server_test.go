@@ -279,6 +279,37 @@ func TestDeadlineOverAPI(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsNoDeadline: a timeout_ms too large for a
+// time.Duration, top-level or in limits, bounds nothing instead of
+// wrapping into an instant 504; a small one still answers 504 deadline.
+func TestHugeTimeoutIsNoDeadline(t *testing.T) {
+	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	h := server.New(newDemoDB(t), server.Config{}).Handler()
+	for _, body := range []string{
+		fmt.Sprintf(`{"query": %q, "timeout_ms": 76480200929599801}`, retrieveQ),
+		fmt.Sprintf(`{"query": %q, "limits": {"timeout_ms": 76480200929599801}}`, retrieveQ),
+		fmt.Sprintf(`{"query": %q, "timeout_ms": 9223372036854775807, "limits": {"timeout_ms": -9223372036854775808}}`, retrieveQ),
+	} {
+		if rec := post(h, body); rec.Code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", body, rec.Code, rec.Body)
+		}
+	}
+
+	slow := newDemoDB(t, core.WithAccessorWrapper(func(a plan.Accessor) plan.Accessor {
+		return chaos.Wrap(a, chaos.WithLatency(5*time.Millisecond))
+	}))
+	rec := post(server.New(slow, server.Config{}).Handler(), fmt.Sprintf(`{"query": %q, "timeout_ms": 20}`, retrieveQ))
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"deadline"`) {
+		t.Errorf("timeout_ms 20 over a slow store: %d %s, want 504 deadline", rec.Code, rec.Body)
+	}
+}
+
 func TestPrepareExecuteAndCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := newDemoDB(t)

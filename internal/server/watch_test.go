@@ -520,7 +520,7 @@ func TestNodeDeleteFeedsOneEvent(t *testing.T) {
 		t.Fatalf("event = {op %s uid %d class %s}, want {op delete uid %d class ComputeHost}", ev.Op, ev.UID, ev.Class, host)
 	}
 	e := db.Store().Elem(graph.UID(edge))
-	last := e.Versions[len(e.Versions)-1].Period
+	last := e.Period(len(e.Versions) - 1)
 	if last.IsCurrent() || last.End != temporal.Nanos(ev.At) {
 		t.Fatalf("incident edge's last period %v; want closed at the delete's At %v", last, ev.At)
 	}

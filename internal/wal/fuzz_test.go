@@ -33,7 +33,8 @@ func fuzzSeedMutations() []*graph.Mutation {
 // every failure as torn, corrupt or a retired format (the outcomes
 // recovery and the replication follower branch on), and re-encoding an
 // accepted frame reproduces it byte for byte — the canonical encoding
-// byte-identical replicas rely on.
+// byte-identical replicas rely on. A reused Decoder decodes every input
+// as a fresh DecodeGroup does.
 func FuzzDecodeRecord(f *testing.F) {
 	var frames [][]byte
 	for _, m := range fuzzSeedMutations() {
@@ -63,7 +64,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4})
 
+	// The Decoder the differential check reuses, its maps left holding
+	// the seed group's fields.
+	var dec Decoder
+	if _, _, err := dec.Group(group); err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkDecoderMatches(t, &dec, b)
 		m, n, err := DecodeRecord(b)
 		if err != nil {
 			if m != nil || n != 0 {

@@ -159,28 +159,99 @@ func verifyFrameChecksum(frame []byte) error {
 // boundary before the group's last record — is torn (IsTorn): recovery
 // and the replication follower apply a group whole or not at all. The
 // mutations point into one slab, sized from the frame headers before any
-// is decoded; every string is copied, so none aliases b.
+// is decoded; every string is copied, so none aliases b. What DecodeGroup
+// returns is fresh and may be kept; Decoder.Group is the same decode
+// into storage reused from one group to the next.
 func DecodeGroup(b []byte) ([]*graph.Mutation, []int, error) {
 	n := groupLen(b)
-	slab := make([]graph.Mutation, 0, n)
-	ends := make([]int, 0, n)
+	var r codec.Reader
+	slab, ends, err := decodeGroup(&r, b, make([]graph.Mutation, 0, n), make([]int, 0, n), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pointTo(slab, make([]*graph.Mutation, 0, len(slab))), ends, nil
+}
+
+// Decoder decodes record groups into storage it reuses from one group to
+// the next: the mutations, their frame ends and their field maps, whose
+// names it interns. The paths that hand a decoded group straight to the
+// store — framed ingest, recovery replay, a replica's apply — decode with
+// one, because the store lays every field map out as a record of its own
+// before the write returns (see graph.MutationHook): a group then costs
+// its values and the store's records, and no map, mutation or field name
+// of its own. The zero Decoder is ready to use; it is not safe for
+// concurrent use.
+type Decoder struct {
+	slab []graph.Mutation
+	ms   []*graph.Mutation
+	ends []int
+	maps []graph.Fields // record i of a group decodes into maps[i]
+	r    codec.Reader
+}
+
+// maxKeptGroup bounds the records a Decoder keeps storage for, so one
+// rare huge group does not pin its maps for every later one.
+const maxKeptGroup = 256
+
+// Group decodes the group at the front of b as DecodeGroup does. What it
+// returns — the mutations, their field maps and the ends — is valid only
+// until the next call; the values inside the maps are fresh and may be
+// kept.
+func (d *Decoder) Group(b []byte) ([]*graph.Mutation, []int, error) {
+	d.r.InternNames()
+	slab, ends, err := decodeGroup(&d.r, b, d.slab[:0], d.ends[:0], d)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(slab) > maxKeptGroup {
+		return pointTo(slab, nil), ends, nil
+	}
+	d.slab, d.ends, d.ms = slab, ends, pointTo(slab, d.ms[:0])
+	return d.ms, ends, nil
+}
+
+// fields returns the empty map record i of a group decodes its fields
+// into.
+func (d *Decoder) fields(i int) graph.Fields {
+	if i >= maxKeptGroup {
+		return make(graph.Fields)
+	}
+	for len(d.maps) <= i {
+		d.maps = append(d.maps, make(graph.Fields))
+	}
+	clear(d.maps[i])
+	return d.maps[i]
+}
+
+// decodeGroup appends the records of the group at the front of b to slab
+// and their frame ends to ends. Their field maps are d's, or fresh when d
+// is nil.
+func decodeGroup(r *codec.Reader, b []byte, slab []graph.Mutation, ends []int, d *Decoder) ([]graph.Mutation, []int, error) {
 	for off := 0; ; {
+		i := len(slab)
 		slab = append(slab, graph.Mutation{})
-		size, err := decodeRecordInto(&slab[len(slab)-1], b[off:])
+		var fields graph.Fields
+		if d != nil {
+			fields = d.fields(i)
+		}
+		size, err := decodeRecordInto(r, &slab[i], b[off:], fields)
 		if err != nil {
 			return nil, nil, err
 		}
 		off += size
 		ends = append(ends, off)
 		if !continued(b[off-size : off]) {
-			break
+			return slab, ends, nil
 		}
 	}
-	ms := make([]*graph.Mutation, len(slab))
+}
+
+// pointTo appends a pointer to each of slab's mutations to ms.
+func pointTo(slab []graph.Mutation, ms []*graph.Mutation) []*graph.Mutation {
 	for i := range slab {
-		ms[i] = &slab[i]
+		ms = append(ms, &slab[i])
 	}
-	return ms, ends, nil
+	return ms
 }
 
 // groupLen counts the frames of the group at the front of b from their
@@ -222,15 +293,19 @@ func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 // format.
 func DecodeRecord(b []byte) (*graph.Mutation, int, error) {
 	m := new(graph.Mutation)
-	n, err := decodeRecordInto(m, b)
+	var r codec.Reader
+	n, err := decodeRecordInto(&r, m, b, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	return m, n, nil
 }
 
-// decodeRecordInto is DecodeRecord into a zero mutation the caller owns.
-func decodeRecordInto(m *graph.Mutation, b []byte) (int, error) {
+// decodeRecordInto is DecodeRecord into a zero mutation the caller owns,
+// read by r. An insert's or update's fields are decoded into fields when
+// it is non-nil (and empty), else into a fresh map; either way a record
+// with no fields gets nil.
+func decodeRecordInto(r *codec.Reader, m *graph.Mutation, b []byte, fields graph.Fields) (int, error) {
 	n, err := frameSize(b)
 	if err != nil {
 		return 0, err
@@ -239,7 +314,6 @@ func decodeRecordInto(m *graph.Mutation, b []byte) (int, error) {
 	if payload[0] == '{' {
 		return 0, &graph.FormatError{Got: legacyRecordFormat, Want: recordFormat}
 	}
-	var r codec.Reader
 	r.Reset(payload)
 	if r.Byte()&^flagMore != 0 {
 		return 0, fmt.Errorf("%w: unknown flag bits %#x", errCorrupt, payload[0])
@@ -256,8 +330,14 @@ func decodeRecordInto(m *graph.Mutation, b []byte) (int, error) {
 	if m.Op == graph.OpInsertNode || m.Op == graph.OpInsertEdge {
 		m.Class = r.Str()
 	}
-	if m.Op != graph.OpDelete {
+	switch {
+	case m.Op == graph.OpDelete:
+	case fields == nil:
 		m.Fields = r.Fields()
+	default:
+		if r.FieldsInto(fields); len(fields) > 0 {
+			m.Fields = fields
+		}
 	}
 	r.Done()
 	if err := r.Err(); err != nil {

@@ -658,6 +658,7 @@ func TestStreamReadsDuringAppends(t *testing.T) {
 		hash       uint64
 	}
 	var samples []sample
+	reads := 0
 	rng := rand.New(rand.NewSource(1))
 	for running := true; running; {
 		select {
@@ -684,9 +685,14 @@ func TestStreamReadsDuringAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(samples) < 400 {
-			samples = append(samples, sample{from: from, next: end, batch: batch, hash: hash})
+		// Keep the latest 400: the reads after the checkpoint are the
+		// ones its contraction leaves checkable.
+		if s := (sample{from: from, next: end, batch: batch, hash: hash}); len(samples) < 400 {
+			samples = append(samples, s)
+		} else {
+			samples[reads%400] = s
 		}
+		reads++
 	}
 
 	checked := 0

@@ -297,6 +297,7 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 	segs := make([]segMeta, len(seqs))
 	var start uint64
 	hash := PrefixHashSeed
+	var dec Decoder
 	for i, seq := range seqs {
 		s, h, ok, err := readSegIdx(dir, seq)
 		if err != nil {
@@ -314,7 +315,7 @@ func Open(dir string, st *graph.Store, opts Options) (*Manager, RecoveryStats, e
 			start, hash = s, h
 		}
 		segs[i] = segMeta{seq: seq, start: start, hash: hash}
-		if start, hash, err = replaySegment(dir, i == len(seqs)-1, st, &stats, &segs[i]); err != nil {
+		if start, hash, err = replaySegment(dir, i == len(seqs)-1, st, &dec, &stats, &segs[i]); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -399,7 +400,8 @@ func listSegments(dir string) ([]uint64, error) {
 // that group and replay stops there. The same damage in an earlier
 // segment cannot be a crash artifact (segments are synced before
 // rotation, and a group never spans two) and is reported as an error.
-func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats, seg *segMeta) (next, hash uint64, err error) {
+// Every group is decoded by dec.
+func replaySegment(dir string, last bool, st *graph.Store, dec *Decoder, stats *RecoveryStats, seg *segMeta) (next, hash uint64, err error) {
 	path := segmentPath(dir, seg.seq)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -408,7 +410,7 @@ func replaySegment(dir string, last bool, st *graph.Store, stats *RecoveryStats,
 	next, hash = seg.start, seg.hash
 	off := 0
 	for off < len(data) {
-		ms, ends, err := DecodeGroup(data[off:])
+		ms, ends, err := dec.Group(data[off:])
 		if err != nil {
 			if !last || !(errors.Is(err, errTorn) || errors.Is(err, errCorrupt)) {
 				graph.SetFormatFile(err, path)
