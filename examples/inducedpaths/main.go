@@ -60,7 +60,7 @@ func main() {
 	}
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
-		p := row.Values[0].(*plan.Pathway)
+		p := row.Values()[0].(*plan.Pathway)
 		line := db.RenderPath(*p)
 		if seen[line] {
 			continue
@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  %v (id=%v) hosts nothing\n", row.Values[0], row.Values[1])
+		fmt.Printf("  %v (id=%v) hosts nothing\n", row.Values()[0], row.Values()[1])
 	}
 	fmt.Printf("  %d of %d VMs are idle\n", len(res.Rows), len(svc.VMs))
 }

@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  %-8v -> %-8v (%v hops)\n", row.Values[0], row.Values[1], row.Values[2])
+		fmt.Printf("  %-8v -> %-8v (%v hops)\n", row.Values()[0], row.Values()[1], row.Values()[2])
 	}
 
 	// Pathways are first-class: Retrieve returns them whole, and they

@@ -74,7 +74,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  %v ran on %v\n", row.Values[0], row.Values[1])
+		fmt.Printf("  %v ran on %v\n", row.Values()[0], row.Values()[1])
 	}
 	fmt.Println("   (now it runs on host-1 — the past state is what matters)")
 
@@ -89,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  affected VNF: %v\n", row.Values[0])
+		fmt.Printf("  affected VNF: %v\n", row.Values()[0])
 	}
 
 	// --- Question 3: which placements held during the incident window? -
@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  on %-8v during %v\n", row.Values[0], row.Coexist)
+		fmt.Printf("  on %-8v during %v\n", row.Values()[0], row.Coexist())
 	}
 
 	// --- Question 4: when did the red state begin and end? -------------

@@ -107,7 +107,7 @@ func TestWALRecoveryEndToEnd(t *testing.T) {
 	}
 	found := false
 	for _, row := range red.Rows {
-		if len(row.Values) > 0 && fmt.Sprint(row.Values[0]) == "vm-9001" {
+		if len(row.Values()) > 0 && fmt.Sprint(row.Values()[0]) == "vm-9001" {
 			found = true
 		}
 	}

@@ -138,56 +138,60 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 }
 
 func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
-	sl, rows, err := x.rows(a, nil, Row{}, rc)
+	lv, err := x.newLevel(a, nil)
 	if err != nil {
 		return nil, err
 	}
+	t, err := x.join(lv, rc)
+	if err != nil {
+		return nil, err
+	}
+	n := t.len()
 	res := &Result{Metrics: rc.metrics, Plans: rc.plans, Trace: rc.span}
 	if rc.span != nil {
-		rc.span.AddRows(0, int64(len(rows)))
+		rc.span.AddRows(0, int64(n))
 	}
 	if a.Query.Agg != query.AggNone {
-		res.Agg = aggregate(a.Query, rows, sl.perVar)
+		res.Agg = aggregate(a.Query, t)
 		return res, nil
 	}
-	for _, t := range a.Query.Projs {
-		res.Columns = append(res.Columns, t.String())
+	for _, term := range a.Query.Projs {
+		res.Columns = append(res.Columns, term.String())
 	}
 	// Pathway-set aggregation: count(P) counts distinct pathways bound to
 	// the variable across the result rows and collapses to a single row.
 	// The set dedups on the elements alone: validity plays no part.
 	if len(a.Query.Projs) > 0 && a.Query.Projs[0].Fn == query.FnCount {
-		var out Row
-		for _, t := range a.Query.Projs {
+		counts := &table{vals: make([]any, len(a.Query.Projs)), ncols: len(a.Query.Projs)}
+		for j, term := range a.Query.Projs {
 			var distinct plan.PathwaySet
-			for _, row := range rows {
-				if p, ok := sl.lookup(t.Var, row.bind); ok {
+			for i := 0; i < n; i++ {
+				if p, ok := t.slots.lookup(term.Var, t.row(i)); ok {
 					distinct.Add(plan.Pathway{Elems: p.Elems})
 				}
 			}
-			out.Values = append(out.Values, int64(distinct.Len()))
+			counts.vals[j] = int64(distinct.Len())
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows = []Row{{t: counts}}
 		return res, nil
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		return res, nil
 	}
-	// One slab backs every row's Values.
-	n := len(a.Query.Projs)
-	vals := make([]any, len(rows)*n)
-	for i := range rows {
-		row := &rows[i]
-		row.Values = vals[i*n : (i+1)*n : (i+1)*n]
-		for j, t := range a.Query.Projs {
-			v, err := x.termValue(a, t, sl, row.bind)
+	t.ncols = len(a.Query.Projs)
+	t.vals = make([]any, n*t.ncols)
+	res.Rows = make([]Row, n)
+	for i := range res.Rows {
+		res.Rows[i] = Row{t: t, i: i}
+		vals := res.Rows[i].Values()
+		for j, term := range a.Query.Projs {
+			v, err := x.termValue(a, term, t.slots, t.row(i))
 			if err != nil {
 				return nil, err
 			}
-			row.Values[j] = v
+			vals[j] = v
 		}
 	}
-	res.Rows = rows
 	return res, nil
 }
 
@@ -220,104 +224,203 @@ func (sl *slots) lookup(name string, bind []plan.Pathway) (plan.Pathway, bool) {
 	return plan.Pathway{}, false
 }
 
-// rows materializes the joined tuples of a query, as rows without Values,
-// and the slots they bind. outer and outerRow supply the bindings of a
-// correlated subquery's enclosing tuple; outer is nil at the top level.
-func (x *Executor) rows(a *query.Analyzed, outer *slots, outerRow Row, rc *runCtx) (*slots, []Row, error) {
+// level is one query level compiled for one run: its binding slots, its
+// variables' evaluation order, its join predicates, the window its rows
+// must coexist in under query-level time, and its NOT EXISTS subqueries'
+// own levels, compiled on first use. A subquery level lives as long as
+// the run, so a subquery that runs once per outer tuple is compiled, and
+// evaluates each of its unseeded variables, once.
+type level struct {
+	a      *query.Analyzed
+	sl     *slots
+	order  []evalStep
+	base   int // how many of the outer level's slots lead this level's
+	joins  []*query.JoinPred
+	window temporal.Interval
+	subs   []*level // by index into a.Subqueries; nil until first used
+	// buf is a subquery level's tuple under test: the outer tuple and
+	// then its own variables.
+	buf []plan.Pathway
+}
+
+// newLevel compiles query level a; outer holds the slots of the
+// enclosing level of a correlated subquery and is nil at the top level.
+func (x *Executor) newLevel(a *query.Analyzed, outer *slots) (*level, error) {
 	q := a.Query
 	order, err := x.evalOrder(a)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	base := len(outerRow.bind)
-	sl := &slots{perVar: hasPerVarTimes(q)}
+	lv := &level{a: a, sl: &slots{perVar: hasPerVarTimes(q)}, order: order, subs: make([]*level, len(a.Subqueries))}
 	if outer != nil {
-		sl.names = append(sl.names, outer.names[:base]...)
-		sl.views = append(sl.views, outer.views[:base]...)
+		lv.base = len(outer.names)
+		lv.sl.names = append(lv.sl.names, outer.names...)
+		lv.sl.views = append(lv.sl.views, outer.views...)
+		lv.buf = make([]plan.Pathway, 0, lv.base+len(order))
 	}
 	for _, step := range order {
 		rv, _ := q.Var(step.name)
-		sl.names = append(sl.names, step.name)
-		sl.views = append(sl.views, x.viewFor(step.name, q, rv.At))
+		lv.sl.names = append(lv.sl.names, step.name)
+		lv.sl.views = append(lv.sl.views, x.viewFor(step.name, q, rv.At))
 	}
+	for _, p := range q.Preds {
+		if jp, ok := p.(*query.JoinPred); ok {
+			lv.joins = append(lv.joins, jp)
+		}
+	}
+	if !lv.sl.perVar {
+		lv.window = x.windowFor(q)
+	}
+	return lv, nil
+}
 
-	joins, subNE := splitPreds(a)
+// sub returns the level of lv's j-th NOT EXISTS subquery.
+func (x *Executor) sub(lv *level, j int) (*level, error) {
+	if lv.subs[j] == nil {
+		s, err := x.newLevel(lv.a.Subqueries[j], lv.sl)
+		if err != nil {
+			return nil, err
+		}
+		lv.subs[j] = s
+	}
+	return lv.subs[j], nil
+}
 
-	// Evaluate variables in order, growing the tuple set and applying join
-	// predicates as soon as both sides are bound (pushing selections into
-	// the nested-loops join).
-	tuples := []Row{outerRow}
-	for k, step := range order {
-		width := base + k + 1
-		view := sl.views[width-1]
-		var next []Row
-		for _, tup := range tuples {
+// stepPaths returns the pathways of lv's k-th variable for the tuple of
+// bind. An unseeded variable does not depend on the tuple: it is
+// evaluated once, and every tuple joins against that one set.
+func (x *Executor) stepPaths(lv *level, k int, bind []plan.Pathway, rc *runCtx) ([]plan.Pathway, error) {
+	step := &lv.order[k]
+	if step.evaluated {
+		return step.paths, nil
+	}
+	paths, err := x.evalVar(lv.a, *step, lv.sl.views[lv.base+k], lv.sl, bind, rc)
+	if err == nil && !step.seeded {
+		step.paths, step.evaluated = paths, true
+	}
+	return paths, err
+}
+
+// join builds the top level's row table. Variables are evaluated in
+// order, the table growing one slot a row at each step, and a join
+// predicate applies as soon as both its sides are bound (pushing
+// selections into the nested-loops join). The first variable's pathways
+// are the table's own slab: the one empty tuple extends to each of them
+// in place. A later step writes a new slab, row by row, the tuple's slots
+// and then the pathway just bound; a row the joins reject gives its
+// space back to the next. The finished rows must then coexist, under
+// query-level time, and satisfy every NOT EXISTS.
+func (x *Executor) join(lv *level, rc *runCtx) (*table, error) {
+	t := &table{slots: lv.sl}
+	n := 1 // one empty tuple
+	for k := range lv.order {
+		w := t.width
+		var next []plan.Pathway
+		for i := 0; i < n; i++ {
 			// Checkpoint between tuple evaluations: a canceled query stops
 			// growing the join instead of finishing the nested loop.
 			if err := rc.gov.Check(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			paths, err := x.evalVar(a, step, view, sl, tup.bind, rc)
+			tup := t.bind[i*w : (i+1)*w : (i+1)*w]
+			paths, err := x.stepPaths(lv, k, tup, rc)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if next == nil && len(paths) > 0 {
-				// Exact for the first (often only) tuple; later ones append.
-				next = make([]Row, 0, len(paths))
+			if w == 0 {
+				next = paths[:0]
+			} else if next == nil && len(paths) > 0 {
+				// Room for the first tuple's rows, or for one row a tuple
+				// when that is more; a step that binds more grows it.
+				next = make([]plan.Pathway, 0, max(len(paths), n)*(w+1))
 			}
-			// A tuple with no slots yet binds each pathway in place, as a
-			// window of the evaluation's own set. Otherwise one slab holds
-			// every new tuple's slots: the parent's, then the pathway just
-			// bound. A tuple the joins reject gives its slots back to the
-			// next one.
-			var slab []plan.Pathway
-			if width > 1 {
-				slab = make([]plan.Pathway, 0, len(paths)*width)
-			}
-			for i := range paths {
-				at := len(slab)
-				nt := Row{bind: paths[i : i+1 : i+1], slots: sl}
-				if width > 1 {
-					slab = append(append(slab, tup.bind...), paths[i])
-					nt.bind = slab[at:len(slab):len(slab)]
+			for _, p := range paths {
+				at := len(next)
+				next = append(append(next, tup...), p)
+				if !x.joinsSatisfied(lv.a, lv.joins, lv.sl, next[at:]) {
+					next = next[:at]
 				}
-				if !x.joinsSatisfied(a, joins, sl, nt.bind) {
-					slab = slab[:at]
-					continue
-				}
-				next = append(next, nt)
 			}
 		}
-		tuples = next
+		t.bind, t.width = next, w+1
+		n = t.len()
 	}
-
 	// Temporal row semantics: with query-level time, all pathways in a row
 	// must coexist and the row reports the maximal coexistence ranges.
-	if !sl.perVar {
-		window := x.windowFor(q)
-		kept := tuples[:0] // filtered in place
-		for _, tup := range tuples {
-			co := coexistence(q, sl, tup.bind)
-			if co.IsEmpty() {
-				continue
-			}
-			if !co.Overlaps(window) {
-				continue
-			}
-			tup.Coexist = co
-			kept = append(kept, tup)
-		}
-		tuples = kept
+	if !lv.sl.perVar && t.width > 1 {
+		t.co = make([]temporal.Set, n)
 	}
-
-	// NOT EXISTS subqueries.
-	for _, sub := range subNE {
-		tuples, err = x.applyNotExists(sub, sl, tuples, rc)
+	kept := 0
+	for i := 0; i < n; i++ {
+		co, ok, err := x.admits(lv, t.row(i), rc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		copy(t.row(kept), t.row(i))
+		if t.co != nil {
+			t.co[kept] = co
+		}
+		kept++
+	}
+	t.bind = t.bind[:kept*t.width]
+	if t.co != nil {
+		t.co = t.co[:kept]
+	}
+	return t, nil
+}
+
+// admits reports whether a tuple of lv with every variable bound is a
+// row: under query-level time its pathways coexist, returned as co,
+// within the selection window, and no NOT EXISTS subquery finds a tuple
+// extending it.
+func (x *Executor) admits(lv *level, bind []plan.Pathway, rc *runCtx) (co temporal.Set, ok bool, err error) {
+	if !lv.sl.perVar {
+		co = coexistence(lv.a.Query, lv.sl, bind)
+		if co.IsEmpty() || !co.Overlaps(lv.window) {
+			return nil, false, nil
 		}
 	}
-	return sl, tuples, nil
+	for j := range lv.subs {
+		sub, err := x.sub(lv, j)
+		if err != nil {
+			return nil, false, err
+		}
+		found, err := x.exists(sub, append(sub.buf[:0], bind...), 0, rc)
+		if err != nil || found {
+			return nil, false, err
+		}
+	}
+	return co, true, nil
+}
+
+// exists reports whether subquery level lv has a row extending bind, the
+// outer tuple with lv's first k variables bound: it searches depth
+// first, and stops at the first tuple that passes the joins and admits.
+func (x *Executor) exists(lv *level, bind []plan.Pathway, k int, rc *runCtx) (bool, error) {
+	if k == len(lv.order) {
+		_, ok, err := x.admits(lv, bind, rc)
+		return ok, err
+	}
+	if err := rc.gov.Check(); err != nil {
+		return false, err
+	}
+	paths, err := x.stepPaths(lv, k, bind, rc)
+	if err != nil {
+		return false, err
+	}
+	for _, p := range paths {
+		next := append(bind, p)
+		if !x.joinsSatisfied(lv.a, lv.joins, lv.sl, next) {
+			continue
+		}
+		if found, err := x.exists(lv, next, k+1, rc); err != nil || found {
+			return found, err
+		}
+	}
+	return false, nil
 }
 
 // evalStep is one variable evaluation with its chosen strategy.
@@ -332,6 +435,9 @@ type evalStep struct {
 	seedVar    string
 	seedVarFn  query.PathFn
 	anchorCost float64
+	// paths holds an unseeded step's pathways once evaluated is set.
+	paths     []plan.Pathway
+	evaluated bool
 }
 
 // evalOrder plans the variable evaluation order: anchored variables by
@@ -587,21 +693,6 @@ func (x *Executor) termValue(a *query.Analyzed, t query.Term, sl *slots, bind []
 	return x.joinValue(a, t, sl, bind)
 }
 
-// applyNotExists filters tuples through one NOT EXISTS subquery.
-func (x *Executor) applyNotExists(sub *query.Analyzed, sl *slots, tuples []Row, rc *runCtx) ([]Row, error) {
-	var kept []Row
-	for _, tup := range tuples {
-		_, subRows, err := x.rows(sub, sl, tup, rc)
-		if err != nil {
-			return nil, err
-		}
-		if len(subRows) == 0 {
-			kept = append(kept, tup)
-		}
-	}
-	return kept, nil
-}
-
 // viewFor resolves the temporal view of a variable on its routed store.
 func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec) graph.View {
 	st := x.engineFor(varName).Accessor().Store()
@@ -665,16 +756,16 @@ func coexistence(q *query.Query, sl *slots, bind []plan.Pathway) temporal.Set {
 
 // aggregate computes First/Last/When-Exists over the row times: with
 // per-variable time, each bound pathway's own validity.
-func aggregate(q *query.Query, rows []Row, perVar bool) *AggValue {
+func aggregate(q *query.Query, t *table) *AggValue {
 	var all temporal.Set
-	for _, tup := range rows {
-		if perVar {
-			for _, p := range tup.bind {
+	for i := 0; i < t.len(); i++ {
+		if t.slots.perVar {
+			for _, p := range t.row(i) {
 				all = append(all, p.Validity...)
 			}
 			continue
 		}
-		all = append(all, tup.Coexist...)
+		all = append(all, t.coexist(i)...)
 	}
 	all = all.Normalize()
 	out := &AggValue{}
@@ -706,15 +797,4 @@ func hasPerVarTimes(q *query.Query) bool {
 		}
 	}
 	return false
-}
-
-func splitPreds(a *query.Analyzed) ([]*query.JoinPred, []*query.Analyzed) {
-	var joins []*query.JoinPred
-	subs := a.Subqueries
-	for _, p := range a.Query.Preds {
-		if jp, ok := p.(*query.JoinPred); ok {
-			joins = append(joins, jp)
-		}
-	}
-	return joins, subs
 }

@@ -25,7 +25,7 @@ type fixture struct {
 	x     *Executor
 }
 
-func newFixture(t *testing.T, backend string) *fixture {
+func newFixture(t testing.TB, backend string) *fixture {
 	t.Helper()
 	clock := temporal.NewManualClock(t0)
 	st := graph.NewStore(netmodel.MustSchema(), clock, nil)
@@ -86,9 +86,9 @@ func TestRetrieveTopDown(t *testing.T) {
 			t.Fatalf("rows = %d, want 2", len(res.Rows))
 		}
 		for _, row := range res.Rows {
-			p, ok := row.Values[0].(*plan.Pathway)
+			p, ok := row.Values()[0].(*plan.Pathway)
 			if !ok {
-				t.Fatalf("Retrieve value is %T, want *plan.Pathway", row.Values[0])
+				t.Fatalf("Retrieve value is %T, want *plan.Pathway", row.Values()[0])
 			}
 			if p.Source() != f.d.FirewallVNF {
 				t.Errorf("source = %d, want firewall VNF", p.Source())
@@ -107,11 +107,11 @@ func TestSelectProjections(t *testing.T) {
 			t.Fatalf("rows = %d, want 1", len(res.Rows))
 		}
 		row := res.Rows[0]
-		if row.Values[0] != "dns-vnf" {
-			t.Errorf("name = %v", row.Values[0])
+		if row.Values()[0] != "dns-vnf" {
+			t.Errorf("name = %v", row.Values()[0])
 		}
-		if row.Values[2] != int64(3) {
-			t.Errorf("len = %v, want 3", row.Values[2])
+		if row.Values()[2] != int64(3) {
+			t.Errorf("len = %v, want 3", row.Values()[2])
 		}
 		if res.Columns[0] != "source(P).name" {
 			t.Errorf("column = %q", res.Columns[0])
@@ -136,7 +136,7 @@ func TestJoinPhysicalPathBetweenVNFs(t *testing.T) {
 			t.Fatal("no physical paths found between the VNF hosts")
 		}
 		for _, row := range res.Rows {
-			p := row.Values[0].(*plan.Pathway)
+			p := row.Values()[0].(*plan.Pathway)
 			if p.Source() != f.d.Host1 || p.Target() != f.d.Host2 {
 				t.Errorf("physical path endpoints = %d -> %d", p.Source(), p.Target())
 			}
@@ -166,7 +166,7 @@ func TestNotExistsIdleVMs(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Fatalf("idle VMs = %d, want 1", len(res.Rows))
 		}
-		p := res.Rows[0].Values[0].(*plan.Pathway)
+		p := res.Rows[0].Values()[0].(*plan.Pathway)
 		if p.Source() != idle {
 			t.Errorf("idle VM = %d, want %d", p.Source(), idle)
 		}
@@ -197,7 +197,7 @@ func TestTimesliceQuery(t *testing.T) {
 			Select source(P).name From PATHS P
 			Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=%d)`, f.idOf(f.d.Host2))
 		res := f.run(t, src)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != "dns-vnf" {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != "dns-vnf" {
 			t.Fatalf("rows = %+v", res.Rows)
 		}
 		// At 12:00 nothing runs on host-2.
@@ -223,13 +223,13 @@ func TestPerVariableTimes(t *testing.T) {
 			And source(P) = source(Q)`,
 			f.idOf(f.d.Host2), f.idOf(f.d.Host1))
 		res := f.run(t, src)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != "dns-vnf" {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != "dns-vnf" {
 			t.Fatalf("rows = %+v", res.Rows)
 		}
 		// Per-variable ranges appear separately; no coexistence is implied
 		// (the two placements never overlapped in time).
 		row := res.Rows[0]
-		if row.Coexist != nil {
+		if row.Coexist() != nil {
 			t.Error("per-variable query must not compute coexistence")
 		}
 		if len(row.VarTime("P")) == 0 || len(row.VarTime("Q")) == 0 {
@@ -252,7 +252,7 @@ func TestRangeQueryCoexistence(t *testing.T) {
 		}
 		names := map[any]temporal.Set{}
 		for _, row := range res.Rows {
-			names[row.Values[0]] = row.Coexist
+			names[row.Values()[0]] = row.Coexist()
 			// The mirror of the per-variable case above: query-level time
 			// reports coexistence, and no per-variable ranges are built.
 			if vt := row.VarTime("P"); vt != nil {
@@ -402,7 +402,7 @@ func TestStructuredDataQueryEndToEnd(t *testing.T) {
 		}
 		res := f.run(t, `Select source(P).name From PATHS P
 			Where P MATCHES VirtualRouter(routingTable.address='10.0.0.0')`)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != "vrouter-1" {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != "vrouter-1" {
 			t.Fatalf("rows = %+v", res.Rows)
 		}
 		// Route context inside a pathway (the paper's future-work item
@@ -411,7 +411,7 @@ func TestStructuredDataQueryEndToEnd(t *testing.T) {
 		// route.
 		res = f.run(t, `Select target(P).name From PATHS P
 			Where P MATCHES VM(name='vm-1')->VirtualLink(){1,2}->VirtualRouter(routingTable.mask=0)`)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != "vrouter-1" {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != "vrouter-1" {
 			t.Fatalf("routed rows = %+v", res.Rows)
 		}
 		// No match on an absent prefix.
@@ -602,7 +602,7 @@ func TestSharedElements(t *testing.T) {
 		res := f.run(t, `Retrieve P From PATHS P Where P MATCHES VNF(vnfType='firewall')->[Vertical()]{1,6}->Host()`)
 		var paths []plan.Pathway
 		for _, row := range res.Rows {
-			paths = append(paths, *row.Values[0].(*plan.Pathway))
+			paths = append(paths, *row.Values()[0].(*plan.Pathway))
 		}
 		shared := plan.SharedElements(paths)
 		want := map[graph.UID]bool{f.d.FirewallVNF: true, f.d.Host1: true}
@@ -624,7 +624,7 @@ func TestSharedElements(t *testing.T) {
 func TestCountAggregation(t *testing.T) {
 	backends(t, func(t *testing.T, f *fixture) {
 		res := f.run(t, `Select count(P) From PATHS P Where P MATCHES VM()->OnServer()->Host()`)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != int64(3) {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != int64(3) {
 			t.Fatalf("count rows = %+v", res.Rows)
 		}
 		// Counting over a join counts distinct pathways of the counted
@@ -633,7 +633,7 @@ func TestCountAggregation(t *testing.T) {
 			Where P MATCHES VM()->OnServer()->Host()
 			And Q MATCHES VNF()->[Vertical()]{1,6}->Host()
 			And target(P) = target(Q)`)
-		if len(res.Rows) != 1 || res.Rows[0].Values[0] != int64(3) {
+		if len(res.Rows) != 1 || res.Rows[0].Values()[0] != int64(3) {
 			t.Fatalf("joined count = %+v", res.Rows)
 		}
 		// Mixing count with per-row projections is rejected at analysis.
@@ -679,7 +679,7 @@ func TestCorrelatedSeededSubquery(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Fatalf("hosts without placements = %d, want 1 (host-2)", len(res.Rows))
 		}
-		if res.Rows[0].Values[0].(*plan.Pathway).Source() != f.d.Host2 {
+		if res.Rows[0].Values()[0].(*plan.Pathway).Source() != f.d.Host2 {
 			t.Fatal("wrong host qualified")
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gremlin"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relational"
@@ -18,7 +20,7 @@ import (
 	"repro/internal/temporal"
 )
 
-func (f *fixture) analyze(t *testing.T, src string) *query.Analyzed {
+func (f *fixture) analyze(t testing.TB, src string) *query.Analyzed {
 	t.Helper()
 	q, err := query.Parse(src)
 	if err != nil {
@@ -177,4 +179,52 @@ func TestRoutedEngineErrorPropagates(t *testing.T) {
 	if err != nil || len(res.Rows) == 0 {
 		t.Fatalf("healed routed run = %v rows, err %v", res, err)
 	}
+}
+
+// TestUnseededVariableEvaluatedOnce checks that a variable no join
+// seeds is evaluated once per run, since its pathways do not depend on
+// the tuple they extend: Q of a join once for every P, and P of a
+// correlated NOT EXISTS once for every outer V. The governor counts each
+// evaluation's pathways once, so the join fits a MaxPaths of P's 3 plus
+// Q's 2, and the NOT EXISTS one of V's 3 placements plus P's 6 chains.
+func TestUnseededVariableEvaluatedOnce(t *testing.T) {
+	backends(t, func(t *testing.T, f *fixture) {
+		for _, c := range []struct {
+			src, v         string
+			rows, maxPaths int
+		}{
+			{`Retrieve P, Q From PATHS P, PATHS Q
+				Where P MATCHES VNF()->[Vertical()]{1,6}->Host()
+				And Q MATCHES Host()->[PhysicalLink()]->Switch()
+				And target(P) = source(Q)`, "Q", 3, 5},
+			{`Retrieve V From PATHS V
+				Where V MATCHES VM()->OnServer()->Host()
+				And NOT EXISTS(
+					Retrieve P From PATHS P
+					Where P MATCHES (VNF()|VFC())->[Vertical()]{1,5}->VM()
+					And target(P) = source(V)
+				)`, "P", 0, 9},
+		} {
+			a := f.analyze(t, c.src)
+			res, err := f.x.Run(context.Background(), a, RunOptions{Limits: Limits{MaxPaths: c.maxPaths}, Parent: obs.NewSpan("Execute", "")})
+			if err != nil {
+				t.Fatalf("%s: %v", c.v, err)
+			}
+			if len(res.Rows) != c.rows {
+				t.Errorf("%s: %d rows, want %d", c.v, len(res.Rows), c.rows)
+			}
+			var span *obs.Span
+			for _, ch := range res.Trace.Children() {
+				if ch.Name() == "Var" && ch.Detail() == c.v {
+					span = ch
+				}
+			}
+			if span == nil {
+				t.Fatalf("%s: no Var span in the trace", c.v)
+			}
+			if text := res.Plans[c.v].ExplainAnalyze(span); !strings.Contains(text, "evals=1 ") {
+				t.Errorf("%s evaluated more than once:\n%s", c.v, text)
+			}
+		}
+	})
 }

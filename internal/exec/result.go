@@ -25,27 +25,71 @@ import (
 	"repro/internal/temporal"
 )
 
-// Row is one result tuple: the pathway bound to each range variable plus
-// its temporal annotation.
+// Row is one result tuple: an index into its result's row table.
 type Row struct {
-	// Values holds the projected values in projection order: for
-	// Retrieve a *plan.Pathway pointing at the row's binding, scalars for
-	// Select terms. All rows of a result share one backing array.
-	Values []any
-	// Coexist is the maximal range during which all bound pathways
-	// coexisted; populated for query-level time semantics.
-	Coexist temporal.Set
-	// bind holds the pathway of each range variable by slot: a window of
-	// the evaluation's pathway set when the query binds one variable, of
-	// its last join step's slab otherwise; slots names them.
-	bind  []plan.Pathway
-	slots *slots
+	t *table
+	i int
 }
+
+// table holds the rows of a result: the pathway bound to each
+// range variable, row-major, width slots a row, with the slots naming
+// them; each row's coexistence where it needs a column of its own; and
+// the projected values, ncols a row. A one-variable query's bindings are
+// its evaluation's own sealed pathway array, filtered in place.
+type table struct {
+	slots *slots
+	width int
+	bind  []plan.Pathway
+	// co holds each row's coexistence when the query binds more than one
+	// variable under query-level time. With one variable the row's range
+	// is its pathway's own validity, and per-variable time has none.
+	co    []temporal.Set
+	vals  []any
+	ncols int
+}
+
+// len returns the number of rows the table binds.
+func (t *table) len() int { return len(t.bind) / t.width }
+
+// row returns row i's bindings by slot.
+func (t *table) row(i int) []plan.Pathway {
+	w := t.width
+	return t.bind[i*w : (i+1)*w : (i+1)*w]
+}
+
+// coexist returns row i's coexistence ranges: nil under per-variable
+// time and on a count(...) row.
+func (t *table) coexist(i int) temporal.Set {
+	switch {
+	case t.co != nil:
+		return t.co[i]
+	case t.slots == nil || t.slots.perVar:
+		return nil
+	default:
+		return t.bind[i].Validity
+	}
+}
+
+// Values returns the projected values in projection order: for Retrieve
+// a *plan.Pathway pointing at the row's binding, scalars for Select
+// terms. All rows of a result share one backing array.
+func (r Row) Values() []any {
+	n := r.t.ncols
+	return r.t.vals[r.i*n : (r.i+1)*n : (r.i+1)*n]
+}
+
+// Coexist returns the maximal ranges during which all the row's bound
+// pathways coexisted under query-level time, and nil under per-variable
+// time (see VarTime).
+func (r Row) Coexist() temporal.Set { return r.t.coexist(r.i) }
 
 // Binding returns the pathway bound to a range variable; ok is false for
 // a name the query does not declare (and on a count(...) row).
 func (r Row) Binding(name string) (plan.Pathway, bool) {
-	return r.slots.lookup(name, r.bind) // a nil slots binds nothing
+	if r.t.slots == nil {
+		return plan.Pathway{}, false
+	}
+	return r.t.slots.lookup(name, r.t.row(r.i))
 }
 
 // VarTime returns a variable's own maximal validity ranges when the
@@ -53,7 +97,7 @@ func (r Row) Binding(name string) (plan.Pathway, bool) {
 // time (where Coexist holds the row's ranges).
 func (r Row) VarTime(name string) temporal.Set {
 	p, ok := r.Binding(name)
-	if !ok || !r.slots.perVar {
+	if !ok || !r.t.slots.perVar {
 		return nil
 	}
 	return p.Validity
@@ -130,8 +174,9 @@ func (r *Result) Format(render func(plan.Pathway) string) string {
 	sb.WriteString(strings.Join(r.Columns, " | "))
 	sb.WriteByte('\n')
 	for _, row := range r.Rows {
-		parts := make([]string, len(row.Values))
-		for i, v := range row.Values {
+		vals := row.Values()
+		parts := make([]string, len(vals))
+		for i, v := range vals {
 			if p, ok := v.(*plan.Pathway); ok {
 				parts[i] = render(*p)
 				if len(p.Validity) > 0 {
@@ -142,8 +187,8 @@ func (r *Result) Format(render func(plan.Pathway) string) string {
 			}
 		}
 		sb.WriteString(strings.Join(parts, " | "))
-		if row.Coexist != nil {
-			sb.WriteString("  times: " + row.Coexist.String())
+		if co := row.Coexist(); co != nil {
+			sb.WriteString("  times: " + co.String())
 		}
 		sb.WriteByte('\n')
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -20,7 +21,7 @@ func (f *fixture) paths(t *testing.T, src string) []plan.Pathway {
 	t.Helper()
 	var out []plan.Pathway
 	for _, row := range f.run(t, src).Rows {
-		out = append(out, *row.Values[0].(*plan.Pathway))
+		out = append(out, *row.Values()[0].(*plan.Pathway))
 	}
 	return out
 }
@@ -44,11 +45,29 @@ func sameStrings(t *testing.T, what string, got, want []string) {
 	}
 }
 
+// raceEnabled reports a -race build, whose runtime changes what a run
+// allocates in bytes.
+var raceEnabled bool
+
+// bytesPerRun returns the bytes fn allocates, averaged over n calls.
+func bytesPerRun(n int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
 // TestRowAllocations pins what the executor adds to the engine's search
-// for a one-variable Retrieve: a constant, whatever the number of rows.
-// The rows are built once, each binding is a window of the evaluation's
-// pathway set, Values share one slab per result and a projected pathway
-// is a pointer to its binding, so nothing is allocated per row.
+// for a one-variable Retrieve. In allocations, a constant whatever the
+// number of rows: the rows are built once, the row table's bindings are
+// the evaluation's own pathway array, Values share one slab per result
+// and a projected pathway is a pointer to its binding. In bytes, a
+// constant plus, for each row, its 16-byte index into the table and
+// its projected values' 16-byte cells.
 func TestRowAllocations(t *testing.T) {
 	f := newFixture(t, "gremlin")
 	for i := 0; i < 200; i++ {
@@ -73,6 +92,16 @@ func TestRowAllocations(t *testing.T) {
 	if extra, bound := run-search, 40; rows < 200 || extra > float64(bound) {
 		t.Errorf("%d rows: the executor allocates %.0f on top of the search's %.0f, want at most %d",
 			rows, extra, search, bound)
+	}
+	if raceEnabled {
+		t.Skip("the race runtime changes what a run allocates in bytes")
+	}
+	runB := bytesPerRun(20, func() { f.x.Run(ctx, a, RunOptions{}) })
+	searchB := bytesPerRun(20, func() { f.x.Default.EvalWith(view, p, plan.EvalOpts{}) })
+	perRow := 16 + 16*len(res.Columns)
+	if extra, bound := runB-searchB, float64(perRow*rows+4096); extra > bound {
+		t.Errorf("%d rows: the executor allocates %.0f B on top of the search's %.0f B, want at most %d B a row and 4096 B (%.0f B)",
+			rows, extra, searchB, perRow, bound)
 	}
 }
 
@@ -99,10 +128,10 @@ func TestBindingSourceTargetJoin(t *testing.T) {
 		var got []string
 		for _, row := range res.Rows {
 			p, q := mustBinding(t, row, "P"), mustBinding(t, row, "Q")
-			if row.Values[0].(*plan.Pathway).Key() != p.Key() || row.Values[1].(*plan.Pathway).Key() != q.Key() {
-				t.Errorf("projected %v, bound P=%s Q=%s", row.Values, p.Key(), q.Key())
+			if row.Values()[0].(*plan.Pathway).Key() != p.Key() || row.Values()[1].(*plan.Pathway).Key() != q.Key() {
+				t.Errorf("projected %v, bound P=%s Q=%s", row.Values(), p.Key(), q.Key())
 			}
-			got = append(got, p.Key()+" / "+q.Key()+" "+row.Coexist.String())
+			got = append(got, p.Key()+" / "+q.Key()+" "+row.Coexist().String())
 		}
 		if len(want) == 0 {
 			t.Fatal("fixture has no joinable pairs")
@@ -194,8 +223,8 @@ func TestBindingPerVariableTimes(t *testing.T) {
 			t.Fatalf("rows = %d, want 1", len(res.Rows))
 		}
 		row := res.Rows[0]
-		if row.Coexist != nil {
-			t.Errorf("per-variable query computed coexistence %v", row.Coexist)
+		if row.Coexist() != nil {
+			t.Errorf("per-variable query computed coexistence %v", row.Coexist())
 		}
 		// P holds from the demo load to the migration, Q from the
 		// migration's re-placement on (the clock ticks per mutation).
@@ -218,12 +247,16 @@ func TestBindingPerVariableTimes(t *testing.T) {
 	})
 }
 
-// TestRetainedResult keeps the Results of queries whose rows bind an
-// evaluation's pathway set in place (one variable) and through a join
-// step's slab (two), then runs them and larger and smaller queries from
-// four goroutines on the same executor, every evaluation reusing pooled
-// search scratch: each kept row's projected values, bindings and
-// coexistence must read as they did when the Result was returned.
+// TestRetainedResult keeps the Results of queries whose row tables bind
+// an evaluation's pathway set in place (one variable) and through a join
+// step's slab (two), with each coexistence mode: a one-variable row's
+// own validity, a join's coexistence column and per-variable time's
+// none. It keeps a join against an unseeded variable's one shared set, a
+// NOT EXISTS filter's survivors and a count(...) row too. Then it runs
+// them and larger and smaller queries from four goroutines on the same
+// executor, every evaluation reusing pooled search scratch: each kept
+// row's projected values, bindings and coexistence must read as they did
+// when the Result was returned.
 func TestRetainedResult(t *testing.T) {
 	backends(t, func(t *testing.T, f *fixture) {
 		var analyzed []*query.Analyzed
@@ -235,14 +268,30 @@ func TestRetainedResult(t *testing.T) {
 				And source(Q) = target(P)`,
 			"Select source(P).name, len(P) From PATHS P Where P MATCHES VM()->OnServer()->Host()",
 			"Retrieve Q From PATHS Q Where Q MATCHES Host()->[PhysicalLink()]{1,6}->Host()",
+			`Retrieve P, Q From PATHS P, PATHS Q
+				Where P MATCHES VNF()->[Vertical()]{1,6}->Host()
+				And Q MATCHES Host()->[PhysicalLink()]->Switch()
+				And target(P) = source(Q)`,
+			`Retrieve Q From PATHS Q
+				Where Q MATCHES Host()->[PhysicalLink()]{1,2}->Switch()
+				And NOT EXISTS(
+					Retrieve S From PATHS S
+					Where S MATCHES SpineSwitch()
+					And source(S) = target(Q)
+				)`,
+			"Select count(P) From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()",
+			`Retrieve P, Q From PATHS P(@'2017-02-15 05:00'), Q(@'2017-02-15 06:00')
+				Where P MATCHES VM()->OnServer()->Host()
+				And Q MATCHES Host()->[PhysicalLink()]->Switch()
+				And target(P) = source(Q)`,
 		} {
 			analyzed = append(analyzed, f.analyze(t, src))
 		}
 		snapshot := func(res *Result) []string {
 			var out []string
 			for _, row := range res.Rows {
-				line := row.Coexist.String()
-				for _, v := range row.Values {
+				line := row.Coexist().String()
+				for _, v := range row.Values() {
 					if p, ok := v.(*plan.Pathway); ok {
 						line += " | " + p.Key() + " " + p.Validity.String()
 					} else {
@@ -288,4 +337,38 @@ func TestRetainedResult(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkRetrieveRows measures the executor's row layer beside the
+// search it runs: B/op and allocs/op of a one-variable Retrieve of 1,502
+// hosts, and of a two-variable join whose 1,500 rows each bind an added
+// host and its uplink to tor-1.
+func BenchmarkRetrieveRows(b *testing.B) {
+	f := newFixture(b, "gremlin")
+	for i := 0; i < 1500; i++ {
+		h, err := f.st.InsertNode("ComputeHost", graph.Fields{"id": int64(20000 + i), "name": fmt.Sprintf("h%d", i), "rack": "rx", "status": "Active"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.st.InsertEdge("PhysicalLink", h, f.d.TOR1, graph.Fields{"id": int64(30000 + i), "switchInterface": "up"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ name, src string }{
+		{"one-variable", "Retrieve P From PATHS P Where P MATCHES ComputeHost()"},
+		{"join", `Retrieve P, Q From PATHS P, PATHS Q
+			Where P MATCHES ComputeHost(rack='rx')
+			And Q MATCHES ComputeHost()->PhysicalLink()
+			And source(Q) = source(P)`},
+	} {
+		a := f.analyze(b, c.src)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.x.Run(context.Background(), a, RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

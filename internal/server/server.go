@@ -565,8 +565,9 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 	// One slab backs every row's Values, one every pathway's Elems.
 	cells, uids := 0, 0
 	for _, row := range res.Rows {
-		cells += len(row.Values)
-		for _, v := range row.Values {
+		vals := row.Values()
+		cells += len(vals)
+		for _, v := range vals {
 			if p, ok := v.(*plan.Pathway); ok {
 				uids += len(p.Elems)
 			}
@@ -575,10 +576,11 @@ func (s *Server) resultOut(res *exec.Result, cached bool, elapsed time.Duration)
 	vals, elems := make([]Value, cells), make([]int64, uids)
 	out.Rows = make([]Row, len(res.Rows))
 	for i, row := range res.Rows {
-		n := len(row.Values)
-		wr := Row{Values: vals[:n:n], Coexist: intervalsOut(row.Coexist, temporal.Time)}
+		rv := row.Values()
+		n := len(rv)
+		wr := Row{Values: vals[:n:n], Coexist: intervalsOut(row.Coexist(), temporal.Time)}
 		vals = vals[n:]
-		for j, v := range row.Values {
+		for j, v := range rv {
 			p, ok := v.(*plan.Pathway)
 			if !ok {
 				if v != nil {

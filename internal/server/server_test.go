@@ -106,7 +106,7 @@ func TestQueryResultsMatchLocal(t *testing.T) {
 	}
 	localKeys := map[string]bool{}
 	for _, row := range local.Rows {
-		localKeys[row.Values[0].(*plan.Pathway).Key()] = true
+		localKeys[row.Values()[0].(*plan.Pathway).Key()] = true
 	}
 	for _, row := range remote.Rows {
 		key := row.Values[0].(*client.Pathway).Pathway.Key()
@@ -133,7 +133,7 @@ func TestQueryResultsMatchLocal(t *testing.T) {
 	if len(local.Rows) != 1 || len(remote.Rows) != 1 {
 		t.Fatalf("big-id rows: local %d, remote %d; want 1 each", len(local.Rows), len(remote.Rows))
 	}
-	if got, want := remote.Rows[0].Values, local.Rows[0].Values; fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := remote.Rows[0].Values, local.Rows[0].Values(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("remote scalars %v, local %v", got, want)
 	}
 	if id, ok := remote.Rows[0].Values[0].(int64); !ok || id != 9007199254740993 {

@@ -640,8 +640,9 @@ func (h *Hub) renderRows(res *exec.Result, prev map[string]*resultRow, pvar stri
 // rowKey keys a result row: pathway values by their canonical step-UID
 // key, scalars by their printed form.
 func rowKey(row exec.Row) string {
-	keys := make([]string, len(row.Values))
-	for i, v := range row.Values {
+	vals := row.Values()
+	keys := make([]string, len(vals))
+	for i, v := range vals {
 		if pw, ok := v.(*plan.Pathway); ok {
 			keys[i] = pw.Key()
 		} else {
@@ -654,8 +655,9 @@ func rowKey(row exec.Row) string {
 // render renders a result row: pathway values through the store,
 // scalars by their printed form.
 func (h *Hub) render(row exec.Row) string {
-	parts := make([]string, len(row.Values))
-	for i, v := range row.Values {
+	vals := row.Values()
+	parts := make([]string, len(vals))
+	for i, v := range vals {
 		if pw, ok := v.(*plan.Pathway); ok {
 			parts[i] = h.db.RenderPath(*pw)
 		} else {
