@@ -85,8 +85,10 @@ crash:
 # the WAL frame decoder (every replication batch and crash-recovery
 # scan), the checkpoint loader (every recovery's checkpoint and every
 # follower's bootstrap snapshot), statement preparation (every /v1/query
-# body: parse, analyze, fingerprint, and the statement template bound to
-# substituted literals against a fresh compile), the statement entry
+# body: parse, analyze, the digest held to its shape — the hash of its
+# text, masking exactly the template's parameters, kept by every literal
+# substitution — and the statement template bound to substituted
+# literals against a fresh compile), the statement entry
 # points (raw bytes as a /v1/query body and raw name, q and queue values
 # on /v1/watch/query: never a panic, a 5xx or an undocumented status)
 # and the /v1/ingest write path (random op batches

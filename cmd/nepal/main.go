@@ -401,23 +401,22 @@ func execute(db *core.DB, out io.Writer, src string, opt options) error {
 	if opt.explain || opt.gen != "" {
 		return nil
 	}
+	var o exec.RunOptions
 	if opt.explainAnalyze {
-		text, res, err := stmt.ExplainAnalyze(context.Background(), exec.Limits{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, text)
-		fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
-		return nil
+		o.Parent = obs.NewSpan("Execute", "")
 	}
-	res, err := stmt.Exec(context.Background())
+	res, err := stmt.Run(context.Background(), o)
 	if err != nil {
 		return err
 	}
-	if d := time.Since(start); opt.slowQuery > 0 && d >= opt.slowQuery {
-		printSlowQuery(out, src, d, res)
+	if opt.explainAnalyze {
+		fmt.Fprint(out, stmt.ExplainTrace(res))
+	} else {
+		if d := time.Since(start); opt.slowQuery > 0 && d >= opt.slowQuery {
+			printSlowQuery(out, src, d, res)
+		}
+		fmt.Fprint(out, res.Format(db.RenderPath))
 	}
-	fmt.Fprint(out, res.Format(db.RenderPath))
 	fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 	return nil
 }

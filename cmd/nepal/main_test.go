@@ -14,8 +14,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/netmodel"
+	"repro/internal/query"
+	"repro/internal/rpe"
 	"repro/internal/server"
-	"repro/internal/stats"
 )
 
 func TestRunDemoQuery(t *testing.T) {
@@ -113,7 +114,11 @@ func TestSlowQueryBlockShape(t *testing.T) {
 		slowQuery: time.Nanosecond, out: &out}); err != nil {
 		t.Fatal(err)
 	}
-	digest, _ := stats.Fingerprint(q)
+	toks, err := rpe.Lex(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, _ := query.Fingerprint(toks)
 	text := out.String()
 	last := -1
 	for _, want := range []string{

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -19,9 +21,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	db, err := core.Open(netmodel.MustSchema(), core.WithBackend(core.BackendRelational))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// A mid-size generated service inventory: ~35 VNFs on a leaf-spine
 	// fabric, including idle VMs.
@@ -36,7 +44,7 @@ func main() {
 	cfg.IdleVMs = 3
 	svc, err := workload.BuildService(db.Store(), cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	idOf := func(uid graph.UID) any { return db.Store().Object(uid).Current().Fields["id"] }
 
@@ -53,10 +61,10 @@ func main() {
 		And source(Phys)=target(D1)
 		And target(Phys)=target(D2)`, idOf(vnfA), idOf(vnfB))
 
-	fmt.Printf("== physical paths induced by VNF#%v <-> VNF#%v ==\n", idOf(vnfA), idOf(vnfB))
+	fmt.Fprintf(w, "== physical paths induced by VNF#%v <-> VNF#%v ==\n", idOf(vnfA), idOf(vnfB))
 	res, err := db.Query(q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
@@ -66,9 +74,9 @@ func main() {
 			continue
 		}
 		seen[line] = true
-		fmt.Println("  " + line)
+		fmt.Fprintln(w, "  "+line)
 		if len(seen) >= 6 {
-			fmt.Printf("  ... (%d rows total)\n", len(res.Rows))
+			fmt.Fprintf(w, "  ... (%d rows total)\n", len(res.Rows))
 			break
 		}
 	}
@@ -85,13 +93,13 @@ func main() {
 		And target(Phys)=target(D2)`, idOf(vnfA), idOf(vnfB))
 	res, err = db.Query(qSpine)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\n== of those, paths crossing a spine switch: %d ==\n", len(res.Rows))
+	fmt.Fprintf(w, "\n== of those, paths crossing a spine switch: %d ==\n", len(res.Rows))
 
 	// Stranded capacity: the paper's NOT EXISTS example — VMs that do not
 	// host a VFC or VNF. The subquery is correlated on target(V)=target(P).
-	fmt.Println("\n== idle VMs (NOT EXISTS subquery) ==")
+	fmt.Fprintln(w, "\n== idle VMs (NOT EXISTS subquery) ==")
 	res, err = db.Query(`
 		Select source(V).name, source(V).id
 		From PATHS V
@@ -102,10 +110,11 @@ func main() {
 			And target(V) = target(P)
 		)`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  %v (id=%v) hosts nothing\n", row.Values()[0], row.Values()[1])
+		fmt.Fprintf(w, "  %v (id=%v) hosts nothing\n", row.Values()[0], row.Values()[1])
 	}
-	fmt.Printf("  %d of %d VMs are idle\n", len(res.Rows), len(svc.VMs))
+	fmt.Fprintf(w, "  %d of %d VMs are idle\n", len(res.Rows), len(svc.VMs))
+	return nil
 }

@@ -12,25 +12,35 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/plan"
 	"repro/internal/temporal"
 )
 
 var t0 = time.Date(2017, 2, 15, 0, 0, 0, 0, time.UTC)
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Inventory 1: the service/cloud inventory (Gremlin-style backend).
 	clock1 := temporal.NewManualClock(t0)
 	services, err := core.Open(netmodel.MustSchema(), core.WithClock(clock1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Inventory 2: the physical-plant inventory (relational backend),
 	// owned by a different organization, fed by snapshots.
@@ -38,22 +48,22 @@ func main() {
 	physical, err := core.Open(netmodel.MustSchema(),
 		core.WithBackend(core.BackendRelational), core.WithClock(clock2))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Both inventories know the hosts (shared ids 1001/1002); only the
 	// service inventory knows VNFs/VMs, only the physical inventory knows
 	// the switch fabric.
 	if _, err := netmodel.BuildDemo(services.Store(), 1000); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	dump := physicalDump("ge-0/0/1")
 	stats, err := physical.ApplySnapshot(dump)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("physical inventory initial dump: +%d nodes +%d edges\n",
+	fmt.Fprintf(w, "physical inventory initial dump: +%d nodes +%d edges\n",
 		stats.NodesInserted, stats.EdgesInserted)
 
 	// The cross-inventory question: for the firewall VNF (known only to
@@ -65,12 +75,17 @@ func main() {
 		Where D1 MATCHES VNF(vnfType='firewall')->[Vertical()]{1,6}->Host()
 		And Phys MATCHES PhysicalLink(){1,4}
 		And source(Phys)=target(D1)`
-	res, err := services.QueryRouted(q, map[string]*core.DB{"Phys": physical})
+	join, err := services.Prepare(q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\n== fabric paths out of the firewall's host (cross-inventory join) ==")
-	printPhys(physical, res)
+	routed := exec.RunOptions{Routes: map[string]*plan.Engine{"Phys": physical.Engine()}}
+	res, err := join.Run(context.Background(), routed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\n== fabric paths out of the firewall's host (cross-inventory join) ==")
+	printPhys(w, physical, res)
 
 	// A day later the physical team recables host-1 to tor-2 and ships a
 	// fresh dump. ApplySnapshot computes the diff; history is preserved.
@@ -86,39 +101,42 @@ func main() {
 	}
 	diff, err := physical.ApplySnapshot(dump2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nnext-day dump applied as a diff: %+v\n", diff)
+	fmt.Fprintf(w, "\nnext-day dump applied as a diff: %+v\n", diff)
 
-	res, err = services.QueryRouted(q, map[string]*core.DB{"Phys": physical})
+	res, err = join.Run(context.Background(), routed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\n== the same join after the recable ==")
-	printPhys(physical, res)
+	fmt.Fprintln(w, "\n== the same join after the recable ==")
+	printPhys(w, physical, res)
 
 	// And because the physical store is temporal, yesterday's wiring is
 	// one AT clause away — even though it arrived via full dumps.
-	past, err := physical.MatchPathsAt(`Host(id=1001)->PhysicalLink()->Switch()`, t0.Add(time.Hour))
+	past, err := physical.Query(`AT '2017-02-15 01:00:00' Retrieve P From PATHS P
+		Where P MATCHES Host(id=1001)->PhysicalLink()->Switch()`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\n== host-1 uplinks yesterday (from dump history) ==")
-	for _, p := range past {
-		fmt.Println("  " + physical.RenderPath(p))
+	fmt.Fprintln(w, "\n== host-1 uplinks yesterday (from dump history) ==")
+	for _, row := range past.Rows {
+		p, _ := row.Binding("P")
+		fmt.Fprintln(w, "  "+physical.RenderPath(p))
 	}
+	return nil
 }
 
 // printPhys prints the distinct Phys pathways of a result (the firewall
 // has two service chains to the same host, so join rows repeat pathways).
-func printPhys(physical *core.DB, res *exec.Result) {
+func printPhys(w io.Writer, physical *core.DB, res *exec.Result) {
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
 		phys, _ := row.Binding("Phys")
 		line := physical.RenderPath(phys)
 		if !seen[line] {
 			seen[line] = true
-			fmt.Println("  " + line)
+			fmt.Fprintln(w, "  "+line)
 		}
 	}
 }

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -14,65 +16,74 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A Nepal database is a strongly-typed temporal graph store plus a
 	// query backend (Gremlin-style by default; relational available).
 	db, err := core.Open(netmodel.MustSchema())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	demo, err := netmodel.BuildDemo(db.Store(), 1000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The network engineer's first question (§3.4): which hosts does the
 	// firewall VNF ultimately run on? The engineer does not need to know
 	// the implementation chain — composed_of, on_vm, on_server are all
 	// Vertical, and the class hierarchy matches subclasses automatically.
-	fmt.Println("== hosts supporting each VNF (VNF -> Vertical{1,6} -> Host) ==")
+	fmt.Fprintln(w, "== hosts supporting each VNF (VNF -> Vertical{1,6} -> Host) ==")
 	res, err := db.Query(`
 		Select source(P).name, target(P).name, len(P)
 		From PATHS P
 		Where P MATCHES VNF()->[Vertical()]{1,6}->Host()`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, row := range res.Rows {
-		fmt.Printf("  %-8v -> %-8v (%v hops)\n", row.Values()[0], row.Values()[1], row.Values()[2])
+		fmt.Fprintf(w, "  %-8v -> %-8v (%v hops)\n", row.Values()[0], row.Values()[1], row.Values()[2])
 	}
 
 	// Pathways are first-class: Retrieve returns them whole, and they
 	// compose — here, the full underlay route between the two hosts.
-	fmt.Println("\n== physical routes host-1 -> host-2 ==")
-	paths, err := db.MatchPaths(`Host(name='host-1')->[PhysicalLink()]{1,4}->Host(name='host-2')`)
+	fmt.Fprintln(w, "\n== physical routes host-1 -> host-2 ==")
+	res, err = db.Query(`Retrieve P From PATHS P
+		Where P MATCHES Host(name='host-1')->[PhysicalLink()]{1,4}->Host(name='host-2')`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	for _, p := range paths {
-		fmt.Println("  " + db.RenderPath(p))
+	for _, row := range res.Rows {
+		p, _ := row.Binding("P")
+		fmt.Fprintln(w, "  "+db.RenderPath(p))
 	}
 
 	// Strong typing: the schema rejects garbage before it reaches the
 	// graph — misspelled fields, wrong value types, and edges the model
 	// does not permit (a VNF cannot be hosted directly on a server).
-	fmt.Println("\n== strong typing in action ==")
+	fmt.Fprintln(w, "\n== strong typing in action ==")
 	_, err = db.InsertNode("VMWare", graph.Fields{"id": 999, "stattus": "Green"})
-	fmt.Println("  misspelled field:  ", err)
+	fmt.Fprintln(w, "  misspelled field:  ", err)
 	_, err = db.InsertNode("VMWare", graph.Fields{"id": "not-a-number"})
-	fmt.Println("  ill-typed id:      ", err)
+	fmt.Fprintln(w, "  ill-typed id:      ", err)
 	_, err = db.InsertEdge(netmodel.OnServer, demo.FirewallVNF, demo.Host1, graph.Fields{"id": 998})
-	fmt.Println("  model-illegal edge:", err)
+	fmt.Fprintln(w, "  model-illegal edge:", err)
 
 	// And the query language is typed too: referencing a subclass field
 	// through a parent atom is a compile-time error.
 	_, err = db.Query(`Retrieve P From PATHS P Where P MATCHES Container(flavor='m1.large')`)
-	fmt.Println("  ill-typed query:   ", err)
+	fmt.Fprintln(w, "  ill-typed query:   ", err)
 
 	// EXPLAIN shows the §5.1 plan: anchor selection plus Extend operators.
-	fmt.Println("\n== query plan ==")
-	plan, err := db.Explain(`Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)`)
+	fmt.Fprintln(w, "\n== query plan ==")
+	stmt, err := db.Prepare(`Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(plan)
+	fmt.Fprint(w, stmt.Explain())
+	return nil
 }

@@ -13,8 +13,14 @@
 //	    Select source(P).name From PATHS P
 //	    Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=23245)`)
 //
-// Several DBs over different backends can be joined in one query through
-// QueryRouted — Nepal's data-integration mode (§3.1).
+// Every query runs through one body, Prepared.Run: Query is Prepare then
+// Exec, and Exec is Run with no options. The options carry what varies
+// per execution — limits that tighten the DB's, a trace parent (EXPLAIN
+// ANALYZE), a restriction to the pathways through given elements (what
+// standing queries patch with), and routes that join pathways of other
+// DBs on other backends into the query, Nepal's data-integration mode
+// (§3.1). Each run is observed once, into the DB's registry and its
+// statement statistics.
 package core
 
 import (
@@ -22,7 +28,6 @@ import (
 	"fmt"
 	"maps"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -94,8 +99,8 @@ func WithAccessorWrapper(w func(plan.Accessor) plan.Accessor) Option {
 }
 
 // WithLimits installs per-query resource guardrails: every query on the
-// DB — Query, Prepared.Exec and ExecTraced, QueryRouted, standing
-// queries, MatchPaths — runs under them and aborts with
+// DB — Prepared.Run and so Query, Exec, standing queries and every
+// request a server answers — runs under them and aborts with
 // exec.ErrLimitExceeded (or ErrDeadlineExceeded for MaxDuration) when a
 // bound is crossed. Limits passed per call only tighten them. The zero
 // Limits, the default, sets no guardrail.
@@ -118,7 +123,7 @@ type DB struct {
 	closed    atomic.Bool
 }
 
-// dbObs holds the per-query metrics every query entry point records.
+// dbObs holds the per-query metrics Prepared.Run records.
 type dbObs struct {
 	queries      *obs.Counter
 	aborted      *obs.Counter
@@ -242,7 +247,9 @@ func (db *DB) Schema() *schema.Schema { return db.store.Schema() }
 // Backend reports the configured backend name.
 func (db *DB) Backend() string { return db.backend }
 
-// Engine exposes the backend engine (for benchmark harnesses).
+// Engine exposes the backend engine: another DB's query routes a
+// variable here with exec.RunOptions.Routes, and benchmark harnesses
+// evaluate plans on it directly.
 func (db *DB) Engine() *plan.Engine { return db.engine }
 
 // InsertNode validates and inserts a node, returning its UID. This and
@@ -288,83 +295,15 @@ func (db *DB) Instrument(reg *obs.Registry) { reg.Include(db.Registry()) }
 // collection.
 func (db *DB) SetStatementStats(s *stats.Store) { db.stmtStats = s }
 
-// Query parses, analyzes, and executes a Nepal query. The result carries
-// the evaluation's operator-pipeline metrics; tracing stays off on this
-// path, keeping its overhead to counter increments.
+// Query prepares and executes a Nepal query: Prepare, then Exec. The
+// result carries the evaluation's operator-pipeline metrics; tracing
+// stays off on this path, keeping its overhead to counter increments.
 func (db *DB) Query(src string) (*exec.Result, error) {
-	return db.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query under a context: the query aborts cooperatively
-// with exec.ErrCanceled/exec.ErrDeadlineExceeded when ctx is canceled or
-// its deadline (or the DB's Limits.MaxDuration, whichever is earlier)
-// passes. Aborts are recorded in the db.queries_aborted counter and, by
-// outcome, in the statement's statistics.
-func (db *DB) QueryContext(ctx context.Context, src string) (*exec.Result, error) {
 	p, err := db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return p.Exec(ctx)
-}
-
-// QueryRouted executes a query whose range variables may be routed to
-// other databases: routes maps a variable name to the DB serving it.
-// Pathways from the routed stores are joined in the executor, with node
-// identity crossing store boundaries via the schema-unique id field. It
-// runs under this DB's limits and observes into its registry and
-// statistics like a local query; a routed engine's error fails the
-// query with that error.
-func (db *DB) QueryRouted(src string, routes map[string]*DB) (*exec.Result, error) {
-	p, err := db.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	x := exec.New(db.engine)
-	for name, other := range routes {
-		x.Route(name, other.engine)
-	}
-	return p.run(context.Background(), x, exec.RunOptions{})
-}
-
-// MatchPaths evaluates a bare RPE against the current snapshot under the
-// DB's limits and returns the matching pathways — the programmatic fast
-// path equivalent to "Retrieve P From PATHS P Where P MATCHES <rpe>".
-func (db *DB) MatchPaths(rpeSrc string) ([]plan.Pathway, error) {
-	return db.MatchPathsAt(rpeSrc, time.Time{})
-}
-
-// MatchPathsAt is MatchPaths against the snapshot at time at (the zero
-// time means the current snapshot).
-func (db *DB) MatchPathsAt(rpeSrc string, at time.Time) ([]plan.Pathway, error) {
-	c, err := rpe.CheckString(rpeSrc, db.Schema())
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(c, db.store.Stats())
-	if err != nil {
-		return nil, err
-	}
-	view := graph.CurrentView(db.store)
-	if !at.IsZero() {
-		view = graph.PointView(db.store, at)
-	}
-	gov := plan.NewGovernor(context.Background(), db.limits)
-	set, _, _, err := db.engine.EvalWith(view, p, plan.EvalOpts{Gov: gov})
-	if err != nil {
-		return nil, err
-	}
-	return set.Paths(), nil
-}
-
-// Explain returns the query's textual plan: per-variable anchors and
-// operator DAGs (§5.1's Select/Extend/Union form).
-func (db *DB) Explain(src string) (string, error) {
-	p, err := db.Prepare(src)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
+	return p.Exec(context.Background())
 }
 
 // varSpan finds the per-variable group span inside a query trace; when

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/plan"
 	"repro/internal/temporal"
 )
 
@@ -56,13 +59,24 @@ func TestQueryEndToEnd(t *testing.T) {
 	_ = d
 }
 
-func TestMatchPaths(t *testing.T) {
-	db, d, clock := openDemo(t, BackendRelational)
-	paths, err := db.MatchPaths("VNF()->[Vertical()]{1,6}->Host()")
+// matchPaths returns the pathways of "[at] Retrieve P From PATHS P Where
+// P MATCHES rpe".
+func matchPaths(t *testing.T, db *DB, at, rpe string) []plan.Pathway {
+	t.Helper()
+	res, err := db.Query(at + " Retrieve P From PATHS P Where P MATCHES " + rpe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 3 {
+	paths := make([]plan.Pathway, len(res.Rows))
+	for i, row := range res.Rows {
+		paths[i], _ = row.Binding("P")
+	}
+	return paths
+}
+
+func TestMatchPaths(t *testing.T) {
+	db, d, clock := openDemo(t, BackendRelational)
+	if paths := matchPaths(t, db, "", "VNF()->[Vertical()]{1,6}->Host()"); len(paths) != 3 {
 		t.Fatalf("paths = %d, want 3 (two firewall chains, one dns chain)", len(paths))
 	}
 	// Time-travel form: delete the DNS chain and query the past.
@@ -70,28 +84,21 @@ func TestMatchPaths(t *testing.T) {
 	if err := db.Delete(d.DNSVNF); err != nil {
 		t.Fatal(err)
 	}
-	now, err := db.MatchPaths("VNF()->[Vertical()]{1,6}->Host()")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(now) != 2 {
+	if now := matchPaths(t, db, "", "VNF()->[Vertical()]{1,6}->Host()"); len(now) != 2 {
 		t.Fatalf("paths after delete = %d, want 2", len(now))
 	}
-	past, err := db.MatchPathsAt("VNF()->[Vertical()]{1,6}->Host()", t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(past) != 3 {
+	if past := matchPaths(t, db, "AT '2017-02-15 01:00:00'", "VNF()->[Vertical()]{1,6}->Host()"); len(past) != 3 {
 		t.Fatalf("paths in the past = %d, want 3", len(past))
 	}
 }
 
 func TestExplain(t *testing.T) {
 	db, _, _ := openDemo(t, BackendGremlin)
-	out, err := db.Explain("Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)")
+	p, err := db.Prepare("Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)")
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := p.Explain()
 	for _, want := range []string{"variable P", "Select:", "Host(id=1001)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q in:\n%s", want, out)
@@ -100,28 +107,30 @@ func TestExplain(t *testing.T) {
 }
 
 func TestQueryRoutedAcrossBackends(t *testing.T) {
-	dbA, d, _ := openDemo(t, BackendGremlin)
+	dbA, _, _ := openDemo(t, BackendGremlin)
 	dbB, _, _ := openDemo(t, BackendRelational)
-	res, err := dbA.QueryRouted(fmt.Sprintf(`Retrieve Phys
+	p, err := dbA.Prepare(fmt.Sprintf(`Retrieve Phys
 		From PATHS D1, PATHS Phys
 		Where D1 MATCHES VNF(id=%d)->[Vertical()]{1,6}->Host()
 		And Phys MATCHES PhysicalLink(){1,4}
-		And source(Phys)=target(D1)`, 1011),
-		map[string]*DB{"Phys": dbB})
+		And source(Phys)=target(D1)`, 1011))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background(), exec.RunOptions{Routes: map[string]*plan.Engine{"Phys": dbB.Engine()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("routed query returned nothing")
 	}
-	_ = d
 }
 
 func TestPathEvolution(t *testing.T) {
 	db, d, clock := openDemo(t, BackendGremlin)
-	paths, err := db.MatchPaths(fmt.Sprintf("VM(id=%d)->OnServer()->Host()", 1008))
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("vm3 placement paths = %v, %v", paths, err)
+	paths := matchPaths(t, db, "", fmt.Sprintf("VM(id=%d)->OnServer()->Host()", 1008))
+	if len(paths) != 1 {
+		t.Fatalf("vm3 placement paths = %v", paths)
 	}
 	p := paths[0]
 
@@ -190,9 +199,8 @@ func TestApplySnapshotThroughDB(t *testing.T) {
 	if stats.NodesInserted != 2 || stats.EdgesInserted != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	paths, err := db.MatchPaths("VM()->OnServer()->Host()")
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("paths = %v, %v", paths, err)
+	if paths := matchPaths(t, db, "", "VM()->OnServer()->Host()"); len(paths) != 1 {
+		t.Fatalf("paths = %v", paths)
 	}
 }
 

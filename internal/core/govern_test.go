@@ -5,21 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/query"
+	"repro/internal/rpe"
 	"repro/internal/stats"
 	"repro/internal/temporal"
 )
 
 // openSlowDemo opens a demo DB whose backend sleeps 200µs per probe, so
 // the demo query cannot finish inside 1ms; extra options apply last.
-func openSlowDemo(t *testing.T, extra ...Option) *DB {
+func openSlowDemo(t *testing.T, extra ...Option) (*DB, *netmodel.Demo) {
 	t.Helper()
 	db, err := Open(netmodel.MustSchema(), append([]Option{
 		WithBackend(BackendGremlin),
@@ -30,17 +34,18 @@ func openSlowDemo(t *testing.T, extra ...Option) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netmodel.BuildDemo(db.Store(), 1000); err != nil {
+	d, err := netmodel.BuildDemo(db.Store(), 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, d
 }
 
 const demoQuery = "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()"
 
 func TestQueryContextTypedAborts(t *testing.T) {
-	limited := openSlowDemo(t, WithLimits(exec.Limits{MaxDuration: time.Millisecond}))
-	db := openSlowDemo(t)
+	limited, _ := openSlowDemo(t, WithLimits(exec.Limits{MaxDuration: time.Millisecond}))
+	db, _ := openSlowDemo(t)
 	before := runtime.NumGoroutine()
 
 	// MaxDuration=1ms aborts promptly with the typed deadline error.
@@ -53,18 +58,22 @@ func TestQueryContextTypedAborts(t *testing.T) {
 		t.Errorf("1ms budget aborted after %v", elapsed)
 	}
 
+	p, err := db.Prepare(demoQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A pre-canceled context aborts before any real work.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.QueryContext(ctx, demoQuery); !errors.Is(err, exec.ErrCanceled) {
-		t.Fatalf("canceled QueryContext = %v, want ErrCanceled", err)
+	if _, err := p.Exec(ctx); !errors.Is(err, exec.ErrCanceled) {
+		t.Fatalf("canceled Exec = %v, want ErrCanceled", err)
 	}
 
 	// A context deadline maps to the deadline error, not cancellation.
 	ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := db.QueryContext(ctx, demoQuery); !errors.Is(err, exec.ErrDeadlineExceeded) {
-		t.Fatalf("deadline QueryContext = %v, want ErrDeadlineExceeded", err)
+	if _, err := p.Exec(ctx); !errors.Is(err, exec.ErrDeadlineExceeded) {
+		t.Fatalf("deadline Exec = %v, want ErrDeadlineExceeded", err)
 	}
 
 	// Cooperative aborts are synchronous: no goroutines may leak. Allow
@@ -92,7 +101,7 @@ func TestAbortObservability(t *testing.T) {
 	if _, err := p.Exec(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ExecTraced(context.Background(), exec.Limits{MaxPaths: 1}, nil); !errors.Is(err, exec.ErrLimitExceeded) {
+	if _, err := p.Run(context.Background(), exec.RunOptions{Limits: exec.Limits{MaxPaths: 1}}); !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("limited query = %v, want ErrLimitExceeded", err)
 	}
 
@@ -112,32 +121,82 @@ func TestAbortObservability(t *testing.T) {
 	}
 }
 
+// entryPoints are the ways into a query, each running src on db: Query,
+// Prepared.Exec, and Prepared.Run with a trace parent, with the Phys
+// variable routed to other, and restricted to the pathways through
+// host-1 (what standing queries patch with) — the one statement of the
+// table that is not a join, since a restricted run needs a Patchable
+// statement.
+var entryPoints = []struct {
+	name string
+	src  func(t *testing.T, other *DB, d *netmodel.Demo) string
+	run  func(p *Prepared, other *DB, d *netmodel.Demo) (*exec.Result, error)
+}{
+	{"Query", routedDemoQuery, nil},
+	{"Prepared.Exec", routedDemoQuery, func(p *Prepared, _ *DB, _ *netmodel.Demo) (*exec.Result, error) {
+		return p.Exec(context.Background())
+	}},
+	{"Run.Parent", routedDemoQuery, func(p *Prepared, _ *DB, _ *netmodel.Demo) (*exec.Result, error) {
+		return p.Run(context.Background(), exec.RunOptions{Parent: obs.NewSpan("Execute", "")})
+	}},
+	{"Run.Routed", routedDemoQuery, func(p *Prepared, other *DB, _ *netmodel.Demo) (*exec.Result, error) {
+		return p.Run(context.Background(), exec.RunOptions{Routes: map[string]*plan.Engine{"Phys": other.Engine()}})
+	}},
+	{"Run.Through", func(*testing.T, *DB, *netmodel.Demo) string { return demoQuery },
+		func(p *Prepared, _ *DB, d *netmodel.Demo) (*exec.Result, error) {
+			return p.Run(context.Background(), exec.RunOptions{Through: []graph.UID{d.Host1}})
+		}},
+}
+
+// runEntryPoint runs entry point e's statement on db.
+func runEntryPoint(t *testing.T, db, other *DB, d *netmodel.Demo, i int) (src string, res *exec.Result, err error) {
+	t.Helper()
+	e := entryPoints[i]
+	src = e.src(t, other, d)
+	if e.run == nil {
+		res, err = db.Query(src)
+		return src, res, err
+	}
+	p, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.run(p, other, d)
+	return src, res, err
+}
+
 // TestDBLimitsBoundEveryEntryPoint: the DB's limits govern every way
 // into a query, and per-call limits only tighten them — an open or
 // looser per-call bound still aborts at the DB's.
 func TestDBLimitsBoundEveryEntryPoint(t *testing.T) {
-	db, _, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}))
-	bg := context.Background()
+	db, d, _ := openDemo(t, BackendGremlin, WithLimits(exec.Limits{MaxPaths: 1}))
+	other, _, _ := openDemo(t, BackendRelational)
+	for i, e := range entryPoints {
+		if _, _, err := runEntryPoint(t, db, other, d, i); !errors.Is(err, exec.ErrLimitExceeded) {
+			t.Errorf("%s on a MaxPaths=1 DB = %v, want ErrLimitExceeded", e.name, err)
+		}
+	}
 	p, err := db.Prepare(demoQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, call := range map[string]func() error{
-		"ExecTraced open": func() error { _, err := p.ExecTraced(bg, exec.Limits{}, nil); return err },
-		"ExecTraced looser": func() error {
-			_, err := p.ExecTraced(bg, exec.Limits{MaxPaths: 1_000_000}, obs.NewSpan("Execute", ""))
-			return err
-		},
-		"ExplainAnalyze": func() error { _, _, err := p.ExplainAnalyze(bg, exec.Limits{}); return err },
-		"MatchPaths":     func() error { _, err := db.MatchPaths("VNF()->[Vertical()]{1,6}->Host()"); return err },
-		"MatchPathsAt": func() error {
-			_, err := db.MatchPathsAt("VNF()->[Vertical()]{1,6}->Host()", db.Store().Now())
-			return err
-		},
-	} {
-		if err := call(); !errors.Is(err, exec.ErrLimitExceeded) {
-			t.Errorf("%s on a MaxPaths=1 DB = %v, want ErrLimitExceeded", name, err)
-		}
+	looser := exec.RunOptions{Limits: exec.Limits{MaxPaths: 1_000_000}, Parent: obs.NewSpan("Execute", "")}
+	if _, err := p.Run(context.Background(), looser); !errors.Is(err, exec.ErrLimitExceeded) {
+		t.Errorf("Run with a looser MaxPaths on a MaxPaths=1 DB = %v, want ErrLimitExceeded", err)
+	}
+}
+
+// TestRunThroughNeedsPatchable: a join's rows are not one pathway's, so
+// Run refuses to restrict one to the pathways through given elements.
+func TestRunThroughNeedsPatchable(t *testing.T) {
+	db, d, _ := openDemo(t, BackendGremlin)
+	p, err := db.Prepare(routedDemoQuery(t, db, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Run(context.Background(), exec.RunOptions{Through: []graph.UID{d.Host1}})
+	if err == nil || !strings.Contains(err.Error(), "cannot be restricted to the pathways through given elements") {
+		t.Fatalf("restricted run of a join = %v, want the refusal", err)
 	}
 }
 
@@ -159,51 +218,24 @@ func routedDemoQuery(t *testing.T, db *DB, d *netmodel.Demo) string {
 // db.queries_aborted increment, and its observation's outcome is
 // "deadline".
 func TestEntryPointsObserveOnce(t *testing.T) {
-	bg := context.Background()
-	entryPoints := map[string]func(db, other *DB, src string) (*exec.Result, error){
-		"Query":        func(db, _ *DB, src string) (*exec.Result, error) { return db.Query(src) },
-		"QueryContext": func(db, _ *DB, src string) (*exec.Result, error) { return db.QueryContext(bg, src) },
-		"ExplainAnalyze": func(db, _ *DB, src string) (*exec.Result, error) {
-			p, err := db.Prepare(src)
-			if err != nil {
-				return nil, err
-			}
-			_, res, err := p.ExplainAnalyze(bg, exec.Limits{})
-			return res, err
-		},
-		"QueryRouted": func(db, other *DB, src string) (*exec.Result, error) {
-			return db.QueryRouted(src, map[string]*DB{"Phys": other})
-		},
-		"Prepared.Exec": func(db, _ *DB, src string) (*exec.Result, error) {
-			p, err := db.Prepare(src)
-			if err != nil {
-				return nil, err
-			}
-			return p.Exec(bg)
-		},
-		"Prepared.ExecTraced": func(db, _ *DB, src string) (*exec.Result, error) {
-			p, err := db.Prepare(src)
-			if err != nil {
-				return nil, err
-			}
-			return p.ExecTraced(bg, exec.Limits{}, obs.NewSpan("Execute", ""))
-		},
-	}
-	for name, call := range entryPoints {
-		t.Run(name, func(t *testing.T) {
-			other, d, _ := openDemo(t, BackendRelational)
-			src := routedDemoQuery(t, other, d)
-			digest, _ := stats.Fingerprint(src)
+	for i, e := range entryPoints {
+		t.Run(e.name, func(t *testing.T) {
+			other, _, _ := openDemo(t, BackendRelational)
 			for _, lim := range []exec.Limits{{}, {MaxDuration: time.Millisecond}} {
 				st := stats.NewStore(16, nil)
-				db := openSlowDemo(t, WithLimits(lim))
+				db, d := openSlowDemo(t, WithLimits(lim))
 				db.SetStatementStats(st)
 
-				res, err := call(db, other, src)
+				src, res, err := runEntryPoint(t, db, other, d, i)
+				toks, lexErr := rpe.Lex(src)
+				if lexErr != nil {
+					t.Fatal(lexErr)
+				}
+				digest, _ := query.Fingerprint(toks)
 				wantAborted, wantDeadline := int64(0), int64(0)
 				if lim.MaxDuration == 0 {
-					if err != nil || res.Digest != digest {
-						t.Fatalf("unlimited run = %v, digest %q; want ok under %q", err, res.Digest, digest)
+					if err != nil || res.Digest != digest || len(res.Rows) == 0 {
+						t.Fatalf("unlimited run = %v, digest %q; want rows under %q", err, res.Digest, digest)
 					}
 				} else {
 					if !errors.Is(err, exec.ErrDeadlineExceeded) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -18,7 +17,7 @@ import (
 // Prepared is a statement ready to execute many times: its analysis,
 // bound from the statement table's template of its shape (see
 // DB.Prepare), and its fingerprint. A Prepared is immutable and safe for
-// concurrent Exec calls: every execution builds its own governor and
+// concurrent Run calls: every execution builds its own governor and
 // physical plans, so prepared statements can be shared across server
 // request handlers and standing queries.
 //
@@ -41,11 +40,11 @@ func (p *Prepared) Text() string { return p.src }
 // in the statement table rather than compiled.
 func (p *Prepared) Cached() bool { return p.cached }
 
-// Digest returns the statement's literal-masked fingerprint — the key
-// under which its executions aggregate in the statistics store.
+// Digest returns the statement's shape digest (query.Fingerprint) — the
+// key under which its executions aggregate in the statistics store.
 func (p *Prepared) Digest() string { return p.shape.digest }
 
-// NormalizedText returns the literal-masked statement the digest is
+// NormalizedText returns the parameter-masked statement the digest is
 // computed from.
 func (p *Prepared) NormalizedText() string { return p.shape.norm }
 
@@ -109,17 +108,17 @@ func (p *Prepared) Footprint() []string {
 	return plan.ClassFootprint(p.db.Schema(), cs...)
 }
 
-// Exec executes the prepared statement under ctx and the DB's limits,
-// observing into the DB's registry and statistics like Query does.
+// Exec is Run with no options: the statement under ctx and the DB's
+// limits, untraced.
 func (p *Prepared) Exec(ctx context.Context) (*exec.Result, error) {
-	return p.run(ctx, p.db.executor, exec.RunOptions{})
+	return p.Run(ctx, exec.RunOptions{})
 }
 
 // Patchable reports whether each row of the statement's answer is one
 // pathway's, in or out by that pathway's own elements now: one range
 // variable over PATHS, no time binding, no aggregate, no join predicate
 // and no subquery. A write then changes only the rows of the pathways
-// through the elements it touched, which ExecThrough finds.
+// through the elements it touched, which Run with o.Through finds.
 func (p *Prepared) Patchable() bool {
 	q := p.a.Query
 	if len(q.Vars) != 1 || q.At != nil || q.Vars[0].At != nil || q.Agg != query.AggNone ||
@@ -137,42 +136,6 @@ func (p *Prepared) Patchable() bool {
 		}
 	}
 	return true
-}
-
-// ExecThrough is Exec restricted to the pathways that hold at least one
-// of the through elements, for a Patchable statement: each row is one
-// such pathway's (Row.Binding). kept counts pathways the caller keeps
-// from earlier runs; they are charged against the DB's MaxPaths first,
-// so the run fails with the limit a full run would cross.
-func (p *Prepared) ExecThrough(ctx context.Context, through []graph.UID, kept int) (*exec.Result, error) {
-	if !p.Patchable() {
-		return nil, fmt.Errorf("core: %q cannot be restricted to the pathways through given elements", p.shape.norm)
-	}
-	if through == nil {
-		through = []graph.UID{} // non-nil: restricted to nothing
-	}
-	return p.run(ctx, p.db.executor, exec.RunOptions{Through: through, Kept: kept})
-}
-
-// ExecTraced is Exec with per-call limits and optional operator-DAG
-// tracing. The call's limits only tighten the DB's: per field, the
-// smaller nonzero bound wins. A non-nil parent span receives the
-// execution's "Query" span tree as a child (the server passes its
-// request's Execute phase span here, stitching engine operators into
-// the end-to-end trace), and ExplainTrace renders it; a nil parent runs
-// untraced — the counters-only fast path.
-func (p *Prepared) ExecTraced(ctx context.Context, lim exec.Limits, parent *obs.Span) (*exec.Result, error) {
-	return p.run(ctx, p.db.executor, exec.RunOptions{Limits: lim, Parent: parent})
-}
-
-// ExplainAnalyze is ExecTraced under a fresh root span followed by
-// ExplainTrace: the rendering and the traced result.
-func (p *Prepared) ExplainAnalyze(ctx context.Context, lim exec.Limits) (string, *exec.Result, error) {
-	res, err := p.ExecTraced(ctx, lim, obs.NewSpan("Execute", ""))
-	if err != nil {
-		return "", nil, err
-	}
-	return p.ExplainTrace(res), res, nil
 }
 
 // ExplainTrace renders a traced result of this statement in the style of
@@ -194,18 +157,31 @@ func (p *Prepared) ExplainTrace(res *exec.Result) string {
 	return sb.String()
 }
 
-// run is the one body every query entry point executes: run the prepared
-// statement on x under o, its limits folded into the DB's, then record
-// the finished query into the registry's db.* metrics and the
-// per-statement statistics store.
-// Aborted queries (err != nil) count into db.queries_aborted and under
-// their outcome in the statistics. The digest computed at Prepare lands
-// on the result and the stats store.
-func (p *Prepared) run(ctx context.Context, x *exec.Executor, o exec.RunOptions) (*exec.Result, error) {
+// Run is the one body every query executes: the statement under ctx
+// and o on the DB's executor, o.Limits folded into the DB's limits (per
+// field, the smaller nonzero bound wins), then the finished query
+// recorded into the registry's db.* metrics and the per-statement
+// statistics store under the digest computed at Prepare. Aborted
+// queries (err != nil) count into db.queries_aborted and under their
+// outcome in the statistics.
+//
+// A non-nil o.Parent receives the execution's "Query" span tree as a
+// child (the server passes its request's Execute phase span here), and
+// ExplainTrace renders it. o.Routes evaluates the named variables on
+// other DBs' engines (DB.Engine), joined here. A non-nil o.Through —
+// empty means restricted to nothing — restricts a Patchable statement to
+// the pathways holding one of those elements, each row one such
+// pathway's (Row.Binding); the o.Kept pathways the caller keeps from
+// earlier runs are charged against MaxPaths first, so the run fails with
+// the limit a full run would cross.
+func (p *Prepared) Run(ctx context.Context, o exec.RunOptions) (*exec.Result, error) {
+	if o.Through != nil && !p.Patchable() {
+		return nil, fmt.Errorf("core: %q cannot be restricted to the pathways through given elements", p.shape.norm)
+	}
 	db := p.db
 	o.Limits = db.limits.Tighten(o.Limits)
 	start := time.Now()
-	res, err := x.Run(ctx, p.a, o)
+	res, err := db.executor.Run(ctx, p.a, o)
 	dur := time.Since(start)
 	if res != nil {
 		res.Digest = p.shape.digest

@@ -106,7 +106,7 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 		return nil, err
 	}
 	s := &shape{key: string(key), hash: h, tmpl: tmpl}
-	s.digest, s.norm = stats.FingerprintTokens(toks)
+	s.digest, s.norm = query.Fingerprint(toks)
 	db.stmts.put(gen, s)
 	return &Prepared{db: db, src: src, a: a, shape: s}, nil
 }

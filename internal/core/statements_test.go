@@ -35,7 +35,7 @@ func compileFresh(db *DB, src string) (*Prepared, error) {
 		return nil, err
 	}
 	s := &shape{}
-	s.digest, s.norm = stats.FingerprintTokens(toks)
+	s.digest, s.norm = query.Fingerprint(toks)
 	return &Prepared{db: db, src: src, a: a, shape: s}, nil
 }
 

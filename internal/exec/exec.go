@@ -23,33 +23,17 @@ import (
 // system resources").
 const SeedCostThreshold = 512
 
-// Executor runs analyzed queries. Default serves every variable unless
-// Routes maps a variable name to another engine (data-integration mode).
-// It holds no per-query state: everything that varies per execution
-// arrives in RunOptions, so one Executor serves concurrent queries.
+// Executor runs analyzed queries on its Default engine, or a variable on
+// the engine RunOptions.Routes names for it (data-integration mode). It
+// holds no per-query state and is never mutated: everything that varies
+// per execution arrives in RunOptions, so one Executor serves concurrent
+// queries.
 type Executor struct {
 	Default *plan.Engine
-	Routes  map[string]*plan.Engine
 }
 
 // New returns an executor over a single engine.
 func New(e *plan.Engine) *Executor { return &Executor{Default: e} }
-
-// Route directs a range variable to a specific engine, joining its paths
-// with paths from other stores in the executor.
-func (x *Executor) Route(varName string, e *plan.Engine) {
-	if x.Routes == nil {
-		x.Routes = make(map[string]*plan.Engine)
-	}
-	x.Routes[varName] = e
-}
-
-func (x *Executor) engineFor(varName string) *plan.Engine {
-	if e, ok := x.Routes[varName]; ok {
-		return e
-	}
-	return x.Default
-}
 
 // RunOptions is what varies per execution.
 type RunOptions struct {
@@ -67,6 +51,10 @@ type RunOptions struct {
 	// this one's. They are charged against Limits.MaxPaths first, so a
 	// restricted run fails where the whole answer would.
 	Kept int
+	// Routes directs range variables, by name, to other engines: their
+	// pathways are joined with the Default engine's in the executor, node
+	// identity crossing stores through the schema-unique id field.
+	Routes map[string]*plan.Engine
 }
 
 // runCtx carries one query execution's instrumentation and governance:
@@ -86,6 +74,16 @@ type runCtx struct {
 	var0span *obs.Span
 	vars     map[string]*obs.Span
 	gov      *plan.Governor
+	engine   *plan.Engine
+	routes   map[string]*plan.Engine
+}
+
+// engineFor returns the engine that evaluates range variable varName.
+func (rc *runCtx) engineFor(varName string) *plan.Engine {
+	if e, ok := rc.routes[varName]; ok {
+		return e
+	}
+	return rc.engine
 }
 
 // varSpan returns the grouping span of one range variable's evaluations.
@@ -121,7 +119,8 @@ func (rc *runCtx) varSpan(name string) *obs.Span {
 // machinery (engine panics are already converted one layer down)
 // surfaces as a *plan.PanicError instead of unwinding the caller.
 func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (res *Result, err error) {
-	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits), through: o.Through}
+	rc := &runCtx{plans: map[string]*plan.Plan{}, gov: plan.NewGovernor(ctx, o.Limits), through: o.Through,
+		engine: x.Default, routes: o.Routes}
 	if o.Parent != nil {
 		rc.span = o.Parent.StartChild("Query", "")
 	}
@@ -138,7 +137,7 @@ func (x *Executor) Run(ctx context.Context, a *query.Analyzed, o RunOptions) (re
 }
 
 func (x *Executor) run(a *query.Analyzed, rc *runCtx) (*Result, error) {
-	lv, err := x.newLevel(a, nil)
+	lv, err := x.newLevel(a, nil, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -245,9 +244,9 @@ type level struct {
 
 // newLevel compiles query level a; outer holds the slots of the
 // enclosing level of a correlated subquery and is nil at the top level.
-func (x *Executor) newLevel(a *query.Analyzed, outer *slots) (*level, error) {
+func (x *Executor) newLevel(a *query.Analyzed, outer *slots, rc *runCtx) (*level, error) {
 	q := a.Query
-	order, err := x.evalOrder(a)
+	order, err := x.evalOrder(a, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +260,7 @@ func (x *Executor) newLevel(a *query.Analyzed, outer *slots) (*level, error) {
 	for _, step := range order {
 		rv, _ := q.Var(step.name)
 		lv.sl.names = append(lv.sl.names, step.name)
-		lv.sl.views = append(lv.sl.views, x.viewFor(step.name, q, rv.At))
+		lv.sl.views = append(lv.sl.views, x.viewFor(step.name, q, rv.At, rc))
 	}
 	for _, p := range q.Preds {
 		if jp, ok := p.(*query.JoinPred); ok {
@@ -269,15 +268,15 @@ func (x *Executor) newLevel(a *query.Analyzed, outer *slots) (*level, error) {
 		}
 	}
 	if !lv.sl.perVar {
-		lv.window = x.windowFor(q)
+		lv.window = x.windowFor(q, rc)
 	}
 	return lv, nil
 }
 
 // sub returns the level of lv's j-th NOT EXISTS subquery.
-func (x *Executor) sub(lv *level, j int) (*level, error) {
+func (x *Executor) sub(lv *level, j int, rc *runCtx) (*level, error) {
 	if lv.subs[j] == nil {
-		s, err := x.newLevel(lv.a.Subqueries[j], lv.sl)
+		s, err := x.newLevel(lv.a.Subqueries[j], lv.sl, rc)
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +383,7 @@ func (x *Executor) admits(lv *level, bind []plan.Pathway, rc *runCtx) (co tempor
 		}
 	}
 	for j := range lv.subs {
-		sub, err := x.sub(lv, j)
+		sub, err := x.sub(lv, j, rc)
 		if err != nil {
 			return nil, false, err
 		}
@@ -443,13 +442,13 @@ type evalStep struct {
 // evalOrder plans the variable evaluation order: anchored variables by
 // ascending anchor cost, then variables whose anchors are imported from
 // joins against already-ordered variables.
-func (x *Executor) evalOrder(a *query.Analyzed) ([]evalStep, error) {
+func (x *Executor) evalOrder(a *query.Analyzed, rc *runCtx) ([]evalStep, error) {
 	q := a.Query
 	var anchored []evalStep
 	pending := map[string]bool{}
 	for _, rv := range q.Vars {
 		checked := a.Checked[rv.Name]
-		st := x.engineFor(rv.Name).Accessor().Store()
+		st := rc.engineFor(rv.Name).Accessor().Store()
 		p, err := plan.Build(checked, st.Stats())
 		if err != nil {
 			pending[rv.Name] = true
@@ -537,10 +536,10 @@ func (x *Executor) findSeed(a *query.Analyzed, name string, placed map[string]bo
 // error.
 func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl *slots, bind []plan.Pathway, rc *runCtx) ([]plan.Pathway, error) {
 	rc.plans[step.name] = step.plan
-	eng := x.engineFor(step.name)
+	eng := rc.engineFor(step.name)
 	opts := plan.EvalOpts{Gov: rc.gov, Through: rc.through, TraceParent: rc.varSpan(step.name)}
 	if step.seeded {
-		seeds, err := x.seedsFor(step, sl, bind, eng)
+		seeds, err := x.seedsFor(step, sl, bind, eng, rc)
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +557,7 @@ func (x *Executor) evalVar(a *query.Analyzed, step evalStep, view graph.View, sl
 // eng: the joined variable's endpoint in the tuple of bind, translated
 // into eng's store when the stores differ (identity crosses via the
 // unique id field).
-func (x *Executor) seedsFor(step evalStep, sl *slots, bind []plan.Pathway, eng *plan.Engine) ([]graph.UID, error) {
+func (x *Executor) seedsFor(step evalStep, sl *slots, bind []plan.Pathway, eng *plan.Engine, rc *runCtx) ([]graph.UID, error) {
 	seedPath, ok := sl.lookup(step.seedVar, bind)
 	if !ok {
 		return nil, fmt.Errorf("exec: internal: seed variable %q not bound", step.seedVar)
@@ -567,7 +566,7 @@ func (x *Executor) seedsFor(step evalStep, sl *slots, bind []plan.Pathway, eng *
 	if step.seedVarFn == query.FnTarget {
 		seedNode = seedPath.Target()
 	}
-	from := x.engineFor(step.seedVar).Accessor().Store()
+	from := rc.engineFor(step.seedVar).Accessor().Store()
 	return translateSeed(from, eng.Accessor().Store(), seedNode)
 }
 
@@ -694,8 +693,8 @@ func (x *Executor) termValue(a *query.Analyzed, t query.Term, sl *slots, bind []
 }
 
 // viewFor resolves the temporal view of a variable on its routed store.
-func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec) graph.View {
-	st := x.engineFor(varName).Accessor().Store()
+func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec, rc *runCtx) graph.View {
+	st := rc.engineFor(varName).Accessor().Store()
 	ts := varAt
 	if ts == nil {
 		ts = q.At
@@ -718,7 +717,7 @@ func (x *Executor) viewFor(varName string, q *query.Query, varAt *query.TimeSpec
 var allHistory = temporal.Between(math.MinInt64, temporal.Forever)
 
 // windowFor is the query-level selection window used for coexistence.
-func (x *Executor) windowFor(q *query.Query) temporal.Interval {
+func (x *Executor) windowFor(q *query.Query, rc *runCtx) temporal.Interval {
 	if q.At == nil {
 		if q.Agg != query.AggNone {
 			return allHistory
@@ -726,8 +725,8 @@ func (x *Executor) windowFor(q *query.Query) temporal.Interval {
 		// Implicit current snapshot: the coexistence check happens against
 		// "now" — with routed variables on stores with independent clocks,
 		// the latest of the participating nows.
-		now := x.Default.Accessor().Store().Clock().Now()
-		for _, eng := range x.Routes {
+		now := rc.engine.Accessor().Store().Clock().Now()
+		for _, eng := range rc.routes {
 			now = max(now, eng.Accessor().Store().Clock().Now())
 		}
 		return temporal.Between(now, temporal.Add(now, time.Nanosecond))

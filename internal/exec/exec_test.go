@@ -345,8 +345,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	if _, err := netmodel.BuildDemo(st2, 1000); err != nil {
 		t.Fatal(err)
 	}
-	eng2 := plan.NewEngine(relational.New(st2))
-	f.x.Route("Phys", eng2)
+	routes := map[string]*plan.Engine{"Phys": plan.NewEngine(relational.New(st2))}
 
 	src := fmt.Sprintf(`Retrieve Phys
 		From PATHS D1, PATHS Phys
@@ -358,7 +357,7 @@ func TestMultiStoreIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.x.Run(context.Background(), a, RunOptions{})
+	res, err := f.x.Run(context.Background(), a, RunOptions{Routes: routes})
 	if err != nil {
 		t.Fatal(err)
 	}

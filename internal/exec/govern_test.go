@@ -35,8 +35,9 @@ func (f *fixture) analyze(t testing.TB, src string) *query.Analyzed {
 
 // routedFixture routes the Phys variable of the §3.4 join to a
 // chaos-wrapped relational engine over a second copy of the demo
-// topology, returning the fixture, the chaos wrapper, and the query.
-func routedFixture(t *testing.T, opts ...chaos.Option) (*fixture, *chaos.Accessor, string) {
+// topology, returning the fixture, the chaos wrapper, the query, and the
+// options that route it.
+func routedFixture(t *testing.T, opts ...chaos.Option) (*fixture, *chaos.Accessor, string, RunOptions) {
 	t.Helper()
 	f := newFixture(t, "gremlin")
 	st2 := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
@@ -44,13 +45,13 @@ func routedFixture(t *testing.T, opts ...chaos.Option) (*fixture, *chaos.Accesso
 		t.Fatal(err)
 	}
 	ca := chaos.Wrap(relational.New(st2), opts...)
-	f.x.Route("Phys", plan.NewEngine(ca))
+	routed := RunOptions{Routes: map[string]*plan.Engine{"Phys": plan.NewEngine(ca)}}
 	src := fmt.Sprintf(`Retrieve Phys
 		From PATHS D1, PATHS Phys
 		Where D1 MATCHES VNF(id=%d)->[Vertical()]{1,6}->Host()
 		And Phys MATCHES PhysicalLink(){1,4}
 		And source(Phys)=target(D1)`, f.idOf(f.d.FirewallVNF))
-	return f, ca, src
+	return f, ca, src, routed
 }
 
 func TestOutcomeClassification(t *testing.T) {
@@ -134,7 +135,7 @@ func TestMaxDurationAbortsPromptly(t *testing.T) {
 
 func TestEnginePanicSurfacesAsError(t *testing.T) {
 	f := newFixture(t, "gremlin")
-	f.x.Default = plan.NewEngine(panicAccessor{inner: f.x.Default.Accessor()})
+	f.x = New(plan.NewEngine(panicAccessor{inner: f.x.Default.Accessor()}))
 	a := f.analyze(t, "Retrieve P From PATHS P Where P MATCHES VM()")
 	_, err := f.x.Run(context.Background(), a, RunOptions{})
 	if !errors.Is(err, ErrPanic) {
@@ -162,8 +163,8 @@ func (panicAccessor) IncidentEdges(graph.View, graph.UID, plan.Direction, *rpe.A
 func TestRoutedEngineErrorPropagates(t *testing.T) {
 	// Data-integration mode has no retry or fallback: the routed engine's
 	// first failing probe fails the query with that very error.
-	f, ca, src := routedFixture(t, chaos.WithFailFirst(1))
-	res, err := f.x.Run(context.Background(), f.analyze(t, src), RunOptions{})
+	f, ca, src, routed := routedFixture(t, chaos.WithFailFirst(1))
+	res, err := f.x.Run(context.Background(), f.analyze(t, src), routed)
 	var fault *chaos.Fault
 	if !errors.As(err, &fault) || res != nil {
 		t.Fatalf("run on a failing routed engine = %v, %v; want the *chaos.Fault and no result", res, err)
@@ -175,7 +176,7 @@ func TestRoutedEngineErrorPropagates(t *testing.T) {
 		t.Errorf("routed engine saw %d probes, %d faults; want 1 and 1 (no retry)", ca.Calls(), ca.Faults())
 	}
 	// The outage over, the same executor answers.
-	res, err = f.x.Run(context.Background(), f.analyze(t, src), RunOptions{})
+	res, err = f.x.Run(context.Background(), f.analyze(t, src), routed)
 	if err != nil || len(res.Rows) == 0 {
 		t.Fatalf("healed routed run = %v rows, err %v", res, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/rpe"
-	"repro/internal/stats"
 )
 
 // TestCompileAllocations guards what compiling one statement allocates —
@@ -27,7 +26,7 @@ func TestCompileAllocations(t *testing.T) {
 		if _, err := Analyze(q, sch); err != nil {
 			t.Fatal(err)
 		}
-		stats.FingerprintTokens(toks)
+		Fingerprint(toks)
 	}
 	compile()
 	allocs := testing.AllocsPerRun(50, compile)

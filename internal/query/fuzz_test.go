@@ -8,19 +8,18 @@ import (
 	"testing"
 
 	"repro/internal/rpe"
-	"repro/internal/stats"
 )
 
 // FuzzPrepare throws arbitrary bytes at what core.DB.Prepare runs on
 // untrusted statement text — one rpe.Lex, ParseTokens and
-// AnalyzeWithViews over its tokens, stats.FingerprintTokens over the same
-// tokens, NewTemplate over the analysis — and pins its contract: nothing
-// panics, the digest and normalized text from the parser's tokens are the
-// ones stats.Fingerprint computes from the text (so never its "!"
-// raw-text fallback), preparing it again accepts it again under the same
-// digest, every statement that analyzes makes a template, and the
-// template bound to random literal substitutions — valid and invalid —
-// gives what compiling the substituted text gives, error included.
+// AnalyzeWithViews over its tokens, Fingerprint over the same tokens,
+// NewTemplate over the analysis — and pins its contract: nothing panics,
+// the digest is the FNV-1a hash of the normalized text, which masks
+// exactly the template's parameters, preparing it again accepts it again
+// under the same digest, every statement that analyzes makes a template,
+// and the template bound to random literal substitutions — valid and
+// invalid — gives what compiling the substituted text gives, error
+// included, each substitution under the statement's digest.
 func FuzzPrepare(f *testing.F) {
 	for _, src := range paperQueries {
 		f.Add([]byte(src))
@@ -44,7 +43,7 @@ func FuzzPrepare(f *testing.F) {
 		if _, err := AnalyzeWithViews(q, sch, views); err != nil {
 			return "", "", false
 		}
-		digest, norm = stats.FingerprintTokens(toks)
+		digest, norm = Fingerprint(toks)
 		return digest, norm, true
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -53,8 +52,10 @@ func FuzzPrepare(f *testing.F) {
 		if !ok {
 			return
 		}
-		if text, textNorm := stats.Fingerprint(src); text != digest || textNorm != norm {
-			t.Fatalf("%q: digest %s (%q) from the parser's tokens, %s (%q) from the text", src, digest, norm, text, textNorm)
+		h := fnv.New64a()
+		h.Write([]byte(norm))
+		if want := fmt.Sprintf("%016x", h.Sum64()); digest != want {
+			t.Fatalf("%q: digest %s, FNV-1a of %q is %s", src, digest, norm, want)
 		}
 		if again, _, ok := prepare(src); !ok || again != digest {
 			t.Fatalf("re-prepare of %q: accepted=%v digest %s, first digest %s", src, ok, again, digest)
@@ -66,22 +67,28 @@ func FuzzPrepare(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		h := fnv.New64a()
+		if masked := strings.Count(norm, "?"); masked != len(tmpl.sites) {
+			t.Fatalf("%q: %d parameters, %d masked in %q", src, len(tmpl.sites), masked, norm)
+		}
+		h.Reset()
 		h.Write(b)
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		for range 4 {
-			checkSubstitution(t, tmpl, views, substitute(src, toks, rng))
+			checkSubstitution(t, tmpl, views, digest, substitute(src, toks, rng))
 		}
 	})
 }
 
 // checkSubstitution compares binding sub, a statement of tmpl's shape,
-// with compiling it afresh.
-func checkSubstitution(t *testing.T, tmpl *Template, views Views, sub string) {
+// with compiling it afresh, and holds it to the shape's digest.
+func checkSubstitution(t *testing.T, tmpl *Template, views Views, digest, sub string) {
 	t.Helper()
 	toks, err := rpe.Lex(sub)
 	if err != nil {
 		t.Fatalf("substituted %q does not lex: %v", sub, err)
+	}
+	if d, norm := Fingerprint(toks); d != digest {
+		t.Fatalf("substituted %q: digest %s (%q), the statement's is %s", sub, d, norm, digest)
 	}
 	want, wantErr := func() (*Analyzed, error) {
 		q, err := ParseTokens(sub, toks)

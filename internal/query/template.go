@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/rpe"
@@ -81,6 +82,57 @@ func AppendShape(dst []byte, toks []rpe.Token) []byte {
 		}
 	}
 	return dst
+}
+
+// Fingerprint returns the identity under which the statement toks lexes
+// aggregates in the statistics: its normalized text and the 64-bit
+// FNV-1a hash of that text as 16 lowercase hex characters. The text is
+// the statement's shape (AppendShape) spelled out: every token as
+// written, a parameter as "?" and a keyword in upper case, one space
+// apart. Statements that differ only in literals, spacing or keyword
+// case share a digest; any other difference, repetition bounds included,
+// gives another. Keyword case stays out of the shape itself: a field
+// named like a keyword would bind to the template of a statement that
+// means something else.
+func Fingerprint(toks []rpe.Token) (digest, normalized string) {
+	n := 0
+	for _, t := range toks {
+		n += max(len(t.Text), 1) + 1
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	bounds := 0
+	for _, t := range toks {
+		if t.Kind == rpe.KindEOF {
+			break
+		}
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		if isParam(t, &bounds) {
+			sb.WriteByte('?')
+			continue
+		}
+		if t.Kind == rpe.KindIdent {
+			if kw, ok := rpe.Keyword(t.Text); ok {
+				sb.WriteString(kw)
+				continue
+			}
+		}
+		sb.WriteString(t.Text)
+	}
+	normalized = sb.String()
+	sum := uint64(14695981039346656037)
+	for i := 0; i < len(normalized); i++ {
+		sum = (sum ^ uint64(normalized[i])) * 1099511628211
+	}
+	const hexdigits = "0123456789abcdef"
+	var hex [16]byte
+	for i := 15; i >= 0; i-- {
+		hex[i] = hexdigits[sum&0xf]
+		sum >>= 4
+	}
+	return string(hex[:]), normalized
 }
 
 // NewTemplate makes the analyzed statement a, parsed from toks, the

@@ -342,8 +342,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 
 // requestLimits are a request's own bounds: its timeout_ms and its
 // limits, timeout_ms as MaxDuration, the tighter of the two durations
-// winning. The DB's limits still govern (core.Prepared.ExecTraced
-// folds these into them), so a request can only tighten them.
+// winning. The DB's limits still govern (core.Prepared.Run folds these
+// into them), so a request can only tighten them.
 func requestLimits(timeoutMS int64, l *Limits) exec.Limits {
 	lim := exec.Limits{MaxDuration: millis(timeoutMS)}
 	if l == nil {
@@ -422,7 +422,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, stmt *core.Prepa
 	if ex == nil && analyze {
 		ex = obs.NewSpan("Execute", "")
 	}
-	res, err := stmt.ExecTraced(r.Context(), lim, ex)
+	res, err := stmt.Run(r.Context(), exec.RunOptions{Limits: lim, Parent: ex})
 	ex.Finish()
 	if err != nil {
 		writeQueryErr(w, r, err)

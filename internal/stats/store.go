@@ -1,3 +1,10 @@
+// Package stats aggregates per-statement workload statistics, in the
+// style of pg_stat_statements: a bounded top-K store accumulates calls,
+// outcomes, latency, and scan volume per statement digest — the
+// statement's shape, normalized and hashed by query.Fingerprint. The
+// store is the rollup layer above the per-request telemetry from
+// internal/obs — the access log and trace store carry the same digest,
+// so one hot statement can be chased across every surface.
 package stats
 
 import (

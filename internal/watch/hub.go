@@ -361,7 +361,7 @@ func (h *Hub) pump() {
 // compaction gap, or an event the feed could not attribute to a class.
 type batch struct {
 	classes map[string]struct{}
-	uids    []graph.UID // sorted, distinct
+	uids    []graph.UID // sorted, distinct; non-nil unless full
 	full    bool
 }
 
@@ -461,7 +461,9 @@ func (h *Hub) reevaluate(s *Subscription, b batch) (*Delta, error) {
 // statement restricted to those elements, then swaps the pathways
 // indexed under them for the ones it found. A row is added when its
 // first pathway arrives and removed when its last one goes; only added
-// rows are rendered. On error the answer is left as it was.
+// rows are rendered. On error the answer is left as it was. touched is
+// batchOf's non-nil slice: empty, it restricts the run to nothing, where
+// nil would lift the restriction.
 func (h *Hub) patch(s *Subscription, touched []graph.UID) (*Delta, error) {
 	a := &s.ans
 	a.gen++
@@ -474,7 +476,7 @@ func (h *Hub) patch(s *Subscription, touched []graph.UID) (*Delta, error) {
 			}
 		}
 	}
-	res, err := s.prepared.ExecThrough(context.Background(), touched, len(a.paths)-len(drop))
+	res, err := s.prepared.Run(context.Background(), exec.RunOptions{Through: touched, Kept: len(a.paths) - len(drop)})
 	if err != nil {
 		return nil, err
 	}
