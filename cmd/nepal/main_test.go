@@ -53,28 +53,48 @@ func TestRunExplainAndCodegen(t *testing.T) {
 // both backends: an annotated plan tree whose operator lines carry wall
 // time, row counts, and EdgesScanned.
 func TestRunExplainAnalyzeShape(t *testing.T) {
-	q := "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)"
+	bottomUp := "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id=1001)"
+	// Both ends pinned by id: the forward half searches toward host-2,
+	// and its breadth-first search shows as the Goal operator.
+	hostHost := "Retrieve P From PATHS P Where P MATCHES Host(id=1001)->[PhysicalLink()]{1,4}->Host(id=1002)"
 	for _, backend := range []string{"gremlin", "relational"} {
-		var out bytes.Buffer
-		err := run(options{model: "netmodel", demo: true, backend: backend, q: q,
-			explainAnalyze: true, out: &out})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		text := out.String()
-		for _, want := range []string{
-			"-- variable P [" + backend + "] --",
-			"RPE: ",
-			"Anchor Host(id=1001)",
-			"ExtendBlock {1,6}",
-			"time=",
-			"rows_out=",
-			"edges_scanned=",
-			"Eval: time=",
-			"Query: time=",
+		for _, tc := range []struct {
+			q          string
+			want, gone []string
+		}{
+			{bottomUp, []string{"Anchor Host(id=1001)", "ExtendBlock {1,6}"}, []string{"Goal"}},
+			{hostHost, []string{
+				"Anchor Host(id=1001)",
+				"ExtendBlock {1,4}",
+				"Goal: forward toward Host(id=1002) within 3 hops",
+				"Goal (distances to the pinned end)  [time=",
+				"probes=3 rows_in=1 rows_out=4 edges_scanned=",
+			}, nil},
 		} {
-			if !strings.Contains(text, want) {
-				t.Errorf("%s: explain-analyze output missing %q:\n%s", backend, want, text)
+			var out bytes.Buffer
+			err := run(options{model: "netmodel", demo: true, backend: backend, q: tc.q,
+				explainAnalyze: true, out: &out})
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			text := out.String()
+			for _, want := range append([]string{
+				"-- variable P [" + backend + "] --",
+				"RPE: ",
+				"time=",
+				"rows_out=",
+				"edges_scanned=",
+				"Eval: time=",
+				"Query: time=",
+			}, tc.want...) {
+				if !strings.Contains(text, want) {
+					t.Errorf("%s: explain-analyze output missing %q:\n%s", backend, want, text)
+				}
+			}
+			for _, gone := range tc.gone {
+				if strings.Contains(text, gone) {
+					t.Errorf("%s: explain-analyze output holds %q:\n%s", backend, gone, text)
+				}
 			}
 		}
 	}

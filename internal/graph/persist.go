@@ -344,7 +344,7 @@ func (st *Store) LoadHistory(r io.Reader) error {
 
 	// Commit: install the fully validated state.
 	st.objects, st.out, st.in = tmp.objects, tmp.out, tmp.in
-	st.byClass, st.unique = tmp.byClass, tmp.unique
+	st.byClass, st.unique, st.released = tmp.byClass, tmp.unique, tmp.released
 	st.classCount, st.stats = tmp.classCount, nil
 	st.versionCount, st.liveCount = tmp.versionCount, tmp.liveCount
 	if tmp.nextUID > st.nextUID {
@@ -451,5 +451,6 @@ func (st *Store) restoreObject(r *codec.Reader, prev UID, fields Fields) (*Elem,
 		st.liveCount++
 		st.recordUnique(cls, cur.Rec, uid)
 	}
+	st.noteReleases(obj)
 	return obj, nil
 }

@@ -342,3 +342,57 @@ func TestLoadHistoryAtomicOnFailure(t *testing.T) {
 		t.Fatalf("counts after retried load: (%d,%d) vs (%d,%d)", l1, v1, l2, v2)
 	}
 }
+
+// TestLookupUniqueSince: the live unique index answers for a value only
+// from the last time an element gave it up — deleted, or updated to
+// another value; an update keeping the value gives nothing up, and one
+// value's release leaves the others exact. A restored history notes the
+// same releases.
+func TestLookupUniqueSince(t *testing.T) {
+	st, clock := newTestStore(t)
+	start := clock.Now()
+	vm, _ := st.InsertNode("VM", Fields{"id": 1, "status": "Green"})
+	h, _ := st.InsertNode("Host", Fields{"id": 10})
+	exact := func(st *Store, id int, from int64) bool {
+		_, _, ok := st.LookupUniqueSince("Node", "id", id, from)
+		return ok
+	}
+	clock.Advance(time.Hour)
+	_ = st.Update(vm, Fields{"id": 1, "status": "Red"})
+	if !exact(st, 1, start) {
+		t.Fatal("an update keeping the id released it")
+	}
+	clock.Advance(time.Hour)
+	renamed := clock.Now()
+	_ = st.Update(vm, Fields{"id": 2, "status": "Red"})
+	clock.Advance(time.Hour)
+	deleted := clock.Now()
+	_ = st.Delete(h)
+	if uid, found, _ := st.LookupUniqueSince("Node", "id", 2, start); !found || uid != vm {
+		t.Fatalf("id 2 resolves to %d, %v; want the renamed VM %d", uid, found, vm)
+	}
+	var buf bytes.Buffer
+	if err := st.WriteHistory(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStore(testSchema(t), temporal.NewManualClock(t0), nil)
+	if err := restored.LoadHistory(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"live": st, "restored": restored} {
+		for _, c := range []struct {
+			from int64
+			want bool
+		}{{start, false}, {renamed - 1, false}, {renamed, true}, {deleted, true}} {
+			if got := exact(s, 1, c.from); got != c.want {
+				t.Errorf("%s: exact from %d = %v, want %v (renamed %d, deleted %d)", name, c.from, got, c.want, renamed, deleted)
+			}
+		}
+		if !exact(s, 2, start) || !exact(s, 11, start) {
+			t.Errorf("%s: ids no element gave up are not exact", name)
+		}
+		if exact(s, 10, deleted-1) || !exact(s, 10, deleted) {
+			t.Errorf("%s: the deleted host's id is exact before its delete, or not after", name)
+		}
+	}
+}

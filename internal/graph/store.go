@@ -212,6 +212,14 @@ type Store struct {
 	// unique indexes enforce schema Unique fields: for each declaring class
 	// and field, valueKey -> owning UID among currently-live objects.
 	unique map[uniqueKey]map[string]UID
+	// released holds, per unique field and value (by releaseHash), the
+	// latest transaction time at which an element gave the value up,
+	// deleted or updated to another value. The live index answers for the
+	// value at every instant from then on; an earlier instant may belong
+	// to a holder it has forgotten (LookupUniqueSince). Values that share
+	// a hash share the latest time, which only makes a lookup inexact
+	// sooner; the map holds no value key's string.
+	released map[uint64]int64
 
 	// classCount tracks live objects per concrete class (statistics for the
 	// anchor cost model). stats is the copy Stats hands out, kept until a
@@ -257,6 +265,7 @@ func NewStore(s *schema.Schema, clock *temporal.Clock, reg *obs.Registry) *Store
 		clock:      clock,
 		byClass:    make(map[string][]UID),
 		unique:     make(map[uniqueKey]map[string]UID),
+		released:   make(map[uint64]int64),
 		classCount: make(map[string]int),
 		nextUID:    1,
 		reg:        reg,
@@ -350,8 +359,7 @@ func (st *Store) installLocked(c *schema.Class, uid UID, src, dst UID, rec schem
 // publishes a fresh header over it. The closed version ends where the new
 // row starts, so no row is written but the appended one.
 func (st *Store) updateLocked(obj *Elem, rec schema.Record, t int64) {
-	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
-	st.recordUnique(obj.Class, rec, obj.UID)
+	st.moveUnique(obj.Class, obj.Current().Rec, rec, obj.UID, t)
 	next := *obj
 	next.Versions = append(obj.Versions, Row{Rec: rec, Start: t})
 	next.End = temporal.Forever
@@ -381,7 +389,7 @@ func (st *Store) closeIfLive(uid UID, t int64) {
 }
 
 func (st *Store) closeObject(obj *Elem, t int64) {
-	st.releaseUnique(obj.Class, obj.Current().Rec, obj.UID)
+	st.moveUnique(obj.Class, obj.Current().Rec, nil, obj.UID, t)
 	next := *obj
 	next.End = t
 	st.setObject(obj.UID, &next)
@@ -413,12 +421,90 @@ func (st *Store) recordUnique(c *schema.Class, rec schema.Record, uid UID) {
 	})
 }
 
-func (st *Store) releaseUnique(c *schema.Class, rec schema.Record, uid UID) {
-	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
-		if m := st.unique[key]; m != nil && m[vk] == uid {
-			st.setUnique(m, vk, 0)
+// moveUnique re-indexes uid's unique values from rec to next (nil for a
+// delete) at transaction time t: a value next keeps stays indexed, one it
+// gives up is released and the release noted, and one it gains is taken.
+func (st *Store) moveUnique(c *schema.Class, rec, next schema.Record, uid UID, t int64) {
+	eachUniqueChange(c, rec, next, func(key uniqueKey, was, now string) {
+		m := st.unique[key]
+		if was != "" {
+			if m != nil && m[was] == uid {
+				st.setUnique(m, was, 0)
+			}
+			st.noteRelease(key, was, t)
+		}
+		if now != "" {
+			if m == nil {
+				m = make(map[string]UID)
+				st.unique[key] = m
+			}
+			st.setUnique(m, now, uid)
 		}
 	})
+}
+
+// noteReleases notes every release of a unique value obj's history holds,
+// as the live write path noted them (moveUnique): where a version gives a
+// value up to the next, and where the element ends.
+func (st *Store) noteReleases(obj *Elem) {
+	for i, v := range obj.Versions {
+		var next schema.Record
+		t := obj.End
+		if i+1 < len(obj.Versions) {
+			next, t = obj.Versions[i+1].Rec, obj.Versions[i+1].Start
+		} else if t == temporal.Forever {
+			return
+		}
+		eachUniqueChange(obj.Class, v.Rec, next, func(key uniqueKey, was, _ string) {
+			if was != "" {
+				st.noteRelease(key, was, t)
+			}
+		})
+	}
+}
+
+func (st *Store) noteRelease(key uniqueKey, vk string, t int64) {
+	h := releaseHash(key, vk)
+	if last, ok := st.released[h]; !ok || t > last {
+		st.released[h] = t
+	}
+}
+
+// releaseHash is the FNV-1a hash of a unique field's declaring class,
+// its name and a value key, each closed by a byte no name holds.
+func releaseHash(key uniqueKey, vk string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range [3]string{key.class, key.field, vk} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
+	}
+	return h
+}
+
+// eachUniqueChange calls fn for every unique field whose value differs
+// between rec and next (nil: holds nothing), with the value keys it had
+// and has ("" for none).
+func eachUniqueChange(c *schema.Class, rec, next schema.Record, fn func(key uniqueKey, was, now string)) {
+	for cur := c; cur != nil; cur = cur.Parent {
+		base := len(cur.Fields()) - len(cur.OwnFields)
+		for i, f := range cur.OwnFields {
+			if !f.Unique {
+				continue
+			}
+			var was, now string
+			if v := rec[base+i]; v != nil {
+				was = valueKey(v)
+			}
+			if next != nil && next[base+i] != nil {
+				now = valueKey(next[base+i])
+			}
+			if was != now {
+				fn(uniqueKey{class: cur.Name, field: f.Name}, was, now)
+			}
+		}
+	}
 }
 
 // eachUnique calls fn with the index key and value key of every unique
@@ -528,6 +614,20 @@ func (st *Store) LookupUnique(class, field string, value any) (UID, bool) {
 	defer st.mu.RUnlock()
 	uid, ok := st.unique[uniqueKey{class: class, field: field}][valueKey(value)]
 	return uid, ok
+}
+
+// LookupUniqueSince is LookupUnique for a reader that looks at no instant
+// before from. exact reports whether the live index answers for all of
+// them: whether no element has given value up after from. When it is
+// false, an element the index has forgotten may have held value at an
+// instant the reader sees.
+func (st *Store) LookupUniqueSince(class, field string, value any, from int64) (uid UID, found, exact bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	key, vk := uniqueKey{class: class, field: field}, valueKey(value)
+	uid, found = st.unique[key][vk]
+	last, released := st.released[releaseHash(key, vk)]
+	return uid, found, !released || last <= from
 }
 
 // Stats returns live per-class record counts for the planner's cost model.

@@ -71,7 +71,7 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 		return nil, err
 	}
 	cls := c.ClassOf(a)
-	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
+	if elems, ok := plan.UniqueAnchor(view, cls, a); ok {
 		b.uniqueLookups.Add(1)
 		return elems, nil
 	}

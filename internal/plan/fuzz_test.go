@@ -263,7 +263,7 @@ func checkTraceInvariants(t *testing.T, label string, set *plan.PathwaySet, m pl
 		case "Select":
 			_, out := s.Rows()
 			selectRows += out
-		case "Extend":
+		case "Extend", "Goal":
 			extendEdges += s.Counter("edges_scanned")
 		case "Eval":
 			_, rootRows = s.Rows()
@@ -273,7 +273,7 @@ func checkTraceInvariants(t *testing.T, label string, set *plan.PathwaySet, m pl
 		t.Errorf("%s: Select spans rows_out=%d, Metrics.AnchorRecords=%d", label, selectRows, m.AnchorRecords)
 	}
 	if extendEdges != int64(m.EdgesScanned) {
-		t.Errorf("%s: Extend spans edges_scanned=%d, Metrics.EdgesScanned=%d", label, extendEdges, m.EdgesScanned)
+		t.Errorf("%s: Extend and Goal spans edges_scanned=%d, Metrics.EdgesScanned=%d", label, extendEdges, m.EdgesScanned)
 	}
 	if rootRows != int64(set.Len()) {
 		t.Errorf("%s: Eval root rows_out=%d, result set %d", label, rootRows, set.Len())

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -53,31 +54,60 @@ type Accessor interface {
 }
 
 // UniqueAnchor is the Select operator's index path both backends share:
-// when the atom pins a unique field with equality (the field declared on
-// the atom's class or any ancestor, the index keyed by the declaring
-// class), ok is true and elems is the live owner of that value if it
-// belongs to the atom's class, or nil — a unique miss is provably empty.
-// ok is false when no such predicate exists and the backend must scan.
-func UniqueAnchor(st *graph.Store, cls *schema.Class, a *rpe.Atom) (elems []graph.UID, ok bool) {
+// when the atom pins a unique field with equality or IN (the field
+// declared on the atom's class or any ancestor, the index keyed by the
+// declaring class), ok is true and elems holds, once each, the owners of
+// the listed values that belong to the atom's class: one lookup per value,
+// and a value nobody holds is provably empty. ok is false when no such
+// predicate exists, or when the index cannot answer for the whole view —
+// an element gave a value of the field up after the view's window opens
+// (graph.Store.LookupUniqueSince) — and the backend must scan.
+func UniqueAnchor(view graph.View, cls *schema.Class, a *rpe.Atom) (elems []graph.UID, ok bool) {
+	st := view.Store()
 	for _, p := range a.Preds {
-		if p.Op != rpe.OpEq {
+		if p.Op != rpe.OpEq && p.Op != rpe.OpIn {
 			continue
 		}
-		for cur := cls; cur != nil; cur = cur.Parent {
-			for _, f := range cur.OwnFields {
-				if f.Name != p.Field || !f.Unique {
-					continue
+		decl := uniqueDecl(cls, p.Field)
+		if decl == nil {
+			continue
+		}
+		one := [1]any{p.Value}
+		vals := one[:]
+		if p.Op == rpe.OpIn {
+			vals = p.List
+		}
+		for _, v := range vals {
+			uid, found, exact := st.LookupUniqueSince(decl.Name, p.Field, v, view.Window().Start)
+			if !exact {
+				return nil, false
+			}
+			if !found || slices.Contains(elems, uid) {
+				continue
+			}
+			if obj := st.Elem(uid); obj != nil && obj.Class.IsSubclassOf(cls) {
+				elems = append(elems, uid)
+			}
+		}
+		return elems, true
+	}
+	return nil, false
+}
+
+// uniqueDecl returns the class, cls or an ancestor, that declares field
+// unique, or nil.
+func uniqueDecl(cls *schema.Class, field string) *schema.Class {
+	for cur := cls; cur != nil; cur = cur.Parent {
+		for _, f := range cur.OwnFields {
+			if f.Name == field {
+				if f.Unique {
+					return cur
 				}
-				if uid, found := st.LookupUnique(cur.Name, f.Name, p.Value); found {
-					if obj := st.Elem(uid); obj != nil && obj.Class.IsSubclassOf(cls) {
-						return []graph.UID{uid}, true
-					}
-				}
-				return nil, true
+				return nil
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Plan is an executable query plan: the checked RPE, the selected anchor,
@@ -125,8 +155,20 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "Select: %s\n", p.Anchor)
 	}
 	fmt.Fprintf(&sb, "MaxLen: %d elements\n", p.MaxLen)
+	p.explainGoals(&sb)
 	sb.WriteString(explainOps(p.Checked.Expr, p.anchorIDs(), nil))
 	return sb.String()
+}
+
+// explainGoals writes one line per goal-directed half: the atoms it
+// searches toward and the radius of its breadth-first search.
+func (p *Plan) explainGoals(sb *strings.Builder) {
+	_, labels := p.Checked.Rendered()
+	for _, dir := range [2]Direction{Forward, Backward} {
+		if atoms, radius := p.goal(dir); atoms != nil {
+			fmt.Fprintf(sb, "Goal: %s\n", goalLabel(labels, dir, atoms, radius))
+		}
+	}
 }
 
 func seedEnd(d Direction) string {

@@ -107,6 +107,11 @@ type evalState struct {
 	elems    []graph.UID // the candidate pathway being assembled
 	validity validityScratch
 
+	// goal holds the goal of the forward and the backward half-searches
+	// (goal.go), and goalQ the breadth-first queue that marks them.
+	goal  [2]goalHalf
+	goalQ []int32
+
 	// anchors holds a restricted evaluation's anchor elements, and keep,
 	// sorted, the elements each of its pathways must hold when anchors
 	// has more (EvalOpts.Through); keep is empty otherwise.
@@ -154,6 +159,7 @@ func getEvalState(gov *Governor) *evalState {
 		bwd:      es.bwd[:0],
 		elems:    es.elems[:0],
 		validity: es.validity,
+		goalQ:    es.goalQ[:0],
 		anchors:  es.anchors[:0],
 		keep:     es.keep[:0],
 		out:      PathwaySet{paths: es.out.paths[:0], table: es.out.table[:0]},
@@ -173,6 +179,7 @@ func putEvalState(es *evalState) {
 	clear(es.validity.elements)
 	clear(es.out.paths) // windows of slab arrays that growth has replaced
 	es.tr, es.gov, es.err = nil, nil, nil
+	es.goal = [2]goalHalf{}
 	idleStates.Lock()
 	if len(idleStates.list) < runtime.GOMAXPROCS(0) {
 		idleStates.list = append(idleStates.list, es)
@@ -226,12 +233,15 @@ type elemTable struct {
 // elemEntry is one resolved element; obj is nil when the uid names none.
 // isEdge copies the object's kind, so the search's per-candidate checks
 // never load the object itself. onPath marks an element of the partial
-// pathway search is expanding (markPath).
+// pathway search is expanding (markPath). goal holds, per search
+// direction, a node's distance in hops to that half's goal plus one, or
+// zero where the goal's breadth-first search did not reach (goal.go).
 type elemEntry struct {
 	obj                 *graph.Elem
 	visible, isEdge     bool
 	stableKnown, stable bool
 	onPath              bool
+	goal                [2]uint8
 }
 
 // reset readies an emptied table for one evaluation of c over view.
@@ -504,6 +514,10 @@ func (e *Engine) eval(view graph.View, p *Plan, through []graph.UID, es *evalSta
 	if through != nil {
 		atoms = c.Atoms()
 		e.throughAnchors(view, c, through, es)
+	} else {
+		for d := range es.goal {
+			es.goal[d].atoms, es.goal[d].radius = p.goal(Direction(d))
+		}
 	}
 	for _, atom := range atoms {
 		if es.checkpoint() {
@@ -530,6 +544,9 @@ func (e *Engine) eval(view graph.View, p *Plan, through []graph.UID, es *evalSta
 			}
 			ei := es.tab.resolve(uid)
 			if !es.tab.ents[ei].visible || !es.tab.satisfies(ei, atom) {
+				continue
+			}
+			if !e.aim(view, c, es) {
 				continue
 			}
 			for _, ti := range transIdxs {
@@ -713,17 +730,19 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 			// Structural successor: the edge's far endpoint node.
 			e.step(c, cur, n.next, dir, es)
 		} else if hint, feasible := e.expandHint(c, states, dir); feasible {
-			e.expand(view, c, cur, n.elem, hint, dir, es)
+			e.expand(view, c, cur, n.elem, hint, dir, es.reach(n, dir, p.MaxLen), es)
 		}
 	}
 	es.markPath(last, -1)
 }
 
 // expand performs one Extend operator execution: an adjacency probe at
-// node followed by one consume attempt per returned edge. When tracing,
-// the probe's wall time and candidate volume accumulate into the Extend
-// span of the (hint, dir) operator.
-func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.UID, hint *rpe.Atom, dir Direction, es *evalState) {
+// node followed by one consume attempt per returned edge. An edge whose
+// far node lies more than reach hops from a goal-directed half's goal is
+// rejected unconsumed (reach -1: no such check). When tracing, the
+// probe's wall time and candidate volume accumulate into the Extend span
+// of the (hint, dir) operator.
+func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.UID, hint *rpe.Atom, dir Direction, reach int, es *evalState) {
 	n := es.tr.extendNode(hint, dir)
 	t0 := n.begin()
 	edges, err := e.acc.IncidentEdges(view, node, dir, hint, c, es.gov)
@@ -739,6 +758,11 @@ func (e *Engine) expand(view graph.View, c *rpe.Checked, cur int32, node graph.U
 		return
 	}
 	for _, edge := range edges {
+		if reach >= 0 && es.beyond(edge, dir, reach) {
+			es.m.ElementsRejected++
+			n.candidate(false)
+			continue
+		}
 		n.candidate(e.step(c, cur, edge, dir, es))
 	}
 }

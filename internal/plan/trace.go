@@ -32,6 +32,7 @@ type traceEval struct {
 	extends []*opNode // indexed by (atom ID+1)*2 + direction; slot 0/1 = unpruned
 	union   *opNode
 	seedSel *opNode
+	goals   [2]*opNode // indexed by direction
 	flushed bool
 }
 
@@ -214,6 +215,35 @@ func (t *traceEval) unionNode() *opNode {
 	return t.union
 }
 
+// goalNode returns the accumulator of the Goal operator of the dir
+// half-search: the breadth-first search that marks its goal's distances.
+// Rows in are the goal nodes, rows out the nodes within the radius.
+func (t *traceEval) goalNode(dir Direction, g *goalHalf) *opNode {
+	if t == nil {
+		return nil
+	}
+	if t.goals[dir] == nil {
+		t.goals[dir] = &opNode{span: t.root.Child("Goal", goalLabel(t.labels, dir, g.atoms, g.radius)+t.sfx)}
+	}
+	return t.goals[dir]
+}
+
+// goalLabel renders a half's goal: its direction, its goal atoms and its
+// radius.
+func goalLabel(labels []string, dir Direction, atoms []int, radius int) string {
+	var sb strings.Builder
+	sb.WriteString(dir.String())
+	sb.WriteString(" toward ")
+	for i, id := range atoms {
+		if i > 0 {
+			sb.WriteString(" | ")
+		}
+		sb.WriteString(labels[id])
+	}
+	fmt.Fprintf(&sb, " within %d hops", radius)
+	return sb.String()
+}
+
 // flush writes every operator accumulator into its span. Idempotent, so
 // panic recovery can flush before attaching the tree to the error and
 // the normal finish path stays a no-op afterwards.
@@ -232,6 +262,9 @@ func (t *traceEval) flush() {
 	}
 	t.union.flush(false)
 	t.seedSel.flush(false)
+	for _, n := range t.goals {
+		n.flush(true)
+	}
 }
 
 func (n *opNode) flush(withEdges bool) {
@@ -333,6 +366,7 @@ type traceStats struct {
 	extends  map[int]*opStats
 	unpruned opStats
 	union    opStats
+	goal     opStats
 	evalDur  time.Duration
 	evals    int64
 	paths    int64
@@ -373,6 +407,8 @@ func collectTraceStats(root *obs.Span) *traceStats {
 			}
 		case "Union":
 			ts.union.fold(s)
+		case "Goal":
+			ts.goal.fold(s)
 		}
 	})
 	return ts
@@ -424,6 +460,7 @@ func (p *Plan) ExplainAnalyze(root *obs.Span) string {
 		fmt.Fprintf(&sb, "Select: %s\n", p.Anchor)
 	}
 	fmt.Fprintf(&sb, "MaxLen: %d elements\n", p.MaxLen)
+	p.explainGoals(&sb)
 	anchors := p.anchorIDs()
 	sb.WriteString(explainOps(p.Checked.Expr, anchors, func(e rpe.Expr) string {
 		switch x := e.(type) {
@@ -447,6 +484,9 @@ func (p *Plan) ExplainAnalyze(root *obs.Span) string {
 	}
 	if ts.union.seen {
 		sb.WriteString("  Union (assemble pathways)" + ts.union.annotation() + "\n")
+	}
+	if ts.goal.seen {
+		sb.WriteString("  Goal (distances to the pinned end)" + ts.goal.annotation() + "\n")
 	}
 	fmt.Fprintf(&sb, "Eval: time=%s evals=%d paths=%d\n",
 		obs.FormatDuration(ts.evalDur), ts.evals, ts.paths)

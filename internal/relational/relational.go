@@ -129,7 +129,7 @@ func (b *Backend) AnchorElements(view graph.View, c *rpe.Checked, a *rpe.Atom, g
 	cls := c.ClassOf(a)
 	// The relational schema keeps a dedicated uniqueness table (§5.2),
 	// realized by the store's unique index.
-	if elems, ok := plan.UniqueAnchor(b.store, cls, a); ok {
+	if elems, ok := plan.UniqueAnchor(view, cls, a); ok {
 		b.uniqueLookups.Add(1)
 		return elems, nil
 	}

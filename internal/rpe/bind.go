@@ -14,8 +14,8 @@ type Arg struct {
 // literals args, in atom, predicate and item order: each atom an argument
 // names is copied with its predicates validated (as Check validates them,
 // so with the same error) and compiled anew, and the expression is copied
-// above those atoms. The automaton, feasibility masks, classes and atom
-// ids are shared with c, which is not modified. The automaton's
+// above those atoms. The automaton, feasibility masks, goal analysis, classes
+// and atom ids are shared with c, which is not modified. The automaton's
 // transitions still label c's atoms: a caller reaching an atom through
 // NFA().Trans reads its class and predicate by id (ClassOf, Satisfies),
 // never through the atom's own Preds.
@@ -24,7 +24,7 @@ func (c *Checked) Bind(args []Arg) (*Checked, error) {
 		return c, nil
 	}
 	b := &Checked{Schema: c.Schema, atoms: slices.Clone(c.atoms), classes: c.classes,
-		preds: slices.Clone(c.preds), nfa: c.nfa, feas: c.feas}
+		preds: slices.Clone(c.preds), nfa: c.nfa, feas: c.feas, goals: c.goals}
 	for i := 0; i < len(args); {
 		id := args[i].Atom
 		a := &Atom{Class: c.atoms[id].Class, Preds: slices.Clone(c.atoms[id].Preds), id: id}

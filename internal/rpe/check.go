@@ -19,7 +19,8 @@ type Checked struct {
 	classes []*schema.Class // indexed by atom id
 	preds   []CompiledPred  // indexed by atom id; nil = always true
 	nfa     *NFA
-	feas    []kindMask // lazy: per-transition kind feasibility
+	feas    []kindMask // per-transition kind feasibility
+	goals   *goals     // goal-directed halves (goal.go); nil: none
 
 	strOnce  sync.Once // guards the rendering cache below
 	exprStr  string
@@ -70,6 +71,7 @@ func Check(e Expr, sch *schema.Schema) (*Checked, error) {
 	}
 	c.nfa = nfa
 	c.feas = c.nfa.transFeasibility(func(a *Atom) bool { return c.classes[a.id].IsEdge() })
+	c.goals = analyzeGoals(c)
 	return c, nil
 }
 

@@ -168,37 +168,54 @@ func spanNames(nodes []*server.SpanNode) []string {
 func TestExplainAnalyzeTraceHoldsOperators(t *testing.T) {
 	_, c := newTestServer(t, newDemoDB(t), server.Config{})
 	ctx := context.Background()
-	_, res, err := c.ExplainAnalyze(ctx, retrieveQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detail, err := c.Trace(ctx, res.TraceID)
-	if err != nil {
-		t.Fatalf("trace lookup: %v", err)
-	}
-	var query *server.SpanNode
-	for _, ph := range detail.Spans.Children {
-		for _, ch := range ph.Children {
-			if ph.Name == "Execute" && ch.Name == "Query" {
-				query = ch
+	// Bottom-up searches from its one pinned end; Host-Host, pinned at
+	// both, also runs the Goal operator's breadth-first search.
+	hostHost := "Retrieve P From PATHS P Where P MATCHES Host(id=1001)->[PhysicalLink()]{1,4}->Host(id=1002)"
+	for q, want := range map[string][]string{
+		retrieveQ: {"Select", "Extend"},
+		hostHost:  {"Select", "Extend", "Goal"},
+	} {
+		_, res, err := c.ExplainAnalyze(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		detail, err := c.Trace(ctx, res.TraceID)
+		if err != nil {
+			t.Fatalf("trace lookup: %v", err)
+		}
+		var query *server.SpanNode
+		for _, ph := range detail.Spans.Children {
+			for _, ch := range ph.Children {
+				if ph.Name == "Execute" && ch.Name == "Query" {
+					query = ch
+				}
 			}
 		}
-	}
-	if query == nil {
-		t.Fatalf("explain analyze trace has no Query span under Execute:\n%s", detail.Rendered)
-	}
-	ops := map[string]bool{}
-	walkSpans(query, func(n *server.SpanNode) { ops[n.Name] = true })
-	if !ops["Select"] || !ops["Extend"] {
-		t.Errorf("Query span holds %v, want Select and Extend operators", ops)
+		if query == nil {
+			t.Fatalf("explain analyze trace has no Query span under Execute:\n%s", detail.Rendered)
+		}
+		ops := map[string]*server.SpanNode{}
+		walkSpans(query, func(n *server.SpanNode) { ops[n.Name] = n })
+		for _, op := range want {
+			if ops[op] == nil {
+				t.Errorf("%s: Query span holds no %s operator", q, op)
+			}
+		}
+		switch g := ops["Goal"]; {
+		case g == nil:
+		case q == retrieveQ:
+			t.Errorf("%s: a Goal span where no half has a goal", q)
+		case g.Counters["edges_scanned"] == 0 || g.RowsIn != 1 || g.RowsOut != 4:
+			t.Errorf("Goal span %+v: want edges scanned, 1 goal node and 4 nodes reached", g)
+		}
 	}
 
 	_, dark := newTestServer(t, newDemoDB(t), server.Config{DisableTelemetry: true})
-	text, _, err := dark.ExplainAnalyze(ctx, retrieveQ)
+	text, _, err := dark.ExplainAnalyze(ctx, hostHost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "time=") || !strings.Contains(text, "Extend") {
+	if !strings.Contains(text, "time=") || !strings.Contains(text, "Extend") || !strings.Contains(text, "Goal (distances to the pinned end)") {
 		t.Errorf("explain analyze without telemetry rendered:\n%s", text)
 	}
 }
