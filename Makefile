@@ -84,7 +84,10 @@ crash:
 # Short coverage-guided fuzz passes over the inputs fed untrusted bytes:
 # the WAL frame decoder (every replication batch and crash-recovery
 # scan), the checkpoint loader (every recovery's checkpoint and every
-# follower's bootstrap snapshot), statement preparation (every /v1/query
+# follower's bootstrap snapshot), the unique index (batches of writes
+# whose unique values mix every kind, some rolled back, held after each
+# to a reference keyed by the values' canonical keys and across a
+# checkpoint round trip), statement preparation (every /v1/query
 # body: parse, analyze, the digest held to its shape — the hash of its
 # text, masking exactly the template's parameters, kept by every literal
 # substitution — and the statement template bound to substituted
@@ -112,7 +115,8 @@ crash:
 # one framed body of each kind the server refuses and the simulation's
 # corpus; 15s each is a smoke budget (the two parsers reach six-digit
 # exec counts, the checkpoint loader tens of thousands — its 1s
-# minimization cap keeps new inputs from eating the budget — the ingest
+# minimization cap keeps new inputs from eating the budget — the unique
+# index tens of thousands, the ingest
 # targets, which open a store per input (two for FuzzIngest), a few
 # hundred, the statement entry points tens of thousands, the simulation,
 # which runs a three-node cluster per seed, a few dozen, the patcher,
@@ -121,6 +125,7 @@ crash:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=15s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzLoadHistory -fuzztime=15s -fuzzminimizetime=1s -run '^$$' ./internal/graph/
+	$(GO) test -fuzz=FuzzUniqueIndex -fuzztime=15s -run '^$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzPrepare -fuzztime=15s -run '^$$' ./internal/query/
 	$(GO) test -fuzz='^FuzzIngest$$' -fuzztime=15s -run '^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzIngestFrames -fuzztime=15s -run '^$$' ./internal/server/

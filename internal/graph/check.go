@@ -216,25 +216,23 @@ func (st *Store) checkAdjacency() []Violation {
 // object's unique values are indexed to it.
 func (st *Store) checkUnique() []Violation {
 	var out []Violation
-	for key, entries := range st.unique {
-		for vk, holder := range entries {
+	for key, x := range st.unique {
+		x.each(func(k indexKey, holder UID) {
 			obj := st.objects.at(holder)
 			if obj == nil || obj.Current() == nil {
 				out = append(out, Violation{UID: holder, Kind: "unique-index",
-					Msg: fmt.Sprintf("%s.%s entry %q points at a dead object", key.class, key.field, vk)})
-				continue
+					Msg: fmt.Sprintf("%s.%s entry %q points at a dead object", key.class, key.field, k)})
+				return
 			}
 			found := false
-			st.eachUnique(obj.Class, obj.Current().Rec, func(k uniqueKey, v string) {
-				if k == key && v == vk {
-					found = true
-				}
+			eachUnique(obj.Class, obj.Current().Rec, func(kk uniqueKey, v indexKey) {
+				found = found || kk == key && v == k
 			})
 			if !found {
 				out = append(out, Violation{UID: holder, Kind: "unique-index",
-					Msg: fmt.Sprintf("%s.%s entry %q not held by its owner", key.class, key.field, vk)})
+					Msg: fmt.Sprintf("%s.%s entry %q not held by its owner", key.class, key.field, k)})
 			}
-		}
+		})
 	}
 	for uid := UID(0); uid < st.objects.end(); uid++ {
 		obj := st.objects.at(uid)
@@ -245,10 +243,10 @@ func (st *Store) checkUnique() []Violation {
 		if cur == nil {
 			continue
 		}
-		st.eachUnique(obj.Class, cur.Rec, func(key uniqueKey, vk string) {
-			if st.unique[key][vk] != uid {
+		eachUnique(obj.Class, cur.Rec, func(key uniqueKey, k indexKey) {
+			if held, _ := st.unique[key].get(k); held != uid {
 				out = append(out, Violation{UID: uid, Kind: "unique-index",
-					Msg: fmt.Sprintf("live value %q for %s.%s not indexed to owner", vk, key.class, key.field)})
+					Msg: fmt.Sprintf("live value %q for %s.%s not indexed to owner", k, key.class, key.field)})
 			}
 		})
 	}

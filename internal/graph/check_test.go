@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/schema"
 	"repro/internal/temporal"
 )
 
@@ -115,26 +116,30 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			*in = append(*in, 4) // edge 4's Dst is the host, not vm1
 		}},
 		{"unique entry points at dead object", "unique-index", func(t *testing.T, st *Store) {
-			for key, entries := range st.unique {
-				for vk, holder := range entries {
+			for _, x := range st.unique {
+				for _, holder := range x.ints {
 					obj := st.objects.at(holder)
 					obj.End = obj.Current().Start + 1
-					_ = key
-					_ = vk
 					return
 				}
 			}
 			t.Fatal("no unique entries to corrupt")
 		}},
 		{"live value unindexed", "unique-index", func(t *testing.T, st *Store) {
-			for key, entries := range st.unique {
-				for vk := range entries {
-					delete(entries, vk)
-					_ = key
+			for _, x := range st.unique {
+				for n := range x.ints {
+					delete(x.ints, n)
 					return
 				}
 			}
 			t.Fatal("no unique entries to corrupt")
+		}},
+		{"string entry not held by its owner", "unique-index", func(t *testing.T, st *Store) {
+			uid, err := st.InsertNode("VM", Fields{"id": 40, "status": "a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.index(uniqueKey{class: schema.NodeRoot, field: "id"}).set(keyOf("40"), uid) // "40" is not 40
 		}},
 		{"accounting drift", "accounting", func(t *testing.T, st *Store) {
 			st.liveCount += 3

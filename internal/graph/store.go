@@ -13,9 +13,7 @@ package graph
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -210,8 +208,8 @@ type Store struct {
 	byClass map[string][]UID
 
 	// unique indexes enforce schema Unique fields: for each declaring class
-	// and field, valueKey -> owning UID among currently-live objects.
-	unique map[uniqueKey]map[string]UID
+	// and field, the live holder of each value (unique.go).
+	unique map[uniqueKey]*uniqueIndex
 	// released holds, per unique field and value (by releaseHash), the
 	// latest transaction time at which an element gave the value up,
 	// deleted or updated to another value. The live index answers for the
@@ -248,11 +246,6 @@ type Store struct {
 	undo undoLog
 }
 
-type uniqueKey struct {
-	class string // class that declares the unique field
-	field string
-}
-
 // NewStore returns an empty store over a finalized schema. A nil clock
 // uses the wall clock; tests pass a manual clock for determinism. The
 // store records its metrics into reg (nil records nothing).
@@ -264,7 +257,7 @@ func NewStore(s *schema.Schema, clock *temporal.Clock, reg *obs.Registry) *Store
 		schema:     s,
 		clock:      clock,
 		byClass:    make(map[string][]UID),
-		unique:     make(map[uniqueKey]map[string]UID),
+		unique:     make(map[uniqueKey]*uniqueIndex),
 		released:   make(map[uint64]int64),
 		classCount: make(map[string]int),
 		nextUID:    1,
@@ -397,160 +390,6 @@ func (st *Store) closeObject(obj *Elem, t int64) {
 	st.liveCount--
 }
 
-// claimUnique verifies no other live element holds the unique field
-// values in rec; self may already hold them (updates).
-func (st *Store) claimUnique(c *schema.Class, rec schema.Record, self UID) error {
-	var err error
-	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
-		if held, exists := st.unique[key][vk]; err == nil && exists && held != self {
-			err = fmt.Errorf("graph: duplicate value %s for unique field %s.%s (held by uid %d)",
-				vk[1:], key.class, key.field, held)
-		}
-	})
-	return err
-}
-
-func (st *Store) recordUnique(c *schema.Class, rec schema.Record, uid UID) {
-	st.eachUnique(c, rec, func(key uniqueKey, vk string) {
-		m := st.unique[key]
-		if m == nil {
-			m = make(map[string]UID)
-			st.unique[key] = m
-		}
-		st.setUnique(m, vk, uid)
-	})
-}
-
-// moveUnique re-indexes uid's unique values from rec to next (nil for a
-// delete) at transaction time t: a value next keeps stays indexed, one it
-// gives up is released and the release noted, and one it gains is taken.
-func (st *Store) moveUnique(c *schema.Class, rec, next schema.Record, uid UID, t int64) {
-	eachUniqueChange(c, rec, next, func(key uniqueKey, was, now string) {
-		m := st.unique[key]
-		if was != "" {
-			if m != nil && m[was] == uid {
-				st.setUnique(m, was, 0)
-			}
-			st.noteRelease(key, was, t)
-		}
-		if now != "" {
-			if m == nil {
-				m = make(map[string]UID)
-				st.unique[key] = m
-			}
-			st.setUnique(m, now, uid)
-		}
-	})
-}
-
-// noteReleases notes every release of a unique value obj's history holds,
-// as the live write path noted them (moveUnique): where a version gives a
-// value up to the next, and where the element ends.
-func (st *Store) noteReleases(obj *Elem) {
-	for i, v := range obj.Versions {
-		var next schema.Record
-		t := obj.End
-		if i+1 < len(obj.Versions) {
-			next, t = obj.Versions[i+1].Rec, obj.Versions[i+1].Start
-		} else if t == temporal.Forever {
-			return
-		}
-		eachUniqueChange(obj.Class, v.Rec, next, func(key uniqueKey, was, _ string) {
-			if was != "" {
-				st.noteRelease(key, was, t)
-			}
-		})
-	}
-}
-
-func (st *Store) noteRelease(key uniqueKey, vk string, t int64) {
-	h := releaseHash(key, vk)
-	if last, ok := st.released[h]; !ok || t > last {
-		st.released[h] = t
-	}
-}
-
-// releaseHash is the FNV-1a hash of a unique field's declaring class,
-// its name and a value key, each closed by a byte no name holds.
-func releaseHash(key uniqueKey, vk string) uint64 {
-	h := uint64(14695981039346656037)
-	for _, s := range [3]string{key.class, key.field, vk} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * 1099511628211
-		}
-		h = (h ^ 0xff) * 1099511628211
-	}
-	return h
-}
-
-// eachUniqueChange calls fn for every unique field whose value differs
-// between rec and next (nil: holds nothing), with the value keys it had
-// and has ("" for none).
-func eachUniqueChange(c *schema.Class, rec, next schema.Record, fn func(key uniqueKey, was, now string)) {
-	for cur := c; cur != nil; cur = cur.Parent {
-		base := len(cur.Fields()) - len(cur.OwnFields)
-		for i, f := range cur.OwnFields {
-			if !f.Unique {
-				continue
-			}
-			var was, now string
-			if v := rec[base+i]; v != nil {
-				was = valueKey(v)
-			}
-			if next != nil && next[base+i] != nil {
-				now = valueKey(next[base+i])
-			}
-			if was != now {
-				fn(uniqueKey{class: cur.Name, field: f.Name}, was, now)
-			}
-		}
-	}
-}
-
-// eachUnique calls fn with the index key and value key of every unique
-// field rec holds. A class's own fields take the last len(OwnFields)
-// slots of its field list, so each declaring class's slots are found
-// without a name lookup.
-func (st *Store) eachUnique(c *schema.Class, rec schema.Record, fn func(uniqueKey, string)) {
-	for cur := c; cur != nil; cur = cur.Parent {
-		base := len(cur.Fields()) - len(cur.OwnFields)
-		for i, f := range cur.OwnFields {
-			if !f.Unique {
-				continue
-			}
-			if v := rec[base+i]; v != nil {
-				fn(uniqueKey{class: cur.Name, field: f.Name}, valueKey(v))
-			}
-		}
-	}
-}
-
-// valueKey canonicalizes a field value for index keys: all integer-valued
-// numerics collapse to the same key so that 5, int64(5) and 5.0 collide.
-// It runs on every insert, update and restored version, so the common
-// kinds are built with strconv rather than fmt.
-func valueKey(v any) string {
-	var buf [32]byte
-	switch n := v.(type) {
-	case int:
-		return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
-	case int32:
-		return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
-	case int64:
-		return string(strconv.AppendInt(append(buf[:0], 'i'), n, 10))
-	case float64:
-		if n == float64(int64(n)) {
-			return string(strconv.AppendInt(append(buf[:0], 'i'), int64(n), 10))
-		}
-		return string(strconv.AppendFloat(append(buf[:0], 'f'), n, 'g', -1, 64))
-	case string:
-		return "s" + n
-	case bool:
-		return string(strconv.AppendBool(append(buf[:0], 'b'), n))
-	}
-	return fmt.Sprintf("v%v", v)
-}
-
 // Elem returns the stored element with the given UID, or nil. It is the
 // engine's read. The header it returns is immutable, so the caller reads
 // it without a lock; the read lock Elem takes guards only the table probe
@@ -605,29 +444,6 @@ func (st *Store) BySubtree(c *schema.Class) []UID {
 		out = append(out, st.byClass[name]...)
 	}
 	return out
-}
-
-// LookupUnique resolves a unique field value to its live owner. The class
-// must be the one declaring the unique field (e.g. Node for id).
-func (st *Store) LookupUnique(class, field string, value any) (UID, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	uid, ok := st.unique[uniqueKey{class: class, field: field}][valueKey(value)]
-	return uid, ok
-}
-
-// LookupUniqueSince is LookupUnique for a reader that looks at no instant
-// before from. exact reports whether the live index answers for all of
-// them: whether no element has given value up after from. When it is
-// false, an element the index has forgotten may have held value at an
-// instant the reader sees.
-func (st *Store) LookupUniqueSince(class, field string, value any, from int64) (uid UID, found, exact bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	key, vk := uniqueKey{class: class, field: field}, valueKey(value)
-	uid, found = st.unique[key][vk]
-	last, released := st.released[releaseHash(key, vk)]
-	return uid, found, !released || last <= from
 }
 
 // Stats returns live per-class record counts for the planner's cost model.

@@ -413,9 +413,10 @@ func TestObjectLifetime(t *testing.T) {
 	}
 }
 
-// TestValueKey pins every unique-index key string: integer-valued
-// numerics of any kind collapse to one "i" key, other floats keep their
-// shortest form, and kinds without a fast path print through fmt.
+// TestValueKey pins the canonical key that decides which unique values
+// collide: integer-valued numerics of any kind collapse to one "i" key,
+// other floats keep their shortest form, and kinds without a fast path
+// print through fmt.
 func TestValueKey(t *testing.T) {
 	for _, c := range []struct {
 		v    any

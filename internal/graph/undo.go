@@ -25,7 +25,7 @@ const (
 	undoIn                             // in[uid] had length n
 	undoByClass                        // byClass[name] had length n (0: absent)
 	undoClassCount                     // classCount[name] was n (had: present)
-	undoUnique                         // index[vk] was uid (had: present)
+	undoUnique                         // index[key] was uid (0: absent)
 )
 
 type undoEntry struct {
@@ -35,8 +35,8 @@ type undoEntry struct {
 	n     int
 	obj   *Elem
 	name  string
-	index map[string]UID // one unique index
-	vk    string
+	index *uniqueIndex
+	key   indexKey
 }
 
 // beginUndo turns the journal on for a batch.
@@ -80,11 +80,7 @@ func (st *Store) rollbackUndo() {
 				delete(st.classCount, e.name)
 			}
 		case undoUnique:
-			if e.had {
-				e.index[e.vk] = e.uid
-			} else {
-				delete(e.index, e.vk)
-			}
+			e.index.set(e.key, e.uid)
 		}
 	}
 	st.nextUID, st.versionCount, st.liveCount = u.nextUID, u.versionCount, u.liveCount
@@ -143,18 +139,14 @@ func (st *Store) addClassCount(name string, d int) {
 	st.stats = nil
 }
 
-// setUnique makes uid the owner of value vk in one unique index (uid 0
+// setUnique makes uid the owner of value k in one unique index (uid 0
 // releases it).
-func (st *Store) setUnique(m map[string]UID, vk string, uid UID) {
+func (st *Store) setUnique(x *uniqueIndex, k indexKey, uid UID) {
 	if st.undo.on {
-		held, had := m[vk]
-		st.journal(undoEntry{kind: undoUnique, index: m, vk: vk, uid: held, had: had})
+		held, _ := x.get(k)
+		st.journal(undoEntry{kind: undoUnique, index: x, key: k, uid: held})
 	}
-	if uid == 0 {
-		delete(m, vk)
-	} else {
-		m[vk] = uid
-	}
+	x.set(k, uid)
 }
 
 func (st *Store) journal(e undoEntry) {

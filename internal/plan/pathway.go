@@ -164,7 +164,7 @@ func (s *PathwaySet) reindex() {
 
 // insert appends a pathway find reported absent at slot.
 func (s *PathwaySet) insert(slot int, p Pathway) {
-	s.paths = append(grown(s.paths, 1), p)
+	s.paths = append(s.paths, p)
 	s.table[slot] = int32(len(s.paths))
 }
 

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,8 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/rpe"
+	"repro/internal/temporal"
 )
 
 // probePanic lets its first `after` adjacency probes through and panics
@@ -133,5 +137,89 @@ func TestConcurrentEvalPooled(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fanIn builds a spine (id 1) under tors TOR switches, each with
+// hostsPerTOR hosts linked up to it: one pathway from every host to the
+// spine.
+func fanIn(t *testing.T, tors, hostsPerTOR int) *graph.Store {
+	t.Helper()
+	st := graph.NewStore(netmodel.MustSchema(), temporal.NewManualClock(t0), nil)
+	id := int64(0)
+	node := func(class string) graph.UID {
+		id++
+		uid, err := st.InsertNode(class, graph.Fields{"id": id, "name": fmt.Sprintf("n%d", id), "status": "Active"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uid
+	}
+	link := func(src, dst graph.UID) {
+		id++
+		if _, err := st.InsertEdge(netmodel.PhysicalLink, src, dst, graph.Fields{"id": id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spine := node("SpineSwitch")
+	for i := 0; i < tors; i++ {
+		tor := node("TORSwitch")
+		link(tor, spine)
+		for j := 0; j < hostsPerTOR; j++ {
+			link(node("ComputeHost"), tor)
+		}
+	}
+	return st
+}
+
+// TestPooledScratchOneEnded evaluates a query anchored at its far end,
+// whose forward half is the anchor alone, at 1k and at 4k pathways. Each
+// backward half is joined with the forward halves as it completes, so
+// the idle state keeps the same halves capacity for either answer. The
+// answer equals the oracle's, in the order and with the Metrics and the
+// Union counts the join of every stored backward half gave.
+func TestPooledScratchOneEnded(t *testing.T) {
+	// The pathway order's digest and the Metrics, per answer size, as the
+	// join of every stored backward half gave them on both backends.
+	want := map[int]string{
+		1000: "4952e496faaa9930 anchors=1 edges_scanned=1010 consumed=2020 rejected=0 partials=2022 paths=1000",
+		4000: "d88d50cc77914ab8 anchors=1 edges_scanned=4010 consumed=8020 rejected=0 partials=8022 paths=4000",
+	}
+	for _, name := range []string{"gremlin", "relational"} {
+		caps := map[int]int{}
+		for _, hosts := range []int{1000, 4000} {
+			st := fanIn(t, 10, hosts/10)
+			eng := engines(st)[name]
+			c, p := mustPlan(t, st, "Host()->[PhysicalLink()]{1,3}->SpineSwitch(id=1)")
+			view := graph.CurrentView(st)
+			plan.DropIdleStates()
+			set, m, root, err := eng.EvalWith(view, p, plan.EvalOpts{Traced: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps[hosts] = plan.IdleHalvesCap()
+			label := fmt.Sprintf("%s/%d", name, hosts)
+			if set.Len() != hosts {
+				t.Fatalf("%s: %d pathways, want %d", label, set.Len(), hosts)
+			}
+			checkTraceInvariants(t, label, set, m, root)
+			compareSets(t, label, st, set, plan.ReferenceEval(view, c))
+			root.Walk(func(s *obs.Span) {
+				if in, out := s.Rows(); s.Name() == "Union" && (in != int64(hosts) || out != int64(hosts)) {
+					t.Errorf("%s: Union rows %d in, %d out; want %d pairs and %d pathways", label, in, out, hosts, hosts)
+				}
+			})
+			h := sha256.New()
+			for _, p := range set.Paths() {
+				fmt.Fprintln(h, p.Key())
+			}
+			got := fmt.Sprintf("%x %v", h.Sum(nil)[:8], m)
+			if got != want[hosts] {
+				t.Errorf("%s: order and metrics %s, want %s", label, got, want[hosts])
+			}
+		}
+		if caps[1000] != caps[4000] || caps[1000] == 0 {
+			t.Errorf("%s: idle halves capacity %d at 1k pathways, %d at 4k; want one capacity", name, caps[1000], caps[4000])
+		}
 	}
 }

@@ -78,6 +78,9 @@ func (e *Engine) record(m Metrics, d time.Duration) {
 // getEvalState to putEvalState; the pool hands the arenas, capacity kept,
 // to the next one, and nothing the evaluation returns points into them:
 // seal copies the result out (DESIGN.md, "Search core memory model").
+// The arenas grow as append grows a slice (slices.Grow): capacity
+// survives from evaluation to evaluation, so a state pays for its growth
+// once, and a steeper rule would only raise what an idle state keeps.
 type evalState struct {
 	m   Metrics
 	tr  *traceEval
@@ -98,12 +101,16 @@ type evalState struct {
 	sets     []uint64
 	nw       int
 	stack    []int32 // pending partials, as arena indexes in push order
-	// halves holds the completed half-pathways of the current anchor
-	// element (or seed branch), each written out once, in pathway order;
-	// fwd and bwd index it. Emptied when the element's pathways are
-	// assembled.
+	// halves holds the completed forward half-pathways of the current
+	// anchor element, each written out once, in pathway order, and fwd
+	// indexes them; emptied when the element's pathways are assembled. A
+	// backward half, or a seeded search's, is written after them only
+	// until it is joined or finished, so halves never holds more than
+	// the forward halves and one more. bwd counts the backward halves
+	// joined with the forward ones.
 	halves   []graph.UID
-	fwd, bwd []half
+	fwd      []half
+	bwd      int
 	elems    []graph.UID // the candidate pathway being assembled
 	validity validityScratch
 
@@ -156,7 +163,6 @@ func getEvalState(gov *Governor) *evalState {
 		stack:    es.stack[:0],
 		halves:   es.halves[:0],
 		fwd:      es.fwd[:0],
-		bwd:      es.bwd[:0],
 		elems:    es.elems[:0],
 		validity: es.validity,
 		goalQ:    es.goalQ[:0],
@@ -268,7 +274,7 @@ func (t *elemTable) resolve(uid graph.UID) int32 {
 	i := int32(len(t.ents))
 	t.ents = append(t.ents, elemEntry{obj: obj, visible: obj != nil && t.view.Visible(obj), isEdge: obj != nil && obj.IsEdge()})
 	off := len(t.bits)
-	t.bits = grown(t.bits, 2*t.aw)[:off+2*t.aw]
+	t.bits = slices.Grow(t.bits, 2*t.aw)[:off+2*t.aw]
 	clear(t.bits[off:])
 	if obj != nil {
 		// Only a UID naming an object is indexed, so the index's
@@ -308,7 +314,7 @@ func (t *elemTable) stable(i int32) bool {
 // element's pathways are assembled.
 func (es *evalState) release() {
 	es.partials, es.sets = es.partials[:0], es.sets[:0]
-	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
+	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], 0
 }
 
 // states returns partial i's state set; valid until the arena next grows.
@@ -378,7 +384,7 @@ func (es *evalState) complete(i int32, dir Direction) half {
 		size++
 	}
 	off := len(es.halves)
-	es.halves = grown(es.halves, size)[:off+size]
+	es.halves = slices.Grow(es.halves, size)[:off+size]
 	seq := es.halves[off:]
 	if dir == Forward {
 		seq[size-1] = n.next // overwritten unless the tail is an edge
@@ -392,17 +398,6 @@ func (es *evalState) complete(i int32, dir Direction) half {
 		}
 	}
 	return half{int32(off), int32(off + size)}
-}
-
-// grown returns s with room for n more entries, doubling a full slice:
-// a mining query completes tens of thousands of halves and pathways,
-// where append's 1.25x steps would allocate over four times the final
-// size in total.
-func grown[T any](s []T, n int) []T {
-	if cap(s)-len(s) < n {
-		s = slices.Grow(s, len(s)+n)
-	}
-	return s
 }
 
 // checkpoint is the cooperative cancellation check the search loops run
@@ -551,14 +546,10 @@ func (e *Engine) eval(view graph.View, p *Plan, through []graph.UID, es *evalSta
 			}
 			for _, ti := range transIdxs {
 				tr := nfa.Trans[ti]
+				before := es.out.Len()
 				e.search(view, p, es.root(uid, ei, nfa.Closure(tr.To), Forward), true, Forward, es)
 				e.search(view, p, es.root(uid, ei, nfa.ClosureRev(tr.From), Backward), true, Backward, es)
-				union := es.tr.unionNode()
-				before := es.out.Len()
-				t0 := union.begin()
-				e.combine(view, es)
-				union.end(t0)
-				union.rows(len(es.bwd)*len(es.fwd), es.out.Len()-before)
+				es.tr.unionNode().rows(es.bwd*len(es.fwd), es.out.Len()-before)
 				es.release()
 			}
 		}
@@ -676,39 +667,25 @@ func (e *Engine) evalSeedOne(view graph.View, p *Plan, seed graph.UID, ei int32,
 	// Branch (a): the seed node is consumed by a leading (for a Backward
 	// plan, trailing) node atom.
 	if e.consume(c, implicit, ei, p.SeedDir, es) {
-		e.seedBranch(view, p, es.push(-1, seed, ei, p.SeedDir), true, es)
+		e.search(view, p, es.push(-1, seed, ei, p.SeedDir), true, p.SeedDir, es)
 	}
 	// Branch (b): the seed is the implicit endpoint of a leading edge
 	// match; nothing consumed yet.
-	e.seedBranch(view, p, implicit, false, es)
+	e.search(view, p, implicit, false, p.SeedDir, es)
 	es.release()
 }
 
-// seedBranch searches from one seed root and admits every completion: a
-// seeded search has a single half, which carries the whole match.
-func (e *Engine) seedBranch(view graph.View, p *Plan, root int32, consumed bool, es *evalState) {
-	e.search(view, p, root, consumed, p.SeedDir, es)
-	done := es.fwd
-	if p.SeedDir == Backward {
-		done = es.bwd
-	}
-	for _, h := range done {
-		e.finish(view, es.halves[h.off:h.end], es)
-	}
-	es.halves, es.fwd, es.bwd = es.halves[:0], es.fwd[:0], es.bwd[:0]
-}
-
 // search runs one half-search from root — forwards over the automaton, or
-// backwards over the reversed one — and appends every completed
-// half-pathway to es.fwd or es.bwd, the trivial one included when the
-// root's state set already accepts. consumed is false only for a seed
-// standing in as the implicit endpoint of a leading edge match: that root
-// is part of the sequence but has consumed nothing, so it cannot complete.
+// backwards over the reversed one — and hands every completed
+// half-pathway to completed, the trivial one included when the root's
+// state set already accepts. consumed is false only for a seed standing
+// in as the implicit endpoint of a leading edge match: that root is part
+// of the sequence but has consumed nothing, so it cannot complete.
 func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir Direction, es *evalState) {
 	c := p.Checked
-	final, done := c.NFA().Accept, &es.fwd
+	final := c.NFA().Accept
 	if dir == Backward {
-		final, done = c.NFA().Start, &es.bwd
+		final = c.NFA().Start
 	}
 	es.stack = append(es.stack[:0], root)
 	last := int32(-1) // the partial expanded last, whose chain is marked
@@ -721,7 +698,7 @@ func (e *Engine) search(view graph.View, p *Plan, root int32, consumed bool, dir
 		es.m.PartialsExplored++
 		n, states := es.partials[cur], es.states(cur)
 		if (consumed || cur != root) && states.Has(final) {
-			*done = append(*done, es.complete(cur, dir))
+			e.completed(view, p, es.complete(cur, dir), dir, es)
 		}
 		if int(n.depth) >= p.MaxLen+2 {
 			continue
@@ -796,7 +773,7 @@ func (e *Engine) consume(c *rpe.Checked, cur int32, ei int32, dir Direction, es 
 	}
 	nfa := c.NFA()
 	off := len(es.sets)
-	es.sets = grown(es.sets, es.nw)[:off+es.nw]
+	es.sets = slices.Grow(es.sets, es.nw)[:off+es.nw]
 	from, next := es.states(cur), rpe.StateSet(es.sets[off:])
 	next.Reset()
 	isEdge := es.tab.ents[ei].isEdge
@@ -887,21 +864,40 @@ func (e *Engine) expandHint(c *rpe.Checked, cur rpe.StateSet, dir Direction) (hi
 	return hint, feasible
 }
 
-// combine joins the current anchor element's backward and forward
-// halves and finalizes each pathway. Both halves hold the anchor; it is
-// taken from the forward one.
-func (e *Engine) combine(view graph.View, es *evalState) {
-	for _, b := range es.bwd {
-		if es.checkpoint() {
-			return
-		}
-		head := es.halves[b.off : b.end-1]
-		es.elems = append(es.elems[:0], head...)
-		for _, f := range es.fwd {
-			es.elems = append(es.elems[:len(head)], es.halves[f.off:f.end]...)
-			e.finish(view, es.elems, es)
-		}
+// completed takes a half-pathway complete just wrote at the tail of
+// es.halves. An anchored search keeps a forward half for the backward
+// ones, which run after all of them, and joins each backward half with
+// them as it completes; a seeded search has a single half, which carries
+// the whole match and is finished at once. The backward search runs
+// depth-first, so the pathways come out backward-major in the order a
+// join of every backward half with every forward one would give.
+func (e *Engine) completed(view graph.View, p *Plan, h half, dir Direction, es *evalState) {
+	switch {
+	case p.Seeded:
+		e.finish(view, es.halves[h.off:h.end], es)
+	case dir == Forward:
+		es.fwd = append(es.fwd, h)
+		return
+	default:
+		e.join(view, h, es)
 	}
+	es.halves = es.halves[:h.off]
+}
+
+// join combines backward half b with every forward half of the current
+// anchor element and finalizes each pathway: the Union operator. Both
+// halves hold the anchor; it is taken from the forward one.
+func (e *Engine) join(view graph.View, b half, es *evalState) {
+	union := es.tr.unionNode()
+	t0 := union.begin()
+	head := es.halves[b.off : b.end-1]
+	es.elems = append(es.elems[:0], head...)
+	for _, f := range es.fwd {
+		es.elems = append(es.elems[:len(head)], es.halves[f.off:f.end]...)
+		e.finish(view, es.elems, es)
+	}
+	union.end(t0)
+	es.bwd++
 }
 
 // finish admits an assembled candidate when it is a simple pathway not
@@ -933,8 +929,8 @@ func (e *Engine) finish(view graph.View, elems []graph.UID, es *evalState) {
 // validity are scratch: they are appended to the result's slabs.
 func (es *evalState) admit(slot int, elems []graph.UID, validity temporal.Set) {
 	e, v := len(es.outElems), len(es.outIvs)
-	es.outElems = append(grown(es.outElems, len(elems)), elems...)
-	es.outIvs = append(grown(es.outIvs, len(validity)), validity...)
+	es.outElems = append(es.outElems, elems...)
+	es.outIvs = append(es.outIvs, validity...)
 	es.out.insert(slot, Pathway{Elems: es.outElems[e:], Validity: es.outIvs[v:]})
 }
 

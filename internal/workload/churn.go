@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/schema"
 	"repro/internal/temporal"
 )
 
@@ -47,12 +48,12 @@ func ApplyServiceChurn(st *graph.Store, svc *Service, clock *temporal.Clock, cfg
 		clock.Advance(24 * time.Hour)
 		for i := 0; i < cfg.StatusFlipsPerDay; i++ {
 			vm := svc.VMs[rng.Intn(len(svc.VMs))]
-			obj := st.Object(vm)
+			obj := st.Elem(vm)
 			cur := obj.Current()
 			if cur == nil {
 				continue
 			}
-			next := cur.Fields.Clone()
+			next := obj.Class.Map(cur.Rec)
 			next["status"] = statuses[rng.Intn(len(statuses))]
 			if err := st.Update(vm, next); err != nil {
 				return fmt.Errorf("workload: churn day %d: %w", day, err)
@@ -70,23 +71,23 @@ func ApplyServiceChurn(st *graph.Store, svc *Service, clock *temporal.Clock, cfg
 
 // migrateVM moves the VM's OnServer placement to a different host.
 func migrateVM(st *graph.Store, svc *Service, rng *rand.Rand, vm graph.UID) error {
-	var placement graph.UID
+	var placement *graph.Elem
 	for _, e := range st.OutEdges(vm) {
-		obj := st.Object(e)
+		obj := st.Elem(e)
 		if obj.Class.Name == netmodel.OnServer && obj.Current() != nil {
-			placement = e
+			placement = obj
 			break
 		}
 	}
-	if placement == 0 {
+	if placement == nil {
 		return nil // already gone
 	}
 	newHost := svc.Hosts[rng.Intn(len(svc.Hosts))]
-	if newHost == st.Object(placement).Dst {
+	if newHost == placement.Dst {
 		return nil
 	}
-	oldID := st.Object(placement).Current().Fields["id"]
-	if err := st.Delete(placement); err != nil {
+	oldID := placement.Current().Rec[schema.IDSlot]
+	if err := st.Delete(placement.UID); err != nil {
 		return err
 	}
 	uid, err := st.InsertEdge(netmodel.OnServer, vm, newHost, graph.Fields{"id": oldID})
@@ -108,12 +109,12 @@ func ApplyLegacyChurn(st *graph.Store, l *Legacy, clock *temporal.Clock, cfg Chu
 		for i := 0; i < cfg.StatusFlipsPerDay; i++ {
 			pool := pools[rng.Intn(len(pools))]
 			uid := pool[rng.Intn(len(pool))]
-			obj := st.Object(uid)
+			obj := st.Elem(uid)
 			cur := obj.Current()
 			if cur == nil {
 				continue
 			}
-			next := cur.Fields.Clone()
+			next := obj.Class.Map(cur.Rec)
 			next["status"] = statuses[rng.Intn(len(statuses))]
 			if err := st.Update(uid, next); err != nil {
 				return fmt.Errorf("workload: legacy churn day %d: %w", day, err)

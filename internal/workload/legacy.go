@@ -145,7 +145,7 @@ type Legacy struct {
 
 // IDOf returns the id field of a generated node.
 func (l *Legacy) IDOf(uid graph.UID) int64 {
-	return l.store.Object(uid).Versions[0].Fields["id"].(int64)
+	return l.store.Elem(uid).Versions[0].Rec[schema.IDSlot].(int64)
 }
 
 // BuildLegacy populates st (whose schema must come from LegacySchema with

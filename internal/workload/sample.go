@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/schema"
 )
 
 // ServiceSampler draws query instances for the Table 1 benchmark rows.
@@ -24,7 +25,7 @@ func NewServiceSampler(st *graph.Store, svc *Service, seed int64) *ServiceSample
 }
 
 func (s *ServiceSampler) idOf(uid graph.UID) int64 {
-	return s.st.Object(uid).Versions[0].Fields["id"].(int64)
+	return s.st.Elem(uid).Versions[0].Rec[schema.IDSlot].(int64)
 }
 
 // TopDown returns a VNF-to-Host navigation anchored at a random VNF.
@@ -122,11 +123,11 @@ func (s *ServiceSampler) liveNeighbors(uid graph.UID, edgeClass, nodeClass strin
 	nc, _ := s.st.Schema().Class(nodeClass)
 	var out []graph.UID
 	for _, e := range s.st.OutEdges(uid) {
-		obj := s.st.Object(e)
+		obj := s.st.Elem(e)
 		if obj.Current() == nil || !obj.Class.IsSubclassOf(ec) {
 			continue
 		}
-		dst := s.st.Object(obj.Dst)
+		dst := s.st.Elem(obj.Dst)
 		if dst.Current() != nil && dst.Class.IsSubclassOf(nc) {
 			out = append(out, obj.Dst)
 		}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -298,5 +300,40 @@ func TestTypeIndicatorsCount(t *testing.T) {
 			t.Errorf("duplicate indicator %q", ti)
 		}
 		seen[ti] = true
+	}
+}
+
+// TestChurnHistoryDigest pins the churned fixtures byte for byte: the
+// SHA-256 of WriteHistory over the small service and legacy fixtures,
+// each with a few days of churn. The churn reads each element's current
+// row; a change in how it reads must leave every version it writes as
+// it was.
+func TestChurnHistoryDigest(t *testing.T) {
+	digest := func(st *graph.Store) string {
+		h := sha256.New()
+		if err := st.WriteHistory(h); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+
+	st, svc, clock := buildServiceGraph(t, smallServiceConfig())
+	churn := DefaultServiceChurn()
+	churn.Days = 5
+	if err := ApplyServiceChurn(st, svc, clock, churn); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(st), "5c5882ffa28b10188622075e8cb7b1d4a3871b987079c49f91d8bfd193ebfd5f"; got != want {
+		t.Errorf("service fixture history digest = %s, want %s", got, want)
+	}
+
+	st, l, clock := legacyStore(t, smallLegacyConfig(false))
+	churn = DefaultLegacyChurn(l)
+	churn.Days = 5
+	if err := ApplyLegacyChurn(st, l, clock, churn); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(st), "061272835b89ee16b06fb633ca891380d500ec381f2bf62042e3eba67e58fd6f"; got != want {
+		t.Errorf("legacy fixture history digest = %s, want %s", got, want)
 	}
 }
